@@ -5,8 +5,9 @@
 //
 //	go test -bench=. -benchmem
 //
-// For the recorded default-scale results, see EXPERIMENTS.md and the
-// cmd/fedzkt CLI.
+// Default-scale results are regenerated, not recorded: run the cmd/fedzkt
+// CLI (-list, then -exp <id>). The round ledger every performance claim
+// is judged in lives in bench/ (see its README).
 package fedzkt_test
 
 import (

@@ -284,6 +284,10 @@ func main() {
 	fmt.Printf("alloc: %.1f MB heap-allocated during the run, %d GCs, %s total GC pause (%.2f%% of wall)\n",
 		allocMB, msAfter.NumGC-msBefore.NumGC, gcPause.Round(time.Microsecond),
 		100*float64(gcPause)/float64(elapsed))
+	if useVirtual {
+		builds, reuses := co.DeviceRigStats()
+		fmt.Printf("device rigs: %d modules built, %d materialisations served by reuse\n", builds, reuses)
+	}
 	if rss, peak, ok := processRSS(); ok {
 		fmt.Printf("rss: %.0f MB now, %.0f MB peak — bounded by the hot set, not the device count\n", rss, peak)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/fedzkt/fedzkt/internal/model"
 	"github.com/fedzkt/fedzkt/internal/nn"
 	"github.com/fedzkt/fedzkt/internal/tensor"
 )
@@ -469,6 +470,83 @@ func TestGet(t *testing.T) {
 		c, _ := Get(name)
 		if c.Width() != want {
 			t.Fatalf("%s width %d, want %d", name, c.Width(), want)
+		}
+	}
+}
+
+// TestEncodeExactSize: the container size is computed from the layout
+// before anything is written, so encoding a model state is one
+// allocation — the container itself, sized to the byte — for every codec,
+// and appending into a buffer with room allocates nothing.
+func TestEncodeExactSize(t *testing.T) {
+	sd := nn.CaptureState(model.MustBuild("mlp", model.Shape{C: 1, H: 16, W: 16}, 10, tensor.NewRand(3)))
+	for _, name := range Names() {
+		c, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var enc []byte
+		allocs := testing.AllocsPerRun(10, func() {
+			if enc, err = Encode(c, sd); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("%s: Encode allocates %v times, want 1", name, allocs)
+		}
+		// Exact, not merely bounded by the varints' worst case.
+		if slack := cap(enc) - len(enc); slack != 0 {
+			t.Errorf("%s: container has %d spare bytes of capacity (len %d)", name, slack, len(enc))
+		}
+		if want := sd.Numel() * c.Width(); len(enc) < want || len(enc) > want+64*len(sd) {
+			t.Errorf("%s: container is %d bytes for %d payload bytes", name, len(enc), want)
+		}
+		buf := make([]byte, 0, len(enc))
+		if allocs := testing.AllocsPerRun(10, func() {
+			if _, err := c.Append(buf, sd); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: Append into a sized buffer allocates %v times", name, allocs)
+		}
+		// A prefix the caller already wrote survives the single growth.
+		out, err := c.Append([]byte("hdr"), sd)
+		if err != nil || string(out[:3]) != "hdr" || !bytes.Equal(out[3:], enc) {
+			t.Errorf("%s: appending after a prefix changed the bytes (err %v)", name, err)
+		}
+	}
+}
+
+// TestDecodeIntoAllOrNothing: a container that fails validation anywhere
+// — even in its last tensor — leaves the destination untouched.
+func TestDecodeIntoAllOrNothing(t *testing.T) {
+	sd := randomState(13, 2)
+	good := encode(t, Int8, sd)
+	dup := func() []byte {
+		// Two tensors under one name: valid headers, duplicate rejected.
+		one := nn.StateDict{"w": tensor.Full(1, 4)}
+		b := encode(t, Float64, one)
+		body := bytes.Clone(b[6:]) // magic, version, count=1
+		out := append(bytes.Clone(b[:5]), 2)
+		out = append(out, body...)
+		return append(out, body...)
+	}()
+	cases := map[string][]byte{
+		"truncated": good[:len(good)-1],
+		"trailing":  append(bytes.Clone(good), 0),
+		"duplicate": dup,
+	}
+	for name, b := range cases {
+		dst := sd.Clone()
+		if name == "duplicate" {
+			dst = nn.StateDict{"w": tensor.Full(7, 4)}
+		}
+		before := dst.Clone()
+		if err := DecodeInto(b, dst); err == nil {
+			t.Fatalf("%s: want error", name)
+		}
+		if got := maxAbsErr(t, before, dst); got != 0 {
+			t.Fatalf("%s: rejected container moved the destination by %g", name, got)
 		}
 	}
 }

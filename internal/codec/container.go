@@ -24,6 +24,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"github.com/fedzkt/fedzkt/internal/nn"
 	"github.com/fedzkt/fedzkt/internal/tensor"
@@ -46,10 +48,66 @@ const (
 // allocation.
 const maxDim = 1 << 40
 
+// uvarintLen is the encoded size of x as an unsigned varint.
+func uvarintLen(x uint64) int {
+	return (bits.Len64(x|1) + 6) / 7
+}
+
+// payloadLen is the dtype-dependent byte size of a numel-element tensor
+// payload (ok false for an unknown dtype).
+func payloadLen(dtype byte, numel int) (n int, ok bool) {
+	switch dtype {
+	case dtFloat64:
+		return 8 * numel, true
+	case dtFloat16:
+		return 2 * numel, true
+	case dtInt8:
+		return 16 + numel, true
+	}
+	return 0, false
+}
+
 // appendContainer writes sd as a container with the given dtype for every
-// tensor.
+// tensor. The container size is a pure function of the layout, so it is
+// computed up front and dst grows at most once, to exactly that size;
+// the element loops then write into the sized buffer by index.
 func appendContainer(dst []byte, sd nn.StateDict, dtype byte) ([]byte, error) {
-	names := sd.Names()
+	if _, ok := payloadLen(dtype, 0); !ok {
+		return nil, fmt.Errorf("codec: unknown dtype %d", dtype)
+	}
+	// A stack buffer keeps name sorting off the heap for every
+	// architecture in the zoo's small half; larger dicts spill.
+	var nameBuf [32]string
+	names := nameBuf[:0]
+	for n := range sd {
+		names = append(names, n)
+	}
+	slices.Sort(names)
+
+	size := len(containerMagic) + 1 + uvarintLen(uint64(len(names)))
+	for _, n := range names {
+		t := sd[n]
+		size += uvarintLen(uint64(len(n))) + len(n) + 1 + uvarintLen(uint64(t.Dims()))
+		for d := 0; d < t.Dims(); d++ {
+			// Mirror the reader's validation: emitting a shape the
+			// decoder rejects would turn an impossible tensor into an
+			// undecodable slot. (tensor constructors already forbid
+			// non-positive dims, so this is pure defence in depth.)
+			if t.Dim(d) <= 0 {
+				return nil, fmt.Errorf("codec: tensor %q has non-positive dimension in shape %v", n, t.Shape())
+			}
+			size += uvarintLen(uint64(t.Dim(d)))
+		}
+		pl, _ := payloadLen(dtype, t.Len())
+		size += pl
+	}
+	if cap(dst)-len(dst) < size {
+		// make (unlike append) allocates exactly the requested capacity.
+		grown := make([]byte, len(dst), len(dst)+size)
+		copy(grown, dst)
+		dst = grown
+	}
+
 	dst = append(dst, containerMagic[:]...)
 	dst = append(dst, containerVersion)
 	dst = binary.AppendUvarint(dst, uint64(len(names)))
@@ -58,45 +116,39 @@ func appendContainer(dst []byte, sd nn.StateDict, dtype byte) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, uint64(len(n)))
 		dst = append(dst, n...)
 		dst = append(dst, dtype)
-		shape := t.Shape()
-		dst = binary.AppendUvarint(dst, uint64(len(shape)))
-		for _, d := range shape {
-			// Mirror the reader's validation: emitting a shape the
-			// decoder rejects would turn an impossible tensor into an
-			// undecodable slot. (tensor constructors already forbid
-			// non-positive dims, so this is pure defence in depth.)
-			if d <= 0 {
-				return nil, fmt.Errorf("codec: tensor %q has non-positive dimension in shape %v", n, shape)
-			}
-			dst = binary.AppendUvarint(dst, uint64(d))
+		dst = binary.AppendUvarint(dst, uint64(t.Dims()))
+		for d := 0; d < t.Dims(); d++ {
+			dst = binary.AppendUvarint(dst, uint64(t.Dim(d)))
 		}
 		data := t.Data()
+		pl, _ := payloadLen(dtype, len(data))
+		out := dst[len(dst) : len(dst)+pl]
+		dst = dst[:len(dst)+pl]
 		switch dtype {
 		case dtFloat64:
-			for _, v := range data {
-				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+			for i, v := range data {
+				binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
 			}
 		case dtFloat16:
-			for _, v := range data {
-				dst = binary.LittleEndian.AppendUint16(dst, halfFromFloat64(v))
+			for i, v := range data {
+				binary.LittleEndian.PutUint16(out[2*i:], halfFromFloat64(v))
 			}
 		case dtInt8:
-			dst = appendInt8Tensor(dst, data)
-		default:
-			return nil, fmt.Errorf("codec: unknown dtype %d", dtype)
+			putInt8Tensor(out, data)
 		}
 	}
 	return dst, nil
 }
 
-// appendInt8Tensor writes the per-tensor affine header (offset, step) and
-// one quantised byte per element. The grid spans [min, max] of the tensor
-// with 256 levels: step = (max−min)/255, quantised q = round((v−offset)/step),
-// decoded v′ = offset + q·step, so the worst-case error is step/2. Decoded
-// values never fall below the tensor's minimum (q·step is non-negative),
-// so a non-negative tensor can never decode to a negative value; the top
-// of the range may overshoot the maximum by one rounding ulp.
-func appendInt8Tensor(dst []byte, data []float64) []byte {
+// putInt8Tensor writes the per-tensor affine header (offset, step) and
+// one quantised byte per element into out (len 16 + len(data)). The grid
+// spans [min, max] of the tensor with 256 levels: step = (max−min)/255,
+// quantised q = round((v−offset)/step), decoded v′ = offset + q·step, so
+// the worst-case error is step/2. Decoded values never fall below the
+// tensor's minimum (q·step is non-negative), so a non-negative tensor can
+// never decode to a negative value; the top of the range may overshoot
+// the maximum by one rounding ulp.
+func putInt8Tensor(out []byte, data []float64) {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, v := range data {
 		if v < lo {
@@ -126,12 +178,12 @@ func appendInt8Tensor(dst []byte, data []float64) []byte {
 		// subtracting. The quantised grid is unchanged up to rounding.
 		step = hi/255 - lo/255
 	}
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(lo))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(step))
-	for _, v := range data {
-		dst = append(dst, quantise(v, lo, step))
+	binary.LittleEndian.PutUint64(out, math.Float64bits(lo))
+	binary.LittleEndian.PutUint64(out[8:], math.Float64bits(step))
+	q := out[16:]
+	for i, v := range data {
+		q[i] = quantise(v, lo, step)
 	}
-	return dst
 }
 
 // quantise maps v onto the affine grid (offset lo, step), clamped to
@@ -163,7 +215,8 @@ func quantise(v, lo, step float64) byte {
 	return byte(q)
 }
 
-// entry is one tensor's header as surfaced by container iteration.
+// entry is one tensor's header as surfaced by container iteration. shape
+// aliases the walk's scratch and is only valid during the callback.
 type entry struct {
 	name    string
 	dtype   byte
@@ -171,6 +224,9 @@ type entry struct {
 	numel   int
 	payload []byte
 }
+
+// maxRank bounds a stored tensor's rank.
+const maxRank = 16
 
 // walkContainer validates the container structure — magic, version,
 // name/shape headers, exact payload lengths, no duplicate names, no
@@ -195,6 +251,7 @@ func walkContainer(b []byte, fn func(e entry) error) error {
 	// Cap the size hint: count is unvalidated input, and a tiny corrupt
 	// payload must not be able to demand a huge allocation up front.
 	seen := make(map[string]bool, min(count, 1024))
+	var shapeBuf [maxRank]int
 	for i := uint64(0); i < count; i++ {
 		nameLen, n := binary.Uvarint(rest)
 		if n <= 0 || nameLen > uint64(len(rest[n:])) {
@@ -213,11 +270,11 @@ func walkContainer(b []byte, fn func(e entry) error) error {
 		dtype := rest[0]
 		rest = rest[1:]
 		ndims, n := binary.Uvarint(rest)
-		if n <= 0 || ndims == 0 || ndims > 16 {
+		if n <= 0 || ndims == 0 || ndims > maxRank {
 			return fmt.Errorf("codec: corrupt container: bad rank for %q", name)
 		}
 		rest = rest[n:]
-		shape := make([]int, ndims)
+		shape := shapeBuf[:ndims]
 		numel := 1
 		for d := range shape {
 			dim, n := binary.Uvarint(rest)
@@ -233,24 +290,17 @@ func walkContainer(b []byte, fn func(e entry) error) error {
 			}
 			numel *= int(dim)
 		}
-		var payloadLen int
-		switch dtype {
-		case dtFloat64:
-			payloadLen = 8 * numel
-		case dtFloat16:
-			payloadLen = 2 * numel
-		case dtInt8:
-			payloadLen = 16 + numel
-		default:
+		pl, ok := payloadLen(dtype, numel)
+		if !ok {
 			return fmt.Errorf("codec: corrupt container: unknown dtype %d for %q", dtype, name)
 		}
-		if payloadLen > len(rest) {
-			return fmt.Errorf("codec: corrupt container: %q payload truncated (%d of %d bytes)", name, len(rest), payloadLen)
+		if pl > len(rest) {
+			return fmt.Errorf("codec: corrupt container: %q payload truncated (%d of %d bytes)", name, len(rest), pl)
 		}
-		if err := fn(entry{name: name, dtype: dtype, shape: shape, numel: numel, payload: rest[:payloadLen]}); err != nil {
+		if err := fn(entry{name: name, dtype: dtype, shape: shape, numel: numel, payload: rest[:pl]}); err != nil {
 			return err
 		}
-		rest = rest[payloadLen:]
+		rest = rest[pl:]
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("codec: corrupt container: %d trailing bytes", len(rest))
@@ -302,13 +352,18 @@ func Decode(b []byte) (nn.StateDict, error) {
 	return sd, nil
 }
 
-// DecodeInto parses a container into dst's existing tensors, allocating
-// nothing per element. The container must hold exactly dst's names with
-// matching element counts (shapes may differ in rank, mirroring the
+// DecodeInto parses a container into dst's existing tensors, with no
+// intermediate state dict. The container must hold exactly dst's names
+// with matching element counts (shapes may differ in rank, mirroring the
 // reshaped-copy semantics of tensor.CopyFrom), so drifted architectures
-// fail loudly.
+// fail loudly. It is all-or-nothing: the whole container is validated
+// against dst before the first element is written, so a rejected
+// container — truncated, wrong layout, duplicate name — leaves dst
+// untouched.
 func DecodeInto(b []byte, dst nn.StateDict) error {
-	decoded := 0
+	// Every valid container has exactly len(dst) distinct tensors, which
+	// bounds the pending list whatever count the header claims.
+	pending := make([]entry, 0, len(dst))
 	err := walkContainer(b, func(e entry) error {
 		t, ok := dst[e.name]
 		if !ok {
@@ -317,15 +372,18 @@ func DecodeInto(b []byte, dst nn.StateDict) error {
 		if t.Len() != e.numel {
 			return fmt.Errorf("codec: tensor %q length mismatch: container has %d elements, destination %d", e.name, e.numel, t.Len())
 		}
-		decodePayload(e, t.Data())
-		decoded++
+		e.shape = nil // scratch-backed; the destination keeps its own shape
+		pending = append(pending, e)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	if decoded != len(dst) {
-		return fmt.Errorf("codec: container holds %d of the destination's %d tensors", decoded, len(dst))
+	if len(pending) != len(dst) {
+		return fmt.Errorf("codec: container holds %d of the destination's %d tensors", len(pending), len(dst))
+	}
+	for _, e := range pending {
+		decodePayload(e, dst[e.name].Data())
 	}
 	return nil
 }

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -124,15 +125,22 @@ func (s *SpillFile) Write(slot int, rec []byte) error {
 	if len(rec) == 0 || len(rec) > s.recordCap {
 		return fmt.Errorf("codec: spill write slot %d: record is %d bytes, capacity %d", slot, len(rec), s.recordCap)
 	}
-	buf := make([]byte, spillHeader+len(rec))
-	binary.LittleEndian.PutUint32(buf, uint32(len(rec))) //nolint:gosec // bounded by recordCap
-	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(rec, castagnoli))
-	copy(buf[spillHeader:], rec)
+	var hdr [spillHeader]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(rec))) //nolint:gosec // bounded by recordCap
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(rec, castagnoli))
+	off := int64(slot) * s.stride
 	err := s.withRetry(func() error {
 		if err := chaos.Err(chaos.SiteSpillWriteErr, "spill write"); err != nil {
 			return err
 		}
-		_, err := s.f.WriteAt(buf, int64(slot)*s.stride)
+		// Two positional writes instead of one staged header+record
+		// copy. The header goes last: it carries the length and CRC that
+		// validate the payload, so a write torn between the two leaves a
+		// record Read rejects rather than one it misreads.
+		if _, err := s.f.WriteAt(rec, off+spillHeader); err != nil {
+			return err
+		}
+		_, err := s.f.WriteAt(hdr[:], off)
 		return err
 	})
 	if err != nil {
@@ -190,7 +198,8 @@ func (s *SpillFile) Read(slot int, dst []byte) ([]byte, error) {
 			return fmt.Errorf("corrupt record length %d (capacity %d): %w", n, s.recordCap, ErrSpillChecksum)
 		}
 		want := binary.LittleEndian.Uint32(hdr[4:])
-		dst = append(dst, make([]byte, n)...)
+		// Read straight into dst's tail, grown (at most once) to fit.
+		dst = slices.Grow(dst, n)[:start+n]
 		if _, err := s.f.ReadAt(dst[start:], off+spillHeader); err != nil {
 			return err
 		}

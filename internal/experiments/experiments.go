@@ -2,8 +2,9 @@
 // evaluation (Tables I–IV, Figures 2–7) plus ablations beyond the paper,
 // at three scales: Smoke (seconds, used by benchmarks and CI), Default
 // (minutes per experiment on one CPU core), and Full (paper-sized loop
-// counts; hours). See DESIGN.md §4 for the experiment ↔ module index and
-// EXPERIMENTS.md for recorded paper-vs-measured results.
+// counts; hours). See DESIGN.md §4 for the experiment ↔ module index;
+// paper-vs-measured results are regenerated with `fedzkt -exp <id>`, no
+// recorded copy is kept.
 package experiments
 
 import (
@@ -29,8 +30,7 @@ type Scale int
 const (
 	// ScaleSmoke runs in seconds; used by the benchmark harness.
 	ScaleSmoke Scale = iota + 1
-	// ScaleDefault runs in minutes per experiment on a single core; the
-	// recorded EXPERIMENTS.md numbers use this scale.
+	// ScaleDefault runs in minutes per experiment on a single core.
 	ScaleDefault
 	// ScaleFull uses paper-sized loop counts (50–100 rounds, n_D=200+,
 	// batch 256); hours per experiment on CPU.

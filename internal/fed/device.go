@@ -35,6 +35,14 @@ type Device struct {
 	// plain heap allocation.
 	Scratch *ag.Arena
 
+	// TaskScratch, when set, is the task-scoped allocator LocalUpdate
+	// draws its optimiser's momentum buffers from: state that must
+	// outlive every step but dies with the task. Like Scratch it is
+	// runtime-local and owned by the goroutine running the device's
+	// task; whoever installs it resets it once the task has ended. Nil
+	// keeps plain heap allocation.
+	TaskScratch *tensor.Arena
+
 	// received holds a snapshot of the parameters last downloaded from the
 	// server, the anchor of the ℓ2 proximal term (Eq. 9). Nil before the
 	// first download.
@@ -48,8 +56,13 @@ func NewDevice(id int, arch string, m nn.Module, shard *data.Subset) *Device {
 
 // SnapshotReceived records the model's current parameters as "received
 // from the server"; subsequent LocalUpdate calls regularise toward them.
+// A device that already holds an anchor of the same layout overwrites it
+// in place instead of cloning the state again.
 func (d *Device) SnapshotReceived() {
-	d.received = nn.CaptureState(d.Model).Clone()
+	cur := nn.CaptureState(d.Model)
+	if d.received == nil || d.received.LoadFrom(cur) != nil {
+		d.received = cur.Clone()
+	}
 }
 
 // Evict drops the device's live model and proximal anchor. Used by the
@@ -99,7 +112,7 @@ func (d *Device) LocalUpdate(cfg LocalConfig, rng *rand.Rand) (float64, error) {
 	}
 	d.Model.SetTraining(true)
 	params := d.Model.Params()
-	opt := optim.NewSGD(params, cfg.LR, cfg.Momentum, cfg.WeightDecay)
+	opt := optim.NewSGDIn(d.TaskScratch, params, cfg.LR, cfg.Momentum, cfg.WeightDecay)
 
 	var anchor nn.StateDict
 	if cfg.ProxMu > 0 && d.received != nil {
@@ -187,15 +200,18 @@ func (d *Device) UploadPayload(c codec.Codec) ([]byte, int, error) {
 	return b, sd.Numel(), nil
 }
 
-// DownloadPayload decodes a codec container received from the server and
-// installs it as Download does. The container is self-describing, so no
-// codec handle is needed on the receive side.
+// DownloadPayload installs a codec container received from the server as
+// Download does, decoding it straight into the live model's tensors. The
+// container is self-describing, so no codec handle is needed on the
+// receive side. The whole container is validated against the model
+// before anything is written: a rejected payload leaves the model and
+// the proximal anchor untouched.
 func (d *Device) DownloadPayload(b []byte) error {
-	sd, err := codec.Decode(b)
-	if err != nil {
+	if err := codec.DecodeInto(b, nn.CaptureState(d.Model)); err != nil {
 		return fmt.Errorf("fed: device %d download: %w", d.ID, err)
 	}
-	return d.Download(sd)
+	d.SnapshotReceived()
+	return nil
 }
 
 // Download installs server-provided parameters into the device model and

@@ -3,6 +3,7 @@ package fed
 import (
 	"testing"
 
+	"github.com/fedzkt/fedzkt/internal/codec"
 	"github.com/fedzkt/fedzkt/internal/data"
 	"github.com/fedzkt/fedzkt/internal/model"
 	"github.com/fedzkt/fedzkt/internal/nn"
@@ -200,5 +201,94 @@ func TestEvaluateAllAndMean(t *testing.T) {
 	}
 	if Mean(nil) != 0 {
 		t.Fatal("Mean(nil) must be 0")
+	}
+}
+
+// sameState fails unless a and b hold bitwise-identical values.
+func sameState(t *testing.T, what string, a, b nn.StateDict) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d tensors vs %d", what, len(a), len(b))
+	}
+	for name := range a {
+		if tensor.MaxAbsDiff(a[name], b[name]) != 0 {
+			t.Fatalf("%s: %q differs", what, name)
+		}
+	}
+}
+
+// TestDownloadPayloadAllOrNothing: a payload is validated whole before
+// the first element is written, so a truncated, a wrong-layout and a
+// duplicate-name container each leave the model and the proximal anchor
+// exactly as they were; a good payload then decodes straight into the
+// model, to the same values the dense download path installs, and
+// refreshes the anchor in place.
+func TestDownloadPayloadAllOrNothing(t *testing.T) {
+	ds := tinyDataset(12)
+	src := tinyDevice(t, ds, allTrain(ds), 30)
+	dev := tinyDevice(t, ds, allTrain(ds), 31)
+	dev.SnapshotReceived()
+	int8c, err := codec.Get(codec.Int8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, _, err := src.UploadPayload(int8c)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Wrong layout: another architecture's (perfectly valid) container.
+	other, err := model.Build("mlp", model.Shape{C: ds.C, H: ds.H, W: ds.W}, ds.Classes, tensor.NewRand(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrongLayout, err := codec.Encode(int8c, nn.CaptureState(other))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Duplicate name: the good container's tensors, the first one twice —
+	// every header and payload is well-formed and the count is honest.
+	layout, err := codec.Layout(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := nn.StateDict{layout[0].Name: nn.CaptureState(src.Model)[layout[0].Name]}
+	one, err := codec.Encode(int8c, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	duplicate := append([]byte(nil), good[:5]...)
+	duplicate = append(duplicate, byte(len(layout)+1)) // tensor count, one byte while < 128
+	duplicate = append(duplicate, one[6:]...)
+	duplicate = append(duplicate, good[6:]...)
+
+	model0 := nn.CaptureState(dev.Model).Clone()
+	anchor0 := dev.received.Clone()
+	for name, b := range map[string][]byte{
+		"truncated":    good[:len(good)-3],
+		"wrong layout": wrongLayout,
+		"duplicate":    duplicate,
+	} {
+		if err := dev.DownloadPayload(b); err == nil {
+			t.Fatalf("%s payload: want an error", name)
+		}
+		sameState(t, name+" payload, model", nn.CaptureState(dev.Model), model0)
+		sameState(t, name+" payload, anchor", dev.received, anchor0)
+	}
+
+	anchorTensors := dev.received
+	if err := dev.DownloadPayload(good); err != nil {
+		t.Fatal(err)
+	}
+	want, err := codec.Decode(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameState(t, "good payload, model", nn.CaptureState(dev.Model), want)
+	sameState(t, "good payload, anchor", dev.received, want)
+	for name, tt := range dev.received {
+		if tt != anchorTensors[name] {
+			t.Fatalf("anchor tensor %q was reallocated instead of overwritten", name)
+		}
 	}
 }

@@ -207,9 +207,10 @@ type cohortOptions struct {
 	hotSet   int
 	teachers int
 	spillDir string
-	// initState rebuilds a device's seeded initial state — the content of
-	// a virgin tiered slot (required in tiered mode).
-	initState func(arch string, id int) (nn.StateDict, error)
+	// initSlot rebuilds a device's seeded initial state, encoded with
+	// codec — the content of a virgin tiered slot (required in tiered
+	// mode).
+	initSlot func(arch string, id int) ([]byte, error)
 }
 
 // cohortSet is the server's replica registry: every shard's cohorts,
@@ -230,13 +231,13 @@ type cohortSet struct {
 	codec     codec.Codec
 	quantised bool
 
-	tiered    bool
-	hotSet    int
-	teachers  int
-	spillDir  string
-	workers   int
-	initState func(arch string, id int) (nn.StateDict, error)
-	counters  storeCounters
+	tiered   bool
+	hotSet   int
+	teachers int
+	spillDir string
+	workers  int
+	initSlot func(arch string, id int) ([]byte, error)
+	counters storeCounters
 
 	// faults collects device ids dropped from a phase because their slot
 	// bytes failed to load or decode; drained per round into
@@ -270,7 +271,7 @@ func newCohortSet(o cohortOptions) *cohortSet {
 		teachers:  o.teachers,
 		spillDir:  o.spillDir,
 		workers:   o.workers,
-		initState: o.initState,
+		initSlot:  o.initSlot,
 	}
 	for i := 0; i < o.shards; i++ {
 		cs.shards = append(cs.shards, &cohortShard{index: i, byArch: make(map[string]*cohort)})
@@ -304,11 +305,7 @@ func (cs *cohortSet) cohortFor(sh *cohortShard, arch string, sig *archSig, build
 		path := filepath.Join(cs.spillDir, fmt.Sprintf("shard%03d-%s.spill", sh.index, arch))
 		capFn := func() int { return cs.hotCap(c) }
 		init := func(local int) ([]byte, error) {
-			sd, err := cs.initState(c.arch, c.members[local].id)
-			if err != nil {
-				return nil, err
-			}
-			return codec.Encode(cs.codec, sd)
+			return cs.initSlot(c.arch, c.members[local].id)
 		}
 		c.slots = newTieredSlots(path, capFn, init, &cs.counters)
 	}

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/fedzkt/fedzkt/internal/ag"
 	"github.com/fedzkt/fedzkt/internal/chaos"
 	"github.com/fedzkt/fedzkt/internal/codec"
 	"github.com/fedzkt/fedzkt/internal/data"
@@ -324,14 +323,21 @@ type Coordinator struct {
 	// resumed marks that Run already performed its Config.Resume load.
 	resumed bool
 
+	// rigs counts how the pool's per-worker device rigs (rig.go) served
+	// module requests; the rigs themselves live in the pool's worker slots.
+	rigs *rigStats
+
 	// Virtual-device mode (Config.VirtualDevices): device models exist
-	// only while their local phase or evaluation runs; between rounds a
-	// device is its last-downloaded state in devStore — one tiered store
-	// per architecture, always float64-encoded so the materialised model
-	// is bit-identical to a live device's. A virgin store entry is the
-	// device's seeded initial state, rebuilt on demand.
+	// only while their local phase or evaluation runs, borrowed from the
+	// worker's rig; between rounds a device is its last download in
+	// devStore — one tiered store per architecture holding the wire
+	// payload verbatim (the run codec's container; a float64 container on
+	// the identity path). Decoding it into the rig's module yields exactly
+	// the values a live device holds after the same download, so the
+	// materialised model is bit-identical to a resident one. A device that
+	// never downloaded has no entry: its state is its seeded initial
+	// build, re-drawn into the rig's module in place.
 	virtual       bool
-	f64           codec.Codec
 	devStore      map[string]*tieredSlots
 	devCounters   storeCounters
 	devSpillDir   string
@@ -379,30 +385,39 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 	if err != nil {
 		return nil, err
 	}
+	in := model.Shape{C: ds.C, H: ds.H, W: ds.W}
+	rigs := &rigStats{}
 	pool, err := sched.NewPool(sched.Options{
 		Workers:       cfg.Workers,
 		Sequential:    cfg.Sequential,
 		RoundDeadline: cfg.RoundDeadline,
 		FailureRate:   cfg.FailureRate,
 		FailureSeed:   cfg.Seed ^ 0xFA117A1E,
-		// One step-scoped arena per pool worker: every device task running
-		// on a worker draws its activations, backward scratch and batch
-		// buffers from that worker's arena, so concurrent devices never
-		// share scratch and a warmed-up local phase allocates (almost)
-		// nothing. Arenas never change values — only where buffers live —
-		// so round outcomes stay bit-identical for any worker count.
-		WorkerScratch: func() any { return ag.NewArena() },
+		// One device rig per pool worker, created on the worker's first
+		// task: every device task running on a worker draws its
+		// activations, backward scratch, batch and momentum buffers from
+		// that worker's arenas (and, for a virtual device, trains in the
+		// rig's live module), so concurrent devices never share scratch and
+		// a warmed-up local phase allocates (almost) nothing. A rig never
+		// changes values — only where buffers live — so round outcomes
+		// stay bit-identical for any worker count.
+		WorkerScratch: func() any {
+			return newDeviceRig(func(arch string) (nn.Module, error) {
+				// A rig module always has a device's state installed
+				// before use, so its own build seed is arbitrary.
+				return model.Build(arch, in, ds.Classes, tensor.NewRand(cfg.Seed+3000))
+			}, rigs)
+		},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("fedzkt: %w", err)
 	}
-	in := model.Shape{C: ds.C, H: ds.H, W: ds.W}
 	server, err := NewServer(cfg, in, ds.Classes)
 	if err != nil {
 		return nil, err
 	}
-	c := &Coordinator{cfg: cfg, ds: ds, server: server, pool: pool, sampler: sampler, codec: server.Codec(), nextRound: 1}
-	c.metrics = newFedMetrics(obs.Default(), server)
+	c := &Coordinator{cfg: cfg, ds: ds, server: server, pool: pool, sampler: sampler, codec: server.Codec(), nextRound: 1, rigs: rigs}
+	c.metrics = newFedMetrics(obs.Default(), server, rigs)
 	pool.RegisterMetrics(obs.Default())
 	if cfg.VirtualDevices {
 		if err := c.initVirtual(archs); err != nil {
@@ -452,19 +467,13 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 }
 
 // initVirtual sets up the virtual-device stores: one tiered store per
-// architecture in use, always float64-encoded (the float64 container
-// round trip is bit-exact, so a materialised model matches a live
-// device's bit for bit regardless of the run's wire codec). Stores are
-// created eagerly so the map is read-only once rounds run concurrently.
+// architecture in use. Stores are created eagerly so the map is read-only
+// once rounds run concurrently.
 func (c *Coordinator) initVirtual(archs []string) error {
 	c.virtual = true
-	f64, err := codec.Get(codec.Float64)
-	if err != nil {
-		return fmt.Errorf("fedzkt: %w", err)
-	}
-	c.f64 = f64
 	dir := c.cfg.SpillDir
 	if dir == "" {
+		var err error
 		if dir, err = os.MkdirTemp("", "fedzkt-devspill-*"); err != nil {
 			return fmt.Errorf("fedzkt: creating device spill dir: %w", err)
 		}
@@ -472,29 +481,26 @@ func (c *Coordinator) initVirtual(archs []string) error {
 	}
 	c.devSpillDir = dir
 	c.devStore = make(map[string]*tieredSlots)
-	in := model.Shape{C: c.ds.C, H: c.ds.H, W: c.ds.W}
+	capFn := func() int {
+		if c.cfg.HotSet > 0 {
+			return c.cfg.HotSet
+		}
+		// Auto: cover one round's participants with slack, bounded
+		// below so tiny federations never thrash.
+		if k := 2 * c.cfg.SampleK; k > 256 {
+			return k
+		}
+		return 256
+	}
+	// A never-downloaded device has no store entry to rebuild: its state is
+	// re-seeded straight into a rig module (deviceModule), so the store is
+	// only ever asked for slots it holds.
+	init := func(id int) ([]byte, error) {
+		return nil, fmt.Errorf("fedzkt: device %d has no stored download", id)
+	}
 	for _, arch := range archs {
 		if _, ok := c.devStore[arch]; ok {
 			continue
-		}
-		arch := arch
-		capFn := func() int {
-			if c.cfg.HotSet > 0 {
-				return c.cfg.HotSet
-			}
-			// Auto: cover one round's participants with slack, bounded
-			// below so tiny federations never thrash.
-			if k := 2 * c.cfg.SampleK; k > 256 {
-				return k
-			}
-			return 256
-		}
-		init := func(id int) ([]byte, error) {
-			m, err := model.Build(arch, in, c.ds.Classes, tensor.NewRand(c.cfg.Seed+uint64(1000+id)))
-			if err != nil {
-				return nil, err
-			}
-			return codec.Encode(c.f64, nn.CaptureState(m))
 		}
 		path := filepath.Join(dir, "dev-"+arch+".spill")
 		c.devStore[arch] = newTieredSlots(path, capFn, init, &c.devCounters)
@@ -502,34 +508,45 @@ func (c *Coordinator) initVirtual(archs []string) error {
 	return nil
 }
 
-// materialiseDevice rebuilds device id's live model for the duration of a
-// task: the seeded initial build, overlaid (via the download path, which
-// also restores the proximal anchor) with the device's last-downloaded
-// state when one exists. Runs on scheduler workers; the store serialises
-// slot access internally.
-func (c *Coordinator) materialiseDevice(id int) error {
+// deviceModule returns rig's live module for virtual device id's
+// architecture holding the device's seeded initial state when it has
+// never downloaded (enc nil), or — with the module's contents still
+// unspecified — the stored payload of its last download for the caller
+// to decode into it. Runs on scheduler workers and between-round
+// fan-outs; the store serialises slot access internally.
+func (c *Coordinator) deviceModule(rig *deviceRig, id int) (m nn.Module, enc []byte, err error) {
 	d := c.devices[id]
-	in := model.Shape{C: c.ds.C, H: c.ds.H, W: c.ds.W}
-	m, err := model.Build(d.Arch, in, c.ds.Classes, tensor.NewRand(c.cfg.Seed+uint64(1000+id)))
+	if m, err = rig.module(d.Arch); err != nil {
+		return nil, nil, err
+	}
+	ts := c.devStore[d.Arch]
+	if ts.virgin(id) {
+		// Bit-identical to the build a resident device starts from.
+		return m, nil, model.Reinit(m, tensor.NewRand(c.cfg.Seed+uint64(1000+id)))
+	}
+	enc, err = ts.get(id)
+	return m, enc, err
+}
+
+// materialiseDevice installs device id's current state in the worker
+// rig's live module for the duration of a task: the seeded initial state
+// (and, like a resident device before its first download, no proximal
+// anchor), or its last download through the download path, which also
+// restores the anchor. The caller evicts the device when the task ends.
+func (c *Coordinator) materialiseDevice(rig *deviceRig, id int) error {
+	d := c.devices[id]
+	m, enc, err := c.deviceModule(rig, id)
 	if err != nil {
 		return fmt.Errorf("fedzkt: materialising device %d: %w", id, err)
 	}
 	d.Model = m
-	ts := c.devStore[d.Arch]
-	if ts.virgin(id) {
-		// Never downloaded: the seeded build is the device's exact state,
-		// and a live device would have no proximal anchor yet either.
+	if enc == nil {
 		return nil
 	}
-	enc, err := ts.get(id)
-	if err != nil {
+	if err := d.DownloadPayload(enc); err != nil {
 		return fmt.Errorf("fedzkt: materialising device %d: %w", id, err)
 	}
-	sd, err := codec.Decode(enc)
-	if err != nil {
-		return fmt.Errorf("fedzkt: materialising device %d: %w", id, err)
-	}
-	return d.Download(sd)
+	return nil
 }
 
 // DeviceStoreStats snapshots the virtual-device store (zero-valued, mode
@@ -548,6 +565,15 @@ func (c *Coordinator) DeviceStoreStats() ReplicaStoreStats {
 		ts.accumulateStats(&st)
 	}
 	return st
+}
+
+// DeviceRigStats reports how the pool's per-worker device rigs have
+// served module requests (virtual-device materialisations and
+// evaluations) so far: by building a module — at most once per worker and
+// architecture — or by reusing the worker's live one. Both stay zero with
+// resident devices.
+func (c *Coordinator) DeviceRigStats() (builds, reuses int64) {
+	return c.rigs.builds.Load(), c.rigs.reuses.Load()
 }
 
 // Close releases the server (spill files, prefetcher) and the
@@ -659,40 +685,30 @@ func (c *Coordinator) Run(ctx context.Context) (fed.History, error) {
 }
 
 // reconcileDevices installs every device's server replica state into the
-// device model — the canonical post-round state a download would have
-// delivered — collapsing whatever in-flight local progress a cancelled
-// round left behind.
+// device — the canonical post-round state a download would have
+// delivered, through the same publish/apply path a download takes —
+// collapsing whatever in-flight local progress a cancelled round left
+// behind.
 func (c *Coordinator) reconcileDevices() error {
-	if c.virtual {
-		for _, d := range c.devices {
+	for _, d := range c.devices {
+		if c.virtual {
 			ref, err := c.server.cohorts.ref(d.ID)
 			if err != nil {
 				return fmt.Errorf("fedzkt: reconciling device %d: %w", d.ID, err)
 			}
-			ts := c.devStore[d.Arch]
-			if c.server.cohorts.virgin(ref) && ts.virgin(d.ID) {
+			if c.server.cohorts.virgin(ref) && c.devStore[d.Arch].virgin(d.ID) {
 				// Both sides still hold the seeded initial state (a virgin
 				// slot's content is defined as exactly that), so there is
 				// nothing to copy — the skip that makes million-device
 				// resume O(touched devices), not O(devices).
 				continue
 			}
-			sd, err := c.server.ReplicaState(d.ID)
-			if err != nil {
-				return fmt.Errorf("fedzkt: reconciling device %d: %w", d.ID, err)
-			}
-			if err := ts.put(d.ID, c.f64, sd); err != nil {
-				return fmt.Errorf("fedzkt: reconciling device %d: %w", d.ID, err)
-			}
 		}
-		return nil
-	}
-	for _, d := range c.devices {
-		sd, err := c.server.ReplicaState(d.ID)
+		p, _, err := c.publishDownload(d.ID)
+		if err == nil {
+			err = c.applyDownload(d.ID, p)
+		}
 		if err != nil {
-			return fmt.Errorf("fedzkt: reconciling device %d: %w", d.ID, err)
-		}
-		if err := d.Download(sd); err != nil {
 			return fmt.Errorf("fedzkt: reconciling device %d: %w", d.ID, err)
 		}
 	}
@@ -850,34 +866,26 @@ func (c *Coordinator) evalIDs() []int {
 }
 
 // deviceAccs evaluates per-device test accuracy for the synchronous
-// engine: live device models directly, or — in virtual mode —
-// materialised copies of each evaluated device's stored state (its last
-// download, or the seeded initial state when virgin), which is exactly
-// what the live model would hold at this round boundary.
+// engine: live device models directly, or — in virtual mode — each
+// evaluated device's stored state (its last download, or the seeded
+// initial state when it never downloaded) installed in a worker rig's
+// module, which is exactly what the live model would hold at this round
+// boundary. The pool is idle between rounds, so the fan-out borrows its
+// rigs: ForEachWorker's worker indices are the pool's slot indices.
 func (c *Coordinator) deviceAccs() ([]float64, error) {
 	ids := c.evalIDs()
 	if !c.virtual {
 		return fed.EvaluateAllParallel(c.devices[:len(ids)], c.ds, 64, c.cfg.poolWorkers()), nil
 	}
 	accs := make([]float64, len(ids))
-	in := model.Shape{C: c.ds.C, H: c.ds.H, W: c.ds.W}
 	var mu sync.Mutex
 	var firstErr error
-	sched.ForEachWorker(len(ids), c.cfg.poolWorkers(), func(i, _ int) {
+	sched.ForEachWorker(len(ids), c.cfg.poolWorkers(), func(i, w int) {
 		id := ids[i]
-		d := c.devices[id]
-		m, err := model.Build(d.Arch, in, c.ds.Classes, tensor.NewRand(c.cfg.Seed+uint64(1000+id)))
-		if err == nil {
-			ts := c.devStore[d.Arch]
-			if !ts.virgin(id) {
-				var enc []byte
-				if enc, err = ts.get(id); err == nil {
-					var sd nn.StateDict
-					if sd, err = codec.Decode(enc); err == nil {
-						err = nn.LoadState(m, sd)
-					}
-				}
-			}
+		rig := c.pool.WorkerScratch(w).(*deviceRig)
+		m, enc, err := c.deviceModule(rig, id)
+		if err == nil && enc != nil {
+			err = codec.DecodeInto(enc, nn.CaptureState(m))
 		}
 		if err != nil {
 			mu.Lock()
@@ -887,7 +895,7 @@ func (c *Coordinator) deviceAccs() ([]float64, error) {
 			mu.Unlock()
 			return
 		}
-		accs[i] = fed.Evaluate(m, c.ds, 64)
+		accs[i] = fed.EvaluateArena(m, c.ds, 64, rig.step)
 	})
 	return accs, firstErr
 }
@@ -924,41 +932,61 @@ func (c *Coordinator) publishDownload(id int) (statePayload, int, error) {
 }
 
 // applyDownload installs one published state into its device: the live
-// model, or — in virtual mode — the device's store slot (the model was
-// already evicted after upload staging; a live device's model would hold
-// exactly these bytes after the download, which is what the next
-// materialisation reproduces).
+// model, or — in virtual mode — the device's store slot, which keeps the
+// wire payload as it arrived (after a header-only layout check; elements
+// are decoded once, into the rig's module, on the device's next
+// materialisation) or, on the identity path, the dense state's float64
+// container. A live device's model would hold exactly these values after
+// the download, which is what the next materialisation reproduces.
 func (c *Coordinator) applyDownload(id int, p statePayload) error {
-	if c.virtual {
-		ts := c.devStore[c.devices[id].Arch]
-		sd := p.sd
-		if sd == nil {
-			var err error
-			if sd, err = codec.Decode(p.enc); err != nil {
-				return fmt.Errorf("fedzkt: device %d download: %w", id, err)
-			}
+	d := c.devices[id]
+	if !c.virtual {
+		if p.sd != nil {
+			return d.Download(p.sd)
 		}
-		if err := ts.put(id, c.f64, sd); err != nil {
-			return fmt.Errorf("fedzkt: device %d download: %w", id, err)
-		}
-		return nil
+		return d.DownloadPayload(p.enc)
 	}
+	ts := c.devStore[d.Arch]
+	var err error
 	if p.sd != nil {
-		return c.devices[id].Download(p.sd)
+		err = ts.put(id, c.codec, p.sd)
+	} else if err = c.checkDeviceLayout(id, p.enc); err == nil {
+		err = ts.putBytes(id, p.enc)
 	}
-	return c.devices[id].DownloadPayload(p.enc)
+	if err != nil {
+		return fmt.Errorf("fedzkt: device %d download: %w", id, err)
+	}
+	return nil
+}
+
+// checkDeviceLayout validates a container's headers — names and element
+// counts, no element work — against device id's registered architecture.
+func (c *Coordinator) checkDeviceLayout(id int, payload []byte) error {
+	ref, err := c.server.cohorts.ref(id)
+	if err != nil {
+		return err
+	}
+	entries, err := codec.Layout(payload)
+	if err != nil {
+		return err
+	}
+	return ref.cohort.sig.checkLayout(ref.cohort.arch, entries)
 }
 
 // localPhase runs Algorithm 2 on every sampled device via the sharded
 // scheduler and returns the device ids that completed within the round
 // together with their uploaded states in wire form — encoded with the
 // run's codec, exactly the bytes a real uplink would carry, or dense
-// copies on the identity fast path — in ascending-id order. The uploads
-// are staged for the server but not yet absorbed: the synchronous engine
-// absorbs them immediately, the pipelined engine hands them to the
-// server stage so they cannot race an in-flight distillation. Each task
-// touches only its own device, so the round's outcome is identical for
-// any worker count.
+// copies on the identity fast path — in ascending-id order. Each task
+// stages its own upload on its worker right after the local update, which
+// is what lets a virtual device hand the rig's module back when its task
+// ends (and keeps the encode off the coordinator goroutine); uploads of
+// tasks that did not complete are discarded. The uploads are staged for
+// the server but not yet absorbed: the synchronous engine absorbs them
+// immediately, the pipelined engine hands them to the server stage so
+// they cannot race an in-flight distillation. Each task touches only its
+// own device and its worker's rig, so the round's outcome is identical
+// for any worker count.
 func (c *Coordinator) localPhase(ctx context.Context, round int, active []int, m *fed.RoundMetrics) ([]int, []statePayload, error) {
 	cfg := c.cfg
 	local := fed.LocalConfig{
@@ -969,31 +997,54 @@ func (c *Coordinator) localPhase(ctx context.Context, round int, active []int, m
 		WeightDecay: cfg.WeightDecay,
 		ProxMu:      cfg.ProxMu,
 	}
+	// staged[pos] and numels[pos] are written by task pos alone; RunRound
+	// returning publishes them.
+	staged := make([]statePayload, len(active))
+	numels := make([]int, len(active))
 	tasks := make([]sched.Task, len(active))
 	for pos, id := range active {
-		id := id
-		tasks[pos] = sched.Task{Device: id, Run: func(ctx context.Context) error {
+		pos, id := pos, id
+		tasks[pos] = sched.Task{Device: id, Run: func(ctx context.Context) (err error) {
 			rng := tensor.NewRand(cfg.Seed ^ (uint64(round)<<20 + uint64(id)<<4 + 0x5EED))
+			// The task owns its device and its worker's rig for the
+			// duration of the run, so lending the rig's arenas (and, to a
+			// virtual device, its module) through the device is race-free.
+			rig := sched.Scratch(ctx).(*deviceRig)
+			d := c.devices[id]
+			d.Scratch, d.TaskScratch = rig.step, rig.task
+			defer func() {
+				d.Scratch, d.TaskScratch = nil, nil
+				if c.virtual {
+					// The upload is staged (an independent copy); hand the
+					// module back. The trained state is deliberately not
+					// written to the store: the device's next state is its
+					// download after this round's transfer-back, which
+					// applyDownload stores — exactly the state a live model
+					// would hold at the next round boundary.
+					d.Evict()
+				}
+				rig.task.Reset()
+			}()
 			if c.virtual {
-				// Materialise the device's model from its stored state for
-				// the duration of this round (evicted after upload staging).
-				if err := c.materialiseDevice(id); err != nil {
+				if err := c.materialiseDevice(rig, id); err != nil {
 					return err
 				}
 			}
-			// The task owns its device for the duration of the run, so
-			// borrowing the worker's arena through the device is race-free.
-			c.devices[id].Scratch, _ = sched.Scratch(ctx).(*ag.Arena)
-			_, err := c.devices[id].LocalUpdate(local, rng)
-			c.devices[id].Scratch = nil
+			if _, err := d.LocalUpdate(local, rng); err != nil {
+				return err
+			}
+			staged[pos], numels[pos], err = c.stageUpload(d)
 			return err
 		}}
 	}
 	completed := make([]int, 0, len(active))
-	for _, r := range c.pool.RunRound(ctx, round, tasks) {
+	uploads := make([]statePayload, 0, len(active))
+	for pos, r := range c.pool.RunRound(ctx, round, tasks) {
 		switch r.Status {
 		case sched.StatusCompleted:
 			completed = append(completed, r.Device)
+			uploads = append(uploads, staged[pos])
+			m.BytesUp += fed.WireBytes(numels[pos], c.codec.Width())
 		case sched.StatusDropped:
 			m.Dropped = append(m.Dropped, r.Device)
 		case sched.StatusInjected:
@@ -1012,35 +1063,19 @@ func (c *Coordinator) localPhase(ctx context.Context, round int, active []int, m
 			return nil, nil, fmt.Errorf("fedzkt: local phase device %d: %w", r.Device, r.Err)
 		}
 	}
-	uploads := make([]statePayload, len(completed))
-	identity := codec.Identity(c.codec)
-	for i, id := range completed {
-		if identity {
-			sd := c.devices[id].Upload()
-			uploads[i] = statePayload{sd: sd}
-			m.BytesUp += fed.WireBytes(sd.Numel(), c.codec.Width())
-			continue
-		}
-		payload, numel, err := c.devices[id].UploadPayload(c.codec)
-		if err != nil {
-			return nil, nil, err
-		}
-		uploads[i] = statePayload{enc: payload}
-		m.BytesUp += fed.WireBytes(numel, c.codec.Width())
-	}
-	if c.virtual {
-		// The uploads are staged (independent copies); drop the live
-		// models. The trained state is deliberately not written back to the
-		// store: the device's next state is its download after this round's
-		// transfer-back, which applyDownload stores — exactly the state a
-		// live model would hold at the next round boundary. Injected
-		// devices never materialised, and deadline stragglers cannot exist
-		// (VirtualDevices requires RoundDeadline = 0).
-		for _, id := range completed {
-			c.devices[id].Evict()
-		}
-	}
 	return completed, uploads, nil
+}
+
+// stageUpload captures d's trained state in wire form plus its element
+// count for traffic accounting: the codec container, or a dense deep copy
+// on the identity fast path.
+func (c *Coordinator) stageUpload(d *fed.Device) (statePayload, int, error) {
+	if codec.Identity(c.codec) {
+		sd := d.Upload()
+		return statePayload{sd: sd}, sd.Numel(), nil
+	}
+	payload, numel, err := d.UploadPayload(c.codec)
+	return statePayload{enc: payload}, numel, err
 }
 
 // absorbUploads installs a round's staged uploads into the server

@@ -36,9 +36,9 @@ type fedMetrics struct {
 	meanDeviceAcc obs.Gauge
 }
 
-// newFedMetrics registers a coordinator's instruments and its server's
-// stats views into reg.
-func newFedMetrics(reg *obs.Registry, srv *Server) *fedMetrics {
+// newFedMetrics registers a coordinator's instruments and scrape-time
+// views of its server's and device rigs' stats into reg.
+func newFedMetrics(reg *obs.Registry, srv *Server, rigs *rigStats) *fedMetrics {
 	fm := &fedMetrics{}
 	reg.RegisterCounter("fedzkt_rounds_total", "communication rounds finalised", &fm.rounds)
 	reg.RegisterCounter("fedzkt_uploads_absorbed_total", "fresh device uploads absorbed", &fm.absorbed)
@@ -76,6 +76,10 @@ func newFedMetrics(reg *obs.Registry, srv *Server) *fedMetrics {
 		func() float64 { return float64(srv.ReplicaStoreStats().HotEntries) })
 	reg.RegisterGaugeFunc("fedzkt_store_spill_records", "replica records resident in spill files",
 		func() float64 { return float64(srv.ReplicaStoreStats().SpillRecords) })
+	reg.RegisterCounterFunc("fedzkt_device_rig_builds_total", "device modules built by worker rigs (at most workers × architectures)",
+		func() float64 { return float64(rigs.builds.Load()) })
+	reg.RegisterCounterFunc("fedzkt_device_rig_reuses_total", "virtual-device materialisations served by a rig's live module",
+		func() float64 { return float64(rigs.reuses.Load()) })
 	return fm
 }
 

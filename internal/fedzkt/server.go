@@ -50,6 +50,11 @@ type Server struct {
 	closeOnce     sync.Once
 	closeErr      error
 
+	// seedModules caches one module per architecture for rebuilding
+	// virgin slots (seededSlot); seedMu serialises its use.
+	seedMu      sync.Mutex
+	seedModules map[string]nn.Module
+
 	global      nn.Module
 	gen         *model.Generator
 	globalOpt   *optim.SGD
@@ -123,6 +128,7 @@ func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 		global:        global,
 		gen:           model.NewGenerator(cfg.ZDim, in, tensor.NewRand(cfg.Seed+13)),
 		phase:         ag.NewArena(),
+		seedModules:   make(map[string]nn.Module),
 	}
 	s.cohorts = newCohortSet(cohortOptions{
 		lr:       cfg.ServerLR,
@@ -134,16 +140,7 @@ func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 		hotSet:   cfg.HotSet,
 		teachers: cfg.TeachersPerIter,
 		spillDir: spillDir,
-		// A virgin tiered slot's content is defined as the device's seeded
-		// registration state, rebuilt here on first touch — bit-identical
-		// to what eager registration would have stored.
-		initState: func(arch string, id int) (nn.StateDict, error) {
-			m, err := model.Build(arch, in, classes, tensor.NewRand(cfg.Seed+uint64(1000+id)))
-			if err != nil {
-				return nil, err
-			}
-			return nn.CaptureState(m), nil
-		},
+		initSlot: s.seededSlot,
 	})
 	s.colMemo = ag.NewColMemo(s.phase)
 	s.phase.ShareColMemo(s.colMemo)
@@ -156,6 +153,32 @@ func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 	s.globalSched = optim.PaperSchedule(s.globalOpt, totalIters)
 	s.genSched = optim.PaperSchedule(s.genOpt, totalIters)
 	return s, nil
+}
+
+// seededSlot encodes device id's seeded registration state — the defined
+// content of a virgin tiered slot, bit-identical to what eager
+// registration would have stored — rebuilt on the slot's first touch. One
+// cached module per architecture is re-seeded in place for every such
+// rebuild (checkouts of different shards and the prefetcher reach here
+// concurrently, hence the lock, held until the module's tensors have been
+// encoded).
+func (s *Server) seededSlot(arch string, id int) ([]byte, error) {
+	rng := tensor.NewRand(s.cfg.Seed + uint64(1000+id))
+	s.seedMu.Lock()
+	defer s.seedMu.Unlock()
+	m, ok := s.seedModules[arch]
+	if ok {
+		if err := model.Reinit(m, rng); err != nil {
+			return nil, err
+		}
+	} else {
+		var err error
+		if m, err = model.Build(arch, s.in, s.cls, rng); err != nil {
+			return nil, err
+		}
+		s.seedModules[arch] = m
+	}
+	return codec.Encode(s.codec, nn.CaptureState(m))
 }
 
 // Close stops the replica prefetcher and releases the tiered store's

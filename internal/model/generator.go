@@ -60,6 +60,13 @@ func NewGenerator(zDim int, out Shape, rng *rand.Rand) *Generator {
 	return g
 }
 
+// Reinit implements nn.Reinitialiser, in construction order.
+func (g *Generator) Reinit(rng *rand.Rand) {
+	g.stem.Reinit(rng)
+	g.stemBN.Reinit(rng)
+	g.decoder.Reinit(rng)
+}
+
 // Forward maps noise z of shape (N, ZDim) to images (N, C, H, W).
 func (g *Generator) Forward(z *ag.Variable) *ag.Variable {
 	if z.Shape()[1] != g.ZDim {

@@ -42,6 +42,15 @@ func newInvertedResidual(in, out, stride, expansion int, rng *rand.Rand) *invert
 	return b
 }
 
+// Reinit implements nn.Reinitialiser, in construction order.
+func (b *invertedResidual) Reinit(rng *rand.Rand) {
+	if b.expand != nil {
+		b.expand.Reinit(rng)
+	}
+	b.dw.Reinit(rng)
+	b.project.Reinit(rng)
+}
+
 // Forward implements nn.Module.
 func (b *invertedResidual) Forward(x *ag.Variable) *ag.Variable {
 	h := x

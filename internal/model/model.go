@@ -65,6 +65,21 @@ func Build(name string, in Shape, classes int, rng *rand.Rand) (nn.Module, error
 	return b(in, classes, rng), nil
 }
 
+// Reinit re-seeds m in place to the state Build (or NewGenerator) would
+// give a fresh module of the same architecture from rng: the same Glorot
+// draws in construction order, zero biases, batch-norm γ/β and running
+// statistics at their constants — bit for bit, with no allocation. One
+// live module can therefore stand in for any device's seeded initial
+// build. Gradients, training mode and trainability are left alone.
+func Reinit(m nn.Module, rng *rand.Rand) error {
+	r, ok := m.(nn.Reinitialiser)
+	if !ok {
+		return fmt.Errorf("model: %T cannot be re-seeded in place", m)
+	}
+	r.Reinit(rng)
+	return nil
+}
+
 // MustBuild is Build for static specs that cannot fail at runtime.
 func MustBuild(name string, in Shape, classes int, rng *rand.Rand) nn.Module {
 	m, err := Build(name, in, classes, rng)

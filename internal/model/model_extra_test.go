@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"testing"
 
 	"github.com/fedzkt/fedzkt/internal/ag"
@@ -75,4 +76,70 @@ func TestGeneratorRejectsWrongZDim(t *testing.T) {
 		}
 	}()
 	g.Forward(ag.Const(tensor.New(2, 9)))
+}
+
+// sameStateBits fails unless a and b hold the same names with bitwise
+// equal values (MaxAbsDiff would let -0 pass for +0 and choke on NaN).
+func sameStateBits(t *testing.T, what string, a, b nn.StateDict) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d state tensors, want %d", what, len(a), len(b))
+	}
+	for name, ta := range a {
+		tb, ok := b[name]
+		if !ok || ta.Len() != tb.Len() {
+			t.Fatalf("%s: tensor %q missing or resized", what, name)
+		}
+		da, db := ta.Data(), tb.Data()
+		for i := range da {
+			if math.Float64bits(da[i]) != math.Float64bits(db[i]) {
+				t.Fatalf("%s: %q[%d] = %v, want %v", what, name, i, da[i], db[i])
+			}
+		}
+	}
+}
+
+// TestReinitMatchesBuild: re-seeding a live module in place reproduces a
+// fresh seeded build bit for bit over the full state dict — weights,
+// biases, batch-norm parameters and running statistics — for every
+// registered architecture and the generator, even after the module's
+// state has been trained away from any initial value.
+func TestReinitMatchesBuild(t *testing.T) {
+	const seedA, seedB = 11, 4242
+	scramble := func(m nn.Module) {
+		rng := tensor.NewRand(7)
+		for _, tt := range nn.CaptureState(m) {
+			tensor.FillNormal(tt, 3, 2, rng)
+		}
+	}
+	for _, name := range Names() {
+		for _, in := range []Shape{{C: 1, H: 16, W: 16}, {C: 3, H: 8, W: 8}} {
+			m := MustBuild(name, in, 10, tensor.NewRand(seedA))
+			scramble(m)
+			if err := Reinit(m, tensor.NewRand(seedB)); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want := MustBuild(name, in, 10, tensor.NewRand(seedB))
+			sameStateBits(t, name+" at "+in.String(), nn.CaptureState(m), nn.CaptureState(want))
+		}
+	}
+	out := Shape{C: 3, H: 16, W: 16}
+	g := NewGenerator(12, out, tensor.NewRand(seedA))
+	scramble(g)
+	if err := Reinit(g, tensor.NewRand(seedB)); err != nil {
+		t.Fatal(err)
+	}
+	sameStateBits(t, "generator", nn.CaptureState(g), nn.CaptureState(NewGenerator(12, out, tensor.NewRand(seedB))))
+
+	// Both generators must also be left at the same stream position: a
+	// Reinit that drew too few or too many variates would still match on
+	// the state dict of the last layer only by accident.
+	ra, rb := tensor.NewRand(seedB), tensor.NewRand(seedB)
+	_ = MustBuild("mobilenet-0.8", out, 10, ra)
+	if err := Reinit(MustBuild("mobilenet-0.8", out, 10, tensor.NewRand(seedA)), rb); err != nil {
+		t.Fatal(err)
+	}
+	if ra.Uint64() != rb.Uint64() {
+		t.Fatal("Reinit consumed a different number of draws than Build")
+	}
 }

@@ -67,6 +67,14 @@ func newShuffleUnit(in, out, stride int, rng *rand.Rand) *shuffleUnit {
 	return u
 }
 
+// Reinit implements nn.Reinitialiser, in construction order.
+func (u *shuffleUnit) Reinit(rng *rand.Rand) {
+	if u.branch1 != nil {
+		u.branch1.Reinit(rng)
+	}
+	u.branch2.Reinit(rng)
+}
+
 // Forward implements nn.Module.
 func (u *shuffleUnit) Forward(x *ag.Variable) *ag.Variable {
 	var a, b *ag.Variable

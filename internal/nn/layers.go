@@ -7,6 +7,26 @@ import (
 	"github.com/fedzkt/fedzkt/internal/tensor"
 )
 
+// Reinitialiser is implemented by modules that can re-draw their seeded
+// initial state in place: Reinit(rng) leaves every state tensor holding
+// exactly the values the module's constructor would have produced from
+// rng — the same draws in the same order, biases zero, batch-norm γ/β and
+// running statistics at their constants — without allocating. It is what
+// lets one live module stand in for any number of seeded builds of its
+// architecture. Every layer in this package implements it, and the
+// parameterised layers' constructors initialise through it, so the two
+// cannot drift apart.
+type Reinitialiser interface {
+	Reinit(rng *rand.Rand)
+}
+
+// zeroBias clears an optional bias parameter.
+func zeroBias(b *ag.Variable) {
+	if b != nil {
+		b.Value().Zero()
+	}
+}
+
 // Linear is a fully-connected layer computing x·Wᵀ + b.
 type Linear struct {
 	W *ag.Variable // (out × in)
@@ -15,13 +35,20 @@ type Linear struct {
 
 // NewLinear constructs a Glorot-initialised fully-connected layer.
 func NewLinear(in, out int, bias bool, rng *rand.Rand) *Linear {
-	w := tensor.New(out, in)
-	tensor.FillGlorot(w, in, out, rng)
-	l := &Linear{W: ag.Param(w)}
+	l := &Linear{W: ag.Param(tensor.New(out, in))}
 	if bias {
 		l.B = ag.Param(tensor.New(out))
 	}
+	l.Reinit(rng)
 	return l
+}
+
+// Reinit implements Reinitialiser: Glorot weights over (in, out), zero
+// bias.
+func (l *Linear) Reinit(rng *rand.Rand) {
+	w := l.W.Value()
+	tensor.FillGlorot(w, w.Dim(1), w.Dim(0), rng)
+	zeroBias(l.B)
 }
 
 // Forward implements Module.
@@ -57,13 +84,21 @@ type Conv2d struct {
 // NewConv2d constructs a Glorot-initialised convolution layer with square
 // kernels.
 func NewConv2d(inC, outC, k, stride, pad int, bias bool, rng *rand.Rand) *Conv2d {
-	w := tensor.New(outC, inC, k, k)
-	tensor.FillGlorot(w, inC*k*k, outC*k*k, rng)
-	c := &Conv2d{W: ag.Param(w), Stride: stride, Pad: pad}
+	c := &Conv2d{W: ag.Param(tensor.New(outC, inC, k, k)), Stride: stride, Pad: pad}
 	if bias {
 		c.B = ag.Param(tensor.New(outC))
 	}
+	c.Reinit(rng)
 	return c
+}
+
+// Reinit implements Reinitialiser: Glorot weights over (inC·k², outC·k²),
+// zero bias.
+func (c *Conv2d) Reinit(rng *rand.Rand) {
+	w := c.W.Value()
+	kk := w.Dim(2) * w.Dim(3)
+	tensor.FillGlorot(w, w.Dim(1)*kk, w.Dim(0)*kk, rng)
+	zeroBias(c.B)
 }
 
 // Forward implements Module.
@@ -101,13 +136,21 @@ type DepthwiseConv2d struct {
 
 // NewDepthwiseConv2d constructs a Glorot-initialised depthwise convolution.
 func NewDepthwiseConv2d(channels, k, stride, pad int, bias bool, rng *rand.Rand) *DepthwiseConv2d {
-	w := tensor.New(channels, k, k)
-	tensor.FillGlorot(w, k*k, k*k, rng)
-	d := &DepthwiseConv2d{W: ag.Param(w), Stride: stride, Pad: pad}
+	d := &DepthwiseConv2d{W: ag.Param(tensor.New(channels, k, k)), Stride: stride, Pad: pad}
 	if bias {
 		d.B = ag.Param(tensor.New(channels))
 	}
+	d.Reinit(rng)
 	return d
+}
+
+// Reinit implements Reinitialiser: Glorot weights over (k², k²), zero
+// bias.
+func (d *DepthwiseConv2d) Reinit(rng *rand.Rand) {
+	w := d.W.Value()
+	kk := w.Dim(1) * w.Dim(2)
+	tensor.FillGlorot(w, kk, kk, rng)
+	zeroBias(d.B)
 }
 
 // Forward implements Module.
@@ -149,15 +192,26 @@ type BatchNorm2d struct {
 // NewBatchNorm2d constructs a BatchNorm2d over c channels with γ=1, β=0,
 // running mean 0 and running variance 1.
 func NewBatchNorm2d(c int) *BatchNorm2d {
-	return &BatchNorm2d{
-		Gamma:    ag.Param(tensor.Full(1, c)),
+	b := &BatchNorm2d{
+		Gamma:    ag.Param(tensor.New(c)),
 		Beta:     ag.Param(tensor.New(c)),
 		RunMean:  tensor.New(c),
-		RunVar:   tensor.Full(1, c),
+		RunVar:   tensor.New(c),
 		Momentum: 0.1,
 		Eps:      1e-5,
 		training: true,
 	}
+	b.Reinit(nil)
+	return b
+}
+
+// Reinit implements Reinitialiser: γ=1, β=0, running mean 0 and running
+// variance 1 (no draws).
+func (b *BatchNorm2d) Reinit(*rand.Rand) {
+	b.Gamma.Value().Fill(1)
+	b.Beta.Value().Zero()
+	b.RunMean.Zero()
+	b.RunVar.Fill(1)
 }
 
 // Forward implements Module.
@@ -189,6 +243,9 @@ func NewBatchNorm1d(d int) *BatchNorm1d {
 	return &BatchNorm1d{bn: *NewBatchNorm2d(d)}
 }
 
+// Reinit implements Reinitialiser.
+func (b *BatchNorm1d) Reinit(rng *rand.Rand) { b.bn.Reinit(rng) }
+
 // Forward implements Module.
 func (b *BatchNorm1d) Forward(x *ag.Variable) *ag.Variable {
 	return ag.BatchNorm1d(x, b.bn.Gamma, b.bn.Beta, b.bn.RunMean, b.bn.RunVar, b.bn.training, b.bn.Momentum, b.bn.Eps)
@@ -211,6 +268,7 @@ type stateless struct{}
 func (stateless) Params() []*ag.Variable                          { return nil }
 func (stateless) SetTraining(bool)                                {}
 func (stateless) VisitState(string, func(string, *tensor.Tensor)) {}
+func (stateless) Reinit(*rand.Rand)                               {}
 
 // ReLU applies max(x,0).
 type ReLU struct{ stateless }

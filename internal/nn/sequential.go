@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"strconv"
 
 	"github.com/fedzkt/fedzkt/internal/ag"
@@ -44,6 +46,19 @@ func (s *Sequential) Params() []*ag.Variable {
 func (s *Sequential) SetTraining(t bool) {
 	for _, m := range s.mods {
 		m.SetTraining(t)
+	}
+}
+
+// Reinit implements Reinitialiser by re-seeding the children in chain
+// order — the order their constructors drew from the build's generator.
+// A child that cannot re-seed itself is a programming error.
+func (s *Sequential) Reinit(rng *rand.Rand) {
+	for i, m := range s.mods {
+		r, ok := m.(Reinitialiser)
+		if !ok {
+			panic(fmt.Sprintf("nn: sequential child %d (%T) does not implement Reinitialiser", i, m))
+		}
+		r.Reinit(rng)
 	}
 }
 

@@ -33,6 +33,9 @@ type SGD struct {
 	momentum    float64
 	weightDecay float64
 	velocity    []*tensor.Tensor // lazily allocated when momentum > 0
+	// arena, when set, supplies the velocity buffers (zeroed on hand-out),
+	// so they live exactly as long as the arena's current scope.
+	arena *tensor.Arena
 }
 
 var _ Optimizer = (*SGD)(nil)
@@ -40,6 +43,17 @@ var _ Optimizer = (*SGD)(nil)
 // NewSGD constructs an SGD optimiser over params.
 func NewSGD(params []*ag.Variable, lr, momentum, weightDecay float64) *SGD {
 	return &SGD{params: params, lr: lr, momentum: momentum, weightDecay: weightDecay}
+}
+
+// NewSGDIn is NewSGD drawing the momentum velocity buffers from arena
+// a instead of the heap. The optimiser is then only valid until a's next
+// Reset — the shape of a device's local update, whose optimiser dies
+// with the task. A nil arena is NewSGD. Values are identical either way:
+// a buffer is zero when first handed out.
+func NewSGDIn(a *tensor.Arena, params []*ag.Variable, lr, momentum, weightDecay float64) *SGD {
+	s := NewSGD(params, lr, momentum, weightDecay)
+	s.arena = a
+	return s
 }
 
 // Step implements Optimizer.
@@ -62,7 +76,7 @@ func (s *SGD) Step() {
 			continue
 		}
 		if s.velocity[i] == nil {
-			s.velocity[i] = tensor.New(w.Shape()...)
+			s.velocity[i] = s.arena.NewLike(w)
 		}
 		v := s.velocity[i]
 		vd, wd, gd := v.Data(), w.Data(), g.Data()

@@ -222,3 +222,35 @@ func TestStateRoundTripBitExact(t *testing.T) {
 		}
 	})
 }
+
+// TestSGDArenaVelocityMatchesHeap: drawing the momentum buffers from a
+// task-scoped arena changes where they live, never a value — even when
+// the arena hands back buffers a previous task left dirty — and a
+// warmed-up arena makes a fresh optimiser's buffers free.
+func TestSGDArenaVelocityMatchesHeap(t *testing.T) {
+	target := tensor.FromSlice([]float64{1, -2, 3, 0.5}, 4)
+	run := func(a *tensor.Arena) []float64 {
+		w := ag.Param(tensor.FromSlice([]float64{0.3, 0.1, -0.7, 2}, 4))
+		opt := NewSGDIn(a, []*ag.Variable{w}, 0.05, 0.9, 1e-3)
+		for i := 0; i < 20; i++ {
+			opt.ZeroGrad()
+			ag.Backward(quadLoss(w, target))
+			opt.Step()
+		}
+		return append([]float64(nil), w.Value().Data()...)
+	}
+	want := run(nil)
+	arena := tensor.NewArena()
+	for task := 0; task < 3; task++ {
+		got := run(arena)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("task %d: w[%d] = %v with arena velocity, %v on the heap", task, i, got[i], want[i])
+			}
+		}
+		arena.Reset() // the next task's optimiser reuses this task's (dirty) buffers
+	}
+	if held := arena.Held(); held != 1 {
+		t.Fatalf("arena holds %d buffers after three tasks over one parameter, want 1", held)
+	}
+}

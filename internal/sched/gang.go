@@ -59,8 +59,10 @@ func (g *Gang) Width() int { return g.helpers + 1 }
 func (g *Gang) run() {
 	for j := range g.jobs {
 		runLane(j.fn, j.blocks, j.lane, j.stride)
-		j.wg.Done()
+		// Return the token before releasing the caller: once Do returns,
+		// every helper it borrowed is accounted idle again.
 		g.tokens.Add(1)
+		j.wg.Done()
 	}
 }
 

@@ -121,12 +121,15 @@ type Options struct {
 	// FailureSeed seeds the failure-injection hash.
 	FailureSeed uint64
 	// WorkerScratch, when set, is a factory for per-worker scratch state
-	// (e.g. a step-scoped tensor arena). The pool creates at most one
-	// scratch per worker slot, lazily, and hands it to tasks through their
+	// (a step-scoped tensor arena; a device rig of arenas plus live
+	// modules). The pool creates at most one scratch per worker slot,
+	// lazily on the slot's first task, and hands it to tasks through their
 	// context (see Scratch). A worker slot runs one task at a time and
 	// rounds form a single stream, so the scratch is never accessed
 	// concurrently; it is reused across tasks and rounds, which is the
 	// point — warmed-up scratch makes device steps allocation-free.
+	// Between rounds the owner of the pool may borrow a slot's scratch
+	// itself (see Pool.WorkerScratch).
 	WorkerScratch func() any
 }
 
@@ -226,6 +229,19 @@ type scratchKey struct{}
 // (or ctx is not a task context).
 func Scratch(ctx context.Context) any {
 	return ctx.Value(scratchKey{})
+}
+
+// WorkerScratch returns worker slot i's scratch (created on first use, as
+// for a task), or nil when the pool has no WorkerScratch factory or i is
+// not a slot. It lets the pool's owner run its own between-round
+// fan-outs — ForEachWorker's worker indices are slot indices — on the
+// same warmed-up scratch the tasks use. It must not be called while a
+// round is running: slots are unsynchronised by design.
+func (p *Pool) WorkerScratch(i int) any {
+	if i < 0 {
+		return nil
+	}
+	return p.scratchFor(i)
 }
 
 // scratchFor lazily creates and returns slot i's scratch.

@@ -86,6 +86,42 @@ func TestScratchSequentialAndAbsent(t *testing.T) {
 	}
 }
 
+// TestWorkerScratchAccessor: between rounds the pool's owner reaches the
+// very scratch a slot's tasks use (created on demand for a slot no task
+// has touched yet), and nothing for a pool without a factory or an index
+// that is not a slot.
+func TestWorkerScratchAccessor(t *testing.T) {
+	created := 0
+	pool, err := NewPool(Options{Workers: 2, WorkerScratch: func() any { created++; return new(int) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fromTask any
+	pool.RunRound(context.Background(), 1, []Task{{Device: 7, Run: func(ctx context.Context) error {
+		fromTask = Scratch(ctx)
+		return nil
+	}}})
+	if got := pool.WorkerScratch(0); got == nil || got != fromTask {
+		t.Fatalf("slot 0 scratch %v, the task saw %v", got, fromTask)
+	}
+	if s1 := pool.WorkerScratch(1); s1 == nil || s1 == fromTask || s1 != pool.WorkerScratch(1) {
+		t.Fatal("slot 1 must lazily get its own, stable scratch")
+	}
+	if created != 2 {
+		t.Fatalf("factory ran %d times for 2 slots", created)
+	}
+	if pool.WorkerScratch(2) != nil || pool.WorkerScratch(-1) != nil {
+		t.Fatal("indices outside the slots must yield nil")
+	}
+	plain, err := NewPool(Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.WorkerScratch(0) != nil {
+		t.Fatal("pool without a factory handed out scratch")
+	}
+}
+
 // TestForEachWorkerIndexContract checks index coverage, the worker-index
 // bound, and that a worker index is never used by two goroutines at once.
 func TestForEachWorkerIndexContract(t *testing.T) {

@@ -178,8 +178,10 @@ func register(conn net.Conn, cfg DeviceConfig) (*deviceSession, error) {
 	}
 	dev := fed.NewDevice(welcome.DeviceID, cfg.Arch, m, data.NewSubset(ds, asn.Indices))
 	// The round loop is single-goroutine for the device's lifetime, so
-	// one step-scoped arena serves every training round.
+	// one step-scoped arena and one task-scoped arena (reset after each
+	// round's local update) serve every training round.
 	dev.Scratch = ag.NewArena()
+	dev.TaskScratch = tensor.NewArena()
 
 	// The server dictates the federation's state codec; every state the
 	// device puts on the wire is encoded with it.
@@ -236,6 +238,7 @@ func (s *deviceSession) serve(ctx context.Context, conn net.Conn) error {
 			}
 			rng := tensor.NewRand(s.asn.DataSeed ^ (uint64(msg.Round)<<20 + uint64(s.id)<<4 + 0x5EED))
 			loss, err := s.dev.LocalUpdate(s.asn.Local, rng)
+			s.dev.TaskScratch.Reset()
 			if err != nil {
 				writeDeadline()
 				_ = WriteMessage(conn, &Message{Type: MsgError, Reason: err.Error()})

@@ -99,15 +99,19 @@ type Server struct {
 	// events feeds every connection's reader (messages, attach/detach
 	// notifications) into the central round loop.
 	events chan inbound
-	// regProgress signals each completed core registration; fatal carries
-	// the first registration-phase failure.
+	// regProgress signals each step of registration (a core install, a
+	// session attach); fatal carries the first registration-phase failure.
 	regProgress chan struct{}
 	fatal       chan error
 
-	mu         sync.Mutex
-	sessions   []*session
-	nextID     int
-	installed  int
+	mu        sync.Mutex
+	sessions  []*session
+	nextID    int
+	installed int
+	// attached counts registrations whose session has its connection
+	// attached: round 1 may only start once every train request it sends
+	// has a writer to land on.
+	attached   int
 	pending    map[int]pendingInstall
 	conns      []net.Conn
 	finalStats []SessionStats
@@ -212,11 +216,20 @@ func (s *Server) trackConn(conn net.Conn) {
 }
 
 // registrationComplete reports whether all NumDevices replicas are
-// installed in the core.
+// installed in the core and every session is attached.
 func (s *Server) registrationComplete() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.installed == s.cfg.NumDevices
+	return s.installed == s.cfg.NumDevices && s.attached == s.cfg.NumDevices
+}
+
+// noteProgress wakes awaitRegistration to re-check (and re-arm its stall
+// timer). A full buffer already holds a wake-up, so the send never blocks.
+func (s *Server) noteProgress() {
+	select {
+	case s.regProgress <- struct{}{}:
+	default:
+	}
 }
 
 // reportFatal delivers the first registration-phase failure to Run.
@@ -275,7 +288,7 @@ func (s *Server) awaitRegistration(ctx context.Context) error {
 			return fmt.Errorf("transport: accept cancelled: %w", ctx.Err())
 		case <-timer.C:
 			s.mu.Lock()
-			n := s.installed
+			n := min(s.installed, s.attached)
 			s.mu.Unlock()
 			return fmt.Errorf("transport: registration timed out with %d/%d devices", n, s.cfg.NumDevices)
 		}
@@ -388,7 +401,14 @@ func (s *Server) handleHello(conn net.Conn, mc *meteredConn, hello *Message) {
 	}
 	_ = conn.SetDeadline(time.Time{})
 	tracer().Begin("transport", "session_attach").WithTID(id).End()
-	sess.attach(conn, 0, s.events, cfg.IOTimeout)
+	// Attach before reporting progress: the round loop starts on the last
+	// report, and a train request enqueued to a session that is not yet
+	// attached would be dropped.
+	sess.attach(conn, false, 0, s.events, cfg.IOTimeout)
+	s.mu.Lock()
+	s.attached++
+	s.mu.Unlock()
+	s.noteProgress()
 }
 
 // install queues device id's registration and installs every
@@ -412,10 +432,7 @@ func (s *Server) install(id int, arch string, sd nn.StateDict, weight int) error
 		}
 		delete(s.pending, s.installed)
 		s.installed++
-		select {
-		case s.regProgress <- struct{}{}:
-		default:
-		}
+		s.noteProgress()
 	}
 }
 
@@ -450,7 +467,7 @@ func (s *Server) handleResume(conn net.Conn, mc *meteredConn, resume *Message) {
 	sess.mu.Unlock()
 	_ = conn.SetDeadline(time.Time{})
 	tracer().Begin("transport", "session_resume").WithTID(id).WithRound(resume.Round).End()
-	sess.attach(conn, resume.Round, s.events, s.cfg.IOTimeout)
+	sess.attach(conn, true, resume.Round, s.events, s.cfg.IOTimeout)
 }
 
 // roundLoop executes the federated rounds over the session layer: train

@@ -32,10 +32,11 @@ type inboundKind uint8
 const (
 	// evMessage carries a protocol message read from a device connection.
 	evMessage inboundKind = iota
-	// evAttached reports that a connection (fresh registration or resume)
-	// is now serving the session. pendingRound carries the device's
-	// announced unacknowledged upload round (0 = none), so the round loop
-	// can decide whether a replay is already on its way.
+	// evAttached reports that a resumed connection is now serving the
+	// session. pendingRound carries the device's announced unacknowledged
+	// upload round (0 = none), so the round loop can decide whether a
+	// replay is already on its way. A fresh registration's attach is not
+	// announced: rounds start only after every one of them.
 	evAttached
 	// evDetached reports that the session's connection died.
 	evDetached
@@ -162,9 +163,10 @@ type session struct {
 
 // attach installs conn as the session's live connection, detaching any
 // previous one, and spawns its reader/writer pair. events receives the
-// attach notification, every message the reader produces, and the detach
-// notification when the connection dies. ioTimeout bounds each write.
-func (s *session) attach(conn net.Conn, pendingRound int, events chan<- inbound, ioTimeout time.Duration) {
+// attach notification (resumed connections only), every message the
+// reader produces, and the detach notification when the connection dies.
+// ioTimeout bounds each write.
+func (s *session) attach(conn net.Conn, resumed bool, pendingRound int, events chan<- inbound, ioTimeout time.Duration) {
 	mc := &chaosConn{Conn: &meteredConn{Conn: conn, m: &s.meter}}
 	cs := &connState{
 		conn:   conn,
@@ -204,7 +206,9 @@ func (s *session) attach(conn net.Conn, pendingRound int, events chan<- inbound,
 	// rounds (quorum deadlines bound the rounds, not the connections).
 	// Server.Close and ctx cancellation close the conn to unblock it.
 	go func() {
-		events <- inbound{id: s.id, kind: evAttached, pendingRound: pendingRound}
+		if resumed {
+			events <- inbound{id: s.id, kind: evAttached, pendingRound: pendingRound}
+		}
 		for {
 			_ = conn.SetReadDeadline(time.Time{})
 			m, err := ReadMessage(mc)
