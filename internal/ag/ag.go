@@ -22,9 +22,14 @@
 // none). Wrapping a step's input with ConstIn(arena, x) therefore threads
 // the arena through the whole tape with no other call-site changes, and
 // one Arena.Reset after the optimiser step recycles every step-scoped
-// buffer AND tape node. Leaf gradients (parameters) are deliberately heap
-// allocated once and reused across steps, so optimisers can keep reading
-// them after Reset.
+// buffer AND tape node. Leaf gradients (parameters) never come from the
+// step arena, so optimisers can keep reading them after Reset: a leaf's
+// gradient is allocated on its first accumulation — from the heap, kept
+// for the life of the leaf (server-side models), or, between LendGrads and
+// DetachGrads, from a longer-lived tensor arena that takes the buffer back
+// when its owner resets it (a device's local update, whose gradients die
+// with the task). A leaf no accumulation has reached has a nil gradient
+// either way.
 //
 // Concurrency: a tape — and therefore an Arena — belongs to one goroutine.
 // Two goroutines must never run Backward over graphs sharing a
@@ -67,6 +72,9 @@ type Variable struct {
 	aux0, aux1 float64
 	auxI       []int
 	auxT       *tensor.Tensor
+	// lent, on a leaf, is the arena its gradient buffer is drawn from
+	// (LendGrads); nil allocates it from the heap.
+	lent *tensor.Arena
 }
 
 // Arena is the step-scoped allocator of the autodiff engine: tensor
@@ -328,12 +336,38 @@ func (v *Variable) Detach() *Variable { return Const(v.value) }
 // Shape returns the shape of the value tensor.
 func (v *Variable) Shape() []int { return v.value.Shape() }
 
-// mustGrad lazily allocates and returns the gradient buffer. Interior
-// nodes draw it from their arena (it dies with the step); leaves allocate
-// from the heap once and keep the buffer across steps.
+// LendGrads makes every leaf in leaves draw its gradient buffer from a —
+// lazily, on the first accumulation that reaches it, exactly when the heap
+// path would allocate one — until DetachGrads. The caller owns a's
+// lifetime: it must detach the leaves before resetting a.
+func LendGrads(leaves []*Variable, a *tensor.Arena) {
+	for _, v := range leaves {
+		v.lent = a
+	}
+}
+
+// DetachGrads drops every leaf's gradient buffer and lender, returning the
+// leaves to the state of never having been differentiated.
+func DetachGrads(leaves []*Variable) {
+	for _, v := range leaves {
+		v.grad, v.lent = nil, nil
+	}
+}
+
+// gradArena is where v's gradient buffer comes from: the step arena for an
+// interior node (it dies with the step), the lender or the heap (nil) for a
+// leaf, which keeps the buffer across steps.
+func (v *Variable) gradArena() *tensor.Arena {
+	if v.ar != nil {
+		return v.ar.T
+	}
+	return v.lent
+}
+
+// mustGrad lazily allocates and returns the zeroed gradient buffer.
 func (v *Variable) mustGrad() *tensor.Tensor {
 	if v.grad == nil {
-		v.grad = v.ar.zeroLike(v.value)
+		v.grad = v.gradArena().NewLike(v.value)
 	}
 	return v.grad
 }
@@ -346,12 +380,7 @@ func (v *Variable) accum(g *tensor.Tensor) {
 		return
 	}
 	if v.grad == nil {
-		if v.ar != nil {
-			v.grad = v.ar.T.NewRawLike(v.value)
-			tensor.ZeroAddInto(v.grad, g)
-			return
-		}
-		v.grad = tensor.New(v.value.Shape()...)
+		v.grad = v.gradArena().NewRawLike(v.value)
 		tensor.ZeroAddInto(v.grad, g)
 		return
 	}

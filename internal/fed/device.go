@@ -36,17 +36,24 @@ type Device struct {
 	Scratch *ag.Arena
 
 	// TaskScratch, when set, is the task-scoped allocator LocalUpdate
-	// draws its optimiser's momentum buffers from: state that must
-	// outlive every step but dies with the task. Like Scratch it is
+	// draws its optimiser's momentum buffers and the model's parameter
+	// gradients from: state that must outlive every step but dies with
+	// the task (LocalUpdate detaches the gradients before it returns, so
+	// between updates a model holds none). Like Scratch it is
 	// runtime-local and owned by the goroutine running the device's
 	// task; whoever installs it resets it once the task has ended. Nil
-	// keeps plain heap allocation.
+	// keeps plain heap allocation, with gradients that stay on the model.
 	TaskScratch *tensor.Arena
 
-	// received holds a snapshot of the parameters last downloaded from the
-	// server, the anchor of the ℓ2 proximal term (Eq. 9). Nil before the
-	// first download.
-	received nn.StateDict
+	// received is the anchor of the ℓ2 proximal term (Eq. 9): a snapshot
+	// of the parameters last downloaded from the server. It is captured
+	// lazily — by the first LocalUpdate after a download, while the model
+	// still equals that download, and only when that update's ProxMu > 0
+	// (or at any time by an explicit SnapshotReceived) — so a federation
+	// that never uses the proximal term never holds one. anchorDue marks
+	// a download no LocalUpdate has seen yet.
+	received  nn.StateDict
+	anchorDue bool
 }
 
 // NewDevice constructs a device over its private data shard.
@@ -59,6 +66,7 @@ func NewDevice(id int, arch string, m nn.Module, shard *data.Subset) *Device {
 // A device that already holds an anchor of the same layout overwrites it
 // in place instead of cloning the state again.
 func (d *Device) SnapshotReceived() {
+	d.anchorDue = false
 	cur := nn.CaptureState(d.Model)
 	if d.received == nil || d.received.LoadFrom(cur) != nil {
 		d.received = cur.Clone()
@@ -71,7 +79,7 @@ func (d *Device) SnapshotReceived() {
 // anchor through the download path) on the device's next participation.
 func (d *Device) Evict() {
 	d.Model = nil
-	d.received = nil
+	d.received, d.anchorDue = nil, false
 }
 
 // LocalConfig configures a device's local training (Algorithm 2).
@@ -113,7 +121,21 @@ func (d *Device) LocalUpdate(cfg LocalConfig, rng *rand.Rand) (float64, error) {
 	d.Model.SetTraining(true)
 	params := d.Model.Params()
 	opt := optim.NewSGDIn(d.TaskScratch, params, cfg.LR, cfg.Momentum, cfg.WeightDecay)
+	if d.TaskScratch != nil {
+		ag.LendGrads(params, d.TaskScratch)
+		defer ag.DetachGrads(params) // also on a panicking step
+	}
 
+	if d.anchorDue {
+		// First update since a download: the model still holds exactly the
+		// downloaded values. An update without the proximal term moves it
+		// off them uncaptured, so no anchor survives that update.
+		if cfg.ProxMu > 0 {
+			d.SnapshotReceived()
+		} else {
+			d.received, d.anchorDue = nil, false
+		}
+	}
 	var anchor nn.StateDict
 	if cfg.ProxMu > 0 && d.received != nil {
 		anchor = d.received
@@ -147,7 +169,7 @@ func (d *Device) LocalUpdate(cfg LocalConfig, rng *rand.Rand) (float64, error) {
 			batches++
 			// Everything step-scoped — activations, scratch, the batch,
 			// the tape itself — is recycled; parameters, their gradients
-			// and the optimiser state live outside the arena.
+			// and the optimiser state live outside the step arena.
 			ar.Reset()
 		}
 		lastLoss = epochLoss / float64(batches)
@@ -210,16 +232,17 @@ func (d *Device) DownloadPayload(b []byte) error {
 	if err := codec.DecodeInto(b, nn.CaptureState(d.Model)); err != nil {
 		return fmt.Errorf("fed: device %d download: %w", d.ID, err)
 	}
-	d.SnapshotReceived()
+	d.anchorDue = true
 	return nil
 }
 
 // Download installs server-provided parameters into the device model and
-// snapshots them as the new proximal anchor.
+// makes them the proximal anchor of the updates that follow (captured by
+// the first of them that uses the proximal term; see Device.received).
 func (d *Device) Download(sd nn.StateDict) error {
 	if err := nn.LoadState(d.Model, sd); err != nil {
 		return fmt.Errorf("fed: device %d download: %w", d.ID, err)
 	}
-	d.SnapshotReceived()
+	d.anchorDue = true
 	return nil
 }

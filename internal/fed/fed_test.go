@@ -111,8 +111,8 @@ func TestUploadDownloadRoundTrip(t *testing.T) {
 			t.Fatalf("state %q differs after download", name)
 		}
 	}
-	if b.received == nil {
-		t.Fatal("download must snapshot the proximal anchor")
+	if b.received != nil || !b.anchorDue {
+		t.Fatal("download must arm the proximal anchor without capturing it")
 	}
 }
 
@@ -221,8 +221,8 @@ func sameState(t *testing.T, what string, a, b nn.StateDict) {
 // the first element is written, so a truncated, a wrong-layout and a
 // duplicate-name container each leave the model and the proximal anchor
 // exactly as they were; a good payload then decodes straight into the
-// model, to the same values the dense download path installs, and
-// refreshes the anchor in place.
+// model, to the same values the dense download path installs, and the
+// next proximal update refreshes the anchor in place.
 func TestDownloadPayloadAllOrNothing(t *testing.T) {
 	ds := tinyDataset(12)
 	src := tinyDevice(t, ds, allTrain(ds), 30)
@@ -274,6 +274,9 @@ func TestDownloadPayloadAllOrNothing(t *testing.T) {
 		}
 		sameState(t, name+" payload, model", nn.CaptureState(dev.Model), model0)
 		sameState(t, name+" payload, anchor", dev.received, anchor0)
+		if dev.anchorDue {
+			t.Fatalf("%s payload armed the anchor", name)
+		}
 	}
 
 	anchorTensors := dev.received
@@ -285,6 +288,10 @@ func TestDownloadPayloadAllOrNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameState(t, "good payload, model", nn.CaptureState(dev.Model), want)
+	sameState(t, "good payload, anchor before the next update", dev.received, anchor0)
+	if _, err := dev.LocalUpdate(LocalConfig{Epochs: 1, BatchSize: 16, LR: 0.05, ProxMu: 0.1}, tensor.NewRand(33)); err != nil {
+		t.Fatal(err)
+	}
 	sameState(t, "good payload, anchor", dev.received, want)
 	for name, tt := range dev.received {
 		if tt != anchorTensors[name] {

@@ -340,20 +340,16 @@ func (cs *cohortSet) shardOf(id int) *cohortShard { return cs.shards[id%len(cs.s
 // register files a new member into its shard's cohort, storing initial
 // state per the active mode. A nil sd registers a virgin member (tiered
 // mode only): nothing is stored until the slot is first written, and
-// reads reconstruct the seeded initial state via initState.
-func (cs *cohortSet) register(arch string, sd nn.StateDict, weight int, build func() (nn.Module, error)) (int, error) {
+// reads reconstruct the seeded initial state via initState. sd is
+// validated against the architecture's own signature (one throwaway build
+// per architecture), never against itself, so a drifted first registrant
+// fails as loudly as a later one. A dense slot keeps a copy of sd unless
+// the caller hands it over (owned).
+func (cs *cohortSet) register(arch string, sd nn.StateDict, owned bool, weight int, build func() (nn.Module, error)) (int, error) {
 	id := len(cs.devices)
-	sig, ok := cs.sigs[arch]
-	if !ok {
-		if sd != nil {
-			sig = sigOf(sd)
-			cs.sigs[arch] = sig
-		} else {
-			var err error
-			if sig, err = cs.ensureSig(arch, build); err != nil {
-				return 0, err
-			}
-		}
+	sig, err := cs.ensureSig(arch, build)
+	if err != nil {
+		return 0, err
 	}
 	if sd != nil {
 		if err := sig.checkLayout(arch, dictLayout(sd)); err != nil {
@@ -386,6 +382,9 @@ func (cs *cohortSet) register(arch string, sd nn.StateDict, weight int, build fu
 		}
 		mem.enc = enc
 	default:
+		if !owned {
+			sd = sd.Clone()
+		}
 		mem.state = sd
 	}
 	return id, nil
@@ -527,27 +526,36 @@ func (cs *cohortSet) encOf(ref deviceRef) ([]byte, error) {
 }
 
 // stateOf returns a dense deep copy of a member's slot (the download and
-// inspection currency). Encoded slots decode; identity slots clone.
-func (cs *cohortSet) stateOf(ref deviceRef) (nn.StateDict, error) {
+// inspection currency): written into dst when given — which must have the
+// member's layout — else freshly allocated. Encoded slots decode; identity
+// slots copy.
+func (cs *cohortSet) stateOf(ref deviceRef, dst nn.StateDict) (nn.StateDict, error) {
+	if !cs.tiered && !cs.quantised {
+		if dst == nil {
+			return ref.member.state.Clone(), nil
+		}
+		if err := dst.LoadFrom(ref.member.state); err != nil {
+			return nil, err
+		}
+		return dst, nil
+	}
+	enc := ref.member.enc
 	if cs.tiered {
-		enc, err := cs.encOf(ref)
-		if err != nil {
+		var err error
+		if enc, err = cs.encOf(ref); err != nil {
 			return nil, fmt.Errorf("fedzkt: loading device %d slot: %w", ref.member.id, err)
 		}
-		sd, err := codec.Decode(enc)
-		if err != nil {
-			return nil, fmt.Errorf("fedzkt: decoding device %d slot: %w", ref.member.id, err)
-		}
-		return sd, nil
 	}
-	if cs.quantised {
-		sd, err := codec.Decode(ref.member.enc)
-		if err != nil {
-			return nil, fmt.Errorf("fedzkt: decoding device %d slot: %w", ref.member.id, err)
-		}
-		return sd, nil
+	var err error
+	if dst == nil {
+		dst, err = codec.Decode(enc)
+	} else {
+		err = codec.DecodeInto(enc, dst)
 	}
-	return ref.member.state.Clone(), nil
+	if err != nil {
+		return nil, fmt.Errorf("fedzkt: decoding device %d slot: %w", ref.member.id, err)
+	}
+	return dst, nil
 }
 
 // payloadOf returns a member's slot in wire form — the codec container a

@@ -326,6 +326,11 @@ type Coordinator struct {
 	// rigs counts how the pool's per-worker device rigs (rig.go) served
 	// module requests; the rigs themselves live in the pool's worker slots.
 	rigs *rigStats
+	// payloads recycles the dense state copies that cross the simulated
+	// wire on the identity-codec path (rig.go). Like rigs it is its own
+	// allocation: the process-wide metrics registry keeps a pointer to it
+	// until the next coordinator registers, and must not pin this one.
+	payloads *payloadBuffers
 
 	// Virtual-device mode (Config.VirtualDevices): device models exist
 	// only while their local phase or evaluation runs, borrowed from the
@@ -416,8 +421,9 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 	if err != nil {
 		return nil, err
 	}
-	c := &Coordinator{cfg: cfg, ds: ds, server: server, pool: pool, sampler: sampler, codec: server.Codec(), nextRound: 1, rigs: rigs}
-	c.metrics = newFedMetrics(obs.Default(), server, rigs)
+	c := &Coordinator{cfg: cfg, ds: ds, server: server, pool: pool, sampler: sampler, codec: server.Codec(), nextRound: 1,
+		rigs: rigs, payloads: &payloadBuffers{}}
+	c.metrics = newFedMetrics(obs.Default(), server, rigs, c.payloads)
 	pool.RegisterMetrics(obs.Default())
 	if cfg.VirtualDevices {
 		if err := c.initVirtual(archs); err != nil {
@@ -574,6 +580,15 @@ func (c *Coordinator) DeviceStoreStats() ReplicaStoreStats {
 // resident devices.
 func (c *Coordinator) DeviceRigStats() (builds, reuses int64) {
 	return c.rigs.builds.Load(), c.rigs.reuses.Load()
+}
+
+// PayloadBufferStats reports how the dense upload and download copies of
+// the identity-codec path were served so far: by building a buffer — at
+// most as many as were ever in flight at once — or by reusing a returned
+// one. Both stay zero under a quantised codec, whose payloads are encoded
+// containers.
+func (c *Coordinator) PayloadBufferStats() (built, reused int64) {
+	return c.payloads.built.Load(), c.payloads.reused.Load()
 }
 
 // Close releases the server (spill files, prefetcher) and the
@@ -871,29 +886,31 @@ func (c *Coordinator) evalIDs() []int {
 // initial state when it never downloaded) installed in a worker rig's
 // module, which is exactly what the live model would hold at this round
 // boundary. The pool is idle between rounds, so the fan-out borrows its
-// rigs: ForEachWorker's worker indices are the pool's slot indices.
+// rigs' warmed-up arenas (and modules): ForEachWorker's worker indices are
+// the pool's slot indices.
 func (c *Coordinator) deviceAccs() ([]float64, error) {
 	ids := c.evalIDs()
-	if !c.virtual {
-		return fed.EvaluateAllParallel(c.devices[:len(ids)], c.ds, 64, c.cfg.poolWorkers()), nil
-	}
 	accs := make([]float64, len(ids))
 	var mu sync.Mutex
 	var firstErr error
 	sched.ForEachWorker(len(ids), c.cfg.poolWorkers(), func(i, w int) {
 		id := ids[i]
 		rig := c.pool.WorkerScratch(w).(*deviceRig)
-		m, enc, err := c.deviceModule(rig, id)
-		if err == nil && enc != nil {
-			err = codec.DecodeInto(enc, nn.CaptureState(m))
-		}
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("fedzkt: evaluating device %d: %w", id, err)
+		m := c.devices[id].Model
+		if c.virtual {
+			var enc []byte
+			var err error
+			if m, enc, err = c.deviceModule(rig, id); err == nil && enc != nil {
+				err = codec.DecodeInto(enc, nn.CaptureState(m))
 			}
-			mu.Unlock()
-			return
+			if err != nil {
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = fmt.Errorf("fedzkt: evaluating device %d: %w", id, err)
+				}
+				mu.Unlock()
+				return
+			}
 		}
 		accs[i] = fed.EvaluateArena(m, c.ds, 64, rig.step)
 	})
@@ -906,7 +923,9 @@ func (c *Coordinator) deviceAccs() ([]float64, error) {
 // — pinned by TestFloat64CodecMatchesDefault — so in-process it would
 // only add an encode/decode pass per device on the default
 // configuration). Exactly one field is set; either form is an
-// independent copy, safe to hand across engine stages.
+// independent copy, safe to hand across engine stages. A dense copy is a
+// buffer of c.payloads: whoever consumes the payload (absorbUploads,
+// applyDownload, localPhase for a discarded task) gives it back.
 type statePayload struct {
 	enc []byte
 	sd  nn.StateDict
@@ -918,7 +937,7 @@ type statePayload struct {
 // and the accounting can never drift between them.
 func (c *Coordinator) publishDownload(id int) (statePayload, int, error) {
 	if codec.Identity(c.codec) {
-		sd, err := c.server.ReplicaState(id)
+		sd, err := c.server.ReplicaStateInto(id, c.payloads.take(c.devices[id].Arch))
 		if err != nil {
 			return statePayload{}, 0, err
 		}
@@ -940,6 +959,7 @@ func (c *Coordinator) publishDownload(id int) (statePayload, int, error) {
 // the download, which is what the next materialisation reproduces.
 func (c *Coordinator) applyDownload(id int, p statePayload) error {
 	d := c.devices[id]
+	defer c.payloads.give(d.Arch, p.sd)
 	if !c.virtual {
 		if p.sd != nil {
 			return d.Download(p.sd)
@@ -1040,6 +1060,10 @@ func (c *Coordinator) localPhase(ctx context.Context, round int, active []int, m
 	completed := make([]int, 0, len(active))
 	uploads := make([]statePayload, 0, len(active))
 	for pos, r := range c.pool.RunRound(ctx, round, tasks) {
+		if r.Status != sched.StatusCompleted {
+			// A late or failed task's staged upload goes nowhere.
+			c.payloads.give(c.devices[r.Device].Arch, staged[pos].sd)
+		}
 		switch r.Status {
 		case sched.StatusCompleted:
 			completed = append(completed, r.Device)
@@ -1071,7 +1095,12 @@ func (c *Coordinator) localPhase(ctx context.Context, round int, active []int, m
 // on the identity fast path.
 func (c *Coordinator) stageUpload(d *fed.Device) (statePayload, int, error) {
 	if codec.Identity(c.codec) {
-		sd := d.Upload()
+		sd := c.payloads.take(d.Arch)
+		if sd == nil {
+			sd = d.Upload()
+		} else if err := sd.LoadFrom(nn.CaptureState(d.Model)); err != nil {
+			return statePayload{}, 0, fmt.Errorf("fedzkt: device %d upload: %w", d.ID, err)
+		}
 		return statePayload{sd: sd}, sd.Numel(), nil
 	}
 	payload, numel, err := d.UploadPayload(c.codec)
@@ -1085,6 +1114,7 @@ func (c *Coordinator) absorbUploads(completed []int, uploads []statePayload) err
 		var err error
 		if uploads[i].sd != nil {
 			err = c.server.Absorb(id, uploads[i].sd)
+			c.payloads.give(c.devices[id].Arch, uploads[i].sd)
 		} else {
 			err = c.server.AbsorbPayload(id, uploads[i].enc)
 		}

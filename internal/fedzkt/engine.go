@@ -18,7 +18,8 @@ package fedzkt
 // between the stages follows from the existing data flow — devices train
 // on their own modules, the server mutates cohort replica slots, and both
 // uploads and downloads are independent copies (encoded payloads, or
-// dense clones on the identity fast path) handed across a channel.
+// dense copies in recycled buffers on the identity fast path) handed
+// across a channel.
 //
 // Bounded staleness: round r's local phase trains on the parameters
 // published after round r−1−depth, enforced by waiting for exactly that

@@ -37,8 +37,8 @@ type fedMetrics struct {
 }
 
 // newFedMetrics registers a coordinator's instruments and scrape-time
-// views of its server's and device rigs' stats into reg.
-func newFedMetrics(reg *obs.Registry, srv *Server, rigs *rigStats) *fedMetrics {
+// views of its server's, device rigs' and payload buffers' stats into reg.
+func newFedMetrics(reg *obs.Registry, srv *Server, rigs *rigStats, payloads *payloadBuffers) *fedMetrics {
 	fm := &fedMetrics{}
 	reg.RegisterCounter("fedzkt_rounds_total", "communication rounds finalised", &fm.rounds)
 	reg.RegisterCounter("fedzkt_uploads_absorbed_total", "fresh device uploads absorbed", &fm.absorbed)
@@ -80,6 +80,10 @@ func newFedMetrics(reg *obs.Registry, srv *Server, rigs *rigStats) *fedMetrics {
 		func() float64 { return float64(rigs.builds.Load()) })
 	reg.RegisterCounterFunc("fedzkt_device_rig_reuses_total", "virtual-device materialisations served by a rig's live module",
 		func() float64 { return float64(rigs.reuses.Load()) })
+	reg.RegisterCounterFunc("fedzkt_payload_buffers_built_total", "dense upload/download buffers allocated (at most the peak number in flight)",
+		func() float64 { return float64(payloads.built.Load()) })
+	reg.RegisterCounterFunc("fedzkt_payload_buffers_reused_total", "dense uploads/downloads served by a recycled buffer",
+		func() float64 { return float64(payloads.reused.Load()) })
 	return fm
 }
 

@@ -1,0 +1,249 @@
+package fedzkt
+
+import (
+	"context"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"testing"
+	"time"
+
+	"github.com/fedzkt/fedzkt/internal/data"
+	"github.com/fedzkt/fedzkt/internal/nn"
+	"github.com/fedzkt/fedzkt/internal/partition"
+	"github.com/fedzkt/fedzkt/internal/tensor"
+)
+
+// resident turns toyFleet's configuration into the default one: live
+// device models, in-memory replica slots, float64 on the wire.
+func resident(c *Config) {
+	c.VirtualDevices, c.ReplicaStore, c.HotSet, c.StateCodec = false, "", 0, ""
+}
+
+// freeBuffers counts the payload buffers currently in the free list.
+func freeBuffers(co *Coordinator) (total int, perArch map[string]int) {
+	co.payloads.mu.Lock()
+	defer co.payloads.mu.Unlock()
+	perArch = make(map[string]int)
+	for arch, l := range co.payloads.free {
+		perArch[arch] = len(l)
+		total += len(l)
+	}
+	return total, perArch
+}
+
+// TestResidentRoundAllocCeiling is TestVirtualRoundAllocCeiling's twin for
+// the default configuration: a steady-state round of the resident toy
+// fleet — the difference between a 12-round and a 4-round run — stays
+// under a byte ceiling on both engines. It measures ≈ 0.23 MB where heap
+// parameter gradients and a proximal-anchor clone per participation plus a
+// dense upload clone and a dense download clone per completed device cost
+// 3.4 MB; the ceiling sits at a quarter of that. (The race detector adds
+// ≈ 2.8 MB a round of its own to either figure, so a -race build checks
+// everything but the ceiling.) And once a task has ended, no device model
+// holds a gradient — nor an anchor, which fed's
+// TestLazyAnchorMatchesEagerSnapshot pins where the field is visible.
+func TestResidentRoundAllocCeiling(t *testing.T) {
+	const short, long, ceiling = 4, 12, 850 << 10
+	for _, depth := range []int{0, 2} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			mutate := func(c *Config) { resident(c); c.PipelineDepth = depth }
+			_ = runAllocs(t, toyFleet(t, short, mutate)) // warm the process-wide pools
+			a := runAllocs(t, toyFleet(t, short, mutate))
+			co := toyFleet(t, long, mutate)
+			b := runAllocs(t, co)
+			perRound := (float64(b) - float64(a)) / (long - short)
+			t.Logf("steady-state allocation: %.0f bytes/round", perRound)
+			if perRound > ceiling && !raceEnabled {
+				t.Errorf("a steady-state resident round allocates %.0f bytes, ceiling %d", perRound, ceiling)
+			}
+			for _, d := range co.Devices() {
+				for i, p := range d.Model.Params() {
+					if p.Grad() != nil {
+						t.Fatalf("device %d parameter %d holds a gradient after the run", d.ID, i)
+					}
+				}
+			}
+			built, reused := co.PayloadBufferStats()
+			if free, _ := freeBuffers(co); int64(free) != built {
+				t.Errorf("%d payload buffers built, %d back in the free list after the run", built, free)
+			}
+			// 8 uploads and 8 downloads per round, all but the first few
+			// from the list.
+			if want := int64(2 * 8 * long); built+reused != want {
+				t.Errorf("payload buffers served %d copies, want %d", built+reused, want)
+			}
+			checkScraped(t, map[string]int64{
+				"fedzkt_payload_buffers_built_total":  built,
+				"fedzkt_payload_buffers_reused_total": reused,
+			})
+		})
+	}
+}
+
+// TestPayloadBuffersBounded pins the free list's size: it never holds more
+// buffers than were in flight at once, whatever a run throws at it.
+func TestPayloadBuffersBounded(t *testing.T) {
+	t.Run("reconcile", func(t *testing.T) {
+		// One publish → apply at a time: one buffer per architecture serves
+		// all 24 devices.
+		co := toyFleet(t, 1, resident)
+		if err := co.reconcileDevices(); err != nil {
+			t.Fatal(err)
+		}
+		_, perArch := freeBuffers(co)
+		for arch, n := range perArch {
+			if n > 1 {
+				t.Errorf("reconciling left %d %s buffers in the list, want ≤ 1", n, arch)
+			}
+		}
+		if built, reused := co.PayloadBufferStats(); built != 2 || reused != 22 {
+			t.Errorf("reconciling 24 devices of 2 architectures built %d buffers and reused %d, want 2 and 22", built, reused)
+		}
+	})
+	t.Run("pipelined", func(t *testing.T) {
+		// Full participation, so every batch holds the same 12 + 12
+		// buffers: at most depth+1 rounds are between staging and applied
+		// download (a round's uploads go back before its downloads are
+		// taken), plus the one being staged — however long the run.
+		const depth, rounds, k = 2, 30, 24
+		co := toyFleet(t, rounds, func(c *Config) { resident(c); c.PipelineDepth, c.SampleK = depth, k })
+		if _, err := co.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		built, reused := co.PayloadBufferStats()
+		if built > (depth+2)*k {
+			t.Errorf("depth-%d run built %d buffers, want ≤ (depth+2)·K = %d", depth, built, (depth+2)*k)
+		}
+		if built+reused != 2*k*rounds {
+			t.Errorf("buffers served %d copies, want %d", built+reused, 2*k*rounds)
+		}
+		if free, _ := freeBuffers(co); int64(free) != built {
+			t.Errorf("%d buffers built, %d back in the free list", built, free)
+		}
+	})
+	t.Run("discarded", func(t *testing.T) {
+		// A deadline far shorter than one local update: a worker's first
+		// task of a round starts in time, stages its upload and finishes
+		// after the bell; the rest never start; some are failure-injected.
+		// Nothing is absorbed, and every staged buffer must come back.
+		co := toyFleet(t, 3, func(c *Config) {
+			resident(c)
+			c.LocalEpochs, c.RoundDeadline, c.FailureRate = 400, 5*time.Millisecond, 0.3
+		})
+		hist, err := co.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dropped := 0
+		for _, m := range hist {
+			dropped += len(m.Dropped)
+		}
+		built, _ := co.PayloadBufferStats()
+		if dropped == 0 || built == 0 {
+			t.Fatalf("want late tasks with staged uploads: %d dropped, %d buffers built", dropped, built)
+		}
+		if free, _ := freeBuffers(co); int64(free) != built {
+			t.Errorf("%d buffers built, %d back in the free list", built, free)
+		}
+	})
+}
+
+// stateDigest hashes the bits of every server replica and, for resident
+// devices, every device model after a run.
+func stateDigest(t *testing.T, co *Coordinator) string {
+	t.Helper()
+	h := fnv.New64a()
+	add := func(sd nn.StateDict) {
+		var b [8]byte
+		for _, name := range sd.Names() {
+			for _, v := range sd[name].Data() {
+				u := math.Float64bits(v)
+				for i := range b {
+					b[i] = byte(u >> (8 * i))
+				}
+				h.Write(b[:])
+			}
+		}
+	}
+	for id := range co.Devices() {
+		sd, err := co.Server().ReplicaState(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(sd)
+	}
+	if !co.virtual {
+		for _, d := range co.Devices() {
+			add(nn.CaptureState(d.Model))
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// The golden federation with the proximal term on (three local epochs, so
+// the term is non-zero from the second step), sampled teachers and weight
+// decay, as produced by the commit before anchors became lazy, gradients
+// lent and dense payloads recycled: History.Fingerprint plus a digest of
+// every final replica and device state (the fingerprint's 18-sample
+// accuracies alone would hide a small weight divergence).
+const (
+	proxGoldenFingerprint = "round=1 active=[1 2 3 5] dropped=[] injected=[] up=460512 down=460512 global=0.3333333333333333 mean=0.4351851851851851 gradnorm=0 dev=[0.4444444444444444 0.3333333333333333 0.6666666666666666 0.3333333333333333 0.3888888888888889 0.4444444444444444]\n" +
+		"round=2 active=[0 1 2 3] dropped=[] injected=[] up=839520 down=839520 global=0.3333333333333333 mean=0.46296296296296297 gradnorm=0 dev=[0.6666666666666666 0.3333333333333333 0.6111111111111112 0.3333333333333333 0.3888888888888889 0.4444444444444444]\n" +
+		"round=3 active=[0 1 4 5] dropped=[] injected=[4] up=440136 down=440136 global=0.3333333333333333 mean=0.46296296296296297 gradnorm=0 dev=[0.7222222222222222 0.3333333333333333 0.6111111111111112 0.3333333333333333 0.3888888888888889 0.3888888888888889]\n" +
+		"round=4 active=[0 2 4 5] dropped=[] injected=[5] up=1198152 down=1198152 global=0.3333333333333333 mean=0.45370370370370366 gradnorm=0 dev=[0.6666666666666666 0.3333333333333333 0.6666666666666666 0.3333333333333333 0.3333333333333333 0.3888888888888889]\n"
+	proxGoldenDigest        = "653ceaa4e460f173"
+	proxGoldenVirtualDigest = "53f7abdadd288165" // replicas only: a virtual device holds no model
+	proxGoldenDepth2Digest  = "813883f8ba0bd742"
+)
+
+// TestProxMuDeterminismGolden pins the proximal path across the lifetime
+// changes: resident devices (sequential and pooled), virtual devices
+// (whose anchor is re-captured at every materialisation) and the depth-2
+// pipelined engine must reproduce the recorded states bit for bit.
+func TestProxMuDeterminismGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("pinned states recorded on amd64; GOARCH=%s may fuse FMAs", runtime.GOARCH)
+	}
+	run := func(mutate func(*Config)) (string, string) {
+		ds := data.MustMake(data.Config{
+			Name: "golden", Family: data.FamilyDigits, Classes: 3,
+			C: 1, H: 8, W: 8, TrainPerClass: 12, TestPerClass: 6, Seed: 55,
+		})
+		cfg := goldenConfig()
+		cfg.Rounds, cfg.LocalEpochs, cfg.ProxMu, cfg.TeachersPerIter, cfg.WeightDecay = 4, 3, 0.1, 2, 5e-4
+		mutate(&cfg)
+		co, err := New(cfg, ds, []string{"mlp", "lenet-s"}, partition.IID(ds.NumTrain(), 6, tensor.NewRand(56)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer co.Close()
+		hist, err := co.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hist.Fingerprint(), stateDigest(t, co)
+	}
+	for _, tc := range []struct {
+		name      string
+		mutate    func(*Config)
+		fp, state string
+	}{
+		{"sequential", func(c *Config) { c.Sequential = true }, proxGoldenFingerprint, proxGoldenDigest},
+		{"workers4", func(c *Config) { c.Workers = 4 }, proxGoldenFingerprint, proxGoldenDigest},
+		{"virtual", func(c *Config) { c.Workers = 3; c.VirtualDevices = true }, proxGoldenFingerprint, proxGoldenVirtualDigest},
+		{"depth2", func(c *Config) { c.Workers = 2; c.PipelineDepth = 2 }, "", proxGoldenDepth2Digest},
+	} {
+		fp, state := run(tc.mutate)
+		if tc.fp != "" && fp != tc.fp {
+			t.Errorf("%s: fingerprint diverged from the recorded run:\n--- recorded ---\n%s--- got ---\n%s", tc.name, tc.fp, fp)
+		}
+		if state != tc.state {
+			t.Errorf("%s: final states digest %s, recorded %s", tc.name, state, tc.state)
+		}
+	}
+	if _, state := run(func(c *Config) { c.Sequential = true; c.ProxMu = 0 }); state == proxGoldenDigest {
+		t.Error("the proximal term left no trace in the final states")
+	}
+}

@@ -2,6 +2,7 @@ package fedzkt
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"github.com/fedzkt/fedzkt/internal/ag"
@@ -17,14 +18,13 @@ import (
 //   - step: the step-scoped arena (activations, backward scratch, the
 //     batch, the tape), reset after every optimiser step;
 //   - task: the task-scoped tensor arena (the optimiser's momentum
-//     buffers), reset when the device task ends;
+//     buffers and the model's parameter gradients, lent for the duration
+//     of the local update), reset when the device task ends;
 //   - one live module per architecture, built on the worker's first task
 //     of that architecture. A virtual device borrows it for the task —
 //     its stored payload is decoded into it, or it is re-seeded in place
 //     for a never-downloaded device — so live device models are bounded
-//     by workers × architectures instead of by the round's sample, and
-//     parameter gradients stay attached to the module across tasks
-//     (zeroed by the optimiser at each step, never reallocated).
+//     by workers × architectures instead of by the round's sample.
 //
 // A rig is created lazily by the pool and is only ever touched by the
 // goroutine currently serving its worker slot.
@@ -67,4 +67,48 @@ func (r *deviceRig) module(arch string) (nn.Module, error) {
 	r.modules[arch] = m
 	r.stats.builds.Add(1)
 	return m, nil
+}
+
+// payloadBuffers is the coordinator's free list of dense state dicts, one
+// list per architecture: the buffers stageUpload and publishDownload copy
+// a state into on the identity-codec path. take is called from device
+// tasks and both engine stages, hence the lock; a plain LIFO list (not a
+// sync.Pool) keeps the retained set deterministic — at most as many
+// buffers as were ever in flight at once, never dropped by a GC cycle. A
+// buffer is fully overwritten before use, so which one a caller gets
+// never shows in the values.
+type payloadBuffers struct {
+	mu            sync.Mutex
+	free          map[string][]nn.StateDict
+	built, reused atomic.Int64
+}
+
+// take pops a free buffer for arch. With none free it returns nil and
+// counts a build: the caller allocates the copy it was about to make.
+func (b *payloadBuffers) take(arch string) nn.StateDict {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	l := b.free[arch]
+	if len(l) == 0 {
+		b.built.Add(1)
+		return nil
+	}
+	sd := l[len(l)-1]
+	l[len(l)-1] = nil
+	b.free[arch] = l[:len(l)-1]
+	b.reused.Add(1)
+	return sd
+}
+
+// give returns a consumed buffer (nil is ignored).
+func (b *payloadBuffers) give(arch string, sd nn.StateDict) {
+	if sd == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.free == nil {
+		b.free = make(map[string][]nn.StateDict)
+	}
+	b.free[arch] = append(b.free[arch], sd)
 }

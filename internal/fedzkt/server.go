@@ -251,12 +251,13 @@ func (s *Server) Register(arch string, initial nn.StateDict) (int, error) {
 
 // RegisterSized adds a device with the given architecture, initial state,
 // and data-size weight (typically its shard size), returning its assigned
-// id. The server stores the device's parameters in its architecture
-// cohort and installs the initial parameters when given; with a nil
-// initial state the replica keeps a seeded random initialisation — under
-// the tiered store that registration is O(1): no module is built and
-// nothing is stored until the slot is first touched (virgin slots
-// reconstruct the seeded state on demand, bit-identically).
+// id. The server files the device into its architecture cohort; given
+// initial parameters it validates them against the architecture and stores
+// a copy, building no module. With a nil initial state the replica keeps
+// a seeded random initialisation — under the tiered store that
+// registration is O(1): no module is built and nothing is stored until
+// the slot is first touched (virgin slots reconstruct the seeded state on
+// demand, bit-identically).
 func (s *Server) RegisterSized(arch string, initial nn.StateDict, dataSize int) (int, error) {
 	id := s.cohorts.numDevices()
 	if dataSize < 0 {
@@ -267,23 +268,16 @@ func (s *Server) RegisterSized(arch string, initial nn.StateDict, dataSize int) 
 		// initial values never matter; the RNG only has to be valid.
 		return model.Build(arch, s.in, s.cls, tensor.NewRand(s.cfg.Seed+uint64(2000+id)))
 	}
-	if s.cohorts.tiered && initial == nil {
-		got, err := s.cohorts.register(arch, nil, dataSize, build)
+	sd := initial
+	if initial == nil && !s.cohorts.tiered {
+		// The seeded build's own tensors become the slot.
+		replica, err := model.Build(arch, s.in, s.cls, tensor.NewRand(s.cfg.Seed+uint64(1000+id)))
 		if err != nil {
 			return 0, fmt.Errorf("fedzkt: register device %d: %w", id, err)
 		}
-		return got, nil
+		sd = nn.CaptureState(replica)
 	}
-	replica, err := model.Build(arch, s.in, s.cls, tensor.NewRand(s.cfg.Seed+uint64(1000+id)))
-	if err != nil {
-		return 0, fmt.Errorf("fedzkt: register device %d: %w", id, err)
-	}
-	if initial != nil {
-		if err := nn.LoadState(replica, initial); err != nil {
-			return 0, fmt.Errorf("fedzkt: register device %d: %w", id, err)
-		}
-	}
-	got, err := s.cohorts.register(arch, nn.CaptureState(replica), dataSize, build)
+	got, err := s.cohorts.register(arch, sd, initial == nil, dataSize, build)
 	if err != nil {
 		return 0, fmt.Errorf("fedzkt: register device %d: %w", id, err)
 	}
@@ -328,11 +322,18 @@ func (s *Server) AbsorbPayload(id int, payload []byte) error {
 // parameters. Under a quantised codec this decodes the slot, so the
 // caller sees exactly the values a download would deliver.
 func (s *Server) ReplicaState(id int) (nn.StateDict, error) {
+	return s.ReplicaStateInto(id, nil)
+}
+
+// ReplicaStateInto is ReplicaState writing into dst, a state dict of the
+// device's architecture (a recycled download buffer), instead of
+// allocating; a nil dst allocates. It returns the filled dict.
+func (s *Server) ReplicaStateInto(id int, dst nn.StateDict) (nn.StateDict, error) {
 	ref, err := s.cohorts.ref(id)
 	if err != nil {
 		return nil, err
 	}
-	return s.cohorts.stateOf(ref)
+	return s.cohorts.stateOf(ref, dst)
 }
 
 // ReplicaPayload returns device id's replica slot in wire form — the

@@ -34,8 +34,13 @@ func TestServerRegisterAndReplicaState(t *testing.T) {
 			t.Fatalf("replica state %q differs from registration", name)
 		}
 	}
-	// And it must be a deep copy.
+	// The slot is a copy of the registered state, not the device's tensors.
 	name := sd.Names()[0]
+	nn.CaptureState(dev)[name].Data()[0] += 100
+	if again, _ := srv.ReplicaState(0); again[name].Data()[0] != sd[name].Data()[0] {
+		t.Fatal("the replica slot aliases the registrant's tensors")
+	}
+	// And it must be a deep copy.
 	sd[name].Data()[0] += 100
 	sd2, _ := srv.ReplicaState(0)
 	if sd2[name].Data()[0] == sd[name].Data()[0] {
