@@ -10,6 +10,7 @@ import (
 	"github.com/fedzkt/fedzkt/internal/fed"
 	"github.com/fedzkt/fedzkt/internal/model"
 	"github.com/fedzkt/fedzkt/internal/nn"
+	"github.com/fedzkt/fedzkt/internal/sched"
 	"github.com/fedzkt/fedzkt/internal/tensor"
 )
 
@@ -55,6 +56,9 @@ type FedAvg struct {
 	ds      *data.Dataset
 	devices []*fed.Device
 	global  nn.Module
+	// sampler is the active-fraction straggler model, the policy the
+	// FedZKT engine defaults to.
+	sampler sched.Sampler
 	// proxMu, when positive, adds the FedProx proximal term to the local
 	// objective (set via NewFedProx).
 	proxMu float64
@@ -69,12 +73,16 @@ func NewFedAvg(cfg FedAvgConfig, ds *data.Dataset, shards [][]int) (*FedAvg, err
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("baseline: fedavg needs at least one shard")
 	}
+	sampler, err := sched.NewFraction(cfg.ActiveFraction)
+	if err != nil {
+		return nil, fmt.Errorf("baseline: fedavg: %w", err)
+	}
 	in := model.Shape{C: ds.C, H: ds.H, W: ds.W}
 	global, err := model.Build(cfg.Arch, in, ds.Classes, tensor.NewRand(cfg.Seed+3))
 	if err != nil {
 		return nil, fmt.Errorf("baseline: fedavg global: %w", err)
 	}
-	f := &FedAvg{cfg: cfg, ds: ds, global: global, arena: ag.NewArena()}
+	f := &FedAvg{cfg: cfg, ds: ds, global: global, sampler: sampler, arena: ag.NewArena()}
 	for i := range shards {
 		if len(shards[i]) == 0 {
 			return nil, fmt.Errorf("baseline: device %d has an empty shard", i)
@@ -106,7 +114,7 @@ func (f *FedAvg) Run(ctx context.Context) (fed.History, error) {
 		}
 		start := time.Now()
 		m := fed.RoundMetrics{Round: round}
-		active := fed.SampleActive(len(f.devices), cfg.ActiveFraction, rng)
+		active := f.sampler.Sample(len(f.devices), rng)
 		m.Active = active
 
 		// Broadcast current global parameters to active devices.

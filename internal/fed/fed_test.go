@@ -116,49 +116,6 @@ func TestUploadDownloadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSampleActive(t *testing.T) {
-	rng := tensor.NewRand(1)
-	for _, tc := range []struct {
-		k    int
-		p    float64
-		want int
-	}{
-		{10, 1.0, 10},
-		{10, 0.2, 2},
-		{10, 0.05, 1}, // floors at one device
-		{3, 0.5, 2},   // rounds to nearest
-	} {
-		got := SampleActive(tc.k, tc.p, rng)
-		if len(got) != tc.want {
-			t.Fatalf("SampleActive(%d, %v) -> %d devices, want %d", tc.k, tc.p, len(got), tc.want)
-		}
-		seen := map[int]bool{}
-		for _, id := range got {
-			if id < 0 || id >= tc.k || seen[id] {
-				t.Fatalf("bad active set %v", got)
-			}
-			seen[id] = true
-		}
-	}
-}
-
-func TestSampleActivePanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"k=0":   func() { SampleActive(0, 1, tensor.NewRand(1)) },
-		"p=1.5": func() { SampleActive(5, 1.5, tensor.NewRand(1)) },
-		"p=-1":  func() { SampleActive(5, -1, tensor.NewRand(1)) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			fn()
-		})
-	}
-}
-
 func TestHistoryHelpers(t *testing.T) {
 	h := History{
 		{Round: 1, GlobalAcc: 0.3, MeanDeviceAcc: 0.2, BytesUp: 10, BytesDown: 5},

@@ -2,28 +2,10 @@ package fed
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"strconv"
 	"strings"
 	"time"
-
-	"github.com/fedzkt/fedzkt/internal/sched"
 )
-
-// SampleActive selects the active device subset for one communication
-// round: a uniformly random round(p·k)-sized subset of [0,k) in
-// ascending order, modelling the straggler experiments where only a
-// portion p of devices participates. At least one device is always
-// selected. It is the sched.Fraction policy behind the original
-// panic-on-misuse contract, kept so baselines and the networked
-// transport share one straggler model with the coordinator.
-func SampleActive(k int, p float64, rng *rand.Rand) []int {
-	s, err := sched.NewFraction(p)
-	if err != nil {
-		panic(fmt.Sprintf("fed: %v", err))
-	}
-	return s.Sample(k, rng)
-}
 
 // RoundMetrics records what happened in one communication round.
 type RoundMetrics struct {

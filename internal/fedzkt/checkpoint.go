@@ -340,14 +340,14 @@ type coordinatorCheckpoint struct {
 // uninterrupted one. Rolling the server back to the boundary would
 // require a full per-round state copy, which this deliberately does not
 // pay for.
-func (c *Coordinator) SaveCheckpoint(w io.Writer) error {
+func (e *Engine) SaveCheckpoint(w io.Writer) error {
 	var buf bytes.Buffer
-	if err := c.server.SaveCheckpoint(&buf); err != nil {
+	if err := e.server.SaveCheckpoint(&buf); err != nil {
 		return err
 	}
 	cp := coordinatorCheckpoint{
-		NextRound: c.nextRound,
-		History:   append(fed.History(nil), c.hist...),
+		NextRound: e.nextRound,
+		History:   append(fed.History(nil), e.hist...),
 		Server:    buf.Bytes(),
 	}
 	if err := writeCheckpointHeader(w, coordinatorCheckpointMagic); err != nil {

@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
-	"github.com/fedzkt/fedzkt/internal/chaos"
 	"github.com/fedzkt/fedzkt/internal/codec"
 	"github.com/fedzkt/fedzkt/internal/data"
 	"github.com/fedzkt/fedzkt/internal/fed"
@@ -102,14 +100,13 @@ type Config struct {
 	// values cap server memory at the cost of rebuilding modules when an
 	// iteration needs more replicas resident than the bound.
 	CohortReplicas int
-	// PipelineDepth selects the round engine and its bounded staleness.
+	// PipelineDepth is the round engine's bounded staleness (engine.go).
 	// 0 (the default) is the paper-exact synchronous barrier: each round
-	// runs localPhase → absorb → distill → download to completion before
-	// the next round starts, byte-identical to the pre-pipeline
-	// coordinator. Depth D ≥ 1 runs the staged pipelined engine: round
-	// r+1's local phase launches on the scheduler as soon as round r's
-	// uploads are staged, while the server distills round r concurrently,
-	// with up to D server rounds outstanding. Devices then train on
+	// runs local phase → absorb → distill → download to completion before
+	// the next round starts. At depth D ≥ 1 the server stage runs on its
+	// own goroutine with up to D server rounds outstanding: round r+1's
+	// local phase launches as soon as round r's uploads are staged, while
+	// the server distills round r concurrently. Devices then train on
 	// bounded-stale parameters — round r's local phase starts from the
 	// download published after round r−1−D — which diverges from the
 	// paper's barrier semantics but hides the server phase behind device
@@ -298,39 +295,27 @@ func (c Config) poolWorkers() int {
 	return c.Workers
 }
 
-// Coordinator orchestrates an in-process FedZKT federation: the devices
-// plus the Server holding F, G and the replicas. Rounds execute on a
-// sharded scheduler (internal/sched), so the federation can simulate
-// N ≫ NumCPU devices with bounded concurrency.
+// Coordinator orchestrates an in-process FedZKT federation: the round
+// Engine over the Server holding F, G and the replicas, plus the devices,
+// for which it is the engine's Fleet. Local phases execute on a sharded
+// scheduler (internal/sched), so the federation can simulate N ≫ NumCPU
+// devices with bounded concurrency.
 type Coordinator struct {
-	cfg     Config
-	ds      *data.Dataset
+	*Engine
 	devices []*fed.Device
-	server  *Server
 	pool    *sched.Pool
-	sampler sched.Sampler
 	// codec encodes every simulated upload/download payload (the server
 	// shares the same codec for its replica slots).
 	codec codec.Codec
-	// nextRound is the first round the next Run call executes: 1 for a
-	// fresh coordinator, advanced past every finalised round by Run, and
-	// restored by LoadCheckpoint, so a cancelled run can be resumed.
-	nextRound int
-	// hist accumulates every finalised round's metrics across Run calls
-	// (and across checkpoint save/load), so History covers the whole
-	// federation even when the process crashed and resumed mid-way.
-	hist fed.History
 	// resumed marks that Run already performed its Config.Resume load.
 	resumed bool
 
 	// rigs counts how the pool's per-worker device rigs (rig.go) served
 	// module requests; the rigs themselves live in the pool's worker slots.
+	// Like the engine's payload buffers it is its own allocation: the
+	// process-wide metrics registry keeps a pointer to it until the next
+	// coordinator registers, and must not pin this one.
 	rigs *rigStats
-	// payloads recycles the dense state copies that cross the simulated
-	// wire on the identity-codec path (rig.go). Like rigs it is its own
-	// allocation: the process-wide metrics registry keeps a pointer to it
-	// until the next coordinator registers, and must not pin this one.
-	payloads *payloadBuffers
 
 	// Virtual-device mode (Config.VirtualDevices): device models exist
 	// only while their local phase or evaluation runs, borrowed from the
@@ -348,15 +333,6 @@ type Coordinator struct {
 	devSpillDir   string
 	devSpillOwned bool
 
-	// prevStore is the last round-boundary replica-store snapshot, diffed
-	// into each round's metrics.
-	prevStore ReplicaStoreStats
-
-	// metrics is the coordinator's registry view (obsinstr.go): per-round
-	// counters and phase histograms on the live metrics endpoint. Purely
-	// observational — fingerprinted arithmetic never reads it.
-	metrics *fedMetrics
-
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -371,24 +347,8 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 	if len(archs) == 0 {
 		return nil, fmt.Errorf("fedzkt: no architectures")
 	}
-	if cfg.ActiveFraction < 0 || cfg.ActiveFraction > 1 {
-		return nil, fmt.Errorf("fedzkt: active fraction %v outside (0,1]", cfg.ActiveFraction)
-	}
-	if cfg.SampleK < 0 {
-		return nil, fmt.Errorf("fedzkt: negative SampleK %d", cfg.SampleK)
-	}
-	if cfg.PipelineDepth < 0 {
-		return nil, fmt.Errorf("fedzkt: negative PipelineDepth %d", cfg.PipelineDepth)
-	}
 	if cfg.VirtualDevices && cfg.RoundDeadline > 0 {
 		return nil, fmt.Errorf("fedzkt: VirtualDevices requires RoundDeadline = 0 (a deadline straggler's partial local progress cannot survive model eviction)")
-	}
-	// Validate the scheduler configuration before the expensive device
-	// build: at device scale, constructing a thousand models just to
-	// reject a bad option would waste seconds.
-	sampler, err := buildSampler(cfg, shards)
-	if err != nil {
-		return nil, err
 	}
 	in := model.Shape{C: ds.C, H: ds.H, W: ds.W}
 	rigs := &rigStats{}
@@ -421,9 +381,16 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 	if err != nil {
 		return nil, err
 	}
-	c := &Coordinator{cfg: cfg, ds: ds, server: server, pool: pool, sampler: sampler, codec: server.Codec(), nextRound: 1,
-		rigs: rigs, payloads: &payloadBuffers{}}
-	c.metrics = newFedMetrics(obs.Default(), server, rigs, c.payloads)
+	c := &Coordinator{pool: pool, codec: server.Codec(), rigs: rigs}
+	// The scheduler configuration is validated here, before the expensive
+	// device build: at device scale, constructing a thousand models just to
+	// reject a bad option would waste seconds.
+	if c.Engine, err = NewEngine(server, ds, shards, c); err != nil {
+		_ = server.Close()
+		return nil, err
+	}
+	c.payloads = &payloadBuffers{}
+	registerFleetMetrics(obs.Default(), rigs, c.payloads)
 	pool.RegisterMetrics(obs.Default())
 	if cfg.VirtualDevices {
 		if err := c.initVirtual(archs); err != nil {
@@ -610,38 +577,6 @@ func (c *Coordinator) Close() error {
 	return c.closeErr
 }
 
-// buildSampler selects the client-sampling policy from the config:
-// uniform-K or weighted-by-data when SampleK is set, otherwise the
-// paper's active-fraction straggler model.
-func buildSampler(cfg Config, shards [][]int) (sched.Sampler, error) {
-	if cfg.SampleK > 0 {
-		if cfg.SampleWeighted {
-			weights := make([]int, len(shards))
-			for i, s := range shards {
-				weights[i] = len(s)
-			}
-			s, err := sched.NewWeightedByData(weights, cfg.SampleK)
-			if err != nil {
-				return nil, fmt.Errorf("fedzkt: %w", err)
-			}
-			return s, nil
-		}
-		s, err := sched.NewUniformK(cfg.SampleK)
-		if err != nil {
-			return nil, fmt.Errorf("fedzkt: %w", err)
-		}
-		return s, nil
-	}
-	if cfg.SampleWeighted {
-		return nil, fmt.Errorf("fedzkt: SampleWeighted requires SampleK > 0")
-	}
-	s, err := sched.NewFraction(cfg.ActiveFraction)
-	if err != nil {
-		return nil, fmt.Errorf("fedzkt: %w", err)
-	}
-	return s, nil
-}
-
 // Devices exposes the coordinator's devices (read-only use intended).
 func (c *Coordinator) Devices() []*fed.Device { return c.devices }
 
@@ -658,25 +593,18 @@ func (c *Coordinator) Server() *Server { return c.server }
 // Pool exposes the round scheduler's pool (for its cumulative stats).
 func (c *Coordinator) Pool() *sched.Pool { return c.pool }
 
-// Sampler exposes the client-sampling policy in effect.
-func (c *Coordinator) Sampler() sched.Sampler { return c.sampler }
-
-// Run executes the remaining communication rounds (Algorithm 1) and
-// returns their per-round metrics history. A fresh coordinator starts at
-// round 1; after a cancelled run (or LoadCheckpoint) Run resumes from the
-// first unfinalised round, first reconciling every device to its server
-// replica so both resume paths restart from the same well-defined state.
-// A resume is consistent, not a bit-exact replay of an uninterrupted
-// run: work the cancelled round already did — absorbed uploads, partial
-// distillation progress, device epochs — is retained and the round is
-// re-run on top of it (see SaveCheckpoint).
-//
-// With PipelineDepth = 0 rounds execute the paper-exact synchronous
-// barrier; with depth ≥ 1 the staged pipelined engine (engine.go)
-// overlaps server distillation with the next round's local phase. ctx
-// cancellation stops at the next stage boundary — including between
-// distillation iterations — and returns the wrapped context error
-// alongside the history of fully finalised rounds.
+// Run executes the remaining communication rounds (Algorithm 1) on the
+// round engine and returns their per-round metrics history. A fresh
+// coordinator starts at round 1; after a cancelled run (or LoadCheckpoint)
+// Run resumes from the first unfinalised round, first reconciling every
+// device to its server replica so both resume paths restart from the same
+// well-defined state. A resume is consistent, not a bit-exact replay of an
+// uninterrupted run: work the cancelled round already did — absorbed
+// uploads, partial distillation progress, device epochs — is retained and
+// the round is re-run on top of it (see SaveCheckpoint). ctx cancellation
+// stops at the next stage boundary — including between distillation
+// iterations — and returns the wrapped context error alongside the
+// history of fully finalised rounds.
 func (c *Coordinator) Run(ctx context.Context) (fed.History, error) {
 	if c.cfg.Resume && !c.resumed {
 		c.resumed = true
@@ -686,22 +614,19 @@ func (c *Coordinator) Run(ctx context.Context) (fed.History, error) {
 	}
 	if c.nextRound > 1 && c.nextRound <= c.cfg.Rounds {
 		// Resuming mid-federation: a cancelled run may have left devices
-		// ahead of the last finalised round (several rounds ahead under
-		// the pipelined engine, with no downloads applied). Restart them
-		// from the server's latest knowledge instead.
+		// ahead of the last finalised round (several rounds ahead at
+		// depth ≥ 1, with no downloads applied). Restart them from the
+		// server's latest knowledge instead.
 		if err := c.reconcileDevices(); err != nil {
 			return nil, err
 		}
 	}
-	if c.cfg.PipelineDepth > 0 {
-		return c.runPipelined(ctx)
-	}
-	return c.runSync(ctx)
+	return c.Engine.Run(ctx)
 }
 
 // reconcileDevices installs every device's server replica state into the
 // device — the canonical post-round state a download would have
-// delivered, through the same publish/apply path a download takes —
+// delivered, through the same publish/deliver path a download takes —
 // collapsing whatever in-flight local progress a cancelled round left
 // behind.
 func (c *Coordinator) reconcileDevices() error {
@@ -719,9 +644,9 @@ func (c *Coordinator) reconcileDevices() error {
 				continue
 			}
 		}
-		p, _, err := c.publishDownload(d.ID)
+		p, err := c.publish(d.ID)
 		if err == nil {
-			err = c.applyDownload(d.ID, p)
+			err = c.Deliver(c.nextRound-1, d.ID, p)
 		}
 		if err != nil {
 			return fmt.Errorf("fedzkt: reconciling device %d: %w", d.ID, err)
@@ -730,166 +655,14 @@ func (c *Coordinator) reconcileDevices() error {
 	return nil
 }
 
-// roundSampler returns the client-sampling RNG positioned at c.nextRound:
-// the stream is sequential across rounds, so a resumed run replays the
-// draws of the already-finalised rounds to stay on the same sequence an
-// uninterrupted run would see.
-func (c *Coordinator) roundSampler() *rand.Rand {
-	roundRNG := tensor.NewRand(c.cfg.Seed + 99)
-	for r := 1; r < c.nextRound; r++ {
-		c.sampler.Sample(len(c.devices), roundRNG)
-	}
-	return roundRNG
-}
-
-// runSync is the synchronous round engine (PipelineDepth = 0): the four
-// stages of a round — localPhase, absorb, distill, download — run to
-// completion before the next round starts, exactly the paper's barrier.
-// Its arithmetic is pinned byte-for-byte by the determinism goldens.
-func (c *Coordinator) runSync(ctx context.Context) (fed.History, error) {
-	cfg := c.cfg
-	hist := make(fed.History, 0, cfg.Rounds)
-	roundRNG := c.roundSampler()
-	for round := c.nextRound; round <= cfg.Rounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return hist, fmt.Errorf("fedzkt: run cancelled at round %d: %w", round, err)
-		}
-		// Chaos crash point: a process death before the round does any
-		// work — the recovery baseline (resume re-runs this round).
-		chaos.Crash(chaos.SiteCrashRoundStart)
-		start := time.Now()
-		m := fed.RoundMetrics{Round: round}
-		roundSpan := tracer().Begin("fed", "round").WithRound(round)
-
-		// 1. Select this round's participants (client-sampling policy).
-		active := c.sampler.Sample(len(c.devices), roundRNG)
-		m.Active = active
-
-		// 2. On-device updates on the scheduler (Algorithm 2), then
-		// upload. Devices that miss the deadline or are failure-injected
-		// drop out of this round's aggregation.
-		localStart := time.Now()
-		localSpan := tracer().Begin("fed", "local_phase").WithRound(round).WithParent(roundSpan.ID())
-		completed, uploads, err := c.localPhase(ctx, round, active, &m)
-		localSpan.End()
-		if err != nil {
-			roundSpan.End()
-			return hist, err
-		}
-		m.LocalElapsed = time.Since(localStart)
-		if err := ctx.Err(); err != nil {
-			roundSpan.End()
-			return hist, fmt.Errorf("fedzkt: run cancelled at round %d: %w", round, err)
-		}
-		if err := c.absorbUploads(completed, uploads); err != nil {
-			roundSpan.End()
-			return hist, err
-		}
-		m.Absorbed = len(completed)
-
-		// 3. Server update (Algorithm 3).
-		serverStart := time.Now()
-		distillSpan := tracer().Begin("fed", "server_distill").WithRound(round).WithParent(roundSpan.ID())
-		gn, err := c.server.Distill(ctx, round)
-		distillSpan.End()
-		if err != nil {
-			roundSpan.End()
-			return hist, fmt.Errorf("fedzkt: round %d: %w", round, err)
-		}
-		m.ServerElapsed = time.Since(serverStart)
-		m.InputGradNorm = gn
-
-		// 4. Download: devices that completed the round receive their own
-		// updated parameters (stragglers keep stale models).
-		for _, id := range completed {
-			p, numel, err := c.publishDownload(id)
-			if err != nil {
-				roundSpan.End()
-				return hist, err
-			}
-			if err := c.applyDownload(id, p); err != nil {
-				roundSpan.End()
-				return hist, err
-			}
-			m.BytesDown += fed.WireBytes(numel, c.codec.Width())
-		}
-
-		// 5. Evaluate.
-		if round%cfg.EvalEvery == 0 || round == cfg.Rounds {
-			evalSpan := tracer().Begin("fed", "evaluate").WithRound(round).WithParent(roundSpan.ID())
-			m.GlobalAcc = c.server.EvaluateGlobal(c.ds)
-			m.DeviceAcc, err = c.deviceAccs()
-			evalSpan.End()
-			if err != nil {
-				roundSpan.End()
-				return hist, err
-			}
-			m.MeanDeviceAcc = fed.Mean(m.DeviceAcc)
-		}
-		c.finishRoundStats(&m)
-		m.Elapsed = time.Since(start)
-		roundSpan.End()
-		c.metrics.observeRound(&m)
-		hist = append(hist, m)
-		c.hist = append(c.hist, m)
-		c.nextRound = round + 1
-		if err := c.maybeCheckpoint(round); err != nil {
-			return hist, err
-		}
-		// Chaos crash point: a process death at the finalised round
-		// boundary, after the durable checkpoint — the resume from here
-		// must replay the rest of the run bit-exactly.
-		chaos.Crash(chaos.SiteCrashRoundEnd)
-	}
-	return hist, nil
-}
-
-// finishRoundStats folds the round's replica-store activity into its
-// metrics: the delta of the server store's counters since the last round
-// boundary, plus the drained replica-fault ids. None of these fields are
-// fingerprinted — store traffic depends on hot-set sizing and prefetch
-// timing, which the arithmetic is independent of by construction.
-func (c *Coordinator) finishRoundStats(m *fed.RoundMetrics) {
-	// Drain in-flight prefetch hints first: a hint processed after this
-	// snapshot would add reads to the cumulative counters that no round's
-	// delta reports, and the per-round sums would drift from the totals.
-	c.server.cohorts.quiescePrefetch()
-	st := c.server.ReplicaStoreStats()
-	d := st.Sub(c.prevStore)
-	c.prevStore = st
-	m.StoreHits = d.Hits
-	m.StoreMisses = d.Misses
-	m.StorePrefetched = d.PrefetchHits
-	m.SpillReadBytes = d.SpillReadBytes
-	m.SpillWriteBytes = d.SpillWriteBytes
-	m.ReplicaFaults = c.server.TakeReplicaFaults()
-}
-
-// evalIDs returns the device ids per-device evaluation covers: every
-// device, or the deterministic EvalDevices-long prefix in the scale
-// regime.
-func (c *Coordinator) evalIDs() []int {
-	n := len(c.devices)
-	if c.cfg.EvalDevices > 0 && c.cfg.EvalDevices < n {
-		n = c.cfg.EvalDevices
-	}
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	return ids
-}
-
-// deviceAccs evaluates per-device test accuracy for the synchronous
-// engine: live device models directly, or — in virtual mode — each
-// evaluated device's stored state (its last download, or the seeded
-// initial state when it never downloaded) installed in a worker rig's
-// module, which is exactly what the live model would hold at this round
-// boundary. The pool is idle between rounds, so the fan-out borrows its
-// rigs' warmed-up arenas (and modules): ForEachWorker's worker indices are
-// the pool's slot indices.
-func (c *Coordinator) deviceAccs() ([]float64, error) {
-	ids := c.evalIDs()
+// EvaluateDevices implements Fleet: live device models directly, or — in
+// virtual mode — each device's stored state (its last download, or the
+// seeded initial state when it never downloaded) installed in a worker
+// rig's module, which is exactly what the live model would hold at this
+// round boundary. The pool is idle between depth-0 rounds, so the fan-out
+// borrows its rigs' warmed-up arenas (and modules): ForEachWorker's worker
+// indices are the pool's slot indices.
+func (c *Coordinator) EvaluateDevices(ids []int) ([]float64, error) {
 	accs := make([]float64, len(ids))
 	var mu sync.Mutex
 	var firstErr error
@@ -917,61 +690,29 @@ func (c *Coordinator) deviceAccs() ([]float64, error) {
 	return accs, firstErr
 }
 
-// statePayload carries one model state across the simulated wire: the
-// codec container under a quantised codec, or a dense deep copy on the
-// identity fast path (the float64 container round trip is bit-identical
-// — pinned by TestFloat64CodecMatchesDefault — so in-process it would
-// only add an encode/decode pass per device on the default
-// configuration). Exactly one field is set; either form is an
-// independent copy, safe to hand across engine stages. A dense copy is a
-// buffer of c.payloads: whoever consumes the payload (absorbUploads,
-// applyDownload, localPhase for a discarded task) gives it back.
-type statePayload struct {
-	enc []byte
-	sd  nn.StateDict
-}
-
-// publishDownload returns device id's post-round replica in wire form
-// plus its element count for traffic accounting. Shared by the
-// synchronous and pipelined engines so the identity-fast-path condition
-// and the accounting can never drift between them.
-func (c *Coordinator) publishDownload(id int) (statePayload, int, error) {
-	if codec.Identity(c.codec) {
-		sd, err := c.server.ReplicaStateInto(id, c.payloads.take(c.devices[id].Arch))
-		if err != nil {
-			return statePayload{}, 0, err
-		}
-		return statePayload{sd: sd}, sd.Numel(), nil
-	}
-	b, numel, err := c.server.ReplicaPayload(id)
-	if err != nil {
-		return statePayload{}, 0, err
-	}
-	return statePayload{enc: b}, numel, nil
-}
-
-// applyDownload installs one published state into its device: the live
-// model, or — in virtual mode — the device's store slot, which keeps the
-// wire payload as it arrived (after a header-only layout check; elements
-// are decoded once, into the rig's module, on the device's next
-// materialisation) or, on the identity path, the dense state's float64
-// container. A live device's model would hold exactly these values after
-// the download, which is what the next materialisation reproduces.
-func (c *Coordinator) applyDownload(id int, p statePayload) error {
+// Deliver implements Fleet: it installs one published state into its
+// device — the live model, or in virtual mode the device's store slot,
+// which keeps the wire payload as it arrived (after a header-only layout
+// check; elements are decoded once, into the rig's module, on the
+// device's next materialisation) or, on the identity path, the dense
+// state's float64 container. A live device's model would hold exactly
+// these values after the download, which is what the next
+// materialisation reproduces.
+func (c *Coordinator) Deliver(_, id int, p Payload) error {
 	d := c.devices[id]
-	defer c.payloads.give(d.Arch, p.sd)
+	defer c.payloads.give(p)
 	if !c.virtual {
-		if p.sd != nil {
-			return d.Download(p.sd)
+		if p.dense != nil {
+			return d.Download(p.dense)
 		}
-		return d.DownloadPayload(p.enc)
+		return d.DownloadPayload(p.Enc)
 	}
 	ts := c.devStore[d.Arch]
 	var err error
-	if p.sd != nil {
-		err = ts.put(id, c.codec, p.sd)
-	} else if err = c.checkDeviceLayout(id, p.enc); err == nil {
-		err = ts.putBytes(id, p.enc)
+	if p.dense != nil {
+		err = ts.put(id, c.codec, p.dense)
+	} else if err = c.server.CheckPayload(id, p.Enc); err == nil {
+		err = ts.putBytes(id, p.Enc)
 	}
 	if err != nil {
 		return fmt.Errorf("fedzkt: device %d download: %w", id, err)
@@ -979,35 +720,31 @@ func (c *Coordinator) applyDownload(id int, p statePayload) error {
 	return nil
 }
 
-// checkDeviceLayout validates a container's headers — names and element
-// counts, no element work — against device id's registered architecture.
-func (c *Coordinator) checkDeviceLayout(id int, payload []byte) error {
-	ref, err := c.server.cohorts.ref(id)
-	if err != nil {
-		return err
-	}
-	entries, err := codec.Layout(payload)
-	if err != nil {
-		return err
-	}
-	return ref.cohort.sig.checkLayout(ref.cohort.arch, entries)
+// UploadRejected implements Fleet: the uploads are the simulator's own,
+// so a refused one is a bug and ends the run.
+func (c *Coordinator) UploadRejected(_ Upload, err error) error { return err }
+
+// CloseRound implements Fleet. Every device the round absorbed got its
+// own architecture's state back, so the priced download traffic equals
+// the upload traffic LocalPhase booked.
+func (c *Coordinator) CloseRound(m *fed.RoundMetrics) error {
+	m.BytesDown = m.BytesUp
+	return nil
 }
 
-// localPhase runs Algorithm 2 on every sampled device via the sharded
-// scheduler and returns the device ids that completed within the round
-// together with their uploaded states in wire form — encoded with the
-// run's codec, exactly the bytes a real uplink would carry, or dense
-// copies on the identity fast path — in ascending-id order. Each task
-// stages its own upload on its worker right after the local update, which
-// is what lets a virtual device hand the rig's module back when its task
-// ends (and keeps the encode off the coordinator goroutine); uploads of
-// tasks that did not complete are discarded. The uploads are staged for
-// the server but not yet absorbed: the synchronous engine absorbs them
-// immediately, the pipelined engine hands them to the server stage so
-// they cannot race an in-flight distillation. Each task touches only its
-// own device and its worker's rig, so the round's outcome is identical
-// for any worker count.
-func (c *Coordinator) localPhase(ctx context.Context, round int, active []int, m *fed.RoundMetrics) ([]int, []statePayload, error) {
+// LocalPhase implements Fleet: it runs Algorithm 2 on every sampled device
+// via the sharded scheduler and returns the uploads of the devices that
+// completed within the round in wire form — encoded with the run's codec,
+// exactly the bytes a real uplink would carry, or dense copies on the
+// identity fast path — in ascending-id order. Devices that miss the
+// deadline or are failure-injected drop out of this round's aggregation.
+// Each task stages its own upload on its worker right after the local
+// update, which is what lets a virtual device hand the rig's module back
+// when its task ends (and keeps the encode off the engine's goroutine);
+// uploads of tasks that did not complete are discarded. Each task touches
+// only its own device and its worker's rig, so the round's outcome is
+// identical for any worker count.
+func (c *Coordinator) LocalPhase(ctx context.Context, round int, active []int, m *fed.RoundMetrics) ([]Upload, error) {
 	cfg := c.cfg
 	local := fed.LocalConfig{
 		Epochs:      cfg.LocalEpochs,
@@ -1019,7 +756,7 @@ func (c *Coordinator) localPhase(ctx context.Context, round int, active []int, m
 	}
 	// staged[pos] and numels[pos] are written by task pos alone; RunRound
 	// returning publishes them.
-	staged := make([]statePayload, len(active))
+	staged := make([]Payload, len(active))
 	numels := make([]int, len(active))
 	tasks := make([]sched.Task, len(active))
 	for pos, id := range active {
@@ -1039,7 +776,7 @@ func (c *Coordinator) localPhase(ctx context.Context, round int, active []int, m
 					// module back. The trained state is deliberately not
 					// written to the store: the device's next state is its
 					// download after this round's transfer-back, which
-					// applyDownload stores — exactly the state a live model
+					// Deliver stores — exactly the state a live model
 					// would hold at the next round boundary.
 					d.Evict()
 				}
@@ -1057,17 +794,15 @@ func (c *Coordinator) localPhase(ctx context.Context, round int, active []int, m
 			return err
 		}}
 	}
-	completed := make([]int, 0, len(active))
-	uploads := make([]statePayload, 0, len(active))
+	uploads := make([]Upload, 0, len(active))
 	for pos, r := range c.pool.RunRound(ctx, round, tasks) {
 		if r.Status != sched.StatusCompleted {
 			// A late or failed task's staged upload goes nowhere.
-			c.payloads.give(c.devices[r.Device].Arch, staged[pos].sd)
+			c.payloads.give(staged[pos])
 		}
 		switch r.Status {
 		case sched.StatusCompleted:
-			completed = append(completed, r.Device)
-			uploads = append(uploads, staged[pos])
+			uploads = append(uploads, Upload{ID: r.Device, Round: round, Payload: staged[pos]})
 			m.BytesUp += fed.WireBytes(numels[pos], c.codec.Width())
 		case sched.StatusDropped:
 			m.Dropped = append(m.Dropped, r.Device)
@@ -1084,53 +819,25 @@ func (c *Coordinator) localPhase(ctx context.Context, round int, active []int, m
 				c.server.cohorts.noteFault(r.Device, r.Err)
 				continue
 			}
-			return nil, nil, fmt.Errorf("fedzkt: local phase device %d: %w", r.Device, r.Err)
+			return nil, fmt.Errorf("fedzkt: local phase device %d: %w", r.Device, r.Err)
 		}
 	}
-	return completed, uploads, nil
+	return uploads, nil
 }
 
 // stageUpload captures d's trained state in wire form plus its element
 // count for traffic accounting: the codec container, or a dense deep copy
 // on the identity fast path.
-func (c *Coordinator) stageUpload(d *fed.Device) (statePayload, int, error) {
+func (c *Coordinator) stageUpload(d *fed.Device) (Payload, int, error) {
 	if codec.Identity(c.codec) {
 		sd := c.payloads.take(d.Arch)
 		if sd == nil {
 			sd = d.Upload()
 		} else if err := sd.LoadFrom(nn.CaptureState(d.Model)); err != nil {
-			return statePayload{}, 0, fmt.Errorf("fedzkt: device %d upload: %w", d.ID, err)
+			return Payload{}, 0, fmt.Errorf("fedzkt: device %d upload: %w", d.ID, err)
 		}
-		return statePayload{sd: sd}, sd.Numel(), nil
+		return Payload{dense: sd, arch: d.Arch}, sd.Numel(), nil
 	}
 	payload, numel, err := d.UploadPayload(c.codec)
-	return statePayload{enc: payload}, numel, err
-}
-
-// absorbUploads installs a round's staged uploads into the server
-// replicas, in the staged (ascending-id) order.
-func (c *Coordinator) absorbUploads(completed []int, uploads []statePayload) error {
-	for i, id := range completed {
-		var err error
-		if uploads[i].sd != nil {
-			err = c.server.Absorb(id, uploads[i].sd)
-			c.payloads.give(c.devices[id].Arch, uploads[i].sd)
-		} else {
-			err = c.server.AbsorbPayload(id, uploads[i].enc)
-		}
-		if err != nil {
-			return fmt.Errorf("fedzkt: upload device %d: %w", id, err)
-		}
-	}
-	return nil
-}
-
-// applyDownloads installs a published download batch into its devices.
-func (c *Coordinator) applyDownloads(db downloadBatch) error {
-	for i, id := range db.ids {
-		if err := c.applyDownload(id, db.states[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return Payload{Enc: payload}, numel, err
 }

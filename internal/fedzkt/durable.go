@@ -25,7 +25,6 @@ import (
 	"sort"
 
 	"github.com/fedzkt/fedzkt/internal/chaos"
-	"github.com/fedzkt/fedzkt/internal/fed"
 )
 
 // checkpointFileTrailer is the CRC32C trailer size.
@@ -196,20 +195,13 @@ func SaveCheckpointFile(dir string, round int, data []byte, keep int) (string, e
 	return path, nil
 }
 
-// History returns the metrics of every round this federation has
-// finalised — across Run calls, and across crash/resume when durable
-// checkpoints carried the earlier rounds — as a copy.
-func (c *Coordinator) History() fed.History {
-	return append(fed.History(nil), c.hist...)
-}
-
 // maybeCheckpoint writes a durable checkpoint after a finalised round
 // when the configuration asks for one. The chaos crash points bracket
 // the write: crash.ckpt.pre dies with the previous checkpoint as the
 // rollback target, crash.ckpt.post dies with the new file already
 // durable.
-func (c *Coordinator) maybeCheckpoint(round int) error {
-	cfg := c.cfg
+func (e *Engine) maybeCheckpoint(round int) error {
+	cfg := e.cfg
 	if cfg.CheckpointDir == "" {
 		return nil
 	}
@@ -218,7 +210,7 @@ func (c *Coordinator) maybeCheckpoint(round int) error {
 	}
 	chaos.Crash(chaos.SiteCrashCkptPre)
 	var buf bytes.Buffer
-	if err := c.SaveCheckpoint(&buf); err != nil {
+	if err := e.SaveCheckpoint(&buf); err != nil {
 		return err
 	}
 	if _, err := SaveCheckpointFile(cfg.CheckpointDir, round, buf.Bytes(), cfg.KeepCheckpoints); err != nil {

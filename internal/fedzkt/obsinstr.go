@@ -6,17 +6,17 @@ import (
 )
 
 // This file binds the federation runtime to the observability substrate.
-// The coordinator owns a fedMetrics, registered into the process-wide
-// registry at construction (last-wins, so the newest coordinator owns the
-// names on the live endpoint), and every layer's phase spans go to the
-// process-wide tracer. Nothing here feeds back into the round arithmetic:
+// Every round engine owns a fedMetrics, registered into the process-wide
+// registry at construction (last-wins, so the newest engine owns the
+// names on the live endpoint), and every layer's phase spans — the
+// transport's session events included — go to the process-wide tracer. Nothing here feeds back into the round arithmetic:
 // golden fingerprints are byte-identical with instrumentation enabled.
 
 // tracer is the span sink for every fedzkt-layer phase span.
 func tracer() *obs.Tracer { return obs.DefaultTracer() }
 
-// fedMetrics is the coordinator's registry view: counters and histograms
-// updated as each round finalises, plus scrape-time views over the
+// fedMetrics is the engine's registry view: counters and histograms
+// updated as each round finalises, whatever fleet ran it, plus scrape-time views over the
 // server's live stats structs (which stay the source of truth — the
 // legacy accessors keep returning them unchanged).
 type fedMetrics struct {
@@ -36,9 +36,9 @@ type fedMetrics struct {
 	meanDeviceAcc obs.Gauge
 }
 
-// newFedMetrics registers a coordinator's instruments and scrape-time
-// views of its server's, device rigs' and payload buffers' stats into reg.
-func newFedMetrics(reg *obs.Registry, srv *Server, rigs *rigStats, payloads *payloadBuffers) *fedMetrics {
+// newFedMetrics registers an engine's instruments and scrape-time views
+// of its server's stats into reg.
+func newFedMetrics(reg *obs.Registry, srv *Server) *fedMetrics {
 	fm := &fedMetrics{}
 	reg.RegisterCounter("fedzkt_rounds_total", "communication rounds finalised", &fm.rounds)
 	reg.RegisterCounter("fedzkt_uploads_absorbed_total", "fresh device uploads absorbed", &fm.absorbed)
@@ -76,6 +76,12 @@ func newFedMetrics(reg *obs.Registry, srv *Server, rigs *rigStats, payloads *pay
 		func() float64 { return float64(srv.ReplicaStoreStats().HotEntries) })
 	reg.RegisterGaugeFunc("fedzkt_store_spill_records", "replica records resident in spill files",
 		func() float64 { return float64(srv.ReplicaStoreStats().SpillRecords) })
+	return fm
+}
+
+// registerFleetMetrics adds scrape-time views of an in-process fleet's
+// device rigs and payload buffers to reg.
+func registerFleetMetrics(reg *obs.Registry, rigs *rigStats, payloads *payloadBuffers) {
 	reg.RegisterCounterFunc("fedzkt_device_rig_builds_total", "device modules built by worker rigs (at most workers × architectures)",
 		func() float64 { return float64(rigs.builds.Load()) })
 	reg.RegisterCounterFunc("fedzkt_device_rig_reuses_total", "virtual-device materialisations served by a rig's live module",
@@ -84,15 +90,10 @@ func newFedMetrics(reg *obs.Registry, srv *Server, rigs *rigStats, payloads *pay
 		func() float64 { return float64(payloads.built.Load()) })
 	reg.RegisterCounterFunc("fedzkt_payload_buffers_reused_total", "dense uploads/downloads served by a recycled buffer",
 		func() float64 { return float64(payloads.reused.Load()) })
-	return fm
 }
 
 // observeRound folds one finalised round's metrics into the registry.
-// Called by both engines after the round's RoundMetrics is complete.
 func (fm *fedMetrics) observeRound(m *fed.RoundMetrics) {
-	if fm == nil {
-		return
-	}
 	fm.rounds.Inc()
 	fm.absorbed.Add(int64(m.Absorbed))
 	fm.lateAbsorbed.Add(int64(m.LateAbsorbed))

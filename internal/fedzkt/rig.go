@@ -69,10 +69,10 @@ func (r *deviceRig) module(arch string) (nn.Module, error) {
 	return m, nil
 }
 
-// payloadBuffers is the coordinator's free list of dense state dicts, one
-// list per architecture: the buffers stageUpload and publishDownload copy
-// a state into on the identity-codec path. take is called from device
-// tasks and both engine stages, hence the lock; a plain LIFO list (not a
+// payloadBuffers is an in-process federation's free list of dense state
+// dicts, one list per architecture: the buffers stageUpload and the
+// engine's publish copy a state into on the identity-codec path. take is
+// called from device tasks and both engine stages, hence the lock; a plain LIFO list (not a
 // sync.Pool) keeps the retained set deterministic — at most as many
 // buffers as were ever in flight at once, never dropped by a GC cycle. A
 // buffer is fully overwritten before use, so which one a caller gets
@@ -100,9 +100,10 @@ func (b *payloadBuffers) take(arch string) nn.StateDict {
 	return sd
 }
 
-// give returns a consumed buffer (nil is ignored).
-func (b *payloadBuffers) give(arch string, sd nn.StateDict) {
-	if sd == nil {
+// give returns a consumed payload's dense buffer (an encoded payload has
+// none and is ignored).
+func (b *payloadBuffers) give(p Payload) {
+	if p.dense == nil {
 		return
 	}
 	b.mu.Lock()
@@ -110,5 +111,5 @@ func (b *payloadBuffers) give(arch string, sd nn.StateDict) {
 	if b.free == nil {
 		b.free = make(map[string][]nn.StateDict)
 	}
-	b.free[arch] = append(b.free[arch], sd)
+	b.free[p.arch] = append(b.free[p.arch], p.dense)
 }

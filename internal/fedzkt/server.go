@@ -318,6 +318,22 @@ func (s *Server) AbsorbPayload(id int, payload []byte) error {
 	return nil
 }
 
+// CheckPayload validates a container's structure and headers — tensor
+// names and element counts, no element work — against device id's
+// registered architecture: what AbsorbPayload would refuse, found before
+// the payload is counted or stored.
+func (s *Server) CheckPayload(id int, payload []byte) error {
+	ref, err := s.cohorts.ref(id)
+	if err != nil {
+		return err
+	}
+	entries, err := codec.Layout(payload)
+	if err != nil {
+		return err
+	}
+	return ref.cohort.sig.checkLayout(ref.cohort.arch, entries)
+}
+
 // ReplicaState returns a dense deep copy of device id's replica
 // parameters. Under a quantised codec this decodes the slot, so the
 // caller sees exactly the values a download would deliver.

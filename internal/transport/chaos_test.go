@@ -456,9 +456,11 @@ func TestResumeReplayAbsorbedOnce(t *testing.T) {
 
 // lateUploadRun drives the staleness scenario: device B withholds its
 // round-1 upload until round 2 is underway, so it arrives one round
-// stale. The caller chooses the staleness bound and asserts on the
-// returned history.
-func lateUploadRun(t *testing.T, staleness int) (fed.History, []SessionStats) {
+// stale, with B's fresh round-2 upload right behind it in the same
+// collection window. The caller chooses the staleness bound and asserts
+// on the returned history, session stats and the number of round-2
+// downloads B was sent.
+func lateUploadRun(t *testing.T, staleness int) (fed.History, []SessionStats, int) {
 	t.Helper()
 	srv, err := NewServer(chaosServerConfig(2, 2, 1, staleness, 1500*time.Millisecond))
 	if err != nil {
@@ -491,13 +493,32 @@ func lateUploadRun(t *testing.T, staleness int) (fed.History, []SessionStats) {
 		t.Fatal(err)
 	}
 	// Hold the round-1 upload until round 2's train request proves round 1
-	// closed without us, then send it one round stale.
+	// closed without us, then send it one round stale and the round-2
+	// upload after it.
 	readUntil(t, connB, MsgTrainRequest, 2)
-	if err := WriteMessage(connB, &Message{Type: MsgUpload, Round: 1, DeviceID: b.id, Payload: payload}); err != nil {
-		t.Fatal(err)
+	for _, round := range []int{1, 2} {
+		if err := WriteMessage(connB, &Message{Type: MsgUpload, Round: round, DeviceID: b.id, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	readUntil(t, connB, MsgUploadAck, 1) // acked even when dropped
-	readUntil(t, connB, MsgDone, 0)
+	acked, downloads := 0, 0
+	for done := false; !done; {
+		m, err := ReadMessage(connB)
+		if err != nil {
+			t.Fatalf("device B waiting for done: %v", err)
+		}
+		switch {
+		case m.Type == MsgUploadAck:
+			acked++ // acked even when dropped
+		case m.Type == MsgDownload && m.Round == 2:
+			downloads++
+		case m.Type == MsgDone:
+			done = true
+		}
+	}
+	if acked != 2 {
+		t.Errorf("device B got %d upload acks, want 2", acked)
+	}
 
 	hist := <-histCh
 	if err := <-errCh; err != nil {
@@ -510,13 +531,15 @@ func lateUploadRun(t *testing.T, staleness int) (fed.History, []SessionStats) {
 	if len(hist[0].Dropped) != 1 {
 		t.Fatalf("round 1 dropped %v, want the withholding device", hist[0].Dropped)
 	}
-	return hist, srv.SessionStats()
+	return hist, srv.SessionStats(), downloads
 }
 
 // TestLateUploadWithinStalenessBound: a one-round-stale upload absorbs
-// into the next teacher window when StalenessBound allows it.
+// into the next teacher window when StalenessBound allows it, and the
+// device that got a late and a fresh upload absorbed in one round is still
+// sent its replica once.
 func TestLateUploadWithinStalenessBound(t *testing.T) {
-	hist, stats := lateUploadRun(t, 1)
+	hist, stats, downloads := lateUploadRun(t, 1)
 	if hist[1].LateAbsorbed != 1 {
 		t.Errorf("round 2 late-absorbed %d, want 1", hist[1].LateAbsorbed)
 	}
@@ -527,12 +550,15 @@ func TestLateUploadWithinStalenessBound(t *testing.T) {
 	if late != 1 {
 		t.Errorf("session late count %d, want 1", late)
 	}
+	if downloads != 1 {
+		t.Errorf("device B was sent %d round-2 downloads, want 1", downloads)
+	}
 }
 
 // TestLateUploadBeyondStalenessBound: with StalenessBound 0 the same
 // stale upload is acknowledged but dropped, never absorbed.
 func TestLateUploadBeyondStalenessBound(t *testing.T) {
-	hist, stats := lateUploadRun(t, 0)
+	hist, stats, downloads := lateUploadRun(t, 0)
 	if hist[1].LateAbsorbed != 0 {
 		t.Errorf("round 2 late-absorbed %d, want 0", hist[1].LateAbsorbed)
 	}
@@ -543,6 +569,9 @@ func TestLateUploadBeyondStalenessBound(t *testing.T) {
 		if st.Late != 0 {
 			t.Errorf("device %d late count %d, want 0", st.ID, st.Late)
 		}
+	}
+	if downloads != 1 {
+		t.Errorf("device B was sent %d round-2 downloads, want 1", downloads)
 	}
 }
 

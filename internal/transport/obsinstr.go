@@ -4,11 +4,8 @@ import "github.com/fedzkt/fedzkt/internal/obs"
 
 // This file binds the session layer to the observability substrate:
 // aggregate scrape-time views over the per-session stats (which stay the
-// source of truth behind SessionStats), and the tracer the connection and
-// round-loop spans go to. Purely observational.
-
-// tracer is the span sink for transport session events.
-func tracer() *obs.Tracer { return obs.DefaultTracer() }
+// source of truth behind SessionStats). Round metrics and stage spans are
+// the round engine's. Purely observational.
 
 // RegisterMetrics binds aggregate session-layer counters into reg under
 // fedzkt_transport_* names. The values are computed from the live

@@ -14,7 +14,6 @@ import (
 	"github.com/fedzkt/fedzkt/internal/model"
 	"github.com/fedzkt/fedzkt/internal/nn"
 	"github.com/fedzkt/fedzkt/internal/obs"
-	"github.com/fedzkt/fedzkt/internal/tensor"
 )
 
 // ServerConfig configures a networked FedZKT server.
@@ -82,22 +81,24 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	return c
 }
 
-// Server runs the federated round loop over real network connections,
-// reusing the same fedzkt.Server core as the in-process simulator. Each
-// device is a session that survives connection losses: connections carry
-// a reader/writer goroutine pair feeding a central round loop, and a
-// device that reconnects with its resume token re-joins mid-round
+// Server runs a federation over real network connections: the same
+// fedzkt.Server core and round engine as the in-process simulator, with
+// the session layer as the engine's fleet (fleet.go). Each device is a
+// session that survives connection losses: connections carry a
+// reader/writer goroutine pair feeding the fleet's upload collection, and
+// a device that reconnects with its resume token re-joins mid-round
 // instead of being dropped.
 type Server struct {
 	cfg    ServerConfig
-	ds     *data.Dataset
 	core   *fedzkt.Server
+	engine *fedzkt.Engine
+	fleet  *sessionFleet
 	ln     net.Listener
 	key    []byte
 	shards [][]int
 
 	// events feeds every connection's reader (messages, attach/detach
-	// notifications) into the central round loop.
+	// notifications) into the fleet's upload collection.
 	events chan inbound
 	// regProgress signals each step of registration (a core install, a
 	// session attach); fatal carries the first registration-phase failure.
@@ -130,6 +131,9 @@ type pendingInstall struct {
 // NewServer builds the server and starts listening; call Run to serve.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	cfg = cfg.withDefaults()
+	if err := validateFed(cfg.Fed); err != nil {
+		return nil, err
+	}
 	ds, ok := data.ByName(cfg.DatasetName, cfg.Sizes, cfg.Fed.Seed)
 	if !ok {
 		return nil, fmt.Errorf("transport: unknown dataset %q", cfg.DatasetName)
@@ -147,15 +151,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: listen %s: %w", cfg.Addr, err)
-	}
 	srv := &Server{
 		cfg:         cfg,
-		ds:          ds,
 		core:        core,
-		ln:          ln,
 		key:         key,
 		shards:      shards,
 		events:      make(chan inbound, 4*cfg.NumDevices+16),
@@ -163,8 +161,36 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		fatal:       make(chan error, 1),
 		pending:     make(map[int]pendingInstall),
 	}
+	srv.fleet = newSessionFleet(srv)
+	if srv.engine, err = fedzkt.NewEngine(core, ds, shards, srv.fleet); err != nil {
+		return nil, err
+	}
+	if srv.ln, err = net.Listen("tcp", cfg.Addr); err != nil {
+		return nil, fmt.Errorf("transport: listen %s: %w", cfg.Addr, err)
+	}
 	srv.RegisterMetrics(obs.Default())
 	return srv, nil
+}
+
+// validateFed rejects, naming the field, the fedzkt.Config settings a
+// session fleet cannot honour yet, instead of silently ignoring them.
+func validateFed(c fedzkt.Config) error {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"PipelineDepth", c.PipelineDepth > 0},
+		{"CheckpointDir", c.CheckpointDir != ""},
+		{"Resume", c.Resume},
+		{"RoundDeadline", c.RoundDeadline > 0},
+		{"FailureRate", c.FailureRate > 0},
+		{"VirtualDevices", c.VirtualDevices},
+	} {
+		if f.set {
+			return fmt.Errorf("transport: Fed.%s is not supported over network sessions", f.name)
+		}
+	}
+	return nil
 }
 
 // Addr returns the bound listen address.
@@ -240,9 +266,10 @@ func (s *Server) reportFatal(err error) {
 	}
 }
 
-// Run accepts cfg.NumDevices registrations, executes the full round loop,
-// and returns the per-round history. It closes all connections on return.
-// ctx cancellation aborts the registration wait and the round loop.
+// Run accepts cfg.NumDevices registrations, runs the federation's rounds
+// on the round engine, and returns the per-round history. It closes all
+// connections on return. ctx cancellation aborts the registration wait
+// and the rounds.
 func (s *Server) Run(ctx context.Context) (fed.History, error) {
 	defer s.Close()
 	stop := context.AfterFunc(ctx, s.Close)
@@ -266,7 +293,27 @@ func (s *Server) Run(ctx context.Context) (fed.History, error) {
 	if err := s.awaitRegistration(ctx); err != nil {
 		return nil, err
 	}
-	return s.roundLoop(ctx)
+	// Whenever the rounds end, a background drainer keeps the events
+	// channel flowing so no reader goroutine stays blocked on a send after
+	// its connection dies.
+	defer func() {
+		go func() {
+			for range s.events {
+			}
+		}()
+	}()
+	s.mu.Lock()
+	s.fleet.sessions = append([]*session(nil), s.sessions...)
+	s.mu.Unlock()
+	hist, err := s.engine.Run(ctx)
+	if err != nil {
+		return hist, err
+	}
+	final := s.fleet.shutdown(hist)
+	s.mu.Lock()
+	s.finalStats = final
+	s.mu.Unlock()
+	return hist, nil
 }
 
 // awaitRegistration blocks until all NumDevices devices are registered,
@@ -400,8 +447,8 @@ func (s *Server) handleHello(conn net.Conn, mc *meteredConn, hello *Message) {
 		return
 	}
 	_ = conn.SetDeadline(time.Time{})
-	tracer().Begin("transport", "session_attach").WithTID(id).End()
-	// Attach before reporting progress: the round loop starts on the last
+	obs.DefaultTracer().Begin("transport", "session_attach").WithTID(id).End()
+	// Attach before reporting progress: the rounds start on the last
 	// report, and a train request enqueued to a session that is not yet
 	// attached would be dropped.
 	sess.attach(conn, false, 0, s.events, cfg.IOTimeout)
@@ -438,7 +485,7 @@ func (s *Server) install(id int, arch string, sd nn.StateDict, weight int) error
 
 // handleResume re-attaches a reconnecting device to its session after
 // validating the signed resume token. The device's announced pending
-// upload round rides along to the round loop, which decides whether the
+// upload round rides along to the fleet, which decides whether the
 // current round's train request needs re-sending.
 func (s *Server) handleResume(conn net.Conn, mc *meteredConn, resume *Message) {
 	id := resume.DeviceID
@@ -466,247 +513,6 @@ func (s *Server) handleResume(conn net.Conn, mc *meteredConn, resume *Message) {
 	sess.resumes++
 	sess.mu.Unlock()
 	_ = conn.SetDeadline(time.Time{})
-	tracer().Begin("transport", "session_resume").WithTID(id).WithRound(resume.Round).End()
+	obs.DefaultTracer().Begin("transport", "session_resume").WithTID(id).WithRound(resume.Round).End()
 	sess.attach(conn, true, resume.Round, s.events, s.cfg.IOTimeout)
-}
-
-// roundLoop executes the federated rounds over the session layer: train
-// requests fan out through session outboxes, uploads flow back through
-// the events channel, and each round closes on a quorum instead of
-// all-active-or-abort.
-func (s *Server) roundLoop(ctx context.Context) (fed.History, error) {
-	cfg := s.cfg
-	fedCfg := s.core.Config()
-
-	s.mu.Lock()
-	sessions := append([]*session(nil), s.sessions...)
-	s.mu.Unlock()
-
-	// After the loop exits (normally or on error), a background drainer
-	// keeps the events channel flowing so no reader goroutine stays
-	// blocked on a send after its connection dies.
-	defer func() {
-		go func() {
-			for range s.events {
-			}
-		}()
-	}()
-
-	// lastAbsorbed[id] is the highest round whose upload the server has
-	// absorbed for the device — the dedup line that makes a replayed
-	// upload absorb exactly once.
-	lastAbsorbed := make([]int, cfg.NumDevices)
-	prevUp := make([]int64, cfg.NumDevices)
-	prevDown := make([]int64, cfg.NumDevices)
-
-	hist := make(fed.History, 0, fedCfg.Rounds)
-	roundRNG := tensor.NewRand(fedCfg.Seed + 99)
-	for round := 1; round <= fedCfg.Rounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return hist, fmt.Errorf("transport: cancelled at round %d: %w", round, err)
-		}
-		start := time.Now()
-		roundSpan := tracer().Begin("transport", "round").WithRound(round)
-		m := fed.RoundMetrics{Round: round}
-		active := fed.SampleActive(cfg.NumDevices, fedCfg.ActiveFraction, roundRNG)
-		m.Active = active
-		isActive := make([]bool, cfg.NumDevices)
-		for _, id := range active {
-			isActive[id] = true
-		}
-
-		// Kick off local training on the active devices. Enqueues to a
-		// detached session are dropped; if the device resumes mid-round
-		// the attach event below re-sends the request.
-		for _, id := range active {
-			sessions[id].enqueue(&Message{Type: MsgTrainRequest, Round: round, DeviceID: id})
-		}
-
-		// Collect uploads until every active device reported, or the
-		// upload deadline expired with at least a quorum in hand. Late
-		// uploads from earlier rounds absorb into the next teacher window
-		// when they are within the staleness bound; duplicates and
-		// overstale uploads are acknowledged and dropped.
-		target := len(active)
-		quorum := target
-		if cfg.MinUploads > 0 && cfg.MinUploads < target {
-			quorum = cfg.MinUploads
-		}
-		uploaded := make([]bool, cfg.NumDevices)
-		lateIDs := make([]int, 0)
-		got := 0
-		deadline := time.NewTimer(cfg.UploadDeadline)
-		expired := false
-		for got < target && !(expired && got >= quorum) {
-			select {
-			case ev := <-s.events:
-				switch ev.kind {
-				case evAttached:
-					// A resumed device that has not uploaded for the
-					// current round (and is not about to replay it) gets
-					// the train request again.
-					if isActive[ev.id] && !uploaded[ev.id] && ev.pendingRound != round {
-						sessions[ev.id].enqueue(&Message{Type: MsgTrainRequest, Round: round, DeviceID: ev.id})
-					}
-				case evDetached:
-					// The session stays registered; nothing to do until
-					// the device resumes or the round closes without it.
-					tracer().Begin("transport", "session_detach").WithTID(ev.id).WithRound(round).End()
-				case evMessage:
-					if ev.msg.Type != MsgUpload {
-						continue
-					}
-					up := ev.msg
-					id := ev.id
-					switch {
-					case up.Round <= lastAbsorbed[id] || up.Round > round:
-						// Replayed duplicate of an absorbed round (or
-						// nonsense from the future): acknowledge so the
-						// device clears its replay buffer, absorb nothing.
-						m.DroppedUploads++
-						sessions[id].count(&sessions[id].duplicates)
-					case up.Round == round && isActive[id]:
-						if err := s.core.AbsorbPayload(id, up.Payload); err != nil {
-							m.DroppedUploads++
-							break
-						}
-						lastAbsorbed[id] = round
-						uploaded[id] = true
-						got++
-						m.Absorbed++
-						sessions[id].count(&sessions[id].absorbed)
-					case round-up.Round <= cfg.StalenessBound:
-						// A stale upload inside the staleness bound:
-						// absorb it so the next distillation's teacher
-						// window sees the device's latest work.
-						if err := s.core.AbsorbPayload(id, up.Payload); err != nil {
-							m.DroppedUploads++
-							break
-						}
-						lastAbsorbed[id] = up.Round
-						m.LateAbsorbed++
-						sessions[id].count(&sessions[id].late)
-						lateIDs = append(lateIDs, id)
-					default:
-						m.DroppedUploads++
-					}
-					sessions[id].enqueue(&Message{Type: MsgUploadAck, Round: up.Round, DeviceID: id})
-				}
-			case <-deadline.C:
-				expired = true
-				if got < quorum {
-					deadline.Stop()
-					roundSpan.End()
-					return hist, fmt.Errorf("transport: round %d: %d/%d uploads within deadline (quorum %d)", round, got, target, quorum)
-				}
-			case <-ctx.Done():
-				deadline.Stop()
-				roundSpan.End()
-				return hist, fmt.Errorf("transport: cancelled at round %d: %w", round, ctx.Err())
-			}
-		}
-		deadline.Stop()
-		for _, id := range active {
-			if !uploaded[id] {
-				m.Dropped = append(m.Dropped, id)
-			}
-		}
-
-		// Server-side distillation.
-		gn, err := s.core.Distill(ctx, round)
-		if err != nil {
-			roundSpan.End()
-			return hist, err
-		}
-		m.InputGradNorm = gn
-
-		// Ship the distilled parameters back to every device whose upload
-		// was absorbed this round (fresh or late) and is still attached,
-		// in the codec's wire form.
-		downloadTo := append([]int(nil), lateIDs...)
-		for _, id := range active {
-			if uploaded[id] {
-				downloadTo = append(downloadTo, id)
-			}
-		}
-		for _, id := range downloadTo {
-			if !sessions[id].attached() {
-				continue
-			}
-			payload, _, err := s.core.ReplicaPayload(id)
-			if err != nil {
-				roundSpan.End()
-				return hist, err
-			}
-			sessions[id].enqueue(&Message{Type: MsgDownload, Round: round, DeviceID: id, Payload: payload})
-		}
-
-		m.GlobalAcc = s.core.EvaluateGlobal(s.ds)
-
-		// Round summary to every attached device.
-		summary, err := EncodeRoundSummary(&RoundSummary{
-			Round: round, Absorbed: m.Absorbed, Late: m.LateAbsorbed,
-			Dropped: m.DroppedUploads, GlobalAcc: m.GlobalAcc,
-		})
-		if err != nil {
-			roundSpan.End()
-			return hist, err
-		}
-		for _, sess := range sessions {
-			sess.enqueue(&Message{Type: MsgRoundSummary, Round: round, DeviceID: sess.id, Payload: summary})
-		}
-
-		// Measured wire accounting: the per-session meters count every
-		// byte on the conn — frame prefixes, handshakes, registration and
-		// resume traffic included — and the round books the delta since
-		// its predecessor (round 1 therefore carries registration).
-		for id, sess := range sessions {
-			up, down := sess.meter.up.Load(), sess.meter.down.Load()
-			m.BytesUp += up - prevUp[id]
-			m.BytesDown += down - prevDown[id]
-			prevUp[id], prevDown[id] = up, down
-		}
-		m.Elapsed = time.Since(start)
-		roundSpan.End()
-		hist = append(hist, m)
-	}
-
-	// Graceful shutdown: tell every attached device the federation is
-	// over, then give the writers a moment to drain before Close.
-	dones := make([]chan struct{}, 0, len(sessions))
-	for _, sess := range sessions {
-		sess.enqueue(&Message{Type: MsgDone, DeviceID: sess.id})
-		if ch := sess.shutdown(); ch != nil {
-			dones = append(dones, ch)
-		}
-	}
-	drainDeadline := time.After(2 * time.Second)
-drain:
-	for _, ch := range dones {
-		select {
-		case <-ch:
-		case <-drainDeadline:
-			break drain
-		}
-	}
-
-	// Fold the shutdown traffic into the final round and freeze the
-	// session stats, so SessionStats totals match the history exactly.
-	if len(hist) > 0 {
-		last := &hist[len(hist)-1]
-		for id, sess := range sessions {
-			up, down := sess.meter.up.Load(), sess.meter.down.Load()
-			last.BytesUp += up - prevUp[id]
-			last.BytesDown += down - prevDown[id]
-			prevUp[id], prevDown[id] = up, down
-		}
-	}
-	final := make([]SessionStats, 0, len(sessions))
-	for _, sess := range sessions {
-		final = append(final, sess.stats())
-	}
-	s.mu.Lock()
-	s.finalStats = final
-	s.mu.Unlock()
-	return hist, nil
 }

@@ -26,7 +26,8 @@ import (
 // session, and the byte meters that account real wire traffic (frame
 // prefixes, registration handshakes and all) per device.
 
-// inboundKind discriminates events flowing into the central round loop.
+// inboundKind discriminates events flowing into the fleet's upload
+// collection (fleet.go).
 type inboundKind uint8
 
 const (
@@ -34,7 +35,7 @@ const (
 	evMessage inboundKind = iota
 	// evAttached reports that a resumed connection is now serving the
 	// session. pendingRound carries the device's announced unacknowledged
-	// upload round (0 = none), so the round loop can decide whether a
+	// upload round (0 = none), so the fleet can decide whether a
 	// replay is already on its way. A fresh registration's attach is not
 	// announced: rounds start only after every one of them.
 	evAttached
@@ -42,7 +43,7 @@ const (
 	evDetached
 )
 
-// inbound is one event delivered to the central round loop.
+// inbound is one event delivered to the fleet.
 type inbound struct {
 	id           int
 	kind         inboundKind
@@ -133,7 +134,7 @@ func checkResumeToken(key []byte, id int, token []byte) bool {
 }
 
 // connState is the goroutine pair serving one attached connection: a
-// reader feeding the central round loop and a writer draining the outbox.
+// reader feeding the fleet's events channel and a writer draining the outbox.
 type connState struct {
 	conn   net.Conn
 	outbox chan *Message
@@ -152,7 +153,7 @@ type session struct {
 	cs   *connState // nil while detached
 	gone bool       // set on shutdown: no further attaches
 
-	// Stats are owned by the round loop (absorb counters) and the attach
+	// Stats are owned by the fleet (upload counters) and the attach
 	// path (resume counter, under mu); read whole via Server.SessionStats
 	// after Run returns.
 	resumes    int
@@ -241,7 +242,7 @@ func (s *session) detach(cs *connState) {
 
 // enqueue hands a message to the session's writer. Messages to a
 // detached session are dropped (the resume path compensates); a full
-// outbox also drops rather than blocking the round loop.
+// outbox also drops rather than blocking the round.
 func (s *session) enqueue(m *Message) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -278,13 +279,6 @@ func (s *session) count(field *int) {
 	s.mu.Lock()
 	*field++
 	s.mu.Unlock()
-}
-
-// attached reports whether the session currently has a live connection.
-func (s *session) attached() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cs != nil
 }
 
 // SessionStats is the per-device observability record the server exposes
