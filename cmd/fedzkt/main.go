@@ -21,7 +21,6 @@ import (
 
 	fedzkt "github.com/fedzkt/fedzkt"
 	"github.com/fedzkt/fedzkt/internal/chaos"
-	"github.com/fedzkt/fedzkt/internal/codec"
 	"github.com/fedzkt/fedzkt/internal/experiments"
 	"github.com/fedzkt/fedzkt/internal/obs"
 )
@@ -94,21 +93,20 @@ func run(args []string) error {
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", *workers)
 	}
-	if *teachersPerIter < 0 {
-		return fmt.Errorf("-teachers-per-iter must be >= 0 (0 = full ensemble), got %d", *teachersPerIter)
+	// Flag values are checked by the one validation every federation runs
+	// anyway, here before any experiment work. Only value domains can be
+	// judged this early: -exp scale substitutes its own teacher count for 0,
+	// so "weighted needs a count" is left to each federation.
+	probe := fedzkt.Config{
+		SampleK: *sampleK, RoundDeadline: *deadline, PipelineDepth: *pipelineDepth,
+		TeachersPerIter: *teachersPerIter, TeacherSampling: *teacherSampling, CohortReplicas: *cohortReplicas,
+		StateCodec: *stateCodec, ReplicaStore: *replicaStore, ReplicaShards: *shardCount, HotSet: *hotSet,
 	}
-	switch *teacherSampling {
-	case "", "uniform", "weighted":
-	default:
-		return fmt.Errorf("unknown -teacher-sampling %q (want uniform or weighted)", *teacherSampling)
+	if probe.TeachersPerIter == 0 {
+		probe.TeachersPerIter = 1
 	}
-	switch *replicaStore {
-	case "", fedzkt.ReplicaStoreMemory, fedzkt.ReplicaStoreSpill:
-	default:
-		return fmt.Errorf("unknown -replica-store %q (want memory or spill)", *replicaStore)
-	}
-	if *shardCount < 0 || *hotSet < 0 {
-		return fmt.Errorf("-shards and -hot-set must be >= 0")
+	if err := probe.Validate(); err != nil {
+		return err
 	}
 	if *fastMath {
 		// Fast math trades byte-reproducibility for speed: warn loudly so a
@@ -168,9 +166,6 @@ func run(args []string) error {
 	params.TeacherSampling = *teacherSampling
 	params.CohortReplicas = *cohortReplicas
 	params.PipelineDepth = *pipelineDepth
-	if _, err := codec.Get(*stateCodec); err != nil {
-		return err
-	}
 	params.StateCodec = *stateCodec
 	params.ReplicaStore = *replicaStore
 	params.ReplicaShards = *shardCount

@@ -59,6 +59,16 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-exp", "scale", "-teacher-sampling", "psychic"}); err == nil {
 		t.Fatal("unknown -teacher-sampling accepted")
 	}
+	for _, bad := range [][]string{{"-replica-store", "tape"}, {"-shards", "-1"}, {"-hot-set", "-1"}, {"-pipeline-depth", "-1"}} {
+		if err := run(append([]string{"-exp", "scale"}, bad...)); err == nil {
+			t.Fatalf("%v accepted", bad)
+		}
+	}
+	// The sweep picks its own teacher count, so weighted sampling without
+	// one must get past flag validation (-list stops before any work).
+	if err := run([]string{"-teacher-sampling", "weighted", "-list"}); err != nil {
+		t.Fatalf("-teacher-sampling weighted without -teachers-per-iter rejected at the flags: %v", err)
+	}
 	// Flag validation must run before any experiment work, so the bad
 	// combination errors even with an otherwise valid experiment.
 	if err := run([]string{"-exp", "table1", "-fast-math", "-workers", "-1"}); err == nil {

@@ -289,7 +289,7 @@ func main() {
 		fmt.Printf("device rigs: %d modules built, %d materialisations served by reuse\n", builds, reuses)
 	}
 	if built, reused := co.PayloadBufferStats(); built+reused > 0 {
-		fmt.Printf("payload buffers: %d built, %d dense uploads/downloads served by reuse\n", built, reused)
+		fmt.Printf("payload buffers: %d built, %d uploads/downloads served by reuse\n", built, reused)
 	}
 	if rss, peak, ok := processRSS(); ok {
 		fmt.Printf("rss: %.0f MB now, %.0f MB peak — bounded by the hot set, not the device count\n", rss, peak)

@@ -1,13 +1,14 @@
 package codec
 
 // SpillFile is the disk tier of the server's replica store: a fixed-stride
-// record file keyed by a dense slot index. Each slot holds one encoded
-// state container (the same bytes a resident slot would hold), written
-// with pwrite/pread at slot·stride offsets so the file needs no index,
-// stays position-independent under concurrent readers, and — because
-// unwritten slots are never touched — stays sparse on filesystems that
-// support holes: a million-device federation whose rounds only ever touch
-// a few hundred replicas pays disk for exactly those records.
+// record file keyed by slot index. Each slot holds one encoded state
+// container (the same bytes a resident slot would hold), written with
+// pwrite/pread, position-independent under concurrent readers. Records
+// are allocated densely: a slot's first write takes the next record
+// number, kept in an in-memory index, so the file is Records()·stride
+// bytes long whatever the slot keys are — a million-device federation
+// whose rounds only ever touch a few hundred replicas pays disk, in
+// apparent size too (ulimit -f, quotas), for exactly those records.
 //
 // A record is an 8-byte header — a 4-byte little-endian length followed
 // by a 4-byte CRC32C (Castagnoli) of the container bytes — then the
@@ -25,7 +26,7 @@ package codec
 //
 // Write and Read are goroutine-safe for distinct slots (the underlying
 // pwrite/pwread are positional); callers serialise per-slot access, which
-// the tiered store's mutex already provides. The written bitmap and the
+// the tiered store's mutex already provides. The record index and the
 // traffic counters are internally synchronised.
 
 import (
@@ -72,9 +73,10 @@ type SpillFile struct {
 	recordCap int // max container bytes per record
 	stride    int64
 
-	mu      sync.Mutex
-	written []uint64 // bitmap over slot indices
-	records int      // population count of written
+	mu    sync.Mutex
+	index map[int]int64 // slot → record number, for every written slot
+	next  int64         // record numbers handed out so far
+	free  []int64       // record numbers whose first write failed
 
 	reads, writes         atomic.Int64
 	readBytes, writeBytes atomic.Int64
@@ -91,7 +93,8 @@ func CreateSpill(path string, recordCap int) (*SpillFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("codec: creating spill file: %w", err)
 	}
-	return &SpillFile{f: f, path: path, recordCap: recordCap, stride: int64(spillHeader + recordCap)}, nil
+	return &SpillFile{f: f, path: path, recordCap: recordCap, stride: int64(spillHeader + recordCap),
+		index: make(map[int]int64)}, nil
 }
 
 // RecordCap returns the maximum container bytes one record holds.
@@ -128,7 +131,20 @@ func (s *SpillFile) Write(slot int, rec []byte) error {
 	var hdr [spillHeader]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(rec))) //nolint:gosec // bounded by recordCap
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(rec, castagnoli))
-	off := int64(slot) * s.stride
+	// A slot's first write allocates its record: a number given back by a
+	// failed first write, else the next one.
+	s.mu.Lock()
+	num, known := s.index[slot]
+	if !known {
+		if n := len(s.free); n > 0 {
+			num, s.free = s.free[n-1], s.free[:n-1]
+		} else {
+			num = s.next
+			s.next++
+		}
+	}
+	s.mu.Unlock()
+	off := num * s.stride
 	err := s.withRetry(func() error {
 		if err := chaos.Err(chaos.SiteSpillWriteErr, "spill write"); err != nil {
 			return err
@@ -143,33 +159,34 @@ func (s *SpillFile) Write(slot int, rec []byte) error {
 		_, err := s.f.WriteAt(hdr[:], off)
 		return err
 	})
+	s.mu.Lock()
+	switch {
+	case err == nil:
+		s.index[slot] = num
+	case !known:
+		s.free = append(s.free, num)
+	}
+	s.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("codec: spill write slot %d: %w", slot, err)
 	}
 	s.writes.Add(1)
 	s.writeBytes.Add(int64(len(rec)))
-	s.mu.Lock()
-	word, bit := slot/64, uint(slot%64)
-	for len(s.written) <= word {
-		s.written = append(s.written, 0)
-	}
-	if s.written[word]&(1<<bit) == 0 {
-		s.written[word] |= 1 << bit
-		s.records++
-	}
-	s.mu.Unlock()
 	return nil
+}
+
+// record returns slot's record number, if it holds one.
+func (s *SpillFile) record(slot int) (int64, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n, ok := s.index[slot]
+	return n, ok
 }
 
 // Written reports whether slot holds a record.
 func (s *SpillFile) Written(slot int) bool {
-	if slot < 0 {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	word, bit := slot/64, uint(slot%64)
-	return word < len(s.written) && s.written[word]&(1<<bit) != 0
+	_, ok := s.record(slot)
+	return ok
 }
 
 // Read appends slot's record bytes to dst (pass dst[:0] to reuse a
@@ -179,10 +196,11 @@ func (s *SpillFile) Written(slot int) bool {
 // fail their stored CRC32C returns a wrapped ErrSpillChecksum without
 // retrying (the caller's degrade path owns corrupt records).
 func (s *SpillFile) Read(slot int, dst []byte) ([]byte, error) {
-	if !s.Written(slot) {
+	num, ok := s.record(slot)
+	if !ok {
 		return nil, fmt.Errorf("codec: spill read: slot %d not written", slot)
 	}
-	off := int64(slot) * s.stride
+	off := num * s.stride
 	start := len(dst)
 	err := s.withRetry(func() error {
 		dst = dst[:start]
@@ -223,7 +241,7 @@ func (s *SpillFile) Read(slot int, dst []byte) ([]byte, error) {
 func (s *SpillFile) Records() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.records
+	return len(s.index)
 }
 
 // Reads and Writes return the cumulative record I/O operation counts;

@@ -112,14 +112,15 @@ func TestSpillFileCorruptRecord(t *testing.T) {
 	if err := s.Write(2, []byte{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	// Smash the slot's length prefix with a value beyond the capacity.
+	// Smash the length prefix of the slot's record — the file's first, as
+	// the only one written — with a value beyond the capacity.
 	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], 1<<30)
-	if _, err := f.WriteAt(hdr[:], 2*int64(spillHeader+32)); err != nil {
+	if _, err := f.WriteAt(hdr[:], 0); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -145,8 +146,8 @@ func TestSpillFileChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip one bit of the record's payload (past the 8-byte header).
-	if _, err := f.WriteAt([]byte{10 ^ 0x04}, int64(spillHeader+32)+int64(spillHeader)); err != nil {
+	// Flip one bit of the first record's payload (past the 8-byte header).
+	if _, err := f.WriteAt([]byte{10 ^ 0x04}, int64(spillHeader)); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -235,9 +236,9 @@ func TestSpillFileChaosRetry(t *testing.T) {
 	})
 }
 
-// TestSpillFileSparse: slots live at fixed strides, so a huge slot index
-// costs logical file size but records stay addressable — and Close
-// removes the backing file (spill is an eviction tier, not persistence).
+// TestSpillFileSparseAndClose: a huge slot index is addressable like any
+// other — and Close removes the backing file (spill is an eviction tier,
+// not persistence).
 func TestSpillFileSparseAndClose(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sparse.spill")
 	s, err := CreateSpill(path, 128)
@@ -260,5 +261,80 @@ func TestSpillFileSparseAndClose(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("Close left the spill file behind: %v", err)
+	}
+}
+
+// TestSpillFileDenseAllocator: records are numbered in first-write order,
+// whatever the slot keys, so the file is as long as the records written —
+// a device-id-keyed store of a million devices must not trip ulimit -f by
+// its apparent size — and a rewrite lands in the slot's own record. A
+// first write that fails gives its record number back.
+func TestSpillFileDenseAllocator(t *testing.T) {
+	const recordCap = 48
+	const stride = spillHeader + recordCap
+	path := filepath.Join(t.TempDir(), "dense.spill")
+	s, err := CreateSpill(path, recordCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	size := func() int64 {
+		t.Helper()
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+	recA, recB := bytes.Repeat([]byte{0xA7}, recordCap), bytes.Repeat([]byte{0xB1}, recordCap)
+	if err := s.Write(7, recA); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Write(1<<20, recB); err != nil {
+		t.Fatal(err)
+	}
+	if got := size(); got != 2*stride {
+		t.Fatalf("two records at slots 7 and 1<<20 make a %d-byte file, want 2×stride = %d", got, 2*stride)
+	}
+	if !s.Written(7) || !s.Written(1<<20) || s.Written(0) || s.Written(8) || s.Records() != 2 {
+		t.Fatalf("Written/Records wrong: 7=%v 1<<20=%v 0=%v 8=%v records=%d",
+			s.Written(7), s.Written(1<<20), s.Written(0), s.Written(8), s.Records())
+	}
+	for slot, want := range map[int][]byte{7: recA, 1 << 20: recB} {
+		if got, err := s.Read(slot, nil); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("slot %d read back %x (%v), want %x", slot, got, err, want)
+		}
+	}
+	// A rewrite reuses the slot's record: same file, same neighbours.
+	if err := s.Write(7, recB); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Read(7, nil); err != nil || !bytes.Equal(got, recB) {
+		t.Fatalf("rewritten slot 7 read back %x (%v)", got, err)
+	}
+	if got, err := s.Read(1<<20, nil); err != nil || !bytes.Equal(got, recB) {
+		t.Fatalf("slot 1<<20 after its neighbour's rewrite read back %x (%v)", got, err)
+	}
+	if got := size(); got != 2*stride || s.Records() != 2 {
+		t.Fatalf("after a rewrite: %d bytes, %d records, want %d and 2", got, s.Records(), 2*stride)
+	}
+
+	// A first write that exhausts its retries leaves the slot unwritten and
+	// its record number free for the next new slot.
+	p, err := chaos.Parse("spill.write.err=every:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaos.Activate(p)
+	err = s.Write(3, recA)
+	chaos.Deactivate()
+	if err == nil || s.Written(3) || s.Records() != 2 {
+		t.Fatalf("failed first write: err=%v written=%v records=%d", err, s.Written(3), s.Records())
+	}
+	if err := s.Write(4, recA); err != nil {
+		t.Fatal(err)
+	}
+	if got := size(); got != 3*stride || s.Records() != 3 {
+		t.Fatalf("after a failed and a good first write: %d bytes, %d records, want %d and 3", got, s.Records(), 3*stride)
 	}
 }

@@ -73,8 +73,15 @@ func (d *Device) SnapshotReceived() {
 	}
 }
 
+// LendAnchor gives the device a buffer of its model's state layout to
+// capture its next proximal anchor in, instead of cloning the state (see
+// SnapshotReceived). Whatever the buffer holds is not an anchor: lend it
+// only to a device whose next LocalUpdate follows a download. The lender
+// keeps the buffer; Evict only drops the device's reference to it.
+func (d *Device) LendAnchor(buf nn.StateDict) { d.received = buf }
+
 // Evict drops the device's live model and proximal anchor. Used by the
-// virtual-device coordinator, which keeps a device's state in a tiered
+// virtual-device coordinator, which keeps a device's state in a slot
 // store between rounds and rematerialises the model (restoring the
 // anchor through the download path) on the device's next participation.
 func (d *Device) Evict() {

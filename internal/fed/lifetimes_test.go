@@ -122,7 +122,8 @@ func (m panicAfter) Forward(x *ag.Variable) *ag.Variable {
 // baseline.FedProx and the previous Download did), over download → update
 // → update without a download → download → update; the same for a virtual
 // device, which is evicted after every task and rematerialised through
-// DownloadPayload. And without the proximal term no anchor is ever held.
+// DownloadPayload, capturing its anchor in a lent buffer. And without the
+// proximal term no anchor is ever held.
 func TestLazyAnchorMatchesEagerSnapshot(t *testing.T) {
 	ds := tinyDataset(51)
 	src := tinyDevice(t, ds, allTrain(ds), 52)
@@ -166,6 +167,7 @@ func TestLazyAnchorMatchesEagerSnapshot(t *testing.T) {
 	}
 	virt := tinyDevice(t, ds, allTrain(ds), 54)
 	m := virt.Model
+	lent := second.Clone() // of the model's layout; its values are never read
 	for step, dl := range []nn.StateDict{first, second} {
 		enc, err := codec.Encode(f64, dl)
 		if err != nil {
@@ -175,8 +177,15 @@ func TestLazyAnchorMatchesEagerSnapshot(t *testing.T) {
 		if err := virt.DownloadPayload(enc); err != nil {
 			t.Fatal(err)
 		}
+		virt.LendAnchor(lent)
 		if _, err := virt.LocalUpdate(cfg, tensor.NewRand(uint64(60+step))); err != nil {
 			t.Fatal(err)
+		}
+		sameState(t, "the lent buffer holds the anchor", lent, dl)
+		for name, a := range virt.received {
+			if a != lent[name] {
+				t.Fatalf("anchor tensor %q was cloned, not captured in the lent buffer", name)
+			}
 		}
 		ref := tinyDevice(t, ds, allTrain(ds), 54)
 		if err := ref.Download(dl); err != nil {

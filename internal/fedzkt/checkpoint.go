@@ -121,7 +121,7 @@ func (s *Server) SaveCheckpoint(w io.Writer) error {
 	cp.GlobalSchedStep = s.globalSched.Step()
 	cp.GenSchedStep = s.genSched.Step()
 	for _, ref := range s.cohorts.devices {
-		b, _, err := s.cohorts.payloadOf(ref)
+		b, err := s.cohorts.appendPayload(ref, nil)
 		if err != nil {
 			return fmt.Errorf("fedzkt: checkpoint replica %d: %w", ref.member.id, err)
 		}
@@ -251,7 +251,7 @@ func (s *Server) stageCheckpoint(cp *checkpoint) (*stagedCheckpoint, error) {
 // before the first mutation (stageCheckpoint), and the optimiser
 // restores are themselves atomic, so a truncated or corrupt checkpoint
 // leaves the server exactly as it was. (Disk I/O failing mid-commit in
-// the tiered store is the one residual partial-write risk; the durable
+// the spill store is the one residual partial-write risk; the durable
 // file layer's CRC makes that a crash-then-rollback, not a silent load.)
 func (s *Server) LoadCheckpoint(r io.Reader) error {
 	if err := readCheckpointHeader(r, serverCheckpointMagic, "server"); err != nil {

@@ -25,23 +25,14 @@ import (
 // architectures × pool size) live modules plus the per-device parameter
 // data.
 //
-// The per-device slot has three representations, selected by the state
-// codec (Config.StateCodec) and the replica store (Config.ReplicaStore):
-//
-//   - identity ("float64") in-memory: a dense nn.StateDict, made resident
-//     by an O(#tensors) slice-header exchange via nn.StateBinding — no
-//     element copy, byte-identical to the pre-codec implementation;
-//   - quantised ("float16", "int8") in-memory: a codec-encoded byte
-//     buffer, decoded into the pooled module's tensors on checkout and
-//     re-encoded on a writable release — 2 or 1 bytes per element
-//     instead of 8;
-//   - tiered ("spill", any codec): the encoded buffer lives in the
-//     cohort's tieredSlots (replicastore.go) — an LRU hot set backed by
-//     a fixed-stride spill file — and members that were never written
-//     are not stored at all (their content is the seeded registration
-//     state, rebuilt on first touch). Resident replica state is bounded
-//     by the hot-set size instead of the device count, the million-
-//     device lever.
+// Slots hold state at rest behind the slotStore interface
+// (replicastore.go): dense dicts for the identity codec on the memory
+// store, container bytes otherwise — every slot hot on the memory store,
+// an LRU hot set over a spill file on the spill store, where members that
+// were never written are not stored at all and resident replica state is
+// bounded by the hot-set size instead of the device count, the
+// million-device lever. The backing is chosen once per cohort, in
+// cohortFor; nothing else in this file knows which one it talks to.
 //
 // The registry is additionally sharded (Config.ReplicaShards): shard
 // s owns every device with id ≡ s (mod N), each shard keeping its own
@@ -54,16 +45,12 @@ import (
 // values. Cross-process shards over internal/transport (where contiguous
 // ranges matter for routing) are a recorded follow-up.
 
-// member is one registered device inside a cohort: its replica parameters
-// (at most one of state and enc is in use, per the codec/store mode; both
-// nil in tiered mode, where bytes live in the cohort's tieredSlots under
-// the member's local index) and its data-size weight for the weighted
-// ensemble.
+// member is one registered device inside a cohort: where its replica
+// state rests (slot local of the cohort's store) and its data-size weight
+// for the weighted ensemble.
 type member struct {
 	id     int
-	local  int          // index within its cohort (the spill slot key)
-	state  nn.StateDict // dense slot (identity codec, in-memory store)
-	enc    []byte       // encoded slot (quantised codecs, in-memory store)
+	local  int // index within its cohort (the slot key)
 	weight int
 }
 
@@ -79,10 +66,9 @@ type replicaSlot struct {
 
 // archSig is an architecture's state signature, captured once per
 // architecture from a single throwaway build: sorted names, per-tensor
-// element counts and the total. Installs validate incoming dicts and
-// payloads against it, taking over the strict-validation role
-// nn.StateDict.LoadFrom plays for dense slots, and the lazy registration
-// path uses it instead of building a module per device.
+// element counts and the total. Every install validates the incoming dict
+// or payload against it before a slot store sees it, and the lazy
+// registration path uses it instead of building a module per device.
 type archSig struct {
 	names []string
 	lens  []int
@@ -136,8 +122,18 @@ type cohort struct {
 	sig     *archSig
 	members []*member
 	pool    []*replicaSlot
-	// slots is the tiered byte store (spill mode only; nil in-memory).
-	slots *tieredSlots
+	// slots holds the members' states at rest.
+	slots slotStore
+}
+
+// checkPayload validates a container's structure and headers — tensor
+// names and element counts, no element work — against the architecture.
+func (c *cohort) checkPayload(payload []byte) error {
+	entries, err := codec.Layout(payload)
+	if err != nil {
+		return err
+	}
+	return c.sig.checkLayout(c.arch, entries)
 }
 
 // slot returns the i-th pooled live module, growing the pool on demand.
@@ -179,10 +175,8 @@ type deviceRef struct {
 
 // replicaLease is a checked-out replica: a pooled live module currently
 // holding the member's state, until release returns it. writable records
-// whether the phase may mutate the module — a quantised release only
-// re-encodes writable leases, so read-only phases (teacher forwards,
-// evaluation) never pay a requantisation pass nor accumulate
-// quantisation drift.
+// whether the phase may mutate the module: only a writable lease's state
+// is stored back (see slotStore.release).
 type replicaLease struct {
 	member   *member
 	slot     *replicaSlot
@@ -191,52 +185,38 @@ type replicaLease struct {
 
 // cohortOptions parameterises the registry.
 type cohortOptions struct {
-	lr     float64
+	lr float64
+	// retain bounds how many pooled live modules each cohort (per shard)
+	// keeps after a release (0 = unbounded). Checkouts may grow pools past
+	// the bound transiently when an iteration needs more members resident
+	// at once.
 	retain int
-	codec  codec.Codec
-	// shards is the cohort-store shard count (≥ 1).
-	shards int
+	// codec is the slot and payload encoding.
+	codec codec.Codec
+	// nShards is the cohort-store shard count (0 counts as 1).
+	nShards int
 	// workers bounds the shard fan-out of multi-member operations.
 	workers int
-	// tiered selects the spill-backed store; hotSet bounds each cohort
-	// shard's hot entries (0 = auto: the full cohort in exact mode, a
-	// teacher-window multiple in sampled mode); teachers is the sampled
-	// teacher count driving the auto bound; spillDir hosts the spill
-	// files.
-	tiered   bool
+	// spillDir, when set, selects the spill store and hosts its files;
+	// empty keeps every slot in memory. Under the spill store hotSet bounds
+	// each cohort shard's hot entries (0 = auto: the full cohort in exact
+	// mode, a teacher-window multiple in sampled mode), teachers is the
+	// sampled teacher count driving the auto bound, and initSlot rebuilds a
+	// device's seeded initial state, encoded with codec — the content of a
+	// virgin slot.
+	spillDir string
 	hotSet   int
 	teachers int
-	spillDir string
-	// initSlot rebuilds a device's seeded initial state, encoded with
-	// codec — the content of a virgin tiered slot (required in tiered
-	// mode).
 	initSlot func(arch string, id int) ([]byte, error)
 }
 
 // cohortSet is the server's replica registry: every shard's cohorts,
 // indexed by architecture and by device id.
 type cohortSet struct {
-	shards  []*cohortShard
-	devices []deviceRef
-	sigs    map[string]*archSig
-	lr      float64
-	// retain bounds how many pooled live modules each cohort (per shard)
-	// keeps after a release (0 = unbounded). Checkouts may grow pools past
-	// the bound transiently when an iteration needs more members resident
-	// at once.
-	retain int
-	// codec is the slot encoding; quantised is false exactly for the
-	// identity float64 codec, which keeps the legacy dense-dict slots
-	// (in-memory store only — the tiered store always holds containers).
-	codec     codec.Codec
-	quantised bool
-
-	tiered   bool
-	hotSet   int
-	teachers int
-	spillDir string
-	workers  int
-	initSlot func(arch string, id int) ([]byte, error)
+	cohortOptions
+	shards   []*cohortShard
+	devices  []deviceRef
+	sigs     map[string]*archSig
 	counters storeCounters
 
 	// faults collects device ids dropped from a phase because their slot
@@ -247,33 +227,17 @@ type cohortSet struct {
 	faultErrs []string
 
 	// The replica prefetcher: a single goroutine draining batches of
-	// device ids and warming their cohort hot sets, started lazily at the
-	// first hint.
-	prefetchOnce sync.Once
-	prefetchCh   chan prefetchBatch
-	prefetchWG   sync.WaitGroup
-	closeOnce    sync.Once
-	closeErr     error
+	// device ids and warming their cohort hot sets, started with the first
+	// spill-backed cohort (nil channel: every slot is always hot).
+	prefetchCh chan prefetchBatch
+	prefetchWG sync.WaitGroup
+	closeOnce  sync.Once
+	closeErr   error
 }
 
 func newCohortSet(o cohortOptions) *cohortSet {
-	if o.shards < 1 {
-		o.shards = 1
-	}
-	cs := &cohortSet{
-		sigs:      make(map[string]*archSig),
-		lr:        o.lr,
-		retain:    o.retain,
-		codec:     o.codec,
-		quantised: !codec.Identity(o.codec),
-		tiered:    o.tiered,
-		hotSet:    o.hotSet,
-		teachers:  o.teachers,
-		spillDir:  o.spillDir,
-		workers:   o.workers,
-		initSlot:  o.initSlot,
-	}
-	for i := 0; i < o.shards; i++ {
+	cs := &cohortSet{cohortOptions: o, sigs: make(map[string]*archSig)}
+	for i := 0; i < max(o.nShards, 1); i++ {
 		cs.shards = append(cs.shards, &cohortShard{index: i, byArch: make(map[string]*cohort)})
 	}
 	return cs
@@ -294,20 +258,29 @@ func (cs *cohortSet) ensureSig(arch string, build func() (nn.Module, error)) (*a
 	return sig, nil
 }
 
-// cohortFor returns the shard's cohort for arch, creating it (with its
-// tiered store, in spill mode) on first registration.
+// cohortFor returns the shard's cohort for arch, creating it on first
+// registration — and with it the one decision about how its members'
+// states rest (see slotStore).
 func (cs *cohortSet) cohortFor(sh *cohortShard, arch string, sig *archSig, build func() (nn.Module, error)) *cohort {
 	if c, ok := sh.byArch[arch]; ok {
 		return c
 	}
 	c := &cohort{arch: arch, build: build, sig: sig}
-	if cs.tiered {
+	switch {
+	case cs.spillDir != "":
 		path := filepath.Join(cs.spillDir, fmt.Sprintf("shard%03d-%s.spill", sh.index, arch))
 		capFn := func() int { return cs.hotCap(c) }
 		init := func(local int) ([]byte, error) {
 			return cs.initSlot(c.arch, c.members[local].id)
 		}
-		c.slots = newTieredSlots(path, capFn, init, &cs.counters)
+		c.slots = newTieredSlots(cs.codec, path, capFn, init, &cs.counters)
+		if cs.prefetchCh == nil {
+			cs.startPrefetcher()
+		}
+	case codec.Identity(cs.codec):
+		c.slots = &denseSlots{codec: cs.codec, numel: sig.numel}
+	default:
+		c.slots = newTieredSlots(cs.codec, "", nil, nil, &cs.counters)
 	}
 	sh.byArch[arch] = c
 	sh.cohorts = append(sh.cohorts, c)
@@ -337,14 +310,14 @@ func (cs *cohortSet) hotCap(c *cohort) int {
 // federation size is unknown until the last registration.
 func (cs *cohortSet) shardOf(id int) *cohortShard { return cs.shards[id%len(cs.shards)] }
 
-// register files a new member into its shard's cohort, storing initial
-// state per the active mode. A nil sd registers a virgin member (tiered
-// mode only): nothing is stored until the slot is first written, and
-// reads reconstruct the seeded initial state via initState. sd is
-// validated against the architecture's own signature (one throwaway build
-// per architecture), never against itself, so a drifted first registrant
-// fails as loudly as a later one. A dense slot keeps a copy of sd unless
-// the caller hands it over (owned).
+// register files a new member into its shard's cohort and stores its
+// initial state. A nil sd registers a virgin member (spill store only):
+// nothing is stored until the slot is first written, and reads
+// reconstruct the seeded initial state via initSlot. sd is validated
+// against the architecture's own signature (one throwaway build per
+// architecture), never against itself, so a drifted first registrant
+// fails as loudly as a later one. The store may keep sd itself when the
+// caller hands it over (owned).
 func (cs *cohortSet) register(arch string, sd nn.StateDict, owned bool, weight int, build func() (nn.Module, error)) (int, error) {
 	id := len(cs.devices)
 	sig, err := cs.ensureSig(arch, build)
@@ -361,31 +334,10 @@ func (cs *cohortSet) register(arch string, sd nn.StateDict, owned bool, weight i
 	mem := &member{id: id, local: len(c.members), weight: weight}
 	c.members = append(c.members, mem)
 	cs.devices = append(cs.devices, deviceRef{shard: sh.index, cohort: c, member: mem})
-	switch {
-	case sd == nil:
-		if !cs.tiered {
-			return 0, fmt.Errorf("fedzkt: registering device %d without state requires the tiered replica store", id)
-		}
-		// Virgin: stored nowhere until first written.
-	case cs.tiered:
-		enc, err := codec.Encode(cs.codec, sd)
-		if err != nil {
-			return 0, fmt.Errorf("fedzkt: encoding %q replica slot: %w", arch, err)
-		}
-		if err := c.slots.putBytes(mem.local, enc); err != nil {
+	if sd != nil {
+		if err := c.slots.installDict(mem.local, sd, owned); err != nil {
 			return 0, fmt.Errorf("fedzkt: storing %q replica slot: %w", arch, err)
 		}
-	case cs.quantised:
-		enc, err := codec.Encode(cs.codec, sd)
-		if err != nil {
-			return 0, fmt.Errorf("fedzkt: encoding %q replica slot: %w", arch, err)
-		}
-		mem.enc = enc
-	default:
-		if !owned {
-			sd = sd.Clone()
-		}
-		mem.state = sd
 	}
 	return id, nil
 }
@@ -412,51 +364,17 @@ func (cs *cohortSet) liveModules() int {
 	return n
 }
 
-// stateBytes returns the resident size of every member slot: hot-set
-// bytes in tiered mode (spilled members cost no memory), encoded buffer
-// lengths in quantised mode, dense element bytes in identity mode — the
-// per-device memory quantity the quantised codecs shrink and the tiered
-// store bounds.
-func (cs *cohortSet) stateBytes() int64 {
-	var total int64
-	if cs.tiered {
-		for _, sh := range cs.shards {
-			for _, c := range sh.cohorts {
-				_, b := c.slots.residency()
-				total += b
-			}
-		}
-		return total
-	}
-	for _, d := range cs.devices {
-		if cs.quantised {
-			total += int64(len(d.member.enc))
-		} else {
-			total += int64(d.member.state.Numel()) * 8
-		}
-	}
-	return total
-}
-
-// storeStats snapshots the tiered store (zero-valued, mode "memory", for
-// an untiered registry).
+// storeStats snapshots the replica store: the traffic counters plus every
+// cohort store's residency and spill-file traffic.
 func (cs *cohortSet) storeStats() ReplicaStoreStats {
-	st := ReplicaStoreStats{Mode: ReplicaStoreMemory, Shards: len(cs.shards)}
-	st.ReplicaFaults = cs.counters.replicaFaults.Load()
-	if !cs.tiered {
-		return st
+	mode := ReplicaStoreMemory
+	if cs.spillDir != "" {
+		mode = ReplicaStoreSpill
 	}
-	st.Mode = ReplicaStoreSpill
-	st.Hits = cs.counters.hits.Load()
-	st.Misses = cs.counters.misses.Load()
-	st.PrefetchIssued = cs.counters.prefetchIssued.Load()
-	st.PrefetchLoaded = cs.counters.prefetchLoaded.Load()
-	st.PrefetchHits = cs.counters.prefetchHits.Load()
-	st.InitBuilds = cs.counters.initBuilds.Load()
-	st.Evictions = cs.counters.evictions.Load()
+	st := cs.counters.snapshot(mode, len(cs.shards))
 	for _, sh := range cs.shards {
 		for _, c := range sh.cohorts {
-			c.slots.accumulateStats(&st)
+			c.slots.addStats(&st)
 		}
 	}
 	return st
@@ -479,11 +397,10 @@ func (cs *cohortSet) weights() []int {
 	return out
 }
 
-// virgin reports whether device id's slot has never been written — its
-// content is still the seeded registration state. Always false outside
-// the tiered store (in-memory slots are materialised at registration).
+// virgin reports whether a device's slot has never been written — its
+// content is still the seeded registration state.
 func (cs *cohortSet) virgin(ref deviceRef) bool {
-	return cs.tiered && ref.cohort.slots.virgin(ref.member.local)
+	return ref.cohort.slots.virgin(ref.member.local)
 }
 
 // noteFault records a member whose slot bytes failed to load or decode;
@@ -519,128 +436,47 @@ func (cs *cohortSet) takeFaults() []int {
 	return out
 }
 
-// encOf returns a member's authoritative container bytes in tiered mode,
-// owned by the store (copy before retaining).
-func (cs *cohortSet) encOf(ref deviceRef) ([]byte, error) {
-	return ref.cohort.slots.get(ref.member.local)
+// appendPayload appends a member's slot in wire form — the codec
+// container a download or checkpoint carries — to dst.
+func (cs *cohortSet) appendPayload(ref deviceRef, dst []byte) ([]byte, error) {
+	b, err := ref.cohort.slots.appendPayload(dst, ref.member.local)
+	if err != nil {
+		return nil, fmt.Errorf("fedzkt: loading device %d slot: %w", ref.member.id, err)
+	}
+	return b, nil
 }
 
-// stateOf returns a dense deep copy of a member's slot (the download and
-// inspection currency): written into dst when given — which must have the
-// member's layout — else freshly allocated. Encoded slots decode; identity
-// slots copy.
-func (cs *cohortSet) stateOf(ref deviceRef, dst nn.StateDict) (nn.StateDict, error) {
-	if !cs.tiered && !cs.quantised {
-		if dst == nil {
-			return ref.member.state.Clone(), nil
-		}
-		if err := dst.LoadFrom(ref.member.state); err != nil {
-			return nil, err
-		}
-		return dst, nil
-	}
-	enc := ref.member.enc
-	if cs.tiered {
-		var err error
-		if enc, err = cs.encOf(ref); err != nil {
-			return nil, fmt.Errorf("fedzkt: loading device %d slot: %w", ref.member.id, err)
-		}
-	}
-	var err error
-	if dst == nil {
-		dst, err = codec.Decode(enc)
-	} else {
-		err = codec.DecodeInto(enc, dst)
-	}
+// stateOf returns a dense deep copy of a member's slot, the inspection
+// currency: exactly the values a download delivers.
+func (cs *cohortSet) stateOf(ref deviceRef) (nn.StateDict, error) {
+	b, err := cs.appendPayload(ref, nil)
 	if err != nil {
-		return nil, fmt.Errorf("fedzkt: decoding device %d slot: %w", ref.member.id, err)
+		return nil, err
 	}
-	return dst, nil
-}
-
-// payloadOf returns a member's slot in wire form — the codec container a
-// download or checkpoint carries — plus its element count for traffic
-// accounting. Encoded slots already hold the container and only pay a
-// byte copy; identity in-memory slots encode a dense float64 container.
-func (cs *cohortSet) payloadOf(ref deviceRef) ([]byte, int, error) {
-	if cs.tiered {
-		enc, err := cs.encOf(ref)
-		if err != nil {
-			return nil, 0, fmt.Errorf("fedzkt: loading device %d slot: %w", ref.member.id, err)
-		}
-		return append([]byte(nil), enc...), ref.cohort.sig.numel, nil
-	}
-	if cs.quantised {
-		return append([]byte(nil), ref.member.enc...), ref.cohort.sig.numel, nil
-	}
-	b, err := codec.Encode(cs.codec, ref.member.state)
-	if err != nil {
-		return nil, 0, fmt.Errorf("fedzkt: encoding device %d state: %w", ref.member.id, err)
-	}
-	return b, ref.cohort.sig.numel, nil
+	return codec.Decode(b)
 }
 
 // installDict replaces a member's slot contents with src, validating
 // names and element counts against the architecture signature.
 func (cs *cohortSet) installDict(ref deviceRef, src nn.StateDict) error {
-	if !cs.tiered && !cs.quantised {
-		return ref.member.state.LoadFrom(src)
-	}
 	if err := ref.cohort.sig.checkLayout(ref.cohort.arch, dictLayout(src)); err != nil {
 		return err
 	}
-	if cs.tiered {
-		if err := ref.cohort.slots.put(ref.member.local, cs.codec, src); err != nil {
-			return fmt.Errorf("fedzkt: storing device %d slot: %w", ref.member.id, err)
-		}
-		return nil
-	}
-	enc, err := cs.codec.Append(ref.member.enc[:0], src)
-	if err != nil {
-		return fmt.Errorf("fedzkt: encoding device %d slot: %w", ref.member.id, err)
-	}
-	ref.member.enc = enc
-	return nil
+	return ref.cohort.slots.installDict(ref.member.local, src, false)
 }
 
 // installPayload replaces a member's slot contents with an encoded
 // container (an uploaded payload or a checkpointed replica), validating
-// its layout against the architecture signature. Encoded slots adopt a
-// copy of the container bytes — verbatim when the payload already uses
-// the configured codec's encoding (the common case: in-process and
-// transport uploads; bit-exact for same-codec checkpoint reloads), or
-// re-encoded when the dtype differs (a cross-codec checkpoint load), so
-// the slot always honours the configured codec's memory bound and
-// nominal-width traffic accounting. Identity in-memory slots decode into
-// their dense dict.
+// its layout against the architecture signature.
 func (cs *cohortSet) installPayload(ref deviceRef, payload []byte) error {
-	entries, err := codec.Layout(payload)
-	if err != nil {
+	if err := ref.cohort.checkPayload(payload); err != nil {
 		return err
 	}
-	if err := ref.cohort.sig.checkLayout(ref.cohort.arch, entries); err != nil {
-		return err
-	}
-	if cs.tiered || cs.quantised {
-		payload, _, err = codec.Reencode(cs.codec, payload)
-		if err != nil {
-			return err
-		}
-		if cs.tiered {
-			if err := ref.cohort.slots.putBytes(ref.member.local, payload); err != nil {
-				return fmt.Errorf("fedzkt: storing device %d slot: %w", ref.member.id, err)
-			}
-			return nil
-		}
-		ref.member.enc = append(ref.member.enc[:0], payload...)
-		return nil
-	}
-	return codec.DecodeInto(payload, ref.member.state)
+	return ref.cohort.slots.installPayload(ref.member.local, payload)
 }
 
 // checkout makes the given devices resident: each member's state is
-// installed in a pooled live module of its shard's cohort (a slice-header
-// swap in identity mode, a codec decode in quantised/tiered mode) and the
+// installed in a pooled live module of its shard's cohort and the
 // module's trainability/training flags are set for the requesting phase.
 // The returned leases follow the order of ids, which must be distinct;
 // with more than one shard, shards are checked out concurrently on the
@@ -699,27 +535,9 @@ func (cs *cohortSet) checkoutShard(ids []int, positions []int, leases []*replica
 		}
 		si := next[ref.cohort]
 		slot := ref.cohort.slot(si, cs.lr)
-		switch {
-		case cs.tiered:
-			enc, err := cs.encOf(ref)
-			if err == nil {
-				err = codec.DecodeInto(enc, slot.sd)
-			}
-			if err != nil {
-				cs.noteFault(id, err)
-				continue // the slot is reused by the next member
-			}
-		case cs.quantised:
-			if err := codec.DecodeInto(ref.member.enc, slot.sd); err != nil {
-				cs.noteFault(id, err)
-				continue
-			}
-		default:
-			if err := slot.binding.Swap(ref.member.state); err != nil {
-				// Absorb and registration validate every state dict against
-				// the architecture, so a mismatch here is a programming error.
-				panic(fmt.Sprintf("fedzkt: checkout device %d: %v", id, err))
-			}
+		if err := ref.cohort.slots.checkout(ref.member.local, slot); err != nil {
+			cs.noteFault(id, err)
+			continue // the pool slot is reused by the next member
 		}
 		next[ref.cohort] = si + 1
 		nn.SetTrainable(slot.module, trainable)
@@ -729,59 +547,29 @@ func (cs *cohortSet) checkoutShard(ids []int, positions []int, leases []*replica
 }
 
 // release returns every leased member's (possibly updated) state to its
-// slot — swapping the dict back out in identity mode, re-encoding
-// writable leases in quantised/tiered mode (read-only leases are dropped
-// unencoded: the slot still holds the authoritative bytes, so read-only
-// phases cause no quantisation drift) — and trims each touched cohort's
+// slot — a read-only lease leaves the stored state as it was, so read-only
+// phases cause no quantisation drift — and trims each touched cohort's
 // pool to the retention bound. Nil leases (members dropped by checkout)
-// are skipped. The returned error is a spill-tier I/O failure on a
-// writable release; read-only releases cannot fail.
+// are skipped. The returned error is a store failure on a writable
+// release (spill-tier I/O); read-only releases cannot fail.
 func (cs *cohortSet) release(leases []*replicaLease) error {
 	var firstErr error
 	for _, l := range leases {
 		if l == nil {
 			continue
 		}
-		switch {
-		case cs.tiered:
-			if !l.writable {
-				continue
-			}
-			ref := cs.devices[l.member.id]
-			if err := ref.cohort.slots.put(l.member.local, cs.codec, l.slot.sd); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("fedzkt: release device %d: %w", l.member.id, err)
-			}
-		case cs.quantised:
-			if !l.writable {
-				continue
-			}
-			enc, err := cs.codec.Append(l.member.enc[:0], l.slot.sd)
-			if err != nil {
-				panic(fmt.Sprintf("fedzkt: release device %d: %v", l.member.id, err))
-			}
-			l.member.enc = enc
-		default:
-			if err := l.slot.binding.Swap(l.member.state); err != nil {
-				panic(fmt.Sprintf("fedzkt: release device %d: %v", l.member.id, err))
-			}
-		}
-	}
-	touched := make(map[*cohort]bool, 4)
-	for _, l := range leases {
-		if l == nil {
-			continue
-		}
 		c := cs.devices[l.member.id].cohort
-		if !touched[c] && cs.retain > 0 && len(c.pool) > cs.retain {
+		if err := c.slots.release(l.member.local, l.slot, l.writable); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("fedzkt: release device %d: %w", l.member.id, err)
+		}
+		if cs.retain > 0 && len(c.pool) > cs.retain {
 			// Nil the trimmed entries before truncating: a plain
 			// re-slice would keep the dropped modules reachable through
-			// the backing array, silently defeating the memory cap.
-			for i := cs.retain; i < len(c.pool); i++ {
-				c.pool[i] = nil
-			}
+			// the backing array, silently defeating the memory cap. The
+			// leases still being released hold their modules themselves.
+			clear(c.pool[cs.retain:])
 			c.pool = c.pool[:cs.retain]
 		}
-		touched[c] = true
 	}
 	return firstErr
 }
@@ -806,16 +594,15 @@ func compactLeases(leases []*replicaLease) []*replicaLease {
 }
 
 // prefetch hints that ids will be checked out soon, warming their cohort
-// hot sets on the background prefetcher goroutine. A no-op outside the
-// tiered store; hints are dropped (never blocking) when the prefetcher is
-// saturated. Prefetch loads only ever insert entries — they never mutate
+// hot sets on the background prefetcher goroutine. A no-op where there is
+// none (the memory store); hints are dropped (never blocking) when the
+// prefetcher is saturated. Prefetch loads only ever insert entries — they never mutate
 // a resident buffer — so a hint can race any phase safely, and values
 // (hence fingerprints) are identical with prefetching on or off.
 func (cs *cohortSet) prefetch(ids []int) {
-	if !cs.tiered || len(ids) == 0 {
+	if cs.prefetchCh == nil || len(ids) == 0 {
 		return
 	}
-	cs.prefetchOnce.Do(cs.startPrefetcher)
 	batch := append([]int(nil), ids...)
 	select {
 	case cs.prefetchCh <- prefetchBatch{ids: batch}:
@@ -843,7 +630,7 @@ func (cs *cohortSet) startPrefetcher() {
 				if err != nil {
 					continue
 				}
-				ref.cohort.slots.prefetchOne(ref.member.local)
+				ref.cohort.slots.prefetch(ref.member.local)
 			}
 			if batch.done != nil {
 				close(batch.done)
@@ -858,13 +645,9 @@ func (cs *cohortSet) startPrefetcher() {
 // cumulative counters that no round's delta ever reports, so per-round
 // sums would stop adding up to the totals.
 func (cs *cohortSet) quiescePrefetch() {
-	if !cs.tiered {
+	if cs.prefetchCh == nil {
 		return
 	}
-	// Starting the prefetcher (if it never ran) keeps this race-free: the
-	// channel exists exactly when the goroutine does, and close() already
-	// handles an idle prefetcher uniformly.
-	cs.prefetchOnce.Do(cs.startPrefetcher)
 	done := make(chan struct{})
 	cs.prefetchCh <- prefetchBatch{done: done}
 	<-done
@@ -873,18 +656,14 @@ func (cs *cohortSet) quiescePrefetch() {
 // close stops the prefetcher and releases every spill file. Idempotent.
 func (cs *cohortSet) close() error {
 	cs.closeOnce.Do(func() {
-		// Starting the prefetcher (if it never ran) makes shutdown
-		// uniform: the channel exists exactly when the goroutine does.
 		if cs.prefetchCh != nil {
 			close(cs.prefetchCh)
 			cs.prefetchWG.Wait()
 		}
 		for _, sh := range cs.shards {
 			for _, c := range sh.cohorts {
-				if c.slots != nil {
-					if err := c.slots.close(); err != nil && cs.closeErr == nil {
-						cs.closeErr = err
-					}
+				if err := c.slots.close(); err != nil && cs.closeErr == nil {
+					cs.closeErr = err
 				}
 			}
 		}

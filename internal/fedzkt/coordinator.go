@@ -137,8 +137,8 @@ type Config struct {
 	SpillDir string
 	// VirtualDevices simulates devices without keeping per-device live
 	// models: a device's model is materialised from its seeded initial
-	// state (or its last download, kept in a per-arch tiered store) only
-	// while its local phase or evaluation runs, then evicted. Round
+	// state (or its last download, kept in a per-arch bounded slot store)
+	// only while its local phase or evaluation runs, then evicted. Round
 	// outcomes are byte-identical to live devices; requires
 	// RoundDeadline = 0 (a straggler's partial local progress cannot
 	// survive eviction).
@@ -253,34 +253,50 @@ const (
 	TeacherSamplingWeighted = "weighted"
 )
 
-// validateCohorts checks the cohort/teacher-sampling configuration.
-func (c Config) validateCohorts() error {
-	if c.TeachersPerIter < 0 {
-		return fmt.Errorf("fedzkt: negative TeachersPerIter %d", c.TeachersPerIter)
+// Validate reports the first value out of range, unknown mode name or
+// combination no engine supports, by field name. Zero fields are valid:
+// they take the documented defaults. NewServer calls it, so every way to
+// build a federation — New, an Engine over a Server, the transport server
+// — rejects the same configurations with the same words.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"TeachersPerIter", c.TeachersPerIter}, {"CohortReplicas", c.CohortReplicas},
+		{"ReplicaShards", c.ReplicaShards}, {"HotSet", c.HotSet}, {"EvalDevices", c.EvalDevices},
+		{"SampleK", c.SampleK}, {"PipelineDepth", c.PipelineDepth},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("fedzkt: negative %s %d", f.name, f.v)
+		}
 	}
-	if c.CohortReplicas < 0 {
-		return fmt.Errorf("fedzkt: negative CohortReplicas %d", c.CohortReplicas)
+	if c.ActiveFraction < 0 || c.ActiveFraction > 1 {
+		return fmt.Errorf("fedzkt: active fraction %v outside (0,1]", c.ActiveFraction)
 	}
 	switch c.TeacherSampling {
-	case "", TeacherSamplingUniform, TeacherSamplingWeighted:
+	case "", TeacherSamplingUniform:
+	case TeacherSamplingWeighted:
+		if c.TeachersPerIter == 0 {
+			return fmt.Errorf("fedzkt: TeacherSampling %q requires TeachersPerIter > 0 (the exact full-ensemble mode is unweighted by definition)", c.TeacherSampling)
+		}
 	default:
 		return fmt.Errorf("fedzkt: unknown TeacherSampling %q (want %q or %q)",
 			c.TeacherSampling, TeacherSamplingUniform, TeacherSamplingWeighted)
 	}
-	if c.TeacherSampling == TeacherSamplingWeighted && c.TeachersPerIter == 0 {
-		return fmt.Errorf("fedzkt: TeacherSampling %q requires TeachersPerIter > 0 (the exact full-ensemble mode is unweighted by definition)", c.TeacherSampling)
+	switch c.ReplicaStore {
+	case "", ReplicaStoreMemory, ReplicaStoreSpill:
+	default:
+		return fmt.Errorf("fedzkt: unknown ReplicaStore %q (want %q or %q)", c.ReplicaStore, ReplicaStoreMemory, ReplicaStoreSpill)
 	}
-	if !validStoreMode(c.ReplicaStore) {
-		return storeModeError(c.ReplicaStore)
+	if _, err := codec.Get(c.StateCodec); err != nil {
+		return fmt.Errorf("fedzkt: %w", err)
 	}
-	if c.ReplicaShards < 0 {
-		return fmt.Errorf("fedzkt: negative ReplicaShards %d", c.ReplicaShards)
+	if c.SampleWeighted && c.SampleK == 0 {
+		return fmt.Errorf("fedzkt: SampleWeighted requires SampleK > 0")
 	}
-	if c.HotSet < 0 {
-		return fmt.Errorf("fedzkt: negative HotSet %d", c.HotSet)
-	}
-	if c.EvalDevices < 0 {
-		return fmt.Errorf("fedzkt: negative EvalDevices %d", c.EvalDevices)
+	if c.VirtualDevices && c.RoundDeadline > 0 {
+		return fmt.Errorf("fedzkt: VirtualDevices requires RoundDeadline = 0 (a deadline straggler's partial local progress cannot survive model eviction)")
 	}
 	return nil
 }
@@ -320,9 +336,8 @@ type Coordinator struct {
 	// Virtual-device mode (Config.VirtualDevices): device models exist
 	// only while their local phase or evaluation runs, borrowed from the
 	// worker's rig; between rounds a device is its last download in
-	// devStore — one tiered store per architecture holding the wire
-	// payload verbatim (the run codec's container; a float64 container on
-	// the identity path). Decoding it into the rig's module yields exactly
+	// devStore — one bounded slot store per architecture holding the wire
+	// payload verbatim. Decoding it into the rig's module yields exactly
 	// the values a live device holds after the same download, so the
 	// materialised model is bit-identical to a resident one. A device that
 	// never downloaded has no entry: its state is its seeded initial
@@ -346,9 +361,6 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 	}
 	if len(archs) == 0 {
 		return nil, fmt.Errorf("fedzkt: no architectures")
-	}
-	if cfg.VirtualDevices && cfg.RoundDeadline > 0 {
-		return nil, fmt.Errorf("fedzkt: VirtualDevices requires RoundDeadline = 0 (a deadline straggler's partial local progress cannot survive model eviction)")
 	}
 	in := model.Shape{C: ds.C, H: ds.H, W: ds.W}
 	rigs := &rigStats{}
@@ -382,7 +394,7 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 		return nil, err
 	}
 	c := &Coordinator{pool: pool, codec: server.Codec(), rigs: rigs}
-	// The scheduler configuration is validated here, before the expensive
+	// The configuration was validated by NewServer, before the expensive
 	// device build: at device scale, constructing a thousand models just to
 	// reject a bad option would waste seconds.
 	if c.Engine, err = NewEngine(server, ds, shards, c); err != nil {
@@ -411,7 +423,7 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 			// initial state on first participation, and the server's lazy
 			// (nil-initial) registration defines the replica as exactly
 			// that state — registration is O(1) per device under the
-			// tiered store.
+			// spill store.
 			dev = fed.NewDevice(i, arch, nil, data.NewSubset(ds, shards[i]))
 			id, err = server.RegisterSized(arch, nil, len(shards[i]))
 		} else {
@@ -439,9 +451,9 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 	return c, nil
 }
 
-// initVirtual sets up the virtual-device stores: one tiered store per
-// architecture in use. Stores are created eagerly so the map is read-only
-// once rounds run concurrently.
+// initVirtual sets up the virtual-device stores: one bounded slot store
+// per architecture in use. Stores are created eagerly so the map is
+// read-only once rounds run concurrently.
 func (c *Coordinator) initVirtual(archs []string) error {
 	c.virtual = true
 	dir := c.cfg.SpillDir
@@ -465,18 +477,15 @@ func (c *Coordinator) initVirtual(archs []string) error {
 		}
 		return 256
 	}
-	// A never-downloaded device has no store entry to rebuild: its state is
-	// re-seeded straight into a rig module (deviceModule), so the store is
-	// only ever asked for slots it holds.
-	init := func(id int) ([]byte, error) {
-		return nil, fmt.Errorf("fedzkt: device %d has no stored download", id)
-	}
 	for _, arch := range archs {
 		if _, ok := c.devStore[arch]; ok {
 			continue
 		}
+		// No virgin hook: a never-downloaded device is re-seeded straight
+		// into a rig module (deviceModule), so the store is only ever asked
+		// for slots it holds.
 		path := filepath.Join(dir, "dev-"+arch+".spill")
-		c.devStore[arch] = newTieredSlots(path, capFn, init, &c.devCounters)
+		c.devStore[arch] = newTieredSlots(c.codec, path, capFn, nil, &c.devCounters)
 	}
 	return nil
 }
@@ -505,7 +514,9 @@ func (c *Coordinator) deviceModule(rig *deviceRig, id int) (m nn.Module, enc []b
 // rig's live module for the duration of a task: the seeded initial state
 // (and, like a resident device before its first download, no proximal
 // anchor), or its last download through the download path, which also
-// restores the anchor. The caller evicts the device when the task ends.
+// restores the anchor — captured, when the proximal term is on, in the
+// rig's buffer rather than in a clone per materialisation. The caller
+// evicts the device when the task ends.
 func (c *Coordinator) materialiseDevice(rig *deviceRig, id int) error {
 	d := c.devices[id]
 	m, enc, err := c.deviceModule(rig, id)
@@ -519,23 +530,22 @@ func (c *Coordinator) materialiseDevice(rig *deviceRig, id int) error {
 	if err := d.DownloadPayload(enc); err != nil {
 		return fmt.Errorf("fedzkt: materialising device %d: %w", id, err)
 	}
+	if c.cfg.ProxMu > 0 {
+		d.LendAnchor(rig.anchor(d.Arch, m))
+	}
 	return nil
 }
 
 // DeviceStoreStats snapshots the virtual-device store (zero-valued, mode
 // "memory", when VirtualDevices is off).
 func (c *Coordinator) DeviceStoreStats() ReplicaStoreStats {
-	st := ReplicaStoreStats{Mode: ReplicaStoreMemory, Shards: 1}
-	if !c.virtual {
-		return st
+	mode := ReplicaStoreMemory
+	if c.virtual {
+		mode = ReplicaStoreSpill
 	}
-	st.Mode = ReplicaStoreSpill
-	st.Hits = c.devCounters.hits.Load()
-	st.Misses = c.devCounters.misses.Load()
-	st.InitBuilds = c.devCounters.initBuilds.Load()
-	st.Evictions = c.devCounters.evictions.Load()
+	st := c.devCounters.snapshot(mode, 1)
 	for _, ts := range c.devStore {
-		ts.accumulateStats(&st)
+		ts.addStats(&st)
 	}
 	return st
 }
@@ -549,11 +559,9 @@ func (c *Coordinator) DeviceRigStats() (builds, reuses int64) {
 	return c.rigs.builds.Load(), c.rigs.reuses.Load()
 }
 
-// PayloadBufferStats reports how the dense upload and download copies of
-// the identity-codec path were served so far: by building a buffer — at
-// most as many as were ever in flight at once — or by reusing a returned
-// one. Both stay zero under a quantised codec, whose payloads are encoded
-// containers.
+// PayloadBufferStats reports how the payload buffers of uploads and
+// downloads were served so far: by building one — at most as many as were
+// ever in flight at once — or by reusing a returned one.
 func (c *Coordinator) PayloadBufferStats() (built, reused int64) {
 	return c.payloads.built.Load(), c.payloads.reused.Load()
 }
@@ -694,25 +702,18 @@ func (c *Coordinator) EvaluateDevices(ids []int) ([]float64, error) {
 // device — the live model, or in virtual mode the device's store slot,
 // which keeps the wire payload as it arrived (after a header-only layout
 // check; elements are decoded once, into the rig's module, on the
-// device's next materialisation) or, on the identity path, the dense
-// state's float64 container. A live device's model would hold exactly
-// these values after the download, which is what the next
+// device's next materialisation). A live device's model would hold
+// exactly these values after the download, which is what the next
 // materialisation reproduces.
 func (c *Coordinator) Deliver(_, id int, p Payload) error {
 	d := c.devices[id]
-	defer c.payloads.give(p)
+	defer c.payloads.give(d.Arch, p.Enc)
 	if !c.virtual {
-		if p.dense != nil {
-			return d.Download(p.dense)
-		}
 		return d.DownloadPayload(p.Enc)
 	}
-	ts := c.devStore[d.Arch]
-	var err error
-	if p.dense != nil {
-		err = ts.put(id, c.codec, p.dense)
-	} else if err = c.server.CheckPayload(id, p.Enc); err == nil {
-		err = ts.putBytes(id, p.Enc)
+	err := c.server.CheckPayload(id, p.Enc)
+	if err == nil {
+		err = c.devStore[d.Arch].putBytes(id, p.Enc)
 	}
 	if err != nil {
 		return fmt.Errorf("fedzkt: device %d download: %w", id, err)
@@ -735,9 +736,9 @@ func (c *Coordinator) CloseRound(m *fed.RoundMetrics) error {
 // LocalPhase implements Fleet: it runs Algorithm 2 on every sampled device
 // via the sharded scheduler and returns the uploads of the devices that
 // completed within the round in wire form — encoded with the run's codec,
-// exactly the bytes a real uplink would carry, or dense copies on the
-// identity fast path — in ascending-id order. Devices that miss the
-// deadline or are failure-injected drop out of this round's aggregation.
+// exactly the bytes a real uplink would carry — in ascending-id order.
+// Devices that miss the deadline or are failure-injected drop out of this
+// round's aggregation.
 // Each task stages its own upload on its worker right after the local
 // update, which is what lets a virtual device hand the rig's module back
 // when its task ends (and keeps the encode off the engine's goroutine);
@@ -798,7 +799,7 @@ func (c *Coordinator) LocalPhase(ctx context.Context, round int, active []int, m
 	for pos, r := range c.pool.RunRound(ctx, round, tasks) {
 		if r.Status != sched.StatusCompleted {
 			// A late or failed task's staged upload goes nowhere.
-			c.payloads.give(staged[pos])
+			c.payloads.give(c.devices[r.Device].Arch, staged[pos].Enc)
 		}
 		switch r.Status {
 		case sched.StatusCompleted:
@@ -825,19 +826,14 @@ func (c *Coordinator) LocalPhase(ctx context.Context, round int, active []int, m
 	return uploads, nil
 }
 
-// stageUpload captures d's trained state in wire form plus its element
-// count for traffic accounting: the codec container, or a dense deep copy
-// on the identity fast path.
+// stageUpload captures d's trained state in wire form — the codec reads
+// the live tensors straight into a recycled buffer — plus its element
+// count for traffic accounting.
 func (c *Coordinator) stageUpload(d *fed.Device) (Payload, int, error) {
-	if codec.Identity(c.codec) {
-		sd := c.payloads.take(d.Arch)
-		if sd == nil {
-			sd = d.Upload()
-		} else if err := sd.LoadFrom(nn.CaptureState(d.Model)); err != nil {
-			return Payload{}, 0, fmt.Errorf("fedzkt: device %d upload: %w", d.ID, err)
-		}
-		return Payload{dense: sd, arch: d.Arch}, sd.Numel(), nil
+	sd := nn.CaptureState(d.Model)
+	enc, err := c.codec.Append(c.payloads.take(d.Arch), sd)
+	if err != nil {
+		return Payload{}, 0, fmt.Errorf("fedzkt: device %d upload: %w", d.ID, err)
 	}
-	payload, numel, err := d.UploadPayload(c.codec)
-	return Payload{Enc: payload}, numel, err
+	return Payload{Enc: enc}, sd.Numel(), nil
 }

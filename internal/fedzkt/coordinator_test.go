@@ -2,7 +2,9 @@ package fedzkt
 
 import (
 	"context"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/fedzkt/fedzkt/internal/data"
 	"github.com/fedzkt/fedzkt/internal/nn"
@@ -65,6 +67,52 @@ func TestNewValidation(t *testing.T) {
 	badPool.FailureRate = 1.5
 	if _, err := New(badPool, ds, []string{"cnn"}, shards); err == nil {
 		t.Fatal("want error for failure rate outside [0,1)")
+	}
+}
+
+// TestConfigValidate lists every configuration Validate rejects, by the
+// words it uses — and NewServer, through which New and the transport
+// server are built, must say the same.
+func TestConfigValidate(t *testing.T) {
+	for _, tc := range []struct {
+		mutate func(*Config)
+		want   string
+	}{
+		{func(c *Config) { c.TeachersPerIter = -1 }, "negative TeachersPerIter -1"},
+		{func(c *Config) { c.CohortReplicas = -2 }, "negative CohortReplicas -2"},
+		{func(c *Config) { c.ReplicaShards = -1 }, "negative ReplicaShards -1"},
+		{func(c *Config) { c.HotSet = -2 }, "negative HotSet -2"},
+		{func(c *Config) { c.EvalDevices = -1 }, "negative EvalDevices -1"},
+		{func(c *Config) { c.SampleK = -3 }, "negative SampleK -3"},
+		{func(c *Config) { c.PipelineDepth = -1 }, "negative PipelineDepth -1"},
+		{func(c *Config) { c.ActiveFraction = 1.5 }, "active fraction 1.5 outside (0,1]"},
+		{func(c *Config) { c.ActiveFraction = -0.1 }, "active fraction -0.1 outside (0,1]"},
+		{func(c *Config) { c.TeacherSampling = "psychic" }, `unknown TeacherSampling "psychic" (want "uniform" or "weighted")`},
+		{func(c *Config) { c.TeacherSampling = TeacherSamplingWeighted }, `TeacherSampling "weighted" requires TeachersPerIter > 0`},
+		{func(c *Config) { c.ReplicaStore = "tape" }, `unknown ReplicaStore "tape" (want "memory" or "spill")`},
+		{func(c *Config) { c.StateCodec = "float8" }, `unknown state codec "float8"`},
+		{func(c *Config) { c.SampleWeighted = true }, "SampleWeighted requires SampleK > 0"},
+		{func(c *Config) { c.VirtualDevices, c.RoundDeadline = true, time.Second }, "VirtualDevices requires RoundDeadline = 0"},
+	} {
+		cfg := tinyConfig()
+		tc.mutate(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Validate() = %v, want an error containing %q", err, tc.want)
+			continue
+		}
+		if _, serr := NewServer(cfg, tinyShape(), 4); serr == nil || serr.Error() != err.Error() {
+			t.Errorf("NewServer rejects with %v, Validate with %v", serr, err)
+		}
+	}
+	if err := (Config{}).Validate(); err != nil {
+		t.Errorf("the zero Config is all defaults, rejected: %v", err)
+	}
+	ok := tinyConfig()
+	ok.TeacherSampling, ok.TeachersPerIter, ok.SampleWeighted, ok.SampleK = TeacherSamplingWeighted, 2, true, 2
+	ok.VirtualDevices, ok.ReplicaStore, ok.StateCodec = true, ReplicaStoreSpill, "int8"
+	if err := ok.Validate(); err != nil {
+		t.Errorf("a valid configuration rejected: %v", err)
 	}
 }
 

@@ -40,27 +40,23 @@ import (
 	"time"
 
 	"github.com/fedzkt/fedzkt/internal/chaos"
-	"github.com/fedzkt/fedzkt/internal/codec"
 	"github.com/fedzkt/fedzkt/internal/data"
 	"github.com/fedzkt/fedzkt/internal/fed"
-	"github.com/fedzkt/fedzkt/internal/nn"
 	"github.com/fedzkt/fedzkt/internal/obs"
 	"github.com/fedzkt/fedzkt/internal/sched"
 	"github.com/fedzkt/fedzkt/internal/tensor"
 )
 
 // Payload carries one model state between a fleet and the server: the
-// codec container, exactly the bytes a real link carries. In process, on
-// the identity codec, it is instead a dense copy in a recycled buffer
-// (the float64 container round trip is bit-identical — pinned by
-// TestFloat64CodecMatchesDefault — so it would only add an encode/decode
-// pass per device); whoever consumes a dense payload gives its buffer
-// back. Either form is an independent copy, safe to hand across stages.
+// codec container, exactly the bytes a real link carries, and the only
+// form a state takes between a device's tensors and a replica slot. Each
+// hop is one pass over the elements (encode from the live tensors, copy or
+// decode into the slot, copy out of the slot, decode into the live
+// tensors), in process as over TCP; in process the bytes live in recycled
+// buffers (payloadBuffers) that whoever consumes a payload gives back. A
+// payload is an independent copy, safe to hand across stages.
 type Payload struct {
 	Enc []byte
-
-	dense nn.StateDict
-	arch  string
 }
 
 // Upload is one device's trained state on its way into the server
@@ -108,8 +104,8 @@ type Engine struct {
 	server  *Server
 	sampler sched.Sampler
 	fleet   Fleet
-	// payloads is an in-process fleet's free list of dense state buffers;
-	// nil publishes codec containers.
+	// payloads is an in-process fleet's free list of payload buffers; nil
+	// allocates every published payload.
 	payloads *payloadBuffers
 
 	// nextRound is the first round the next Run call executes: 1 for a
@@ -133,15 +129,6 @@ type Engine struct {
 // (their sizes weight SampleWeighted); ds is the evaluation dataset.
 func NewEngine(server *Server, ds *data.Dataset, shards [][]int, fleet Fleet) (*Engine, error) {
 	cfg := server.Config()
-	if cfg.ActiveFraction < 0 || cfg.ActiveFraction > 1 {
-		return nil, fmt.Errorf("fedzkt: active fraction %v outside (0,1]", cfg.ActiveFraction)
-	}
-	if cfg.SampleK < 0 {
-		return nil, fmt.Errorf("fedzkt: negative SampleK %d", cfg.SampleK)
-	}
-	if cfg.PipelineDepth < 0 {
-		return nil, fmt.Errorf("fedzkt: negative PipelineDepth %d", cfg.PipelineDepth)
-	}
 	sampler, err := buildSampler(cfg, shards)
 	if err != nil {
 		return nil, err
@@ -163,8 +150,6 @@ func buildSampler(cfg Config, shards [][]int) (s sched.Sampler, err error) {
 		s, err = sched.NewWeightedByData(weights, cfg.SampleK)
 	case cfg.SampleK > 0:
 		s, err = sched.NewUniformK(cfg.SampleK)
-	case cfg.SampleWeighted:
-		return nil, fmt.Errorf("fedzkt: SampleWeighted requires SampleK > 0")
 	default:
 		s, err = sched.NewFraction(cfg.ActiveFraction)
 	}
@@ -424,12 +409,9 @@ func (e *Engine) serverStage(ctx context.Context, w roundWork, handOff func(down
 func (e *Engine) absorb(m *fed.RoundMetrics, uploads []Upload) ([]int, error) {
 	ids := make([]int, 0, len(uploads))
 	for _, u := range uploads {
-		var err error
-		if u.dense != nil {
-			err = e.server.Absorb(u.ID, u.dense)
-			e.payloads.give(u.Payload)
-		} else {
-			err = e.server.AbsorbPayload(u.ID, u.Enc)
+		err := e.server.AbsorbPayload(u.ID, u.Enc)
+		if ref, rerr := e.server.cohorts.ref(u.ID); rerr == nil {
+			e.payloads.give(ref.cohort.arch, u.Enc) // the slot keeps its own copy
 		}
 		if err != nil {
 			if err := e.fleet.UploadRejected(u, fmt.Errorf("fedzkt: upload device %d: %w", u.ID, err)); err != nil {
@@ -455,16 +437,12 @@ func (e *Engine) absorb(m *fed.RoundMetrics, uploads []Upload) ([]int, error) {
 
 // publish returns device id's post-round replica in wire form.
 func (e *Engine) publish(id int) (Payload, error) {
-	if e.payloads == nil || !codec.Identity(e.server.Codec()) {
-		b, _, err := e.server.ReplicaPayload(id)
-		return Payload{Enc: b}, err
-	}
-	arch, err := e.server.DeviceArch(id)
+	ref, err := e.server.cohorts.ref(id)
 	if err != nil {
 		return Payload{}, err
 	}
-	sd, err := e.server.ReplicaStateInto(id, e.payloads.take(arch))
-	return Payload{dense: sd, arch: arch}, err
+	b, err := e.server.cohorts.appendPayload(ref, e.payloads.take(ref.cohort.arch))
+	return Payload{Enc: b}, err
 }
 
 // evaluate fills in round m's accuracies: the global model, and per

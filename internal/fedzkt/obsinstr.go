@@ -86,9 +86,9 @@ func registerFleetMetrics(reg *obs.Registry, rigs *rigStats, payloads *payloadBu
 		func() float64 { return float64(rigs.builds.Load()) })
 	reg.RegisterCounterFunc("fedzkt_device_rig_reuses_total", "virtual-device materialisations served by a rig's live module",
 		func() float64 { return float64(rigs.reuses.Load()) })
-	reg.RegisterCounterFunc("fedzkt_payload_buffers_built_total", "dense upload/download buffers allocated (at most the peak number in flight)",
+	reg.RegisterCounterFunc("fedzkt_payload_buffers_built_total", "upload/download payload buffers allocated (at most the peak number in flight)",
 		func() float64 { return float64(payloads.built.Load()) })
-	reg.RegisterCounterFunc("fedzkt_payload_buffers_reused_total", "dense uploads/downloads served by a recycled buffer",
+	reg.RegisterCounterFunc("fedzkt_payload_buffers_reused_total", "uploads/downloads served by a recycled payload buffer",
 		func() float64 { return float64(payloads.reused.Load()) })
 }
 

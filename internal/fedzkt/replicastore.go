@@ -1,22 +1,40 @@
 package fedzkt
 
-// The tiered replica store behind the cohort slot API (ISSUE 8).
+// State at rest: the slot stores behind the cohort registry (cohort.go)
+// and the virtual-device store (coordinator.go).
 //
-// In tiered mode a member's encoded container does not live in the member
-// record: it lives in its cohort's tieredSlots — an LRU hot set of byte
-// buffers sized to the teacher/transfer-back window, backed by a
-// fixed-stride spill file (codec.SpillFile) that dirty entries are
-// written to on eviction. Three properties make the tier invisible to
-// the arithmetic:
+// Whatever crosses a seam of this system — an upload, a download, a spill
+// record, a checkpointed replica — is one thing, a model's state as codec
+// container bytes. slotStore is where such states rest between uses, keyed
+// by a small integer, and it has exactly two backings, chosen once per
+// cohort (cohortSet.cohortFor) from the configuration:
 //
-//   - byte identity: the store holds exactly the container bytes the
-//     in-memory mode would hold in member.enc; the spill round trip is a
-//     verbatim byte copy, so fingerprints are identical with the tier on
-//     or off (the float64 container itself is bit-exact, pinned by the
-//     codec tests).
-//   - virgin reconstruction: a slot that has never been written is not
-//     stored at all. Its content is defined as the encoding of the
-//     device's seeded initial state, rebuilt on first touch from the
+//   - denseSlots: a dense nn.StateDict per slot, made resident in a pooled
+//     module by an O(#tensors) slice-header exchange (nn.StateBinding) — no
+//     element copy. Serves the identity codec on the memory store, and only
+//     it: measured on fleet1k_sync (1,000 devices, 420 MB of float64
+//     state), holding float64 containers instead costs 25–30 % more set-up
+//     CPU (0.35 → 0.45 s; the bench's setup_s read 0.42–0.53 → 0.52–0.93
+//     against a 0.25 bound), because encoding into fresh memory runs at
+//     2.8 GB/s where the registration Clone's memmove runs at 5.1. Dense is
+//     a backing, not a code path: nothing outside this file can tell.
+//   - tieredSlots: the container bytes themselves in an LRU hot set, decoded
+//     into the pooled module on checkout and re-encoded on a writable
+//     release only. Its bound is either none — the whole cohort stays hot
+//     and no file is ever opened, which is the quantised codecs on the
+//     memory store — or a hot-set size over a fixed-stride spill file
+//     (codec.SpillFile) that dirty entries are written to on eviction: the
+//     server's spill store and the virtual-device store.
+//
+// Three properties make the tier invisible to the arithmetic:
+//
+//   - byte identity: a slot holds exactly the container the configured
+//     codec produces, the spill round trip is a verbatim byte copy and the
+//     float64 container is bit-exact (pinned by the codec tests), so
+//     fingerprints are identical across backings and bounds.
+//   - virgin reconstruction: under a bound, a slot that has never been
+//     written is not stored at all. Its content is defined as the encoding
+//     of the device's seeded initial state, rebuilt on first touch from the
 //     registration seed — bit-identical to what eager registration would
 //     have stored, which is what makes million-device registration O(1)
 //     per device in both memory and disk.
@@ -63,16 +81,29 @@ type storeCounters struct {
 	spillWriteErrors atomic.Int64
 }
 
+// snapshot starts a stats snapshot from the counters; the stores add their
+// residency and file traffic (slotStore.addStats).
+func (c *storeCounters) snapshot(mode string, shards int) ReplicaStoreStats {
+	return ReplicaStoreStats{
+		Mode: mode, Shards: shards,
+		Hits: c.hits.Load(), Misses: c.misses.Load(),
+		PrefetchIssued: c.prefetchIssued.Load(), PrefetchLoaded: c.prefetchLoaded.Load(), PrefetchHits: c.prefetchHits.Load(),
+		InitBuilds: c.initBuilds.Load(), Evictions: c.evictions.Load(),
+		ReplicaFaults: c.replicaFaults.Load(),
+	}
+}
+
 // ReplicaStoreStats is a point-in-time snapshot of the server's replica
 // store: residency, hot-set effectiveness, prefetch overlap and spill
-// traffic. Zero-valued (with Mode "memory") for an untiered server.
+// traffic. The memory store keeps every slot resident: it never misses,
+// evicts, rebuilds or touches a file.
 type ReplicaStoreStats struct {
 	// Mode is the store mode in effect ("memory" or "spill").
 	Mode string
 	// Shards is the number of cohort-store shards.
 	Shards int
-	// HotEntries and HotBytes describe the currently resident hot set
-	// across all cohorts and shards.
+	// HotEntries and HotBytes describe the currently resident slots across
+	// all cohorts and shards (every slot, under the memory store).
 	HotEntries int
 	HotBytes   int64
 	// Hits and Misses count checkout lookups served from the hot set vs
@@ -137,6 +168,83 @@ func (s ReplicaStoreStats) Sub(prev ReplicaStoreStats) ReplicaStoreStats {
 	return d
 }
 
+// slotStore is one cohort's states at rest, keyed by the member's index
+// within the cohort. Callers validate layouts against the architecture
+// signature first and serialise access per slot; distinct slots may be
+// used concurrently.
+type slotStore interface {
+	// installDict replaces slot i's state with sd's values. The store may
+	// keep an owned sd itself instead of copying it.
+	installDict(i int, sd nn.StateDict, owned bool) error
+	// installPayload replaces slot i's state with a container's, converted
+	// to the store's codec when its element encoding differs.
+	installPayload(i int, payload []byte) error
+	// appendPayload appends slot i's container, in the store's codec, to dst.
+	appendPayload(dst []byte, i int) ([]byte, error)
+	// checkout makes slot i's state resident in a pooled module, until the
+	// matching release; a writable release stores the module's state back,
+	// a read-only one leaves the stored bytes untouched.
+	checkout(i int, into *replicaSlot) error
+	release(i int, from *replicaSlot, writable bool) error
+	// virgin reports that slot i was never written and is stored nowhere:
+	// its content is still the seeded registration state.
+	virgin(i int) bool
+	// prefetch warms slot i ahead of a checkout, if it is cold.
+	prefetch(i int)
+	// addStats adds the store's resident entries and bytes, and its spill
+	// file's traffic, to st.
+	addStats(st *ReplicaStoreStats)
+	close() error
+}
+
+// denseSlots is the slotStore of the identity codec on the memory store:
+// one dense float64 dict per slot, exchanged with the pooled module's own
+// tensors by slice header (see the file comment for why it exists).
+type denseSlots struct {
+	codec  codec.Codec // identity: the payload encoding
+	numel  int
+	states []nn.StateDict
+}
+
+func (d *denseSlots) installDict(i int, sd nn.StateDict, owned bool) error {
+	if i < len(d.states) {
+		return d.states[i].LoadFrom(sd)
+	}
+	// Registration: slots fill in index order.
+	if !owned {
+		sd = sd.Clone()
+	}
+	d.states = append(d.states, sd)
+	return nil
+}
+
+func (d *denseSlots) installPayload(i int, payload []byte) error {
+	return codec.DecodeInto(payload, d.states[i])
+}
+
+func (d *denseSlots) appendPayload(dst []byte, i int) ([]byte, error) {
+	return d.codec.Append(dst, d.states[i])
+}
+
+func (d *denseSlots) checkout(i int, into *replicaSlot) error {
+	return into.binding.Swap(d.states[i])
+}
+
+// release swaps the dict back out, writable or not: the module was
+// computing on the slot's own tensors.
+func (d *denseSlots) release(i int, from *replicaSlot, _ bool) error {
+	return from.binding.Swap(d.states[i])
+}
+
+func (d *denseSlots) virgin(int) bool { return false }
+func (d *denseSlots) prefetch(int)    {}
+func (d *denseSlots) close() error    { return nil }
+
+func (d *denseSlots) addStats(st *ReplicaStoreStats) {
+	st.HotEntries += len(d.states)
+	st.HotBytes += int64(len(d.states)) * int64(d.numel) * 8
+}
+
 // hotEntry is one resident member buffer in a cohort's hot set, linked
 // into the LRU list (head = most recent). The buffer is owned by the
 // entry and is never recycled on eviction — a lease that borrowed the
@@ -150,11 +258,11 @@ type hotEntry struct {
 	prev, next *hotEntry
 }
 
-// tieredSlots is one cohort shard's slot storage in spill mode: the hot
-// set, the LRU list, the spill file (created lazily at first eviction)
-// and the virgin-reconstruction hook. All access is serialised by mu;
-// the prefetcher performs its loads under the same lock, so record reads
-// can never race an eviction's write of the same slot.
+// tieredSlots is the slotStore of container bytes: the hot set, the LRU
+// list, and — when bounded — the spill file (created lazily at first
+// eviction) and the virgin-reconstruction hook. All access is serialised
+// by mu; the prefetcher performs its loads under the same lock, so record
+// reads can never race an eviction's write of the same slot.
 type tieredSlots struct {
 	mu   sync.Mutex
 	hot  map[int]*hotEntry
@@ -162,22 +270,27 @@ type tieredSlots struct {
 	tail *hotEntry
 	file *codec.SpillFile
 
+	// codec encodes dicts into slots; payloads in other encodings are
+	// converted to it.
+	codec codec.Codec
 	// capFn returns the live hot-set bound (members keep registering
 	// after the store is built, and the auto policy depends on the final
-	// cohort size).
+	// cohort size). Nil leaves the set unbounded: nothing is ever evicted
+	// and no file is opened.
 	capFn func() int
 	// spillPath names the lazily created spill file.
 	spillPath string
 	// init rebuilds a virgin member's encoded container from its
-	// registration seed.
+	// registration seed; nil where every slot is written before it is read.
 	init func(local int) ([]byte, error)
 
 	counters *storeCounters
 }
 
-func newTieredSlots(spillPath string, capFn func() int, init func(int) ([]byte, error), counters *storeCounters) *tieredSlots {
+func newTieredSlots(c codec.Codec, spillPath string, capFn func() int, init func(int) ([]byte, error), counters *storeCounters) *tieredSlots {
 	return &tieredSlots{
 		hot:       make(map[int]*hotEntry),
+		codec:     c,
 		capFn:     capFn,
 		spillPath: spillPath,
 		init:      init,
@@ -232,10 +345,10 @@ func (ts *tieredSlots) insert(e *hotEntry) error {
 // evictOver evicts least-recent entries until the hot set is within its
 // bound, writing dirty buffers to the spill file. Callers hold mu.
 func (ts *tieredSlots) evictOver() error {
-	bound := ts.capFn()
-	if bound < 1 {
-		bound = 1
+	if ts.capFn == nil {
+		return nil
 	}
+	bound := max(ts.capFn(), 1)
 	for len(ts.hot) > bound {
 		e := ts.tail
 		if e == nil {
@@ -288,14 +401,17 @@ func (ts *tieredSlots) load(local int) ([]byte, error) {
 		span.End()
 		return b, err
 	}
+	if ts.init == nil {
+		return nil, fmt.Errorf("fedzkt: slot %d holds no state", local)
+	}
 	ts.counters.initBuilds.Add(1)
 	return ts.init(local)
 }
 
 // get returns member local's container bytes, making it hot. The bytes
 // are owned by the store; callers decode or copy, and mutate a slot only
-// through put/putBytes. A load or decode-source failure is returned for
-// the caller to degrade on (drop the member, record a fault).
+// through the install methods and a writable release. A load failure is
+// returned for the caller to degrade on (drop the member, record a fault).
 func (ts *tieredSlots) get(local int) ([]byte, error) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
@@ -320,17 +436,17 @@ func (ts *tieredSlots) get(local int) ([]byte, error) {
 	return e.enc, nil
 }
 
-// put replaces member local's bytes with the encoding of sd, reusing the
-// hot buffer when the member is resident. The entry becomes dirty (the
-// spill record, if any, is stale until the next eviction).
-func (ts *tieredSlots) put(local int, c codec.Codec, sd nn.StateDict) error {
+// put replaces member local's bytes with what fill makes of the member's
+// hot buffer, emptied (nil for a non-resident member), and marks the entry
+// dirty: the spill record, if any, is stale until the next eviction.
+func (ts *tieredSlots) put(local int, fill func(buf []byte) ([]byte, error)) error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	e, ok := ts.hot[local]
 	if !ok {
 		e = &hotEntry{local: local}
 	}
-	enc, err := c.Append(e.enc[:0], sd)
+	enc, err := fill(e.enc[:0])
 	if err != nil {
 		return err
 	}
@@ -344,29 +460,59 @@ func (ts *tieredSlots) put(local int, c codec.Codec, sd nn.StateDict) error {
 	return ts.insert(e)
 }
 
-// putBytes replaces member local's bytes with a copy of b (an installed
-// payload), marking the entry dirty.
+// putBytes replaces member local's bytes with a copy of b.
 func (ts *tieredSlots) putBytes(local int, b []byte) error {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	e, ok := ts.hot[local]
-	if !ok {
-		e = &hotEntry{local: local}
-	}
-	e.enc = append(e.enc[:0], b...)
-	e.dirty = true
-	e.prefetched = false
-	if ok {
-		ts.touch(e)
-		return ts.evictOver()
-	}
-	return ts.insert(e)
+	return ts.put(local, func(buf []byte) ([]byte, error) { return append(buf, b...), nil })
 }
 
-// prefetchOne warms member local if it is cold, on the prefetcher's
+func (ts *tieredSlots) installDict(i int, sd nn.StateDict, _ bool) error {
+	return ts.put(i, func(buf []byte) ([]byte, error) { return ts.codec.Append(buf, sd) })
+}
+
+// installPayload adopts a copy of the container bytes — verbatim when the
+// payload already uses the store codec's encoding (uploads; same-codec
+// checkpoint reloads, bit-exact), re-encoded otherwise (a cross-codec
+// checkpoint load), so a slot always honours the configured codec's
+// memory bound and nominal-width traffic accounting.
+func (ts *tieredSlots) installPayload(i int, payload []byte) error {
+	payload, _, err := codec.Reencode(ts.codec, payload)
+	if err != nil {
+		return err
+	}
+	return ts.putBytes(i, payload)
+}
+
+func (ts *tieredSlots) appendPayload(dst []byte, i int) ([]byte, error) {
+	enc, err := ts.get(i)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, enc...), nil
+}
+
+func (ts *tieredSlots) checkout(i int, into *replicaSlot) error {
+	enc, err := ts.get(i)
+	if err != nil {
+		return err
+	}
+	return codec.DecodeInto(enc, into.sd)
+}
+
+// release re-encodes a writable lease's module state into the slot. A
+// read-only lease is dropped: the slot still holds the authoritative
+// bytes, so teacher forwards and evaluation pay no requantisation pass and
+// accumulate no quantisation drift.
+func (ts *tieredSlots) release(i int, from *replicaSlot, writable bool) error {
+	if !writable {
+		return nil
+	}
+	return ts.installDict(i, from.sd, false)
+}
+
+// prefetch warms member local if it is cold, on the prefetcher's
 // goroutine. Load errors are ignored here — the corresponding checkout
 // will rediscover them on its own path and degrade there.
-func (ts *tieredSlots) prefetchOne(local int) {
+func (ts *tieredSlots) prefetch(local int) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	if _, ok := ts.hot[local]; ok {
@@ -391,25 +537,14 @@ func (ts *tieredSlots) virgin(local int) bool {
 	return ts.file == nil || !ts.file.Written(local)
 }
 
-// residency reports the hot set's entry count and byte footprint.
-func (ts *tieredSlots) residency() (entries int, bytes int64) {
+func (ts *tieredSlots) addStats(st *ReplicaStoreStats) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
+	st.HotEntries += len(ts.hot)
 	for _, e := range ts.hot {
-		bytes += int64(len(e.enc))
+		st.HotBytes += int64(len(e.enc))
 	}
-	return len(ts.hot), bytes
-}
-
-// accumulateStats folds this store's spill-file traffic into st.
-func (ts *tieredSlots) accumulateStats(st *ReplicaStoreStats) {
-	entries, bytes := ts.residency()
-	st.HotEntries += entries
-	st.HotBytes += bytes
-	ts.mu.Lock()
-	f := ts.file
-	ts.mu.Unlock()
-	if f != nil {
+	if f := ts.file; f != nil {
 		st.SpillReads += f.Reads()
 		st.SpillWrites += f.Writes()
 		st.SpillReadBytes += f.ReadBytes()
@@ -428,17 +563,4 @@ func (ts *tieredSlots) close() error {
 	err := ts.file.Close()
 	ts.file = nil
 	return err
-}
-
-// validStoreMode reports whether mode names a replica store mode.
-func validStoreMode(mode string) bool {
-	switch mode {
-	case "", ReplicaStoreMemory, ReplicaStoreSpill:
-		return true
-	}
-	return false
-}
-
-func storeModeError(mode string) error {
-	return fmt.Errorf("fedzkt: unknown ReplicaStore %q (want %q or %q)", mode, ReplicaStoreMemory, ReplicaStoreSpill)
 }

@@ -21,6 +21,15 @@ func resident(c *Config) {
 	c.VirtualDevices, c.ReplicaStore, c.HotSet, c.StateCodec = false, "", 0, ""
 }
 
+// residentCodecs runs f on the resident fleet's two payload regimes:
+// float64 containers over dense slots, and int8 containers that are the
+// slots. The free list serves both, so its counts are the same.
+func residentCodecs(f func(codec string, mutate func(*Config))) {
+	for _, codec := range []string{"float64", "int8"} {
+		f(codec, func(c *Config) { resident(c); c.StateCodec = codec })
+	}
+}
+
 // freeBuffers counts the payload buffers currently in the free list.
 func freeBuffers(co *Coordinator) (total int, perArch map[string]int) {
 	co.payloads.mu.Lock()
@@ -39,16 +48,22 @@ func freeBuffers(co *Coordinator) (total int, perArch map[string]int) {
 // under a byte ceiling on both engines. It measures ≈ 0.23 MB where heap
 // parameter gradients and a proximal-anchor clone per participation plus a
 // dense upload clone and a dense download clone per completed device cost
-// 3.4 MB; the ceiling sits at a quarter of that. (The race detector adds
+// 3.4 MB; the ceiling sits at a quarter of that, and int8 payloads — an
+// eighth the size, recycled by the same free list — stay far under it
+// (≈ 0.09 MB). (The race detector adds
 // ≈ 2.8 MB a round of its own to either figure, so a -race build checks
 // everything but the ceiling.) And once a task has ended, no device model
 // holds a gradient — nor an anchor, which fed's
 // TestLazyAnchorMatchesEagerSnapshot pins where the field is visible.
 func TestResidentRoundAllocCeiling(t *testing.T) {
 	const short, long, ceiling = 4, 12, 850 << 10
-	for _, depth := range []int{0, 2} {
-		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
-			mutate := func(c *Config) { resident(c); c.PipelineDepth = depth }
+	for _, tc := range []struct {
+		name  string
+		depth int
+		codec string
+	}{{"depth0", 0, ""}, {"depth2", 2, ""}, {"depth0-int8", 0, "int8"}} {
+		t.Run(tc.name, func(t *testing.T) {
+			mutate := func(c *Config) { resident(c); c.PipelineDepth, c.StateCodec = tc.depth, tc.codec }
 			_ = runAllocs(t, toyFleet(t, short, mutate)) // warm the process-wide pools
 			a := runAllocs(t, toyFleet(t, short, mutate))
 			co := toyFleet(t, long, mutate)
@@ -88,19 +103,21 @@ func TestPayloadBuffersBounded(t *testing.T) {
 	t.Run("reconcile", func(t *testing.T) {
 		// One publish → apply at a time: one buffer per architecture serves
 		// all 24 devices.
-		co := toyFleet(t, 1, resident)
-		if err := co.reconcileDevices(); err != nil {
-			t.Fatal(err)
-		}
-		_, perArch := freeBuffers(co)
-		for arch, n := range perArch {
-			if n > 1 {
-				t.Errorf("reconciling left %d %s buffers in the list, want ≤ 1", n, arch)
+		residentCodecs(func(codec string, mutate func(*Config)) {
+			co := toyFleet(t, 1, mutate)
+			if err := co.reconcileDevices(); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if built, reused := co.PayloadBufferStats(); built != 2 || reused != 22 {
-			t.Errorf("reconciling 24 devices of 2 architectures built %d buffers and reused %d, want 2 and 22", built, reused)
-		}
+			_, perArch := freeBuffers(co)
+			for arch, n := range perArch {
+				if n > 1 {
+					t.Errorf("%s: reconciling left %d %s buffers in the list, want ≤ 1", codec, n, arch)
+				}
+			}
+			if built, reused := co.PayloadBufferStats(); built != 2 || reused != 22 {
+				t.Errorf("%s: reconciling 24 devices of 2 architectures built %d buffers and reused %d, want 2 and 22", codec, built, reused)
+			}
+		})
 	})
 	t.Run("pipelined", func(t *testing.T) {
 		// Full participation, so every batch holds the same 12 + 12
@@ -108,45 +125,49 @@ func TestPayloadBuffersBounded(t *testing.T) {
 		// download (a round's uploads go back before its downloads are
 		// taken), plus the one being staged — however long the run.
 		const depth, rounds, k = 2, 30, 24
-		co := toyFleet(t, rounds, func(c *Config) { resident(c); c.PipelineDepth, c.SampleK = depth, k })
-		if _, err := co.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		built, reused := co.PayloadBufferStats()
-		if built > (depth+2)*k {
-			t.Errorf("depth-%d run built %d buffers, want ≤ (depth+2)·K = %d", depth, built, (depth+2)*k)
-		}
-		if built+reused != 2*k*rounds {
-			t.Errorf("buffers served %d copies, want %d", built+reused, 2*k*rounds)
-		}
-		if free, _ := freeBuffers(co); int64(free) != built {
-			t.Errorf("%d buffers built, %d back in the free list", built, free)
-		}
+		residentCodecs(func(codec string, mutate func(*Config)) {
+			co := toyFleet(t, rounds, func(c *Config) { mutate(c); c.PipelineDepth, c.SampleK = depth, k })
+			if _, err := co.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			built, reused := co.PayloadBufferStats()
+			if built > (depth+2)*k {
+				t.Errorf("%s: depth-%d run built %d buffers, want ≤ (depth+2)·K = %d", codec, depth, built, (depth+2)*k)
+			}
+			if built+reused != 2*k*rounds {
+				t.Errorf("%s: buffers served %d copies, want %d", codec, built+reused, 2*k*rounds)
+			}
+			if free, _ := freeBuffers(co); int64(free) != built {
+				t.Errorf("%s: %d buffers built, %d back in the free list", codec, built, free)
+			}
+		})
 	})
 	t.Run("discarded", func(t *testing.T) {
 		// A deadline far shorter than one local update: a worker's first
 		// task of a round starts in time, stages its upload and finishes
 		// after the bell; the rest never start; some are failure-injected.
 		// Nothing is absorbed, and every staged buffer must come back.
-		co := toyFleet(t, 3, func(c *Config) {
-			resident(c)
-			c.LocalEpochs, c.RoundDeadline, c.FailureRate = 400, 5*time.Millisecond, 0.3
+		residentCodecs(func(codec string, mutate func(*Config)) {
+			co := toyFleet(t, 3, func(c *Config) {
+				mutate(c)
+				c.LocalEpochs, c.RoundDeadline, c.FailureRate = 400, 5*time.Millisecond, 0.3
+			})
+			hist, err := co.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			dropped := 0
+			for _, m := range hist {
+				dropped += len(m.Dropped)
+			}
+			built, _ := co.PayloadBufferStats()
+			if dropped == 0 || built == 0 {
+				t.Fatalf("%s: want late tasks with staged uploads: %d dropped, %d buffers built", codec, dropped, built)
+			}
+			if free, _ := freeBuffers(co); int64(free) != built {
+				t.Errorf("%s: %d buffers built, %d back in the free list", codec, built, free)
+			}
 		})
-		hist, err := co.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		dropped := 0
-		for _, m := range hist {
-			dropped += len(m.Dropped)
-		}
-		built, _ := co.PayloadBufferStats()
-		if dropped == 0 || built == 0 {
-			t.Fatalf("want late tasks with staged uploads: %d dropped, %d buffers built", dropped, built)
-		}
-		if free, _ := freeBuffers(co); int64(free) != built {
-			t.Errorf("%d buffers built, %d back in the free list", built, free)
-		}
 	})
 }
 

@@ -24,7 +24,10 @@ import (
 //     of that architecture. A virtual device borrows it for the task —
 //     its stored payload is decoded into it, or it is re-seeded in place
 //     for a never-downloaded device — so live device models are bounded
-//     by workers × architectures instead of by the round's sample.
+//     by workers × architectures instead of by the round's sample;
+//   - one proximal-anchor buffer per architecture, lent with the module
+//     when the proximal term is on (a virtual device re-captures its
+//     anchor at every materialisation).
 //
 // A rig is created lazily by the pool and is only ever touched by the
 // goroutine currently serving its worker slot.
@@ -32,6 +35,7 @@ type deviceRig struct {
 	step    *ag.Arena
 	task    *tensor.Arena
 	modules map[string]nn.Module
+	anchors map[string]nn.StateDict
 	build   func(arch string) (nn.Module, error)
 	stats   *rigStats
 }
@@ -47,6 +51,7 @@ func newDeviceRig(build func(arch string) (nn.Module, error), stats *rigStats) *
 		step:    ag.NewArena(),
 		task:    tensor.NewArena(),
 		modules: make(map[string]nn.Module),
+		anchors: make(map[string]nn.StateDict),
 		build:   build,
 		stats:   stats,
 	}
@@ -69,23 +74,40 @@ func (r *deviceRig) module(arch string) (nn.Module, error) {
 	return m, nil
 }
 
-// payloadBuffers is an in-process federation's free list of dense state
-// dicts, one list per architecture: the buffers stageUpload and the
-// engine's publish copy a state into on the identity-codec path. take is
-// called from device tasks and both engine stages, hence the lock; a plain LIFO list (not a
+// anchor returns the rig's proximal-anchor buffer for arch, a dict of m's
+// state layout, cloned from m on first use.
+func (r *deviceRig) anchor(arch string, m nn.Module) nn.StateDict {
+	a, ok := r.anchors[arch]
+	if !ok {
+		a = nn.CaptureState(m).Clone()
+		r.anchors[arch] = a
+	}
+	return a
+}
+
+// payloadBuffers is an in-process federation's free list of payload
+// buffers, one list per architecture (container sizes are a function of
+// architecture and codec, so a recycled buffer always fits): what
+// stageUpload encodes a trained state into and the engine's publish copies
+// a replica slot into, whatever the codec. take is called from device
+// tasks and both engine stages, hence the lock; a plain LIFO list (not a
 // sync.Pool) keeps the retained set deterministic — at most as many
 // buffers as were ever in flight at once, never dropped by a GC cycle. A
 // buffer is fully overwritten before use, so which one a caller gets
-// never shows in the values.
+// never shows in the values. A nil list (a fleet whose payloads arrive off
+// a wire) recycles nothing.
 type payloadBuffers struct {
 	mu            sync.Mutex
-	free          map[string][]nn.StateDict
+	free          map[string][][]byte
 	built, reused atomic.Int64
 }
 
-// take pops a free buffer for arch. With none free it returns nil and
-// counts a build: the caller allocates the copy it was about to make.
-func (b *payloadBuffers) take(arch string) nn.StateDict {
+// take pops a free buffer for arch, emptied. With none free it returns nil
+// and counts a build: the caller's append allocates.
+func (b *payloadBuffers) take(arch string) []byte {
+	if b == nil {
+		return nil
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	l := b.free[arch]
@@ -93,23 +115,23 @@ func (b *payloadBuffers) take(arch string) nn.StateDict {
 		b.built.Add(1)
 		return nil
 	}
-	sd := l[len(l)-1]
+	buf := l[len(l)-1]
 	l[len(l)-1] = nil
 	b.free[arch] = l[:len(l)-1]
 	b.reused.Add(1)
-	return sd
+	return buf[:0]
 }
 
-// give returns a consumed payload's dense buffer (an encoded payload has
-// none and is ignored).
-func (b *payloadBuffers) give(p Payload) {
-	if p.dense == nil {
+// give returns a consumed payload's buffer (nil, a payload that was never
+// staged, is ignored).
+func (b *payloadBuffers) give(arch string, buf []byte) {
+	if b == nil || buf == nil {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.free == nil {
-		b.free = make(map[string][]nn.StateDict)
+		b.free = make(map[string][][]byte)
 	}
-	b.free[p.arch] = append(b.free[p.arch], p.dense)
+	b.free[arch] = append(b.free[arch], buf)
 }

@@ -97,6 +97,29 @@ func TestVirtualRoundAllocCeiling(t *testing.T) {
 	})
 }
 
+// TestVirtualProxRoundAllocCeiling: with the proximal term on, a virtual
+// device re-captures its anchor at every materialisation — into the
+// worker rig's per-architecture buffer, not into a clone of the state. A
+// steady-state round with ProxMu > 0 may therefore allocate only a little
+// more than one without (LocalUpdate's two small lookup maps per
+// participation, ≈ 11 kB a round); a clone per materialisation costs
+// ≈ 1.2 MB a round on top.
+func TestVirtualProxRoundAllocCeiling(t *testing.T) {
+	const short, long, ceiling = 4, 12, 256 << 10
+	perRound := func(mu float64) float64 {
+		mutate := func(c *Config) { c.ProxMu = mu }
+		_ = runAllocs(t, toyFleet(t, short, mutate)) // warm the process-wide pools
+		a := runAllocs(t, toyFleet(t, short, mutate))
+		b := runAllocs(t, toyFleet(t, long, mutate))
+		return (float64(b) - float64(a)) / (long - short)
+	}
+	plain, prox := perRound(0), perRound(0.1)
+	t.Logf("steady-state allocation: %.0f bytes/round without the proximal term, %.0f with", plain, prox)
+	if prox-plain > ceiling {
+		t.Errorf("the proximal term costs a virtual round %.0f bytes, ceiling %d", prox-plain, ceiling)
+	}
+}
+
 // checkScraped fails unless the process-wide registry serves exactly the
 // given counter values.
 func checkScraped(t *testing.T, want map[string]int64) {

@@ -31,10 +31,11 @@ import (
 // transfers knowledge back into a rotating T-wide window of replicas, so
 // the per-iteration server cost is O(T) rather than O(devices).
 //
-// With ReplicaStore = "spill" the replica slots live in the tiered store
-// (replicastore.go) and the server holds memory proportional to the
-// hot-set size rather than the device count; Close releases the spill
-// files. The cohort store may additionally be sharded (ReplicaShards).
+// With ReplicaStore = "spill" the replica slots rest in a bounded hot set
+// over spill files (replicastore.go) and the server holds memory
+// proportional to the hot-set size rather than the device count; Close
+// releases the spill files. The cohort store may additionally be sharded
+// (ReplicaShards).
 type Server struct {
 	cfg Config
 	in  model.Shape
@@ -43,9 +44,8 @@ type Server struct {
 	cohorts *cohortSet
 	codec   codec.Codec
 
-	// spillDir hosts the tiered store's spill files; owned (and removed on
-	// Close) when the server created it itself.
-	spillDir      string
+	// spillDirOwned marks a spill directory the server created itself, and
+	// removes on Close.
 	spillDirOwned bool
 	closeOnce     sync.Once
 	closeErr      error
@@ -88,10 +88,10 @@ type Server struct {
 // NewServer constructs the server side for a dataset signature (input
 // shape + class count). Devices are registered afterwards. Call Close
 // when done — a no-op for the in-memory store, releasing the spill files
-// for the tiered store.
+// for the spill store.
 func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.validateCohorts(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cdc, err := codec.Get(cfg.StateCodec)
@@ -110,20 +110,20 @@ func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 		// rebuilds).
 		retain = cfg.TeachersPerIter
 	}
-	tiered := cfg.ReplicaStore == ReplicaStoreSpill
-	spillDir, spillDirOwned := cfg.SpillDir, false
-	if tiered && spillDir == "" {
-		if spillDir, err = os.MkdirTemp("", "fedzkt-spill-*"); err != nil {
-			return nil, fmt.Errorf("fedzkt: creating spill dir: %w", err)
+	spillDir, spillDirOwned := "", false
+	if cfg.ReplicaStore == ReplicaStoreSpill {
+		if spillDir = cfg.SpillDir; spillDir == "" {
+			if spillDir, err = os.MkdirTemp("", "fedzkt-spill-*"); err != nil {
+				return nil, fmt.Errorf("fedzkt: creating spill dir: %w", err)
+			}
+			spillDirOwned = true
 		}
-		spillDirOwned = true
 	}
 	s := &Server{
 		cfg:           cfg,
 		in:            in,
 		cls:           classes,
 		codec:         cdc,
-		spillDir:      spillDir,
 		spillDirOwned: spillDirOwned,
 		global:        global,
 		gen:           model.NewGenerator(cfg.ZDim, in, tensor.NewRand(cfg.Seed+13)),
@@ -134,12 +134,11 @@ func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 		lr:       cfg.ServerLR,
 		retain:   retain,
 		codec:    cdc,
-		shards:   cfg.ReplicaShards,
+		nShards:  cfg.ReplicaShards,
 		workers:  cfg.poolWorkers(),
-		tiered:   tiered,
+		spillDir: spillDir,
 		hotSet:   cfg.HotSet,
 		teachers: cfg.TeachersPerIter,
-		spillDir: spillDir,
 		initSlot: s.seededSlot,
 	})
 	s.colMemo = ag.NewColMemo(s.phase)
@@ -156,7 +155,7 @@ func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 }
 
 // seededSlot encodes device id's seeded registration state — the defined
-// content of a virgin tiered slot, bit-identical to what eager
+// content of a virgin slot, bit-identical to what eager
 // registration would have stored — rebuilt on the slot's first touch. One
 // cached module per architecture is re-seeded in place for every such
 // rebuild (checkouts of different shards and the prefetcher reach here
@@ -181,14 +180,14 @@ func (s *Server) seededSlot(arch string, id int) ([]byte, error) {
 	return codec.Encode(s.codec, nn.CaptureState(m))
 }
 
-// Close stops the replica prefetcher and releases the tiered store's
-// spill files (removing the spill directory when the server created it).
-// A no-op for the in-memory store. Idempotent.
+// Close stops the replica prefetcher and releases the spill store's files
+// (removing the spill directory when the server created it). A no-op for
+// the memory store. Idempotent.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.closeErr = s.cohorts.close()
 		if s.spillDirOwned {
-			if err := os.RemoveAll(s.spillDir); err != nil && s.closeErr == nil {
+			if err := os.RemoveAll(s.cohorts.spillDir); err != nil && s.closeErr == nil {
 				s.closeErr = err
 			}
 		}
@@ -224,12 +223,12 @@ func (s *Server) LiveReplicas() int { return s.cohorts.liveModules() }
 func (s *Server) Codec() codec.Codec { return s.codec }
 
 // ResidentStateBytes returns the total resident size of every device's
-// replica slot: hot-set bytes under the tiered store (spilled members
+// replica slot: hot-set bytes under the spill store (spilled members
 // cost nothing), codec-container bytes under a quantised codec, dense
 // float64 bytes under the identity codec. This is the per-device memory
-// quantity the quantised codecs shrink up to 8× and the tiered store
+// quantity the quantised codecs shrink up to 8× and the spill store
 // bounds; live pooled modules are accounted separately via LiveReplicas.
-func (s *Server) ResidentStateBytes() int64 { return s.cohorts.stateBytes() }
+func (s *Server) ResidentStateBytes() int64 { return s.cohorts.storeStats().HotBytes }
 
 // ReplicaStoreStats snapshots the replica store: residency, hot-set
 // hit rate, prefetch overlap and spill traffic. Counters are cumulative;
@@ -254,7 +253,7 @@ func (s *Server) Register(arch string, initial nn.StateDict) (int, error) {
 // id. The server files the device into its architecture cohort; given
 // initial parameters it validates them against the architecture and stores
 // a copy, building no module. With a nil initial state the replica keeps
-// a seeded random initialisation — under the tiered store that
+// a seeded random initialisation — under the spill store that
 // registration is O(1): no module is built and nothing is stored until
 // the slot is first touched (virgin slots reconstruct the seeded state on
 // demand, bit-identically).
@@ -269,8 +268,9 @@ func (s *Server) RegisterSized(arch string, initial nn.StateDict, dataSize int) 
 		return model.Build(arch, s.in, s.cls, tensor.NewRand(s.cfg.Seed+uint64(2000+id)))
 	}
 	sd := initial
-	if initial == nil && !s.cohorts.tiered {
-		// The seeded build's own tensors become the slot.
+	if initial == nil && s.cohorts.spillDir == "" {
+		// Only the spill store keeps virgin slots; in memory the seeded
+		// build's own tensors become the slot.
 		replica, err := model.Build(arch, s.in, s.cls, tensor.NewRand(s.cfg.Seed+uint64(1000+id)))
 		if err != nil {
 			return 0, fmt.Errorf("fedzkt: register device %d: %w", id, err)
@@ -327,47 +327,31 @@ func (s *Server) CheckPayload(id int, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	entries, err := codec.Layout(payload)
-	if err != nil {
-		return err
-	}
-	return ref.cohort.sig.checkLayout(ref.cohort.arch, entries)
+	return ref.cohort.checkPayload(payload)
 }
 
 // ReplicaState returns a dense deep copy of device id's replica
-// parameters. Under a quantised codec this decodes the slot, so the
-// caller sees exactly the values a download would deliver.
+// parameters: exactly the values a download would deliver (under a
+// quantised codec, the decoded slot).
 func (s *Server) ReplicaState(id int) (nn.StateDict, error) {
-	return s.ReplicaStateInto(id, nil)
-}
-
-// ReplicaStateInto is ReplicaState writing into dst, a state dict of the
-// device's architecture (a recycled download buffer), instead of
-// allocating; a nil dst allocates. It returns the filled dict.
-func (s *Server) ReplicaStateInto(id int, dst nn.StateDict) (nn.StateDict, error) {
 	ref, err := s.cohorts.ref(id)
 	if err != nil {
 		return nil, err
 	}
-	return s.cohorts.stateOf(ref, dst)
+	return s.cohorts.stateOf(ref)
 }
 
 // ReplicaPayload returns device id's replica slot in wire form — the
 // codec container a download carries — plus its element count for
-// traffic accounting. Quantised slots already hold the container and
-// only pay a byte copy.
+// traffic accounting.
 func (s *Server) ReplicaPayload(id int) ([]byte, int, error) {
 	ref, err := s.cohorts.ref(id)
 	if err != nil {
 		return nil, 0, err
 	}
-	return s.cohorts.payloadOf(ref)
+	b, err := s.cohorts.appendPayload(ref, nil)
+	return b, ref.cohort.sig.numel, err
 }
-
-// PrefetchReplicas hints that the given device ids will be checked out or
-// downloaded soon, warming the tiered store's hot sets in the background.
-// A no-op for the in-memory store; never blocks; values are unaffected.
-func (s *Server) PrefetchReplicas(ids []int) { s.cohorts.prefetch(ids) }
 
 // DeviceArch returns the architecture device id registered with.
 func (s *Server) DeviceArch(id int) (string, error) {
@@ -666,7 +650,7 @@ func (s *Server) transferBackPhase(ctx context.Context, round int) (err error) {
 	if t == 0 {
 		phaseLeases = compactLeases(s.cohorts.checkout(s.cohorts.allIDs(), true, true))
 		defer func() {
-			// Writable leases re-encode into the store on release; surface a
+			// Writable leases are stored back on release; surface a
 			// spill-tier I/O failure unless the phase already failed.
 			if rerr := s.cohorts.release(phaseLeases); rerr != nil && err == nil {
 				err = rerr
@@ -754,7 +738,7 @@ func (s *Server) EvaluateReplicas(ds *data.Dataset, batchSize, workers int) []fl
 //
 // Replicas are swapped into pooled live modules in bounded chunks of
 // workers (0 = GOMAXPROCS) and evaluated concurrently within a chunk —
-// with the next chunk prefetching from the tiered store meanwhile — so
+// with the next chunk prefetching from the spill store meanwhile — so
 // the cohort pools never grow beyond the chunk size on account of
 // evaluation. Accuracy depends only on the stored states, so the result
 // is identical for any worker count. A member whose replica fails to load
