@@ -115,14 +115,15 @@ type Arena struct {
 
 // convColKey identifies one conv lowering: the input tensor (by identity)
 // and the geometry that shapes the column matrix. Identity keying is safe
-// because a tensor's buffer is only recycled by its own arena's Reset,
-// and every Reset clears this cache first. When the keyed tensor belongs
-// to a DIFFERENT arena than the memoising one (the transfer-back phase
-// memoises the shared phase-arena batch inside worker arenas), the caller
-// must reset the memoising arena no later than the arena owning the key —
-// server.go resets each worker arena per replica step, strictly before
-// the phase arena's per-iteration reset — otherwise a recycled tensor at
-// the same address could alias a stale entry.
+// because an arena hands every live tensor of a step its own header, and
+// header and buffer are only recycled by that arena's Reset, which clears
+// this cache first. When the keyed tensor belongs to a DIFFERENT arena
+// than the memoising one (the transfer-back phase memoises the shared
+// phase-arena batch inside worker arenas), the caller must reset the
+// memoising arena no later than the arena owning the key — server.go
+// resets each worker arena per replica step, strictly before the phase
+// arena's per-iteration reset — otherwise a recycled tensor at the same
+// address could alias a stale entry.
 type convColKey struct {
 	x                            *tensor.Tensor
 	c, h, w, kh, kw, stride, pad int

@@ -118,13 +118,14 @@ func TestArenaConvColMemo(t *testing.T) {
 			t.Fatalf("memoised conv output differs at %d", i)
 		}
 	}
-	held := ar.T.Held()
 	// A third forward over the same input must not build a new col matrix:
-	// it allocates exactly the output, the (o×nsp) intermediate and the
-	// weight-matrix view header — a fresh col would make it four.
+	// it draws exactly the output and the (o×nsp) intermediate, each as
+	// large as y1 (the weight-matrix view takes no storage) — a fresh col
+	// would add ckk×nsp elements on top.
+	before := ar.T.StepBytes()
 	_ = Conv2d(x, Const(wt), nil, 1, 1)
-	if got := ar.T.Held(); got != held+3 {
-		t.Fatalf("expected out+intermediate+view only, Held %d -> %d", held, got)
+	if got, want := ar.T.StepBytes()-before, int64(2*y1.Value().Len()*8); got != want {
+		t.Fatalf("third conv forward drew %d bytes, want output+intermediate = %d", got, want)
 	}
 	ar.Reset()
 }
@@ -141,12 +142,12 @@ func TestArenaStepScopedReuse(t *testing.T) {
 		Backward(buildNet(ar, xt, params))
 		ar.Reset()
 	}
-	held := ar.T.Held()
+	held := ar.T.HeldBytes()
 	for i := 0; i < 3; i++ {
 		Backward(buildNet(ar, xt, params))
 		ar.Reset()
 	}
-	if got := ar.T.Held(); got != held {
-		t.Fatalf("arena grew across identical steps: %d -> %d buffers", held, got)
+	if got := ar.T.HeldBytes(); got != held {
+		t.Fatalf("arena grew across identical steps: %d -> %d bytes", held, got)
 	}
 }

@@ -62,9 +62,10 @@ type FedAvg struct {
 	// proxMu, when positive, adds the FedProx proximal term to the local
 	// objective (set via NewFedProx).
 	proxMu float64
-	// arena is the shared step-scoped allocator of the sequential local
-	// training loop.
-	arena *ag.Arena
+	// arenas are the run's step-scoped allocators, one per evaluation
+	// worker; arenas[0] also serves the sequential local training loop and
+	// the global model's evaluation.
+	arenas []*ag.Arena
 }
 
 // NewFedAvg builds the federation; every device runs cfg.Arch.
@@ -82,7 +83,10 @@ func NewFedAvg(cfg FedAvgConfig, ds *data.Dataset, shards [][]int) (*FedAvg, err
 	if err != nil {
 		return nil, fmt.Errorf("baseline: fedavg global: %w", err)
 	}
-	f := &FedAvg{cfg: cfg, ds: ds, global: global, sampler: sampler, arena: ag.NewArena()}
+	f := &FedAvg{cfg: cfg, ds: ds, global: global, sampler: sampler}
+	for range sched.EffectiveWorkers(len(shards), 0) {
+		f.arenas = append(f.arenas, ag.NewArena())
+	}
 	for i := range shards {
 		if len(shards[i]) == 0 {
 			return nil, fmt.Errorf("baseline: device %d has an empty shard", i)
@@ -133,7 +137,7 @@ func (f *FedAvg) Run(ctx context.Context) (fed.History, error) {
 		weights := make([]float64, 0, len(active))
 		for _, id := range active {
 			drng := tensor.NewRand(cfg.Seed ^ (uint64(round)<<16 + uint64(id)))
-			f.devices[id].Scratch = f.arena
+			f.devices[id].Scratch = f.arenas[0]
 			_, err := f.devices[id].LocalUpdate(local, drng)
 			f.devices[id].Scratch = nil
 			if err != nil {
@@ -150,8 +154,8 @@ func (f *FedAvg) Run(ctx context.Context) (fed.History, error) {
 			return hist, err
 		}
 
-		m.GlobalAcc = fed.Evaluate(f.global, f.ds, 64)
-		m.DeviceAcc = fed.EvaluateAll(f.devices, f.ds, 64)
+		m.GlobalAcc = fed.EvaluateArena(f.global, f.ds, 64, f.arenas[0])
+		m.DeviceAcc = fed.EvaluateAllOn(f.devices, f.ds, 64, f.arenas)
 		m.MeanDeviceAcc = fed.Mean(m.DeviceAcc)
 		m.Elapsed = time.Since(start)
 		hist = append(hist, m)

@@ -81,6 +81,9 @@ type FedMD struct {
 	private *data.Dataset
 	public  *data.Dataset
 	devices []*fed.Device
+	// arenas[i] is device i's step-scoped allocator for the whole run:
+	// transfer learning, every round's digest and revisit, evaluation.
+	arenas []*ag.Arena
 }
 
 // NewFedMD builds a FedMD federation. Public labels are folded onto the
@@ -107,6 +110,7 @@ func NewFedMD(cfg FedMDConfig, private, public *data.Dataset, archs []string, sh
 			return nil, fmt.Errorf("baseline: device %d: %w", i, err)
 		}
 		f.devices = append(f.devices, fed.NewDevice(i, arch, m, data.NewSubset(private, shards[i])))
+		f.arenas = append(f.arenas, ag.NewArena())
 	}
 	return f, nil
 }
@@ -145,9 +149,9 @@ func (f *FedMD) Run(ctx context.Context) (fed.History, error) {
 			go func(i int, dev *fed.Device) {
 				defer wg.Done()
 				dev.Model.SetTraining(false)
-				// A single forward pass: a throwaway arena would cost more
-				// than the heap allocations it recycles, so score on the
-				// heap.
+				// A single forward pass over the whole public subset: on the
+				// device's arena it would set the arena's largest step for
+				// the rest of the run, so score on the heap.
 				scores[i] = dev.Model.Forward(ag.Const(px)).Value().Clone()
 				dev.Model.SetTraining(true)
 			}(i, d)
@@ -172,7 +176,7 @@ func (f *FedMD) Run(ctx context.Context) (fed.History, error) {
 			go func(i int, dev *fed.Device) {
 				defer wg.Done()
 				drng := tensor.NewRand(cfg.Seed ^ (uint64(round)<<18 + uint64(i)<<3 + 0x3D))
-				war := ag.NewArena()
+				war := f.arenas[i]
 				if err := digest(dev.Model, px, consensus, cfg.DigestEpochs, cfg.BatchSize, cfg.LR, drng, war); err != nil {
 					errs[i] = err
 					return
@@ -193,7 +197,7 @@ func (f *FedMD) Run(ctx context.Context) (fed.History, error) {
 			}
 		}
 
-		m.DeviceAcc = fed.EvaluateAll(f.devices, f.private, 64)
+		m.DeviceAcc = fed.EvaluateAllOn(f.devices, f.private, 64, f.arenas)
 		m.MeanDeviceAcc = fed.Mean(m.DeviceAcc)
 		m.Elapsed = time.Since(start)
 		hist = append(hist, m)
@@ -218,7 +222,7 @@ func (f *FedMD) transferPhase() error {
 			rng := tensor.NewRand(cfg.Seed ^ (uint64(i)<<7 + 0x7F))
 			opt := optim.NewSGD(dev.Model.Params(), cfg.LR, 0, 0)
 			dev.Model.SetTraining(true)
-			war := ag.NewArena()
+			war := f.arenas[i]
 			for ep := 0; ep < cfg.TransferEpochs; ep++ {
 				for _, idx := range data.ShuffledBatches(f.public.NumTrain(), cfg.BatchSize, rng) {
 					bi := war.Tensors().Ints(len(idx))

@@ -34,7 +34,7 @@ func TestLocalStepAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	step() // warm up the arena's free lists and the slab
+	step() // warm up the arena's slabs and the tape-node slab
 	step()
 
 	const ceiling = 400.0

@@ -60,12 +60,20 @@ func EvaluateAll(devices []*Device, ds *data.Dataset, batchSize int) []float64 {
 // a per-worker arena (so a thousand-device evaluation allocates like a
 // handful of them), and the result is identical for any worker count.
 func EvaluateAllParallel(devices []*Device, ds *data.Dataset, batchSize, workers int) []float64 {
-	accs := make([]float64, len(devices))
 	arenas := make([]*ag.Arena, sched.EffectiveWorkers(len(devices), workers))
 	for i := range arenas {
 		arenas[i] = ag.NewArena()
 	}
-	sched.ForEachWorker(len(devices), workers, func(i, w int) {
+	return EvaluateAllOn(devices, ds, batchSize, arenas)
+}
+
+// EvaluateAllOn is EvaluateAllParallel on the caller's arenas: one worker
+// per arena (no more than there are devices; at least one arena), worker
+// w drawing from arenas[w]. A caller that evaluates every round keeps the
+// set, so the arenas warm up once per run instead of once per call.
+func EvaluateAllOn(devices []*Device, ds *data.Dataset, batchSize int, arenas []*ag.Arena) []float64 {
+	accs := make([]float64, len(devices))
+	sched.ForEachWorker(len(devices), len(arenas), func(i, w int) {
 		accs[i] = EvaluateArena(devices[i].Model, ds, batchSize, arenas[w])
 	})
 	return accs

@@ -327,10 +327,11 @@ type Coordinator struct {
 	resumed bool
 
 	// rigs counts how the pool's per-worker device rigs (rig.go) served
-	// module requests; the rigs themselves live in the pool's worker slots.
-	// Like the engine's payload buffers it is its own allocation: the
-	// process-wide metrics registry keeps a pointer to it until the next
-	// coordinator registers, and must not pin this one.
+	// module requests and lists their arenas; the rigs themselves live in
+	// the pool's worker slots. Like the engine's payload buffers it is its
+	// own allocation: the process-wide metrics registry keeps a pointer to
+	// it until the next coordinator registers, and must pin no more of
+	// this one than those arenas.
 	rigs *rigStats
 
 	// Virtual-device mode (Config.VirtualDevices): device models exist

@@ -1,8 +1,11 @@
 package fedzkt
 
 import (
+	"sync"
+
 	"github.com/fedzkt/fedzkt/internal/fed"
 	"github.com/fedzkt/fedzkt/internal/obs"
+	"github.com/fedzkt/fedzkt/internal/tensor"
 )
 
 // This file binds the federation runtime to the observability substrate.
@@ -34,6 +37,42 @@ type fedMetrics struct {
 
 	globalAcc     obs.Gauge
 	meanDeviceAcc obs.Gauge
+}
+
+// arenaGroup is one owner's arenas as a scrape sees them. An arena joins
+// when its owner creates it (rarely, hence a plain mutex) and the gauges
+// sum the arenas' own atomics, so a scrape never reads a running step's
+// state. Worker-owned arenas are summed over workers: the registry has no
+// labels.
+type arenaGroup struct {
+	mu     sync.Mutex
+	arenas []*tensor.Arena
+}
+
+func (g *arenaGroup) add(a *tensor.Arena) {
+	g.mu.Lock()
+	g.arenas = append(g.arenas, a)
+	g.mu.Unlock()
+}
+
+func (g *arenaGroup) sum(of func(*tensor.Arena) int64) float64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	var n int64
+	for _, a := range g.arenas {
+		n += of(a)
+	}
+	return float64(n)
+}
+
+// register publishes the group as fedzkt_arena_<owner>_held_bytes (what
+// the slabs and headers pin) and …_step_peak_bytes (the largest step they
+// had to serve; the difference is the allocator's rounding).
+func (g *arenaGroup) register(reg *obs.Registry, owner, what string) {
+	reg.RegisterGaugeFunc("fedzkt_arena_"+owner+"_held_bytes", "bytes retained by "+what+" (slabs and tensor headers)",
+		func() float64 { return g.sum((*tensor.Arena).HeldBytes) })
+	reg.RegisterGaugeFunc("fedzkt_arena_"+owner+"_step_peak_bytes", "storage bytes of the largest step served by "+what,
+		func() float64 { return g.sum((*tensor.Arena).StepPeakBytes) })
 }
 
 // newFedMetrics registers an engine's instruments and scrape-time views
@@ -76,6 +115,8 @@ func newFedMetrics(reg *obs.Registry, srv *Server) *fedMetrics {
 		func() float64 { return float64(srv.ReplicaStoreStats().HotEntries) })
 	reg.RegisterGaugeFunc("fedzkt_store_spill_records", "replica records resident in spill files",
 		func() float64 { return float64(srv.ReplicaStoreStats().SpillRecords) })
+	srv.arenaGauges.phase.register(reg, "phase", "the server's distillation phase arena")
+	srv.arenaGauges.worker.register(reg, "server_worker", "the server's per-worker arenas, summed")
 	return fm
 }
 
@@ -90,6 +131,8 @@ func registerFleetMetrics(reg *obs.Registry, rigs *rigStats, payloads *payloadBu
 		func() float64 { return float64(payloads.built.Load()) })
 	reg.RegisterCounterFunc("fedzkt_payload_buffers_reused_total", "uploads/downloads served by a recycled payload buffer",
 		func() float64 { return float64(payloads.reused.Load()) })
+	rigs.step.register(reg, "rig_step", "the device rigs' step arenas, summed")
+	rigs.task.register(reg, "rig_task", "the device rigs' task arenas, summed")
 }
 
 // observeRound folds one finalised round's metrics into the registry.

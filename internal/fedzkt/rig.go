@@ -40,14 +40,16 @@ type deviceRig struct {
 	stats   *rigStats
 }
 
-// rigStats counts, across all of a coordinator's rigs, how device
-// materialisations were served: by building a module or by reusing one.
+// rigStats is what a metrics scrape may read across all of a
+// coordinator's rigs: how device materialisations were served — by
+// building a module or by reusing one — and the rigs' arenas.
 type rigStats struct {
 	builds, reuses atomic.Int64
+	step, task     arenaGroup
 }
 
 func newDeviceRig(build func(arch string) (nn.Module, error), stats *rigStats) *deviceRig {
-	return &deviceRig{
+	r := &deviceRig{
 		step:    ag.NewArena(),
 		task:    tensor.NewArena(),
 		modules: make(map[string]nn.Module),
@@ -55,6 +57,9 @@ func newDeviceRig(build func(arch string) (nn.Module, error), stats *rigStats) *
 		build:   build,
 		stats:   stats,
 	}
+	stats.step.add(r.step.T)
+	stats.task.add(r.task)
+	return r
 }
 
 // module returns the rig's live module for arch, building it on first

@@ -75,6 +75,9 @@ type Server struct {
 	// workers never mutate the slice. Worker w is the only goroutine
 	// touching workerArenas[w] during a fan-out.
 	workerArenas []*ag.Arena
+	// arenaGauges is what a metrics scrape may read of the arenas above
+	// (obsinstr.go); a worker arena joins in ensureWorkerArenas.
+	arenaGauges struct{ phase, worker arenaGroup }
 	// colMemo shares the im2col lowering of each iteration's generated
 	// batch across the concurrent teacher/replica forwards; owned by (and
 	// allocated from) the phase arena, rebound per step and cleared before
@@ -130,6 +133,7 @@ func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 		phase:         ag.NewArena(),
 		seedModules:   make(map[string]nn.Module),
 	}
+	s.arenaGauges.phase.add(s.phase.T)
 	s.cohorts = newCohortSet(cohortOptions{
 		lr:       cfg.ServerLR,
 		retain:   retain,
@@ -397,6 +401,7 @@ func (s *Server) ensureWorkerArenas(n int) {
 		wa := ag.NewArena()
 		wa.ShareColMemo(s.colMemo)
 		s.workerArenas = append(s.workerArenas, wa)
+		s.arenaGauges.worker.add(wa.T)
 	}
 }
 

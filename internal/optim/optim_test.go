@@ -241,8 +241,12 @@ func TestSGDArenaVelocityMatchesHeap(t *testing.T) {
 	}
 	want := run(nil)
 	arena := tensor.NewArena()
+	var held int64
 	for task := 0; task < 3; task++ {
 		got := run(arena)
+		if task == 0 {
+			held = arena.HeldBytes()
+		}
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("task %d: w[%d] = %v with arena velocity, %v on the heap", task, i, got[i], want[i])
@@ -250,7 +254,10 @@ func TestSGDArenaVelocityMatchesHeap(t *testing.T) {
 		}
 		arena.Reset() // the next task's optimiser reuses this task's (dirty) buffers
 	}
-	if held := arena.Held(); held != 1 {
-		t.Fatalf("arena holds %d buffers after three tasks over one parameter, want 1", held)
+	if peak := arena.StepPeakBytes(); peak != 4*8 {
+		t.Fatalf("a task drew %d bytes from the arena, want one 4-element velocity buffer", peak)
+	}
+	if got := arena.HeldBytes(); got != held {
+		t.Fatalf("arena grew from %d to %d bytes over three tasks on one parameter", held, got)
 	}
 }

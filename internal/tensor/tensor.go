@@ -58,6 +58,9 @@ func Full(v float64, shape ...int) *Tensor {
 	return t
 }
 
+// checkShape and the other shape checks format a copy of the offending
+// shape: handing the slice itself to fmt would make every caller's
+// variadic shape escape, one heap allocation per tensor request.
 func checkShape(shape []int) int {
 	if len(shape) == 0 {
 		panic("tensor: empty shape")
@@ -65,7 +68,7 @@ func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", shape))
+			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", append([]int(nil), shape...)))
 		}
 		n *= d
 	}
@@ -166,7 +169,7 @@ func (t *Tensor) SwapData(u *Tensor) {
 func (t *Tensor) Reshape(shape ...int) *Tensor {
 	n := checkShape(shape)
 	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), shape, n))
+		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), append([]int(nil), shape...), n))
 	}
 	return &Tensor{data: t.data, shape: append([]int(nil), shape...)}
 }

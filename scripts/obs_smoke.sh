@@ -56,6 +56,11 @@ echo "$METRICS" | grep -q '^fedzkt_sched_tasks_completed_total ' ||
 echo "$METRICS" | grep -q '^fedzkt_local_phase_seconds_count ' ||
     { echo "obs_smoke: /metrics missing phase histograms" >&2; exit 1; }
 
+for owner in phase server_worker rig_step rig_task; do
+    echo "$METRICS" | grep -Eq "^fedzkt_arena_${owner}_held_bytes [1-9]" ||
+        { echo "obs_smoke: /metrics missing the $owner arenas' held bytes after a round" >&2; exit 1; }
+done
+
 TRACE="$(curl -fsS "http://$ADDR/debug/trace")"
 echo "$TRACE" | python3 -c '
 import json, sys
