@@ -107,6 +107,9 @@ func run(args []string) error {
 				st.ID, st.Arch, st.Resumes, st.Duplicates)
 		}
 	}
+	if built, reused := srv.PayloadBufferStats(); built+reused > 0 {
+		fmt.Printf("payload buffers: %d built, %d uploads/downloads served by reuse\n", built, reused)
+	}
 	return err
 }
 

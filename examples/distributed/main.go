@@ -1,5 +1,5 @@
 // Distributed: the same federation as quickstart, but over real TCP
-// sockets — the server and three devices exchange length-prefixed gob
+// sockets — the server and three devices exchange length-prefixed binary
 // frames exactly as the cmd/fedzkt-server and cmd/fedzkt-device binaries
 // do across machines. Only architecture announcements and model
 // parameters cross the wire; the synthetic data is reconstructed locally

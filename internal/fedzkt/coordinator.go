@@ -402,8 +402,7 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 		_ = server.Close()
 		return nil, err
 	}
-	c.payloads = &payloadBuffers{}
-	registerFleetMetrics(obs.Default(), rigs, c.payloads)
+	registerFleetMetrics(obs.Default(), rigs)
 	pool.RegisterMetrics(obs.Default())
 	if cfg.VirtualDevices {
 		if err := c.initVirtual(archs); err != nil {
@@ -558,13 +557,6 @@ func (c *Coordinator) DeviceStoreStats() ReplicaStoreStats {
 // resident devices.
 func (c *Coordinator) DeviceRigStats() (builds, reuses int64) {
 	return c.rigs.builds.Load(), c.rigs.reuses.Load()
-}
-
-// PayloadBufferStats reports how the payload buffers of uploads and
-// downloads were served so far: by building one — at most as many as were
-// ever in flight at once — or by reusing a returned one.
-func (c *Coordinator) PayloadBufferStats() (built, reused int64) {
-	return c.payloads.built.Load(), c.payloads.reused.Load()
 }
 
 // Close releases the server (spill files, prefetcher) and the

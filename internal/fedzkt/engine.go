@@ -52,9 +52,10 @@ import (
 // form a state takes between a device's tensors and a replica slot. Each
 // hop is one pass over the elements (encode from the live tensors, copy or
 // decode into the slot, copy out of the slot, decode into the live
-// tensors), in process as over TCP; in process the bytes live in recycled
-// buffers (payloadBuffers) that whoever consumes a payload gives back. A
-// payload is an independent copy, safe to hand across stages.
+// tensors), in process as over TCP; either way the bytes live in the
+// engine's recycled buffers (payloadBuffers), which whoever consumes a
+// payload gives back. A payload is an independent copy, safe to hand
+// across stages.
 type Payload struct {
 	Enc []byte
 }
@@ -104,8 +105,8 @@ type Engine struct {
 	server  *Server
 	sampler sched.Sampler
 	fleet   Fleet
-	// payloads is an in-process fleet's free list of payload buffers; nil
-	// allocates every published payload.
+	// payloads is the free list every upload and download buffer comes from
+	// and goes back to, whichever fleet stages them.
 	payloads *payloadBuffers
 
 	// nextRound is the first round the next Run call executes: 1 for a
@@ -133,8 +134,12 @@ func NewEngine(server *Server, ds *data.Dataset, shards [][]int, fleet Fleet) (*
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{cfg: cfg, ds: ds, server: server, sampler: sampler, fleet: fleet, nextRound: 1,
-		metrics: newFedMetrics(obs.Default(), server)}, nil
+	// The free list is its own allocation: the process-wide registry keeps
+	// a pointer to it until the next engine registers, and must pin no more
+	// of this one than that.
+	payloads := &payloadBuffers{}
+	return &Engine{cfg: cfg, ds: ds, server: server, sampler: sampler, fleet: fleet, payloads: payloads, nextRound: 1,
+		metrics: newFedMetrics(obs.Default(), server, payloads)}, nil
 }
 
 // buildSampler selects the client-sampling policy from the config:
@@ -161,6 +166,23 @@ func buildSampler(cfg Config, shards [][]int) (s sched.Sampler, err error) {
 
 // Sampler exposes the client-sampling policy in effect.
 func (e *Engine) Sampler() sched.Sampler { return e.sampler }
+
+// TakePayload hands a fleet a recycled buffer, emptied, to stage a payload
+// of architecture arch in, or nil when none is free. Whoever consumes the
+// payload — the engine's absorb for an upload, the fleet for a download —
+// gives the buffer back.
+func (e *Engine) TakePayload(arch string) []byte { return e.payloads.take(arch) }
+
+// GivePayload returns the buffer of a consumed payload of architecture
+// arch to the free list. The caller must not touch it afterwards.
+func (e *Engine) GivePayload(arch string, buf []byte) { e.payloads.give(arch, buf) }
+
+// PayloadBufferStats reports how the payload buffers of uploads and
+// downloads were served so far: by building one — at most as many as were
+// ever in flight at once — or by reusing a returned one.
+func (e *Engine) PayloadBufferStats() (built, reused int64) {
+	return e.payloads.built.Load(), e.payloads.reused.Load()
+}
 
 // History returns the metrics of every round this federation has
 // finalised — across Run calls, and across crash/resume when durable
@@ -409,11 +431,10 @@ func (e *Engine) serverStage(ctx context.Context, w roundWork, handOff func(down
 func (e *Engine) absorb(m *fed.RoundMetrics, uploads []Upload) ([]int, error) {
 	ids := make([]int, 0, len(uploads))
 	for _, u := range uploads {
-		err := e.server.AbsorbPayload(u.ID, u.Enc)
-		if ref, rerr := e.server.cohorts.ref(u.ID); rerr == nil {
-			e.payloads.give(ref.cohort.arch, u.Enc) // the slot keeps its own copy
-		}
-		if err != nil {
+		if err := e.server.AbsorbPayload(u.ID, u.Enc); err != nil {
+			// A refused upload's buffer is left to the collector: only
+			// buffers that held a valid container of their architecture are
+			// recycled, so a fleet relaying untrusted input cannot plant one.
 			if err := e.fleet.UploadRejected(u, fmt.Errorf("fedzkt: upload device %d: %w", u.ID, err)); err != nil {
 				return nil, err
 			}
@@ -424,6 +445,8 @@ func (e *Engine) absorb(m *fed.RoundMetrics, uploads []Upload) ([]int, error) {
 			}
 			continue
 		}
+		ref, _ := e.server.cohorts.ref(u.ID)    // absorbed, so registered
+		e.payloads.give(ref.cohort.arch, u.Enc) // the slot keeps its own copy
 		if u.Round == m.Round {
 			m.Absorbed++
 		} else {

@@ -76,8 +76,8 @@ func (g *arenaGroup) register(reg *obs.Registry, owner, what string) {
 }
 
 // newFedMetrics registers an engine's instruments and scrape-time views
-// of its server's stats into reg.
-func newFedMetrics(reg *obs.Registry, srv *Server) *fedMetrics {
+// of its server's stats and its payload buffers into reg.
+func newFedMetrics(reg *obs.Registry, srv *Server, payloads *payloadBuffers) *fedMetrics {
 	fm := &fedMetrics{}
 	reg.RegisterCounter("fedzkt_rounds_total", "communication rounds finalised", &fm.rounds)
 	reg.RegisterCounter("fedzkt_uploads_absorbed_total", "fresh device uploads absorbed", &fm.absorbed)
@@ -115,22 +115,22 @@ func newFedMetrics(reg *obs.Registry, srv *Server) *fedMetrics {
 		func() float64 { return float64(srv.ReplicaStoreStats().HotEntries) })
 	reg.RegisterGaugeFunc("fedzkt_store_spill_records", "replica records resident in spill files",
 		func() float64 { return float64(srv.ReplicaStoreStats().SpillRecords) })
+	reg.RegisterCounterFunc("fedzkt_payload_buffers_built_total", "upload/download payload buffers allocated (at most the peak number in flight)",
+		func() float64 { return float64(payloads.built.Load()) })
+	reg.RegisterCounterFunc("fedzkt_payload_buffers_reused_total", "uploads/downloads served by a recycled payload buffer",
+		func() float64 { return float64(payloads.reused.Load()) })
 	srv.arenaGauges.phase.register(reg, "phase", "the server's distillation phase arena")
 	srv.arenaGauges.worker.register(reg, "server_worker", "the server's per-worker arenas, summed")
 	return fm
 }
 
 // registerFleetMetrics adds scrape-time views of an in-process fleet's
-// device rigs and payload buffers to reg.
-func registerFleetMetrics(reg *obs.Registry, rigs *rigStats, payloads *payloadBuffers) {
+// device rigs to reg.
+func registerFleetMetrics(reg *obs.Registry, rigs *rigStats) {
 	reg.RegisterCounterFunc("fedzkt_device_rig_builds_total", "device modules built by worker rigs (at most workers × architectures)",
 		func() float64 { return float64(rigs.builds.Load()) })
 	reg.RegisterCounterFunc("fedzkt_device_rig_reuses_total", "virtual-device materialisations served by a rig's live module",
 		func() float64 { return float64(rigs.reuses.Load()) })
-	reg.RegisterCounterFunc("fedzkt_payload_buffers_built_total", "upload/download payload buffers allocated (at most the peak number in flight)",
-		func() float64 { return float64(payloads.built.Load()) })
-	reg.RegisterCounterFunc("fedzkt_payload_buffers_reused_total", "uploads/downloads served by a recycled payload buffer",
-		func() float64 { return float64(payloads.reused.Load()) })
 	rigs.step.register(reg, "rig_step", "the device rigs' step arenas, summed")
 	rigs.task.register(reg, "rig_task", "the device rigs' task arenas, summed")
 }

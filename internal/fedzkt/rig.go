@@ -90,17 +90,17 @@ func (r *deviceRig) anchor(arch string, m nn.Module) nn.StateDict {
 	return a
 }
 
-// payloadBuffers is an in-process federation's free list of payload
-// buffers, one list per architecture (container sizes are a function of
-// architecture and codec, so a recycled buffer always fits): what
-// stageUpload encodes a trained state into and the engine's publish copies
-// a replica slot into, whatever the codec. take is called from device
-// tasks and both engine stages, hence the lock; a plain LIFO list (not a
+// payloadBuffers is a round engine's free list of payload buffers, one
+// list per architecture (container sizes are a function of architecture
+// and codec, so a recycled buffer always fits): what an in-process
+// stageUpload encodes a trained state into, a session's reader reads an
+// upload frame into, and the engine's publish copies a replica slot into,
+// whatever the codec. take is called from device tasks, connection
+// readers and both engine stages, hence the lock; a plain LIFO list (not a
 // sync.Pool) keeps the retained set deterministic — at most as many
 // buffers as were ever in flight at once, never dropped by a GC cycle. A
 // buffer is fully overwritten before use, so which one a caller gets
-// never shows in the values. A nil list (a fleet whose payloads arrive off
-// a wire) recycles nothing.
+// never shows in the values.
 type payloadBuffers struct {
 	mu            sync.Mutex
 	free          map[string][][]byte
@@ -110,9 +110,6 @@ type payloadBuffers struct {
 // take pops a free buffer for arch, emptied. With none free it returns nil
 // and counts a build: the caller's append allocates.
 func (b *payloadBuffers) take(arch string) []byte {
-	if b == nil {
-		return nil
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	l := b.free[arch]
@@ -130,7 +127,7 @@ func (b *payloadBuffers) take(arch string) []byte {
 // give returns a consumed payload's buffer (nil, a payload that was never
 // staged, is ignored).
 func (b *payloadBuffers) give(arch string, buf []byte) {
-	if b == nil || buf == nil {
+	if buf == nil {
 		return
 	}
 	b.mu.Lock()

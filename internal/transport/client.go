@@ -73,10 +73,11 @@ func (c DeviceConfig) withDefaults() DeviceConfig {
 // errDone signals the server's clean MsgDone shutdown internally.
 var errDone = errors.New("transport: done")
 
-// pendingUpload is the device's replay buffer: its last upload until the
+// pendingUpload is the device's replay payload: its last upload until the
 // server acknowledges it. Replayed on resume, so an upload whose ack was
 // lost to a disconnect still reaches the server exactly once (the server
-// deduplicates by round).
+// deduplicates by round). The bytes alias one of the session's two upload
+// buffers.
 type pendingUpload struct {
 	round   int
 	payload []byte
@@ -97,6 +98,40 @@ type deviceSession struct {
 
 	lastTrained int // highest round already trained (dedups re-sent train requests)
 	pending     *pendingUpload
+
+	// down is the one buffer every received payload (a download, a round
+	// summary) is read into: each is decoded before the next read.
+	down []byte
+	// up are the two upload buffers, encoded into alternately, so the one
+	// being written is never the replay payload: a resume replays intact
+	// bytes whatever became of the upload after it. last is the one the
+	// latest upload was staged in.
+	up   [2][]byte
+	last int
+}
+
+// downloadBuffer is the device's payload policy (see readFrame): whatever
+// the server sends lands in the one download buffer, grown to the largest
+// payload seen.
+func (s *deviceSession) downloadBuffer(_ *Message, n int) []byte {
+	if cap(s.down) < n {
+		s.down = make([]byte, n)
+	}
+	return s.down[:n]
+}
+
+// stageUpload encodes the device's state as round's upload into the upload
+// buffer the previous upload does not occupy and makes it the replay
+// payload.
+func (s *deviceSession) stageUpload(round int) error {
+	i := 1 - s.last
+	enc, err := s.cdc.Append(s.up[i][:0], nn.CaptureState(s.dev.Model))
+	if err != nil {
+		return fmt.Errorf("transport: device %d upload: %w", s.id, err)
+	}
+	s.up[i], s.last = enc, i
+	s.pending = &pendingUpload{round: round, payload: enc}
+	return nil
 }
 
 // RunDevice connects to the server, registers, and participates in the
@@ -220,12 +255,13 @@ func (s *deviceSession) serve(ctx context.Context, conn net.Conn) error {
 	defer stop()
 	writeDeadline := func() { _ = conn.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout)) }
 
+	var msg Message
+	buffer := s.downloadBuffer
 	for {
 		// Idle wait: deliberately unbounded. A device that is not sampled
 		// for longer than any fixed timeout must keep its session alive.
 		_ = conn.SetReadDeadline(time.Time{})
-		msg, err := ReadMessage(conn)
-		if err != nil {
+		if err := readFrame(conn, &msg, buffer); err != nil {
 			return err
 		}
 		switch msg.Type {
@@ -248,13 +284,11 @@ func (s *deviceSession) serve(ctx context.Context, conn net.Conn) error {
 			if s.cfg.Progress != nil {
 				s.cfg.Progress(msg.Round, loss)
 			}
-			payload, _, err := s.dev.UploadPayload(s.cdc)
-			if err != nil {
+			if err := s.stageUpload(msg.Round); err != nil {
 				return err
 			}
-			s.pending = &pendingUpload{round: msg.Round, payload: payload}
 			writeDeadline()
-			if err := WriteMessage(conn, &Message{Type: MsgUpload, Round: msg.Round, DeviceID: s.id, Payload: payload}); err != nil {
+			if err := WriteMessage(conn, &Message{Type: MsgUpload, Round: msg.Round, DeviceID: s.id, Payload: s.pending.payload}); err != nil {
 				return err
 			}
 		case MsgUploadAck:
@@ -271,7 +305,7 @@ func (s *deviceSession) serve(ctx context.Context, conn net.Conn) error {
 				if err != nil {
 					return err
 				}
-				s.cfg.OnRoundSummary(*summary)
+				s.cfg.OnRoundSummary(summary)
 			}
 		case MsgDone:
 			return errDone

@@ -137,8 +137,13 @@ func (f *sessionFleet) UploadRejected(fedzkt.Upload, error) error { return nil }
 
 // Deliver implements fedzkt.Fleet. A detached session misses the frame;
 // its device keeps training from its stale model, as a straggler does.
+// The payload's buffer goes back to the engine's free list either way: by
+// the session's writer once the frame is on the wire, or here.
 func (f *sessionFleet) Deliver(round, id int, p fedzkt.Payload) error {
-	f.sessions[id].enqueue(&Message{Type: MsgDownload, Round: round, DeviceID: id, Payload: p.Enc})
+	sess := f.sessions[id]
+	if !sess.enqueue(&Message{Type: MsgDownload, Round: round, DeviceID: id, Payload: p.Enc}) {
+		sess.bufs.GivePayload(sess.arch, p.Enc)
+	}
 	return nil
 }
 
@@ -149,13 +154,10 @@ func (f *sessionFleet) EvaluateDevices([]int) ([]float64, error) { return nil, n
 // round's summary, and the round books the wire traffic since its
 // predecessor (round 1 therefore carries registration).
 func (f *sessionFleet) CloseRound(m *fed.RoundMetrics) error {
-	summary, err := EncodeRoundSummary(&RoundSummary{
+	summary := EncodeRoundSummary(&RoundSummary{
 		Round: m.Round, Absorbed: m.Absorbed, Late: m.LateAbsorbed,
 		Dropped: m.DroppedUploads, GlobalAcc: m.GlobalAcc,
 	})
-	if err != nil {
-		return err
-	}
 	for _, sess := range f.sessions {
 		sess.enqueue(&Message{Type: MsgRoundSummary, Round: m.Round, DeviceID: sess.id, Payload: summary})
 	}

@@ -222,6 +222,11 @@ func (s *Server) SessionStats() []SessionStats {
 	return out
 }
 
+// PayloadBufferStats reports how the federation's upload and download
+// frames got their payload buffers: built, or reused from the engine's
+// free list (fedzkt.Engine.PayloadBufferStats).
+func (s *Server) PayloadBufferStats() (built, reused int64) { return s.engine.PayloadBufferStats() }
+
 // stats snapshots one session's statistics.
 func (s *session) stats() SessionStats {
 	s.mu.Lock()
@@ -394,7 +399,7 @@ func (s *Server) handleHello(conn net.Conn, mc *meteredConn, hello *Message) {
 	}
 	id := s.nextID
 	s.nextID++
-	sess := &session{id: id, arch: hello.Arch, token: resumeToken(s.key, id)}
+	sess := &session{id: id, arch: hello.Arch, token: resumeToken(s.key, id), bufs: s.engine}
 	s.sessions = append(s.sessions, sess)
 	s.mu.Unlock()
 
@@ -446,6 +451,7 @@ func (s *Server) handleHello(conn net.Conn, mc *meteredConn, hello *Message) {
 		fail(err)
 		return
 	}
+	sess.maxPayload.Store(int64(len(init.Payload)))
 	_ = conn.SetDeadline(time.Time{})
 	obs.DefaultTracer().Begin("transport", "session_attach").WithTID(id).End()
 	// Attach before reporting progress: the rounds start on the last

@@ -15,6 +15,7 @@ import (
 
 	"github.com/fedzkt/fedzkt/internal/chaos"
 	"github.com/fedzkt/fedzkt/internal/data"
+	"github.com/fedzkt/fedzkt/internal/fedzkt"
 	"github.com/fedzkt/fedzkt/internal/partition"
 	"github.com/fedzkt/fedzkt/internal/tensor"
 )
@@ -148,6 +149,18 @@ type session struct {
 	arch  string
 	token []byte
 	meter meter
+	// bufs is the engine whose free list the session's payload buffers
+	// circulate through: the reader takes one per upload frame (the
+	// engine's absorb gives it back), the writer gives a download's back
+	// once it is on the wire.
+	bufs *fedzkt.Engine
+	// maxPayload is the length of the container the device registered
+	// with. Container length is a pure function of architecture and codec,
+	// so no valid upload is longer, and the reader skips the payload of one
+	// that claims to be instead of buffering it. Stored once, when the
+	// registration handshake completes; 0 (every upload skipped) for a
+	// connection that resumes with its token before that.
+	maxPayload atomic.Int64
 
 	mu   sync.Mutex
 	cs   *connState // nil while detached
@@ -191,14 +204,23 @@ func (s *session) attach(conn net.Conn, resumed bool, pendingRound int, events c
 	s.mu.Unlock()
 
 	// Writer: drains the outbox with a per-message deadline. A write
-	// failure kills the connection, which unblocks the reader too.
+	// failure kills the connection, which unblocks the reader too; what is
+	// still queued is then only drained (whoever detaches the connection
+	// closes the outbox), because a queued download owns a payload buffer
+	// that goes back to the free list written or not.
 	go func() {
 		defer close(cs.done)
+		dead := false
 		for m := range cs.outbox {
-			_ = conn.SetWriteDeadline(time.Now().Add(ioTimeout))
-			if err := WriteMessage(mc, m); err != nil {
-				_ = conn.Close()
-				return
+			if !dead {
+				_ = conn.SetWriteDeadline(time.Now().Add(ioTimeout))
+				if err := WriteMessage(mc, m); err != nil {
+					_ = conn.Close()
+					dead = true
+				}
+			}
+			if m.Type == MsgDownload {
+				s.bufs.GivePayload(s.arch, m.Payload)
 			}
 		}
 	}()
@@ -210,10 +232,11 @@ func (s *session) attach(conn net.Conn, resumed bool, pendingRound int, events c
 		if resumed {
 			events <- inbound{id: s.id, kind: evAttached, pendingRound: pendingRound}
 		}
+		buffer := s.uploadBuffer
 		for {
 			_ = conn.SetReadDeadline(time.Time{})
-			m, err := ReadMessage(mc)
-			if err != nil {
+			m := new(Message)
+			if err := readFrame(mc, m, buffer); err != nil {
 				s.detach(cs)
 				events <- inbound{id: s.id, kind: evDetached}
 				return
@@ -221,6 +244,21 @@ func (s *session) attach(conn net.Conn, resumed bool, pendingRound int, events c
 			events <- inbound{id: s.id, kind: evMessage, msg: m}
 		}
 	}()
+}
+
+// uploadBuffer is the reader's payload policy (see readFrame): an upload
+// no longer than the device's registered container lands in a buffer from
+// the free list; any other payload — nothing else a registered device sends
+// carries one — is skipped unbuffered, so the frame reaches the fleet
+// without it and an upload is then refused like any other invalid one.
+func (s *session) uploadBuffer(m *Message, n int) []byte {
+	if m.Type != MsgUpload || int64(n) > s.maxPayload.Load() {
+		return nil
+	}
+	if buf := s.bufs.TakePayload(s.arch); cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]byte, n)
 }
 
 // detach tears down cs if it is still the session's live connection.

@@ -65,17 +65,6 @@ func TestReadMessageTruncated(t *testing.T) {
 	}
 }
 
-func TestReadMessageCorruptBody(t *testing.T) {
-	var buf bytes.Buffer
-	var prefix [4]byte
-	binary.BigEndian.PutUint32(prefix[:], 4)
-	buf.Write(prefix[:])
-	buf.Write([]byte{0xde, 0xad, 0xbe, 0xef})
-	if _, err := ReadMessage(&buf); err == nil {
-		t.Fatal("want error for corrupt gob body")
-	}
-}
-
 func TestAssignmentRoundTrip(t *testing.T) {
 	in := &Assignment{
 		DatasetName: "synthmnist",
