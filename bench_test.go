@@ -34,7 +34,7 @@ import (
 // seed so repeated bench iterations are independent runs.
 func smoke(i int) experiments.Params {
 	p := experiments.ParamsFor(experiments.ScaleSmoke)
-	p.Seed = uint64(i + 1)
+	p.Fed.Seed = uint64(i + 1)
 	return p
 }
 
@@ -226,7 +226,7 @@ func benchDistillServer(b *testing.B, teachersPerIter int, sequential bool) {
 // BenchmarkServerDistill100FullEnsemble is the pre-cohort regime: every
 // distillation iteration forwards all 100 replica teachers and transfers
 // back into all 100 replicas, with the worker-parallel fan-out and
-// gang-parallel kernels engaged (exact mode — byte-identical to Serial).
+// gang-parallel kernels engaged (byte-identical to Serial).
 func BenchmarkServerDistill100FullEnsemble(b *testing.B) { benchDistillServer(b, 0, false) }
 
 // BenchmarkServerDistill100FullEnsembleSerial is the one-core reference
@@ -235,28 +235,10 @@ func BenchmarkServerDistill100FullEnsemble(b *testing.B) { benchDistillServer(b,
 // ≥ 4-core host.
 func BenchmarkServerDistill100FullEnsembleSerial(b *testing.B) { benchDistillServer(b, 0, true) }
 
-// BenchmarkServerDistill100FullEnsembleFast is the full ensemble under
-// -fast-math kernels (FMA, relaxed accumulation order): the exact-vs-fast
-// column of the bench table. Results are not byte-comparable to the
-// exact arms.
-func BenchmarkServerDistill100FullEnsembleFast(b *testing.B) {
-	tensor.SetFastMath(true)
-	defer tensor.SetFastMath(false)
-	benchDistillServer(b, 0, false)
-}
-
 // BenchmarkServerDistill100Teachers8 samples 8 teachers per iteration
 // (and an 8-wide rotating transfer-back window). The acceptance bar for
 // the cohort refactor is ≥ 5× over the full ensemble at 100 replicas.
 func BenchmarkServerDistill100Teachers8(b *testing.B) { benchDistillServer(b, 8, false) }
-
-// BenchmarkServerDistill100Teachers8Fast is the sampled arm under
-// -fast-math kernels.
-func BenchmarkServerDistill100Teachers8Fast(b *testing.B) {
-	tensor.SetFastMath(true)
-	defer tensor.SetFastMath(false)
-	benchDistillServer(b, 8, false)
-}
 
 // BenchmarkServerDistill100Teachers8NoObs is the sampled arm with the
 // observability layer's span recording switched off. The pair
@@ -422,23 +404,6 @@ func BenchmarkLocalStepArenaNoObs(b *testing.B) {
 // --- Substrate micro-benchmarks ---
 
 func BenchmarkMatMul128(b *testing.B) {
-	rng := tensor.NewRand(1)
-	x := tensor.New(128, 128)
-	y := tensor.New(128, 128)
-	tensor.FillNormal(x, 0, 1, rng)
-	tensor.FillNormal(y, 0, 1, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tensor.MatMul(x, y)
-	}
-}
-
-// BenchmarkMatMul128Fast is BenchmarkMatMul128 under the fast-math
-// kernels (hardware FMA where available, relaxed accumulation order) —
-// the per-kernel exact-vs-fast delta of the bench table.
-func BenchmarkMatMul128Fast(b *testing.B) {
-	tensor.SetFastMath(true)
-	defer tensor.SetFastMath(false)
 	rng := tensor.NewRand(1)
 	x := tensor.New(128, 128)
 	y := tensor.New(128, 128)

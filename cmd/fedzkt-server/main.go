@@ -20,7 +20,6 @@ import (
 
 	"github.com/fedzkt/fedzkt/internal/data"
 	"github.com/fedzkt/fedzkt/internal/fedzkt"
-	"github.com/fedzkt/fedzkt/internal/obs"
 	"github.com/fedzkt/fedzkt/internal/transport"
 )
 
@@ -34,53 +33,52 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("fedzkt-server", flag.ContinueOnError)
 	var (
-		addr          = fs.String("addr", "127.0.0.1:7700", "TCP listen address")
-		devices       = fs.Int("devices", 2, "number of devices to wait for")
-		dataset       = fs.String("dataset", "synthmnist", "synthetic dataset name")
-		rounds        = fs.Int("rounds", 5, "communication rounds")
-		epochs        = fs.Int("epochs", 2, "local epochs per round")
-		distill       = fs.Int("distill", 16, "server distillation iterations per phase")
-		batch         = fs.Int("batch", 16, "batch size (device and distillation)")
-		fraction      = fs.Float64("p", 1.0, "active device fraction per round (stragglers)")
-		seed          = fs.Uint64("seed", 1, "random seed")
-		perClass      = fs.Int("per-class", 30, "training samples per class")
-		part          = fs.String("partition", "iid", "data partition regime: iid, quantity:<c>, dirichlet:<beta>")
-		minUp         = fs.Int("min-uploads", 0, "round quorum: min uploads before distilling without stragglers (0 = all active devices)")
-		upDeadl       = fs.Duration("upload-deadline", 0, "per-round upload collection deadline (0 = IO timeout)")
-		staleness     = fs.Int("staleness-bound", 0, "rounds a late upload may lag and still be absorbed")
-		listenMetrics = fs.String("listen-metrics", "", "serve the live introspection endpoint on this address (/metrics, /debug/vars, /debug/trace, /debug/pprof; \":0\" picks a port)")
+		addr      = fs.String("addr", "127.0.0.1:7700", "TCP listen address")
+		devices   = fs.Int("devices", 2, "number of devices to wait for")
+		dataset   = fs.String("dataset", "synthmnist", "synthetic dataset name")
+		perClass  = fs.Int("per-class", 30, "training samples per class")
+		part      = fs.String("partition", "iid", "data partition regime: iid, quantity:<c>, dirichlet:<beta>")
+		minUp     = fs.Int("min-uploads", 0, "round quorum: min uploads before distilling without stragglers (0 = all active devices)")
+		upDeadl   = fs.Duration("upload-deadline", 0, "per-round upload collection deadline (0 = IO timeout)")
+		staleness = fs.Int("staleness-bound", 0, "rounds a late upload may lag and still be absorbed")
 	)
+	// The shared flags a session fleet cannot honour yet (-pipeline-depth,
+	// -checkpoint-dir, -resume, -round-deadline, -fail-rate,
+	// -virtual-devices) are refused by transport.NewServer, by field name.
+	fed := fedzkt.Config{
+		Rounds:         5,
+		LocalEpochs:    2,
+		DistillIters:   16,
+		StudentSteps:   2,
+		DistillBatch:   16,
+		BatchSize:      16,
+		DeviceLR:       0.05,
+		ServerLR:       0.05,
+		GenLR:          3e-4,
+		Momentum:       0.9,
+		ActiveFraction: 1,
+		Seed:           1,
+	}
+	fed.BindFlags(fs)
+	fed.BindSizingFlags(fs)
+	var proc fedzkt.ProcessFlags
+	proc.Bind(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *listenMetrics != "" {
-		maddr, err := obs.ListenAndServe(*listenMetrics)
-		if err != nil {
-			return fmt.Errorf("listen-metrics: %w", err)
-		}
-		fmt.Printf("metrics listening on http://%s/metrics\n", maddr)
+	stop, err := proc.Start()
+	if err != nil {
+		return err
 	}
+	defer stop()
 
 	srv, err := transport.NewServer(transport.ServerConfig{
-		Addr:        *addr,
-		NumDevices:  *devices,
-		DatasetName: *dataset,
-		Sizes:       data.Sizes{TrainPerClass: *perClass, TestPerClass: maxInt(*perClass/3, 2)},
-		Partition:   *part,
-		Fed: fedzkt.Config{
-			Rounds:         *rounds,
-			LocalEpochs:    *epochs,
-			DistillIters:   *distill,
-			StudentSteps:   2,
-			DistillBatch:   *batch,
-			BatchSize:      *batch,
-			DeviceLR:       0.05,
-			ServerLR:       0.05,
-			GenLR:          3e-4,
-			Momentum:       0.9,
-			ActiveFraction: *fraction,
-			Seed:           *seed,
-		},
+		Addr:           *addr,
+		NumDevices:     *devices,
+		DatasetName:    *dataset,
+		Sizes:          data.Sizes{TrainPerClass: *perClass, TestPerClass: max(*perClass/3, 2)},
+		Partition:      *part,
+		Fed:            fed,
 		MinUploads:     *minUp,
 		UploadDeadline: *upDeadl,
 		StalenessBound: *staleness,
@@ -111,11 +109,4 @@ func run(args []string) error {
 		fmt.Printf("payload buffers: %d built, %d uploads/downloads served by reuse\n", built, reused)
 	}
 	return err
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,9 +2,8 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
-
-	fedzkt "github.com/fedzkt/fedzkt"
 )
 
 func TestParseDevices(t *testing.T) {
@@ -56,38 +55,35 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-exp", "scale", "-teachers-per-iter", "-1"}); err == nil {
 		t.Fatal("negative -teachers-per-iter accepted")
 	}
-	if err := run([]string{"-exp", "scale", "-teacher-sampling", "psychic"}); err == nil {
-		t.Fatal("unknown -teacher-sampling accepted")
-	}
 	for _, bad := range [][]string{{"-replica-store", "tape"}, {"-shards", "-1"}, {"-hot-set", "-1"}, {"-pipeline-depth", "-1"}} {
 		if err := run(append([]string{"-exp", "scale"}, bad...)); err == nil {
 			t.Fatalf("%v accepted", bad)
 		}
 	}
-	// The sweep picks its own teacher count, so weighted sampling without
-	// one must get past flag validation (-list stops before any work).
-	if err := run([]string{"-teacher-sampling", "weighted", "-list"}); err != nil {
-		t.Fatalf("-teacher-sampling weighted without -teachers-per-iter rejected at the flags: %v", err)
+	// Flag validation must run before any experiment work, so a bad value
+	// errors even with an otherwise valid experiment.
+	if err := run([]string{"-exp", "table1", "-workers", "-1"}); err == nil {
+		t.Fatal("negative -workers accepted")
 	}
-	// Flag validation must run before any experiment work, so the bad
-	// combination errors even with an otherwise valid experiment.
-	if err := run([]string{"-exp", "table1", "-fast-math", "-workers", "-1"}); err == nil {
-		t.Fatal("negative -workers accepted alongside -fast-math")
-	}
-}
-
-// TestFastMathFlagTogglesAndRestores checks -fast-math flips the kernel
-// mode for the run and restores exact mode on exit (even on an error
-// path), so a later golden run in the same process stays exact.
-func TestFastMathFlagTogglesAndRestores(t *testing.T) {
-	if fedzkt.FastMath() {
-		t.Fatal("fast math unexpectedly on at test start")
-	}
-	// -list exits before experiments run but after flag handling.
-	if err := run([]string{"-fast-math", "-list"}); err != nil {
-		t.Fatal(err)
-	}
-	if fedzkt.FastMath() {
-		t.Fatal("fast math left enabled after run returned")
+	// One validation, by field name, for every flag Config binds: values
+	// and combinations that used to run (a -1 cadence checkpointed every
+	// round, -rounds never reaches an experiment) or fail only after the
+	// federation was built.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-checkpoint-dir", "d", "-checkpoint-every", "-1"}, "negative CheckpointEvery -1"},
+		{[]string{"-checkpoint-dir", "d", "-keep-checkpoints", "-1"}, "negative KeepCheckpoints -1"},
+		{[]string{"-checkpoint-every", "2"}, "CheckpointEvery 2 requires CheckpointDir"},
+		{[]string{"-resume"}, "Resume requires CheckpointDir"},
+		{[]string{"-fail-rate", "1"}, "FailureRate 1 outside [0,1)"},
+		{[]string{"-weighted"}, "SampleWeighted requires SampleK > 0"},
+		{[]string{"-virtual-devices", "-round-deadline", "1s"}, "VirtualDevices requires RoundDeadline = 0"},
+	} {
+		err := run(append([]string{"-exp", "table1"}, tc.args...))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %v, want one containing %q", tc.args, err, tc.want)
+		}
 	}
 }

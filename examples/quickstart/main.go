@@ -18,7 +18,7 @@ import (
 
 func main() {
 	// 1. Data: a deterministic synthetic 10-class image dataset (the
-	// offline stand-in for MNIST; see DESIGN.md §2).
+	// offline stand-in for MNIST; see package internal/data).
 	ds := data.SynthMNIST(fedzkt.Sizes{TrainPerClass: 30, TestPerClass: 10}, 42)
 
 	// 2. Partition: IID across 5 devices.

@@ -16,8 +16,9 @@
 // shards fanned out on the worker pool. -virtual-devices applies the same
 // treatment to the device side: models are materialised from a tiered
 // store only while a device participates. At ≥ 10,000 devices all three
-// are enabled automatically (and evaluation capped to -eval-devices), so
-// a million-device federation runs in one bounded-RSS process:
+// are enabled wherever their flag is not given (and evaluation capped to
+// 256 devices), so a million-device federation runs in one bounded-RSS
+// process:
 //
 //	go run ./examples/scale -devices 1000000
 //
@@ -32,7 +33,7 @@
 //
 //	go run ./examples/scale
 //	go run ./examples/scale -devices 1000 -sample-k 32 -workers 8 -rounds 2
-//	go run ./examples/scale -devices 1000 -teachers-per-iter 16 -teacher-sampling weighted
+//	go run ./examples/scale -devices 1000 -teachers-per-iter 16
 //	go run ./examples/scale -devices 1000 -sample-k 32 -pipeline-depth 2
 //	go run ./examples/scale -devices 1000 -replica-store spill -shards 4 -hot-set 64
 //	go run ./examples/scale -devices 1000000 -rounds 2
@@ -54,7 +55,6 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -70,123 +70,56 @@ import (
 const autoScaleDevices = 10000
 
 func main() {
-	var (
-		devices  = flag.Int("devices", 1000, "number of simulated devices")
-		sampleK  = flag.Int("sample-k", 32, "clients sampled per round (uniform-K)")
-		workers  = flag.Int("workers", 0, "scheduler worker-pool size (0 = GOMAXPROCS)")
-		rounds   = flag.Int("rounds", 2, "communication rounds")
-		deadline = flag.Duration("round-deadline", 0, "per-round wall-clock budget (0 = none; incompatible with virtual devices)")
-		failRate = flag.Float64("fail-rate", 0.05, "injected per-device-round failure probability")
-		weighted = flag.Bool("weighted", false, "weight client sampling by shard size")
-		seed     = flag.Uint64("seed", 42, "random seed")
-		fastMath = flag.Bool("fast-math", false, "relaxed-numerics kernels (FMA, relaxed accumulation order); faster, not byte-reproducible against exact-mode runs")
-
-		teachersPerIter = flag.Int("teachers-per-iter", 8, "replica teachers sampled per server distillation iteration (0 = paper-exact full ensemble)")
-		teacherSampling = flag.String("teacher-sampling", "uniform", "teacher-subset policy: uniform or weighted (by device data size)")
-		cohortReplicas  = flag.Int("cohort-replicas", 0, "live replica modules retained per architecture cohort (0 = automatic)")
-		pipelineDepth   = flag.Int("pipeline-depth", 0, "rounds in flight on the pipelined engine: the server distills round r while round r+1 trains on-device (0 = synchronous barrier)")
-		stateCodec      = flag.String("state-codec", "", "state codec for replica slots and wire payloads: float64 (dense, default), float16 (2 B/elem), int8 (1 B/elem, per-tensor affine)")
-
-		replicaStore = flag.String("replica-store", "auto", "server replica store: memory, spill (LRU hot set + disk tier), or auto (spill at ≥ 10,000 devices)")
-		shardCount   = flag.Int("shards", 0, "cohort store shards, registration/checkout fanned out per shard (0 = auto: 4 at ≥ 10,000 devices)")
-		hotSet       = flag.Int("hot-set", 0, "resident replica slots per cohort shard under the spill store (0 = sized to the teacher window)")
-		spillDir     = flag.String("spill-dir", "", "directory for spill files (default: a private temp dir, removed on exit)")
-		virtual      = flag.Bool("virtual-devices", false, "keep device models in a tiered store, materialised only while participating (auto-enabled at ≥ 10,000 devices)")
-		evalDevices  = flag.Int("eval-devices", -1, "devices in the per-round replica evaluation, 0 = all (-1 = auto: all below 10,000 devices, 256 beyond)")
-
-		checkpointDir   = flag.String("checkpoint-dir", "", "write an atomic, CRC-trailed checkpoint file here after every -checkpoint-every rounds (enables crash recovery)")
-		checkpointEvery = flag.Int("checkpoint-every", 0, "round cadence of durable checkpoints (0 = every round when -checkpoint-dir is set)")
-		keepCheckpoints = flag.Int("keep-checkpoints", 0, "checkpoint files retained in -checkpoint-dir (0 = 3); older files are the rollback targets")
-		resume          = flag.Bool("resume", false, "resume from the latest intact checkpoint in -checkpoint-dir (fresh start when none loads)")
-		chaosSpec       = flag.String("chaos", "", "arm seeded failpoints, e.g. \"seed=7;spill.read.err=0.01;crash.round.end=on:2\" (see internal/chaos; crash points exit with code 7)")
-
-		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with `go tool pprof`)")
-		memProfile    = flag.String("memprofile", "", "write an allocation profile taken at exit to this file")
-		listenMetrics = flag.String("listen-metrics", "", "serve the live introspection endpoint on this address (/metrics, /debug/vars, /debug/trace, /debug/pprof; \":0\" picks a port)")
-	)
+	devices := flag.Int("devices", 1000, "number of simulated devices")
+	// A deliberately small distillation budget: this demo is about
+	// scheduling and server scaling, not accuracy. By default the server
+	// samples a teacher subset per distillation iteration instead of
+	// forwarding every replica (-teachers-per-iter 0 is the paper-exact
+	// full ensemble).
+	cfg := fedzkt.Config{
+		Rounds: 2, LocalEpochs: 1, DistillIters: 3, StudentSteps: 1,
+		DistillBatch: 8, BatchSize: 8, ZDim: 16,
+		DeviceLR: 0.05, ServerLR: 0.05, GenLR: 3e-4, Momentum: 0.9,
+		Seed:    42,
+		SampleK: 32, FailureRate: 0.05,
+		TeachersPerIter: 8,
+		ReplicaStore:    fedzkt.ReplicaStoreMemory, ReplicaShards: 1,
+	}
+	cfg.BindFlags(flag.CommandLine)
+	cfg.BindSizingFlags(flag.CommandLine)
+	var proc fedzkt.ProcessFlags
+	proc.Bind(flag.CommandLine)
 	flag.Parse()
-
-	var plan *chaos.Plan
-	if *chaosSpec != "" {
-		p, err := chaos.Parse(*chaosSpec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		plan = p
-		chaos.Activate(plan)
-		defer chaos.Deactivate()
-		fmt.Printf("chaos armed: %s\n", *chaosSpec)
-	}
-
-	if *listenMetrics != "" {
-		addr, err := obs.ListenAndServe(*listenMetrics)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("metrics listening on http://%s/metrics\n", addr)
-	}
-
-	// Registered first so it unwinds last: the CPU profile stops before
-	// the exit GC and allocation snapshot.
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			runtime.GC()
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				log.Print(err)
-			}
-			f.Close()
-		}()
-	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	if *fastMath {
-		fedzkt.SetFastMath(true)
-		fmt.Printf("fast-math kernels on (hardware FMA: %v) — results are not byte-reproducible against exact mode\n", fedzkt.FastMathFMA())
-	}
 
 	// Beyond the auto-scale threshold, default to the bounded-memory
 	// configuration: every per-device cost (replica slots, device models,
-	// evaluation) must be O(hot set), not O(devices).
-	atScale := *devices >= autoScaleDevices
-	store := *replicaStore
-	if store == "auto" {
-		store = fedzkt.ReplicaStoreMemory
-		if atScale {
-			store = fedzkt.ReplicaStoreSpill
+	// evaluation) must be O(hot set), not O(devices). A flag that was given
+	// keeps its value.
+	if *devices >= autoScaleDevices {
+		given := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
+		if !given["replica-store"] {
+			cfg.ReplicaStore = fedzkt.ReplicaStoreSpill
+		}
+		if !given["shards"] {
+			cfg.ReplicaShards = 4
+		}
+		if !given["eval-devices"] {
+			cfg.EvalDevices = 256
+		}
+		if cfg.RoundDeadline == 0 {
+			cfg.VirtualDevices = true
 		}
 	}
-	shards := *shardCount
-	if shards == 0 {
-		shards = 1
-		if atScale {
-			shards = 4
-		}
+	cfg.EvalEvery = cfg.Rounds // evaluating every device model is the slow part
+	stop, err := proc.Start()
+	if err != nil {
+		log.Fatal(err)
 	}
-	useVirtual := *virtual || (atScale && *deadline == 0)
-	evalN := *evalDevices
-	if evalN < 0 {
-		evalN = 0
-		if atScale {
-			evalN = 256
-		}
-	}
+	defer stop()
 
 	fmt.Printf("simulating %d devices on %d CPU(s), sampling %d clients/round (store=%s shards=%d virtual=%v)\n",
-		*devices, runtime.GOMAXPROCS(0), *sampleK, store, shards, useVirtual)
+		*devices, runtime.GOMAXPROCS(0), cfg.SampleK, cfg.ReplicaStore, cfg.ReplicaShards, cfg.VirtualDevices)
 
 	// Enough data for every device to hold a couple of samples — but the
 	// dataset must not itself grow O(devices) forever, so cap it and give
@@ -195,7 +128,7 @@ func main() {
 	if perClass > 20000 {
 		perClass = 20000
 	}
-	ds := data.SynthMNIST(fedzkt.Sizes{TrainPerClass: perClass, TestPerClass: 10}, *seed)
+	ds := data.SynthMNIST(fedzkt.Sizes{TrainPerClass: perClass, TestPerClass: 10}, cfg.Seed)
 	var dataShards [][]int
 	if n := ds.NumTrain(); 2*(*devices) > n {
 		dataShards = make([][]int, *devices)
@@ -203,37 +136,11 @@ func main() {
 			dataShards[i] = []int{i % n, (i + 1) % n}
 		}
 	} else {
-		dataShards = fedzkt.PartitionIID(ds.NumTrain(), *devices, *seed+1)
+		dataShards = fedzkt.PartitionIID(ds.NumTrain(), *devices, cfg.Seed+1)
 	}
 
 	build := time.Now()
-	co, err := fedzkt.New(fedzkt.Config{
-		// A deliberately small distillation budget: this demo is about
-		// scheduling and server scaling, not accuracy. With the default
-		// -teachers-per-iter the server samples a teacher subset per
-		// distillation iteration instead of forwarding every replica
-		// (set -teachers-per-iter 0 for the paper-exact full ensemble).
-		Rounds: *rounds, LocalEpochs: 1, DistillIters: 3, StudentSteps: 1,
-		DistillBatch: 8, BatchSize: 8, ZDim: 16,
-		DeviceLR: 0.05, ServerLR: 0.05, GenLR: 3e-4, Momentum: 0.9,
-		Seed:    *seed,
-		SampleK: *sampleK, SampleWeighted: *weighted,
-		Workers: *workers, RoundDeadline: *deadline, FailureRate: *failRate,
-		TeachersPerIter: *teachersPerIter, TeacherSampling: *teacherSampling,
-		CohortReplicas: *cohortReplicas,
-		PipelineDepth:  *pipelineDepth,
-		StateCodec:     *stateCodec,
-		ReplicaStore:   store, ReplicaShards: shards, HotSet: *hotSet,
-		SpillDir:       *spillDir,
-		VirtualDevices: useVirtual,
-		EvalDevices:    evalN,
-		EvalEvery:      *rounds, // evaluating every device model is the slow part
-
-		CheckpointDir:   *checkpointDir,
-		CheckpointEvery: *checkpointEvery,
-		KeepCheckpoints: *keepCheckpoints,
-		Resume:          *resume,
-	}, ds, []string{"mlp", "lenet-s"}, dataShards)
+	co, err := fedzkt.New(cfg, ds, []string{"mlp", "lenet-s"}, dataShards)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -259,24 +166,24 @@ func main() {
 	stats := co.Pool().Stats()
 	fmt.Printf("\npolicy=%s  totals: completed=%d dropped=%d injected=%d\n",
 		co.Sampler().Name(), stats.Completed.Load(), stats.Dropped.Load(), stats.Injected.Load())
-	if *pipelineDepth > 0 {
+	if cfg.PipelineDepth > 0 {
 		down, up := hist.TotalStalls()
 		fmt.Printf("pipeline: depth=%d, local stage stalled on downloads %s, server stage stalled on uploads %s, pool busy %s of %s wall\n",
-			*pipelineDepth, down.Round(time.Millisecond), up.Round(time.Millisecond),
+			cfg.PipelineDepth, down.Round(time.Millisecond), up.Round(time.Millisecond),
 			stats.BusyTime().Round(time.Millisecond), elapsed.Round(time.Millisecond))
 	}
 	fmt.Printf("server: teachers/iter=%d (0 = full ensemble), live replica modules retained=%d of %d devices\n",
-		*teachersPerIter, srv.LiveReplicas(), *devices)
+		cfg.TeachersPerIter, srv.LiveReplicas(), *devices)
 	fmt.Printf("state: codec=%s, resident replica slots %d B total (%d B/device)\n",
 		srv.Codec().Name(), srv.ResidentStateBytes(), srv.ResidentStateBytes()/int64(*devices))
 	printStoreStats("replica store", srv.ReplicaStoreStats())
-	if useVirtual {
+	if cfg.VirtualDevices {
 		printStoreStats("device store", co.DeviceStoreStats())
 	}
 	fmt.Printf("global model accuracy: %.4f | mean device accuracy: %.4f",
 		hist.FinalGlobalAcc(), hist.FinalMeanDeviceAcc())
-	if evalN > 0 && evalN < *devices {
-		fmt.Printf(" (over %d evaluated devices)", evalN)
+	if cfg.EvalDevices > 0 && cfg.EvalDevices < *devices {
+		fmt.Printf(" (over %d evaluated devices)", cfg.EvalDevices)
 	}
 	fmt.Println()
 	allocMB := float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / (1 << 20)
@@ -284,7 +191,7 @@ func main() {
 	fmt.Printf("alloc: %.1f MB heap-allocated during the run, %d GCs, %s total GC pause (%.2f%% of wall)\n",
 		allocMB, msAfter.NumGC-msBefore.NumGC, gcPause.Round(time.Microsecond),
 		100*float64(gcPause)/float64(elapsed))
-	if useVirtual {
+	if cfg.VirtualDevices {
 		builds, reuses := co.DeviceRigStats()
 		fmt.Printf("device rigs: %d modules built, %d materialisations served by reuse\n", builds, reuses)
 	}
@@ -295,7 +202,7 @@ func main() {
 		fmt.Printf("rss: %.0f MB now, %.0f MB peak — bounded by the hot set, not the device count\n", rss, peak)
 	}
 	fmt.Printf("%d devices × %d rounds in %s — one process, bounded concurrency.\n",
-		*devices, *rounds, elapsed.Round(time.Millisecond))
+		*devices, cfg.Rounds, elapsed.Round(time.Millisecond))
 
 	// The fingerprint digest covers the coordinator's whole finalised
 	// history — across a crash and resume, not just this Run — so a
@@ -305,7 +212,7 @@ func main() {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(full.Fingerprint()))
 	fmt.Printf("history fingerprint: %016x over %d rounds\n", h.Sum64(), len(full))
-	if plan != nil {
+	if plan := chaos.Active(); plan != nil {
 		for _, site := range chaos.Sites() {
 			if plan.Armed(site) {
 				fmt.Printf("chaos: %-20s hits=%d fired=%d\n", site, plan.Hits(site), plan.Fired(site))

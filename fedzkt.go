@@ -23,14 +23,14 @@
 //
 // The server side scales independently: replicas are stored in
 // architecture cohorts (shared live modules + per-device state dicts),
-// and TeachersPerIter / TeacherSampling / CohortReplicas switch the
-// server phase from the paper-exact full teacher ensemble
-// (TeachersPerIter: 0, byte-identical to the flat-replica
-// implementation) to sampling T teachers per distillation iteration —
-// O(T) server cost per iteration instead of O(devices):
+// and TeachersPerIter switches the server phase from the paper-exact full
+// teacher ensemble (TeachersPerIter: 0, byte-identical to the
+// flat-replica implementation) to sampling T teachers uniformly per
+// distillation iteration — O(T) server cost per iteration instead of
+// O(devices):
 //
 //	co, err := fedzkt.New(fedzkt.Config{
-//		Rounds: 2, SampleK: 32, TeachersPerIter: 8, TeacherSampling: "weighted",
+//		Rounds: 2, SampleK: 32, TeachersPerIter: 8,
 //	}, ds, archs, shards)
 //
 // PipelineDepth selects the round engine: 0 (the default) is the
@@ -56,8 +56,8 @@
 //		Rounds: 2, SampleK: 32, TeachersPerIter: 8, StateCodec: "int8",
 //	}, ds, archs, shards)
 //
-// The full machinery lives in the internal packages (documented in
-// DESIGN.md): internal/fedzkt (Algorithms 1 & 3), internal/fed (device
+// The full machinery lives in the internal packages (README.md "Layout"
+// is the index): internal/fedzkt (Algorithms 1 & 3), internal/fed (device
 // runtime), internal/sched (the round scheduler and sampling policies),
 // internal/codec (the state codecs and container format),
 // internal/model (the heterogeneous model zoo and generator),
@@ -92,6 +92,10 @@ type (
 	// ReplicaStoreStats snapshots the server's replica store: residency,
 	// hot-set hit rate, prefetch overlap and spill traffic.
 	ReplicaStoreStats = ifedzkt.ReplicaStoreStats
+	// ProcessFlags are the per-process diagnostics flags of the mains
+	// (-chaos, -cpuprofile, -memprofile, -listen-metrics); Config binds
+	// its own flags with BindFlags and BindSizingFlags.
+	ProcessFlags = ifedzkt.ProcessFlags
 )
 
 // Replica store modes for Config.ReplicaStore.
@@ -190,22 +194,6 @@ func PartitionDirichlet(labels []int, numClasses, k int, beta float64, seed uint
 
 // Evaluate reports a device model's test accuracy.
 func Evaluate(d *Device, ds *Dataset) float64 { return fed.Evaluate(d.Model, ds, 64) }
-
-// SetFastMath toggles the relaxed-numerics kernel mode process-wide
-// (default off). On, matmuls may use hardware FMA and parallel
-// k-reductions with relaxed accumulation order — measurably faster, but
-// run results stop being byte-reproducible against exact-mode runs and
-// recorded golden fingerprints. Safe whenever only statistical quality
-// matters (accuracy, loss curves); keep it off for determinism tests,
-// fingerprint comparisons, and cross-machine reproduction.
-func SetFastMath(on bool) { tensor.SetFastMath(on) }
-
-// FastMath reports whether the relaxed-numerics kernels are active.
-func FastMath() bool { return tensor.FastMath() }
-
-// FastMathFMA reports whether hardware fused-multiply-add kernels back
-// the fast mode on this CPU.
-func FastMathFMA() bool { return tensor.FastMathFMA() }
 
 // Baseline types (internal/baseline).
 type (

@@ -88,7 +88,8 @@ type FedMD struct {
 
 // NewFedMD builds a FedMD federation. Public labels are folded onto the
 // private class space (label mod classes) for the transfer-learning
-// phase, a simulation simplification documented in DESIGN.md.
+// phase — a simplification of this simulation, whose synthetic public sets
+// (README.md "Layout", internal/data) have up to 100 classes.
 func NewFedMD(cfg FedMDConfig, private, public *data.Dataset, archs []string, shards [][]int) (*FedMD, error) {
 	cfg = cfg.withDefaults()
 	if len(shards) == 0 || len(archs) == 0 {

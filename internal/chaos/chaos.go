@@ -255,7 +255,7 @@ func (p *Plan) decide(fp *Failpoint) bool {
 	case modeAfter:
 		fire = hit > fp.n
 	default:
-		h := splitmix64(p.Seed ^ siteHash(fp.site) ^ hit*0x9E3779B97F4A7C15)
+		h := SplitMix64(p.Seed ^ siteHash(fp.site) ^ hit*0x9E3779B97F4A7C15)
 		fire = float64(h>>11)/(1<<53) < fp.prob
 	}
 	if fire {
@@ -355,7 +355,7 @@ func FlipBit(site string, buf []byte) bool {
 	if !p.decide(fp) || len(buf) == 0 {
 		return false
 	}
-	h := splitmix64(p.Seed ^ siteHash(site) ^ fp.hits.Load())
+	h := SplitMix64(p.Seed ^ siteHash(site) ^ fp.hits.Load())
 	bit := h % uint64(len(buf)*8)
 	buf[bit/8] ^= 1 << (bit % 8)
 	return true
@@ -425,9 +425,10 @@ func siteHash(site string) uint64 {
 	return h.Sum64()
 }
 
-// splitmix64 is the SplitMix64 finaliser, a statistically solid mixing
-// hash (the same one internal/sched uses for failure injection).
-func splitmix64(x uint64) uint64 {
+// SplitMix64 is the SplitMix64 finaliser, a statistically solid 64-bit
+// mixing hash. Failpoint decisions here and internal/sched's failure
+// injection both draw from it, so its outputs are pinned by test.
+func SplitMix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB

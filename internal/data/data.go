@@ -1,7 +1,7 @@
 // Package data provides the deterministic synthetic image datasets that
 // stand in for MNIST, KMNIST, FASHION-MNIST, CIFAR-10, CIFAR-100 and SVHN
-// in this offline reproduction (see DESIGN.md §2 for the substitution
-// rationale).
+// in this offline reproduction: the repository has no external
+// dependencies and downloads nothing (README.md, introduction).
 //
 // Each dataset family draws one prototype pattern per class — a mixture of
 // Gaussian blobs plus an oriented sinusoidal grating, with family-specific

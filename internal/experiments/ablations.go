@@ -23,7 +23,7 @@ func CommBytes(p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := shardsFor(private, p.Devices, "iid", 0, 0, p.Seed+8)
+	shards := shardsFor(private, p.Devices, "iid", 0, 0, p.Fed.Seed+8)
 	archs := zooFor("synthcifar10", p.Devices)
 
 	zkt, err := runFedZKT(p.fedzktConfig("synthcifar10", 81), private, archs, shards)
@@ -50,13 +50,13 @@ func CommBytes(p Params) (*Result, error) {
 // GeneratorSweep is an ablation beyond the paper: FedZKT's final accuracy
 // as a function of the server distillation budget n_D and the generator's
 // noise dimensionality, on the MNIST stand-in. It quantifies the
-// compute/quality trade of the server-side design DESIGN.md calls out.
+// compute/quality trade of the server phase (README.md "Server scaling").
 func GeneratorSweep(p Params) (*Result, error) {
 	ds, err := buildDataset("synthmnist", p)
 	if err != nil {
 		return nil, err
 	}
-	shards := shardsFor(ds, p.Devices, "iid", 0, 0, p.Seed+9)
+	shards := shardsFor(ds, p.Devices, "iid", 0, 0, p.Fed.Seed+9)
 	archs := zooFor("synthmnist", p.Devices)
 
 	iters := &Table{
@@ -70,7 +70,7 @@ func GeneratorSweep(p Params) (*Result, error) {
 	}
 	for i, f := range factors {
 		cfg := p.fedzktConfig("synthmnist", 90+uint64(i))
-		cfg.DistillIters = maxInt(int(float64(p.DistillIters)*f), 1)
+		cfg.DistillIters = max(int(float64(p.DistillIters)*f), 1)
 		hist, err := runFedZKT(cfg, ds, archs, shards)
 		if err != nil {
 			return nil, fmt.Errorf("gensweep iters x%v: %w", f, err)

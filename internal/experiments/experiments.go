@@ -2,7 +2,7 @@
 // evaluation (Tables I–IV, Figures 2–7) plus ablations beyond the paper,
 // at three scales: Smoke (seconds, used by benchmarks and CI), Default
 // (minutes per experiment on one CPU core), and Full (paper-sized loop
-// counts; hours). See DESIGN.md §4 for the experiment ↔ module index;
+// counts; hours). See README.md "Layout" for the module index;
 // paper-vs-measured results are regenerated with `fedzkt -exp <id>`, no
 // recorded copy is kept.
 package experiments
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"github.com/fedzkt/fedzkt/internal/baseline"
 	"github.com/fedzkt/fedzkt/internal/data"
@@ -69,65 +68,19 @@ type Params struct {
 	DistillIters, StudentSteps, DistillBatch int
 	// BatchSize is the device batch size.
 	BatchSize int
-	// Seed drives every run; experiments offset it per cell.
-	Seed uint64
-
-	// Workers bounds every federation's scheduler pool (0 = GOMAXPROCS);
-	// set by the -workers flag.
-	Workers int
-	// SampleK, when positive, makes every federation sample exactly K
-	// clients per round (uniform-K); set by the -sample-k flag.
-	SampleK int
-	// RoundDeadline drops devices that miss the per-round wall-clock
-	// budget from aggregation; set by the -round-deadline flag.
-	RoundDeadline time.Duration
 	// ScaleDevices overrides the scale experiment's device-count sweep
 	// (set by the -devices flag; nil uses the per-scale defaults).
 	ScaleDevices []int
-	// TeachersPerIter, when positive, makes every federation's server
-	// sample that many replica teachers per distillation iteration
-	// instead of the full ensemble; set by the -teachers-per-iter flag.
-	TeachersPerIter int
-	// TeacherSampling selects the teacher-subset policy ("uniform" or
-	// "weighted"); set by the -teacher-sampling flag.
-	TeacherSampling string
-	// CohortReplicas bounds the live replica modules retained per
-	// architecture cohort; set by the -cohort-replicas flag.
-	CohortReplicas int
-	// PipelineDepth selects the pipelined round engine (0 = synchronous
-	// barrier); set by the -pipeline-depth flag. The scale experiment
-	// always compares synchronous against pipelined and sizes the
-	// pipelined arm with this, defaulting to 1.
-	PipelineDepth int
-	// StateCodec selects the state codec for every federation's replica
-	// slots, wire payloads and checkpoints ("float64", "float16" or
-	// "int8"; "" = dense float64); set by the -state-codec flag. The
-	// scale experiment additionally sweeps all three codecs in its codec
-	// table regardless of this setting.
-	StateCodec string
-	// ReplicaStore selects every federation's server replica store
-	// ("memory" or "spill"); set by the -replica-store flag. The scale
-	// experiment additionally runs a spill-tier arm in its store table
-	// regardless of this setting.
-	ReplicaStore string
-	// ReplicaShards splits every federation's cohort store into that many
-	// independently locked shards (0 = 1); set by the -shards flag.
-	ReplicaShards int
-	// HotSet bounds the resident replica slots per cohort shard under the
-	// spill store (0 = sized to the teacher window); set by the -hot-set
-	// flag.
-	HotSet int
-	// CheckpointDir, when set, gives every federation durable crash-
-	// recovery checkpoints under a per-cell subdirectory (experiments run
-	// many federations; sharing one directory would interleave their
-	// rotation); set by the -checkpoint-dir flag.
-	CheckpointDir string
-	// CheckpointEvery is the durable checkpoint cadence in rounds
-	// (0 = every round); set by the -checkpoint-every flag.
-	CheckpointEvery int
-	// Resume makes every federation first load the latest intact
-	// checkpoint from its cell subdirectory; set by the -resume flag.
-	Resume bool
+	// Fed is what every federation's configuration starts from: the flags
+	// cmd/fedzkt binds to it (fedzkt.Config.BindFlags) reach every cell.
+	// Fed.Seed is the base seed, offset per cell; the sizing fields above
+	// overwrite Fed's, and Fed.CheckpointDir is the parent of one
+	// subdirectory per cell (experiments run many federations; sharing one
+	// directory would interleave their rotation). The scale experiment
+	// reads Fed.TeachersPerIter and Fed.PipelineDepth as the sizes of its
+	// sampled and pipelined arms, which it always runs beside the exact
+	// synchronous one.
+	Fed fedzkt.Config
 }
 
 // ParamsFor returns the sizing for a scale.
@@ -139,7 +92,7 @@ func ParamsFor(scale Scale) Params {
 			Devices: 3, Rounds: 2, RoundsCIFAR: 2,
 			LocalEpochs: 1, LocalEpochsCIFAR: 1,
 			DistillIters: 6, StudentSteps: 2, DistillBatch: 16, BatchSize: 16,
-			Seed: 1,
+			Fed: fedzkt.Config{Seed: 1},
 		}
 	case ScaleFull:
 		return Params{
@@ -147,7 +100,7 @@ func ParamsFor(scale Scale) Params {
 			Devices: 10, Rounds: 50, RoundsCIFAR: 100,
 			LocalEpochs: 5, LocalEpochsCIFAR: 10,
 			DistillIters: 200, StudentSteps: 1, DistillBatch: 256, BatchSize: 256,
-			Seed: 1,
+			Fed: fedzkt.Config{Seed: 1},
 		}
 	default:
 		return Params{
@@ -155,7 +108,7 @@ func ParamsFor(scale Scale) Params {
 			Devices: 5, Rounds: 8, RoundsCIFAR: 10,
 			LocalEpochs: 2, LocalEpochsCIFAR: 2,
 			DistillIters: 16, StudentSteps: 2, DistillBatch: 24, BatchSize: 16,
-			Seed: 1,
+			Fed: fedzkt.Config{Seed: 1},
 		}
 	}
 }
@@ -193,8 +146,8 @@ func buildDataset(name string, p Params) (*data.Dataset, error) {
 	if spec.classes > 10 {
 		// Keep the 100-class public set about as large as the 10-class
 		// private sets.
-		train = maxInt(train/10, 3)
-		test = maxInt(test/10, 2)
+		train = max(train/10, 3)
+		test = max(test/10, 2)
 	}
 	return data.Make(data.Config{
 		Name:          name,
@@ -205,7 +158,7 @@ func buildDataset(name string, p Params) (*data.Dataset, error) {
 		W:             p.Img,
 		TrainPerClass: train,
 		TestPerClass:  test,
-		Seed:          p.Seed ^ spec.seedMix,
+		Seed:          p.Fed.Seed ^ spec.seedMix,
 	})
 }
 
@@ -234,39 +187,24 @@ func (p Params) localEpochsFor(name string) int {
 }
 
 // fedzktConfig assembles the algorithm config for a dataset under these
-// params. Callers adjust fields (loss, prox, fraction) per experiment.
+// params, starting from p.Fed. Callers adjust fields (loss, prox, fraction)
+// per experiment.
 func (p Params) fedzktConfig(name string, seedOffset uint64) fedzkt.Config {
-	return fedzkt.Config{
-		Rounds:       p.roundsFor(name),
-		LocalEpochs:  p.localEpochsFor(name),
-		DistillIters: p.DistillIters,
-		StudentSteps: p.StudentSteps,
-		DistillBatch: p.DistillBatch,
-		BatchSize:    p.BatchSize,
-		ZDim:         32,
-		DeviceLR:     0.05,
-		ServerLR:     0.05,
-		GenLR:        3e-4,
-		Momentum:     0.9,
-		Seed:         p.Seed + seedOffset,
-
-		Workers:       p.Workers,
-		SampleK:       p.SampleK,
-		RoundDeadline: p.RoundDeadline,
-
-		TeachersPerIter: p.TeachersPerIter,
-		TeacherSampling: p.TeacherSampling,
-		CohortReplicas:  p.CohortReplicas,
-		PipelineDepth:   p.PipelineDepth,
-		StateCodec:      p.StateCodec,
-		ReplicaStore:    p.ReplicaStore,
-		ReplicaShards:   p.ReplicaShards,
-		HotSet:          p.HotSet,
-
-		CheckpointDir:   p.checkpointDirFor(name, seedOffset),
-		CheckpointEvery: p.CheckpointEvery,
-		Resume:          p.Resume,
-	}
+	cfg := p.Fed
+	cfg.Rounds = p.roundsFor(name)
+	cfg.LocalEpochs = p.localEpochsFor(name)
+	cfg.DistillIters = p.DistillIters
+	cfg.StudentSteps = p.StudentSteps
+	cfg.DistillBatch = p.DistillBatch
+	cfg.BatchSize = p.BatchSize
+	cfg.ZDim = 32
+	cfg.DeviceLR = 0.05
+	cfg.ServerLR = 0.05
+	cfg.GenLR = 3e-4
+	cfg.Momentum = 0.9
+	cfg.Seed = p.Fed.Seed + seedOffset
+	cfg.CheckpointDir = p.checkpointDirFor(name, seedOffset)
+	return cfg
 }
 
 // checkpointDirFor places one federation's durable checkpoints in a
@@ -274,10 +212,10 @@ func (p Params) fedzktConfig(name string, seedOffset uint64) fedzkt.Config {
 // identity within an experiment — so concurrent cells never interleave
 // their rotation windows.
 func (p Params) checkpointDirFor(name string, seedOffset uint64) string {
-	if p.CheckpointDir == "" {
+	if p.Fed.CheckpointDir == "" {
 		return ""
 	}
-	return filepath.Join(p.CheckpointDir, fmt.Sprintf("%s-%04d", name, seedOffset))
+	return filepath.Join(p.Fed.CheckpointDir, fmt.Sprintf("%s-%04d", name, seedOffset))
 }
 
 // fedmdConfig assembles the FedMD baseline config for a dataset.
@@ -290,7 +228,7 @@ func (p Params) fedmdConfig(name string, seedOffset uint64) baseline.FedMDConfig
 		RevisitEpochs:  p.localEpochsFor(name),
 		BatchSize:      p.BatchSize,
 		LR:             0.05,
-		Seed:           p.Seed + seedOffset,
+		Seed:           p.Fed.Seed + seedOffset,
 	}
 }
 
@@ -383,11 +321,4 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -180,7 +180,7 @@ func TestSmokeScale(t *testing.T) {
 	}
 	p := ParamsFor(ScaleSmoke)
 	p.ScaleDevices = []int{6, 16}
-	p.SampleK = 4
+	p.Fed.SampleK = 4
 	res, err := ScaleSweep(p)
 	if err != nil {
 		t.Fatal(err)

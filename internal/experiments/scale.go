@@ -36,8 +36,8 @@ func scaleDeviceCounts(s Scale) []int {
 // "default sampled budget (8)", not "exact mode only"; the full-ensemble
 // reference arm is always measured alongside.
 func scaleTeachersPerIter(p Params) int {
-	if p.TeachersPerIter > 0 {
-		return p.TeachersPerIter
+	if p.Fed.TeachersPerIter > 0 {
+		return p.Fed.TeachersPerIter
 	}
 	return 8
 }
@@ -46,8 +46,8 @@ func scaleTeachersPerIter(p Params) int {
 // with the teacher budget, the sweep always compares synchronous against
 // pipelined, so PipelineDepth = 0 here means "default depth (1)".
 func scalePipelineDepth(p Params) int {
-	if p.PipelineDepth > 0 {
-		return p.PipelineDepth
+	if p.Fed.PipelineDepth > 0 {
+		return p.Fed.PipelineDepth
 	}
 	return 1
 }
@@ -108,7 +108,7 @@ func ScaleSweep(p Params) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		shards := partition.IID(ds.NumTrain(), k, tensor.NewRand(p.Seed+0x5CA1E+uint64(i)))
+		shards := partition.IID(ds.NumTrain(), k, tensor.NewRand(p.Fed.Seed+0x5CA1E+uint64(i)))
 
 		cfg := p.fedzktConfig("synthmnist", 120+uint64(i))
 		cfg.Rounds = 2
@@ -130,11 +130,9 @@ func ScaleSweep(p Params) (*Result, error) {
 		archs := model.ZooFor([]string{"mlp", "lenet-s"}, k)
 
 		// Full-ensemble reference: the pre-cohort server regime, every
-		// replica a teacher every iteration (sampling config cleared —
-		// the exact mode is unweighted by definition).
+		// replica a teacher every iteration.
 		full := cfg
 		full.TeachersPerIter = 0
-		full.TeacherSampling = ""
 		fullHist, _, err := runScaleCell(full, ds, archs, shards)
 		if err != nil {
 			return nil, fmt.Errorf("scale %d devices (full ensemble): %w", k, err)

@@ -32,7 +32,7 @@ func Table2(p Params) (*Result, error) {
 		{"β = 0.5", "dirichlet", 0, 0.5},
 	}
 	for si, sc := range scenarios {
-		shards := shardsFor(ds, p.Devices, sc.regime, sc.c, sc.beta, p.Seed+uint64(200+si))
+		shards := shardsFor(ds, p.Devices, sc.regime, sc.c, sc.beta, p.Fed.Seed+uint64(200+si))
 		row := []string{sc.label}
 		for _, loss := range []fedzkt.LossKind{fedzkt.LossKL, fedzkt.LossL1, fedzkt.LossSL} {
 			cfg := p.fedzktConfig("synthcifar10", uint64(210+si*10)+uint64(loss))
@@ -67,7 +67,7 @@ func Table3(p Params) (*Result, error) {
 	if p.Scale == ScaleSmoke {
 		k = 5
 	}
-	shards := shardsFor(ds, k, "iid", 0, 0, p.Seed+31)
+	shards := shardsFor(ds, k, "iid", 0, 0, p.Fed.Seed+31)
 	archs := zooFor("synthcifar10", k)
 	epochs := p.roundsFor("synthcifar10") * p.localEpochsFor("synthcifar10")
 	bounds, err := baseline.LowerUpperBounds(baseline.StandaloneConfig{
@@ -75,7 +75,7 @@ func Table3(p Params) (*Result, error) {
 		BatchSize: p.BatchSize,
 		LR:        0.05,
 		Momentum:  0.9,
-		Seed:      p.Seed + 32,
+		Seed:      p.Fed.Seed + 32,
 	}, ds, archs, shards)
 	if err != nil {
 		return nil, fmt.Errorf("table3: %w", err)
@@ -110,7 +110,7 @@ func Table4(p Params) (*Result, error) {
 		{"β = 0.5", "dirichlet", 0, 0.5},
 	}
 	for si, sc := range scenarios {
-		shards := shardsFor(ds, p.Devices, sc.regime, sc.c, sc.beta, p.Seed+uint64(400+si))
+		shards := shardsFor(ds, p.Devices, sc.regime, sc.c, sc.beta, p.Fed.Seed+uint64(400+si))
 		row := []string{sc.label}
 		for _, mu := range []float64{0, 0.1} {
 			cfg := p.fedzktConfig("synthcifar10", uint64(410+si*10)+uint64(mu*100))

@@ -81,8 +81,7 @@ type checkpoint struct {
 	// slots are persisted verbatim, so a same-codec reload is bit-exact
 	// and costs no re-encode.
 	Replicas [][]byte
-	// Weights records each device's data-size weight (the weighted
-	// teacher-ensemble input).
+	// Weights records each device's registered data size.
 	Weights []int
 	// GlobalOpt and GenOpt (v3) capture the server optimisers' cross-round
 	// state: the global SGD's momentum velocity and the generator Adam's

@@ -46,8 +46,8 @@ import (
 // ranges matter for routing) are a recorded follow-up.
 
 // member is one registered device inside a cohort: where its replica
-// state rests (slot local of the cohort's store) and its data-size weight
-// for the weighted ensemble.
+// state rests (slot local of the cohort's store) and the data size it
+// registered with (recorded in checkpoints; no server phase reads it).
 type member struct {
 	id     int
 	local  int // index within its cohort (the slot key)
@@ -186,11 +186,14 @@ type replicaLease struct {
 // cohortOptions parameterises the registry.
 type cohortOptions struct {
 	lr float64
-	// retain bounds how many pooled live modules each cohort (per shard)
-	// keeps after a release (0 = unbounded). Checkouts may grow pools past
-	// the bound transiently when an iteration needs more members resident
-	// at once.
-	retain int
+	// teachers is the sampled teacher count (Config.TeachersPerIter; 0 =
+	// exact full-ensemble mode). It bounds how many pooled live modules
+	// each cohort (per shard) keeps after a release — sampled mode never
+	// needs more resident at once, exact mode keeps the full cohort pooled
+	// so no round rebuilds a module — and drives the auto hot-set bound.
+	// Checkouts may grow pools past it transiently when an iteration needs
+	// more members resident at once.
+	teachers int
 	// codec is the slot and payload encoding.
 	codec codec.Codec
 	// nShards is the cohort-store shard count (0 counts as 1).
@@ -200,13 +203,11 @@ type cohortOptions struct {
 	// spillDir, when set, selects the spill store and hosts its files;
 	// empty keeps every slot in memory. Under the spill store hotSet bounds
 	// each cohort shard's hot entries (0 = auto: the full cohort in exact
-	// mode, a teacher-window multiple in sampled mode), teachers is the
-	// sampled teacher count driving the auto bound, and initSlot rebuilds a
-	// device's seeded initial state, encoded with codec — the content of a
-	// virgin slot.
+	// mode, a teacher-window multiple in sampled mode) and initSlot rebuilds
+	// a device's seeded initial state, encoded with codec — the content of
+	// a virgin slot.
 	spillDir string
 	hotSet   int
-	teachers int
 	initSlot func(arch string, id int) ([]byte, error)
 }
 
@@ -388,15 +389,6 @@ func (cs *cohortSet) ref(id int) (deviceRef, error) {
 	return cs.devices[id], nil
 }
 
-// weights returns every device's data-size weight in id order.
-func (cs *cohortSet) weights() []int {
-	out := make([]int, len(cs.devices))
-	for i, d := range cs.devices {
-		out[i] = d.member.weight
-	}
-	return out
-}
-
 // virgin reports whether a device's slot has never been written — its
 // content is still the seeded registration state.
 func (cs *cohortSet) virgin(ref deviceRef) bool {
@@ -562,13 +554,13 @@ func (cs *cohortSet) release(leases []*replicaLease) error {
 		if err := c.slots.release(l.member.local, l.slot, l.writable); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("fedzkt: release device %d: %w", l.member.id, err)
 		}
-		if cs.retain > 0 && len(c.pool) > cs.retain {
+		if cs.teachers > 0 && len(c.pool) > cs.teachers {
 			// Nil the trimmed entries before truncating: a plain
 			// re-slice would keep the dropped modules reachable through
 			// the backing array, silently defeating the memory cap. The
 			// leases still being released hold their modules themselves.
-			clear(c.pool[cs.retain:])
-			c.pool = c.pool[:cs.retain]
+			clear(c.pool[cs.teachers:])
+			c.pool = c.pool[:cs.teachers]
 		}
 	}
 	return firstErr

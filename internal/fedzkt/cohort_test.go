@@ -68,9 +68,9 @@ func TestCohortPoolBoundedInSampledMode(t *testing.T) {
 	}
 }
 
-// TestCohortPoolRetainedInExactMode: exact mode keeps the full cohort
-// pooled between rounds (the legacy memory/CPU profile, no rebuilds), and
-// an explicit CohortReplicas bound trims it.
+// TestCohortPoolRetention: exact mode keeps the full cohort pooled between
+// rounds (the legacy memory/CPU profile, no rebuilds); sampled mode trims
+// a pool that a wider checkout grew back to TeachersPerIter.
 func TestCohortPoolRetention(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.DistillIters = 2
@@ -83,13 +83,13 @@ func TestCohortPoolRetention(t *testing.T) {
 	}
 
 	bounded := cfg
-	bounded.CohortReplicas = 1
+	bounded.TeachersPerIter = 1
 	srvB := registerN(t, bounded, 4, "mlp")
-	if _, err := srvB.Distill(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
+	// A four-wide evaluation chunk checks out four members at once,
+	// growing the pool past the bound until the release trims it.
+	srvB.EvaluateReplicas(tinyDataset(1), 16, 4)
 	if got := srvB.LiveReplicas(); got != 1 {
-		t.Fatalf("CohortReplicas=1 retained %d live modules, want 1", got)
+		t.Fatalf("TeachersPerIter=1 retained %d live modules, want 1", got)
 	}
 	// The trim must actually release the modules: entries beyond the cap
 	// must be nil in the backing array, not merely sliced out of view
@@ -273,11 +273,6 @@ func TestServerConfigValidation(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"negative TeachersPerIter", func(c *Config) { c.TeachersPerIter = -1 }},
-		{"negative CohortReplicas", func(c *Config) { c.CohortReplicas = -2 }},
-		{"unknown TeacherSampling", func(c *Config) { c.TeacherSampling = "bogus" }},
-		{"weighted sampling in exact mode", func(c *Config) {
-			c.TeacherSampling = TeacherSamplingWeighted // without TeachersPerIter
-		}},
 	} {
 		cfg := tinyConfig()
 		tc.mutate(&cfg)
@@ -285,21 +280,10 @@ func TestServerConfigValidation(t *testing.T) {
 			t.Fatalf("%s: want configuration error", tc.name)
 		}
 	}
-	// Valid sampling names pass (weighted needs a teacher budget).
-	for _, sampling := range []string{"", TeacherSamplingUniform, TeacherSamplingWeighted} {
-		cfg := tinyConfig()
-		cfg.TeacherSampling = sampling
-		if sampling == TeacherSamplingWeighted {
-			cfg.TeachersPerIter = 2
-		}
-		if _, err := NewServer(cfg, tinyShape(), 4); err != nil {
-			t.Fatalf("TeacherSampling=%q rejected: %v", sampling, err)
-		}
-	}
 }
 
-// TestCheckpointPreservesWeights: data-size weights survive a checkpoint
-// round trip (they drive the weighted teacher ensemble).
+// TestCheckpointPreservesWeights: the data size a device registered with
+// survives a checkpoint round trip.
 func TestCheckpointPreservesWeights(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.DistillIters = 2
@@ -315,14 +299,12 @@ func TestCheckpointPreservesWeights(t *testing.T) {
 	if err := restored.LoadCheckpoint(bytes.NewReader(blob)); err != nil {
 		t.Fatal(err)
 	}
-	want := srv.cohorts.weights()
-	got := restored.cohorts.weights()
-	if len(want) != len(got) {
-		t.Fatalf("restored %d weights, want %d", len(got), len(want))
+	if want, got := len(srv.cohorts.devices), len(restored.cohorts.devices); got != want {
+		t.Fatalf("restored %d devices, want %d", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("device %d weight %d, want %d", i, got[i], want[i])
+	for i, d := range srv.cohorts.devices {
+		if got, want := restored.cohorts.devices[i].member.weight, d.member.weight; got != want {
+			t.Fatalf("device %d weight %d, want %d", i, got, want)
 		}
 	}
 }

@@ -84,22 +84,6 @@ type Config struct {
 	// O(devices). 0 (the default) keeps the paper-exact full-ensemble
 	// semantics, byte-identical to the pre-cohort server.
 	TeachersPerIter int
-	// TeacherSampling selects how per-iteration teacher subsets are drawn
-	// when TeachersPerIter is set: "uniform" (the default) draws uniformly
-	// without replacement and averages teachers equally; "weighted" draws
-	// proportionally to device data size and weights the ensemble
-	// disagreement loss by data size too. "weighted" requires
-	// TeachersPerIter > 0 — the exact full-ensemble mode is defined as
-	// byte-identical to the pre-cohort server, which a weighted mean would
-	// break.
-	TeacherSampling string
-	// CohortReplicas bounds how many live replica modules each
-	// architecture cohort retains between distillation phases. 0 (the
-	// default) sizes the pools automatically: TeachersPerIter live modules
-	// per cohort in sampled mode, the full cohort in exact mode. Lower
-	// values cap server memory at the cost of rebuilding modules when an
-	// iteration needs more replicas resident than the bound.
-	CohortReplicas int
 	// PipelineDepth is the round engine's bounded staleness (engine.go).
 	// 0 (the default) is the paper-exact synchronous barrier: each round
 	// runs local phase → absorb → distill → download to completion before
@@ -243,29 +227,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Teacher-sampling policies for Config.TeacherSampling.
-const (
-	// TeacherSamplingUniform draws teacher subsets uniformly without
-	// replacement and averages them equally (also the "" default).
-	TeacherSamplingUniform = "uniform"
-	// TeacherSamplingWeighted draws teacher subsets proportionally to
-	// device data size and weights the ensemble loss by data size.
-	TeacherSamplingWeighted = "weighted"
-)
-
 // Validate reports the first value out of range, unknown mode name or
 // combination no engine supports, by field name. Zero fields are valid:
-// they take the documented defaults. NewServer calls it, so every way to
+// they take the documented defaults. NewServer calls it before building
+// anything, and cmd/fedzkt calls it on its parsed flags, so every way to
 // build a federation — New, an Engine over a Server, the transport server
-// — rejects the same configurations with the same words.
+// — rejects the same configurations with the same words before any model
+// is built.
 func (c Config) Validate() error {
 	for _, f := range []struct {
 		name string
 		v    int
 	}{
-		{"TeachersPerIter", c.TeachersPerIter}, {"CohortReplicas", c.CohortReplicas},
-		{"ReplicaShards", c.ReplicaShards}, {"HotSet", c.HotSet}, {"EvalDevices", c.EvalDevices},
-		{"SampleK", c.SampleK}, {"PipelineDepth", c.PipelineDepth},
+		{"Rounds", c.Rounds}, {"LocalEpochs", c.LocalEpochs}, {"DistillIters", c.DistillIters},
+		{"StudentSteps", c.StudentSteps}, {"DistillBatch", c.DistillBatch}, {"BatchSize", c.BatchSize},
+		{"SampleK", c.SampleK}, {"Workers", c.Workers}, {"TeachersPerIter", c.TeachersPerIter},
+		{"PipelineDepth", c.PipelineDepth}, {"ReplicaShards", c.ReplicaShards}, {"HotSet", c.HotSet},
+		{"EvalDevices", c.EvalDevices}, {"EvalEvery", c.EvalEvery},
+		{"CheckpointEvery", c.CheckpointEvery}, {"KeepCheckpoints", c.KeepCheckpoints},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("fedzkt: negative %s %d", f.name, f.v)
@@ -274,15 +253,8 @@ func (c Config) Validate() error {
 	if c.ActiveFraction < 0 || c.ActiveFraction > 1 {
 		return fmt.Errorf("fedzkt: active fraction %v outside (0,1]", c.ActiveFraction)
 	}
-	switch c.TeacherSampling {
-	case "", TeacherSamplingUniform:
-	case TeacherSamplingWeighted:
-		if c.TeachersPerIter == 0 {
-			return fmt.Errorf("fedzkt: TeacherSampling %q requires TeachersPerIter > 0 (the exact full-ensemble mode is unweighted by definition)", c.TeacherSampling)
-		}
-	default:
-		return fmt.Errorf("fedzkt: unknown TeacherSampling %q (want %q or %q)",
-			c.TeacherSampling, TeacherSamplingUniform, TeacherSamplingWeighted)
+	if c.FailureRate < 0 || c.FailureRate >= 1 {
+		return fmt.Errorf("fedzkt: FailureRate %v outside [0,1)", c.FailureRate)
 	}
 	switch c.ReplicaStore {
 	case "", ReplicaStoreMemory, ReplicaStoreSpill:
@@ -297,6 +269,14 @@ func (c Config) Validate() error {
 	}
 	if c.VirtualDevices && c.RoundDeadline > 0 {
 		return fmt.Errorf("fedzkt: VirtualDevices requires RoundDeadline = 0 (a deadline straggler's partial local progress cannot survive model eviction)")
+	}
+	if c.CheckpointDir == "" && c.Resume {
+		return fmt.Errorf("fedzkt: Resume requires CheckpointDir")
+	}
+	// withDefaults fills the cadence only under a directory, so a cadence
+	// without one was asked for by the caller.
+	if c.CheckpointDir == "" && c.CheckpointEvery > 0 {
+		return fmt.Errorf("fedzkt: CheckpointEvery %d requires CheckpointDir", c.CheckpointEvery)
 	}
 	return nil
 }
@@ -364,6 +344,13 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 		return nil, fmt.Errorf("fedzkt: no architectures")
 	}
 	in := model.Shape{C: ds.C, H: ds.H, W: ds.W}
+	// NewServer validates the configuration before it builds anything, so
+	// it goes first: at device scale, constructing a pool and a thousand
+	// models just to reject a bad option would waste seconds.
+	server, err := NewServer(cfg, in, ds.Classes)
+	if err != nil {
+		return nil, err
+	}
 	rigs := &rigStats{}
 	pool, err := sched.NewPool(sched.Options{
 		Workers:       cfg.Workers,
@@ -388,16 +375,10 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 		},
 	})
 	if err != nil {
+		_ = server.Close()
 		return nil, fmt.Errorf("fedzkt: %w", err)
 	}
-	server, err := NewServer(cfg, in, ds.Classes)
-	if err != nil {
-		return nil, err
-	}
 	c := &Coordinator{pool: pool, codec: server.Codec(), rigs: rigs}
-	// The configuration was validated by NewServer, before the expensive
-	// device build: at device scale, constructing a thousand models just to
-	// reject a bad option would waste seconds.
 	if c.Engine, err = NewEngine(server, ds, shards, c); err != nil {
 		_ = server.Close()
 		return nil, err

@@ -79,7 +79,6 @@ func TestConfigValidate(t *testing.T) {
 		want   string
 	}{
 		{func(c *Config) { c.TeachersPerIter = -1 }, "negative TeachersPerIter -1"},
-		{func(c *Config) { c.CohortReplicas = -2 }, "negative CohortReplicas -2"},
 		{func(c *Config) { c.ReplicaShards = -1 }, "negative ReplicaShards -1"},
 		{func(c *Config) { c.HotSet = -2 }, "negative HotSet -2"},
 		{func(c *Config) { c.EvalDevices = -1 }, "negative EvalDevices -1"},
@@ -87,12 +86,20 @@ func TestConfigValidate(t *testing.T) {
 		{func(c *Config) { c.PipelineDepth = -1 }, "negative PipelineDepth -1"},
 		{func(c *Config) { c.ActiveFraction = 1.5 }, "active fraction 1.5 outside (0,1]"},
 		{func(c *Config) { c.ActiveFraction = -0.1 }, "active fraction -0.1 outside (0,1]"},
-		{func(c *Config) { c.TeacherSampling = "psychic" }, `unknown TeacherSampling "psychic" (want "uniform" or "weighted")`},
-		{func(c *Config) { c.TeacherSampling = TeacherSamplingWeighted }, `TeacherSampling "weighted" requires TeachersPerIter > 0`},
 		{func(c *Config) { c.ReplicaStore = "tape" }, `unknown ReplicaStore "tape" (want "memory" or "spill")`},
 		{func(c *Config) { c.StateCodec = "float8" }, `unknown state codec "float8"`},
 		{func(c *Config) { c.SampleWeighted = true }, "SampleWeighted requires SampleK > 0"},
 		{func(c *Config) { c.VirtualDevices, c.RoundDeadline = true, time.Second }, "VirtualDevices requires RoundDeadline = 0"},
+		{func(c *Config) { c.Rounds = -1 }, "negative Rounds -1"},
+		{func(c *Config) { c.BatchSize = -8 }, "negative BatchSize -8"},
+		{func(c *Config) { c.Workers = -2 }, "negative Workers -2"},
+		{func(c *Config) { c.EvalEvery = -1 }, "negative EvalEvery -1"},
+		{func(c *Config) { c.FailureRate = 1 }, "FailureRate 1 outside [0,1)"},
+		{func(c *Config) { c.FailureRate = -0.5 }, "FailureRate -0.5 outside [0,1)"},
+		{func(c *Config) { c.CheckpointDir, c.CheckpointEvery = "d", -1 }, "negative CheckpointEvery -1"},
+		{func(c *Config) { c.CheckpointDir, c.KeepCheckpoints = "d", -1 }, "negative KeepCheckpoints -1"},
+		{func(c *Config) { c.Resume = true }, "Resume requires CheckpointDir"},
+		{func(c *Config) { c.CheckpointEvery = 2 }, "CheckpointEvery 2 requires CheckpointDir"},
 	} {
 		cfg := tinyConfig()
 		tc.mutate(&cfg)
@@ -109,8 +116,9 @@ func TestConfigValidate(t *testing.T) {
 		t.Errorf("the zero Config is all defaults, rejected: %v", err)
 	}
 	ok := tinyConfig()
-	ok.TeacherSampling, ok.TeachersPerIter, ok.SampleWeighted, ok.SampleK = TeacherSamplingWeighted, 2, true, 2
+	ok.TeachersPerIter, ok.SampleWeighted, ok.SampleK = 2, true, 2
 	ok.VirtualDevices, ok.ReplicaStore, ok.StateCodec = true, ReplicaStoreSpill, "int8"
+	ok.CheckpointDir, ok.CheckpointEvery, ok.KeepCheckpoints, ok.Resume = "d", 2, 5, true
 	if err := ok.Validate(); err != nil {
 		t.Errorf("a valid configuration rejected: %v", err)
 	}

@@ -117,47 +117,35 @@ func TestExactModeMatchesPreCohortFingerprint(t *testing.T) {
 		t.Fatalf("exact mode diverged from the pre-cohort reference:\n--- recorded ---\n%s--- got ---\n%s",
 			preCohortGoldenFingerprint, got)
 	}
-	// A bounded cohort pool changes memory behaviour (modules are rebuilt
-	// on demand) but must not change a single bit of the arithmetic.
-	got = goldenRun(t, func(c *Config) { c.Sequential = true; c.CohortReplicas = 1 })
-	if got != preCohortGoldenFingerprint {
-		t.Fatalf("exact mode with CohortReplicas=1 diverged from the pre-cohort reference:\n--- recorded ---\n%s--- got ---\n%s",
-			preCohortGoldenFingerprint, got)
-	}
 }
 
 // TestSchedulerDeterminismGoldenSampledTeachers extends the golden test to
 // the sampled-teacher server: with TeachersPerIter set, the fingerprint
 // must still be byte-identical between the sequential reference scheduler
-// and the parallel pool at every worker count, for both sampling policies.
+// and the parallel pool at every worker count (one subtest, named for the
+// one policy: a uniform draw without replacement).
 func TestSchedulerDeterminismGoldenSampledTeachers(t *testing.T) {
-	for _, sampling := range []string{TeacherSamplingUniform, TeacherSamplingWeighted} {
-		sampling := sampling
-		t.Run(sampling, func(t *testing.T) {
-			mutate := func(c *Config) {
-				c.TeachersPerIter = 2
-				c.TeacherSampling = sampling
+	t.Run("uniform", func(t *testing.T) {
+		mutate := func(c *Config) { c.TeachersPerIter = 2 }
+		ref := goldenRun(t, func(c *Config) { mutate(c); c.Sequential = true })
+		if ref == "" {
+			t.Fatal("empty reference fingerprint")
+		}
+		if exact := goldenRun(t, func(c *Config) { c.Sequential = true }); exact == ref {
+			t.Fatal("sampled-teacher run unexpectedly identical to the full ensemble")
+		}
+		workerCounts := []int{1, 3, 8}
+		if testing.Short() {
+			workerCounts = []int{1, 4}
+		}
+		for _, w := range workerCounts {
+			got := goldenRun(t, func(c *Config) { mutate(c); c.Workers = w })
+			if got != ref {
+				t.Fatalf("workers=%d fingerprint diverges from sequential reference:\n--- sequential ---\n%s--- workers=%d ---\n%s",
+					w, ref, w, got)
 			}
-			ref := goldenRun(t, func(c *Config) { mutate(c); c.Sequential = true })
-			if ref == "" {
-				t.Fatal("empty reference fingerprint")
-			}
-			if exact := goldenRun(t, func(c *Config) { c.Sequential = true }); exact == ref {
-				t.Fatal("sampled-teacher run unexpectedly identical to the full ensemble")
-			}
-			workerCounts := []int{1, 3, 8}
-			if testing.Short() {
-				workerCounts = []int{1, 4}
-			}
-			for _, w := range workerCounts {
-				got := goldenRun(t, func(c *Config) { mutate(c); c.Workers = w })
-				if got != ref {
-					t.Fatalf("sampling=%s workers=%d fingerprint diverges from sequential reference:\n--- sequential ---\n%s--- workers=%d ---\n%s",
-						sampling, w, ref, w, got)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestStateCodecDeterminismGolden extends the golden scheme to the

@@ -226,9 +226,6 @@ func (e *Engine) maybeCheckpoint(round int) error {
 // oldest-ward — the rollback path — and reported only if no file loads.
 // An empty directory is a fresh start, not an error.
 func (c *Coordinator) resumeFromDir() error {
-	if c.cfg.CheckpointDir == "" {
-		return fmt.Errorf("fedzkt: Config.Resume requires Config.CheckpointDir")
-	}
 	names, err := ListCheckpointFiles(c.cfg.CheckpointDir)
 	if errors.Is(err, ErrNoCheckpoint) {
 		return nil

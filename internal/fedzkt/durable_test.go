@@ -482,8 +482,8 @@ func TestCheckpointTruncationEveryByte(t *testing.T) {
 
 // TestResumeSkipsCorruptAndReportsWhenNoneLoad covers resumeFromDir's
 // two edge paths: every file corrupt → a joined error naming each fault;
-// Resume without a directory → configuration error; Resume with an empty
-// directory → fresh start.
+// Resume with an empty directory → fresh start. (Resume without a
+// directory never gets as far as a coordinator: New rejects it.)
 func TestResumeSkipsCorruptAndReportsWhenNoneLoad(t *testing.T) {
 	dir := t.TempDir()
 	for round := 1; round <= 2; round++ {
@@ -506,9 +506,10 @@ func TestResumeSkipsCorruptAndReportsWhenNoneLoad(t *testing.T) {
 
 	badCfg := tinyConfig()
 	badCfg.Resume = true
-	bad := durableCoordinator(t, badCfg)
-	if _, err := bad.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "CheckpointDir") {
-		t.Fatalf("want Resume-requires-CheckpointDir error, got %v", err)
+	ds := tinyDataset(1)
+	shards := partition.IID(ds.NumTrain(), 2, tensor.NewRand(2))
+	if _, err := New(badCfg, ds, []string{"mlp"}, shards); err == nil || !strings.Contains(err.Error(), "Resume requires CheckpointDir") {
+		t.Fatalf("want Resume-requires-CheckpointDir error from New, got %v", err)
 	}
 
 	freshCfg := tinyConfig()

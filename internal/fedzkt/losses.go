@@ -93,75 +93,6 @@ func Disagreement(kind LossKind, student *ag.Variable, teachers []*ag.Variable) 
 	}
 }
 
-// DisagreementWeighted is Disagreement with a weighted ensemble mean: the
-// teacher aggregate becomes Σ w̄_k f(v_k) with w̄ the normalised weights,
-// as in weighted ensemble-transfer schemes (Fed-ET). A nil weight slice —
-// or one whose entries are all equal — takes the exact uniform-mean code
-// path of Disagreement, so the paper-exact mode is byte-identical to the
-// unweighted loss. Weights must be non-negative with a positive sum.
-func DisagreementWeighted(kind LossKind, student *ag.Variable, teachers []*ag.Variable, weights []float64) *ag.Variable {
-	if weights == nil {
-		return Disagreement(kind, student, teachers)
-	}
-	if len(weights) != len(teachers) {
-		panic(fmt.Sprintf("fedzkt: %d weights for %d teachers", len(weights), len(teachers)))
-	}
-	if len(teachers) == 0 {
-		panic("fedzkt: Disagreement with no teachers")
-	}
-	norm, uniform := normalizeWeights(weights)
-	if uniform {
-		return Disagreement(kind, student, teachers)
-	}
-	n := float64(student.Shape()[0])
-	switch kind {
-	case LossSL:
-		pbar := weightedMeanOf(teachers, norm, ag.Softmax)
-		diff := ag.Sub(ag.Softmax(student), pbar)
-		return ag.Scale(1/n, ag.SumAll(ag.Abs(diff)))
-	case LossKL:
-		p := ag.Softmax(student)
-		logP := ag.LogSoftmax(student)
-		q := weightedMeanOf(teachers, norm, ag.Softmax)
-		terms := ag.Mul(p, ag.Sub(logP, ag.Log(q)))
-		return ag.Scale(1/n, ag.SumAll(terms))
-	case LossL1:
-		vbar := weightedMeanOf(teachers, norm, func(v *ag.Variable) *ag.Variable { return v })
-		diff := ag.Sub(student, vbar)
-		return ag.Scale(1/n, ag.SumAll(ag.Abs(diff)))
-	default:
-		panic(fmt.Sprintf("fedzkt: unknown loss kind %d", int(kind)))
-	}
-}
-
-// normalizeWeights scales weights to sum to one and reports whether they
-// were (exactly) uniform. Negative weights and all-zero totals are
-// programmer errors.
-func normalizeWeights(weights []float64) ([]float64, bool) {
-	total := 0.0
-	uniform := true
-	for _, w := range weights {
-		if w < 0 {
-			panic(fmt.Sprintf("fedzkt: negative teacher weight %v", w))
-		}
-		if w != weights[0] {
-			uniform = false
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("fedzkt: teacher weights sum to zero")
-	}
-	if uniform {
-		return nil, true
-	}
-	norm := make([]float64, len(weights))
-	for i, w := range weights {
-		norm[i] = w / total
-	}
-	return norm, false
-}
-
 // meanOf averages f(teacher_k) over the ensemble.
 func meanOf(teachers []*ag.Variable, invK float64, f func(*ag.Variable) *ag.Variable) *ag.Variable {
 	acc := f(teachers[0])
@@ -169,15 +100,6 @@ func meanOf(teachers []*ag.Variable, invK float64, f func(*ag.Variable) *ag.Vari
 		acc = ag.Add(acc, f(t))
 	}
 	return ag.Scale(invK, acc)
-}
-
-// weightedMeanOf computes Σ w_i f(teacher_i) for normalised weights.
-func weightedMeanOf(teachers []*ag.Variable, w []float64, f func(*ag.Variable) *ag.Variable) *ag.Variable {
-	acc := ag.Scale(w[0], f(teachers[0]))
-	for i, t := range teachers[1:] {
-		acc = ag.Add(acc, ag.Scale(w[i+1], f(t)))
-	}
-	return acc
 }
 
 // DistillTargets holds the fixed teacher side of the knowledge-transfer

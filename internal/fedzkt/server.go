@@ -27,7 +27,7 @@ import (
 // With TeachersPerIter = 0 (the default) the server runs the paper-exact
 // full-ensemble semantics, byte-identical to the pre-cohort
 // implementation. With TeachersPerIter = T > 0 each distillation iteration
-// draws T replica teachers (uniformly or weighted by device data size) and
+// draws T replica teachers uniformly and
 // transfers knowledge back into a rotating T-wide window of replicas, so
 // the per-iteration server cost is O(T) rather than O(devices).
 //
@@ -105,14 +105,6 @@ func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fedzkt: global model: %w", err)
 	}
-	retain := cfg.CohortReplicas
-	if retain == 0 {
-		// Automatic retention: sampled mode never needs more than
-		// TeachersPerIter live modules per cohort resident at once; exact
-		// mode keeps the full cohort pooled (legacy behaviour, no per-round
-		// rebuilds).
-		retain = cfg.TeachersPerIter
-	}
 	spillDir, spillDirOwned := "", false
 	if cfg.ReplicaStore == ReplicaStoreSpill {
 		if spillDir = cfg.SpillDir; spillDir == "" {
@@ -136,7 +128,6 @@ func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 	s.arenaGauges.phase.add(s.phase.T)
 	s.cohorts = newCohortSet(cohortOptions{
 		lr:       cfg.ServerLR,
-		retain:   retain,
 		codec:    cdc,
 		nShards:  cfg.ReplicaShards,
 		workers:  cfg.poolWorkers(),
@@ -428,43 +419,14 @@ func (s *Server) teachersPerIter() int {
 	return t
 }
 
-// teacherSampler builds the per-iteration teacher-subset policy from the
-// configured sampling mode, reusing the round scheduler's client-sampling
-// policies.
+// teacherSampler builds the per-iteration teacher-subset policy: a uniform
+// draw without replacement, on the round scheduler's client sampler.
 func (s *Server) teacherSampler(t int) sched.Sampler {
-	if s.cfg.TeacherSampling == TeacherSamplingWeighted {
-		smp, err := sched.NewWeightedByData(s.cohorts.weights(), t)
-		if err != nil {
-			panic(fmt.Sprintf("fedzkt: teacher sampler: %v", err)) // weights validated at registration
-		}
-		return smp
-	}
 	smp, err := sched.NewUniformK(t)
 	if err != nil {
 		panic(fmt.Sprintf("fedzkt: teacher sampler: %v", err)) // t > 0 by construction
 	}
 	return smp
-}
-
-// teacherWeights returns the normalised data-size weights of the given
-// leases when weighted teacher sampling is configured, or nil for the
-// uniform (paper-exact) ensemble mean.
-func (s *Server) teacherWeights(leases []*replicaLease) []float64 {
-	if s.cfg.TeacherSampling != TeacherSamplingWeighted {
-		return nil
-	}
-	w := make([]float64, len(leases))
-	total := 0.0
-	for i, l := range leases {
-		w[i] = float64(l.member.weight)
-		total += w[i]
-	}
-	if total == 0 {
-		// Every drawn teacher has zero data weight: fall back to the
-		// uniform mean rather than dividing by zero.
-		return nil
-	}
-	return w
 }
 
 // adversarialPhase is the first half of Algorithm 3: alternating generator
@@ -519,7 +481,6 @@ func (s *Server) adversarialPhase(ctx context.Context, round int) (float64, erro
 			s.cohorts.prefetch(stream.Peek(0))
 			teachers = compactLeases(s.cohorts.checkout(ids, false, false))
 		}
-		weights := s.teacherWeights(teachers)
 
 		// --- Generator step: maximise disagreement (lines 4-7). ---
 		// F is a fixed function during the adversary's move: frozen
@@ -533,7 +494,7 @@ func (s *Server) adversarialPhase(ctx context.Context, round int) (float64, erro
 		z := ag.ConstIn(s.phase, s.gen.SampleZIn(s.phase.Tensors(), cfg.DistillBatch, rng))
 		x := s.gen.Forward(z)
 		s.colMemo.Rebind(x.Value())
-		loss := s.disagreement(x, teachers, weights)
+		loss := s.disagreement(x, teachers)
 		lg := ag.Scale(-1, loss)
 		s.genOpt.ZeroGrad()
 		ag.Backward(lg)
@@ -555,7 +516,7 @@ func (s *Server) adversarialPhase(ctx context.Context, round int) (float64, erro
 			z = ag.ConstIn(s.phase, s.gen.SampleZIn(s.phase.Tensors(), cfg.DistillBatch, rng))
 			x = s.gen.Forward(z)
 			s.colMemo.Rebind(x.Value())
-			loss = s.disagreement(x, teachers, weights)
+			loss = s.disagreement(x, teachers)
 			s.globalOpt.ZeroGrad()
 			ag.Backward(loss)
 			s.globalOpt.Step()
@@ -578,10 +539,9 @@ func (s *Server) adversarialPhase(ctx context.Context, round int) (float64, erro
 
 // disagreement evaluates L(F(x), f_ens(x)) over the resident teacher
 // leases, in lease order (ascending device id).
-func (s *Server) disagreement(x *ag.Variable, teachers []*replicaLease, weights []float64) *ag.Variable {
+func (s *Server) disagreement(x *ag.Variable, teachers []*replicaLease) *ag.Variable {
 	student := s.global.Forward(x)
-	outs := s.teacherOuts(x, teachers)
-	return DisagreementWeighted(s.cfg.Loss, student, outs, weights)
+	return Disagreement(s.cfg.Loss, student, s.teacherOuts(x, teachers))
 }
 
 // teacherOuts runs the T frozen teacher forwards of one distillation

@@ -105,40 +105,37 @@ func TestServerAbsorbErrors(t *testing.T) {
 }
 
 // TestServerSampledDistillKeepsEverythingFinite exercises the sampled
-// teacher path at the server level, including weighted sampling.
+// teacher path at the server level.
 func TestServerSampledDistillKeepsEverythingFinite(t *testing.T) {
-	for _, sampling := range []string{TeacherSamplingUniform, TeacherSamplingWeighted} {
-		cfg := tinyConfig()
-		cfg.DistillIters = 4
-		cfg.TeachersPerIter = 2
-		cfg.TeacherSampling = sampling
-		srv, err := NewServer(cfg, tinyShape(), 4)
+	cfg := tinyConfig()
+	cfg.DistillIters = 4
+	cfg.TeachersPerIter = 2
+	srv, err := NewServer(cfg, tinyShape(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, arch := range []string{"mlp", "lenet-s", "mlp"} {
+		if _, err := srv.RegisterSized(arch, nil, 5*(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := srv.Distill(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < srv.NumDevices(); id++ {
+		sd, err := srv.ReplicaState(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, arch := range []string{"mlp", "lenet-s", "mlp"} {
-			if _, err := srv.RegisterSized(arch, nil, 5*(i+1)); err != nil {
-				t.Fatal(err)
+		for name, v := range sd {
+			if !v.IsFinite() {
+				t.Fatalf("device %d state %q non-finite", id, name)
 			}
 		}
-		if _, err := srv.Distill(context.Background(), 1); err != nil {
-			t.Fatal(err)
-		}
-		for id := 0; id < srv.NumDevices(); id++ {
-			sd, err := srv.ReplicaState(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, v := range sd {
-				if !v.IsFinite() {
-					t.Fatalf("sampling=%s device %d state %q non-finite", sampling, id, name)
-				}
-			}
-		}
-		for _, p := range srv.Global().Params() {
-			if !p.Value().IsFinite() {
-				t.Fatalf("sampling=%s global parameters non-finite", sampling)
-			}
+	}
+	for _, p := range srv.Global().Params() {
+		if !p.Value().IsFinite() {
+			t.Fatal("global parameters non-finite")
 		}
 	}
 }

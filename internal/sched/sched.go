@@ -422,23 +422,14 @@ func runOne(ctx context.Context, t Task, deadlineAt time.Time) Result {
 }
 
 // injectFailure decides deterministically whether (round, device) is
-// failure-injected: a splitmix64 hash mapped to [0,1) and compared to the
+// failure-injected: a SplitMix64 hash mapped to [0,1) and compared to the
 // rate, so the draw is independent of scheduling order.
 func (p *Pool) injectFailure(round, device int) bool {
 	if p.opts.FailureRate <= 0 {
 		return false
 	}
-	h := splitmix64(p.opts.FailureSeed ^ uint64(round)*0x9E3779B97F4A7C15 ^ uint64(device)*0xBF58476D1CE4E5B9)
+	h := chaos.SplitMix64(p.opts.FailureSeed ^ uint64(round)*0x9E3779B97F4A7C15 ^ uint64(device)*0xBF58476D1CE4E5B9)
 	return float64(h>>11)/(1<<53) < p.opts.FailureRate
-}
-
-// splitmix64 is the finaliser of the SplitMix64 generator, used as a
-// statistically solid 64-bit mixing hash.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
 }
 
 // ForEach runs fn(i) for every i in [0,n) on at most workers goroutines

@@ -175,18 +175,12 @@ func checkDst(what string, dst *Tensor, m, n int) {
 // four-term update is a single left-associative expression, so its
 // addition tree is exactly the sequential += chain of the classic loop;
 // a k-step whose a element is an exact zero is skipped, as it always was.
-// In fast-math mode the relaxed range kernel (FMA, no zero skip) is
-// substituted; row blocking is identical either way.
 func matMulInto(out, a, b []float64, m, k, n int) {
-	rng := matMulRange
-	if FastMath() {
-		rng = fastMatMulRange
-	}
 	if rowsParallel(m, k*n) {
-		parallelRows(m, k*n, func(lo, hi int) { rng(out, a, b, k, n, lo, hi) })
+		parallelRows(m, k*n, func(lo, hi int) { matMulRange(out, a, b, k, n, lo, hi) })
 		return
 	}
-	rng(out, a, b, k, n, 0, m)
+	matMulRange(out, a, b, k, n, 0, m)
 }
 
 // matMulRange computes rows [lo, hi) of matMulInto's output.
@@ -225,15 +219,11 @@ func matMulRange(out, a, b []float64, k, n, lo, hi int) {
 // same zeroed-then-accumulate, k-unrolled-by-4, zero-skipping structure as
 // matMulInto (a's lanes are strided column loads here).
 func matMulTransAInto(out, a, b []float64, k, m, n int) {
-	rng := matMulTransARange
-	if FastMath() {
-		rng = fastMatMulTransARange
-	}
 	if rowsParallel(m, k*n) {
-		parallelRows(m, k*n, func(lo, hi int) { rng(out, a, b, k, m, n, lo, hi) })
+		parallelRows(m, k*n, func(lo, hi int) { matMulTransARange(out, a, b, k, m, n, lo, hi) })
 		return
 	}
-	rng(out, a, b, k, m, n, 0, m)
+	matMulTransARange(out, a, b, k, m, n, 0, m)
 }
 
 // matMulTransARange computes rows [lo, hi) of matMulTransAInto's output.
@@ -301,15 +291,11 @@ func axpy4Rows(orow, b0, b1, b2, b3 []float64, av0, av1, av2, av3 float64) {
 // columns measures fastest here — enough operand reuse to cut memory
 // traffic, few enough live accumulators to stay in registers.
 func matMulTransBInto(out, a, b []float64, m, k, n int, accum bool) {
-	rng := matMulTransBRange
-	if FastMath() {
-		rng = fastMatMulTransBRange
-	}
 	if rowsParallel(m, k*n) {
-		parallelRows(m, k*n, func(lo, hi int) { rng(out, a, b, k, n, accum, lo, hi) })
+		parallelRows(m, k*n, func(lo, hi int) { matMulTransBRange(out, a, b, k, n, accum, lo, hi) })
 		return
 	}
-	rng(out, a, b, k, n, accum, 0, m)
+	matMulTransBRange(out, a, b, k, n, accum, 0, m)
 }
 
 // matMulTransBRange computes rows [lo, hi) of matMulTransBInto's output.

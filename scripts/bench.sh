@@ -14,13 +14,12 @@
 # scheduler noise on shared hosts, where throughput regimes drift on
 # minute timescales and a single sample can swing ±10%.
 #
-# The distill benchmarks come in four arms: Serial (one core, width-1
-# kernels), the default parallel exact mode (byte-identical to Serial),
-# Fast (-fast-math kernels, not byte-comparable), and NoObs (span
-# recording off — the Teachers8/Teachers8NoObs and LocalStepArena/
-# LocalStepArenaNoObs pairs price the observability layer, with a ≤ 2%
-# acceptance bar on the distill pair). Serial-vs-parallel and
-# exact-vs-Fast deltas are both readable straight from the JSON.
+# The distill benchmarks come in three arms: Serial (one core, width-1
+# kernels), the default parallel mode (byte-identical to Serial), and
+# NoObs (span recording off — the Teachers8/Teachers8NoObs and
+# LocalStepArena/LocalStepArenaNoObs pairs price the observability layer,
+# with a ≤ 2% acceptance bar on the distill pair). The Serial-vs-parallel
+# delta is readable straight from the JSON.
 # The CohortCheckout pair prices the spill-tier replica store (cold
 # checkout: spill read + decode) against the in-memory slot path.
 #
@@ -32,7 +31,7 @@ cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_10.json}"
 BENCHTIME="${BENCHTIME:-8x}"
-PATTERN='BenchmarkServerDistill100FullEnsemble$|BenchmarkServerDistill100FullEnsembleSerial|BenchmarkServerDistill100FullEnsembleFast|BenchmarkServerDistill100Teachers8$|BenchmarkServerDistill100Teachers8Fast|BenchmarkServerDistill100Teachers8NoObs|BenchmarkLocalStepArena$|BenchmarkLocalStepArenaNoObs|BenchmarkLocalStepNoArena|BenchmarkMatMul128$|BenchmarkMatMul128Fast|BenchmarkConv2dForwardBackward|BenchmarkGeneratorForward|BenchmarkGlobalModelForward|BenchmarkCohortCheckoutMemory|BenchmarkCohortCheckoutSpill'
+PATTERN='BenchmarkServerDistill100FullEnsemble$|BenchmarkServerDistill100FullEnsembleSerial|BenchmarkServerDistill100Teachers8$|BenchmarkServerDistill100Teachers8NoObs|BenchmarkLocalStepArena$|BenchmarkLocalStepArenaNoObs|BenchmarkLocalStepNoArena|BenchmarkMatMul128$|BenchmarkConv2dForwardBackward|BenchmarkGeneratorForward|BenchmarkGlobalModelForward|BenchmarkCohortCheckoutMemory|BenchmarkCohortCheckoutSpill'
 
 BENCHCOUNT="${BENCHCOUNT:-3}"
 
