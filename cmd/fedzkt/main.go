@@ -1,5 +1,7 @@
 // Command fedzkt runs the paper-reproduction experiments and prints their
-// tables and figures as Markdown (and optionally CSV files).
+// tables and figures as Markdown (and optionally CSV files): the paper's
+// Tables I–IV and Figures 2–7 plus accuracy ablations. Time, bytes and
+// memory are not its question; `bash bench/run.sh` measures those.
 //
 // Usage:
 //
@@ -14,7 +16,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"time"
 
 	fedzkt "github.com/fedzkt/fedzkt"
@@ -35,13 +36,18 @@ func run(args []string) error {
 		scaleStr = fs.String("scale", "smoke", "experiment scale: smoke, default or full")
 		csvDir   = fs.String("csv", "", "directory to also write per-artefact CSV files into")
 		list     = fs.Bool("list", false, "list available experiments and exit")
-		devices  = fs.String("devices", "", "federation size(s): one int for every experiment, or a comma-separated sweep for -exp scale (e.g. 100,1000)")
+		devices  int
 	)
+	fs.Func("devices", "federation size of every experiment (default: the scale's)", func(s string) error {
+		n, err := strconv.Atoi(s)
+		if err != nil || n < 1 {
+			return fmt.Errorf("want one positive device count")
+		}
+		devices = n
+		return nil
+	})
 	// What every federation of every experiment starts from (-seed is the
 	// base seed, -checkpoint-dir the parent of one subdirectory per cell).
-	// -exp scale always compares full vs sampled teachers and sync vs
-	// pipelined, sizing those arms with -teachers-per-iter (default 8) and
-	// -pipeline-depth (default 1), and sweeps codecs and stores besides.
 	fed := fedzkt.Config{Seed: 1}
 	fed.BindFlags(fs)
 	var proc fedzkt.ProcessFlags
@@ -75,16 +81,8 @@ func run(args []string) error {
 	}
 	params := experiments.ParamsFor(scale)
 	params.Fed = fed
-	if *devices != "" {
-		counts, err := parseDevices(*devices)
-		if err != nil {
-			return err
-		}
-		if len(counts) > 1 && *expID != "scale" {
-			return fmt.Errorf("-devices with multiple values (%s) is only meaningful for -exp scale; other experiments take a single federation size", *devices)
-		}
-		params.Devices = counts[0]
-		params.ScaleDevices = counts
+	if devices > 0 {
+		params.Devices = devices
 	}
 
 	var selected []experiments.Experiment
@@ -114,21 +112,6 @@ func run(args []string) error {
 		}
 	}
 	return nil
-}
-
-// parseDevices parses the -devices flag: one or more comma-separated
-// positive device counts.
-func parseDevices(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	counts := make([]int, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -devices value %q (want positive ints, e.g. 100,1000)", s)
-		}
-		counts = append(counts, n)
-	}
-	return counts, nil
 }
 
 func writeCSVs(dir string, res *experiments.Result) error {

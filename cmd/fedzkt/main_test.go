@@ -1,62 +1,42 @@
 package main
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
-
-func TestParseDevices(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []int
-		ok   bool
-	}{
-		{"1000", []int{1000}, true},
-		{"100,1000", []int{100, 1000}, true},
-		{" 8 , 32 ", []int{8, 32}, true},
-		{"", nil, false},
-		{"0", nil, false},
-		{"-5", nil, false},
-		{"ten", nil, false},
-		{"10,", nil, false},
-	}
-	for _, c := range cases {
-		got, err := parseDevices(c.in)
-		if (err == nil) != c.ok {
-			t.Errorf("parseDevices(%q) err = %v, want ok=%v", c.in, err, c.ok)
-			continue
-		}
-		if c.ok && !reflect.DeepEqual(got, c.want) {
-			t.Errorf("parseDevices(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-exp", "nope"}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	if err := run([]string{"-exp", "scale", "-scale", "galactic"}); err == nil {
+	// The device-scale sweep is gone (bench/ measures that axis), and with
+	// it the comma-list form of -devices.
+	if err := run([]string{"-exp", "scale"}); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+		t.Fatalf("-exp scale: error %v, want unknown experiment", err)
+	}
+	if err := run([]string{"-exp", "table1", "-devices", "8,24"}); err == nil || !strings.Contains(err.Error(), "-devices") {
+		t.Fatalf("-devices 8,24: error %v, want one naming -devices", err)
+	}
+	if err := run([]string{"-exp", "table1", "-scale", "galactic"}); err == nil {
 		t.Fatal("unknown scale accepted")
 	}
-	if err := run([]string{"-exp", "scale", "-devices", "0"}); err == nil {
+	if err := run([]string{"-exp", "table1", "-devices", "0"}); err == nil {
 		t.Fatal("zero device count accepted")
 	}
-	if err := run([]string{"-exp", "scale", "-state-codec", "float8"}); err == nil {
+	if err := run([]string{"-exp", "table1", "-state-codec", "float8"}); err == nil {
 		t.Fatal("unknown state codec accepted")
 	}
 	if err := run([]string{}); err == nil {
 		t.Fatal("missing -exp accepted")
 	}
-	if err := run([]string{"-exp", "scale", "-workers", "-2"}); err == nil {
+	if err := run([]string{"-exp", "table1", "-workers", "-2"}); err == nil {
 		t.Fatal("negative -workers accepted")
 	}
-	if err := run([]string{"-exp", "scale", "-teachers-per-iter", "-1"}); err == nil {
+	if err := run([]string{"-exp", "table1", "-teachers-per-iter", "-1"}); err == nil {
 		t.Fatal("negative -teachers-per-iter accepted")
 	}
 	for _, bad := range [][]string{{"-replica-store", "tape"}, {"-shards", "-1"}, {"-hot-set", "-1"}, {"-pipeline-depth", "-1"}} {
-		if err := run(append([]string{"-exp", "scale"}, bad...)); err == nil {
+		if err := run(append([]string{"-exp", "table1"}, bad...)); err == nil {
 			t.Fatalf("%v accepted", bad)
 		}
 	}
@@ -78,7 +58,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-checkpoint-every", "2"}, "CheckpointEvery 2 requires CheckpointDir"},
 		{[]string{"-resume"}, "Resume requires CheckpointDir"},
 		{[]string{"-fail-rate", "1"}, "FailureRate 1 outside [0,1)"},
-		{[]string{"-weighted"}, "SampleWeighted requires SampleK > 0"},
+		{[]string{"-weighted"}, "flag provided but not defined: -weighted"},
 		{[]string{"-virtual-devices", "-round-deadline", "1s"}, "VirtualDevices requires RoundDeadline = 0"},
 	} {
 		err := run(append([]string{"-exp", "table1"}, tc.args...))

@@ -23,7 +23,6 @@ import (
 
 	"github.com/fedzkt/fedzkt"
 	"github.com/fedzkt/fedzkt/internal/fed"
-	"github.com/fedzkt/fedzkt/internal/obs"
 	"github.com/fedzkt/fedzkt/internal/transport"
 )
 
@@ -81,8 +80,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println()
-	report := obs.RoundReport{Columns: obs.DistributedColumns()}
-	report.Render(os.Stdout, hist.Rows())
+	report := fed.RoundReport{Columns: fed.DistributedColumns()}
+	report.Render(os.Stdout, hist)
 	for _, st := range srv.SessionStats() {
 		fmt.Printf("device %d (%s): %d resumes | wire %0.1f KiB up, %0.1f KiB down\n",
 			st.ID, st.Arch, st.Resumes, float64(st.BytesUp)/1024, float64(st.BytesDown)/1024)

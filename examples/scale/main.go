@@ -61,7 +61,7 @@ import (
 	"github.com/fedzkt/fedzkt"
 	"github.com/fedzkt/fedzkt/internal/chaos"
 	"github.com/fedzkt/fedzkt/internal/data"
-	"github.com/fedzkt/fedzkt/internal/obs"
+	"github.com/fedzkt/fedzkt/internal/fed"
 )
 
 // autoScaleDevices is the device count at which the example switches on
@@ -161,8 +161,8 @@ func main() {
 	runtime.ReadMemStats(&msAfter)
 
 	fmt.Println()
-	report := obs.RoundReport{Columns: obs.ScaleColumns(), Note: obs.FaultNote}
-	report.Render(os.Stdout, hist.Rows())
+	report := fed.RoundReport{Columns: fed.ScaleColumns(), Note: fed.FaultNote}
+	report.Render(os.Stdout, hist)
 	stats := co.Pool().Stats()
 	fmt.Printf("\npolicy=%s  totals: completed=%d dropped=%d injected=%d\n",
 		co.Sampler().Name(), stats.Completed.Load(), stats.Dropped.Load(), stats.Injected.Load())

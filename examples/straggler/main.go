@@ -15,6 +15,7 @@ import (
 
 	"github.com/fedzkt/fedzkt"
 	"github.com/fedzkt/fedzkt/internal/data"
+	"github.com/fedzkt/fedzkt/internal/fed"
 	"github.com/fedzkt/fedzkt/internal/obs"
 )
 
@@ -45,14 +46,14 @@ func main() {
 	// A comparative report: the p=1.0 column is a closure over the second
 	// history, indexed by row position.
 	h4, h10 := histories[0.4], histories[1.0]
-	report := obs.RoundReport{Columns: []obs.Column{
-		obs.Col("round", func(_ int, r obs.RoundRow) string { return obs.FmtInt(r.Round) }),
-		obs.Col("p=0.4 active", func(i int, _ obs.RoundRow) string { return fmt.Sprintf("%v", h4[i].Active) }),
-		obs.Col("p=0.4 acc", func(_ int, r obs.RoundRow) string { return obs.FmtAcc(r.GlobalAcc) }),
-		obs.Col("p=1.0 acc", func(i int, _ obs.RoundRow) string { return obs.FmtAcc(h10[i].GlobalAcc) }),
+	report := fed.RoundReport{Columns: []fed.Column{
+		fed.Col("round", func(_ int, m fed.RoundMetrics) string { return obs.FmtInt(m.Round) }),
+		fed.Col("p=0.4 active", func(i int, _ fed.RoundMetrics) string { return fmt.Sprintf("%v", h4[i].Active) }),
+		fed.Col("p=0.4 acc", func(_ int, m fed.RoundMetrics) string { return obs.FmtAcc(m.GlobalAcc) }),
+		fed.Col("p=1.0 acc", func(i int, _ fed.RoundMetrics) string { return obs.FmtAcc(h10[i].GlobalAcc) }),
 	}}
 	fmt.Println()
-	report.Render(os.Stdout, h4.Rows())
+	report.Render(os.Stdout, h4)
 	fmt.Println("\nwith most devices participating, stragglers barely dent the curve —")
 	fmt.Println("the server's replicas keep every architecture in the ensemble.")
 }

@@ -11,9 +11,9 @@
 // Rounds execute on the sharded device-scale scheduler (internal/sched),
 // so a federation can simulate far more devices than CPU cores. The
 // scheduler is configured through Config fields — Workers (pool size),
-// SampleK / SampleWeighted (client-sampling policy), RoundDeadline
-// (stragglers are dropped from aggregation), FailureRate (deterministic
-// failure injection) and Sequential (the reference scheduler). With no
+// SampleK (uniform-K client sampling), RoundDeadline (stragglers are
+// dropped from aggregation), FailureRate (deterministic failure
+// injection) and Sequential (the reference scheduler). With no
 // RoundDeadline set, results are bit-identical for any worker count
 // (a deadline makes straggler survival wall-clock-dependent by design):
 //
@@ -49,8 +49,8 @@
 // checkpoints: "float64" (dense identity, the default — byte-identical
 // to the pre-codec pipeline), "float16" (4× smaller), or "int8"
 // (per-tensor affine quantisation, 8× smaller). Quantised runs stay
-// deterministic across worker counts; the scale experiment's codec table
-// reports the accuracy trade-off:
+// deterministic across worker counts; the codecs ablation (cmd/fedzkt
+// -exp codecs) reports the accuracy trade-off:
 //
 //	co, err := fedzkt.New(fedzkt.Config{
 //		Rounds: 2, SampleK: 32, TeachersPerIter: 8, StateCodec: "int8",

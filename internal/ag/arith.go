@@ -139,32 +139,3 @@ func SumAll(a *Variable) *Variable {
 func MeanAll(a *Variable) *Variable {
 	return Scale(1/float64(a.value.Len()), SumAll(a))
 }
-
-func sumSquaresBack(v *Variable, g *tensor.Tensor) {
-	a := v.parents[0]
-	if sink := a.gradSink(); sink != nil {
-		tensor.AxpyInto(sink, 2*g.Data()[0], a.value)
-	}
-}
-
-// SumSquares returns a scalar with Σ aᵢ², the building block of ℓ2
-// regularization terms.
-func SumSquares(a *Variable) *Variable {
-	ar := arenaOf(a)
-	s := 0.0
-	for _, v := range a.value.Data() {
-		s += v * v
-	}
-	out := ar.tensorRaw(1)
-	out.Data()[0] = s
-	if !a.requiresGrad {
-		return constIn(ar, out)
-	}
-	return newNode(ar, out, sumSquaresBack, a)
-}
-
-// AddWeighted returns a + alpha*b for scalar Variables or same-shape
-// tensors; used to combine loss terms.
-func AddWeighted(a *Variable, alpha float64, b *Variable) *Variable {
-	return Add(a, Scale(alpha, b))
-}

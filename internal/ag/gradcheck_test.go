@@ -85,11 +85,6 @@ func TestGradAbs(t *testing.T) {
 	checkGrads(t, "abs", func() *Variable { return SumAll(Abs(a)) }, map[string]*Variable{"a": a})
 }
 
-func TestGradSumSquares(t *testing.T) {
-	a := randVar(7, true, 2, 3)
-	checkGrads(t, "sumsq", func() *Variable { return SumSquares(a) }, map[string]*Variable{"a": a})
-}
-
 func TestGradMatMulLinear(t *testing.T) {
 	x := randVar(8, true, 4, 3)
 	w := randVar(9, true, 3, 5)
@@ -283,11 +278,6 @@ func TestGradLosses(t *testing.T) {
 	labels := []int{0, 3, 2, 4}
 	checkGrads(t, "ce", func() *Variable { return CrossEntropy(logits, labels) },
 		map[string]*Variable{"logits": logits})
-
-	a := randVar(91, true, 3, 4)
-	b := randVar(92, true, 3, 4)
-	checkGrads(t, "mse", func() *Variable { return MSE(a, b) },
-		map[string]*Variable{"a": a, "b": b})
 }
 
 func TestGradComposite(t *testing.T) {

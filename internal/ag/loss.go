@@ -92,12 +92,6 @@ func CrossEntropy(logits *Variable, labels []int) *Variable {
 	return NLL(LogSoftmax(logits), labels)
 }
 
-// MSE returns the mean squared error between two same-shape Variables.
-func MSE(a, b *Variable) *Variable {
-	d := Sub(a, b)
-	return MeanAll(Mul(d, d))
-}
-
 // Accuracy computes the fraction of rows of logits whose argmax equals the
 // label. Evaluation-only; no gradients.
 func Accuracy(logits *tensor.Tensor, labels []int) float64 {

@@ -175,7 +175,7 @@ func TestDigestMovesLogitsTowardConsensus(t *testing.T) {
 		m.SetTraining(false)
 		defer m.SetTraining(true)
 		out := m.Forward(ag.Const(px)).Value()
-		return tensor.Norm1(tensor.Sub(out, consensus))
+		return tensor.Norm2(tensor.Sub(out, consensus))
 	}
 	before := dist()
 	if err := digest(m, px, consensus, 5, 4, 0.05, tensor.NewRand(24), ag.NewArena()); err != nil {

@@ -97,9 +97,6 @@ func CreateSpill(path string, recordCap int) (*SpillFile, error) {
 		index: make(map[int]int64)}, nil
 }
 
-// RecordCap returns the maximum container bytes one record holds.
-func (s *SpillFile) RecordCap() int { return s.recordCap }
-
 // Path returns the backing file's path.
 func (s *SpillFile) Path() string { return s.path }
 
@@ -120,7 +117,7 @@ func (s *SpillFile) withRetry(op func() error) error {
 }
 
 // Write stores rec at slot, marking it written. len(rec) must be in
-// (0, RecordCap]. Transient write errors are retried with backoff.
+// (0, recordCap]. Transient write errors are retried with backoff.
 func (s *SpillFile) Write(slot int, rec []byte) error {
 	if slot < 0 {
 		return fmt.Errorf("codec: spill write: negative slot %d", slot)
@@ -245,13 +242,11 @@ func (s *SpillFile) Records() int {
 }
 
 // Reads and Writes return the cumulative record I/O operation counts;
-// ReadBytes and WriteBytes the cumulative record payload traffic;
-// Retries the transient-error retries the backoff loop absorbed.
+// ReadBytes and WriteBytes the cumulative record payload traffic.
 func (s *SpillFile) Reads() int64      { return s.reads.Load() }
 func (s *SpillFile) Writes() int64     { return s.writes.Load() }
 func (s *SpillFile) ReadBytes() int64  { return s.readBytes.Load() }
 func (s *SpillFile) WriteBytes() int64 { return s.writeBytes.Load() }
-func (s *SpillFile) Retries() int64    { return s.retries.Load() }
 
 // Close closes and removes the backing file. Spill records are an
 // eviction tier of in-memory state, not a persistence format (checkpoints

@@ -188,7 +188,7 @@ func TestSpillFileChaosRetry(t *testing.T) {
 		if err := s.Write(0, []byte{1, 2}); err != nil {
 			t.Fatalf("one injected fault must be retried away: %v", err)
 		}
-		if s.Retries() == 0 {
+		if s.retries.Load() == 0 {
 			t.Fatal("retry counter did not advance")
 		}
 	})
@@ -225,7 +225,7 @@ func TestSpillFileChaosRetry(t *testing.T) {
 		if !errors.Is(err, ErrSpillChecksum) {
 			t.Fatalf("want ErrSpillChecksum from flipped bit, got %v", err)
 		}
-		if s.Retries() != 0 {
+		if s.retries.Load() != 0 {
 			t.Fatal("checksum failure must not be retried")
 		}
 		// The flip fired once (on:1): the next read sees clean bytes.

@@ -28,7 +28,11 @@ func TestDatasetShapesAndBalance(t *testing.T) {
 	if s[0] != 120 || s[1] != 1 || s[2] != 16 || s[3] != 16 {
 		t.Fatalf("train shape %v", s)
 	}
-	for cl, n := range ds.TrainLabelCounts() {
+	counts := make([]int, ds.Classes)
+	for _, y := range ds.TrainY {
+		counts[y]++
+	}
+	for cl, n := range counts {
 		if n != 12 {
 			t.Fatalf("class %d has %d train samples, want 12", cl, n)
 		}
@@ -175,7 +179,7 @@ func TestGatherAndSubset(t *testing.T) {
 	if sub.Len() != 3 {
 		t.Fatalf("subset len %d", sub.Len())
 	}
-	bx, by := sub.Batch([]int{2, 0})
+	bx, by := sub.BatchIn(nil, []int{2, 0})
 	if bx.Dim(0) != 2 || by[0] != ds.TrainY[3] || by[1] != ds.TrainY[1] {
 		t.Fatal("subset batch misaligned")
 	}
@@ -226,7 +230,7 @@ func TestGatherPanicsOnEmptyAndOutOfRange(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"empty":  func() { ds.GatherTrain(nil) },
 		"oob":    func() { ds.GatherTrain([]int{9999}) },
-		"negidx": func() { ds.GatherTest([]int{-1}) },
+		"negidx": func() { ds.GatherTestIn(nil, []int{-1}) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {

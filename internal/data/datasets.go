@@ -10,90 +10,66 @@ type Sizes struct {
 // experiment scale: 10 classes × 60 train + 20 test per class.
 var DefaultSizes = Sizes{TrainPerClass: 60, TestPerClass: 20}
 
-// SynthMNIST builds the MNIST stand-in: 1×16×16 digit-like patterns.
-func SynthMNIST(sz Sizes, seed uint64) *Dataset {
-	return MustMake(Config{
-		Name: "synthmnist", Family: FamilyDigits, Classes: 10,
-		C: 1, H: 16, W: 16,
-		TrainPerClass: sz.TrainPerClass, TestPerClass: sz.TestPerClass,
-		Seed: seed ^ 0xA1,
-	})
+// specs is the one table of named datasets: what each stand-in looks like
+// at the package's native 16×16 size. Seed holds the dataset's seed mix,
+// XORed into the caller's seed so equal run seeds still give the six
+// datasets different prototypes.
+var specs = map[string]Config{
+	"synthmnist":    {Family: FamilyDigits, Classes: 10, C: 1, Seed: 0xA1},
+	"synthkmnist":   {Family: FamilyGlyphs, Classes: 10, C: 1, Seed: 0xB2},
+	"synthfashion":  {Family: FamilyApparel, Classes: 10, C: 1, Seed: 0xC3},
+	"synthcifar10":  {Family: FamilyObjects, Classes: 10, C: 3, Seed: 0xD4},
+	"synthcifar100": {Family: FamilyObjects, Classes: 100, C: 3, Seed: 0xE5},
+	"synthsvhn":     {Family: FamilyStreet, Classes: 10, C: 3, Seed: 0xF6},
 }
 
-// SynthKMNIST builds the KMNIST stand-in: denser glyph-like patterns.
-func SynthKMNIST(sz Sizes, seed uint64) *Dataset {
-	return MustMake(Config{
-		Name: "synthkmnist", Family: FamilyGlyphs, Classes: 10,
-		C: 1, H: 16, W: 16,
-		TrainPerClass: sz.TrainPerClass, TestPerClass: sz.TestPerClass,
-		Seed: seed ^ 0xB2,
-	})
+// Spec returns the named dataset's description — name, family, classes,
+// channels, 16×16 images and the seed mix in Seed — for the caller to size
+// (TrainPerClass, TestPerClass, H, W) and seed (Seed ^= run seed) before
+// Make. Recognised names: synthmnist, synthkmnist, synthfashion,
+// synthcifar10, synthcifar100, synthsvhn.
+func Spec(name string) (Config, bool) {
+	cfg, ok := specs[name]
+	cfg.Name, cfg.H, cfg.W = name, 16, 16
+	return cfg, ok
 }
+
+// ByName builds one of the six named datasets (see Spec) at 16×16.
+func ByName(name string, sz Sizes, seed uint64) (*Dataset, bool) {
+	cfg, ok := Spec(name)
+	if !ok {
+		return nil, false
+	}
+	cfg.TrainPerClass, cfg.TestPerClass = sz.TrainPerClass, sz.TestPerClass
+	cfg.Seed ^= seed
+	return MustMake(cfg), true
+}
+
+func mustByName(name string, sz Sizes, seed uint64) *Dataset {
+	ds, _ := ByName(name, sz, seed)
+	return ds
+}
+
+// SynthMNIST builds the MNIST stand-in: 1×16×16 digit-like patterns.
+func SynthMNIST(sz Sizes, seed uint64) *Dataset { return mustByName("synthmnist", sz, seed) }
+
+// SynthKMNIST builds the KMNIST stand-in: denser glyph-like patterns.
+func SynthKMNIST(sz Sizes, seed uint64) *Dataset { return mustByName("synthkmnist", sz, seed) }
 
 // SynthFashion builds the FASHION-MNIST stand-in: blocky apparel-like
 // shapes.
-func SynthFashion(sz Sizes, seed uint64) *Dataset {
-	return MustMake(Config{
-		Name: "synthfashion", Family: FamilyApparel, Classes: 10,
-		C: 1, H: 16, W: 16,
-		TrainPerClass: sz.TrainPerClass, TestPerClass: sz.TestPerClass,
-		Seed: seed ^ 0xC3,
-	})
-}
+func SynthFashion(sz Sizes, seed uint64) *Dataset { return mustByName("synthfashion", sz, seed) }
 
 // SynthCIFAR10 builds the CIFAR-10 stand-in: 3×16×16 colored object-like
 // patterns.
-func SynthCIFAR10(sz Sizes, seed uint64) *Dataset {
-	return MustMake(Config{
-		Name: "synthcifar10", Family: FamilyObjects, Classes: 10,
-		C: 3, H: 16, W: 16,
-		TrainPerClass: sz.TrainPerClass, TestPerClass: sz.TestPerClass,
-		Seed: seed ^ 0xD4,
-	})
-}
+func SynthCIFAR10(sz Sizes, seed uint64) *Dataset { return mustByName("synthcifar10", sz, seed) }
 
 // SynthCIFAR100 builds the CIFAR-100 stand-in used as FedMD's *similar*
 // public dataset for CIFAR-10: same Objects family and image statistics,
 // different (and more numerous) classes.
-func SynthCIFAR100(sz Sizes, seed uint64) *Dataset {
-	return MustMake(Config{
-		Name: "synthcifar100", Family: FamilyObjects, Classes: 100,
-		C: 3, H: 16, W: 16,
-		TrainPerClass: sz.TrainPerClass, TestPerClass: sz.TestPerClass,
-		Seed: seed ^ 0xE5,
-	})
-}
+func SynthCIFAR100(sz Sizes, seed uint64) *Dataset { return mustByName("synthcifar100", sz, seed) }
 
 // SynthSVHN builds the SVHN stand-in used as FedMD's *dissimilar* public
 // dataset for CIFAR-10: digit foregrounds over high-variance colored
 // backgrounds, statistically far from the Objects family.
-func SynthSVHN(sz Sizes, seed uint64) *Dataset {
-	return MustMake(Config{
-		Name: "synthsvhn", Family: FamilyStreet, Classes: 10,
-		C: 3, H: 16, W: 16,
-		TrainPerClass: sz.TrainPerClass, TestPerClass: sz.TestPerClass,
-		Seed: seed ^ 0xF6,
-	})
-}
-
-// ByName builds one of the six named datasets. Recognised names:
-// synthmnist, synthkmnist, synthfashion, synthcifar10, synthcifar100,
-// synthsvhn.
-func ByName(name string, sz Sizes, seed uint64) (*Dataset, bool) {
-	switch name {
-	case "synthmnist":
-		return SynthMNIST(sz, seed), true
-	case "synthkmnist":
-		return SynthKMNIST(sz, seed), true
-	case "synthfashion":
-		return SynthFashion(sz, seed), true
-	case "synthcifar10":
-		return SynthCIFAR10(sz, seed), true
-	case "synthcifar100":
-		return SynthCIFAR100(sz, seed), true
-	case "synthsvhn":
-		return SynthSVHN(sz, seed), true
-	default:
-		return nil, false
-	}
-}
+func SynthSVHN(sz Sizes, seed uint64) *Dataset { return mustByName("synthsvhn", sz, seed) }

@@ -20,12 +20,8 @@ func (d *Dataset) GatherTrainIn(a *tensor.Arena, idx []int) (*tensor.Tensor, []i
 	return gather(a, d.TrainX, d.TrainY, idx, d.C, d.H, d.W)
 }
 
-// GatherTest assembles the test samples at the given indices.
-func (d *Dataset) GatherTest(idx []int) (*tensor.Tensor, []int) {
-	return gather(nil, d.TestX, d.TestY, idx, d.C, d.H, d.W)
-}
-
-// GatherTestIn is GatherTest allocating from the given arena.
+// GatherTestIn assembles the test samples at the given indices, allocating
+// from the given arena (nil falls back to the heap).
 func (d *Dataset) GatherTestIn(a *tensor.Arena, idx []int) (*tensor.Tensor, []int) {
 	return gather(a, d.TestX, d.TestY, idx, d.C, d.H, d.W)
 }
@@ -64,13 +60,9 @@ func NewSubset(ds *Dataset, idx []int) *Subset {
 // Len returns the number of samples in the subset.
 func (s *Subset) Len() int { return len(s.Idx) }
 
-// Batch gathers the subset samples selected by local positions.
-func (s *Subset) Batch(local []int) (*tensor.Tensor, []int) {
-	return s.BatchIn(nil, local)
-}
-
-// BatchIn is Batch allocating the gathered tensors from the given arena
-// (nil falls back to the heap).
+// BatchIn gathers the subset samples selected by local positions,
+// allocating the gathered tensors from the given arena (nil falls back to
+// the heap).
 func (s *Subset) BatchIn(a *tensor.Arena, local []int) (*tensor.Tensor, []int) {
 	global := a.Ints(len(local))
 	for i, l := range local {
@@ -105,15 +97,6 @@ func ShuffledBatches(n, batchSize int, rng *rand.Rand) [][]int {
 		out = append(out, perm[lo:hi])
 	}
 	return out
-}
-
-// TrainLabelCounts returns per-class counts over the full training split.
-func (d *Dataset) TrainLabelCounts() []int {
-	counts := make([]int, d.Classes)
-	for _, y := range d.TrainY {
-		counts[y]++
-	}
-	return counts
 }
 
 // NumTrain returns the number of training samples.

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+
+	"github.com/fedzkt/fedzkt/internal/codec"
 )
 
 // CommBytes is an ablation beyond the paper: the per-round communication
@@ -23,7 +25,7 @@ func CommBytes(p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := shardsFor(private, p.Devices, "iid", 0, 0, p.Fed.Seed+8)
+	shards := shardsFor(private, p.Devices, "iid", p.Fed.Seed+8)
 	archs := zooFor("synthcifar10", p.Devices)
 
 	zkt, err := runFedZKT(p.fedzktConfig("synthcifar10", 81), private, archs, shards)
@@ -56,7 +58,7 @@ func GeneratorSweep(p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := shardsFor(ds, p.Devices, "iid", 0, 0, p.Fed.Seed+9)
+	shards := shardsFor(ds, p.Devices, "iid", p.Fed.Seed+9)
 	archs := zooFor("synthmnist", p.Devices)
 
 	iters := &Table{
@@ -97,4 +99,45 @@ func GeneratorSweep(p Params) (*Result, error) {
 		zdim.AddRow(fmt.Sprintf("%d", z), pct(hist.FinalGlobalAcc()))
 	}
 	return &Result{Tables: []*Table{iters, zdim}}, nil
+}
+
+// Codecs is an ablation beyond the paper: the same seeded federation under
+// every state codec, on the MNIST stand-in — what a codec saves in resident
+// replica-slot bytes per device and wire traffic per round, and what it
+// costs in final global accuracy against dense float64 (the first row, so
+// its Δ is 0 by construction).
+func Codecs(p Params) (*Result, error) {
+	t := &Table{
+		ID:     "codecs",
+		Title:  "State-codec trade-off (SynthMNIST, IID)",
+		Header: []string{"Codec", "State B/device", "Wire MB/round", "Global acc", "Δ acc vs float64"},
+	}
+	ds, err := buildDataset("synthmnist", p)
+	if err != nil {
+		return nil, err
+	}
+	shards := shardsFor(ds, p.Devices, "iid", p.Fed.Seed+10)
+	archs := zooFor("synthmnist", p.Devices)
+	var denseAcc float64
+	for _, name := range codec.Names() {
+		cfg := p.fedzktConfig("synthmnist", 100)
+		cfg.StateCodec = name
+		cfg.CheckpointDir = p.checkpointDirFor("synthmnist-"+name, 100)
+		co, err := runCoordinator(cfg, ds, archs, shards)
+		if err != nil {
+			return nil, fmt.Errorf("codecs %s: %w", name, err)
+		}
+		hist := co.History()
+		up, down := hist.TotalBytes()
+		acc := hist.FinalGlobalAcc()
+		if name == codec.Float64 {
+			denseAcc = acc
+		}
+		t.AddRow(name,
+			fmt.Sprintf("%d", co.Server().ResidentStateBytes()/int64(p.Devices)),
+			fmt.Sprintf("%.3f", float64(up+down)/float64(len(hist))/1e6),
+			pct(acc),
+			fmt.Sprintf("%+.2fpp", 100*(acc-denseAcc)))
+	}
+	return &Result{Tables: []*Table{t}}, nil
 }

@@ -1,5 +1,7 @@
 // Package experiments reproduces every table and figure of the FedZKT
-// evaluation (Tables I–IV, Figures 2–7) plus ablations beyond the paper,
+// evaluation (Tables I–IV, Figures 2–7) plus ablations beyond the paper
+// (commbytes, gensweep, codecs) — accuracy is this package's question; time
+// and bytes are bench/'s, byte-identity the golden fingerprint tests' —
 // at three scales: Smoke (seconds, used by benchmarks and CI), Default
 // (minutes per experiment on one CPU core), and Full (paper-sized loop
 // counts; hours). See README.md "Layout" for the module index;
@@ -11,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"sort"
 
 	"github.com/fedzkt/fedzkt/internal/baseline"
 	"github.com/fedzkt/fedzkt/internal/data"
@@ -68,18 +69,12 @@ type Params struct {
 	DistillIters, StudentSteps, DistillBatch int
 	// BatchSize is the device batch size.
 	BatchSize int
-	// ScaleDevices overrides the scale experiment's device-count sweep
-	// (set by the -devices flag; nil uses the per-scale defaults).
-	ScaleDevices []int
 	// Fed is what every federation's configuration starts from: the flags
 	// cmd/fedzkt binds to it (fedzkt.Config.BindFlags) reach every cell.
 	// Fed.Seed is the base seed, offset per cell; the sizing fields above
 	// overwrite Fed's, and Fed.CheckpointDir is the parent of one
 	// subdirectory per cell (experiments run many federations; sharing one
-	// directory would interleave their rotation). The scale experiment
-	// reads Fed.TeachersPerIter and Fed.PipelineDepth as the sizes of its
-	// sampled and pipelined arms, which it always runs beside the exact
-	// synchronous one.
+	// directory would interleave their rotation).
 	Fed fedzkt.Config
 }
 
@@ -113,58 +108,35 @@ func ParamsFor(scale Scale) Params {
 	}
 }
 
-// datasetSpec describes one of the six synthetic stand-ins.
-type datasetSpec struct {
-	family   data.Family
-	classes  int
-	channels int
-	seedMix  uint64
-}
-
-var datasetSpecs = map[string]datasetSpec{
-	"synthmnist":    {family: data.FamilyDigits, classes: 10, channels: 1, seedMix: 0xA1},
-	"synthkmnist":   {family: data.FamilyGlyphs, classes: 10, channels: 1, seedMix: 0xB2},
-	"synthfashion":  {family: data.FamilyApparel, classes: 10, channels: 1, seedMix: 0xC3},
-	"synthcifar10":  {family: data.FamilyObjects, classes: 10, channels: 3, seedMix: 0xD4},
-	"synthcifar100": {family: data.FamilyObjects, classes: 100, channels: 3, seedMix: 0xE5},
-	"synthsvhn":     {family: data.FamilyStreet, classes: 10, channels: 3, seedMix: 0xF6},
-}
-
-// buildDataset renders a named dataset at the experiment's image size.
+// buildDataset renders a named dataset (data.Spec) at the experiment's
+// image size and per-class counts.
 func buildDataset(name string, p Params) (*data.Dataset, error) {
-	spec, ok := datasetSpecs[name]
+	cfg, ok := data.Spec(name)
 	if !ok {
-		known := make([]string, 0, len(datasetSpecs))
-		for k := range datasetSpecs {
-			known = append(known, k)
-		}
-		sort.Strings(known)
-		return nil, fmt.Errorf("experiments: unknown dataset %q (known: %v)", name, known)
+		return nil, fmt.Errorf("experiments: unknown dataset %q", name)
 	}
-	train := p.TrainPerClass
-	test := p.TestPerClass
-	if spec.classes > 10 {
+	cfg.H, cfg.W = p.Img, p.Img
+	cfg.TrainPerClass, cfg.TestPerClass = p.TrainPerClass, p.TestPerClass
+	if cfg.Classes > 10 {
 		// Keep the 100-class public set about as large as the 10-class
 		// private sets.
-		train = max(train/10, 3)
-		test = max(test/10, 2)
+		cfg.TrainPerClass = max(p.TrainPerClass/10, 3)
+		cfg.TestPerClass = max(p.TestPerClass/10, 2)
 	}
-	return data.Make(data.Config{
-		Name:          name,
-		Family:        spec.family,
-		Classes:       spec.classes,
-		C:             spec.channels,
-		H:             p.Img,
-		W:             p.Img,
-		TrainPerClass: train,
-		TestPerClass:  test,
-		Seed:          p.Fed.Seed ^ spec.seedMix,
-	})
+	cfg.Seed ^= p.Fed.Seed
+	return data.Make(cfg)
+}
+
+// colour reports whether name is one of the 3-channel (CIFAR-like)
+// datasets, which get the larger zoo and the longer schedules.
+func colour(name string) bool {
+	cfg, _ := data.Spec(name)
+	return cfg.C == 3
 }
 
 // zooFor picks the paper's architecture zoo for a dataset.
 func zooFor(name string, k int) []string {
-	if datasetSpecs[name].channels == 3 {
+	if colour(name) {
 		return model.ZooFor(model.CIFARZoo(), k)
 	}
 	return model.ZooFor(model.SmallZoo(), k)
@@ -173,14 +145,14 @@ func zooFor(name string, k int) []string {
 // roundsFor returns the round count (CIFAR runs twice as long, as in the
 // paper).
 func (p Params) roundsFor(name string) int {
-	if datasetSpecs[name].channels == 3 {
+	if colour(name) {
 		return p.RoundsCIFAR
 	}
 	return p.Rounds
 }
 
 func (p Params) localEpochsFor(name string) int {
-	if datasetSpecs[name].channels == 3 {
+	if colour(name) {
 		return p.LocalEpochsCIFAR
 	}
 	return p.LocalEpochs
@@ -232,29 +204,32 @@ func (p Params) fedmdConfig(name string, seedOffset uint64) baseline.FedMDConfig
 	}
 }
 
-// shardsFor partitions ds for k devices under the named regime:
-// "iid", "quantity:<c>", or "dirichlet:<beta>".
-func shardsFor(ds *data.Dataset, k int, regime string, c int, beta float64, seed uint64) [][]int {
-	rng := tensor.NewRand(seed + 0x5AD)
-	switch regime {
-	case "iid":
-		return partition.IID(ds.NumTrain(), k, rng)
-	case "quantity":
-		return partition.QuantitySkew(ds.TrainY, ds.Classes, k, c, rng)
-	case "dirichlet":
-		return partition.Dirichlet(ds.TrainY, ds.Classes, k, beta, rng)
-	default:
-		panic(fmt.Sprintf("experiments: unknown regime %q", regime))
+// shardsFor partitions ds for k devices under a partition.ByRegime spec.
+// The specs are literals of this package, so a rejected one is a bug.
+func shardsFor(ds *data.Dataset, k int, regime string, seed uint64) [][]int {
+	shards, err := partition.ByRegime(regime, ds.TrainY, ds.Classes, k, tensor.NewRand(seed+0x5AD))
+	if err != nil {
+		panic(err)
 	}
+	return shards
 }
 
-// runFedZKT builds and runs one FedZKT federation, returning its history.
-func runFedZKT(cfg fedzkt.Config, ds *data.Dataset, archs []string, shards [][]int) (fed.History, error) {
+// runCoordinator builds and runs one FedZKT federation to completion.
+func runCoordinator(cfg fedzkt.Config, ds *data.Dataset, archs []string, shards [][]int) (*fedzkt.Coordinator, error) {
 	co, err := fedzkt.New(cfg, ds, archs, shards)
 	if err != nil {
 		return nil, err
 	}
 	if _, err := co.Run(context.Background()); err != nil {
+		return nil, err
+	}
+	return co, nil
+}
+
+// runFedZKT is runCoordinator for callers that want only the history.
+func runFedZKT(cfg fedzkt.Config, ds *data.Dataset, archs []string, shards [][]int) (fed.History, error) {
+	co, err := runCoordinator(cfg, ds, archs, shards)
+	if err != nil {
 		return nil, err
 	}
 	// Full finalised history: a resumed federation replays only the tail,
@@ -309,7 +284,7 @@ func All() []Experiment {
 		{ID: "fig7", Title: "Figure 7: device-count sweep (MNIST & CIFAR-10, IID)", Run: Fig7},
 		{ID: "commbytes", Title: "Ablation: per-round communication, FedZKT vs FedMD", Run: CommBytes},
 		{ID: "gensweep", Title: "Ablation: distillation iterations and z-dimension", Run: GeneratorSweep},
-		{ID: "scale", Title: "Scaling: device-count sweep on the sharded round scheduler", Run: ScaleSweep},
+		{ID: "codecs", Title: "Ablation: state codecs against dense float64", Run: Codecs},
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -31,12 +32,15 @@ func TestParamsForScales(t *testing.T) {
 
 func TestBuildDataset(t *testing.T) {
 	p := ParamsFor(ScaleSmoke)
-	for name, spec := range datasetSpecs {
+	for name, want := range map[string]struct{ classes, channels int }{
+		"synthmnist": {10, 1}, "synthkmnist": {10, 1}, "synthfashion": {10, 1},
+		"synthcifar10": {10, 3}, "synthcifar100": {100, 3}, "synthsvhn": {10, 3},
+	} {
 		ds, err := buildDataset(name, p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if ds.Classes != spec.classes || ds.C != spec.channels || ds.H != p.Img {
+		if ds.Classes != want.classes || ds.C != want.channels || ds.H != p.Img {
 			t.Fatalf("%s: got classes=%d C=%d H=%d", name, ds.Classes, ds.C, ds.H)
 		}
 	}
@@ -55,24 +59,29 @@ func TestPublicForMapping(t *testing.T) {
 }
 
 func TestRegistryCoversPaper(t *testing.T) {
-	want := []string{"table1", "table2", "table3", "table4", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7"}
-	for _, id := range want {
-		if _, ok := ByID(id); !ok {
-			t.Fatalf("experiment %s missing from registry", id)
+	// The runner is the paper ledger plus ablations and nothing else: time
+	// and bytes are bench/'s question, byte-identity the golden tests'.
+	want := []string{"table1", "fig2", "fig3", "fig4", "table2", "fig5", "table3", "fig6", "table4", "fig7",
+		"commbytes", "gensweep", "codecs"}
+	all := All()
+	if len(all) != len(want) {
+		t.Fatalf("registry has %d experiments, want %d", len(all), len(want))
+	}
+	for i, e := range all {
+		if e.ID != want[i] {
+			t.Fatalf("experiment %d is %q, want %q", i, e.ID, want[i])
 		}
-	}
-	if _, ok := ByID("table9"); ok {
-		t.Fatal("ByID must reject unknown ids")
-	}
-	ids := map[string]bool{}
-	for _, e := range All() {
 		if e.Run == nil || e.Title == "" {
 			t.Fatalf("experiment %s incompletely registered", e.ID)
 		}
-		if ids[e.ID] {
-			t.Fatalf("duplicate experiment id %s", e.ID)
+		if got, ok := ByID(e.ID); !ok || got.ID != e.ID {
+			t.Fatalf("ByID(%q) = %v, %v", e.ID, got.ID, ok)
 		}
-		ids[e.ID] = true
+	}
+	for _, id := range []string{"table9", "scale"} {
+		if _, ok := ByID(id); ok {
+			t.Fatalf("ByID accepted %q", id)
+		}
 	}
 }
 
@@ -171,45 +180,37 @@ func TestSmokeTable4(t *testing.T) {
 	}
 }
 
-// TestSmokeScale checks the device-count scaling scenario: every sweep
-// point must produce a full accounting row, and the custom-sweep override
-// must be honoured.
-func TestSmokeScale(t *testing.T) {
+// TestSmokeCodecs checks the one number only this ablation produces —
+// accuracy under each codec against float64 — and that the quantised
+// codecs report the savings they exist for.
+func TestSmokeCodecs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke experiment in -short mode")
 	}
-	p := ParamsFor(ScaleSmoke)
-	p.ScaleDevices = []int{6, 16}
-	p.Fed.SampleK = 4
-	res, err := ScaleSweep(p)
+	res, err := Codecs(ParamsFor(ScaleSmoke))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows := res.Tables[0].Rows
-	if len(rows) != 2 {
-		t.Fatalf("scale sweep rows = %d, want 2", len(rows))
+	if len(rows) != 3 || rows[0][0] != "float64" || rows[1][0] != "float16" || rows[2][0] != "int8" {
+		t.Fatalf("codecs rows wrong: %v", rows)
 	}
-	for i, want := range []string{"6", "16"} {
-		if rows[i][0] != want {
-			t.Fatalf("row %d devices = %s, want %s", i, rows[i][0], want)
-		}
-		if rows[i][1] != "uniform-4" {
-			t.Fatalf("row %d policy = %s, want uniform-4", i, rows[i][1])
-		}
-		if !strings.HasSuffix(rows[i][13], "%") || !strings.HasSuffix(rows[i][14], "%") {
-			t.Fatalf("row %d accuracy cells not rendered: %v", i, rows[i])
-		}
-		// The full-vs-sampled server-phase comparison and the
-		// sync-vs-pipelined wall-time comparison must render real
-		// durations and speedup ratios.
-		if !strings.HasSuffix(rows[i][9], "×") {
-			t.Fatalf("row %d server speedup cell not rendered: %v", i, rows[i])
-		}
-		if !strings.HasSuffix(rows[i][12], "×") {
-			t.Fatalf("row %d pipeline speedup cell not rendered: %v", i, rows[i])
-		}
+	if rows[0][4] != "+0.00pp" {
+		t.Fatalf("float64 row's delta = %q, want exactly 0", rows[0][4])
 	}
-	if _, err := ScaleSweep(Params{Scale: ScaleSmoke, ScaleDevices: []int{0}}); err == nil {
-		t.Fatal("ScaleSweep accepted a zero device count")
+	num := func(cell string) float64 {
+		v, err := strconv.ParseFloat(cell, 64)
+		if err != nil {
+			t.Fatalf("cell %q: %v", cell, err)
+		}
+		return v
+	}
+	for _, row := range rows[1:] {
+		if num(row[1]) >= num(rows[0][1]) || num(row[2]) >= num(rows[0][2]) {
+			t.Fatalf("%s reports no saving over float64: %v vs %v", row[0], row, rows[0])
+		}
+		if !strings.HasSuffix(row[3], "%") || !strings.HasSuffix(row[4], "pp") {
+			t.Fatalf("accuracy cells not rendered: %v", row)
+		}
 	}
 }

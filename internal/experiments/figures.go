@@ -22,7 +22,7 @@ func Fig2(p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := shardsFor(ds, p.Devices, "iid", 0, 0, p.Fed.Seed)
+	shards := shardsFor(ds, p.Devices, "iid", p.Fed.Seed)
 	archs := zooFor("synthmnist", p.Devices)
 	for _, loss := range []fedzkt.LossKind{fedzkt.LossSL, fedzkt.LossKL, fedzkt.LossL1} {
 		cfg := p.fedzktConfig("synthmnist", 30+uint64(loss))
@@ -62,7 +62,7 @@ func Fig3(p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := shardsFor(private, p.Devices, "iid", 0, 0, p.Fed.Seed+3)
+	shards := shardsFor(private, p.Devices, "iid", p.Fed.Seed+3)
 	archs := zooFor("synthcifar10", p.Devices)
 
 	zkt, err := runFedZKT(p.fedzktConfig("synthcifar10", 41), private, archs, shards)
@@ -117,7 +117,7 @@ func Fig4(p Params) (*Result, error) {
 		var qx, qZKT, qMD []float64
 		for _, c := range cs {
 			seed++
-			shards := shardsFor(private, p.Devices, "quantity", c, 0, p.Fed.Seed+seed)
+			shards := shardsFor(private, p.Devices, fmt.Sprintf("quantity:%d", c), p.Fed.Seed+seed)
 			zkt, err := runFedZKT(p.fedzktConfig(name, seed), private, archs, shards)
 			if err != nil {
 				return nil, fmt.Errorf("fig4 %s c=%d fedzkt: %w", name, c, err)
@@ -143,7 +143,7 @@ func Fig4(p Params) (*Result, error) {
 		var dx, dZKT, dMD []float64
 		for _, beta := range betas {
 			seed++
-			shards := shardsFor(private, p.Devices, "dirichlet", 0, beta, p.Fed.Seed+seed)
+			shards := shardsFor(private, p.Devices, fmt.Sprintf("dirichlet:%v", beta), p.Fed.Seed+seed)
 			zkt, err := runFedZKT(p.fedzktConfig(name, seed), private, archs, shards)
 			if err != nil {
 				return nil, fmt.Errorf("fig4 %s beta=%v fedzkt: %w", name, beta, err)
@@ -181,7 +181,7 @@ func Fig5(p Params) (*Result, error) {
 	if p.Scale == ScaleSmoke {
 		k = 5
 	}
-	shards := shardsFor(ds, k, "iid", 0, 0, p.Fed.Seed+5)
+	shards := shardsFor(ds, k, "iid", p.Fed.Seed+5)
 	archs := zooFor("synthcifar10", k)
 	cfg := p.fedzktConfig("synthcifar10", 51)
 	hist, err := runFedZKT(cfg, ds, archs, shards)
@@ -215,7 +215,7 @@ func Fig6(p Params) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		shards := shardsFor(ds, p.Devices, "iid", 0, 0, p.Fed.Seed+6)
+		shards := shardsFor(ds, p.Devices, "iid", p.Fed.Seed+6)
 		archs := zooFor(name, p.Devices)
 		f := &Figure{
 			ID:     "fig6-" + name,
@@ -262,7 +262,7 @@ func Fig7(p Params) (*Result, error) {
 			YLabel: "global accuracy",
 		}
 		for i, k := range ks {
-			shards := shardsFor(ds, k, "iid", 0, 0, p.Fed.Seed+70+uint64(i))
+			shards := shardsFor(ds, k, "iid", p.Fed.Seed+70+uint64(i))
 			archs := zooFor(name, k)
 			cfg := p.fedzktConfig(name, 70+uint64(i))
 			hist, err := runFedZKT(cfg, ds, archs, shards)

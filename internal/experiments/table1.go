@@ -31,7 +31,7 @@ func Table1(p Params) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		shards := shardsFor(private, p.Devices, "iid", 0, 0, p.Fed.Seed+uint64(i))
+		shards := shardsFor(private, p.Devices, "iid", p.Fed.Seed+uint64(i))
 		archs := zooFor(c.private, p.Devices)
 
 		if _, done := zktAcc[c.private]; !done {

@@ -22,17 +22,12 @@ func Table2(p Params) (*Result, error) {
 		return nil, err
 	}
 	archs := zooFor("synthcifar10", p.Devices)
-	scenarios := []struct {
-		label  string
-		regime string
-		c      int
-		beta   float64
-	}{
-		{"C = 5", "quantity", 5, 0},
-		{"β = 0.5", "dirichlet", 0, 0.5},
+	scenarios := []struct{ label, regime string }{
+		{"C = 5", "quantity:5"},
+		{"β = 0.5", "dirichlet:0.5"},
 	}
 	for si, sc := range scenarios {
-		shards := shardsFor(ds, p.Devices, sc.regime, sc.c, sc.beta, p.Fed.Seed+uint64(200+si))
+		shards := shardsFor(ds, p.Devices, sc.regime, p.Fed.Seed+uint64(200+si))
 		row := []string{sc.label}
 		for _, loss := range []fedzkt.LossKind{fedzkt.LossKL, fedzkt.LossL1, fedzkt.LossSL} {
 			cfg := p.fedzktConfig("synthcifar10", uint64(210+si*10)+uint64(loss))
@@ -67,7 +62,7 @@ func Table3(p Params) (*Result, error) {
 	if p.Scale == ScaleSmoke {
 		k = 5
 	}
-	shards := shardsFor(ds, k, "iid", 0, 0, p.Fed.Seed+31)
+	shards := shardsFor(ds, k, "iid", p.Fed.Seed+31)
 	archs := zooFor("synthcifar10", k)
 	epochs := p.roundsFor("synthcifar10") * p.localEpochsFor("synthcifar10")
 	bounds, err := baseline.LowerUpperBounds(baseline.StandaloneConfig{
@@ -100,17 +95,12 @@ func Table4(p Params) (*Result, error) {
 		return nil, err
 	}
 	archs := zooFor("synthcifar10", p.Devices)
-	scenarios := []struct {
-		label  string
-		regime string
-		c      int
-		beta   float64
-	}{
-		{"C = 5", "quantity", 5, 0},
-		{"β = 0.5", "dirichlet", 0, 0.5},
+	scenarios := []struct{ label, regime string }{
+		{"C = 5", "quantity:5"},
+		{"β = 0.5", "dirichlet:0.5"},
 	}
 	for si, sc := range scenarios {
-		shards := shardsFor(ds, p.Devices, sc.regime, sc.c, sc.beta, p.Fed.Seed+uint64(400+si))
+		shards := shardsFor(ds, p.Devices, sc.regime, p.Fed.Seed+uint64(400+si))
 		row := []string{sc.label}
 		for _, mu := range []float64{0, 0.1} {
 			cfg := p.fedzktConfig("synthcifar10", uint64(410+si*10)+uint64(mu*100))

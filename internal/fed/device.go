@@ -107,6 +107,19 @@ type LocalConfig struct {
 	ProxMu float64
 }
 
+// DeviceSeed is the seed of device id's model initialisation in a run
+// seeded with seed — on the device, in the server's replica of it, and in
+// a virtual slot rebuilt on first touch, which is what makes the three
+// bit-identical.
+func DeviceSeed(seed uint64, id int) uint64 { return seed + uint64(1000+id) }
+
+// LocalRNG is the generator device id trains with in the given round: a
+// pure function of (seed, round, id), so the local phase does not depend
+// on which worker or process runs it.
+func LocalRNG(seed uint64, round, id int) *rand.Rand {
+	return tensor.NewRand(seed ^ (uint64(round)<<20 + uint64(id)<<4 + 0x5EED))
+}
+
 // Validate reports configuration errors.
 func (c LocalConfig) Validate() error {
 	if c.Epochs <= 0 || c.BatchSize <= 0 || c.LR <= 0 {

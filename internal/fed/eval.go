@@ -49,15 +49,10 @@ func EvaluateArena(m nn.Module, ds *data.Dataset, batchSize int, ar *ag.Arena) f
 	return float64(correct) / float64(n)
 }
 
-// EvaluateAll returns the test accuracy of every device's model,
-// evaluating devices concurrently on up to GOMAXPROCS workers.
-func EvaluateAll(devices []*Device, ds *data.Dataset, batchSize int) []float64 {
-	return EvaluateAllParallel(devices, ds, batchSize, 0)
-}
-
-// EvaluateAllParallel is EvaluateAll with an explicit worker bound
-// (0 means GOMAXPROCS). Each device's model is evaluated independently on
-// a per-worker arena (so a thousand-device evaluation allocates like a
+// EvaluateAllParallel returns the test accuracy of every device's model,
+// evaluating devices concurrently on up to workers goroutines (0 means
+// GOMAXPROCS). Each device's model is evaluated independently on a
+// per-worker arena (so a thousand-device evaluation allocates like a
 // handful of them), and the result is identical for any worker count.
 func EvaluateAllParallel(devices []*Device, ds *data.Dataset, batchSize, workers int) []float64 {
 	arenas := make([]*ag.Arena, sched.EffectiveWorkers(len(devices), workers))

@@ -144,9 +144,9 @@ func TestEvaluateAllAndMean(t *testing.T) {
 		tinyDevice(t, ds, shards[0], 32),
 		tinyDevice(t, ds, shards[1], 33),
 	}
-	accs := EvaluateAll(devs, ds, 16)
+	accs := EvaluateAllParallel(devs, ds, 16, 0)
 	if len(accs) != 2 {
-		t.Fatalf("EvaluateAll returned %d accuracies", len(accs))
+		t.Fatalf("EvaluateAllParallel returned %d accuracies", len(accs))
 	}
 	for _, a := range accs {
 		if a < 0 || a > 1 {

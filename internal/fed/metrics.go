@@ -151,19 +151,6 @@ func (h History) Fingerprint() string {
 // bit-level divergence shows up in the fingerprint.
 func canonFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// MeanServerElapsed returns the mean per-round server-phase wall time
-// (0 for an empty history).
-func (h History) MeanServerElapsed() time.Duration {
-	if len(h) == 0 {
-		return 0
-	}
-	var total time.Duration
-	for _, m := range h {
-		total += m.ServerElapsed
-	}
-	return total / time.Duration(len(h))
-}
-
 // TotalStalls sums the pipeline idle time over the run: how long local
 // phases waited on downloads and how long the server stage waited on
 // uploads. Both are 0 for a synchronous run.

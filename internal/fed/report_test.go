@@ -1,19 +1,22 @@
-package obs
+package fed
 
 import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/fedzkt/fedzkt/internal/obs"
 )
 
 func TestRoundReportRender(t *testing.T) {
-	rows := []RoundRow{
-		{Round: 1, Sampled: 32, Completed: 30, Dropped: 1, Injected: 1,
+	ids := func(n int) []int { return make([]int, n) }
+	rows := History{
+		{Round: 1, Active: ids(32), Dropped: ids(1), Injected: ids(1),
 			StoreHits: 90, StoreMisses: 10, StorePrefetched: 8,
 			SpillReadBytes: 2_000_000, SpillWriteBytes: 1_000_000,
 			LocalElapsed: 120 * time.Millisecond, ServerElapsed: 300 * time.Millisecond,
 			Elapsed: 430 * time.Millisecond},
-		{Round: 2, Sampled: 32, Completed: 32,
+		{Round: 2, Active: ids(32),
 			LocalElapsed: 110 * time.Millisecond, ServerElapsed: 290 * time.Millisecond,
 			Elapsed: 400 * time.Millisecond, ReplicaFaults: []int{7, 9}},
 	}
@@ -27,6 +30,12 @@ func TestRoundReportRender(t *testing.T) {
 	}
 	if !strings.Contains(lines[0], "round") || !strings.Contains(lines[0], "server time") {
 		t.Fatalf("header missing columns: %q", lines[0])
+	}
+	// sampled / completed / dropped / injected are derived from the id
+	// lists of the round, not stored.
+	if f := strings.Split(lines[1], " | "); strings.TrimSpace(f[1]) != "32" || strings.TrimSpace(f[2]) != "30" ||
+		strings.TrimSpace(f[3]) != "1" || strings.TrimSpace(f[4]) != "1" {
+		t.Fatalf("participation columns wrong: %q", lines[1])
 	}
 	if !strings.Contains(lines[1], "90.0%") {
 		t.Fatalf("hit rate not rendered: %q", lines[1])
@@ -51,14 +60,14 @@ func TestRoundReportCustomColumns(t *testing.T) {
 	// A comparative report closing over a second series by row index —
 	// the straggler example's layout.
 	baseline := []float64{0.5, 0.6}
-	rows := []RoundRow{
-		{Round: 1, Sampled: 4, GlobalAcc: 0.4},
-		{Round: 2, Sampled: 4, GlobalAcc: 0.55},
+	rows := History{
+		{Round: 1, GlobalAcc: 0.4},
+		{Round: 2, GlobalAcc: 0.55},
 	}
 	cols := []Column{
-		Col("round", func(_ int, r RoundRow) string { return FmtInt(r.Round) }),
-		Col("p=0.4 acc", func(_ int, r RoundRow) string { return FmtAcc(r.GlobalAcc) }),
-		Col("p=1.0 acc", func(i int, _ RoundRow) string { return FmtAcc(baseline[i]) }),
+		Col("round", func(_ int, m RoundMetrics) string { return obs.FmtInt(m.Round) }),
+		Col("p=0.4 acc", func(_ int, m RoundMetrics) string { return obs.FmtAcc(m.GlobalAcc) }),
+		Col("p=1.0 acc", func(i int, _ RoundMetrics) string { return obs.FmtAcc(baseline[i]) }),
 	}
 	var b strings.Builder
 	RoundReport{Columns: cols}.Render(&b, rows)
@@ -69,7 +78,7 @@ func TestRoundReportCustomColumns(t *testing.T) {
 }
 
 func TestDistributedColumns(t *testing.T) {
-	rows := []RoundRow{{Round: 1, GlobalAcc: 0.42, Absorbed: 3, LateAbsorbed: 1,
+	rows := History{{Round: 1, GlobalAcc: 0.42, Absorbed: 3, LateAbsorbed: 1,
 		DroppedUploads: 2, BytesUp: 4096, BytesDown: 8192}}
 	var b strings.Builder
 	RoundReport{Columns: DistributedColumns()}.Render(&b, rows)

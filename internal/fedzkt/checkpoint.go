@@ -18,8 +18,8 @@ import (
 // 1-byte format version ahead of the gob body, so a reader rejects
 // foreign blobs and version mismatches with a clear error instead of
 // failing obscurely somewhere inside gob decoding. Version 2 introduced
-// the state-codec payloads (codec containers instead of nn.EncodeState
-// gob); version 3 adds the server's cross-round optimiser state (global
+// the state-codec payloads (codec containers instead of gob-encoded
+// dicts); version 3 adds the server's cross-round optimiser state (global
 // SGD momentum, generator Adam moments, both schedule counters) and the
 // coordinator's finalised-round history, which is what makes a resumed
 // synchronous run replay the uninterrupted trajectory bit for bit.

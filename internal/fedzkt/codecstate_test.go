@@ -120,7 +120,7 @@ func TestQuantisedReadOnlyPhasesCauseNoDrift(t *testing.T) {
 		before[id] = b
 	}
 	// Replica evaluation is a read-only checkout of every slot.
-	srv.EvaluateReplicas(tinyDataset(31), 16, 2)
+	srv.EvaluateReplicaSubset(tinyDataset(31), 16, 2, srv.cohorts.allIDs())
 	for id := range before {
 		after, _, err := srv.ReplicaPayload(id)
 		if err != nil {

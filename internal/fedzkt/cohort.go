@@ -353,8 +353,7 @@ func (cs *cohortSet) numCohorts() int { return len(cs.sigs) }
 func (cs *cohortSet) numShards() int { return len(cs.shards) }
 
 // liveModules returns the total number of pooled live modules currently
-// retained across all shards and cohorts (an observability hook for tests
-// and the scale experiment).
+// retained across all shards and cohorts (Server.LiveReplicas).
 func (cs *cohortSet) liveModules() int {
 	n := 0
 	for _, sh := range cs.shards {

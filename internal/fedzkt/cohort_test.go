@@ -35,15 +35,15 @@ func TestCohortGroupingByArchitecture(t *testing.T) {
 		t.Fatalf("NumCohorts=%d, want 2 (mlp + lenet-s)", got)
 	}
 	for id, want := range []string{"mlp", "lenet-s", "mlp", "lenet-s", "mlp", "lenet-s"} {
-		arch, err := srv.DeviceArch(id)
+		ref, err := srv.cohorts.ref(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if arch != want {
-			t.Fatalf("device %d arch %q, want %q", id, arch, want)
+		if ref.cohort.arch != want {
+			t.Fatalf("device %d arch %q, want %q", id, ref.cohort.arch, want)
 		}
 	}
-	if _, err := srv.DeviceArch(6); err == nil {
+	if _, err := srv.cohorts.ref(6); err == nil {
 		t.Fatal("want error for out-of-range device id")
 	}
 }
@@ -87,7 +87,7 @@ func TestCohortPoolRetention(t *testing.T) {
 	srvB := registerN(t, bounded, 4, "mlp")
 	// A four-wide evaluation chunk checks out four members at once,
 	// growing the pool past the bound until the release trims it.
-	srvB.EvaluateReplicas(tinyDataset(1), 16, 4)
+	srvB.EvaluateReplicaSubset(tinyDataset(1), 16, 4, srvB.cohorts.allIDs())
 	if got := srvB.LiveReplicas(); got != 1 {
 		t.Fatalf("TeachersPerIter=1 retained %d live modules, want 1", got)
 	}

@@ -61,9 +61,6 @@ type Config struct {
 	// participants per round (uniform-K partial participation, the
 	// device-scale regime), overriding ActiveFraction.
 	SampleK int
-	// SampleWeighted, with SampleK, weights client selection by shard
-	// size instead of sampling uniformly.
-	SampleWeighted bool
 	// Workers bounds the round scheduler's worker pool (0 = GOMAXPROCS).
 	Workers int
 	// Sequential runs device tasks inline on the caller's goroutine —
@@ -140,8 +137,8 @@ type Config struct {
 	// cut resident server state up to 8× and wire traffic accounting
 	// follows the codec's element width; in exchange every state that
 	// crosses the wire or rests in a slot is rounded to the codec's grid,
-	// which perturbs training (the scale sweep's codec table reports the
-	// accuracy delta).
+	// which perturbs training (the codecs ablation reports the accuracy
+	// delta).
 	StateCodec string
 	// GlobalArch names the server model architecture (default "global").
 	GlobalArch string
@@ -227,6 +224,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Local is the on-device training configuration (Algorithm 2) this run
+// gives every device, in process or in a transport assignment.
+func (c Config) Local() fed.LocalConfig {
+	return fed.LocalConfig{
+		Epochs:      c.LocalEpochs,
+		BatchSize:   c.BatchSize,
+		LR:          c.DeviceLR,
+		Momentum:    c.Momentum,
+		WeightDecay: c.WeightDecay,
+		ProxMu:      c.ProxMu,
+	}
+}
+
 // Validate reports the first value out of range, unknown mode name or
 // combination no engine supports, by field name. Zero fields are valid:
 // they take the documented defaults. NewServer calls it before building
@@ -263,9 +273,6 @@ func (c Config) Validate() error {
 	}
 	if _, err := codec.Get(c.StateCodec); err != nil {
 		return fmt.Errorf("fedzkt: %w", err)
-	}
-	if c.SampleWeighted && c.SampleK == 0 {
-		return fmt.Errorf("fedzkt: SampleWeighted requires SampleK > 0")
 	}
 	if c.VirtualDevices && c.RoundDeadline > 0 {
 		return fmt.Errorf("fedzkt: VirtualDevices requires RoundDeadline = 0 (a deadline straggler's partial local progress cannot survive model eviction)")
@@ -379,7 +386,7 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 		return nil, fmt.Errorf("fedzkt: %w", err)
 	}
 	c := &Coordinator{pool: pool, codec: server.Codec(), rigs: rigs}
-	if c.Engine, err = NewEngine(server, ds, shards, c); err != nil {
+	if c.Engine, err = NewEngine(server, ds, c); err != nil {
 		_ = server.Close()
 		return nil, err
 	}
@@ -408,7 +415,7 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 			dev = fed.NewDevice(i, arch, nil, data.NewSubset(ds, shards[i]))
 			id, err = server.RegisterSized(arch, nil, len(shards[i]))
 		} else {
-			devModel, berr := model.Build(arch, in, ds.Classes, tensor.NewRand(cfg.Seed+uint64(1000+i)))
+			devModel, berr := model.Build(arch, in, ds.Classes, tensor.NewRand(fed.DeviceSeed(cfg.Seed, i)))
 			if berr != nil {
 				_ = c.Close()
 				return nil, fmt.Errorf("fedzkt: device %d: %w", i, berr)
@@ -485,7 +492,7 @@ func (c *Coordinator) deviceModule(rig *deviceRig, id int) (m nn.Module, enc []b
 	ts := c.devStore[d.Arch]
 	if ts.virgin(id) {
 		// Bit-identical to the build a resident device starts from.
-		return m, nil, model.Reinit(m, tensor.NewRand(c.cfg.Seed+uint64(1000+id)))
+		return m, nil, model.Reinit(m, tensor.NewRand(fed.DeviceSeed(c.cfg.Seed, id)))
 	}
 	enc, err = ts.get(id)
 	return m, enc, err
@@ -721,14 +728,7 @@ func (c *Coordinator) CloseRound(m *fed.RoundMetrics) error {
 // identical for any worker count.
 func (c *Coordinator) LocalPhase(ctx context.Context, round int, active []int, m *fed.RoundMetrics) ([]Upload, error) {
 	cfg := c.cfg
-	local := fed.LocalConfig{
-		Epochs:      cfg.LocalEpochs,
-		BatchSize:   cfg.BatchSize,
-		LR:          cfg.DeviceLR,
-		Momentum:    cfg.Momentum,
-		WeightDecay: cfg.WeightDecay,
-		ProxMu:      cfg.ProxMu,
-	}
+	local := cfg.Local()
 	// staged[pos] and numels[pos] are written by task pos alone; RunRound
 	// returning publishes them.
 	staged := make([]Payload, len(active))
@@ -737,7 +737,7 @@ func (c *Coordinator) LocalPhase(ctx context.Context, round int, active []int, m
 	for pos, id := range active {
 		pos, id := pos, id
 		tasks[pos] = sched.Task{Device: id, Run: func(ctx context.Context) (err error) {
-			rng := tensor.NewRand(cfg.Seed ^ (uint64(round)<<20 + uint64(id)<<4 + 0x5EED))
+			rng := fed.LocalRNG(cfg.Seed, round, id)
 			// The task owns its device and its worker's rig for the
 			// duration of the run, so lending the rig's arenas (and, to a
 			// virtual device, its module) through the device is race-free.

@@ -58,11 +58,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(badK, ds, []string{"cnn"}, shards); err == nil {
 		t.Fatal("want error for negative SampleK")
 	}
-	badW := tinyConfig()
-	badW.SampleWeighted = true // without SampleK
-	if _, err := New(badW, ds, []string{"cnn"}, shards); err == nil {
-		t.Fatal("want error for SampleWeighted without SampleK")
-	}
 	badPool := tinyConfig()
 	badPool.FailureRate = 1.5
 	if _, err := New(badPool, ds, []string{"cnn"}, shards); err == nil {
@@ -88,7 +83,6 @@ func TestConfigValidate(t *testing.T) {
 		{func(c *Config) { c.ActiveFraction = -0.1 }, "active fraction -0.1 outside (0,1]"},
 		{func(c *Config) { c.ReplicaStore = "tape" }, `unknown ReplicaStore "tape" (want "memory" or "spill")`},
 		{func(c *Config) { c.StateCodec = "float8" }, `unknown state codec "float8"`},
-		{func(c *Config) { c.SampleWeighted = true }, "SampleWeighted requires SampleK > 0"},
 		{func(c *Config) { c.VirtualDevices, c.RoundDeadline = true, time.Second }, "VirtualDevices requires RoundDeadline = 0"},
 		{func(c *Config) { c.Rounds = -1 }, "negative Rounds -1"},
 		{func(c *Config) { c.BatchSize = -8 }, "negative BatchSize -8"},
@@ -116,7 +110,7 @@ func TestConfigValidate(t *testing.T) {
 		t.Errorf("the zero Config is all defaults, rejected: %v", err)
 	}
 	ok := tinyConfig()
-	ok.TeachersPerIter, ok.SampleWeighted, ok.SampleK = 2, true, 2
+	ok.TeachersPerIter, ok.SampleK = 2, 2
 	ok.VirtualDevices, ok.ReplicaStore, ok.StateCodec = true, ReplicaStoreSpill, "int8"
 	ok.CheckpointDir, ok.CheckpointEvery, ok.KeepCheckpoints, ok.Resume = "d", 2, 5, true
 	if err := ok.Validate(); err != nil {

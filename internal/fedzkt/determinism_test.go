@@ -87,8 +87,8 @@ func TestSchedulerDeterminismGolden(t *testing.T) {
 // property that two identical parallel runs agree with each other (a
 // wall-clock or map-iteration dependence would already break this).
 func TestSchedulerDeterminismRepeatable(t *testing.T) {
-	a := goldenRun(t, func(c *Config) { c.Workers = 4; c.SampleWeighted = true })
-	b := goldenRun(t, func(c *Config) { c.Workers = 4; c.SampleWeighted = true })
+	a := goldenRun(t, func(c *Config) { c.Workers = 4 })
+	b := goldenRun(t, func(c *Config) { c.Workers = 4 })
 	if a != b {
 		t.Fatalf("repeat run diverged:\n--- first ---\n%s--- second ---\n%s", a, b)
 	}

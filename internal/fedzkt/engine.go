@@ -126,11 +126,10 @@ type Engine struct {
 }
 
 // NewEngine builds the round engine for server's configuration over
-// fleet. shards are the per-device training shards, in device order
-// (their sizes weight SampleWeighted); ds is the evaluation dataset.
-func NewEngine(server *Server, ds *data.Dataset, shards [][]int, fleet Fleet) (*Engine, error) {
+// fleet; ds is the evaluation dataset.
+func NewEngine(server *Server, ds *data.Dataset, fleet Fleet) (*Engine, error) {
 	cfg := server.Config()
-	sampler, err := buildSampler(cfg, shards)
+	sampler, err := buildSampler(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -143,19 +142,12 @@ func NewEngine(server *Server, ds *data.Dataset, shards [][]int, fleet Fleet) (*
 }
 
 // buildSampler selects the client-sampling policy from the config:
-// uniform-K or weighted-by-data when SampleK is set, otherwise the
-// paper's active-fraction straggler model.
-func buildSampler(cfg Config, shards [][]int) (s sched.Sampler, err error) {
-	switch {
-	case cfg.SampleK > 0 && cfg.SampleWeighted:
-		weights := make([]int, len(shards))
-		for i, sh := range shards {
-			weights[i] = len(sh)
-		}
-		s, err = sched.NewWeightedByData(weights, cfg.SampleK)
-	case cfg.SampleK > 0:
+// uniform-K when SampleK is set, otherwise the paper's active-fraction
+// straggler model.
+func buildSampler(cfg Config) (s sched.Sampler, err error) {
+	if cfg.SampleK > 0 {
 		s, err = sched.NewUniformK(cfg.SampleK)
-	default:
+	} else {
 		s, err = sched.NewFraction(cfg.ActiveFraction)
 	}
 	if err != nil {

@@ -239,12 +239,13 @@ func TestEvaluateReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := co.Server().EvaluateReplicas(ds, 64, 1)
+	all := []int{0, 1, 2, 3}
+	ref := co.Server().EvaluateReplicaSubset(ds, 64, 1, all)
 	if len(ref) != 4 {
 		t.Fatalf("got %d replica accuracies, want 4", len(ref))
 	}
 	for _, workers := range []int{2, 3, 8} {
-		got := co.Server().EvaluateReplicas(ds, 64, workers)
+		got := co.Server().EvaluateReplicaSubset(ds, 64, workers, all)
 		for i := range ref {
 			if got[i] != ref[i] {
 				t.Fatalf("workers=%d: replica %d accuracy %v != %v", workers, i, got[i], ref[i])
@@ -413,8 +414,8 @@ func TestPipelinedHidesServerPhase(t *testing.T) {
 	t.Logf("sync %v, piped %v (stalls: download %v, upload %v, GOMAXPROCS %d)",
 		syncTime, pipedTime, down, up, runtime.GOMAXPROCS(0))
 	// The wall-time reduction itself depends on spare physical cores to
-	// hide the serial adversarial phase on (BenchmarkPipelinedRound and
-	// the -exp scale sweep are the measurement artifacts); what a unit
+	// hide the serial adversarial phase on (engine.rounds_per_s on the
+	// bench/ workloads fleet1k_sync and fleet1k_pipe2 measures it); what a unit
 	// test can pin portably is that the staged engine never *costs* wall
 	// time, on any core count. The margin absorbs scheduler noise.
 	if pipedTime > syncTime*23/20 {

@@ -23,7 +23,6 @@ import (
 // checkpoint flags every main shares, in Config field order.
 func (c *Config) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.SampleK, "sample-k", c.SampleK, "sample exactly K clients per round (uniform-K; 0 = every device, thinned by -active-fraction where that is a flag)")
-	fs.BoolVar(&c.SampleWeighted, "weighted", c.SampleWeighted, "with -sample-k, weight client sampling by shard size")
 	fs.IntVar(&c.Workers, "workers", c.Workers, "scheduler worker-pool size (0 = GOMAXPROCS)")
 	fs.DurationVar(&c.RoundDeadline, "round-deadline", c.RoundDeadline, "wall-clock budget of each round's local phase; late devices are dropped from aggregation (0 = none; incompatible with -virtual-devices)")
 	fs.Float64Var(&c.FailureRate, "fail-rate", c.FailureRate, "injected per-device-round failure probability in [0,1), deterministic in (seed, round, device)")

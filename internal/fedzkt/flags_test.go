@@ -43,7 +43,6 @@ var flagCases = []struct {
 	{"batch-size", "6", "BatchSize", 6},
 	{"active-fraction", "0.5", "ActiveFraction", 0.5},
 	{"sample-k", "5", "SampleK", 5},
-	{"weighted", "true", "SampleWeighted", true},
 	{"workers", "3", "Workers", 3},
 	{"round-deadline", "2s", "RoundDeadline", 2 * time.Second},
 	{"fail-rate", "0.25", "FailureRate", 0.25},
@@ -133,8 +132,8 @@ func TestFlagsCoverConfig(t *testing.T) {
 	for name := range cased {
 		t.Errorf("flagCases names -%s, which no FlagSet binds", name)
 	}
-	if got := typ.NumField(); got != 38 {
-		t.Errorf("Config has %d fields, want 38: a knob was added or removed without updating this count", got)
+	if got := typ.NumField(); got != 37 {
+		t.Errorf("Config has %d fields, want 37: a knob was added or removed without updating this count", got)
 	}
 }
 

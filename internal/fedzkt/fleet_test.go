@@ -112,7 +112,7 @@ func fakeFederation(t *testing.T, depth int, mutate func(*Config)) (*Engine, *re
 	if f.upload0, _, err = srv.ReplicaPayload(0); err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(srv, tinyDataset(3), [][]int{{0}, {1}}, f)
+	e, err := NewEngine(srv, tinyDataset(3), f)
 	if err != nil {
 		t.Fatal(err)
 	}

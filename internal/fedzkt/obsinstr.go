@@ -97,16 +97,7 @@ func newFedMetrics(reg *obs.Registry, srv *Server, payloads *payloadBuffers) *fe
 		func() float64 { return float64(srv.LiveReplicas()) })
 	reg.RegisterGaugeFunc("fedzkt_server_resident_state_bytes", "bytes resident in replica state slots",
 		func() float64 { return float64(srv.ResidentStateBytes()) })
-	reg.RegisterCounterFunc("fedzkt_store_hits_total", "replica-store hot-set hits",
-		func() float64 { return float64(srv.ReplicaStoreStats().Hits) })
-	reg.RegisterCounterFunc("fedzkt_store_misses_total", "replica-store cold loads",
-		func() float64 { return float64(srv.ReplicaStoreStats().Misses) })
-	reg.RegisterCounterFunc("fedzkt_store_prefetch_issued_total", "replica prefetches issued",
-		func() float64 { return float64(srv.ReplicaStoreStats().PrefetchIssued) })
-	reg.RegisterCounterFunc("fedzkt_store_prefetch_loaded_total", "replica prefetches loaded before use",
-		func() float64 { return float64(srv.ReplicaStoreStats().PrefetchLoaded) })
-	reg.RegisterCounterFunc("fedzkt_store_evictions_total", "hot-set evictions to the spill tier",
-		func() float64 { return float64(srv.ReplicaStoreStats().Evictions) })
+	srv.cohorts.counters.register(reg)
 	reg.RegisterCounterFunc("fedzkt_store_spill_read_bytes_total", "bytes read back from spill files",
 		func() float64 { return float64(srv.ReplicaStoreStats().SpillReadBytes) })
 	reg.RegisterCounterFunc("fedzkt_store_spill_write_bytes_total", "bytes written to spill files",

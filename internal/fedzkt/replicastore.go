@@ -49,10 +49,10 @@ package fedzkt
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"github.com/fedzkt/fedzkt/internal/codec"
 	"github.com/fedzkt/fedzkt/internal/nn"
+	"github.com/fedzkt/fedzkt/internal/obs"
 )
 
 // Replica store modes for Config.ReplicaStore.
@@ -69,16 +69,26 @@ const (
 
 // storeCounters aggregates tiered-store traffic across every cohort and
 // shard of one server. All fields are monotonic and safe for concurrent
-// update (the prefetch goroutine races the checkout path by design).
+// update (the prefetch goroutine races the checkout path by design); the
+// server's are registered as they are (register), so a scrape reads them
+// without touching a store.
 type storeCounters struct {
-	hits, misses     atomic.Int64
-	prefetchIssued   atomic.Int64 // ids handed to the prefetcher
-	prefetchLoaded   atomic.Int64 // loads the prefetcher performed
-	prefetchHits     atomic.Int64 // checkout hits served by a prefetched entry
-	initBuilds       atomic.Int64 // virgin slots rebuilt from their registration seed
-	evictions        atomic.Int64
-	replicaFaults    atomic.Int64
-	spillWriteErrors atomic.Int64
+	hits, misses   obs.Counter
+	prefetchIssued obs.Counter // ids handed to the prefetcher
+	prefetchLoaded obs.Counter // loads the prefetcher performed
+	prefetchHits   obs.Counter // checkout hits served by a prefetched entry
+	initBuilds     obs.Counter // virgin slots rebuilt from their registration seed
+	evictions      obs.Counter
+	replicaFaults  obs.Counter
+}
+
+// register binds the counters into reg under fedzkt_store_* names.
+func (c *storeCounters) register(reg *obs.Registry) {
+	reg.RegisterCounter("fedzkt_store_hits_total", "replica-store hot-set hits", &c.hits)
+	reg.RegisterCounter("fedzkt_store_misses_total", "replica-store cold loads", &c.misses)
+	reg.RegisterCounter("fedzkt_store_prefetch_issued_total", "replica prefetches issued", &c.prefetchIssued)
+	reg.RegisterCounter("fedzkt_store_prefetch_loaded_total", "replica prefetches loaded before use", &c.prefetchLoaded)
+	reg.RegisterCounter("fedzkt_store_evictions_total", "hot-set evictions to the spill tier", &c.evictions)
 }
 
 // snapshot starts a stats snapshot from the counters; the stores add their
@@ -192,7 +202,8 @@ type slotStore interface {
 	// prefetch warms slot i ahead of a checkout, if it is cold.
 	prefetch(i int)
 	// addStats adds the store's resident entries and bytes, and its spill
-	// file's traffic, to st.
+	// file's traffic, to st, in O(1): scrapes and every round's close call
+	// it on the lock checkouts need.
 	addStats(st *ReplicaStoreStats)
 	close() error
 }
@@ -264,11 +275,12 @@ type hotEntry struct {
 // by mu; the prefetcher performs its loads under the same lock, so record
 // reads can never race an eviction's write of the same slot.
 type tieredSlots struct {
-	mu   sync.Mutex
-	hot  map[int]*hotEntry
-	head *hotEntry
-	tail *hotEntry
-	file *codec.SpillFile
+	mu       sync.Mutex
+	hot      map[int]*hotEntry
+	hotBytes int64 // Σ len(e.enc) over hot, kept by insert, put and evictOver
+	head     *hotEntry
+	tail     *hotEntry
+	file     *codec.SpillFile
 
 	// codec encodes dicts into slots; payloads in other encodings are
 	// converted to it.
@@ -338,6 +350,7 @@ func (ts *tieredSlots) touch(e *hotEntry) {
 // Callers hold mu.
 func (ts *tieredSlots) insert(e *hotEntry) error {
 	ts.hot[e.local] = e
+	ts.hotBytes += int64(len(e.enc))
 	ts.lruFront(e)
 	return ts.evictOver()
 }
@@ -358,18 +371,17 @@ func (ts *tieredSlots) evictOver() error {
 			span := tracer().Begin("store", "spill_write")
 			if err := ts.ensureFile(len(e.enc)); err != nil {
 				span.End()
-				ts.counters.spillWriteErrors.Add(1)
 				return err
 			}
 			err := ts.file.Write(e.local, e.enc)
 			span.End()
 			if err != nil {
-				ts.counters.spillWriteErrors.Add(1)
 				return err
 			}
 		}
 		ts.lruUnlink(e)
 		delete(ts.hot, e.local)
+		ts.hotBytes -= int64(len(e.enc))
 		ts.counters.evictions.Add(1)
 	}
 	return nil
@@ -449,6 +461,9 @@ func (ts *tieredSlots) put(local int, fill func(buf []byte) ([]byte, error)) err
 	enc, err := fill(e.enc[:0])
 	if err != nil {
 		return err
+	}
+	if ok {
+		ts.hotBytes += int64(len(enc) - len(e.enc))
 	}
 	e.enc = enc
 	e.dirty = true
@@ -541,9 +556,7 @@ func (ts *tieredSlots) addStats(st *ReplicaStoreStats) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	st.HotEntries += len(ts.hot)
-	for _, e := range ts.hot {
-		st.HotBytes += int64(len(e.enc))
-	}
+	st.HotBytes += ts.hotBytes
 	if f := ts.file; f != nil {
 		st.SpillReads += f.Reads()
 		st.SpillWrites += f.Writes()

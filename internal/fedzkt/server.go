@@ -157,7 +157,7 @@ func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 // concurrently, hence the lock, held until the module's tensors have been
 // encoded).
 func (s *Server) seededSlot(arch string, id int) ([]byte, error) {
-	rng := tensor.NewRand(s.cfg.Seed + uint64(1000+id))
+	rng := tensor.NewRand(fed.DeviceSeed(s.cfg.Seed, id))
 	s.seedMu.Lock()
 	defer s.seedMu.Unlock()
 	m, ok := s.seedModules[arch]
@@ -266,7 +266,7 @@ func (s *Server) RegisterSized(arch string, initial nn.StateDict, dataSize int) 
 	if initial == nil && s.cohorts.spillDir == "" {
 		// Only the spill store keeps virgin slots; in memory the seeded
 		// build's own tensors become the slot.
-		replica, err := model.Build(arch, s.in, s.cls, tensor.NewRand(s.cfg.Seed+uint64(1000+id)))
+		replica, err := model.Build(arch, s.in, s.cls, tensor.NewRand(fed.DeviceSeed(s.cfg.Seed, id)))
 		if err != nil {
 			return 0, fmt.Errorf("fedzkt: register device %d: %w", id, err)
 		}
@@ -346,15 +346,6 @@ func (s *Server) ReplicaPayload(id int) ([]byte, int, error) {
 	}
 	b, err := s.cohorts.appendPayload(ref, nil)
 	return b, ref.cohort.sig.numel, err
-}
-
-// DeviceArch returns the architecture device id registered with.
-func (s *Server) DeviceArch(id int) (string, error) {
-	ref, err := s.cohorts.ref(id)
-	if err != nil {
-		return "", err
-	}
-	return ref.cohort.arch, nil
 }
 
 // Distill runs both ServerUpdate phases of Algorithm 3 for one round:
@@ -685,21 +676,15 @@ func (s *Server) EvaluateGlobal(ds *data.Dataset) float64 {
 	return fed.EvaluateArena(s.global, ds, 64, s.phase)
 }
 
-// EvaluateReplicas reports the test accuracy of every registered device's
-// server-side replica state, in device-id order. The pipelined round
+// EvaluateReplicaSubset reports the test accuracy of the given devices'
+// server-side replica states, in ids order (the scale regime evaluates a
+// deterministic subset instead of a million replicas). The pipelined round
 // engine evaluates replicas instead of the live device models, which may
 // already be training a later round: the replica after round r's
 // transfer-back is exactly what round r's download delivers, so for every
 // device that completed the round this matches the synchronous engine's
 // post-download device accuracy (stragglers are evaluated at their
 // distilled replica rather than their stale local model).
-func (s *Server) EvaluateReplicas(ds *data.Dataset, batchSize, workers int) []float64 {
-	return s.EvaluateReplicaSubset(ds, batchSize, workers, s.cohorts.allIDs())
-}
-
-// EvaluateReplicaSubset reports the test accuracy of the given devices'
-// server-side replica states, in ids order (the scale regime evaluates a
-// deterministic subset instead of a million replicas).
 //
 // Replicas are swapped into pooled live modules in bounded chunks of
 // workers (0 = GOMAXPROCS) and evaluated concurrently within a chunk —

@@ -222,6 +222,51 @@ func TestSlotStoreContract(t *testing.T) {
 			}
 		}
 	}
+
+	// HotBytes is a running sum (stats are read on the lock checkouts
+	// need): after any sequence of installs, rewrites to another length,
+	// cold loads, prefetches and evictions it equals the walk over the
+	// resident entries it replaced, bounded or not.
+	cdc, err := codec.Get(codec.Float64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, capFn := range map[string]func() int{"unbounded": nil, "bound2": func() int { return 2 }} {
+		t.Run("hotbytes/"+name, func(t *testing.T) {
+			var counters storeCounters
+			init := func(i int) ([]byte, error) { return make([]byte, 8+i), nil }
+			ts := newTieredSlots(cdc, filepath.Join(t.TempDir(), "h.spill"), capFn, init, &counters)
+			defer ts.close()
+			rng := tensor.NewRand(5)
+			for step := 0; step < 400; step++ {
+				i := rng.IntN(members)
+				switch rng.IntN(3) {
+				case 0:
+					if err := ts.putBytes(i, make([]byte, 1+rng.IntN(64))); err != nil {
+						t.Fatal(err)
+					}
+				case 1:
+					if _, err := ts.get(i); err != nil {
+						t.Fatal(err)
+					}
+				case 2:
+					ts.prefetch(i)
+				}
+				var st ReplicaStoreStats
+				ts.addStats(&st)
+				var want int64
+				for _, e := range ts.hot {
+					want += int64(len(e.enc))
+				}
+				if st.HotBytes != want || st.HotEntries != len(ts.hot) {
+					t.Fatalf("step %d: HotBytes %d over %d entries, want %d over %d", step, st.HotBytes, st.HotEntries, want, len(ts.hot))
+				}
+			}
+			if capFn != nil && counters.evictions.Load() == 0 {
+				t.Fatal("the bounded sequence never evicted")
+			}
+		})
+	}
 }
 
 // TestMemoryStoreBypassesSpill pins at tier 1 what the benchmark's

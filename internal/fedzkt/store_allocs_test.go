@@ -2,48 +2,6 @@ package fedzkt
 
 import "testing"
 
-// benchCohortCheckout measures a checkout/release cycle of an 8-teacher
-// window over a 64-member cohort under the given store. The window
-// rotates, so under the spill store (hot set 16) most lookups are cold —
-// the spill read + decode path is what the benchmark prices against the
-// in-memory slot path.
-func benchCohortCheckout(b *testing.B, store string) {
-	b.Helper()
-	cfg := tinyConfig()
-	cfg.TeachersPerIter = 8
-	cfg.ReplicaStore = store
-	if store == ReplicaStoreSpill {
-		cfg.HotSet = 16
-		cfg.SpillDir = b.TempDir()
-	}
-	srv, err := NewServer(cfg, tinyShape(), 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	const n = 64
-	for i := 0; i < n; i++ {
-		if _, err := srv.RegisterSized("mlp", nil, 1+i%7); err != nil {
-			b.Fatal(err)
-		}
-	}
-	ids := make([]int, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range ids {
-			ids[j] = (i*len(ids) + j) % n
-		}
-		leases := srv.cohorts.checkout(ids, false, false)
-		if err := srv.cohorts.release(leases); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCohortCheckoutMemory(b *testing.B) { benchCohortCheckout(b, ReplicaStoreMemory) }
-func BenchmarkCohortCheckoutSpill(b *testing.B)  { benchCohortCheckout(b, ReplicaStoreSpill) }
-
 // TestCheckoutAllocsCeiling pins the per-checkout allocation budget on
 // the spill store's hot path (every member resident): a regression that
 // starts copying or re-encoding buffers per checkout shows up here long

@@ -30,7 +30,7 @@ func unseenClassAccuracy(d *fed.Device) float64 {
 	if len(idx) == 0 {
 		return 0
 	}
-	x, y := ds.GatherTest(idx)
+	x, y := ds.GatherTestIn(nil, idx)
 	d.Model.SetTraining(false)
 	defer d.Model.SetTraining(true)
 	return ag.Accuracy(d.Model.Forward(ag.Const(x)).Value(), y)

@@ -94,12 +94,6 @@ func (g *Generator) SampleZIn(a *tensor.Arena, n int, rng *rand.Rand) *tensor.Te
 	return z
 }
 
-// Generate runs the generator without building tape state, for evaluation
-// and for the device-bound distillation phase where G is fixed.
-func (g *Generator) Generate(n int, rng *rand.Rand) *tensor.Tensor {
-	return g.Forward(ag.Const(g.SampleZ(n, rng))).Value()
-}
-
 // Params implements nn.Module.
 func (g *Generator) Params() []*ag.Variable {
 	ps := g.stem.Params()

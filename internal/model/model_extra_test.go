@@ -50,8 +50,8 @@ func TestGeneratorStateRoundTrip(t *testing.T) {
 func TestGeneratorDeterministicSampling(t *testing.T) {
 	g := NewGenerator(8, Shape{C: 1, H: 8, W: 8}, tensor.NewRand(4))
 	g.SetTraining(false)
-	a := g.Generate(2, tensor.NewRand(5))
-	b := g.Generate(2, tensor.NewRand(5))
+	a := g.Forward(ag.Const(g.SampleZ(2, tensor.NewRand(5)))).Value()
+	b := g.Forward(ag.Const(g.SampleZ(2, tensor.NewRand(5)))).Value()
 	if tensor.MaxAbsDiff(a, b) != 0 {
 		t.Fatal("generation not deterministic under fixed seed")
 	}

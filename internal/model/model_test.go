@@ -103,7 +103,7 @@ func TestZooFor(t *testing.T) {
 func TestGeneratorShapesAndRange(t *testing.T) {
 	g := NewGenerator(32, cifarShape, tensor.NewRand(5))
 	rng := tensor.NewRand(6)
-	imgs := g.Generate(4, rng)
+	imgs := g.Forward(ag.Const(g.SampleZ(4, rng))).Value()
 	s := imgs.Shape()
 	if s[0] != 4 || s[1] != 3 || s[2] != 16 || s[3] != 16 {
 		t.Fatalf("generator output shape %v", s)

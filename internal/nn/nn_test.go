@@ -97,14 +97,8 @@ func TestStateDictRoundTrip(t *testing.T) {
 	m.Forward(ag.Const(tensor.Full(0.5, 2, 2, 6, 6)))
 
 	src := CaptureState(m)
-	enc, err := EncodeState(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := DecodeState(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A copy, as a slot or a payload would hold it: m2 must not alias m.
+	dec := src.Clone()
 
 	m2 := NewSequential(
 		NewConv2d(2, 3, 3, 1, 1, true, tensor.NewRand(99)),
@@ -154,12 +148,6 @@ func TestLoadStateErrors(t *testing.T) {
 	sd["w"] = tensor.New(1)
 	if err := LoadState(m, sd); err == nil {
 		t.Fatal("want error for shape mismatch")
-	}
-}
-
-func TestDecodeStateCorrupt(t *testing.T) {
-	if _, err := DecodeState([]byte("not gob")); err == nil {
-		t.Fatal("want error for corrupt bytes")
 	}
 }
 

@@ -58,13 +58,6 @@ func (b *StateBinding) Swap(sd StateDict) error {
 	return nil
 }
 
-// SwapState exchanges m's persistent state values with sd in place (see
-// StateBinding.Swap). Callers that swap repeatedly against the same module
-// should hold a BindState binding instead.
-func SwapState(m Module, sd StateDict) error {
-	return BindState(m).Swap(sd)
-}
-
 // LoadFrom copies src's values into sd's tensors, with the same strict
 // key/length validation as LoadState: both dicts must hold exactly the
 // same names with matching element counts, so drifted architectures fail

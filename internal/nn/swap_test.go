@@ -26,7 +26,7 @@ func TestSwapStateRoundTrip(t *testing.T) {
 	other := CaptureState(swapTestModule(2)).Clone()
 	otherOrig := other.Clone()
 
-	if err := SwapState(m, other); err != nil {
+	if err := BindState(m).Swap(other); err != nil {
 		t.Fatal(err)
 	}
 	// Module now holds the other state; the dict holds the module's.
@@ -42,7 +42,7 @@ func TestSwapStateRoundTrip(t *testing.T) {
 		}
 	}
 	// Swapping back restores the original exactly.
-	if err := SwapState(m, other); err != nil {
+	if err := BindState(m).Swap(other); err != nil {
 		t.Fatal(err)
 	}
 	got = CaptureState(m)
@@ -63,7 +63,7 @@ func TestSwapStateVisibleThroughParams(t *testing.T) {
 	before := p.Value().Data()[0]
 
 	other := CaptureState(swapTestModule(4)).Clone()
-	if err := SwapState(m, other); err != nil {
+	if err := BindState(m).Swap(other); err != nil {
 		t.Fatal(err)
 	}
 	if p.Value().Data()[0] == before {
@@ -75,7 +75,7 @@ func TestSwapStateVisibleThroughParams(t *testing.T) {
 	x.Fill(1)
 	m.SetTraining(false)
 	y1 := m.Forward(ag.Const(x)).Value().Clone()
-	if err := SwapState(m, other); err != nil {
+	if err := BindState(m).Swap(other); err != nil {
 		t.Fatal(err)
 	}
 	y2 := m.Forward(ag.Const(x)).Value()
@@ -125,20 +125,20 @@ func TestSwapStateErrors(t *testing.T) {
 	bad := good.Clone()
 	name := bad.Names()[0]
 	delete(bad, name)
-	if err := SwapState(m, bad); err == nil {
+	if err := BindState(m).Swap(bad); err == nil {
 		t.Fatal("want error for missing state name")
 	}
 	// Extra key (size mismatch).
 	bad = good.Clone()
 	bad["bogus"] = tensor.New(1)
-	if err := SwapState(m, bad); err == nil {
+	if err := BindState(m).Swap(bad); err == nil {
 		t.Fatal("want error for extra state name")
 	}
 	// Length mismatch must leave the module untouched.
 	bad = good.Clone()
 	bad[name] = tensor.New(1, 1)
 	before := CaptureState(m).Clone()
-	if err := SwapState(m, bad); err == nil {
+	if err := BindState(m).Swap(bad); err == nil {
 		t.Fatal("want error for length mismatch")
 	}
 	after := CaptureState(m)

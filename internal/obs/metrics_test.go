@@ -198,14 +198,6 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
-func BenchmarkCounterAdd(b *testing.B) {
-	var c Counter
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Add(1)
-	}
-}
-
 func BenchmarkHistogramObserve(b *testing.B) {
 	var h Histogram
 	b.ReportAllocs()

@@ -32,9 +32,6 @@ func init() { enabled.Store(true) }
 // metrics registry's atomic counters are unaffected.
 func SetEnabled(on bool) { enabled.Store(on) }
 
-// Enabled reports whether span recording is active.
-func Enabled() bool { return enabled.Load() }
-
 // The process-wide default registry and tracer: the binaries' live
 // introspection endpoint serves exactly these, and the instrumented
 // layers register into them unless handed their own.

@@ -8,7 +8,37 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"strconv"
+	"strings"
 )
+
+// ByRegime splits labels across k devices under the regime spec names:
+// "iid" (also the "" default), "quantity:<classes-per-device>" or
+// "dirichlet:<beta>". It is the one parser of that vocabulary; the
+// experiment runner and the transport server each bring their own rng, so
+// the same spec names the same regime in both without promising the same
+// shards.
+func ByRegime(spec string, labels []int, classes, k int, rng *rand.Rand) ([][]int, error) {
+	kind, arg, _ := strings.Cut(spec, ":")
+	switch kind {
+	case "", "iid":
+		return IID(len(labels), k, rng), nil
+	case "quantity":
+		c, err := strconv.Atoi(arg)
+		if err != nil || c <= 0 || c > classes {
+			return nil, fmt.Errorf("partition: regime %q: want quantity:<classes-per-device> in [1,%d]", spec, classes)
+		}
+		return QuantitySkew(labels, classes, k, c, rng), nil
+	case "dirichlet":
+		beta, err := strconv.ParseFloat(arg, 64)
+		if err != nil || !(beta > 0) {
+			return nil, fmt.Errorf("partition: regime %q: want dirichlet:<beta> with beta > 0", spec)
+		}
+		return Dirichlet(labels, classes, k, beta, rng), nil
+	default:
+		return nil, fmt.Errorf("partition: unknown regime %q (want iid, quantity:<c> or dirichlet:<beta>)", spec)
+	}
+}
 
 // IID assigns n samples to k devices uniformly at random with near-equal
 // sizes (|size_i - size_j| ≤ 1).

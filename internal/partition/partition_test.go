@@ -2,6 +2,8 @@ package partition
 
 import (
 	"math"
+	"math/rand/v2"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -337,5 +339,48 @@ func TestQuantitySkewEdgeCases(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestByRegime: the one parser of the regime vocabulary accepts the three
+// regimes (and "" as iid), rejects malformed or out-of-range arguments by
+// error rather than by the partitioners' panics, and for a fixed seed
+// returns exactly what the direct call returns — so moving a caller onto
+// it moves no shard.
+func TestByRegime(t *testing.T) {
+	const classes, k = 4, 3
+	labels := mkLabels(60, classes)
+	rng := func() *rand.Rand { return tensor.NewRand(17) }
+	for _, tc := range []struct {
+		spec string
+		want [][]int // nil: want an error
+	}{
+		{"iid", IID(len(labels), k, rng())},
+		{"", IID(len(labels), k, rng())},
+		{"quantity:2", QuantitySkew(labels, classes, k, 2, rng())},
+		{"dirichlet:0.5", Dirichlet(labels, classes, k, 0.5, rng())},
+		{"quantity:0", nil},
+		{"quantity:5", nil}, // more classes per device than classes
+		{"quantity:x", nil},
+		{"dirichlet:-1", nil},
+		{"dirichlet:", nil},
+		{"dirichlet:NaN", nil},
+		{"zipf:2", nil},
+	} {
+		got, err := ByRegime(tc.spec, labels, classes, k, rng())
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("ByRegime(%q) accepted", tc.spec)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ByRegime(%q): %v", tc.spec, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ByRegime(%q) differs from the direct call with the same rng", tc.spec)
+		}
+		checkDisjointCover(t, got, len(labels), true)
 	}
 }

@@ -432,17 +432,8 @@ func (p *Pool) injectFailure(round, device int) bool {
 	return float64(h>>11)/(1<<53) < p.opts.FailureRate
 }
 
-// ForEach runs fn(i) for every i in [0,n) on at most workers goroutines
-// (0 means GOMAXPROCS) and blocks until all calls return. Indices are
-// assigned in contiguous blocks, so the goroutine count — and therefore
-// memory pressure — is bounded regardless of n. fn must be safe to call
-// concurrently for distinct i.
-func ForEach(n, workers int, fn func(i int)) {
-	ForEachWorker(n, workers, func(i, _ int) { fn(i) })
-}
-
-// EffectiveWorkers returns the number of goroutines ForEach/ForEachWorker
-// will actually use for n items and the given worker bound (0 means
+// EffectiveWorkers returns the number of goroutines ForEachWorker will
+// actually use for n items and the given worker bound (0 means
 // GOMAXPROCS) — the size callers need for per-worker scratch pools.
 func EffectiveWorkers(n, workers int) int {
 	if n <= 0 {
@@ -457,10 +448,14 @@ func EffectiveWorkers(n, workers int) int {
 	return workers
 }
 
-// ForEachWorker is ForEach with the executing worker's index passed to fn
-// (0 ≤ worker < EffectiveWorkers(n, workers)). A worker index is held by
-// exactly one goroutine per call, so fn may use it to address per-worker
-// scratch — a step-scoped arena, typically — without synchronisation.
+// ForEachWorker runs fn(i, worker) for every i in [0,n) on at most workers
+// goroutines (0 means GOMAXPROCS) and blocks until all calls return.
+// Indices are assigned in contiguous blocks, so the goroutine count — and
+// therefore memory pressure — is bounded regardless of n. fn must be safe
+// to call concurrently for distinct i. The worker index (0 ≤ worker <
+// EffectiveWorkers(n, workers)) is held by exactly one goroutine per call,
+// so fn may use it to address per-worker scratch — a step-scoped arena,
+// typically — without synchronisation.
 func ForEachWorker(n, workers int, fn func(i, worker int)) {
 	workers = EffectiveWorkers(n, workers)
 	if workers == 0 {

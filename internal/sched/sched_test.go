@@ -224,14 +224,14 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 5, 100} {
 		const n = 57
 		hits := make([]atomic.Int32, n)
-		ForEach(n, workers, func(i int) { hits[i].Add(1) })
+		ForEachWorker(n, workers, func(i, _ int) { hits[i].Add(1) })
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: index %d hit %d times", workers, i, got)
 			}
 		}
 	}
-	ForEach(0, 4, func(int) { t.Fatal("fn called for n=0") })
+	ForEachWorker(0, 4, func(int, int) { t.Fatal("fn called for n=0") })
 }
 
 func TestStatsAccumulate(t *testing.T) {

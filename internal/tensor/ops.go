@@ -178,15 +178,6 @@ func ScaleInPlace(t *Tensor, s float64) {
 	}
 }
 
-// Apply returns f applied elementwise to a.
-func Apply(a *Tensor, f func(float64) float64) *Tensor {
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = f(v)
-	}
-	return out
-}
-
 // Sum returns the sum of all elements.
 func Sum(a *Tensor) float64 {
 	s := 0.0
@@ -228,15 +219,6 @@ func Norm2(a *Tensor) float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// Norm1 returns the sum of absolute values of a.
-func Norm1(a *Tensor) float64 {
-	s := 0.0
-	for _, v := range a.data {
-		s += math.Abs(v)
-	}
-	return s
 }
 
 // Dot returns the inner product of a and b viewed as flat vectors.

@@ -73,14 +73,6 @@ func currentParallel() Parallel {
 	return goParallel{}
 }
 
-// ParallelFor runs fn over [0,n) split into contiguous chunks on the
-// installed executor when n*workPerItem exceeds an internal threshold;
-// otherwise it runs serially. fn must be safe to run concurrently on
-// disjoint ranges. It is used to spread convolution batches across cores.
-func ParallelFor(n, workPerItem int, fn func(lo, hi int)) {
-	parallelRows(n, workPerItem, fn)
-}
-
 // rowsParallel reports whether a row loop of the given size would fan out
 // across the executor. Kernels consult it before building the closure for
 // parallelRows, so the serial path — the common case for training-step

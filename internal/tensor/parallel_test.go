@@ -100,7 +100,7 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 		forceParallel(t, width)
 		for _, n := range []int{1, 2, 3, 15, 16, 17, 100} {
 			hits := make([]atomic.Int64, n)
-			ParallelFor(n, 1, func(lo, hi int) {
+			parallelRows(n, 1, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					hits[i].Add(1)
 				}

@@ -130,9 +130,6 @@ func TestReductions(t *testing.T) {
 	if got := Min(a); got != -3 {
 		t.Fatalf("Min = %v", got)
 	}
-	if got := Norm1(a); got != 10 {
-		t.Fatalf("Norm1 = %v", got)
-	}
 	if got := Norm2(a); math.Abs(got-math.Sqrt(30)) > 1e-12 {
 		t.Fatalf("Norm2 = %v", got)
 	}

@@ -272,7 +272,7 @@ func (s *deviceSession) serve(ctx context.Context, conn net.Conn) error {
 				// would only produce a duplicate upload.
 				continue
 			}
-			rng := tensor.NewRand(s.asn.DataSeed ^ (uint64(msg.Round)<<20 + uint64(s.id)<<4 + 0x5EED))
+			rng := fed.LocalRNG(s.asn.DataSeed, msg.Round, s.id)
 			loss, err := s.dev.LocalUpdate(s.asn.Local, rng)
 			s.dev.TaskScratch.Reset()
 			if err != nil {

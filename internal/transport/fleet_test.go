@@ -280,7 +280,7 @@ func TestNewServerRejectsUnsupportedFed(t *testing.T) {
 		"FailureRate":    func(c *fedzkt.Config) { c.FailureRate = 0.1 },
 		"VirtualDevices": func(c *fedzkt.Config) { c.VirtualDevices = true },
 		"": func(c *fedzkt.Config) {
-			c.SampleK, c.SampleWeighted, c.EvalEvery, c.EvalDevices = 1, true, 2, 1
+			c.SampleK, c.EvalEvery, c.EvalDevices = 1, 2, 1
 			c.Sequential, c.Workers = true, 2
 		},
 	} {

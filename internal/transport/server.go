@@ -30,11 +30,9 @@ type ServerConfig struct {
 	DatasetName string
 	// Sizes are the per-class sample counts.
 	Sizes data.Sizes
-	// Partition selects the data-partition regime, matching the
-	// experiment runner's vocabulary: "iid" (the "" default),
-	// "quantity:<classes-per-device>", or "dirichlet:<beta>". Distributed
-	// runs therefore shard exactly like simulator runs with the same
-	// config.
+	// Partition selects the data-partition regime in partition.ByRegime's
+	// vocabulary: "iid" (the "" default), "quantity:<classes-per-device>"
+	// or "dirichlet:<beta>".
 	Partition string
 	// IOTimeout bounds each active transfer (a registration handshake
 	// read, any write) on a device connection. It does NOT bound how long
@@ -142,7 +140,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Deterministic shard assignment, mirroring the simulator.
+	// Deterministic shard assignment from the run seed.
 	shards, err := shardsFor(ds, cfg.NumDevices, cfg.Partition, core.Config().Seed)
 	if err != nil {
 		return nil, err
@@ -162,7 +160,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		pending:     make(map[int]pendingInstall),
 	}
 	srv.fleet = newSessionFleet(srv)
-	if srv.engine, err = fedzkt.NewEngine(core, ds, shards, srv.fleet); err != nil {
+	if srv.engine, err = fedzkt.NewEngine(core, ds, srv.fleet); err != nil {
 		return nil, err
 	}
 	if srv.ln, err = net.Listen("tcp", cfg.Addr); err != nil {
@@ -417,17 +415,10 @@ func (s *Server) handleHello(conn net.Conn, mc *meteredConn, hello *Message) {
 		Sizes:       cfg.Sizes,
 		DataSeed:    fedCfg.Seed,
 		Indices:     s.shards[id],
-		Local: fed.LocalConfig{
-			Epochs:      fedCfg.LocalEpochs,
-			BatchSize:   fedCfg.BatchSize,
-			LR:          fedCfg.DeviceLR,
-			Momentum:    fedCfg.Momentum,
-			WeightDecay: fedCfg.WeightDecay,
-			ProxMu:      fedCfg.ProxMu,
-		},
-		Rounds:     fedCfg.Rounds,
-		ModelSeed:  fedCfg.Seed + uint64(1000+id),
-		StateCodec: s.core.Codec().Name(),
+		Local:       fedCfg.Local(),
+		Rounds:      fedCfg.Rounds,
+		ModelSeed:   fed.DeviceSeed(fedCfg.Seed, id),
+		StateCodec:  s.core.Codec().Name(),
 	})
 	if err != nil {
 		fail(err)

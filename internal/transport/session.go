@@ -7,8 +7,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -341,29 +339,10 @@ type SessionStats struct {
 	BytesUp, BytesDown int64
 }
 
-// shardsFor partitions ds across k devices under the named regime:
-// "iid" (also the "" default), "quantity:<classes-per-device>", or
-// "dirichlet:<beta>" — the same regime vocabulary the experiment runner
-// uses, so distributed runs match simulator runs with the same config.
+// shardsFor partitions ds across k devices under the named regime, in the
+// vocabulary of partition.ByRegime that the experiment runner also uses.
+// The vocabulary is all the two share: each seeds its own partition rng, so
+// equal configs name equal regimes, not equal shards.
 func shardsFor(ds *data.Dataset, k int, regime string, seed uint64) ([][]int, error) {
-	rng := tensor.NewRand(seed + 21)
-	kind, arg, _ := strings.Cut(regime, ":")
-	switch kind {
-	case "", "iid":
-		return partition.IID(ds.NumTrain(), k, rng), nil
-	case "quantity":
-		c, err := strconv.Atoi(arg)
-		if err != nil || c <= 0 {
-			return nil, fmt.Errorf("transport: partition %q: want quantity:<classes-per-device>", regime)
-		}
-		return partition.QuantitySkew(ds.TrainY, ds.Classes, k, c, rng), nil
-	case "dirichlet":
-		beta, err := strconv.ParseFloat(arg, 64)
-		if err != nil || beta <= 0 {
-			return nil, fmt.Errorf("transport: partition %q: want dirichlet:<beta>", regime)
-		}
-		return partition.Dirichlet(ds.TrainY, ds.Classes, k, beta, rng), nil
-	default:
-		return nil, fmt.Errorf("transport: unknown partition regime %q", regime)
-	}
+	return partition.ByRegime(regime, ds.TrainY, ds.Classes, k, tensor.NewRand(seed+21))
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/fedzkt/fedzkt/internal/codec"
 	"github.com/fedzkt/fedzkt/internal/data"
 	"github.com/fedzkt/fedzkt/internal/fed"
 	"github.com/fedzkt/fedzkt/internal/fedzkt"
@@ -105,7 +106,11 @@ func TestExpectSurfacesPeerError(t *testing.T) {
 func TestStateDictOverWireBitExact(t *testing.T) {
 	m := model.MustBuild("lenet-s", model.Shape{C: 1, H: 8, W: 8}, 4, tensor.NewRand(1))
 	src := nn.CaptureState(m)
-	payload, err := nn.EncodeState(src)
+	f64, err := codec.Get(codec.Float64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := codec.Encode(f64, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +122,7 @@ func TestStateDictOverWireBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := nn.DecodeState(out.Payload)
+	got, err := codec.Decode(out.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
