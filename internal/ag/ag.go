@@ -22,7 +22,15 @@
 // none). Wrapping a step's input with ConstIn(arena, x) therefore threads
 // the arena through the whole tape with no other call-site changes, and
 // one Arena.Reset after the optimiser step recycles every step-scoped
-// buffer AND tape node. Leaf gradients (parameters) never come from the
+// buffer AND tape node. Ops that know a buffer's last reader hand it back
+// sooner (tensor.Arena.Release): a conv lowering after the last GEMM that
+// reads it, conv and pooling backward scratch when the node's backward
+// returns — so an arena's tape is walked by Backward once. Interior gradients
+// stay until Reset (callers read x.Grad() after Backward), and an entry of
+// a shared ColMemo is never released by a reader. An arena marked
+// ForwardOnly (evaluation) records no tape at all, so its ops save nothing
+// for a backward and chains may Discard an activation after its one
+// reader. Leaf gradients (parameters) never come from the
 // step arena, so optimisers can keep reading them after Reset: a leaf's
 // gradient is allocated on its first accumulation — from the heap, kept
 // for the life of the leaf (server-side models), or, between LendGrads and
@@ -97,55 +105,25 @@ type Arena struct {
 	order []*Variable
 	stack []frame
 
-	// colCache memoises im2col column matrices by (input tensor, conv
-	// geometry) within one step. Ensemble phases forward many models over
-	// one shared batch, whose first-layer lowering is a pure function of
-	// the input — one build instead of one per model. Arena buffers live
-	// until Reset regardless, so the cache costs no extra memory; it is
-	// cleared (entries dropped, map retained) on Reset, before any buffer
-	// can be recycled.
-	colCache map[convColKey]*tensor.Tensor
-
-	// shared, when installed via ShareColMemo, is consulted before
-	// colCache for conv lowerings of the memo's designated cross-worker
-	// batch tensor. It survives Reset: entries belong to the memo's owner
-	// arena, which rebinds (clears) the memo at step boundaries.
+	// shared, when installed via ShareColMemo, serves the conv lowerings of
+	// the memo's designated cross-worker batch tensor. It survives Reset:
+	// entries belong to the memo's owner arena, which rebinds (clears) the
+	// memo at step boundaries.
 	shared *ColMemo
+
+	// forwardOnly is set for the duration of a pass nobody will
+	// differentiate (see ForwardOnly).
+	forwardOnly bool
 }
 
-// convColKey identifies one conv lowering: the input tensor (by identity)
-// and the geometry that shapes the column matrix. Identity keying is safe
-// because an arena hands every live tensor of a step its own header, and
-// header and buffer are only recycled by that arena's Reset, which clears
-// this cache first. When the keyed tensor belongs to a DIFFERENT arena
-// than the memoising one (the transfer-back phase memoises the shared
-// phase-arena batch inside worker arenas), the caller must reset the
-// memoising arena no later than the arena owning the key — server.go
-// resets each worker arena per replica step, strictly before the phase
-// arena's per-iteration reset — otherwise a recycled tensor at the same
-// address could alias a stale entry.
+// convColKey identifies one shared conv lowering in a ColMemo: the input
+// tensor (by identity) and the geometry that shapes the column matrix.
+// Identity keying is safe because an arena hands every tensor of a step
+// its own header, and a header is only recycled by that arena's Reset,
+// which the memo's owner orders after Rebind(nil).
 type convColKey struct {
 	x                            *tensor.Tensor
 	c, h, w, kh, kw, stride, pad int
-}
-
-// cachedCol returns the memoised column matrix for key, or nil.
-func (a *Arena) cachedCol(key convColKey) *tensor.Tensor {
-	if a == nil {
-		return nil
-	}
-	return a.colCache[key]
-}
-
-// storeCol memoises a built column matrix for the rest of the step.
-func (a *Arena) storeCol(key convColKey, col *tensor.Tensor) {
-	if a == nil {
-		return
-	}
-	if a.colCache == nil {
-		a.colCache = make(map[convColKey]*tensor.Tensor)
-	}
-	a.colCache[key] = col
 }
 
 const arenaChunk = 256
@@ -174,7 +152,49 @@ func (a *Arena) Reset() {
 	}
 	a.T.Reset()
 	a.chunk, a.used = 0, 0
-	clear(a.colCache)
+}
+
+// ForwardOnly marks (or unmarks) the arena as running passes that will
+// never be differentiated — evaluation. While the mark is set no op
+// records a tape node or saves anything for a backward, whatever its
+// operands require, and a conv lowering goes back to the arena as soon as
+// its GEMM has read it. Owner goroutine only; a nil arena ignores it.
+func (a *Arena) ForwardOnly(on bool) {
+	if a != nil {
+		a.forwardOnly = on
+	}
+}
+
+// Discard hands v's value back to its arena in the middle of a ForwardOnly
+// pass. The caller — a chain that fed v to exactly one reader — vouches
+// that the reader has returned; keep lists what must stay readable (the
+// chain's own input, the reader's output), and v is left alone if it
+// shares storage with any of them, as a reshaped view does. Outside a
+// ForwardOnly pass it does nothing: a backward may read any value.
+func Discard(v *Variable, keep ...*Variable) {
+	if v.ar == nil || !v.ar.forwardOnly {
+		return
+	}
+	for _, k := range keep {
+		if v.value.Overlaps(k.value) {
+			return
+		}
+	}
+	v.ar.T.Release(v.value)
+}
+
+// records reports whether an op over vs must record itself for a backward
+// pass: some operand requires a gradient and the arena is not ForwardOnly.
+func (a *Arena) records(vs ...*Variable) bool {
+	return !(a != nil && a.forwardOnly) && anyRequires(vs...)
+}
+
+// release hands t's storage back to the arena before the step ends; the
+// caller vouches that nothing will read it again (tensor.Arena.Release).
+func (a *Arena) release(t *tensor.Tensor) {
+	if a != nil {
+		a.T.Release(t)
+	}
 }
 
 // variable returns a cleared node from the slab (or the heap for a nil
@@ -411,14 +431,14 @@ func anyRequires(vs ...*Variable) bool {
 }
 
 // newNode constructs an interior tape node in arena a. If no parent
-// requires a gradient the node is a plain constant and records nothing
-// (callers on hot paths check anyRequires themselves first to avoid even
-// building the closure).
+// requires a gradient, or a is ForwardOnly, the node is a plain constant
+// and records nothing (callers on hot paths check that themselves first to
+// avoid even building the closure).
 func newNode(a *Arena, val *tensor.Tensor, back func(v *Variable, g *tensor.Tensor), parents ...*Variable) *Variable {
 	v := a.variable()
 	v.value = val
 	v.ar = a
-	if !anyRequires(parents...) {
+	if !a.records(parents...) {
 		return v
 	}
 	v.requiresGrad = true

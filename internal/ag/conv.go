@@ -10,9 +10,20 @@ import (
 // (O,C,kh,kw), bias is (O) and may be nil. The whole batch is lowered into
 // a single (C·kh·kw)×(N·oh·ow) column matrix so that forward and backward
 // are each one large matrix multiplication — the dominant kernel on a
-// single core — instead of N small ones. The column matrix, its per-sample
-// staging buffer and every other intermediate come from the tape's arena,
-// so a warmed-up step rebuilds them allocation-free.
+// single core — instead of N small ones. The column matrix and every other
+// intermediate come from the tape's arena, so a warmed-up step rebuilds
+// them allocation-free.
+//
+// The node owns its lowering and hands each buffer back at its last read:
+// the GEMM staging y after the copy-out; the column matrix right after the
+// forward GEMM when no dW will read it (frozen weight, or a ForwardOnly
+// arena) — and then it is never whole: convTile samples are lowered,
+// multiplied and handed back at a time — otherwise right after the dW
+// product, so dcol, the same length, lands in the buffer col just vacated;
+// gy, dcol and dx when the backward returns. The one lowering the node
+// does not own is that of the arena's shared ColMemo batch: it is built
+// once for all concurrent forwards over that batch, lives in the memo's
+// arena, and no reader releases it.
 func Conv2d(x, w, bias *Variable, stride, pad int) *Variable {
 	if x.value.Dims() != 4 || w.value.Dims() != 4 || x.value.Dim(1) != w.value.Dim(1) {
 		panic(fmt.Sprintf("ag: Conv2d shape mismatch: x %v, w %v", x.Shape(), w.Shape()))
@@ -28,45 +39,69 @@ func Conv2d(x, w, bias *Variable, stride, pad int) *Variable {
 	ar := arenaOf(x, w, bias)
 	wmat := ar.view(w.value, o, ckk)
 	xd := x.value.Data()
+	records := ar.records(x, w, bias)
 
-	// The column matrix is a pure function of the input values and the
-	// conv geometry, so it is memoised in the arena for the step:
-	// ensemble phases forwarding many models over one shared batch build
-	// the first layer's lowering once instead of once per model, and the
-	// dW backward reuses the forward's col instead of recomputing it.
-	colKey := convColKey{x: x.value, c: c, h: h, w: wd, kh: kh, kw: kw, stride: stride, pad: pad}
-	col := buildConvCol(ar, colKey, xd, n, sp, nsp, ckk)
-	y := ar.tensorRaw(o, nsp)
-	tensor.MatMulInto(y, wmat, col)
+	key := convColKey{x: x.value, c: c, h: h, w: wd, kh: kh, kw: kw, stride: stride, pad: pad}
+	owned := ar == nil || ar.shared == nil || !ar.shared.covers(x.value)
+	// A lowering the node owns and no dW will read is transient: it is
+	// built convTile samples at a time, each tile going back to the arena
+	// once its GEMM has run.
+	transient := owned && !(records && w.requiresGrad)
+	tile := n
+	if transient {
+		tile = min(n, convTile)
+	}
 	out := ar.tensorRaw(n, o, oh, ow)
-	od, yd := out.Data(), y.Data()
+	od := out.Data()
 	var bd []float64
 	if bias != nil {
 		bd = bias.value.Data()
 	}
-	for oc := 0; oc < o; oc++ {
-		b := 0.0
-		if bd != nil {
-			b = bd[oc]
+	var col *tensor.Tensor // the whole batch's lowering, kept for dW
+	for s0 := 0; s0 < n; s0 += tile {
+		ns := min(tile, n-s0)
+		tsp := ns * sp
+		if owned {
+			col = ar.tensorRaw(ckk, tsp)
+			fillConvCol(col.Data(), key, xd[s0*c*h*wd:], ns, sp, tsp)
+		} else {
+			col = ar.shared.col(key, xd, n, sp, nsp, ckk)
 		}
-		for s := 0; s < n; s++ {
-			src := yd[oc*nsp+s*sp : oc*nsp+(s+1)*sp]
-			dst := od[(s*o+oc)*sp : (s*o+oc+1)*sp]
-			if b == 0 {
-				copy(dst, src)
-				continue
+		y := ar.tensorRaw(o, tsp)
+		tensor.MatMulInto(y, wmat, col)
+		if transient {
+			ar.release(col)
+		}
+		yd := y.Data()
+		for oc := 0; oc < o; oc++ {
+			b := 0.0
+			if bd != nil {
+				b = bd[oc]
 			}
-			for i, v := range src {
-				dst[i] = v + b
+			for s := 0; s < ns; s++ {
+				src := yd[oc*tsp+s*sp : oc*tsp+(s+1)*sp]
+				dst := od[((s0+s)*o+oc)*sp : ((s0+s)*o+oc+1)*sp]
+				if b == 0 {
+					copy(dst, src)
+					continue
+				}
+				for i, v := range src {
+					dst[i] = v + b
+				}
 			}
 		}
+		ar.release(y)
 	}
 
-	if !anyRequires(x, w, bias) {
+	if !records {
 		return constIn(ar, out)
 	}
 	return newNode(ar, out, func(_ *Variable, g *tensor.Tensor) {
 		gd := g.Data()
+		// Sinks first: a gradient buffer created here outlives this call,
+		// the scratch below does not, and the scratch then comes and goes
+		// like a stack.
+		wsink, xsink := w.gradSink(), x.gradSink()
 		// Gather the output gradient into the (o × nsp) layout.
 		gy := ar.tensorRaw(o, nsp)
 		gyd := gy.Data()
@@ -75,14 +110,16 @@ func Conv2d(x, w, bias *Variable, stride, pad int) *Variable {
 				copy(gyd[oc*nsp+s*sp:oc*nsp+(s+1)*sp], gd[(s*o+oc)*sp:(s*o+oc+1)*sp])
 			}
 		}
-		if sink := w.gradSink(); sink != nil {
-			// dW += gY · colᵀ; the arena memoises the forward's column
-			// matrix, so this is a lookup rather than a rebuild. The
-			// accumulate kernel forms each product sum in registers before
-			// the single add into the gradient buffer.
-			tensor.MatMulTransBAccInto(ar.view(sink, o, ckk), gy, buildConvCol(ar, colKey, xd, n, sp, nsp, ckk))
+		if wsink != nil {
+			// dW += gY · colᵀ over the forward's column matrix, its last
+			// read. The accumulate kernel forms each product sum in
+			// registers before the single add into the gradient buffer.
+			tensor.MatMulTransBAccInto(ar.view(wsink, o, ckk), gy, col)
+			if owned {
+				ar.release(col)
+			}
 		}
-		if sink := x.gradSink(); sink != nil {
+		if xsink != nil {
 			// dCol = Wᵀ · gY, scattered back per sample. Col2Im accumulates
 			// multiple column entries into one image element, so it scatters
 			// into zeroed arena scratch first and accumulates once.
@@ -94,7 +131,9 @@ func Conv2d(x, w, bias *Variable, stride, pad int) *Variable {
 			for s := 0; s < n; s++ {
 				tensor.Col2ImStrided(dcd, c, h, wd, kh, kw, stride, pad, dxd[s*c*h*wd:(s+1)*c*h*wd], nsp, s*sp)
 			}
-			tensor.AccumInto(sink, dx)
+			tensor.AccumInto(xsink, dx)
+			ar.release(dcol)
+			ar.release(dx)
 		}
 		if bias != nil {
 			if sink := bias.gradSink(); sink != nil {
@@ -108,27 +147,14 @@ func Conv2d(x, w, bias *Variable, stride, pad int) *Variable {
 				}
 			}
 		}
+		ar.release(gy)
 	}, x, w, bias)
 }
 
-// buildConvCol returns the (ckk × nsp) column matrix lowering the batch
-// held in xd under key's geometry. Lowerings of the cross-worker shared
-// batch come from the arena's installed ColMemo (one build for all
-// concurrent teacher forwards); everything else consults and fills the
-// arena's private per-step memo (a plain function rather than a closure,
-// so the hot path allocates nothing).
-func buildConvCol(ar *Arena, key convColKey, xd []float64, n, sp, nsp, ckk int) *tensor.Tensor {
-	if ar != nil && ar.shared != nil && ar.shared.covers(key.x) {
-		return ar.shared.col(key, xd, n, sp, nsp, ckk)
-	}
-	if col := ar.cachedCol(key); col != nil {
-		return col
-	}
-	col := ar.tensorRaw(ckk, nsp)
-	fillConvCol(col.Data(), key, xd, n, sp, nsp)
-	ar.storeCol(key, col)
-	return col
-}
+// convTile is how many samples of a transient lowering are built at once.
+// MatMulInto forms every output element in ascending-k order whatever the
+// column count, so tiling the batch changes no bit of the output.
+const convTile = 16
 
 // fillConvCol expands the batch into the column matrix, one sample at a
 // time straight into its columns — no per-sample staging buffer, no
@@ -193,7 +219,7 @@ func DepthwiseConv2d(x, w, bias *Variable, stride, pad int) *Variable {
 		}
 	}
 
-	if !anyRequires(x, w, bias) {
+	if !ar.records(x, w, bias) {
 		return constIn(ar, out)
 	}
 	return newNode(ar, out, func(_ *Variable, g *tensor.Tensor) {
@@ -253,12 +279,15 @@ func DepthwiseConv2d(x, w, bias *Variable, stride, pad int) *Variable {
 		}
 		if dx != nil {
 			x.accum(dx)
+			ar.release(dx)
 		}
 		if dw != nil {
 			w.accum(dw)
+			ar.release(dw)
 		}
 		if db != nil {
 			bias.accum(db)
+			ar.release(db)
 		}
 	}, x, w, bias)
 }

@@ -12,8 +12,9 @@ import (
 // of (input, conv geometry), so without sharing every worker rebuilds it
 // on its own arena. A ColMemo is owned by a long-lived arena (the server's
 // phase arena) and installed on each worker arena with ShareColMemo; a
-// worker whose conv input IS the bound batch reads the shared entry,
-// everything else stays in the worker's private colCache.
+// worker whose conv input IS the bound batch reads the shared entry and
+// never releases it; every other lowering is its conv node's own, on the
+// worker's arena, handed back at its last read (see Conv2d).
 //
 // Lifetime/safety contract:
 //   - Rebind(batch) designates the tensor whose lowerings may be shared

@@ -57,10 +57,12 @@ func TestMirrorConstDegrades(t *testing.T) {
 	}
 }
 
-// TestColMemoSharedAcrossArenas runs the same conv forward on two worker
-// arenas over one batch: the shared memo must hand both the identical
-// column tensor (one build), the workers' private caches must stay empty
-// for that key, and a non-covered input must stay worker-local.
+// TestColMemoSharedAcrossArenas runs the same conv over one batch on two
+// worker arenas, one with a trainable weight and a backward: the shared
+// memo hands both the identical column tensor (one build, in the memo's
+// arena), no reader releases it — not the frozen forward, not the dW that
+// is every other lowering's last read — and a non-covered input is lowered
+// on the worker's own arena and never reaches the memo.
 func TestColMemoSharedAcrossArenas(t *testing.T) {
 	xt := tensor.New(2, 1, 6, 6)
 	wt := tensor.New(3, 1, 3, 3)
@@ -73,6 +75,7 @@ func TestColMemoSharedAcrossArenas(t *testing.T) {
 	memo.Rebind(xt)
 
 	workers := []*Arena{NewArena(), NewArena()}
+	weights := []*Variable{Const(wt.Clone()), Param(wt.Clone())}
 	outs := make([]*tensor.Tensor, len(workers))
 	var wg sync.WaitGroup
 	for i, wa := range workers {
@@ -80,34 +83,46 @@ func TestColMemoSharedAcrossArenas(t *testing.T) {
 		wg.Add(1)
 		go func(i int, wa *Arena) {
 			defer wg.Done()
-			outs[i] = Conv2d(ConstIn(wa, xt), ConstIn(wa, wt.Clone()), nil, 1, 1).Value()
+			y := Conv2d(ConstIn(wa, xt), weights[i], nil, 1, 1)
+			outs[i] = y.Value()
+			Backward(SumAll(y)) // a no-op on the frozen worker
 		}(i, wa)
 	}
 	wg.Wait()
 
 	bitsEq(t, "shared-memo conv", outs[0], outs[1])
-	ref := Conv2d(Const(xt), Const(wt), nil, 1, 1) // heap, no memo
+	ref := Conv2d(Const(xt), Param(wt), nil, 1, 1) // heap, no memo
 	bitsEq(t, "conv vs heap", outs[0], ref.Value())
+	Backward(SumAll(ref))
+	bitsEq(t, "dW over the shared lowering vs heap", weights[1].Grad(), ref.parents[1].Grad())
 
 	if len(memo.m) != 1 {
 		t.Fatalf("memo holds %d entries, want 1", len(memo.m))
 	}
-	for _, wa := range workers {
-		if len(wa.colCache) != 0 {
-			t.Fatalf("worker cached a covered key locally (%d entries)", len(wa.colCache))
+	want := tensor.New(9, 2*6*6)
+	for key, col := range memo.m {
+		if col.Len() != want.Len() {
+			t.Fatalf("a reader released the shared lowering: %d elements left of %d", col.Len(), want.Len())
 		}
+		fillConvCol(want.Data(), key, xt.Data(), 2, 36, 72)
+		bitsEq(t, "shared lowering after both readers", col, want)
+	}
+	if got, want := phase.T.StepBytes(), int64(want.Len()*8); got != want {
+		t.Fatalf("memo arena holds %d bytes, want the one lowering = %d", got, want)
 	}
 
-	// A different input tensor is not covered: it must land in the
-	// worker's private cache, not the shared memo.
+	// A different input tensor is not covered: its lowering is the
+	// worker's own, never the memo's, and — the weight being frozen — back
+	// on the worker's arena before Conv2d returns.
 	other := tensor.New(2, 1, 6, 6)
 	tensor.FillNormal(other, 0, 1, rng)
-	_ = Conv2d(ConstIn(workers[0], other), ConstIn(workers[0], wt.Clone()), nil, 1, 1)
+	before := workers[0].T.StepBytes()
+	y := Conv2d(ConstIn(workers[0], other), Const(wt.Clone()), nil, 1, 1)
 	if len(memo.m) != 1 {
 		t.Fatalf("non-covered key leaked into shared memo (%d entries)", len(memo.m))
 	}
-	if len(workers[0].colCache) != 1 {
-		t.Fatalf("non-covered key missing from worker cache (%d entries)", len(workers[0].colCache))
+	if got, want := workers[0].T.StepBytes()-before, int64(y.Value().Len()*8); got != want {
+		t.Fatalf("frozen conv left %d bytes on its arena, want its output = %d", got, want)
 	}
 
 	// Rebind drops entries and rebinding to nil stops covering anything.

@@ -14,7 +14,10 @@ import (
 // (1-momentum)*running + momentum*batch). In evaluation mode it uses the
 // running buffers and is a pure affine transform. gamma and beta have
 // length C. All per-channel statistics and the saved x̂ activations are
-// arena scratch, recycled with the step.
+// arena scratch, recycled with the step; x̂ — a full activation — is saved
+// only when the backward will read it: for dγ, or for the training-mode
+// dX. A frozen evaluation-mode layer (every teacher, F in the generator
+// step) and every ForwardOnly pass write the output alone.
 func BatchNorm2d(x, gamma, beta *Variable, runMean, runVar *tensor.Tensor, training bool, momentum, eps float64) *Variable {
 	if x.value.Dims() != 4 {
 		panic(fmt.Sprintf("ag: BatchNorm2d wants (N,C,H,W), got %v", x.Shape()))
@@ -66,14 +69,25 @@ func BatchNorm2d(x, gamma, beta *Variable, runMean, runVar *tensor.Tensor, train
 		invStd[ch] = 1 / math.Sqrt(varr[ch]+eps)
 	}
 
+	records := ar.records(x, gamma, beta)
 	out := ar.tensorRaw(n, c, h, w)
-	xhat := ar.floatsRaw(len(xd)) // saved for backward
+	var xhat []float64
+	if records && (gamma.requiresGrad || training && x.requiresGrad) {
+		xhat = ar.floatsRaw(len(xd))
+	}
 	od := out.Data()
 	gd, bd := gamma.value.Data(), beta.value.Data()
 	for smp := 0; smp < n; smp++ {
 		for ch := 0; ch < c; ch++ {
 			base := (smp*c + ch) * sp
 			mu, is, ga, be := mean[ch], invStd[ch], gd[ch], bd[ch]
+			if xhat == nil {
+				for i := 0; i < sp; i++ {
+					xh := (xd[base+i] - mu) * is
+					od[base+i] = ga*xh + be
+				}
+				continue
+			}
 			for i := 0; i < sp; i++ {
 				xh := (xd[base+i] - mu) * is
 				xhat[base+i] = xh
@@ -82,41 +96,52 @@ func BatchNorm2d(x, gamma, beta *Variable, runMean, runVar *tensor.Tensor, train
 		}
 	}
 
-	if !anyRequires(x, gamma, beta) {
+	if !records {
 		return constIn(ar, out)
 	}
 	return newNode(ar, out, func(_ *Variable, g *tensor.Tensor) {
 		gdd := g.Data()
-		// Per-channel reductions Σdy and Σdy·x̂.
-		sumDy := ar.floats(c)
-		sumDyXhat := ar.floats(c)
-		for smp := 0; smp < n; smp++ {
-			for ch := 0; ch < c; ch++ {
-				base := (smp*c + ch) * sp
-				sdy, sdx := 0.0, 0.0
-				for i := 0; i < sp; i++ {
-					dy := gdd[base+i]
-					sdy += dy
-					sdx += dy * xhat[base+i]
+		gsink, bsink, xsink := gamma.gradSink(), beta.gradSink(), x.gradSink()
+		// Per-channel reductions Σdy and — where x̂ was saved for them —
+		// Σdy·x̂. A frozen evaluation-mode layer reads neither.
+		var sumDy, sumDyXhat []float64
+		if gsink != nil || bsink != nil || training && xsink != nil {
+			sumDy = ar.floats(c)
+			sumDyXhat = ar.floats(c)
+			for smp := 0; smp < n; smp++ {
+				for ch := 0; ch < c; ch++ {
+					base := (smp*c + ch) * sp
+					sdy, sdx := 0.0, 0.0
+					if xhat == nil {
+						for i := 0; i < sp; i++ {
+							sdy += gdd[base+i]
+						}
+					} else {
+						for i := 0; i < sp; i++ {
+							dy := gdd[base+i]
+							sdy += dy
+							sdx += dy * xhat[base+i]
+						}
+					}
+					sumDy[ch] += sdy
+					sumDyXhat[ch] += sdx
 				}
-				sumDy[ch] += sdy
-				sumDyXhat[ch] += sdx
 			}
 		}
-		if sink := gamma.gradSink(); sink != nil {
-			sd := sink.Data()
+		if gsink != nil {
+			sd := gsink.Data()
 			for ch := 0; ch < c; ch++ {
 				sd[ch] += sumDyXhat[ch]
 			}
 		}
-		if sink := beta.gradSink(); sink != nil {
-			sd := sink.Data()
+		if bsink != nil {
+			sd := bsink.Data()
 			for ch := 0; ch < c; ch++ {
 				sd[ch] += sumDy[ch]
 			}
 		}
-		if sink := x.gradSink(); sink != nil {
-			dd := sink.Data()
+		if xsink != nil {
+			dd := xsink.Data()
 			if training {
 				// dX += γ/σ · (dy − mean(dy) − x̂·mean(dy·x̂))
 				for smp := 0; smp < n; smp++ {

@@ -8,8 +8,8 @@ import (
 )
 
 // MaxPool2d applies k×k max pooling with the given stride over an
-// (N,C,H,W) Variable. Argmax positions are recorded in the forward pass and
-// reused to scatter gradients.
+// (N,C,H,W) Variable. When a backward will run, argmax positions are
+// recorded in the forward pass and reused to scatter gradients.
 func MaxPool2d(x *Variable, k, stride int) *Variable {
 	if x.value.Dims() != 4 {
 		panic(fmt.Sprintf("ag: MaxPool2d wants (N,C,H,W), got %v", x.Shape()))
@@ -19,8 +19,9 @@ func MaxPool2d(x *Variable, k, stride int) *Variable {
 	ow := tensor.ConvOutSize(w, k, stride, 0)
 	ar := arenaOf(x)
 	out := ar.tensorRaw(n, c, oh, ow)
+	records := ar.records(x)
 	var arg []int
-	if x.requiresGrad {
+	if records {
 		arg = ar.intsRaw(n * c * oh * ow) // flat index within the (H,W) plane
 	}
 	xd, od := x.value.Data(), out.Data()
@@ -85,7 +86,7 @@ func MaxPool2d(x *Variable, k, stride int) *Variable {
 			}
 		}
 	}
-	if !x.requiresGrad {
+	if !records {
 		return constIn(ar, out)
 	}
 	node := newNode(ar, out, maxPoolBack, x)
@@ -117,6 +118,7 @@ func maxPoolBack(v *Variable, g *tensor.Tensor) {
 		}
 	}
 	tensor.AccumInto(sink, dx)
+	v.ar.release(dx)
 }
 
 // AvgPool2d applies k×k average pooling with the given stride (no padding).
@@ -196,6 +198,7 @@ func avgPoolBack(v *Variable, g *tensor.Tensor) {
 		}
 	}
 	tensor.AccumInto(sink, dx)
+	v.ar.release(dx)
 }
 
 // GlobalAvgPool reduces (N,C,H,W) to (N,C) by averaging each channel plane.

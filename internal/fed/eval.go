@@ -19,6 +19,11 @@ func Evaluate(m nn.Module, ds *data.Dataset, batchSize int) float64 {
 // EvaluateArena is Evaluate drawing every batch and activation from the
 // given step-scoped arena, which is reset after each batch — so repeated
 // evaluations through one arena are allocation-free after warm-up. The
+// arena is marked ForwardOnly for the duration: the model's parameters
+// require gradients, but nothing here will ask for them, so no op records
+// a tape node, batch norm and pooling save nothing, every conv lowering
+// goes back to the arena as soon as its GEMM has read it, and a chain of
+// layers hands each activation back once the next layer has read it. The
 // arena must be owned by the calling goroutine; nil falls back to the
 // heap. The returned accuracy is identical regardless of arena.
 func EvaluateArena(m nn.Module, ds *data.Dataset, batchSize int, ar *ag.Arena) float64 {
@@ -27,6 +32,8 @@ func EvaluateArena(m nn.Module, ds *data.Dataset, batchSize int, ar *ag.Arena) f
 	}
 	m.SetTraining(false)
 	defer m.SetTraining(true)
+	ar.ForwardOnly(true)
+	defer ar.ForwardOnly(false)
 	n := ds.NumTest()
 	correct := 0
 	for lo := 0; lo < n; lo += batchSize {

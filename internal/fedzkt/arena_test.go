@@ -9,6 +9,7 @@ import (
 
 	"github.com/fedzkt/fedzkt/internal/ag"
 	"github.com/fedzkt/fedzkt/internal/data"
+	"github.com/fedzkt/fedzkt/internal/fed"
 	"github.com/fedzkt/fedzkt/internal/model"
 	"github.com/fedzkt/fedzkt/internal/nn"
 	"github.com/fedzkt/fedzkt/internal/obs"
@@ -19,7 +20,10 @@ import (
 // TestArenaZooRotationRetention: one arena serving the five SmallZoo
 // architectures in turn — what a device rig's step arena and a server
 // worker arena do — ends up holding about its largest step, and stops
-// growing after the first lap. A free list per buffer length held the
+// growing after the first lap. A step's size is its high-water mark of
+// live bytes: above what is live when it ends (the backward's scratch has
+// gone back by then), below everything it touched (so has every conv
+// lowering its dW has read). A free list per buffer length held the
 // high-water mark of every length of every architecture at once, ≈ 4.3 ×
 // the largest step here.
 func TestArenaZooRotationRetention(t *testing.T) {
@@ -31,7 +35,7 @@ func TestArenaZooRotationRetention(t *testing.T) {
 	}
 	ar := ag.NewArena()
 	rng := tensor.NewRand(91)
-	var maxStep int64
+	var maxEnd int64
 	lap := func() {
 		for _, m := range zoo {
 			x := ar.T.NewRaw(batch, in.C, in.H, in.W)
@@ -44,23 +48,26 @@ func TestArenaZooRotationRetention(t *testing.T) {
 			for _, p := range m.Params() {
 				p.ZeroGrad()
 			}
-			maxStep = max(maxStep, ar.T.StepBytes())
+			maxEnd = max(maxEnd, ar.T.StepBytes())
 			ar.Reset()
 		}
 	}
 	lap()
-	held := ar.T.HeldBytes()
+	held, peak := ar.T.HeldBytes(), ar.T.StepPeakBytes()
 	lap()
 	lap()
 	if got := ar.T.HeldBytes(); got != held {
 		t.Errorf("arena grew after its first lap over the zoo: %d -> %d bytes", held, got)
 	}
-	if ar.T.StepPeakBytes() != maxStep {
-		t.Errorf("StepPeakBytes = %d, the largest step drew %d", ar.T.StepPeakBytes(), maxStep)
+	if got := ar.T.StepPeakBytes(); got != peak {
+		t.Errorf("StepPeakBytes moved from %d to %d over identical laps", peak, got)
 	}
-	t.Logf("held %d bytes for a largest step of %d (%.2f×)", held, maxStep, float64(held)/float64(maxStep))
-	if float64(held) > 1.5*float64(maxStep) {
-		t.Errorf("arena holds %d bytes, more than 1.5 × its largest step (%d)", held, maxStep)
+	if peak <= maxEnd {
+		t.Errorf("StepPeakBytes = %d, yet a step ended with %d bytes live: backward scratch is not being released", peak, maxEnd)
+	}
+	t.Logf("held %d bytes for a largest step of %d (%.2f×), %d live at its end", held, peak, float64(held)/float64(peak), maxEnd)
+	if float64(held) > 1.5*float64(peak) {
+		t.Errorf("arena holds %d bytes, more than 1.5 × its largest step (%d)", held, peak)
 	}
 }
 
@@ -88,7 +95,9 @@ func zooFederation(t *testing.T, rounds int) *Coordinator {
 // TestRigArenaRetention: after a three-round ten-device SmallZoo
 // federation every rig's step arena — which trained and evaluated all
 // five architectures — holds no more than 1.5 × the largest step it
-// served, and the scrape reports exactly what the arenas say.
+// served, that step is a training step (a forward-only evaluation at
+// four times the batch stays below it), and the scrape reports exactly
+// what the arenas say.
 func TestRigArenaRetention(t *testing.T) {
 	co := zooFederation(t, 3)
 	if _, err := co.Run(context.Background()); err != nil {
@@ -103,6 +112,15 @@ func TestRigArenaRetention(t *testing.T) {
 			t.Errorf("rig %d step arena holds %d bytes for a largest step of %d", w, h, p)
 		}
 		held, peak = held+h, peak+p
+	}
+	// Evaluating every model once more, on a fresh arena, shows what the
+	// largest evaluation step is.
+	ev := ag.NewArena()
+	for _, d := range co.devices {
+		fed.EvaluateArena(d.Model, co.ds, 64, ev)
+	}
+	if e := ev.T.StepPeakBytes(); 2*e >= peak {
+		t.Errorf("the largest evaluation step is %d bytes, the rigs' largest steps %d and %d: not training's", e, peak/2, peak-peak/2)
 	}
 	checkScraped(t, map[string]int64{
 		"fedzkt_arena_rig_step_held_bytes":      held,

@@ -66,12 +66,13 @@ func (g *arenaGroup) sum(of func(*tensor.Arena) int64) float64 {
 }
 
 // register publishes the group as fedzkt_arena_<owner>_held_bytes (what
-// the slabs and headers pin) and …_step_peak_bytes (the largest step they
-// had to serve; the difference is the allocator's rounding).
+// the slabs and headers pin) and …_step_peak_bytes (the most bytes any
+// step had live at once, buffers released mid-step not counted; the
+// difference is the allocator's rounding plus what fragmentation cost).
 func (g *arenaGroup) register(reg *obs.Registry, owner, what string) {
 	reg.RegisterGaugeFunc("fedzkt_arena_"+owner+"_held_bytes", "bytes retained by "+what+" (slabs and tensor headers)",
 		func() float64 { return g.sum((*tensor.Arena).HeldBytes) })
-	reg.RegisterGaugeFunc("fedzkt_arena_"+owner+"_step_peak_bytes", "storage bytes of the largest step served by "+what,
+	reg.RegisterGaugeFunc("fedzkt_arena_"+owner+"_step_peak_bytes", "most storage bytes live at once in any step served by "+what+" (net of mid-step releases)",
 		func() float64 { return g.sum((*tensor.Arena).StepPeakBytes) })
 }
 

@@ -25,12 +25,18 @@ func (s *Sequential) Append(mods ...Module) { s.mods = append(s.mods, mods...) }
 // Len returns the number of child modules.
 func (s *Sequential) Len() int { return len(s.mods) }
 
-// Forward implements Module.
+// Forward implements Module. Each intermediate has one reader, the next
+// module, so a forward-only pass (ag.Arena.ForwardOnly) hands it back to
+// the arena once that module has returned; the chain's input is the
+// caller's and is never touched.
 func (s *Sequential) Forward(x *ag.Variable) *ag.Variable {
+	h := x
 	for _, m := range s.mods {
-		x = m.Forward(x)
+		next := m.Forward(h)
+		ag.Discard(h, x, next)
+		h = next
 	}
-	return x
+	return h
 }
 
 // Params implements Module.

@@ -2,7 +2,10 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"os"
+	"strings"
 	"sync/atomic"
 	"unsafe"
 )
@@ -12,7 +15,9 @@ import (
 // first slab with room (first-fit over the per-slab offsets, so a small
 // request still fills the tail a large one skipped); one that fits
 // nowhere appends a slab of max(n, min(elements held, slabCap)) elements,
-// so a small arena stays small and a large one grows in slabCap pieces.
+// so a small arena stays small and a large one grows in slabCap pieces —
+// rounded up from n only as far as keeps the arena within 1.5 × the bytes
+// live at that moment, so the rounding alone never breaks that bound.
 // Reset rewinds every offset and frees nothing: a step that ran once runs
 // again at the same addresses without growing the chain, and the chain
 // ends up holding about the largest step it has served — not, as a free
@@ -25,14 +30,25 @@ import (
 // ten-device benchmark workload peaked at 394 MB that way, against 228 MB
 // with the chain kept.
 //
+// Release hands a float64 buffer back before the step ends, for callers
+// that know its last reader: a conv lowering once its GEMMs have run,
+// backward scratch when the node's backward returns. A released span that
+// ends at its slab's bump offset pulls the offset back; any other goes on
+// a list of spans — neighbours within a slab merged — that FloatsRaw
+// serves from (best fit, the remainder staying on the list) before it
+// bumps the chain. The list indexes the chain and owns no storage, and
+// Reset empties it: nothing but the chain survives a Reset, so a step
+// holds about its largest live set rather than everything it touched.
+//
 // The contract is strictly step-scoped: a tensor obtained from an arena is
-// valid until the next Reset, after which its storage and its header may
-// be handed to a later request. Values that outlive the step (model
-// parameters, running statistics, uploads) must be deep-copied out before
-// Reset — exactly the copies the federated runtime already makes. Within
-// a step no two buffers overlap, every buffer has cap == len (an append
-// reallocates instead of running into its neighbour), and every *Tensor
-// is a distinct header, so tensors can be keyed by identity.
+// valid until the next Reset or its Release, after which its storage (and,
+// after Reset, its header) may be handed to a later request. Values that
+// outlive the step (model parameters, running statistics, uploads) must be
+// deep-copied out before Reset — exactly the copies the federated runtime
+// already makes. Within a step no two live buffers overlap, every buffer
+// has cap == len (an append reallocates instead of running into its
+// neighbour), and every *Tensor is a distinct header, so tensors can be
+// keyed by identity.
 //
 // An Arena is NOT safe for concurrent use; every concurrent worker owns
 // its own arena (see sched.Options.WorkerScratch and ForEachWorker). Only
@@ -42,12 +58,24 @@ import (
 type Arena struct {
 	floats chain[float64]
 	ints   chain[int]
+	free   []span    // released float64 spans of this step
 	hdrs   []*Tensor // headers, recycled in hand-out order
 	hnext  int
-	step   int64 // storage bytes handed out since the last Reset
+	step   int64 // storage bytes live: handed out since the last Reset and not released
+	high   int64 // the owner's copy of peak
 	held   atomic.Int64
 	peak   atomic.Int64
 }
+
+// span is n elements at offset off of float64 slab number slab.
+type span struct{ slab, off, n int }
+
+// poison makes Release fill what it takes back with NaN when the binary
+// is a test, so a read after release fails every bit-identity check and
+// every finiteness check downstream of it. The binary's name says so
+// (pkg.test, as go test builds it) rather than testing.Testing(): linking
+// package testing into every program cost the benchmark 6 % of setup_s.
+var poison = strings.HasSuffix(strings.TrimSuffix(os.Args[0], ".exe"), ".test")
 
 // slabCap bounds, in elements, how far a new slab is rounded up beyond
 // the request that caused it (8 MiB of float64).
@@ -67,20 +95,28 @@ type slab[T any] struct {
 	off int // elements handed out since the last Reset
 }
 
-// take returns n elements of unspecified contents, and the length of the
-// slab it had to append to find them (0 when an existing slab had room).
-func (c *chain[T]) take(n int) (b []T, grown int) {
-	held := 0
-	for i := range *c {
-		s := &(*c)[i]
+// take carves n elements of unspecified contents out of the first slab
+// with room, or returns nil when none has it.
+func (c chain[T]) take(n int) []T {
+	for i := range c {
+		s := &c[i]
 		if len(s.buf)-s.off >= n {
-			b = s.buf[s.off : s.off+n : s.off+n]
 			s.off += n
-			return b, 0
+			return s.buf[s.off-n : s.off : s.off]
 		}
+	}
+	return nil
+}
+
+// grow appends a slab for a request of n elements that fits nowhere and
+// returns the request and the slab's length: the elements held so far,
+// at most slabCap and at most room, and never less than n.
+func (c *chain[T]) grow(n, room int) (b []T, grown int) {
+	held := 0
+	for _, s := range *c {
 		held += len(s.buf)
 	}
-	grown = max(n, min(held, slabCap))
+	grown = max(n, min(held, slabCap, room))
 	b = make([]T, grown)
 	*c = append(*c, slab[T]{buf: b, off: n})
 	return b[:n:n], grown
@@ -109,26 +145,118 @@ func (a *Arena) Reset() {
 	if a == nil {
 		return
 	}
-	a.notePeak()
 	a.step = 0
 	a.floats.rewind()
 	a.ints.rewind()
+	a.free = a.free[:0]
 	a.hnext = 0
 }
 
-func (a *Arena) notePeak() {
-	if a.step > a.peak.Load() {
+// alloc serves n elements of size bytes each from c and books them. A
+// slab appended for them is rounded up only as far as leaves the arena
+// holding no more than 1.5 × what is then live.
+func alloc[T float64 | int](a *Arena, c *chain[T], n int, size int64) []T {
+	b := c.take(n)
+	if b == nil {
+		var grown int
+		b, grown = c.grow(n, int((3*(a.step+int64(n)*size)/2-a.held.Load())/size))
+		a.held.Add(int64(grown) * size)
+	}
+	a.booked(int64(n) * size)
+	return b
+}
+
+// booked adds n bytes to the live count and moves the high-water mark.
+func (a *Arena) booked(n int64) {
+	a.step += n
+	if a.step > a.high {
+		a.high = a.step
 		a.peak.Store(a.step)
 	}
 }
 
-// account books n bytes handed out, grown of them from a new slab.
-func (a *Arena) account(n, grown int64) {
-	a.step += n
-	if grown > 0 {
-		a.held.Add(grown)
-		a.notePeak()
+// Release takes t's storage back before the step ends and clears t's
+// data, so a later use of t fails at once rather than reading whatever
+// the storage holds next. The caller must be the last reader of the
+// storage under every header: t, its views, anything captured for a
+// backward pass. t must hold a whole buffer this arena handed out; a
+// tensor released twice, and any tensor on a nil arena, is left alone.
+func (a *Arena) Release(t *Tensor) {
+	if a == nil || len(t.data) == 0 {
+		return
 	}
+	b := t.data
+	t.data = nil
+	if poison {
+		nan := math.NaN()
+		for i := range b {
+			b[i] = nan
+		}
+	}
+	a.step -= int64(len(b)) * floatBytes
+	sp := a.locate(b)
+	// Merge with the released neighbours on either side, then with the
+	// slab's untouched tail if the span reaches it.
+	for i := 0; i < len(a.free); {
+		f := a.free[i]
+		if f.slab != sp.slab || (f.off+f.n != sp.off && sp.off+sp.n != f.off) {
+			i++
+			continue
+		}
+		sp.off, sp.n = min(sp.off, f.off), sp.n+f.n
+		a.free[i] = a.free[len(a.free)-1]
+		a.free = a.free[:len(a.free)-1]
+	}
+	if s := &a.floats[sp.slab]; sp.off+sp.n == s.off {
+		s.off = sp.off
+		return
+	}
+	a.free = append(a.free, sp)
+}
+
+// locate finds the slab b was carved from.
+func (a *Arena) locate(b []float64) span {
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	for i, s := range a.floats {
+		base := uintptr(unsafe.Pointer(unsafe.SliceData(s.buf)))
+		if p >= base && p < base+uintptr(len(s.buf))*floatBytes {
+			return span{slab: i, off: int(p-base) / floatBytes, n: len(b)}
+		}
+	}
+	panic("tensor: Release of a buffer this arena did not hand out")
+}
+
+// reuse carves n elements out of the smallest released span that has
+// them, or returns nil.
+func (a *Arena) reuse(n int) []float64 {
+	best := -1
+	for i, f := range a.free {
+		if f.n >= n && (best < 0 || f.n < a.free[best].n) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	f := a.free[best]
+	if f.n == n {
+		a.free[best] = a.free[len(a.free)-1]
+		a.free = a.free[:len(a.free)-1]
+	} else {
+		a.free[best] = span{slab: f.slab, off: f.off + n, n: f.n - n}
+	}
+	return a.floats[f.slab].buf[f.off : f.off+n : f.off+n]
+}
+
+// Overlaps reports whether t and u share any element of storage — a view
+// and its base, two views of one buffer.
+func (t *Tensor) Overlaps(u *Tensor) bool {
+	if len(t.data) == 0 || len(u.data) == 0 {
+		return false
+	}
+	a := uintptr(unsafe.Pointer(unsafe.SliceData(t.data)))
+	b := uintptr(unsafe.Pointer(unsafe.SliceData(u.data)))
+	return a < b+uintptr(len(u.data))*floatBytes && b < a+uintptr(len(t.data))*floatBytes
 }
 
 // wrap returns the step's next header, pointed at data under shape.
@@ -200,9 +328,13 @@ func (a *Arena) FloatsRaw(n int) []float64 {
 	if a == nil {
 		return make([]float64, n)
 	}
-	b, grown := a.floats.take(n)
-	a.account(int64(n)*floatBytes, int64(grown)*floatBytes)
-	return b
+	if len(a.free) > 0 && n > 0 {
+		if b := a.reuse(n); b != nil {
+			a.booked(int64(n) * floatBytes)
+			return b
+		}
+	}
+	return alloc(a, &a.floats, n, floatBytes)
 }
 
 // Ints returns an int scratch slice of length n with unspecified contents,
@@ -211,9 +343,7 @@ func (a *Arena) Ints(n int) []int {
 	if a == nil {
 		return make([]int, n)
 	}
-	b, grown := a.ints.take(n)
-	a.account(int64(n)*intBytes, int64(grown)*intBytes)
-	return b
+	return alloc(a, &a.ints, n, intBytes)
 }
 
 // View returns a tensor sharing t's storage under a new shape (the arena
@@ -249,8 +379,9 @@ func (a *Arena) HeldBytes() int64 {
 	return a.held.Load()
 }
 
-// StepBytes reports the float64 and int storage bytes handed out since
-// the last Reset (headers and views take none). Owner goroutine only.
+// StepBytes reports the float64 and int storage bytes live in the current
+// step: handed out since the last Reset and not released (headers and
+// views take none). Owner goroutine only.
 func (a *Arena) StepBytes() int64 {
 	if a == nil {
 		return 0
@@ -258,8 +389,9 @@ func (a *Arena) StepBytes() int64 {
 	return a.step
 }
 
-// StepPeakBytes reports the largest StepBytes any step has reached, as of
-// the last Reset or slab growth. Safe to call from any goroutine.
+// StepPeakBytes reports the largest StepBytes any step has reached at any
+// point inside it — the high-water mark of live bytes, not the sum of what
+// a step touched. Safe to call from any goroutine.
 func (a *Arena) StepPeakBytes() int64 {
 	if a == nil {
 		return 0

@@ -220,3 +220,178 @@ func TestArenaRandomRequests(t *testing.T) {
 		}
 	}
 }
+
+// TestArenaRelease pins what a step-scoped Release promises: the header
+// loses its data and (this being a test binary) the storage is NaN; a
+// request of the same length gets the released address back; a larger
+// release is split, the remainder served later; a release that reaches
+// the slab's bump offset pulls it back; Reset empties the list; and a nil
+// arena leaves the tensor alone.
+func TestArenaRelease(t *testing.T) {
+	a := NewArena()
+	addr := func(x *Tensor) *float64 { return &x.Data()[0] }
+	a.NewRaw(256) // one slab for everything below
+	a.Reset()
+	x, keep := a.NewRaw(64), a.NewRaw(8)
+	px, data := addr(x), x.Data()
+	live := a.StepBytes()
+	a.Release(x)
+	if x.Data() != nil {
+		t.Fatal("Release left the header its data")
+	}
+	for _, v := range data {
+		if v == v {
+			t.Fatal("released storage is not NaN-filled in a test binary")
+		}
+	}
+	if got := a.StepBytes(); got != live-64*8 {
+		t.Fatalf("StepBytes = %d after releasing 64 elements of %d bytes live", got, live)
+	}
+	a.Release(x) // twice: a no-op
+	if y := a.NewRaw(64); addr(y) != px {
+		t.Fatal("a same-length request did not get the released buffer")
+	} else {
+		a.Release(y)
+	}
+	// Split: 24 of the 64, then the 40 left, then nothing.
+	p1, p2 := addr(a.NewRaw(24)), addr(a.NewRaw(40))
+	if p1 != px || p2 != &data[24] {
+		t.Fatal("a released buffer was not split into the request and a remainder served later")
+	}
+	p3 := addr(a.NewRaw(8))
+	if uintptr(unsafe.Pointer(p3)) < uintptr(unsafe.Pointer(addr(keep))) {
+		t.Fatal("an exhausted release list still served a request")
+	}
+
+	// The last buffer handed out goes back to the bump offset, not the list.
+	last := a.NewRaw(16)
+	pl, slabs := addr(last), len(a.floats)
+	a.Release(last)
+	if len(a.free) != 0 {
+		t.Fatal("a release at the bump offset went on the list")
+	}
+	if addr(a.NewRaw(12)) != pl {
+		t.Fatal("the bump offset was not pulled back")
+	}
+	if len(a.floats) != slabs {
+		t.Fatal("the chain grew although released storage had room")
+	}
+
+	a.Release(keep)
+	if len(a.free) != 1 {
+		t.Fatalf("release list has %d spans, want 1", len(a.free))
+	}
+	a.Reset()
+	if len(a.free) != 0 || a.StepBytes() != 0 {
+		t.Fatal("Reset did not empty the release list")
+	}
+
+	var none *Arena
+	h := New(3)
+	none.Release(h)
+	if h.Len() != 3 {
+		t.Fatal("a nil arena released a heap tensor")
+	}
+}
+
+// TestArenaReleaseMergesNeighbours: two adjacent releases serve one
+// request neither could alone, in whichever order they were released.
+func TestArenaReleaseMergesNeighbours(t *testing.T) {
+	for _, order := range [][2]int{{0, 1}, {1, 0}} {
+		a := NewArena()
+		a.NewRaw(200) // one slab for everything below
+		a.Reset()
+		bufs := []*Tensor{a.NewRaw(32), a.NewRaw(32)}
+		a.NewRaw(8)
+		p := &bufs[0].Data()[0]
+		a.Release(bufs[order[0]])
+		a.Release(bufs[order[1]])
+		if len(a.free) != 1 {
+			t.Fatalf("order %v: %d spans on the list, want the two merged into 1", order, len(a.free))
+		}
+		if got := &a.NewRaw(64).Data()[0]; got != p {
+			t.Fatalf("order %v: the merged span did not serve a request of both lengths", order)
+		}
+	}
+}
+
+// TestArenaReleaseRandom drives seeded random steps in which a third of
+// the operations release a live buffer: no two live buffers ever overlap,
+// StepBytes is exactly the live bytes, StepPeakBytes their high-water
+// mark, and a step repeated after Reset walks the identical address
+// sequence without growing the chain.
+func TestArenaReleaseRandom(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		rng := NewRand(seed)
+		a := NewArena()
+		type op struct{ n, release int } // allocate n, or release the live buffer at index release
+		var ops []op
+		for i, live := 0, 0; i < 200; i++ {
+			if live > 0 && rng.IntN(3) == 0 {
+				ops = append(ops, op{release: rng.IntN(live)})
+				live--
+				continue
+			}
+			ops = append(ops, op{n: 1 + rng.IntN(1<<rng.IntN(14)), release: -1})
+			live++
+		}
+		var peak int64
+		run := func() []uintptr {
+			var addrs []uintptr
+			var live []*Tensor
+			var bytes int64
+			for _, o := range ops {
+				if o.release >= 0 {
+					x := live[o.release]
+					bytes -= int64(x.Len()) * 8
+					a.Release(x)
+					live = append(live[:o.release], live[o.release+1:]...)
+				} else {
+					x := a.NewRaw(o.n)
+					if cap(x.Data()) != o.n {
+						t.Fatalf("seed %d: buffer of len %d has cap %d", seed, o.n, cap(x.Data()))
+					}
+					for _, y := range live {
+						if x.Overlaps(y) {
+							t.Fatalf("seed %d: two live buffers overlap", seed)
+						}
+					}
+					x.Fill(1)
+					live = append(live, x)
+					bytes += int64(o.n) * 8
+					peak = max(peak, bytes)
+					addrs = append(addrs, uintptr(unsafe.Pointer(&x.Data()[0])))
+				}
+				if a.StepBytes() != bytes {
+					t.Fatalf("seed %d: StepBytes = %d with %d bytes live", seed, a.StepBytes(), bytes)
+				}
+			}
+			for _, x := range live {
+				for _, v := range x.Data() {
+					if v != 1 {
+						t.Fatalf("seed %d: a live buffer was written through a released one", seed)
+					}
+				}
+			}
+			a.Reset()
+			return addrs
+		}
+		run() // the chain takes its shape
+		first, held := run(), a.HeldBytes()
+		second := run()
+		for i := range first {
+			if first[i] != second[i] {
+				t.Fatalf("seed %d: allocation %d moved between two identical steps", seed, i)
+			}
+		}
+		if a.HeldBytes() != held {
+			t.Fatalf("seed %d: the chain grew over an identical step: %d -> %d", seed, held, a.HeldBytes())
+		}
+		if a.StepPeakBytes() != peak {
+			t.Fatalf("seed %d: StepPeakBytes = %d, the live high-water mark was %d", seed, a.StepPeakBytes(), peak)
+		}
+		if float64(held) > 1.5*float64(peak)+2*slabCap*floatBytes {
+			t.Fatalf("seed %d: arena holds %d bytes for a largest step of %d", seed, held, peak)
+		}
+	}
+}
