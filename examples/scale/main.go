@@ -233,6 +233,7 @@ func printStoreStats(name string, st fedzkt.ReplicaStoreStats) {
 	fmt.Printf("%s: spill %d records, read %.1f MB / wrote %.1f MB, %d evictions, %d lazy init builds, %d faults\n",
 		name, st.SpillRecords, float64(st.SpillReadBytes)/1e6, float64(st.SpillWriteBytes)/1e6,
 		st.Evictions, st.InitBuilds, st.ReplicaFaults)
+	fmt.Printf("%s: entry buffers %d built, %d slots made hot in a vacated one\n", name, st.BuffersBuilt, st.BuffersReused)
 }
 
 // processRSS reads current and peak resident-set size in MB from

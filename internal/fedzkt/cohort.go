@@ -204,11 +204,11 @@ type cohortOptions struct {
 	// empty keeps every slot in memory. Under the spill store hotSet bounds
 	// each cohort shard's hot entries (0 = auto: the full cohort in exact
 	// mode, a teacher-window multiple in sampled mode) and initSlot rebuilds
-	// a device's seeded initial state, encoded with codec — the content of
-	// a virgin slot.
+	// a device's seeded initial state, encoded with codec and appended to
+	// dst — the content of a virgin slot.
 	spillDir string
 	hotSet   int
-	initSlot func(arch string, id int) ([]byte, error)
+	initSlot func(arch string, id int, dst []byte) ([]byte, error)
 }
 
 // cohortSet is the server's replica registry: every shard's cohorts,
@@ -271,8 +271,8 @@ func (cs *cohortSet) cohortFor(sh *cohortShard, arch string, sig *archSig, build
 	case cs.spillDir != "":
 		path := filepath.Join(cs.spillDir, fmt.Sprintf("shard%03d-%s.spill", sh.index, arch))
 		capFn := func() int { return cs.hotCap(c) }
-		init := func(local int) ([]byte, error) {
-			return cs.initSlot(c.arch, c.members[local].id)
+		init := func(local int, dst []byte) ([]byte, error) {
+			return cs.initSlot(c.arch, c.members[local].id, dst)
 		}
 		c.slots = newTieredSlots(cs.codec, path, capFn, init, &cs.counters)
 		if cs.prefetchCh == nil {

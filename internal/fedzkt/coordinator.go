@@ -330,9 +330,11 @@ type Coordinator struct {
 	// materialised model is bit-identical to a resident one. A device that
 	// never downloaded has no entry: its state is its seeded initial
 	// build, re-drawn into the rig's module in place.
+	// devCounters is its own allocation for the reason rigs is: the
+	// registry serves the stores' entry-buffer counts from it.
 	virtual       bool
 	devStore      map[string]*tieredSlots
-	devCounters   storeCounters
+	devCounters   *storeCounters
 	devSpillDir   string
 	devSpillOwned bool
 
@@ -385,12 +387,12 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 		_ = server.Close()
 		return nil, fmt.Errorf("fedzkt: %w", err)
 	}
-	c := &Coordinator{pool: pool, codec: server.Codec(), rigs: rigs}
+	c := &Coordinator{pool: pool, codec: server.Codec(), rigs: rigs, devCounters: &storeCounters{}}
 	if c.Engine, err = NewEngine(server, ds, c); err != nil {
 		_ = server.Close()
 		return nil, err
 	}
-	registerFleetMetrics(obs.Default(), rigs)
+	registerFleetMetrics(obs.Default(), rigs, &server.cohorts.counters, c.devCounters)
 	pool.RegisterMetrics(obs.Default())
 	if cfg.VirtualDevices {
 		if err := c.initVirtual(archs); err != nil {
@@ -473,29 +475,29 @@ func (c *Coordinator) initVirtual(archs []string) error {
 		// into a rig module (deviceModule), so the store is only ever asked
 		// for slots it holds.
 		path := filepath.Join(dir, "dev-"+arch+".spill")
-		c.devStore[arch] = newTieredSlots(c.codec, path, capFn, nil, &c.devCounters)
+		c.devStore[arch] = newTieredSlots(c.codec, path, capFn, nil, c.devCounters)
 	}
 	return nil
 }
 
-// deviceModule returns rig's live module for virtual device id's
-// architecture holding the device's seeded initial state when it has
-// never downloaded (enc nil), or — with the module's contents still
-// unspecified — the stored payload of its last download for the caller
-// to decode into it. Runs on scheduler workers and between-round
-// fan-outs; the store serialises slot access internally.
-func (c *Coordinator) deviceModule(rig *deviceRig, id int) (m nn.Module, enc []byte, err error) {
+// deviceModule makes rig's live module for virtual device id's
+// architecture hold the device's current state and returns it: the seeded
+// initial state when the device has never downloaded (held false), or what
+// install makes of the stored payload of its last download — run by the
+// one store read that decided which, on bytes lent for the call only. Runs
+// on scheduler workers and between-round fan-outs; the store serialises
+// slot access internally.
+func (c *Coordinator) deviceModule(rig *deviceRig, id int, install func(m nn.Module, enc []byte) error) (m nn.Module, held bool, err error) {
 	d := c.devices[id]
 	if m, err = rig.module(d.Arch); err != nil {
-		return nil, nil, err
+		return nil, false, err
 	}
-	ts := c.devStore[d.Arch]
-	if ts.virgin(id) {
+	held, err = c.devStore[d.Arch].read(id, func(enc []byte) error { return install(m, enc) })
+	if err == nil && !held {
 		// Bit-identical to the build a resident device starts from.
-		return m, nil, model.Reinit(m, tensor.NewRand(fed.DeviceSeed(c.cfg.Seed, id)))
+		err = model.Reinit(m, tensor.NewRand(fed.DeviceSeed(c.cfg.Seed, id)))
 	}
-	enc, err = ts.get(id)
-	return m, enc, err
+	return m, held, err
 }
 
 // materialiseDevice installs device id's current state in the worker
@@ -507,18 +509,15 @@ func (c *Coordinator) deviceModule(rig *deviceRig, id int) (m nn.Module, enc []b
 // evicts the device when the task ends.
 func (c *Coordinator) materialiseDevice(rig *deviceRig, id int) error {
 	d := c.devices[id]
-	m, enc, err := c.deviceModule(rig, id)
+	m, held, err := c.deviceModule(rig, id, func(m nn.Module, enc []byte) error {
+		d.Model = m
+		return d.DownloadPayload(enc)
+	})
 	if err != nil {
 		return fmt.Errorf("fedzkt: materialising device %d: %w", id, err)
 	}
 	d.Model = m
-	if enc == nil {
-		return nil
-	}
-	if err := d.DownloadPayload(enc); err != nil {
-		return fmt.Errorf("fedzkt: materialising device %d: %w", id, err)
-	}
-	if c.cfg.ProxMu > 0 {
+	if held && c.cfg.ProxMu > 0 {
 		d.LendAnchor(rig.anchor(d.Arch, m))
 	}
 	return nil
@@ -660,11 +659,10 @@ func (c *Coordinator) EvaluateDevices(ids []int) ([]float64, error) {
 		rig := c.pool.WorkerScratch(w).(*deviceRig)
 		m := c.devices[id].Model
 		if c.virtual {
-			var enc []byte
 			var err error
-			if m, enc, err = c.deviceModule(rig, id); err == nil && enc != nil {
-				err = codec.DecodeInto(enc, nn.CaptureState(m))
-			}
+			m, _, err = c.deviceModule(rig, id, func(m nn.Module, enc []byte) error {
+				return codec.DecodeInto(enc, nn.CaptureState(m))
+			})
 			if err != nil {
 				mu.Lock()
 				if firstErr == nil {

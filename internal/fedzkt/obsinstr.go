@@ -117,8 +117,9 @@ func newFedMetrics(reg *obs.Registry, srv *Server, payloads *payloadBuffers) *fe
 }
 
 // registerFleetMetrics adds scrape-time views of an in-process fleet's
-// device rigs to reg.
-func registerFleetMetrics(reg *obs.Registry, rigs *rigStats) {
+// device rigs to reg, and its device stores' entry buffers to the server's.
+func registerFleetMetrics(reg *obs.Registry, rigs *rigStats, server, devices *storeCounters) {
+	registerStoreBuffers(reg, server, devices)
 	reg.RegisterCounterFunc("fedzkt_device_rig_builds_total", "device modules built by worker rigs (at most workers × architectures)",
 		func() float64 { return float64(rigs.builds.Load()) })
 	reg.RegisterCounterFunc("fedzkt_device_rig_reuses_total", "virtual-device materialisations served by a rig's live module",

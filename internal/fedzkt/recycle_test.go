@@ -1,0 +1,296 @@
+package fedzkt
+
+// A bounded hot set recycles its buffers: what that may never do to a
+// reader, and what it buys.
+
+import (
+	"context"
+	"path/filepath"
+	"runtime"
+	"sync"
+	"testing"
+
+	"github.com/fedzkt/fedzkt/internal/codec"
+	"github.com/fedzkt/fedzkt/internal/tensor"
+)
+
+// recycleStore is a hot set of 2 over records of recLen equal bytes, the
+// way one cohort's containers are one length: slot i rebuilds as virginByte(i)
+// throughout, and want tracks what each slot was last put as.
+type recycleStore struct {
+	*tieredSlots
+	counters storeCounters
+	want     []byte
+}
+
+const (
+	recycleMembers = 5
+	recycleBound   = 2
+	recLen         = 48
+)
+
+func virginByte(i int) byte { return byte(1 + i) }
+
+func newRecycleStore(t *testing.T) *recycleStore {
+	t.Helper()
+	if !poisonSpares {
+		t.Fatal("a test binary does not poison evicted buffers: use-after-eviction would read plausible bytes")
+	}
+	cdc, err := codec.Get(codec.Float64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := &recycleStore{}
+	for i := 0; i < recycleMembers; i++ {
+		rs.want = append(rs.want, virginByte(i))
+	}
+	init := func(i int, dst []byte) ([]byte, error) { return appendRecord(dst, virginByte(i)), nil }
+	rs.tieredSlots = newTieredSlots(cdc, filepath.Join(t.TempDir(), "r.spill"), func() int { return recycleBound }, init, &rs.counters)
+	t.Cleanup(func() { _ = rs.close() })
+	return rs
+}
+
+func appendRecord(dst []byte, v byte) []byte {
+	for i := 0; i < recLen; i++ {
+		dst = append(dst, v)
+	}
+	return dst
+}
+
+// putVersion writes slot i as a record of v (never 0xFF, the poison).
+func (rs *recycleStore) putVersion(t *testing.T, i int, v byte) {
+	t.Helper()
+	err := rs.put(i, func(buf []byte) ([]byte, error) { return appendRecord(buf, v), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs.want[i] = v
+}
+
+// check reads slot i and fails unless it holds what was last put there (or
+// its virgin rebuild), whole.
+func (rs *recycleStore) check(t *testing.T, step, i int) {
+	t.Helper()
+	held, err := rs.read(i, func(enc []byte) error {
+		if len(enc) != recLen {
+			t.Fatalf("step %d: slot %d reads %d bytes, want %d", step, i, len(enc), recLen)
+		}
+		for _, b := range enc {
+			if b != rs.want[i] {
+				t.Fatalf("step %d: slot %d reads byte %#x, want %#x (0xff is an evicted buffer's poison)", step, i, b, rs.want[i])
+			}
+		}
+		return nil
+	})
+	if err != nil || !held {
+		t.Fatalf("step %d: read slot %d: held %v, err %v", step, i, held, err)
+	}
+}
+
+// TestTieredSlotsRecycleBounded: over a random walk of puts, reads and
+// prefetches on a bound-2 store whose evicted buffers are poisoned and
+// reused, every read sees the bytes last put (or the virgin rebuild), no
+// two buffers the store holds share storage, and the store builds at most
+// the bound plus the loads in flight however long it runs.
+func TestTieredSlotsRecycleBounded(t *testing.T) {
+	rs := newRecycleStore(t)
+	// The detector itself: bytes kept past their entry's eviction read as
+	// poison, not as the state they were.
+	var kept []byte
+	if _, err := rs.read(0, func(enc []byte) error { kept = enc; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	rs.check(t, -1, 1)
+	rs.check(t, -1, 2) // evicts slot 0
+	for _, b := range kept {
+		if b != 0xFF {
+			t.Fatalf("bytes borrowed past their entry's eviction read %#x, want the 0xff poison", b)
+		}
+	}
+	// …while a read in progress pins its entry: evicted under the reader,
+	// the buffer is neither poisoned nor refilled until the reader returns.
+	_, err := rs.read(3, func(enc []byte) error {
+		rs.prefetch(0)
+		rs.prefetch(1)
+		rs.prefetch(4) // three loads through a hot set of 2: slot 3 is out
+		if _, hot := rs.hot[3]; hot {
+			t.Fatal("slot 3 is still hot: the pinned-eviction case did not arise")
+		}
+		for _, b := range enc {
+			if b != virginByte(3) {
+				t.Fatalf("an entry evicted while being read shows byte %#x to its reader, want %#x", b, virginByte(3))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := tensor.NewRand(5)
+	for step := 0; step < 400; step++ {
+		i := rng.IntN(recycleMembers)
+		switch rng.IntN(3) {
+		case 0:
+			rs.putVersion(t, i, byte(16+step%200))
+		case 1:
+			rs.check(t, step, i)
+		case 2:
+			rs.prefetch(i)
+		}
+		owners := make(map[*byte]int)
+		for _, e := range rs.hot {
+			owners[&e.enc[0]]++
+		}
+		for _, b := range rs.spare {
+			owners[&b[:1][0]]++
+		}
+		if len(owners) != len(rs.hot)+len(rs.spare) {
+			t.Fatalf("step %d: %d hot and %d spare buffers share storage (%d distinct)", step, len(rs.hot), len(rs.spare), len(owners))
+		}
+	}
+	for i := 0; i < recycleMembers; i++ {
+		rs.check(t, 400, i)
+	}
+	built, reused, evictions := rs.counters.buffersBuilt.Load(), rs.counters.buffersReused.Load(), rs.counters.evictions.Load()
+	t.Logf("%d buffers built, %d reused over %d evictions", built, reused, evictions)
+	if built > recycleBound+2 {
+		t.Errorf("a hot set of %d built %d buffers, want at most %d", recycleBound, built, recycleBound+2)
+	}
+	if reused == 0 || built+reused < evictions {
+		t.Errorf("%d evictions refilled %d built + %d reused buffers: evicted buffers are not going round", evictions, built, reused)
+	}
+}
+
+// TestTieredSlotsPrefetchRace: the prefetcher loads, evicts and thereby
+// recycles buffers on its own goroutine while reads and puts go on; a read
+// still sees exactly what was last put, and -race sees no write to a
+// buffer a reader has pinned.
+func TestTieredSlotsPrefetchRace(t *testing.T) {
+	rs := newRecycleStore(t)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := tensor.NewRand(9)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				rs.prefetch(rng.IntN(recycleMembers))
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+		if rs.counters.prefetchLoaded.Load() == 0 {
+			t.Error("the prefetcher never loaded a slot")
+		}
+	}()
+	rng := tensor.NewRand(11)
+	for step := 0; step < 4000; step++ {
+		i := rng.IntN(recycleMembers)
+		if rng.IntN(2) == 0 {
+			rs.putVersion(t, i, byte(16+step%200))
+		} else {
+			rs.check(t, step, i)
+		}
+	}
+}
+
+// TestSpillColdCheckoutAllocs is the cold twin of TestCheckoutAllocsCeiling:
+// a hot set of 2 cycled over 16 members, so every checkout is a miss — half
+// of them spill reads, half virgin rebuilds — allocates, in steady state,
+// less than one container per checkout: the load lands in the buffer the
+// previous eviction vacated.
+func TestSpillColdCheckoutAllocs(t *testing.T) {
+	const members, hotSet = 16, 2
+	cfg := tinyConfig()
+	cfg.TeachersPerIter = 8
+	cfg.ReplicaStore = ReplicaStoreSpill
+	cfg.HotSet = hotSet
+	cfg.SpillDir = t.TempDir()
+	srv, err := NewServer(cfg, tinyShape(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for i := 0; i < members; i++ {
+		if _, err := srv.RegisterSized("mlp", nil, 1+i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The even members are written, and so spill; the odd ones stay virgin.
+	for i := 0; i < members; i += 2 {
+		if err := srv.cohorts.installDict(srv.cohorts.devices[i], seededState(uint64(100+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	container, err := srv.cohorts.appendPayload(srv.cohorts.devices[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		for i := 0; i < members; i++ {
+			l := srv.cohorts.checkout([]int{i}, false, false)
+			if l[0] == nil {
+				t.Fatalf("cold checkout dropped member %d: %v", i, srv.cohorts.faultErrs)
+			}
+			if err := srv.cohorts.release(l); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cycle() // warm the pool, the seed module and the spare list
+	before := srv.ReplicaStoreStats()
+	const cycles = 8
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for c := 0; c < cycles; c++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&m1)
+	d := srv.ReplicaStoreStats().Sub(before)
+	if d.Hits != 0 || d.Misses != cycles*members || d.InitBuilds != cycles*members/2 || d.SpillReads != cycles*members/2 {
+		t.Fatalf("%d hits, %d misses, %d virgin rebuilds, %d spill reads over %d checkouts; want every one a miss, half of each kind",
+			d.Hits, d.Misses, d.InitBuilds, d.SpillReads, cycles*members)
+	}
+	perCheckout := float64(m1.TotalAlloc-m0.TotalAlloc) / (cycles * members)
+	t.Logf("steady-state cold checkout allocates %.0f bytes; a container is %d", perCheckout, len(container))
+	if perCheckout >= float64(len(container)) {
+		t.Errorf("a cold checkout allocates %.0f bytes, want less than one container (%d)", perCheckout, len(container))
+	}
+	if d.BuffersBuilt != 0 {
+		t.Errorf("%d entry buffers built in steady state, want every load in a vacated one", d.BuffersBuilt)
+	}
+}
+
+// TestFleetStoreBuffersBounded: over a virtual, spilling run the server's
+// cohort stores and the device stores together build no more entry buffers
+// than their hot-set bounds plus what can be in flight — per store one
+// load, and one entry per worker evicted while that worker was reading it —
+// however many evictions the run performs; and the registry serves the sum.
+func TestFleetStoreBuffersBounded(t *testing.T) {
+	co := toyFleet(t, 6, nil)
+	if _, err := co.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	srv, dev := co.Server().ReplicaStoreStats(), co.DeviceStoreStats()
+	// Two architectures, so two stores a side, each bounded by HotSet.
+	stores := int64(2 * (co.Server().ReplicaShards() + 1))
+	bound := stores * int64(co.cfg.HotSet)
+	built, reused := srv.BuffersBuilt+dev.BuffersBuilt, srv.BuffersReused+dev.BuffersReused
+	t.Logf("%d entry buffers built, %d reused over %d evictions (Σ hot-set bounds %d)", built, reused, srv.Evictions+dev.Evictions, bound)
+	if limit := bound + stores*int64(1+co.cfg.Workers); built > limit {
+		t.Errorf("the stores built %d entry buffers, want at most Σ bounds + in flight = %d", built, limit)
+	}
+	if dev.BuffersReused == 0 || srv.BuffersReused == 0 {
+		t.Errorf("reused buffers: server %d, device stores %d; want both recycling", srv.BuffersReused, dev.BuffersReused)
+	}
+	checkScraped(t, map[string]int64{
+		"fedzkt_store_buffers_built_total":  built,
+		"fedzkt_store_buffers_reused_total": reused,
+	})
+}

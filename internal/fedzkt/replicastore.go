@@ -45,9 +45,24 @@ package fedzkt
 //     same per-cohort lock as checkouts — the overlap won is against
 //     distillation compute (which holds no store locks), not against
 //     other store traffic — and never touch an existing entry's buffer.
+//
+// One ownership rule makes a bounded hot set free of garbage: entry bytes
+// are lent, never handed over. No method returns an entry's buffer; a
+// reader gives tieredSlots.read a function that decodes or copies, and the
+// entry is pinned for exactly as long as that function runs. An evicted
+// entry that nobody has pinned can therefore have no reader, and its buffer
+// goes onto the store's spare list to be filled by the next cold load,
+// virgin rebuild or install (a pinned one follows when its last reader
+// returns). Records of one cohort are one length (ensureFile), so a spare
+// always fits, and hot + spare never exceeds the buffers ever built: the
+// hot-set bound plus what was in flight. The function runs outside the
+// store's lock — a decode held under it cost the prefetcher 0.005 of
+// fedzkt.store_prefetch_overlap on fleet1k_spill, in 10 of 10 pairs.
 
 import (
 	"fmt"
+	"os"
+	"strings"
 	"sync"
 
 	"github.com/fedzkt/fedzkt/internal/codec"
@@ -80,6 +95,9 @@ type storeCounters struct {
 	initBuilds     obs.Counter // virgin slots rebuilt from their registration seed
 	evictions      obs.Counter
 	replicaFaults  obs.Counter
+	// buffersBuilt and buffersReused count slots becoming hot in a buffer
+	// started from nothing vs in one an eviction vacated.
+	buffersBuilt, buffersReused obs.Counter
 }
 
 // register binds the counters into reg under fedzkt_store_* names.
@@ -89,6 +107,27 @@ func (c *storeCounters) register(reg *obs.Registry) {
 	reg.RegisterCounter("fedzkt_store_prefetch_issued_total", "replica prefetches issued", &c.prefetchIssued)
 	reg.RegisterCounter("fedzkt_store_prefetch_loaded_total", "replica prefetches loaded before use", &c.prefetchLoaded)
 	reg.RegisterCounter("fedzkt_store_evictions_total", "hot-set evictions to the spill tier", &c.evictions)
+	registerStoreBuffers(reg, c)
+}
+
+// registerStoreBuffers serves the entry-buffer pair summed over stores: the
+// server's counters, and with them an in-process fleet's virtual-device
+// stores' once there is one (registerFleetMetrics) — built stays near the
+// hot-set bounds while reused grows with every cold load.
+func registerStoreBuffers(reg *obs.Registry, stores ...*storeCounters) {
+	sum := func(of func(*storeCounters) *obs.Counter) func() float64 {
+		return func() float64 {
+			var n int64
+			for _, c := range stores {
+				n += of(c).Load()
+			}
+			return float64(n)
+		}
+	}
+	reg.RegisterCounterFunc("fedzkt_store_buffers_built_total", "hot-set entry buffers allocated (at most the hot-set bounds plus the peak in flight)",
+		sum(func(c *storeCounters) *obs.Counter { return &c.buffersBuilt }))
+	reg.RegisterCounterFunc("fedzkt_store_buffers_reused_total", "slots made hot in a buffer an eviction vacated",
+		sum(func(c *storeCounters) *obs.Counter { return &c.buffersReused }))
 }
 
 // snapshot starts a stats snapshot from the counters; the stores add their
@@ -99,6 +138,7 @@ func (c *storeCounters) snapshot(mode string, shards int) ReplicaStoreStats {
 		Hits: c.hits.Load(), Misses: c.misses.Load(),
 		PrefetchIssued: c.prefetchIssued.Load(), PrefetchLoaded: c.prefetchLoaded.Load(), PrefetchHits: c.prefetchHits.Load(),
 		InitBuilds: c.initBuilds.Load(), Evictions: c.evictions.Load(),
+		BuffersBuilt: c.buffersBuilt.Load(), BuffersReused: c.buffersReused.Load(),
 		ReplicaFaults: c.replicaFaults.Load(),
 	}
 }
@@ -128,6 +168,10 @@ type ReplicaStoreStats struct {
 	InitBuilds int64
 	// Evictions counts hot-set evictions.
 	Evictions int64
+	// BuffersBuilt and BuffersReused count slots made hot in a newly
+	// allocated buffer vs in one an eviction vacated: built stays near the
+	// hot-set bound however many cold loads a run performs.
+	BuffersBuilt, BuffersReused int64
 	// SpillReads/SpillWrites and SpillReadBytes/SpillWriteBytes count
 	// record I/O against the spill files; SpillRecords is how many
 	// distinct members currently have a spilled record.
@@ -170,6 +214,8 @@ func (s ReplicaStoreStats) Sub(prev ReplicaStoreStats) ReplicaStoreStats {
 	d.PrefetchHits -= prev.PrefetchHits
 	d.InitBuilds -= prev.InitBuilds
 	d.Evictions -= prev.Evictions
+	d.BuffersBuilt -= prev.BuffersBuilt
+	d.BuffersReused -= prev.BuffersReused
 	d.SpillReads -= prev.SpillReads
 	d.SpillWrites -= prev.SpillWrites
 	d.SpillReadBytes -= prev.SpillReadBytes
@@ -256,14 +302,23 @@ func (d *denseSlots) addStats(st *ReplicaStoreStats) {
 	st.HotBytes += int64(len(d.states)) * int64(d.numel) * 8
 }
 
+// poisonSpares makes a buffer going onto a spare list be overwritten with
+// 0xFF first when the binary is a test, so a borrower that outlived its
+// entry fails the container magic or a CRC instead of reading plausible
+// bytes. Detected from the binary's name, as tensor's arena poison is:
+// linking package testing into every program costs set-up time.
+var poisonSpares = strings.HasSuffix(strings.TrimSuffix(os.Args[0], ".exe"), ".test")
+
 // hotEntry is one resident member buffer in a cohort's hot set, linked
 // into the LRU list (head = most recent). The buffer is owned by the
-// entry and is never recycled on eviction — a lease that borrowed the
-// bytes keeps them alive through the garbage collector — so concurrent
-// readers can never observe a reused buffer.
+// entry and lent only to the functions tieredSlots.read is running on it,
+// counted in pins, so no borrower outlives its pin: eviction (or, for a
+// pinned entry, the last unpin after it) hands the buffer to the store's
+// spare list and the next slot to become hot overwrites it.
 type hotEntry struct {
 	local      int
 	enc        []byte
+	pins       int  // reads in progress on enc
 	dirty      bool // differs from (or absent in) the spill record
 	prefetched bool // loaded by the prefetcher, not yet hit
 	prev, next *hotEntry
@@ -273,7 +328,9 @@ type hotEntry struct {
 // list, and — when bounded — the spill file (created lazily at first
 // eviction) and the virgin-reconstruction hook. All access is serialised
 // by mu; the prefetcher performs its loads under the same lock, so record
-// reads can never race an eviction's write of the same slot.
+// reads can never race an eviction's write of the same slot, and a reader
+// pins its entry (read), so it can never race the reuse of an evicted
+// buffer.
 type tieredSlots struct {
 	mu       sync.Mutex
 	hot      map[int]*hotEntry
@@ -281,6 +338,11 @@ type tieredSlots struct {
 	head     *hotEntry
 	tail     *hotEntry
 	file     *codec.SpillFile
+	// spare holds the buffers of evicted, unpinned entries until a slot
+	// becoming hot takes one (vacated). Unbounded by design: hot + spare is
+	// every buffer ever built, which is the hot-set bound plus what was in
+	// flight.
+	spare [][]byte
 
 	// codec encodes dicts into slots; payloads in other encodings are
 	// converted to it.
@@ -293,13 +355,14 @@ type tieredSlots struct {
 	// spillPath names the lazily created spill file.
 	spillPath string
 	// init rebuilds a virgin member's encoded container from its
-	// registration seed; nil where every slot is written before it is read.
-	init func(local int) ([]byte, error)
+	// registration seed, appended to dst; nil where a slot that was never
+	// written holds no state.
+	init func(local int, dst []byte) ([]byte, error)
 
 	counters *storeCounters
 }
 
-func newTieredSlots(c codec.Codec, spillPath string, capFn func() int, init func(int) ([]byte, error), counters *storeCounters) *tieredSlots {
+func newTieredSlots(c codec.Codec, spillPath string, capFn func() int, init func(int, []byte) ([]byte, error), counters *storeCounters) *tieredSlots {
 	return &tieredSlots{
 		hot:       make(map[int]*hotEntry),
 		codec:     c,
@@ -383,8 +446,38 @@ func (ts *tieredSlots) evictOver() error {
 		delete(ts.hot, e.local)
 		ts.hotBytes -= int64(len(e.enc))
 		ts.counters.evictions.Add(1)
+		if e.pins == 0 {
+			ts.recycle(e.enc)
+		}
 	}
 	return nil
+}
+
+// recycle puts the buffer of an evicted entry no reader has pinned on the
+// spare list. Callers hold mu.
+func (ts *tieredSlots) recycle(buf []byte) {
+	if poisonSpares {
+		for i := range buf {
+			buf[i] = 0xFF
+		}
+	}
+	ts.spare = append(ts.spare, buf)
+}
+
+// vacated returns an evicted entry's buffer, emptied, for a slot that is
+// becoming hot, or nil when there is none and the fill will allocate.
+// Callers hold mu.
+func (ts *tieredSlots) vacated() []byte {
+	n := len(ts.spare)
+	if n == 0 {
+		ts.counters.buffersBuilt.Add(1)
+		return nil
+	}
+	buf := ts.spare[n-1]
+	ts.spare[n-1] = nil
+	ts.spare = ts.spare[:n-1]
+	ts.counters.buffersReused.Add(1)
+	return buf[:0]
 }
 
 // ensureFile lazily creates the spill file sized to the first evicted
@@ -403,60 +496,92 @@ func (ts *tieredSlots) ensureFile(recLen int) error {
 	return nil
 }
 
-// load fetches a non-resident member's bytes: from the spill file when a
-// record exists, else by rebuilding the virgin initial state. Callers
-// hold mu.
+// spilled reports whether member local has a spill record. Callers hold mu.
+func (ts *tieredSlots) spilled(local int) bool {
+	return ts.file != nil && ts.file.Written(local)
+}
+
+// loadable reports whether a non-resident member has bytes to load: a
+// spill record, or a virgin state the store can rebuild. Callers hold mu.
+func (ts *tieredSlots) loadable(local int) bool {
+	return ts.init != nil || ts.spilled(local)
+}
+
+// load fetches a loadable member's bytes into a vacated buffer: from the
+// spill file when a record exists, else by rebuilding the virgin initial
+// state. A failed load loses its buffer to the collector. Callers hold mu.
 func (ts *tieredSlots) load(local int) ([]byte, error) {
-	if ts.file != nil && ts.file.Written(local) {
+	if ts.spilled(local) {
 		span := tracer().Begin("store", "spill_load")
-		b, err := ts.file.Read(local, nil)
+		b, err := ts.file.Read(local, ts.vacated())
 		span.End()
 		return b, err
 	}
-	if ts.init == nil {
-		return nil, fmt.Errorf("fedzkt: slot %d holds no state", local)
-	}
 	ts.counters.initBuilds.Add(1)
-	return ts.init(local)
+	return ts.init(local, ts.vacated())
 }
 
-// get returns member local's container bytes, making it hot. The bytes
-// are owned by the store; callers decode or copy, and mutate a slot only
-// through the install methods and a writable release. A load failure is
+// read makes member local hot and runs fn on its container bytes: fn
+// decodes or copies, and must not keep enc — the entry is pinned only while
+// fn runs, and its buffer is reused once it has been evicted. A slot holds
+// a state if it was written or the store can rebuild its virgin one; where
+// it does not, read reports false and fn is not run. A load failure is
 // returned for the caller to degrade on (drop the member, record a fault).
-func (ts *tieredSlots) get(local int) ([]byte, error) {
+func (ts *tieredSlots) read(local int, fn func(enc []byte) error) (held bool, err error) {
+	e, err := ts.pin(local)
+	if e == nil {
+		return false, err
+	}
+	err = fn(e.enc)
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	if e, ok := ts.hot[local]; ok {
+	if e.pins--; e.pins == 0 && ts.hot[local] != e {
+		ts.recycle(e.enc) // evicted while it was being read
+	}
+	return true, err
+}
+
+// pin makes member local hot and returns its entry with one more read in
+// progress, or nil where the slot holds no state.
+func (ts *tieredSlots) pin(local int) (*hotEntry, error) {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	e, ok := ts.hot[local]
+	switch {
+	case ok:
 		ts.counters.hits.Add(1)
 		if e.prefetched {
 			e.prefetched = false
 			ts.counters.prefetchHits.Add(1)
 		}
 		ts.touch(e)
-		return e.enc, nil
+	case !ts.loadable(local):
+		return nil, nil
+	default:
+		ts.counters.misses.Add(1)
+		enc, err := ts.load(local)
+		if err != nil {
+			return nil, err
+		}
+		e = &hotEntry{local: local, enc: enc}
+		if err := ts.insert(e); err != nil {
+			return nil, err
+		}
 	}
-	ts.counters.misses.Add(1)
-	enc, err := ts.load(local)
-	if err != nil {
-		return nil, err
-	}
-	e := &hotEntry{local: local, enc: enc}
-	if err := ts.insert(e); err != nil {
-		return nil, err
-	}
-	return e.enc, nil
+	e.pins++
+	return e, nil
 }
 
 // put replaces member local's bytes with what fill makes of the member's
-// hot buffer, emptied (nil for a non-resident member), and marks the entry
-// dirty: the spill record, if any, is stale until the next eviction.
+// hot buffer, emptied (a vacated one for a non-resident member), and marks
+// the entry dirty: the spill record, if any, is stale until the next
+// eviction.
 func (ts *tieredSlots) put(local int, fill func(buf []byte) ([]byte, error)) error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	e, ok := ts.hot[local]
 	if !ok {
-		e = &hotEntry{local: local}
+		e = &hotEntry{local: local, enc: ts.vacated()}
 	}
 	enc, err := fill(e.enc[:0])
 	if err != nil {
@@ -497,20 +622,29 @@ func (ts *tieredSlots) installPayload(i int, payload []byte) error {
 	return ts.putBytes(i, payload)
 }
 
+// mustRead is read for the slotStore paths, where every slot asked for was
+// registered with a state or has a virgin one.
+func (ts *tieredSlots) mustRead(i int, fn func(enc []byte) error) error {
+	held, err := ts.read(i, fn)
+	if err == nil && !held {
+		err = fmt.Errorf("fedzkt: slot %d holds no state", i)
+	}
+	return err
+}
+
 func (ts *tieredSlots) appendPayload(dst []byte, i int) ([]byte, error) {
-	enc, err := ts.get(i)
+	err := ts.mustRead(i, func(enc []byte) error {
+		dst = append(dst, enc...)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return append(dst, enc...), nil
+	return dst, nil
 }
 
 func (ts *tieredSlots) checkout(i int, into *replicaSlot) error {
-	enc, err := ts.get(i)
-	if err != nil {
-		return err
-	}
-	return codec.DecodeInto(enc, into.sd)
+	return ts.mustRead(i, func(enc []byte) error { return codec.DecodeInto(enc, into.sd) })
 }
 
 // release re-encodes a writable lease's module state into the slot. A
@@ -530,7 +664,7 @@ func (ts *tieredSlots) release(i int, from *replicaSlot, writable bool) error {
 func (ts *tieredSlots) prefetch(local int) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	if _, ok := ts.hot[local]; ok {
+	if _, ok := ts.hot[local]; ok || !ts.loadable(local) {
 		return
 	}
 	enc, err := ts.load(local)
@@ -546,10 +680,8 @@ func (ts *tieredSlots) prefetch(local int) {
 func (ts *tieredSlots) virgin(local int) bool {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	if _, ok := ts.hot[local]; ok {
-		return false
-	}
-	return ts.file == nil || !ts.file.Written(local)
+	_, ok := ts.hot[local]
+	return !ok && !ts.spilled(local)
 }
 
 func (ts *tieredSlots) addStats(st *ReplicaStoreStats) {

@@ -57,23 +57,25 @@ func runAllocs(t *testing.T, co *Coordinator) uint64 {
 // verbatim-payload device store buy. A steady-state round of the toy
 // fleet — the difference between a 12-round and a 4-round run, so set-up,
 // warm-up and the one final evaluation cancel — stays under a byte
-// ceiling: it measures ≈ 1.4 MB (2.6 MB while every materialisation
-// still snapshotted a proximal anchor nobody read) where one model build,
-// one set of gradient sinks and one set of momentum buffers per
-// participation, plus the store's decode → float64 re-encode detour, cost
-// ≈ 15 MB. (A -race build allocates a few MB more for the same rounds; the
-// ceiling covers both.)
+// ceiling: it measures ≈ 0.11 MB (0.88 MB while every cold load, virgin
+// rebuild and download into a cold slot allocated its hot-set buffer — the
+// toy fleet's hot sets of 4 evict all round — and 2.6 MB while every
+// materialisation also snapshotted a proximal anchor nobody read) where one
+// model build, one set of gradient sinks and one set of momentum buffers
+// per participation, plus the store's decode → float64 re-encode detour,
+// cost ≈ 15 MB. (A -race build's instrumentation allocates ≈ 2.8 MB a round
+// on top; the ceiling is checked without it.)
 // And over a whole run the pool's rigs build exactly workers × architectures device
 // modules, serving every other materialisation by reuse.
 func TestVirtualRoundAllocCeiling(t *testing.T) {
-	const short, long, ceiling = 4, 12, 8 << 20
+	const short, long, ceiling = 4, 12, 256 << 10
 	_ = runAllocs(t, toyFleet(t, short, nil)) // warm the process-wide pools
 	a := runAllocs(t, toyFleet(t, short, nil))
 	co := toyFleet(t, long, nil)
 	b := runAllocs(t, co)
 	perRound := (float64(b) - float64(a)) / (long - short)
 	t.Logf("steady-state allocation: %.0f bytes/round", perRound)
-	if perRound > ceiling {
+	if perRound > ceiling && !raceEnabled {
 		t.Errorf("a steady-state virtual round allocates %.0f bytes, ceiling %d", perRound, ceiling)
 	}
 

@@ -149,14 +149,14 @@ func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 	return s, nil
 }
 
-// seededSlot encodes device id's seeded registration state — the defined
-// content of a virgin slot, bit-identical to what eager
+// seededSlot appends the encoding of device id's seeded registration state
+// to dst — the defined content of a virgin slot, bit-identical to what eager
 // registration would have stored — rebuilt on the slot's first touch. One
 // cached module per architecture is re-seeded in place for every such
 // rebuild (checkouts of different shards and the prefetcher reach here
 // concurrently, hence the lock, held until the module's tensors have been
 // encoded).
-func (s *Server) seededSlot(arch string, id int) ([]byte, error) {
+func (s *Server) seededSlot(arch string, id int, dst []byte) ([]byte, error) {
 	rng := tensor.NewRand(fed.DeviceSeed(s.cfg.Seed, id))
 	s.seedMu.Lock()
 	defer s.seedMu.Unlock()
@@ -172,7 +172,7 @@ func (s *Server) seededSlot(arch string, id int) ([]byte, error) {
 		}
 		s.seedModules[arch] = m
 	}
-	return codec.Encode(s.codec, nn.CaptureState(m))
+	return s.codec.Append(dst, nn.CaptureState(m))
 }
 
 // Close stops the replica prefetcher and releases the spill store's files

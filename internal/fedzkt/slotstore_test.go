@@ -52,7 +52,7 @@ func TestSlotStoreContract(t *testing.T) {
 		var counters storeCounters
 		// Member i's seeded registration state: what a bounded store
 		// rebuilds for a slot it never stored.
-		init := func(i int) ([]byte, error) { return codec.Encode(cdc, seededState(uint64(100+i))) }
+		init := func(i int, dst []byte) ([]byte, error) { return cdc.Append(dst, seededState(uint64(100+i))) }
 		backings := []struct {
 			name    string
 			store   slotStore
@@ -234,7 +234,7 @@ func TestSlotStoreContract(t *testing.T) {
 	for name, capFn := range map[string]func() int{"unbounded": nil, "bound2": func() int { return 2 }} {
 		t.Run("hotbytes/"+name, func(t *testing.T) {
 			var counters storeCounters
-			init := func(i int) ([]byte, error) { return make([]byte, 8+i), nil }
+			init := func(i int, dst []byte) ([]byte, error) { return append(dst, make([]byte, 8+i)...), nil }
 			ts := newTieredSlots(cdc, filepath.Join(t.TempDir(), "h.spill"), capFn, init, &counters)
 			defer ts.close()
 			rng := tensor.NewRand(5)
@@ -246,7 +246,7 @@ func TestSlotStoreContract(t *testing.T) {
 						t.Fatal(err)
 					}
 				case 1:
-					if _, err := ts.get(i); err != nil {
+					if _, err := ts.read(i, func([]byte) error { return nil }); err != nil {
 						t.Fatal(err)
 					}
 				case 2:
