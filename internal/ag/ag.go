@@ -25,13 +25,16 @@
 // buffer AND tape node. Ops that know a buffer's last reader hand it back
 // sooner (tensor.Arena.Release): a conv lowering after the last GEMM that
 // reads it, conv and pooling backward scratch when the node's backward
-// returns — so an arena's tape is walked by Backward once. Interior gradients
-// stay until Reset (callers read x.Grad() after Backward), and an entry of
-// a shared ColMemo is never released by a reader. An arena marked
-// ForwardOnly (evaluation) records no tape at all, so its ops save nothing
-// for a backward and chains may Discard an activation after its one
-// reader. Leaf gradients (parameters) never come from the
-// step arena, so optimisers can keep reading them after Reset: a leaf's
+// returns, an interior node's gradient as soon as that backward has
+// consumed it — so an arena's tape is walked by Backward once. A caller
+// that reads an interior x.Grad() after Backward marks x with RetainGrad
+// first; on the heap path an unretained interior gradient is dropped the
+// same way, so both paths follow one rule. An entry of a shared ColMemo
+// is never released by a reader. An arena marked ForwardOnly (evaluation)
+// records no tape at all, so its ops save nothing for a backward and
+// chains may Discard an activation after its one reader. Leaf gradients
+// (parameters) never come from the step arena, so optimisers can keep
+// reading them after Reset, and Backward never takes them back: a leaf's
 // gradient is allocated on its first accumulation — from the heap, kept
 // for the life of the leaf (server-side models), or, between LendGrads and
 // DetachGrads, from a longer-lived tensor arena that takes the buffer back
@@ -83,6 +86,9 @@ type Variable struct {
 	// lent, on a leaf, is the arena its gradient buffer is drawn from
 	// (LendGrads); nil allocates it from the heap.
 	lent *tensor.Arena
+	// retain keeps an interior node's gradient past its backward
+	// (RetainGrad).
+	retain bool
 }
 
 // Arena is the step-scoped allocator of the autodiff engine: tensor
@@ -327,7 +333,15 @@ func ConstIn(a *Arena, t *tensor.Tensor) *Variable { return NewVarIn(a, t, false
 func (v *Variable) Value() *tensor.Tensor { return v.value }
 
 // Grad returns the accumulated gradient, or nil if none has been computed.
+// After Backward an interior node's gradient is nil unless RetainGrad was
+// called on it; a leaf's stays.
 func (v *Variable) Grad() *tensor.Tensor { return v.grad }
+
+// RetainGrad marks an interior node whose gradient the caller will read
+// after Backward, which otherwise hands it back once the node's own
+// backward has consumed it. Call it before Backward; on a leaf it changes
+// nothing.
+func (v *Variable) RetainGrad() { v.retain = true }
 
 // RequiresGrad reports whether gradients are accumulated for v.
 func (v *Variable) RequiresGrad() bool { return v.requiresGrad }
@@ -376,7 +390,8 @@ func DetachGrads(leaves []*Variable) {
 }
 
 // gradArena is where v's gradient buffer comes from: the step arena for an
-// interior node (it dies with the step), the lender or the heap (nil) for a
+// interior node (Backward hands it back after the node's backward, or the
+// step's Reset does if it is retained), the lender or the heap (nil) for a
 // leaf, which keeps the buffer across steps.
 func (v *Variable) gradArena() *tensor.Arena {
 	if v.ar != nil {
@@ -468,6 +483,11 @@ func constIn(a *Arena, val *tensor.Tensor) *Variable {
 // Backward runs reverse-mode differentiation from the scalar root,
 // accumulating gradients into every reachable Variable with
 // RequiresGrad=true. The root must hold exactly one element.
+//
+// An interior node's gradient goes back to its arena — on the heap path it
+// is only dropped — as soon as the node's backward has consumed it
+// (reverse topological order means every other reader has already run),
+// unless the node is marked RetainGrad. Leaves keep theirs.
 func Backward(root *Variable) {
 	if root.value.Len() != 1 {
 		panic(fmt.Sprintf("ag: Backward root must be scalar, has %d elements", root.value.Len()))
@@ -480,10 +500,16 @@ func Backward(root *Variable) {
 	seed := a.rawLike(root.value)
 	seed.Fill(1)
 	root.accum(seed)
+	a.release(seed)
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
-		if n.back != nil && n.grad != nil {
-			n.back(n, n.grad)
+		if n.back == nil || n.grad == nil {
+			continue
+		}
+		n.back(n, n.grad)
+		if !n.retain {
+			n.ar.release(n.grad)
+			n.grad = nil
 		}
 	}
 	for _, n := range order {

@@ -45,28 +45,53 @@ func netParams(seed uint64) map[string]*Variable {
 	}
 }
 
+// interior lists the nodes of root's tape that have a backward, in a fixed
+// depth-first order: two tapes recorded by the same forward list
+// corresponding nodes at the same index.
+func interior(root *Variable) []*Variable {
+	var out []*Variable
+	seen := map[*Variable]bool{}
+	var walk func(v *Variable)
+	walk = func(v *Variable) {
+		if v.back == nil || seen[v] {
+			return
+		}
+		seen[v] = true
+		out = append(out, v)
+		for _, p := range v.parents[:v.nparents] {
+			walk(p)
+		}
+	}
+	walk(root)
+	return out
+}
+
 // TestArenaGradsBitIdenticalToHeap pins the arena path (recycled buffers,
-// slab nodes, fused first-accumulation, lowerings and backward scratch
-// released at their last read — NaN-filled on release, this being a test)
-// to the heap path bit for bit: same inputs, same parameters, identical
-// loss and identical gradients — repeatedly, across Reset cycles, so buffer
-// recycling is exercised — in the four ways a conv meets its lowering:
-// trainable (col kept for dW, dcol in its place), frozen weights under an
-// input gradient (col gone before the forward returns), an input covered
-// by a shared ColMemo (col not the node's to release), and a ForwardOnly
-// arena (the same loss, no tape at all).
+// slab nodes, fused first-accumulation, lowerings, backward scratch and
+// interior gradients released at their last read — NaN-filled on release,
+// this being a test) to the heap path bit for bit: same inputs, same
+// parameters, identical loss and identical leaf gradients — repeatedly,
+// across Reset cycles, so buffer recycling is exercised — in the four ways
+// a conv meets its lowering: trainable (col kept for dW, dcol in its
+// place), frozen weights under an input gradient (col gone before the
+// forward returns), an input covered by a shared ColMemo (col not the
+// node's to release), and a ForwardOnly arena (the same loss, no tape at
+// all). On both paths every interior gradient is gone when Backward
+// returns, except on the nodes the retained row marks with RetainGrad,
+// which read the same bits on both.
 func TestArenaGradsBitIdenticalToHeap(t *testing.T) {
 	xt := tensor.New(4, 1, 8, 8)
 	tensor.FillNormal(xt, 0, 1, tensor.NewRand(11))
 
 	for _, tc := range []struct {
-		name                         string
-		frozen, covered, forwardOnly bool
+		name                                   string
+		frozen, covered, forwardOnly, retained bool
 	}{
 		{name: "trainable"},
 		{name: "frozen weight", frozen: true},
 		{name: "memo-covered input", covered: true},
 		{name: "forward-only", forwardOnly: true},
+		{name: "retained", retained: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			heapP, arenaP := netParams(5), netParams(5)
@@ -86,9 +111,37 @@ func TestArenaGradsBitIdenticalToHeap(t *testing.T) {
 				}
 				xh, xa := NewVar(xt, tc.frozen), NewVarIn(ar, xt, tc.frozen)
 				lossH := buildNet(xh, heapP)
-				Backward(lossH)
 				lossA := buildNet(xa, arenaP)
+				tapeH, tapeA := interior(lossH), interior(lossA)
+				if !tc.forwardOnly && len(tapeA) != len(tapeH) {
+					t.Fatalf("step %d: arena tape has %d nodes, heap tape %d", step, len(tapeA), len(tapeH))
+				}
+				if tc.retained {
+					// Every other node, so a retained gradient sits between
+					// released ones on the arena.
+					for i := 0; i < len(tapeH); i += 2 {
+						tapeH[i].RetainGrad()
+						tapeA[i].RetainGrad()
+					}
+				}
+				Backward(lossH)
 				Backward(lossA)
+
+				for i, n := range tapeH {
+					if tc.retained && i%2 == 0 {
+						if n.Grad() == nil || tapeA[i].Grad() == nil {
+							t.Fatalf("step %d: retained node %d lost its gradient", step, i)
+						}
+						bitsEq(t, "retained interior grad", tapeA[i].Grad(), n.Grad())
+					} else if n.Grad() != nil {
+						t.Fatalf("step %d: heap interior node %d kept its gradient past Backward", step, i)
+					}
+				}
+				for i, n := range tapeA {
+					if n.Grad() != nil && !(tc.retained && i%2 == 0) {
+						t.Fatalf("step %d: arena interior node %d kept its gradient past Backward", step, i)
+					}
+				}
 
 				if hb, ab := math.Float64bits(lossH.Value().Data()[0]), math.Float64bits(lossA.Value().Data()[0]); hb != ab {
 					t.Fatalf("step %d: loss differs: %x vs %x", step, hb, ab)
@@ -140,16 +193,17 @@ func TestArenaGradsBitIdenticalToHeap(t *testing.T) {
 // by what is left live when Conv2d and Backward return: a frozen conv's
 // column matrix and GEMM staging are back before Conv2d returns, a
 // trainable conv keeps the column matrix exactly until its dW, and the
-// backward's gy, dcol and dx are all back when it returns.
+// backward's gy, dcol and dx — and the seed and every interior gradient —
+// are all back when it returns. Only a leaf's gradient stays.
 func TestArenaConvColMemo(t *testing.T) {
 	xt := tensor.New(2, 1, 6, 6)
 	tensor.FillNormal(xt, 0, 1, tensor.NewRand(3))
 	wt := tensor.New(2, 1, 3, 3)
 	tensor.FillNormal(wt, 0, 1, tensor.NewRand(4))
 	const colBytes, outBytes, xBytes = 9 * 2 * 36 * 8, 2 * 2 * 36 * 8, 2 * 36 * 8
-	// What Backward(SumAll(y)) leaves besides y's gradient: the loss
-	// value, the seed and the loss gradient, one element each.
-	const scalars = 3 * 8
+	// What Backward(SumAll(y)) leaves besides the conv's own output: the
+	// loss value.
+	const scalar = 8
 
 	ar := NewArena()
 	ref := Conv2d(Const(xt), Const(wt), nil, 1, 1) // heap
@@ -170,21 +224,47 @@ func TestArenaConvColMemo(t *testing.T) {
 		t.Fatalf("trainable conv left %d bytes live, want output + column matrix = %d", got, outBytes+colBytes)
 	}
 	Backward(SumAll(y))
-	if got := ar.T.StepBytes() - before; got != 2*outBytes+scalars {
-		t.Fatalf("after its backward a trainable conv holds %d bytes, want output + output gradient = %d", got, 2*outBytes+scalars)
+	if got := ar.T.StepBytes() - before; got != outBytes+scalar {
+		t.Fatalf("after its backward a trainable conv holds %d bytes, want its output = %d", got, outBytes+scalar)
 	}
 
-	// Frozen weight under an input gradient: dcol and dx come and go.
+	// Frozen weight under an input gradient: dcol and dx come and go, and
+	// dX stays — it is a leaf's gradient.
 	xg := NewVarIn(ar, xt, true)
 	before = ar.T.StepBytes()
 	Backward(SumAll(Conv2d(xg, Const(wt), nil, 1, 1)))
-	if got := ar.T.StepBytes() - before; got != 2*outBytes+scalars+xBytes {
-		t.Fatalf("an input-gradient backward left %d bytes live, want output, its gradient and dX = %d", got, 2*outBytes+scalars+xBytes)
+	if got := ar.T.StepBytes() - before; got != outBytes+scalar+xBytes {
+		t.Fatalf("an input-gradient backward left %d bytes live, want output and dX = %d", got, outBytes+scalar+xBytes)
 	}
 	if peak := ar.T.StepPeakBytes(); peak >= ar.T.StepBytes()+2*colBytes {
 		t.Fatalf("step peaked at %d bytes with %d live: col and dcol were held together", peak, ar.T.StepBytes())
 	}
 	ar.Reset()
+}
+
+// TestArenaBackwardReleasesInteriorGrads pins what a buildNet step's
+// backward holds at once: its step peak stays below what the forward left
+// live plus half of the interior gradients the tape creates, because each
+// goes back as soon as its node's backward has consumed it (28 % here;
+// held to the end of the step, they made it 70–86 %), whether or not the
+// input is differentiated — its gradient, a leaf's, stays.
+func TestArenaBackwardReleasesInteriorGrads(t *testing.T) {
+	xt := tensor.New(4, 1, 8, 8)
+	tensor.FillNormal(xt, 0, 1, tensor.NewRand(21))
+	for _, inputGrad := range []bool{false, true} {
+		ar := NewArena()
+		loss := buildNet(NewVarIn(ar, xt, inputGrad), netParams(9))
+		forward := ar.T.StepBytes()
+		var grads int64
+		for _, n := range interior(loss) {
+			grads += int64(n.value.Len()) * 8
+		}
+		Backward(loss)
+		if peak := ar.T.StepPeakBytes(); peak >= forward+grads/2 {
+			t.Errorf("input gradient %v: step peaked at %d bytes, %d live after the forward: the backward rose %d above it, with %d bytes of interior gradients on the tape",
+				inputGrad, peak, forward, peak-forward, grads)
+		}
+	}
 }
 
 // TestArenaStepScopedReuse checks that consecutive steps on one arena

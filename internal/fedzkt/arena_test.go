@@ -129,24 +129,18 @@ func TestRigArenaRetention(t *testing.T) {
 	})
 }
 
-// TestArenaGaugesScrapeDuringRun scrapes the arena gauges continuously
-// while a federation runs: they read only the arenas' atomics, so the
-// race detector must stay quiet, and every owner ends up reporting a held
-// figure no smaller than its largest step. (The gauges go to a registry
-// of their own here: the process-wide one also serves
-// fedzkt_server_live_replicas, whose read of the cohort pools races the
-// distillation goroutine — older than these gauges and not theirs to fix.)
+// TestArenaGaugesScrapeDuringRun scrapes the process-wide registry — the
+// one -listen-metrics serves — continuously while a federation runs: every
+// gauge reads atomics (the arenas' own, the registry's live-module count),
+// never state a running phase writes, so the race detector must stay
+// quiet, and every arena owner ends up reporting a held figure no smaller
+// than its largest step.
 func TestArenaGaugesScrapeDuringRun(t *testing.T) {
 	co := zooFederation(t, 2)
-	reg := obs.NewRegistry()
-	co.server.arenaGauges.phase.register(reg, "phase", "")
-	co.server.arenaGauges.worker.register(reg, "server_worker", "")
-	co.rigs.step.register(reg, "rig_step", "")
-	co.rigs.task.register(reg, "rig_task", "")
 	scrape := func() map[string]any {
 		var buf bytes.Buffer
 		var vars map[string]any
-		if err := reg.WriteJSON(&buf); err != nil {
+		if err := obs.Default().WriteJSON(&buf); err != nil {
 			t.Error(err)
 		} else if err := json.Unmarshal(buf.Bytes(), &vars); err != nil {
 			t.Error(err)
@@ -180,5 +174,8 @@ func TestArenaGaugesScrapeDuringRun(t *testing.T) {
 		if peak <= 0 || held < peak {
 			t.Errorf("%s arenas: held %v bytes, largest step %v", owner, held, peak)
 		}
+	}
+	if live, _ := vars["fedzkt_server_live_replicas"].(float64); int(live) != co.server.LiveReplicas() || live <= 0 {
+		t.Errorf("fedzkt_server_live_replicas scraped %v, the server holds %d", live, co.server.LiveReplicas())
 	}
 }

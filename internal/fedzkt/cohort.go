@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/fedzkt/fedzkt/internal/codec"
 	"github.com/fedzkt/fedzkt/internal/nn"
@@ -136,11 +137,11 @@ func (c *cohort) checkPayload(payload []byte) error {
 	return c.sig.checkLayout(c.arch, entries)
 }
 
-// slot returns the i-th pooled live module, growing the pool on demand.
-// Pool modules carry no meaningful values of their own — a checkout always
-// makes a member's state resident before use — so their build RNG is
-// arbitrary.
-func (c *cohort) slot(i int, lr float64) *replicaSlot {
+// slot returns the i-th pooled live module, growing the pool on demand and
+// counting each module it builds into live. Pool modules carry no
+// meaningful values of their own — a checkout always makes a member's
+// state resident before use — so their build RNG is arbitrary.
+func (c *cohort) slot(i int, lr float64, live *atomic.Int64) *replicaSlot {
 	for len(c.pool) <= i {
 		m, err := c.build()
 		if err != nil {
@@ -154,6 +155,7 @@ func (c *cohort) slot(i int, lr float64) *replicaSlot {
 			sd:      nn.CaptureState(m),
 			opt:     optim.NewSGD(m.Params(), lr, 0, 0),
 		})
+		live.Add(1)
 	}
 	return c.pool[i]
 }
@@ -219,6 +221,9 @@ type cohortSet struct {
 	devices  []deviceRef
 	sigs     map[string]*archSig
 	counters storeCounters
+	// live counts the pooled modules of every cohort, moved wherever a pool
+	// grows or is trimmed, so liveModules never reads a pool.
+	live atomic.Int64
 
 	// faults collects device ids dropped from a phase because their slot
 	// bytes failed to load or decode; drained per round into
@@ -353,16 +358,9 @@ func (cs *cohortSet) numCohorts() int { return len(cs.sigs) }
 func (cs *cohortSet) numShards() int { return len(cs.shards) }
 
 // liveModules returns the total number of pooled live modules currently
-// retained across all shards and cohorts (Server.LiveReplicas).
-func (cs *cohortSet) liveModules() int {
-	n := 0
-	for _, sh := range cs.shards {
-		for _, c := range sh.cohorts {
-			n += len(c.pool)
-		}
-	}
-	return n
-}
+// retained across all shards and cohorts (Server.LiveReplicas). Safe to
+// call from any goroutine, while a phase checks out and releases.
+func (cs *cohortSet) liveModules() int { return int(cs.live.Load()) }
 
 // storeStats snapshots the replica store: the traffic counters plus every
 // cohort store's residency and spill-file traffic.
@@ -525,7 +523,7 @@ func (cs *cohortSet) checkoutShard(ids []int, positions []int, leases []*replica
 			panic(err.Error()) // callers pass validated ids
 		}
 		si := next[ref.cohort]
-		slot := ref.cohort.slot(si, cs.lr)
+		slot := ref.cohort.slot(si, cs.lr, &cs.live)
 		if err := ref.cohort.slots.checkout(ref.member.local, slot); err != nil {
 			cs.noteFault(id, err)
 			continue // the pool slot is reused by the next member
@@ -559,6 +557,7 @@ func (cs *cohortSet) release(leases []*replicaLease) error {
 			// the backing array, silently defeating the memory cap. The
 			// leases still being released hold their modules themselves.
 			clear(c.pool[cs.teachers:])
+			cs.live.Add(int64(cs.teachers - len(c.pool)))
 			c.pool = c.pool[:cs.teachers]
 		}
 	}

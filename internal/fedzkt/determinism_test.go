@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/fedzkt/fedzkt/internal/data"
@@ -116,6 +117,36 @@ func TestExactModeMatchesPreCohortFingerprint(t *testing.T) {
 	if got != preCohortGoldenFingerprint {
 		t.Fatalf("exact mode diverged from the pre-cohort reference:\n--- recorded ---\n%s--- got ---\n%s",
 			preCohortGoldenFingerprint, got)
+	}
+}
+
+// probedGradNorms are the golden run's per-round InputGradNorm with
+// ProbeGradNorm on, recorded while Backward still kept every interior
+// gradient until the step's Reset.
+var probedGradNorms = []string{"0.004181085611631357", "0.003557219360917853"}
+
+// TestProbeGradNormGolden pins the Figure 2 probe: the generator output's
+// gradient, the one interior gradient the server reads after Backward
+// (kept by RetainGrad), gives the recorded norms, and probing leaves the
+// rest of the pre-cohort fingerprint untouched — sequentially and on four
+// workers, whose teacher tapes hand their gradients back to the workers'
+// arenas.
+func TestProbeGradNormGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("pinned fingerprint recorded on amd64; GOARCH=%s may fuse FMAs", runtime.GOARCH)
+	}
+	want := preCohortGoldenFingerprint
+	for _, g := range probedGradNorms {
+		want = strings.Replace(want, "gradnorm=0 ", "gradnorm="+g+" ", 1)
+	}
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.Sequential = true },
+		func(c *Config) { c.Workers = 4 },
+	} {
+		got := goldenRun(t, func(c *Config) { mutate(c); c.ProbeGradNorm = true })
+		if got != want {
+			t.Fatalf("probed run diverged from the recorded norms:\n--- recorded ---\n%s--- got ---\n%s", want, got)
+		}
 	}
 }
 

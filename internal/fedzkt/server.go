@@ -484,6 +484,9 @@ func (s *Server) adversarialPhase(ctx context.Context, round int) (float64, erro
 		s.global.SetTraining(false)
 		z := ag.ConstIn(s.phase, s.gen.SampleZIn(s.phase.Tensors(), cfg.DistillBatch, rng))
 		x := s.gen.Forward(z)
+		if cfg.ProbeGradNorm {
+			x.RetainGrad() // read below, after its backward has run
+		}
 		s.colMemo.Rebind(x.Value())
 		loss := s.disagreement(x, teachers)
 		lg := ag.Scale(-1, loss)
