@@ -55,7 +55,16 @@ func main() {
 			m.Round, m.GlobalAcc, m.MeanDeviceAcc, float64(m.BytesUp)/1024)
 	}
 	fmt.Printf("\nfinal global model accuracy: %.2f%% (chance: 10%%)\n", 100*hist.FinalGlobalAcc())
-	for i, d := range co.Devices() {
-		fmt.Printf("device %d (%s): %.2f%%\n", i+1, d.Arch, 100*fedzkt.Evaluate(d, ds))
+	devices := co.Devices()
+	ids := make([]int, len(devices))
+	for i := range ids {
+		ids[i] = i
+	}
+	accs, err := co.EvaluateDevices(ids)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, d := range devices {
+		fmt.Printf("device %d (%s): %.2f%%\n", i+1, d.Arch, 100*accs[i])
 	}
 }

@@ -14,10 +14,12 @@
 // while distillation computes — memory bounded by the hot-set size, not
 // the device count. -shards N splits the store into independently locked
 // shards fanned out on the worker pool. -virtual-devices applies the same
-// treatment to the device side: models are materialised from a tiered
-// store only while a device participates. At ≥ 10,000 devices all three
-// are enabled wherever their flag is not given (and evaluation capped to
-// 256 devices), so a million-device federation runs in one bounded-RSS
+// treatment to the device side: a device keeps only its last download, in
+// a tiered store, and a worker's module holds its state only while it
+// participates. At ≥ 10,000 devices all three are enabled wherever their
+// flag is not given (virtual devices only on the synchronous engine with
+// no deadline, the one regime they support), and evaluation is capped to
+// 256 devices, so a million-device federation runs in one bounded-RSS
 // process:
 //
 //	go run ./examples/scale -devices 1000000
@@ -107,7 +109,7 @@ func main() {
 		if !given["eval-devices"] {
 			cfg.EvalDevices = 256
 		}
-		if cfg.RoundDeadline == 0 {
+		if cfg.RoundDeadline == 0 && cfg.PipelineDepth == 0 {
 			cfg.VirtualDevices = true
 		}
 	}
@@ -177,9 +179,7 @@ func main() {
 	fmt.Printf("state: codec=%s, resident replica slots %d B total (%d B/device)\n",
 		srv.Codec().Name(), srv.ResidentStateBytes(), srv.ResidentStateBytes()/int64(*devices))
 	printStoreStats("replica store", srv.ReplicaStoreStats())
-	if cfg.VirtualDevices {
-		printStoreStats("device store", co.DeviceStoreStats())
-	}
+	printStoreStats("device store", co.DeviceStoreStats())
 	fmt.Printf("global model accuracy: %.4f | mean device accuracy: %.4f",
 		hist.FinalGlobalAcc(), hist.FinalMeanDeviceAcc())
 	if cfg.EvalDevices > 0 && cfg.EvalDevices < *devices {
@@ -191,10 +191,8 @@ func main() {
 	fmt.Printf("alloc: %.1f MB heap-allocated during the run, %d GCs, %s total GC pause (%.2f%% of wall)\n",
 		allocMB, msAfter.NumGC-msBefore.NumGC, gcPause.Round(time.Microsecond),
 		100*float64(gcPause)/float64(elapsed))
-	if cfg.VirtualDevices {
-		builds, reuses := co.DeviceRigStats()
-		fmt.Printf("device rigs: %d modules built, %d materialisations served by reuse\n", builds, reuses)
-	}
+	builds, reuses := co.DeviceRigStats()
+	fmt.Printf("device rigs: %d modules built, %d materialisations served by reuse\n", builds, reuses)
 	if built, reused := co.PayloadBufferStats(); built+reused > 0 {
 		fmt.Printf("payload buffers: %d built, %d uploads/downloads served by reuse\n", built, reused)
 	}

@@ -9,7 +9,8 @@ import (
 )
 
 // TestFacadeEndToEnd exercises the public API surface exactly as the
-// README shows it: build data, partition, federate, evaluate.
+// README shows it: build data, partition, federate, evaluate — the devices
+// at rest after the run read what the last round recorded.
 func TestFacadeEndToEnd(t *testing.T) {
 	ds := data.MustMake(fedzkt.DataConfig{
 		Name: "facade", Family: data.FamilyDigits, Classes: 4,
@@ -31,9 +32,16 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if len(hist) != 2 {
 		t.Fatalf("history len %d", len(hist))
 	}
-	for _, d := range co.Devices() {
-		if acc := fedzkt.Evaluate(d, ds); acc < 0 || acc > 1 {
-			t.Fatalf("device accuracy %v", acc)
+	accs, err := co.EvaluateDevices([]int{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, acc := range accs {
+		if acc < 0 || acc > 1 {
+			t.Fatalf("device %d accuracy %v", i, acc)
+		}
+		if acc != hist[1].DeviceAcc[i] {
+			t.Fatalf("device %d accuracy %v, the last round recorded %v", i, acc, hist[1].DeviceAcc[i])
 		}
 	}
 }

@@ -192,9 +192,6 @@ func PartitionDirichlet(labels []int, numClasses, k int, beta float64, seed uint
 	return partition.Dirichlet(labels, numClasses, k, beta, tensor.NewRand(seed))
 }
 
-// Evaluate reports a device model's test accuracy.
-func Evaluate(d *Device, ds *Dataset) float64 { return fed.Evaluate(d.Model, ds, 64) }
-
 // Baseline types (internal/baseline).
 type (
 	// FedMD is the public-dataset federated distillation baseline.

@@ -364,10 +364,6 @@ func (v *Variable) ZeroGrad() {
 	}
 }
 
-// Detach returns a new constant leaf sharing v's value but cut off from
-// the tape: gradients do not flow through the result.
-func (v *Variable) Detach() *Variable { return Const(v.value) }
-
 // Shape returns the shape of the value tensor.
 func (v *Variable) Shape() []int { return v.value.Shape() }
 

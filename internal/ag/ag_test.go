@@ -55,17 +55,6 @@ func TestGradientAccumulatesAcrossBackwardCalls(t *testing.T) {
 	}
 }
 
-func TestDetachStopsGradient(t *testing.T) {
-	x := Param(tensor.Full(2, 2))
-	y := Mul(x.Detach(), x) // d/dx = detached value = 2
-	Backward(SumAll(y))
-	for _, g := range x.Grad().Data() {
-		if g != 2 {
-			t.Fatalf("grad = %v, want 2 (detach must block one path)", g)
-		}
-	}
-}
-
 func TestFrozenLeafReceivesNoGrad(t *testing.T) {
 	x := Param(tensor.Full(1, 2))
 	w := Param(tensor.Full(3, 2))

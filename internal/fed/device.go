@@ -20,8 +20,12 @@ import (
 // Device is one federated participant: an independently chosen on-device
 // model plus a private shard of training data.
 type Device struct {
-	ID    int
-	Arch  string
+	ID   int
+	Arch string
+	// Model is the module the device trains and is evaluated on. The
+	// in-process coordinator keeps a device's state at rest in a slot store
+	// and sets Model to a worker's module only while a task or an
+	// evaluation runs; it is nil in between.
 	Model nn.Module
 	Data  *data.Subset
 
@@ -77,17 +81,14 @@ func (d *Device) SnapshotReceived() {
 // capture its next proximal anchor in, instead of cloning the state (see
 // SnapshotReceived). Whatever the buffer holds is not an anchor: lend it
 // only to a device whose next LocalUpdate follows a download. The lender
-// keeps the buffer; Evict only drops the device's reference to it.
+// keeps the buffer and takes it back with LendAnchor(nil), which leaves the
+// device without an anchor.
 func (d *Device) LendAnchor(buf nn.StateDict) { d.received = buf }
 
-// Evict drops the device's live model and proximal anchor. Used by the
-// virtual-device coordinator, which keeps a device's state in a slot
-// store between rounds and rematerialises the model (restoring the
-// anchor through the download path) on the device's next participation.
-func (d *Device) Evict() {
-	d.Model = nil
-	d.received, d.anchorDue = nil, false
-}
+// Downloaded records that the model now holds a state received from the
+// server, installed by whoever keeps the device's state: the first
+// LocalUpdate after it captures its proximal anchor, as after Download.
+func (d *Device) Downloaded() { d.anchorDue = true }
 
 // LocalConfig configures a device's local training (Algorithm 2).
 type LocalConfig struct {
@@ -252,7 +253,7 @@ func (d *Device) DownloadPayload(b []byte) error {
 	if err := codec.DecodeInto(b, nn.CaptureState(d.Model)); err != nil {
 		return fmt.Errorf("fed: device %d download: %w", d.ID, err)
 	}
-	d.anchorDue = true
+	d.Downloaded()
 	return nil
 }
 
@@ -263,6 +264,6 @@ func (d *Device) Download(sd nn.StateDict) error {
 	if err := nn.LoadState(d.Model, sd); err != nil {
 		return fmt.Errorf("fed: device %d download: %w", d.ID, err)
 	}
-	d.anchorDue = true
+	d.Downloaded()
 	return nil
 }

@@ -121,9 +121,9 @@ func (m panicAfter) Forward(x *ag.Variable) *ag.Variable {
 // snapshotting at the download itself (the explicit SnapshotReceived, as
 // baseline.FedProx and the previous Download did), over download → update
 // → update without a download → download → update; the same for a virtual
-// device, which is evicted after every task and rematerialised through
-// DownloadPayload, capturing its anchor in a lent buffer. And without the
-// proximal term no anchor is ever held.
+// device, whose model exists only during a task and which captures its
+// anchor in a lent buffer after Downloaded. And without the proximal term
+// no anchor is ever held.
 func TestLazyAnchorMatchesEagerSnapshot(t *testing.T) {
 	ds := tinyDataset(51)
 	src := tinyDevice(t, ds, allTrain(ds), 52)
@@ -160,7 +160,8 @@ func TestLazyAnchorMatchesEagerSnapshot(t *testing.T) {
 		t.Fatal("a device that never uses the proximal term holds an anchor")
 	}
 
-	// Virtual: the model exists only during a task.
+	// Virtual: the model exists only during a task, its state installed by
+	// the store that keeps it.
 	f64, err := codec.Get(codec.Float64)
 	if err != nil {
 		t.Fatal(err)
@@ -174,9 +175,10 @@ func TestLazyAnchorMatchesEagerSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		virt.Model = m
-		if err := virt.DownloadPayload(enc); err != nil {
+		if err := codec.DecodeInto(enc, nn.CaptureState(m)); err != nil {
 			t.Fatal(err)
 		}
+		virt.Downloaded()
 		virt.LendAnchor(lent)
 		if _, err := virt.LocalUpdate(cfg, tensor.NewRand(uint64(60+step))); err != nil {
 			t.Fatal(err)
@@ -196,9 +198,10 @@ func TestLazyAnchorMatchesEagerSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameState(t, "virtual lazy vs resident eager", nn.CaptureState(m), nn.CaptureState(ref.Model))
-		virt.Evict()
+		virt.Model = nil
+		virt.LendAnchor(nil)
 		if virt.received != nil || virt.anchorDue {
-			t.Fatal("eviction must drop the anchor")
+			t.Fatal("taking the lent buffer back must leave no anchor")
 		}
 	}
 }

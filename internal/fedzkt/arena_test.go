@@ -116,8 +116,8 @@ func TestRigArenaRetention(t *testing.T) {
 	// Evaluating every model once more, on a fresh arena, shows what the
 	// largest evaluation step is.
 	ev := ag.NewArena()
-	for _, d := range co.devices {
-		fed.EvaluateArena(d.Model, co.ds, 64, ev)
+	for id := range co.devices {
+		withDevice(t, co, id, func(d *fed.Device) { fed.EvaluateArena(d.Model, co.ds, 64, ev) })
 	}
 	if e := ev.T.StepPeakBytes(); 2*e >= peak {
 		t.Errorf("the largest evaluation step is %d bytes, the rigs' largest steps %d and %d: not training's", e, peak/2, peak-peak/2)

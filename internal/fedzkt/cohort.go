@@ -57,7 +57,7 @@ type member struct {
 
 // replicaSlot is one pooled live module of a cohort, with the state
 // binding, captured state view and optimiser that serve whichever member
-// is resident.
+// is resident — or a device rig's module (rig.go), which has no optimiser.
 type replicaSlot struct {
 	module  nn.Module
 	binding *nn.StateBinding
@@ -524,7 +524,11 @@ func (cs *cohortSet) checkoutShard(ids []int, positions []int, leases []*replica
 		}
 		si := next[ref.cohort]
 		slot := ref.cohort.slot(si, cs.lr, &cs.live)
-		if err := ref.cohort.slots.checkout(ref.member.local, slot); err != nil {
+		held, err := ref.cohort.slots.checkout(ref.member.local, slot)
+		if err == nil && !held {
+			err = errNoState(ref.member.local)
+		}
+		if err != nil {
 			cs.noteFault(id, err)
 			continue // the pool slot is reused by the next member
 		}

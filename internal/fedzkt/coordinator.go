@@ -116,13 +116,18 @@ type Config struct {
 	// SpillDir hosts the spill files ("" = a private temp directory,
 	// removed on Close).
 	SpillDir string
-	// VirtualDevices simulates devices without keeping per-device live
-	// models: a device's model is materialised from its seeded initial
-	// state (or its last download, kept in a per-arch bounded slot store)
-	// only while its local phase or evaluation runs, then evicted. Round
-	// outcomes are byte-identical to live devices; requires
-	// RoundDeadline = 0 (a straggler's partial local progress cannot
-	// survive eviction).
+	// VirtualDevices picks where in-process devices keep their state at
+	// rest, as ReplicaStore does for the server's replicas. Either way a
+	// device's model is its worker's module, holding the device's state
+	// only while its local phase or evaluation runs. false (the default)
+	// keeps every device's state in a dense slot, so whatever a task leaves
+	// stays. true keeps only each device's last download, in a bounded slot
+	// store per architecture (HotSet; spill files under SpillDir), and
+	// builds nothing at registration: a device that never downloaded is
+	// its seeded initial state. That equals a resident device's state only
+	// when every device that trained receives its download before it trains
+	// again, so it requires RoundDeadline = 0 and PipelineDepth = 0, where
+	// round outcomes are byte-identical to resident devices.
 	VirtualDevices bool
 	// EvalDevices, when positive, evaluates per-device accuracy on only
 	// the first EvalDevices devices instead of all of them (the scale
@@ -274,8 +279,8 @@ func (c Config) Validate() error {
 	if _, err := codec.Get(c.StateCodec); err != nil {
 		return fmt.Errorf("fedzkt: %w", err)
 	}
-	if c.VirtualDevices && c.RoundDeadline > 0 {
-		return fmt.Errorf("fedzkt: VirtualDevices requires RoundDeadline = 0 (a deadline straggler's partial local progress cannot survive model eviction)")
+	if c.VirtualDevices && (c.RoundDeadline > 0 || c.PipelineDepth > 0) {
+		return fmt.Errorf("fedzkt: VirtualDevices requires RoundDeadline = 0 and PipelineDepth = 0 (a virtual device keeps only its last download, which equals its state only when every device that trained receives its download before it trains again)")
 	}
 	if c.CheckpointDir == "" && c.Resume {
 		return fmt.Errorf("fedzkt: Resume requires CheckpointDir")
@@ -321,19 +326,14 @@ type Coordinator struct {
 	// this one than those arenas.
 	rigs *rigStats
 
-	// Virtual-device mode (Config.VirtualDevices): device models exist
-	// only while their local phase or evaluation runs, borrowed from the
-	// worker's rig; between rounds a device is its last download in
-	// devStore — one bounded slot store per architecture holding the wire
-	// payload verbatim. Decoding it into the rig's module yields exactly
-	// the values a live device holds after the same download, so the
-	// materialised model is bit-identical to a resident one. A device that
-	// never downloaded has no entry: its state is its seeded initial
-	// build, re-drawn into the rig's module in place.
-	// devCounters is its own allocation for the reason rigs is: the
-	// registry serves the stores' entry-buffer counts from it.
-	virtual       bool
-	devStore      map[string]*tieredSlots
+	// One device lifecycle: a device's state rests in devStore — one slot
+	// store per architecture (newDevStore), keyed by the device's index
+	// among that architecture's devices (devLocal) — and is its worker
+	// rig's module only while a task or an evaluation runs (materialise,
+	// release). devCounters is its own allocation for the reason rigs is:
+	// the registry serves the stores' entry-buffer counts from it.
+	devStore      map[string]slotStore
+	devLocal      []int
 	devCounters   *storeCounters
 	devSpillDir   string
 	devSpillOwned bool
@@ -368,13 +368,12 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 		FailureRate:   cfg.FailureRate,
 		FailureSeed:   cfg.Seed ^ 0xFA117A1E,
 		// One device rig per pool worker, created on the worker's first
-		// task: every device task running on a worker draws its
-		// activations, backward scratch, batch and momentum buffers from
-		// that worker's arenas (and, for a virtual device, trains in the
-		// rig's live module), so concurrent devices never share scratch and
-		// a warmed-up local phase allocates (almost) nothing. A rig never
-		// changes values — only where buffers live — so round outcomes
-		// stay bit-identical for any worker count.
+		// task: every device task running on a worker trains in the rig's
+		// live module and draws its activations, backward scratch, batch
+		// and momentum buffers from the rig's arenas, so concurrent devices
+		// never share scratch and a warmed-up local phase allocates
+		// (almost) nothing. A rig never changes values — only where buffers
+		// live — so round outcomes stay bit-identical for any worker count.
 		WorkerScratch: func() any {
 			return newDeviceRig(func(arch string) (nn.Module, error) {
 				// A rig module always has a device's state installed
@@ -387,172 +386,166 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 		_ = server.Close()
 		return nil, fmt.Errorf("fedzkt: %w", err)
 	}
-	c := &Coordinator{pool: pool, codec: server.Codec(), rigs: rigs, devCounters: &storeCounters{}}
+	c := &Coordinator{pool: pool, codec: server.Codec(), rigs: rigs,
+		devStore: make(map[string]slotStore), devCounters: &storeCounters{}}
 	if c.Engine, err = NewEngine(server, ds, c); err != nil {
 		_ = server.Close()
 		return nil, err
 	}
 	registerFleetMetrics(obs.Default(), rigs, &server.cohorts.counters, c.devCounters)
 	pool.RegisterMetrics(obs.Default())
-	if cfg.VirtualDevices {
-		if err := c.initVirtual(archs); err != nil {
-			_ = server.Close()
-			return nil, err
-		}
-	}
+	perArch := make(map[string]int)
 	for i := range shards {
 		arch := archs[i%len(archs)]
 		if len(shards[i]) == 0 {
 			_ = c.Close()
 			return nil, fmt.Errorf("fedzkt: device %d has an empty shard", i)
 		}
-		var dev *fed.Device
-		var id int
-		if cfg.VirtualDevices {
-			// No model is built: the device materialises from its seeded
-			// initial state on first participation, and the server's lazy
-			// (nil-initial) registration defines the replica as exactly
-			// that state — registration is O(1) per device under the
-			// spill store.
-			dev = fed.NewDevice(i, arch, nil, data.NewSubset(ds, shards[i]))
-			id, err = server.RegisterSized(arch, nil, len(shards[i]))
-		} else {
-			devModel, berr := model.Build(arch, in, ds.Classes, tensor.NewRand(fed.DeviceSeed(cfg.Seed, i)))
-			if berr != nil {
-				_ = c.Close()
-				return nil, fmt.Errorf("fedzkt: device %d: %w", i, berr)
-			}
-			dev = fed.NewDevice(i, arch, devModel, data.NewSubset(ds, shards[i]))
-			// Registration: the device announces its architecture, initial
-			// parameters and data size; the server files the replica into
-			// the matching architecture cohort.
-			id, err = server.RegisterSized(arch, nn.CaptureState(devModel), len(shards[i]))
-		}
-		if err != nil {
+		if err := c.register(i, arch, perArch[arch], in, len(shards[i])); err != nil {
 			_ = c.Close()
 			return nil, err
 		}
-		if id != i {
-			_ = c.Close()
-			return nil, fmt.Errorf("fedzkt: device id mismatch: %d != %d", id, i)
-		}
-		c.devices = append(c.devices, dev)
+		perArch[arch]++
+		c.devices = append(c.devices, fed.NewDevice(i, arch, nil, data.NewSubset(ds, shards[i])))
 	}
 	return c, nil
 }
 
-// initVirtual sets up the virtual-device stores: one bounded slot store
-// per architecture in use. Stores are created eagerly so the map is
-// read-only once rounds run concurrently.
-func (c *Coordinator) initVirtual(archs []string) error {
-	c.virtual = true
-	dir := c.cfg.SpillDir
-	if dir == "" {
-		var err error
-		if dir, err = os.MkdirTemp("", "fedzkt-devspill-*"); err != nil {
-			return fmt.Errorf("fedzkt: creating device spill dir: %w", err)
+// register files device i, the local-th of its architecture, with the
+// server — it announces its architecture, initial state and data size, and
+// the server files the replica into the matching architecture cohort — and
+// with the device store. A resident device's initial state is its seeded
+// build, whose own tensors become its slot. A virtual device builds
+// nothing: until its first download its state is that seeded build, and
+// the server's lazy (nil-initial) registration defines the replica as
+// exactly that state — registration is O(1) per device under the spill
+// store.
+func (c *Coordinator) register(i int, arch string, local int, in model.Shape, dataSize int) error {
+	var sd nn.StateDict
+	if !c.cfg.VirtualDevices {
+		m, err := model.Build(arch, in, c.ds.Classes, tensor.NewRand(fed.DeviceSeed(c.cfg.Seed, i)))
+		if err != nil {
+			return fmt.Errorf("fedzkt: device %d: %w", i, err)
 		}
-		c.devSpillOwned = true
+		sd = nn.CaptureState(m)
 	}
-	c.devSpillDir = dir
-	c.devStore = make(map[string]*tieredSlots)
-	capFn := func() int {
+	id, err := c.server.RegisterSized(arch, sd, dataSize)
+	if err != nil {
+		return err
+	}
+	if id != i {
+		return fmt.Errorf("fedzkt: device id mismatch: %d != %d", id, i)
+	}
+	st, ok := c.devStore[arch]
+	if !ok {
+		if st, err = c.newDevStore(arch, sd.Numel()); err != nil {
+			return err
+		}
+		c.devStore[arch] = st
+	}
+	c.devLocal = append(c.devLocal, local)
+	if sd == nil {
+		return nil
+	}
+	return st.installDict(local, sd, true)
+}
+
+// newDevStore makes the store where devices of architecture arch rest —
+// the device side's one choice of backing, as cohortFor is the server's.
+// Resident devices rest in denseSlots: registration hands over the seeded
+// build's dict, checkout swaps it into the worker rig's module by slice
+// header and release swaps it back. Virtual devices rest in a bounded
+// tieredSlots holding each device's last download as it arrived; it has
+// no virgin hook, so a device that never downloaded holds no state there
+// and materialise re-seeds the module in place.
+func (c *Coordinator) newDevStore(arch string, numel int) (slotStore, error) {
+	if !c.cfg.VirtualDevices {
+		return &denseSlots{codec: c.codec, numel: numel}, nil
+	}
+	if c.devSpillDir == "" {
+		dir := c.cfg.SpillDir
+		if dir == "" {
+			var err error
+			if dir, err = os.MkdirTemp("", "fedzkt-devspill-*"); err != nil {
+				return nil, fmt.Errorf("fedzkt: creating device spill dir: %w", err)
+			}
+			c.devSpillOwned = true
+		}
+		c.devSpillDir = dir
+	}
+	hotSet := func() int {
 		if c.cfg.HotSet > 0 {
 			return c.cfg.HotSet
 		}
-		// Auto: cover one round's participants with slack, bounded
-		// below so tiny federations never thrash.
-		if k := 2 * c.cfg.SampleK; k > 256 {
-			return k
-		}
-		return 256
+		// Auto: cover one round's participants with slack, bounded below
+		// so tiny federations never thrash.
+		return max(2*c.cfg.SampleK, 256)
 	}
-	for _, arch := range archs {
-		if _, ok := c.devStore[arch]; ok {
-			continue
-		}
-		// No virgin hook: a never-downloaded device is re-seeded straight
-		// into a rig module (deviceModule), so the store is only ever asked
-		// for slots it holds.
-		path := filepath.Join(dir, "dev-"+arch+".spill")
-		c.devStore[arch] = newTieredSlots(c.codec, path, capFn, nil, c.devCounters)
-	}
-	return nil
+	return newTieredSlots(c.codec, filepath.Join(c.devSpillDir, "dev-"+arch+".spill"), hotSet, nil, c.devCounters), nil
 }
 
-// deviceModule makes rig's live module for virtual device id's
-// architecture hold the device's current state and returns it: the seeded
-// initial state when the device has never downloaded (held false), or what
-// install makes of the stored payload of its last download — run by the
-// one store read that decided which, on bytes lent for the call only. Runs
-// on scheduler workers and between-round fan-outs; the store serialises
-// slot access internally.
-func (c *Coordinator) deviceModule(rig *deviceRig, id int, install func(m nn.Module, enc []byte) error) (m nn.Module, held bool, err error) {
-	d := c.devices[id]
-	if m, err = rig.module(d.Arch); err != nil {
-		return nil, false, err
+// materialise makes the worker rig's module for d's architecture hold d's
+// state at rest and sets d.Model to it, until release: the slot's state,
+// or for a device whose slot holds none (virtual, never downloaded) its
+// seeded initial state, re-drawn in place — bit-identical to the build a
+// resident device registers. held reports a stored state. Runs on
+// scheduler workers and between-round fan-outs; the stores serialise slot
+// access. After an error nothing is to be released.
+func (c *Coordinator) materialise(rig *deviceRig, d *fed.Device) (held bool, err error) {
+	slot, err := rig.module(d.Arch)
+	if err == nil {
+		held, err = c.devStore[d.Arch].checkout(c.devLocal[d.ID], slot)
 	}
-	held, err = c.devStore[d.Arch].read(id, func(enc []byte) error { return install(m, enc) })
 	if err == nil && !held {
-		// Bit-identical to the build a resident device starts from.
-		err = model.Reinit(m, tensor.NewRand(fed.DeviceSeed(c.cfg.Seed, id)))
+		err = model.Reinit(slot.module, tensor.NewRand(fed.DeviceSeed(c.cfg.Seed, d.ID)))
 	}
-	return m, held, err
-}
-
-// materialiseDevice installs device id's current state in the worker
-// rig's live module for the duration of a task: the seeded initial state
-// (and, like a resident device before its first download, no proximal
-// anchor), or its last download through the download path, which also
-// restores the anchor — captured, when the proximal term is on, in the
-// rig's buffer rather than in a clone per materialisation. The caller
-// evicts the device when the task ends.
-func (c *Coordinator) materialiseDevice(rig *deviceRig, id int) error {
-	d := c.devices[id]
-	m, held, err := c.deviceModule(rig, id, func(m nn.Module, enc []byte) error {
-		d.Model = m
-		return d.DownloadPayload(enc)
-	})
 	if err != nil {
-		return fmt.Errorf("fedzkt: materialising device %d: %w", id, err)
+		return false, fmt.Errorf("fedzkt: materialising device %d: %w", d.ID, err)
 	}
-	d.Model = m
-	if held && c.cfg.ProxMu > 0 {
-		d.LendAnchor(rig.anchor(d.Arch, m))
-	}
-	return nil
+	d.Model = slot.module
+	return held, nil
 }
 
-// DeviceStoreStats snapshots the virtual-device store (zero-valued, mode
-// "memory", when VirtualDevices is off).
+// release ends d's materialisation: the module stays with the rig, and a
+// resident device's state, with whatever the task left in it, is swapped
+// back into its slot. A virtual device's store is not written: its next
+// state is the download Deliver stores after this round's transfer-back,
+// exactly what a resident device holds at the next round boundary (see
+// Config.VirtualDevices).
+func (c *Coordinator) release(rig *deviceRig, d *fed.Device) error {
+	d.Model = nil
+	return c.devStore[d.Arch].release(c.devLocal[d.ID], rig.modules[d.Arch], false)
+}
+
+// DeviceStoreStats snapshots the device stores: mode "memory" for
+// resident devices, every slot hot, and "spill" for virtual ones.
 func (c *Coordinator) DeviceStoreStats() ReplicaStoreStats {
 	mode := ReplicaStoreMemory
-	if c.virtual {
+	if c.devSpillDir != "" {
 		mode = ReplicaStoreSpill
 	}
 	st := c.devCounters.snapshot(mode, 1)
-	for _, ts := range c.devStore {
-		ts.addStats(&st)
+	for _, ds := range c.devStore {
+		ds.addStats(&st)
 	}
 	return st
 }
 
 // DeviceRigStats reports how the pool's per-worker device rigs have
-// served module requests (virtual-device materialisations and
-// evaluations) so far: by building a module — at most once per worker and
-// architecture — or by reusing the worker's live one. Both stay zero with
-// resident devices.
+// served module requests (a device's task or evaluation) so far: by
+// building a module — at most once per worker and architecture — or by
+// reusing the worker's live one.
 func (c *Coordinator) DeviceRigStats() (builds, reuses int64) {
 	return c.rigs.builds.Load(), c.rigs.reuses.Load()
 }
 
-// Close releases the server (spill files, prefetcher) and the
-// virtual-device stores. Idempotent.
+// Close releases the server (spill files, prefetcher) and the device
+// stores. Idempotent.
 func (c *Coordinator) Close() error {
 	c.closeOnce.Do(func() {
 		c.closeErr = c.server.Close()
-		for _, ts := range c.devStore {
-			if err := ts.close(); err != nil && c.closeErr == nil {
+		for _, ds := range c.devStore {
+			if err := ds.close(); err != nil && c.closeErr == nil {
 				c.closeErr = err
 			}
 		}
@@ -619,18 +612,16 @@ func (c *Coordinator) Run(ctx context.Context) (fed.History, error) {
 // behind.
 func (c *Coordinator) reconcileDevices() error {
 	for _, d := range c.devices {
-		if c.virtual {
-			ref, err := c.server.cohorts.ref(d.ID)
-			if err != nil {
-				return fmt.Errorf("fedzkt: reconciling device %d: %w", d.ID, err)
-			}
-			if c.server.cohorts.virgin(ref) && c.devStore[d.Arch].virgin(d.ID) {
-				// Both sides still hold the seeded initial state (a virgin
-				// slot's content is defined as exactly that), so there is
-				// nothing to copy — the skip that makes million-device
-				// resume O(touched devices), not O(devices).
-				continue
-			}
+		ref, err := c.server.cohorts.ref(d.ID)
+		if err != nil {
+			return fmt.Errorf("fedzkt: reconciling device %d: %w", d.ID, err)
+		}
+		if c.server.cohorts.virgin(ref) && c.devStore[d.Arch].virgin(c.devLocal[d.ID]) {
+			// Both sides still hold the seeded initial state (a virgin
+			// slot's content is defined as exactly that), so there is
+			// nothing to copy — the skip that makes million-device resume
+			// O(touched devices), not O(devices).
+			continue
 		}
 		p, err := c.publish(d.ID)
 		if err == nil {
@@ -643,60 +634,50 @@ func (c *Coordinator) reconcileDevices() error {
 	return nil
 }
 
-// EvaluateDevices implements Fleet: live device models directly, or — in
-// virtual mode — each device's stored state (its last download, or the
-// seeded initial state when it never downloaded) installed in a worker
-// rig's module, which is exactly what the live model would hold at this
-// round boundary. The pool is idle between depth-0 rounds, so the fan-out
-// borrows its rigs' warmed-up arenas (and modules): ForEachWorker's worker
-// indices are the pool's slot indices.
+// EvaluateDevices implements Fleet: each device's state at rest,
+// materialised in a worker rig's module, which at a depth-0 round boundary
+// is exactly its state after the round. The pool is idle between depth-0
+// rounds, so the fan-out borrows its rigs' warmed-up arenas and modules:
+// ForEachWorker's worker indices are the pool's slot indices.
 func (c *Coordinator) EvaluateDevices(ids []int) ([]float64, error) {
 	accs := make([]float64, len(ids))
 	var mu sync.Mutex
 	var firstErr error
 	sched.ForEachWorker(len(ids), c.cfg.poolWorkers(), func(i, w int) {
-		id := ids[i]
 		rig := c.pool.WorkerScratch(w).(*deviceRig)
-		m := c.devices[id].Model
-		if c.virtual {
-			var err error
-			m, _, err = c.deviceModule(rig, id, func(m nn.Module, enc []byte) error {
-				return codec.DecodeInto(enc, nn.CaptureState(m))
-			})
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("fedzkt: evaluating device %d: %w", id, err)
-				}
-				mu.Unlock()
-				return
-			}
+		d := c.devices[ids[i]]
+		_, err := c.materialise(rig, d)
+		if err == nil {
+			accs[i] = fed.EvaluateArena(d.Model, c.ds, 64, rig.step)
+			err = c.release(rig, d)
 		}
-		accs[i] = fed.EvaluateArena(m, c.ds, 64, rig.step)
+		if err != nil {
+			mu.Lock()
+			if firstErr == nil {
+				firstErr = fmt.Errorf("fedzkt: evaluating device %d: %w", d.ID, err)
+			}
+			mu.Unlock()
+		}
 	})
 	return accs, firstErr
 }
 
-// Deliver implements Fleet: it installs one published state into its
-// device — the live model, or in virtual mode the device's store slot,
-// which keeps the wire payload as it arrived (after a header-only layout
-// check; elements are decoded once, into the rig's module, on the
-// device's next materialisation). A live device's model would hold
-// exactly these values after the download, which is what the next
-// materialisation reproduces.
+// Deliver implements Fleet: it installs one published state in its
+// device's slot after a header-only layout check — decoded into a resident
+// device's dense slot, kept as it arrived in a virtual device's store
+// (decoded once, into the rig's module, at the next materialisation) — and
+// marks it as the anchor of the device's next proximal term.
 func (c *Coordinator) Deliver(_, id int, p Payload) error {
 	d := c.devices[id]
 	defer c.payloads.give(d.Arch, p.Enc)
-	if !c.virtual {
-		return d.DownloadPayload(p.Enc)
-	}
 	err := c.server.CheckPayload(id, p.Enc)
 	if err == nil {
-		err = c.devStore[d.Arch].putBytes(id, p.Enc)
+		err = c.devStore[d.Arch].installPayload(c.devLocal[id], p.Enc)
 	}
 	if err != nil {
 		return fmt.Errorf("fedzkt: device %d download: %w", id, err)
 	}
+	d.Downloaded()
 	return nil
 }
 
@@ -718,12 +699,11 @@ func (c *Coordinator) CloseRound(m *fed.RoundMetrics) error {
 // exactly the bytes a real uplink would carry — in ascending-id order.
 // Devices that miss the deadline or are failure-injected drop out of this
 // round's aggregation.
-// Each task stages its own upload on its worker right after the local
-// update, which is what lets a virtual device hand the rig's module back
-// when its task ends (and keeps the encode off the engine's goroutine);
-// uploads of tasks that did not complete are discarded. Each task touches
-// only its own device and its worker's rig, so the round's outcome is
-// identical for any worker count.
+// Each task materialises its device in its worker's rig, trains it, stages
+// its upload and releases it, so the encode stays off the engine's
+// goroutine; uploads of tasks that did not complete are discarded. Each
+// task touches only its own device and its worker's rig, so the round's
+// outcome is identical for any worker count.
 func (c *Coordinator) LocalPhase(ctx context.Context, round int, active []int, m *fed.RoundMetrics) ([]Upload, error) {
 	cfg := c.cfg
 	local := cfg.Local()
@@ -737,28 +717,29 @@ func (c *Coordinator) LocalPhase(ctx context.Context, round int, active []int, m
 		tasks[pos] = sched.Task{Device: id, Run: func(ctx context.Context) (err error) {
 			rng := fed.LocalRNG(cfg.Seed, round, id)
 			// The task owns its device and its worker's rig for the
-			// duration of the run, so lending the rig's arenas (and, to a
-			// virtual device, its module) through the device is race-free.
+			// duration of the run, so lending the rig's module and arenas
+			// through the device is race-free.
 			rig := sched.Scratch(ctx).(*deviceRig)
 			d := c.devices[id]
+			held, err := c.materialise(rig, d)
+			if err != nil {
+				return err
+			}
 			d.Scratch, d.TaskScratch = rig.step, rig.task
 			defer func() {
 				d.Scratch, d.TaskScratch = nil, nil
-				if c.virtual {
-					// The upload is staged (an independent copy); hand the
-					// module back. The trained state is deliberately not
-					// written to the store: the device's next state is its
-					// download after this round's transfer-back, which
-					// Deliver stores — exactly the state a live model
-					// would hold at the next round boundary.
-					d.Evict()
-				}
 				rig.task.Reset()
-			}()
-			if c.virtual {
-				if err := c.materialiseDevice(rig, id); err != nil {
-					return err
+				if rerr := c.release(rig, d); err == nil {
+					err = rerr
 				}
+			}()
+			if held && cfg.VirtualDevices && local.ProxMu > 0 {
+				// A bounded store keeps no per-device anchor. It needs none:
+				// the module now holds exactly the device's last download,
+				// which is captured into the rig's buffer.
+				d.LendAnchor(rig.anchor(d.Arch, d.Model))
+				d.Downloaded()
+				defer d.LendAnchor(nil)
 			}
 			if _, err := d.LocalUpdate(local, rng); err != nil {
 				return err

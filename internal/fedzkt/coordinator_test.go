@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/fedzkt/fedzkt/internal/data"
-	"github.com/fedzkt/fedzkt/internal/nn"
 	"github.com/fedzkt/fedzkt/internal/partition"
 	"github.com/fedzkt/fedzkt/internal/tensor"
 )
@@ -83,7 +82,8 @@ func TestConfigValidate(t *testing.T) {
 		{func(c *Config) { c.ActiveFraction = -0.1 }, "active fraction -0.1 outside (0,1]"},
 		{func(c *Config) { c.ReplicaStore = "tape" }, `unknown ReplicaStore "tape" (want "memory" or "spill")`},
 		{func(c *Config) { c.StateCodec = "float8" }, `unknown state codec "float8"`},
-		{func(c *Config) { c.VirtualDevices, c.RoundDeadline = true, time.Second }, "VirtualDevices requires RoundDeadline = 0"},
+		{func(c *Config) { c.VirtualDevices, c.RoundDeadline = true, time.Second }, "VirtualDevices requires RoundDeadline = 0 and PipelineDepth = 0"},
+		{func(c *Config) { c.VirtualDevices, c.PipelineDepth = true, 1 }, "VirtualDevices requires RoundDeadline = 0 and PipelineDepth = 0"},
 		{func(c *Config) { c.Rounds = -1 }, "negative Rounds -1"},
 		{func(c *Config) { c.BatchSize = -8 }, "negative BatchSize -8"},
 		{func(c *Config) { c.Workers = -2 }, "negative Workers -2"},
@@ -248,8 +248,8 @@ func TestHeterogeneousStateSizesDiffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizes := map[int]int{}
-	for i, d := range co.Devices() {
-		sizes[i] = nn.CaptureState(d.Model).Numel()
+	for i := range co.Devices() {
+		sizes[i] = deviceState(t, co, i).Numel()
 	}
 	if sizes[0] == sizes[1] || sizes[1] == sizes[2] || sizes[0] == sizes[2] {
 		t.Fatalf("expected heterogeneous state sizes, got %v", sizes)

@@ -11,7 +11,6 @@ import (
 
 	"github.com/fedzkt/fedzkt/internal/data"
 	"github.com/fedzkt/fedzkt/internal/fed"
-	"github.com/fedzkt/fedzkt/internal/nn"
 	"github.com/fedzkt/fedzkt/internal/partition"
 	"github.com/fedzkt/fedzkt/internal/tensor"
 )
@@ -212,7 +211,7 @@ func TestPipelinedRunCompletes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := nn.CaptureState(co.Devices()[id].Model)
+		got := deviceState(t, co, id)
 		for name, want := range sd {
 			if tensor.MaxAbsDiff(got[name], want) != 0 {
 				t.Fatalf("device %d state %q differs from its final download", id, name)

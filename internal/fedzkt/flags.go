@@ -27,12 +27,12 @@ func (c *Config) BindFlags(fs *flag.FlagSet) {
 	fs.DurationVar(&c.RoundDeadline, "round-deadline", c.RoundDeadline, "wall-clock budget of each round's local phase; late devices are dropped from aggregation (0 = none; incompatible with -virtual-devices)")
 	fs.Float64Var(&c.FailureRate, "fail-rate", c.FailureRate, "injected per-device-round failure probability in [0,1), deterministic in (seed, round, device)")
 	fs.IntVar(&c.TeachersPerIter, "teachers-per-iter", c.TeachersPerIter, "replica teachers sampled per server distillation iteration (0 = paper-exact full ensemble)")
-	fs.IntVar(&c.PipelineDepth, "pipeline-depth", c.PipelineDepth, "rounds in flight on the round engine: the server distills round r while round r+1 trains on-device (0 = paper-exact synchronous barrier)")
+	fs.IntVar(&c.PipelineDepth, "pipeline-depth", c.PipelineDepth, "rounds in flight on the round engine: the server distills round r while round r+1 trains on-device (0 = paper-exact synchronous barrier; >0 incompatible with -virtual-devices)")
 	fs.StringVar(&c.ReplicaStore, "replica-store", c.ReplicaStore, "server replica store: memory (fully resident, the \"\" default) or spill (LRU hot set + disk tier)")
 	fs.IntVar(&c.ReplicaShards, "shards", c.ReplicaShards, "cohort store shards, registration/checkout fanned out per shard (0 = 1)")
 	fs.IntVar(&c.HotSet, "hot-set", c.HotSet, "resident replica slots per cohort shard under the spill store (0 = sized to the teacher window)")
 	fs.StringVar(&c.SpillDir, "spill-dir", c.SpillDir, "directory for spill files (default: a private temp dir, removed on exit)")
-	fs.BoolVar(&c.VirtualDevices, "virtual-devices", c.VirtualDevices, "keep device models in a tiered store, materialised only while participating")
+	fs.BoolVar(&c.VirtualDevices, "virtual-devices", c.VirtualDevices, "keep only each device's last download, in a tiered store (bounded memory; needs -round-deadline 0 and -pipeline-depth 0)")
 	fs.IntVar(&c.EvalDevices, "eval-devices", c.EvalDevices, "devices in the per-round replica evaluation (0 = all)")
 	fs.StringVar(&c.StateCodec, "state-codec", c.StateCodec, "state codec for replica slots, wire payloads and checkpoints: float64 (dense, the \"\" default), float16 (2 B/elem) or int8 (1 B/elem, per-tensor affine)")
 	fs.Uint64Var(&c.Seed, "seed", c.Seed, "random seed")

@@ -122,7 +122,7 @@ func registerFleetMetrics(reg *obs.Registry, rigs *rigStats, server, devices *st
 	registerStoreBuffers(reg, server, devices)
 	reg.RegisterCounterFunc("fedzkt_device_rig_builds_total", "device modules built by worker rigs (at most workers × architectures)",
 		func() float64 { return float64(rigs.builds.Load()) })
-	reg.RegisterCounterFunc("fedzkt_device_rig_reuses_total", "virtual-device materialisations served by a rig's live module",
+	reg.RegisterCounterFunc("fedzkt_device_rig_reuses_total", "device materialisations (tasks and evaluations) served by a rig's live module",
 		func() float64 { return float64(rigs.reuses.Load()) })
 	rigs.step.register(reg, "rig_step", "the device rigs' step arenas, summed")
 	rigs.task.register(reg, "rig_task", "the device rigs' task arenas, summed")

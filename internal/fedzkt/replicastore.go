@@ -1,13 +1,14 @@
 package fedzkt
 
 // State at rest: the slot stores behind the cohort registry (cohort.go)
-// and the virtual-device store (coordinator.go).
+// and the in-process device store (coordinator.go).
 //
 // Whatever crosses a seam of this system — an upload, a download, a spill
 // record, a checkpointed replica — is one thing, a model's state as codec
 // container bytes. slotStore is where such states rest between uses, keyed
 // by a small integer, and it has exactly two backings, chosen once per
-// cohort (cohortSet.cohortFor) from the configuration:
+// cohort (cohortSet.cohortFor) or device architecture
+// (Coordinator.newDevStore) from the configuration:
 //
 //   - denseSlots: a dense nn.StateDict per slot, made resident in a pooled
 //     module by an O(#tensors) slice-header exchange (nn.StateBinding) — no
@@ -18,13 +19,16 @@ package fedzkt
 //     against a 0.25 bound), because encoding into fresh memory runs at
 //     2.8 GB/s where the registration Clone's memmove runs at 5.1. Dense is
 //     a backing, not a code path: nothing outside this file can tell.
+//     Resident devices rest in it too, whatever the codec: the seeded
+//     build's dict is the slot, and a download decodes into it.
 //   - tieredSlots: the container bytes themselves in an LRU hot set, decoded
 //     into the pooled module on checkout and re-encoded on a writable
 //     release only. Its bound is either none — the whole cohort stays hot
 //     and no file is ever opened, which is the quantised codecs on the
 //     memory store — or a hot-set size over a fixed-stride spill file
 //     (codec.SpillFile) that dirty entries are written to on eviction: the
-//     server's spill store and the virtual-device store.
+//     server's spill store and the virtual-device store, which keeps a
+//     device's last download verbatim and has no virgin hook.
 //
 // Three properties make the tier invisible to the arithmetic:
 //
@@ -238,9 +242,12 @@ type slotStore interface {
 	// appendPayload appends slot i's container, in the store's codec, to dst.
 	appendPayload(dst []byte, i int) ([]byte, error)
 	// checkout makes slot i's state resident in a pooled module, until the
-	// matching release; a writable release stores the module's state back,
-	// a read-only one leaves the stored bytes untouched.
-	checkout(i int, into *replicaSlot) error
+	// matching release, and reports whether the slot holds a state: a slot
+	// of a store without a virgin hook that was never written holds none,
+	// and leaves the module as it was. A writable release stores the
+	// module's state back, a read-only one leaves the stored bytes
+	// untouched.
+	checkout(i int, into *replicaSlot) (held bool, err error)
 	release(i int, from *replicaSlot, writable bool) error
 	// virgin reports that slot i was never written and is stored nowhere:
 	// its content is still the seeded registration state.
@@ -283,8 +290,8 @@ func (d *denseSlots) appendPayload(dst []byte, i int) ([]byte, error) {
 	return d.codec.Append(dst, d.states[i])
 }
 
-func (d *denseSlots) checkout(i int, into *replicaSlot) error {
-	return into.binding.Swap(d.states[i])
+func (d *denseSlots) checkout(i int, into *replicaSlot) (bool, error) {
+	return true, into.binding.Swap(d.states[i])
 }
 
 // release swaps the dict back out, writable or not: the module was
@@ -622,29 +629,26 @@ func (ts *tieredSlots) installPayload(i int, payload []byte) error {
 	return ts.putBytes(i, payload)
 }
 
-// mustRead is read for the slotStore paths, where every slot asked for was
-// registered with a state or has a virgin one.
-func (ts *tieredSlots) mustRead(i int, fn func(enc []byte) error) error {
-	held, err := ts.read(i, fn)
-	if err == nil && !held {
-		err = fmt.Errorf("fedzkt: slot %d holds no state", i)
-	}
-	return err
-}
+// errNoState is what a caller that registered every slot it asks for
+// reports for one that holds no state.
+func errNoState(i int) error { return fmt.Errorf("fedzkt: slot %d holds no state", i) }
 
 func (ts *tieredSlots) appendPayload(dst []byte, i int) ([]byte, error) {
-	err := ts.mustRead(i, func(enc []byte) error {
+	held, err := ts.read(i, func(enc []byte) error {
 		dst = append(dst, enc...)
 		return nil
 	})
+	if err == nil && !held {
+		err = errNoState(i)
+	}
 	if err != nil {
 		return nil, err
 	}
 	return dst, nil
 }
 
-func (ts *tieredSlots) checkout(i int, into *replicaSlot) error {
-	return ts.mustRead(i, func(enc []byte) error { return codec.DecodeInto(enc, into.sd) })
+func (ts *tieredSlots) checkout(i int, into *replicaSlot) (bool, error) {
+	return ts.read(i, func(enc []byte) error { return codec.DecodeInto(enc, into.sd) })
 }
 
 // release re-encodes a writable lease's module state into the slot. A

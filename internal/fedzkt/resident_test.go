@@ -52,9 +52,8 @@ func freeBuffers(co *Coordinator) (total int, perArch map[string]int) {
 // eighth the size, recycled by the same free list — stay far under it
 // (≈ 0.09 MB). (The race detector adds
 // ≈ 2.8 MB a round of its own to either figure, so a -race build checks
-// everything but the ceiling.) And once a task has ended, no device model
-// holds a gradient — nor an anchor, which fed's
-// TestLazyAnchorMatchesEagerSnapshot pins where the field is visible.
+// everything but the ceiling.) TestDeviceLifecycle pins what a device holds
+// once its task has ended.
 func TestResidentRoundAllocCeiling(t *testing.T) {
 	const short, long, ceiling = 4, 12, 850 << 10
 	for _, tc := range []struct {
@@ -72,13 +71,6 @@ func TestResidentRoundAllocCeiling(t *testing.T) {
 			t.Logf("steady-state allocation: %.0f bytes/round", perRound)
 			if perRound > ceiling && !raceEnabled {
 				t.Errorf("a steady-state resident round allocates %.0f bytes, ceiling %d", perRound, ceiling)
-			}
-			for _, d := range co.Devices() {
-				for i, p := range d.Model.Params() {
-					if p.Grad() != nil {
-						t.Fatalf("device %d parameter %d holds a gradient after the run", d.ID, i)
-					}
-				}
 			}
 			built, reused := co.PayloadBufferStats()
 			if free, _ := freeBuffers(co); int64(free) != built {
@@ -171,8 +163,8 @@ func TestPayloadBuffersBounded(t *testing.T) {
 	})
 }
 
-// stateDigest hashes the bits of every server replica and, for resident
-// devices, every device model after a run.
+// stateDigest hashes the bits of every server replica and every device's
+// state at rest after a run, in either device mode.
 func stateDigest(t *testing.T, co *Coordinator) string {
 	t.Helper()
 	h := fnv.New64a()
@@ -195,10 +187,8 @@ func stateDigest(t *testing.T, co *Coordinator) string {
 		}
 		add(sd)
 	}
-	if !co.virtual {
-		for _, d := range co.Devices() {
-			add(nn.CaptureState(d.Model))
-		}
+	for id := range co.Devices() {
+		add(deviceState(t, co, id))
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
@@ -214,15 +204,15 @@ const (
 		"round=2 active=[0 1 2 3] dropped=[] injected=[] up=839520 down=839520 global=0.3333333333333333 mean=0.46296296296296297 gradnorm=0 dev=[0.6666666666666666 0.3333333333333333 0.6111111111111112 0.3333333333333333 0.3888888888888889 0.4444444444444444]\n" +
 		"round=3 active=[0 1 4 5] dropped=[] injected=[4] up=440136 down=440136 global=0.3333333333333333 mean=0.46296296296296297 gradnorm=0 dev=[0.7222222222222222 0.3333333333333333 0.6111111111111112 0.3333333333333333 0.3888888888888889 0.3888888888888889]\n" +
 		"round=4 active=[0 2 4 5] dropped=[] injected=[5] up=1198152 down=1198152 global=0.3333333333333333 mean=0.45370370370370366 gradnorm=0 dev=[0.6666666666666666 0.3333333333333333 0.6666666666666666 0.3333333333333333 0.3333333333333333 0.3888888888888889]\n"
-	proxGoldenDigest        = "653ceaa4e460f173"
-	proxGoldenVirtualDigest = "53f7abdadd288165" // replicas only: a virtual device holds no model
-	proxGoldenDepth2Digest  = "813883f8ba0bd742"
+	proxGoldenDigest       = "653ceaa4e460f173"
+	proxGoldenDepth2Digest = "813883f8ba0bd742"
 )
 
 // TestProxMuDeterminismGolden pins the proximal path across the lifetime
 // changes: resident devices (sequential and pooled), virtual devices
-// (whose anchor is re-captured at every materialisation) and the depth-2
-// pipelined engine must reproduce the recorded states bit for bit.
+// (whose anchor is re-captured at every materialisation, and whose states
+// at rest are the resident ones) and the depth-2 pipelined engine must
+// reproduce the recorded states bit for bit.
 func TestProxMuDeterminismGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("pinned states recorded on amd64; GOARCH=%s may fuse FMAs", runtime.GOARCH)
@@ -253,7 +243,7 @@ func TestProxMuDeterminismGolden(t *testing.T) {
 	}{
 		{"sequential", func(c *Config) { c.Sequential = true }, proxGoldenFingerprint, proxGoldenDigest},
 		{"workers4", func(c *Config) { c.Workers = 4 }, proxGoldenFingerprint, proxGoldenDigest},
-		{"virtual", func(c *Config) { c.Workers = 3; c.VirtualDevices = true }, proxGoldenFingerprint, proxGoldenVirtualDigest},
+		{"virtual", func(c *Config) { c.Workers = 3; c.VirtualDevices = true }, proxGoldenFingerprint, proxGoldenDigest},
 		{"depth2", func(c *Config) { c.Workers = 2; c.PipelineDepth = 2 }, "", proxGoldenDepth2Digest},
 	} {
 		fp, state := run(tc.mutate)

@@ -21,20 +21,22 @@ import (
 //     buffers and the model's parameter gradients, lent for the duration
 //     of the local update), reset when the device task ends;
 //   - one live module per architecture, built on the worker's first task
-//     of that architecture. A virtual device borrows it for the task —
-//     its stored payload is decoded into it, or it is re-seeded in place
-//     for a never-downloaded device — so live device models are bounded
-//     by workers × architectures instead of by the round's sample;
+//     of that architecture, with the state binding and captured state a
+//     slot store's checkout installs a device's state through (see
+//     Coordinator.materialise): every device trains and is evaluated in
+//     it, so live device models are bounded by workers × architectures
+//     instead of by the fleet;
 //   - one proximal-anchor buffer per architecture, lent with the module
-//     when the proximal term is on (a virtual device re-captures its
-//     anchor at every materialisation).
+//     to a virtual device when the proximal term is on (a bounded store
+//     keeps no per-device anchor, so the device re-captures it at every
+//     materialisation).
 //
 // A rig is created lazily by the pool and is only ever touched by the
 // goroutine currently serving its worker slot.
 type deviceRig struct {
 	step    *ag.Arena
 	task    *tensor.Arena
-	modules map[string]nn.Module
+	modules map[string]*replicaSlot
 	anchors map[string]nn.StateDict
 	build   func(arch string) (nn.Module, error)
 	stats   *rigStats
@@ -52,7 +54,7 @@ func newDeviceRig(build func(arch string) (nn.Module, error), stats *rigStats) *
 	r := &deviceRig{
 		step:    ag.NewArena(),
 		task:    tensor.NewArena(),
-		modules: make(map[string]nn.Module),
+		modules: make(map[string]*replicaSlot),
 		anchors: make(map[string]nn.StateDict),
 		build:   build,
 		stats:   stats,
@@ -65,18 +67,19 @@ func newDeviceRig(build func(arch string) (nn.Module, error), stats *rigStats) *
 // module returns the rig's live module for arch, building it on first
 // use. The module's values are whatever the previous borrower left: the
 // caller installs a device's state before using it.
-func (r *deviceRig) module(arch string) (nn.Module, error) {
-	if m, ok := r.modules[arch]; ok {
+func (r *deviceRig) module(arch string) (*replicaSlot, error) {
+	if s, ok := r.modules[arch]; ok {
 		r.stats.reuses.Add(1)
-		return m, nil
+		return s, nil
 	}
 	m, err := r.build(arch)
 	if err != nil {
 		return nil, fmt.Errorf("fedzkt: building %q device module: %w", arch, err)
 	}
-	r.modules[arch] = m
+	s := &replicaSlot{module: m, binding: nn.BindState(m), sd: nn.CaptureState(m)}
+	r.modules[arch] = s
 	r.stats.builds.Add(1)
-	return m, nil
+	return s, nil
 }
 
 // anchor returns the rig's proximal-anchor buffer for arch, a dict of m's

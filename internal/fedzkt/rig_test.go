@@ -105,7 +105,9 @@ func TestVirtualRoundAllocCeiling(t *testing.T) {
 // steady-state round with ProxMu > 0 may therefore allocate only a little
 // more than one without (LocalUpdate's two small lookup maps per
 // participation, ≈ 11 kB a round); a clone per materialisation costs
-// ≈ 1.2 MB a round on top.
+// ≈ 1.2 MB a round on top. (The race detector's own ≈ 2.8 MB a round
+// varies by more than the ceiling between runs, so a -race build only
+// runs the federations.)
 func TestVirtualProxRoundAllocCeiling(t *testing.T) {
 	const short, long, ceiling = 4, 12, 256 << 10
 	perRound := func(mu float64) float64 {
@@ -117,7 +119,7 @@ func TestVirtualProxRoundAllocCeiling(t *testing.T) {
 	}
 	plain, prox := perRound(0), perRound(0.1)
 	t.Logf("steady-state allocation: %.0f bytes/round without the proximal term, %.0f with", plain, prox)
-	if prox-plain > ceiling {
+	if prox-plain > ceiling && !raceEnabled {
 		t.Errorf("the proximal term costs a virtual round %.0f bytes, ceiling %d", prox-plain, ceiling)
 	}
 }
@@ -144,16 +146,19 @@ func checkScraped(t *testing.T, want map[string]int64) {
 // TestVirtualQuantisedMatchesResident: a virtual device's store keeps the
 // int8 download verbatim and decodes it straight into the rig's module,
 // which must give exactly the values a resident device's model holds
-// after the same download — so the fingerprint of a quantised run cannot
-// depend on whether devices are virtual, where replicas are stored, or
-// how many workers (hence rigs) serve them.
+// after the same download — so neither the fingerprint of a quantised run
+// nor any final replica or device state can depend on whether devices are
+// virtual, where replicas are stored, or how many workers (hence rigs)
+// serve them. The fingerprint's accuracies alone could hide a weight
+// divergence, so the states are digested too.
 func TestVirtualQuantisedMatchesResident(t *testing.T) {
 	run := func(mutate func(*Config)) string {
-		hist, err := toyFleet(t, 3, mutate).Run(context.Background())
+		co := toyFleet(t, 3, mutate)
+		hist, err := co.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return hist.Fingerprint()
+		return hist.Fingerprint() + "states " + stateDigest(t, co)
 	}
 	ref := run(func(c *Config) { c.VirtualDevices, c.ReplicaStore, c.HotSet = false, "", 0 })
 	if got := run(nil); got != ref {

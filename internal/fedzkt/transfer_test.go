@@ -64,11 +64,13 @@ func TestZeroShotTransferToUnseenClasses(t *testing.T) {
 	}
 	local := fed.LocalConfig{Epochs: cfg.Rounds * cfg.LocalEpochs, BatchSize: cfg.BatchSize, LR: cfg.DeviceLR, Momentum: cfg.Momentum}
 	isoUnseen := 0.0
-	for _, d := range isolated.Devices() {
-		if _, err := d.LocalUpdate(local, tensor.NewRand(79)); err != nil {
-			t.Fatal(err)
-		}
-		isoUnseen += unseenClassAccuracy(d)
+	for id := range isolated.Devices() {
+		withDevice(t, isolated, id, func(d *fed.Device) {
+			if _, err := d.LocalUpdate(local, tensor.NewRand(79)); err != nil {
+				t.Fatal(err)
+			}
+			isoUnseen += unseenClassAccuracy(d)
+		})
 	}
 	isoUnseen /= float64(len(isolated.Devices()))
 
@@ -76,8 +78,8 @@ func TestZeroShotTransferToUnseenClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	fedUnseen := 0.0
-	for _, d := range co.Devices() {
-		fedUnseen += unseenClassAccuracy(d)
+	for id := range co.Devices() {
+		withDevice(t, co, id, func(d *fed.Device) { fedUnseen += unseenClassAccuracy(d) })
 	}
 	fedUnseen /= float64(len(co.Devices()))
 

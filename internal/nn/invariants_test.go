@@ -3,7 +3,6 @@ package nn
 import (
 	"testing"
 
-	"github.com/fedzkt/fedzkt/internal/ag"
 	"github.com/fedzkt/fedzkt/internal/tensor"
 )
 
@@ -66,29 +65,5 @@ func TestNumParamsMatchesStateDict(t *testing.T) {
 	// BN contributes 2 buffers of 4 channels = 8 extra scalars.
 	if got := sd.Numel() - 8; got != nParams {
 		t.Fatalf("NumParams=%d but state dict holds %d trainable scalars", nParams, got)
-	}
-}
-
-// TestZeroGradsClearsAll: after a backward pass, ZeroGrads must reset every
-// parameter gradient to zero.
-func TestZeroGradsClearsAll(t *testing.T) {
-	m := buildAllLayers()
-	x := tensor.New(2, 1, 8, 8)
-	tensor.FillNormal(x, 0, 1, tensor.NewRand(2))
-	ag.Backward(ag.SumAll(m.Forward(ag.Const(x))))
-	seen := false
-	for _, p := range m.Params() {
-		if g := p.Grad(); g != nil && tensor.Norm2(g) > 0 {
-			seen = true
-		}
-	}
-	if !seen {
-		t.Fatal("backward produced no gradients at all")
-	}
-	ZeroGrads(m)
-	for i, p := range m.Params() {
-		if g := p.Grad(); g != nil && tensor.Norm2(g) != 0 {
-			t.Fatalf("param %d grad not cleared", i)
-		}
 	}
 }

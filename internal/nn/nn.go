@@ -46,13 +46,6 @@ func SetTrainable(m Module, trainable bool) {
 	}
 }
 
-// ZeroGrads clears the gradients of all parameters.
-func ZeroGrads(m Module) {
-	for _, p := range m.Params() {
-		p.ZeroGrad()
-	}
-}
-
 // StateDict maps state names to tensors. The tensors are references into
 // the module (not copies); use Clone for a snapshot.
 type StateDict map[string]*tensor.Tensor

@@ -75,82 +75,6 @@ func uniformSubset(n, k int, rng *rand.Rand) []int {
 	return active
 }
 
-// WeightedByData samples min(K, n) devices without replacement with
-// probability proportional to their data weight (typically shard size),
-// so data-rich devices participate more often — the importance-sampling
-// policy of systems like Fed-ET. Zero-weight devices are only drawn once
-// every positive-weight device in the pool has been.
-type WeightedByData struct {
-	K       int
-	Weights []int
-}
-
-// NewWeightedByData validates the inputs and builds the policy.
-func NewWeightedByData(weights []int, k int) (WeightedByData, error) {
-	if k <= 0 {
-		return WeightedByData{}, fmt.Errorf("sched: weighted sample size %d must be positive", k)
-	}
-	if len(weights) == 0 {
-		return WeightedByData{}, fmt.Errorf("sched: weighted sampling needs weights")
-	}
-	for i, w := range weights {
-		if w < 0 {
-			return WeightedByData{}, fmt.Errorf("sched: negative weight %d for device %d", w, i)
-		}
-	}
-	return WeightedByData{K: k, Weights: weights}, nil
-}
-
-// Name implements Sampler.
-func (w WeightedByData) Name() string { return fmt.Sprintf("weighted-%d", w.K) }
-
-// Sample implements Sampler. n must equal len(Weights).
-func (w WeightedByData) Sample(n int, rng *rand.Rand) []int {
-	checkPopulation(n)
-	if n != len(w.Weights) {
-		panic(fmt.Sprintf("sched: weighted sampler built for %d devices, asked for %d", len(w.Weights), n))
-	}
-	k := w.K
-	if k > n {
-		k = n
-	}
-	// Successive weighted draws without replacement over the shrinking
-	// candidate pool.
-	candidates := make([]int, n)
-	weights := make([]int, n)
-	total := 0
-	for i := range candidates {
-		candidates[i] = i
-		weights[i] = w.Weights[i]
-		total += weights[i]
-	}
-	active := make([]int, 0, k)
-	for len(active) < k {
-		var pick int
-		if total <= 0 {
-			// Only zero-weight candidates remain: draw uniformly.
-			pick = rng.IntN(len(candidates))
-		} else {
-			target := rng.IntN(total)
-			acc := 0
-			for i, wt := range weights {
-				acc += wt
-				if target < acc {
-					pick = i
-					break
-				}
-			}
-		}
-		active = append(active, candidates[pick])
-		total -= weights[pick]
-		last := len(candidates) - 1
-		candidates[pick], weights[pick] = candidates[last], weights[last]
-		candidates, weights = candidates[:last], weights[:last]
-	}
-	sort.Ints(active)
-	return active
-}
-
 func checkPopulation(n int) {
 	if n <= 0 {
 		panic(fmt.Sprintf("sched: sampling from %d devices", n))
