@@ -11,6 +11,7 @@ import (
 	"github.com/fedzkt/fedzkt/internal/nn"
 	"github.com/fedzkt/fedzkt/internal/optim"
 	"github.com/fedzkt/fedzkt/internal/sched"
+	"github.com/fedzkt/fedzkt/internal/tensor"
 )
 
 // This file implements the server's architecture-cohort replica registry.
@@ -28,12 +29,13 @@ import (
 //
 // Slots hold state at rest behind the slotStore interface
 // (replicastore.go): dense dicts for the identity codec on the memory
-// store, container bytes otherwise — every slot hot on the memory store,
-// an LRU hot set over a spill file on the spill store, where members that
-// were never written are not stored at all and resident replica state is
-// bounded by the hot-set size instead of the device count, the
-// million-device lever. The backing is chosen once per cohort, in
-// cohortFor; nothing else in this file knows which one it talks to.
+// store, reserved at registration and first written when used, container
+// bytes otherwise — every slot hot on the memory store, an LRU hot set over
+// a spill file on the spill store, where members that were never written
+// are not stored at all and resident replica state is bounded by the
+// hot-set size instead of the device count, the million-device lever. The
+// backing is chosen once per cohort, in cohortFor; nothing else in this
+// file knows which one it talks to.
 //
 // The registry is additionally sharded (Config.ReplicaShards): shard
 // s owns every device with id ≡ s (mod N), each shard keeping its own
@@ -67,13 +69,25 @@ type replicaSlot struct {
 
 // archSig is an architecture's state signature, captured once per
 // architecture from a single throwaway build: sorted names, per-tensor
-// element counts and the total. Every install validates the incoming dict
-// or payload against it before a slot store sees it, and the lazy
-// registration path uses it instead of building a module per device.
+// element counts and shapes, and the total. Every install validates the
+// incoming dict or payload against it before a slot store sees it, and the
+// lazy registration path uses it instead of building a module per device.
 type archSig struct {
-	names []string
-	lens  []int
-	numel int
+	names  []string
+	lens   []int
+	shapes [][]int // containers carry shapes, so a reserved dict needs them
+	numel  int
+}
+
+// alloc returns a zero dict of the signature's layout. Fresh heap memory is
+// untouched zero pages: the dict costs address space, not resident memory,
+// until it is first written.
+func (sig *archSig) alloc() nn.StateDict {
+	sd := make(nn.StateDict, len(sig.names))
+	for i, n := range sig.names {
+		sd[n] = tensor.New(sig.shapes[i]...)
+	}
+	return sd
 }
 
 // checkLayout validates an install against the signature: exactly the
@@ -100,6 +114,7 @@ func sigOf(sd nn.StateDict) *archSig {
 	for _, e := range dictLayout(sd) {
 		sig.names = append(sig.names, e.Name)
 		sig.lens = append(sig.lens, e.Numel)
+		sig.shapes = append(sig.shapes, sd[e.Name].Shape())
 		sig.numel += e.Numel
 	}
 	return sig
@@ -205,12 +220,15 @@ type cohortOptions struct {
 	// spillDir, when set, selects the spill store and hosts its files;
 	// empty keeps every slot in memory. Under the spill store hotSet bounds
 	// each cohort shard's hot entries (0 = auto: the full cohort in exact
-	// mode, a teacher-window multiple in sampled mode) and initSlot rebuilds
-	// a device's seeded initial state, encoded with codec and appended to
-	// dst — the content of a virgin slot.
+	// mode, a teacher-window multiple in sampled mode).
 	spillDir string
 	hotSet   int
+	// initSlot rebuilds a device's seeded initial state — the content of a
+	// virgin slot — encoded with codec and appended to dst, and reseed
+	// re-draws it in place into a pooled module: how a virgin slot is read
+	// where the store lends no state (a reserved dense slot).
 	initSlot func(arch string, id int, dst []byte) ([]byte, error)
+	reseed   func(m nn.Module, id int) error
 }
 
 // cohortSet is the server's replica registry: every shard's cohorts,
@@ -272,19 +290,19 @@ func (cs *cohortSet) cohortFor(sh *cohortShard, arch string, sig *archSig, build
 		return c
 	}
 	c := &cohort{arch: arch, build: build, sig: sig}
+	init := func(local int, dst []byte) ([]byte, error) {
+		return cs.initSlot(c.arch, c.members[local].id, dst)
+	}
 	switch {
 	case cs.spillDir != "":
 		path := filepath.Join(cs.spillDir, fmt.Sprintf("shard%03d-%s.spill", sh.index, arch))
 		capFn := func() int { return cs.hotCap(c) }
-		init := func(local int, dst []byte) ([]byte, error) {
-			return cs.initSlot(c.arch, c.members[local].id, dst)
-		}
 		c.slots = newTieredSlots(cs.codec, path, capFn, init, &cs.counters)
 		if cs.prefetchCh == nil {
 			cs.startPrefetcher()
 		}
 	case codec.Identity(cs.codec):
-		c.slots = &denseSlots{codec: cs.codec, numel: sig.numel}
+		c.slots = &denseSlots{codec: cs.codec, sig: sig, init: init}
 	default:
 		c.slots = newTieredSlots(cs.codec, "", nil, nil, &cs.counters)
 	}
@@ -317,9 +335,11 @@ func (cs *cohortSet) hotCap(c *cohort) int {
 func (cs *cohortSet) shardOf(id int) *cohortShard { return cs.shards[id%len(cs.shards)] }
 
 // register files a new member into its shard's cohort and stores its
-// initial state. A nil sd registers a virgin member (spill store only):
-// nothing is stored until the slot is first written, and reads
-// reconstruct the seeded initial state via initSlot. sd is validated
+// initial state. A nil sd registers a virgin member, whose content is its
+// seeded initial state until the slot is first written: the store reserves
+// the slot (slotStore.reserve) and reads reconstruct the state via
+// initSlot or reseed. Every store but the quantised memory store's keeps
+// virgin slots. sd is validated
 // against the architecture's own signature (one throwaway build per
 // architecture), never against itself, so a drifted first registrant
 // fails as loudly as a later one. The store may keep sd itself when the
@@ -340,10 +360,12 @@ func (cs *cohortSet) register(arch string, sd nn.StateDict, owned bool, weight i
 	mem := &member{id: id, local: len(c.members), weight: weight}
 	c.members = append(c.members, mem)
 	cs.devices = append(cs.devices, deviceRef{shard: sh.index, cohort: c, member: mem})
-	if sd != nil {
-		if err := c.slots.installDict(mem.local, sd, owned); err != nil {
-			return 0, fmt.Errorf("fedzkt: storing %q replica slot: %w", arch, err)
-		}
+	if sd == nil {
+		c.slots.reserve(mem.local)
+		return id, nil
+	}
+	if err := c.slots.installDict(mem.local, sd, owned); err != nil {
+		return 0, fmt.Errorf("fedzkt: storing %q replica slot: %w", arch, err)
 	}
 	return id, nil
 }
@@ -526,7 +548,13 @@ func (cs *cohortSet) checkoutShard(ids []int, positions []int, leases []*replica
 		slot := ref.cohort.slot(si, cs.lr, &cs.live)
 		held, err := ref.cohort.slots.checkout(ref.member.local, slot)
 		if err == nil && !held {
-			err = errNoState(ref.member.local)
+			// A virgin slot that lent nothing is its seeded state, re-drawn
+			// in place in the pooled module.
+			if ref.cohort.slots.virgin(ref.member.local) {
+				err = cs.reseed(slot.module, id)
+			} else {
+				err = errNoState(ref.member.local)
+			}
 		}
 		if err != nil {
 			cs.noteFault(id, err)

@@ -119,15 +119,17 @@ type Config struct {
 	// VirtualDevices picks where in-process devices keep their state at
 	// rest, as ReplicaStore does for the server's replicas. Either way a
 	// device's model is its worker's module, holding the device's state
-	// only while its local phase or evaluation runs. false (the default)
-	// keeps every device's state in a dense slot, so whatever a task leaves
-	// stays. true keeps only each device's last download, in a bounded slot
-	// store per architecture (HotSet; spill files under SpillDir), and
-	// builds nothing at registration: a device that never downloaded is
-	// its seeded initial state. That equals a resident device's state only
-	// when every device that trained receives its download before it trains
-	// again, so it requires RoundDeadline = 0 and PipelineDepth = 0, where
-	// round outcomes are byte-identical to resident devices.
+	// only while its local phase or evaluation runs, and registration
+	// builds nothing in either mode: a device that was never written is its
+	// seeded initial state. false (the default) keeps every device's state
+	// in a dense slot, reserved at registration and first written by the
+	// device's first task or download, so whatever a task leaves stays.
+	// true keeps only each device's last download, in a bounded slot store
+	// per architecture (HotSet; spill files under SpillDir). That equals a
+	// resident device's state only when every device that trained receives
+	// its download before it trains again, so it requires RoundDeadline = 0
+	// and PipelineDepth = 0, where round outcomes are byte-identical to
+	// resident devices.
 	VirtualDevices bool
 	// EvalDevices, when positive, evaluates per-device accuracy on only
 	// the first EvalDevices devices instead of all of them (the scale
@@ -401,7 +403,7 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 			_ = c.Close()
 			return nil, fmt.Errorf("fedzkt: device %d has an empty shard", i)
 		}
-		if err := c.register(i, arch, perArch[arch], in, len(shards[i])); err != nil {
+		if err := c.register(i, arch, perArch[arch], len(shards[i])); err != nil {
 			_ = c.Close()
 			return nil, err
 		}
@@ -412,24 +414,13 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 }
 
 // register files device i, the local-th of its architecture, with the
-// server — it announces its architecture, initial state and data size, and
-// the server files the replica into the matching architecture cohort — and
-// with the device store. A resident device's initial state is its seeded
-// build, whose own tensors become its slot. A virtual device builds
-// nothing: until its first download its state is that seeded build, and
-// the server's lazy (nil-initial) registration defines the replica as
-// exactly that state — registration is O(1) per device under the spill
-// store.
-func (c *Coordinator) register(i int, arch string, local int, in model.Shape, dataSize int) error {
-	var sd nn.StateDict
-	if !c.cfg.VirtualDevices {
-		m, err := model.Build(arch, in, c.ds.Classes, tensor.NewRand(fed.DeviceSeed(c.cfg.Seed, i)))
-		if err != nil {
-			return fmt.Errorf("fedzkt: device %d: %w", i, err)
-		}
-		sd = nn.CaptureState(m)
-	}
-	id, err := c.server.RegisterSized(arch, sd, dataSize)
+// server — it announces its architecture and data size, and the server
+// files the replica into the matching architecture cohort — and with the
+// device store. Neither side builds anything: until it is first written, a
+// device's state and its replica are its seeded build, which a virgin slot
+// is defined as (see slotStore.reserve).
+func (c *Coordinator) register(i int, arch string, local int, dataSize int) error {
+	id, err := c.server.RegisterSized(arch, nil, dataSize)
 	if err != nil {
 		return err
 	}
@@ -438,29 +429,27 @@ func (c *Coordinator) register(i int, arch string, local int, in model.Shape, da
 	}
 	st, ok := c.devStore[arch]
 	if !ok {
-		if st, err = c.newDevStore(arch, sd.Numel()); err != nil {
+		if st, err = c.newDevStore(arch); err != nil {
 			return err
 		}
 		c.devStore[arch] = st
 	}
 	c.devLocal = append(c.devLocal, local)
-	if sd == nil {
-		return nil
-	}
-	return st.installDict(local, sd, true)
+	st.reserve(local)
+	return nil
 }
 
 // newDevStore makes the store where devices of architecture arch rest —
 // the device side's one choice of backing, as cohortFor is the server's.
-// Resident devices rest in denseSlots: registration hands over the seeded
-// build's dict, checkout swaps it into the worker rig's module by slice
-// header and release swaps it back. Virtual devices rest in a bounded
-// tieredSlots holding each device's last download as it arrived; it has
-// no virgin hook, so a device that never downloaded holds no state there
-// and materialise re-seeds the module in place.
-func (c *Coordinator) newDevStore(arch string, numel int) (slotStore, error) {
+// Resident devices rest in denseSlots, each slot reserved at registration:
+// a written slot's checkout swaps its dict into the worker rig's module by
+// slice header and release swaps it back. Virtual devices rest in a
+// bounded tieredSlots holding each device's last download as it arrived.
+// Either way a device that was never written holds no state there, and
+// materialise re-seeds the module in place.
+func (c *Coordinator) newDevStore(arch string) (slotStore, error) {
 	if !c.cfg.VirtualDevices {
-		return &denseSlots{codec: c.codec, numel: numel}, nil
+		return &denseSlots{codec: c.codec, sig: c.server.cohorts.sigs[arch]}, nil
 	}
 	if c.devSpillDir == "" {
 		dir := c.cfg.SpillDir
@@ -486,18 +475,18 @@ func (c *Coordinator) newDevStore(arch string, numel int) (slotStore, error) {
 
 // materialise makes the worker rig's module for d's architecture hold d's
 // state at rest and sets d.Model to it, until release: the slot's state,
-// or for a device whose slot holds none (virtual, never downloaded) its
-// seeded initial state, re-drawn in place — bit-identical to the build a
-// resident device registers. held reports a stored state. Runs on
-// scheduler workers and between-round fan-outs; the stores serialise slot
-// access. After an error nothing is to be released.
+// or for a device whose slot holds none (never written: reserved, or
+// virtual and never downloaded) its seeded initial state, re-drawn in
+// place — bit-identical to the device's seeded build. held reports a
+// stored state. Runs on scheduler workers and between-round fan-outs; the
+// stores serialise slot access. After an error nothing is to be released.
 func (c *Coordinator) materialise(rig *deviceRig, d *fed.Device) (held bool, err error) {
 	slot, err := rig.module(d.Arch)
 	if err == nil {
 		held, err = c.devStore[d.Arch].checkout(c.devLocal[d.ID], slot)
 	}
 	if err == nil && !held {
-		err = model.Reinit(slot.module, tensor.NewRand(fed.DeviceSeed(c.cfg.Seed, d.ID)))
+		err = c.server.reseed(slot.module, d.ID)
 	}
 	if err != nil {
 		return false, fmt.Errorf("fedzkt: materialising device %d: %w", d.ID, err)
@@ -506,15 +495,16 @@ func (c *Coordinator) materialise(rig *deviceRig, d *fed.Device) (held bool, err
 	return held, nil
 }
 
-// release ends d's materialisation: the module stays with the rig, and a
-// resident device's state, with whatever the task left in it, is swapped
-// back into its slot. A virtual device's store is not written: its next
-// state is the download Deliver stores after this round's transfer-back,
-// exactly what a resident device holds at the next round boundary (see
-// Config.VirtualDevices).
-func (c *Coordinator) release(rig *deviceRig, d *fed.Device) error {
+// release ends d's materialisation; the module stays with the rig. After a
+// task (trained) a resident device's state, with whatever the task left in
+// it, goes back into its slot, which is written from then on; after an
+// evaluation the slot is left as it was, a virgin one virgin. A virtual
+// device's store is not written either way: its next state is the download
+// Deliver stores after this round's transfer-back, exactly what a resident
+// device holds at the next round boundary (see Config.VirtualDevices).
+func (c *Coordinator) release(rig *deviceRig, d *fed.Device, trained bool) error {
 	d.Model = nil
-	return c.devStore[d.Arch].release(c.devLocal[d.ID], rig.modules[d.Arch], false)
+	return c.devStore[d.Arch].release(c.devLocal[d.ID], rig.modules[d.Arch], trained && !c.cfg.VirtualDevices)
 }
 
 // DeviceStoreStats snapshots the device stores: mode "memory" for
@@ -649,7 +639,7 @@ func (c *Coordinator) EvaluateDevices(ids []int) ([]float64, error) {
 		_, err := c.materialise(rig, d)
 		if err == nil {
 			accs[i] = fed.EvaluateArena(d.Model, c.ds, 64, rig.step)
-			err = c.release(rig, d)
+			err = c.release(rig, d, false)
 		}
 		if err != nil {
 			mu.Lock()
@@ -729,7 +719,7 @@ func (c *Coordinator) LocalPhase(ctx context.Context, round int, active []int, m
 			defer func() {
 				d.Scratch, d.TaskScratch = nil, nil
 				rig.task.Reset()
-				if rerr := c.release(rig, d); err == nil {
+				if rerr := c.release(rig, d, true); err == nil {
 					err = rerr
 				}
 			}()

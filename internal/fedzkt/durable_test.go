@@ -263,6 +263,37 @@ func TestCrashResumeFingerprintIdentity(t *testing.T) {
 	}
 }
 
+// TestUntouchedFleetCheckpointResume: a checkpoint saved before round 1,
+// when every resident slot is still only reserved, persists each replica
+// as its seeded build's container — the one path that reads a virgin dense
+// slot's payload — and a fresh coordinator that loads it and runs lands on
+// the uninterrupted run's fingerprint.
+func TestUntouchedFleetCheckpointResume(t *testing.T) {
+	want := baselineFingerprint(t)
+	c := durableCoordinator(t, tinyConfig())
+	cs := c.Server().cohorts
+	for _, ref := range cs.devices {
+		if !cs.virgin(ref) {
+			t.Fatalf("replica %d written before round 1", ref.member.id)
+		}
+	}
+	var blob bytes.Buffer
+	if err := c.SaveCheckpoint(&blob); err != nil {
+		t.Fatal(err)
+	}
+	rc := durableCoordinator(t, tinyConfig())
+	if err := rc.LoadCheckpoint(&blob); err != nil {
+		t.Fatal(err)
+	}
+	hist, err := rc.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hist.Fingerprint(); got != want {
+		t.Fatalf("a run resumed from the untouched fleet's checkpoint diverged from the uninterrupted run:\n got %q\nwant %q", got, want)
+	}
+}
+
 // TestLoadCheckpointAllOrNothing: a checkpoint that fails validation —
 // a truncated replica payload, a corrupt optimiser snapshot — must leave
 // the target server byte-identical to its pre-load state (satellite of

@@ -12,15 +12,19 @@ package fedzkt
 //
 //   - denseSlots: a dense nn.StateDict per slot, made resident in a pooled
 //     module by an O(#tensors) slice-header exchange (nn.StateBinding) — no
-//     element copy. Serves the identity codec on the memory store, and only
-//     it: measured on fleet1k_sync (1,000 devices, 420 MB of float64
-//     state), holding float64 containers instead costs 25–30 % more set-up
-//     CPU (0.35 → 0.45 s; the bench's setup_s read 0.42–0.53 → 0.52–0.93
-//     against a 0.25 bound), because encoding into fresh memory runs at
-//     2.8 GB/s where the registration Clone's memmove runs at 5.1. Dense is
-//     a backing, not a code path: nothing outside this file can tell.
-//     Resident devices rest in it too, whatever the codec: the seeded
-//     build's dict is the slot, and a download decodes into it.
+//     element copy. Serves the identity codec on the memory store, and
+//     resident devices whatever the codec (a download decodes into the
+//     slot). Registration reserves each slot: it allocates the dict and
+//     writes nothing, and fresh heap memory is untouched zero pages, so a
+//     reserved slot costs no resident memory until it is first written. A
+//     reserved slot is virgin — not absent, as under a bound — and its
+//     content is the seeded registration state: a checkout lends nothing
+//     and the caller re-seeds its module, a writable release or an install
+//     writes it. Reserving, rather than allocating at the first write,
+//     keeps the allocation in set-up: allocating at first write measured
+//     fleet1k_sync's alloc_mb_per_round 6.3 → 15.3 against a 0.2 bound.
+//     Dense is a backing, not a code path: nothing outside this file can
+//     tell.
 //   - tieredSlots: the container bytes themselves in an LRU hot set, decoded
 //     into the pooled module on checkout and re-encoded on a writable
 //     release only. Its bound is either none — the whole cohort stays hot
@@ -37,11 +41,13 @@ package fedzkt
 //     float64 container is bit-exact (pinned by the codec tests), so
 //     fingerprints are identical across backings and bounds.
 //   - virgin reconstruction: under a bound, a slot that has never been
-//     written is not stored at all. Its content is defined as the encoding
-//     of the device's seeded initial state, rebuilt on first touch from the
-//     registration seed — bit-identical to what eager registration would
-//     have stored, which is what makes million-device registration O(1)
-//     per device in both memory and disk.
+//     written is not stored at all, and a dense one is only reserved. Its
+//     content is defined as the encoding of the device's seeded initial
+//     state, rebuilt on first touch from the registration seed —
+//     bit-identical to what eager registration would have stored. That is
+//     what makes million-device registration O(1) per device in both
+//     memory and disk, and a resident fleet's RSS follow the slots it
+//     writes.
 //   - perfect prefetch: teacher draws come from a seeded, replayable
 //     sampling stream and transfer-back windows are a pure function of
 //     (round, iteration), so the store can load the next iteration's
@@ -233,6 +239,9 @@ func (s ReplicaStoreStats) Sub(prev ReplicaStoreStats) ReplicaStoreStats {
 // signature first and serialise access per slot; distinct slots may be
 // used concurrently.
 type slotStore interface {
+	// reserve registers slot i without a state: until it is first written,
+	// its content is the seeded registration state.
+	reserve(i int)
 	// installDict replaces slot i's state with sd's values. The store may
 	// keep an owned sd itself instead of copying it.
 	installDict(i int, sd nn.StateDict, owned bool) error
@@ -242,15 +251,16 @@ type slotStore interface {
 	// appendPayload appends slot i's container, in the store's codec, to dst.
 	appendPayload(dst []byte, i int) ([]byte, error)
 	// checkout makes slot i's state resident in a pooled module, until the
-	// matching release, and reports whether the slot holds a state: a slot
-	// of a store without a virgin hook that was never written holds none,
-	// and leaves the module as it was. A writable release stores the
-	// module's state back, a read-only one leaves the stored bytes
-	// untouched.
+	// matching release, and reports whether the slot holds a state: a
+	// virgin slot that the store does not rebuild — a reserved dense one,
+	// or one of a store without a virgin hook — holds none, and leaves the
+	// module as it was for the caller to re-seed. A writable release stores
+	// the module's state back, a read-only one leaves the stored bytes
+	// untouched (and a virgin slot virgin).
 	checkout(i int, into *replicaSlot) (held bool, err error)
 	release(i int, from *replicaSlot, writable bool) error
-	// virgin reports that slot i was never written and is stored nowhere:
-	// its content is still the seeded registration state.
+	// virgin reports that slot i was never written — it is reserved, or
+	// stored nowhere: its content is still the seeded registration state.
 	virgin(i int) bool
 	// prefetch warms slot i ahead of a checkout, if it is cold.
 	prefetch(i int)
@@ -261,52 +271,96 @@ type slotStore interface {
 	close() error
 }
 
-// denseSlots is the slotStore of the identity codec on the memory store:
-// one dense float64 dict per slot, exchanged with the pooled module's own
-// tensors by slice header (see the file comment for why it exists).
+// denseSlots is the slotStore of the identity codec on the memory store
+// and of resident devices: one dense float64 dict per slot, reserved or
+// handed over at registration (slots fill in index order) and exchanged
+// with the pooled module's own tensors by slice header (see the file
+// comment for why it exists).
 type denseSlots struct {
-	codec  codec.Codec // identity: the payload encoding
-	numel  int
+	codec  codec.Codec // the payload encoding
+	sig    *archSig
 	states []nn.StateDict
+	// virgins[i] marks a reserved slot not yet written. Distinct slots are
+	// used concurrently, so each flag is only touched by its slot's user.
+	virgins []bool
+	// init appends a virgin slot's seeded state, encoded, to dst; nil where
+	// nothing reads a virgin slot's payload (the device store).
+	init func(local int, dst []byte) ([]byte, error)
+}
+
+func (d *denseSlots) reserve(int) {
+	d.states = append(d.states, d.sig.alloc())
+	d.virgins = append(d.virgins, true)
 }
 
 func (d *denseSlots) installDict(i int, sd nn.StateDict, owned bool) error {
 	if i < len(d.states) {
-		return d.states[i].LoadFrom(sd)
+		if err := d.states[i].LoadFrom(sd); err != nil {
+			return err
+		}
+		d.virgins[i] = false
+		return nil
 	}
-	// Registration: slots fill in index order.
 	if !owned {
 		sd = sd.Clone()
 	}
 	d.states = append(d.states, sd)
+	d.virgins = append(d.virgins, false)
 	return nil
 }
 
 func (d *denseSlots) installPayload(i int, payload []byte) error {
-	return codec.DecodeInto(payload, d.states[i])
+	if err := codec.DecodeInto(payload, d.states[i]); err != nil {
+		return err
+	}
+	d.virgins[i] = false
+	return nil
 }
 
 func (d *denseSlots) appendPayload(dst []byte, i int) ([]byte, error) {
-	return d.codec.Append(dst, d.states[i])
+	if !d.virgins[i] {
+		return d.codec.Append(dst, d.states[i])
+	}
+	if d.init == nil {
+		return nil, errNoState(i)
+	}
+	return d.init(i, dst)
 }
 
+// checkout swaps a written slot's dict into the module. A virgin slot lends
+// nothing: the caller re-seeds the module in place.
 func (d *denseSlots) checkout(i int, into *replicaSlot) (bool, error) {
+	if d.virgins[i] {
+		return false, nil
+	}
 	return true, into.binding.Swap(d.states[i])
 }
 
 // release swaps the dict back out, writable or not: the module was
-// computing on the slot's own tensors.
-func (d *denseSlots) release(i int, from *replicaSlot, _ bool) error {
-	return from.binding.Swap(d.states[i])
+// computing on the slot's own tensors. A virgin slot lent none, so a
+// read-only release leaves it virgin, and a writable one swaps all the
+// same: the slot takes the module's seeded-and-trained tensors and the
+// module the never-written ones, which its next checkout overwrites.
+func (d *denseSlots) release(i int, from *replicaSlot, writable bool) error {
+	if d.virgins[i] && !writable {
+		return nil
+	}
+	if err := from.binding.Swap(d.states[i]); err != nil {
+		return err
+	}
+	d.virgins[i] = false
+	return nil
 }
 
-func (d *denseSlots) virgin(int) bool { return false }
-func (d *denseSlots) prefetch(int)    {}
-func (d *denseSlots) close() error    { return nil }
+func (d *denseSlots) virgin(i int) bool { return d.virgins[i] }
+func (d *denseSlots) prefetch(int)      {}
+func (d *denseSlots) close() error      { return nil }
 
+// addStats counts every slot, reserved or written: a reserved dict is heap
+// the process holds, whether or not its pages were ever touched.
 func (d *denseSlots) addStats(st *ReplicaStoreStats) {
 	st.HotEntries += len(d.states)
-	st.HotBytes += int64(len(d.states)) * int64(d.numel) * 8
+	st.HotBytes += int64(len(d.states)) * int64(d.sig.numel) * 8
 }
 
 // poisonSpares makes a buffer going onto a spare list be overwritten with
@@ -611,6 +665,10 @@ func (ts *tieredSlots) put(local int, fill func(buf []byte) ([]byte, error)) err
 func (ts *tieredSlots) putBytes(local int, b []byte) error {
 	return ts.put(local, func(buf []byte) ([]byte, error) { return append(buf, b...), nil })
 }
+
+// reserve has nothing to do: a slot that was never written is stored
+// nowhere, and a virgin hook, where there is one, rebuilds it.
+func (ts *tieredSlots) reserve(int) {}
 
 func (ts *tieredSlots) installDict(i int, sd nn.StateDict, _ bool) error {
 	return ts.put(i, func(buf []byte) ([]byte, error) { return ts.codec.Append(buf, sd) })

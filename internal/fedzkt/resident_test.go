@@ -1,6 +1,7 @@
 package fedzkt
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"hash/fnv"
@@ -94,10 +95,21 @@ func TestResidentRoundAllocCeiling(t *testing.T) {
 func TestPayloadBuffersBounded(t *testing.T) {
 	t.Run("reconcile", func(t *testing.T) {
 		// One publish → apply at a time: one buffer per architecture serves
-		// all 24 devices.
+		// all 24 devices, once a full-participation round has written every
+		// one of them — here reconciled by loading that round's checkpoint
+		// into a fresh fleet.
 		residentCodecs(func(codec string, mutate func(*Config)) {
-			co := toyFleet(t, 1, mutate)
-			if err := co.reconcileDevices(); err != nil {
+			full := func(c *Config) { mutate(c); c.SampleK = 24 }
+			ran := toyFleet(t, 1, full)
+			if _, err := ran.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			var blob bytes.Buffer
+			if err := ran.SaveCheckpoint(&blob); err != nil {
+				t.Fatal(err)
+			}
+			co := toyFleet(t, 1, full)
+			if err := co.LoadCheckpoint(&blob); err != nil {
 				t.Fatal(err)
 			}
 			_, perArch := freeBuffers(co)
@@ -108,6 +120,22 @@ func TestPayloadBuffersBounded(t *testing.T) {
 			}
 			if built, reused := co.PayloadBufferStats(); built != 2 || reused != 22 {
 				t.Errorf("%s: reconciling 24 devices of 2 architectures built %d buffers and reused %d, want 2 and 22", codec, built, reused)
+			}
+
+			// A fresh fleet reconciles only the devices written on either
+			// side: none under float64, whose slots are all reserved, so a
+			// resident resume is O(touched devices); every one under int8,
+			// whose memory store writes each replica at registration.
+			fresh := toyFleet(t, 1, mutate)
+			if err := fresh.reconcileDevices(); err != nil {
+				t.Fatal(err)
+			}
+			wantBuilt, wantReused := int64(0), int64(0)
+			if codec == "int8" {
+				wantBuilt, wantReused = 2, 22
+			}
+			if built, reused := fresh.PayloadBufferStats(); built != wantBuilt || reused != wantReused {
+				t.Errorf("%s: reconciling a fresh fleet built %d buffers and reused %d, want %d and %d", codec, built, reused, wantBuilt, wantReused)
 			}
 		})
 	})

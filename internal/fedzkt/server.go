@@ -135,6 +135,7 @@ func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 		hotSet:   cfg.HotSet,
 		teachers: cfg.TeachersPerIter,
 		initSlot: s.seededSlot,
+		reseed:   s.reseed,
 	})
 	s.colMemo = ag.NewColMemo(s.phase)
 	s.phase.ShareColMemo(s.colMemo)
@@ -157,22 +158,29 @@ func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 // concurrently, hence the lock, held until the module's tensors have been
 // encoded).
 func (s *Server) seededSlot(arch string, id int, dst []byte) ([]byte, error) {
-	rng := tensor.NewRand(fed.DeviceSeed(s.cfg.Seed, id))
 	s.seedMu.Lock()
 	defer s.seedMu.Unlock()
 	m, ok := s.seedModules[arch]
 	if ok {
-		if err := model.Reinit(m, rng); err != nil {
+		if err := s.reseed(m, id); err != nil {
 			return nil, err
 		}
 	} else {
 		var err error
-		if m, err = model.Build(arch, s.in, s.cls, rng); err != nil {
+		if m, err = model.Build(arch, s.in, s.cls, tensor.NewRand(fed.DeviceSeed(s.cfg.Seed, id))); err != nil {
 			return nil, err
 		}
 		s.seedModules[arch] = m
 	}
 	return s.codec.Append(dst, nn.CaptureState(m))
+}
+
+// reseed re-draws device id's seeded registration state into m in place,
+// bit-identical to the build registration would have made: how a virgin
+// slot that lends no state (a reserved dense one, a device that never
+// downloaded) is made resident.
+func (s *Server) reseed(m nn.Module, id int) error {
+	return model.Reinit(m, tensor.NewRand(fed.DeviceSeed(s.cfg.Seed, id)))
 }
 
 // Close stops the replica prefetcher and releases the spill store's files
@@ -248,10 +256,12 @@ func (s *Server) Register(arch string, initial nn.StateDict) (int, error) {
 // id. The server files the device into its architecture cohort; given
 // initial parameters it validates them against the architecture and stores
 // a copy, building no module. With a nil initial state the replica keeps
-// a seeded random initialisation — under the spill store that
-// registration is O(1): no module is built and nothing is stored until
-// the slot is first touched (virgin slots reconstruct the seeded state on
-// demand, bit-identically).
+// a seeded random initialisation, and the slot is virgin: no module is
+// built and nothing is written until the slot is first used — the spill
+// store stores nothing, the float64 memory store reserves a dense dict —
+// and a read reconstructs the seeded state bit-identically. Only the
+// quantised memory store, which keeps no virgin slots, builds the seeded
+// module and stores its encoding.
 func (s *Server) RegisterSized(arch string, initial nn.StateDict, dataSize int) (int, error) {
 	id := s.cohorts.numDevices()
 	if dataSize < 0 {
@@ -263,9 +273,9 @@ func (s *Server) RegisterSized(arch string, initial nn.StateDict, dataSize int) 
 		return model.Build(arch, s.in, s.cls, tensor.NewRand(s.cfg.Seed+uint64(2000+id)))
 	}
 	sd := initial
-	if initial == nil && s.cohorts.spillDir == "" {
-		// Only the spill store keeps virgin slots; in memory the seeded
-		// build's own tensors become the slot.
+	if initial == nil && s.cohorts.spillDir == "" && !codec.Identity(s.codec) {
+		// The quantised memory store keeps no virgin slots: the seeded
+		// build is encoded into the slot.
 		replica, err := model.Build(arch, s.in, s.cls, tensor.NewRand(fed.DeviceSeed(s.cfg.Seed, id)))
 		if err != nil {
 			return 0, fmt.Errorf("fedzkt: register device %d: %w", id, err)

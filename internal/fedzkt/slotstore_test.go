@@ -23,10 +23,14 @@ func seededState(seed uint64) nn.StateDict {
 }
 
 // registryOver builds a one-shard registry whose "mlp" cohort rests on
-// store, whatever cohortFor would have picked.
+// store, whatever cohortFor would have picked. Member i's seeded state is
+// seededState(100+i), which the registry re-draws into a pooled module for
+// a virgin slot that lends nothing.
 func registryOver(t *testing.T, cdc codec.Codec, store slotStore) *cohortSet {
 	t.Helper()
-	cs := newCohortSet(cohortOptions{lr: 0.05, codec: cdc})
+	cs := newCohortSet(cohortOptions{lr: 0.05, codec: cdc, reseed: func(m nn.Module, id int) error {
+		return model.Reinit(m, tensor.NewRand(uint64(100+id)))
+	}})
 	build := func() (nn.Module, error) { return model.Build("mlp", tinyShape(), 4, tensor.NewRand(1)) }
 	sig, err := cs.ensureSig("mlp", build)
 	if err != nil {
@@ -40,8 +44,9 @@ func registryOver(t *testing.T, cdc codec.Codec, store slotStore) *cohortSet {
 }
 
 // TestSlotStoreContract: what the registry may assume of a slotStore,
-// checked for dense dicts, containers with every slot hot, and containers
-// in a hot set of 2 over a spill file — under float64 and int8.
+// checked for dense dicts (registered with a state, or reserved),
+// containers with every slot hot, and containers in a hot set of 2 over a
+// spill file — under float64 and int8.
 func TestSlotStoreContract(t *testing.T) {
 	const members = 5
 	for _, codecName := range []string{codec.Float64, codec.Int8} {
@@ -51,23 +56,25 @@ func TestSlotStoreContract(t *testing.T) {
 		}
 		var counters storeCounters
 		// Member i's seeded registration state: what a bounded store
-		// rebuilds for a slot it never stored.
+		// rebuilds for a slot it never stored, and a dense one encodes for
+		// a slot it only reserved.
 		init := func(i int, dst []byte) ([]byte, error) { return cdc.Append(dst, seededState(uint64(100+i))) }
-		backings := []struct {
-			name    string
-			store   slotStore
+		type backing struct {
+			name  string
+			store slotStore
+			// virgins: the store keeps virgin slots, and the last member
+			// registers without a state.
 			virgins bool
-		}{
+		}
+		backings := []backing{
 			{"containers", newTieredSlots(cdc, "", nil, nil, &counters), false},
 			{"containers-bound2", newTieredSlots(cdc, filepath.Join(t.TempDir(), "c.spill"), func() int { return 2 }, init, &counters), true},
 		}
+		sig := sigOf(seededState(1))
 		if codec.Identity(cdc) {
-			numel := seededState(1).Numel()
-			backings = append(backings, struct {
-				name    string
-				store   slotStore
-				virgins bool
-			}{"dense", &denseSlots{codec: cdc, numel: numel}, false})
+			backings = append(backings,
+				backing{"dense", &denseSlots{codec: cdc, sig: sig}, false},
+				backing{"dense-reserved", &denseSlots{codec: cdc, sig: sig, init: init}, true})
 		}
 		// payloads[backing][member], compared across backings at the end.
 		payloads := make([][][]byte, len(backings))
@@ -110,9 +117,29 @@ func TestSlotStoreContract(t *testing.T) {
 					}
 				}
 				if b.virgins {
-					// A virgin slot read as its seeded state; once written
-					// it is never virgin again, wherever its bytes rest.
+					// A virgin slot checks out as its seeded state, whether
+					// the store rebuilds it or lends nothing and the pooled
+					// module is re-seeded…
 					v := cs.devices[members-1]
+					seeded := payload(members - 1)
+					leases := cs.checkout([]int{members - 1}, false, false)
+					if leases[0] == nil {
+						t.Fatal("checkout dropped a virgin member")
+					}
+					holdsDecoded(t, "a virgin slot's checkout", leases[0].slot.module, seeded)
+					if err := cs.release(leases); err != nil {
+						t.Fatal(err)
+					}
+					if d, ok := b.store.(*denseSlots); ok {
+						// …and a reserved one stays reserved after a
+						// read-only release.
+						if !cs.virgin(v) {
+							t.Fatal("a read-only release wrote a reserved slot")
+						}
+						reservedSlotContract(t, d)
+					}
+					// Once written a slot is never virgin again, wherever
+					// its bytes rest.
 					if err := cs.installDict(v, seededState(7)); err != nil {
 						t.Fatal(err)
 					}
@@ -134,16 +161,7 @@ func TestSlotStoreContract(t *testing.T) {
 				if leases[0] == nil || leases[1] == nil {
 					t.Fatal("checkout dropped a healthy member")
 				}
-				got := nn.CaptureState(leases[0].slot.module)
-				want, err := codec.Decode(before)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for name, w := range want {
-					if tensor.MaxAbsDiff(got[name], w) != 0 {
-						t.Fatalf("checked-out module tensor %q differs from the decoded slot", name)
-					}
-				}
+				holdsDecoded(t, "a checkout", leases[0].slot.module, before)
 				if err := cs.release(leases); err != nil {
 					t.Fatal(err)
 				}
@@ -266,6 +284,92 @@ func TestSlotStoreContract(t *testing.T) {
 				t.Fatal("the bounded sequence never evicted")
 			}
 		})
+	}
+}
+
+// holdsDecoded fails unless m's state is exactly the decoding of enc.
+func holdsDecoded(t *testing.T, what string, m nn.Module, enc []byte) {
+	t.Helper()
+	want, err := codec.Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := nn.CaptureState(m)
+	for name, w := range want {
+		if tensor.MaxAbsDiff(got[name], w) != 0 {
+			t.Fatalf("%s: module tensor %q differs from the decoded slot", what, name)
+		}
+	}
+}
+
+// reservedSlotContract checks, on a fresh store of like's configuration
+// whose slot i's seeded state is seededState(100+i), what a reserved dense
+// slot promises: its checkout lends nothing, a read-only release and a
+// payload read leave it virgin, its payload is the seeded build's
+// container byte for byte, and a writable release, installDict and
+// installPayload each write it.
+func reservedSlotContract(t *testing.T, like *denseSlots) {
+	t.Helper()
+	d := &denseSlots{codec: like.codec, sig: like.sig, init: like.init}
+	for i := 0; i < 4; i++ {
+		d.reserve(i)
+	}
+	encode := func(sd nn.StateDict) []byte {
+		t.Helper()
+		b, err := codec.Encode(d.codec, sd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	m := model.MustBuild("mlp", tinyShape(), 4, tensor.NewRand(1))
+	slot := &replicaSlot{module: m, binding: nn.BindState(m), sd: nn.CaptureState(m)}
+	if held, err := d.checkout(0, slot); held || err != nil {
+		t.Fatalf("a reserved slot's checkout reports held=%v, err %v; want no state", held, err)
+	}
+	if err := d.release(0, slot, false); err != nil {
+		t.Fatal(err)
+	}
+	got, err := d.appendPayload(nil, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, encode(seededState(103))) {
+		t.Fatal("a reserved slot's payload differs from its seeded build's container")
+	}
+
+	// The caller re-seeds the module, as the registry and materialise do,
+	// and a writable release stores what the module holds.
+	if err := model.Reinit(m, tensor.NewRand(100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.release(0, slot, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.installDict(1, seededState(7), false); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.installPayload(2, encode(seededState(8))); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []bool{false, false, false, true} {
+		if d.virgin(i) != want {
+			t.Fatalf("slot %d virgin=%v, want %v (0: writable release, 1: installDict, 2: installPayload, 3: read only)", i, d.virgin(i), want)
+		}
+	}
+	for i, seed := range []uint64{100, 7, 8} {
+		if got, err := d.appendPayload(nil, i); err != nil || !bytes.Equal(got, encode(seededState(seed))) {
+			t.Fatalf("slot %d does not hold what was written to it (err %v)", i, err)
+		}
+	}
+	// The module kept the slot's never-written tensors; the next checkout
+	// lends the stored state.
+	if held, err := d.checkout(0, slot); !held || err != nil {
+		t.Fatalf("a written slot's checkout reports held=%v, err %v", held, err)
+	}
+	holdsDecoded(t, "a written slot's checkout", m, encode(seededState(100)))
+	if err := d.release(0, slot, false); err != nil {
+		t.Fatal(err)
 	}
 }
 
