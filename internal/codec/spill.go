@@ -76,7 +76,7 @@ type SpillFile struct {
 	mu    sync.Mutex
 	index map[int]int64 // slot → record number, for every written slot
 	next  int64         // record numbers handed out so far
-	free  []int64       // record numbers whose first write failed
+	free  []int64       // record numbers no slot holds: a failed first write's, or forgotten
 
 	reads, writes         atomic.Int64
 	readBytes, writeBytes atomic.Int64
@@ -129,7 +129,7 @@ func (s *SpillFile) Write(slot int, rec []byte) error {
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(rec))) //nolint:gosec // bounded by recordCap
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(rec, castagnoli))
 	// A slot's first write allocates its record: a number given back by a
-	// failed first write, else the next one.
+	// failed first write or by Forget, else the next one.
 	s.mu.Lock()
 	num, known := s.index[slot]
 	if !known {
@@ -184,6 +184,18 @@ func (s *SpillFile) record(slot int) (int64, bool) {
 func (s *SpillFile) Written(slot int) bool {
 	_, ok := s.record(slot)
 	return ok
+}
+
+// Forget drops slot's record, if it holds one: the slot reads as never
+// written, and the next first write of any slot takes the record number.
+// Callers must not race it with a Write or Read of the same slot.
+func (s *SpillFile) Forget(slot int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if num, ok := s.index[slot]; ok {
+		delete(s.index, slot)
+		s.free = append(s.free, num)
+	}
 }
 
 // Read appends slot's record bytes to dst (pass dst[:0] to reuse a

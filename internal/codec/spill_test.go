@@ -268,7 +268,7 @@ func TestSpillFileSparseAndClose(t *testing.T) {
 // whatever the slot keys, so the file is as long as the records written —
 // a device-id-keyed store of a million devices must not trip ulimit -f by
 // its apparent size — and a rewrite lands in the slot's own record. A
-// first write that fails gives its record number back.
+// first write that fails gives its record number back, as Forget does.
 func TestSpillFileDenseAllocator(t *testing.T) {
 	const recordCap = 48
 	const stride = spillHeader + recordCap
@@ -336,5 +336,25 @@ func TestSpillFileDenseAllocator(t *testing.T) {
 	}
 	if got := size(); got != 3*stride || s.Records() != 3 {
 		t.Fatalf("after a failed and a good first write: %d bytes, %d records, want %d and 3", got, s.Records(), 3*stride)
+	}
+
+	// A forgotten slot reads as never written, and its record goes to the
+	// next new slot: the file does not grow.
+	s.Forget(7)
+	s.Forget(9) // holds none: a no-op
+	if s.Written(7) || s.Records() != 2 {
+		t.Fatalf("after Forget(7): written=%v records=%d, want false and 2", s.Written(7), s.Records())
+	}
+	if _, err := s.Read(7, nil); err == nil {
+		t.Fatal("a forgotten slot read back a record")
+	}
+	if err := s.Write(11, recA); err != nil {
+		t.Fatal(err)
+	}
+	if got := size(); got != 3*stride || s.Records() != 3 {
+		t.Fatalf("after Forget and a new slot: %d bytes, %d records, want %d and 3", got, s.Records(), 3*stride)
+	}
+	if got, err := s.Read(1<<20, nil); err != nil || !bytes.Equal(got, recB) {
+		t.Fatalf("slot 1<<20 after its neighbour's record was reused read back %x (%v)", got, err)
 	}
 }

@@ -275,6 +275,9 @@ func (s *Server) LoadCheckpoint(r io.Reader) error {
 	}
 	s.globalSched.SetStep(cp.GlobalSchedStep)
 	s.genSched.SetStep(cp.GenSchedStep)
+	// Uploads absorbed before the load belong to a round the checkpoint
+	// replaces: they are no round's participants any more.
+	s.takeAbsorbed()
 	for i := s.cohorts.numDevices(); i < len(cp.Archs); i++ {
 		weight := 1
 		if cp.Weights != nil {

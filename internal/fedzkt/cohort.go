@@ -243,6 +243,13 @@ type cohortSet struct {
 	// grows or is trimmed, so liveModules never reads a pool.
 	live atomic.Int64
 
+	// beforeWrite, when set, runs before anything writes device id's slot —
+	// an install, or a writable checkout, whose module then trains on the
+	// slot's own state — so whoever reads the replica as something else's
+	// state can copy it first (Coordinator.unfollow). It runs on shard
+	// fan-out goroutines, for distinct ids; an error fails the write.
+	beforeWrite func(id int) error
+
 	// faults collects device ids dropped from a phase because their slot
 	// bytes failed to load or decode; drained per round into
 	// RoundMetrics.ReplicaFaults.
@@ -467,10 +474,34 @@ func (cs *cohortSet) stateOf(ref deviceRef) (nn.StateDict, error) {
 	return codec.Decode(b)
 }
 
+// readInto copies a member's slot into sd, a dict of its architecture's
+// layout — exactly the values a download delivers — and reports whether
+// the slot holds a state: a virgin one the store does not rebuild holds
+// none, and its content is the device's seeded state.
+func (cs *cohortSet) readInto(ref deviceRef, sd nn.StateDict) (bool, error) {
+	held, err := ref.cohort.slots.readInto(ref.member.local, sd)
+	if err != nil {
+		return false, fmt.Errorf("fedzkt: loading device %d slot: %w", ref.member.id, err)
+	}
+	return held, nil
+}
+
+// toWrite runs the beforeWrite hook, where there is one, for a member
+// about to be written.
+func (cs *cohortSet) toWrite(id int) error {
+	if cs.beforeWrite == nil {
+		return nil
+	}
+	return cs.beforeWrite(id)
+}
+
 // installDict replaces a member's slot contents with src, validating
 // names and element counts against the architecture signature.
 func (cs *cohortSet) installDict(ref deviceRef, src nn.StateDict) error {
 	if err := ref.cohort.sig.checkLayout(ref.cohort.arch, dictLayout(src)); err != nil {
+		return err
+	}
+	if err := cs.toWrite(ref.member.id); err != nil {
 		return err
 	}
 	return ref.cohort.slots.installDict(ref.member.local, src, false)
@@ -481,6 +512,9 @@ func (cs *cohortSet) installDict(ref deviceRef, src nn.StateDict) error {
 // its layout against the architecture signature.
 func (cs *cohortSet) installPayload(ref deviceRef, payload []byte) error {
 	if err := ref.cohort.checkPayload(payload); err != nil {
+		return err
+	}
+	if err := cs.toWrite(ref.member.id); err != nil {
 		return err
 	}
 	return ref.cohort.slots.installPayload(ref.member.local, payload)
@@ -495,10 +529,11 @@ func (cs *cohortSet) installPayload(ref deviceRef, payload []byte) error {
 // worker, and per-shard pool assignment is independent of the worker
 // count, so results are deterministic).
 //
-// A member whose stored bytes fail to load or decode — a corrupt spill
-// record, a truncated container — is dropped from the phase instead of
-// killing the process: its lease is nil, the fault is recorded for
-// RoundMetrics.ReplicaFaults, and its pool slot is reused by the next
+// A writable checkout runs the beforeWrite hook first. A member whose
+// stored bytes fail to load or decode — a corrupt spill record, a
+// truncated container — or whose hook fails is dropped from the phase
+// instead of killing the process: its lease is nil, the fault is recorded
+// for RoundMetrics.ReplicaFaults, and its pool slot is reused by the next
 // member. Every checkout must be paired with exactly one release.
 func (cs *cohortSet) checkout(ids []int, trainable, training bool) []*replicaLease {
 	defer tracer().Begin("store", "teacher_checkout").End()
@@ -546,7 +581,13 @@ func (cs *cohortSet) checkoutShard(ids []int, positions []int, leases []*replica
 		}
 		si := next[ref.cohort]
 		slot := ref.cohort.slot(si, cs.lr, &cs.live)
-		held, err := ref.cohort.slots.checkout(ref.member.local, slot)
+		var held bool
+		if trainable {
+			err = cs.toWrite(id)
+		}
+		if err == nil {
+			held, err = ref.cohort.slots.checkout(ref.member.local, slot)
+		}
 		if err == nil && !held {
 			// A virgin slot that lent nothing is its seeded state, re-drawn
 			// in place in the pooled module.

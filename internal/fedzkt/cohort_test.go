@@ -3,6 +3,7 @@ package fedzkt
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
 	"github.com/fedzkt/fedzkt/internal/model"
@@ -158,92 +159,94 @@ func TestCohortStateIsolation(t *testing.T) {
 	}
 }
 
-// TestSampledDistillMovesAllReplicas: the rotating transfer-back window
-// must reach every device across the iterations of a round when
-// DistillIters × T ≥ devices.
-func TestSampledDistillMovesAllReplicas(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.DistillIters = 4
-	cfg.TeachersPerIter = 2
-	srv := registerN(t, cfg, 6, "mlp", "lenet-s")
-	before := make([]nn.StateDict, 6)
+// distillRound absorbs each participant's own replica state, as an upload
+// that changes nothing, runs round's Distill and returns the devices whose
+// replica moved, failing on a non-finite one.
+func distillRound(t *testing.T, srv *Server, round int, participants ...int) map[int]bool {
+	t.Helper()
+	before := make([]nn.StateDict, srv.NumDevices())
 	for id := range before {
 		before[id], _ = srv.ReplicaState(id)
 	}
-	if _, err := srv.Distill(context.Background(), 1); err != nil {
+	for _, id := range participants {
+		if err := srv.Absorb(id, before[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := srv.Distill(context.Background(), round); err != nil {
 		t.Fatal(err)
 	}
+	moved := map[int]bool{}
 	for id := range before {
 		after, _ := srv.ReplicaState(id)
-		moved := false
 		for name := range after {
 			if !after[name].IsFinite() {
 				t.Fatalf("device %d state %q became non-finite", id, name)
 			}
 			if tensor.MaxAbsDiff(before[id][name], after[name]) > 0 {
-				moved = true
+				moved[id] = true
 			}
 		}
-		if !moved {
-			t.Fatalf("rotating transfer-back window never reached device %d", id)
+	}
+	return moved
+}
+
+// TestSampledDistillMovesAllReplicas: sampled transfer-back distils into
+// the round's participants — every one of them when DistillIters × T
+// covers them, whatever their architectures — and into no one else: a
+// non-participant's replica would be overwritten by its next upload before
+// anyone downloaded it. A round that absorbed nothing moves no replica.
+func TestSampledDistillMovesAllReplicas(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.DistillIters = 4
+	cfg.TeachersPerIter = 2
+	srv := registerN(t, cfg, 6, "mlp", "lenet-s")
+	participants := []int{1, 2, 4} // 4 × 2 window slots ≥ 3
+	moved := distillRound(t, srv, 1, participants...)
+	for id := 0; id < 6; id++ {
+		if want := slices.Contains(participants, id); moved[id] != want {
+			t.Errorf("device %d: replica moved %v, participant %v", id, moved[id], want)
 		}
+	}
+	for it := 0; it < cfg.DistillIters; it++ {
+		for _, id := range srv.transferBackIDs(1, it, 2, participants) {
+			if !slices.Contains(participants, id) {
+				t.Errorf("iteration %d's window holds non-participant %d", it, id)
+			}
+		}
+	}
+	if moved := distillRound(t, srv, 2); len(moved) != 0 {
+		t.Errorf("a round that absorbed nothing moved replicas %v", moved)
 	}
 }
 
 // TestTransferBackRotationAdvancesAcrossRounds: when one round's
-// DistillIters × T budget is smaller than the federation, the rotating
-// transfer-back window must keep advancing across rounds — a rotation
-// that restarts at device 0 every round would starve the tail of the
-// federation of knowledge transfer forever.
+// DistillIters × T budget is smaller than the participants, the window
+// keeps advancing across rounds — a rotation that restarted at the first
+// participant every round would starve the others of knowledge transfer
+// for as long as the same devices take part.
 func TestTransferBackRotationAdvancesAcrossRounds(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.DistillIters = 2
-	cfg.TeachersPerIter = 2 // 2×2 = 4 transfer slots per round, 8 devices
+	cfg.TeachersPerIter = 2 // 2×2 = 4 transfer slots per round, 6 participants
 	srv := registerN(t, cfg, 8, "mlp")
+	participants := []int{0, 1, 3, 4, 6, 7}
 
-	snapshot := func() []nn.StateDict {
-		out := make([]nn.StateDict, 8)
-		for id := range out {
-			out[id], _ = srv.ReplicaState(id)
-		}
-		return out
+	round1 := distillRound(t, srv, 1, participants...)
+	if len(round1) != 4 {
+		t.Fatalf("round 1's 4-slot windows moved %d replicas, want 4", len(round1))
 	}
-	movedSince := func(before []nn.StateDict) map[int]bool {
-		moved := map[int]bool{}
-		for id := range before {
-			after, _ := srv.ReplicaState(id)
-			for name := range after {
-				if tensor.MaxAbsDiff(before[id][name], after[name]) > 0 {
-					moved[id] = true
-					break
-				}
+	round2 := distillRound(t, srv, 2, participants...)
+	for _, moved := range []map[int]bool{round1, round2} {
+		for id := range moved {
+			if !slices.Contains(participants, id) {
+				t.Fatalf("non-participant %d's replica moved", id)
 			}
 		}
-		return moved
 	}
-
-	before := snapshot()
-	if _, err := srv.Distill(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	round1 := movedSince(before)
-	if len(round1) == 8 {
-		t.Fatal("round 1's 4-slot window cannot have reached all 8 devices")
-	}
-
-	before = snapshot()
-	if _, err := srv.Distill(context.Background(), 2); err != nil {
-		t.Fatal(err)
-	}
-	round2 := movedSince(before)
-	for id := range round2 {
-		if round1[id] {
-			t.Fatalf("device %d transferred in both rounds while others starved: rotation restarted", id)
-		}
-	}
-	for id := 0; id < 8; id++ {
+	for _, id := range participants {
 		if !round1[id] && !round2[id] {
-			t.Fatalf("device %d untouched after 2 rounds of a full rotation cycle", id)
+			t.Fatalf("participant %d untouched after 2 rounds of a full rotation cycle: rotation restarted", id)
 		}
 	}
 }

@@ -76,10 +76,13 @@ type Config struct {
 	// TeachersPerIter, when positive, makes every server distillation
 	// iteration draw that many replica teachers for the ensemble loss —
 	// instead of forwarding every registered replica — and transfer
-	// knowledge back into a same-sized rotating window of replicas, so the
-	// per-iteration server cost is O(TeachersPerIter) rather than
-	// O(devices). 0 (the default) keeps the paper-exact full-ensemble
-	// semantics, byte-identical to the pre-cohort server.
+	// knowledge back into a window of at most as many of the round's
+	// participants (the devices whose uploads it absorbed, late ones
+	// included at PipelineDepth ≥ 1: the only ones that download), rotating
+	// over them across iterations and rounds, so the per-iteration server
+	// cost is O(TeachersPerIter) rather than O(devices). 0 (the default)
+	// keeps the paper-exact full-ensemble semantics, byte-identical to the
+	// pre-cohort server, transfer-back into every replica included.
 	TeachersPerIter int
 	// PipelineDepth is the round engine's bounded staleness (engine.go).
 	// 0 (the default) is the paper-exact synchronous barrier: each round
@@ -121,11 +124,14 @@ type Config struct {
 	// device's model is its worker's module, holding the device's state
 	// only while its local phase or evaluation runs, and registration
 	// builds nothing in either mode: a device that was never written is its
-	// seeded initial state. false (the default) keeps every device's state
-	// in a dense slot, reserved at registration and first written by the
-	// device's first task or download, so whatever a task leaves stays.
-	// true keeps only each device's last download, in a bounded slot store
-	// per architecture (HotSet; spill files under SpillDir). That equals a
+	// seeded initial state, and at PipelineDepth 0 a device that downloaded
+	// follows its server replica, holding nothing of its own until it trains
+	// again or the replica is about to be overwritten (it then gets a copy).
+	// false (the default) keeps a device's own state in a dense slot,
+	// written by the device's tasks (and by downloads at PipelineDepth ≥ 1),
+	// so whatever a task leaves stays. true keeps a virtual device's own
+	// state only as its last download, in a bounded slot store per
+	// architecture (HotSet; spill files under SpillDir). That equals a
 	// resident device's state only when every device that trained receives
 	// its download before it trains again, so it requires RoundDeadline = 0
 	// and PipelineDepth = 0, where round outcomes are byte-identical to
@@ -330,15 +336,24 @@ type Coordinator struct {
 
 	// One device lifecycle: a device's state rests in devStore — one slot
 	// store per architecture (newDevStore), keyed by the device's index
-	// among that architecture's devices (devLocal) — and is its worker
-	// rig's module only while a task or an evaluation runs (materialise,
-	// release). devCounters is its own allocation for the reason rigs is:
+	// among that architecture's devices (devLocal) — or, for a follower,
+	// in its server replica, and is its worker rig's module only while a
+	// task or an evaluation runs (materialise, release). devCounters is its
+	// own allocation for the reason rigs is:
 	// the registry serves the stores' entry-buffer counts from it.
 	devStore      map[string]slotStore
 	devLocal      []int
 	devCounters   *storeCounters
 	devSpillDir   string
 	devSpillOwned bool
+	// follows[id] marks a device whose state is its server replica: after
+	// a synchronous download the device keeps no state of its own (its
+	// slot is dropped) and reads the replica at materialisation, until it
+	// trains again or the server is about to overwrite the replica, when
+	// unfollow copies it over first. Only at PipelineDepth 0, where no
+	// server write can land between a download and the device's next use
+	// but through that hook.
+	follows []bool
 
 	closeOnce sync.Once
 	closeErr  error
@@ -394,6 +409,9 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 		_ = server.Close()
 		return nil, err
 	}
+	if cfg.PipelineDepth == 0 {
+		server.cohorts.beforeWrite = c.unfollow
+	}
 	registerFleetMetrics(obs.Default(), rigs, &server.cohorts.counters, c.devCounters)
 	pool.RegisterMetrics(obs.Default())
 	perArch := make(map[string]int)
@@ -435,6 +453,7 @@ func (c *Coordinator) register(i int, arch string, local int, dataSize int) erro
 		c.devStore[arch] = st
 	}
 	c.devLocal = append(c.devLocal, local)
+	c.follows = append(c.follows, false)
 	st.reserve(local)
 	return nil
 }
@@ -444,9 +463,11 @@ func (c *Coordinator) register(i int, arch string, local int, dataSize int) erro
 // Resident devices rest in denseSlots, each slot reserved at registration:
 // a written slot's checkout swaps its dict into the worker rig's module by
 // slice header and release swaps it back. Virtual devices rest in a
-// bounded tieredSlots holding each device's last download as it arrived.
-// Either way a device that was never written holds no state there, and
-// materialise re-seeds the module in place.
+// bounded tieredSlots, which holds a device's last download only once the
+// device stopped following its replica without training. Either way a
+// device that was never written holds no state there, and materialise
+// re-seeds the module in place; a follower holds none either, and
+// materialise reads its replica.
 func (c *Coordinator) newDevStore(arch string) (slotStore, error) {
 	if !c.cfg.VirtualDevices {
 		return &denseSlots{codec: c.codec, sig: c.server.cohorts.sigs[arch]}, nil
@@ -474,16 +495,21 @@ func (c *Coordinator) newDevStore(arch string) (slotStore, error) {
 }
 
 // materialise makes the worker rig's module for d's architecture hold d's
-// state at rest and sets d.Model to it, until release: the slot's state,
-// or for a device whose slot holds none (never written: reserved, or
-// virtual and never downloaded) its seeded initial state, re-drawn in
+// state at rest and sets d.Model to it, until release: the slot's state —
+// for a follower, a copy of its server replica — or for a device that
+// holds none (never written: reserved, or virtual and never downloaded;
+// or following a virgin replica) its seeded initial state, re-drawn in
 // place — bit-identical to the device's seeded build. held reports a
 // stored state. Runs on scheduler workers and between-round fan-outs; the
 // stores serialise slot access. After an error nothing is to be released.
 func (c *Coordinator) materialise(rig *deviceRig, d *fed.Device) (held bool, err error) {
 	slot, err := rig.module(d.Arch)
 	if err == nil {
-		held, err = c.devStore[d.Arch].checkout(c.devLocal[d.ID], slot)
+		if c.follows[d.ID] {
+			held, err = c.server.cohorts.readInto(c.server.cohorts.devices[d.ID], slot.sd)
+		} else {
+			held, err = c.devStore[d.Arch].checkout(c.devLocal[d.ID], slot)
+		}
 	}
 	if err == nil && !held {
 		err = c.server.reseed(slot.module, d.ID)
@@ -497,14 +523,51 @@ func (c *Coordinator) materialise(rig *deviceRig, d *fed.Device) (held bool, err
 
 // release ends d's materialisation; the module stays with the rig. After a
 // task (trained) a resident device's state, with whatever the task left in
-// it, goes back into its slot, which is written from then on; after an
-// evaluation the slot is left as it was, a virgin one virgin. A virtual
-// device's store is not written either way: its next state is the download
-// Deliver stores after this round's transfer-back, exactly what a resident
-// device holds at the next round boundary (see Config.VirtualDevices).
+// it, goes back into its slot, which is written from then on, and the
+// device stops following its replica; after an evaluation the slot is left
+// as it was, a virgin one virgin. A virtual device's store is not written
+// either way: its next state is the download Deliver makes it follow after
+// this round's transfer-back, exactly what a resident device holds at the
+// next round boundary (see Config.VirtualDevices).
 func (c *Coordinator) release(rig *deviceRig, d *fed.Device, trained bool) error {
 	d.Model = nil
-	return c.devStore[d.Arch].release(c.devLocal[d.ID], rig.modules[d.Arch], trained && !c.cfg.VirtualDevices)
+	writable := trained && !c.cfg.VirtualDevices
+	if writable && c.follows[d.ID] {
+		c.follows[d.ID] = false
+	}
+	return c.devStore[d.Arch].release(c.devLocal[d.ID], rig.modules[d.Arch], writable)
+}
+
+// follow makes d's state its server replica: its own slot gives up
+// whatever it held.
+func (c *Coordinator) follow(d *fed.Device) {
+	c.devStore[d.Arch].drop(c.devLocal[d.ID])
+	c.follows[d.ID] = true
+}
+
+// unfollow is the server store's beforeWrite hook: a follower whose
+// replica is about to be written gets its own copy of it first, through
+// the payload path a download takes, and stops following. A virgin
+// replica needs no copy — the device's own empty slot is its seeded state
+// too. Runs on shard fan-out goroutines, for distinct ids.
+func (c *Coordinator) unfollow(id int) error {
+	if !c.follows[id] {
+		return nil
+	}
+	ref := c.server.cohorts.devices[id]
+	if !c.server.cohorts.virgin(ref) {
+		d := c.devices[id]
+		b, err := c.server.cohorts.appendPayload(ref, c.payloads.take(d.Arch))
+		if err == nil {
+			err = c.devStore[d.Arch].installPayload(c.devLocal[id], b)
+		}
+		c.payloads.give(d.Arch, b)
+		if err != nil {
+			return fmt.Errorf("fedzkt: device %d stops following its replica: %w", id, err)
+		}
+	}
+	c.follows[id] = false
+	return nil
 }
 
 // DeviceStoreStats snapshots the device stores: mode "memory" for
@@ -595,22 +658,31 @@ func (c *Coordinator) Run(ctx context.Context) (fed.History, error) {
 	return c.Engine.Run(ctx)
 }
 
-// reconcileDevices installs every device's server replica state into the
-// device — the canonical post-round state a download would have
-// delivered, through the same publish/deliver path a download takes —
-// collapsing whatever in-flight local progress a cancelled round left
-// behind.
+// reconcileDevices gives every device its server replica state — the
+// canonical post-round state a download would have delivered, through the
+// same publish/deliver path a download takes — collapsing whatever
+// in-flight local progress a cancelled round left behind. At PipelineDepth
+// 0, where Deliver makes a device follow the replica it was sent, every
+// device follows its replica outright and nothing is copied.
 func (c *Coordinator) reconcileDevices() error {
 	for _, d := range c.devices {
 		ref, err := c.server.cohorts.ref(d.ID)
 		if err != nil {
 			return fmt.Errorf("fedzkt: reconciling device %d: %w", d.ID, err)
 		}
-		if c.server.cohorts.virgin(ref) && c.devStore[d.Arch].virgin(c.devLocal[d.ID]) {
-			// Both sides still hold the seeded initial state (a virgin
-			// slot's content is defined as exactly that), so there is
-			// nothing to copy — the skip that makes million-device resume
-			// O(touched devices), not O(devices).
+		// Both sides still hold the seeded initial state (a virgin slot's
+		// content is defined as exactly that), so there is nothing to
+		// deliver — the skip that makes million-device resume O(touched
+		// devices), not O(devices).
+		seeded := c.server.cohorts.virgin(ref) && (c.follows[d.ID] || c.devStore[d.Arch].virgin(c.devLocal[d.ID]))
+		if c.cfg.PipelineDepth == 0 {
+			c.follow(d)
+			if !seeded {
+				d.Downloaded()
+			}
+			continue
+		}
+		if seeded {
 			continue
 		}
 		p, err := c.publish(d.ID)
@@ -652,16 +724,24 @@ func (c *Coordinator) EvaluateDevices(ids []int) ([]float64, error) {
 	return accs, firstErr
 }
 
-// Deliver implements Fleet: it installs one published state in its
-// device's slot after a header-only layout check — decoded into a resident
-// device's dense slot, kept as it arrived in a virtual device's store
-// (decoded once, into the rig's module, at the next materialisation) — and
-// marks it as the anchor of the device's next proximal term.
+// Deliver implements Fleet: after a header-only layout check it makes one
+// published state its device's, and marks it as the anchor of the device's
+// next proximal term. At PipelineDepth 0 the payload is byte for byte the
+// device's server replica, which nothing writes before the device's next
+// use but through unfollow: the device drops its slot and follows the
+// replica, so a state at rest exists once. At depth ≥ 1 the server stage
+// races the device tasks and the payload is installed in the slot —
+// decoded into a resident device's dense slot (virtual devices are
+// synchronous only).
 func (c *Coordinator) Deliver(_, id int, p Payload) error {
 	d := c.devices[id]
 	defer c.payloads.give(d.Arch, p.Enc)
 	err := c.server.CheckPayload(id, p.Enc)
-	if err == nil {
+	switch {
+	case err != nil:
+	case c.cfg.PipelineDepth == 0:
+		c.follow(d)
+	default:
 		err = c.devStore[d.Arch].installPayload(c.devLocal[id], p.Enc)
 	}
 	if err != nil {

@@ -1,8 +1,11 @@
 package fedzkt
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"github.com/fedzkt/fedzkt/internal/fed"
@@ -25,6 +28,54 @@ func withDevice(t testing.TB, co *Coordinator, id int, fn func(d *fed.Device)) {
 	}
 }
 
+// fleetTap is the fleet a tapped coordinator's engine drives: the
+// coordinator itself, with the round's uploads, each download and each
+// round's close shown to the hooks that are set.
+type fleetTap struct {
+	Fleet
+	uploaded   func(u Upload)
+	delivering func(id int, p Payload) // before the coordinator takes p
+	delivered  func(id int)
+	closing    func(m *fed.RoundMetrics)
+}
+
+// tap installs a fleetTap between co's engine and co, and returns it.
+func tap(co *Coordinator) *fleetTap {
+	ft := &fleetTap{Fleet: co}
+	co.fleet = ft
+	return ft
+}
+
+func (ft *fleetTap) LocalPhase(ctx context.Context, round int, active []int, m *fed.RoundMetrics) ([]Upload, error) {
+	ups, err := ft.Fleet.LocalPhase(ctx, round, active, m)
+	for _, u := range ups {
+		if ft.uploaded != nil {
+			ft.uploaded(u)
+		}
+	}
+	return ups, err
+}
+
+func (ft *fleetTap) Deliver(round, id int, p Payload) error {
+	if ft.delivering != nil {
+		ft.delivering(id, p)
+	}
+	if err := ft.Fleet.Deliver(round, id, p); err != nil {
+		return err
+	}
+	if ft.delivered != nil {
+		ft.delivered(id)
+	}
+	return nil
+}
+
+func (ft *fleetTap) CloseRound(m *fed.RoundMetrics) error {
+	if ft.closing != nil {
+		ft.closing(m)
+	}
+	return ft.Fleet.CloseRound(m)
+}
+
 // deviceState returns a dense copy of device id's state at rest.
 func deviceState(t testing.TB, co *Coordinator, id int) (sd nn.StateDict) {
 	t.Helper()
@@ -36,9 +87,12 @@ func deviceState(t testing.TB, co *Coordinator, id int) (sd nn.StateDict) {
 // slot, server and device side, at registration and writes one only when
 // it is used. Reading — evaluating devices, checking replicas out as
 // teachers — writes nothing, and a read-only checkout of a virgin replica
-// holds exactly what its download would deliver. After a sampled run every
-// absorbed device is written on both sides, and a device never sampled is
-// still virgin on its own.
+// holds exactly what its download would deliver. During a sampled run a
+// device slot is written exactly from the device's task to its download,
+// when the device drops it and follows its replica. So after the run no
+// device slot is written, every absorbed device's replica is, and a device
+// never sampled is virgin on both sides: transfer-back writes only the
+// round's participants.
 func TestResidentSlotsVirginUntilWritten(t *testing.T) {
 	co := toyFleet(t, 2, resident)
 	cs := co.Server().cohorts
@@ -81,38 +135,248 @@ func TestResidentSlotsVirginUntilWritten(t *testing.T) {
 	}
 	allVirgin("after evaluating every device and checking every replica out read-only")
 
+	ft := tap(co)
+	ft.delivering = func(id int, _ Payload) {
+		if server, device := virgins(id); server || device {
+			t.Errorf("device %d trained and was absorbed, yet before its download it is virgin on the server %v, on the device %v", id, server, device)
+		}
+	}
+	ft.delivered = func(id int) {
+		if _, device := virgins(id); !device {
+			t.Errorf("device %d still holds its own state after its download", id)
+		}
+	}
 	hist, err := co.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled := make(map[int]bool)
+	absorbed := make(map[int]bool)
 	for _, m := range hist {
 		lost := make(map[int]bool)
 		for _, id := range append(append([]int(nil), m.Dropped...), m.Injected...) {
 			lost[id] = true
 		}
 		for _, id := range m.Active {
-			sampled[id] = true
-			if lost[id] {
-				continue
-			}
-			if server, device := virgins(id); server || device {
-				t.Errorf("round %d absorbed device %d, still virgin on the server %v, on the device %v", m.Round, id, server, device)
-			}
+			absorbed[id] = absorbed[id] || !lost[id]
 		}
 	}
 	never := 0
 	for _, id := range all {
-		if sampled[id] {
-			continue
+		server, device := virgins(id)
+		if !device {
+			t.Errorf("device %d's device slot is written after the run", id)
 		}
-		never++
-		if _, device := virgins(id); !device {
-			t.Errorf("device %d was never sampled, yet its device slot was written", id)
+		if server == absorbed[id] {
+			t.Errorf("device %d: absorbed %v, virgin on the server %v", id, absorbed[id], server)
+		}
+		if !absorbed[id] {
+			never++
 		}
 	}
 	if never == 0 {
-		t.Fatal("every device was sampled: nothing left to check for staying virgin")
+		t.Fatal("every device was absorbed: nothing left to check for staying virgin")
+	}
+}
+
+// deviceSlotsHeld lists the devices whose own slot holds a state.
+func deviceSlotsHeld(co *Coordinator) []int {
+	var ids []int
+	for _, d := range co.devices {
+		if !co.devStore[d.Arch].virgin(co.devLocal[d.ID]) {
+			ids = append(ids, d.ID)
+		}
+	}
+	return ids
+}
+
+// countCopies wraps co's copy-on-write hook, recording the followers it
+// gave their own copy, by round.
+func countCopies(co *Coordinator, ft *fleetTap) (copies func() [][]int) {
+	var mu sync.Mutex
+	byRound := [][]int{nil}
+	hook := co.server.cohorts.beforeWrite
+	co.server.cohorts.beforeWrite = func(id int) error {
+		following := co.follows[id]
+		err := hook(id)
+		if following && err == nil {
+			mu.Lock()
+			byRound[len(byRound)-1] = append(byRound[len(byRound)-1], id)
+			mu.Unlock()
+		}
+		return err
+	}
+	closing := ft.closing
+	ft.closing = func(m *fed.RoundMetrics) {
+		if closing != nil {
+			closing(m)
+		}
+		mu.Lock()
+		byRound = append(byRound, nil)
+		mu.Unlock()
+	}
+	return func() [][]int {
+		for _, ids := range byRound {
+			slices.Sort(ids)
+		}
+		return byRound[:len(byRound)-1]
+	}
+}
+
+// TestDevicesFollowTheirReplicas: after a synchronous download a device
+// keeps no state of its own and follows its server replica until it trains
+// again or the server is about to overwrite the replica.
+//   - Sampled, depth 0: at every round boundary no device slot holds a
+//     state; resident device stores write no more dicts than the most
+//     participants of their architecture in one round, and the
+//     copy-on-write hook never copies (transfer-back writes participants
+//     only, and they stopped following when they trained).
+//   - Exact mode with SampleK < N: transfer-back writes every replica, and
+//     the hook, on the shard fan-out's goroutines, copies exactly the
+//     followers — the previous round's downloads that did not train this
+//     round.
+//   - Depth 2: nothing follows; every download is installed.
+//   - LoadCheckpoint at depth 0: every device follows, no device store
+//     holds a state.
+func TestDevicesFollowTheirReplicas(t *testing.T) {
+	for _, mode := range []struct {
+		name   string
+		mutate func(*Config)
+	}{{"resident", resident}, {"virtual", nil}} {
+		t.Run("sampled/"+mode.name, func(t *testing.T) {
+			co := toyFleet(t, 4, mode.mutate)
+			ft := tap(co)
+			ft.closing = func(m *fed.RoundMetrics) {
+				if held := deviceSlotsHeld(co); len(held) > 0 {
+					t.Errorf("round %d boundary: device slots %v hold a state", m.Round, held)
+				}
+			}
+			copies := countCopies(co, ft)
+			hist, err := co.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mode.name != "resident" {
+				return
+			}
+			for r, ids := range copies() {
+				if len(ids) > 0 {
+					t.Errorf("round %d: the hook copied replicas %v into followers", r+1, ids)
+				}
+			}
+			most := make(map[string]int)
+			for _, m := range hist {
+				per := make(map[string]int)
+				for _, id := range m.Active {
+					if !slices.Contains(m.Injected, id) {
+						per[co.devices[id].Arch]++
+					}
+				}
+				for arch, n := range per {
+					most[arch] = max(most[arch], n)
+				}
+			}
+			for arch, st := range co.devStore {
+				if peak := st.(*denseSlots).heldPeak; peak == 0 || peak > most[arch] {
+					t.Errorf("%s device store wrote %d dicts, want 1..%d (the most %s participants of a round)", arch, peak, most[arch], arch)
+				}
+			}
+		})
+	}
+
+	t.Run("exact", func(t *testing.T) {
+		// Two shards: transfer-back's checkout fans the shards out, so the
+		// hook copies into one device store from two goroutines.
+		co := toyFleet(t, 4, func(c *Config) { resident(c); c.TeachersPerIter, c.ReplicaShards = 0, 2 })
+		ft := tap(co)
+		copies := countCopies(co, ft)
+		hist, err := co.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, total := copies(), 0
+		for r, m := range hist {
+			var want []int
+			if r > 0 {
+				prev := hist[r-1]
+				trained := func(m fed.RoundMetrics, id int) bool {
+					return slices.Contains(m.Active, id) && !slices.Contains(m.Injected, id)
+				}
+				for _, id := range prev.Active {
+					if trained(prev, id) && !trained(m, id) {
+						want = append(want, id)
+					}
+				}
+			}
+			if fmt.Sprint(got[r]) != fmt.Sprint(want) {
+				t.Errorf("round %d: the hook copied %v, want the followers transfer-back wrote %v", m.Round, got[r], want)
+			}
+			total += len(want)
+		}
+		if total == 0 {
+			t.Fatal("no round had a follower for transfer-back to write")
+		}
+	})
+
+	t.Run("depth2", func(t *testing.T) {
+		co := toyFleet(t, 4, func(c *Config) { resident(c); c.PipelineDepth = 2 })
+		if co.server.cohorts.beforeWrite != nil {
+			t.Fatal("a depth-2 fleet installed the copy-on-write hook")
+		}
+		ft := tap(co)
+		ft.delivered = func(id int) {
+			if co.follows[id] {
+				t.Errorf("device %d follows its replica at depth 2", id)
+			}
+			if held := deviceSlotsHeld(co); !slices.Contains(held, id) {
+				t.Errorf("device %d's download was not installed in its slot", id)
+			}
+		}
+		if _, err := co.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if slices.Contains(co.follows, true) {
+			t.Error("a device follows its replica after a depth-2 run")
+		}
+	})
+
+	for _, mode := range []struct {
+		name   string
+		mutate func(*Config)
+	}{{"resident", resident}, {"virtual", nil}} {
+		t.Run("checkpoint/"+mode.name, func(t *testing.T) {
+			// Exact mode leaves device slots written (the hook's copies), so
+			// the load has states to drop.
+			exact := func(c *Config) {
+				if mode.mutate != nil {
+					mode.mutate(c)
+				}
+				c.TeachersPerIter = 0
+			}
+			ran := toyFleet(t, 2, exact)
+			if _, err := ran.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			var blob bytes.Buffer
+			if err := ran.SaveCheckpoint(&blob); err != nil {
+				t.Fatal(err)
+			}
+			co := toyFleet(t, 3, exact)
+			if _, err := co.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if len(deviceSlotsHeld(co)) == 0 {
+				t.Fatal("no device slot holds a state before the load: nothing to check")
+			}
+			if err := co.LoadCheckpoint(&blob); err != nil {
+				t.Fatal(err)
+			}
+			if held := deviceSlotsHeld(co); len(held) > 0 {
+				t.Errorf("device slots %v hold a state after LoadCheckpoint", held)
+			}
+			if slices.Contains(co.follows, false) {
+				t.Error("a device does not follow its replica after LoadCheckpoint")
+			}
+		})
 	}
 }
 

@@ -10,29 +10,49 @@ package fedzkt
 // cohort (cohortSet.cohortFor) or device architecture
 // (Coordinator.newDevStore) from the configuration:
 //
-//   - denseSlots: a dense nn.StateDict per slot, made resident in a pooled
-//     module by an O(#tensors) slice-header exchange (nn.StateBinding) — no
-//     element copy. Serves the identity codec on the memory store, and
-//     resident devices whatever the codec (a download decodes into the
-//     slot). Registration reserves each slot: it allocates the dict and
-//     writes nothing, and fresh heap memory is untouched zero pages, so a
-//     reserved slot costs no resident memory until it is first written. A
-//     reserved slot is virgin — not absent, as under a bound — and its
-//     content is the seeded registration state: a checkout lends nothing
-//     and the caller re-seeds its module, a writable release or an install
-//     writes it. Reserving, rather than allocating at the first write,
-//     keeps the allocation in set-up: allocating at first write measured
+//   - denseSlots: a dense nn.StateDict per slot that holds a state, made
+//     resident in a pooled module by an O(#tensors) slice-header exchange
+//     (nn.StateBinding) — no element copy. Serves the identity codec on the
+//     memory store, and resident devices whatever the codec (a download
+//     decodes into the slot). Dicts are pooled, not bound to a slot:
+//     registration reserves a slot by allocating a dict onto the store's
+//     LIFO free stack and writing nothing — fresh heap memory is untouched
+//     zero pages, so it costs no resident memory until written — a slot's
+//     first write pops one, and drop pushes it back. The stack being LIFO,
+//     the dicts ever written number the most slots that held a state at
+//     once, not the slots written over a run. A slot without a dict is
+//     virgin — not absent, as under a bound — and its content is the
+//     seeded registration state: a checkout lends nothing and the caller
+//     re-seeds its module, a writable release or an install writes it.
+//     Reserving, rather than allocating at the first write, keeps the
+//     allocation in set-up: allocating at first write measured
 //     fleet1k_sync's alloc_mb_per_round 6.3 → 15.3 against a 0.2 bound.
-//     Dense is a backing, not a code path: nothing outside this file can
-//     tell.
+//     The price is in set-up, and it is not free: Go zeroes the spans a
+//     heap that has already freed memory hands out again. Over five
+//     fleet1k_sync set-ups after a first one in one process (2 CPUs), 89 %
+//     of the CPU was memclrNoHeapPointers under reserve; a first set-up
+//     took 0.04 s, the later ones 0.07–0.34 s. Dense is a backing, not a
+//     code path: nothing outside this file can tell.
 //   - tieredSlots: the container bytes themselves in an LRU hot set, decoded
 //     into the pooled module on checkout and re-encoded on a writable
 //     release only. Its bound is either none — the whole cohort stays hot
 //     and no file is ever opened, which is the quantised codecs on the
 //     memory store — or a hot-set size over a fixed-stride spill file
 //     (codec.SpillFile) that dirty entries are written to on eviction: the
-//     server's spill store and the virtual-device store, which keeps a
-//     device's last download verbatim and has no virgin hook.
+//     server's spill store and the virtual-device store, which has no
+//     virgin hook. drop discards an entry, recycling its buffer, and
+//     forgets its spill record.
+//
+// A device at rest follows its replica. At PipelineDepth 0 a download is
+// byte for byte the device's server replica, so the device drops its own
+// slot (drop) and, until it trains again, materialises by reading the
+// replica (readInto: a copy into the rig's module, no payload buffer in
+// between). The server store's beforeWrite hook gives a follower its own
+// copy before anything writes its replica — an absorb, a transfer-back
+// checkout (exact mode writes every replica), a checkpoint load — so a
+// participant's state exists once, on the server, between rounds. At
+// depth ≥ 1 the server stage races the device tasks and every download is
+// installed in the device's slot.
 //
 // Three properties make the tier invisible to the arithmetic:
 //
@@ -50,7 +70,8 @@ package fedzkt
 //     writes.
 //   - perfect prefetch: teacher draws come from a seeded, replayable
 //     sampling stream and transfer-back windows are a pure function of
-//     (round, iteration), so the store can load the next iteration's
+//     (round, iteration, the round's absorbed set), all known before the
+//     server phase starts, so the store can load the next iteration's
 //     members while the current one computes. Prefetch loads take the
 //     same per-cohort lock as checkouts — the overlap won is against
 //     distillation compute (which holds no store locks), not against
@@ -71,6 +92,7 @@ package fedzkt
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -259,8 +281,17 @@ type slotStore interface {
 	// untouched (and a virgin slot virgin).
 	checkout(i int, into *replicaSlot) (held bool, err error)
 	release(i int, from *replicaSlot, writable bool) error
-	// virgin reports that slot i was never written — it is reserved, or
-	// stored nowhere: its content is still the seeded registration state.
+	// readInto copies slot i's state into sd, a dict of the slot's layout
+	// that the store does not keep, and reports whether the slot holds a
+	// state, as checkout does.
+	readInto(i int, sd nn.StateDict) (held bool, err error)
+	// drop discards slot i's state: until it is next written the slot
+	// holds none, as a reserved one does, and its owner defines what it
+	// is (the device store: the device follows its replica).
+	drop(i int)
+	// virgin reports that slot i holds no state — it was reserved or
+	// dropped and not written since, or it is stored nowhere: its content
+	// is the seeded registration state unless its owner says otherwise.
 	virgin(i int) bool
 	// prefetch warms slot i ahead of a checkout, if it is cold.
 	prefetch(i int)
@@ -272,54 +303,86 @@ type slotStore interface {
 }
 
 // denseSlots is the slotStore of the identity codec on the memory store
-// and of resident devices: one dense float64 dict per slot, reserved or
-// handed over at registration (slots fill in index order) and exchanged
-// with the pooled module's own tensors by slice header (see the file
-// comment for why it exists).
+// and of resident devices: a dense float64 dict per slot that holds a
+// state, exchanged with the pooled module's own tensors by slice header
+// (see the file comment for why it exists). Dicts are pooled, not bound
+// to a slot: reserve allocates one onto a LIFO free stack, a slot's first
+// write pops one, and drop pushes it back. The stack being LIFO, a pop
+// takes a dict some slot has written before whenever there is one, so the
+// dicts ever written — the store's RSS — number the most slots that held a
+// state at once (heldPeak), however many slots there are.
 type denseSlots struct {
-	codec  codec.Codec // the payload encoding
-	sig    *archSig
+	codec codec.Codec // the payload encoding
+	sig   *archSig
+	// states[i] is slot i's dict, nil while the slot holds no state.
+	// Distinct slots are used concurrently, so each entry is only touched
+	// by its slot's user.
 	states []nn.StateDict
-	// virgins[i] marks a reserved slot not yet written. Distinct slots are
-	// used concurrently, so each flag is only touched by its slot's user.
-	virgins []bool
+	// mu guards the free stack and the counts: concurrent shard fan-outs
+	// write distinct slots of one store.
+	mu             sync.Mutex
+	free           []nn.StateDict
+	held, heldPeak int // dicts popped and not pushed back, now and at most
 	// init appends a virgin slot's seeded state, encoded, to dst; nil where
 	// nothing reads a virgin slot's payload (the device store).
 	init func(local int, dst []byte) ([]byte, error)
 }
 
 func (d *denseSlots) reserve(int) {
-	d.states = append(d.states, d.sig.alloc())
-	d.virgins = append(d.virgins, true)
+	d.states = append(d.states, nil)
+	d.free = append(d.free, d.sig.alloc())
+}
+
+// dict returns slot i's dict, popping one off the free stack for a slot
+// that holds no state. The stack is never empty then: reserve and drop
+// each push one dict for the one slot they leave without a state.
+func (d *denseSlots) dict(i int) nn.StateDict {
+	if sd := d.states[i]; sd != nil {
+		return sd
+	}
+	d.mu.Lock()
+	n := len(d.free)
+	sd := d.free[n-1]
+	d.free[n-1] = nil
+	d.free = d.free[:n-1]
+	d.held++
+	d.heldPeak = max(d.heldPeak, d.held)
+	d.mu.Unlock()
+	d.states[i] = sd
+	return sd
+}
+
+// write fills slot i's dict; a failed fill of a slot that held no state
+// leaves it holding none.
+func (d *denseSlots) write(i int, fill func(nn.StateDict) error) error {
+	had := d.states[i] != nil
+	if err := fill(d.dict(i)); err != nil {
+		if !had {
+			d.drop(i)
+		}
+		return err
+	}
+	return nil
 }
 
 func (d *denseSlots) installDict(i int, sd nn.StateDict, owned bool) error {
 	if i < len(d.states) {
-		if err := d.states[i].LoadFrom(sd); err != nil {
-			return err
-		}
-		d.virgins[i] = false
-		return nil
+		return d.write(i, func(dst nn.StateDict) error { return dst.LoadFrom(sd) })
 	}
 	if !owned {
 		sd = sd.Clone()
 	}
 	d.states = append(d.states, sd)
-	d.virgins = append(d.virgins, false)
 	return nil
 }
 
 func (d *denseSlots) installPayload(i int, payload []byte) error {
-	if err := codec.DecodeInto(payload, d.states[i]); err != nil {
-		return err
-	}
-	d.virgins[i] = false
-	return nil
+	return d.write(i, func(dst nn.StateDict) error { return codec.DecodeInto(payload, dst) })
 }
 
 func (d *denseSlots) appendPayload(dst []byte, i int) ([]byte, error) {
-	if !d.virgins[i] {
-		return d.codec.Append(dst, d.states[i])
+	if sd := d.states[i]; sd != nil {
+		return d.codec.Append(dst, sd)
 	}
 	if d.init == nil {
 		return nil, errNoState(i)
@@ -327,37 +390,59 @@ func (d *denseSlots) appendPayload(dst []byte, i int) ([]byte, error) {
 	return d.init(i, dst)
 }
 
-// checkout swaps a written slot's dict into the module. A virgin slot lends
-// nothing: the caller re-seeds the module in place.
+// checkout swaps a written slot's dict into the module. A slot that holds
+// no state lends nothing: the caller re-seeds the module in place.
 func (d *denseSlots) checkout(i int, into *replicaSlot) (bool, error) {
-	if d.virgins[i] {
+	if d.states[i] == nil {
 		return false, nil
 	}
 	return true, into.binding.Swap(d.states[i])
 }
 
 // release swaps the dict back out, writable or not: the module was
-// computing on the slot's own tensors. A virgin slot lent none, so a
-// read-only release leaves it virgin, and a writable one swaps all the
-// same: the slot takes the module's seeded-and-trained tensors and the
-// module the never-written ones, which its next checkout overwrites.
+// computing on the slot's own tensors. A slot without a state lent none,
+// so a read-only release leaves it so, and a writable one pops a dict and
+// swaps all the same: the slot takes the module's tensors and the module
+// the popped dict's, which its next checkout overwrites.
 func (d *denseSlots) release(i int, from *replicaSlot, writable bool) error {
-	if d.virgins[i] && !writable {
+	if d.states[i] == nil && !writable {
 		return nil
 	}
-	if err := from.binding.Swap(d.states[i]); err != nil {
-		return err
-	}
-	d.virgins[i] = false
-	return nil
+	return from.binding.Swap(d.dict(i))
 }
 
-func (d *denseSlots) virgin(i int) bool { return d.virgins[i] }
+func (d *denseSlots) readInto(i int, sd nn.StateDict) (bool, error) {
+	if d.states[i] == nil {
+		return false, nil
+	}
+	return true, sd.LoadFrom(d.states[i])
+}
+
+// drop pushes slot i's dict back onto the free stack — in a test binary
+// NaN-filled first, so a reader that outlived the drop fails a golden.
+func (d *denseSlots) drop(i int) {
+	sd := d.states[i]
+	if sd == nil {
+		return
+	}
+	d.states[i] = nil
+	if poisonSpares {
+		for _, t := range sd {
+			t.Fill(math.NaN())
+		}
+	}
+	d.mu.Lock()
+	d.free = append(d.free, sd)
+	d.held--
+	d.mu.Unlock()
+}
+
+func (d *denseSlots) virgin(i int) bool { return d.states[i] == nil }
 func (d *denseSlots) prefetch(int)      {}
 func (d *denseSlots) close() error      { return nil }
 
-// addStats counts every slot, reserved or written: a reserved dict is heap
-// the process holds, whether or not its pages were ever touched.
+// addStats counts every slot, holding a state or not: each one reserved a
+// dict, heap the process holds whether or not its pages were ever touched.
 func (d *denseSlots) addStats(st *ReplicaStoreStats) {
 	st.HotEntries += len(d.states)
 	st.HotBytes += int64(len(d.states)) * int64(d.sig.numel) * 8
@@ -706,7 +791,29 @@ func (ts *tieredSlots) appendPayload(dst []byte, i int) ([]byte, error) {
 }
 
 func (ts *tieredSlots) checkout(i int, into *replicaSlot) (bool, error) {
-	return ts.read(i, func(enc []byte) error { return codec.DecodeInto(enc, into.sd) })
+	return ts.readInto(i, into.sd)
+}
+
+func (ts *tieredSlots) readInto(i int, sd nn.StateDict) (bool, error) {
+	return ts.read(i, func(enc []byte) error { return codec.DecodeInto(enc, sd) })
+}
+
+// drop discards member local's hot entry, recycling its buffer (once no
+// read has it pinned), and forgets its spill record.
+func (ts *tieredSlots) drop(local int) {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	if e, ok := ts.hot[local]; ok {
+		ts.lruUnlink(e)
+		delete(ts.hot, local)
+		ts.hotBytes -= int64(len(e.enc))
+		if e.pins == 0 {
+			ts.recycle(e.enc)
+		}
+	}
+	if ts.file != nil {
+		ts.file.Forget(local)
+	}
 }
 
 // release re-encodes a writable lease's module state into the slot. A

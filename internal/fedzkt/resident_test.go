@@ -94,10 +94,12 @@ func TestResidentRoundAllocCeiling(t *testing.T) {
 // buffers than were in flight at once, whatever a run throws at it.
 func TestPayloadBuffersBounded(t *testing.T) {
 	t.Run("reconcile", func(t *testing.T) {
-		// One publish → apply at a time: one buffer per architecture serves
+		// At PipelineDepth ≥ 1, where a device keeps a copy of its replica,
+		// one publish → apply at a time: one buffer per architecture serves
 		// all 24 devices, once a full-participation round has written every
 		// one of them — here reconciled by loading that round's checkpoint
-		// into a fresh fleet.
+		// into a fresh fleet. At depth 0 every device follows its replica
+		// instead, and reconciling copies nothing.
 		residentCodecs(func(codec string, mutate func(*Config)) {
 			full := func(c *Config) { mutate(c); c.SampleK = 24 }
 			ran := toyFleet(t, 1, full)
@@ -108,25 +110,32 @@ func TestPayloadBuffersBounded(t *testing.T) {
 			if err := ran.SaveCheckpoint(&blob); err != nil {
 				t.Fatal(err)
 			}
-			co := toyFleet(t, 1, full)
-			if err := co.LoadCheckpoint(&blob); err != nil {
-				t.Fatal(err)
-			}
-			_, perArch := freeBuffers(co)
-			for arch, n := range perArch {
-				if n > 1 {
-					t.Errorf("%s: reconciling left %d %s buffers in the list, want ≤ 1", codec, n, arch)
+			for _, depth := range []int{0, 1} {
+				co := toyFleet(t, 1, func(c *Config) { full(c); c.PipelineDepth = depth })
+				if err := co.LoadCheckpoint(bytes.NewReader(blob.Bytes())); err != nil {
+					t.Fatal(err)
+				}
+				_, perArch := freeBuffers(co)
+				for arch, n := range perArch {
+					if n > 1 {
+						t.Errorf("%s depth %d: reconciling left %d %s buffers in the list, want ≤ 1", codec, depth, n, arch)
+					}
+				}
+				wantBuilt, wantReused := int64(2), int64(22)
+				if depth == 0 {
+					wantBuilt, wantReused = 0, 0
+				}
+				if built, reused := co.PayloadBufferStats(); built != wantBuilt || reused != wantReused {
+					t.Errorf("%s depth %d: reconciling 24 devices of 2 architectures built %d buffers and reused %d, want %d and %d",
+						codec, depth, built, reused, wantBuilt, wantReused)
 				}
 			}
-			if built, reused := co.PayloadBufferStats(); built != 2 || reused != 22 {
-				t.Errorf("%s: reconciling 24 devices of 2 architectures built %d buffers and reused %d, want 2 and 22", codec, built, reused)
-			}
 
-			// A fresh fleet reconciles only the devices written on either
-			// side: none under float64, whose slots are all reserved, so a
-			// resident resume is O(touched devices); every one under int8,
-			// whose memory store writes each replica at registration.
-			fresh := toyFleet(t, 1, mutate)
+			// A fresh depth-1 fleet reconciles only the devices written on
+			// either side: none under float64, whose slots are all reserved,
+			// so a resident resume is O(touched devices); every one under
+			// int8, whose memory store writes each replica at registration.
+			fresh := toyFleet(t, 1, func(c *Config) { mutate(c); c.PipelineDepth = 1 })
 			if err := fresh.reconcileDevices(); err != nil {
 				t.Fatal(err)
 			}
@@ -223,17 +232,19 @@ func stateDigest(t *testing.T, co *Coordinator) string {
 
 // The golden federation with the proximal term on (three local epochs, so
 // the term is non-zero from the second step), sampled teachers and weight
-// decay, as produced by the commit before anchors became lazy, gradients
-// lent and dense payloads recycled: History.Fingerprint plus a digest of
-// every final replica and device state (the fingerprint's 18-sample
-// accuracies alone would hide a small weight divergence).
+// decay: History.Fingerprint plus a digest of every final replica and
+// device state (the fingerprint's 18-sample accuracies alone would hide a
+// small weight divergence). Recorded when sampled transfer-back began to
+// distil only into the round's participants; the lazy anchors, lent
+// gradients, recycled payloads and devices that follow their replicas are
+// all pure implementation changes under it.
 const (
-	proxGoldenFingerprint = "round=1 active=[1 2 3 5] dropped=[] injected=[] up=460512 down=460512 global=0.3333333333333333 mean=0.4351851851851851 gradnorm=0 dev=[0.4444444444444444 0.3333333333333333 0.6666666666666666 0.3333333333333333 0.3888888888888889 0.4444444444444444]\n" +
-		"round=2 active=[0 1 2 3] dropped=[] injected=[] up=839520 down=839520 global=0.3333333333333333 mean=0.46296296296296297 gradnorm=0 dev=[0.6666666666666666 0.3333333333333333 0.6111111111111112 0.3333333333333333 0.3888888888888889 0.4444444444444444]\n" +
-		"round=3 active=[0 1 4 5] dropped=[] injected=[4] up=440136 down=440136 global=0.3333333333333333 mean=0.46296296296296297 gradnorm=0 dev=[0.7222222222222222 0.3333333333333333 0.6111111111111112 0.3333333333333333 0.3888888888888889 0.3888888888888889]\n" +
-		"round=4 active=[0 2 4 5] dropped=[] injected=[5] up=1198152 down=1198152 global=0.3333333333333333 mean=0.45370370370370366 gradnorm=0 dev=[0.6666666666666666 0.3333333333333333 0.6666666666666666 0.3333333333333333 0.3333333333333333 0.3888888888888889]\n"
-	proxGoldenDigest       = "653ceaa4e460f173"
-	proxGoldenDepth2Digest = "813883f8ba0bd742"
+	proxGoldenFingerprint = "round=1 active=[1 2 3 5] dropped=[] injected=[] up=460512 down=460512 global=0.3333333333333333 mean=0.4259259259259259 gradnorm=0 dev=[0.4444444444444444 0.3333333333333333 0.6111111111111112 0.3333333333333333 0.3888888888888889 0.4444444444444444]\n" +
+		"round=2 active=[0 1 2 3] dropped=[] injected=[] up=839520 down=839520 global=0.3333333333333333 mean=0.4537037037037037 gradnorm=0 dev=[0.6666666666666666 0.3333333333333333 0.5555555555555556 0.3333333333333333 0.3888888888888889 0.4444444444444444]\n" +
+		"round=3 active=[0 1 4 5] dropped=[] injected=[4] up=440136 down=440136 global=0.3333333333333333 mean=0.46296296296296297 gradnorm=0 dev=[0.6666666666666666 0.3333333333333333 0.5555555555555556 0.3333333333333333 0.3888888888888889 0.5]\n" +
+		"round=4 active=[0 2 4 5] dropped=[] injected=[5] up=1198152 down=1198152 global=0.3333333333333333 mean=0.46296296296296297 gradnorm=0 dev=[0.6666666666666666 0.3333333333333333 0.6111111111111112 0.3333333333333333 0.3333333333333333 0.5]\n"
+	proxGoldenDigest       = "719860fe732faee5"
+	proxGoldenDepth2Digest = "7b049b95ca8e5d45"
 )
 
 // TestProxMuDeterminismGolden pins the proximal path across the lifetime

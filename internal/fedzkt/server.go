@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 
 	"github.com/fedzkt/fedzkt/internal/ag"
@@ -27,9 +28,10 @@ import (
 // With TeachersPerIter = 0 (the default) the server runs the paper-exact
 // full-ensemble semantics, byte-identical to the pre-cohort
 // implementation. With TeachersPerIter = T > 0 each distillation iteration
-// draws T replica teachers uniformly and
-// transfers knowledge back into a rotating T-wide window of replicas, so
-// the per-iteration server cost is O(T) rather than O(devices).
+// draws T replica teachers uniformly and transfers knowledge back into a
+// rotating window of at most T of the round's participants — the devices
+// whose uploads it absorbed, the only ones that download — so the
+// per-iteration server cost is O(T) rather than O(devices).
 //
 // With ReplicaStore = "spill" the replica slots rest in a bounded hot set
 // over spill files (replicastore.go) and the server holds memory
@@ -86,6 +88,13 @@ type Server struct {
 	// outScratch is the reusable teacher-output slice of the adversarial
 	// fan-out; holds only pointers, overwritten every iteration.
 	outScratch []*ag.Variable
+
+	// absorbed lists the devices Absorb and AbsorbPayload installed an
+	// upload for since the last Distill: the round's participants, whose
+	// replicas a sampled transfer-back distils into. Distill and
+	// LoadCheckpoint clear it.
+	absorbMu sync.Mutex
+	absorbed []int
 }
 
 // NewServer constructs the server side for a dataset signature (input
@@ -302,7 +311,26 @@ func (s *Server) Absorb(id int, upload nn.StateDict) error {
 	if err := s.cohorts.installDict(ref, upload); err != nil {
 		return fmt.Errorf("fedzkt: absorb device %d: %w", id, err)
 	}
+	s.noteAbsorbed(id)
 	return nil
+}
+
+// noteAbsorbed records id as a participant of the round being absorbed.
+func (s *Server) noteAbsorbed(id int) {
+	s.absorbMu.Lock()
+	s.absorbed = append(s.absorbed, id)
+	s.absorbMu.Unlock()
+}
+
+// takeAbsorbed drains the participants recorded since the last call,
+// sorted ascending and deduped.
+func (s *Server) takeAbsorbed() []int {
+	s.absorbMu.Lock()
+	ids := s.absorbed
+	s.absorbed = nil
+	s.absorbMu.Unlock()
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // AbsorbPayload installs a device's uploaded codec container into its
@@ -320,6 +348,7 @@ func (s *Server) AbsorbPayload(id int, payload []byte) error {
 	if err := s.cohorts.installPayload(ref, payload); err != nil {
 		return fmt.Errorf("fedzkt: absorb device %d: %w", id, err)
 	}
+	s.noteAbsorbed(id)
 	return nil
 }
 
@@ -360,7 +389,9 @@ func (s *Server) ReplicaPayload(id int) ([]byte, int, error) {
 
 // Distill runs both ServerUpdate phases of Algorithm 3 for one round:
 // adversarial zero-shot distillation into F, then transfer back into the
-// replicas. It returns the mean per-sample ‖∇ₓL‖ when probing is enabled.
+// replicas — every replica in exact mode, the participants absorbed since
+// the previous Distill in sampled mode (the set is consumed here). It
+// returns the mean per-sample ‖∇ₓL‖ when probing is enabled.
 // ctx is checked between distillation iterations, so cancelling it stops
 // a long phase mid-flight (returning the wrapped context error) instead
 // of only between rounds; the phase's optimiser state stays wherever the
@@ -369,6 +400,7 @@ func (s *Server) Distill(ctx context.Context, round int) (float64, error) {
 	if s.cohorts.numDevices() == 0 {
 		return 0, fmt.Errorf("fedzkt: distill with no registered devices")
 	}
+	participants := s.takeAbsorbed()
 	advSpan := tracer().Begin("distill", "adversarial_phase").WithRound(round)
 	gn, err := s.adversarialPhase(ctx, round)
 	advSpan.End()
@@ -376,7 +408,7 @@ func (s *Server) Distill(ctx context.Context, round int) (float64, error) {
 		return 0, err
 	}
 	tbSpan := tracer().Begin("distill", "transfer_back").WithRound(round)
-	err = s.transferBackPhase(ctx, round)
+	err = s.transferBackPhase(ctx, round, participants)
 	tbSpan.End()
 	if err != nil {
 		return 0, err
@@ -572,34 +604,42 @@ func (s *Server) teacherOuts(x *ag.Variable, teachers []*replicaLease) []*ag.Var
 }
 
 // transferBackIDs returns the replica ids iteration it of round round
-// distils into: every device in exact mode, or a rotating t-wide window
-// in sampled mode. The window position advances with the absolute
-// iteration index across rounds (not just within one round), so coverage
-// keeps cycling through the whole federation even when a single round's
-// DistillIters × t budget is smaller than the device count. The window is
-// a pure function of (round, it), which is what lets the replica
-// prefetcher warm the next iteration's window during the current one.
-func (s *Server) transferBackIDs(round, it, t int) []int {
-	n := s.cohorts.numDevices()
-	if t == 0 || t >= n {
-		return s.cohorts.allIDs()
-	}
-	start := (((round-1)*s.cfg.DistillIters + it) * t) % n
+// distils into in sampled mode: a window of min(t, P) consecutive entries
+// of the P > 0 participants (ascending ids), cyclically. Transfer-back
+// exists to send the distilled knowledge down, and only participants
+// download: a replica of anyone else would be overwritten by that device's
+// next upload before it was ever read. The window start advances with the
+// absolute iteration index across rounds (not just within one round), so
+// when a round's DistillIters × t budget is smaller than P, coverage
+// rotates over the participants from round to round. The window is a pure
+// function of (round, it, participants), all known before Distill starts,
+// which is what lets the replica prefetcher warm the next iteration's
+// window during the current one.
+func (s *Server) transferBackIDs(round, it, t int, participants []int) []int {
+	p := len(participants)
+	start := (((round-1)*s.cfg.DistillIters + it) * t) % p
 	if start < 0 {
-		start += n
+		start += p
 	}
-	ids := make([]int, t)
+	ids := make([]int, min(t, p))
 	for j := range ids {
-		ids[j] = (start + j) % n
+		ids[j] = participants[(start+j)%p]
 	}
 	return ids
 }
 
 // transferBackPhase is the second half of Algorithm 3 (lines 15-21):
 // distil the updated global model back into the replicas using the
-// trained generator and the KL loss of Eq. 8.
-func (s *Server) transferBackPhase(ctx context.Context, round int) (err error) {
+// trained generator and the KL loss of Eq. 8 — every replica in exact
+// mode, windows of the participants in sampled mode (transferBackIDs). A
+// sampled round that absorbed nothing has no one to send knowledge to and
+// skips the phase.
+func (s *Server) transferBackPhase(ctx context.Context, round int, participants []int) (err error) {
 	cfg := s.cfg
+	t := s.teachersPerIter()
+	if t > 0 && len(participants) == 0 {
+		return nil
+	}
 	rng := tensor.NewRand(cfg.Seed ^ (uint64(round)<<24 + 0xBAC))
 
 	// G and F are fixed teachers here.
@@ -614,7 +654,6 @@ func (s *Server) transferBackPhase(ctx context.Context, round int) (err error) {
 		s.global.SetTraining(true)
 	}()
 
-	t := s.teachersPerIter()
 	var phaseLeases []*replicaLease
 	if t == 0 {
 		phaseLeases = compactLeases(s.cohorts.checkout(s.cohorts.allIDs(), true, true))
@@ -626,7 +665,7 @@ func (s *Server) transferBackPhase(ctx context.Context, round int) (err error) {
 			}
 		}()
 	} else {
-		s.cohorts.prefetch(s.transferBackIDs(round, 0, t))
+		s.cohorts.prefetch(s.transferBackIDs(round, 0, t, participants))
 	}
 
 	for it := 0; it < cfg.DistillIters; it++ {
@@ -646,11 +685,12 @@ func (s *Server) transferBackPhase(ctx context.Context, round int) (err error) {
 		batch := phaseLeases
 		if t > 0 {
 			if it+1 < cfg.DistillIters {
-				// The next window is a pure function of (round, it), so it
-				// can warm while this iteration's replica steps run.
-				s.cohorts.prefetch(s.transferBackIDs(round, it+1, t))
+				// The next window is a pure function of (round, it,
+				// participants), so it can warm while this iteration's
+				// replica steps run.
+				s.cohorts.prefetch(s.transferBackIDs(round, it+1, t, participants))
 			}
-			batch = compactLeases(s.cohorts.checkout(s.transferBackIDs(round, it, t), true, true))
+			batch = compactLeases(s.cohorts.checkout(s.transferBackIDs(round, it, t, participants), true, true))
 		}
 
 		// One independent distillation step per resident replica, bounded
@@ -661,15 +701,22 @@ func (s *Server) transferBackPhase(ctx context.Context, round int) (err error) {
 		// before this iteration's phase-arena reset below: worker arenas
 		// memoise conv lowerings keyed by the shared phase-arena batch x
 		// (see ag.convColKey), so a worker cache must never outlive the
-		// phase buffers it is keyed on.
+		// phase buffers it is keyed on. The worker's arena also lends the
+		// replica's parameter gradients for its one step, as a device
+		// task's rig does: a pooled module keeps no gradient buffers
+		// between steps, so how many modules transfer-back ever trained
+		// costs no heap.
 		s.ensureWorkerArenas(sched.EffectiveWorkers(len(batch), cfg.poolWorkers()))
 		sched.ForEachWorker(len(batch), cfg.poolWorkers(), func(i, w int) {
 			wa := s.workerArenas[w]
 			l := batch[i]
+			params := l.slot.module.Params()
+			ag.LendGrads(params, wa.T)
 			loss := targets.Loss(l.slot.module.Forward(ag.ConstIn(wa, x)))
 			l.slot.opt.ZeroGrad()
 			ag.Backward(loss)
 			l.slot.opt.Step()
+			ag.DetachGrads(params)
 			wa.Reset()
 		})
 
