@@ -14,8 +14,8 @@
 // while distillation computes — memory bounded by the hot-set size, not
 // the device count. -shards N splits the store into independently locked
 // shards fanned out on the worker pool. -virtual-devices applies the same
-// treatment to the device side: a device keeps only its last download, in
-// a tiered store, and a worker's module holds its state only while it
+// treatment to the device side: a device's state at rest is a container
+// in a bounded slot store, and a worker's module holds its state only while it
 // participates. At ≥ 10,000 devices all three are enabled wherever their
 // flag is not given (virtual devices only on the synchronous engine with
 // no deadline, the one regime they support), and evaluation is capped to
@@ -219,7 +219,7 @@ func main() {
 	}
 }
 
-// printStoreStats prints one tiered store's cumulative counters.
+// printStoreStats prints one slot store's cumulative counters.
 func printStoreStats(name string, st fedzkt.ReplicaStoreStats) {
 	if st.Mode != fedzkt.ReplicaStoreSpill {
 		fmt.Printf("%s: mode=%s (fully resident)\n", name, st.Mode)

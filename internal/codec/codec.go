@@ -110,9 +110,10 @@ func Get(name string) (Codec, error) {
 	return c, nil
 }
 
-// Identity reports whether c is the lossless dense float64 codec — the
-// mode in which callers may keep plain dense state and skip encoded
-// storage without changing any observable value.
+// Identity reports whether c is the lossless float64 codec — the one whose
+// container of a state decodes to exactly that state, so a caller may
+// stand a state in for its container without changing any observable
+// value.
 func Identity(c Codec) bool { return c.Name() == Float64 }
 
 // Encode is Append into a fresh buffer.

@@ -517,6 +517,38 @@ func TestEncodeExactSize(t *testing.T) {
 	}
 }
 
+// TestSizeMatchesAppend: Size, computed from names and shapes alone, is the
+// length Append writes, for every architecture in the zoo under every
+// codec. A store reserves slot buffers of this size; were the two to
+// drift, every first write would outgrow its reserved buffer and allocate.
+func TestSizeMatchesAppend(t *testing.T) {
+	for _, arch := range model.Names() {
+		m, err := model.Build(arch, model.Shape{C: 1, H: 16, W: 16}, 10, tensor.NewRand(3))
+		if err != nil {
+			t.Fatalf("%s: %v", arch, err)
+		}
+		sd := nn.CaptureState(m)
+		names := sd.Names()
+		shapes := make([][]int, len(names))
+		for i, n := range names {
+			shapes[i] = sd[n].Shape()
+		}
+		for _, name := range Names() {
+			c, err := Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc, err := c.Append(nil, sd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := Size(c, names, shapes); got != len(enc) {
+				t.Errorf("%s under %s: Size %d, Append wrote %d bytes", arch, name, got, len(enc))
+			}
+		}
+	}
+}
+
 // TestDecodeIntoAllOrNothing: a container that fails validation anywhere
 // — even in its last tensor — leaves the destination untouched.
 func TestDecodeIntoAllOrNothing(t *testing.T) {

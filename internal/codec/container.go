@@ -67,6 +67,45 @@ func payloadLen(dtype byte, numel int) (n int, ok bool) {
 	return 0, false
 }
 
+// The container size is a pure function of the layout and the dtype:
+// headerSize plus one tensorSize per tensor. appendContainer sizes its
+// buffer with it and Size reports it, so a buffer reserved for a layout is
+// exactly what the layout's encoding fills.
+
+// headerSize is the container bytes before the first tensor.
+func headerSize(count int) int {
+	return len(containerMagic) + 1 + uvarintLen(uint64(count))
+}
+
+// tensorSize is the container bytes of one tensor — name, dtype tag, shape
+// header and payload — whose ndims dimensions are dim(0), dim(1), …; ok is
+// false for a non-positive dimension, which the reader would reject.
+func tensorSize(name string, dtype byte, ndims int, dim func(int) int) (n int, ok bool) {
+	n = uvarintLen(uint64(len(name))) + len(name) + 1 + uvarintLen(uint64(ndims))
+	numel := 1
+	for d := 0; d < ndims; d++ {
+		if dim(d) <= 0 {
+			return 0, false
+		}
+		n += uvarintLen(uint64(dim(d)))
+		numel *= dim(d)
+	}
+	pl, _ := payloadLen(dtype, numel)
+	return n + pl, true
+}
+
+// Size returns the length of c's container for a state of the given
+// tensor names and shapes (in any order): exactly what c.Append adds to
+// its buffer for such a state.
+func Size(c Codec, names []string, shapes [][]int) int {
+	size := headerSize(len(names))
+	for i, n := range names {
+		ts, _ := tensorSize(n, c.elemDtype(), len(shapes[i]), func(d int) int { return shapes[i][d] })
+		size += ts
+	}
+	return size
+}
+
 // appendContainer writes sd as a container with the given dtype for every
 // tensor. The container size is a pure function of the layout, so it is
 // computed up front and dst grows at most once, to exactly that size;
@@ -84,22 +123,18 @@ func appendContainer(dst []byte, sd nn.StateDict, dtype byte) ([]byte, error) {
 	}
 	slices.Sort(names)
 
-	size := len(containerMagic) + 1 + uvarintLen(uint64(len(names)))
+	size := headerSize(len(names))
 	for _, n := range names {
 		t := sd[n]
-		size += uvarintLen(uint64(len(n))) + len(n) + 1 + uvarintLen(uint64(t.Dims()))
-		for d := 0; d < t.Dims(); d++ {
+		ts, ok := tensorSize(n, dtype, t.Dims(), t.Dim)
+		if !ok {
 			// Mirror the reader's validation: emitting a shape the
 			// decoder rejects would turn an impossible tensor into an
 			// undecodable slot. (tensor constructors already forbid
 			// non-positive dims, so this is pure defence in depth.)
-			if t.Dim(d) <= 0 {
-				return nil, fmt.Errorf("codec: tensor %q has non-positive dimension in shape %v", n, t.Shape())
-			}
-			size += uvarintLen(uint64(t.Dim(d)))
+			return nil, fmt.Errorf("codec: tensor %q has non-positive dimension in shape %v", n, t.Shape())
 		}
-		pl, _ := payloadLen(dtype, t.Len())
-		size += pl
+		size += ts
 	}
 	if cap(dst)-len(dst) < size {
 		// make (unlike append) allocates exactly the requested capacity.

@@ -242,8 +242,8 @@ func (s *Server) stageCheckpoint(cp *checkpoint) (*stagedCheckpoint, error) {
 // codec loads into a server configured with another: same-codec payloads
 // are adopted verbatim (bit-exact), foreign-dtype payloads are
 // re-encoded into the configured codec at load so the slots keep its
-// memory and accounting invariants, and identity servers decode them
-// into dense slots.
+// memory and accounting invariants (a float64 server re-encodes them
+// exactly).
 //
 // The load is all-or-nothing against structural faults: every count,
 // architecture, container layout and state-dict shape is validated

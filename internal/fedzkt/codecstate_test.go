@@ -13,14 +13,26 @@ import (
 )
 
 // TestQuantisedSlotsResidentBytes pins the memory acceptance bar of the
-// codec subsystem: int8 replica slots hold at least 4× (and in practice
-// close to 8×) fewer resident bytes per device than dense float64 slots,
-// and float16 at least 3× fewer.
+// codec subsystem: a written int8 replica slot holds at least 4× (and in
+// practice close to 8×) fewer resident bytes than a float64 one, and
+// float16 at least 3× fewer. Virgin slots hold none under any codec.
 func TestQuantisedSlotsResidentBytes(t *testing.T) {
 	resident := func(name string) int64 {
 		cfg := tinyConfig()
 		cfg.StateCodec = name
 		srv := registerN(t, cfg, 20, "mlp", "lenet-s")
+		if got := srv.ResidentStateBytes(); got != 0 {
+			t.Fatalf("%s: 20 virgin slots hold %d resident bytes, want 0", name, got)
+		}
+		for id := 0; id < 20; id++ {
+			sd, err := srv.ReplicaState(id)
+			if err == nil {
+				err = srv.Absorb(id, sd)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
 		return srv.ResidentStateBytes()
 	}
 	dense := resident("")
@@ -235,6 +247,14 @@ func TestCrossCodecCheckpointLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := srvDense.Register("mlp", nil); err != nil {
+		t.Fatal(err)
+	}
+	// Write the slot, so both servers hold one container to compare below.
+	seeded, err := srvDense.ReplicaState(0)
+	if err == nil {
+		err = srvDense.Absorb(0, seeded)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	blob, err := srvDense.CheckpointBytes()

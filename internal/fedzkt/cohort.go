@@ -11,7 +11,6 @@ import (
 	"github.com/fedzkt/fedzkt/internal/nn"
 	"github.com/fedzkt/fedzkt/internal/optim"
 	"github.com/fedzkt/fedzkt/internal/sched"
-	"github.com/fedzkt/fedzkt/internal/tensor"
 )
 
 // This file implements the server's architecture-cohort replica registry.
@@ -27,15 +26,14 @@ import (
 // architectures × pool size) live modules plus the per-device parameter
 // data.
 //
-// Slots hold state at rest behind the slotStore interface
-// (replicastore.go): dense dicts for the identity codec on the memory
-// store, reserved at registration and first written when used, container
-// bytes otherwise — every slot hot on the memory store, an LRU hot set over
-// a spill file on the spill store, where members that were never written
-// are not stored at all and resident replica state is bounded by the
-// hot-set size instead of the device count, the million-device lever. The
-// backing is chosen once per cohort, in cohortFor; nothing else in this
-// file knows which one it talks to.
+// Slots hold state at rest as codec containers in one slotStore per
+// cohort (replicastore.go): every slot that holds a state hot on the memory
+// store, its buffer reserved at registration and first written when used;
+// an LRU hot set over a spill file on the spill store, where resident
+// replica state is bounded by the hot-set size instead of the device
+// count, the million-device lever. Members that were never written are
+// stored nowhere in either. The bound is chosen once per cohort, in
+// cohortFor; nothing else in this file knows which one it talks to.
 //
 // The registry is additionally sharded (Config.ReplicaShards): shard
 // s owns every device with id ≡ s (mod N), each shard keeping its own
@@ -57,14 +55,13 @@ type member struct {
 	weight int
 }
 
-// replicaSlot is one pooled live module of a cohort, with the state
-// binding, captured state view and optimiser that serve whichever member
-// is resident — or a device rig's module (rig.go), which has no optimiser.
+// replicaSlot is one pooled live module of a cohort, with the captured
+// state view and optimiser that serve whichever member is resident — or a
+// device rig's module (rig.go), which has no optimiser.
 type replicaSlot struct {
-	module  nn.Module
-	binding *nn.StateBinding
-	sd      nn.StateDict // the module's own state, the codec decode target
-	opt     *optim.SGD
+	module nn.Module
+	sd     nn.StateDict // the module's own state, the codec decode target
+	opt    *optim.SGD
 }
 
 // archSig is an architecture's state signature, captured once per
@@ -75,19 +72,8 @@ type replicaSlot struct {
 type archSig struct {
 	names  []string
 	lens   []int
-	shapes [][]int // containers carry shapes, so a reserved dict needs them
+	shapes [][]int // containers carry shapes, so codec.Size needs them
 	numel  int
-}
-
-// alloc returns a zero dict of the signature's layout. Fresh heap memory is
-// untouched zero pages: the dict costs address space, not resident memory,
-// until it is first written.
-func (sig *archSig) alloc() nn.StateDict {
-	sd := make(nn.StateDict, len(sig.names))
-	for i, n := range sig.names {
-		sd[n] = tensor.New(sig.shapes[i]...)
-	}
-	return sd
 }
 
 // checkLayout validates an install against the signature: exactly the
@@ -139,7 +125,7 @@ type cohort struct {
 	members []*member
 	pool    []*replicaSlot
 	// slots holds the members' states at rest.
-	slots slotStore
+	slots *slotStore
 }
 
 // checkPayload validates a container's structure and headers — tensor
@@ -165,10 +151,9 @@ func (c *cohort) slot(i int, lr float64, live *atomic.Int64) *replicaSlot {
 			panic(fmt.Sprintf("fedzkt: rebuilding %q replica: %v", c.arch, err))
 		}
 		c.pool = append(c.pool, &replicaSlot{
-			module:  m,
-			binding: nn.BindState(m),
-			sd:      nn.CaptureState(m),
-			opt:     optim.NewSGD(m.Params(), lr, 0, 0),
+			module: m,
+			sd:     nn.CaptureState(m),
+			opt:    optim.NewSGD(m.Params(), lr, 0, 0),
 		})
 		live.Add(1)
 	}
@@ -226,7 +211,7 @@ type cohortOptions struct {
 	// initSlot rebuilds a device's seeded initial state — the content of a
 	// virgin slot — encoded with codec and appended to dst, and reseed
 	// re-draws it in place into a pooled module: how a virgin slot is read
-	// where the store lends no state (a reserved dense slot).
+	// where the store lends no state (under the exact codec).
 	initSlot func(arch string, id int, dst []byte) ([]byte, error)
 	reseed   func(m nn.Module, id int) error
 }
@@ -291,7 +276,8 @@ func (cs *cohortSet) ensureSig(arch string, build func() (nn.Module, error)) (*a
 
 // cohortFor returns the shard's cohort for arch, creating it on first
 // registration — and with it the one decision about how its members'
-// states rest (see slotStore).
+// states rest: in a hot set bounded over a spill file (the spill store),
+// or all hot (the memory store).
 func (cs *cohortSet) cohortFor(sh *cohortShard, arch string, sig *archSig, build func() (nn.Module, error)) *cohort {
 	if c, ok := sh.byArch[arch]; ok {
 		return c
@@ -300,19 +286,16 @@ func (cs *cohortSet) cohortFor(sh *cohortShard, arch string, sig *archSig, build
 	init := func(local int, dst []byte) ([]byte, error) {
 		return cs.initSlot(c.arch, c.members[local].id, dst)
 	}
-	switch {
-	case cs.spillDir != "":
-		path := filepath.Join(cs.spillDir, fmt.Sprintf("shard%03d-%s.spill", sh.index, arch))
-		capFn := func() int { return cs.hotCap(c) }
-		c.slots = newTieredSlots(cs.codec, path, capFn, init, &cs.counters)
+	var path string
+	var capFn func() int // nil: unbounded
+	if cs.spillDir != "" {
+		path = filepath.Join(cs.spillDir, fmt.Sprintf("shard%03d-%s.spill", sh.index, arch))
+		capFn = func() int { return cs.hotCap(c) }
 		if cs.prefetchCh == nil {
 			cs.startPrefetcher()
 		}
-	case codec.Identity(cs.codec):
-		c.slots = &denseSlots{codec: cs.codec, sig: sig, init: init}
-	default:
-		c.slots = newTieredSlots(cs.codec, "", nil, nil, &cs.counters)
 	}
+	c.slots = newSlotStore(cs.codec, sig, path, capFn, init, &cs.counters)
 	sh.byArch[arch] = c
 	sh.cohorts = append(sh.cohorts, c)
 	return c
@@ -341,17 +324,14 @@ func (cs *cohortSet) hotCap(c *cohort) int {
 // federation size is unknown until the last registration.
 func (cs *cohortSet) shardOf(id int) *cohortShard { return cs.shards[id%len(cs.shards)] }
 
-// register files a new member into its shard's cohort and stores its
-// initial state. A nil sd registers a virgin member, whose content is its
-// seeded initial state until the slot is first written: the store reserves
-// the slot (slotStore.reserve) and reads reconstruct the state via
-// initSlot or reseed. Every store but the quantised memory store's keeps
-// virgin slots. sd is validated
-// against the architecture's own signature (one throwaway build per
-// architecture), never against itself, so a drifted first registrant
-// fails as loudly as a later one. The store may keep sd itself when the
-// caller hands it over (owned).
-func (cs *cohortSet) register(arch string, sd nn.StateDict, owned bool, weight int, build func() (nn.Module, error)) (int, error) {
+// register files a new member into its shard's cohort, reserves its slot
+// (slotStore.reserve) and stores its initial state. A nil sd registers a
+// virgin member, whose content is its seeded initial state until the slot
+// is first written: reads reconstruct the state via initSlot or reseed.
+// sd is validated against the architecture's own signature (one throwaway
+// build per architecture), never against itself, so a drifted first
+// registrant fails as loudly as a later one.
+func (cs *cohortSet) register(arch string, sd nn.StateDict, weight int, build func() (nn.Module, error)) (int, error) {
 	id := len(cs.devices)
 	sig, err := cs.ensureSig(arch, build)
 	if err != nil {
@@ -367,11 +347,11 @@ func (cs *cohortSet) register(arch string, sd nn.StateDict, owned bool, weight i
 	mem := &member{id: id, local: len(c.members), weight: weight}
 	c.members = append(c.members, mem)
 	cs.devices = append(cs.devices, deviceRef{shard: sh.index, cohort: c, member: mem})
+	c.slots.reserve()
 	if sd == nil {
-		c.slots.reserve(mem.local)
 		return id, nil
 	}
-	if err := c.slots.installDict(mem.local, sd, owned); err != nil {
+	if err := c.slots.installDict(mem.local, sd); err != nil {
 		return 0, fmt.Errorf("fedzkt: storing %q replica slot: %w", arch, err)
 	}
 	return id, nil
@@ -504,7 +484,7 @@ func (cs *cohortSet) installDict(ref deviceRef, src nn.StateDict) error {
 	if err := cs.toWrite(ref.member.id); err != nil {
 		return err
 	}
-	return ref.cohort.slots.installDict(ref.member.local, src, false)
+	return ref.cohort.slots.installDict(ref.member.local, src)
 }
 
 // installPayload replaces a member's slot contents with an encoded

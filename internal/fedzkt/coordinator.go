@@ -112,30 +112,32 @@ type Config struct {
 	// at any shard count.
 	ReplicaShards int
 	// HotSet bounds the resident entries of each cohort shard's hot set
-	// under the spill store (and the virtual-device store's per-arch hot
-	// set). 0 sizes it automatically: the full cohort in exact
-	// full-ensemble mode, a teacher-window multiple in sampled mode.
+	// under the spill store, and of each architecture's virtual-device
+	// store. 0 sizes them automatically: a cohort shard's to the full cohort
+	// in exact full-ensemble mode and to 2·TeachersPerIter (at least 32) in
+	// sampled mode; a virtual-device store's to max(256, 2·SampleK).
 	HotSet int
 	// SpillDir hosts the spill files ("" = a private temp directory,
 	// removed on Close).
 	SpillDir string
-	// VirtualDevices picks where in-process devices keep their state at
-	// rest, as ReplicaStore does for the server's replicas. Either way a
-	// device's model is its worker's module, holding the device's state
-	// only while its local phase or evaluation runs, and registration
-	// builds nothing in either mode: a device that was never written is its
-	// seeded initial state, and at PipelineDepth 0 a device that downloaded
-	// follows its server replica, holding nothing of its own until it trains
-	// again or the replica is about to be overwritten (it then gets a copy).
-	// false (the default) keeps a device's own state in a dense slot,
-	// written by the device's tasks (and by downloads at PipelineDepth ≥ 1),
-	// so whatever a task leaves stays. true keeps a virtual device's own
-	// state only as its last download, in a bounded slot store per
-	// architecture (HotSet; spill files under SpillDir). That equals a
-	// resident device's state only when every device that trained receives
-	// its download before it trains again, so it requires RoundDeadline = 0
-	// and PipelineDepth = 0, where round outcomes are byte-identical to
-	// resident devices.
+	// VirtualDevices picks how the slot store where in-process devices
+	// keep their state at rest is bounded, as ReplicaStore does for the
+	// server's replicas. Either way a device's model is its worker's module,
+	// holding the device's state only while its local phase or evaluation
+	// runs, and registration builds nothing in either mode: a device that
+	// was never written is its seeded initial state, and at PipelineDepth 0
+	// a device that downloaded follows its server replica, holding nothing
+	// of its own until it trains again or the replica is about to be
+	// overwritten (it then gets a copy). false (the default) keeps a
+	// device's own state in an unbounded float64 store, written by the
+	// device's tasks (and by downloads at PipelineDepth ≥ 1), so whatever a
+	// task leaves stays. true writes a virtual device's store only with the
+	// copies made before its replica is overwritten — never with a task's
+	// result — in the run's codec, bounded by HotSet per architecture (spill
+	// files under SpillDir). That equals a resident device's state only when
+	// every device that trained receives its download before it trains
+	// again, so it requires RoundDeadline = 0 and PipelineDepth = 0, where
+	// round outcomes are byte-identical to resident devices.
 	VirtualDevices bool
 	// EvalDevices, when positive, evaluates per-device accuracy on only
 	// the first EvalDevices devices instead of all of them (the scale
@@ -341,7 +343,7 @@ type Coordinator struct {
 	// task or an evaluation runs (materialise, release). devCounters is its
 	// own allocation for the reason rigs is:
 	// the registry serves the stores' entry-buffer counts from it.
-	devStore      map[string]slotStore
+	devStore      map[string]*slotStore
 	devLocal      []int
 	devCounters   *storeCounters
 	devSpillDir   string
@@ -404,7 +406,7 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 		return nil, fmt.Errorf("fedzkt: %w", err)
 	}
 	c := &Coordinator{pool: pool, codec: server.Codec(), rigs: rigs,
-		devStore: make(map[string]slotStore), devCounters: &storeCounters{}}
+		devStore: make(map[string]*slotStore), devCounters: &storeCounters{}}
 	if c.Engine, err = NewEngine(server, ds, c); err != nil {
 		_ = server.Close()
 		return nil, err
@@ -454,23 +456,28 @@ func (c *Coordinator) register(i int, arch string, local int, dataSize int) erro
 	}
 	c.devLocal = append(c.devLocal, local)
 	c.follows = append(c.follows, false)
-	st.reserve(local)
+	st.reserve()
 	return nil
 }
 
 // newDevStore makes the store where devices of architecture arch rest —
-// the device side's one choice of backing, as cohortFor is the server's.
-// Resident devices rest in denseSlots, each slot reserved at registration:
-// a written slot's checkout swaps its dict into the worker rig's module by
-// slice header and release swaps it back. Virtual devices rest in a
-// bounded tieredSlots, which holds a device's last download only once the
+// the device side's one choice of bound, as cohortFor is the server's.
+// Resident devices rest in an unbounded float64 store, each slot reserved
+// at registration, so a trained state at rest is never quantised, whatever
+// the run's codec. Virtual devices rest in a store bounded by HotSet in
+// the run's codec, which holds a device's last download only once the
 // device stopped following its replica without training. Either way a
 // device that was never written holds no state there, and materialise
 // re-seeds the module in place; a follower holds none either, and
 // materialise reads its replica.
-func (c *Coordinator) newDevStore(arch string) (slotStore, error) {
+func (c *Coordinator) newDevStore(arch string) (*slotStore, error) {
+	sig := c.server.cohorts.sigs[arch]
 	if !c.cfg.VirtualDevices {
-		return &denseSlots{codec: c.codec, sig: c.server.cohorts.sigs[arch]}, nil
+		exact, err := codec.Get(codec.Float64)
+		if err != nil {
+			return nil, err
+		}
+		return newSlotStore(exact, sig, "", nil, nil, c.devCounters), nil
 	}
 	if c.devSpillDir == "" {
 		dir := c.cfg.SpillDir
@@ -491,7 +498,7 @@ func (c *Coordinator) newDevStore(arch string) (slotStore, error) {
 		// so tiny federations never thrash.
 		return max(2*c.cfg.SampleK, 256)
 	}
-	return newTieredSlots(c.codec, filepath.Join(c.devSpillDir, "dev-"+arch+".spill"), hotSet, nil, c.devCounters), nil
+	return newSlotStore(c.codec, sig, filepath.Join(c.devSpillDir, "dev-"+arch+".spill"), hotSet, nil, c.devCounters), nil
 }
 
 // materialise makes the worker rig's module for d's architecture hold d's
@@ -571,7 +578,8 @@ func (c *Coordinator) unfollow(id int) error {
 }
 
 // DeviceStoreStats snapshots the device stores: mode "memory" for
-// resident devices, every slot hot, and "spill" for virtual ones.
+// resident devices, every slot that holds a state hot, and "spill" for
+// virtual ones.
 func (c *Coordinator) DeviceStoreStats() ReplicaStoreStats {
 	mode := ReplicaStoreMemory
 	if c.devSpillDir != "" {
@@ -730,9 +738,8 @@ func (c *Coordinator) EvaluateDevices(ids []int) ([]float64, error) {
 // device's server replica, which nothing writes before the device's next
 // use but through unfollow: the device drops its slot and follows the
 // replica, so a state at rest exists once. At depth ≥ 1 the server stage
-// races the device tasks and the payload is installed in the slot —
-// decoded into a resident device's dense slot (virtual devices are
-// synchronous only).
+// races the device tasks and the payload is installed in the slot — as
+// float64 in a resident device's (virtual devices are synchronous only).
 func (c *Coordinator) Deliver(_, id int, p Payload) error {
 	d := c.devices[id]
 	defer c.payloads.give(d.Arch, p.Enc)

@@ -265,8 +265,8 @@ func TestCrashResumeFingerprintIdentity(t *testing.T) {
 
 // TestUntouchedFleetCheckpointResume: a checkpoint saved before round 1,
 // when every resident slot is still only reserved, persists each replica
-// as its seeded build's container — the one path that reads a virgin dense
-// slot's payload — and a fresh coordinator that loads it and runs lands on
+// as its seeded build's container — the one path that reads a virgin
+// float64 slot's payload — and a fresh coordinator that loads it and runs lands on
 // the uninterrupted run's fingerprint.
 func TestUntouchedFleetCheckpointResume(t *testing.T) {
 	want := baselineFingerprint(t)

@@ -226,8 +226,8 @@ func countCopies(co *Coordinator, ft *fleetTap) (copies func() [][]int) {
 // keeps no state of its own and follows its server replica until it trains
 // again or the server is about to overwrite the replica.
 //   - Sampled, depth 0: at every round boundary no device slot holds a
-//     state; resident device stores write no more dicts than the most
-//     participants of their architecture in one round, and the
+//     state; a resident device store never holds more states at once than
+//     the most participants of its architecture in one round, and the
 //     copy-on-write hook never copies (transfer-back writes participants
 //     only, and they stopped following when they trained).
 //   - Exact mode with SampleK < N: transfer-back writes every replica, and
@@ -276,8 +276,8 @@ func TestDevicesFollowTheirReplicas(t *testing.T) {
 				}
 			}
 			for arch, st := range co.devStore {
-				if peak := st.(*denseSlots).heldPeak; peak == 0 || peak > most[arch] {
-					t.Errorf("%s device store wrote %d dicts, want 1..%d (the most %s participants of a round)", arch, peak, most[arch], arch)
+				if st.peak == 0 || st.peak > most[arch] {
+					t.Errorf("%s device store held %d states at once, want 1..%d (the most %s participants of a round)", arch, st.peak, most[arch], arch)
 				}
 			}
 		})

@@ -16,9 +16,10 @@ import (
 
 // recycleStore is a hot set of 2 over records of recLen equal bytes, the
 // way one cohort's containers are one length: slot i rebuilds as virginByte(i)
-// throughout, and want tracks what each slot was last put as.
+// throughout (the store is a lossy codec's, so it rebuilds virgins), and
+// want tracks what each slot was last put as.
 type recycleStore struct {
-	*tieredSlots
+	*slotStore
 	counters storeCounters
 	want     []byte
 }
@@ -36,7 +37,7 @@ func newRecycleStore(t *testing.T) *recycleStore {
 	if !poisonSpares {
 		t.Fatal("a test binary does not poison evicted buffers: use-after-eviction would read plausible bytes")
 	}
-	cdc, err := codec.Get(codec.Float64)
+	cdc, err := codec.Get(codec.Int8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func newRecycleStore(t *testing.T) *recycleStore {
 		rs.want = append(rs.want, virginByte(i))
 	}
 	init := func(i int, dst []byte) ([]byte, error) { return appendRecord(dst, virginByte(i)), nil }
-	rs.tieredSlots = newTieredSlots(cdc, filepath.Join(t.TempDir(), "r.spill"), func() int { return recycleBound }, init, &rs.counters)
+	rs.slotStore = newSlotStore(cdc, nil, filepath.Join(t.TempDir(), "r.spill"), func() int { return recycleBound }, init, &rs.counters)
 	t.Cleanup(func() { _ = rs.close() })
 	return rs
 }
@@ -201,69 +202,82 @@ func TestTieredSlotsPrefetchRace(t *testing.T) {
 }
 
 // TestSpillColdCheckoutAllocs is the cold twin of TestCheckoutAllocsCeiling:
-// a hot set of 2 cycled over 16 members, so every checkout is a miss — half
-// of them spill reads, half virgin rebuilds — allocates, in steady state,
-// less than one container per checkout: the load lands in the buffer the
-// previous eviction vacated.
+// a hot set of 2 cycled over 16 members, half of them written (and so
+// spilled) and half virgin. Every checkout of a written member is a spill
+// read; a virgin one is, under int8, a rebuild from its registration seed —
+// so every checkout misses — and under float64 no load at all: the exact
+// codec's virgin slot lends nothing and the pooled module is re-seeded in
+// place. Either way a checkout allocates, in steady state, less than one
+// container: a load lands in the buffer the previous eviction vacated.
 func TestSpillColdCheckoutAllocs(t *testing.T) {
-	const members, hotSet = 16, 2
-	cfg := tinyConfig()
-	cfg.TeachersPerIter = 8
-	cfg.ReplicaStore = ReplicaStoreSpill
-	cfg.HotSet = hotSet
-	cfg.SpillDir = t.TempDir()
-	srv, err := NewServer(cfg, tinyShape(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	for i := 0; i < members; i++ {
-		if _, err := srv.RegisterSized("mlp", nil, 1+i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The even members are written, and so spill; the odd ones stay virgin.
-	for i := 0; i < members; i += 2 {
-		if err := srv.cohorts.installDict(srv.cohorts.devices[i], seededState(uint64(100+i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	container, err := srv.cohorts.appendPayload(srv.cohorts.devices[0], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cycle := func() {
-		for i := 0; i < members; i++ {
-			l := srv.cohorts.checkout([]int{i}, false, false)
-			if l[0] == nil {
-				t.Fatalf("cold checkout dropped member %d: %v", i, srv.cohorts.faultErrs)
-			}
-			if err := srv.cohorts.release(l); err != nil {
+	const members, hotSet, cycles = 16, 2, 8
+	for _, tc := range []struct {
+		codec              string
+		misses, initBuilds int
+	}{
+		{codec.Float64, cycles * members / 2, 0},
+		{codec.Int8, cycles * members, cycles * members / 2},
+	} {
+		t.Run(tc.codec, func(t *testing.T) {
+			cfg := tinyConfig()
+			cfg.TeachersPerIter = 8
+			cfg.ReplicaStore = ReplicaStoreSpill
+			cfg.HotSet = hotSet
+			cfg.SpillDir = t.TempDir()
+			cfg.StateCodec = tc.codec
+			srv, err := NewServer(cfg, tinyShape(), 4)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	cycle() // warm the pool, the seed module and the spare list
-	before := srv.ReplicaStoreStats()
-	const cycles = 8
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for c := 0; c < cycles; c++ {
-		cycle()
-	}
-	runtime.ReadMemStats(&m1)
-	d := srv.ReplicaStoreStats().Sub(before)
-	if d.Hits != 0 || d.Misses != cycles*members || d.InitBuilds != cycles*members/2 || d.SpillReads != cycles*members/2 {
-		t.Fatalf("%d hits, %d misses, %d virgin rebuilds, %d spill reads over %d checkouts; want every one a miss, half of each kind",
-			d.Hits, d.Misses, d.InitBuilds, d.SpillReads, cycles*members)
-	}
-	perCheckout := float64(m1.TotalAlloc-m0.TotalAlloc) / (cycles * members)
-	t.Logf("steady-state cold checkout allocates %.0f bytes; a container is %d", perCheckout, len(container))
-	if perCheckout >= float64(len(container)) {
-		t.Errorf("a cold checkout allocates %.0f bytes, want less than one container (%d)", perCheckout, len(container))
-	}
-	if d.BuffersBuilt != 0 {
-		t.Errorf("%d entry buffers built in steady state, want every load in a vacated one", d.BuffersBuilt)
+			defer srv.Close()
+			for i := 0; i < members; i++ {
+				if _, err := srv.RegisterSized("mlp", nil, 1+i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The even members are written, and so spill; the odd ones stay virgin.
+			for i := 0; i < members; i += 2 {
+				if err := srv.cohorts.installDict(srv.cohorts.devices[i], seededState(uint64(100+i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			container, err := srv.cohorts.appendPayload(srv.cohorts.devices[0], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cycle := func() {
+				for i := 0; i < members; i++ {
+					l := srv.cohorts.checkout([]int{i}, false, false)
+					if l[0] == nil {
+						t.Fatalf("cold checkout dropped member %d: %v", i, srv.cohorts.faultErrs)
+					}
+					if err := srv.cohorts.release(l); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			cycle() // warm the pool, the seed module and the spare list
+			before := srv.ReplicaStoreStats()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for c := 0; c < cycles; c++ {
+				cycle()
+			}
+			runtime.ReadMemStats(&m1)
+			d := srv.ReplicaStoreStats().Sub(before)
+			if d.Hits != 0 || d.Misses != int64(tc.misses) || d.InitBuilds != int64(tc.initBuilds) || d.SpillReads != cycles*members/2 {
+				t.Fatalf("%d hits, %d misses, %d virgin rebuilds, %d spill reads over %d checkouts; want 0, %d, %d, %d",
+					d.Hits, d.Misses, d.InitBuilds, d.SpillReads, cycles*members, tc.misses, tc.initBuilds, cycles*members/2)
+			}
+			perCheckout := float64(m1.TotalAlloc-m0.TotalAlloc) / (cycles * members)
+			t.Logf("steady-state cold checkout allocates %.0f bytes; a container is %d", perCheckout, len(container))
+			if perCheckout >= float64(len(container)) {
+				t.Errorf("a cold checkout allocates %.0f bytes, want less than one container (%d)", perCheckout, len(container))
+			}
+			if d.BuffersBuilt != 0 {
+				t.Errorf("%d entry buffers built in steady state, want every load in a vacated one", d.BuffersBuilt)
+			}
+		})
 	}
 }
 

@@ -1,47 +1,43 @@
 package fedzkt
 
-// State at rest: the slot stores behind the cohort registry (cohort.go)
+// State at rest: the slot store behind the cohort registry (cohort.go)
 // and the in-process device store (coordinator.go).
 //
 // Whatever crosses a seam of this system — an upload, a download, a spill
 // record, a checkpointed replica — is one thing, a model's state as codec
-// container bytes. slotStore is where such states rest between uses, keyed
-// by a small integer, and it has exactly two backings, chosen once per
-// cohort (cohortSet.cohortFor) or device architecture
-// (Coordinator.newDevStore) from the configuration:
+// container bytes, and that is also how a state rests between uses. A
+// slotStore keeps one container per slot, keyed by a small integer, in an
+// LRU hot set: a checkout decodes a slot into a pooled module and a
+// writable release re-encodes the module into it (a read-only one writes
+// nothing); drop discards a slot's entry, recycling its buffer, and
+// forgets its spill record. Each cohort (cohortSet.cohortFor) and device
+// architecture (Coordinator.newDevStore) gets one store, set along two
+// axes:
 //
-//   - denseSlots: a dense nn.StateDict per slot that holds a state, made
-//     resident in a pooled module by an O(#tensors) slice-header exchange
-//     (nn.StateBinding) — no element copy. Serves the identity codec on the
-//     memory store, and resident devices whatever the codec (a download
-//     decodes into the slot). Dicts are pooled, not bound to a slot:
-//     registration reserves a slot by allocating a dict onto the store's
-//     LIFO free stack and writing nothing — fresh heap memory is untouched
-//     zero pages, so it costs no resident memory until written — a slot's
-//     first write pops one, and drop pushes it back. The stack being LIFO,
-//     the dicts ever written number the most slots that held a state at
-//     once, not the slots written over a run. A slot without a dict is
-//     virgin — not absent, as under a bound — and its content is the
-//     seeded registration state: a checkout lends nothing and the caller
-//     re-seeds its module, a writable release or an install writes it.
-//     Reserving, rather than allocating at the first write, keeps the
-//     allocation in set-up: allocating at first write measured
-//     fleet1k_sync's alloc_mb_per_round 6.3 → 15.3 against a 0.2 bound.
-//     The price is in set-up, and it is not free: Go zeroes the spans a
-//     heap that has already freed memory hands out again. Over five
-//     fleet1k_sync set-ups after a first one in one process (2 CPUs), 89 %
-//     of the CPU was memclrNoHeapPointers under reserve; a first set-up
-//     took 0.04 s, the later ones 0.07–0.34 s. Dense is a backing, not a
-//     code path: nothing outside this file can tell.
-//   - tieredSlots: the container bytes themselves in an LRU hot set, decoded
-//     into the pooled module on checkout and re-encoded on a writable
-//     release only. Its bound is either none — the whole cohort stays hot
-//     and no file is ever opened, which is the quantised codecs on the
-//     memory store — or a hot-set size over a fixed-stride spill file
-//     (codec.SpillFile) that dirty entries are written to on eviction: the
-//     server's spill store and the virtual-device store, which has no
-//     virgin hook. drop discards an entry, recycling its buffer, and
-//     forgets its spill record.
+//   - bound: none — every slot that holds a state stays hot and no file is
+//     ever opened: the memory store and resident devices — or a hot-set
+//     size over a fixed-stride spill file (codec.SpillFile) that dirty
+//     entries are written to on eviction: the server's spill store and the
+//     virtual-device store.
+//   - codec: exact (float64) or lossy (float16, int8), which decides how a
+//     virgin slot is read (below). Resident devices rest in float64
+//     whatever the run's codec, so a trained state at rest is never
+//     quantised.
+//
+// Reserve, then write. An unbounded store reserves each slot's buffer at
+// registration: reserve pushes a buffer of the slot's container length
+// (codec.Size of the architecture signature — nothing is encoded) onto the
+// spare list, untouched, and the slot's first write pops it. Fresh heap
+// memory is untouched zero pages, so a reserved buffer costs no resident
+// memory until written, and the list being LIFO, the buffers ever written
+// number the most slots that held a state at once, not the slots written
+// over a run. Reserving, rather than allocating at the first write, keeps
+// the allocation in set-up: allocating at first write measured
+// fleet1k_sync's alloc_mb_per_round 6.3 → 15.3 against a 0.2 bound. The
+// price is in set-up, and it is not free: Go zeroes the spans a heap that
+// has already freed memory hands out again (over five fleet1k_sync
+// set-ups after a first one in one process, on 2 CPUs, 89 % of the CPU was
+// memclrNoHeapPointers under reserve). A bounded store reserves nothing.
 //
 // A device at rest follows its replica. At PipelineDepth 0 a download is
 // byte for byte the device's server replica, so the device drops its own
@@ -59,15 +55,18 @@ package fedzkt
 //   - byte identity: a slot holds exactly the container the configured
 //     codec produces, the spill round trip is a verbatim byte copy and the
 //     float64 container is bit-exact (pinned by the codec tests), so
-//     fingerprints are identical across backings and bounds.
-//   - virgin reconstruction: under a bound, a slot that has never been
-//     written is not stored at all, and a dense one is only reserved. Its
-//     content is defined as the encoding of the device's seeded initial
-//     state, rebuilt on first touch from the registration seed —
-//     bit-identical to what eager registration would have stored. That is
-//     what makes million-device registration O(1) per device in both
-//     memory and disk, and a resident fleet's RSS follow the slots it
-//     writes.
+//     fingerprints are identical across bounds.
+//   - one virgin rule: a slot that was never written (or was dropped) is
+//     stored nowhere, in any store. Its content is defined as the encoding
+//     of the device's seeded initial state — bit-identical to what eager
+//     registration would have stored. Under the exact codec that is the
+//     seeded state itself, so a read lends nothing (held = false) and the
+//     reader re-seeds its module in place, and appendPayload appends the
+//     seeded container to dst, storing nothing. Under a lossy codec it is
+//     the quantised seeded state, so a read rebuilds the slot from the
+//     registration seed (init). That is what makes million-device
+//     registration O(1) per device in both memory and disk, and a resident
+//     fleet's RSS follow the slots it writes.
 //   - perfect prefetch: teacher draws come from a seeded, replayable
 //     sampling stream and transfer-back windows are a pure function of
 //     (round, iteration, the round's absorbed set), all known before the
@@ -77,22 +76,23 @@ package fedzkt
 //     distillation compute (which holds no store locks), not against
 //     other store traffic — and never touch an existing entry's buffer.
 //
-// One ownership rule makes a bounded hot set free of garbage: entry bytes
-// are lent, never handed over. No method returns an entry's buffer; a
-// reader gives tieredSlots.read a function that decodes or copies, and the
-// entry is pinned for exactly as long as that function runs. An evicted
-// entry that nobody has pinned can therefore have no reader, and its buffer
-// goes onto the store's spare list to be filled by the next cold load,
-// virgin rebuild or install (a pinned one follows when its last reader
-// returns). Records of one cohort are one length (ensureFile), so a spare
-// always fits, and hot + spare never exceeds the buffers ever built: the
-// hot-set bound plus what was in flight. The function runs outside the
-// store's lock — a decode held under it cost the prefetcher 0.005 of
-// fedzkt.store_prefetch_overlap on fleet1k_spill, in 10 of 10 pairs.
+// One ownership rule makes a hot set free of garbage: entry bytes are
+// lent, never handed over. No method returns an entry's buffer; a reader
+// gives slotStore.read a function that decodes or copies, and the entry is
+// pinned for exactly as long as that function runs. An evicted or dropped
+// entry that nobody has pinned can therefore have no reader, and its
+// buffer goes onto the store's spare list to be filled by the next cold
+// load, virgin rebuild or install (a pinned one follows when its last
+// reader returns). Records of one cohort are one length (ensureFile), so a
+// spare always fits, and hot + spare never exceeds the buffers ever
+// reserved or built: a buffer per slot for an unbounded store, the hot-set
+// bound plus what was in flight for a bounded one. The function runs
+// outside the store's lock — a decode held under it cost the prefetcher
+// 0.005 of fedzkt.store_prefetch_overlap on fleet1k_spill, in 10 of 10
+// pairs.
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"strings"
 	"sync"
@@ -114,7 +114,7 @@ const (
 	ReplicaStoreSpill = "spill"
 )
 
-// storeCounters aggregates tiered-store traffic across every cohort and
+// storeCounters aggregates slot-store traffic across every cohort and
 // shard of one server. All fields are monotonic and safe for concurrent
 // update (the prefetch goroutine races the checkout path by design); the
 // server's are registered as they are (register), so a scrape reads them
@@ -177,15 +177,17 @@ func (c *storeCounters) snapshot(mode string, shards int) ReplicaStoreStats {
 
 // ReplicaStoreStats is a point-in-time snapshot of the server's replica
 // store: residency, hot-set effectiveness, prefetch overlap and spill
-// traffic. The memory store keeps every slot resident: it never misses,
-// evicts, rebuilds or touches a file.
+// traffic. The memory store keeps every slot that holds a state resident:
+// it never evicts or touches a file, and misses only to rebuild a virgin
+// slot under a lossy codec.
 type ReplicaStoreStats struct {
 	// Mode is the store mode in effect ("memory" or "spill").
 	Mode string
 	// Shards is the number of cohort-store shards.
 	Shards int
 	// HotEntries and HotBytes describe the currently resident slots across
-	// all cohorts and shards (every slot, under the memory store).
+	// all cohorts and shards (every slot that holds a state, under the
+	// memory store).
 	HotEntries int
 	HotBytes   int64
 	// Hits and Misses count checkout lookups served from the hot set vs
@@ -256,198 +258,6 @@ func (s ReplicaStoreStats) Sub(prev ReplicaStoreStats) ReplicaStoreStats {
 	return d
 }
 
-// slotStore is one cohort's states at rest, keyed by the member's index
-// within the cohort. Callers validate layouts against the architecture
-// signature first and serialise access per slot; distinct slots may be
-// used concurrently.
-type slotStore interface {
-	// reserve registers slot i without a state: until it is first written,
-	// its content is the seeded registration state.
-	reserve(i int)
-	// installDict replaces slot i's state with sd's values. The store may
-	// keep an owned sd itself instead of copying it.
-	installDict(i int, sd nn.StateDict, owned bool) error
-	// installPayload replaces slot i's state with a container's, converted
-	// to the store's codec when its element encoding differs.
-	installPayload(i int, payload []byte) error
-	// appendPayload appends slot i's container, in the store's codec, to dst.
-	appendPayload(dst []byte, i int) ([]byte, error)
-	// checkout makes slot i's state resident in a pooled module, until the
-	// matching release, and reports whether the slot holds a state: a
-	// virgin slot that the store does not rebuild — a reserved dense one,
-	// or one of a store without a virgin hook — holds none, and leaves the
-	// module as it was for the caller to re-seed. A writable release stores
-	// the module's state back, a read-only one leaves the stored bytes
-	// untouched (and a virgin slot virgin).
-	checkout(i int, into *replicaSlot) (held bool, err error)
-	release(i int, from *replicaSlot, writable bool) error
-	// readInto copies slot i's state into sd, a dict of the slot's layout
-	// that the store does not keep, and reports whether the slot holds a
-	// state, as checkout does.
-	readInto(i int, sd nn.StateDict) (held bool, err error)
-	// drop discards slot i's state: until it is next written the slot
-	// holds none, as a reserved one does, and its owner defines what it
-	// is (the device store: the device follows its replica).
-	drop(i int)
-	// virgin reports that slot i holds no state — it was reserved or
-	// dropped and not written since, or it is stored nowhere: its content
-	// is the seeded registration state unless its owner says otherwise.
-	virgin(i int) bool
-	// prefetch warms slot i ahead of a checkout, if it is cold.
-	prefetch(i int)
-	// addStats adds the store's resident entries and bytes, and its spill
-	// file's traffic, to st, in O(1): scrapes and every round's close call
-	// it on the lock checkouts need.
-	addStats(st *ReplicaStoreStats)
-	close() error
-}
-
-// denseSlots is the slotStore of the identity codec on the memory store
-// and of resident devices: a dense float64 dict per slot that holds a
-// state, exchanged with the pooled module's own tensors by slice header
-// (see the file comment for why it exists). Dicts are pooled, not bound
-// to a slot: reserve allocates one onto a LIFO free stack, a slot's first
-// write pops one, and drop pushes it back. The stack being LIFO, a pop
-// takes a dict some slot has written before whenever there is one, so the
-// dicts ever written — the store's RSS — number the most slots that held a
-// state at once (heldPeak), however many slots there are.
-type denseSlots struct {
-	codec codec.Codec // the payload encoding
-	sig   *archSig
-	// states[i] is slot i's dict, nil while the slot holds no state.
-	// Distinct slots are used concurrently, so each entry is only touched
-	// by its slot's user.
-	states []nn.StateDict
-	// mu guards the free stack and the counts: concurrent shard fan-outs
-	// write distinct slots of one store.
-	mu             sync.Mutex
-	free           []nn.StateDict
-	held, heldPeak int // dicts popped and not pushed back, now and at most
-	// init appends a virgin slot's seeded state, encoded, to dst; nil where
-	// nothing reads a virgin slot's payload (the device store).
-	init func(local int, dst []byte) ([]byte, error)
-}
-
-func (d *denseSlots) reserve(int) {
-	d.states = append(d.states, nil)
-	d.free = append(d.free, d.sig.alloc())
-}
-
-// dict returns slot i's dict, popping one off the free stack for a slot
-// that holds no state. The stack is never empty then: reserve and drop
-// each push one dict for the one slot they leave without a state.
-func (d *denseSlots) dict(i int) nn.StateDict {
-	if sd := d.states[i]; sd != nil {
-		return sd
-	}
-	d.mu.Lock()
-	n := len(d.free)
-	sd := d.free[n-1]
-	d.free[n-1] = nil
-	d.free = d.free[:n-1]
-	d.held++
-	d.heldPeak = max(d.heldPeak, d.held)
-	d.mu.Unlock()
-	d.states[i] = sd
-	return sd
-}
-
-// write fills slot i's dict; a failed fill of a slot that held no state
-// leaves it holding none.
-func (d *denseSlots) write(i int, fill func(nn.StateDict) error) error {
-	had := d.states[i] != nil
-	if err := fill(d.dict(i)); err != nil {
-		if !had {
-			d.drop(i)
-		}
-		return err
-	}
-	return nil
-}
-
-func (d *denseSlots) installDict(i int, sd nn.StateDict, owned bool) error {
-	if i < len(d.states) {
-		return d.write(i, func(dst nn.StateDict) error { return dst.LoadFrom(sd) })
-	}
-	if !owned {
-		sd = sd.Clone()
-	}
-	d.states = append(d.states, sd)
-	return nil
-}
-
-func (d *denseSlots) installPayload(i int, payload []byte) error {
-	return d.write(i, func(dst nn.StateDict) error { return codec.DecodeInto(payload, dst) })
-}
-
-func (d *denseSlots) appendPayload(dst []byte, i int) ([]byte, error) {
-	if sd := d.states[i]; sd != nil {
-		return d.codec.Append(dst, sd)
-	}
-	if d.init == nil {
-		return nil, errNoState(i)
-	}
-	return d.init(i, dst)
-}
-
-// checkout swaps a written slot's dict into the module. A slot that holds
-// no state lends nothing: the caller re-seeds the module in place.
-func (d *denseSlots) checkout(i int, into *replicaSlot) (bool, error) {
-	if d.states[i] == nil {
-		return false, nil
-	}
-	return true, into.binding.Swap(d.states[i])
-}
-
-// release swaps the dict back out, writable or not: the module was
-// computing on the slot's own tensors. A slot without a state lent none,
-// so a read-only release leaves it so, and a writable one pops a dict and
-// swaps all the same: the slot takes the module's tensors and the module
-// the popped dict's, which its next checkout overwrites.
-func (d *denseSlots) release(i int, from *replicaSlot, writable bool) error {
-	if d.states[i] == nil && !writable {
-		return nil
-	}
-	return from.binding.Swap(d.dict(i))
-}
-
-func (d *denseSlots) readInto(i int, sd nn.StateDict) (bool, error) {
-	if d.states[i] == nil {
-		return false, nil
-	}
-	return true, sd.LoadFrom(d.states[i])
-}
-
-// drop pushes slot i's dict back onto the free stack — in a test binary
-// NaN-filled first, so a reader that outlived the drop fails a golden.
-func (d *denseSlots) drop(i int) {
-	sd := d.states[i]
-	if sd == nil {
-		return
-	}
-	d.states[i] = nil
-	if poisonSpares {
-		for _, t := range sd {
-			t.Fill(math.NaN())
-		}
-	}
-	d.mu.Lock()
-	d.free = append(d.free, sd)
-	d.held--
-	d.mu.Unlock()
-}
-
-func (d *denseSlots) virgin(i int) bool { return d.states[i] == nil }
-func (d *denseSlots) prefetch(int)      {}
-func (d *denseSlots) close() error      { return nil }
-
-// addStats counts every slot, holding a state or not: each one reserved a
-// dict, heap the process holds whether or not its pages were ever touched.
-func (d *denseSlots) addStats(st *ReplicaStoreStats) {
-	st.HotEntries += len(d.states)
-	st.HotBytes += int64(len(d.states)) * int64(d.sig.numel) * 8
-}
-
 // poisonSpares makes a buffer going onto a spare list be overwritten with
 // 0xFF first when the binary is a test, so a borrower that outlived its
 // entry fails the container magic or a CRC instead of reading plausible
@@ -457,7 +267,7 @@ var poisonSpares = strings.HasSuffix(strings.TrimSuffix(os.Args[0], ".exe"), ".t
 
 // hotEntry is one resident member buffer in a cohort's hot set, linked
 // into the LRU list (head = most recent). The buffer is owned by the
-// entry and lent only to the functions tieredSlots.read is running on it,
+// entry and lent only to the functions slotStore.read is running on it,
 // counted in pins, so no borrower outlives its pin: eviction (or, for a
 // pinned entry, the last unpin after it) hands the buffer to the store's
 // spare list and the next slot to become hot overwrites it.
@@ -470,24 +280,27 @@ type hotEntry struct {
 	prev, next *hotEntry
 }
 
-// tieredSlots is the slotStore of container bytes: the hot set, the LRU
-// list, and — when bounded — the spill file (created lazily at first
-// eviction) and the virgin-reconstruction hook. All access is serialised
-// by mu; the prefetcher performs its loads under the same lock, so record
-// reads can never race an eviction's write of the same slot, and a reader
-// pins its entry (read), so it can never race the reuse of an evicted
-// buffer.
-type tieredSlots struct {
+// slotStore is one cohort's (or one device architecture's) states at rest,
+// keyed by the member's index within it: the hot set, the LRU list, and —
+// when bounded — the spill file (created lazily at first eviction).
+// Callers validate layouts against the architecture signature first and
+// serialise access per slot; distinct slots may be used concurrently. All
+// access to the store's own structures is serialised by mu; the prefetcher
+// performs its loads under the same lock, so record reads can never race
+// an eviction's write of the same slot, and a reader pins its entry
+// (read), so it can never race the reuse of an evicted buffer.
+type slotStore struct {
 	mu       sync.Mutex
 	hot      map[int]*hotEntry
 	hotBytes int64 // Σ len(e.enc) over hot, kept by insert, put and evictOver
+	peak     int   // the most entries hot at once
 	head     *hotEntry
 	tail     *hotEntry
 	file     *codec.SpillFile
-	// spare holds the buffers of evicted, unpinned entries until a slot
-	// becoming hot takes one (vacated). Unbounded by design: hot + spare is
-	// every buffer ever built, which is the hot-set bound plus what was in
-	// flight.
+	// spare holds reserved buffers and those of evicted or dropped,
+	// unpinned entries until a slot becoming hot takes one (vacated).
+	// Unbounded by design: hot + spare is every buffer ever reserved or
+	// built.
 	spare [][]byte
 
 	// codec encodes dicts into slots; payloads in other encodings are
@@ -495,32 +308,44 @@ type tieredSlots struct {
 	codec codec.Codec
 	// capFn returns the live hot-set bound (members keep registering
 	// after the store is built, and the auto policy depends on the final
-	// cohort size). Nil leaves the set unbounded: nothing is ever evicted
-	// and no file is opened.
-	capFn func() int
+	// cohort size). Nil leaves the set unbounded: nothing is ever evicted,
+	// no file is opened, and reserve reserves a buffer of reserveLen bytes.
+	capFn      func() int
+	reserveLen int
 	// spillPath names the lazily created spill file.
 	spillPath string
-	// init rebuilds a virgin member's encoded container from its
-	// registration seed, appended to dst; nil where a slot that was never
-	// written holds no state.
-	init func(local int, dst []byte) ([]byte, error)
+	// init appends a virgin member's container, encoded from its
+	// registration seed, to dst; nil where nothing reads a virgin slot's
+	// payload (the device stores). rebuilds — a lossy codec with an init —
+	// makes a read of a virgin slot rebuild it through init; otherwise a
+	// virgin slot lends nothing (see the file comment's virgin rule).
+	init     func(local int, dst []byte) ([]byte, error)
+	rebuilds bool
 
 	counters *storeCounters
 }
 
-func newTieredSlots(c codec.Codec, spillPath string, capFn func() int, init func(int, []byte) ([]byte, error), counters *storeCounters) *tieredSlots {
-	return &tieredSlots{
+// newSlotStore makes a store of containers in codec c for the architecture
+// of signature sig: unbounded for a nil capFn, else bounded by it over a
+// spill file at spillPath.
+func newSlotStore(c codec.Codec, sig *archSig, spillPath string, capFn func() int, init func(int, []byte) ([]byte, error), counters *storeCounters) *slotStore {
+	ts := &slotStore{
 		hot:       make(map[int]*hotEntry),
 		codec:     c,
 		capFn:     capFn,
 		spillPath: spillPath,
 		init:      init,
+		rebuilds:  init != nil && !codec.Identity(c),
 		counters:  counters,
 	}
+	if capFn == nil {
+		ts.reserveLen = codec.Size(c, sig.names, sig.shapes)
+	}
+	return ts
 }
 
 // lruUnlink removes e from the LRU list.
-func (ts *tieredSlots) lruUnlink(e *hotEntry) {
+func (ts *slotStore) lruUnlink(e *hotEntry) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
@@ -535,7 +360,7 @@ func (ts *tieredSlots) lruUnlink(e *hotEntry) {
 }
 
 // lruFront pushes e to the most-recent end.
-func (ts *tieredSlots) lruFront(e *hotEntry) {
+func (ts *slotStore) lruFront(e *hotEntry) {
 	e.prev, e.next = nil, ts.head
 	if ts.head != nil {
 		ts.head.prev = e
@@ -547,7 +372,7 @@ func (ts *tieredSlots) lruFront(e *hotEntry) {
 }
 
 // touch moves an existing entry to the front.
-func (ts *tieredSlots) touch(e *hotEntry) {
+func (ts *slotStore) touch(e *hotEntry) {
 	if ts.head == e {
 		return
 	}
@@ -557,16 +382,17 @@ func (ts *tieredSlots) touch(e *hotEntry) {
 
 // insert adds a new entry at the front and evicts past the bound.
 // Callers hold mu.
-func (ts *tieredSlots) insert(e *hotEntry) error {
+func (ts *slotStore) insert(e *hotEntry) error {
 	ts.hot[e.local] = e
 	ts.hotBytes += int64(len(e.enc))
+	ts.peak = max(ts.peak, len(ts.hot))
 	ts.lruFront(e)
 	return ts.evictOver()
 }
 
 // evictOver evicts least-recent entries until the hot set is within its
 // bound, writing dirty buffers to the spill file. Callers hold mu.
-func (ts *tieredSlots) evictOver() error {
+func (ts *slotStore) evictOver() error {
 	if ts.capFn == nil {
 		return nil
 	}
@@ -599,9 +425,9 @@ func (ts *tieredSlots) evictOver() error {
 	return nil
 }
 
-// recycle puts the buffer of an evicted entry no reader has pinned on the
-// spare list. Callers hold mu.
-func (ts *tieredSlots) recycle(buf []byte) {
+// recycle puts the buffer of an evicted or dropped entry no reader has
+// pinned on the spare list. Callers hold mu.
+func (ts *slotStore) recycle(buf []byte) {
 	if poisonSpares {
 		for i := range buf {
 			buf[i] = 0xFF
@@ -610,10 +436,10 @@ func (ts *tieredSlots) recycle(buf []byte) {
 	ts.spare = append(ts.spare, buf)
 }
 
-// vacated returns an evicted entry's buffer, emptied, for a slot that is
-// becoming hot, or nil when there is none and the fill will allocate.
-// Callers hold mu.
-func (ts *tieredSlots) vacated() []byte {
+// vacated returns a spare buffer — reserved, or an evicted or dropped
+// entry's — emptied, for a slot that is becoming hot, or nil when there is
+// none and the fill will allocate. Callers hold mu.
+func (ts *slotStore) vacated() []byte {
 	n := len(ts.spare)
 	if n == 0 {
 		ts.counters.buffersBuilt.Add(1)
@@ -630,7 +456,7 @@ func (ts *tieredSlots) vacated() []byte {
 // record. Container sizes are a pure function of (layout, codec), so one
 // cohort's records are all the same length; the record capacity adds
 // headroom in case a re-encoded install ever differs by a few bytes.
-func (ts *tieredSlots) ensureFile(recLen int) error {
+func (ts *slotStore) ensureFile(recLen int) error {
 	if ts.file != nil {
 		return nil
 	}
@@ -643,20 +469,20 @@ func (ts *tieredSlots) ensureFile(recLen int) error {
 }
 
 // spilled reports whether member local has a spill record. Callers hold mu.
-func (ts *tieredSlots) spilled(local int) bool {
+func (ts *slotStore) spilled(local int) bool {
 	return ts.file != nil && ts.file.Written(local)
 }
 
 // loadable reports whether a non-resident member has bytes to load: a
-// spill record, or a virgin state the store can rebuild. Callers hold mu.
-func (ts *tieredSlots) loadable(local int) bool {
-	return ts.init != nil || ts.spilled(local)
+// spill record, or a virgin state the store rebuilds. Callers hold mu.
+func (ts *slotStore) loadable(local int) bool {
+	return ts.rebuilds || ts.spilled(local)
 }
 
 // load fetches a loadable member's bytes into a vacated buffer: from the
 // spill file when a record exists, else by rebuilding the virgin initial
 // state. A failed load loses its buffer to the collector. Callers hold mu.
-func (ts *tieredSlots) load(local int) ([]byte, error) {
+func (ts *slotStore) load(local int) ([]byte, error) {
 	if ts.spilled(local) {
 		span := tracer().Begin("store", "spill_load")
 		b, err := ts.file.Read(local, ts.vacated())
@@ -670,10 +496,10 @@ func (ts *tieredSlots) load(local int) ([]byte, error) {
 // read makes member local hot and runs fn on its container bytes: fn
 // decodes or copies, and must not keep enc — the entry is pinned only while
 // fn runs, and its buffer is reused once it has been evicted. A slot holds
-// a state if it was written or the store can rebuild its virgin one; where
-// it does not, read reports false and fn is not run. A load failure is
+// a state if it was written or the store rebuilds its virgin one; where it
+// does not, read reports false and fn is not run. A load failure is
 // returned for the caller to degrade on (drop the member, record a fault).
-func (ts *tieredSlots) read(local int, fn func(enc []byte) error) (held bool, err error) {
+func (ts *slotStore) read(local int, fn func(enc []byte) error) (held bool, err error) {
 	e, err := ts.pin(local)
 	if e == nil {
 		return false, err
@@ -689,7 +515,7 @@ func (ts *tieredSlots) read(local int, fn func(enc []byte) error) (held bool, er
 
 // pin makes member local hot and returns its entry with one more read in
 // progress, or nil where the slot holds no state.
-func (ts *tieredSlots) pin(local int) (*hotEntry, error) {
+func (ts *slotStore) pin(local int) (*hotEntry, error) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	e, ok := ts.hot[local]
@@ -722,7 +548,7 @@ func (ts *tieredSlots) pin(local int) (*hotEntry, error) {
 // hot buffer, emptied (a vacated one for a non-resident member), and marks
 // the entry dirty: the spill record, if any, is stale until the next
 // eviction.
-func (ts *tieredSlots) put(local int, fill func(buf []byte) ([]byte, error)) error {
+func (ts *slotStore) put(local int, fill func(buf []byte) ([]byte, error)) error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	e, ok := ts.hot[local]
@@ -747,15 +573,27 @@ func (ts *tieredSlots) put(local int, fill func(buf []byte) ([]byte, error)) err
 }
 
 // putBytes replaces member local's bytes with a copy of b.
-func (ts *tieredSlots) putBytes(local int, b []byte) error {
+func (ts *slotStore) putBytes(local int, b []byte) error {
 	return ts.put(local, func(buf []byte) ([]byte, error) { return append(buf, b...), nil })
 }
 
-// reserve has nothing to do: a slot that was never written is stored
-// nowhere, and a virgin hook, where there is one, rebuilds it.
-func (ts *tieredSlots) reserve(int) {}
+// reserve registers a slot without a state: until it is first written,
+// its content is the seeded registration state. An unbounded store pushes a
+// buffer of the slot's container length onto the spare list for the slot's
+// first write to pop, untouched — not poisoned: it was never lent — and a
+// bounded one reserves nothing.
+func (ts *slotStore) reserve() {
+	if ts.capFn != nil {
+		return
+	}
+	buf := make([]byte, ts.reserveLen)
+	ts.mu.Lock()
+	ts.spare = append(ts.spare, buf)
+	ts.mu.Unlock()
+}
 
-func (ts *tieredSlots) installDict(i int, sd nn.StateDict, _ bool) error {
+// installDict replaces slot i's state with sd's values.
+func (ts *slotStore) installDict(i int, sd nn.StateDict) error {
 	return ts.put(i, func(buf []byte) ([]byte, error) { return ts.codec.Append(buf, sd) })
 }
 
@@ -764,7 +602,7 @@ func (ts *tieredSlots) installDict(i int, sd nn.StateDict, _ bool) error {
 // checkpoint reloads, bit-exact), re-encoded otherwise (a cross-codec
 // checkpoint load), so a slot always honours the configured codec's
 // memory bound and nominal-width traffic accounting.
-func (ts *tieredSlots) installPayload(i int, payload []byte) error {
+func (ts *slotStore) installPayload(i int, payload []byte) error {
 	payload, _, err := codec.Reencode(ts.codec, payload)
 	if err != nil {
 		return err
@@ -776,31 +614,45 @@ func (ts *tieredSlots) installPayload(i int, payload []byte) error {
 // reports for one that holds no state.
 func errNoState(i int) error { return fmt.Errorf("fedzkt: slot %d holds no state", i) }
 
-func (ts *tieredSlots) appendPayload(dst []byte, i int) ([]byte, error) {
+// appendPayload appends slot i's container, in the store's codec, to dst.
+// A virgin slot that lends nothing appends its seeded container, storing
+// nothing.
+func (ts *slotStore) appendPayload(dst []byte, i int) ([]byte, error) {
 	held, err := ts.read(i, func(enc []byte) error {
 		dst = append(dst, enc...)
 		return nil
 	})
-	if err == nil && !held {
-		err = errNoState(i)
-	}
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, err
+	case held:
+		return dst, nil
+	case ts.init != nil:
+		return ts.init(i, dst)
 	}
-	return dst, nil
+	return nil, errNoState(i)
 }
 
-func (ts *tieredSlots) checkout(i int, into *replicaSlot) (bool, error) {
+// checkout makes slot i's state resident in a pooled module, until the
+// matching release, and reports whether the slot holds a state: a virgin
+// slot the store does not rebuild holds none, and leaves the module as it
+// was for the caller to re-seed.
+func (ts *slotStore) checkout(i int, into *replicaSlot) (bool, error) {
 	return ts.readInto(i, into.sd)
 }
 
-func (ts *tieredSlots) readInto(i int, sd nn.StateDict) (bool, error) {
+// readInto copies slot i's state into sd, a dict of the slot's layout that
+// the store does not keep, and reports whether the slot holds a state, as
+// checkout does.
+func (ts *slotStore) readInto(i int, sd nn.StateDict) (bool, error) {
 	return ts.read(i, func(enc []byte) error { return codec.DecodeInto(enc, sd) })
 }
 
 // drop discards member local's hot entry, recycling its buffer (once no
-// read has it pinned), and forgets its spill record.
-func (ts *tieredSlots) drop(local int) {
+// read has it pinned), and forgets its spill record: until it is next
+// written the slot holds no state, as a reserved one does, and its owner
+// defines what it is (the device store: the device follows its replica).
+func (ts *slotStore) drop(local int) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	if e, ok := ts.hot[local]; ok {
@@ -820,17 +672,17 @@ func (ts *tieredSlots) drop(local int) {
 // read-only lease is dropped: the slot still holds the authoritative
 // bytes, so teacher forwards and evaluation pay no requantisation pass and
 // accumulate no quantisation drift.
-func (ts *tieredSlots) release(i int, from *replicaSlot, writable bool) error {
+func (ts *slotStore) release(i int, from *replicaSlot, writable bool) error {
 	if !writable {
 		return nil
 	}
-	return ts.installDict(i, from.sd, false)
+	return ts.installDict(i, from.sd)
 }
 
 // prefetch warms member local if it is cold, on the prefetcher's
 // goroutine. Load errors are ignored here — the corresponding checkout
 // will rediscover them on its own path and degrade there.
-func (ts *tieredSlots) prefetch(local int) {
+func (ts *slotStore) prefetch(local int) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	if _, ok := ts.hot[local]; ok || !ts.loadable(local) {
@@ -845,15 +697,19 @@ func (ts *tieredSlots) prefetch(local int) {
 }
 
 // virgin reports whether member local has neither a hot entry nor a
-// spill record — its content is still the seeded initial state.
-func (ts *tieredSlots) virgin(local int) bool {
+// spill record: it was reserved or dropped and not written since, and its
+// content is the seeded initial state unless its owner says otherwise.
+func (ts *slotStore) virgin(local int) bool {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	_, ok := ts.hot[local]
 	return !ok && !ts.spilled(local)
 }
 
-func (ts *tieredSlots) addStats(st *ReplicaStoreStats) {
+// addStats adds the store's hot entries and bytes — the slots that hold a
+// state — and its spill file's traffic to st, in O(1): scrapes and every
+// round's close call it on the lock checkouts need.
+func (ts *slotStore) addStats(st *ReplicaStoreStats) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	st.HotEntries += len(ts.hot)
@@ -868,7 +724,7 @@ func (ts *tieredSlots) addStats(st *ReplicaStoreStats) {
 }
 
 // close releases the spill file (removing it from disk).
-func (ts *tieredSlots) close() error {
+func (ts *slotStore) close() error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	if ts.file == nil {

@@ -23,8 +23,8 @@ func resident(c *Config) {
 }
 
 // residentCodecs runs f on the resident fleet's two payload regimes:
-// float64 containers over dense slots, and int8 containers that are the
-// slots. The free list serves both, so its counts are the same.
+// float64 and int8 containers. The free list serves both, so its counts
+// are the same.
 func residentCodecs(f func(codec string, mutate func(*Config))) {
 	for _, codec := range []string{"float64", "int8"} {
 		f(codec, func(c *Config) { resident(c); c.StateCodec = codec })
@@ -132,19 +132,14 @@ func TestPayloadBuffersBounded(t *testing.T) {
 			}
 
 			// A fresh depth-1 fleet reconciles only the devices written on
-			// either side: none under float64, whose slots are all reserved,
-			// so a resident resume is O(touched devices); every one under
-			// int8, whose memory store writes each replica at registration.
+			// either side: none, under any codec, since every slot is only
+			// reserved, so a resident resume is O(touched devices).
 			fresh := toyFleet(t, 1, func(c *Config) { mutate(c); c.PipelineDepth = 1 })
 			if err := fresh.reconcileDevices(); err != nil {
 				t.Fatal(err)
 			}
-			wantBuilt, wantReused := int64(0), int64(0)
-			if codec == "int8" {
-				wantBuilt, wantReused = 2, 22
-			}
-			if built, reused := fresh.PayloadBufferStats(); built != wantBuilt || reused != wantReused {
-				t.Errorf("%s: reconciling a fresh fleet built %d buffers and reused %d, want %d and %d", codec, built, reused, wantBuilt, wantReused)
+			if built, reused := fresh.PayloadBufferStats(); built != 0 || reused != 0 {
+				t.Errorf("%s: reconciling a fresh fleet built %d buffers and reused %d, want none", codec, built, reused)
 			}
 		})
 	})

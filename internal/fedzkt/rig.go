@@ -21,8 +21,8 @@ import (
 //     buffers and the model's parameter gradients, lent for the duration
 //     of the local update), reset when the device task ends;
 //   - one live module per architecture, built on the worker's first task
-//     of that architecture, with the state binding and captured state a
-//     slot store's checkout installs a device's state through (see
+//     of that architecture, with the captured state a slot store's
+//     checkout decodes a device's state into (see
 //     Coordinator.materialise): every device trains and is evaluated in
 //     it, so live device models are bounded by workers × architectures
 //     instead of by the fleet;
@@ -76,7 +76,7 @@ func (r *deviceRig) module(arch string) (*replicaSlot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fedzkt: building %q device module: %w", arch, err)
 	}
-	s := &replicaSlot{module: m, binding: nn.BindState(m), sd: nn.CaptureState(m)}
+	s := &replicaSlot{module: m, sd: nn.CaptureState(m)}
 	r.modules[arch] = s
 	r.stats.builds.Add(1)
 	return s, nil

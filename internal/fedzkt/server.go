@@ -186,8 +186,8 @@ func (s *Server) seededSlot(arch string, id int, dst []byte) ([]byte, error) {
 
 // reseed re-draws device id's seeded registration state into m in place,
 // bit-identical to the build registration would have made: how a virgin
-// slot that lends no state (a reserved dense one, a device that never
-// downloaded) is made resident.
+// slot that lends no state (under the exact codec, or a device's) is made
+// resident.
 func (s *Server) reseed(m nn.Module, id int) error {
 	return model.Reinit(m, tensor.NewRand(fed.DeviceSeed(s.cfg.Seed, id)))
 }
@@ -234,11 +234,11 @@ func (s *Server) LiveReplicas() int { return s.cohorts.liveModules() }
 // wire payloads and checkpoints.
 func (s *Server) Codec() codec.Codec { return s.codec }
 
-// ResidentStateBytes returns the total resident size of every device's
-// replica slot: hot-set bytes under the spill store (spilled members
-// cost nothing), codec-container bytes under a quantised codec, dense
-// float64 bytes under the identity codec. This is the per-device memory
-// quantity the quantised codecs shrink up to 8× and the spill store
+// ResidentStateBytes returns the total container bytes of the replica
+// slots that hold a state: the hot set's under the spill store (spilled
+// members cost nothing), every written slot's under the memory store
+// (virgin slots, reserved or not, hold none). This is the per-device
+// memory quantity the quantised codecs shrink up to 8× and the spill store
 // bounds; live pooled modules are accounted separately via LiveReplicas.
 func (s *Server) ResidentStateBytes() int64 { return s.cohorts.storeStats().HotBytes }
 
@@ -264,34 +264,23 @@ func (s *Server) Register(arch string, initial nn.StateDict) (int, error) {
 // and data-size weight (typically its shard size), returning its assigned
 // id. The server files the device into its architecture cohort; given
 // initial parameters it validates them against the architecture and stores
-// a copy, building no module. With a nil initial state the replica keeps
-// a seeded random initialisation, and the slot is virgin: no module is
-// built and nothing is written until the slot is first used — the spill
-// store stores nothing, the float64 memory store reserves a dense dict —
-// and a read reconstructs the seeded state bit-identically. Only the
-// quantised memory store, which keeps no virgin slots, builds the seeded
-// module and stores its encoding.
+// their encoding, building no module. With a nil initial state the replica
+// keeps a seeded random initialisation, and the slot is virgin: no module
+// is built and nothing is written until the slot is first used — the
+// memory store reserves the slot's buffer, the spill store nothing — and a
+// read reconstructs the seeded state, in any store and under any codec.
 func (s *Server) RegisterSized(arch string, initial nn.StateDict, dataSize int) (int, error) {
 	id := s.cohorts.numDevices()
 	if dataSize < 0 {
 		return 0, fmt.Errorf("fedzkt: register device %d: negative data size %d", id, dataSize)
 	}
 	build := func() (nn.Module, error) {
-		// Pool modules are state-swapped before every use, so their own
-		// initial values never matter; the RNG only has to be valid.
+		// Pool modules have a member's state installed before every
+		// use, so their own initial values never matter; the RNG only
+		// has to be valid.
 		return model.Build(arch, s.in, s.cls, tensor.NewRand(s.cfg.Seed+uint64(2000+id)))
 	}
-	sd := initial
-	if initial == nil && s.cohorts.spillDir == "" && !codec.Identity(s.codec) {
-		// The quantised memory store keeps no virgin slots: the seeded
-		// build is encoded into the slot.
-		replica, err := model.Build(arch, s.in, s.cls, tensor.NewRand(fed.DeviceSeed(s.cfg.Seed, id)))
-		if err != nil {
-			return 0, fmt.Errorf("fedzkt: register device %d: %w", id, err)
-		}
-		sd = nn.CaptureState(replica)
-	}
-	got, err := s.cohorts.register(arch, sd, initial == nil, dataSize, build)
+	got, err := s.cohorts.register(arch, initial, dataSize, build)
 	if err != nil {
 		return 0, fmt.Errorf("fedzkt: register device %d: %w", id, err)
 	}
@@ -746,7 +735,7 @@ func (s *Server) EvaluateGlobal(ds *data.Dataset) float64 {
 // post-download device accuracy (stragglers are evaluated at their
 // distilled replica rather than their stale local model).
 //
-// Replicas are swapped into pooled live modules in bounded chunks of
+// Replicas are checked out into pooled live modules in bounded chunks of
 // workers (0 = GOMAXPROCS) and evaluated concurrently within a chunk —
 // with the next chunk prefetching from the spill store meanwhile — so
 // the cohort pools never grow beyond the chunk size on account of

@@ -1,7 +1,7 @@
 package fedzkt
 
-// The slotStore contract, run against both backings and both bounds, and
-// the memory store's promise never to do spill work.
+// The slotStore contract, run bounded and unbounded under an exact and a
+// lossy codec, and the memory store's promise never to do spill work.
 
 import (
 	"bytes"
@@ -23,10 +23,10 @@ func seededState(seed uint64) nn.StateDict {
 }
 
 // registryOver builds a one-shard registry whose "mlp" cohort rests on
-// store, whatever cohortFor would have picked. Member i's seeded state is
+// store, whatever cohortFor would have made. Member i's seeded state is
 // seededState(100+i), which the registry re-draws into a pooled module for
 // a virgin slot that lends nothing.
-func registryOver(t *testing.T, cdc codec.Codec, store slotStore) *cohortSet {
+func registryOver(t *testing.T, cdc codec.Codec, store *slotStore) *cohortSet {
 	t.Helper()
 	cs := newCohortSet(cohortOptions{lr: 0.05, codec: cdc, reseed: func(m nn.Module, id int) error {
 		return model.Reinit(m, tensor.NewRand(uint64(100+id)))
@@ -44,37 +44,32 @@ func registryOver(t *testing.T, cdc codec.Codec, store slotStore) *cohortSet {
 }
 
 // TestSlotStoreContract: what the registry may assume of a slotStore,
-// checked for dense dicts (registered with a state, or reserved),
-// containers with every slot hot, and containers in a hot set of 2 over a
-// spill file — under float64 and int8.
+// checked for an unbounded store with every slot registered with a state,
+// an unbounded one whose last slot is reserved, and a hot set of 2 over a
+// spill file — under float64, whose virgin slots lend nothing, and int8,
+// whose virgin slots are rebuilt.
 func TestSlotStoreContract(t *testing.T) {
 	const members = 5
+	sig := sigOf(seededState(1))
 	for _, codecName := range []string{codec.Float64, codec.Int8} {
 		cdc, err := codec.Get(codecName)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var counters storeCounters
-		// Member i's seeded registration state: what a bounded store
-		// rebuilds for a slot it never stored, and a dense one encodes for
-		// a slot it only reserved.
+		// Member i's seeded registration state: what a store appends for, or
+		// rebuilds, a slot it never stored.
 		init := func(i int, dst []byte) ([]byte, error) { return cdc.Append(dst, seededState(uint64(100+i))) }
 		type backing struct {
 			name  string
-			store slotStore
-			// virgins: the store keeps virgin slots, and the last member
-			// registers without a state.
+			store *slotStore
+			// virgins: the last member registers without a state.
 			virgins bool
 		}
 		backings := []backing{
-			{"containers", newTieredSlots(cdc, "", nil, nil, &counters), false},
-			{"containers-bound2", newTieredSlots(cdc, filepath.Join(t.TempDir(), "c.spill"), func() int { return 2 }, init, &counters), true},
-		}
-		sig := sigOf(seededState(1))
-		if codec.Identity(cdc) {
-			backings = append(backings,
-				backing{"dense", &denseSlots{codec: cdc, sig: sig}, false},
-				backing{"dense-reserved", &denseSlots{codec: cdc, sig: sig, init: init}, true})
+			{"containers", newSlotStore(cdc, sig, "", nil, init, &counters), false},
+			{"containers-bound2", newSlotStore(cdc, sig, filepath.Join(t.TempDir(), "c.spill"), func() int { return 2 }, init, &counters), true},
+			{"reserved", newSlotStore(cdc, sig, "", nil, init, &counters), true},
 		}
 		// payloads[backing][member], compared across backings at the end.
 		payloads := make([][][]byte, len(backings))
@@ -91,13 +86,11 @@ func TestSlotStoreContract(t *testing.T) {
 				}
 				build := cs.shards[0].byArch["mlp"].build
 				for i := 0; i < members; i++ {
-					// A store that keeps virgin slots registers its last
-					// member without state; everyone else stores one.
 					sd := seededState(uint64(100 + i))
 					if b.virgins && i == members-1 {
 						sd = nil
 					}
-					if _, err := cs.register("mlp", sd, false, 1, build); err != nil {
+					if _, err := cs.register("mlp", sd, 1, build); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -130,13 +123,13 @@ func TestSlotStoreContract(t *testing.T) {
 					if err := cs.release(leases); err != nil {
 						t.Fatal(err)
 					}
-					if d, ok := b.store.(*denseSlots); ok {
-						// …and a reserved one stays reserved after a
-						// read-only release.
-						if !cs.virgin(v) {
-							t.Fatal("a read-only release wrote a reserved slot")
-						}
-						reservedSlotContract(t, d)
+					// …and one that lends nothing stays virgin after a
+					// payload read and a read-only release.
+					if codec.Identity(cdc) && !cs.virgin(v) {
+						t.Fatal("a read wrote a virgin slot")
+					}
+					if b.name == "reserved" {
+						reservedSlotContract(t, b.store)
 					}
 					// Once written a slot is never virgin again, wherever
 					// its bytes rest.
@@ -243,9 +236,9 @@ func TestSlotStoreContract(t *testing.T) {
 
 	// HotBytes is a running sum (stats are read on the lock checkouts
 	// need): after any sequence of installs, rewrites to another length,
-	// cold loads, prefetches and evictions it equals the walk over the
-	// resident entries it replaced, bounded or not.
-	cdc, err := codec.Get(codec.Float64)
+	// virgin rebuilds, cold loads, prefetches and evictions it equals the
+	// walk over the resident entries it replaced, bounded or not.
+	cdc, err := codec.Get(codec.Int8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +246,7 @@ func TestSlotStoreContract(t *testing.T) {
 		t.Run("hotbytes/"+name, func(t *testing.T) {
 			var counters storeCounters
 			init := func(i int, dst []byte) ([]byte, error) { return append(dst, make([]byte, 8+i)...), nil }
-			ts := newTieredSlots(cdc, filepath.Join(t.TempDir(), "h.spill"), capFn, init, &counters)
+			ts := newSlotStore(cdc, sig, filepath.Join(t.TempDir(), "h.spill"), capFn, init, &counters)
 			defer ts.close()
 			rng := tensor.NewRand(5)
 			for step := 0; step < 400; step++ {
@@ -302,40 +295,52 @@ func holdsDecoded(t *testing.T, what string, m nn.Module, enc []byte) {
 	}
 }
 
-// reservedSlotContract checks, on a fresh store of like's configuration
-// whose slot i's seeded state is seededState(100+i), what a reserved dense
-// slot promises: its checkout lends nothing, a read-only release and a
-// payload read leave it virgin, its payload is the seeded build's
-// container byte for byte, and a writable release, installDict and
-// installPayload each write it.
-func reservedSlotContract(t *testing.T, like *denseSlots) {
+// reservedSlotContract checks, on a fresh unbounded store of like's codec
+// and init whose slot i's seeded state is seededState(100+i), what a
+// reserved slot promises: reserve adds one spare buffer, and first writes
+// pop reserved buffers, building none; a virgin slot's read lends nothing
+// under the exact codec and rebuilds it under a lossy one, and its payload
+// is the seeded build's container byte for byte either way, stored nowhere
+// under the exact codec; a writable release, installDict and
+// installPayload each write a slot; and drop hands its buffer back.
+func reservedSlotContract(t *testing.T, like *slotStore) {
 	t.Helper()
-	d := &denseSlots{codec: like.codec, sig: like.sig, init: like.init}
+	var counters storeCounters
+	ts := newSlotStore(like.codec, sigOf(seededState(1)), "", nil, like.init, &counters)
+	lossy := !codec.Identity(ts.codec)
 	for i := 0; i < 4; i++ {
-		d.reserve(i)
+		if ts.reserve(); len(ts.spare) != i+1 {
+			t.Fatalf("%d reserves left %d spare buffers", i+1, len(ts.spare))
+		}
 	}
 	encode := func(sd nn.StateDict) []byte {
 		t.Helper()
-		b, err := codec.Encode(d.codec, sd)
+		b, err := codec.Encode(ts.codec, sd)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
 	m := model.MustBuild("mlp", tinyShape(), 4, tensor.NewRand(1))
-	slot := &replicaSlot{module: m, binding: nn.BindState(m), sd: nn.CaptureState(m)}
-	if held, err := d.checkout(0, slot); held || err != nil {
-		t.Fatalf("a reserved slot's checkout reports held=%v, err %v; want no state", held, err)
+	slot := &replicaSlot{module: m, sd: nn.CaptureState(m)}
+	if held, err := ts.checkout(0, slot); held != lossy || err != nil {
+		t.Fatalf("a virgin slot's checkout reports held=%v, err %v; want held=%v", held, err, lossy)
 	}
-	if err := d.release(0, slot, false); err != nil {
+	if lossy {
+		holdsDecoded(t, "a virgin slot's rebuild", m, encode(seededState(100)))
+	}
+	if err := ts.release(0, slot, false); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.appendPayload(nil, 3)
+	got, err := ts.appendPayload(nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, encode(seededState(103))) {
-		t.Fatal("a reserved slot's payload differs from its seeded build's container")
+		t.Fatal("a virgin slot's payload differs from its seeded build's container")
+	}
+	if !lossy && (len(ts.hot) != 0 || len(ts.spare) != 4) {
+		t.Fatalf("reading virgin slots left %d hot and %d spare, want 0 and 4: an exact store stores no virgin", len(ts.hot), len(ts.spare))
 	}
 
 	// The caller re-seeds the module, as the registry and materialise do,
@@ -343,41 +348,54 @@ func reservedSlotContract(t *testing.T, like *denseSlots) {
 	if err := model.Reinit(m, tensor.NewRand(100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.release(0, slot, true); err != nil {
+	if err := ts.release(0, slot, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.installDict(1, seededState(7), false); err != nil {
+	if err := ts.installDict(1, seededState(7)); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.installPayload(2, encode(seededState(8))); err != nil {
+	if err := ts.installPayload(2, encode(seededState(8))); err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []bool{false, false, false, true} {
-		if d.virgin(i) != want {
-			t.Fatalf("slot %d virgin=%v, want %v (0: writable release, 1: installDict, 2: installPayload, 3: read only)", i, d.virgin(i), want)
+	for i, want := range []bool{false, false, false, !lossy} {
+		if ts.virgin(i) != want {
+			t.Fatalf("slot %d virgin=%v, want %v (0: writable release, 1: installDict, 2: installPayload, 3: read only)", i, ts.virgin(i), want)
 		}
 	}
 	for i, seed := range []uint64{100, 7, 8} {
-		if got, err := d.appendPayload(nil, i); err != nil || !bytes.Equal(got, encode(seededState(seed))) {
+		if got, err := ts.appendPayload(nil, i); err != nil || !bytes.Equal(got, encode(seededState(seed))) {
 			t.Fatalf("slot %d does not hold what was written to it (err %v)", i, err)
 		}
 	}
-	// The module kept the slot's never-written tensors; the next checkout
-	// lends the stored state.
-	if held, err := d.checkout(0, slot); !held || err != nil {
+	// The next checkout lends the stored state.
+	if err := model.Reinit(m, tensor.NewRand(5)); err != nil {
+		t.Fatal(err)
+	}
+	if held, err := ts.checkout(0, slot); !held || err != nil {
 		t.Fatalf("a written slot's checkout reports held=%v, err %v", held, err)
 	}
 	holdsDecoded(t, "a written slot's checkout", m, encode(seededState(100)))
-	if err := d.release(0, slot, false); err != nil {
+
+	// drop hands the buffer back, and the next write takes it.
+	spare := len(ts.spare)
+	if ts.drop(1); len(ts.spare) != spare+1 || !ts.virgin(1) {
+		t.Fatalf("drop left %d spare buffers (want %d), virgin=%v", len(ts.spare), spare+1, ts.virgin(1))
+	}
+	if err := ts.installDict(1, seededState(9)); err != nil {
 		t.Fatal(err)
+	}
+	if built, reused := counters.buffersBuilt.Load(), counters.buffersReused.Load(); built != 0 || reused != int64(len(ts.hot))+1 {
+		t.Fatalf("%d buffers built, %d reused for %d slots written and one rewritten after a drop; want none built", built, reused, len(ts.hot))
 	}
 }
 
 // TestMemoryStoreBypassesSpill pins at tier 1 what the benchmark's
 // memory-store-bypasses-spill check sees only at bench time: a federation
-// on the memory store — dense slots under float64, containers under int8 —
-// never misses, evicts, rebuilds a slot or touches a file, even with a
-// spill directory configured.
+// on the memory store never evicts or touches a file, even with a spill
+// directory configured. Under float64 it never misses or rebuilds a slot
+// either — a virgin slot lends nothing — while under int8 every miss is a
+// virgin slot rebuilt from its seed. Either way the resident slots are the
+// ones that hold a state, each one container.
 func TestMemoryStoreBypassesSpill(t *testing.T) {
 	for _, codecName := range []string{codec.Float64, codec.Int8} {
 		t.Run(codecName, func(t *testing.T) {
@@ -393,14 +411,29 @@ func TestMemoryStoreBypassesSpill(t *testing.T) {
 			if st.Mode != ReplicaStoreMemory {
 				t.Errorf("store mode %q, want %q", st.Mode, ReplicaStoreMemory)
 			}
-			spillWork := fmt.Sprint(st.Misses, st.Evictions, st.InitBuilds, st.SpillReadBytes, st.SpillWriteBytes, st.SpillRecords)
-			if spillWork != "0 0 0 0 0 0" || st.HitRate() != 1 {
-				t.Errorf("misses, evictions, init builds, spill bytes read and written, spill records = %s, hit rate %v; want all zero and 1",
-					spillWork, st.HitRate())
+			spillWork := fmt.Sprint(st.Evictions, st.SpillReadBytes, st.SpillWriteBytes, st.SpillRecords)
+			if spillWork != "0 0 0 0" {
+				t.Errorf("evictions, spill bytes read and written, spill records = %s; want all zero", spillWork)
 			}
-			if st.HotEntries != len(co.Devices()) || st.HotBytes != co.Server().ResidentStateBytes() {
-				t.Errorf("%d slots / %d bytes resident, want every one of %d devices and ResidentStateBytes = %d",
-					st.HotEntries, st.HotBytes, len(co.Devices()), co.Server().ResidentStateBytes())
+			if exact := codecName == codec.Float64; st.Misses != st.InitBuilds || (st.InitBuilds == 0) != exact {
+				t.Errorf("%d misses, %d init builds; want every miss an init build, and init builds only under a lossy codec", st.Misses, st.InitBuilds)
+			}
+			held, bytesHeld := 0, int64(0)
+			for id := range co.Devices() {
+				ref := co.Server().cohorts.devices[id]
+				if co.Server().cohorts.virgin(ref) {
+					continue
+				}
+				p, _, err := co.Server().ReplicaPayload(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				held++
+				bytesHeld += int64(len(p))
+			}
+			if held == 0 || st.HotEntries != held || st.HotBytes != bytesHeld || st.HotBytes != co.Server().ResidentStateBytes() {
+				t.Errorf("%d slots / %d bytes resident (ResidentStateBytes %d), want the %d slots holding a state, %d bytes",
+					st.HotEntries, st.HotBytes, co.Server().ResidentStateBytes(), held, bytesHeld)
 			}
 			files, err := os.ReadDir(dir)
 			if err != nil {

@@ -127,7 +127,7 @@ func TestCheckoutDegradesOnCorruptSpillRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ts := srv.cohorts.shards[0].byArch["mlp"].slots.(*tieredSlots)
+	ts := srv.cohorts.shards[0].byArch["mlp"].slots
 	if ts.file == nil || !ts.file.Written(0) {
 		t.Fatal("test setup: member 0 was not spilled (HotSet=1 should evict it)")
 	}

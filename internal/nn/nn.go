@@ -111,6 +111,32 @@ func LoadState(m Module, src StateDict) error {
 	return nil
 }
 
+// LoadFrom copies src's values into sd's tensors, with the same strict
+// key/length validation as LoadState: both dicts must hold exactly the
+// same names with matching element counts, so drifted architectures fail
+// loudly. It is the dict-to-dict analogue of LoadState; into a
+// CaptureState dict, it writes the module's own tensors.
+func (sd StateDict) LoadFrom(src StateDict) error {
+	if len(sd) != len(src) {
+		return fmt.Errorf("nn: state dict size mismatch: destination has %d entries, source has %d", len(sd), len(src))
+	}
+	// Deterministic iteration keeps error messages stable across runs.
+	names := sd.Names()
+	for _, n := range names {
+		s, ok := src[n]
+		if !ok {
+			return fmt.Errorf("nn: state %q missing from source", n)
+		}
+		if sd[n].Len() != s.Len() {
+			return fmt.Errorf("nn: state %q length mismatch: %d vs %d", n, sd[n].Len(), s.Len())
+		}
+	}
+	for _, n := range names {
+		sd[n].CopyFrom(src[n])
+	}
+	return nil
+}
+
 // join concatenates state-name components.
 func join(prefix, name string) string {
 	if prefix == "" {

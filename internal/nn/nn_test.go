@@ -201,3 +201,75 @@ var (
 	_ Module = Upsample2x{}
 	_ Module = (*Sequential)(nil)
 )
+
+// stateTestModule builds a small module with both parameters and buffers
+// (BatchNorm), so state copies must carry running statistics too.
+func stateTestModule(seed uint64) Module {
+	rng := tensor.NewRand(seed)
+	return NewSequential(
+		NewLinear(4, 8, true, rng),
+		NewBatchNorm1d(8),
+		ReLU{},
+		NewLinear(8, 3, true, rng),
+	)
+}
+
+// TestLoadedStateVisibleThroughParams pins the property slot stores depend
+// on when they decode a state into a pooled module's captured dict: the
+// write changes the values seen through the module's existing Param
+// variables (and thus optimisers bound to them) without re-binding
+// anything.
+func TestLoadedStateVisibleThroughParams(t *testing.T) {
+	m := stateTestModule(3)
+	p := m.Params()[0]
+	before := p.Value().Data()[0]
+
+	x := tensor.New(2, 4)
+	x.Fill(1)
+	m.SetTraining(false)
+	y1 := m.Forward(ag.Const(x)).Value().Clone()
+	if err := CaptureState(m).LoadFrom(CaptureState(stateTestModule(4))); err != nil {
+		t.Fatal(err)
+	}
+	if p.Value().Data()[0] == before {
+		t.Fatal("loaded state not visible through previously captured Param variable")
+	}
+	// A forward pass after the load must use the loaded values.
+	y2 := m.Forward(ag.Const(x)).Value()
+	if tensor.MaxAbsDiff(y1, y2) == 0 {
+		t.Fatal("forward outputs identical across different loaded states")
+	}
+}
+
+func TestStateDictLoadFrom(t *testing.T) {
+	dst := CaptureState(stateTestModule(9)).Clone()
+	src := CaptureState(stateTestModule(10)).Clone()
+	if err := dst.LoadFrom(src); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range src {
+		if tensor.MaxAbsDiff(dst[name], want) != 0 {
+			t.Fatalf("state %q not copied", name)
+		}
+	}
+	// Mismatched keys fail loudly.
+	bad := src.Clone()
+	n := bad.Names()[0]
+	bad["renamed"] = bad[n]
+	delete(bad, n)
+	if err := dst.LoadFrom(bad); err == nil {
+		t.Fatal("want error for mismatched keys")
+	}
+	// Size mismatch fails loudly.
+	short := src.Clone()
+	delete(short, short.Names()[0])
+	if err := dst.LoadFrom(short); err == nil {
+		t.Fatal("want error for size mismatch")
+	}
+	// Length mismatch fails loudly.
+	wrong := src.Clone()
+	wrong[wrong.Names()[0]] = tensor.New(1)
+	if err := dst.LoadFrom(wrong); err == nil {
+		t.Fatal("want error for length mismatch")
+	}
+}

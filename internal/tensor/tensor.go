@@ -151,19 +151,6 @@ func (t *Tensor) CopyFrom(u *Tensor) {
 	copy(t.data, u.data)
 }
 
-// SwapData exchanges the underlying storage of t and u in place: after the
-// call t holds u's former elements and vice versa. Both tensors must hold
-// the same number of elements (shapes need not be identical, mirroring
-// CopyFrom). The exchange is O(1) — two slice headers — which is what makes
-// swapping whole model state dicts cheap enough to do per distillation
-// iteration.
-func (t *Tensor) SwapData(u *Tensor) {
-	if len(t.data) != len(u.data) {
-		panic(fmt.Sprintf("tensor: SwapData length mismatch: %d vs %d", len(t.data), len(u.data)))
-	}
-	t.data, u.data = u.data, t.data
-}
-
 // Reshape returns a tensor sharing t's storage with a new shape. The
 // element count must be preserved.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
