@@ -220,7 +220,7 @@ func benchDistillServer(b *testing.B, teachersPerIter int, sequential bool) {
 	}
 	zoo := fedzkt.SmallZoo()
 	for i := 0; i < 100; i++ {
-		if _, err := srv.RegisterSized(zoo[i%len(zoo)], nil, 1+i%7); err != nil {
+		if _, err := srv.Register(zoo[i%len(zoo)], nil); err != nil {
 			b.Fatal(err)
 		}
 	}

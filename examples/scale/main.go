@@ -222,7 +222,7 @@ func main() {
 // printStoreStats prints one slot store's cumulative counters.
 func printStoreStats(name string, st fedzkt.ReplicaStoreStats) {
 	if st.Mode != fedzkt.ReplicaStoreSpill {
-		fmt.Printf("%s: mode=%s (fully resident)\n", name, st.Mode)
+		fmt.Printf("%s: mode=%s (fully resident), %d slots hold a state / %.1f MB\n", name, st.Mode, st.HotEntries, float64(st.HotBytes)/1e6)
 		return
 	}
 	fmt.Printf("%s: mode=%s shards=%d, hot %d slots / %.1f MB, hit rate %.1f%%, prefetch overlap %.1f%% (%d issued, %d loaded)\n",

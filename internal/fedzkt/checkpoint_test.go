@@ -3,6 +3,7 @@ package fedzkt
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -137,8 +138,9 @@ func TestCheckpointVersioning(t *testing.T) {
 		t.Fatal("want error for truncated header")
 	}
 
-	// A coordinator checkpoint is not a server checkpoint: the distinct
-	// magics keep the two blob kinds from being confused.
+	// One record, two kinds: a federation snapshot loads into a server,
+	// which ignores its round cursor, and a coordinator refuses a snapshot
+	// without one.
 	ds := tinyDataset(77)
 	shards := [][]int{{0, 1, 2}, {3, 4, 5}}
 	cfg := tinyConfig()
@@ -147,17 +149,24 @@ func TestCheckpointVersioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = co.Close() })
 	var coBlob bytes.Buffer
 	if err := co.SaveCheckpoint(&coBlob); err != nil {
 		t.Fatal(err)
 	}
-	err = srv.LoadCheckpoint(bytes.NewReader(coBlob.Bytes()))
-	if err == nil || !strings.Contains(err.Error(), "server checkpoint") {
-		t.Fatalf("want server-checkpoint magic error, got %v", err)
+	fresh, err := NewServer(tinyConfig(), tinyShape(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.LoadCheckpoint(bytes.NewReader(coBlob.Bytes())); err != nil {
+		t.Fatalf("a federation snapshot did not load into a server: %v", err)
+	}
+	if got := fresh.NumDevices(); got != len(shards) {
+		t.Fatalf("the server restored %d devices from a federation snapshot, want %d", got, len(shards))
 	}
 	err = co.LoadCheckpoint(bytes.NewReader(blob))
-	if err == nil || !strings.Contains(err.Error(), "coordinator checkpoint") {
-		t.Fatalf("want coordinator-checkpoint magic error, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), "no round cursor") {
+		t.Fatalf("want a no-round-cursor error from a coordinator loading a server snapshot, got %v", err)
 	}
 }
 
@@ -194,5 +203,123 @@ func TestCheckpointResumeContinuesTraining(t *testing.T) {
 		if !p.Value().IsFinite() {
 			t.Fatal("restored server produced non-finite parameters")
 		}
+	}
+}
+
+// TestCheckpointPersistsOnlyWrittenReplicas: a checkpoint stores a replica
+// only where its slot was written and an empty entry where it is virgin.
+// A load leaves an empty entry's slot virgin — or makes it virgin again,
+// after the beforeWrite hook gave a follower of the replica its copy — and
+// a snapshot of another seed is refused: a virgin slot's content is a
+// function of (Seed, id).
+func TestCheckpointPersistsOnlyWrittenReplicas(t *testing.T) {
+	virgins := func(cs *cohortSet) []bool {
+		v := make([]bool, cs.numDevices())
+		for i, ref := range cs.devices {
+			v[i] = cs.virgin(ref)
+		}
+		return v
+	}
+	co := toyFleet(t, 2, resident)
+	if _, err := co.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := virgins(co.server.cohorts)
+	written := 0
+	for _, v := range want {
+		if !v {
+			written++
+		}
+	}
+	if written == 0 || written == len(want) {
+		t.Fatalf("virgin replicas %v after a sampled run: want both written and virgin ones", want)
+	}
+	var blob bytes.Buffer
+	if err := co.SaveCheckpoint(&blob); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := readCheckpoint(bytes.NewReader(blob.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range cp.Replicas {
+		if (len(b) == 0) != want[i] {
+			t.Errorf("replica %d: virgin %v, stored as %d bytes", i, want[i], len(b))
+		}
+	}
+
+	// A fresh server that loads the snapshot writes exactly its stored
+	// replicas, and every replica reads as it did in the federation.
+	fresh, err := NewServer(co.cfg, tinyShape(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = fresh.Close() })
+	if err := fresh.LoadCheckpoint(bytes.NewReader(blob.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if got := virgins(fresh.cohorts); !slices.Equal(got, want) {
+		t.Errorf("virgin replicas after the load %v, want the snapshot's %v", got, want)
+	}
+	if got := fresh.ReplicaStoreStats().HotEntries; got != written {
+		t.Errorf("the loaded server holds %d states, want the %d written replicas", got, written)
+	}
+	for id := range want {
+		a, _, errA := co.Server().ReplicaPayload(id)
+		b, _, errB := fresh.ReplicaPayload(id)
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Fatalf("replica %d reads differently after the load (errors %v, %v)", id, errA, errB)
+		}
+	}
+
+	// Loading a snapshot taken before round 1 — every entry empty — into
+	// the federation makes every written replica virgin again, and a
+	// device that followed one got its copy first.
+	var untouched bytes.Buffer
+	if err := toyFleet(t, 2, resident).SaveCheckpoint(&untouched); err != nil {
+		t.Fatal(err)
+	}
+	followed := make(map[int]nn.StateDict)
+	for id, v := range want {
+		if !v && co.follows[id] {
+			if followed[id], err = co.Server().ReplicaState(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(followed) == 0 {
+		t.Fatal("no device follows a written replica: nothing to check")
+	}
+	if err := co.Server().LoadCheckpoint(bytes.NewReader(untouched.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if got := virgins(co.server.cohorts); slices.Contains(got, false) {
+		t.Errorf("virgin replicas %v after loading a snapshot that stores none", got)
+	}
+	for id, sd := range followed {
+		if co.follows[id] {
+			t.Errorf("device %d still follows the replica the load made virgin", id)
+		}
+		got := deviceState(t, co, id)
+		for name, w := range sd {
+			if tensor.MaxAbsDiff(got[name], w) != 0 {
+				t.Fatalf("device %d: state %q is not the replica it followed", id, name)
+			}
+		}
+	}
+
+	// A snapshot of another seed is refused before anything is registered.
+	other := co.cfg
+	other.Seed++
+	srv, err := NewServer(other, tinyShape(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	if err := srv.LoadCheckpoint(bytes.NewReader(blob.Bytes())); err == nil || !strings.Contains(err.Error(), "seed") {
+		t.Fatalf("want a seed-mismatch error, got %v", err)
+	}
+	if n := srv.NumDevices(); n != 0 {
+		t.Fatalf("a refused load registered %d devices", n)
 	}
 }

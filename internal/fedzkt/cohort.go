@@ -47,12 +47,10 @@ import (
 // ranges matter for routing) are a recorded follow-up.
 
 // member is one registered device inside a cohort: where its replica
-// state rests (slot local of the cohort's store) and the data size it
-// registered with (recorded in checkpoints; no server phase reads it).
+// state rests (slot local of the cohort's store).
 type member struct {
-	id     int
-	local  int // index within its cohort (the slot key)
-	weight int
+	id    int
+	local int // index within its cohort (the slot key)
 }
 
 // replicaSlot is one pooled live module of a cohort, with the captured
@@ -331,7 +329,7 @@ func (cs *cohortSet) shardOf(id int) *cohortShard { return cs.shards[id%len(cs.s
 // sd is validated against the architecture's own signature (one throwaway
 // build per architecture), never against itself, so a drifted first
 // registrant fails as loudly as a later one.
-func (cs *cohortSet) register(arch string, sd nn.StateDict, weight int, build func() (nn.Module, error)) (int, error) {
+func (cs *cohortSet) register(arch string, sd nn.StateDict, build func() (nn.Module, error)) (int, error) {
 	id := len(cs.devices)
 	sig, err := cs.ensureSig(arch, build)
 	if err != nil {
@@ -344,7 +342,7 @@ func (cs *cohortSet) register(arch string, sd nn.StateDict, weight int, build fu
 	}
 	sh := cs.shardOf(id)
 	c := cs.cohortFor(sh, arch, sig, build)
-	mem := &member{id: id, local: len(c.members), weight: weight}
+	mem := &member{id: id, local: len(c.members)}
 	c.members = append(c.members, mem)
 	cs.devices = append(cs.devices, deviceRef{shard: sh.index, cohort: c, member: mem})
 	c.slots.reserve()
@@ -498,6 +496,20 @@ func (cs *cohortSet) installPayload(ref deviceRef, payload []byte) error {
 		return err
 	}
 	return ref.cohort.slots.installPayload(ref.member.local, payload)
+}
+
+// drop makes a member's slot virgin again (a checkpoint load of a replica
+// never written), after the beforeWrite hook if it held a state, so a
+// follower copies the state it is about to lose.
+func (cs *cohortSet) drop(ref deviceRef) error {
+	if cs.virgin(ref) {
+		return nil
+	}
+	if err := cs.toWrite(ref.member.id); err != nil {
+		return err
+	}
+	ref.cohort.slots.drop(ref.member.local)
+	return nil
 }
 
 // checkout makes the given devices resident: each member's state is

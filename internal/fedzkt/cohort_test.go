@@ -1,7 +1,6 @@
 package fedzkt
 
 import (
-	"bytes"
 	"context"
 	"slices"
 	"testing"
@@ -20,7 +19,7 @@ func registerN(t *testing.T, cfg Config, n int, archs ...string) *Server {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if _, err := srv.RegisterSized(archs[i%len(archs)], nil, 10+i); err != nil {
+		if _, err := srv.Register(archs[i%len(archs)], nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -251,17 +250,14 @@ func TestTransferBackRotationAdvancesAcrossRounds(t *testing.T) {
 	}
 }
 
-func TestRegisterSizedErrors(t *testing.T) {
+func TestRegisterErrors(t *testing.T) {
 	srv, err := NewServer(tinyConfig(), tinyShape(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.RegisterSized("mlp", nil, -1); err == nil {
-		t.Fatal("want error for negative data size")
-	}
 	// Initial state from a different architecture must be rejected.
 	other := model.MustBuild("cnn", tinyShape(), 4, tensor.NewRand(3))
-	if _, err := srv.RegisterSized("mlp", nn.CaptureState(other), 5); err == nil {
+	if _, err := srv.Register("mlp", nn.CaptureState(other)); err == nil {
 		t.Fatal("want error for mismatched initial state dict")
 	}
 	// A failed registration must not leave a half-registered device.
@@ -281,33 +277,6 @@ func TestServerConfigValidation(t *testing.T) {
 		tc.mutate(&cfg)
 		if _, err := NewServer(cfg, tinyShape(), 4); err == nil {
 			t.Fatalf("%s: want configuration error", tc.name)
-		}
-	}
-}
-
-// TestCheckpointPreservesWeights: the data size a device registered with
-// survives a checkpoint round trip.
-func TestCheckpointPreservesWeights(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.DistillIters = 2
-	srv := registerN(t, cfg, 4, "mlp", "lenet-s")
-	blob, err := srv.CheckpointBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := NewServer(cfg, tinyShape(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.LoadCheckpoint(bytes.NewReader(blob)); err != nil {
-		t.Fatal(err)
-	}
-	if want, got := len(srv.cohorts.devices), len(restored.cohorts.devices); got != want {
-		t.Fatalf("restored %d devices, want %d", got, want)
-	}
-	for i, d := range srv.cohorts.devices {
-		if got, want := restored.cohorts.devices[i].member.weight, d.member.weight; got != want {
-			t.Fatalf("device %d weight %d, want %d", i, got, want)
 		}
 	}
 }

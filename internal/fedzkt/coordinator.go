@@ -423,7 +423,7 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 			_ = c.Close()
 			return nil, fmt.Errorf("fedzkt: device %d has an empty shard", i)
 		}
-		if err := c.register(i, arch, perArch[arch], len(shards[i])); err != nil {
+		if err := c.register(i, arch, perArch[arch]); err != nil {
 			_ = c.Close()
 			return nil, err
 		}
@@ -434,13 +434,13 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 }
 
 // register files device i, the local-th of its architecture, with the
-// server — it announces its architecture and data size, and the server
+// server — it announces its architecture, and the server
 // files the replica into the matching architecture cohort — and with the
 // device store. Neither side builds anything: until it is first written, a
 // device's state and its replica are its seeded build, which a virgin slot
 // is defined as (see slotStore.reserve).
-func (c *Coordinator) register(i int, arch string, local int, dataSize int) error {
-	id, err := c.server.RegisterSized(arch, nil, dataSize)
+func (c *Coordinator) register(i int, arch string, local int) error {
+	id, err := c.server.Register(arch, nil)
 	if err != nil {
 		return err
 	}

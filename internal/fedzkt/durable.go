@@ -2,7 +2,7 @@ package fedzkt
 
 // Durable checkpoint files: the crash-consistency layer between the
 // in-memory checkpoint codec (checkpoint.go) and the filesystem. A
-// checkpoint file is the coordinator checkpoint bytes followed by a
+// checkpoint file is a federation snapshot's bytes followed by a
 // 4-byte little-endian CRC32C trailer over those bytes. Files are
 // written atomically — temp file in the same directory, fsync, rename,
 // directory fsync — so a crash at any instant leaves either the old
@@ -88,11 +88,11 @@ func ListCheckpointFiles(dir string) ([]string, error) {
 // crash between write and fsync leaves behind, which the CRC trailer
 // must catch on load.
 func WriteCheckpointFile(path string, data []byte) error {
-	full := make([]byte, 0, len(data)+checkpointFileTrailer)
-	full = append(full, data...)
 	var crc [checkpointFileTrailer]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(data, castagnoliCkpt))
-	full = append(full, crc[:]...)
+	// The body and the trailer go out as two writes, so the file costs no
+	// second checkpoint-sized buffer.
+	body, trailer := data, crc[:]
 
 	torn := false
 	if chaos.Fire(chaos.SiteCkptTorn) {
@@ -100,14 +100,14 @@ func WriteCheckpointFile(path string, data []byte) error {
 		if v, ok := chaos.Arg(chaos.SiteCkptTorn); ok {
 			n = v
 		}
-		if n < 0 {
-			n = 0
-		}
-		if n < int64(len(full)) {
-			full = full[:n]
+		n = max(n, 0)
+		if n < int64(len(body)+len(trailer)) {
+			body = body[:min(n, int64(len(body)))]
+			trailer = trailer[:n-int64(len(body))]
 			torn = true
 		}
 	}
+	size := int64(len(body) + len(trailer))
 
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
@@ -120,18 +120,21 @@ func WriteCheckpointFile(path string, data []byte) error {
 		_ = os.Remove(tmpName)
 		return &CheckpointFileError{Path: path, Offset: off, Err: err}
 	}
-	if _, err := tmp.Write(full); err != nil {
+	if _, err := tmp.Write(body); err != nil {
 		return fail(0, err)
+	}
+	if _, err := tmp.Write(trailer); err != nil {
+		return fail(int64(len(body)), err)
 	}
 	if !torn {
 		// A torn write models the crash window before fsync — skipping
 		// the sync is part of the fault, not an oversight.
 		if err := tmp.Sync(); err != nil {
-			return fail(int64(len(full)), err)
+			return fail(size, err)
 		}
 	}
 	if err := tmp.Close(); err != nil {
-		return fail(int64(len(full)), err)
+		return fail(size, err)
 	}
 	if err := os.Rename(tmpName, path); err != nil {
 		_ = os.Remove(tmpName)

@@ -264,10 +264,10 @@ func TestCrashResumeFingerprintIdentity(t *testing.T) {
 }
 
 // TestUntouchedFleetCheckpointResume: a checkpoint saved before round 1,
-// when every resident slot is still only reserved, persists each replica
-// as its seeded build's container — the one path that reads a virgin
-// float64 slot's payload — and a fresh coordinator that loads it and runs lands on
-// the uninterrupted run's fingerprint.
+// when every resident slot is still only reserved, carries no container —
+// every replica is an empty entry, its seeded build rebuilt by nobody —
+// and a fresh coordinator that loads it and runs lands on the
+// uninterrupted run's fingerprint.
 func TestUntouchedFleetCheckpointResume(t *testing.T) {
 	want := baselineFingerprint(t)
 	c := durableCoordinator(t, tinyConfig())
@@ -280,6 +280,15 @@ func TestUntouchedFleetCheckpointResume(t *testing.T) {
 	var blob bytes.Buffer
 	if err := c.SaveCheckpoint(&blob); err != nil {
 		t.Fatal(err)
+	}
+	cp, err := readCheckpoint(bytes.NewReader(blob.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range cp.Replicas {
+		if len(b) > 0 {
+			t.Fatalf("replica %d of the untouched fleet is stored as a %d-byte container, want an empty entry", i, len(b))
+		}
 	}
 	rc := durableCoordinator(t, tinyConfig())
 	if err := rc.LoadCheckpoint(&blob); err != nil {
@@ -463,7 +472,7 @@ func TestCheckpointTruncationEveryByte(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Coordinator blob (carries the server blob plus cursor and history).
+	// Coordinator blob (the server's record plus cursor and history).
 	// The cursor and history are set directly — running rounds would grow
 	// the blob with optimiser state without adding framing coverage.
 	ds := tinyDataset(77)

@@ -231,7 +231,7 @@ func TestSpillColdCheckoutAllocs(t *testing.T) {
 			}
 			defer srv.Close()
 			for i := 0; i < members; i++ {
-				if _, err := srv.RegisterSized("mlp", nil, 1+i); err != nil {
+				if _, err := srv.Register("mlp", nil); err != nil {
 					t.Fatal(err)
 				}
 			}

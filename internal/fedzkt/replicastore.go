@@ -651,7 +651,8 @@ func (ts *slotStore) readInto(i int, sd nn.StateDict) (bool, error) {
 // drop discards member local's hot entry, recycling its buffer (once no
 // read has it pinned), and forgets its spill record: until it is next
 // written the slot holds no state, as a reserved one does, and its owner
-// defines what it is (the device store: the device follows its replica).
+// defines what it is (the device store: the device follows its replica;
+// the server's, after a checkpoint load: the seeded state).
 func (ts *slotStore) drop(local int) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()

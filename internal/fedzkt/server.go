@@ -254,37 +254,34 @@ func (s *Server) ReplicaStoreStats() ReplicaStoreStats { return s.cohorts.storeS
 func (s *Server) TakeReplicaFaults() []int { return s.cohorts.takeFaults() }
 
 // Register adds a device with the given architecture and initial state,
-// returning its assigned id, with a data-size weight of 1. See
-// RegisterSized.
+// returning its assigned id. The server files the device into its
+// architecture cohort; given initial parameters it validates them against
+// the architecture and stores their encoding, building no module. With a
+// nil initial state the replica keeps a seeded random initialisation, and
+// the slot is virgin: no module is built and nothing is written until the
+// slot is first used — the memory store reserves the slot's buffer, the
+// spill store nothing — and a read reconstructs the seeded state, in any
+// store and under any codec.
 func (s *Server) Register(arch string, initial nn.StateDict) (int, error) {
-	return s.RegisterSized(arch, initial, 1)
-}
-
-// RegisterSized adds a device with the given architecture, initial state,
-// and data-size weight (typically its shard size), returning its assigned
-// id. The server files the device into its architecture cohort; given
-// initial parameters it validates them against the architecture and stores
-// their encoding, building no module. With a nil initial state the replica
-// keeps a seeded random initialisation, and the slot is virgin: no module
-// is built and nothing is written until the slot is first used — the
-// memory store reserves the slot's buffer, the spill store nothing — and a
-// read reconstructs the seeded state, in any store and under any codec.
-func (s *Server) RegisterSized(arch string, initial nn.StateDict, dataSize int) (int, error) {
 	id := s.cohorts.numDevices()
-	if dataSize < 0 {
-		return 0, fmt.Errorf("fedzkt: register device %d: negative data size %d", id, dataSize)
-	}
 	build := func() (nn.Module, error) {
 		// Pool modules have a member's state installed before every
 		// use, so their own initial values never matter; the RNG only
 		// has to be valid.
 		return model.Build(arch, s.in, s.cls, tensor.NewRand(s.cfg.Seed+uint64(2000+id)))
 	}
-	got, err := s.cohorts.register(arch, initial, dataSize, build)
+	got, err := s.cohorts.register(arch, initial, build)
 	if err != nil {
 		return 0, fmt.Errorf("fedzkt: register device %d: %w", id, err)
 	}
 	return got, nil
+}
+
+// RegisterSized is Register; the data size is ignored.
+//
+// Deprecated: no server phase reads a device's data size. Use Register.
+func (s *Server) RegisterSized(arch string, initial nn.StateDict, _ int) (int, error) {
+	return s.Register(arch, initial)
 }
 
 // Absorb installs a device's uploaded parameters into its server replica,

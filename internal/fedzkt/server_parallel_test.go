@@ -27,7 +27,7 @@ func parallelServer(t testing.TB, workers, teachersPerIter int) *Server {
 		if i%2 == 1 {
 			arch = "lenet-s"
 		}
-		if _, err := srv.RegisterSized(arch, nil, 1+i%5); err != nil {
+		if _, err := srv.Register(arch, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -114,8 +114,8 @@ func TestServerSampledDistillKeepsEverythingFinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, arch := range []string{"mlp", "lenet-s", "mlp"} {
-		if _, err := srv.RegisterSized(arch, nil, 5*(i+1)); err != nil {
+	for _, arch := range []string{"mlp", "lenet-s", "mlp"} {
+		if _, err := srv.Register(arch, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -90,7 +90,7 @@ func TestSlotStoreContract(t *testing.T) {
 					if b.virgins && i == members-1 {
 						sd = nil
 					}
-					if _, err := cs.register("mlp", sd, 1, build); err != nil {
+					if _, err := cs.register("mlp", sd, build); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -18,7 +18,7 @@ func TestCheckoutAllocsCeiling(t *testing.T) {
 	}
 	defer srv.Close()
 	for i := 0; i < 16; i++ {
-		if _, err := srv.RegisterSized("mlp", nil, 1+i); err != nil {
+		if _, err := srv.Register("mlp", nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -123,7 +123,7 @@ func TestCheckoutDegradesOnCorruptSpillRecord(t *testing.T) {
 	defer srv.Close()
 	for i := 0; i < 4; i++ {
 		m := model.MustBuild("mlp", tinyShape(), 4, tensor.NewRand(uint64(100+i)))
-		if _, err := srv.RegisterSized("mlp", nn.CaptureState(m), 10); err != nil {
+		if _, err := srv.Register("mlp", nn.CaptureState(m)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,7 +174,7 @@ func TestCheckpointRoundTripWithSpill(t *testing.T) {
 	}
 	defer srv.Close()
 	for i := 0; i < 4; i++ {
-		if _, err := srv.RegisterSized([]string{"mlp", "lenet-s"}[i%2], nil, 10+i); err != nil {
+		if _, err := srv.Register([]string{"mlp", "lenet-s"}[i%2], nil); err != nil {
 			t.Fatal(err)
 		}
 	}

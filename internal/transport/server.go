@@ -121,9 +121,8 @@ type Server struct {
 // equal the transport's Hello-order ids even though handshakes run
 // concurrently.
 type pendingInstall struct {
-	arch   string
-	sd     nn.StateDict
-	weight int
+	arch string
+	sd   nn.StateDict
 }
 
 // NewServer builds the server and starts listening; call Run to serve.
@@ -438,7 +437,7 @@ func (s *Server) handleHello(conn net.Conn, mc *meteredConn, hello *Message) {
 		fail(err)
 		return
 	}
-	if err := s.install(id, hello.Arch, sd, len(s.shards[id])); err != nil {
+	if err := s.install(id, hello.Arch, sd); err != nil {
 		fail(err)
 		return
 	}
@@ -458,16 +457,16 @@ func (s *Server) handleHello(conn net.Conn, mc *meteredConn, hello *Message) {
 // install queues device id's registration and installs every
 // consecutively-ready registration into the core, so core replica ids
 // always match transport ids regardless of handshake completion order.
-func (s *Server) install(id int, arch string, sd nn.StateDict, weight int) error {
+func (s *Server) install(id int, arch string, sd nn.StateDict) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pending[id] = pendingInstall{arch: arch, sd: sd, weight: weight}
+	s.pending[id] = pendingInstall{arch: arch, sd: sd}
 	for {
 		p, ok := s.pending[s.installed]
 		if !ok {
 			return nil
 		}
-		got, err := s.core.RegisterSized(p.arch, p.sd, p.weight)
+		got, err := s.core.Register(p.arch, p.sd)
 		if err != nil {
 			return err
 		}
