@@ -2,8 +2,9 @@
 // Benchmark per artefact, at smoke scale so the suite completes in minutes
 // on one core) and holds the four arms that compare a mode no bench/
 // workload runs: span recording off (the …NoObs pairs, which price the
-// ≤ 2 % observability budget), the one-core serial executor, and the
-// heap (no-arena) local step. Run with:
+// ≤ 2 % observability budget), the full-ensemble server phase (run at
+// GOMAXPROCS=1 for the one-core reference), and the heap (no-arena) local
+// step. Run with:
 //
 //	go test -run '^$' -bench=. -benchmem
 //
@@ -15,7 +16,6 @@ package fedzkt_test
 
 import (
 	"context"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -27,7 +27,6 @@ import (
 	"github.com/fedzkt/fedzkt/internal/fed"
 	"github.com/fedzkt/fedzkt/internal/model"
 	"github.com/fedzkt/fedzkt/internal/obs"
-	"github.com/fedzkt/fedzkt/internal/sched"
 	"github.com/fedzkt/fedzkt/internal/tensor"
 )
 
@@ -200,19 +199,13 @@ func obsPair(b *testing.B, fn func(b *testing.B)) {
 // heterogeneous zoo (five architecture cohorts, 20 devices each) and runs
 // full Distill rounds. teachersPerIter = 0 is the paper-exact
 // full-ensemble mode; positive values sample that many teachers per
-// distillation iteration. sequential pins the whole server phase to one
-// core: serial teacher fan-out and a width-1 kernel executor.
-func benchDistillServer(b *testing.B, teachersPerIter int, sequential bool) {
+// distillation iteration.
+func benchDistillServer(b *testing.B, teachersPerIter int) {
 	b.Helper()
-	if sequential {
-		tensor.SetParallel(sched.NewGang(1))
-		defer tensor.SetParallel(sched.NewGang(runtime.GOMAXPROCS(0)))
-	}
 	cfg := fedzkt.Config{
 		Rounds: 1, DistillIters: 2, StudentSteps: 1,
 		DistillBatch: 16, ZDim: 8,
 		TeachersPerIter: teachersPerIter,
-		Sequential:      sequential,
 	}
 	srv, err := fedzkt.NewServer(cfg, fedzkt.Shape{C: 1, H: 8, W: 8}, 4)
 	if err != nil {
@@ -233,17 +226,19 @@ func benchDistillServer(b *testing.B, teachersPerIter int, sequential bool) {
 	}
 }
 
-// BenchmarkServerDistill100FullEnsembleSerial is the one-core reference
-// arm — sequential teacher forwards and a width-1 kernel executor — which
-// every bench/ workload's fedzkt.distill_ms runs in parallel mode
-// (byte-identical results) and none runs serially.
-func BenchmarkServerDistill100FullEnsembleSerial(b *testing.B) { benchDistillServer(b, 0, true) }
+// BenchmarkServerDistill100FullEnsemble is the paper-exact server phase,
+// which every bench/ workload's fedzkt.distill_ms runs with byte-identical
+// results. Both the kernel gang and the teacher fan-out (Workers: 0)
+// follow GOMAXPROCS, so the one-core reference run is
+//
+//	GOMAXPROCS=1 go test -run '^$' -bench 'ServerDistill100FullEnsemble$' .
+func BenchmarkServerDistill100FullEnsemble(b *testing.B) { benchDistillServer(b, 0) }
 
 // BenchmarkServerDistill100Teachers8NoObs is the sampled server phase
 // with and without span recording: the hot-phase half of the
 // observability budget.
 func BenchmarkServerDistill100Teachers8NoObs(b *testing.B) {
-	obsPair(b, func(b *testing.B) { benchDistillServer(b, 8, false) })
+	obsPair(b, func(b *testing.B) { benchDistillServer(b, 8) })
 }
 
 // benchLocalStep runs one device's full LocalUpdate (1 epoch over an

@@ -192,7 +192,8 @@ func Parse(spec string) (*Plan, error) {
 			}
 		default:
 			prob, err := strconv.ParseFloat(val, 64)
-			if err != nil || prob < 0 || prob > 1 {
+			// Written so a NaN, which fails every comparison, is refused too.
+			if err != nil || !(prob >= 0 && prob <= 1) {
 				return nil, fmt.Errorf("chaos: trigger %q is neither a probability in [0,1] nor on:/every:/after:", val)
 			}
 			fp.mode, fp.prob = modeProb, prob

@@ -40,6 +40,7 @@ func TestParseGrammar(t *testing.T) {
 		"no.such.site=0.5",                          // unknown site
 		"spill.read.err",                            // not key=value
 		"spill.read.err=2.0",                        // probability out of range
+		"spill.read.err=NaN",                        // not a probability
 		"spill.read.err=on:0",                       // zero count
 		"spill.read.err=maybe",                      // unparseable trigger
 		"seed=abc",                                  // bad seed

@@ -1,7 +1,11 @@
 package codec
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math"
+	"path/filepath"
 	"testing"
 
 	"github.com/fedzkt/fedzkt/internal/nn"
@@ -123,6 +127,71 @@ func FuzzContainer(f *testing.F) {
 		}
 		if !sameBits(dst, before) {
 			t.Fatal("a rejected DecodeInto modified its destination")
+		}
+	})
+}
+
+// spillRecord frames container bytes as a spill record: length, CRC32C,
+// then the bytes themselves.
+func spillRecord(b []byte) []byte {
+	rec := binary.LittleEndian.AppendUint32(nil, uint32(len(b)))
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(b, castagnoli))
+	return append(rec, b...)
+}
+
+// FuzzSpillRecord replaces the on-disk bytes of a spill record — header
+// and body — with arbitrary input and reads the slot back. Read must never
+// panic; a record it returns holds at most the capacity's bytes, whose
+// length and CRC32C are the ones its header stores; and a record it
+// refuses — a bad length, a checksum mismatch, a file that ends inside
+// the record — is an ErrSpillChecksum, since the only fault in the file
+// is the input's. The committed corpus (testdata/fuzz/FuzzSpillRecord)
+// holds a valid record, a zero length, a length above the capacity, a
+// flipped CRC byte and a truncated header.
+func FuzzSpillRecord(f *testing.F) {
+	c, err := Get("float64")
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := Encode(c, fuzzSeedState())
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, err := CreateSpill(filepath.Join(f.TempDir(), "fuzz.spill"), len(valid)+16)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { s.Close() })
+	f.Add(spillRecord(valid))
+	f.Fuzz(func(t *testing.T, disk []byte) {
+		if err := s.Write(0, valid); err != nil {
+			t.Fatal(err)
+		}
+		// The slot's record is the file's first; the file becomes the
+		// input, cut to one record's stride.
+		disk = disk[:min(len(disk), int(s.stride))]
+		if err := s.f.Truncate(0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.f.WriteAt(disk, 0); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Read(0, nil)
+		if err != nil {
+			if !errors.Is(err, ErrSpillChecksum) {
+				t.Fatalf("a corrupt record gave %v, want an ErrSpillChecksum", err)
+			}
+			return
+		}
+		if len(disk) < spillHeader {
+			t.Fatalf("read %d bytes from a %d-byte file", len(got), len(disk))
+		}
+		n, sum := binary.LittleEndian.Uint32(disk), binary.LittleEndian.Uint32(disk[4:])
+		if len(got) > s.recordCap || uint32(len(got)) != n {
+			t.Fatalf("read %d bytes, header says %d, capacity %d", len(got), n, s.recordCap)
+		}
+		if crc32.Checksum(got, castagnoli) != sum {
+			t.Fatal("returned bytes fail the header's CRC32C")
 		}
 	})
 }

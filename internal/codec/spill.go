@@ -13,16 +13,18 @@ package codec
 // A record is an 8-byte header — a 4-byte little-endian length followed
 // by a 4-byte CRC32C (Castagnoli) of the container bytes — then the
 // container itself. The length lets Read reject torn or foreign data
-// (length 0 or > the record capacity) with a clear error, and the
-// checksum catches silent corruption of the stored bytes (a flipped bit
-// on disk) before they reach the container decoder: a checksum mismatch
-// is a typed ErrSpillChecksum error the tiered store degrades on.
+// (length 0, > the record capacity, or past the end of the file) with a
+// clear error, and the checksum catches silent corruption of the stored
+// bytes (a flipped bit on disk) before they reach the container decoder.
+// Every corrupt record is a typed ErrSpillChecksum error the tiered store
+// degrades on.
 //
 // Record I/O retries transient errors (EIO and injected faults) a
 // bounded number of times with short backoff before reporting them;
-// corruption errors (bad length, checksum mismatch) are never retried —
-// rereading corrupt media does not uncorrupt it. The chaos failpoints
-// spill.read.err, spill.write.err and spill.read.flip arm this path.
+// corruption errors (bad length, torn record, checksum mismatch) are
+// never retried — rereading corrupt media does not uncorrupt it. The
+// chaos failpoints spill.read.err, spill.write.err and spill.read.flip
+// arm this path.
 //
 // Write and Read are goroutine-safe for distinct slots (the underlying
 // pwrite/pwread are positional); callers serialise per-slot access, which
@@ -34,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"slices"
 	"sync"
@@ -218,7 +221,7 @@ func (s *SpillFile) Read(slot int, dst []byte) ([]byte, error) {
 		}
 		var hdr [spillHeader]byte
 		if _, err := s.f.ReadAt(hdr[:], off); err != nil {
-			return err
+			return torn(err)
 		}
 		n := int(binary.LittleEndian.Uint32(hdr[:4]))
 		if n == 0 || n > s.recordCap {
@@ -228,7 +231,7 @@ func (s *SpillFile) Read(slot int, dst []byte) ([]byte, error) {
 		// Read straight into dst's tail, grown (at most once) to fit.
 		dst = slices.Grow(dst, n)[:start+n]
 		if _, err := s.f.ReadAt(dst[start:], off+spillHeader); err != nil {
-			return err
+			return torn(err)
 		}
 		// The spill.read.flip failpoint models silent media corruption:
 		// the flipped bit must be caught by the checksum below.
@@ -244,6 +247,16 @@ func (s *SpillFile) Read(slot int, dst []byte) ([]byte, error) {
 	s.reads.Add(1)
 	s.readBytes.Add(int64(len(dst) - start))
 	return dst, nil
+}
+
+// torn classifies a record read error: a file that ends inside the record
+// is corrupt (a truncated file, or a length prefix past the end of it),
+// which rereading does not mend; anything else is an I/O error.
+func torn(err error) error {
+	if errors.Is(err, io.EOF) {
+		return fmt.Errorf("record cut short by the end of the file: %w", ErrSpillChecksum)
+	}
+	return err
 }
 
 // Records returns how many distinct slots hold a record.

@@ -61,11 +61,12 @@ type Config struct {
 	// participants per round (uniform-K partial participation, the
 	// device-scale regime), overriding ActiveFraction.
 	SampleK int
-	// Workers bounds the round scheduler's worker pool (0 = GOMAXPROCS).
+	// Workers bounds the round scheduler's worker pool and the server's
+	// teacher, transfer-back and evaluation fan-outs (0 = GOMAXPROCS); 1
+	// runs them inline on the caller — the reference scheduler the
+	// determinism tests compare against. Kernel row blocks fan out on
+	// package tensor's gang, sized by GOMAXPROCS, either way.
 	Workers int
-	// Sequential runs device tasks inline on the caller's goroutine —
-	// the reference scheduler the determinism tests compare against.
-	Sequential bool
 	// RoundDeadline is the wall-clock budget of each round's local phase;
 	// devices that have not finished when it expires are dropped from
 	// that round's aggregation (0 disables).
@@ -303,16 +304,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// poolWorkers is the worker bound for the run's parallel-for loops
-// (server transfer-back, evaluation): 1 when the reference sequential
-// scheduler is requested, else the configured pool size.
-func (c Config) poolWorkers() int {
-	if c.Sequential {
-		return 1
-	}
-	return c.Workers
-}
-
 // Coordinator orchestrates an in-process FedZKT federation: the round
 // Engine over the Server holding F, G and the replicas, plus the devices,
 // for which it is the engine's Fleet. Local phases execute on a sharded
@@ -382,7 +373,6 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 	rigs := &rigStats{}
 	pool, err := sched.NewPool(sched.Options{
 		Workers:       cfg.Workers,
-		Sequential:    cfg.Sequential,
 		RoundDeadline: cfg.RoundDeadline,
 		FailureRate:   cfg.FailureRate,
 		FailureSeed:   cfg.Seed ^ 0xFA117A1E,
@@ -713,7 +703,7 @@ func (c *Coordinator) EvaluateDevices(ids []int) ([]float64, error) {
 	accs := make([]float64, len(ids))
 	var mu sync.Mutex
 	var firstErr error
-	sched.ForEachWorker(len(ids), c.cfg.poolWorkers(), func(i, w int) {
+	sched.ForEachWorker(len(ids), c.cfg.Workers, func(i, w int) {
 		rig := c.pool.WorkerScratch(w).(*deviceRig)
 		d := c.devices[ids[i]]
 		_, err := c.materialise(rig, d)

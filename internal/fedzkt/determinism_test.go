@@ -63,23 +63,23 @@ func goldenRun(t *testing.T, mutate func(*Config)) string {
 
 // TestSchedulerDeterminismGolden is the golden determinism test: a short
 // fixed-seed FedZKT run must produce byte-identical round metrics under
-// the sequential reference scheduler and under the parallel pool at every
+// the reference scheduler (Workers: 1) and under the parallel pool at every
 // worker count. Any hidden cross-device state — a shared RNG, a data
 // race, order-dependent aggregation — breaks this immediately.
 func TestSchedulerDeterminismGolden(t *testing.T) {
-	ref := goldenRun(t, func(c *Config) { c.Sequential = true })
+	ref := goldenRun(t, func(c *Config) { c.Workers = 1 })
 	if ref == "" {
 		t.Fatal("empty reference fingerprint")
 	}
-	workerCounts := []int{1, 2, 3, 4, 5, 6, 7, 8}
+	workerCounts := []int{2, 3, 4, 5, 6, 7, 8}
 	if testing.Short() {
-		workerCounts = []int{1, 4, 8}
+		workerCounts = []int{4, 8}
 	}
 	for _, w := range workerCounts {
 		w := w
 		got := goldenRun(t, func(c *Config) { c.Workers = w })
 		if got != ref {
-			t.Fatalf("workers=%d fingerprint diverges from sequential reference:\n--- sequential ---\n%s--- workers=%d ---\n%s", w, ref, w, got)
+			t.Fatalf("workers=%d fingerprint diverges from the workers=1 reference:\n--- workers=1 ---\n%s--- workers=%d ---\n%s", w, ref, w, got)
 		}
 	}
 }
@@ -113,7 +113,7 @@ func TestExactModeMatchesPreCohortFingerprint(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("pinned fingerprint recorded on amd64; GOARCH=%s may fuse FMAs", runtime.GOARCH)
 	}
-	got := goldenRun(t, func(c *Config) { c.Sequential = true })
+	got := goldenRun(t, func(c *Config) { c.Workers = 1 })
 	if got != preCohortGoldenFingerprint {
 		t.Fatalf("exact mode diverged from the pre-cohort reference:\n--- recorded ---\n%s--- got ---\n%s",
 			preCohortGoldenFingerprint, got)
@@ -128,7 +128,7 @@ var probedGradNorms = []string{"0.004181085611631357", "0.003557219360917853"}
 // TestProbeGradNormGolden pins the Figure 2 probe: the generator output's
 // gradient, the one interior gradient the server reads after Backward
 // (kept by RetainGrad), gives the recorded norms, and probing leaves the
-// rest of the pre-cohort fingerprint untouched — sequentially and on four
+// rest of the pre-cohort fingerprint untouched — on one worker and on four
 // workers, whose teacher tapes hand their gradients back to the workers'
 // arenas.
 func TestProbeGradNormGolden(t *testing.T) {
@@ -140,7 +140,7 @@ func TestProbeGradNormGolden(t *testing.T) {
 		want = strings.Replace(want, "gradnorm=0 ", "gradnorm="+g+" ", 1)
 	}
 	for _, mutate := range []func(*Config){
-		func(c *Config) { c.Sequential = true },
+		func(c *Config) { c.Workers = 1 },
 		func(c *Config) { c.Workers = 4 },
 	} {
 		got := goldenRun(t, func(c *Config) { mutate(c); c.ProbeGradNorm = true })
@@ -152,27 +152,27 @@ func TestProbeGradNormGolden(t *testing.T) {
 
 // TestSchedulerDeterminismGoldenSampledTeachers extends the golden test to
 // the sampled-teacher server: with TeachersPerIter set, the fingerprint
-// must still be byte-identical between the sequential reference scheduler
+// must still be byte-identical between the reference scheduler (Workers: 1)
 // and the parallel pool at every worker count (one subtest, named for the
 // one policy: a uniform draw without replacement).
 func TestSchedulerDeterminismGoldenSampledTeachers(t *testing.T) {
 	t.Run("uniform", func(t *testing.T) {
 		mutate := func(c *Config) { c.TeachersPerIter = 2 }
-		ref := goldenRun(t, func(c *Config) { mutate(c); c.Sequential = true })
+		ref := goldenRun(t, func(c *Config) { mutate(c); c.Workers = 1 })
 		if ref == "" {
 			t.Fatal("empty reference fingerprint")
 		}
-		if exact := goldenRun(t, func(c *Config) { c.Sequential = true }); exact == ref {
+		if exact := goldenRun(t, func(c *Config) { c.Workers = 1 }); exact == ref {
 			t.Fatal("sampled-teacher run unexpectedly identical to the full ensemble")
 		}
-		workerCounts := []int{1, 3, 8}
+		workerCounts := []int{3, 8}
 		if testing.Short() {
-			workerCounts = []int{1, 4}
+			workerCounts = []int{4}
 		}
 		for _, w := range workerCounts {
 			got := goldenRun(t, func(c *Config) { mutate(c); c.Workers = w })
 			if got != ref {
-				t.Fatalf("workers=%d fingerprint diverges from sequential reference:\n--- sequential ---\n%s--- workers=%d ---\n%s",
+				t.Fatalf("workers=%d fingerprint diverges from the workers=1 reference:\n--- workers=1 ---\n%s--- workers=%d ---\n%s",
 					w, ref, w, got)
 			}
 		}
@@ -182,13 +182,13 @@ func TestSchedulerDeterminismGoldenSampledTeachers(t *testing.T) {
 // TestStateCodecDeterminismGolden extends the golden scheme to the
 // quantised state codecs: with int8 or float16 replica slots and wire
 // payloads, the fingerprint must still be byte-identical between the
-// sequential reference scheduler and the parallel pool at every worker
+// reference scheduler (Workers: 1) and the parallel pool at every worker
 // count — quantisation points are a pure function of the data flow, never
 // of scheduling. The quantised fingerprints must also differ from the
 // dense run's: the codec width changes the byte accounting by
 // construction (and the quantised grid perturbs training).
 func TestStateCodecDeterminismGolden(t *testing.T) {
-	denseRef := goldenRun(t, func(c *Config) { c.Sequential = true })
+	denseRef := goldenRun(t, func(c *Config) { c.Workers = 1 })
 	codecs := []string{"int8", "float16"}
 	if testing.Short() {
 		// int8 exercises every quantised code path float16 does; one
@@ -199,21 +199,21 @@ func TestStateCodecDeterminismGolden(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			mutate := func(c *Config) { c.StateCodec = name }
-			ref := goldenRun(t, func(c *Config) { mutate(c); c.Sequential = true })
+			ref := goldenRun(t, func(c *Config) { mutate(c); c.Workers = 1 })
 			if ref == "" {
 				t.Fatal("empty reference fingerprint")
 			}
 			if ref == denseRef {
 				t.Fatal("quantised run unexpectedly identical to the dense pipeline")
 			}
-			workerCounts := []int{1, 2, 4, 8}
+			workerCounts := []int{2, 4, 8}
 			if testing.Short() {
 				workerCounts = []int{4}
 			}
 			for _, w := range workerCounts {
 				got := goldenRun(t, func(c *Config) { mutate(c); c.Workers = w })
 				if got != ref {
-					t.Fatalf("codec=%s workers=%d fingerprint diverges from sequential reference:\n--- sequential ---\n%s--- workers=%d ---\n%s",
+					t.Fatalf("codec=%s workers=%d fingerprint diverges from the workers=1 reference:\n--- workers=1 ---\n%s--- workers=%d ---\n%s",
 						name, w, ref, w, got)
 				}
 			}
@@ -226,8 +226,8 @@ func TestStateCodecDeterminismGolden(t *testing.T) {
 // configuration bit for bit, payload plumbing and all — which also keeps
 // it on the recorded pre-cohort golden fingerprint.
 func TestFloat64CodecMatchesDefault(t *testing.T) {
-	def := goldenRun(t, func(c *Config) { c.Sequential = true })
-	f64 := goldenRun(t, func(c *Config) { c.Sequential = true; c.StateCodec = "float64" })
+	def := goldenRun(t, func(c *Config) { c.Workers = 1 })
+	f64 := goldenRun(t, func(c *Config) { c.Workers = 1; c.StateCodec = "float64" })
 	if f64 != def {
 		t.Fatalf("explicit float64 codec diverged from the default:\n--- default ---\n%s--- float64 ---\n%s", def, f64)
 	}
@@ -241,44 +241,41 @@ func TestStateCodecDeterminismPipelined(t *testing.T) {
 		t.Skip("covered by the synchronous codec golden; skipped in -short")
 	}
 	mutate := func(c *Config) { c.StateCodec = "int8"; c.PipelineDepth = 1 }
-	ref := goldenRun(t, func(c *Config) { mutate(c); c.Sequential = true })
-	for _, w := range []int{1, 4} {
-		got := goldenRun(t, func(c *Config) { mutate(c); c.Workers = w })
-		if got != ref {
-			t.Fatalf("pipelined int8 workers=%d diverges from sequential reference:\n--- sequential ---\n%s--- workers=%d ---\n%s", w, ref, w, got)
-		}
+	ref := goldenRun(t, func(c *Config) { mutate(c); c.Workers = 1 })
+	if got := goldenRun(t, func(c *Config) { mutate(c); c.Workers = 4 }); got != ref {
+		t.Fatalf("pipelined int8 workers=4 diverges from the workers=1 reference:\n--- workers=1 ---\n%s--- workers=4 ---\n%s", ref, got)
 	}
 }
 
 // TestPipelinedDeterminismGolden extends the golden scheme to the staged
 // pipelined engine: for a fixed PipelineDepth the fingerprint must be
-// byte-identical between the sequential reference scheduler and the
+// byte-identical between the reference scheduler (Workers: 1) and the
 // parallel pool at every worker count — download application points,
 // absorb order and evaluation are required to be pure functions of
 // (depth, round), never of stage timing. The pipelined fingerprint must
 // also differ from the synchronous barrier's: depth ≥ 1 trains on
 // bounded-stale parameters by design.
 func TestPipelinedDeterminismGolden(t *testing.T) {
-	syncRef := goldenRun(t, func(c *Config) { c.Sequential = true })
+	syncRef := goldenRun(t, func(c *Config) { c.Workers = 1 })
 	for _, depth := range []int{1, 2} {
 		depth := depth
 		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
 			mutate := func(c *Config) { c.PipelineDepth = depth }
-			ref := goldenRun(t, func(c *Config) { mutate(c); c.Sequential = true })
+			ref := goldenRun(t, func(c *Config) { mutate(c); c.Workers = 1 })
 			if ref == "" {
 				t.Fatal("empty reference fingerprint")
 			}
 			if ref == syncRef {
 				t.Fatal("pipelined run unexpectedly identical to the synchronous barrier")
 			}
-			workerCounts := []int{1, 2, 3, 4, 5, 6, 7, 8}
+			workerCounts := []int{2, 3, 4, 5, 6, 7, 8}
 			if testing.Short() {
-				workerCounts = []int{1, 4, 8}
+				workerCounts = []int{4, 8}
 			}
 			for _, w := range workerCounts {
 				got := goldenRun(t, func(c *Config) { mutate(c); c.Workers = w })
 				if got != ref {
-					t.Fatalf("depth=%d workers=%d fingerprint diverges from sequential reference:\n--- sequential ---\n%s--- workers=%d ---\n%s",
+					t.Fatalf("depth=%d workers=%d fingerprint diverges from the workers=1 reference:\n--- workers=1 ---\n%s--- workers=%d ---\n%s",
 						depth, w, ref, w, got)
 				}
 			}
@@ -303,7 +300,7 @@ func TestPipelinedDepthsDiverge(t *testing.T) {
 		shards := partition.IID(ds.NumTrain(), 6, tensor.NewRand(56))
 		cfg := goldenConfig()
 		cfg.Rounds = 3
-		cfg.Sequential = true
+		cfg.Workers = 1
 		cfg.PipelineDepth = depth
 		co, err := New(cfg, ds, []string{"mlp", "lenet-s"}, shards)
 		if err != nil {

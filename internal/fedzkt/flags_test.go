@@ -15,7 +15,6 @@ import (
 // behind it. A new Config field must either gain a flag in flags.go or an
 // entry here.
 var notFlags = map[string]string{
-	"Sequential":    "the reference scheduler of the determinism tests, not an operating mode",
 	"GlobalArch":    "every main and experiment runs the one \"global\" architecture",
 	"Loss":          "a LossKind, chosen per cell by the loss-ablation experiments",
 	"ProbeGradNorm": "Figure 2 instrumentation, switched on by that experiment",
@@ -132,8 +131,8 @@ func TestFlagsCoverConfig(t *testing.T) {
 	for name := range cased {
 		t.Errorf("flagCases names -%s, which no FlagSet binds", name)
 	}
-	if got := typ.NumField(); got != 37 {
-		t.Errorf("Config has %d fields, want 37: a knob was added or removed without updating this count", got)
+	if got := typ.NumField(); got != 36 {
+		t.Errorf("Config has %d fields, want 36: a knob was added or removed without updating this count", got)
 	}
 }
 

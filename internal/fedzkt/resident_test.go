@@ -243,7 +243,7 @@ const (
 )
 
 // TestProxMuDeterminismGolden pins the proximal path across the lifetime
-// changes: resident devices (sequential and pooled), virtual devices
+// changes: resident devices (one worker and pooled), virtual devices
 // (whose anchor is re-captured at every materialisation, and whose states
 // at rest are the resident ones) and the depth-2 pipelined engine must
 // reproduce the recorded states bit for bit.
@@ -275,7 +275,7 @@ func TestProxMuDeterminismGolden(t *testing.T) {
 		mutate    func(*Config)
 		fp, state string
 	}{
-		{"sequential", func(c *Config) { c.Sequential = true }, proxGoldenFingerprint, proxGoldenDigest},
+		{"workers1", func(c *Config) { c.Workers = 1 }, proxGoldenFingerprint, proxGoldenDigest},
 		{"workers4", func(c *Config) { c.Workers = 4 }, proxGoldenFingerprint, proxGoldenDigest},
 		{"virtual", func(c *Config) { c.Workers = 3; c.VirtualDevices = true }, proxGoldenFingerprint, proxGoldenDigest},
 		{"depth2", func(c *Config) { c.Workers = 2; c.PipelineDepth = 2 }, "", proxGoldenDepth2Digest},
@@ -288,7 +288,7 @@ func TestProxMuDeterminismGolden(t *testing.T) {
 			t.Errorf("%s: final states digest %s, recorded %s", tc.name, state, tc.state)
 		}
 	}
-	if _, state := run(func(c *Config) { c.Sequential = true; c.ProxMu = 0 }); state == proxGoldenDigest {
+	if _, state := run(func(c *Config) { c.Workers = 1; c.ProxMu = 0 }); state == proxGoldenDigest {
 		t.Error("the proximal term left no trace in the final states")
 	}
 }

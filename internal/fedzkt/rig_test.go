@@ -167,7 +167,7 @@ func TestVirtualQuantisedMatchesResident(t *testing.T) {
 	if got := run(func(c *Config) { c.Workers = 5 }); got != ref {
 		t.Fatal("virtual + spill + int8 diverged under Workers=5")
 	}
-	if got := run(func(c *Config) { c.Sequential = true; c.StateCodec = "float16" }); got != run(func(c *Config) {
+	if got := run(func(c *Config) { c.Workers = 1; c.StateCodec = "float16" }); got != run(func(c *Config) {
 		c.VirtualDevices, c.ReplicaStore, c.HotSet, c.StateCodec = false, "", 0, "float16"
 	}) {
 		t.Fatal("virtual + spill + float16 diverged from resident float16 devices")

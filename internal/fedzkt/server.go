@@ -139,7 +139,7 @@ func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 		lr:       cfg.ServerLR,
 		codec:    cdc,
 		nShards:  cfg.ReplicaShards,
-		workers:  cfg.poolWorkers(),
+		workers:  cfg.Workers,
 		spillDir: spillDir,
 		hotSet:   cfg.HotSet,
 		teachers: cfg.TeachersPerIter,
@@ -148,9 +148,6 @@ func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 	})
 	s.colMemo = ag.NewColMemo(s.phase)
 	s.phase.ShareColMemo(s.colMemo)
-	// Large matmuls fan out over the process-wide kernel gang from here on;
-	// exact-mode results are bit-identical for any gang width.
-	sched.UseKernelGang()
 	s.globalOpt = optim.NewSGD(global.Params(), cfg.ServerLR, 0.9, 0)
 	s.genOpt = optim.NewAdam(s.gen.Params(), cfg.GenLR)
 	totalIters := cfg.Rounds * cfg.DistillIters
@@ -581,9 +578,8 @@ func (s *Server) teacherOuts(x *ag.Variable, teachers []*replicaLease) []*ag.Var
 		s.outScratch = make([]*ag.Variable, len(teachers))
 	}
 	outs := s.outScratch[:len(teachers)]
-	workers := s.cfg.poolWorkers()
-	s.ensureWorkerArenas(sched.EffectiveWorkers(len(teachers), workers))
-	sched.ForEachWorker(len(teachers), workers, func(i, w int) {
+	s.ensureWorkerArenas(sched.EffectiveWorkers(len(teachers), s.cfg.Workers))
+	sched.ForEachWorker(len(teachers), s.cfg.Workers, func(i, w int) {
 		outs[i] = teachers[i].slot.module.Forward(ag.MirrorIn(s.workerArenas[w], x))
 	})
 	return outs
@@ -681,8 +677,8 @@ func (s *Server) transferBackPhase(ctx context.Context, round int, participants 
 
 		// One independent distillation step per resident replica, bounded
 		// to the configured worker count so a 1,000-device federation does
-		// not spawn 1,000 goroutines (and to a single goroutine under the
-		// reference sequential scheduler). Each worker owns an arena,
+		// not spawn 1,000 goroutines (inline on the caller at Workers: 1,
+		// the reference scheduler). Each worker owns an arena,
 		// reset after every replica's step — which must stay ordered
 		// before this iteration's phase-arena reset below: worker arenas
 		// memoise conv lowerings keyed by the shared phase-arena batch x
@@ -692,8 +688,8 @@ func (s *Server) transferBackPhase(ctx context.Context, round int, participants 
 		// task's rig does: a pooled module keeps no gradient buffers
 		// between steps, so how many modules transfer-back ever trained
 		// costs no heap.
-		s.ensureWorkerArenas(sched.EffectiveWorkers(len(batch), cfg.poolWorkers()))
-		sched.ForEachWorker(len(batch), cfg.poolWorkers(), func(i, w int) {
+		s.ensureWorkerArenas(sched.EffectiveWorkers(len(batch), cfg.Workers))
+		sched.ForEachWorker(len(batch), cfg.Workers, func(i, w int) {
 			wa := s.workerArenas[w]
 			l := batch[i]
 			params := l.slot.module.Params()

@@ -1,10 +1,11 @@
 // Package sched is the device-scale round scheduler: it lets a federated
 // coordinator run communication rounds over N ≫ NumCPU simulated devices
-// inside one process. A bounded worker pool executes per-device tasks with
-// per-device queue affinity (all tasks of a device run on the same worker,
-// in order), a per-round deadline drops stragglers from aggregation —
-// matching FedZKT's tolerance for partial participation — and seeded
-// failure injection exercises device churn deterministically.
+// inside one process. A bounded worker pool runs a round's device tasks —
+// one per distinct device — in contiguous blocks on ForEachWorker, a
+// per-round deadline drops stragglers from aggregation — matching FedZKT's
+// tolerance for partial participation — and seeded failure injection
+// exercises device churn deterministically. Workers: 1 runs every task
+// inline on the caller, in task order: it is the reference scheduler.
 //
 // The scheduler is deliberately free of shared mutable state between
 // tasks: each task may only touch its own device, and each result slot is
@@ -31,8 +32,8 @@ import (
 
 // Task is one device's unit of work within a round.
 type Task struct {
-	// Device is the task's device id (non-negative); it keys queue
-	// affinity and failure injection.
+	// Device is the task's device id (non-negative); it keys failure
+	// injection only. A round's tasks name distinct devices.
 	Device int
 	// Run performs the work. It must only touch state owned by Device.
 	Run func(ctx context.Context) error
@@ -103,12 +104,10 @@ type Result struct {
 // Options configures a Pool. The zero value runs tasks on GOMAXPROCS
 // workers with no deadline and no failure injection.
 type Options struct {
-	// Workers bounds the pool size; 0 means GOMAXPROCS.
+	// Workers bounds the pool size; 0 means GOMAXPROCS. 1 runs every task
+	// inline on the caller's goroutine, in task order: the reference
+	// scheduler the determinism tests compare wider pools against.
 	Workers int
-	// Sequential runs every task inline on the caller's goroutine, in
-	// task order. It is the reference scheduler the determinism tests
-	// compare the parallel pool against.
-	Sequential bool
 	// RoundDeadline is the wall-clock budget of one round; devices whose
 	// task has not completed when it expires are dropped from aggregation.
 	// 0 means no deadline.
@@ -194,18 +193,17 @@ func (p *Pool) RegisterMetrics(reg *obs.Registry) {
 //
 // Rounds must form a single stream: RunRound may be called again as soon
 // as it returns — back-to-back rounds from a pipelined engine are the
-// intended workload — but never concurrently with itself. The per-device
-// queue affinity that makes results order- and worker-count-independent
-// is only meaningful within that stream, so a concurrent second round is
-// a programming error and panics.
+// intended workload — but never concurrently with itself: worker slots'
+// scratch is unsynchronised, so a concurrent second round is a programming
+// error and panics.
 type Pool struct {
 	opts    Options
 	stats   Stats
 	running atomic.Bool
 	// scratch holds the lazily created per-worker-slot scratch states.
-	// Slot i is only touched by the single goroutine serving queue i of
-	// the current round; successive rounds are ordered by RunRound's
-	// single-stream guarantee, so no lock is needed.
+	// Slot w is only touched by ForEachWorker's worker w of the current
+	// round; successive rounds are ordered by RunRound's single-stream
+	// guarantee, so no lock is needed.
 	scratch []any
 }
 
@@ -263,18 +261,15 @@ func (p *Pool) withScratch(ctx context.Context, i int) context.Context {
 	return ctx
 }
 
-// Options returns the pool's configuration.
-func (p *Pool) Options() Options { return p.opts }
-
 // Stats exposes the pool's cumulative counters.
 func (p *Pool) Stats() *Stats { return &p.stats }
 
-// RunRound executes one round's tasks and returns one Result per task, in
-// task order. Failure-injected devices are decided up front and never
-// run; the rest are sharded across the worker pool by device id, so a
-// device's tasks always execute on the same worker and in order. The
-// call blocks until every started task has returned — a straggler that
-// outlives the deadline is awaited but reported as dropped.
+// RunRound executes one round's tasks — which name distinct devices — and
+// returns one Result per task, in task order. Failure-injected devices are
+// decided up front and never run; the rest go out in contiguous blocks on
+// ForEachWorker, worker w running its block in order on scratch slot w.
+// The call blocks until every started task has returned — a straggler
+// that outlives the deadline is awaited but reported as dropped.
 func (p *Pool) RunRound(ctx context.Context, round int, tasks []Task) []Result {
 	if !p.running.CompareAndSwap(false, true) {
 		panic("sched: RunRound called concurrently on one Pool; rounds must form a single stream")
@@ -299,14 +294,18 @@ func (p *Pool) RunRound(ctx context.Context, round int, tasks []Task) []Result {
 		defer cancel()
 	}
 
-	if p.opts.Sequential {
-		seqCtx := p.withScratch(runCtx, 0)
-		for _, i := range pending {
-			results[i] = runOne(seqCtx, tasks[i], deadlineAt)
-		}
-	} else {
-		p.runSharded(runCtx, tasks, pending, deadlineAt, results)
+	// One context per worker, carrying its slot's scratch; each result
+	// slot is written by exactly one worker and ForEachWorker's return
+	// publishes the writes.
+	workers := EffectiveWorkers(len(pending), p.opts.Workers)
+	ctxs := make([]context.Context, workers)
+	for w := range ctxs {
+		ctxs[w] = p.withScratch(runCtx, w)
 	}
+	ForEachWorker(len(pending), workers, func(j, w int) {
+		i := pending[j]
+		results[i] = runOne(ctxs[w], tasks[i], deadlineAt)
+	})
 
 	p.stats.Rounds.Add(1)
 	for _, r := range results {
@@ -325,57 +324,6 @@ func (p *Pool) RunRound(ctx context.Context, round int, tasks []Task) []Result {
 	return results
 }
 
-// runSharded fans the pending task indices out over the worker pool.
-// Each result slot is written by exactly one worker and the WaitGroup
-// publishes the writes, so the loop is race-free by construction.
-func (p *Pool) runSharded(ctx context.Context, tasks []Task, pending []int, deadlineAt time.Time, results []Result) {
-	workers := p.opts.workers()
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if workers <= 0 {
-		return
-	}
-	queues := dealQueues(tasks, pending, workers)
-	var wg sync.WaitGroup
-	for qi, queue := range queues {
-		if len(queue) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(qi int, queue []int) {
-			defer wg.Done()
-			qctx := p.withScratch(ctx, qi)
-			for _, i := range queue {
-				results[i] = runOne(qctx, tasks[i], deadlineAt)
-			}
-		}(qi, queue)
-	}
-	wg.Wait()
-}
-
-// dealQueues deals the pending task indices onto per-worker queues:
-// round-robin by each device's first appearance, so queues stay balanced
-// even when the sampled device ids are clustered (a plain
-// device-mod-workers hash can pile a round's whole sample onto one
-// worker), while a device's later tasks still follow it to the same
-// queue, preserving per-device order.
-func dealQueues(tasks []Task, pending []int, workers int) [][]int {
-	queues := make([][]int, workers)
-	queueOf := make(map[int]int, len(pending))
-	next := 0
-	for _, i := range pending {
-		q, ok := queueOf[tasks[i].Device]
-		if !ok {
-			q = next % workers
-			next++
-			queueOf[tasks[i].Device] = q
-		}
-		queues[q] = append(queues[q], i)
-	}
-	return queues
-}
-
 // runOne executes a single task under the round context and classifies
 // the outcome. A panicking task — its own bug, or the chaos
 // sched.worker.panic failpoint — is recovered into a StatusFailed result
@@ -385,7 +333,7 @@ func dealQueues(tasks []Task, pending []int, workers int) [][]int {
 func runOne(ctx context.Context, t Task, deadlineAt time.Time) Result {
 	if err := ctx.Err(); err != nil {
 		// Deadline already passed (or round cancelled) before the task
-		// got a worker: a queue straggler.
+		// reached its turn in its worker's block: a straggler.
 		return Result{Device: t.Device, Status: StatusDropped, Err: err}
 	}
 	start := time.Now()

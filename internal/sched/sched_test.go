@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -66,41 +65,12 @@ func TestRunRoundSequentialMatchesParallel(t *testing.T) {
 		}
 		return res
 	}
-	seq := run(Options{Sequential: true, FailureRate: 0.3, FailureSeed: 7})
-	for _, workers := range []int{1, 2, 3, 8} {
+	seq := run(Options{Workers: 1, FailureRate: 0.3, FailureSeed: 7})
+	for _, workers := range []int{2, 4, 8} {
 		par := run(Options{Workers: workers, FailureRate: 0.3, FailureSeed: 7})
 		for i := range seq {
 			if seq[i] != par[i] && !(errors.Is(seq[i].Err, ErrInjected) && errors.Is(par[i].Err, ErrInjected)) {
 				t.Fatalf("workers=%d: result %d differs: seq=%+v par=%+v", workers, i, seq[i], par[i])
-			}
-		}
-	}
-}
-
-func TestPerDeviceOrderingUnderAffinity(t *testing.T) {
-	// Three tasks per device in one round: queue affinity must keep each
-	// device's tasks in submission order even with many workers.
-	const devices, perDevice = 8, 3
-	order := make([][]int, devices)
-	var tasks []Task
-	for rep := 0; rep < perDevice; rep++ {
-		for d := 0; d < devices; d++ {
-			d, rep := d, rep
-			tasks = append(tasks, Task{Device: d, Run: func(context.Context) error {
-				order[d] = append(order[d], rep) // safe: affinity serialises per device
-				return nil
-			}})
-		}
-	}
-	p, err := NewPool(Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.RunRound(context.Background(), 1, tasks)
-	for d := 0; d < devices; d++ {
-		for rep := 0; rep < perDevice; rep++ {
-			if order[d][rep] != rep {
-				t.Fatalf("device %d saw order %v", d, order[d])
 			}
 		}
 	}
@@ -323,51 +293,36 @@ func TestLateGenuineErrorIsFailedNotDropped(t *testing.T) {
 	}
 }
 
-func TestDealQueuesBalancesClusteredDeviceIDs(t *testing.T) {
-	// Device ids that collide under a naive id%workers hash (all ≡ 0 mod
-	// 4) must still spread across the pool: round-robin dealing over 4
-	// workers and 8 such devices puts exactly 2 on each queue.
-	const workers, devices = 4, 8
-	tasks := make([]Task, devices)
-	pending := make([]int, devices)
-	for d := 0; d < devices; d++ {
-		tasks[d] = Task{Device: d * workers} // 0, 4, 8, ... all ≡ 0 mod 4
-		pending[d] = d
+func TestRunRoundSpreadsClusteredDevices(t *testing.T) {
+	// Device ids in two clusters (0–7 and 1000–1007) must still spread
+	// evenly: contiguous blocks over 4 workers give each scratch slot
+	// exactly 4 of the 16 tasks, and one worker runs them all on one slot.
+	tasks := make([]Task, 16)
+	slots := make([]any, len(tasks))
+	for i := range tasks {
+		i := i
+		tasks[i] = Task{Device: i%8 + i/8*1000, Run: func(ctx context.Context) error {
+			slots[i] = Scratch(ctx)
+			return nil
+		}}
 	}
-	queues := dealQueues(tasks, pending, workers)
-	for q, queue := range queues {
-		if len(queue) != devices/workers {
-			t.Fatalf("queue %d holds %d tasks, want %d (queues=%v)", q, len(queue), devices/workers, queues)
+	for _, tc := range []struct{ workers, perSlot int }{{4, 4}, {1, 16}} {
+		p, err := NewPool(Options{Workers: tc.workers, WorkerScratch: func() any { return new(int) }})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestDealQueuesKeepsDeviceAffinity(t *testing.T) {
-	// Two tasks for the same device must land on the same queue, in
-	// submission order, regardless of what is dealt between them.
-	tasks := []Task{{Device: 9}, {Device: 5}, {Device: 7}, {Device: 9}, {Device: 5}}
-	pending := []int{0, 1, 2, 3, 4}
-	queues := dealQueues(tasks, pending, 2)
-	find := func(taskIdx int) int {
-		for q, queue := range queues {
-			for _, i := range queue {
-				if i == taskIdx {
-					return q
-				}
+		p.RunRound(context.Background(), 1, tasks)
+		ran := map[any]int{}
+		for _, s := range slots {
+			ran[s]++
+		}
+		if len(ran) != tc.workers {
+			t.Fatalf("workers=%d: tasks ran on %d scratch slots", tc.workers, len(ran))
+		}
+		for s, n := range ran {
+			if s == nil || n != tc.perSlot {
+				t.Fatalf("workers=%d: a slot ran %d tasks, want %d", tc.workers, n, tc.perSlot)
 			}
-		}
-		t.Fatalf("task %d not dealt", taskIdx)
-		return -1
-	}
-	if find(0) != find(3) {
-		t.Fatalf("device 9's tasks split across queues: %v", queues)
-	}
-	if find(1) != find(4) {
-		t.Fatalf("device 5's tasks split across queues: %v", queues)
-	}
-	for _, queue := range queues {
-		if !sort.IntsAreSorted(queue) {
-			t.Fatalf("queue order not submission order: %v", queues)
 		}
 	}
 }
@@ -429,7 +384,7 @@ func TestChaosWorkerPanic(t *testing.T) {
 	}
 	chaos.Activate(plan)
 	defer chaos.Deactivate()
-	p, err := NewPool(Options{Sequential: true})
+	p, err := NewPool(Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

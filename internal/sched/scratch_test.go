@@ -55,10 +55,11 @@ func TestWorkerScratchOnePerWorker(t *testing.T) {
 	}
 }
 
-// TestScratchSequentialAndAbsent covers the sequential pool (single
-// scratch) and pools without a factory (nil scratch).
+// TestScratchSequentialAndAbsent covers the one-worker pool, which runs
+// every task inline on one scratch, and pools without a factory (nil
+// scratch).
 func TestScratchSequentialAndAbsent(t *testing.T) {
-	seq, err := NewPool(Options{Sequential: true, WorkerScratch: func() any { return new(int) }})
+	seq, err := NewPool(Options{Workers: 1, WorkerScratch: func() any { return new(int) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestScratchSequentialAndAbsent(t *testing.T) {
 	}
 	seq.RunRound(context.Background(), 1, tasks)
 	if len(got) != 2 || got[0] == nil || got[0] != got[1] {
-		t.Fatalf("sequential pool must hand every task the same scratch, got %v", got)
+		t.Fatalf("one-worker pool must hand every task the same scratch, got %v", got)
 	}
 
 	plain, err := NewPool(Options{Workers: 2})

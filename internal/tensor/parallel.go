@@ -7,101 +7,151 @@ import (
 )
 
 // parallelThreshold is the minimum number of multiply-adds before a matmul
-// is split across the parallel executor; below this the dispatch overhead
+// is split across the kernel gang; below this the dispatch overhead
 // dominates. A variable so tests can lower it and force tiny operands
 // through the parallel path.
 var parallelThreshold = 1 << 17
 
-// Parallel is the executor large kernels fan out on. Width is the
-// executor's worker count (1 disables fan-out); Do runs fn(b) for every
-// b in [0, blocks) — possibly concurrently — and returns once all blocks
-// have completed. Implementations must run every block exactly once.
-//
-// Kernels built on it split their output into disjoint contiguous row
-// blocks whose boundaries are a pure function of the work size and the
-// executor's width, and every block is computed by the same serial
-// kernel; which worker runs a block therefore never affects a single
-// bit of the result.
-type Parallel interface {
-	Width() int
-	Do(blocks int, fn func(block int))
-}
+// kernels is the gang large kernels fan out on. It is started, sized to
+// GOMAXPROCS, by the first kernel large enough to fan out (kernelGang), so
+// a process that never runs one starts no helpers. Tests swap it to force
+// a width.
+var (
+	kernels     *gang
+	kernelsOnce sync.Once
+)
 
-// goParallel is the default executor: plain goroutine fan-out sized by
-// GOMAXPROCS, the caller running block 0 inline.
-type goParallel struct{}
-
-func (goParallel) Width() int { return runtime.GOMAXPROCS(0) }
-
-func (goParallel) Do(blocks int, fn func(block int)) {
-	var wg sync.WaitGroup
-	wg.Add(blocks - 1)
-	for b := 1; b < blocks; b++ {
-		go func(b int) {
-			defer wg.Done()
-			fn(b)
-		}(b)
-	}
-	fn(0)
-	wg.Wait()
-}
-
-// parallelBox wraps the installed executor so it can be swapped
-// atomically (interface values cannot be stored in an atomic.Pointer
-// directly).
-type parallelBox struct{ p Parallel }
-
-var parallelExec atomic.Pointer[parallelBox]
-
-// SetParallel installs the executor kernels fan out on; nil restores the
-// default goroutine executor. Schedulers install a worker gang here (see
-// internal/sched) so kernel row blocks run on pool workers that would
-// otherwise sit idle. Swapping executors never changes results — only
-// where the blocks run.
-func SetParallel(p Parallel) {
-	if p == nil {
-		parallelExec.Store(nil)
-		return
-	}
-	parallelExec.Store(&parallelBox{p: p})
-}
-
-func currentParallel() Parallel {
-	if box := parallelExec.Load(); box != nil {
-		return box.p
-	}
-	return goParallel{}
+func kernelGang() *gang {
+	kernelsOnce.Do(func() { kernels = newGang(runtime.GOMAXPROCS(0)) })
+	return kernels
 }
 
 // rowsParallel reports whether a row loop of the given size would fan out
-// across the executor. Kernels consult it before building the closure for
+// across the gang. Kernels consult it before building the closure for
 // parallelRows, so the serial path — the common case for training-step
 // sized operands — allocates nothing.
 func rowsParallel(rows, workPerRow int) bool {
-	return rows > 1 && rows*workPerRow >= parallelThreshold && currentParallel().Width() > 1
+	return rows > 1 && rows*workPerRow >= parallelThreshold && kernelGang().width() > 1
 }
 
 // parallelRows runs fn over [0,rows) split into contiguous row blocks on
-// the installed executor when rows*workPerRow exceeds parallelThreshold;
+// the kernel gang when rows*workPerRow exceeds parallelThreshold;
 // otherwise it runs fn serially. The block plan is deterministic: blocks =
 // min(width, rows) and block b covers [b*rows/blocks, (b+1)*rows/blocks),
-// so every output row belongs to exactly one block regardless of which
-// worker ends up running it. fn must be safe to run concurrently on
-// disjoint ranges.
+// and every block is computed by the same serial kernel, so which worker
+// runs a block never affects a single bit of the result. fn must be safe
+// to run concurrently on disjoint ranges.
 func parallelRows(rows, workPerRow int, fn func(lo, hi int)) {
-	if rows <= 0 {
+	if !rowsParallel(rows, workPerRow) {
+		if rows > 0 {
+			fn(0, rows)
+		}
 		return
 	}
-	p := currentParallel()
-	blocks := p.Width()
+	g := kernelGang()
+	blocks := g.width()
 	if blocks > rows {
 		blocks = rows
 	}
-	if blocks <= 1 || rows*workPerRow < parallelThreshold {
-		fn(0, rows)
-		return
-	}
-	p.Do(blocks, func(b int) {
+	g.do(blocks, func(b int) {
 		fn(b*rows/blocks, (b+1)*rows/blocks)
 	})
+}
+
+// gang is a borrowable group of persistent helper goroutines for nested
+// data parallelism inside kernels: a gang of width W owns W-1 helpers plus
+// the calling goroutine.
+//
+// do borrows helpers non-blockingly from a token pool: whatever is idle
+// joins the fan-out, and when every token is out (for example a kernel
+// invoked from inside another kernel's block, or from several concurrent
+// teacher forwards) the caller simply runs all blocks itself. Helpers
+// never block on locks or channels while holding work, so nesting can
+// degrade to serial execution but can never deadlock.
+//
+// Block assignment is a static stride plan: with h helpers borrowed, lane
+// l runs blocks l, l+h+1, l+2(h+1), … and the caller is lane 0. The plan
+// is deterministic given (blocks, borrowed) — and irrelevant to results,
+// since every block is a self-contained disjoint row range.
+type gang struct {
+	helpers int
+	tokens  atomic.Int64
+	jobs    chan gangJob
+}
+
+type gangJob struct {
+	fn     func(block int)
+	blocks int
+	lane   int
+	stride int
+	wg     *sync.WaitGroup
+}
+
+// newGang starts a gang of the given width (minimum 1; width-1 helper
+// goroutines). The helpers live for the life of the process.
+func newGang(width int) *gang {
+	if width < 1 {
+		width = 1
+	}
+	g := &gang{helpers: width - 1, jobs: make(chan gangJob, width-1)}
+	g.tokens.Store(int64(width - 1))
+	for i := 0; i < width-1; i++ {
+		go g.run()
+	}
+	return g
+}
+
+// width reports the gang's total worker count (helpers + caller).
+func (g *gang) width() int { return g.helpers + 1 }
+
+func (g *gang) run() {
+	for j := range g.jobs {
+		runLane(j.fn, j.blocks, j.lane, j.stride)
+		// Return the token before releasing the caller: once do returns,
+		// every helper it borrowed is accounted idle again.
+		g.tokens.Add(1)
+		j.wg.Done()
+	}
+}
+
+func runLane(fn func(int), blocks, lane, stride int) {
+	for b := lane; b < blocks; b += stride {
+		fn(b)
+	}
+}
+
+// do runs fn(b) for every b in [0, blocks), spreading the blocks over the
+// caller plus however many helpers could be borrowed right now. The jobs
+// channel has one slot per helper and a job is only sent while holding
+// that helper's token, so sends never block.
+func (g *gang) do(blocks int, fn func(block int)) {
+	if blocks <= 0 {
+		return
+	}
+	want := blocks - 1
+	if want > g.helpers {
+		want = g.helpers
+	}
+	borrowed := 0
+	for borrowed < want {
+		t := g.tokens.Load()
+		if t <= 0 {
+			break
+		}
+		if g.tokens.CompareAndSwap(t, t-1) {
+			borrowed++
+		}
+	}
+	if borrowed == 0 {
+		runLane(fn, blocks, 0, 1)
+		return
+	}
+	stride := borrowed + 1
+	var wg sync.WaitGroup
+	wg.Add(borrowed)
+	for lane := 1; lane <= borrowed; lane++ {
+		g.jobs <- gangJob{fn: fn, blocks: blocks, lane: lane, stride: stride, wg: &wg}
+	}
+	runLane(fn, blocks, 0, stride)
+	wg.Wait()
 }

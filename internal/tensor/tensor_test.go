@@ -260,7 +260,7 @@ func TestMatMulTransVariantsProperty(t *testing.T) {
 }
 
 func TestMatMulParallelLarge(t *testing.T) {
-	// Exceed parallelThreshold to exercise the goroutine path.
+	// Exceed parallelThreshold to exercise the kernel gang.
 	rng := &randSource{s: 7}
 	a := randTensor(rng, 200, 180)
 	b := randTensor(rng, 180, 190)

@@ -281,7 +281,7 @@ func TestNewServerRejectsUnsupportedFed(t *testing.T) {
 		"VirtualDevices": func(c *fedzkt.Config) { c.VirtualDevices = true },
 		"": func(c *fedzkt.Config) {
 			c.SampleK, c.EvalEvery, c.EvalDevices = 1, 2, 1
-			c.Sequential, c.Workers = true, 2
+			c.Workers = 2
 		},
 	} {
 		cfg := chaosServerConfig(2, 1, 0, 0, time.Second)
