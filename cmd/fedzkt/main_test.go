@@ -35,7 +35,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-exp", "table1", "-teachers-per-iter", "-1"}); err == nil {
 		t.Fatal("negative -teachers-per-iter accepted")
 	}
-	for _, bad := range [][]string{{"-replica-store", "tape"}, {"-shards", "-1"}, {"-hot-set", "-1"}, {"-pipeline-depth", "-1"}} {
+	for _, bad := range [][]string{{"-replica-store", "tape"}, {"-hot-set", "-1"}, {"-pipeline-depth", "-1"}} {
 		if err := run(append([]string{"-exp", "table1"}, bad...)); err == nil {
 			t.Fatalf("%v accepted", bad)
 		}

@@ -9,18 +9,17 @@
 // (-teachers-per-iter 0 restores the paper-exact full ensemble).
 //
 // With -replica-store spill the server keeps only an LRU hot set of
-// replica slots resident and spills cold devices to fixed-stride disk
-// files, with a prefetcher loading the next iterations' teacher draws
-// while distillation computes — memory bounded by the hot-set size, not
-// the device count. -shards N splits the store into independently locked
-// shards fanned out on the worker pool. -virtual-devices applies the same
-// treatment to the device side: a device's state at rest is a container
-// in a bounded slot store, and a worker's module holds its state only while it
-// participates. At ≥ 10,000 devices all three are enabled wherever their
-// flag is not given (virtual devices only on the synchronous engine with
-// no deadline, the one regime they support), and evaluation is capped to
-// 256 devices, so a million-device federation runs in one bounded-RSS
-// process:
+// replica slots per architecture resident and spills cold devices to a
+// fixed-stride disk file per architecture, with a prefetcher loading the
+// next iterations' teacher draws while distillation computes — memory
+// bounded by the hot-set size, not the device count. -virtual-devices
+// applies the same treatment to the device side: a device's state at rest
+// is a container in a bounded slot store, and a worker's module holds its
+// state only while it participates. At ≥ 10,000 devices both are enabled
+// wherever their flag is not given (virtual devices only on the
+// synchronous engine with no deadline, the one regime they support), and
+// evaluation is capped to 256 devices, so a million-device federation
+// runs in one bounded-RSS process:
 //
 //	go run ./examples/scale -devices 1000000
 //
@@ -37,7 +36,7 @@
 //	go run ./examples/scale -devices 1000 -sample-k 32 -workers 8 -rounds 2
 //	go run ./examples/scale -devices 1000 -teachers-per-iter 16
 //	go run ./examples/scale -devices 1000 -sample-k 32 -pipeline-depth 2
-//	go run ./examples/scale -devices 1000 -replica-store spill -shards 4 -hot-set 64
+//	go run ./examples/scale -devices 1000 -replica-store spill -hot-set 64
 //	go run ./examples/scale -devices 1000000 -rounds 2
 //
 // With -checkpoint-dir the coordinator writes an atomic, CRC-trailed
@@ -68,7 +67,7 @@ import (
 
 // autoScaleDevices is the device count at which the example switches on
 // the bounded-memory machinery by default: spill-tier replica store,
-// sharded cohorts, virtual devices, capped evaluation.
+// virtual devices, capped evaluation.
 const autoScaleDevices = 10000
 
 func main() {
@@ -85,7 +84,7 @@ func main() {
 		Seed:    42,
 		SampleK: 32, FailureRate: 0.05,
 		TeachersPerIter: 8,
-		ReplicaStore:    fedzkt.ReplicaStoreMemory, ReplicaShards: 1,
+		ReplicaStore:    fedzkt.ReplicaStoreMemory,
 	}
 	cfg.BindFlags(flag.CommandLine)
 	cfg.BindSizingFlags(flag.CommandLine)
@@ -103,9 +102,6 @@ func main() {
 		if !given["replica-store"] {
 			cfg.ReplicaStore = fedzkt.ReplicaStoreSpill
 		}
-		if !given["shards"] {
-			cfg.ReplicaShards = 4
-		}
 		if !given["eval-devices"] {
 			cfg.EvalDevices = 256
 		}
@@ -120,8 +116,8 @@ func main() {
 	}
 	defer stop()
 
-	fmt.Printf("simulating %d devices on %d CPU(s), sampling %d clients/round (store=%s shards=%d virtual=%v)\n",
-		*devices, runtime.GOMAXPROCS(0), cfg.SampleK, cfg.ReplicaStore, cfg.ReplicaShards, cfg.VirtualDevices)
+	fmt.Printf("simulating %d devices on %d CPU(s), sampling %d clients/round (store=%s virtual=%v)\n",
+		*devices, runtime.GOMAXPROCS(0), cfg.SampleK, cfg.ReplicaStore, cfg.VirtualDevices)
 
 	// Enough data for every device to hold a couple of samples — but the
 	// dataset must not itself grow O(devices) forever, so cap it and give
@@ -148,8 +144,8 @@ func main() {
 	}
 	defer co.Close()
 	srv := co.Server()
-	fmt.Printf("federation built (%d devices in %d architecture cohorts × %d shards) in %s\n",
-		*devices, srv.NumCohorts(), srv.ReplicaShards(), time.Since(build).Round(time.Millisecond))
+	fmt.Printf("federation built (%d devices in %d architecture cohorts) in %s\n",
+		*devices, srv.NumCohorts(), time.Since(build).Round(time.Millisecond))
 
 	var msBefore runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
@@ -225,8 +221,8 @@ func printStoreStats(name string, st fedzkt.ReplicaStoreStats) {
 		fmt.Printf("%s: mode=%s (fully resident), %d slots hold a state / %.1f MB\n", name, st.Mode, st.HotEntries, float64(st.HotBytes)/1e6)
 		return
 	}
-	fmt.Printf("%s: mode=%s shards=%d, hot %d slots / %.1f MB, hit rate %.1f%%, prefetch overlap %.1f%% (%d issued, %d loaded)\n",
-		name, st.Mode, st.Shards, st.HotEntries, float64(st.HotBytes)/1e6,
+	fmt.Printf("%s: mode=%s, hot %d slots / %.1f MB, hit rate %.1f%%, prefetch overlap %.1f%% (%d issued, %d loaded)\n",
+		name, st.Mode, st.HotEntries, float64(st.HotBytes)/1e6,
 		100*st.HitRate(), 100*st.PrefetchOverlap(), st.PrefetchIssued, st.PrefetchLoaded)
 	fmt.Printf("%s: spill %d records, read %.1f MB / wrote %.1f MB, %d evictions, %d lazy init builds, %d faults\n",
 		name, st.SpillRecords, float64(st.SpillReadBytes)/1e6, float64(st.SpillWriteBytes)/1e6,

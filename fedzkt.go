@@ -102,11 +102,10 @@ type (
 const (
 	// ReplicaStoreMemory keeps every replica slot resident (the default).
 	ReplicaStoreMemory = ifedzkt.ReplicaStoreMemory
-	// ReplicaStoreSpill keeps an LRU hot set per cohort shard and spills
+	// ReplicaStoreSpill keeps an LRU hot set per cohort and spills
 	// cold replicas to fixed-stride disk files, bounding server memory by
 	// the hot-set size instead of the device count (the million-device
-	// regime; see Config.ReplicaStore, ReplicaShards, HotSet and
-	// VirtualDevices).
+	// regime; see Config.ReplicaStore, HotSet and VirtualDevices).
 	ReplicaStoreSpill = ifedzkt.ReplicaStoreSpill
 )
 

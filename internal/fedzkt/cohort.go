@@ -10,7 +10,6 @@ import (
 	"github.com/fedzkt/fedzkt/internal/codec"
 	"github.com/fedzkt/fedzkt/internal/nn"
 	"github.com/fedzkt/fedzkt/internal/optim"
-	"github.com/fedzkt/fedzkt/internal/sched"
 )
 
 // This file implements the server's architecture-cohort replica registry.
@@ -34,17 +33,6 @@ import (
 // count, the million-device lever. Members that were never written are
 // stored nowhere in either. The bound is chosen once per cohort, in
 // cohortFor; nothing else in this file knows which one it talks to.
-//
-// The registry is additionally sharded (Config.ReplicaShards): shard
-// s owns every device with id ≡ s (mod N), each shard keeping its own
-// cohorts, module pools, hot sets and spill files, and multi-member
-// operations fan the shards out on the sched worker helpers. Devices
-// register incrementally (the transport learns the federation size only
-// as clients arrive), so ownership is interleaved by id rather than by
-// contiguous range — a distinction no caller can observe, since every
-// slot API is keyed by device id and fingerprints depend only on stored
-// values. Cross-process shards over internal/transport (where contiguous
-// ranges matter for routing) are a recorded follow-up.
 
 // member is one registered device inside a cohort: where its replica
 // state rests (slot local of the cohort's store).
@@ -115,7 +103,7 @@ func dictLayout(sd nn.StateDict) []codec.LayoutEntry {
 	return entries
 }
 
-// cohort groups every device of one architecture within one shard.
+// cohort groups every device of one architecture.
 type cohort struct {
 	arch    string
 	build   func() (nn.Module, error)
@@ -158,17 +146,8 @@ func (c *cohort) slot(i int, lr float64, live *atomic.Int64) *replicaSlot {
 	return c.pool[i]
 }
 
-// cohortShard is one shard of the registry: the cohorts of every device
-// with id ≡ index (mod shard count).
-type cohortShard struct {
-	index   int
-	byArch  map[string]*cohort
-	cohorts []*cohort
-}
-
 // deviceRef locates a device's cohort and member record by id.
 type deviceRef struct {
-	shard  int
 	cohort *cohort
 	member *member
 }
@@ -188,22 +167,18 @@ type cohortOptions struct {
 	lr float64
 	// teachers is the sampled teacher count (Config.TeachersPerIter; 0 =
 	// exact full-ensemble mode). It bounds how many pooled live modules
-	// each cohort (per shard) keeps after a release — sampled mode never
-	// needs more resident at once, exact mode keeps the full cohort pooled
-	// so no round rebuilds a module — and drives the auto hot-set bound.
+	// each cohort keeps after a release — sampled mode never needs more
+	// resident at once, exact mode keeps the full cohort pooled so no
+	// round rebuilds a module — and drives the auto hot-set bound.
 	// Checkouts may grow pools past it transiently when an iteration needs
 	// more members resident at once.
 	teachers int
 	// codec is the slot and payload encoding.
 	codec codec.Codec
-	// nShards is the cohort-store shard count (0 counts as 1).
-	nShards int
-	// workers bounds the shard fan-out of multi-member operations.
-	workers int
 	// spillDir, when set, selects the spill store and hosts its files;
 	// empty keeps every slot in memory. Under the spill store hotSet bounds
-	// each cohort shard's hot entries (0 = auto: the full cohort in exact
-	// mode, a teacher-window multiple in sampled mode).
+	// each cohort's hot entries (0 = auto: the full cohort in exact mode,
+	// a teacher-window multiple in sampled mode).
 	spillDir string
 	hotSet   int
 	// initSlot rebuilds a device's seeded initial state — the content of a
@@ -214,11 +189,12 @@ type cohortOptions struct {
 	reseed   func(m nn.Module, id int) error
 }
 
-// cohortSet is the server's replica registry: every shard's cohorts,
-// indexed by architecture and by device id.
+// cohortSet is the server's replica registry: one cohort per
+// architecture, indexed by architecture and by device id.
 type cohortSet struct {
 	cohortOptions
-	shards   []*cohortShard
+	byArch   map[string]*cohort
+	cohorts  []*cohort
 	devices  []deviceRef
 	sigs     map[string]*archSig
 	counters storeCounters
@@ -229,8 +205,8 @@ type cohortSet struct {
 	// beforeWrite, when set, runs before anything writes device id's slot —
 	// an install, or a writable checkout, whose module then trains on the
 	// slot's own state — so whoever reads the replica as something else's
-	// state can copy it first (Coordinator.unfollow). It runs on shard
-	// fan-out goroutines, for distinct ids; an error fails the write.
+	// state can copy it first (Coordinator.unfollow). It runs on the
+	// goroutine doing the write; an error fails the write.
 	beforeWrite func(id int) error
 
 	// faults collects device ids dropped from a phase because their slot
@@ -250,11 +226,7 @@ type cohortSet struct {
 }
 
 func newCohortSet(o cohortOptions) *cohortSet {
-	cs := &cohortSet{cohortOptions: o, sigs: make(map[string]*archSig)}
-	for i := 0; i < max(o.nShards, 1); i++ {
-		cs.shards = append(cs.shards, &cohortShard{index: i, byArch: make(map[string]*cohort)})
-	}
-	return cs
+	return &cohortSet{cohortOptions: o, byArch: make(map[string]*cohort), sigs: make(map[string]*archSig)}
 }
 
 // ensureSig returns arch's state signature, building one throwaway module
@@ -272,12 +244,12 @@ func (cs *cohortSet) ensureSig(arch string, build func() (nn.Module, error)) (*a
 	return sig, nil
 }
 
-// cohortFor returns the shard's cohort for arch, creating it on first
+// cohortFor returns the cohort for arch, creating it on first
 // registration — and with it the one decision about how its members'
 // states rest: in a hot set bounded over a spill file (the spill store),
 // or all hot (the memory store).
-func (cs *cohortSet) cohortFor(sh *cohortShard, arch string, sig *archSig, build func() (nn.Module, error)) *cohort {
-	if c, ok := sh.byArch[arch]; ok {
+func (cs *cohortSet) cohortFor(arch string, sig *archSig, build func() (nn.Module, error)) *cohort {
+	if c, ok := cs.byArch[arch]; ok {
 		return c
 	}
 	c := &cohort{arch: arch, build: build, sig: sig}
@@ -287,20 +259,20 @@ func (cs *cohortSet) cohortFor(sh *cohortShard, arch string, sig *archSig, build
 	var path string
 	var capFn func() int // nil: unbounded
 	if cs.spillDir != "" {
-		path = filepath.Join(cs.spillDir, fmt.Sprintf("shard%03d-%s.spill", sh.index, arch))
+		path = filepath.Join(cs.spillDir, "replica-"+arch+".spill")
 		capFn = func() int { return cs.hotCap(c) }
 		if cs.prefetchCh == nil {
 			cs.startPrefetcher()
 		}
 	}
 	c.slots = newSlotStore(cs.codec, sig, path, capFn, init, &cs.counters)
-	sh.byArch[arch] = c
-	sh.cohorts = append(sh.cohorts, c)
+	cs.byArch[arch] = c
+	cs.cohorts = append(cs.cohorts, c)
 	return c
 }
 
-// hotCap is the live hot-set bound of one cohort shard: the configured
-// per-cohort-shard bound, or automatically the whole cohort in exact
+// hotCap is the live hot-set bound of one cohort, one per architecture:
+// the configured per-cohort bound, or automatically the whole cohort in exact
 // full-ensemble mode (nothing ever evicts or spills, preserving byte
 // parity and speed) and a teacher-window multiple in sampled mode.
 func (cs *cohortSet) hotCap(c *cohort) int {
@@ -317,12 +289,7 @@ func (cs *cohortSet) hotCap(c *cohort) int {
 	return n
 }
 
-// shardOf maps a device id to its owning shard. Ownership is interleaved
-// (id mod shards) because devices register incrementally — the total
-// federation size is unknown until the last registration.
-func (cs *cohortSet) shardOf(id int) *cohortShard { return cs.shards[id%len(cs.shards)] }
-
-// register files a new member into its shard's cohort, reserves its slot
+// register files a new member into its architecture's cohort, reserves its slot
 // (slotStore.reserve) and stores its initial state. A nil sd registers a
 // virgin member, whose content is its seeded initial state until the slot
 // is first written: reads reconstruct the state via initSlot or reseed.
@@ -340,11 +307,10 @@ func (cs *cohortSet) register(arch string, sd nn.StateDict, build func() (nn.Mod
 			return 0, err
 		}
 	}
-	sh := cs.shardOf(id)
-	c := cs.cohortFor(sh, arch, sig, build)
+	c := cs.cohortFor(arch, sig, build)
 	mem := &member{id: id, local: len(c.members)}
 	c.members = append(c.members, mem)
-	cs.devices = append(cs.devices, deviceRef{shard: sh.index, cohort: c, member: mem})
+	cs.devices = append(cs.devices, deviceRef{cohort: c, member: mem})
 	c.slots.reserve()
 	if sd == nil {
 		return id, nil
@@ -361,11 +327,8 @@ func (cs *cohortSet) numDevices() int { return len(cs.devices) }
 // numCohorts returns the number of distinct registered architectures.
 func (cs *cohortSet) numCohorts() int { return len(cs.sigs) }
 
-// numShards returns the cohort-store shard count.
-func (cs *cohortSet) numShards() int { return len(cs.shards) }
-
 // liveModules returns the total number of pooled live modules currently
-// retained across all shards and cohorts (Server.LiveReplicas). Safe to
+// retained across all cohorts (Server.LiveReplicas). Safe to
 // call from any goroutine, while a phase checks out and releases.
 func (cs *cohortSet) liveModules() int { return int(cs.live.Load()) }
 
@@ -376,11 +339,9 @@ func (cs *cohortSet) storeStats() ReplicaStoreStats {
 	if cs.spillDir != "" {
 		mode = ReplicaStoreSpill
 	}
-	st := cs.counters.snapshot(mode, len(cs.shards))
-	for _, sh := range cs.shards {
-		for _, c := range sh.cohorts {
-			c.slots.addStats(&st)
-		}
+	st := cs.counters.snapshot(mode)
+	for _, c := range cs.cohorts {
+		c.slots.addStats(&st)
 	}
 	return st
 }
@@ -513,13 +474,9 @@ func (cs *cohortSet) drop(ref deviceRef) error {
 }
 
 // checkout makes the given devices resident: each member's state is
-// installed in a pooled live module of its shard's cohort and the
-// module's trainability/training flags are set for the requesting phase.
-// The returned leases follow the order of ids, which must be distinct;
-// with more than one shard, shards are checked out concurrently on the
-// registry's worker bound (each lease index is written by exactly one
-// worker, and per-shard pool assignment is independent of the worker
-// count, so results are deterministic).
+// installed in a pooled live module of its cohort and the module's
+// trainability/training flags are set for the requesting phase. The
+// returned leases follow the order of ids, which must be distinct.
 //
 // A writable checkout runs the beforeWrite hook first. A member whose
 // stored bytes fail to load or decode — a corrupt spill record, a
@@ -530,43 +487,8 @@ func (cs *cohortSet) drop(ref deviceRef) error {
 func (cs *cohortSet) checkout(ids []int, trainable, training bool) []*replicaLease {
 	defer tracer().Begin("store", "teacher_checkout").End()
 	leases := make([]*replicaLease, len(ids))
-	if len(cs.shards) == 1 {
-		cs.checkoutShard(ids, nil, leases, trainable, training)
-		return leases
-	}
-	byShard := make([][]int, len(cs.shards))
-	for pos, id := range ids {
-		ref, err := cs.ref(id)
-		if err != nil {
-			panic(err.Error()) // callers pass validated ids
-		}
-		byShard[ref.shard] = append(byShard[ref.shard], pos)
-	}
-	sched.ForEachWorker(len(cs.shards), cs.workers, func(i, _ int) {
-		if len(byShard[i]) > 0 {
-			cs.checkoutShard(ids, byShard[i], leases, trainable, training)
-		}
-	})
-	return leases
-}
-
-// checkoutShard checks out the members at the given positions of ids
-// (nil = all positions, the single-shard fast path), writing their leases
-// in place. All positions must belong to one shard, so the per-cohort
-// pool-slot sequence is deterministic regardless of how shards are
-// distributed over workers.
-func (cs *cohortSet) checkoutShard(ids []int, positions []int, leases []*replicaLease, trainable, training bool) {
 	next := make(map[*cohort]int, 4)
-	n := len(ids)
-	if positions != nil {
-		n = len(positions)
-	}
-	for k := 0; k < n; k++ {
-		pos := k
-		if positions != nil {
-			pos = positions[k]
-		}
-		id := ids[pos]
+	for pos, id := range ids {
 		ref, err := cs.ref(id)
 		if err != nil {
 			panic(err.Error()) // callers pass validated ids
@@ -598,6 +520,7 @@ func (cs *cohortSet) checkoutShard(ids []int, positions []int, leases []*replica
 		slot.module.SetTraining(training)
 		leases[pos] = &replicaLease{member: ref.member, slot: slot, writable: trainable}
 	}
+	return leases
 }
 
 // release returns every leased member's (possibly updated) state to its
@@ -715,11 +638,9 @@ func (cs *cohortSet) close() error {
 			close(cs.prefetchCh)
 			cs.prefetchWG.Wait()
 		}
-		for _, sh := range cs.shards {
-			for _, c := range sh.cohorts {
-				if err := c.slots.close(); err != nil && cs.closeErr == nil {
-					cs.closeErr = err
-				}
+		for _, c := range cs.cohorts {
+			if err := c.slots.close(); err != nil && cs.closeErr == nil {
+				cs.closeErr = err
 			}
 		}
 	})

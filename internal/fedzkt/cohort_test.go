@@ -94,7 +94,7 @@ func TestCohortPoolRetention(t *testing.T) {
 	// The trim must actually release the modules: entries beyond the cap
 	// must be nil in the backing array, not merely sliced out of view
 	// (which would keep them reachable and defeat the memory bound).
-	pool := srvB.cohorts.shards[0].cohorts[0].pool
+	pool := srvB.cohorts.cohorts[0].pool
 	for _, slot := range pool[len(pool):cap(pool)] {
 		if slot != nil {
 			t.Fatal("trimmed pool entry still reachable through the backing array")

@@ -100,23 +100,22 @@ type Config struct {
 	PipelineDepth int
 	// ReplicaStore selects where server replica slots live: "memory"
 	// (also the "" default — every slot resident, the pre-tier behaviour)
-	// or "spill" (an LRU hot set per cohort shard backed by fixed-stride
-	// spill files, bounding resident replica state by the hot-set size
-	// instead of the device count — the million-device regime). Stored
-	// bytes are identical either way, so exact-mode fingerprints are
-	// byte-identical across store modes.
+	// or "spill" (an LRU hot set per architecture cohort backed by a
+	// fixed-stride spill file each, bounding resident replica state by the
+	// hot-set size instead of the device count — the million-device
+	// regime). Stored bytes are identical either way, so exact-mode
+	// fingerprints are byte-identical across store modes.
 	ReplicaStore string
-	// ReplicaShards shards the server's cohort store: shard s owns every
-	// device with id ≡ s (mod N), with its own cohorts, module pools, hot
-	// sets and spill files, and checkouts fan out shard-local on the
-	// worker pool. 0 or 1 keeps a single shard; fingerprints are identical
-	// at any shard count.
+	// ReplicaShards is read by nothing.
+	//
+	// Deprecated: the server keeps one cohort per architecture.
 	ReplicaShards int
-	// HotSet bounds the resident entries of each cohort shard's hot set
-	// under the spill store, and of each architecture's virtual-device
-	// store. 0 sizes them automatically: a cohort shard's to the full cohort
-	// in exact full-ensemble mode and to 2·TeachersPerIter (at least 32) in
-	// sampled mode; a virtual-device store's to max(256, 2·SampleK).
+	// HotSet bounds the resident entries of each cohort's hot set — one
+	// cohort per architecture — under the spill store, and of each
+	// architecture's virtual-device store. 0 sizes them automatically: a
+	// cohort's to the full cohort in exact full-ensemble mode and to
+	// 2·TeachersPerIter (at least 32) in sampled mode; a virtual-device
+	// store's to max(256, 2·SampleK).
 	HotSet int
 	// SpillDir hosts the spill files ("" = a private temp directory,
 	// removed on Close).
@@ -268,7 +267,7 @@ func (c Config) Validate() error {
 		{"Rounds", c.Rounds}, {"LocalEpochs", c.LocalEpochs}, {"DistillIters", c.DistillIters},
 		{"StudentSteps", c.StudentSteps}, {"DistillBatch", c.DistillBatch}, {"BatchSize", c.BatchSize},
 		{"SampleK", c.SampleK}, {"Workers", c.Workers}, {"TeachersPerIter", c.TeachersPerIter},
-		{"PipelineDepth", c.PipelineDepth}, {"ReplicaShards", c.ReplicaShards}, {"HotSet", c.HotSet},
+		{"PipelineDepth", c.PipelineDepth}, {"HotSet", c.HotSet},
 		{"EvalDevices", c.EvalDevices}, {"EvalEvery", c.EvalEvery},
 		{"CheckpointEvery", c.CheckpointEvery}, {"KeepCheckpoints", c.KeepCheckpoints},
 	} {
@@ -276,10 +275,10 @@ func (c Config) Validate() error {
 			return fmt.Errorf("fedzkt: negative %s %d", f.name, f.v)
 		}
 	}
-	if c.ActiveFraction < 0 || c.ActiveFraction > 1 {
+	if !(0 <= c.ActiveFraction && c.ActiveFraction <= 1) {
 		return fmt.Errorf("fedzkt: active fraction %v outside (0,1]", c.ActiveFraction)
 	}
-	if c.FailureRate < 0 || c.FailureRate >= 1 {
+	if !(0 <= c.FailureRate && c.FailureRate < 1) {
 		return fmt.Errorf("fedzkt: FailureRate %v outside [0,1)", c.FailureRate)
 	}
 	switch c.ReplicaStore {
@@ -546,7 +545,7 @@ func (c *Coordinator) follow(d *fed.Device) {
 // replica is about to be written gets its own copy of it first, through
 // the payload path a download takes, and stops following. A virgin
 // replica needs no copy — the device's own empty slot is its seeded state
-// too. Runs on shard fan-out goroutines, for distinct ids.
+// too. Runs on the goroutine doing the write.
 func (c *Coordinator) unfollow(id int) error {
 	if !c.follows[id] {
 		return nil
@@ -575,7 +574,7 @@ func (c *Coordinator) DeviceStoreStats() ReplicaStoreStats {
 	if c.devSpillDir != "" {
 		mode = ReplicaStoreSpill
 	}
-	st := c.devCounters.snapshot(mode, 1)
+	st := c.devCounters.snapshot(mode)
 	for _, ds := range c.devStore {
 		ds.addStats(&st)
 	}

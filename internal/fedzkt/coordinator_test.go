@@ -2,6 +2,7 @@ package fedzkt
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -73,13 +74,13 @@ func TestConfigValidate(t *testing.T) {
 		want   string
 	}{
 		{func(c *Config) { c.TeachersPerIter = -1 }, "negative TeachersPerIter -1"},
-		{func(c *Config) { c.ReplicaShards = -1 }, "negative ReplicaShards -1"},
 		{func(c *Config) { c.HotSet = -2 }, "negative HotSet -2"},
 		{func(c *Config) { c.EvalDevices = -1 }, "negative EvalDevices -1"},
 		{func(c *Config) { c.SampleK = -3 }, "negative SampleK -3"},
 		{func(c *Config) { c.PipelineDepth = -1 }, "negative PipelineDepth -1"},
 		{func(c *Config) { c.ActiveFraction = 1.5 }, "active fraction 1.5 outside (0,1]"},
 		{func(c *Config) { c.ActiveFraction = -0.1 }, "active fraction -0.1 outside (0,1]"},
+		{func(c *Config) { c.ActiveFraction = math.NaN() }, "active fraction NaN outside (0,1]"},
 		{func(c *Config) { c.ReplicaStore = "tape" }, `unknown ReplicaStore "tape" (want "memory" or "spill")`},
 		{func(c *Config) { c.StateCodec = "float8" }, `unknown state codec "float8"`},
 		{func(c *Config) { c.VirtualDevices, c.RoundDeadline = true, time.Second }, "VirtualDevices requires RoundDeadline = 0 and PipelineDepth = 0"},
@@ -90,6 +91,7 @@ func TestConfigValidate(t *testing.T) {
 		{func(c *Config) { c.EvalEvery = -1 }, "negative EvalEvery -1"},
 		{func(c *Config) { c.FailureRate = 1 }, "FailureRate 1 outside [0,1)"},
 		{func(c *Config) { c.FailureRate = -0.5 }, "FailureRate -0.5 outside [0,1)"},
+		{func(c *Config) { c.FailureRate = math.NaN() }, "FailureRate NaN outside [0,1)"},
 		{func(c *Config) { c.CheckpointDir, c.CheckpointEvery = "d", -1 }, "negative CheckpointEvery -1"},
 		{func(c *Config) { c.CheckpointDir, c.KeepCheckpoints = "d", -1 }, "negative KeepCheckpoints -1"},
 		{func(c *Config) { c.Resume = true }, "Resume requires CheckpointDir"},

@@ -29,8 +29,7 @@ func (c *Config) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.TeachersPerIter, "teachers-per-iter", c.TeachersPerIter, "replica teachers sampled per server distillation iteration (0 = paper-exact full ensemble)")
 	fs.IntVar(&c.PipelineDepth, "pipeline-depth", c.PipelineDepth, "rounds in flight on the round engine: the server distills round r while round r+1 trains on-device (0 = paper-exact synchronous barrier; >0 incompatible with -virtual-devices)")
 	fs.StringVar(&c.ReplicaStore, "replica-store", c.ReplicaStore, "server replica store: memory (fully resident, the \"\" default) or spill (LRU hot set + disk tier)")
-	fs.IntVar(&c.ReplicaShards, "shards", c.ReplicaShards, "cohort store shards, registration/checkout fanned out per shard (0 = 1)")
-	fs.IntVar(&c.HotSet, "hot-set", c.HotSet, "hot-set bound per cohort shard under the spill store and per architecture for -virtual-devices (0 = auto: the whole cohort in exact mode, 2×teachers (min 32) per cohort shard in sampled mode; max(256, 2×sample-k) per device architecture)")
+	fs.IntVar(&c.HotSet, "hot-set", c.HotSet, "hot-set bound per architecture cohort under the spill store and per architecture for -virtual-devices (0 = auto: the whole cohort in exact mode, 2×teachers (min 32) per cohort in sampled mode; max(256, 2×sample-k) per device architecture)")
 	fs.StringVar(&c.SpillDir, "spill-dir", c.SpillDir, "directory for spill files (default: a private temp dir, removed on exit)")
 	fs.BoolVar(&c.VirtualDevices, "virtual-devices", c.VirtualDevices, "keep device states at rest in a store bounded by -hot-set, in the run's codec: a device follows its server replica and gets its own copy only before that replica is overwritten (bounded memory; needs -round-deadline 0 and -pipeline-depth 0)")
 	fs.IntVar(&c.EvalDevices, "eval-devices", c.EvalDevices, "devices in the per-round replica evaluation (0 = all)")

@@ -26,6 +26,7 @@ var notFlags = map[string]string{
 	"WeightDecay":   "optimiser constants are fixed in code by each main and experiment",
 	"ProxMu":        "the ℓ2-regularisation ablation (Table IV) sets it per cell",
 	"EvalEvery":     "derived by each main from its round count",
+	"ReplicaShards": "deprecated and read by nothing: the server keeps one cohort per architecture",
 }
 
 // flagCases gives every flag one non-default value and the field it must
@@ -48,7 +49,6 @@ var flagCases = []struct {
 	{"teachers-per-iter", "8", "TeachersPerIter", 8},
 	{"pipeline-depth", "2", "PipelineDepth", 2},
 	{"replica-store", "spill", "ReplicaStore", "spill"},
-	{"shards", "4", "ReplicaShards", 4},
 	{"hot-set", "16", "HotSet", 16},
 	{"spill-dir", "/tmp/s", "SpillDir", "/tmp/s"},
 	{"virtual-devices", "true", "VirtualDevices", true},

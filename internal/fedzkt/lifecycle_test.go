@@ -231,8 +231,7 @@ func countCopies(co *Coordinator, ft *fleetTap) (copies func() [][]int) {
 //     copy-on-write hook never copies (transfer-back writes participants
 //     only, and they stopped following when they trained).
 //   - Exact mode with SampleK < N: transfer-back writes every replica, and
-//     the hook, on the shard fan-out's goroutines, copies exactly the
-//     followers — the previous round's downloads that did not train this
+//     the hook copies exactly the followers — the previous round's downloads that did not train this
 //     round.
 //   - Depth 2: nothing follows; every download is installed.
 //   - LoadCheckpoint at depth 0: every device follows, no device store
@@ -284,9 +283,7 @@ func TestDevicesFollowTheirReplicas(t *testing.T) {
 	}
 
 	t.Run("exact", func(t *testing.T) {
-		// Two shards: transfer-back's checkout fans the shards out, so the
-		// hook copies into one device store from two goroutines.
-		co := toyFleet(t, 4, func(c *Config) { resident(c); c.TeachersPerIter, c.ReplicaShards = 0, 2 })
+		co := toyFleet(t, 4, func(c *Config) { resident(c); c.TeachersPerIter = 0 })
 		ft := tap(co)
 		copies := countCopies(co, ft)
 		hist, err := co.Run(context.Background())

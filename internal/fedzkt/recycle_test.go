@@ -293,7 +293,7 @@ func TestFleetStoreBuffersBounded(t *testing.T) {
 	}
 	srv, dev := co.Server().ReplicaStoreStats(), co.DeviceStoreStats()
 	// Two architectures, so two stores a side, each bounded by HotSet.
-	stores := int64(2 * (co.Server().ReplicaShards() + 1))
+	stores := int64(2 * 2)
 	bound := stores * int64(co.cfg.HotSet)
 	built, reused := srv.BuffersBuilt+dev.BuffersBuilt, srv.BuffersReused+dev.BuffersReused
 	t.Logf("%d entry buffers built, %d reused over %d evictions (Σ hot-set bounds %d)", built, reused, srv.Evictions+dev.Evictions, bound)

@@ -107,18 +107,18 @@ const (
 	// ReplicaStoreMemory keeps every member's slot resident (also the ""
 	// default): identical to the pre-tier server.
 	ReplicaStoreMemory = "memory"
-	// ReplicaStoreSpill keeps an LRU hot set per cohort shard and spills
+	// ReplicaStoreSpill keeps an LRU hot set per cohort and spills
 	// cold members' encoded buffers to a fixed-stride disk file, so
 	// resident replica state is bounded by the hot-set size instead of the
 	// device count.
 	ReplicaStoreSpill = "spill"
 )
 
-// storeCounters aggregates slot-store traffic across every cohort and
-// shard of one server. All fields are monotonic and safe for concurrent
-// update (the prefetch goroutine races the checkout path by design); the
-// server's are registered as they are (register), so a scrape reads them
-// without touching a store.
+// storeCounters aggregates slot-store traffic across every cohort of one
+// server. All fields are monotonic and safe for concurrent update (the
+// prefetch goroutine races the checkout path by design); the server's are
+// registered as they are (register), so a scrape reads them without
+// touching a store.
 type storeCounters struct {
 	hits, misses   obs.Counter
 	prefetchIssued obs.Counter // ids handed to the prefetcher
@@ -164,9 +164,9 @@ func registerStoreBuffers(reg *obs.Registry, stores ...*storeCounters) {
 
 // snapshot starts a stats snapshot from the counters; the stores add their
 // residency and file traffic (slotStore.addStats).
-func (c *storeCounters) snapshot(mode string, shards int) ReplicaStoreStats {
+func (c *storeCounters) snapshot(mode string) ReplicaStoreStats {
 	return ReplicaStoreStats{
-		Mode: mode, Shards: shards,
+		Mode: mode,
 		Hits: c.hits.Load(), Misses: c.misses.Load(),
 		PrefetchIssued: c.prefetchIssued.Load(), PrefetchLoaded: c.prefetchLoaded.Load(), PrefetchHits: c.prefetchHits.Load(),
 		InitBuilds: c.initBuilds.Load(), Evictions: c.evictions.Load(),
@@ -183,10 +183,8 @@ func (c *storeCounters) snapshot(mode string, shards int) ReplicaStoreStats {
 type ReplicaStoreStats struct {
 	// Mode is the store mode in effect ("memory" or "spill").
 	Mode string
-	// Shards is the number of cohort-store shards.
-	Shards int
 	// HotEntries and HotBytes describe the currently resident slots across
-	// all cohorts and shards (every slot that holds a state, under the
+	// all cohorts (every slot that holds a state, under the
 	// memory store).
 	HotEntries int
 	HotBytes   int64

@@ -36,8 +36,7 @@ import (
 // With ReplicaStore = "spill" the replica slots rest in a bounded hot set
 // over spill files (replicastore.go) and the server holds memory
 // proportional to the hot-set size rather than the device count; Close
-// releases the spill files. The cohort store may additionally be sharded
-// (ReplicaShards).
+// releases the spill files.
 type Server struct {
 	cfg Config
 	in  model.Shape
@@ -138,8 +137,6 @@ func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 	s.cohorts = newCohortSet(cohortOptions{
 		lr:       cfg.ServerLR,
 		codec:    cdc,
-		nShards:  cfg.ReplicaShards,
-		workers:  cfg.Workers,
 		spillDir: spillDir,
 		hotSet:   cfg.HotSet,
 		teachers: cfg.TeachersPerIter,
@@ -160,7 +157,7 @@ func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 // to dst — the defined content of a virgin slot, bit-identical to what eager
 // registration would have stored — rebuilt on the slot's first touch. One
 // cached module per architecture is re-seeded in place for every such
-// rebuild (checkouts of different shards and the prefetcher reach here
+// rebuild (a checkout, a payload read and the prefetcher reach here
 // concurrently, hence the lock, held until the module's tensors have been
 // encoded).
 func (s *Server) seededSlot(arch string, id int, dst []byte) ([]byte, error) {
@@ -218,9 +215,6 @@ func (s *Server) NumDevices() int { return s.cohorts.numDevices() }
 
 // NumCohorts returns the number of distinct registered architectures.
 func (s *Server) NumCohorts() int { return s.cohorts.numCohorts() }
-
-// ReplicaShards returns the cohort-store shard count in effect.
-func (s *Server) ReplicaShards() int { return s.cohorts.numShards() }
 
 // LiveReplicas returns how many live replica modules the cohort pools
 // currently retain — the server-memory quantity the cohort refactor

@@ -22,7 +22,7 @@ func seededState(seed uint64) nn.StateDict {
 	return nn.CaptureState(model.MustBuild("mlp", tinyShape(), 4, tensor.NewRand(seed)))
 }
 
-// registryOver builds a one-shard registry whose "mlp" cohort rests on
+// registryOver builds a registry whose "mlp" cohort rests on
 // store, whatever cohortFor would have made. Member i's seeded state is
 // seededState(100+i), which the registry re-draws into a pooled module for
 // a virgin slot that lends nothing.
@@ -37,8 +37,8 @@ func registryOver(t *testing.T, cdc codec.Codec, store *slotStore) *cohortSet {
 		t.Fatal(err)
 	}
 	c := &cohort{arch: "mlp", build: build, sig: sig, slots: store}
-	cs.shards[0].byArch["mlp"] = c
-	cs.shards[0].cohorts = append(cs.shards[0].cohorts, c)
+	cs.byArch["mlp"] = c
+	cs.cohorts = append(cs.cohorts, c)
 	t.Cleanup(func() { _ = cs.close() })
 	return cs
 }
@@ -84,7 +84,7 @@ func TestSlotStoreContract(t *testing.T) {
 					}
 					return p
 				}
-				build := cs.shards[0].byArch["mlp"].build
+				build := cs.byArch["mlp"].build
 				for i := 0; i < members; i++ {
 					sd := seededState(uint64(100 + i))
 					if b.virgins && i == members-1 {

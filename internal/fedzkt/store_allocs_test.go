@@ -33,7 +33,7 @@ func TestCheckoutAllocsCeiling(t *testing.T) {
 		_ = srv.cohorts.release(l)
 	})
 	// Steady state measures ~19 objects per member (lease, decode views,
-	// shard bookkeeping); the ceiling is ~30/member so only structural
+	// pool bookkeeping); the ceiling is ~30/member so only structural
 	// regressions — per-checkout buffer copies, re-encodes — trip it.
 	const ceiling = 240
 	if allocs > ceiling {

@@ -1,7 +1,7 @@
 package fedzkt
 
-// Tests for the tiered replica store (ISSUE 8): byte-identity of spill
-// and sharded runs against the in-memory single-shard reference,
+// Tests for the tiered replica store: byte-identity of spill runs against
+// the in-memory reference,
 // degradation on corrupt spill records, checkpointing through a
 // populated spill tier, and the store-config validation surface.
 
@@ -38,29 +38,20 @@ func memoryRef(t *testing.T) string {
 
 // TestSpillStoreFingerprintGolden pins the tier's central contract: the
 // spill store is a pure storage-layer change, so an exact-mode golden
-// run must be byte-identical to the in-memory reference at every shard
-// count and worker count, even with a pathologically small hot set
-// forcing constant eviction traffic.
+// run must be byte-identical to the in-memory reference at every worker
+// count, even with a pathologically small hot set forcing constant
+// eviction traffic.
 func TestSpillStoreFingerprintGolden(t *testing.T) {
 	ref := memoryRef(t)
-	for shards := 1; shards <= 4; shards++ {
+	for _, workers := range []int{1, 3} {
 		got := goldenRun(t, func(c *Config) {
 			c.ReplicaStore = ReplicaStoreSpill
-			c.ReplicaShards = shards
 			c.HotSet = 2
+			c.Workers = workers
 		})
 		if got != ref {
-			t.Fatalf("spill store with %d shard(s) diverged from the in-memory reference:\nref:\n%s\ngot:\n%s", shards, ref, got)
+			t.Fatalf("spill store under Workers=%d diverged from the in-memory reference:\nref:\n%s\ngot:\n%s", workers, ref, got)
 		}
-	}
-	got := goldenRun(t, func(c *Config) {
-		c.ReplicaStore = ReplicaStoreSpill
-		c.ReplicaShards = 2
-		c.HotSet = 2
-		c.Workers = 3
-	})
-	if got != ref {
-		t.Fatal("spill store diverged from the in-memory reference under Workers=3")
 	}
 }
 
@@ -73,16 +64,13 @@ func TestSpillStoreFingerprintSampledTeachers(t *testing.T) {
 		c.TeachersPerIter = 2
 	}
 	ref := goldenRun(t, sampled)
-	for _, shards := range []int{1, 3} {
-		got := goldenRun(t, func(c *Config) {
-			sampled(c)
-			c.ReplicaStore = ReplicaStoreSpill
-			c.ReplicaShards = shards
-			c.HotSet = 2
-		})
-		if got != ref {
-			t.Fatalf("sampled-mode spill store with %d shard(s) diverged from the in-memory reference", shards)
-		}
+	got := goldenRun(t, func(c *Config) {
+		sampled(c)
+		c.ReplicaStore = ReplicaStoreSpill
+		c.HotSet = 2
+	})
+	if got != ref {
+		t.Fatal("sampled-mode spill store diverged from the in-memory reference")
 	}
 }
 
@@ -98,7 +86,6 @@ func TestVirtualDevicesFingerprintGolden(t *testing.T) {
 	got := goldenRun(t, func(c *Config) {
 		c.VirtualDevices = true
 		c.ReplicaStore = ReplicaStoreSpill
-		c.ReplicaShards = 2
 		c.HotSet = 2
 	})
 	if got != ref {
@@ -127,7 +114,7 @@ func TestCheckoutDegradesOnCorruptSpillRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ts := srv.cohorts.shards[0].byArch["mlp"].slots
+	ts := srv.cohorts.byArch["mlp"].slots
 	if ts.file == nil || !ts.file.Written(0) {
 		t.Fatal("test setup: member 0 was not spilled (HotSet=1 should evict it)")
 	}
@@ -245,7 +232,6 @@ func TestStoreConfigValidation(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"unknown ReplicaStore", func(c *Config) { c.ReplicaStore = "bogus" }},
-		{"negative ReplicaShards", func(c *Config) { c.ReplicaShards = -1 }},
 		{"negative HotSet", func(c *Config) { c.HotSet = -2 }},
 		{"negative EvalDevices", func(c *Config) { c.EvalDevices = -1 }},
 	} {

@@ -45,7 +45,7 @@ type Fraction struct{ P float64 }
 
 // NewFraction validates p and builds the policy.
 func NewFraction(p float64) (Fraction, error) {
-	if p < 0 || p > 1 {
+	if !(0 <= p && p <= 1) {
 		return Fraction{}, fmt.Errorf("sched: active fraction %v outside [0,1]", p)
 	}
 	return Fraction{P: p}, nil

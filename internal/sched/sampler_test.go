@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 
@@ -80,7 +81,7 @@ func TestFractionTable(t *testing.T) {
 			checkSubset(t, s.Sample(c.n, tensor.NewRand(9)), c.n, c.wantLen)
 		})
 	}
-	for _, bad := range []float64{-0.1, 1.5} {
+	for _, bad := range []float64{-0.1, 1.5, math.NaN()} {
 		if _, err := NewFraction(bad); err == nil {
 			t.Fatalf("NewFraction(%v) accepted", bad)
 		}

@@ -140,7 +140,7 @@ func (o Options) Validate() error {
 	if o.RoundDeadline < 0 {
 		return fmt.Errorf("sched: negative round deadline %v", o.RoundDeadline)
 	}
-	if o.FailureRate < 0 || o.FailureRate >= 1 {
+	if !(0 <= o.FailureRate && o.FailureRate < 1) {
 		return fmt.Errorf("sched: failure rate %v outside [0,1)", o.FailureRate)
 	}
 	return nil

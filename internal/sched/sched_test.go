@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -178,6 +179,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative deadline", Options{RoundDeadline: -time.Second}, false},
 		{"rate one", Options{FailureRate: 1}, false},
 		{"rate negative", Options{FailureRate: -0.1}, false},
+		{"rate NaN", Options{FailureRate: math.NaN()}, false},
 		{"rate high ok", Options{FailureRate: 0.99}, true},
 	}
 	for _, c := range cases {

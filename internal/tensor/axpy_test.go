@@ -61,6 +61,32 @@ func TestAxpySIMDBitExact(t *testing.T) {
 		axpy4Rows(dst, b0, b1, b2, b3, av0, av1, av2, av3)
 		bitsEq(t, "axpy4", dst, want)
 	})
+	if !useSIMD {
+		return
+	}
+	// dot2x4SIMD, the MatMulTransB tile kernel, over the k&^3 prefixes:
+	// each of its eight outputs is the ascending-k scalar dot product. The
+	// second a row is the first reversed, so specials meet other operands.
+	axpyCases(t, func(n int, a0, b0, b1, b2, b3 []float64) {
+		k4 := n &^ 3
+		a1 := make([]float64, k4)
+		for i := range a1 {
+			a1[i] = a0[k4-1-i]
+		}
+		var want [8]float64
+		for r, a := range [][]float64{a0, a1} {
+			for j, b := range [][]float64{b0, b1, b2, b3} {
+				s := 0.0
+				for kk := 0; kk < k4; kk++ {
+					s += float64(a[kk] * b[kk]) // the conversion forbids fusing
+				}
+				want[4*r+j] = s
+			}
+		}
+		var got [8]float64
+		dot2x4SIMD(a0[:k4], a1, b0[:k4], b1[:k4], b2[:k4], b3[:k4], got[:])
+		bitsEq(t, "dot2x4", got[:], want[:])
+	})
 }
 
 // TestZeroAddIntoNegZero pins the fused first-accumulation semantics: a
