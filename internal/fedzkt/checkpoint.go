@@ -369,9 +369,7 @@ func (c *Coordinator) LoadCheckpoint(r io.Reader) error {
 	if err := c.server.load(cp); err != nil {
 		return err
 	}
-	if err := c.reconcileDevices(); err != nil {
-		return err
-	}
+	c.reconcileDevices()
 	c.nextRound = cp.NextRound
 	c.hist = append(c.hist[:0], cp.History...)
 	return nil

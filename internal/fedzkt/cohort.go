@@ -205,8 +205,9 @@ type cohortSet struct {
 	// beforeWrite, when set, runs before anything writes device id's slot —
 	// an install, or a writable checkout, whose module then trains on the
 	// slot's own state — so whoever reads the replica as something else's
-	// state can copy it first (Coordinator.unfollow). It runs on the
-	// goroutine doing the write; an error fails the write.
+	// state can copy it first (Coordinator.unfollow, which also stamps the
+	// write with the server stage's round). It runs on the goroutine doing
+	// the write; an error fails the write.
 	beforeWrite func(id int) error
 
 	// faults collects device ids dropped from a phase because their slot

@@ -125,12 +125,13 @@ type Config struct {
 	// server's replicas. Either way a device's model is its worker's module,
 	// holding the device's state only while its local phase or evaluation
 	// runs, and registration builds nothing in either mode: a device that
-	// was never written is its seeded initial state, and at PipelineDepth 0
-	// a device that downloaded follows its server replica, holding nothing
-	// of its own until it trains again or the replica is about to be
-	// overwritten (it then gets a copy). false (the default) keeps a
-	// device's own state in an unbounded float64 store, written by the
-	// device's tasks (and by downloads at PipelineDepth ≥ 1), so whatever a
+	// was never written is its seeded initial state, and a device that
+	// downloaded its replica as it still is follows it, holding nothing of
+	// its own until it trains again or the replica is about to be
+	// overwritten (it then gets a copy; see Coordinator.Deliver). false
+	// (the default) keeps a device's own state in an unbounded float64
+	// store, written by the device's tasks (and by the downloads a
+	// pipelined server stage overtook, at PipelineDepth ≥ 1), so whatever a
 	// task leaves stays. true writes a virtual device's store only with the
 	// copies made before its replica is overwritten — never with a task's
 	// result — in the run's codec, bounded by HotSet per architecture (spill
@@ -339,13 +340,21 @@ type Coordinator struct {
 	devSpillDir   string
 	devSpillOwned bool
 	// follows[id] marks a device whose state is its server replica: after
-	// a synchronous download the device keeps no state of its own (its
-	// slot is dropped) and reads the replica at materialisation, until it
-	// trains again or the server is about to overwrite the replica, when
-	// unfollow copies it over first. Only at PipelineDepth 0, where no
-	// server write can land between a download and the device's next use
-	// but through that hook.
-	follows []bool
+	// a download of the replica as it still is, the device keeps no state
+	// of its own (its slot is dropped) and reads the replica at
+	// materialisation, until it trains again or the server is about to
+	// overwrite the replica, when unfollow copies it over first. wrote[id]
+	// is the server round of the last write to device id's replica, which
+	// unfollow stamps before the write, and trainedIn[id] the round of the
+	// device's last completed task: Deliver follows only while neither is
+	// later than the delivered round (at depth 0 always). followMu orders
+	// unfollow, Deliver's check-and-follow and a follower's whole read of
+	// its replica against each other, so a server stage racing the device
+	// tasks (PipelineDepth ≥ 1) never writes a replica a follower is
+	// reading or has yet to copy.
+	follows          []bool
+	wrote, trainedIn []int32
+	followMu         sync.Mutex
 
 	closeOnce sync.Once
 	closeErr  error
@@ -400,9 +409,7 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 		_ = server.Close()
 		return nil, err
 	}
-	if cfg.PipelineDepth == 0 {
-		server.cohorts.beforeWrite = c.unfollow
-	}
+	server.cohorts.beforeWrite = c.unfollow
 	registerFleetMetrics(obs.Default(), rigs, &server.cohorts.counters, c.devCounters)
 	pool.RegisterMetrics(obs.Default())
 	perArch := make(map[string]int)
@@ -445,6 +452,8 @@ func (c *Coordinator) register(i int, arch string, local int) error {
 	}
 	c.devLocal = append(c.devLocal, local)
 	c.follows = append(c.follows, false)
+	c.wrote = append(c.wrote, 0)
+	c.trainedIn = append(c.trainedIn, 0)
 	st.reserve()
 	return nil
 }
@@ -497,13 +506,20 @@ func (c *Coordinator) newDevStore(arch string) (*slotStore, error) {
 // or following a virgin replica) its seeded initial state, re-drawn in
 // place — bit-identical to the device's seeded build. held reports a
 // stored state. Runs on scheduler workers and between-round fan-outs; the
-// stores serialise slot access. After an error nothing is to be released.
+// stores serialise slot access, and a follower reads its replica under
+// followMu, so a racing server write waits in unfollow until the read is
+// done. After an error nothing is to be released.
 func (c *Coordinator) materialise(rig *deviceRig, d *fed.Device) (held bool, err error) {
 	slot, err := rig.module(d.Arch)
 	if err == nil {
+		c.followMu.Lock()
 		if c.follows[d.ID] {
 			held, err = c.server.cohorts.readInto(c.server.cohorts.devices[d.ID], slot.sd)
+			c.followMu.Unlock()
 		} else {
+			// Only Deliver, never concurrent with a task, makes the device
+			// follow again, so its own slot is its state.
+			c.followMu.Unlock()
 			held, err = c.devStore[d.Arch].checkout(c.devLocal[d.ID], slot)
 		}
 	}
@@ -528,25 +544,33 @@ func (c *Coordinator) materialise(rig *deviceRig, d *fed.Device) (held bool, err
 func (c *Coordinator) release(rig *deviceRig, d *fed.Device, trained bool) error {
 	d.Model = nil
 	writable := trained && !c.cfg.VirtualDevices
-	if writable && c.follows[d.ID] {
+	if writable {
+		// Stop following before the slot is written, so unfollow does not
+		// copy the replica over the trained state.
+		c.followMu.Lock()
 		c.follows[d.ID] = false
+		c.followMu.Unlock()
 	}
 	return c.devStore[d.Arch].release(c.devLocal[d.ID], rig.modules[d.Arch], writable)
 }
 
 // follow makes d's state its server replica: its own slot gives up
-// whatever it held.
+// whatever it held. The caller holds followMu or runs while no stage does.
 func (c *Coordinator) follow(d *fed.Device) {
 	c.devStore[d.Arch].drop(c.devLocal[d.ID])
 	c.follows[d.ID] = true
 }
 
-// unfollow is the server store's beforeWrite hook: a follower whose
-// replica is about to be written gets its own copy of it first, through
-// the payload path a download takes, and stops following. A virgin
-// replica needs no copy — the device's own empty slot is its seeded state
-// too. Runs on the goroutine doing the write.
+// unfollow is the server store's beforeWrite hook. It stamps the write
+// with the server stage's round, and a follower whose replica is about to
+// be written gets its own copy of it first, through the payload path a
+// download takes, and stops following. A virgin replica needs no copy —
+// the device's own empty slot is its seeded state too. Runs on the
+// goroutine doing the write, under followMu.
 func (c *Coordinator) unfollow(id int) error {
+	c.followMu.Lock()
+	defer c.followMu.Unlock()
+	c.wrote[id] = c.serverRound
 	if !c.follows[id] {
 		return nil
 	}
@@ -590,9 +614,13 @@ func (c *Coordinator) DeviceRigStats() (builds, reuses int64) {
 }
 
 // Close releases the server (spill files, prefetcher) and the device
-// stores. Idempotent.
+// stores, and detaches the server's beforeWrite hook: the process-wide
+// metrics registry keeps the server reachable until the next federation
+// registers, and through the hook it would keep every device store too.
+// Idempotent.
 func (c *Coordinator) Close() error {
 	c.closeOnce.Do(func() {
+		c.server.cohorts.beforeWrite = nil
 		c.closeErr = c.server.Close()
 		for _, ds := range c.devStore {
 			if err := ds.close(); err != nil && c.closeErr == nil {
@@ -648,49 +676,29 @@ func (c *Coordinator) Run(ctx context.Context) (fed.History, error) {
 		// ahead of the last finalised round (several rounds ahead at
 		// depth ≥ 1, with no downloads applied). Restart them from the
 		// server's latest knowledge instead.
-		if err := c.reconcileDevices(); err != nil {
-			return nil, err
-		}
+		c.reconcileDevices()
 	}
 	return c.Engine.Run(ctx)
 }
 
 // reconcileDevices gives every device its server replica state — the
-// canonical post-round state a download would have delivered, through the
-// same publish/deliver path a download takes — collapsing whatever
-// in-flight local progress a cancelled round left behind. At PipelineDepth
-// 0, where Deliver makes a device follow the replica it was sent, every
-// device follows its replica outright and nothing is copied.
-func (c *Coordinator) reconcileDevices() error {
+// canonical post-round state a download would have delivered — collapsing
+// whatever in-flight local progress a cancelled round left behind: every
+// device follows its replica outright, nothing is copied, and the write
+// and task rounds Deliver compares start afresh. Runs while no stage does.
+func (c *Coordinator) reconcileDevices() {
 	for _, d := range c.devices {
-		ref, err := c.server.cohorts.ref(d.ID)
-		if err != nil {
-			return fmt.Errorf("fedzkt: reconciling device %d: %w", d.ID, err)
-		}
 		// Both sides still hold the seeded initial state (a virgin slot's
-		// content is defined as exactly that), so there is nothing to
-		// deliver — the skip that makes million-device resume O(touched
+		// content is defined as exactly that), so the device downloaded
+		// nothing — the skip that makes million-device resume O(touched
 		// devices), not O(devices).
-		seeded := c.server.cohorts.virgin(ref) && (c.follows[d.ID] || c.devStore[d.Arch].virgin(c.devLocal[d.ID]))
-		if c.cfg.PipelineDepth == 0 {
-			c.follow(d)
-			if !seeded {
-				d.Downloaded()
-			}
-			continue
-		}
-		if seeded {
-			continue
-		}
-		p, err := c.publish(d.ID)
-		if err == nil {
-			err = c.Deliver(c.nextRound-1, d.ID, p)
-		}
-		if err != nil {
-			return fmt.Errorf("fedzkt: reconciling device %d: %w", d.ID, err)
+		seeded := c.server.cohorts.virgin(c.server.cohorts.devices[d.ID]) && (c.follows[d.ID] || c.devStore[d.Arch].virgin(c.devLocal[d.ID]))
+		c.follow(d)
+		c.wrote[d.ID], c.trainedIn[d.ID] = 0, 0
+		if !seeded {
+			d.Downloaded()
 		}
 	}
-	return nil
 }
 
 // EvaluateDevices implements Fleet: each device's state at rest,
@@ -723,22 +731,30 @@ func (c *Coordinator) EvaluateDevices(ids []int) ([]float64, error) {
 
 // Deliver implements Fleet: after a header-only layout check it makes one
 // published state its device's, and marks it as the anchor of the device's
-// next proximal term. At PipelineDepth 0 the payload is byte for byte the
-// device's server replica, which nothing writes before the device's next
-// use but through unfollow: the device drops its slot and follows the
-// replica, so a state at rest exists once. At depth ≥ 1 the server stage
-// races the device tasks and the payload is installed in the slot — as
-// float64 in a resident device's (virtual devices are synchronous only).
-func (c *Coordinator) Deliver(_, id int, p Payload) error {
+// next proximal term. The payload is byte for byte the device's replica as
+// round left it. While no later server round has written that replica and
+// the device has completed no task in a later round — always at depth 0 —
+// the device drops its slot and follows the replica, which nothing writes
+// before the device's next use but through unfollow: a state at rest
+// exists once. Otherwise (depth ≥ 1, where the server stage races the
+// device tasks) the replica no longer holds the payload, or will not once
+// the device's upload lands in it, and the payload is installed in the
+// slot — as float64 in a resident device's (virtual devices are
+// synchronous only). The check and the follow or install are one step
+// under followMu.
+func (c *Coordinator) Deliver(round, id int, p Payload) error {
 	d := c.devices[id]
 	defer c.payloads.give(d.Arch, p.Enc)
 	err := c.server.CheckPayload(id, p.Enc)
-	switch {
-	case err != nil:
-	case c.cfg.PipelineDepth == 0:
-		c.follow(d)
-	default:
-		err = c.devStore[d.Arch].installPayload(c.devLocal[id], p.Enc)
+	if err == nil {
+		c.followMu.Lock()
+		if r := int32(round); c.wrote[id] <= r && c.trainedIn[id] <= r {
+			c.follow(d)
+		} else {
+			c.follows[id] = false
+			err = c.devStore[d.Arch].installPayload(c.devLocal[id], p.Enc)
+		}
+		c.followMu.Unlock()
 	}
 	if err != nil {
 		return fmt.Errorf("fedzkt: device %d download: %w", id, err)
@@ -823,6 +839,7 @@ func (c *Coordinator) LocalPhase(ctx context.Context, round int, active []int, m
 		switch r.Status {
 		case sched.StatusCompleted:
 			uploads = append(uploads, Upload{ID: r.Device, Round: round, Payload: staged[pos]})
+			c.trainedIn[r.Device] = int32(round) // Deliver reads it on this goroutine
 			m.BytesUp += fed.WireBytes(numels[pos], c.codec.Width())
 		case sched.StatusDropped:
 			m.Dropped = append(m.Dropped, r.Device)

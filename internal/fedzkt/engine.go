@@ -30,7 +30,9 @@ package fedzkt
 // which after round r's transfer-back hold exactly what round r's
 // download delivers while the device models may already be training a
 // later round. Uploads and downloads are independent copies either way,
-// which is all the isolation the stages need.
+// which is all the isolation the stages need; an in-process device that
+// follows its replica instead of keeping its download orders its reads
+// against the server stage's writes itself (Coordinator.Deliver).
 
 import (
 	"context"
@@ -109,6 +111,10 @@ type Engine struct {
 	// and goes back to, whichever fleet stages them.
 	payloads *payloadBuffers
 
+	// serverRound is the round the server stage is working on, set as it
+	// starts one and read on its goroutine: the round a replica write
+	// belongs to (Coordinator.unfollow stamps writes with it).
+	serverRound int32
 	// nextRound is the first round the next Run call executes: 1 for a
 	// fresh federation, advanced past every finalised round, and restored
 	// by Coordinator.LoadCheckpoint, so a cancelled run can be resumed.
@@ -358,6 +364,7 @@ func (e *Engine) localStage(ctx context.Context, rng *rand.Rand, w *roundWork) (
 func (e *Engine) serverStage(ctx context.Context, w roundWork, handOff func(downloadBatch) error) error {
 	m, round := w.m, w.m.Round
 	defer w.span.End()
+	e.serverRound = int32(round)
 
 	db := downloadBatch{round: round}
 	var err error

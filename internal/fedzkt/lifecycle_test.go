@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
 	"slices"
 	"sync"
 	"testing"
 
+	"github.com/fedzkt/fedzkt/internal/codec"
 	"github.com/fedzkt/fedzkt/internal/fed"
 	"github.com/fedzkt/fedzkt/internal/nn"
 )
@@ -29,13 +33,14 @@ func withDevice(t testing.TB, co *Coordinator, id int, fn func(d *fed.Device)) {
 }
 
 // fleetTap is the fleet a tapped coordinator's engine drives: the
-// coordinator itself, with the round's uploads, each download and each
-// round's close shown to the hooks that are set.
+// coordinator itself, with each local phase's start, the round's uploads,
+// each download and each round's close shown to the hooks that are set.
 type fleetTap struct {
 	Fleet
+	starting   func(round int) // before the coordinator runs the local phase
 	uploaded   func(u Upload)
-	delivering func(id int, p Payload) // before the coordinator takes p
-	delivered  func(id int)
+	delivering func(round, id int, p Payload) // before the coordinator takes p
+	delivered  func(round, id int)
 	closing    func(m *fed.RoundMetrics)
 }
 
@@ -47,6 +52,9 @@ func tap(co *Coordinator) *fleetTap {
 }
 
 func (ft *fleetTap) LocalPhase(ctx context.Context, round int, active []int, m *fed.RoundMetrics) ([]Upload, error) {
+	if ft.starting != nil {
+		ft.starting(round)
+	}
 	ups, err := ft.Fleet.LocalPhase(ctx, round, active, m)
 	for _, u := range ups {
 		if ft.uploaded != nil {
@@ -58,13 +66,13 @@ func (ft *fleetTap) LocalPhase(ctx context.Context, round int, active []int, m *
 
 func (ft *fleetTap) Deliver(round, id int, p Payload) error {
 	if ft.delivering != nil {
-		ft.delivering(id, p)
+		ft.delivering(round, id, p)
 	}
 	if err := ft.Fleet.Deliver(round, id, p); err != nil {
 		return err
 	}
 	if ft.delivered != nil {
-		ft.delivered(id)
+		ft.delivered(round, id)
 	}
 	return nil
 }
@@ -136,12 +144,12 @@ func TestResidentSlotsVirginUntilWritten(t *testing.T) {
 	allVirgin("after evaluating every device and checking every replica out read-only")
 
 	ft := tap(co)
-	ft.delivering = func(id int, _ Payload) {
+	ft.delivering = func(_, id int, _ Payload) {
 		if server, device := virgins(id); server || device {
 			t.Errorf("device %d trained and was absorbed, yet before its download it is virgin on the server %v, on the device %v", id, server, device)
 		}
 	}
-	ft.delivered = func(id int) {
+	ft.delivered = func(_, id int) {
 		if _, device := virgins(id); !device {
 			t.Errorf("device %d still holds its own state after its download", id)
 		}
@@ -189,6 +197,59 @@ func deviceSlotsHeld(co *Coordinator) []int {
 	return ids
 }
 
+// mostParticipants returns, per architecture, the most devices of it that
+// trained within window consecutive rounds of hist.
+func mostParticipants(co *Coordinator, hist fed.History, window int) map[string]int {
+	most := make(map[string]int)
+	for i := range hist {
+		seen := make(map[int]bool)
+		per := make(map[string]int)
+		for _, m := range hist[i:min(i+window, len(hist))] {
+			for _, id := range m.Active {
+				if !slices.Contains(m.Injected, id) && !seen[id] {
+					seen[id] = true
+					per[co.devices[id].Arch]++
+				}
+			}
+		}
+		for arch, n := range per {
+			most[arch] = max(most[arch], n)
+		}
+	}
+	return most
+}
+
+// dictDigest hashes the bits of sd's values, in name order.
+func dictDigest(sd nn.StateDict) uint64 {
+	h := fnv.New64a()
+	hashDict(h, sd)
+	return h.Sum64()
+}
+
+// hashDict writes the bits of sd's values to h, in name order.
+func hashDict(h hash.Hash, sd nn.StateDict) {
+	var b [8]byte
+	for _, name := range sd.Names() {
+		for _, v := range sd[name].Data() {
+			u := math.Float64bits(v)
+			for i := range b {
+				b[i] = byte(u >> (8 * i))
+			}
+			h.Write(b[:])
+		}
+	}
+}
+
+// payloadDigest is dictDigest of the state a payload carries.
+func payloadDigest(t testing.TB, enc []byte) uint64 {
+	t.Helper()
+	sd, err := codec.Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dictDigest(sd)
+}
+
 // countCopies wraps co's copy-on-write hook, recording the followers it
 // gave their own copy, by round.
 func countCopies(co *Coordinator, ft *fleetTap) (copies func() [][]int) {
@@ -233,7 +294,14 @@ func countCopies(co *Coordinator, ft *fleetTap) (copies func() [][]int) {
 //   - Exact mode with SampleK < N: transfer-back writes every replica, and
 //     the hook copies exactly the followers — the previous round's downloads that did not train this
 //     round.
-//   - Depth 2: nothing follows; every download is installed.
+//   - Sampled, depth 2, where the server stage races the device tasks:
+//     the hook is installed, and a delivered device holds the payload in
+//     its own slot, rather than following its replica, only when the
+//     replica was written or the device trained after the delivered round.
+//     After the run no device slot holds a state, and a store never held
+//     more than the devices of its architecture that trained within
+//     depth + 1 consecutive rounds: a trained state rests in its slot
+//     until the round's download.
 //   - LoadCheckpoint at depth 0: every device follows, no device store
 //     holds a state.
 func TestDevicesFollowTheirReplicas(t *testing.T) {
@@ -262,18 +330,7 @@ func TestDevicesFollowTheirReplicas(t *testing.T) {
 					t.Errorf("round %d: the hook copied replicas %v into followers", r+1, ids)
 				}
 			}
-			most := make(map[string]int)
-			for _, m := range hist {
-				per := make(map[string]int)
-				for _, id := range m.Active {
-					if !slices.Contains(m.Injected, id) {
-						per[co.devices[id].Arch]++
-					}
-				}
-				for arch, n := range per {
-					most[arch] = max(most[arch], n)
-				}
-			}
+			most := mostParticipants(co, hist, 1)
 			for arch, st := range co.devStore {
 				if st.peak == 0 || st.peak > most[arch] {
 					t.Errorf("%s device store held %d states at once, want 1..%d (the most %s participants of a round)", arch, st.peak, most[arch], arch)
@@ -316,23 +373,66 @@ func TestDevicesFollowTheirReplicas(t *testing.T) {
 
 	t.Run("depth2", func(t *testing.T) {
 		co := toyFleet(t, 4, func(c *Config) { resident(c); c.PipelineDepth = 2 })
-		if co.server.cohorts.beforeWrite != nil {
-			t.Fatal("a depth-2 fleet installed the copy-on-write hook")
+		if co.server.cohorts.beforeWrite == nil {
+			t.Fatal("a depth-2 fleet did not install the copy-on-write hook")
+		}
+		// The server stage writes replicas on its own goroutine; the
+		// wrapped hook records the round of each write as it happens.
+		var mu sync.Mutex
+		written := make(map[int]int)
+		hook := co.server.cohorts.beforeWrite
+		co.server.cohorts.beforeWrite = func(id int) error {
+			mu.Lock()
+			written[id] = int(co.serverRound)
+			mu.Unlock()
+			return hook(id)
 		}
 		ft := tap(co)
-		ft.delivered = func(id int) {
-			if co.follows[id] {
-				t.Errorf("device %d follows its replica at depth 2", id)
+		trained := make(map[int]int)
+		ft.uploaded = func(u Upload) { trained[u.ID] = u.Round }
+		payloads := make(map[int]uint64)
+		ft.delivering = func(_, id int, p Payload) { payloads[id] = payloadDigest(t, p.Enc) }
+		followed, held := 0, 0
+		ft.delivered = func(round, id int) {
+			co.followMu.Lock()
+			follows := co.follows[id]
+			co.followMu.Unlock()
+			mu.Lock()
+			later := written[id] > round || trained[id] > round
+			mu.Unlock()
+			switch {
+			case follows:
+				followed++
+			case !slices.Contains(deviceSlotsHeld(co), id):
+				t.Errorf("round %d: device %d neither follows its replica nor holds a state", round, id)
+			case !later:
+				t.Errorf("round %d: device %d holds its download, yet its replica was not written nor did it train after the round", round, id)
+			default:
+				held++
 			}
-			if held := deviceSlotsHeld(co); !slices.Contains(held, id) {
-				t.Errorf("device %d's download was not installed in its slot", id)
+			if got := dictDigest(deviceState(t, co, id)); got != payloads[id] {
+				t.Errorf("round %d: device %d's state is not the payload it was delivered", round, id)
 			}
 		}
-		if _, err := co.Run(context.Background()); err != nil {
+		hist, err := co.Run(context.Background())
+		if err != nil {
 			t.Fatal(err)
 		}
-		if slices.Contains(co.follows, true) {
-			t.Error("a device follows its replica after a depth-2 run")
+		t.Logf("%d downloads followed the replica, %d were installed", followed, held)
+		if followed == 0 || held == 0 {
+			t.Errorf("want both followed and installed downloads at depth 2: %d followed, %d installed", followed, held)
+		}
+		if held := deviceSlotsHeld(co); len(held) > 0 {
+			t.Errorf("device slots %v hold a state after a sampled depth-2 run", held)
+		}
+		// A trained state rests in its slot until the round's download,
+		// depth+1 rounds on, makes the device follow its replica: the
+		// store holds at most the devices trained within that window.
+		most := mostParticipants(co, hist, co.cfg.PipelineDepth+1)
+		for arch, st := range co.devStore {
+			if st.peak == 0 || st.peak > most[arch] {
+				t.Errorf("%s device store held %d states at once, want 1..%d (the most %s participants of %d consecutive rounds)", arch, st.peak, most[arch], arch, co.cfg.PipelineDepth+1)
+			}
 		}
 	})
 
@@ -374,6 +474,78 @@ func TestDevicesFollowTheirReplicas(t *testing.T) {
 				t.Error("a device does not follow its replica after LoadCheckpoint")
 			}
 		})
+	}
+}
+
+// TestExactModeRacesFollowers: in exact mode (TeachersPerIter 0) with
+// SampleK < N every transfer-back writes every replica, so at depth ≥ 1 the
+// server stage writes the replicas of followers while the local stage
+// materialises devices, over the memory store and over a spill store whose
+// hot set evicts. Every materialisation — of a device right after its
+// download, and of every device at the start of each local phase — must
+// read exactly the device's state: the later of its last delivered
+// payload and its last trained state. The downloads of odd rounds wait
+// until the server has closed the next round, whose transfer-back rewrote
+// every replica: they must be installed, never followed.
+func TestExactModeRacesFollowers(t *testing.T) {
+	const rounds = 6
+	for _, store := range []string{ReplicaStoreMemory, ReplicaStoreSpill} {
+		for _, depth := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/depth%d", store, depth), func(t *testing.T) {
+				co := toyFleet(t, rounds, func(c *Config) {
+					resident(c)
+					c.TeachersPerIter, c.PipelineDepth, c.ReplicaStore = 0, depth, store
+					if store == ReplicaStoreSpill {
+						c.HotSet = 4
+					}
+				})
+				ft := tap(co)
+				closed := make([]chan struct{}, rounds+1)
+				for r := range closed {
+					closed[r] = make(chan struct{})
+				}
+				ft.closing = func(m *fed.RoundMetrics) { close(closed[m.Round]) }
+				want := make(map[int]uint64) // id → digest of the device's state
+				followers := 0
+				follows := func(id int) bool {
+					co.followMu.Lock()
+					defer co.followMu.Unlock()
+					return co.follows[id]
+				}
+				check := func(when string, id int) {
+					if follows(id) {
+						followers++
+					}
+					if got := dictDigest(deviceState(t, co, id)); got != want[id] {
+						t.Errorf("%s: device %d materialises a state that is neither its last download nor its last trained state", when, id)
+					}
+				}
+				ft.starting = func(round int) {
+					for id := range want {
+						check(fmt.Sprintf("round %d start", round), id)
+					}
+				}
+				ft.uploaded = func(u Upload) { want[u.ID] = payloadDigest(t, u.Enc) }
+				ft.delivering = func(round, id int, p Payload) {
+					if round%2 == 1 && round < rounds {
+						<-closed[round+1]
+					}
+					want[id] = payloadDigest(t, p.Enc)
+				}
+				ft.delivered = func(round, id int) {
+					if round%2 == 1 && round < rounds && follows(id) {
+						t.Errorf("round %d: device %d follows a replica the next round rewrote", round, id)
+					}
+					check(fmt.Sprintf("round %d download", round), id)
+				}
+				if _, err := co.Run(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				if followers == 0 {
+					t.Fatal("no materialised device followed its replica: nothing raced")
+				}
+			})
+		}
 	}
 }
 

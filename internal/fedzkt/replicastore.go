@@ -39,16 +39,23 @@ package fedzkt
 // set-ups after a first one in one process, on 2 CPUs, 89 % of the CPU was
 // memclrNoHeapPointers under reserve). A bounded store reserves nothing.
 //
-// A device at rest follows its replica. At PipelineDepth 0 a download is
-// byte for byte the device's server replica, so the device drops its own
-// slot (drop) and, until it trains again, materialises by reading the
-// replica (readInto: a copy into the rig's module, no payload buffer in
-// between). The server store's beforeWrite hook gives a follower its own
-// copy before anything writes its replica — an absorb, a transfer-back
-// checkout (exact mode writes every replica), a checkpoint load — so a
-// participant's state exists once, on the server, between rounds. At
-// depth ≥ 1 the server stage races the device tasks and every download is
-// installed in the device's slot.
+// A device at rest follows its replica. A download is byte for byte the
+// device's server replica as the delivered round left it, so while that
+// replica is unchanged the device drops its own slot (drop) and, until it
+// trains again, materialises by reading the replica (readInto: a copy into
+// the rig's module, no payload buffer in between). The server store's
+// beforeWrite hook gives a follower its own copy before anything writes
+// its replica — an absorb, a transfer-back checkout (exact mode writes
+// every replica), a checkpoint load — so a participant's state exists
+// once, on the server, between rounds. The rule is the same at every
+// pipeline depth: Deliver(r, id) follows iff no server round after r has
+// written replica id yet and device id has completed no task in a round
+// after r; otherwise it installs the download in the device's slot. At
+// depth 0 that is every download; at depth ≥ 1, where the server stage
+// races the device tasks, the hook stamps each write with its server
+// round, and one coordinator mutex orders the hook, Deliver's
+// check-and-follow and a follower's whole readInto, since put rewrites a
+// hot entry's buffer in place.
 //
 // Three properties make the tier invisible to the arithmetic:
 //

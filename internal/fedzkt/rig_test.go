@@ -16,8 +16,17 @@ import (
 // toyFleet builds the bounded-memory regime in miniature: 24 virtual
 // devices of two architectures, 8 sampled per round on two workers, a
 // spill store with a hot set far smaller than the fleet, int8 on the wire
-// and at rest.
+// and at rest. The test's cleanup closes it.
 func toyFleet(t *testing.T, rounds int, mutate func(*Config)) *Coordinator {
+	t.Helper()
+	co := newToyFleet(t, rounds, mutate)
+	t.Cleanup(func() { _ = co.Close() })
+	return co
+}
+
+// newToyFleet is toyFleet without the cleanup, for a test that closes the
+// fleet itself and must not keep it reachable.
+func newToyFleet(t *testing.T, rounds int, mutate func(*Config)) *Coordinator {
 	t.Helper()
 	ds := data.MustMake(data.Config{
 		Name: "toyfleet", Family: data.FamilyDigits, Classes: 4,
@@ -37,7 +46,6 @@ func toyFleet(t *testing.T, rounds int, mutate func(*Config)) *Coordinator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = co.Close() })
 	return co
 }
 

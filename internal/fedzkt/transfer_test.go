@@ -50,7 +50,7 @@ func TestSampledDownloadsCarryTransferBack(t *testing.T) {
 	uploads := make(map[int][]byte)
 	ft.uploaded = func(u Upload) { uploads[u.ID] = bytes.Clone(u.Enc) }
 	same, downloads := 0, 0
-	ft.delivering = func(id int, p Payload) {
+	ft.delivering = func(_, id int, p Payload) {
 		downloads++
 		if bytes.Equal(p.Enc, uploads[id]) {
 			same++
