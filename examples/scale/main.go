@@ -10,12 +10,11 @@
 //
 // With -replica-store spill the server keeps only an LRU hot set of
 // replica slots per architecture resident and spills cold devices to a
-// fixed-stride disk file per architecture, with a prefetcher loading the
-// next iterations' teacher draws while distillation computes — memory
-// bounded by the hot-set size, not the device count. -virtual-devices
-// applies the same treatment to the device side: a device's state at rest
-// is a container in a bounded slot store, and a worker's module holds its
-// state only while it participates. At ≥ 10,000 devices both are enabled
+// fixed-stride disk file per architecture, a checkout loading a cold
+// replica itself — memory bounded by the hot-set size, not the device
+// count. -virtual-devices applies the same treatment to the device side:
+// a device's state at rest is a container in a bounded slot store, and a
+// worker's module holds its state only while it participates. At ≥ 10,000 devices both are enabled
 // wherever their flag is not given (virtual devices only on the
 // synchronous engine with no deadline, the one regime they support), and
 // evaluation is capped to 256 devices, so a million-device federation
@@ -193,7 +192,13 @@ func main() {
 		fmt.Printf("payload buffers: %d built, %d uploads/downloads served by reuse\n", built, reused)
 	}
 	if rss, peak, ok := processRSS(); ok {
-		fmt.Printf("rss: %.0f MB now, %.0f MB peak — bounded by the hot set, not the device count\n", rss, peak)
+		// Only bounded stores on both sides bound RSS; a resident store's
+		// follows the slots the run writes.
+		bound := "follows the slots written, not the device count"
+		if cfg.ReplicaStore == fedzkt.ReplicaStoreSpill && cfg.VirtualDevices {
+			bound = "bounded by the hot set, not the device count"
+		}
+		fmt.Printf("rss: %.0f MB now, %.0f MB peak — %s\n", rss, peak, bound)
 	}
 	fmt.Printf("%d devices × %d rounds in %s — one process, bounded concurrency.\n",
 		*devices, cfg.Rounds, elapsed.Round(time.Millisecond))
@@ -221,9 +226,8 @@ func printStoreStats(name string, st fedzkt.ReplicaStoreStats) {
 		fmt.Printf("%s: mode=%s (fully resident), %d slots hold a state / %.1f MB\n", name, st.Mode, st.HotEntries, float64(st.HotBytes)/1e6)
 		return
 	}
-	fmt.Printf("%s: mode=%s, hot %d slots / %.1f MB, hit rate %.1f%%, prefetch overlap %.1f%% (%d issued, %d loaded)\n",
-		name, st.Mode, st.HotEntries, float64(st.HotBytes)/1e6,
-		100*st.HitRate(), 100*st.PrefetchOverlap(), st.PrefetchIssued, st.PrefetchLoaded)
+	fmt.Printf("%s: mode=%s, hot %d slots / %.1f MB, hit rate %.1f%%\n",
+		name, st.Mode, st.HotEntries, float64(st.HotBytes)/1e6, 100*st.HitRate())
 	fmt.Printf("%s: spill %d records, read %.1f MB / wrote %.1f MB, %d evictions, %d lazy init builds, %d faults\n",
 		name, st.SpillRecords, float64(st.SpillReadBytes)/1e6, float64(st.SpillWriteBytes)/1e6,
 		st.Evictions, st.InitBuilds, st.ReplicaFaults)

@@ -90,7 +90,7 @@ type (
 	// LossKind selects the zero-shot disagreement loss.
 	LossKind = ifedzkt.LossKind
 	// ReplicaStoreStats snapshots the server's replica store: residency,
-	// hot-set hit rate, prefetch overlap and spill traffic.
+	// hot-set hit rate and spill traffic.
 	ReplicaStoreStats = ifedzkt.ReplicaStoreStats
 	// ProcessFlags are the per-process diagnostics flags of the mains
 	// (-chaos, -cpuprofile, -memprofile, -listen-metrics); Config binds

@@ -74,12 +74,11 @@ type RoundMetrics struct {
 	// instead of the process dying. (Not part of Fingerprint: faults are
 	// an abnormal-operation signal, absent in healthy runs.)
 	ReplicaFaults []int
-	// StoreHits, StoreMisses and StorePrefetched count the server replica
-	// store's hot-set lookups this round: hits, cold loads, and cold loads
-	// the prefetcher absorbed. All zero for the in-memory store. (Not part
-	// of Fingerprint: store traffic depends on hot-set sizing and prefetch
-	// timing, which the arithmetic is independent of.)
-	StoreHits, StoreMisses, StorePrefetched int64
+	// StoreHits and StoreMisses count the server replica store's hot-set
+	// lookups this round: hits and cold loads. All zero for the in-memory
+	// store. (Not part of Fingerprint: store traffic depends on hot-set
+	// sizing, which the arithmetic is independent of.)
+	StoreHits, StoreMisses int64
 	// SpillReadBytes and SpillWriteBytes count replica bytes moved between
 	// the hot set and the spill tier this round. (Not fingerprinted, as
 	// above.)

@@ -94,7 +94,6 @@ func ScaleColumns() []Column {
 		Col("dropped", func(_ int, m RoundMetrics) string { return obs.FmtInt(len(m.Dropped)) }),
 		Col("injected", func(_ int, m RoundMetrics) string { return obs.FmtInt(len(m.Injected)) }),
 		Col("store hit", func(_ int, m RoundMetrics) string { return obs.FmtHitPct(m.StoreHits, m.StoreMisses) }),
-		Col("prefetch", func(_ int, m RoundMetrics) string { return fmt.Sprintf("%d", m.StorePrefetched) }),
 		Col("spill r/w MB", func(_ int, m RoundMetrics) string {
 			return obs.FmtMB(m.SpillReadBytes) + "/" + obs.FmtMB(m.SpillWriteBytes)
 		}),

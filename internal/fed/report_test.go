@@ -12,7 +12,7 @@ func TestRoundReportRender(t *testing.T) {
 	ids := func(n int) []int { return make([]int, n) }
 	rows := History{
 		{Round: 1, Active: ids(32), Dropped: ids(1), Injected: ids(1),
-			StoreHits: 90, StoreMisses: 10, StorePrefetched: 8,
+			StoreHits: 90, StoreMisses: 10,
 			SpillReadBytes: 2_000_000, SpillWriteBytes: 1_000_000,
 			LocalElapsed: 120 * time.Millisecond, ServerElapsed: 300 * time.Millisecond,
 			Elapsed: 430 * time.Millisecond},

@@ -64,7 +64,6 @@ func accountingRun(t *testing.T, depth int) {
 		}
 		sum.StoreHits += m.StoreHits
 		sum.StoreMisses += m.StoreMisses
-		sum.StorePrefetched += m.StorePrefetched
 		sum.SpillReadBytes += m.SpillReadBytes
 		sum.SpillWriteBytes += m.SpillWriteBytes
 		sum.Absorbed += m.Absorbed
@@ -81,9 +80,6 @@ func accountingRun(t *testing.T, depth int) {
 	if sum.StoreHits != st.Hits || sum.StoreMisses != st.Misses {
 		t.Fatalf("per-round hit/miss sums %d/%d != cumulative store stats %d/%d",
 			sum.StoreHits, sum.StoreMisses, st.Hits, st.Misses)
-	}
-	if sum.StorePrefetched != st.PrefetchHits {
-		t.Fatalf("per-round prefetch sum %d != cumulative %d", sum.StorePrefetched, st.PrefetchHits)
 	}
 	if sum.SpillReadBytes != st.SpillReadBytes || sum.SpillWriteBytes != st.SpillWriteBytes {
 		t.Fatalf("per-round spill byte sums %d/%d != cumulative %d/%d",

@@ -217,13 +217,8 @@ type cohortSet struct {
 	faults    []int
 	faultErrs []string
 
-	// The replica prefetcher: a single goroutine draining batches of
-	// device ids and warming their cohort hot sets, started with the first
-	// spill-backed cohort (nil channel: every slot is always hot).
-	prefetchCh chan prefetchBatch
-	prefetchWG sync.WaitGroup
-	closeOnce  sync.Once
-	closeErr   error
+	closeOnce sync.Once
+	closeErr  error
 }
 
 func newCohortSet(o cohortOptions) *cohortSet {
@@ -262,9 +257,6 @@ func (cs *cohortSet) cohortFor(arch string, sig *archSig, build func() (nn.Modul
 	if cs.spillDir != "" {
 		path = filepath.Join(cs.spillDir, "replica-"+arch+".spill")
 		capFn = func() int { return cs.hotCap(c) }
-		if cs.prefetchCh == nil {
-			cs.startPrefetcher()
-		}
 	}
 	c.slots = newSlotStore(cs.codec, sig, path, capFn, init, &cs.counters)
 	cs.byArch[arch] = c
@@ -572,73 +564,9 @@ func compactLeases(leases []*replicaLease) []*replicaLease {
 	return leases
 }
 
-// prefetch hints that ids will be checked out soon, warming their cohort
-// hot sets on the background prefetcher goroutine. A no-op where there is
-// none (the memory store); hints are dropped (never blocking) when the
-// prefetcher is saturated. Prefetch loads only ever insert entries — they never mutate
-// a resident buffer — so a hint can race any phase safely, and values
-// (hence fingerprints) are identical with prefetching on or off.
-func (cs *cohortSet) prefetch(ids []int) {
-	if cs.prefetchCh == nil || len(ids) == 0 {
-		return
-	}
-	batch := append([]int(nil), ids...)
-	select {
-	case cs.prefetchCh <- prefetchBatch{ids: batch}:
-		cs.counters.prefetchIssued.Add(int64(len(batch)))
-	default:
-	}
-}
-
-// prefetchBatch is one unit of prefetcher work: device ids to warm, or —
-// when done is non-nil — a quiesce barrier the prefetcher closes once
-// every batch enqueued before it has been fully processed.
-type prefetchBatch struct {
-	ids  []int
-	done chan struct{}
-}
-
-func (cs *cohortSet) startPrefetcher() {
-	cs.prefetchCh = make(chan prefetchBatch, 64)
-	cs.prefetchWG.Add(1)
-	go func() {
-		defer cs.prefetchWG.Done()
-		for batch := range cs.prefetchCh {
-			for _, id := range batch.ids {
-				ref, err := cs.ref(id)
-				if err != nil {
-					continue
-				}
-				ref.cohort.slots.prefetch(ref.member.local)
-			}
-			if batch.done != nil {
-				close(batch.done)
-			}
-		}
-	}()
-}
-
-// quiescePrefetch blocks until every prefetch hint issued before the call
-// has been fully processed. Round-boundary accounting snapshots need this:
-// a hint drained after the snapshot would add spill reads to the
-// cumulative counters that no round's delta ever reports, so per-round
-// sums would stop adding up to the totals.
-func (cs *cohortSet) quiescePrefetch() {
-	if cs.prefetchCh == nil {
-		return
-	}
-	done := make(chan struct{})
-	cs.prefetchCh <- prefetchBatch{done: done}
-	<-done
-}
-
-// close stops the prefetcher and releases every spill file. Idempotent.
+// close releases every spill file. Idempotent.
 func (cs *cohortSet) close() error {
 	cs.closeOnce.Do(func() {
-		if cs.prefetchCh != nil {
-			close(cs.prefetchCh)
-			cs.prefetchWG.Wait()
-		}
 		for _, c := range cs.cohorts {
 			if err := c.slots.close(); err != nil && cs.closeErr == nil {
 				cs.closeErr = err

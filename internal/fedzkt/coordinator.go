@@ -613,9 +613,9 @@ func (c *Coordinator) DeviceRigStats() (builds, reuses int64) {
 	return c.rigs.builds.Load(), c.rigs.reuses.Load()
 }
 
-// Close releases the server (spill files, prefetcher) and the device
-// stores, and detaches the server's beforeWrite hook: the process-wide
-// metrics registry keeps the server reachable until the next federation
+// Close releases the server (its spill files) and the device stores, and
+// detaches the server's beforeWrite hook: the process-wide metrics
+// registry keeps the server reachable until the next federation
 // registers, and through the hook it would keep every device store too.
 // Idempotent.
 func (c *Coordinator) Close() error {

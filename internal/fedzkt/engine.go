@@ -498,19 +498,14 @@ func (e *Engine) evaluate(m *fed.RoundMetrics) (err error) {
 // finishRoundStats folds the round's replica-store activity into its
 // metrics: the delta of the server store's counters since the last round
 // boundary, plus the drained replica-fault ids. None of these fields are
-// fingerprinted — store traffic depends on hot-set sizing and prefetch
-// timing, which the arithmetic is independent of by construction.
+// fingerprinted — store traffic depends on hot-set sizing, which the
+// arithmetic is independent of by construction.
 func (e *Engine) finishRoundStats(m *fed.RoundMetrics) {
-	// Drain in-flight prefetch hints first: a hint processed after this
-	// snapshot would add reads to the cumulative counters that no round's
-	// delta reports, and the per-round sums would drift from the totals.
-	e.server.cohorts.quiescePrefetch()
 	st := e.server.ReplicaStoreStats()
 	d := st.Sub(e.prevStore)
 	e.prevStore = st
 	m.StoreHits = d.Hits
 	m.StoreMisses = d.Misses
-	m.StorePrefetched = d.PrefetchHits
 	m.SpillReadBytes = d.SpillReadBytes
 	m.SpillWriteBytes = d.SpillWriteBytes
 	m.ReplicaFaults = e.server.TakeReplicaFaults()

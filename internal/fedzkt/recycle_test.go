@@ -5,6 +5,7 @@ package fedzkt
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -72,27 +73,35 @@ func (rs *recycleStore) putVersion(t *testing.T, i int, v byte) {
 // its virgin rebuild), whole.
 func (rs *recycleStore) check(t *testing.T, step, i int) {
 	t.Helper()
+	if err := rs.verify(i); err != nil {
+		t.Fatalf("step %d: %v", step, err)
+	}
+}
+
+// verify is check's test, safe off the test goroutine.
+func (rs *recycleStore) verify(i int) error {
 	held, err := rs.read(i, func(enc []byte) error {
 		if len(enc) != recLen {
-			t.Fatalf("step %d: slot %d reads %d bytes, want %d", step, i, len(enc), recLen)
+			return fmt.Errorf("slot %d reads %d bytes, want %d", i, len(enc), recLen)
 		}
 		for _, b := range enc {
 			if b != rs.want[i] {
-				t.Fatalf("step %d: slot %d reads byte %#x, want %#x (0xff is an evicted buffer's poison)", step, i, b, rs.want[i])
+				return fmt.Errorf("slot %d reads byte %#x, want %#x (0xff is an evicted buffer's poison)", i, b, rs.want[i])
 			}
 		}
 		return nil
 	})
-	if err != nil || !held {
-		t.Fatalf("step %d: read slot %d: held %v, err %v", step, i, held, err)
+	if err == nil && !held {
+		err = fmt.Errorf("slot %d holds no state", i)
 	}
+	return err
 }
 
-// TestTieredSlotsRecycleBounded: over a random walk of puts, reads and
-// prefetches on a bound-2 store whose evicted buffers are poisoned and
-// reused, every read sees the bytes last put (or the virgin rebuild), no
-// two buffers the store holds share storage, and the store builds at most
-// the bound plus the loads in flight however long it runs.
+// TestTieredSlotsRecycleBounded: over a random walk of puts and reads on
+// a bound-2 store whose evicted buffers are poisoned and reused, every
+// read sees the bytes last put (or the virgin rebuild), no two buffers the
+// store holds share storage, and the store builds at most the bound plus
+// the loads in flight however long it runs.
 func TestTieredSlotsRecycleBounded(t *testing.T) {
 	rs := newRecycleStore(t)
 	// The detector itself: bytes kept past their entry's eviction read as
@@ -111,9 +120,9 @@ func TestTieredSlotsRecycleBounded(t *testing.T) {
 	// …while a read in progress pins its entry: evicted under the reader,
 	// the buffer is neither poisoned nor refilled until the reader returns.
 	_, err := rs.read(3, func(enc []byte) error {
-		rs.prefetch(0)
-		rs.prefetch(1)
-		rs.prefetch(4) // three loads through a hot set of 2: slot 3 is out
+		rs.check(t, -1, 0)
+		rs.check(t, -1, 1)
+		rs.check(t, -1, 4) // three loads through a hot set of 2: slot 3 is out
 		if _, hot := rs.hot[3]; hot {
 			t.Fatal("slot 3 is still hot: the pinned-eviction case did not arise")
 		}
@@ -136,7 +145,7 @@ func TestTieredSlotsRecycleBounded(t *testing.T) {
 		case 1:
 			rs.check(t, step, i)
 		case 2:
-			rs.prefetch(i)
+			rs.check(t, step, (i+1)%recycleMembers)
 		}
 		owners := make(map[*byte]int)
 		for _, e := range rs.hot {
@@ -162,37 +171,43 @@ func TestTieredSlotsRecycleBounded(t *testing.T) {
 	}
 }
 
-// TestTieredSlotsPrefetchRace: the prefetcher loads, evicts and thereby
-// recycles buffers on its own goroutine while reads and puts go on; a read
-// still sees exactly what was last put, and -race sees no write to a
-// buffer a reader has pinned.
-func TestTieredSlotsPrefetchRace(t *testing.T) {
+// TestTieredSlotsReadRace: two goroutines load, evict and thereby
+// recycle each other's buffers on a bound-2 store — a second goroutine
+// reads slots 3 and 4 while the test goroutine puts and reads slots 0–2 —
+// and a read still sees exactly what was last put, and -race sees no write
+// to a buffer a reader has pinned. Callers serialise access per slot, so
+// the two sides keep to their own slots.
+func TestTieredSlotsReadRace(t *testing.T) {
 	rs := newRecycleStore(t)
-	stop := make(chan struct{})
+	stop, started := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		rng := tensor.NewRand(9)
-		for {
+		for i := 0; ; i++ {
+			err := rs.verify(3 + i%2)
+			if i == 0 {
+				close(started)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			select {
 			case <-stop:
 				return
 			default:
-				rs.prefetch(rng.IntN(recycleMembers))
 			}
 		}
 	}()
 	defer func() {
 		close(stop)
 		wg.Wait()
-		if rs.counters.prefetchLoaded.Load() == 0 {
-			t.Error("the prefetcher never loaded a slot")
-		}
 	}()
+	<-started
 	rng := tensor.NewRand(11)
 	for step := 0; step < 4000; step++ {
-		i := rng.IntN(recycleMembers)
+		i := rng.IntN(3)
 		if rng.IntN(2) == 0 {
 			rs.putVersion(t, i, byte(16+step%200))
 		} else {

@@ -57,7 +57,7 @@ package fedzkt
 // check-and-follow and a follower's whole readInto, since put rewrites a
 // hot entry's buffer in place.
 //
-// Three properties make the tier invisible to the arithmetic:
+// Two properties make the tier invisible to the arithmetic:
 //
 //   - byte identity: a slot holds exactly the container the configured
 //     codec produces, the spill round trip is a verbatim byte copy and the
@@ -74,14 +74,12 @@ package fedzkt
 //     registration seed (init). That is what makes million-device
 //     registration O(1) per device in both memory and disk, and a resident
 //     fleet's RSS follow the slots it writes.
-//   - perfect prefetch: teacher draws come from a seeded, replayable
-//     sampling stream and transfer-back windows are a pure function of
-//     (round, iteration, the round's absorbed set), all known before the
-//     server phase starts, so the store can load the next iteration's
-//     members while the current one computes. Prefetch loads take the
-//     same per-cohort lock as checkouts — the overlap won is against
-//     distillation compute (which holds no store locks), not against
-//     other store traffic — and never touch an existing entry's buffer.
+//
+// A checkout loads a cold slot itself, on the goroutine that needs it.
+// Loading the next teacher draw ahead on a goroutine of its own moved no
+// end-to-end metric on fleet1k_spill beyond noise and read more spill
+// bytes per round (2.67 MB against 2.43, in 6 of 6 traced pairs): it
+// loaded records that were evicted before any checkout read them.
 //
 // One ownership rule makes a hot set free of garbage: entry bytes are
 // lent, never handed over. No method returns an entry's buffer; a reader
@@ -94,9 +92,10 @@ package fedzkt
 // spare always fits, and hot + spare never exceeds the buffers ever
 // reserved or built: a buffer per slot for an unbounded store, the hot-set
 // bound plus what was in flight for a bounded one. The function runs
-// outside the store's lock — a decode held under it cost the prefetcher
-// 0.005 of fedzkt.store_prefetch_overlap on fleet1k_spill, in 10 of 10
-// pairs.
+// outside the store's lock, because a store has readers on more than one
+// goroutine: device tasks reading the replicas they follow (at depth ≥ 1
+// alongside the server stage's checkouts), and the depth-0 device
+// evaluation fan-out, whose workers each read a device's state.
 
 import (
 	"fmt"
@@ -122,18 +121,15 @@ const (
 )
 
 // storeCounters aggregates slot-store traffic across every cohort of one
-// server. All fields are monotonic and safe for concurrent update (the
-// prefetch goroutine races the checkout path by design); the server's are
-// registered as they are (register), so a scrape reads them without
-// touching a store.
+// server. All fields are monotonic and safe for concurrent update
+// (checkouts and follower reads of distinct slots run concurrently); the
+// server's are registered as they are (register), so a scrape reads them
+// without touching a store.
 type storeCounters struct {
-	hits, misses   obs.Counter
-	prefetchIssued obs.Counter // ids handed to the prefetcher
-	prefetchLoaded obs.Counter // loads the prefetcher performed
-	prefetchHits   obs.Counter // checkout hits served by a prefetched entry
-	initBuilds     obs.Counter // virgin slots rebuilt from their registration seed
-	evictions      obs.Counter
-	replicaFaults  obs.Counter
+	hits, misses  obs.Counter
+	initBuilds    obs.Counter // virgin slots rebuilt from their registration seed
+	evictions     obs.Counter
+	replicaFaults obs.Counter
 	// buffersBuilt and buffersReused count slots becoming hot in a buffer
 	// started from nothing vs in one an eviction vacated.
 	buffersBuilt, buffersReused obs.Counter
@@ -143,8 +139,6 @@ type storeCounters struct {
 func (c *storeCounters) register(reg *obs.Registry) {
 	reg.RegisterCounter("fedzkt_store_hits_total", "replica-store hot-set hits", &c.hits)
 	reg.RegisterCounter("fedzkt_store_misses_total", "replica-store cold loads", &c.misses)
-	reg.RegisterCounter("fedzkt_store_prefetch_issued_total", "replica prefetches issued", &c.prefetchIssued)
-	reg.RegisterCounter("fedzkt_store_prefetch_loaded_total", "replica prefetches loaded before use", &c.prefetchLoaded)
 	reg.RegisterCounter("fedzkt_store_evictions_total", "hot-set evictions to the spill tier", &c.evictions)
 	registerStoreBuffers(reg, c)
 }
@@ -175,7 +169,6 @@ func (c *storeCounters) snapshot(mode string) ReplicaStoreStats {
 	return ReplicaStoreStats{
 		Mode: mode,
 		Hits: c.hits.Load(), Misses: c.misses.Load(),
-		PrefetchIssued: c.prefetchIssued.Load(), PrefetchLoaded: c.prefetchLoaded.Load(), PrefetchHits: c.prefetchHits.Load(),
 		InitBuilds: c.initBuilds.Load(), Evictions: c.evictions.Load(),
 		BuffersBuilt: c.buffersBuilt.Load(), BuffersReused: c.buffersReused.Load(),
 		ReplicaFaults: c.replicaFaults.Load(),
@@ -183,10 +176,10 @@ func (c *storeCounters) snapshot(mode string) ReplicaStoreStats {
 }
 
 // ReplicaStoreStats is a point-in-time snapshot of the server's replica
-// store: residency, hot-set effectiveness, prefetch overlap and spill
-// traffic. The memory store keeps every slot that holds a state resident:
-// it never evicts or touches a file, and misses only to rebuild a virgin
-// slot under a lossy codec.
+// store: residency, hot-set effectiveness and spill traffic. The memory
+// store keeps every slot that holds a state resident: it never evicts or
+// touches a file, and misses only to rebuild a virgin slot under a lossy
+// codec.
 type ReplicaStoreStats struct {
 	// Mode is the store mode in effect ("memory" or "spill").
 	Mode string
@@ -198,10 +191,6 @@ type ReplicaStoreStats struct {
 	// Hits and Misses count checkout lookups served from the hot set vs
 	// loaded (from spill or a virgin rebuild).
 	Hits, Misses int64
-	// PrefetchIssued, PrefetchLoaded and PrefetchHits describe the
-	// prefetcher: ids it was asked to warm, loads it actually performed,
-	// and checkout lookups that found an entry it loaded.
-	PrefetchIssued, PrefetchLoaded, PrefetchHits int64
 	// InitBuilds counts virgin slots materialised from their registration
 	// seed (never stored anywhere until first written).
 	InitBuilds int64
@@ -231,16 +220,11 @@ func (s ReplicaStoreStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// PrefetchOverlap returns the fraction of would-be cold lookups the
-// prefetcher absorbed: prefetched hits over prefetched hits plus misses
-// (0 when nothing was cold).
-func (s ReplicaStoreStats) PrefetchOverlap() float64 {
-	total := s.PrefetchHits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.PrefetchHits) / float64(total)
-}
+// PrefetchOverlap returns 0.
+//
+// Deprecated: the store has no prefetcher; a checkout loads its own cold
+// slots. Kept for callers that still report the share.
+func (s ReplicaStoreStats) PrefetchOverlap() float64 { return 0 }
 
 // Sub returns the per-round delta between two snapshots of the same
 // store (monotonic counters subtract; residency fields keep s's values).
@@ -248,9 +232,6 @@ func (s ReplicaStoreStats) Sub(prev ReplicaStoreStats) ReplicaStoreStats {
 	d := s
 	d.Hits -= prev.Hits
 	d.Misses -= prev.Misses
-	d.PrefetchIssued -= prev.PrefetchIssued
-	d.PrefetchLoaded -= prev.PrefetchLoaded
-	d.PrefetchHits -= prev.PrefetchHits
 	d.InitBuilds -= prev.InitBuilds
 	d.Evictions -= prev.Evictions
 	d.BuffersBuilt -= prev.BuffersBuilt
@@ -281,7 +262,6 @@ type hotEntry struct {
 	enc        []byte
 	pins       int  // reads in progress on enc
 	dirty      bool // differs from (or absent in) the spill record
-	prefetched bool // loaded by the prefetcher, not yet hit
 	prev, next *hotEntry
 }
 
@@ -290,10 +270,10 @@ type hotEntry struct {
 // when bounded — the spill file (created lazily at first eviction).
 // Callers validate layouts against the architecture signature first and
 // serialise access per slot; distinct slots may be used concurrently. All
-// access to the store's own structures is serialised by mu; the prefetcher
-// performs its loads under the same lock, so record reads can never race
-// an eviction's write of the same slot, and a reader pins its entry
-// (read), so it can never race the reuse of an evicted buffer.
+// access to the store's own structures is serialised by mu; cold loads run
+// under the same lock, so record reads can never race an eviction's write
+// of the same slot, and a reader pins its entry (read), so it can never
+// race the reuse of an evicted buffer.
 type slotStore struct {
 	mu       sync.Mutex
 	hot      map[int]*hotEntry
@@ -527,10 +507,6 @@ func (ts *slotStore) pin(local int) (*hotEntry, error) {
 	switch {
 	case ok:
 		ts.counters.hits.Add(1)
-		if e.prefetched {
-			e.prefetched = false
-			ts.counters.prefetchHits.Add(1)
-		}
 		ts.touch(e)
 	case !ts.loadable(local):
 		return nil, nil
@@ -569,7 +545,6 @@ func (ts *slotStore) put(local int, fill func(buf []byte) ([]byte, error)) error
 	}
 	e.enc = enc
 	e.dirty = true
-	e.prefetched = false
 	if ok {
 		ts.touch(e)
 		return ts.evictOver()
@@ -683,23 +658,6 @@ func (ts *slotStore) release(i int, from *replicaSlot, writable bool) error {
 		return nil
 	}
 	return ts.installDict(i, from.sd)
-}
-
-// prefetch warms member local if it is cold, on the prefetcher's
-// goroutine. Load errors are ignored here — the corresponding checkout
-// will rediscover them on its own path and degrade there.
-func (ts *slotStore) prefetch(local int) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if _, ok := ts.hot[local]; ok || !ts.loadable(local) {
-		return
-	}
-	enc, err := ts.load(local)
-	if err != nil {
-		return
-	}
-	ts.counters.prefetchLoaded.Add(1)
-	_ = ts.insert(&hotEntry{local: local, enc: enc, prefetched: true})
 }
 
 // virgin reports whether member local has neither a hot entry nor a

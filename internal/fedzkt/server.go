@@ -157,9 +157,9 @@ func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 // to dst — the defined content of a virgin slot, bit-identical to what eager
 // registration would have stored — rebuilt on the slot's first touch. One
 // cached module per architecture is re-seeded in place for every such
-// rebuild (a checkout, a payload read and the prefetcher reach here
-// concurrently, hence the lock, held until the module's tensors have been
-// encoded).
+// rebuild (checkouts on the server's fan-outs and payload reads for
+// downloads reach here concurrently, hence the lock, held until the
+// module's tensors have been encoded).
 func (s *Server) seededSlot(arch string, id int, dst []byte) ([]byte, error) {
 	s.seedMu.Lock()
 	defer s.seedMu.Unlock()
@@ -186,9 +186,8 @@ func (s *Server) reseed(m nn.Module, id int) error {
 	return model.Reinit(m, tensor.NewRand(fed.DeviceSeed(s.cfg.Seed, id)))
 }
 
-// Close stops the replica prefetcher and releases the spill store's files
-// (removing the spill directory when the server created it). A no-op for
-// the memory store. Idempotent.
+// Close releases the spill store's files (removing the spill directory
+// when the server created it). A no-op for the memory store. Idempotent.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.closeErr = s.cohorts.close()
@@ -233,9 +232,9 @@ func (s *Server) Codec() codec.Codec { return s.codec }
 // bounds; live pooled modules are accounted separately via LiveReplicas.
 func (s *Server) ResidentStateBytes() int64 { return s.cohorts.storeStats().HotBytes }
 
-// ReplicaStoreStats snapshots the replica store: residency, hot-set
-// hit rate, prefetch overlap and spill traffic. Counters are cumulative;
-// callers diff snapshots (ReplicaStoreStats.Sub) for per-round deltas.
+// ReplicaStoreStats snapshots the replica store: residency, hot-set hit
+// rate and spill traffic. Counters are cumulative; callers diff snapshots
+// (ReplicaStoreStats.Sub) for per-round deltas.
 func (s *Server) ReplicaStoreStats() ReplicaStoreStats { return s.cohorts.storeStats() }
 
 // TakeReplicaFaults drains the ids of members dropped from distillation
@@ -442,25 +441,15 @@ func (s *Server) teacherSampler(t int) sched.Sampler {
 // adversarialPhase is the first half of Algorithm 3: alternating generator
 // (max) and global model (min) steps on the disagreement loss over the
 // frozen teacher ensemble — the full ensemble in exact mode, a freshly
-// sampled T-subset per iteration in sampled mode. In sampled mode the
-// teacher draw comes from a replayable sample stream, so the next
-// iteration's subset is known in advance and handed to the replica
-// prefetcher while the current iteration computes.
+// sampled T-subset per iteration in sampled mode.
 func (s *Server) adversarialPhase(ctx context.Context, round int) (float64, error) {
 	cfg := s.cfg
 	rng := tensor.NewRand(cfg.Seed ^ (uint64(round)<<24 + 0xADE))
 
 	t := s.teachersPerIter()
-	var stream *sched.SampleStream
-	if t > 0 {
-		// The teacher draw uses its own stream so the generator's z draws
-		// stay on the same sequence as the exact mode. Peeking only
-		// materialises draws the loop would make anyway, so the sequence —
-		// hence the fingerprint — is identical with prefetching on or off.
-		teacherRNG := tensor.NewRand(cfg.Seed ^ (uint64(round)<<24 + 0x7EAC))
-		stream = sched.NewSampleStream(s.teacherSampler(t), s.cohorts.numDevices(), teacherRNG)
-		s.cohorts.prefetch(stream.Peek(0))
-	}
+	// Sampled mode draws teachers on their own RNG, so the generator's z
+	// draws stay on the same sequence as in exact mode.
+	teacherRNG := tensor.NewRand(cfg.Seed ^ (uint64(round)<<24 + 0x7EAC))
 
 	// Teachers are fixed functions this round: frozen and in eval mode.
 	// In exact mode the whole ensemble stays resident for the phase, as in
@@ -484,11 +473,7 @@ func (s *Server) adversarialPhase(ctx context.Context, round int) (float64, erro
 		iterSpan := tracer().Begin("distill", "distill_iteration").WithRound(round).WithTID(it)
 		teachers := phaseLeases
 		if t > 0 {
-			ids := stream.Next()
-			// Warm the next iteration's subset while this one computes.
-			// The final iteration peeks one draw past the phase, which only
-			// advances the phase-local teacher RNG.
-			s.cohorts.prefetch(stream.Peek(0))
+			ids := s.teacherSampler(t).Sample(s.cohorts.numDevices(), teacherRNG)
 			teachers = compactLeases(s.cohorts.checkout(ids, false, false))
 		}
 
@@ -587,10 +572,7 @@ func (s *Server) teacherOuts(x *ag.Variable, teachers []*replicaLease) []*ag.Var
 // next upload before it was ever read. The window start advances with the
 // absolute iteration index across rounds (not just within one round), so
 // when a round's DistillIters × t budget is smaller than P, coverage
-// rotates over the participants from round to round. The window is a pure
-// function of (round, it, participants), all known before Distill starts,
-// which is what lets the replica prefetcher warm the next iteration's
-// window during the current one.
+// rotates over the participants from round to round.
 func (s *Server) transferBackIDs(round, it, t int, participants []int) []int {
 	p := len(participants)
 	start := (((round-1)*s.cfg.DistillIters + it) * t) % p
@@ -640,8 +622,6 @@ func (s *Server) transferBackPhase(ctx context.Context, round int, participants 
 				err = rerr
 			}
 		}()
-	} else {
-		s.cohorts.prefetch(s.transferBackIDs(round, 0, t, participants))
 	}
 
 	for it := 0; it < cfg.DistillIters; it++ {
@@ -660,12 +640,6 @@ func (s *Server) transferBackPhase(ctx context.Context, round int, participants 
 
 		batch := phaseLeases
 		if t > 0 {
-			if it+1 < cfg.DistillIters {
-				// The next window is a pure function of (round, it,
-				// participants), so it can warm while this iteration's
-				// replica steps run.
-				s.cohorts.prefetch(s.transferBackIDs(round, it+1, t, participants))
-			}
 			batch = compactLeases(s.cohorts.checkout(s.transferBackIDs(round, it, t, participants), true, true))
 		}
 
@@ -723,8 +697,7 @@ func (s *Server) EvaluateGlobal(ds *data.Dataset) float64 {
 // distilled replica rather than their stale local model).
 //
 // Replicas are checked out into pooled live modules in bounded chunks of
-// workers (0 = GOMAXPROCS) and evaluated concurrently within a chunk —
-// with the next chunk prefetching from the spill store meanwhile — so
+// workers (0 = GOMAXPROCS) and evaluated concurrently within a chunk, so
 // the cohort pools never grow beyond the chunk size on account of
 // evaluation. Accuracy depends only on the stored states, so the result
 // is identical for any worker count. A member whose replica fails to load
@@ -739,9 +712,6 @@ func (s *Server) EvaluateReplicaSubset(ds *data.Dataset, batchSize, workers int,
 	s.ensureWorkerArenas(sched.EffectiveWorkers(chunk, workers))
 	for lo := 0; lo < n; lo += chunk {
 		hi := min(lo+chunk, n)
-		if hi < n {
-			s.cohorts.prefetch(ids[hi:min(hi+chunk, n)])
-		}
 		leases := s.cohorts.checkout(ids[lo:hi], false, false)
 		sched.ForEachWorker(hi-lo, workers, func(i, w int) {
 			if leases[i] == nil {

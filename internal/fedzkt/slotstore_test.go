@@ -236,7 +236,7 @@ func TestSlotStoreContract(t *testing.T) {
 
 	// HotBytes is a running sum (stats are read on the lock checkouts
 	// need): after any sequence of installs, rewrites to another length,
-	// virgin rebuilds, cold loads, prefetches and evictions it equals the
+	// virgin rebuilds, cold loads, drops and evictions it equals the
 	// walk over the resident entries it replaced, bounded or not.
 	cdc, err := codec.Get(codec.Int8)
 	if err != nil {
@@ -261,7 +261,7 @@ func TestSlotStoreContract(t *testing.T) {
 						t.Fatal(err)
 					}
 				case 2:
-					ts.prefetch(i)
+					ts.drop(i)
 				}
 				var st ReplicaStoreStats
 				ts.addStats(&st)

@@ -56,8 +56,8 @@ func TestSpillStoreFingerprintGolden(t *testing.T) {
 }
 
 // TestSpillStoreFingerprintSampledTeachers: the same identity must hold
-// in sampled-teacher mode, where the prefetcher is actually exercised
-// (teacher draws come from the replayable sampling stream).
+// in sampled-teacher mode, where every iteration's teacher draw checks out
+// a fresh subset, loading the cold ones into a hot set of 2 per cohort.
 func TestSpillStoreFingerprintSampledTeachers(t *testing.T) {
 	sampled := func(c *Config) {
 		c.DistillIters = 4
@@ -260,15 +260,9 @@ func TestReplicaStoreStatsMath(t *testing.T) {
 	if got := idle.HitRate(); got != 1 {
 		t.Fatalf("idle HitRate=%v, want 1", got)
 	}
-	if got := idle.PrefetchOverlap(); got != 0 {
-		t.Fatalf("idle PrefetchOverlap=%v, want 0", got)
-	}
-	st := ReplicaStoreStats{Hits: 6, Misses: 2, PrefetchHits: 6}
+	st := ReplicaStoreStats{Hits: 6, Misses: 2}
 	if got := st.HitRate(); got != 0.75 {
 		t.Fatalf("HitRate=%v, want 0.75", got)
-	}
-	if got := st.PrefetchOverlap(); got != 0.75 {
-		t.Fatalf("PrefetchOverlap=%v, want 0.75", got)
 	}
 	d := ReplicaStoreStats{Hits: 10, Misses: 5, Evictions: 3}.Sub(ReplicaStoreStats{Hits: 4, Misses: 5, Evictions: 1})
 	if d.Hits != 6 || d.Misses != 0 || d.Evictions != 2 {
