@@ -1,9 +1,9 @@
 // Distributed: the same federation as quickstart, but over real TCP
 // sockets — the server and three devices exchange length-prefixed binary
 // frames exactly as the cmd/fedzkt-server and cmd/fedzkt-device binaries
-// do across machines. Only architecture announcements and model
-// parameters cross the wire; the synthetic data is reconstructed locally
-// from the seed in the assignment.
+// do across machines. Only architecture announcements and trained model
+// parameters cross the wire; the synthetic data and every initial model
+// are reconstructed from the seeds in the assignment.
 //
 // The run uses the fault-tolerant session options: rounds close on a
 // quorum of uploads instead of waiting for every device, an upload

@@ -4,7 +4,11 @@ import (
 	"flag"
 	"io"
 	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -133,6 +137,82 @@ func TestFlagsCoverConfig(t *testing.T) {
 	}
 	if got := typ.NumField(); got != 36 {
 		t.Errorf("Config has %d fields, want 36: a knob was added or removed without updating this count", got)
+	}
+}
+
+// TestReadmeFlagTable: README "Flags" has a row for every flag, naming
+// the Config field the flag binds and the group that binds it — sizing
+// (BindSizingFlags), shared (BindFlags) or process (ProcessFlags.Bind) —
+// and no row for a flag nothing binds.
+func TestReadmeFlagTable(t *testing.T) {
+	type row struct{ field, group string }
+	var c Config
+	var p ProcessFlags
+	fieldAt := map[uintptr]string{}
+	cv := reflect.ValueOf(&c).Elem()
+	for i := 0; i < cv.NumField(); i++ {
+		fieldAt[cv.Field(i).Addr().Pointer()] = cv.Type().Field(i).Name
+	}
+	want := map[string]row{}
+	for _, g := range []struct {
+		name string
+		bind func(*flag.FlagSet)
+	}{{"sizing", c.BindSizingFlags}, {"shared", c.BindFlags}, {"process", p.Bind}} {
+		fs := flag.NewFlagSet(g.name, flag.ContinueOnError)
+		g.bind(fs)
+		fs.VisitAll(func(f *flag.Flag) {
+			field, ok := fieldAt[reflect.ValueOf(f.Value).Pointer()]
+			if !ok {
+				field = "—" // not a Config field: a process flag
+			}
+			want[f.Name] = row{field, g.name}
+		})
+	}
+
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(readme), "\n")
+	start := slices.Index(lines, "| `Config` field | flag | |")
+	if start < 0 || start+2 > len(lines) {
+		t.Fatal("README has no \"| `Config` field | flag | |\" table")
+	}
+	flagName := regexp.MustCompile("`-([a-z0-9-]+)`")
+	got := map[string]row{}
+	for _, line := range lines[start+2:] {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		if len(cells) != 3 {
+			t.Errorf("README flag table row %q has %d cells, want 3", line, len(cells))
+			continue
+		}
+		r := row{strings.Trim(strings.TrimSpace(cells[0]), "`"), strings.TrimSpace(cells[2])}
+		names := flagName.FindAllStringSubmatch(cells[1], -1)
+		if len(names) == 0 {
+			t.Errorf("README flag table row %q names no flag", line)
+		}
+		for _, m := range names {
+			if _, dup := got[m[1]]; dup {
+				t.Errorf("README lists -%s twice", m[1])
+			}
+			got[m[1]] = r
+		}
+	}
+	for name, r := range got {
+		switch w, ok := want[name]; {
+		case !ok:
+			t.Errorf("README lists -%s, which no Bind method binds", name)
+		case r != w:
+			t.Errorf("README lists -%s as %s/%s, but it binds %s in the %s group", name, r.field, r.group, w.field, w.group)
+		}
+	}
+	for name, w := range want {
+		if _, ok := got[name]; !ok {
+			t.Errorf("-%s (%s, %s) is bound but README \"Flags\" has no row for it", name, w.field, w.group)
+		}
 	}
 }
 

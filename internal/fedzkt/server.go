@@ -245,13 +245,15 @@ func (s *Server) TakeReplicaFaults() []int { return s.cohorts.takeFaults() }
 
 // Register adds a device with the given architecture and initial state,
 // returning its assigned id. The server files the device into its
-// architecture cohort; given initial parameters it validates them against
-// the architecture and stores their encoding, building no module. With a
-// nil initial state the replica keeps a seeded random initialisation, and
-// the slot is virgin: no module is built and nothing is written until the
-// slot is first used — the memory store reserves the slot's buffer, the
-// spill store nothing — and a read reconstructs the seeded state, in any
-// store and under any codec.
+// architecture cohort. With a nil initial state — what every caller
+// outside bench/ passes: the coordinator, and the transport at a Hello —
+// the replica is the device's seeded initialisation and the slot is
+// virgin: no module is built and nothing is written until the slot is
+// first used — the memory store reserves the slot's buffer, the spill
+// store nothing — and a read reconstructs the seeded state, in any store
+// and under any codec. Given initial parameters (bench/, through
+// RegisterSized) it validates them against the architecture and stores
+// their encoding, building no module.
 func (s *Server) Register(arch string, initial nn.StateDict) (int, error) {
 	id := s.cohorts.numDevices()
 	build := func() (nn.Module, error) {
@@ -265,6 +267,17 @@ func (s *Server) Register(arch string, initial nn.StateDict) (int, error) {
 		return 0, fmt.Errorf("fedzkt: register device %d: %w", id, err)
 	}
 	return got, nil
+}
+
+// PayloadSize returns the length of device id's state container in the
+// server's codec — the exact length of any valid upload or download of
+// it — from its architecture's signature; nothing is encoded.
+func (s *Server) PayloadSize(id int) (int, error) {
+	ref, err := s.cohorts.ref(id)
+	if err != nil {
+		return 0, err
+	}
+	return codec.Size(s.codec, ref.cohort.sig.names, ref.cohort.sig.shapes), nil
 }
 
 // RegisterSized is Register; the data size is ignored.

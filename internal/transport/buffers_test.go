@@ -119,7 +119,7 @@ func TestSessionRoundAllocCeiling(t *testing.T) {
 		t.Fatalf("%d rounds, %d summaries; want %d of each", len(hist), len(atSummary), rounds)
 	}
 
-	container := int(srv.fleet.sessions[0].maxPayload.Load())
+	container := int(srv.fleet.sessions[0].maxPayload)
 	perRound := (atSummary[rounds-1] - atSummary[warmup-1]) / (rounds - warmup)
 	t.Logf("container %d bytes; %d bytes allocated per warmed-up round of %d devices", container, perRound, devices)
 	if perRound >= uint64(container) && !raceEnabled {

@@ -16,29 +16,30 @@ import (
 	"github.com/fedzkt/fedzkt/internal/fedzkt"
 )
 
-// chaosProxy sits between a device and the server, forwarding bytes and
-// injecting a deterministic mid-round disconnect: the first connection is
-// cut when the device sends its cutAfter-th frame (0 = never). Later
-// connections pass through untouched, so a reconnecting device resumes
-// through the same address.
+// chaosProxy sits between a device and the server, forwarding frames and
+// injecting one deterministic disconnect on the first connection: it is cut
+// once the device has sent its cutUp-th frame or the server its cutDown-th
+// (0 = never). Later connections pass through untouched, so a reconnecting
+// device resumes through the same address.
 type chaosProxy struct {
 	t      *testing.T
 	ln     net.Listener
 	target string
 
-	mu       sync.Mutex
-	cutAfter int
-	first    bool
-	conns    []net.Conn
+	mu             sync.Mutex
+	cutUp, cutDown int
+	first          bool
+	conns          []net.Conn
+	welcomed       int // device id of the Welcome the proxy forwarded; -1 before
 }
 
-func newChaosProxy(t *testing.T, target string, cutAfter int) *chaosProxy {
+func newChaosProxy(t *testing.T, target string, cutUp, cutDown int) *chaosProxy {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &chaosProxy{t: t, ln: ln, target: target, cutAfter: cutAfter, first: true}
+	p := &chaosProxy{t: t, ln: ln, target: target, cutUp: cutUp, cutDown: cutDown, first: true, welcomed: -1}
 	go p.acceptLoop()
 	t.Cleanup(p.Close)
 	return p
@@ -55,6 +56,22 @@ func (p *chaosProxy) Close() {
 	}
 }
 
+// deviceID is the id the server welcomed the proxied device with, or -1.
+func (p *chaosProxy) deviceID() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.welcomed
+}
+
+// noteFrame records the device id of a server→device Welcome frame.
+func (p *chaosProxy) noteFrame(body []byte) {
+	if MsgType(body[0]) == MsgWelcome {
+		p.mu.Lock()
+		p.welcomed = int(int64(binary.BigEndian.Uint64(body[9:])))
+		p.mu.Unlock()
+	}
+}
+
 func (p *chaosProxy) acceptLoop() {
 	for {
 		client, err := p.ln.Accept()
@@ -68,43 +85,43 @@ func (p *chaosProxy) acceptLoop() {
 		}
 		p.mu.Lock()
 		p.conns = append(p.conns, client, server)
-		cut := 0
+		up, down := 0, 0
 		if p.first {
-			cut = p.cutAfter
+			up, down = p.cutUp, p.cutDown
 			p.first = false
 		}
 		p.mu.Unlock()
-		go p.pipeUp(client, server, cut)
-		go func() { // server → device: plain copy
-			_, _ = io.Copy(client, server)
-			_ = client.Close()
-		}()
+		go p.pipe(client, server, up, nil)
+		go p.pipe(server, client, down, p.noteFrame)
 	}
 }
 
-// pipeUp forwards device→server traffic frame by frame; after forwarding
-// cut frames (if cut > 0) it slams both legs shut, simulating a device
-// dying mid-round.
-func (p *chaosProxy) pipeUp(client, server net.Conn, cut int) {
-	defer func() { _ = client.Close(); _ = server.Close() }()
+// pipe forwards src→dst traffic frame by frame, showing each frame's body
+// to seen when it is set; after forwarding cut frames (if cut > 0) it slams
+// both legs shut, simulating a device dying mid-round.
+func (p *chaosProxy) pipe(src, dst net.Conn, cut int, seen func(body []byte)) {
+	defer func() { _ = src.Close(); _ = dst.Close() }()
 	frames := 0
 	var prefix [4]byte
 	for {
-		if _, err := io.ReadFull(client, prefix[:]); err != nil {
+		if _, err := io.ReadFull(src, prefix[:]); err != nil {
 			return
 		}
 		n := binary.BigEndian.Uint32(prefix[:])
-		if n > DefaultMaxMessage {
+		if n > DefaultMaxMessage || n < headerLen {
 			return
 		}
 		body := make([]byte, n)
-		if _, err := io.ReadFull(client, body); err != nil {
+		if _, err := io.ReadFull(src, body); err != nil {
 			return
 		}
-		if _, err := server.Write(prefix[:]); err != nil {
+		if seen != nil {
+			seen(body)
+		}
+		if _, err := dst.Write(prefix[:]); err != nil {
 			return
 		}
-		if _, err := server.Write(body); err != nil {
+		if _, err := dst.Write(body); err != nil {
 			return
 		}
 		frames++
@@ -151,16 +168,17 @@ func TestChaosQuorumResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Device 'perm' uploads round 1 (3rd frame: hello, init-state, upload)
-	// and dies for good (no reconnect). Device 'rejoin' is cut right after
-	// registration (2nd frame), so it resumes and picks up round 1's train
-	// request via the attach-resend path. Device 'replay' is cut right
-	// after its round-1 upload passes, so its ack is (likely) lost and the
-	// resume replays an already-absorbed round — which must absorb exactly
-	// once either way.
-	permProxy := newChaosProxy(t, srv.Addr(), 3)
-	rejoinProxy := newChaosProxy(t, srv.Addr(), 2)
-	replayProxy := newChaosProxy(t, srv.Addr(), 3)
+	// A device's frames to the server are its hello, then its uploads.
+	// Device 'perm' uploads round 1 (2nd frame) and dies for good (no
+	// reconnect). Device 'rejoin' is cut right after registration — when
+	// the server's first frame to it, the Welcome, has passed — so it
+	// resumes and picks up round 1's train request via the attach-resend
+	// path. Device 'replay' is cut right after its round-1 upload passes,
+	// so its ack is (likely) lost and the resume replays an
+	// already-absorbed round — which must absorb exactly once either way.
+	permProxy := newChaosProxy(t, srv.Addr(), 2, 0)
+	rejoinProxy := newChaosProxy(t, srv.Addr(), 0, 1)
+	replayProxy := newChaosProxy(t, srv.Addr(), 2, 0)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
@@ -230,6 +248,9 @@ func TestChaosQuorumResume(t *testing.T) {
 	if resumes < 2 {
 		t.Errorf("total resumes %d, want >= 2 (the two reconnecting devices)", resumes)
 	}
+	if id := rejoinProxy.deviceID(); id < 0 || id >= devices || stats[id].Resumes < 1 {
+		t.Errorf("device 'rejoin' (id %d) did not resume after its cut", id)
+	}
 
 	// Every absorb in the history is attributed to a session and vice
 	// versa, and the measured traffic totals agree between the two views.
@@ -293,9 +314,6 @@ func TestIdleDeviceSurvivesIOTimeout(t *testing.T) {
 				return err
 			}
 			if err := WriteMessage(conn, &Message{Type: MsgWelcome, DeviceID: 0, Token: []byte{1}, Payload: asn}); err != nil {
-				return err
-			}
-			if _, err := expect(conn, MsgInitState); err != nil {
 				return err
 			}
 			// Idle far past the device's IOTimeout before the round starts.

@@ -182,13 +182,13 @@ func dial(ctx context.Context, cfg DeviceConfig) (net.Conn, error) {
 	return conn, nil
 }
 
-// register performs the Hello → Welcome → InitState handshake and builds
-// the device's local world from the assignment.
+// register performs the Hello → Welcome handshake and builds the device's
+// local world from the assignment. It sends no state: until the device's
+// first upload the server's replica of it is a virgin slot, whose content
+// is the state the device builds here from the assignment's ModelSeed.
 func register(conn net.Conn, cfg DeviceConfig) (*deviceSession, error) {
-	deadline := func() { _ = conn.SetDeadline(time.Now().Add(cfg.IOTimeout)) }
-
 	// 1. Hello → Welcome: learn the assignment and the resume token.
-	deadline()
+	_ = conn.SetDeadline(time.Now().Add(cfg.IOTimeout))
 	if err := WriteMessage(conn, &Message{Type: MsgHello, Arch: cfg.Arch}); err != nil {
 		return nil, err
 	}
@@ -225,22 +225,11 @@ func register(conn net.Conn, cfg DeviceConfig) (*deviceSession, error) {
 		return nil, fmt.Errorf("transport: server assigned %w", err)
 	}
 
-	sess := &deviceSession{
+	_ = conn.SetDeadline(time.Time{})
+	return &deviceSession{
 		cfg: cfg, id: welcome.DeviceID, token: welcome.Token,
 		asn: asn, ds: ds, m: m, dev: dev, cdc: cdc,
-	}
-
-	// 3. Send the initial state for replica registration.
-	initPayload, _, err := dev.UploadPayload(cdc)
-	if err != nil {
-		return nil, err
-	}
-	deadline()
-	if err := WriteMessage(conn, &Message{Type: MsgInitState, DeviceID: sess.id, Payload: initPayload}); err != nil {
-		return nil, err
-	}
-	_ = conn.SetDeadline(time.Time{})
-	return sess, nil
+	}, nil
 }
 
 // errServerReject marks an explicit MsgError from the server — a

@@ -32,7 +32,9 @@ func failureServer(t *testing.T) *Server {
 }
 
 // TestServerRejectsBogusArchitecture: a device announcing an unknown
-// architecture must fail the run with a clear error, not hang.
+// architecture is answered at once with an error naming it — before any
+// Welcome, since the replica is registered when the Hello arrives — and
+// the run fails with a clear error, not a hang.
 func TestServerRejectsBogusArchitecture(t *testing.T) {
 	srv := failureServer(t)
 	done := make(chan error, 1)
@@ -46,24 +48,24 @@ func TestServerRejectsBogusArchitecture(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
 	if err := WriteMessage(conn, &Message{Type: MsgHello, Arch: "bogus-arch"}); err != nil {
 		t.Fatal(err)
 	}
-	// The server sends Welcome first (arch is validated at registration),
-	// so play along until InitState — send garbage state instead.
-	if _, err := expect(conn, MsgWelcome); err != nil {
-		t.Fatal(err)
+	reply, err := ReadMessage(conn)
+	if err != nil {
+		t.Fatalf("reading the reply to the hello: %v", err)
 	}
-	if err := WriteMessage(conn, &Message{Type: MsgInitState, Payload: []byte("junk")}); err != nil {
-		t.Fatal(err)
+	if reply.Type != MsgError || !strings.Contains(reply.Reason, `"bogus-arch"`) {
+		t.Fatalf("hello answered with %v %q, want %v naming \"bogus-arch\"", reply.Type, reply.Reason, MsgError)
 	}
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("server accepted a corrupt registration")
+		if err == nil || !strings.Contains(err.Error(), `"bogus-arch"`) {
+			t.Fatalf("run ended with %v, want an error naming the architecture", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("server hung on corrupt registration")
+		t.Fatal("server hung on an unknown architecture")
 	}
 }
 

@@ -6,8 +6,11 @@ import (
 	"errors"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -69,7 +72,7 @@ func TestWriteMessageRefuses(t *testing.T) {
 		"arch past u16":  {Type: MsgHello, Arch: long},
 		"token past u16": {Type: MsgResume, Token: []byte(long)},
 		"type 0":         {Payload: []byte{1}},
-		"type 13":        {Type: MsgRoundSummary + 1},
+		"type past last": {Type: MsgRoundSummary + 1},
 	} {
 		var buf bytes.Buffer
 		if err := WriteMessage(&buf, m); err == nil || buf.Len() != 0 {
@@ -237,6 +240,48 @@ func TestRoundSummaryRoundTrip(t *testing.T) {
 	for _, bad := range [][]byte{nil, b[:len(b)-1], append(bytes.Clone(b), 0)} {
 		if _, err := DecodeRoundSummary(bad); err == nil {
 			t.Errorf("summary of %d bytes accepted", len(bad))
+		}
+	}
+}
+
+// TestFuzzCorpusNamesItsTypes: every message type has a valid-<type> seed
+// in FuzzReadMessage's corpus, and each such seed decodes as the type it
+// is named after — so renumbering the types cannot quietly turn a seed
+// into an unknown type or another type's frame.
+func TestFuzzCorpusNamesItsTypes(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzReadMessage")
+	seeds, err := filepath.Glob(filepath.Join(dir, "valid-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, path := range seeds {
+		name := strings.TrimPrefix(filepath.Base(path), "valid-")
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		if len(lines) != 2 || lines[0] != "go test fuzz v1" || !strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+			t.Fatalf("%s: not a one-value go test fuzz v1 file", path)
+		}
+		data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		m, err := ReadMessage(strings.NewReader(data))
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		if m.Type.String() != name {
+			t.Errorf("%s decodes as a %v frame", path, m.Type)
+		}
+		seen[name] = true
+	}
+	for typ := MsgHello; typ <= MsgRoundSummary; typ++ {
+		if !seen[typ.String()] {
+			t.Errorf("no valid-%v seed in %s", typ, dir)
 		}
 	}
 }

@@ -11,7 +11,7 @@
 //
 //	offset  size       field
 //	0       4          body length n (everything after this field; ≤ DefaultMaxMessage)
-//	4       1          Type (1…12)
+//	4       1          Type (1…11)
 //	5       8          Round, two's complement
 //	13      8          DeviceID, two's complement
 //	21      2          archLen
@@ -54,9 +54,6 @@ const (
 	// assignment (the dataset is synthetic and reconstructed locally from
 	// the seed, so only indices travel).
 	MsgWelcome
-	// MsgInitState (device→server) carries the device's initial
-	// parameters for replica registration.
-	MsgInitState
 	// MsgTrainRequest (server→device) starts one local training round.
 	MsgTrainRequest
 	// MsgUpload (device→server) carries locally trained parameters.
@@ -93,8 +90,6 @@ func (t MsgType) String() string {
 		return "hello"
 	case MsgWelcome:
 		return "welcome"
-	case MsgInitState:
-		return "init-state"
 	case MsgTrainRequest:
 		return "train-request"
 	case MsgUpload:
@@ -130,7 +125,7 @@ type Message struct {
 	// MsgWelcome, presented back by the device in MsgResume.
 	Token []byte
 	// Payload carries a state payload in the codec container format
-	// (MsgInitState, MsgUpload, MsgDownload), an encoded Assignment
+	// (MsgUpload, MsgDownload), an encoded Assignment
 	// (MsgWelcome), or an encoded RoundSummary (MsgRoundSummary). State
 	// containers are self-describing, so the receiver never needs
 	// out-of-band dtype knowledge. On a session the bytes alias a recycled
@@ -198,8 +193,10 @@ type Assignment struct {
 	Indices     []int
 	Local       fed.LocalConfig
 	Rounds      int
-	// ModelSeed seeds the device's model initialisation so server replica
-	// and device start identically.
+	// ModelSeed seeds the device's model initialisation. It is
+	// fed.DeviceSeed(seed, id), whose state is also what the server's
+	// replica of the device holds until its first upload, so server and
+	// device start identically without a state crossing the wire.
 	ModelSeed uint64
 	// StateCodec names the state codec the federation runs with; the
 	// device encodes its uploads with it so the traffic savings are real

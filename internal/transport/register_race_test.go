@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -138,5 +139,71 @@ func TestOneTrainRequestPerDeviceRound(t *testing.T) {
 		} else if up != firstUp || down != firstDown {
 			t.Errorf("pass %d: wire totals %d up / %d down, pass 0 had %d / %d", pass, up, down, firstUp, firstDown)
 		}
+	}
+}
+
+// TestRegistrationCarriesNoState: registration is Hello → Welcome, and the
+// server's replica of a device is its seeded state until it uploads, so
+// once registration is complete — round 1's train requests are out — each
+// session's uplink meter holds the device's Hello and nothing else: less
+// than one container of its architecture.
+func TestRegistrationCarriesNoState(t *testing.T) {
+	srv, err := NewServer(chaosServerConfig(2, 1, 0, 0, 20*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	runErr := make(chan error, 1)
+	go func() {
+		_, err := srv.Run(ctx)
+		runErr <- err
+	}()
+
+	archs := []string{"mlp", "lenet-s"}
+	sessions := make([]*deviceSession, len(archs))
+	conns := make([]net.Conn, len(archs))
+	for i, arch := range archs {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		sess, err := register(conn, DeviceConfig{Addr: srv.Addr(), Arch: arch, IOTimeout: 20 * time.Second}.withDefaults())
+		if err != nil {
+			t.Fatalf("register %s: %v", arch, err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(time.Minute))
+		sessions[i], conns[i] = sess, conn
+	}
+	for _, conn := range conns {
+		readUntil(t, conn, MsgTrainRequest, 1)
+	}
+
+	payloads := make([][]byte, len(sessions))
+	for _, st := range srv.SessionStats() {
+		i := slices.IndexFunc(sessions, func(s *deviceSession) bool { return s.id == st.ID })
+		payload, _, err := sessions[i].dev.UploadPayload(sessions[i].cdc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads[i] = payload
+		hello := int64(prefixLen + headerLen + len(st.Arch))
+		if st.BytesUp != hello || st.BytesUp >= int64(len(payload)) {
+			t.Errorf("device %d (%s) sent %d bytes to register, want its %d-byte hello alone (a container is %d)",
+				st.ID, st.Arch, st.BytesUp, hello, len(payload))
+		}
+	}
+
+	for i, sess := range sessions {
+		if err := WriteMessage(conns[i], &Message{Type: MsgUpload, Round: 1, DeviceID: sess.id, Payload: payloads[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, conn := range conns {
+		readUntil(t, conn, MsgDone, 0)
+	}
+	if err := <-runErr; err != nil {
+		t.Fatalf("server: %v", err)
 	}
 }

@@ -7,12 +7,10 @@ import (
 	"sync"
 	"time"
 
-	"github.com/fedzkt/fedzkt/internal/codec"
 	"github.com/fedzkt/fedzkt/internal/data"
 	"github.com/fedzkt/fedzkt/internal/fed"
 	"github.com/fedzkt/fedzkt/internal/fedzkt"
 	"github.com/fedzkt/fedzkt/internal/model"
-	"github.com/fedzkt/fedzkt/internal/nn"
 	"github.com/fedzkt/fedzkt/internal/obs"
 )
 
@@ -98,31 +96,22 @@ type Server struct {
 	// events feeds every connection's reader (messages, attach/detach
 	// notifications) into the fleet's upload collection.
 	events chan inbound
-	// regProgress signals each step of registration (a core install, a
-	// session attach); fatal carries the first registration-phase failure.
+	// regProgress signals each session attach; fatal carries the first
+	// registration-phase failure.
 	regProgress chan struct{}
 	fatal       chan error
 
-	mu        sync.Mutex
-	sessions  []*session
-	nextID    int
-	installed int
+	// mu orders registrations: a Hello's replica is registered in the core,
+	// and its session appended, under it, so session ids are replica ids in
+	// Hello order and no two Hellos touch the core's registry at once.
+	mu       sync.Mutex
+	sessions []*session
 	// attached counts registrations whose session has its connection
 	// attached: round 1 may only start once every train request it sends
 	// has a writer to land on.
 	attached   int
-	pending    map[int]pendingInstall
 	conns      []net.Conn
 	finalStats []SessionStats
-}
-
-// pendingInstall buffers a completed registration handshake until every
-// lower device id has been installed into the core, so replica ids always
-// equal the transport's Hello-order ids even though handshakes run
-// concurrently.
-type pendingInstall struct {
-	arch string
-	sd   nn.StateDict
 }
 
 // NewServer builds the server and starts listening; call Run to serve.
@@ -156,7 +145,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		events:      make(chan inbound, 4*cfg.NumDevices+16),
 		regProgress: make(chan struct{}, cfg.NumDevices),
 		fatal:       make(chan error, 1),
-		pending:     make(map[int]pendingInstall),
 	}
 	srv.fleet = newSessionFleet(srv)
 	if srv.engine, err = fedzkt.NewEngine(core, ds, srv.fleet); err != nil {
@@ -243,12 +231,12 @@ func (s *Server) trackConn(conn net.Conn) {
 	s.mu.Unlock()
 }
 
-// registrationComplete reports whether all NumDevices replicas are
-// installed in the core and every session is attached.
+// registrationComplete reports whether all NumDevices sessions are
+// registered and attached.
 func (s *Server) registrationComplete() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.installed == s.cfg.NumDevices && s.attached == s.cfg.NumDevices
+	return s.attached == s.cfg.NumDevices
 }
 
 // noteProgress wakes awaitRegistration to re-check (and re-arm its stall
@@ -337,7 +325,7 @@ func (s *Server) awaitRegistration(ctx context.Context) error {
 			return fmt.Errorf("transport: accept cancelled: %w", ctx.Err())
 		case <-timer.C:
 			s.mu.Lock()
-			n := min(s.installed, s.attached)
+			n := s.attached
 			s.mu.Unlock()
 			return fmt.Errorf("transport: registration timed out with %d/%d devices", n, s.cfg.NumDevices)
 		}
@@ -379,24 +367,34 @@ func (s *Server) handshakeFail(conn net.Conn, err error) {
 	}
 }
 
-// handleHello performs the registration handshake:
-// Hello → Welcome(+assignment+token) → InitState. Handshake IO runs
-// concurrently across connections; only the in-memory core installs are
-// serialised, in device-id order (see pendingInstall).
+// handleHello performs the registration handshake, Hello → Welcome
+// (+assignment+token). The device's replica is registered when the Hello
+// arrives, as a virgin slot, as Coordinator.register does in process: its
+// content is the seeded state the assignment's ModelSeed gives the device,
+// so no state crosses the wire before the device's first upload. An
+// unknown architecture is answered with MsgError and no Welcome.
 func (s *Server) handleHello(conn net.Conn, mc *meteredConn, hello *Message) {
 	cfg := s.cfg
 	fedCfg := s.core.Config()
 
 	s.mu.Lock()
-	if s.nextID >= cfg.NumDevices {
+	if len(s.sessions) >= cfg.NumDevices {
 		s.mu.Unlock()
 		_ = WriteMessage(conn, &Message{Type: MsgError, Reason: "transport: federation is full"})
 		_ = conn.Close()
 		return
 	}
-	id := s.nextID
-	s.nextID++
-	sess := &session{id: id, arch: hello.Arch, token: resumeToken(s.key, id), bufs: s.engine}
+	id, err := s.core.Register(hello.Arch, nil)
+	var maxPayload int
+	if err == nil {
+		maxPayload, err = s.core.PayloadSize(id)
+	}
+	if err != nil {
+		s.mu.Unlock()
+		s.handshakeFail(conn, fmt.Errorf("transport: registering a %q device: %w", hello.Arch, err))
+		return
+	}
+	sess := &session{id: id, arch: hello.Arch, token: resumeToken(s.key, id), bufs: s.engine, maxPayload: int64(maxPayload)}
 	s.sessions = append(s.sessions, sess)
 	s.mu.Unlock()
 
@@ -427,21 +425,6 @@ func (s *Server) handleHello(conn net.Conn, mc *meteredConn, hello *Message) {
 		fail(err)
 		return
 	}
-	init, err := expect(mc, MsgInitState)
-	if err != nil {
-		fail(err)
-		return
-	}
-	sd, err := codec.Decode(init.Payload)
-	if err != nil {
-		fail(err)
-		return
-	}
-	if err := s.install(id, hello.Arch, sd); err != nil {
-		fail(err)
-		return
-	}
-	sess.maxPayload.Store(int64(len(init.Payload)))
 	_ = conn.SetDeadline(time.Time{})
 	obs.DefaultTracer().Begin("transport", "session_attach").WithTID(id).End()
 	// Attach before reporting progress: the rounds start on the last
@@ -452,31 +435,6 @@ func (s *Server) handleHello(conn net.Conn, mc *meteredConn, hello *Message) {
 	s.attached++
 	s.mu.Unlock()
 	s.noteProgress()
-}
-
-// install queues device id's registration and installs every
-// consecutively-ready registration into the core, so core replica ids
-// always match transport ids regardless of handshake completion order.
-func (s *Server) install(id int, arch string, sd nn.StateDict) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pending[id] = pendingInstall{arch: arch, sd: sd}
-	for {
-		p, ok := s.pending[s.installed]
-		if !ok {
-			return nil
-		}
-		got, err := s.core.Register(p.arch, p.sd)
-		if err != nil {
-			return err
-		}
-		if got != s.installed {
-			return fmt.Errorf("transport: device id mismatch: %d != %d", got, s.installed)
-		}
-		delete(s.pending, s.installed)
-		s.installed++
-		s.noteProgress()
-	}
 }
 
 // handleResume re-attaches a reconnecting device to its session after

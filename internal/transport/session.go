@@ -152,13 +152,13 @@ type session struct {
 	// engine's absorb gives it back), the writer gives a download's back
 	// once it is on the wire.
 	bufs *fedzkt.Engine
-	// maxPayload is the length of the container the device registered
-	// with. Container length is a pure function of architecture and codec,
-	// so no valid upload is longer, and the reader skips the payload of one
-	// that claims to be instead of buffering it. Stored once, when the
-	// registration handshake completes; 0 (every upload skipped) for a
-	// connection that resumes with its token before that.
-	maxPayload atomic.Int64
+	// maxPayload is the length of its architecture's container in the
+	// run's codec (fedzkt.Server.PayloadSize), taken from the server's own
+	// signature, never from the peer's bytes. Container length is a pure
+	// function of architecture and codec, so no valid upload is longer, and
+	// the reader skips the payload of one that claims to be instead of
+	// buffering it. Set before the session is published.
+	maxPayload int64
 
 	mu   sync.Mutex
 	cs   *connState // nil while detached
@@ -245,12 +245,12 @@ func (s *session) attach(conn net.Conn, resumed bool, pendingRound int, events c
 }
 
 // uploadBuffer is the reader's payload policy (see readFrame): an upload
-// no longer than the device's registered container lands in a buffer from
+// no longer than its architecture's container lands in a buffer from
 // the free list; any other payload — nothing else a registered device sends
 // carries one — is skipped unbuffered, so the frame reaches the fleet
 // without it and an upload is then refused like any other invalid one.
 func (s *session) uploadBuffer(m *Message, n int) []byte {
-	if m.Type != MsgUpload || int64(n) > s.maxPayload.Load() {
+	if m.Type != MsgUpload || int64(n) > s.maxPayload {
 		return nil
 	}
 	if buf := s.bufs.TakePayload(s.arch); cap(buf) >= n {

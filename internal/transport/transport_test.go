@@ -38,7 +38,10 @@ func TestMessageRoundTrip(t *testing.T) {
 }
 
 func TestMessageTypeStrings(t *testing.T) {
-	for _, mt := range []MsgType{MsgHello, MsgWelcome, MsgInitState, MsgTrainRequest, MsgUpload, MsgDownload, MsgDone, MsgError} {
+	for _, mt := range []MsgType{
+		MsgHello, MsgWelcome, MsgTrainRequest, MsgUpload, MsgDownload, MsgDone,
+		MsgError, MsgResume, MsgResumeAck, MsgUploadAck, MsgRoundSummary,
+	} {
 		if s := mt.String(); strings.HasPrefix(s, "MsgType(") {
 			t.Fatalf("missing String case for %d", mt)
 		}
