@@ -59,8 +59,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-resume"}, "Resume requires CheckpointDir"},
 		{[]string{"-fail-rate", "1"}, "FailureRate 1 outside [0,1)"},
 		{[]string{"-weighted"}, "flag provided but not defined: -weighted"},
-		{[]string{"-virtual-devices", "-round-deadline", "1s"}, "VirtualDevices requires RoundDeadline = 0"},
-		{[]string{"-virtual-devices", "-pipeline-depth", "2"}, "VirtualDevices requires RoundDeadline = 0 and PipelineDepth = 0"},
 	} {
 		err := run(append([]string{"-exp", "table1"}, tc.args...))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

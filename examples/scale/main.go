@@ -11,14 +11,13 @@
 // With -replica-store spill the server keeps only an LRU hot set of
 // replica slots per architecture resident and spills cold devices to a
 // fixed-stride disk file per architecture, a checkout loading a cold
-// replica itself — memory bounded by the hot-set size, not the device
-// count. -virtual-devices applies the same treatment to the device side:
-// a device's state at rest is a container in a bounded slot store, and a
-// worker's module holds its state only while it participates. At ≥ 10,000 devices both are enabled
-// wherever their flag is not given (virtual devices only on the
-// synchronous engine with no deadline, the one regime they support), and
-// evaluation is capped to 256 devices, so a million-device federation
-// runs in one bounded-RSS process:
+// replica itself, and the devices' own states at rest get the same
+// treatment; a worker's module holds a device's state only while it
+// participates. At ≥ 10,000 devices the spill store is the default
+// wherever -replica-store is not given, and evaluation is capped to 256
+// devices, so a million-device federation runs in one process. The last
+// lines report its peak RSS against the dataset and the stores' hot
+// entries, and what remains per device:
 //
 //	go run ./examples/scale -devices 1000000
 //
@@ -65,8 +64,8 @@ import (
 )
 
 // autoScaleDevices is the device count at which the example switches on
-// the bounded-memory machinery by default: spill-tier replica store,
-// virtual devices, capped evaluation.
+// the bounded-memory machinery by default: the spill store, capped
+// evaluation.
 const autoScaleDevices = 10000
 
 func main() {
@@ -104,9 +103,6 @@ func main() {
 		if !given["eval-devices"] {
 			cfg.EvalDevices = 256
 		}
-		if cfg.RoundDeadline == 0 && cfg.PipelineDepth == 0 {
-			cfg.VirtualDevices = true
-		}
 	}
 	cfg.EvalEvery = cfg.Rounds // evaluating every device model is the slow part
 	stop, err := proc.Start()
@@ -115,8 +111,8 @@ func main() {
 	}
 	defer stop()
 
-	fmt.Printf("simulating %d devices on %d CPU(s), sampling %d clients/round (store=%s virtual=%v)\n",
-		*devices, runtime.GOMAXPROCS(0), cfg.SampleK, cfg.ReplicaStore, cfg.VirtualDevices)
+	fmt.Printf("simulating %d devices on %d CPU(s), sampling %d clients/round (store=%s)\n",
+		*devices, runtime.GOMAXPROCS(0), cfg.SampleK, cfg.ReplicaStore)
 
 	// Enough data for every device to hold a couple of samples — but the
 	// dataset must not itself grow O(devices) forever, so cap it and give
@@ -192,13 +188,15 @@ func main() {
 		fmt.Printf("payload buffers: %d built, %d uploads/downloads served by reuse\n", built, reused)
 	}
 	if rss, peak, ok := processRSS(); ok {
-		// Only bounded stores on both sides bound RSS; a resident store's
-		// follows the slots the run writes.
-		bound := "follows the slots written, not the device count"
-		if cfg.ReplicaStore == fedzkt.ReplicaStoreSpill && cfg.VirtualDevices {
-			bound = "bounded by the hot set, not the device count"
-		}
-		fmt.Printf("rss: %.0f MB now, %.0f MB peak — %s\n", rss, peak, bound)
+		// What the peak holds beyond the dataset and the states at rest in
+		// the stores' hot entries is the cost of the rest of the process,
+		// devices included, spread over the devices.
+		const mb = 1 << 20
+		dataMB := float64(8*(len(ds.TrainX.Data())+len(ds.TrainY)+len(ds.TestX.Data())+len(ds.TestY))) / mb
+		hotMB := float64(srv.ReplicaStoreStats().HotBytes+co.DeviceStoreStats().HotBytes) / mb
+		rest := peak - dataMB - hotMB
+		fmt.Printf("rss: %.0f MB now, %.0f MB peak = dataset %.0f MB + hot entries %.1f MB + %.0f MB more (%.0f B per device)\n",
+			rss, peak, dataMB, hotMB, rest, rest*mb/float64(*devices))
 	}
 	fmt.Printf("%d devices × %d rounds in %s — one process, bounded concurrency.\n",
 		*devices, cfg.Rounds, elapsed.Round(time.Millisecond))

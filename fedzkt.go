@@ -102,10 +102,11 @@ type (
 const (
 	// ReplicaStoreMemory keeps every replica slot resident (the default).
 	ReplicaStoreMemory = ifedzkt.ReplicaStoreMemory
-	// ReplicaStoreSpill keeps an LRU hot set per cohort and spills
-	// cold replicas to fixed-stride disk files, bounding server memory by
-	// the hot-set size instead of the device count (the million-device
-	// regime; see Config.ReplicaStore, HotSet and VirtualDevices).
+	// ReplicaStoreSpill keeps an LRU hot set per cohort, and per device
+	// architecture for in-process devices, and spills cold states to
+	// fixed-stride disk files, bounding the memory of states at rest by the
+	// hot-set size instead of the device count (the million-device regime;
+	// see Config.ReplicaStore and HotSet).
 	ReplicaStoreSpill = ifedzkt.ReplicaStoreSpill
 )
 

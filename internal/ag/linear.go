@@ -29,29 +29,8 @@ func MatMul(a, b *Variable) *Variable {
 	return newNode(ar, out, matMulBack, a, b)
 }
 
-func addBiasRowsBack(v *Variable, g *tensor.Tensor) {
-	v.parents[0].accum(g)
-	if sink := v.parents[1].gradSink(); sink != nil {
-		tensor.SumRowsAccInto(sink, g)
-	}
-}
-
-// AddBiasRows adds a length-D bias vector to every row of the (N×D) input.
-func AddBiasRows(x, bias *Variable) *Variable {
-	if x.value.Dims() != 2 || bias.value.Dims() != 1 || x.value.Dim(1) != bias.value.Dim(0) {
-		panic(fmt.Sprintf("ag: AddBiasRows shape mismatch: %v vs %v", x.Shape(), bias.Shape()))
-	}
-	n, d := x.value.Dim(0), x.value.Dim(1)
-	ar := arenaOf(x, bias)
-	out := ar.rawLike(x.value)
-	out.CopyFrom(x.value)
-	addBiasRowsInPlace(out.Data(), bias.value.Data(), n, d)
-	if !anyRequires(x, bias) {
-		return constIn(ar, out)
-	}
-	return newNode(ar, out, addBiasRowsBack, x, bias)
-}
-
+// addBiasRowsInPlace adds the length-d bias bd to every row of the (n×d)
+// matrix od.
 func addBiasRowsInPlace(od, bd []float64, n, d int) {
 	for r := 0; r < n; r++ {
 		row := od[r*d : (r+1)*d]
@@ -86,9 +65,9 @@ func linearBack(v *Variable, g *tensor.Tensor) {
 // fused into the matmul node — one output buffer, one tape node — and the
 // backward accumulates dX, dW and db straight into the gradient buffers.
 // The arithmetic (and therefore every float64 bit) matches the historical
-// matmul-then-AddBiasRows pair: the fused node's incoming gradient is
-// exactly the gradient the bias node used to forward verbatim to the
-// matmul node.
+// pair of a matmul node and a row-bias node: the fused node's incoming
+// gradient is exactly the gradient the bias node used to forward verbatim
+// to the matmul node.
 func Linear(x, w, b *Variable) *Variable {
 	if x.value.Dims() != 2 || w.value.Dims() != 2 || x.value.Dim(1) != w.value.Dim(1) {
 		panic(fmt.Sprintf("ag: Linear shape mismatch: x %v, w %v", x.Shape(), w.Shape()))

@@ -53,21 +53,9 @@ func mustByName(name string, sz Sizes, seed uint64) *Dataset {
 // SynthMNIST builds the MNIST stand-in: 1×16×16 digit-like patterns.
 func SynthMNIST(sz Sizes, seed uint64) *Dataset { return mustByName("synthmnist", sz, seed) }
 
-// SynthKMNIST builds the KMNIST stand-in: denser glyph-like patterns.
-func SynthKMNIST(sz Sizes, seed uint64) *Dataset { return mustByName("synthkmnist", sz, seed) }
-
-// SynthFashion builds the FASHION-MNIST stand-in: blocky apparel-like
-// shapes.
-func SynthFashion(sz Sizes, seed uint64) *Dataset { return mustByName("synthfashion", sz, seed) }
-
 // SynthCIFAR10 builds the CIFAR-10 stand-in: 3×16×16 colored object-like
 // patterns.
 func SynthCIFAR10(sz Sizes, seed uint64) *Dataset { return mustByName("synthcifar10", sz, seed) }
-
-// SynthCIFAR100 builds the CIFAR-100 stand-in used as FedMD's *similar*
-// public dataset for CIFAR-10: same Objects family and image statistics,
-// different (and more numerous) classes.
-func SynthCIFAR100(sz Sizes, seed uint64) *Dataset { return mustByName("synthcifar100", sz, seed) }
 
 // SynthSVHN builds the SVHN stand-in used as FedMD's *dissimilar* public
 // dataset for CIFAR-10: digit foregrounds over high-variance colored

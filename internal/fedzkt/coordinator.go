@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -111,34 +110,19 @@ type Config struct {
 	// Deprecated: the server keeps one cohort per architecture.
 	ReplicaShards int
 	// HotSet bounds the resident entries of each cohort's hot set — one
-	// cohort per architecture — under the spill store, and of each
-	// architecture's virtual-device store. 0 sizes them automatically: a
-	// cohort's to the full cohort in exact full-ensemble mode and to
-	// 2·TeachersPerIter (at least 32) in sampled mode; a virtual-device
-	// store's to max(256, 2·SampleK).
+	// cohort per architecture — and of each architecture's device store,
+	// under the spill store. 0 sizes them automatically: a cohort's to the
+	// full cohort in exact full-ensemble mode and to 2·TeachersPerIter (at
+	// least 32) in sampled mode; a device store's to max(256, 2·SampleK).
 	HotSet int
 	// SpillDir hosts the spill files ("" = a private temp directory,
 	// removed on Close).
 	SpillDir string
-	// VirtualDevices picks how the slot store where in-process devices
-	// keep their state at rest is bounded, as ReplicaStore does for the
-	// server's replicas. Either way a device's model is its worker's module,
-	// holding the device's state only while its local phase or evaluation
-	// runs, and registration builds nothing in either mode: a device that
-	// was never written is its seeded initial state, and a device that
-	// downloaded its replica as it still is follows it, holding nothing of
-	// its own until it trains again or the replica is about to be
-	// overwritten (it then gets a copy; see Coordinator.Deliver). false
-	// (the default) keeps a device's own state in an unbounded float64
-	// store, written by the device's tasks (and by the downloads a
-	// pipelined server stage overtook, at PipelineDepth ≥ 1), so whatever a
-	// task leaves stays. true writes a virtual device's store only with the
-	// copies made before its replica is overwritten — never with a task's
-	// result — in the run's codec, bounded by HotSet per architecture (spill
-	// files under SpillDir). That equals a resident device's state only when
-	// every device that trained receives its download before it trains
-	// again, so it requires RoundDeadline = 0 and PipelineDepth = 0, where
-	// round outcomes are byte-identical to resident devices.
+	// VirtualDevices is read by nothing.
+	//
+	// Deprecated: a device's trained state rests only when it can outlive
+	// its round (see Coordinator.release), and the device store is bounded
+	// exactly when ReplicaStore is "spill".
 	VirtualDevices bool
 	// EvalDevices, when positive, evaluates per-device accuracy on only
 	// the first EvalDevices devices instead of all of them (the scale
@@ -290,9 +274,6 @@ func (c Config) Validate() error {
 	if _, err := codec.Get(c.StateCodec); err != nil {
 		return fmt.Errorf("fedzkt: %w", err)
 	}
-	if c.VirtualDevices && (c.RoundDeadline > 0 || c.PipelineDepth > 0) {
-		return fmt.Errorf("fedzkt: VirtualDevices requires RoundDeadline = 0 and PipelineDepth = 0 (a virtual device keeps only its last download, which equals its state only when every device that trained receives its download before it trains again)")
-	}
 	if c.CheckpointDir == "" && c.Resume {
 		return fmt.Errorf("fedzkt: Resume requires CheckpointDir")
 	}
@@ -334,11 +315,16 @@ type Coordinator struct {
 	// task or an evaluation runs (materialise, release). devCounters is its
 	// own allocation for the reason rigs is:
 	// the registry serves the stores' entry-buffer counts from it.
-	devStore      map[string]*slotStore
-	devLocal      []int
-	devCounters   *storeCounters
-	devSpillDir   string
-	devSpillOwned bool
+	devStore    map[string]*slotStore
+	devLocal    []int
+	devCounters *storeCounters
+	// rests marks a run where a trained state can outlive its round —
+	// under a RoundDeadline a straggler's upload is discarded, and at
+	// PipelineDepth ≥ 1 a device may train again before its download
+	// lands — so release writes it into the device's slot. Otherwise the
+	// state is the upload, and Deliver makes the device follow its replica
+	// before anything reads the device.
+	rests bool
 	// follows[id] marks a device whose state is its server replica: after
 	// a download of the replica as it still is, the device keeps no state
 	// of its own (its slot is dropped) and reads the replica at
@@ -404,7 +390,8 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 		return nil, fmt.Errorf("fedzkt: %w", err)
 	}
 	c := &Coordinator{pool: pool, codec: server.Codec(), rigs: rigs,
-		devStore: make(map[string]*slotStore), devCounters: &storeCounters{}}
+		devStore: make(map[string]*slotStore), devCounters: &storeCounters{},
+		rests: cfg.RoundDeadline > 0 || cfg.PipelineDepth > 0}
 	if c.Engine, err = NewEngine(server, ds, c); err != nil {
 		_ = server.Close()
 		return nil, err
@@ -459,34 +446,22 @@ func (c *Coordinator) register(i int, arch string, local int) error {
 }
 
 // newDevStore makes the store where devices of architecture arch rest —
-// the device side's one choice of bound, as cohortFor is the server's.
-// Resident devices rest in an unbounded float64 store, each slot reserved
-// at registration, so a trained state at rest is never quantised, whatever
-// the run's codec. Virtual devices rest in a store bounded by HotSet in
-// the run's codec, which holds a device's last download only once the
-// device stopped following its replica without training. Either way a
-// device that was never written holds no state there, and materialise
-// re-seeds the module in place; a follower holds none either, and
-// materialise reads its replica.
+// the device side's one choice of bound, as cohortFor is the server's:
+// float64, so a state at rest is never quantised whatever the run's codec,
+// and bounded by HotSet over a spill file in the server's spill directory
+// exactly when the replicas are, else unbounded with each slot reserved at
+// registration. Either way a device that was never written holds no state
+// there, and materialise re-seeds the module in place; a follower holds
+// none either, and materialise reads its replica.
 func (c *Coordinator) newDevStore(arch string) (*slotStore, error) {
 	sig := c.server.cohorts.sigs[arch]
-	if !c.cfg.VirtualDevices {
-		exact, err := codec.Get(codec.Float64)
-		if err != nil {
-			return nil, err
-		}
-		return newSlotStore(exact, sig, "", nil, nil, c.devCounters), nil
+	exact, err := codec.Get(codec.Float64)
+	if err != nil {
+		return nil, err
 	}
-	if c.devSpillDir == "" {
-		dir := c.cfg.SpillDir
-		if dir == "" {
-			var err error
-			if dir, err = os.MkdirTemp("", "fedzkt-devspill-*"); err != nil {
-				return nil, fmt.Errorf("fedzkt: creating device spill dir: %w", err)
-			}
-			c.devSpillOwned = true
-		}
-		c.devSpillDir = dir
+	dir := c.server.cohorts.spillDir
+	if dir == "" {
+		return newSlotStore(exact, sig, "", nil, nil, c.devCounters), nil
 	}
 	hotSet := func() int {
 		if c.cfg.HotSet > 0 {
@@ -496,19 +471,19 @@ func (c *Coordinator) newDevStore(arch string) (*slotStore, error) {
 		// so tiny federations never thrash.
 		return max(2*c.cfg.SampleK, 256)
 	}
-	return newSlotStore(c.codec, sig, filepath.Join(c.devSpillDir, "dev-"+arch+".spill"), hotSet, nil, c.devCounters), nil
+	return newSlotStore(exact, sig, filepath.Join(dir, "dev-"+arch+".spill"), hotSet, nil, c.devCounters), nil
 }
 
 // materialise makes the worker rig's module for d's architecture hold d's
 // state at rest and sets d.Model to it, until release: the slot's state —
 // for a follower, a copy of its server replica — or for a device that
-// holds none (never written: reserved, or virtual and never downloaded;
-// or following a virgin replica) its seeded initial state, re-drawn in
-// place — bit-identical to the device's seeded build. held reports a
-// stored state. Runs on scheduler workers and between-round fan-outs; the
-// stores serialise slot access, and a follower reads its replica under
-// followMu, so a racing server write waits in unfollow until the read is
-// done. After an error nothing is to be released.
+// holds none (never written, or following a virgin replica) its seeded
+// initial state, re-drawn in place — bit-identical to the device's seeded
+// build. held reports a stored state. Runs on scheduler workers and
+// between-round fan-outs; the stores serialise slot access, and a follower
+// reads its replica under followMu, so a racing server write waits in
+// unfollow until the read is done. After an error nothing is to be
+// released.
 func (c *Coordinator) materialise(rig *deviceRig, d *fed.Device) (held bool, err error) {
 	slot, err := rig.module(d.Arch)
 	if err == nil {
@@ -533,25 +508,30 @@ func (c *Coordinator) materialise(rig *deviceRig, d *fed.Device) (held bool, err
 	return held, nil
 }
 
-// release ends d's materialisation; the module stays with the rig. After a
-// task (trained) a resident device's state, with whatever the task left in
-// it, goes back into its slot, which is written from then on, and the
-// device stops following its replica; after an evaluation the slot is left
-// as it was, a virgin one virgin. A virtual device's store is not written
-// either way: its next state is the download Deliver makes it follow after
-// this round's transfer-back, exactly what a resident device holds at the
-// next round boundary (see Config.VirtualDevices).
-func (c *Coordinator) release(rig *deviceRig, d *fed.Device, trained bool) error {
+// release ends d's materialisation; the module stays with the rig. After
+// a finished task — one whose upload was staged — the device stops
+// following its replica, and its trained state goes into its slot when it
+// can outlive the round (rests); otherwise the slot is dropped, since the
+// state is the upload and Deliver makes the device follow its replica,
+// the upload absorbed, before anything reads it. After an evaluation or a
+// task that did not finish, the device's state is left as it was, a
+// virgin slot virgin.
+func (c *Coordinator) release(rig *deviceRig, d *fed.Device, finished bool) error {
 	d.Model = nil
-	writable := trained && !c.cfg.VirtualDevices
-	if writable {
-		// Stop following before the slot is written, so unfollow does not
-		// copy the replica over the trained state.
-		c.followMu.Lock()
-		c.follows[d.ID] = false
-		c.followMu.Unlock()
+	if !finished {
+		return nil
 	}
-	return c.devStore[d.Arch].release(c.devLocal[d.ID], rig.modules[d.Arch], writable)
+	// Stop following before the slot is written, so unfollow does not
+	// copy the replica over the trained state.
+	c.followMu.Lock()
+	c.follows[d.ID] = false
+	c.followMu.Unlock()
+	st := c.devStore[d.Arch]
+	if !c.rests {
+		st.drop(c.devLocal[d.ID])
+		return nil
+	}
+	return st.release(c.devLocal[d.ID], rig.modules[d.Arch], true)
 }
 
 // follow makes d's state its server replica: its own slot gives up
@@ -590,12 +570,11 @@ func (c *Coordinator) unfollow(id int) error {
 	return nil
 }
 
-// DeviceStoreStats snapshots the device stores: mode "memory" for
-// resident devices, every slot that holds a state hot, and "spill" for
-// virtual ones.
+// DeviceStoreStats snapshots the device stores, in the replicas' store
+// mode: under "memory" every slot that holds a state is hot.
 func (c *Coordinator) DeviceStoreStats() ReplicaStoreStats {
 	mode := ReplicaStoreMemory
-	if c.devSpillDir != "" {
+	if c.server.cohorts.spillDir != "" {
 		mode = ReplicaStoreSpill
 	}
 	st := c.devCounters.snapshot(mode)
@@ -613,24 +592,21 @@ func (c *Coordinator) DeviceRigStats() (builds, reuses int64) {
 	return c.rigs.builds.Load(), c.rigs.reuses.Load()
 }
 
-// Close releases the server (its spill files) and the device stores, and
-// detaches the server's beforeWrite hook: the process-wide metrics
-// registry keeps the server reachable until the next federation
-// registers, and through the hook it would keep every device store too.
-// Idempotent.
+// Close releases the device stores and then the server, whose spill
+// directory holds the device stores' files too, and detaches the server's
+// beforeWrite hook: the process-wide metrics registry keeps the server
+// reachable until the next federation registers, and through the hook it
+// would keep every device store too. Idempotent.
 func (c *Coordinator) Close() error {
 	c.closeOnce.Do(func() {
 		c.server.cohorts.beforeWrite = nil
-		c.closeErr = c.server.Close()
 		for _, ds := range c.devStore {
 			if err := ds.close(); err != nil && c.closeErr == nil {
 				c.closeErr = err
 			}
 		}
-		if c.devSpillOwned {
-			if err := os.RemoveAll(c.devSpillDir); err != nil && c.closeErr == nil {
-				c.closeErr = err
-			}
+		if err := c.server.Close(); err != nil && c.closeErr == nil {
+			c.closeErr = err
 		}
 	})
 	return c.closeErr
@@ -739,8 +715,7 @@ func (c *Coordinator) EvaluateDevices(ids []int) ([]float64, error) {
 // exists once. Otherwise (depth ≥ 1, where the server stage races the
 // device tasks) the replica no longer holds the payload, or will not once
 // the device's upload lands in it, and the payload is installed in the
-// slot — as float64 in a resident device's (virtual devices are
-// synchronous only). The check and the follow or install are one step
+// slot, as float64. The check and the follow or install are one step
 // under followMu.
 func (c *Coordinator) Deliver(round, id int, p Payload) error {
 	d := c.devices[id]
@@ -808,17 +783,19 @@ func (c *Coordinator) LocalPhase(ctx context.Context, round int, active []int, m
 				return err
 			}
 			d.Scratch, d.TaskScratch = rig.step, rig.task
+			finished := false
 			defer func() {
 				d.Scratch, d.TaskScratch = nil, nil
 				rig.task.Reset()
-				if rerr := c.release(rig, d, true); err == nil {
+				if rerr := c.release(rig, d, finished); err == nil {
 					err = rerr
 				}
 			}()
-			if held && cfg.VirtualDevices && local.ProxMu > 0 {
-				// A bounded store keeps no per-device anchor. It needs none:
-				// the module now holds exactly the device's last download,
-				// which is captured into the rig's buffer.
+			if held && !c.rests && local.ProxMu > 0 {
+				// A device whose trained states do not rest keeps no
+				// anchor between tasks. It needs none: the module now
+				// holds exactly the device's last download, which is
+				// captured into the rig's buffer.
 				d.LendAnchor(rig.anchor(d.Arch, d.Model))
 				d.Downloaded()
 				defer d.LendAnchor(nil)
@@ -827,6 +804,7 @@ func (c *Coordinator) LocalPhase(ctx context.Context, round int, active []int, m
 				return err
 			}
 			staged[pos], numels[pos], err = c.stageUpload(d)
+			finished = err == nil
 			return err
 		}}
 	}

@@ -83,8 +83,6 @@ func TestConfigValidate(t *testing.T) {
 		{func(c *Config) { c.ActiveFraction = math.NaN() }, "active fraction NaN outside (0,1]"},
 		{func(c *Config) { c.ReplicaStore = "tape" }, `unknown ReplicaStore "tape" (want "memory" or "spill")`},
 		{func(c *Config) { c.StateCodec = "float8" }, `unknown state codec "float8"`},
-		{func(c *Config) { c.VirtualDevices, c.RoundDeadline = true, time.Second }, "VirtualDevices requires RoundDeadline = 0 and PipelineDepth = 0"},
-		{func(c *Config) { c.VirtualDevices, c.PipelineDepth = true, 1 }, "VirtualDevices requires RoundDeadline = 0 and PipelineDepth = 0"},
 		{func(c *Config) { c.Rounds = -1 }, "negative Rounds -1"},
 		{func(c *Config) { c.BatchSize = -8 }, "negative BatchSize -8"},
 		{func(c *Config) { c.Workers = -2 }, "negative Workers -2"},
@@ -113,10 +111,22 @@ func TestConfigValidate(t *testing.T) {
 	}
 	ok := tinyConfig()
 	ok.TeachersPerIter, ok.SampleK = 2, 2
-	ok.VirtualDevices, ok.ReplicaStore, ok.StateCodec = true, ReplicaStoreSpill, "int8"
+	ok.ReplicaStore, ok.StateCodec = ReplicaStoreSpill, "int8"
 	ok.CheckpointDir, ok.CheckpointEvery, ok.KeepCheckpoints, ok.Resume = "d", 2, 5, true
 	if err := ok.Validate(); err != nil {
 		t.Errorf("a valid configuration rejected: %v", err)
+	}
+	// A bounded device store is no mode of its own: a spill fleet whose
+	// trained states outlive their round is accepted.
+	for _, accept := range []func(*Config){
+		func(c *Config) { c.ReplicaStore, c.RoundDeadline = ReplicaStoreSpill, time.Second },
+		func(c *Config) { c.ReplicaStore, c.PipelineDepth = ReplicaStoreSpill, 1 },
+	} {
+		cfg := tinyConfig()
+		accept(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("a spill configuration with RoundDeadline %v, PipelineDepth %d rejected: %v", cfg.RoundDeadline, cfg.PipelineDepth, err)
+		}
 	}
 }
 

@@ -40,6 +40,14 @@ func goldenConfig() Config {
 // fingerprint.
 func goldenRun(t *testing.T, mutate func(*Config)) string {
 	t.Helper()
+	fp, _ := goldenRunStats(t, mutate)
+	return fp
+}
+
+// goldenRunStats is goldenRun that also returns the run's device-store
+// stats.
+func goldenRunStats(t *testing.T, mutate func(*Config)) (string, ReplicaStoreStats) {
+	t.Helper()
 	ds := data.MustMake(data.Config{
 		Name: "golden", Family: data.FamilyDigits, Classes: 3,
 		C: 1, H: 8, W: 8, TrainPerClass: 12, TestPerClass: 6, Seed: 55,
@@ -58,7 +66,7 @@ func goldenRun(t *testing.T, mutate func(*Config)) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return hist.Fingerprint()
+	return hist.Fingerprint(), co.DeviceStoreStats()
 }
 
 // TestSchedulerDeterminismGolden is the golden determinism test: a short

@@ -8,7 +8,7 @@ package fedzkt
 //	               finalise → checkpoint
 //
 // Two things parameterise it. The Fleet is the device side: the in-process
-// Coordinator (resident or virtual devices on the scheduler pool) or the
+// Coordinator (devices on the scheduler pool) or the
 // transport server's session layer (remote devices behind TCP sessions).
 // Config.PipelineDepth D is the bounded staleness: round r's local phase
 // trains on the parameters published after round r−1−D, enforced by

@@ -24,14 +24,13 @@ import (
 func (c *Config) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.SampleK, "sample-k", c.SampleK, "sample exactly K clients per round (uniform-K; 0 = every device, thinned by -active-fraction where that is a flag)")
 	fs.IntVar(&c.Workers, "workers", c.Workers, "scheduler worker-pool size (0 = GOMAXPROCS)")
-	fs.DurationVar(&c.RoundDeadline, "round-deadline", c.RoundDeadline, "wall-clock budget of each round's local phase; late devices are dropped from aggregation (0 = none; incompatible with -virtual-devices)")
+	fs.DurationVar(&c.RoundDeadline, "round-deadline", c.RoundDeadline, "wall-clock budget of each round's local phase; late devices are dropped from aggregation (0 = none)")
 	fs.Float64Var(&c.FailureRate, "fail-rate", c.FailureRate, "injected per-device-round failure probability in [0,1), deterministic in (seed, round, device)")
 	fs.IntVar(&c.TeachersPerIter, "teachers-per-iter", c.TeachersPerIter, "replica teachers sampled per server distillation iteration (0 = paper-exact full ensemble)")
-	fs.IntVar(&c.PipelineDepth, "pipeline-depth", c.PipelineDepth, "rounds in flight on the round engine: the server distills round r while round r+1 trains on-device (0 = paper-exact synchronous barrier; >0 incompatible with -virtual-devices)")
+	fs.IntVar(&c.PipelineDepth, "pipeline-depth", c.PipelineDepth, "rounds in flight on the round engine: the server distills round r while round r+1 trains on-device (0 = paper-exact synchronous barrier)")
 	fs.StringVar(&c.ReplicaStore, "replica-store", c.ReplicaStore, "server replica store: memory (fully resident, the \"\" default) or spill (LRU hot set + disk tier)")
-	fs.IntVar(&c.HotSet, "hot-set", c.HotSet, "hot-set bound per architecture cohort under the spill store and per architecture for -virtual-devices (0 = auto: the whole cohort in exact mode, 2×teachers (min 32) per cohort in sampled mode; max(256, 2×sample-k) per device architecture)")
+	fs.IntVar(&c.HotSet, "hot-set", c.HotSet, "hot-set bound per architecture cohort and per device architecture under the spill store (0 = auto: the whole cohort in exact mode, 2×teachers (min 32) per cohort in sampled mode; max(256, 2×sample-k) per device architecture)")
 	fs.StringVar(&c.SpillDir, "spill-dir", c.SpillDir, "directory for spill files (default: a private temp dir, removed on exit)")
-	fs.BoolVar(&c.VirtualDevices, "virtual-devices", c.VirtualDevices, "keep device states at rest in a store bounded by -hot-set, in the run's codec: a device follows its server replica and gets its own copy only before that replica is overwritten (bounded memory; needs -round-deadline 0 and -pipeline-depth 0)")
 	fs.IntVar(&c.EvalDevices, "eval-devices", c.EvalDevices, "devices in the per-round replica evaluation (0 = all)")
 	fs.StringVar(&c.StateCodec, "state-codec", c.StateCodec, "state codec for replica slots, wire payloads and checkpoints: float64 (exact, the \"\" default), float16 (2 B/elem) or int8 (1 B/elem, per-tensor affine)")
 	fs.Uint64Var(&c.Seed, "seed", c.Seed, "random seed")

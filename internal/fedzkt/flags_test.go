@@ -19,18 +19,19 @@ import (
 // behind it. A new Config field must either gain a flag in flags.go or an
 // entry here.
 var notFlags = map[string]string{
-	"GlobalArch":    "every main and experiment runs the one \"global\" architecture",
-	"Loss":          "a LossKind, chosen per cell by the loss-ablation experiments",
-	"ProbeGradNorm": "Figure 2 instrumentation, switched on by that experiment",
-	"ZDim":          "sized in code beside the model zoo by each main and experiment",
-	"DeviceLR":      "learning rates are fixed in code by each main and experiment",
-	"ServerLR":      "learning rates are fixed in code by each main and experiment",
-	"GenLR":         "learning rates are fixed in code by each main and experiment",
-	"Momentum":      "optimiser constants are fixed in code by each main and experiment",
-	"WeightDecay":   "optimiser constants are fixed in code by each main and experiment",
-	"ProxMu":        "the ℓ2-regularisation ablation (Table IV) sets it per cell",
-	"EvalEvery":     "derived by each main from its round count",
-	"ReplicaShards": "deprecated and read by nothing: the server keeps one cohort per architecture",
+	"GlobalArch":     "every main and experiment runs the one \"global\" architecture",
+	"Loss":           "a LossKind, chosen per cell by the loss-ablation experiments",
+	"ProbeGradNorm":  "Figure 2 instrumentation, switched on by that experiment",
+	"ZDim":           "sized in code beside the model zoo by each main and experiment",
+	"DeviceLR":       "learning rates are fixed in code by each main and experiment",
+	"ServerLR":       "learning rates are fixed in code by each main and experiment",
+	"GenLR":          "learning rates are fixed in code by each main and experiment",
+	"Momentum":       "optimiser constants are fixed in code by each main and experiment",
+	"WeightDecay":    "optimiser constants are fixed in code by each main and experiment",
+	"ProxMu":         "the ℓ2-regularisation ablation (Table IV) sets it per cell",
+	"EvalEvery":      "derived by each main from its round count",
+	"ReplicaShards":  "deprecated and read by nothing: the server keeps one cohort per architecture",
+	"VirtualDevices": "deprecated and read by nothing: a trained state rests only when it can outlive its round",
 }
 
 // flagCases gives every flag one non-default value and the field it must
@@ -55,7 +56,6 @@ var flagCases = []struct {
 	{"replica-store", "spill", "ReplicaStore", "spill"},
 	{"hot-set", "16", "HotSet", 16},
 	{"spill-dir", "/tmp/s", "SpillDir", "/tmp/s"},
-	{"virtual-devices", "true", "VirtualDevices", true},
 	{"eval-devices", "32", "EvalDevices", 32},
 	{"state-codec", "int8", "StateCodec", "int8"},
 	{"seed", "99", "Seed", uint64(99)},

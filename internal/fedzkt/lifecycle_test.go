@@ -95,12 +95,14 @@ func deviceState(t testing.TB, co *Coordinator, id int) (sd nn.StateDict) {
 // slot, server and device side, at registration and writes one only when
 // it is used. Reading — evaluating devices, checking replicas out as
 // teachers — writes nothing, and a read-only checkout of a virgin replica
-// holds exactly what its download would deliver. During a sampled run a
-// device slot is written exactly from the device's task to its download,
-// when the device drops it and follows its replica. So after the run no
-// device slot is written, every absorbed device's replica is, and a device
-// never sampled is virgin on both sides: transfer-back writes only the
-// round's participants.
+// holds exactly what its download would deliver. During a sampled run at
+// depth 0 a device slot is never written: a finished task drops it and
+// stops the device following its replica, so between the task and its
+// download the trained state exists only as the upload the server
+// absorbed, and the download makes the device follow its replica. So after
+// the run no device slot is written, every absorbed device's replica is,
+// and a device never sampled is virgin on both sides: transfer-back writes
+// only the round's participants.
 func TestResidentSlotsVirginUntilWritten(t *testing.T) {
 	co := toyFleet(t, 2, resident)
 	cs := co.Server().cohorts
@@ -144,10 +146,21 @@ func TestResidentSlotsVirginUntilWritten(t *testing.T) {
 	allVirgin("after evaluating every device and checking every replica out read-only")
 
 	ft := tap(co)
-	ft.delivering = func(_, id int, _ Payload) {
-		if server, device := virgins(id); server || device {
-			t.Errorf("device %d trained and was absorbed, yet before its download it is virgin on the server %v, on the device %v", id, server, device)
+	betweenTaskAndDownload := func(when string, id int) {
+		t.Helper()
+		if _, device := virgins(id); !device {
+			t.Errorf("%s: device %d's slot holds its trained state", when, id)
 		}
+		if co.follows[id] {
+			t.Errorf("%s: device %d follows its replica", when, id)
+		}
+	}
+	ft.uploaded = func(u Upload) { betweenTaskAndDownload("after its task", u.ID) }
+	ft.delivering = func(_, id int, _ Payload) {
+		if server, _ := virgins(id); server {
+			t.Errorf("device %d trained and was absorbed, yet before its download its replica is virgin", id)
+		}
+		betweenTaskAndDownload("before its download", id)
 	}
 	ft.delivered = func(_, id int) {
 		if _, device := virgins(id); !device {
@@ -286,11 +299,11 @@ func countCopies(co *Coordinator, ft *fleetTap) (copies func() [][]int) {
 // TestDevicesFollowTheirReplicas: after a synchronous download a device
 // keeps no state of its own and follows its server replica until it trains
 // again or the server is about to overwrite the replica.
-//   - Sampled, depth 0: at every round boundary no device slot holds a
-//     state; a resident device store never holds more states at once than
-//     the most participants of its architecture in one round, and the
-//     copy-on-write hook never copies (transfer-back writes participants
-//     only, and they stopped following when they trained).
+//   - Sampled, depth 0, over the memory and the spill store: no device
+//     store ever holds a state (a trained state does not outlive its
+//     round, so it is never written), and the copy-on-write hook never
+//     copies (transfer-back writes participants only, and they stopped
+//     following when they trained).
 //   - Exact mode with SampleK < N: transfer-back writes every replica, and
 //     the hook copies exactly the followers — the previous round's downloads that did not train this
 //     round.
@@ -304,6 +317,9 @@ func countCopies(co *Coordinator, ft *fleetTap) (copies func() [][]int) {
 //     until the round's download.
 //   - LoadCheckpoint at depth 0: every device follows, no device store
 //     holds a state.
+//
+// Subtests named resident run the memory store, virtual toyFleet's spill
+// store.
 func TestDevicesFollowTheirReplicas(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
@@ -318,22 +334,17 @@ func TestDevicesFollowTheirReplicas(t *testing.T) {
 				}
 			}
 			copies := countCopies(co, ft)
-			hist, err := co.Run(context.Background())
-			if err != nil {
+			if _, err := co.Run(context.Background()); err != nil {
 				t.Fatal(err)
-			}
-			if mode.name != "resident" {
-				return
 			}
 			for r, ids := range copies() {
 				if len(ids) > 0 {
 					t.Errorf("round %d: the hook copied replicas %v into followers", r+1, ids)
 				}
 			}
-			most := mostParticipants(co, hist, 1)
 			for arch, st := range co.devStore {
-				if st.peak == 0 || st.peak > most[arch] {
-					t.Errorf("%s device store held %d states at once, want 1..%d (the most %s participants of a round)", arch, st.peak, most[arch], arch)
+				if st.peak != 0 {
+					t.Errorf("%s device store held %d states at once, want 0: a depth-0 trained state is its upload", arch, st.peak)
 				}
 			}
 		})
@@ -549,12 +560,12 @@ func TestExactModeRacesFollowers(t *testing.T) {
 	}
 }
 
-// TestDeviceLifecycle: resident or virtual, on either engine, a device's
-// model is its worker rig's module only while a task or an evaluation
-// runs. After a run no device holds a model, no rig module holds a
-// gradient (LocalUpdate lends them from the task arena and takes them
-// back), and every module a device used was a rig's: at most workers ×
-// architectures were built.
+// TestDeviceLifecycle: over the memory store (resident) or the spill
+// store (virtual), on either engine, a device's model is its worker rig's
+// module only while a task or an evaluation runs. After a run no device
+// holds a model, no rig module holds a gradient (LocalUpdate lends them
+// from the task arena and takes them back), and every module a device
+// used was a rig's: at most workers × architectures were built.
 func TestDeviceLifecycle(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -564,6 +575,7 @@ func TestDeviceLifecycle(t *testing.T) {
 		{"resident-depth2", func(c *Config) { resident(c); c.PipelineDepth = 2 }},
 		{"virtual", nil},
 		{"virtual-prox", func(c *Config) { c.ProxMu = 0.1 }},
+		{"virtual-depth2", func(c *Config) { c.PipelineDepth = 2 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			co := toyFleet(t, 3, tc.mutate)

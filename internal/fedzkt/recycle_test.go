@@ -296,13 +296,15 @@ func TestSpillColdCheckoutAllocs(t *testing.T) {
 	}
 }
 
-// TestFleetStoreBuffersBounded: over a virtual, spilling run the server's
-// cohort stores and the device stores together build no more entry buffers
-// than their hot-set bounds plus what can be in flight — per store one
-// load, and one entry per worker evicted while that worker was reading it —
-// however many evictions the run performs; and the registry serves the sum.
+// TestFleetStoreBuffersBounded: over a spilling run at PipelineDepth 1,
+// where trained states rest in the device stores until their downloads,
+// the server's cohort stores and the device stores together build no more
+// entry buffers than their hot-set bounds plus what can be in flight — per
+// store one load, and one entry per worker evicted while that worker was
+// reading it — however many evictions the run performs; and the registry
+// serves the sum.
 func TestFleetStoreBuffersBounded(t *testing.T) {
-	co := toyFleet(t, 6, nil)
+	co := toyFleet(t, 6, func(c *Config) { c.PipelineDepth = 1 })
 	if _, err := co.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}

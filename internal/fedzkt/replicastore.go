@@ -15,14 +15,13 @@ package fedzkt
 // axes:
 //
 //   - bound: none — every slot that holds a state stays hot and no file is
-//     ever opened: the memory store and resident devices — or a hot-set
-//     size over a fixed-stride spill file (codec.SpillFile) that dirty
-//     entries are written to on eviction: the server's spill store and the
-//     virtual-device store.
+//     ever opened — or a hot-set size over a fixed-stride spill file
+//     (codec.SpillFile) that dirty entries are written to on eviction.
+//     Config.ReplicaStore picks it for the cohorts and the device stores
+//     alike.
 //   - codec: exact (float64) or lossy (float16, int8), which decides how a
-//     virgin slot is read (below). Resident devices rest in float64
-//     whatever the run's codec, so a trained state at rest is never
-//     quantised.
+//     virgin slot is read (below). Devices rest in float64 whatever the
+//     run's codec, so a trained state at rest is never quantised.
 //
 // Reserve, then write. An unbounded store reserves each slot's buffer at
 // registration: reserve pushes a buffer of the slot's container length
@@ -47,10 +46,15 @@ package fedzkt
 // beforeWrite hook gives a follower its own copy before anything writes
 // its replica — an absorb, a transfer-back checkout (exact mode writes
 // every replica), a checkpoint load — so a participant's state exists
-// once, on the server, between rounds. The rule is the same at every
-// pipeline depth: Deliver(r, id) follows iff no server round after r has
-// written replica id yet and device id has completed no task in a round
-// after r; otherwise it installs the download in the device's slot. At
+// once, on the server, between rounds. A finished task's trained state is
+// written into the device's slot only when it can outlive its round —
+// under a RoundDeadline, whose stragglers' uploads are discarded, or at
+// PipelineDepth ≥ 1 — and otherwise the slot is dropped: the state is the
+// upload, and the download that follows it is the replica. The follow rule
+// is the same at every pipeline depth: Deliver(r, id) follows iff no
+// server round after r has written replica id yet and device id has
+// completed no task in a round after r; otherwise it installs the download
+// in the device's slot. At
 // depth 0 that is every download; at depth ≥ 1, where the server stage
 // races the device tasks, the hook stamps each write with its server
 // round, and one coordinator mutex orders the hook, Deliver's
@@ -144,8 +148,8 @@ func (c *storeCounters) register(reg *obs.Registry) {
 }
 
 // registerStoreBuffers serves the entry-buffer pair summed over stores: the
-// server's counters, and with them an in-process fleet's virtual-device
-// stores' once there is one (registerFleetMetrics) — built stays near the
+// server's counters, and with them an in-process fleet's device stores'
+// once there is one (registerFleetMetrics) — built stays near the
 // hot-set bounds while reused grows with every cold load.
 func registerStoreBuffers(reg *obs.Registry, stores ...*storeCounters) {
 	sum := func(of func(*storeCounters) *obs.Counter) func() float64 {

@@ -15,10 +15,10 @@ import (
 	"github.com/fedzkt/fedzkt/internal/tensor"
 )
 
-// resident turns toyFleet's configuration into the default one: live
-// device models, in-memory replica slots, float64 on the wire.
+// resident turns toyFleet's configuration into the default one:
+// unbounded in-memory replica and device stores, float64 on the wire.
 func resident(c *Config) {
-	c.VirtualDevices, c.ReplicaStore, c.HotSet, c.StateCodec = false, "", 0, ""
+	c.ReplicaStore, c.HotSet, c.StateCodec = "", 0, ""
 }
 
 // residentCodecs runs f on the resident fleet's two payload regimes:
@@ -211,15 +211,17 @@ const (
 )
 
 // TestProxMuDeterminismGolden pins the proximal path across the lifetime
-// changes: resident devices (one worker and pooled), virtual devices
-// (whose anchor is re-captured at every materialisation, and whose states
-// at rest are the resident ones) and the depth-2 pipelined engine must
-// reproduce the recorded states bit for bit.
+// changes: the memory store (one worker and pooled), the spill store with
+// a hot set of 2 (a depth-0 device's anchor is re-captured at every
+// materialisation, since its trained states do not rest) and the depth-2
+// pipelined engine over either store (trained states and heap anchors
+// rest; the spill fleet's device stores evict) must reproduce the recorded
+// states bit for bit.
 func TestProxMuDeterminismGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("pinned states recorded on amd64; GOARCH=%s may fuse FMAs", runtime.GOARCH)
 	}
-	run := func(mutate func(*Config)) (string, string) {
+	run := func(mutate func(*Config)) (fp, state string, devEvictions int64) {
 		ds := data.MustMake(data.Config{
 			Name: "golden", Family: data.FamilyDigits, Classes: 3,
 			C: 1, H: 8, W: 8, TrainPerClass: 12, TestPerClass: 6, Seed: 55,
@@ -236,27 +238,33 @@ func TestProxMuDeterminismGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return hist.Fingerprint(), stateDigest(t, co)
+		return hist.Fingerprint(), stateDigest(t, co), co.DeviceStoreStats().Evictions
 	}
+	spill := func(c *Config) { c.ReplicaStore, c.HotSet = ReplicaStoreSpill, 2 }
 	for _, tc := range []struct {
 		name      string
 		mutate    func(*Config)
 		fp, state string
+		evicts    bool
 	}{
-		{"workers1", func(c *Config) { c.Workers = 1 }, proxGoldenFingerprint, proxGoldenDigest},
-		{"workers4", func(c *Config) { c.Workers = 4 }, proxGoldenFingerprint, proxGoldenDigest},
-		{"virtual", func(c *Config) { c.Workers = 3; c.VirtualDevices = true }, proxGoldenFingerprint, proxGoldenDigest},
-		{"depth2", func(c *Config) { c.Workers = 2; c.PipelineDepth = 2 }, "", proxGoldenDepth2Digest},
+		{"workers1", func(c *Config) { c.Workers = 1 }, proxGoldenFingerprint, proxGoldenDigest, false},
+		{"workers4", func(c *Config) { c.Workers = 4 }, proxGoldenFingerprint, proxGoldenDigest, false},
+		{"spill", func(c *Config) { spill(c); c.Workers = 3 }, proxGoldenFingerprint, proxGoldenDigest, false},
+		{"depth2", func(c *Config) { c.Workers = 2; c.PipelineDepth = 2 }, "", proxGoldenDepth2Digest, false},
+		{"spill-depth2", func(c *Config) { spill(c); c.Workers = 2; c.PipelineDepth = 2 }, "", proxGoldenDepth2Digest, true},
 	} {
-		fp, state := run(tc.mutate)
+		fp, state, evictions := run(tc.mutate)
 		if tc.fp != "" && fp != tc.fp {
 			t.Errorf("%s: fingerprint diverged from the recorded run:\n--- recorded ---\n%s--- got ---\n%s", tc.name, tc.fp, fp)
 		}
 		if state != tc.state {
 			t.Errorf("%s: final states digest %s, recorded %s", tc.name, state, tc.state)
 		}
+		if tc.evicts && evictions == 0 {
+			t.Errorf("%s: the device stores never evicted", tc.name)
+		}
 	}
-	if _, state := run(func(c *Config) { c.Workers = 1; c.ProxMu = 0 }); state == proxGoldenDigest {
+	if _, state, _ := run(func(c *Config) { c.Workers = 1; c.ProxMu = 0 }); state == proxGoldenDigest {
 		t.Error("the proximal term left no trace in the final states")
 	}
 }

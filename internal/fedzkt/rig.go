@@ -27,9 +27,9 @@ import (
 //     it, so live device models are bounded by workers × architectures
 //     instead of by the fleet;
 //   - one proximal-anchor buffer per architecture, lent with the module
-//     to a virtual device when the proximal term is on (a bounded store
-//     keeps no per-device anchor, so the device re-captures it at every
-//     materialisation).
+//     to a device when the proximal term is on and its trained states do
+//     not rest (such a device keeps no anchor between tasks, so it
+//     re-captures it at every materialisation).
 //
 // A rig is created lazily by the pool and is only ever touched by the
 // goroutine currently serving its worker slot.

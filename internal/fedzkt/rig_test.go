@@ -13,10 +13,11 @@ import (
 	"github.com/fedzkt/fedzkt/internal/tensor"
 )
 
-// toyFleet builds the bounded-memory regime in miniature: 24 virtual
-// devices of two architectures, 8 sampled per round on two workers, a
-// spill store with a hot set far smaller than the fleet, int8 on the wire
-// and at rest. The test's cleanup closes it.
+// toyFleet builds the bounded-memory regime in miniature: 24 devices of
+// two architectures, 8 sampled per round on two workers, a spill store —
+// for the replicas and the devices alike — with a hot set far smaller than
+// the fleet, int8 on the wire and for replicas at rest. The test's cleanup
+// closes it.
 func toyFleet(t *testing.T, rounds int, mutate func(*Config)) *Coordinator {
 	t.Helper()
 	co := newToyFleet(t, rounds, mutate)
@@ -37,7 +38,7 @@ func newToyFleet(t *testing.T, rounds int, mutate func(*Config)) *Coordinator {
 		DistillIters: 2, StudentSteps: 1, DistillBatch: 4, BatchSize: 4, ZDim: 8,
 		TeachersPerIter: 2, DeviceLR: 0.05, ServerLR: 0.05, GenLR: 3e-4, Momentum: 0.9,
 		SampleK: 8, Workers: 2, EvalDevices: 4, Seed: 72,
-		VirtualDevices: true, ReplicaStore: ReplicaStoreSpill, HotSet: 4, StateCodec: "int8",
+		ReplicaStore: ReplicaStoreSpill, HotSet: 4, StateCodec: "int8",
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -62,7 +63,7 @@ func runAllocs(t *testing.T, co *Coordinator) uint64 {
 }
 
 // TestVirtualRoundAllocCeiling pins what the device rig and the
-// verbatim-payload device store buy. A steady-state round of the toy
+// bounded device store buy. A steady-state round of the toy
 // fleet — the difference between a 12-round and a 4-round run, so set-up,
 // warm-up and the one final evaluation cancel — stays under a byte
 // ceiling: it measures ≈ 0.11 MB (0.88 MB while every cold load, virgin
@@ -84,7 +85,7 @@ func TestVirtualRoundAllocCeiling(t *testing.T) {
 	perRound := (float64(b) - float64(a)) / (long - short)
 	t.Logf("steady-state allocation: %.0f bytes/round", perRound)
 	if perRound > ceiling && !raceEnabled {
-		t.Errorf("a steady-state virtual round allocates %.0f bytes, ceiling %d", perRound, ceiling)
+		t.Errorf("a steady-state toy-fleet round allocates %.0f bytes, ceiling %d", perRound, ceiling)
 	}
 
 	builds, reuses := co.rigs.builds.Load(), co.rigs.reuses.Load()
@@ -107,9 +108,10 @@ func TestVirtualRoundAllocCeiling(t *testing.T) {
 	})
 }
 
-// TestVirtualProxRoundAllocCeiling: with the proximal term on, a virtual
-// device re-captures its anchor at every materialisation — into the
-// worker rig's per-architecture buffer, not into a clone of the state. A
+// TestVirtualProxRoundAllocCeiling: with the proximal term on, a device
+// whose trained states do not rest (depth 0, no deadline) re-captures its
+// anchor at every materialisation — into the worker rig's
+// per-architecture buffer, not into a clone of the state. A
 // steady-state round with ProxMu > 0 may therefore allocate only a little
 // more than one without (LocalUpdate's two small lookup maps per
 // participation, ≈ 11 kB a round); a clone per materialisation costs
@@ -128,7 +130,7 @@ func TestVirtualProxRoundAllocCeiling(t *testing.T) {
 	plain, prox := perRound(0), perRound(0.1)
 	t.Logf("steady-state allocation: %.0f bytes/round without the proximal term, %.0f with", plain, prox)
 	if prox-plain > ceiling && !raceEnabled {
-		t.Errorf("the proximal term costs a virtual round %.0f bytes, ceiling %d", prox-plain, ceiling)
+		t.Errorf("the proximal term costs a toy-fleet round %.0f bytes, ceiling %d", prox-plain, ceiling)
 	}
 }
 
@@ -151,14 +153,15 @@ func checkScraped(t *testing.T, want map[string]int64) {
 	}
 }
 
-// TestVirtualQuantisedMatchesResident: a virtual device's store keeps the
-// int8 download verbatim and decodes it straight into the rig's module,
-// which must give exactly the values a resident device's model holds
-// after the same download — so neither the fingerprint of a quantised run
-// nor any final replica or device state can depend on whether devices are
-// virtual, where replicas are stored, or how many workers (hence rigs)
-// serve them. The fingerprint's accuracies alone could hide a weight
-// divergence, so the states are digested too.
+// TestVirtualQuantisedMatchesResident: a device of the spill fleet that
+// follows its int8 replica, or holds a float64 copy of it in its bounded
+// store, decodes it straight into the rig's module, which must give
+// exactly the values a device of the memory fleet holds after the same
+// download — so neither the fingerprint of a quantised run nor any final
+// replica or device state can depend on where replicas and devices are
+// stored, or how many workers (hence rigs) serve them. The fingerprint's
+// accuracies alone could hide a weight divergence, so the states are
+// digested too.
 func TestVirtualQuantisedMatchesResident(t *testing.T) {
 	run := func(mutate func(*Config)) string {
 		co := toyFleet(t, 3, mutate)
@@ -168,16 +171,16 @@ func TestVirtualQuantisedMatchesResident(t *testing.T) {
 		}
 		return hist.Fingerprint() + "states " + stateDigest(t, co)
 	}
-	ref := run(func(c *Config) { c.VirtualDevices, c.ReplicaStore, c.HotSet = false, "", 0 })
+	ref := run(func(c *Config) { c.ReplicaStore, c.HotSet = "", 0 })
 	if got := run(nil); got != ref {
-		t.Fatalf("virtual + spill + int8 diverged from resident int8 devices:\nref:\n%s\ngot:\n%s", ref, got)
+		t.Fatalf("spill + int8 diverged from memory-store int8 devices:\nref:\n%s\ngot:\n%s", ref, got)
 	}
 	if got := run(func(c *Config) { c.Workers = 5 }); got != ref {
-		t.Fatal("virtual + spill + int8 diverged under Workers=5")
+		t.Fatal("spill + int8 diverged under Workers=5")
 	}
 	if got := run(func(c *Config) { c.Workers = 1; c.StateCodec = "float16" }); got != run(func(c *Config) {
-		c.VirtualDevices, c.ReplicaStore, c.HotSet, c.StateCodec = false, "", 0, "float16"
+		c.ReplicaStore, c.HotSet, c.StateCodec = "", 0, "float16"
 	}) {
-		t.Fatal("virtual + spill + float16 diverged from resident float16 devices")
+		t.Fatal("spill + float16 diverged from memory-store float16 devices")
 	}
 }

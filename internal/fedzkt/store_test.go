@@ -12,7 +12,6 @@ import (
 	"os"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/fedzkt/fedzkt/internal/model"
 	"github.com/fedzkt/fedzkt/internal/nn"
@@ -74,22 +73,25 @@ func TestSpillStoreFingerprintSampledTeachers(t *testing.T) {
 	}
 }
 
-// TestVirtualDevicesFingerprintGolden: virtual devices (models
-// materialised from a tiered store only while participating) must be
-// byte-identical to live devices — a device's store-at-rest state is
-// exactly its last-applied download.
-func TestVirtualDevicesFingerprintGolden(t *testing.T) {
-	ref := memoryRef(t)
-	if got := goldenRun(t, func(c *Config) { c.VirtualDevices = true; c.HotSet = 2 }); got != ref {
-		t.Fatal("virtual devices diverged from the live-device reference")
-	}
-	got := goldenRun(t, func(c *Config) {
-		c.VirtualDevices = true
-		c.ReplicaStore = ReplicaStoreSpill
-		c.HotSet = 2
-	})
-	if got != ref {
-		t.Fatal("virtual devices + spill store diverged from the live-device reference")
+// TestSpillDeviceStoreFingerprintGolden: at PipelineDepth 2 trained
+// states rest in the device stores until their downloads, so a spill
+// fleet's device stores, bounded by a hot set of 2, evict — and the run
+// must still be byte-identical to the memory store's depth-2 reference
+// (TestPipelinedDeterminismGolden's) under one worker and under three.
+func TestSpillDeviceStoreFingerprintGolden(t *testing.T) {
+	depth2 := func(c *Config) { c.PipelineDepth = 2 }
+	ref := goldenRun(t, func(c *Config) { depth2(c); c.Workers = 1 })
+	for _, workers := range []int{1, 3} {
+		got, dev := goldenRunStats(t, func(c *Config) {
+			depth2(c)
+			c.ReplicaStore, c.HotSet, c.Workers = ReplicaStoreSpill, 2, workers
+		})
+		if got != ref {
+			t.Fatalf("spill devices at depth 2 under Workers=%d diverged from the memory store:\nref:\n%s\ngot:\n%s", workers, ref, got)
+		}
+		if dev.Mode != ReplicaStoreSpill || dev.Evictions == 0 {
+			t.Errorf("Workers=%d: device stores in mode %q evicted %d entries; want a spill store that evicts", workers, dev.Mode, dev.Evictions)
+		}
 	}
 }
 
@@ -240,16 +242,6 @@ func TestStoreConfigValidation(t *testing.T) {
 		if _, err := NewServer(cfg, tinyShape(), 4); err == nil {
 			t.Fatalf("%s: want configuration error", tc.name)
 		}
-	}
-	// Virtual devices cannot coexist with a round deadline: a straggler's
-	// partial progress would not survive eviction.
-	ds := tinyDataset(3)
-	shards := partition.IID(ds.NumTrain(), 4, tensor.NewRand(4))
-	cfg := tinyConfig()
-	cfg.VirtualDevices = true
-	cfg.RoundDeadline = time.Second
-	if _, err := New(cfg, ds, []string{"mlp"}, shards); err == nil {
-		t.Fatal("want error for VirtualDevices with a RoundDeadline")
 	}
 }
 

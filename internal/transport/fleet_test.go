@@ -273,12 +273,11 @@ func TestUnsolicitedUploadNotAbsorbed(t *testing.T) {
 // silently; the ones the engine honours for every fleet are accepted.
 func TestNewServerRejectsUnsupportedFed(t *testing.T) {
 	for field, mutate := range map[string]func(*fedzkt.Config){
-		"PipelineDepth":  func(c *fedzkt.Config) { c.PipelineDepth = 1 },
-		"CheckpointDir":  func(c *fedzkt.Config) { c.CheckpointDir = t.TempDir() },
-		"Resume":         func(c *fedzkt.Config) { c.Resume = true },
-		"RoundDeadline":  func(c *fedzkt.Config) { c.RoundDeadline = time.Second },
-		"FailureRate":    func(c *fedzkt.Config) { c.FailureRate = 0.1 },
-		"VirtualDevices": func(c *fedzkt.Config) { c.VirtualDevices = true },
+		"PipelineDepth": func(c *fedzkt.Config) { c.PipelineDepth = 1 },
+		"CheckpointDir": func(c *fedzkt.Config) { c.CheckpointDir = t.TempDir() },
+		"Resume":        func(c *fedzkt.Config) { c.Resume = true },
+		"RoundDeadline": func(c *fedzkt.Config) { c.RoundDeadline = time.Second },
+		"FailureRate":   func(c *fedzkt.Config) { c.FailureRate = 0.1 },
 		"": func(c *fedzkt.Config) {
 			c.SampleK, c.EvalEvery, c.EvalDevices = 1, 2, 1
 			c.Workers = 2

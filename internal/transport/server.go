@@ -169,7 +169,6 @@ func validateFed(c fedzkt.Config) error {
 		{"Resume", c.Resume},
 		{"RoundDeadline", c.RoundDeadline > 0},
 		{"FailureRate", c.FailureRate > 0},
-		{"VirtualDevices", c.VirtualDevices},
 	} {
 		if f.set {
 			return fmt.Errorf("transport: Fed.%s is not supported over network sessions", f.name)
