@@ -142,16 +142,30 @@ func render(cfg Config, protos, colors [][]float64, perClass int, rng *rand.Rand
 			i++
 		}
 	}
-	// Shuffle samples so partitioners see no ordering artifacts.
+	// Shuffle samples so partitioners see no ordering artifacts: sample
+	// dst becomes the one rendered at perm[dst]. Each cycle of the
+	// permutation is followed in place, its first sample parked in one
+	// sample-sized temporary, so the dataset exists once.
 	perm := rng.Perm(n)
-	sx := tensor.New(n, cfg.C, cfg.H, cfg.W)
-	sy := make([]int, n)
-	sd := sx.Data()
-	for dst, src := range perm {
-		copy(sd[dst*px:(dst+1)*px], xd[src*px:(src+1)*px])
-		sy[dst] = y[src]
+	tmp := make([]float64, px)
+	for start, src := range perm {
+		if src < 0 || src == start {
+			continue
+		}
+		copy(tmp, xd[start*px:(start+1)*px])
+		ty := y[start]
+		dst := start
+		for src != start {
+			copy(xd[dst*px:(dst+1)*px], xd[src*px:(src+1)*px])
+			y[dst] = y[src]
+			perm[dst] = -1
+			dst, src = src, perm[src]
+		}
+		copy(xd[dst*px:(dst+1)*px], tmp)
+		y[dst] = ty
+		perm[dst] = -1
 	}
-	return sx, sy
+	return x, y
 }
 
 // renderSample writes one augmented view of the class prototype into dst.

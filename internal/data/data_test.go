@@ -1,6 +1,8 @@
 package data
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"github.com/fedzkt/fedzkt/internal/tensor"
@@ -162,6 +164,69 @@ func TestFamilyStatisticsDiffer(t *testing.T) {
 	ao, as := lrAsymmetry(obj), lrAsymmetry(str)
 	if as < 1.5*ao {
 		t.Fatalf("street left-right asymmetry %.4f not ≫ objects %.4f; families not distinct", as, ao)
+	}
+}
+
+// gatherRender is render's reference: every sample is rendered into one
+// tensor, then gathered through the permutation into a second.
+func gatherRender(cfg Config, protos, colors [][]float64, perClass int, rng *rand.Rand) (*tensor.Tensor, []int) {
+	n := perClass * cfg.Classes
+	px := cfg.C * cfg.H * cfg.W
+	x := tensor.New(n, cfg.C, cfg.H, cfg.W)
+	y := make([]int, n)
+	xd := x.Data()
+	i := 0
+	for s := 0; s < perClass; s++ {
+		for cl := 0; cl < cfg.Classes; cl++ {
+			renderSample(cfg, protos[cl], colors[cl], xd[i*px:(i+1)*px], rng)
+			y[i] = cl
+			i++
+		}
+	}
+	perm := rng.Perm(n)
+	sx := tensor.New(n, cfg.C, cfg.H, cfg.W)
+	sy := make([]int, n)
+	sd := sx.Data()
+	for dst, src := range perm {
+		copy(sd[dst*px:(dst+1)*px], xd[src*px:(src+1)*px])
+		sy[dst] = y[src]
+	}
+	return sx, sy
+}
+
+// TestRenderShufflesInPlaceAsGather: render's in-place shuffle leaves the
+// same bytes at the same indices as gathering through the permutation, and
+// draws the same random numbers.
+func TestRenderShufflesInPlaceAsGather(t *testing.T) {
+	for _, tc := range []struct {
+		family           Family
+		classes, c, h, w int
+		perClass         int
+	}{
+		{FamilyDigits, 2, 1, 4, 4, 1},
+		{FamilyDigits, 10, 1, 8, 8, 7},
+		{FamilyStreet, 3, 3, 6, 6, 13},
+		{FamilyObjects, 10, 3, 8, 8, 40},
+	} {
+		for _, seed := range []uint64{1, 7, 42, 1234} {
+			cfg := Config{Family: tc.family, Classes: tc.classes, C: tc.c, H: tc.h, W: tc.w, Seed: seed, NoiseStd: 0.15, MaxShift: 2}
+			protos := make([][]float64, cfg.Classes)
+			colors := make([][]float64, cfg.Classes)
+			proto := tensor.NewRand(seed)
+			for cl := range protos {
+				protos[cl] = prototype(cfg.Family, cfg.C, cfg.H, cfg.W, proto)
+				colors[cl] = classColor(cfg.C, proto)
+			}
+			rng, ref := tensor.NewRand(seed+1), tensor.NewRand(seed+1)
+			x, y := render(cfg, protos, colors, tc.perClass, rng)
+			wx, wy := gatherRender(cfg, protos, colors, tc.perClass, ref)
+			if !slices.Equal(x.Data(), wx.Data()) || !slices.Equal(y, wy) {
+				t.Errorf("%+v, %d per class: render differs from the gather", cfg, tc.perClass)
+			}
+			if rng.Uint64() != ref.Uint64() {
+				t.Errorf("%+v, %d per class: render drew other random numbers than the gather", cfg, tc.perClass)
+			}
+		}
 	}
 }
 

@@ -321,9 +321,10 @@ type Coordinator struct {
 	// rests marks a run where a trained state can outlive its round —
 	// under a RoundDeadline a straggler's upload is discarded, and at
 	// PipelineDepth ≥ 1 a device may train again before its download
-	// lands — so release writes it into the device's slot. Otherwise the
-	// state is the upload, and Deliver makes the device follow its replica
-	// before anything reads the device.
+	// lands — so release writes it into the device's slot, and register
+	// reserves the slot's buffer for that write. Otherwise the state is
+	// the upload, Deliver makes the device follow its replica before
+	// anything reads the device, and the device stores reserve nothing.
 	rests bool
 	// follows[id] marks a device whose state is its server replica: after
 	// a download of the replica as it still is, the device keeps no state
@@ -421,7 +422,10 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 // files the replica into the matching architecture cohort — and with the
 // device store. Neither side builds anything: until it is first written, a
 // device's state and its replica are its seeded build, which a virgin slot
-// is defined as (see slotStore.reserve).
+// is defined as (see slotStore.reserve). The device slot's buffer is
+// reserved only where a trained state rests; otherwise nothing but
+// unfollow's copy writes the slot, and that copy allocates its buffer at
+// first write and recycles it through the store's spare list.
 func (c *Coordinator) register(i int, arch string, local int) error {
 	id, err := c.server.Register(arch, nil)
 	if err != nil {
@@ -441,7 +445,9 @@ func (c *Coordinator) register(i int, arch string, local int) error {
 	c.follows = append(c.follows, false)
 	c.wrote = append(c.wrote, 0)
 	c.trainedIn = append(c.trainedIn, 0)
-	st.reserve()
+	if c.rests {
+		st.reserve()
+	}
 	return nil
 }
 
@@ -449,10 +455,11 @@ func (c *Coordinator) register(i int, arch string, local int) error {
 // the device side's one choice of bound, as cohortFor is the server's:
 // float64, so a state at rest is never quantised whatever the run's codec,
 // and bounded by HotSet over a spill file in the server's spill directory
-// exactly when the replicas are, else unbounded with each slot reserved at
-// registration. Either way a device that was never written holds no state
-// there, and materialise re-seeds the module in place; a follower holds
-// none either, and materialise reads its replica.
+// exactly when the replicas are, else unbounded, with each slot reserved at
+// registration where trained states rest (register). Either way a device
+// that was never written holds no state there, and materialise re-seeds
+// the module in place; a follower holds none either, and materialise reads
+// its replica.
 func (c *Coordinator) newDevStore(arch string) (*slotStore, error) {
 	sig := c.server.cohorts.sigs[arch]
 	exact, err := codec.Get(codec.Float64)

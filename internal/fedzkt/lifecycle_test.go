@@ -210,6 +210,18 @@ func deviceSlotsHeld(co *Coordinator) []int {
 	return ids
 }
 
+// spares returns, per architecture, the buffers on the device store's
+// spare list.
+func spares(co *Coordinator) map[string]int {
+	n := make(map[string]int)
+	for arch, st := range co.devStore {
+		st.mu.Lock()
+		n[arch] = len(st.spare)
+		st.mu.Unlock()
+	}
+	return n
+}
+
 // mostParticipants returns, per architecture, the most devices of it that
 // trained within window consecutive rounds of hist.
 func mostParticipants(co *Coordinator, hist fed.History, window int) map[string]int {
@@ -300,15 +312,17 @@ func countCopies(co *Coordinator, ft *fleetTap) (copies func() [][]int) {
 // keeps no state of its own and follows its server replica until it trains
 // again or the server is about to overwrite the replica.
 //   - Sampled, depth 0, over the memory and the spill store: no device
-//     store ever holds a state (a trained state does not outlive its
-//     round, so it is never written), and the copy-on-write hook never
-//     copies (transfer-back writes participants only, and they stopped
-//     following when they trained).
+//     store reserves a buffer or ever holds a state (a trained state does
+//     not outlive its round, so it is never written), and the copy-on-write
+//     hook never copies (transfer-back writes participants only, and they
+//     stopped following when they trained).
 //   - Exact mode with SampleK < N: transfer-back writes every replica, and
 //     the hook copies exactly the followers — the previous round's downloads that did not train this
-//     round.
+//     round. The device stores build a buffer for each copy held at
+//     once and recycle them for the later copies.
 //   - Sampled, depth 2, where the server stage races the device tasks:
-//     the hook is installed, and a delivered device holds the payload in
+//     each device store reserves a buffer per device, the hook is
+//     installed, and a delivered device holds the payload in
 //     its own slot, rather than following its replica, only when the
 //     replica was written or the device trained after the delivered round.
 //     After the run no device slot holds a state, and a store never held
@@ -327,6 +341,11 @@ func TestDevicesFollowTheirReplicas(t *testing.T) {
 	}{{"resident", resident}, {"virtual", nil}} {
 		t.Run("sampled/"+mode.name, func(t *testing.T) {
 			co := toyFleet(t, 4, mode.mutate)
+			for arch, n := range spares(co) {
+				if n != 0 {
+					t.Errorf("%s device store reserved %d buffers, want none: no trained state rests at depth 0", arch, n)
+				}
+			}
 			ft := tap(co)
 			ft.closing = func(m *fed.RoundMetrics) {
 				if held := deviceSlotsHeld(co); len(held) > 0 {
@@ -351,12 +370,23 @@ func TestDevicesFollowTheirReplicas(t *testing.T) {
 	}
 
 	t.Run("exact", func(t *testing.T) {
-		co := toyFleet(t, 4, func(c *Config) { resident(c); c.TeachersPerIter = 0 })
+		co := toyFleet(t, 4, func(c *Config) { resident(c); c.TeachersPerIter = 0; c.Workers = 1 })
 		ft := tap(co)
 		copies := countCopies(co, ft)
 		hist, err := co.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
+		}
+		// Nothing was reserved, so every buffer a hook copy was made in
+		// was built at a first write that found no spare: as many as the
+		// copies held at once, the rest recycled through the spare list.
+		peaks := 0
+		for _, st := range co.devStore {
+			peaks += st.peak
+		}
+		stats := co.DeviceStoreStats()
+		if stats.BuffersBuilt != int64(peaks) || stats.BuffersReused == 0 {
+			t.Errorf("device stores built %d buffers and reused %d, want the %d hook copies held at once built and the later ones reused", stats.BuffersBuilt, stats.BuffersReused, peaks)
 		}
 		got, total := copies(), 0
 		for r, m := range hist {
@@ -386,6 +416,15 @@ func TestDevicesFollowTheirReplicas(t *testing.T) {
 		co := toyFleet(t, 4, func(c *Config) { resident(c); c.PipelineDepth = 2 })
 		if co.server.cohorts.beforeWrite == nil {
 			t.Fatal("a depth-2 fleet did not install the copy-on-write hook")
+		}
+		members := make(map[string]int)
+		for _, d := range co.devices {
+			members[d.Arch]++
+		}
+		for arch, n := range spares(co) {
+			if n != members[arch] {
+				t.Errorf("%s device store reserved %d buffers, want one per device (%d): trained states rest at depth 2", arch, n, members[arch])
+			}
 		}
 		// The server stage writes replicas on its own goroutine; the
 		// wrapped hook records the round of each write as it happens.

@@ -23,20 +23,25 @@ package fedzkt
 //     virgin slot is read (below). Devices rest in float64 whatever the
 //     run's codec, so a trained state at rest is never quantised.
 //
-// Reserve, then write. An unbounded store reserves each slot's buffer at
-// registration: reserve pushes a buffer of the slot's container length
-// (codec.Size of the architecture signature — nothing is encoded) onto the
-// spare list, untouched, and the slot's first write pops it. Fresh heap
-// memory is untouched zero pages, so a reserved buffer costs no resident
-// memory until written, and the list being LIFO, the buffers ever written
-// number the most slots that held a state at once, not the slots written
-// over a run. Reserving, rather than allocating at the first write, keeps
-// the allocation in set-up: allocating at first write measured
-// fleet1k_sync's alloc_mb_per_round 6.3 → 15.3 against a 0.2 bound. The
-// price is in set-up, and it is not free: Go zeroes the spans a heap that
-// has already freed memory hands out again (over five fleet1k_sync
-// set-ups after a first one in one process, on 2 CPUs, 89 % of the CPU was
-// memclrNoHeapPointers under reserve). A bounded store reserves nothing.
+// Reserve, then write. An unbounded store reserves a slot's buffer at
+// registration where a state may be written: every replica slot, and a
+// device slot only where a trained state can rest (Coordinator.register).
+// reserve pushes a buffer of the slot's container length (codec.Size of
+// the architecture signature — nothing is encoded) onto the spare list,
+// untouched, and the slot's first write pops it; a first write that finds
+// no spare allocates its buffer, which a drop recycles. The list being
+// LIFO, the buffers ever written number the most slots that held a state
+// at once, not the slots written over a run. Reserving, rather than
+// allocating at the first write, keeps the allocation in set-up:
+// allocating the replicas' at first write measured fleet1k_sync's
+// alloc_mb_per_round 6.3 → 15.3 against a 0.2 bound. The price is in
+// set-up, and it is not free. Only a heap that has never freed memory
+// hands out untouched zero pages; in a process that built federations
+// before, Go zeroes the spans it hands out again, so each reserved byte
+// costs CPU and RSS whether or not it is ever written: over 30
+// fleet1k_sync set-ups in one process, on 2 CPUs, 77–79 % of the CPU is
+// memclrNoHeapPointers under the cohorts' reserve. A bounded store
+// reserves nothing.
 //
 // A device at rest follows its replica. A download is byte for byte the
 // device's server replica as the delivered round left it, so while that
