@@ -86,6 +86,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer srv.Close()
 	fmt.Printf("listening on %s, waiting for %d devices...\n", srv.Addr(), *devices)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -48,6 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer srv.Close()
 	fmt.Println("server listening on", srv.Addr())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)

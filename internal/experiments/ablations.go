@@ -138,6 +138,9 @@ func Codecs(p Params) (*Result, error) {
 			fmt.Sprintf("%.3f", float64(up+down)/float64(len(hist))/1e6),
 			pct(acc),
 			fmt.Sprintf("%+.2fpp", 100*(acc-denseAcc)))
+		if err := co.Close(); err != nil {
+			return nil, fmt.Errorf("codecs %s: %w", name, err)
+		}
 	}
 	return &Result{Tables: []*Table{t}}, nil
 }

@@ -11,6 +11,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 
@@ -214,14 +215,15 @@ func shardsFor(ds *data.Dataset, k int, regime string, seed uint64) [][]int {
 	return shards
 }
 
-// runCoordinator builds and runs one FedZKT federation to completion.
+// runCoordinator builds and runs one FedZKT federation to completion. The
+// caller closes it.
 func runCoordinator(cfg fedzkt.Config, ds *data.Dataset, archs []string, shards [][]int) (*fedzkt.Coordinator, error) {
 	co, err := fedzkt.New(cfg, ds, archs, shards)
 	if err != nil {
 		return nil, err
 	}
 	if _, err := co.Run(context.Background()); err != nil {
-		return nil, err
+		return nil, errors.Join(err, co.Close())
 	}
 	return co, nil
 }
@@ -234,7 +236,7 @@ func runFedZKT(cfg fedzkt.Config, ds *data.Dataset, archs []string, shards [][]i
 	}
 	// Full finalised history: a resumed federation replays only the tail,
 	// but the experiment tables should cover every round.
-	return co.History(), nil
+	return co.History(), co.Close()
 }
 
 // runFedMD builds and runs one FedMD federation.

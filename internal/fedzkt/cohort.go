@@ -217,6 +217,9 @@ type cohortSet struct {
 	faults    []int
 	faultErrs []string
 
+	// closed is set by close; register refuses from then on. Callers
+	// order the two.
+	closed    bool
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -290,6 +293,9 @@ func (cs *cohortSet) hotCap(c *cohort) int {
 // build per architecture), never against itself, so a drifted first
 // registrant fails as loudly as a later one.
 func (cs *cohortSet) register(arch string, sd nn.StateDict, build func() (nn.Module, error)) (int, error) {
+	if cs.closed {
+		return 0, errStoreClosed
+	}
 	id := len(cs.devices)
 	sig, err := cs.ensureSig(arch, build)
 	if err != nil {
@@ -301,10 +307,12 @@ func (cs *cohortSet) register(arch string, sd nn.StateDict, build func() (nn.Mod
 		}
 	}
 	c := cs.cohortFor(arch, sig, build)
+	if err := c.slots.reserve(); err != nil {
+		return 0, err
+	}
 	mem := &member{id: id, local: len(c.members)}
 	c.members = append(c.members, mem)
 	cs.devices = append(cs.devices, deviceRef{cohort: c, member: mem})
-	c.slots.reserve()
 	if sd == nil {
 		return id, nil
 	}
@@ -564,9 +572,10 @@ func compactLeases(leases []*replicaLease) []*replicaLease {
 	return leases
 }
 
-// close releases every spill file. Idempotent.
+// close releases every store's spill file and mappings. Idempotent.
 func (cs *cohortSet) close() error {
 	cs.closeOnce.Do(func() {
+		cs.closed = true
 		for _, c := range cs.cohorts {
 			if err := c.slots.close(); err != nil && cs.closeErr == nil {
 				cs.closeErr = err

@@ -441,13 +441,15 @@ func (c *Coordinator) register(i int, arch string, local int) error {
 		}
 		c.devStore[arch] = st
 	}
+	if c.rests {
+		if err := st.reserve(); err != nil {
+			return err
+		}
+	}
 	c.devLocal = append(c.devLocal, local)
 	c.follows = append(c.follows, false)
 	c.wrote = append(c.wrote, 0)
 	c.trainedIn = append(c.trainedIn, 0)
-	if c.rests {
-		st.reserve()
-	}
 	return nil
 }
 

@@ -107,6 +107,7 @@ func newFedMetrics(reg *obs.Registry, srv *Server, payloads *payloadBuffers) *fe
 		func() float64 { return float64(srv.ReplicaStoreStats().HotEntries) })
 	reg.RegisterGaugeFunc("fedzkt_store_spill_records", "replica records resident in spill files",
 		func() float64 { return float64(srv.ReplicaStoreStats().SpillRecords) })
+	registerMappedBytes(reg)
 	reg.RegisterCounterFunc("fedzkt_payload_buffers_built_total", "upload/download payload buffers allocated (at most the peak number in flight)",
 		func() float64 { return float64(payloads.built.Load()) })
 	reg.RegisterCounterFunc("fedzkt_payload_buffers_reused_total", "uploads/downloads served by a recycled payload buffer",
@@ -114,6 +115,14 @@ func newFedMetrics(reg *obs.Registry, srv *Server, payloads *payloadBuffers) *fe
 	srv.arenaGauges.phase.register(reg, "phase", "the server's distillation phase arena")
 	srv.arenaGauges.worker.register(reg, "server_worker", "the server's per-worker arenas, summed")
 	return fm
+}
+
+// registerMappedBytes serves fedzkt_store_mapped_bytes, the bytes every
+// store in the process holds mapped for reserved buffers (slab):
+// runtime.MemStats does not count them.
+func registerMappedBytes(reg *obs.Registry) {
+	reg.RegisterGaugeFunc("fedzkt_store_mapped_bytes", "bytes mapped for reserved slot buffers by every store in the process (outside the Go heap)",
+		func() float64 { return float64(mappedBytes.Load()) })
 }
 
 // registerFleetMetrics adds scrape-time views of an in-process fleet's

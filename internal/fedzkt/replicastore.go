@@ -34,14 +34,18 @@ package fedzkt
 // at once, not the slots written over a run. Reserving, rather than
 // allocating at the first write, keeps the allocation in set-up:
 // allocating the replicas' at first write measured fleet1k_sync's
-// alloc_mb_per_round 6.3 → 15.3 against a 0.2 bound. The price is in
-// set-up, and it is not free. Only a heap that has never freed memory
-// hands out untouched zero pages; in a process that built federations
-// before, Go zeroes the spans it hands out again, so each reserved byte
-// costs CPU and RSS whether or not it is ever written: over 30
-// fleet1k_sync set-ups in one process, on 2 CPUs, 77–79 % of the CPU is
-// memclrNoHeapPointers under the cohorts' reserve. A bounded store
-// reserves nothing.
+// alloc_mb_per_round 6.3 → 15.3 against a 0.2 bound. A reserved buffer
+// comes from the store's slab (slab.go), anonymous mappings whose pages
+// the kernel zeroes at first touch, so a reservation costs neither CPU
+// nor RSS until its slot is written, in a fresh process and in one that
+// built federations before alike. A heap buffer is zeroed again in the
+// latter: over 30 fleet1k_sync set-ups in one process, on 2 CPUs, that was
+// 72 % of 2.93 s of CPU, memclrNoHeapPointers under reserve; from the slab
+// the set-ups take 0.46 s, none of it zeroing under reserve, and
+// data.render is the largest cost left. close unmaps the slab — when
+// the last read in progress returns — and a finalizer on the slab unmaps
+// a store nobody closes; a closed store's reads, writes and reservations
+// fail. A bounded store reserves nothing.
 //
 // A device at rest follows its replica. A download is byte for byte the
 // device's server replica as the delivered round left it, so while that
@@ -107,6 +111,7 @@ package fedzkt
 // evaluation fan-out, whose workers each read a device's state.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -306,6 +311,12 @@ type slotStore struct {
 	// no file is opened, and reserve reserves a buffer of reserveLen bytes.
 	capFn      func() int
 	reserveLen int
+	// slab is where reserve takes its buffers from (an unbounded store's).
+	slab *slab
+	// closed is set by close; pinned counts the reads in progress, and
+	// the last to return after close unmaps the slab.
+	closed bool
+	pinned int
 	// spillPath names the lazily created spill file.
 	spillPath string
 	// init appends a virgin member's container, encoded from its
@@ -331,6 +342,7 @@ func newSlotStore(c codec.Codec, sig *archSig, spillPath string, capFn func() in
 		init:      init,
 		rebuilds:  init != nil && !codec.Identity(c),
 		counters:  counters,
+		slab:      newSlab(),
 	}
 	if capFn == nil {
 		ts.reserveLen = codec.Size(c, sig.names, sig.shapes)
@@ -501,7 +513,14 @@ func (ts *slotStore) read(local int, fn func(enc []byte) error) (held bool, err 
 	err = fn(e.enc)
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	if e.pins--; e.pins == 0 && ts.hot[local] != e {
+	e.pins--
+	ts.pinned--
+	switch {
+	case ts.closed:
+		if ts.pinned == 0 {
+			ts.slab.release() // closed while it was being read
+		}
+	case e.pins == 0 && ts.hot[local] != e:
 		ts.recycle(e.enc) // evicted while it was being read
 	}
 	return true, err
@@ -512,6 +531,9 @@ func (ts *slotStore) read(local int, fn func(enc []byte) error) (held bool, err 
 func (ts *slotStore) pin(local int) (*hotEntry, error) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
+	if ts.closed {
+		return nil, errStoreClosed
+	}
 	e, ok := ts.hot[local]
 	switch {
 	case ok:
@@ -531,6 +553,7 @@ func (ts *slotStore) pin(local int) (*hotEntry, error) {
 		}
 	}
 	e.pins++
+	ts.pinned++
 	return e, nil
 }
 
@@ -541,6 +564,9 @@ func (ts *slotStore) pin(local int) (*hotEntry, error) {
 func (ts *slotStore) put(local int, fill func(buf []byte) ([]byte, error)) error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
+	if ts.closed {
+		return errStoreClosed
+	}
 	e, ok := ts.hot[local]
 	if !ok {
 		e = &hotEntry{local: local, enc: ts.vacated()}
@@ -568,17 +594,20 @@ func (ts *slotStore) putBytes(local int, b []byte) error {
 
 // reserve registers a slot without a state: until it is first written,
 // its content is the seeded registration state. An unbounded store pushes a
-// buffer of the slot's container length onto the spare list for the slot's
-// first write to pop, untouched — not poisoned: it was never lent — and a
-// bounded one reserves nothing.
-func (ts *slotStore) reserve() {
+// buffer of the slot's container length, taken from its slab, onto the
+// spare list for the slot's first write to pop, untouched — not poisoned:
+// it was never lent — and a bounded one reserves nothing.
+func (ts *slotStore) reserve() error {
 	if ts.capFn != nil {
-		return
+		return nil
 	}
-	buf := make([]byte, ts.reserveLen)
 	ts.mu.Lock()
-	ts.spare = append(ts.spare, buf)
-	ts.mu.Unlock()
+	defer ts.mu.Unlock()
+	if ts.closed {
+		return errStoreClosed
+	}
+	ts.spare = append(ts.spare, ts.slab.take(ts.reserveLen))
+	return nil
 }
 
 // installDict replaces slot i's state with sd's values.
@@ -598,6 +627,10 @@ func (ts *slotStore) installPayload(i int, payload []byte) error {
 	}
 	return ts.putBytes(i, payload)
 }
+
+// errStoreClosed is what a closed store's reads, writes and reservations
+// return: its buffers may be unmapped.
+var errStoreClosed = errors.New("fedzkt: slot store is closed")
 
 // errNoState is what a caller that registered every slot it asks for
 // reports for one that holds no state.
@@ -645,6 +678,9 @@ func (ts *slotStore) readInto(i int, sd nn.StateDict) (bool, error) {
 func (ts *slotStore) drop(local int) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
+	if ts.closed {
+		return
+	}
 	if e, ok := ts.hot[local]; ok {
 		ts.lruUnlink(e)
 		delete(ts.hot, local)
@@ -696,10 +732,17 @@ func (ts *slotStore) addStats(st *ReplicaStoreStats) {
 	}
 }
 
-// close releases the spill file (removing it from disk).
+// close releases the spill file (removing it from disk) and the slab's
+// mappings — at once, or when the last read in progress returns — and
+// makes every later read, write and reservation return errStoreClosed.
+// Idempotent.
 func (ts *slotStore) close() error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
+	ts.closed = true
+	if ts.pinned == 0 {
+		ts.slab.release()
+	}
 	if ts.file == nil {
 		return nil
 	}

@@ -112,10 +112,13 @@ type Server struct {
 	attached   int
 	conns      []net.Conn
 	finalStats []SessionStats
+	// running is set while Run is in progress and closed once Close is
+	// called: the second of Close and Run's return closes the core.
+	running, closed bool
 }
 
 // NewServer builds the server and starts listening; call Run to serve.
-func NewServer(cfg ServerConfig) (*Server, error) {
+func NewServer(cfg ServerConfig) (srv *Server, err error) {
 	cfg = cfg.withDefaults()
 	if err := validateFed(cfg.Fed); err != nil {
 		return nil, err
@@ -128,6 +131,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			_ = core.Close()
+		}
+	}()
 	// Deterministic shard assignment from the run seed.
 	shards, err := shardsFor(ds, cfg.NumDevices, cfg.Partition, core.Config().Seed)
 	if err != nil {
@@ -137,7 +145,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &Server{
+	srv = &Server{
 		cfg:         cfg,
 		core:        core,
 		key:         key,
@@ -180,8 +188,24 @@ func validateFed(c fedzkt.Config) error {
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close shuts the listener and all device connections.
+// Close shuts the listener and all device connections and closes the
+// core — its spill files and directory and its stores' mappings — at once,
+// or, while Run is in progress, when Run returns: besides the round
+// engine only a Hello's handler reaches the core, and it registers under
+// mu, so a Hello that comes later is refused with MsgError (the closed
+// core's Register fails). Idempotent.
 func (s *Server) Close() {
+	s.hangUp()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	if !s.running {
+		_ = s.core.Close()
+	}
+}
+
+// hangUp shuts the listener and all device connections.
+func (s *Server) hangUp() {
 	_ = s.ln.Close()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -257,11 +281,26 @@ func (s *Server) reportFatal(err error) {
 
 // Run accepts cfg.NumDevices registrations, runs the federation's rounds
 // on the round engine, and returns the per-round history. It closes all
-// connections on return. ctx cancellation aborts the registration wait
-// and the rounds.
-func (s *Server) Run(ctx context.Context) (fed.History, error) {
-	defer s.Close()
-	stop := context.AfterFunc(ctx, s.Close)
+// connections on return; the core stays open for inspection until Close.
+// ctx cancellation aborts the registration wait and the rounds, and
+// closes the server as Run returns.
+func (s *Server) Run(ctx context.Context) (hist fed.History, err error) {
+	s.mu.Lock()
+	s.running = true
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.running = false
+		if s.closed || ctx.Err() != nil {
+			s.closed = true
+			if cerr := s.core.Close(); err == nil {
+				err = cerr
+			}
+		}
+	}()
+	defer s.hangUp()
+	stop := context.AfterFunc(ctx, s.hangUp)
 	defer stop()
 
 	// Accept loop: runs for the server's whole life, serving both fresh
@@ -294,7 +333,7 @@ func (s *Server) Run(ctx context.Context) (fed.History, error) {
 	s.mu.Lock()
 	s.fleet.sessions = append([]*session(nil), s.sessions...)
 	s.mu.Unlock()
-	hist, err := s.engine.Run(ctx)
+	hist, err = s.engine.Run(ctx)
 	if err != nil {
 		return hist, err
 	}

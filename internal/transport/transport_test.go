@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"net"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -140,8 +142,8 @@ func TestStateDictOverWireBitExact(t *testing.T) {
 // heterogeneous devices and verifies the round loop completes with sane
 // metrics, under the default dense codec and under int8 quantised state.
 func TestEndToEndLoopback(t *testing.T) {
-	dense := endToEndLoopback(t, "")
-	quant := endToEndLoopback(t, "int8")
+	dense := endToEndLoopback(t, nil)
+	quant := endToEndLoopback(t, func(c *fedzkt.Config) { c.StateCodec = "int8" })
 	// The quantised uplink carries ~1 byte per element instead of 8; even
 	// with container overhead the measured traffic must shrink >4×.
 	if quant[0].BytesUp*4 > dense[0].BytesUp {
@@ -149,23 +151,29 @@ func TestEndToEndLoopback(t *testing.T) {
 	}
 }
 
-func endToEndLoopback(t *testing.T, stateCodec string) fed.History {
+// endToEndLoopback runs two loopback devices through two rounds, with
+// tweak (if any) applied to the federation's config.
+func endToEndLoopback(t *testing.T, tweak func(*fedzkt.Config)) fed.History {
+	fedCfg := fedzkt.Config{
+		Rounds: 2, LocalEpochs: 1, DistillIters: 4, StudentSteps: 1,
+		DistillBatch: 8, BatchSize: 8, ZDim: 8,
+		DeviceLR: 0.05, ServerLR: 0.05, GenLR: 3e-4, Momentum: 0.9, Seed: 5,
+	}
+	if tweak != nil {
+		tweak(&fedCfg)
+	}
 	srv, err := NewServer(ServerConfig{
 		Addr:        "127.0.0.1:0",
 		NumDevices:  2,
 		DatasetName: "synthmnist",
 		Sizes:       data.Sizes{TrainPerClass: 10, TestPerClass: 4},
-		Fed: fedzkt.Config{
-			Rounds: 2, LocalEpochs: 1, DistillIters: 4, StudentSteps: 1,
-			DistillBatch: 8, BatchSize: 8, ZDim: 8,
-			DeviceLR: 0.05, ServerLR: 0.05, GenLR: 3e-4, Momentum: 0.9, Seed: 5,
-			StateCodec: stateCodec,
-		},
-		IOTimeout: time.Minute,
+		Fed:         fedCfg,
+		IOTimeout:   time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer srv.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
@@ -233,6 +241,64 @@ func TestServerCancelledDuringAccept(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("server did not unblock after cancellation")
+	}
+}
+
+// TestServerClosesItsCore: Close closes the fedzkt core — after a run, or
+// as a run cancelled during registration returns — so a spill store's
+// private directory does not outlive the server; and a Hello that reaches
+// the closed core is refused with MsgError.
+func TestServerClosesItsCore(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	spill := func(c *fedzkt.Config) { c.ReplicaStore = fedzkt.ReplicaStoreSpill; c.HotSet = 1 }
+	leftover := func() []string {
+		t.Helper()
+		dirs, err := filepath.Glob(filepath.Join(tmp, "fedzkt-spill-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dirs
+	}
+
+	endToEndLoopback(t, spill)
+	if dirs := leftover(); len(dirs) != 0 {
+		t.Fatalf("a closed server left its spill directory behind: %v", dirs)
+	}
+
+	cfg := fedzkt.Config{Rounds: 1, Seed: 1}
+	spill(&cfg)
+	srv, err := NewServer(ServerConfig{
+		Addr:        "127.0.0.1:0",
+		NumDevices:  2,
+		DatasetName: "synthmnist",
+		Sizes:       data.Sizes{TrainPerClass: 4, TestPerClass: 2},
+		Fed:         cfg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := srv.Run(ctx); err == nil {
+		t.Fatal("want an error from a run cancelled before registration")
+	}
+	if dirs := leftover(); len(dirs) != 0 {
+		t.Fatalf("a cancelled run left its spill directory behind: %v", dirs)
+	}
+
+	dev, conn := net.Pipe()
+	defer dev.Close()
+	go srv.handleConn(conn)
+	if err := WriteMessage(dev, &Message{Type: MsgHello, Arch: "mlp"}); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := ReadMessage(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.Type != MsgError {
+		t.Fatalf("a Hello after the run got %v, want %v", reply.Type, MsgError)
 	}
 }
 
