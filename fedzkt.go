@@ -6,7 +6,7 @@
 // type aliases, so a downstream user needs only this import:
 //
 //	co, err := fedzkt.New(fedzkt.Config{Rounds: 10}, ds, archs, shards)
-//	defer co.Close() // releases spill files and reserved slot buffers
+//	defer co.Close() // releases spill files and the slot buffers written
 //	hist, err := co.Run(ctx)
 //
 // Rounds execute on the sharded device-scale scheduler (internal/sched),

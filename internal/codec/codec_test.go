@@ -534,8 +534,8 @@ func TestEncodeExactSize(t *testing.T) {
 
 // TestSizeMatchesAppend: Size, computed from names and shapes alone, is the
 // length Append writes, for every architecture in the zoo under every
-// codec. A store reserves slot buffers of this size; were the two to
-// drift, every first write would outgrow its reserved buffer and allocate.
+// codec. A store takes slot buffers of this size; were the two to drift,
+// every first write would outgrow its buffer and allocate.
 func TestSizeMatchesAppend(t *testing.T) {
 	for _, arch := range model.Names() {
 		m, err := model.Build(arch, model.Shape{C: 1, H: 16, W: 16}, 10, tensor.NewRand(3))

@@ -69,7 +69,7 @@ func payloadLen(dtype byte, numel int) (n int, ok bool) {
 
 // The container size is a pure function of the layout and the dtype:
 // headerSize plus one tensorSize per tensor. appendContainer sizes its
-// buffer with it and Size reports it, so a buffer reserved for a layout is
+// buffer with it and Size reports it, so a buffer sized for a layout is
 // exactly what the layout's encoding fills.
 
 // headerSize is the container bytes before the first tensor.

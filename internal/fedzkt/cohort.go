@@ -27,7 +27,7 @@ import (
 //
 // Slots hold state at rest as codec containers in one slotStore per
 // cohort (replicastore.go): every slot that holds a state hot on the memory
-// store, its buffer reserved at registration and first written when used;
+// store, its buffer taken when the slot is first written;
 // an LRU hot set over a spill file on the spill store, where resident
 // replica state is bounded by the hot-set size instead of the device
 // count, the million-device lever. Members that were never written are
@@ -213,9 +213,8 @@ type cohortSet struct {
 	// faults collects device ids dropped from a phase because their slot
 	// bytes failed to load or decode; drained per round into
 	// RoundMetrics.ReplicaFaults.
-	faultMu   sync.Mutex
-	faults    []int
-	faultErrs []string
+	faultMu sync.Mutex
+	faults  []int
 
 	// closed is set by close; register refuses from then on. Callers
 	// order the two.
@@ -285,8 +284,8 @@ func (cs *cohortSet) hotCap(c *cohort) int {
 	return n
 }
 
-// register files a new member into its architecture's cohort, reserves its slot
-// (slotStore.reserve) and stores its initial state. A nil sd registers a
+// register files a new member into its architecture's cohort and stores
+// its initial state, if it has one. A nil sd registers a
 // virgin member, whose content is its seeded initial state until the slot
 // is first written: reads reconstruct the state via initSlot or reseed.
 // sd is validated against the architecture's own signature (one throwaway
@@ -307,9 +306,6 @@ func (cs *cohortSet) register(arch string, sd nn.StateDict, build func() (nn.Mod
 		}
 	}
 	c := cs.cohortFor(arch, sig, build)
-	if err := c.slots.reserve(); err != nil {
-		return 0, err
-	}
 	mem := &member{id: id, local: len(c.members)}
 	c.members = append(c.members, mem)
 	cs.devices = append(cs.devices, deviceRef{cohort: c, member: mem})
@@ -364,13 +360,10 @@ func (cs *cohortSet) virgin(ref deviceRef) bool {
 // noteFault records a member whose slot bytes failed to load or decode;
 // the member is dropped from the current phase and the id surfaces in
 // RoundMetrics.ReplicaFaults.
-func (cs *cohortSet) noteFault(id int, err error) {
+func (cs *cohortSet) noteFault(id int) {
 	cs.counters.replicaFaults.Add(1)
 	cs.faultMu.Lock()
 	cs.faults = append(cs.faults, id)
-	if len(cs.faultErrs) < 16 { // keep a bounded sample for diagnostics
-		cs.faultErrs = append(cs.faultErrs, err.Error())
-	}
 	cs.faultMu.Unlock()
 }
 
@@ -379,7 +372,6 @@ func (cs *cohortSet) takeFaults() []int {
 	cs.faultMu.Lock()
 	ids := cs.faults
 	cs.faults = nil
-	cs.faultErrs = nil
 	cs.faultMu.Unlock()
 	if len(ids) == 0 {
 		return nil
@@ -513,7 +505,7 @@ func (cs *cohortSet) checkout(ids []int, trainable, training bool) []*replicaLea
 			}
 		}
 		if err != nil {
-			cs.noteFault(id, err)
+			cs.noteFault(id)
 			continue // the pool slot is reused by the next member
 		}
 		next[ref.cohort] = si + 1

@@ -321,10 +321,9 @@ type Coordinator struct {
 	// rests marks a run where a trained state can outlive its round —
 	// under a RoundDeadline a straggler's upload is discarded, and at
 	// PipelineDepth ≥ 1 a device may train again before its download
-	// lands — so release writes it into the device's slot, and register
-	// reserves the slot's buffer for that write. Otherwise the state is
-	// the upload, Deliver makes the device follow its replica before
-	// anything reads the device, and the device stores reserve nothing.
+	// lands — so release writes it into the device's slot. Otherwise the
+	// state is the upload, and Deliver makes the device follow its replica
+	// before anything reads the device.
 	rests bool
 	// follows[id] marks a device whose state is its server replica: after
 	// a download of the replica as it still is, the device keeps no state
@@ -418,14 +417,12 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 }
 
 // register files device i, the local-th of its architecture, with the
-// server — it announces its architecture, and the server
-// files the replica into the matching architecture cohort — and with the
+// server — it announces its architecture, and the server files the replica
+// into the matching architecture cohort — and makes its architecture's
 // device store. Neither side builds anything: until it is first written, a
 // device's state and its replica are its seeded build, which a virgin slot
-// is defined as (see slotStore.reserve). The device slot's buffer is
-// reserved only where a trained state rests; otherwise nothing but
-// unfollow's copy writes the slot, and that copy allocates its buffer at
-// first write and recycles it through the store's spare list.
+// is defined as (see the virgin rule in replicastore.go), and neither store
+// holds anything for it.
 func (c *Coordinator) register(i int, arch string, local int) error {
 	id, err := c.server.Register(arch, nil)
 	if err != nil {
@@ -434,17 +431,12 @@ func (c *Coordinator) register(i int, arch string, local int) error {
 	if id != i {
 		return fmt.Errorf("fedzkt: device id mismatch: %d != %d", id, i)
 	}
-	st, ok := c.devStore[arch]
-	if !ok {
-		if st, err = c.newDevStore(arch); err != nil {
+	if _, ok := c.devStore[arch]; !ok {
+		st, err := c.newDevStore(arch)
+		if err != nil {
 			return err
 		}
 		c.devStore[arch] = st
-	}
-	if c.rests {
-		if err := st.reserve(); err != nil {
-			return err
-		}
 	}
 	c.devLocal = append(c.devLocal, local)
 	c.follows = append(c.follows, false)
@@ -457,8 +449,7 @@ func (c *Coordinator) register(i int, arch string, local int) error {
 // the device side's one choice of bound, as cohortFor is the server's:
 // float64, so a state at rest is never quantised whatever the run's codec,
 // and bounded by HotSet over a spill file in the server's spill directory
-// exactly when the replicas are, else unbounded, with each slot reserved at
-// registration where trained states rest (register). Either way a device
+// exactly when the replicas are, else unbounded. Either way a device
 // that was never written holds no state there, and materialise re-seeds
 // the module in place; a follower holds none either, and materialise reads
 // its replica.
@@ -840,7 +831,7 @@ func (c *Coordinator) LocalPhase(ctx context.Context, round int, active []int, m
 			var pe *sched.PanicError
 			if errors.As(r.Err, &pe) {
 				m.Dropped = append(m.Dropped, r.Device)
-				c.server.cohorts.noteFault(r.Device, r.Err)
+				c.server.cohorts.noteFault(r.Device)
 				continue
 			}
 			return nil, fmt.Errorf("fedzkt: local phase device %d: %w", r.Device, r.Err)

@@ -264,7 +264,7 @@ func TestCrashResumeFingerprintIdentity(t *testing.T) {
 }
 
 // TestUntouchedFleetCheckpointResume: a checkpoint saved before round 1,
-// when every resident slot is still only reserved, carries no container —
+// when every resident slot is still virgin, carries no container —
 // every replica is an empty entry, its seeded build rebuilt by nobody —
 // and a fresh coordinator that loads it and runs lands on the
 // uninterrupted run's fingerprint.

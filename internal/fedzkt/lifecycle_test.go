@@ -91,9 +91,9 @@ func deviceState(t testing.TB, co *Coordinator, id int) (sd nn.StateDict) {
 	return sd
 }
 
-// TestResidentSlotsVirginUntilWritten: a resident fleet reserves every
-// slot, server and device side, at registration and writes one only when
-// it is used. Reading — evaluating devices, checking replicas out as
+// TestResidentSlotsVirginUntilWritten: a resident fleet registers every
+// slot, server and device side, virgin and writes one only when it is
+// used. Reading — evaluating devices, checking replicas out as
 // teachers — writes nothing, and a read-only checkout of a virgin replica
 // holds exactly what its download would deliver. During a sampled run at
 // depth 0 a device slot is never written: a finished task drops it and
@@ -312,7 +312,7 @@ func countCopies(co *Coordinator, ft *fleetTap) (copies func() [][]int) {
 // keeps no state of its own and follows its server replica until it trains
 // again or the server is about to overwrite the replica.
 //   - Sampled, depth 0, over the memory and the spill store: no device
-//     store reserves a buffer or ever holds a state (a trained state does
+//     store takes a buffer or ever holds a state (a trained state does
 //     not outlive its round, so it is never written), and the copy-on-write
 //     hook never copies (transfer-back writes participants only, and they
 //     stopped following when they trained).
@@ -321,14 +321,14 @@ func countCopies(co *Coordinator, ft *fleetTap) (copies func() [][]int) {
 //     round. The device stores build a buffer for each copy held at
 //     once and recycle them for the later copies.
 //   - Sampled, depth 2, where the server stage races the device tasks:
-//     each device store reserves a buffer per device, the hook is
-//     installed, and a delivered device holds the payload in
+//     the hook is installed, and a delivered device holds the payload in
 //     its own slot, rather than following its replica, only when the
 //     replica was written or the device trained after the delivered round.
 //     After the run no device slot holds a state, and a store never held
 //     more than the devices of its architecture that trained within
 //     depth + 1 consecutive rounds: a trained state rests in its slot
-//     until the round's download.
+//     until the round's download. No device store holds a buffer after
+//     New, and the stores built one per state held at once.
 //   - LoadCheckpoint at depth 0: every device follows, no device store
 //     holds a state.
 //
@@ -343,7 +343,7 @@ func TestDevicesFollowTheirReplicas(t *testing.T) {
 			co := toyFleet(t, 4, mode.mutate)
 			for arch, n := range spares(co) {
 				if n != 0 {
-					t.Errorf("%s device store reserved %d buffers, want none: no trained state rests at depth 0", arch, n)
+					t.Errorf("%s device store holds %d buffers after New, want none: no slot was written", arch, n)
 				}
 			}
 			ft := tap(co)
@@ -377,9 +377,9 @@ func TestDevicesFollowTheirReplicas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Nothing was reserved, so every buffer a hook copy was made in
-		// was built at a first write that found no spare: as many as the
-		// copies held at once, the rest recycled through the spare list.
+		// Every buffer a hook copy was made in was built at a first write
+		// that found no spare: as many as the copies held at once, the rest
+		// recycled through the spare list.
 		peaks := 0
 		for _, st := range co.devStore {
 			peaks += st.peak
@@ -417,13 +417,9 @@ func TestDevicesFollowTheirReplicas(t *testing.T) {
 		if co.server.cohorts.beforeWrite == nil {
 			t.Fatal("a depth-2 fleet did not install the copy-on-write hook")
 		}
-		members := make(map[string]int)
-		for _, d := range co.devices {
-			members[d.Arch]++
-		}
 		for arch, n := range spares(co) {
-			if n != members[arch] {
-				t.Errorf("%s device store reserved %d buffers, want one per device (%d): trained states rest at depth 2", arch, n, members[arch])
+			if n != 0 {
+				t.Errorf("%s device store holds %d buffers before any slot is written, want none: a buffer is taken at first write", arch, n)
 			}
 		}
 		// The server stage writes replicas on its own goroutine; the
@@ -478,11 +474,18 @@ func TestDevicesFollowTheirReplicas(t *testing.T) {
 		// A trained state rests in its slot until the round's download,
 		// depth+1 rounds on, makes the device follow its replica: the
 		// store holds at most the devices trained within that window.
+		// Each store took a buffer only for a slot's first write while no
+		// spare was left: one per state held at once.
 		most := mostParticipants(co, hist, co.cfg.PipelineDepth+1)
+		peaks := 0
 		for arch, st := range co.devStore {
 			if st.peak == 0 || st.peak > most[arch] {
 				t.Errorf("%s device store held %d states at once, want 1..%d (the most %s participants of %d consecutive rounds)", arch, st.peak, most[arch], arch, co.cfg.PipelineDepth+1)
 			}
+			peaks += st.peak
+		}
+		if built := co.DeviceStoreStats().BuffersBuilt; built != int64(peaks) {
+			t.Errorf("device stores built %d buffers, want the %d states they held at once", built, peaks)
 		}
 	})
 

@@ -118,10 +118,10 @@ func newFedMetrics(reg *obs.Registry, srv *Server, payloads *payloadBuffers) *fe
 }
 
 // registerMappedBytes serves fedzkt_store_mapped_bytes, the bytes every
-// store in the process holds mapped for reserved buffers (slab):
+// store in the process holds mapped for slot buffers (slab):
 // runtime.MemStats does not count them.
 func registerMappedBytes(reg *obs.Registry) {
-	reg.RegisterGaugeFunc("fedzkt_store_mapped_bytes", "bytes mapped for reserved slot buffers by every store in the process (outside the Go heap)",
+	reg.RegisterGaugeFunc("fedzkt_store_mapped_bytes", "bytes mapped for slot buffers by every store in the process, taken at slots' first writes (outside the Go heap)",
 		func() float64 { return float64(mappedBytes.Load()) })
 }
 

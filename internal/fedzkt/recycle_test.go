@@ -5,12 +5,14 @@ package fedzkt
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
 
+	"github.com/fedzkt/fedzkt/internal/chaos"
 	"github.com/fedzkt/fedzkt/internal/codec"
 	"github.com/fedzkt/fedzkt/internal/tensor"
 )
@@ -47,7 +49,8 @@ func newRecycleStore(t *testing.T) *recycleStore {
 		rs.want = append(rs.want, virginByte(i))
 	}
 	init := func(i int, dst []byte) ([]byte, error) { return appendRecord(dst, virginByte(i)), nil }
-	rs.slotStore = newSlotStore(cdc, nil, filepath.Join(t.TempDir(), "r.spill"), func() int { return recycleBound }, init, &rs.counters)
+	rs.slotStore = newSlotStore(cdc, sigOf(seededState(1)), filepath.Join(t.TempDir(), "r.spill"), func() int { return recycleBound }, init, &rs.counters)
+	rs.bufLen = recLen
 	t.Cleanup(func() { _ = rs.close() })
 	return rs
 }
@@ -171,6 +174,48 @@ func TestTieredSlotsRecycleBounded(t *testing.T) {
 	}
 }
 
+// TestFailedLoadsKeepTheirBuffer: a load or a fill that fails gives the
+// buffer it was handed back to the spare list, so repeated loads of a
+// corrupt spill record (every read's bit flipped) and repeated failed
+// fills of a slot that is not hot build at most one buffer between them,
+// and the record reads clean once the corruption stops.
+func TestFailedLoadsKeepTheirBuffer(t *testing.T) {
+	const attempts = 8
+	rs := newRecycleStore(t)
+	for i := 0; i <= recycleBound; i++ {
+		rs.putVersion(t, i, byte(16+i)) // the last put evicts slot 0 to its record
+	}
+	if !rs.spilled(0) {
+		t.Fatal("slot 0 was not spilled")
+	}
+	plan, err := chaos.Parse("spill.read.flip=every:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := rs.counters.buffersBuilt.Load()
+	chaos.Activate(plan)
+	t.Cleanup(chaos.Deactivate)
+	for i := 0; i < attempts; i++ {
+		if _, err := rs.read(0, func([]byte) error { return nil }); !errors.Is(err, codec.ErrSpillChecksum) {
+			t.Fatalf("load %d of a flipped record: %v, want %v", i, err, codec.ErrSpillChecksum)
+		}
+	}
+	chaos.Deactivate()
+	failed := errors.New("fill failed")
+	for i := 0; i < attempts; i++ {
+		if err := rs.put(recycleMembers-1, func([]byte) ([]byte, error) { return nil, failed }); !errors.Is(err, failed) {
+			t.Fatalf("fill %d: %v, want %v", i, err, failed)
+		}
+	}
+	if built := rs.counters.buffersBuilt.Load() - before; built > 1 {
+		t.Errorf("%d failed loads and %d failed fills built %d buffers, want at most 1", attempts, attempts, built)
+	}
+	if !rs.virgin(recycleMembers - 1) {
+		t.Error("a failed fill left its slot holding a state")
+	}
+	rs.check(t, 0, 0)
+}
+
 // TestTieredSlotsReadRace: two goroutines load, evict and thereby
 // recycle each other's buffers on a bound-2 store — a second goroutine
 // reads slots 3 and 4 while the test goroutine puts and reads slots 0–2 —
@@ -264,7 +309,7 @@ func TestSpillColdCheckoutAllocs(t *testing.T) {
 				for i := 0; i < members; i++ {
 					l := srv.cohorts.checkout([]int{i}, false, false)
 					if l[0] == nil {
-						t.Fatalf("cold checkout dropped member %d: %v", i, srv.cohorts.faultErrs)
+						t.Fatalf("cold checkout dropped member %d (faulted: %v)", i, srv.TakeReplicaFaults())
 					}
 					if err := srv.cohorts.release(l); err != nil {
 						t.Fatal(err)

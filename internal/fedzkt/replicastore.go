@@ -23,29 +23,17 @@ package fedzkt
 //     virgin slot is read (below). Devices rest in float64 whatever the
 //     run's codec, so a trained state at rest is never quantised.
 //
-// Reserve, then write. An unbounded store reserves a slot's buffer at
-// registration where a state may be written: every replica slot, and a
-// device slot only where a trained state can rest (Coordinator.register).
-// reserve pushes a buffer of the slot's container length (codec.Size of
-// the architecture signature — nothing is encoded) onto the spare list,
-// untouched, and the slot's first write pops it; a first write that finds
-// no spare allocates its buffer, which a drop recycles. The list being
-// LIFO, the buffers ever written number the most slots that held a state
-// at once, not the slots written over a run. Reserving, rather than
-// allocating at the first write, keeps the allocation in set-up:
-// allocating the replicas' at first write measured fleet1k_sync's
-// alloc_mb_per_round 6.3 → 15.3 against a 0.2 bound. A reserved buffer
-// comes from the store's slab (slab.go), anonymous mappings whose pages
-// the kernel zeroes at first touch, so a reservation costs neither CPU
-// nor RSS until its slot is written, in a fresh process and in one that
-// built federations before alike. A heap buffer is zeroed again in the
-// latter: over 30 fleet1k_sync set-ups in one process, on 2 CPUs, that was
-// 72 % of 2.93 s of CPU, memclrNoHeapPointers under reserve; from the slab
-// the set-ups take 0.46 s, none of it zeroing under reserve, and
-// data.render is the largest cost left. close unmaps the slab — when
-// the last read in progress returns — and a finalizer on the slab unmaps
-// a store nobody closes; a closed store's reads, writes and reservations
-// fail. A bounded store reserves nothing.
+// A slot's buffer is taken at its first write. vacated is where every
+// buffer comes from, in every store: the spare list — evicted and dropped
+// entries' buffers, LIFO — else a new one of the slot's container length
+// (codec.Size of the architecture signature) from the store's slab
+// (slab.go), anonymous mappings whose pages the kernel zeroes at first
+// touch, so a buffer costs no heap allocation and no RSS beyond the bytes
+// written. Registration touches no store. The buffers an unbounded store
+// ever takes number the most slots that held a state at once, not the
+// slots written over a run. close unmaps the slab — when the last read in
+// progress returns — and a finalizer on the slab unmaps a store nobody
+// closes; a closed store's reads and writes fail.
 //
 // A device at rest follows its replica. A download is byte for byte the
 // device's server replica as the delivered round left it, so while that
@@ -101,11 +89,12 @@ package fedzkt
 // entry that nobody has pinned can therefore have no reader, and its
 // buffer goes onto the store's spare list to be filled by the next cold
 // load, virgin rebuild or install (a pinned one follows when its last
-// reader returns). Records of one cohort are one length (ensureFile), so a
-// spare always fits, and hot + spare never exceeds the buffers ever
-// reserved or built: a buffer per slot for an unbounded store, the hot-set
-// bound plus what was in flight for a bounded one. The function runs
-// outside the store's lock, because a store has readers on more than one
+// reader returns), as does a vacated buffer whose load or fill failed.
+// Records of one cohort are one length (ensureFile), so a spare always
+// fits, and hot + spare is every buffer the store ever took: the most
+// slots held at once for an unbounded store, the hot-set bound plus what
+// was in flight for a bounded one. The function runs outside the store's
+// lock, because a store has readers on more than one
 // goroutine: device tasks reading the replicas they follow (at depth ≥ 1
 // alongside the server stage's checkouts), and the depth-0 device
 // evaluation fan-out, whose workers each read a device's state.
@@ -296,10 +285,9 @@ type slotStore struct {
 	head     *hotEntry
 	tail     *hotEntry
 	file     *codec.SpillFile
-	// spare holds reserved buffers and those of evicted or dropped,
-	// unpinned entries until a slot becoming hot takes one (vacated).
-	// Unbounded by design: hot + spare is every buffer ever reserved or
-	// built.
+	// spare holds the buffers of evicted or dropped, unpinned entries
+	// until a slot becoming hot takes one (vacated). Unbounded by design:
+	// hot + spare is every buffer the store ever took.
 	spare [][]byte
 
 	// codec encodes dicts into slots; payloads in other encodings are
@@ -307,12 +295,13 @@ type slotStore struct {
 	codec codec.Codec
 	// capFn returns the live hot-set bound (members keep registering
 	// after the store is built, and the auto policy depends on the final
-	// cohort size). Nil leaves the set unbounded: nothing is ever evicted,
-	// no file is opened, and reserve reserves a buffer of reserveLen bytes.
-	capFn      func() int
-	reserveLen int
-	// slab is where reserve takes its buffers from (an unbounded store's).
-	slab *slab
+	// cohort size). Nil leaves the set unbounded: nothing is ever evicted
+	// and no file is opened.
+	capFn func() int
+	// bufLen is a slot's container length, what vacated takes from slab
+	// when no spare is left.
+	bufLen int
+	slab   *slab
 	// closed is set by close; pinned counts the reads in progress, and
 	// the last to return after close unmaps the slab.
 	closed bool
@@ -334,7 +323,7 @@ type slotStore struct {
 // of signature sig: unbounded for a nil capFn, else bounded by it over a
 // spill file at spillPath.
 func newSlotStore(c codec.Codec, sig *archSig, spillPath string, capFn func() int, init func(int, []byte) ([]byte, error), counters *storeCounters) *slotStore {
-	ts := &slotStore{
+	return &slotStore{
 		hot:       make(map[int]*hotEntry),
 		codec:     c,
 		capFn:     capFn,
@@ -342,12 +331,9 @@ func newSlotStore(c codec.Codec, sig *archSig, spillPath string, capFn func() in
 		init:      init,
 		rebuilds:  init != nil && !codec.Identity(c),
 		counters:  counters,
+		bufLen:    codec.Size(c, sig.names, sig.shapes),
 		slab:      newSlab(),
 	}
-	if capFn == nil {
-		ts.reserveLen = codec.Size(c, sig.names, sig.shapes)
-	}
-	return ts
 }
 
 // lruUnlink removes e from the LRU list.
@@ -442,14 +428,13 @@ func (ts *slotStore) recycle(buf []byte) {
 	ts.spare = append(ts.spare, buf)
 }
 
-// vacated returns a spare buffer — reserved, or an evicted or dropped
-// entry's — emptied, for a slot that is becoming hot, or nil when there is
-// none and the fill will allocate. Callers hold mu.
+// vacated returns an emptied buffer for a slot that is becoming hot: a
+// spare one, else a new one from the slab. Callers hold mu.
 func (ts *slotStore) vacated() []byte {
 	n := len(ts.spare)
 	if n == 0 {
 		ts.counters.buffersBuilt.Add(1)
-		return nil
+		return ts.slab.take(ts.bufLen)[:0]
 	}
 	buf := ts.spare[n-1]
 	ts.spare[n-1] = nil
@@ -487,16 +472,22 @@ func (ts *slotStore) loadable(local int) bool {
 
 // load fetches a loadable member's bytes into a vacated buffer: from the
 // spill file when a record exists, else by rebuilding the virgin initial
-// state. A failed load loses its buffer to the collector. Callers hold mu.
-func (ts *slotStore) load(local int) ([]byte, error) {
+// state. A failed load gives its buffer back to the spare list. Callers
+// hold mu.
+func (ts *slotStore) load(local int) (b []byte, err error) {
+	buf := ts.vacated()
 	if ts.spilled(local) {
 		span := tracer().Begin("store", "spill_load")
-		b, err := ts.file.Read(local, ts.vacated())
+		b, err = ts.file.Read(local, buf)
 		span.End()
-		return b, err
+	} else {
+		ts.counters.initBuilds.Add(1)
+		b, err = ts.init(local, buf)
 	}
-	ts.counters.initBuilds.Add(1)
-	return ts.init(local, ts.vacated())
+	if err != nil {
+		ts.recycle(buf[:cap(buf)])
+	}
+	return b, err
 }
 
 // read makes member local hot and runs fn on its container bytes: fn
@@ -558,9 +549,9 @@ func (ts *slotStore) pin(local int) (*hotEntry, error) {
 }
 
 // put replaces member local's bytes with what fill makes of the member's
-// hot buffer, emptied (a vacated one for a non-resident member), and marks
-// the entry dirty: the spill record, if any, is stale until the next
-// eviction.
+// hot buffer, emptied (a vacated one for a non-resident member, given back
+// if fill fails), and marks the entry dirty: the spill record, if any, is
+// stale until the next eviction.
 func (ts *slotStore) put(local int, fill func(buf []byte) ([]byte, error)) error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
@@ -573,6 +564,9 @@ func (ts *slotStore) put(local int, fill func(buf []byte) ([]byte, error)) error
 	}
 	enc, err := fill(e.enc[:0])
 	if err != nil {
+		if !ok {
+			ts.recycle(e.enc[:cap(e.enc)])
+		}
 		return err
 	}
 	if ok {
@@ -590,24 +584,6 @@ func (ts *slotStore) put(local int, fill func(buf []byte) ([]byte, error)) error
 // putBytes replaces member local's bytes with a copy of b.
 func (ts *slotStore) putBytes(local int, b []byte) error {
 	return ts.put(local, func(buf []byte) ([]byte, error) { return append(buf, b...), nil })
-}
-
-// reserve registers a slot without a state: until it is first written,
-// its content is the seeded registration state. An unbounded store pushes a
-// buffer of the slot's container length, taken from its slab, onto the
-// spare list for the slot's first write to pop, untouched — not poisoned:
-// it was never lent — and a bounded one reserves nothing.
-func (ts *slotStore) reserve() error {
-	if ts.capFn != nil {
-		return nil
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if ts.closed {
-		return errStoreClosed
-	}
-	ts.spare = append(ts.spare, ts.slab.take(ts.reserveLen))
-	return nil
 }
 
 // installDict replaces slot i's state with sd's values.
@@ -628,8 +604,8 @@ func (ts *slotStore) installPayload(i int, payload []byte) error {
 	return ts.putBytes(i, payload)
 }
 
-// errStoreClosed is what a closed store's reads, writes and reservations
-// return: its buffers may be unmapped.
+// errStoreClosed is what a closed store's reads and writes return: its
+// buffers may be unmapped.
 var errStoreClosed = errors.New("fedzkt: slot store is closed")
 
 // errNoState is what a caller that registered every slot it asks for
@@ -672,9 +648,9 @@ func (ts *slotStore) readInto(i int, sd nn.StateDict) (bool, error) {
 
 // drop discards member local's hot entry, recycling its buffer (once no
 // read has it pinned), and forgets its spill record: until it is next
-// written the slot holds no state, as a reserved one does, and its owner
-// defines what it is (the device store: the device follows its replica;
-// the server's, after a checkpoint load: the seeded state).
+// written the slot holds no state, as a never-written one does, and its
+// owner defines what it is (the device store: the device follows its
+// replica; the server's, after a checkpoint load: the seeded state).
 func (ts *slotStore) drop(local int) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
@@ -706,8 +682,9 @@ func (ts *slotStore) release(i int, from *replicaSlot, writable bool) error {
 }
 
 // virgin reports whether member local has neither a hot entry nor a
-// spill record: it was reserved or dropped and not written since, and its
-// content is the seeded initial state unless its owner says otherwise.
+// spill record: it was never written, or dropped and not written since,
+// and its content is the seeded initial state unless its owner says
+// otherwise.
 func (ts *slotStore) virgin(local int) bool {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
@@ -734,7 +711,7 @@ func (ts *slotStore) addStats(st *ReplicaStoreStats) {
 
 // close releases the spill file (removing it from disk) and the slab's
 // mappings — at once, or when the last read in progress returns — and
-// makes every later read, write and reservation return errStoreClosed.
+// makes every later read and write return errStoreClosed.
 // Idempotent.
 func (ts *slotStore) close() error {
 	ts.mu.Lock()

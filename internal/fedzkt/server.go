@@ -227,7 +227,7 @@ func (s *Server) Codec() codec.Codec { return s.codec }
 // ResidentStateBytes returns the total container bytes of the replica
 // slots that hold a state: the hot set's under the spill store (spilled
 // members cost nothing), every written slot's under the memory store
-// (virgin slots, reserved or not, hold none). This is the per-device
+// (virgin slots hold none). This is the per-device
 // memory quantity the quantised codecs shrink up to 8× and the spill store
 // bounds; live pooled modules are accounted separately via LiveReplicas.
 func (s *Server) ResidentStateBytes() int64 { return s.cohorts.storeStats().HotBytes }
@@ -248,9 +248,8 @@ func (s *Server) TakeReplicaFaults() []int { return s.cohorts.takeFaults() }
 // architecture cohort. With a nil initial state — what every caller
 // outside bench/ passes: the coordinator, and the transport at a Hello —
 // the replica is the device's seeded initialisation and the slot is
-// virgin: no module is built and nothing is written until the slot is
-// first used — the memory store reserves the slot's buffer, the spill
-// store nothing — and a read reconstructs the seeded state, in any store
+// virgin: no module is built and nothing is stored until the slot is
+// first written, and a read reconstructs the seeded state, in any store
 // and under any codec. Given initial parameters (bench/, through
 // RegisterSized) it validates them against the architecture and stores
 // their encoding, building no module.

@@ -14,15 +14,14 @@ var mappedBytes atomic.Int64
 // least twice the one before it.
 const minSlabChunk = 1 << 20
 
-// slab hands out an unbounded store's reserved buffers (slotStore.reserve)
-// from anonymous mappings, where the platform has them (mapChunk): the
-// kernel supplies a zero page at a page's first touch, so a reservation
-// costs no CPU and no RSS until its slot is first written, in a fresh
-// process and in one whose heap has held federations before alike — the
-// heap zeroes a reused span when it hands it out. Chunks double, so N
-// reservations take O(log N) mappings. A buffer's capacity is its length:
-// an append that outgrows it moves to the heap and never reaches the next
-// buffer in its chunk.
+// slab hands out a store's slot buffers (slotStore.vacated) from anonymous
+// mappings, where the platform has them (mapChunk): the kernel supplies a
+// zero page at a page's first touch, so a buffer costs no heap allocation
+// and no CPU to zero, in a fresh process and in one whose heap has held
+// federations before alike — the heap zeroes a reused span when it hands
+// it out. Chunks double, so N buffers take O(log N) mappings. A buffer's
+// capacity is its length: an append that outgrows it moves to the heap and
+// never reaches the next buffer in its chunk.
 //
 // Without mappings (mapChunk fails: a platform without them, a -race
 // build, whose detector watches only the Go heap, or the kernel refusing)

@@ -6,7 +6,7 @@ import "errors"
 
 // mapChunk maps nothing: on a platform without anonymous mappings, and in
 // a -race build, whose detector would not see the slot bytes in one, every
-// reserved buffer is made on the heap (slab.take).
+// slot buffer is made on the heap (slab.take).
 func mapChunk(int) ([]byte, error) {
 	return nil, errors.New("fedzkt: no anonymous mappings in this build")
 }

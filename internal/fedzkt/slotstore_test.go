@@ -45,9 +45,9 @@ func registryOver(t *testing.T, cdc codec.Codec, store *slotStore) *cohortSet {
 
 // TestSlotStoreContract: what the registry may assume of a slotStore,
 // checked for an unbounded store with every slot registered with a state,
-// an unbounded one whose last slot is reserved, and a hot set of 2 over a
-// spill file — under float64, whose virgin slots lend nothing, and int8,
-// whose virgin slots are rebuilt.
+// an unbounded one whose last slot is registered without one, and a hot
+// set of 2 over a spill file — under float64, whose virgin slots lend
+// nothing, and int8, whose virgin slots are rebuilt.
 func TestSlotStoreContract(t *testing.T) {
 	const members = 5
 	sig := sigOf(seededState(1))
@@ -69,7 +69,7 @@ func TestSlotStoreContract(t *testing.T) {
 		backings := []backing{
 			{"containers", newSlotStore(cdc, sig, "", nil, init, &counters), false},
 			{"containers-bound2", newSlotStore(cdc, sig, filepath.Join(t.TempDir(), "c.spill"), func() int { return 2 }, init, &counters), true},
-			{"reserved", newSlotStore(cdc, sig, "", nil, init, &counters), true},
+			{"first-write", newSlotStore(cdc, sig, "", nil, init, &counters), true},
 		}
 		// payloads[backing][member], compared across backings at the end.
 		payloads := make([][][]byte, len(backings))
@@ -128,8 +128,8 @@ func TestSlotStoreContract(t *testing.T) {
 					if codec.Identity(cdc) && !cs.virgin(v) {
 						t.Fatal("a read wrote a virgin slot")
 					}
-					if b.name == "reserved" {
-						reservedSlotContract(t, b.store)
+					if b.name == "first-write" {
+						firstWriteContract(t, b.store)
 					}
 					// Once written a slot is never virgin again, wherever
 					// its bytes rest.
@@ -295,23 +295,23 @@ func holdsDecoded(t *testing.T, what string, m nn.Module, enc []byte) {
 	}
 }
 
-// reservedSlotContract checks, on a fresh unbounded store of like's codec
-// and init whose slot i's seeded state is seededState(100+i), what a
-// reserved slot promises: reserve adds one spare buffer, and first writes
-// pop reserved buffers, building none; a virgin slot's read lends nothing
+// firstWriteContract checks, on a fresh unbounded store of like's codec
+// and init whose slot i's seeded state is seededState(100+i), what a slot
+// registered without a state promises: it holds no buffer, and its first
+// write takes one, so the store takes as many as slots it holds and reuses
+// a dropped one's; a virgin slot's read lends nothing
 // under the exact codec and rebuilds it under a lossy one, and its payload
 // is the seeded build's container byte for byte either way, stored nowhere
 // under the exact codec; a writable release, installDict and
 // installPayload each write a slot; and drop hands its buffer back.
-func reservedSlotContract(t *testing.T, like *slotStore) {
+func firstWriteContract(t *testing.T, like *slotStore) {
 	t.Helper()
 	var counters storeCounters
 	ts := newSlotStore(like.codec, sigOf(seededState(1)), "", nil, like.init, &counters)
+	defer ts.close()
 	lossy := !codec.Identity(ts.codec)
-	for i := 0; i < 4; i++ {
-		if ts.reserve(); len(ts.spare) != i+1 {
-			t.Fatalf("%d reserves left %d spare buffers", i+1, len(ts.spare))
-		}
+	if len(ts.spare) != 0 || slabBytes(ts) != 0 {
+		t.Fatalf("a new store holds %d spare buffers and %d mapped bytes, want none", len(ts.spare), slabBytes(ts))
 	}
 	encode := func(sd nn.StateDict) []byte {
 		t.Helper()
@@ -339,8 +339,8 @@ func reservedSlotContract(t *testing.T, like *slotStore) {
 	if !bytes.Equal(got, encode(seededState(103))) {
 		t.Fatal("a virgin slot's payload differs from its seeded build's container")
 	}
-	if !lossy && (len(ts.hot) != 0 || len(ts.spare) != 4) {
-		t.Fatalf("reading virgin slots left %d hot and %d spare, want 0 and 4: an exact store stores no virgin", len(ts.hot), len(ts.spare))
+	if !lossy && (len(ts.hot) != 0 || len(ts.spare) != 0 || counters.buffersBuilt.Load() != 0) {
+		t.Fatalf("reading virgin slots left %d hot and %d spare, and built %d buffers; want none: an exact store stores no virgin", len(ts.hot), len(ts.spare), counters.buffersBuilt.Load())
 	}
 
 	// The caller re-seeds the module, as the registry and materialise do,
@@ -384,8 +384,8 @@ func reservedSlotContract(t *testing.T, like *slotStore) {
 	if err := ts.installDict(1, seededState(9)); err != nil {
 		t.Fatal(err)
 	}
-	if built, reused := counters.buffersBuilt.Load(), counters.buffersReused.Load(); built != 0 || reused != int64(len(ts.hot))+1 {
-		t.Fatalf("%d buffers built, %d reused for %d slots written and one rewritten after a drop; want none built", built, reused, len(ts.hot))
+	if built, reused := counters.buffersBuilt.Load(), counters.buffersReused.Load(); built != int64(len(ts.hot)) || reused != 1 {
+		t.Fatalf("%d buffers built, %d reused for %d slots held and one rewritten after a drop; want %d built and 1 reused", built, reused, len(ts.hot), len(ts.hot))
 	}
 }
 
