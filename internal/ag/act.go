@@ -9,7 +9,9 @@ import (
 
 // Like arith.go, every backward here is a shared static function reading
 // its state from the node (the forward output is v.value, the input is
-// v.parents[0].value), so recording a node allocates nothing.
+// v.parents[0].value), so recording a node allocates nothing. Each op
+// declares the one value its backward reads: the rectifiers their input,
+// the squashing functions and softmaxes their output.
 
 func reluBack(v *Variable, g *tensor.Tensor) {
 	x := v.parents[0]
@@ -42,7 +44,9 @@ func ReLU(x *Variable) *Variable {
 	if !x.requiresGrad {
 		return constIn(ar, out)
 	}
-	return newNode(ar, out, reluBack, x)
+	n := record(ar, out, reluBack, x)
+	n.reads(x)
+	return n
 }
 
 func relu6Back(v *Variable, g *tensor.Tensor) {
@@ -75,7 +79,9 @@ func ReLU6(x *Variable) *Variable {
 	if !x.requiresGrad {
 		return constIn(ar, out)
 	}
-	return newNode(ar, out, relu6Back, x)
+	n := record(ar, out, relu6Back, x)
+	n.reads(x)
+	return n
 }
 
 func leakyReLUBack(v *Variable, g *tensor.Tensor) {
@@ -110,7 +116,8 @@ func LeakyReLU(x *Variable, alpha float64) *Variable {
 	if !x.requiresGrad {
 		return constIn(ar, out)
 	}
-	n := newNode(ar, out, leakyReLUBack, x)
+	n := record(ar, out, leakyReLUBack, x)
+	n.reads(x)
 	n.aux0 = alpha
 	return n
 }
@@ -135,7 +142,9 @@ func Tanh(x *Variable) *Variable {
 	if !x.requiresGrad {
 		return constIn(ar, out)
 	}
-	return newNode(ar, out, tanhBack, x)
+	n := record(ar, out, tanhBack, x)
+	n.reads(n)
+	return n
 }
 
 func sigmoidBack(v *Variable, g *tensor.Tensor) {
@@ -158,7 +167,9 @@ func Sigmoid(x *Variable) *Variable {
 	if !x.requiresGrad {
 		return constIn(ar, out)
 	}
-	return newNode(ar, out, sigmoidBack, x)
+	n := record(ar, out, sigmoidBack, x)
+	n.reads(n)
+	return n
 }
 
 func check2d(x *Variable, what string) (n, d int) {
@@ -199,7 +210,9 @@ func Softmax(x *Variable) *Variable {
 	if !x.requiresGrad {
 		return constIn(ar, out)
 	}
-	return newNode(ar, out, softmaxBack, x)
+	node := record(ar, out, softmaxBack, x)
+	node.reads(node)
+	return node
 }
 
 func logSoftmaxBack(v *Variable, g *tensor.Tensor) {
@@ -252,7 +265,9 @@ func LogSoftmax(x *Variable) *Variable {
 	if !x.requiresGrad {
 		return constIn(ar, out)
 	}
-	return newNode(ar, out, logSoftmaxBack, x)
+	node := record(ar, out, logSoftmaxBack, x)
+	node.reads(node)
+	return node
 }
 
 // softmaxRowsInto writes softmax of each row of src (n rows of d) into dst.

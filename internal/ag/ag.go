@@ -23,16 +23,29 @@
 // the arena through the whole tape with no other call-site changes, and
 // one Arena.Reset after the optimiser step recycles every step-scoped
 // buffer AND tape node. Ops that know a buffer's last reader hand it back
-// sooner (tensor.Arena.Release): a conv lowering after the last GEMM that
+// sooner (tensor.Arena.Release): a conv lowering tile after the GEMM that
 // reads it, conv and pooling backward scratch when the node's backward
 // returns, an interior node's gradient as soon as that backward has
 // consumed it — so an arena's tape is walked by Backward once. A caller
 // that reads an interior x.Grad() after Backward marks x with RetainGrad
 // first; on the heap path an unretained interior gradient is dropped the
 // same way, so both paths follow one rule. An entry of a shared ColMemo
-// is never released by a reader. An arena marked ForwardOnly (evaluation)
-// records no tape at all, so its ops save nothing for a backward and
-// chains may Discard an activation after its one reader. Leaf gradients
+// is never released by a reader.
+//
+// What a recorded step keeps: each op declares which values its backward
+// reads — a conv or linear layer its input, and only when its weight
+// trains; a rectifier its input; tanh, sigmoid and the softmaxes their
+// output; batch norm, pooling, upsampling, reshapes, channel splits,
+// concatenations and shuffles, addition and subtraction nothing of the
+// tape's (x̂, arg-maxes and permutations are their own buffers); every
+// other op all its operands and its output — and the declared values are
+// pinned. A chain (nn.Sequential) hands each intermediate to Discard once
+// its one reader has returned, and Discard releases it unless it is
+// pinned, so a step holds its tape's declared values and nothing else of
+// the forward; a discarded node stays on the tape, and its gradient is
+// shaped from the value's shape. An arena marked ForwardOnly (evaluation)
+// records no tape at all, so nothing is pinned and a chain keeps only the
+// value in flight. Leaf gradients
 // (parameters) never come from the step arena, so optimisers can keep
 // reading them after Reset, and Backward never takes them back: a leaf's
 // gradient is allocated on its first accumulation — from the heap, kept
@@ -89,6 +102,12 @@ type Variable struct {
 	// retain keeps an interior node's gradient past its backward
 	// (RetainGrad).
 	retain bool
+	// pinned keeps the value from Discard: a recorded backward reads it
+	// (see reads), or it is not an op's own buffer (a leaf, a mirror).
+	pinned bool
+	// base, on a view (Reshape), is the Variable whose storage it shares:
+	// pinning the view pins the base, and a pinned base pins its views.
+	base *Variable
 }
 
 // Arena is the step-scoped allocator of the autodiff engine: tensor
@@ -171,14 +190,18 @@ func (a *Arena) ForwardOnly(on bool) {
 	}
 }
 
-// Discard hands v's value back to its arena in the middle of a ForwardOnly
-// pass. The caller — a chain that fed v to exactly one reader — vouches
-// that the reader has returned; keep lists what must stay readable (the
-// chain's own input, the reader's output), and v is left alone if it
-// shares storage with any of them, as a reshaped view does. Outside a
-// ForwardOnly pass it does nothing: a backward may read any value.
+// Discard hands v's value back to its arena before the step ends. The
+// caller — a chain that fed v to exactly one reader — vouches that the
+// reader has returned; keep lists what must stay readable (the chain's own
+// input, the reader's output), and v is left alone if it shares storage
+// with any of them, as a reshaped view does. It works the same whether or
+// not the step records a tape: a value some recorded backward declared it
+// reads is pinned, and so are leaves and mirrors, whose storage is not the
+// arena's to take; Discard leaves those alone. A discarded node stays on
+// the tape — its gradient is shaped from the value's shape, not its
+// storage.
 func Discard(v *Variable, keep ...*Variable) {
-	if v.ar == nil || !v.ar.forwardOnly {
+	if v.ar == nil || v.pinned || v.base != nil && v.base.pinned {
 		return
 	}
 	for _, k := range keep {
@@ -322,6 +345,7 @@ func NewVarIn(a *Arena, t *tensor.Tensor, requiresGrad bool) *Variable {
 	v.value = t
 	v.requiresGrad = requiresGrad
 	v.ar = a
+	v.pinned = true
 	return v
 }
 
@@ -441,11 +465,13 @@ func anyRequires(vs ...*Variable) bool {
 	return false
 }
 
-// newNode constructs an interior tape node in arena a. If no parent
-// requires a gradient, or a is ForwardOnly, the node is a plain constant
-// and records nothing (callers on hot paths check that themselves first to
-// avoid even building the closure).
-func newNode(a *Arena, val *tensor.Tensor, back func(v *Variable, g *tensor.Tensor), parents ...*Variable) *Variable {
+// record constructs an interior tape node in arena a for an op whose
+// backward has been audited: the node pins nothing, and the op declares
+// what its backward reads with reads. If no parent requires a gradient,
+// or a is ForwardOnly, the node is a plain constant and records nothing
+// (callers on hot paths check that themselves first to avoid even
+// building the closure).
+func record(a *Arena, val *tensor.Tensor, back func(v *Variable, g *tensor.Tensor), parents ...*Variable) *Variable {
 	v := a.variable()
 	v.value = val
 	v.ar = a
@@ -465,6 +491,42 @@ func newNode(a *Arena, val *tensor.Tensor, back func(v *Variable, g *tensor.Tens
 		v.nparents++
 	}
 	return v
+}
+
+// newNode is record for an op whose backward has not been audited: it may
+// read every operand and its own output, so a recorded node pins them all.
+func newNode(a *Arena, val *tensor.Tensor, back func(v *Variable, g *tensor.Tensor), parents ...*Variable) *Variable {
+	v := record(a, val, back, parents...)
+	v.reads(v)
+	v.reads(v.parents[:v.nparents]...)
+	return v
+}
+
+// reads declares that n's backward reads the values of vs (n itself for
+// its own output), pinning them against Discard. On a node that recorded
+// nothing it does nothing: no backward will run. It writes only to an
+// arena's Variables not yet pinned — Discard never touches one without an
+// arena, and a constant shared across concurrent tapes (Const) or a leaf
+// (pinned from the start) is only ever read.
+func (n *Variable) reads(vs ...*Variable) {
+	if n.back == nil {
+		return
+	}
+	for _, v := range vs {
+		if v != nil {
+			v.pin()
+		}
+	}
+}
+
+// pin marks v, and the Variable whose storage it views, pinned.
+func (v *Variable) pin() {
+	if v.ar != nil && !v.pinned {
+		v.pinned = true
+	}
+	if v.base != nil {
+		v.base.pin()
+	}
 }
 
 // constIn returns a no-grad node holding val in arena a — the result of an

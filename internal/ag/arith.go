@@ -8,7 +8,8 @@ import (
 
 // The backward implementations in this file are shared static functions —
 // assigning them to a node costs no allocation. They read their operands
-// from the node's recorded parents and aux fields.
+// from the node's recorded parents and aux fields. Add and Sub read no
+// value at all; the rest have not been audited (newNode).
 
 func addBack(v *Variable, g *tensor.Tensor) {
 	v.parents[0].accum(g)
@@ -23,7 +24,7 @@ func Add(a, b *Variable) *Variable {
 	if !anyRequires(a, b) {
 		return constIn(ar, out)
 	}
-	return newNode(ar, out, addBack, a, b)
+	return record(ar, out, addBack, a, b)
 }
 
 func subBack(v *Variable, g *tensor.Tensor) {
@@ -41,7 +42,7 @@ func Sub(a, b *Variable) *Variable {
 	if !anyRequires(a, b) {
 		return constIn(ar, out)
 	}
-	return newNode(ar, out, subBack, a, b)
+	return record(ar, out, subBack, a, b)
 }
 
 func mulBack(v *Variable, g *tensor.Tensor) {

@@ -7,23 +7,25 @@ import (
 )
 
 // Conv2d applies a 2-D cross-correlation. x is (N,C,H,W), w is
-// (O,C,kh,kw), bias is (O) and may be nil. The whole batch is lowered into
-// a single (C·kh·kw)×(N·oh·ow) column matrix so that forward and backward
-// are each one large matrix multiplication — the dominant kernel on a
-// single core — instead of N small ones. The column matrix and every other
-// intermediate come from the tape's arena, so a warmed-up step rebuilds
-// them allocation-free.
+// (O,C,kh,kw), bias is (O) and may be nil. The batch is lowered into a
+// (C·kh·kw)×(N·oh·ow) column matrix so that each pass is a few large
+// matrix multiplications — the dominant kernel on a single core — instead
+// of N small ones. Every intermediate comes from the tape's arena, so a
+// warmed-up step rebuilds them allocation-free.
 //
-// The node owns its lowering and hands each buffer back at its last read:
-// the GEMM staging y after the copy-out; the column matrix right after the
-// forward GEMM when no dW will read it (frozen weight, or a ForwardOnly
-// arena) — and then it is never whole: convTile samples are lowered,
-// multiplied and handed back at a time — otherwise right after the dW
-// product, so dcol, the same length, lands in the buffer col just vacated;
-// gy, dcol and dx when the backward returns. The one lowering the node
-// does not own is that of the arena's shared ColMemo batch: it is built
-// once for all concurrent forwards over that batch, lives in the memo's
-// arena, and no reader releases it.
+// No lowering outlives the pass that builds it. The forward lowers convTile
+// samples at a time (fewer when a tile would pass convBlock elements),
+// multiplies and hands each tile back. What the node
+// keeps for its backward is its input x, and only when the weight trains:
+// the backward lowers x again, one channel block of at most convBlock
+// elements at a time, for dW = gY·colᵀ (a block's rows are the lowering of
+// its channels, so every dW element is still one ascending sum over the
+// whole batch), and forms dX one sample tile at a time (the columns of
+// Wᵀ·gY are independent). Every value and gradient is the same float, in
+// the same order, as from one whole-batch lowering. The one lowering the
+// node does not build is that of the arena's shared ColMemo batch: it is
+// built once for all concurrent forwards over that batch, lives in the
+// memo's arena, and no reader releases it.
 func Conv2d(x, w, bias *Variable, stride, pad int) *Variable {
 	if x.value.Dims() != 4 || w.value.Dims() != 4 || x.value.Dim(1) != w.value.Dim(1) {
 		panic(fmt.Sprintf("ag: Conv2d shape mismatch: x %v, w %v", x.Shape(), w.Shape()))
@@ -35,21 +37,20 @@ func Conv2d(x, w, bias *Variable, stride, pad int) *Variable {
 	ckk := c * kh * kw
 	sp := oh * ow
 	nsp := n * sp
+	chw := c * h * wd
 
 	ar := arenaOf(x, w, bias)
 	wmat := ar.view(w.value, o, ckk)
 	xd := x.value.Data()
-	records := ar.records(x, w, bias)
 
 	key := convColKey{x: x.value, c: c, h: h, w: wd, kh: kh, kw: kw, stride: stride, pad: pad}
 	owned := ar == nil || ar.shared == nil || !ar.shared.covers(x.value)
-	// A lowering the node owns and no dW will read is transient: it is
-	// built convTile samples at a time, each tile going back to the arena
-	// once its GEMM has run.
-	transient := owned && !(records && w.requiresGrad)
-	tile := n
-	if transient {
-		tile = min(n, convTile)
+	// A tile's lowering (forward) or column gradient (backward dX) holds
+	// at most convTile samples, and no more than fit in convBlock.
+	tile := max(1, min(n, convTile, convBlock/(ckk*sp)))
+	ftile := n
+	if owned {
+		ftile = tile
 	}
 	out := ar.tensorRaw(n, o, oh, ow)
 	od := out.Data()
@@ -57,19 +58,19 @@ func Conv2d(x, w, bias *Variable, stride, pad int) *Variable {
 	if bias != nil {
 		bd = bias.value.Data()
 	}
-	var col *tensor.Tensor // the whole batch's lowering, kept for dW
-	for s0 := 0; s0 < n; s0 += tile {
-		ns := min(tile, n-s0)
+	for s0 := 0; s0 < n; s0 += ftile {
+		ns := min(ftile, n-s0)
 		tsp := ns * sp
+		var col *tensor.Tensor
 		if owned {
 			col = ar.tensorRaw(ckk, tsp)
-			fillConvCol(col.Data(), key, xd[s0*c*h*wd:], ns, sp, tsp)
+			fillConvCol(col.Data(), key, xd[s0*chw:], ns, sp, tsp)
 		} else {
 			col = ar.shared.col(key, xd, n, sp, nsp, ckk)
 		}
 		y := ar.tensorRaw(o, tsp)
 		tensor.MatMulInto(y, wmat, col)
-		if transient {
+		if owned {
 			ar.release(col)
 		}
 		yd := y.Data()
@@ -93,68 +94,121 @@ func Conv2d(x, w, bias *Variable, stride, pad int) *Variable {
 		ar.release(y)
 	}
 
-	if !records {
+	if !ar.records(x, w, bias) {
 		return constIn(ar, out)
 	}
-	return newNode(ar, out, func(_ *Variable, g *tensor.Tensor) {
+	node := record(ar, out, func(_ *Variable, g *tensor.Tensor) {
 		gd := g.Data()
 		// Sinks first: a gradient buffer created here outlives this call,
 		// the scratch below does not, and the scratch then comes and goes
 		// like a stack.
 		wsink, xsink := w.gradSink(), x.gradSink()
-		// Gather the output gradient into the (o × nsp) layout.
-		gy := ar.tensorRaw(o, nsp)
-		gyd := gy.Data()
-		for oc := 0; oc < o; oc++ {
-			for s := 0; s < n; s++ {
-				copy(gyd[oc*nsp+s*sp:oc*nsp+(s+1)*sp], gd[(s*o+oc)*sp:(s*o+oc+1)*sp])
-			}
-		}
 		if wsink != nil {
-			// dW += gY · colᵀ over the forward's column matrix, its last
-			// read. The accumulate kernel forms each product sum in
-			// registers before the single add into the gradient buffer.
-			tensor.MatMulTransBAccInto(ar.view(wsink, o, ckk), gy, col)
-			if owned {
+			// dW += gY · colᵀ, a channel block of the lowering at a time.
+			// The kernel forms each block's products in registers; they go
+			// into dW by the single add the whole-matrix accumulate made.
+			gy := ar.tensorRaw(o, nsp)
+			gatherConvGrad(gy.Data(), gd, o, 0, n, sp)
+			xd := x.value.Data()
+			kk := kh * kw
+			cb := max(1, min(c, convBlock/(kk*nsp)))
+			wsd := wsink.Data()
+			for c0 := 0; c0 < c; c0 += cb {
+				nc := min(cb, c-c0)
+				rows := nc * kk
+				col := ar.tensorRaw(rows, nsp)
+				cd := col.Data()
+				for s := 0; s < n; s++ {
+					src := xd[s*chw+c0*h*wd : s*chw+(c0+nc)*h*wd]
+					tensor.Im2ColStrided(src, nc, h, wd, kh, kw, stride, pad, cd, nsp, s*sp)
+				}
+				part := ar.tensorRaw(o, rows)
+				tensor.MatMulTransBInto(part, gy, col)
+				pd := part.Data()
+				for oc := 0; oc < o; oc++ {
+					dst := wsd[oc*ckk+c0*kk : oc*ckk+c0*kk+rows]
+					for i, v := range pd[oc*rows : (oc+1)*rows] {
+						dst[i] += v
+					}
+				}
+				ar.release(part)
 				ar.release(col)
 			}
+			ar.release(gy)
 		}
 		if xsink != nil {
-			// dCol = Wᵀ · gY, scattered back per sample. Col2Im accumulates
-			// multiple column entries into one image element, so it scatters
-			// into zeroed arena scratch first and accumulates once.
-			dcol := ar.tensorRaw(ckk, nsp)
-			tensor.MatMulTransAInto(dcol, wmat, gy)
-			dcd := dcol.Data()
-			dx := ar.tensorZ(n, c, h, wd)
-			dxd := dx.Data()
-			for s := 0; s < n; s++ {
-				tensor.Col2ImStrided(dcd, c, h, wd, kh, kw, stride, pad, dxd[s*c*h*wd:(s+1)*c*h*wd], nsp, s*sp)
+			// dX += col2im(Wᵀ · gY), a sample tile at a time. Col2Im
+			// accumulates several column entries into one image element,
+			// so each tile scatters into zeroed scratch and accumulates
+			// into dX once.
+			xsd := xsink.Data()
+			for s0 := 0; s0 < n; s0 += tile {
+				ns := min(tile, n-s0)
+				tsp := ns * sp
+				gy := ar.tensorRaw(o, tsp)
+				gatherConvGrad(gy.Data(), gd, o, s0, ns, sp)
+				dcol := ar.tensorRaw(ckk, tsp)
+				tensor.MatMulTransAInto(dcol, wmat, gy)
+				dcd := dcol.Data()
+				dx := ar.tensorZ(ns, c, h, wd)
+				dxd := dx.Data()
+				for s := 0; s < ns; s++ {
+					tensor.Col2ImStrided(dcd, c, h, wd, kh, kw, stride, pad, dxd[s*chw:(s+1)*chw], tsp, s*sp)
+				}
+				dst := xsd[s0*chw : (s0+ns)*chw]
+				for i, v := range dxd {
+					dst[i] += v
+				}
+				ar.release(dx)
+				ar.release(dcol)
+				ar.release(gy)
 			}
-			tensor.AccumInto(xsink, dx)
-			ar.release(dcol)
-			ar.release(dx)
 		}
 		if bias != nil {
 			if sink := bias.gradSink(); sink != nil {
+				// db += Σ gY over the batch, in the order of its (o × nsp)
+				// layout.
 				sd := sink.Data()
 				for oc := 0; oc < o; oc++ {
 					sum := 0.0
-					for _, v := range gyd[oc*nsp : (oc+1)*nsp] {
-						sum += v
+					for s := 0; s < n; s++ {
+						for _, v := range gd[(s*o+oc)*sp : (s*o+oc+1)*sp] {
+							sum += v
+						}
 					}
 					sd[oc] += sum
 				}
 			}
 		}
-		ar.release(gy)
 	}, x, w, bias)
+	if w.requiresGrad {
+		node.reads(x)
+	}
+	return node
 }
 
-// convTile is how many samples of a transient lowering are built at once.
-// MatMulInto forms every output element in ascending-k order whatever the
-// column count, so tiling the batch changes no bit of the output.
+// convTile is how many samples a lowering (forward) or a column gradient
+// (backward dX) is built for at once. MatMulInto and MatMulTransAInto form
+// every output element in ascending-k order whatever the column count, so
+// tiling the batch changes no bit of the result.
 const convTile = 16
+
+// convBlock bounds, in elements (1 MiB of float64), a forward tile's
+// lowering, a dX tile's column gradient and the channel block of the
+// lowering the dW backward builds at once; each holds at least one sample
+// or one channel.
+const convBlock = 1 << 17
+
+// gatherConvGrad copies samples [s0, s0+ns) of the output gradient gd,
+// laid out (N, O, sp), into dst in the (O × ns·sp) layout of a lowering.
+func gatherConvGrad(dst, gd []float64, o, s0, ns, sp int) {
+	tsp := ns * sp
+	for oc := 0; oc < o; oc++ {
+		for s := 0; s < ns; s++ {
+			copy(dst[oc*tsp+s*sp:oc*tsp+(s+1)*sp], gd[((s0+s)*o+oc)*sp:((s0+s)*o+oc+1)*sp])
+		}
+	}
+}
 
 // fillConvCol expands the batch into the column matrix, one sample at a
 // time straight into its columns — no per-sample staging buffer, no

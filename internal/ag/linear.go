@@ -85,5 +85,9 @@ func Linear(x, w, b *Variable) *Variable {
 	if !anyRequires(x, w, b) {
 		return constIn(ar, out)
 	}
-	return newNode(ar, out, linearBack, x, w, b)
+	node := record(ar, out, linearBack, x, w, b)
+	if w.requiresGrad {
+		node.reads(x) // dW = gᵀ·X; dX reads only W
+	}
+	return node
 }

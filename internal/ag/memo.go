@@ -99,9 +99,12 @@ func (a *Arena) ShareColMemo(m *ColMemo) {
 // ZeroAddInto (0+g, so no running value is ever -0), the extra
 // mirror-then-parent hop is bit-identical to accumulating into x
 // directly. When x carries no gradient the mirror degrades to a constant
-// node and records nothing.
+// node and records nothing. Either way the mirror is pinned: its storage
+// is x's, not a's to take back.
 func MirrorIn(a *Arena, x *Variable) *Variable {
-	return newNode(a, x.value, mirrorBack, x)
+	m := record(a, x.value, mirrorBack, x)
+	m.pinned = true
+	return m
 }
 
 func mirrorBack(v *Variable, g *tensor.Tensor) {

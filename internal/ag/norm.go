@@ -17,7 +17,9 @@ import (
 // arena scratch, recycled with the step; x̂ — a full activation — is saved
 // only when the backward will read it: for dγ, or for the training-mode
 // dX. A frozen evaluation-mode layer (every teacher, F in the generator
-// step) and every ForwardOnly pass write the output alone.
+// step) and every ForwardOnly pass write the output alone. The backward
+// reads neither x nor the output — x̂ is its own buffer — so a chain may
+// Discard both once their forward readers have returned.
 func BatchNorm2d(x, gamma, beta *Variable, runMean, runVar *tensor.Tensor, training bool, momentum, eps float64) *Variable {
 	if x.value.Dims() != 4 {
 		panic(fmt.Sprintf("ag: BatchNorm2d wants (N,C,H,W), got %v", x.Shape()))
@@ -99,7 +101,7 @@ func BatchNorm2d(x, gamma, beta *Variable, runMean, runVar *tensor.Tensor, train
 	if !records {
 		return constIn(ar, out)
 	}
-	return newNode(ar, out, func(_ *Variable, g *tensor.Tensor) {
+	return record(ar, out, func(_ *Variable, g *tensor.Tensor) {
 		gdd := g.Data()
 		gsink, bsink, xsink := gamma.gradSink(), beta.gradSink(), x.gradSink()
 		// Per-channel reductions Σdy and — where x̂ was saved for them —

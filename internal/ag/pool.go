@@ -89,7 +89,8 @@ func MaxPool2d(x *Variable, k, stride int) *Variable {
 	if !records {
 		return constIn(ar, out)
 	}
-	node := newNode(ar, out, maxPoolBack, x)
+	// The backward reads the argmaxes alone — its own buffer.
+	node := record(ar, out, maxPoolBack, x)
 	node.auxI = arg
 	return node
 }
@@ -156,7 +157,7 @@ func AvgPool2d(x *Variable, k, stride int) *Variable {
 	if !x.requiresGrad {
 		return constIn(ar, out)
 	}
-	node := newNode(ar, out, avgPoolBack, x)
+	node := record(ar, out, avgPoolBack, x) // reads no value
 	node.aux0, node.aux1 = float64(k), float64(stride)
 	return node
 }
@@ -222,7 +223,7 @@ func GlobalAvgPool(x *Variable) *Variable {
 	if !x.requiresGrad {
 		return constIn(ar, out)
 	}
-	return newNode(ar, out, globalAvgPoolBack, x)
+	return record(ar, out, globalAvgPoolBack, x) // reads no value
 }
 
 // globalAvgPoolBack spreads each channel's mean gradient over its plane.

@@ -8,14 +8,23 @@ import (
 
 // Reshape returns a Variable viewing x's data under a new shape. Gradients
 // are reshaped back on the way down. Both view headers come from the
-// arena, so reshapes are allocation-free on warmed-up steps.
+// arena, so reshapes are allocation-free on warmed-up steps. The backward
+// reads no value; the view shares x's storage, so pinning either pins
+// both (Variable.base).
 func Reshape(x *Variable, shape ...int) *Variable {
 	ar := arenaOf(x)
 	out := ar.view(x.value, shape...)
+	var v *Variable
 	if !x.requiresGrad {
-		return constIn(ar, out)
+		v = constIn(ar, out)
+	} else {
+		v = record(ar, out, reshapeBack, x)
 	}
-	return newNode(ar, out, reshapeBack, x)
+	v.base = x
+	if x.base != nil {
+		v.base = x.base
+	}
+	return v
 }
 
 // reshapeBack views the gradient under the parent's shape — which is the
@@ -65,7 +74,7 @@ func ConcatChannels(a, b *Variable) *Variable {
 	if !anyRequires(a, b) {
 		return constIn(ar, out)
 	}
-	return newNode(ar, out, concatChannelsBack, a, b)
+	return record(ar, out, concatChannelsBack, a, b) // reads no value
 }
 
 // concatChannelsBack splits the output gradient back onto the two inputs;
@@ -125,7 +134,7 @@ func SplitChannels(x *Variable, c1 int) (*Variable, *Variable) {
 	// channel count). Each x element receives at most one contribution per
 	// half, so the halves accumulate straight into x's gradient buffer.
 	mk := func(val *tensor.Tensor, chanOff int) *Variable {
-		node := newNode(ar, val, splitChannelsBack, x)
+		node := record(ar, val, splitChannelsBack, x) // reads no value
 		node.aux0 = float64(chanOff)
 		return node
 	}
@@ -182,7 +191,7 @@ func ChannelShuffle(x *Variable, groups int) *Variable {
 	if !x.requiresGrad {
 		return constIn(ar, out)
 	}
-	node := newNode(ar, out, channelShuffleBack, x)
+	node := record(ar, out, channelShuffleBack, x) // reads the permutation alone
 	node.auxI = perm
 	return node
 }
@@ -239,7 +248,7 @@ func Upsample2x(x *Variable) *Variable {
 	if !x.requiresGrad {
 		return constIn(ar, out)
 	}
-	return newNode(ar, out, upsample2xBack, x)
+	return record(ar, out, upsample2xBack, x) // reads no value
 }
 
 // upsample2xBack sums each 2×2 replication block back onto its source

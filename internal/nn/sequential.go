@@ -26,9 +26,10 @@ func (s *Sequential) Append(mods ...Module) { s.mods = append(s.mods, mods...) }
 func (s *Sequential) Len() int { return len(s.mods) }
 
 // Forward implements Module. Each intermediate has one reader, the next
-// module, so a forward-only pass (ag.Arena.ForwardOnly) hands it back to
-// the arena once that module has returned; the chain's input is the
-// caller's and is never touched.
+// module, so it goes to ag.Discard once that module has returned: the
+// arena takes it back unless a recorded backward declared it reads it
+// (in a ForwardOnly pass none does). The chain's input is the caller's
+// and is never touched.
 func (s *Sequential) Forward(x *ag.Variable) *ag.Variable {
 	h := x
 	for _, m := range s.mods {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"unsafe"
@@ -16,19 +17,27 @@ import (
 // request still fills the tail a large one skipped); one that fits
 // nowhere appends a slab of max(n, min(elements held, slabCap)) elements,
 // so a small arena stays small and a large one grows in slabCap pieces —
-// rounded up from n only as far as keeps the arena within 1.5 × the bytes
-// live at that moment, so the rounding alone never breaks that bound.
-// Reset rewinds every offset and frees nothing: a step that ran once runs
-// again at the same addresses without growing the chain, and the chain
-// ends up holding about the largest step it has served — not, as a free
-// list per buffer length would, the high-water mark of every length of
-// every model the arena has ever seen.
+// rounded up from n only as far as keeps the arena within 1.25 × the
+// largest step it has served, so the rounding alone never breaks that
+// bound. Reset rewinds every offset and frees nothing: a step that ran
+// once runs again at the same addresses without growing the chain, and
+// the chain ends up holding about the largest step it has served — not,
+// as a free list per buffer length would, the high-water mark of every
+// length of every model the arena has ever seen.
 //
-// Slabs are never dropped or coalesced. Replacing the chain by one
-// exact-size slab at Reset turns the old slabs into garbage that the
-// collector's pacing lets pile up next to their replacement: the
+// A growing chain drops slabs that nothing is live in, the largest first,
+// up to the new slab's length: the new slab takes their place, so the
+// growth allocates no more than it would have and the arena holds less.
+// That is how a request larger than any hole is served from what whole
+// releases left: a step that released everything it built from small
+// buffers (a training step streams its lowerings a tile at a time) may be
+// followed by one that asks for large ones (an evaluation at four times
+// the batch). Nothing else is ever dropped: replacing the chain by one
+// exact-size slab at every Reset turns the old slabs into garbage that
+// the collector's pacing lets pile up next to their replacement — the
 // ten-device benchmark workload peaked at 394 MB that way, against 228 MB
-// with the chain kept.
+// with the chain kept — while a drop happens only when the chain grows,
+// which a repeated step never makes it do.
 //
 // Release hands a float64 buffer back before the step ends, for callers
 // that know its last reader: a conv lowering once its GEMMs have run,
@@ -108,18 +117,62 @@ func (c chain[T]) take(n int) []T {
 	return nil
 }
 
-// grow appends a slab for a request of n elements that fits nowhere and
-// returns the request and the slab's length: the elements held so far,
-// at most slabCap and at most room, and never less than n.
-func (c *chain[T]) grow(n, room int) (b []T, grown int) {
-	held := 0
-	for _, s := range *c {
-		held += len(s.buf)
+// elems returns the elements the chain holds.
+func (c chain[T]) elems() int {
+	n := 0
+	for _, s := range c {
+		n += len(s.buf)
 	}
-	grown = max(n, min(held, slabCap, room))
-	b = make([]T, grown)
+	return n
+}
+
+// grow appends a slab of the given length and returns its first n
+// elements.
+func (c *chain[T]) grow(n, length int) []T {
+	b := make([]T, length)
 	*c = append(*c, slab[T]{buf: b, off: n})
-	return b[:n:n], grown
+	return b[:n:n]
+}
+
+// dropEmpty removes slabs nothing is live in (offset 0: nothing handed
+// out since the last Reset, or all of it released), largest first, as
+// long as their lengths sum to at most budget, and returns that sum and,
+// when any went, remap[i] = slab i's index after the removal. No released
+// span lies in an empty slab — a span reaching the bump offset pulls it
+// back — so the released list only needs its indices remapped.
+func (c *chain[T]) dropEmpty(budget int) (dropped int, remap []int) {
+	var empty []int
+	for i, s := range *c {
+		if s.off == 0 && len(s.buf) <= budget {
+			empty = append(empty, i)
+		}
+	}
+	if len(empty) == 0 {
+		return 0, nil
+	}
+	slices.SortFunc(empty, func(i, j int) int { return len((*c)[j].buf) - len((*c)[i].buf) })
+	remap = make([]int, len(*c))
+	for _, i := range empty {
+		if l := len((*c)[i].buf); dropped+l <= budget {
+			dropped += l
+			remap[i] = -1
+		}
+	}
+	if dropped == 0 {
+		return 0, nil
+	}
+	j := 0
+	for i, s := range *c {
+		if remap[i] < 0 {
+			continue
+		}
+		remap[i] = j
+		(*c)[j] = s
+		j++
+	}
+	clear((*c)[j:])
+	*c = (*c)[:j]
+	return dropped, remap
 }
 
 func (c chain[T]) rewind() {
@@ -153,14 +206,26 @@ func (a *Arena) Reset() {
 }
 
 // alloc serves n elements of size bytes each from c and books them. A
-// slab appended for them is rounded up only as far as leaves the arena
-// holding no more than 1.5 × what is then live.
+// request that fits no slab appends one, rounded up towards the elements
+// the chain holds — slabs grow geometrically — but only as far as leaves
+// the arena holding no more than 1.25 × the largest step it has served,
+// this request counted. The new slab takes the place of the largest
+// empty slabs it can (the holes whole releases leave) up to its own
+// length, so it costs no more allocation than it would have and the arena
+// holds less.
 func alloc[T float64 | int](a *Arena, c *chain[T], n int, size int64) []T {
 	b := c.take(n)
 	if b == nil {
-		var grown int
-		b, grown = c.grow(n, int((3*(a.step+int64(n)*size)/2-a.held.Load())/size))
-		a.held.Add(int64(grown) * size)
+		room := int((5*max(a.high, a.step+int64(n)*size)/4 - a.held.Load()) / size)
+		grown := max(n, min(c.elems(), slabCap, room))
+		dropped, remap := c.dropEmpty(grown)
+		if _, floats := any(c).(*chain[float64]); floats && remap != nil {
+			for i := range a.free {
+				a.free[i].slab = remap[a.free[i].slab]
+			}
+		}
+		b = c.grow(n, grown)
+		a.held.Add(int64(grown-dropped) * size)
 	}
 	a.booked(int64(n) * size)
 	return b
@@ -296,7 +361,8 @@ func (a *Arena) NewRaw(shape ...int) *Tensor {
 }
 
 // NewLike returns a zero-filled tensor with t's shape — New without the
-// caller having to materialise a shape copy.
+// caller having to materialise a shape copy. Like NewRawLike it reads
+// only t's shape, so t may be a tensor whose storage has been released.
 func (a *Arena) NewLike(t *Tensor) *Tensor {
 	out := a.NewRawLike(t)
 	if a != nil {
@@ -305,12 +371,14 @@ func (a *Arena) NewLike(t *Tensor) *Tensor {
 	return out
 }
 
-// NewRawLike returns a tensor with t's shape and unspecified contents.
+// NewRawLike returns a tensor with t's shape and unspecified contents. It
+// is sized from the shape, not from t's storage: a gradient is shaped
+// like a value whose storage may already be released.
 func (a *Arena) NewRawLike(t *Tensor) *Tensor {
 	if a == nil {
 		return New(t.shape...)
 	}
-	return a.wrap(a.FloatsRaw(len(t.data)), t.shape)
+	return a.wrap(a.FloatsRaw(checkShape(t.shape)), t.shape)
 }
 
 // Floats returns a zeroed scratch []float64 of length n from the same

@@ -112,6 +112,23 @@ func TestArenaNewLikeMatchesShape(t *testing.T) {
 	}
 }
 
+// TestArenaNewLikeOfReleased: a tensor shaped like one whose storage was
+// released has its full length — the size comes from the shape.
+func TestArenaNewLikeOfReleased(t *testing.T) {
+	a := NewArena()
+	x := a.NewRaw(2, 3, 4)
+	a.Release(x)
+	if x.Len() != 0 {
+		t.Fatalf("released tensor still holds %d elements", x.Len())
+	}
+	if got := a.NewRawLike(x); got.Len() != 24 || !got.SameShape(x) {
+		t.Fatalf("NewRawLike of a released tensor: %d elements of shape %v, want 24 of %v", got.Len(), got.Shape(), x.Shape())
+	}
+	if got := a.NewLike(x); got.Len() != 24 {
+		t.Fatalf("NewLike of a released tensor: %d elements, want 24", got.Len())
+	}
+}
+
 // TestArenaRandomRequests drives arenas through seeded random steps —
 // sizes 1…2²⁰, New/NewRaw/NewLike/Floats/Ints/View mixed, a Reset between
 // steps, some steps repeated — and checks what every caller relies on: no
@@ -393,5 +410,41 @@ func TestArenaReleaseRandom(t *testing.T) {
 		if float64(held) > 1.5*float64(peak)+2*slabCap*floatBytes {
 			t.Fatalf("seed %d: arena holds %d bytes for a largest step of %d", seed, held, peak)
 		}
+	}
+}
+
+// TestArenaGrowthTakesEmptySlabs: a request no slab has room for is
+// served by a new slab that takes the place of the slabs nothing is live
+// in — held grows only by the difference — while a slab something is live
+// in stays, and so does a released span in it, still serving requests.
+func TestArenaGrowthTakesEmptySlabs(t *testing.T) {
+	a := NewArena()
+	a.NewRaw(100) // slab A
+	a.NewRaw(500) // slab B
+	a.Reset()
+	keep := a.NewRaw(200) // B: A is too small for all three
+	gap := a.NewRaw(150)
+	a.NewRaw(120)
+	a.Release(gap) // a released span in B; A holds nothing
+	if len(a.floats) != 2 || len(a.free) != 1 || a.free[0].slab != 1 {
+		t.Fatalf("set-up: %d slabs, released spans %v", len(a.floats), a.free)
+	}
+	held := a.HeldBytes()
+	big := a.NewRaw(600)
+	if len(a.floats) != 2 || len(a.floats[0].buf) != 500 || len(a.floats[1].buf) != 600 {
+		t.Fatalf("chain is %d slabs, want B and the new slab in A's place", len(a.floats))
+	}
+	if got, want := a.HeldBytes()-held, int64(600-100)*8+headerBytes; got != want {
+		t.Fatalf("held grew by %d bytes, want the new slab less the one it replaced, plus a header = %d", got, want)
+	}
+	if len(a.free) != 1 || a.free[0].slab != 0 {
+		t.Fatalf("released spans %v, want the one in B, now slab 0", a.free)
+	}
+	y := a.NewRaw(150)
+	if want := uintptr(unsafe.Pointer(&keep.Data()[0])) + 200*8; uintptr(unsafe.Pointer(&y.Data()[0])) != want {
+		t.Fatal("the released span in the kept slab did not serve a request of its length")
+	}
+	if y.Overlaps(big) || y.Overlaps(keep) {
+		t.Fatal("a reused span overlaps a live buffer")
 	}
 }
