@@ -13,8 +13,11 @@ func matMulBack(v *Variable, g *tensor.Tensor) {
 		tensor.MatMulTransBAccInto(sink, g, b.value)
 	}
 	if sink := b.gradSink(); sink != nil {
-		// dB += Aᵀ · g
-		tensor.MatMulTransAAccInto(sink, a.value, g)
+		// dB += Aᵀ · g, formed in step scratch as in linearBack
+		tmp := v.ar.rawLike(sink)
+		tensor.MatMulTransAInto(tmp, a.value, g)
+		tensor.AccumInto(sink, tmp)
+		v.ar.release(tmp)
 	}
 }
 
@@ -41,16 +44,24 @@ func addBiasRowsInPlace(od, bd []float64, n, d int) {
 }
 
 // linearBack propagates through the fused x·Wᵀ + b node: parents are
-// (x, w) or (x, w, b).
+// (x, w) or (x, w, b). dX and dW are each formed whole in step scratch,
+// added to their gradient in one pass — the bits of a heap product plus
+// AccumInto — and the scratch handed straight back.
 func linearBack(v *Variable, g *tensor.Tensor) {
 	x, w := v.parents[0], v.parents[1]
 	if sink := x.gradSink(); sink != nil {
 		// dX += g · W
-		tensor.MatMulAccInto(sink, g, w.value)
+		tmp := v.ar.rawLike(sink)
+		tensor.MatMulInto(tmp, g, w.value)
+		tensor.AccumInto(sink, tmp)
+		v.ar.release(tmp)
 	}
 	if sink := w.gradSink(); sink != nil {
 		// dW += gᵀ · X
-		tensor.MatMulTransAAccInto(sink, g, x.value)
+		tmp := v.ar.rawLike(sink)
+		tensor.MatMulTransAInto(tmp, g, x.value)
+		tensor.AccumInto(sink, tmp)
+		v.ar.release(tmp)
 	}
 	if v.nparents == 3 {
 		if sink := v.parents[2].gradSink(); sink != nil {
@@ -63,7 +74,7 @@ func linearBack(v *Variable, g *tensor.Tensor) {
 // Linear computes x·Wᵀ + b, the standard fully-connected layer: x is
 // (N×in), w is (out×in), b is (out) and may be nil. The bias addition is
 // fused into the matmul node — one output buffer, one tape node — and the
-// backward accumulates dX, dW and db straight into the gradient buffers.
+// backward accumulates dX, dW and db into the gradient buffers.
 // The arithmetic (and therefore every float64 bit) matches the historical
 // pair of a matmul node and a row-bias node: the fused node's incoming
 // gradient is exactly the gradient the bias node used to forward verbatim

@@ -154,8 +154,8 @@ func (f *FedAvg) Run(ctx context.Context) (fed.History, error) {
 			return hist, err
 		}
 
-		m.GlobalAcc = fed.EvaluateArena(f.global, f.ds, 64, f.arenas[0])
-		m.DeviceAcc = fed.EvaluateAllOn(f.devices, f.ds, 64, f.arenas)
+		m.GlobalAcc = fed.EvaluateArena(f.global, f.ds, cfg.BatchSize, f.arenas[0])
+		m.DeviceAcc = fed.EvaluateAllOn(f.devices, f.ds, cfg.BatchSize, f.arenas)
 		m.MeanDeviceAcc = fed.Mean(m.DeviceAcc)
 		m.Elapsed = time.Since(start)
 		hist = append(hist, m)

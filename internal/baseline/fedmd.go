@@ -198,7 +198,7 @@ func (f *FedMD) Run(ctx context.Context) (fed.History, error) {
 			}
 		}
 
-		m.DeviceAcc = fed.EvaluateAllOn(f.devices, f.private, 64, f.arenas)
+		m.DeviceAcc = fed.EvaluateAllOn(f.devices, f.private, cfg.BatchSize, f.arenas)
 		m.MeanDeviceAcc = fed.Mean(m.DeviceAcc)
 		m.Elapsed = time.Since(start)
 		hist = append(hist, m)

@@ -64,7 +64,7 @@ func TrainStandalone(cfg StandaloneConfig, arch string, ds *data.Dataset, idx []
 			ar.Reset()
 		}
 	}
-	return fed.EvaluateArena(m, ds, 64, ar), nil
+	return fed.EvaluateArena(m, ds, cfg.BatchSize, ar), nil
 }
 
 // Bounds holds one device's Table III row.

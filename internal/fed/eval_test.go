@@ -77,3 +77,52 @@ func TestEvaluateArenaForwardOnly(t *testing.T) {
 		}
 	}
 }
+
+// TestEvaluateBatchIndependent: in evaluation mode every sample's logits
+// depend on the sample alone, so an evaluation may step at any batch —
+// the training batch of the arena it borrows — and report the same
+// accuracy. For every registered architecture, with batch-norm running
+// statistics moved off their initial values, the logits are bit-identical
+// at batches 1, 7, 16, 64 and the whole test set, tiled convs and
+// parallel row splits included, and so is the accuracy.
+func TestEvaluateBatchIndependent(t *testing.T) {
+	ds := data.MustMake(data.Config{
+		Name: "batch-independent", Family: data.FamilyObjects, Classes: 10,
+		C: 3, H: 16, W: 16, TrainPerClass: 2, TestPerClass: 7, Seed: 31,
+	})
+	in := model.Shape{C: ds.C, H: ds.H, W: ds.W}
+	batches := []int{1, 7, 16, 64, ds.NumTest()}
+	ar := ag.NewArena()
+	for i, arch := range model.Names() {
+		m := model.MustBuild(arch, in, ds.Classes, tensor.NewRand(uint64(40+i)))
+		// One training-mode forward moves the running statistics.
+		x := tensor.New(8, ds.C, ds.H, ds.W)
+		tensor.FillNormal(x, 0.5, 2, tensor.NewRand(uint64(60+i)))
+		m.Forward(ag.Const(x))
+		var want []float64
+		var wantAcc float64
+		for _, b := range batches {
+			tap := &logitTap{Module: m}
+			acc := EvaluateArena(tap, ds, b, ar)
+			var got []float64
+			for _, l := range tap.logits {
+				got = append(got, l...)
+			}
+			if want == nil {
+				want, wantAcc = got, acc
+				continue
+			}
+			if acc != wantAcc {
+				t.Errorf("%s: accuracy %v at batch %d, %v at batch %d", arch, acc, b, wantAcc, batches[0])
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d logits at batch %d, %d at batch %d", arch, len(got), b, len(want), batches[0])
+			}
+			for j, w := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(w) {
+					t.Fatalf("%s: logit %d = %v at batch %d, %v at batch %d", arch, j, got[j], b, w, batches[0])
+				}
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -108,10 +109,10 @@ func zooFederation(t *testing.T, rounds int) *Coordinator {
 // TestRigArenaRetention: after a three-round ten-device SmallZoo
 // federation every rig's step arena — which trained and evaluated all
 // five architectures — holds no more than 1.5 × the largest step it
-// served, that step is the last round's evaluation, not training's (a
-// forward-only pass at four times the batch, above every training step
-// now that one keeps only what its backward reads), and the scrape
-// reports exactly what the arenas say.
+// served, that step is training's (the last round's evaluation steps at
+// the training batch, forward-only, so it stays below a batch-64
+// evaluation and within 1 % of the largest training step), and the
+// scrape reports exactly what the arenas say.
 func TestRigArenaRetention(t *testing.T) {
 	co := zooFederation(t, 3)
 	if _, err := co.Run(context.Background()); err != nil {
@@ -127,9 +128,10 @@ func TestRigArenaRetention(t *testing.T) {
 		}
 		held, peak, largest = held+h, peak+p, max(largest, p)
 	}
-	// Evaluating every model once more, on a fresh arena, shows what the
-	// largest evaluation step is; a training step of every architecture,
-	// on another, what the largest training step is.
+	// Evaluating every model once more at batch 64, on a fresh arena,
+	// shows what the largest step of such an evaluation is; a training
+	// step of every architecture, on another, what the largest training
+	// step is.
 	ev := ag.NewArena()
 	for id := range co.devices {
 		withDevice(t, co, id, func(d *fed.Device) { fed.EvaluateArena(d.Model, co.ds, 64, ev) })
@@ -141,9 +143,9 @@ func TestRigArenaRetention(t *testing.T) {
 		tr.Reset()
 	}
 	e, train := ev.T.StepPeakBytes(), tr.T.StepPeakBytes()
-	t.Logf("largest evaluation step %d bytes, largest training step %d", e, train)
-	if largest != e || train >= e {
-		t.Errorf("the largest evaluation step is %d bytes, the largest training step %d, the rigs' largest steps %d and %d: not the evaluation's", e, train, peak/2, peak-peak/2)
+	t.Logf("largest batch-64 evaluation step %d bytes, largest training step %d, rigs' largest %d", e, train, largest)
+	if largest >= e || math.Abs(float64(largest-train)) > 0.01*float64(train) {
+		t.Errorf("the rigs' largest step is %d bytes, against a batch-64 evaluation's %d and the largest training step %d: not training's", largest, e, train)
 	}
 	checkScraped(t, map[string]int64{
 		"fedzkt_arena_rig_step_held_bytes":      held,

@@ -681,7 +681,8 @@ func (c *Coordinator) reconcileDevices() {
 // materialised in a worker rig's module, which at a depth-0 round boundary
 // is exactly its state after the round. The pool is idle between depth-0
 // rounds, so the fan-out borrows its rigs' warmed-up arenas and modules:
-// ForEachWorker's worker indices are the pool's slot indices.
+// ForEachWorker's worker indices are the pool's slot indices. It steps at
+// BatchSize, the batch the rigs train at.
 func (c *Coordinator) EvaluateDevices(ids []int) ([]float64, error) {
 	accs := make([]float64, len(ids))
 	var mu sync.Mutex
@@ -691,7 +692,7 @@ func (c *Coordinator) EvaluateDevices(ids []int) ([]float64, error) {
 		d := c.devices[ids[i]]
 		_, err := c.materialise(rig, d)
 		if err == nil {
-			accs[i] = fed.EvaluateArena(d.Model, c.ds, 64, rig.step)
+			accs[i] = fed.EvaluateArena(d.Model, c.ds, c.cfg.BatchSize, rig.step)
 			err = c.release(rig, d, false)
 		}
 		if err != nil {

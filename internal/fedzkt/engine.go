@@ -489,7 +489,7 @@ func (e *Engine) evaluate(m *fed.RoundMetrics) (err error) {
 		}
 	}
 	if m.DeviceAcc == nil {
-		m.DeviceAcc = e.server.EvaluateReplicaSubset(e.ds, 64, e.cfg.Workers, ids)
+		m.DeviceAcc = e.server.EvaluateReplicaSubset(e.ds, e.cfg.DistillBatch, e.cfg.Workers, ids)
 	}
 	m.MeanDeviceAcc = fed.Mean(m.DeviceAcc)
 	return nil

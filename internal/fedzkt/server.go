@@ -693,9 +693,10 @@ func (s *Server) transferBackPhase(ctx context.Context, round int, participants 
 	return nil
 }
 
-// EvaluateGlobal reports F's test accuracy on ds.
+// EvaluateGlobal reports F's test accuracy on ds, stepping at
+// DistillBatch on the phase arena, the batch that arena distils at.
 func (s *Server) EvaluateGlobal(ds *data.Dataset) float64 {
-	return fed.EvaluateArena(s.global, ds, 64, s.phase)
+	return fed.EvaluateArena(s.global, ds, s.cfg.DistillBatch, s.phase)
 }
 
 // EvaluateReplicaSubset reports the test accuracy of the given devices'
@@ -712,8 +713,10 @@ func (s *Server) EvaluateGlobal(ds *data.Dataset) float64 {
 // workers (0 = GOMAXPROCS) and evaluated concurrently within a chunk, so
 // the cohort pools never grow beyond the chunk size on account of
 // evaluation. Accuracy depends only on the stored states, so the result
-// is identical for any worker count. A member whose replica fails to load
-// reports zero accuracy (and a recorded fault).
+// is identical for any worker count, and for any batchSize; the engine
+// passes DistillBatch, the batch the worker arenas distil at. A member
+// whose replica fails to load reports zero accuracy (and a recorded
+// fault).
 func (s *Server) EvaluateReplicaSubset(ds *data.Dataset, batchSize, workers int, ids []int) []float64 {
 	n := len(ids)
 	accs := make([]float64, n)

@@ -1,22 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"sync"
-)
-
-// scratchPool recycles the scratch buffers of the accumulate variants
-// (MatMulAccInto / MatMulTransAAccInto) across calls and goroutines, so
-// forming the product before the single accumulation costs no allocation.
-var scratchPool = sync.Pool{New: func() any { s := make([]float64, 0); return &s }}
-
-func scratchBuf(n int) (*[]float64, []float64) {
-	p := scratchPool.Get().(*[]float64)
-	if cap(*p) < n {
-		*p = make([]float64, n)
-	}
-	return p, (*p)[:n]
-}
+import "fmt"
 
 // MatMul returns the matrix product a·b, where a is (m×k) and b is (k×n).
 func MatMul(a, b *Tensor) *Tensor {
@@ -37,19 +21,6 @@ func MatMulInto(dst, a, b *Tensor) {
 	m, k, n := mmDims(a, b)
 	checkDst("MatMulInto", dst, m, n)
 	matMulInto(dst.data, a.data, b.data, m, k, n)
-}
-
-// MatMulAccInto accumulates a·b into dst: dst += a·b. The product is
-// formed fully (in pooled scratch) before the single accumulation pass,
-// matching MatMul followed by AccumInto bit for bit; backward passes use
-// it to accumulate straight into gradient buffers without allocating.
-func MatMulAccInto(dst, a, b *Tensor) {
-	m, k, n := mmDims(a, b)
-	checkDst("MatMulAccInto", dst, m, n)
-	holder, tmp := scratchBuf(m * n)
-	defer scratchPool.Put(holder)
-	matMulInto(tmp, a.data, b.data, m, k, n)
-	accumSlice(dst.data, tmp)
 }
 
 func mmDims(a, b *Tensor) (m, k, n int) {
@@ -76,18 +47,6 @@ func MatMulTransAInto(dst, a, b *Tensor) {
 	k, m, n := mmTransADims(a, b)
 	checkDst("MatMulTransAInto", dst, m, n)
 	matMulTransAInto(dst.data, a.data, b.data, k, m, n)
-}
-
-// MatMulTransAAccInto accumulates aᵀ·b into dst: dst += aᵀ·b, forming the
-// product fully before the single accumulation pass (bit-identical to
-// MatMulTransA followed by AccumInto).
-func MatMulTransAAccInto(dst, a, b *Tensor) {
-	k, m, n := mmTransADims(a, b)
-	checkDst("MatMulTransAAccInto", dst, m, n)
-	holder, tmp := scratchBuf(m * n)
-	defer scratchPool.Put(holder)
-	matMulTransAInto(tmp, a.data, b.data, k, m, n)
-	accumSlice(dst.data, tmp)
 }
 
 func mmTransADims(a, b *Tensor) (k, m, n int) {

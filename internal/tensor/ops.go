@@ -63,15 +63,9 @@ func Scale(s float64, a *Tensor) *Tensor {
 // AccumInto accumulates src into dst: dst += src.
 func AccumInto(dst, src *Tensor) {
 	checkSame("AccumInto", dst, src)
-	accumSlice(dst.data, src.data)
-}
-
-// accumSlice is the one element-wise accumulation loop, shared by
-// AccumInto and the matmul accumulate variants so dst += src has a single
-// definition.
-func accumSlice(dst, src []float64) {
-	for i, v := range src {
-		dst[i] += v
+	d := dst.data
+	for i, v := range src.data {
+		d[i] += v
 	}
 }
 
