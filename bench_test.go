@@ -1,12 +1,19 @@
 // This file regenerates every table and figure of the FedZKT paper (one
 // Benchmark per artefact, at smoke scale so the suite completes in minutes
-// on one core) and holds the four arms that compare a mode no bench/
-// workload runs: span recording off (the …NoObs pairs, which price the
-// ≤ 2 % observability budget), the full-ensemble server phase (run at
-// GOMAXPROCS=1 for the one-core reference), and the heap (no-arena) local
-// step. Run with:
+// on one core) and holds the three arms that compare a mode no bench/
+// workload runs: span recording off (the …NoObs pairs of the server phase
+// and the local step, which price the ≤ 2 % observability budget) and the
+// full-ensemble server phase (run at GOMAXPROCS=1 for the one-core
+// reference). Run with:
 //
 //	go test -run '^$' -bench=. -benchmem
+//
+// A test binary pays for checks the product never runs: every
+// tensor.Arena.Release fills what it takes back with NaN, and
+// internal/fedzkt fills every spare slot buffer with 0xFF before reuse.
+// Times measured here therefore compare only within a pair run in one
+// binary (the …NoObs arms); absolute times come from bench/, which runs
+// the product binary.
 //
 // Time and bytes of everything else — kernels, local step, codecs,
 // checkout, distillation, rounds — are bench/'s metrics (see its README):
@@ -242,9 +249,8 @@ func BenchmarkServerDistill100Teachers8NoObs(b *testing.B) {
 }
 
 // benchLocalStep runs one device's full LocalUpdate (1 epoch over an
-// 80-sample shard, batch 16 → 5 optimiser steps) with or without a
-// step-scoped arena.
-func benchLocalStep(b *testing.B, arena bool) {
+// 80-sample shard, batch 16 → 5 optimiser steps) on a step-scoped arena.
+func benchLocalStep(b *testing.B) {
 	b.Helper()
 	ds := data.SynthMNIST(fedzkt.Sizes{TrainPerClass: 8, TestPerClass: 2}, 7)
 	idx := make([]int, ds.NumTrain())
@@ -253,9 +259,7 @@ func benchLocalStep(b *testing.B, arena bool) {
 	}
 	m := model.MustBuild("lenet-s", model.Shape{C: ds.C, H: ds.H, W: ds.W}, ds.Classes, tensor.NewRand(3))
 	dev := fed.NewDevice(0, "lenet-s", m, data.NewSubset(ds, idx))
-	if arena {
-		dev.Scratch = ag.NewArena()
-	}
+	dev.Scratch = ag.NewArena()
 	cfg := fed.LocalConfig{Epochs: 1, BatchSize: 16, LR: 0.01}
 	rng := tensor.NewRand(9)
 	b.ReportAllocs()
@@ -267,13 +271,8 @@ func benchLocalStep(b *testing.B, arena bool) {
 	}
 }
 
-// BenchmarkLocalStepNoArena is the heap path of the local step, which no
-// scheduler worker and no bench/ probe takes (fed.local_step_ms is the
-// arena path, whose allocation ceiling TestLocalStepAllocs pins).
-func BenchmarkLocalStepNoArena(b *testing.B) { benchLocalStep(b, false) }
-
 // BenchmarkLocalStepArenaNoObs is the arena local step with and without
 // span recording: the local-phase half of the observability budget.
 func BenchmarkLocalStepArenaNoObs(b *testing.B) {
-	obsPair(b, func(b *testing.B) { benchLocalStep(b, true) })
+	obsPair(b, benchLocalStep)
 }

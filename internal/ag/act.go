@@ -32,7 +32,7 @@ func reluBack(v *Variable, g *tensor.Tensor) {
 // indirect per-element call is most of the generic version's cost.
 func ReLU(x *Variable) *Variable {
 	ar := arenaOf(x)
-	out := ar.rawLike(x.value)
+	out := ar.T.NewRawLike(x.value)
 	xd, od := x.value.Data(), out.Data()
 	for i, v := range xd {
 		if v > 0 {
@@ -66,7 +66,7 @@ func relu6Back(v *Variable, g *tensor.Tensor) {
 // ReLU6 returns min(max(x,0),6), the activation used by MobileNetV2.
 func ReLU6(x *Variable) *Variable {
 	ar := arenaOf(x)
-	out := ar.rawLike(x.value)
+	out := ar.T.NewRawLike(x.value)
 	tensor.ApplyInto(out, x.value, func(v float64) float64 {
 		if v <= 0 {
 			return 0
@@ -104,7 +104,7 @@ func leakyReLUBack(v *Variable, g *tensor.Tensor) {
 // LeakyReLU returns x where x>0 and alpha*x elsewhere.
 func LeakyReLU(x *Variable, alpha float64) *Variable {
 	ar := arenaOf(x)
-	out := ar.rawLike(x.value)
+	out := ar.T.NewRawLike(x.value)
 	xd, od := x.value.Data(), out.Data()
 	for i, v := range xd {
 		if v > 0 {
@@ -137,7 +137,7 @@ func tanhBack(v *Variable, g *tensor.Tensor) {
 // Tanh returns tanh(x) elementwise.
 func Tanh(x *Variable) *Variable {
 	ar := arenaOf(x)
-	out := ar.rawLike(x.value)
+	out := ar.T.NewRawLike(x.value)
 	tensor.ApplyInto(out, x.value, math.Tanh)
 	if !x.requiresGrad {
 		return constIn(ar, out)
@@ -162,7 +162,7 @@ func sigmoidBack(v *Variable, g *tensor.Tensor) {
 // Sigmoid returns 1/(1+e^-x) elementwise.
 func Sigmoid(x *Variable) *Variable {
 	ar := arenaOf(x)
-	out := ar.rawLike(x.value)
+	out := ar.T.NewRawLike(x.value)
 	tensor.ApplyInto(out, x.value, func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
 	if !x.requiresGrad {
 		return constIn(ar, out)
@@ -205,7 +205,7 @@ func softmaxBack(v *Variable, g *tensor.Tensor) {
 func Softmax(x *Variable) *Variable {
 	n, d := check2d(x, "Softmax")
 	ar := arenaOf(x)
-	out := ar.tensorRaw(n, d)
+	out := ar.T.NewRaw(n, d)
 	softmaxRowsInto(out.Data(), x.value.Data(), n, d)
 	if !x.requiresGrad {
 		return constIn(ar, out)
@@ -242,7 +242,7 @@ func logSoftmaxBack(v *Variable, g *tensor.Tensor) {
 func LogSoftmax(x *Variable) *Variable {
 	n, d := check2d(x, "LogSoftmax")
 	ar := arenaOf(x)
-	out := ar.tensorRaw(n, d)
+	out := ar.T.NewRaw(n, d)
 	xd, od := x.value.Data(), out.Data()
 	for r := 0; r < n; r++ {
 		row := xd[r*d : (r+1)*d]
@@ -294,19 +294,14 @@ func softmaxRowsInto(dst, src []float64, n, d int) {
 	}
 }
 
-// SoftmaxRows is the no-tape convenience used at evaluation time.
-func SoftmaxRows(t *tensor.Tensor) *tensor.Tensor {
-	return SoftmaxRowsIn(nil, t)
-}
-
-// SoftmaxRowsIn is SoftmaxRows allocating its output from the given arena
-// (nil falls back to the heap).
+// SoftmaxRowsIn is the softmax of each row of an (N×D) tensor off the
+// tape, its output allocated from arena a.
 func SoftmaxRowsIn(a *Arena, t *tensor.Tensor) *tensor.Tensor {
 	if t.Dims() != 2 {
-		panic(fmt.Sprintf("ag: SoftmaxRows wants (N×D), got %v", t.Shape()))
+		panic(fmt.Sprintf("ag: SoftmaxRowsIn wants (N×D), got %v", t.Shape()))
 	}
 	n, d := t.Dim(0), t.Dim(1)
-	out := a.tensorRaw(n, d)
+	out := a.T.NewRaw(n, d)
 	softmaxRowsInto(out.Data(), t.Data(), n, d)
 	return out
 }

@@ -16,21 +16,22 @@
 // distillation, are skipped during accumulation, while gradients still flow
 // through them to upstream inputs.
 //
-// Arenas: every op allocates its forward value, backward scratch and
-// interior gradient buffers through the Arena of its operands (the first
-// operand carrying one wins; leaves created by NewVar/Param/Const carry
-// none). Wrapping a step's input with ConstIn(arena, x) therefore threads
-// the arena through the whole tape with no other call-site changes, and
-// one Arena.Reset after the optimiser step recycles every step-scoped
-// buffer AND tape node. Ops that know a buffer's last reader hand it back
-// sooner (tensor.Arena.Release): a conv lowering tile after the GEMM that
-// reads it, conv and pooling backward scratch when the node's backward
-// returns, an interior node's gradient as soon as that backward has
-// consumed it — so an arena's tape is walked by Backward once. A caller
-// that reads an interior x.Grad() after Backward marks x with RetainGrad
-// first; on the heap path an unretained interior gradient is dropped the
-// same way, so both paths follow one rule. An entry of a shared ColMemo
-// is never released by a reader.
+// Arenas: every tape runs on one. An op allocates its forward value,
+// backward scratch and interior gradient buffers through the Arena of its
+// operands (the first operand carrying one wins). Leaves created by
+// NewVar/Param/Const carry none, and an op none of whose operands carries
+// one starts the tape on a new Arena, so every node an op returns carries
+// an arena. Wrapping a step's input with ConstIn(arena, x) therefore
+// threads the caller's arena through the whole tape with no other
+// call-site changes, and one Arena.Reset after the optimiser step recycles
+// every step-scoped buffer AND tape node. Ops that know a buffer's last
+// reader hand it back sooner (tensor.Arena.Release): a conv lowering tile
+// after the GEMM that reads it, conv and pooling backward scratch when the
+// node's backward returns, an interior node's gradient as soon as that
+// backward has consumed it — so an arena's tape is walked by Backward
+// once. A caller that reads an interior x.Grad() after Backward marks x
+// with RetainGrad first. An entry of a shared ColMemo is never released by
+// a reader.
 //
 // What a recorded step keeps: each op declares which values its backward
 // reads — a conv or linear layer its input, and only when its weight
@@ -96,9 +97,12 @@ type Variable struct {
 	aux0, aux1 float64
 	auxI       []int
 	auxT       *tensor.Tensor
-	// lent, on a leaf, is the arena its gradient buffer is drawn from
-	// (LendGrads); nil allocates it from the heap.
-	lent *tensor.Arena
+	// gradAr is the tensor arena v's gradient buffer is drawn from: its
+	// own arena's for a node on one (Backward hands an interior node's
+	// back after the node's backward, the step's Reset a retained one's);
+	// for a leaf without one, its lender (LendGrads) or nil, the heap, so
+	// the buffer lives as long as the leaf.
+	gradAr *tensor.Arena
 	// retain keeps an interior node's gradient past its backward
 	// (RetainGrad).
 	retain bool
@@ -114,8 +118,8 @@ type Variable struct {
 // buffers come from an embedded tensor.Arena and tape nodes from a
 // recycled slab, so a warmed-up training step allocates (almost) nothing.
 // Reset recycles everything handed out since the previous Reset; see the
-// package comment for the lifetime and concurrency contract. The nil
-// *Arena is valid and falls back to heap allocation everywhere.
+// package comment for the lifetime and concurrency contract. Every
+// *Arena parameter of the package must be non-nil.
 type Arena struct {
 	// T is the tensor-buffer arena, shared with non-autodiff consumers
 	// (batch gathering, noise sampling) so the whole step draws from one
@@ -158,23 +162,14 @@ func NewArena() *Arena {
 	return &Arena{T: tensor.NewArena()}
 }
 
-// Tensors returns the embedded tensor arena (nil for a nil Arena), for
-// consumers that gather batches or sample noise outside the tape but
-// inside the step.
-func (a *Arena) Tensors() *tensor.Arena {
-	if a == nil {
-		return nil
-	}
-	return a.T
-}
+// Tensors returns the embedded tensor arena, for consumers that gather
+// batches or sample noise outside the tape but inside the step.
+func (a *Arena) Tensors() *tensor.Arena { return a.T }
 
 // Reset recycles every tensor buffer and tape node handed out since the
 // previous Reset. All Variables and tensors obtained through the arena
 // become invalid.
 func (a *Arena) Reset() {
-	if a == nil {
-		return
-	}
 	a.T.Reset()
 	a.chunk, a.used = 0, 0
 }
@@ -183,12 +178,8 @@ func (a *Arena) Reset() {
 // never be differentiated — evaluation. While the mark is set no op
 // records a tape node or saves anything for a backward, whatever its
 // operands require, and a conv lowering goes back to the arena as soon as
-// its GEMM has read it. Owner goroutine only; a nil arena ignores it.
-func (a *Arena) ForwardOnly(on bool) {
-	if a != nil {
-		a.forwardOnly = on
-	}
-}
+// its GEMM has read it. Owner goroutine only.
+func (a *Arena) ForwardOnly(on bool) { a.forwardOnly = on }
 
 // Discard hands v's value back to its arena before the step ends. The
 // caller — a chain that fed v to exactly one reader — vouches that the
@@ -201,7 +192,7 @@ func (a *Arena) ForwardOnly(on bool) {
 // the tape — its gradient is shaped from the value's shape, not its
 // storage.
 func Discard(v *Variable, keep ...*Variable) {
-	if v.ar == nil || v.pinned || v.base != nil && v.base.pinned {
+	if v.pinned || v.base != nil && v.base.pinned {
 		return
 	}
 	for _, k := range keep {
@@ -215,29 +206,17 @@ func Discard(v *Variable, keep ...*Variable) {
 // records reports whether an op over vs must record itself for a backward
 // pass: some operand requires a gradient and the arena is not ForwardOnly.
 func (a *Arena) records(vs ...*Variable) bool {
-	return !(a != nil && a.forwardOnly) && anyRequires(vs...)
+	return !a.forwardOnly && anyRequires(vs...)
 }
 
-// release hands t's storage back to the arena before the step ends; the
-// caller vouches that nothing will read it again (tensor.Arena.Release).
-func (a *Arena) release(t *tensor.Tensor) {
-	if a != nil {
-		a.T.Release(t)
-	}
-}
-
-// variable returns a cleared node from the slab (or the heap for a nil
-// arena).
+// variable returns a cleared node on a from the slab.
 func (a *Arena) variable() *Variable {
-	if a == nil {
-		return &Variable{}
-	}
 	if a.chunk == len(a.chunks) {
 		a.chunks = append(a.chunks, make([]Variable, arenaChunk))
 	}
 	c := a.chunks[a.chunk]
 	v := &c[a.used]
-	*v = Variable{}
+	*v = Variable{ar: a, gradAr: a.T}
 	a.used++
 	if a.used == len(c) {
 		a.chunk++
@@ -246,87 +225,25 @@ func (a *Arena) variable() *Variable {
 	return v
 }
 
-// tensorZ allocates a zero-filled tensor from the arena (or heap).
-func (a *Arena) tensorZ(shape ...int) *tensor.Tensor {
-	if a == nil {
-		return tensor.New(shape...)
-	}
-	return a.T.New(shape...)
-}
-
-// tensorRaw allocates a tensor whose contents will be fully overwritten.
-func (a *Arena) tensorRaw(shape ...int) *tensor.Tensor {
-	if a == nil {
-		return tensor.New(shape...)
-	}
-	return a.T.NewRaw(shape...)
-}
-
-// rawLike allocates a tensor shaped like t with unspecified contents.
-func (a *Arena) rawLike(t *tensor.Tensor) *tensor.Tensor {
-	if a == nil {
-		return tensor.New(t.Shape()...)
-	}
-	return a.T.NewRawLike(t)
-}
-
-// zeroLike allocates a zero-filled tensor shaped like t.
-func (a *Arena) zeroLike(t *tensor.Tensor) *tensor.Tensor {
-	if a == nil {
-		return tensor.New(t.Shape()...)
-	}
-	return a.T.NewLike(t)
-}
-
-// view returns a reshaped view of t sharing storage.
-func (a *Arena) view(t *tensor.Tensor, shape ...int) *tensor.Tensor {
-	if a == nil {
-		return t.Reshape(shape...)
-	}
-	return a.T.View(t, shape...)
-}
-
-// floats returns zeroed []float64 scratch.
-func (a *Arena) floats(n int) []float64 {
-	if a == nil {
-		return make([]float64, n)
-	}
-	return a.T.Floats(n)
-}
-
-// floatsRaw returns []float64 scratch with unspecified contents.
-func (a *Arena) floatsRaw(n int) []float64 {
-	if a == nil {
-		return make([]float64, n)
-	}
-	return a.T.FloatsRaw(n)
-}
-
-// intsRaw returns []int scratch with unspecified contents.
-func (a *Arena) intsRaw(n int) []int {
-	if a == nil {
-		return make([]int, n)
-	}
-	return a.T.Ints(n)
-}
-
 // arenaOf returns the arena threaded through the operands: the first
 // operand carrying one. Ops allocate their outputs and scratch from it,
 // which is how wrapping a step's input in ConstIn propagates the arena
-// through the whole tape.
+// through the whole tape. Operands that are all leaves without one (NewVar,
+// Param, Const) start a tape on a new arena, which every op downstream
+// draws from in turn — so every node an op returns carries an arena.
 func arenaOf(vs ...*Variable) *Arena {
 	for _, v := range vs {
 		if v != nil && v.ar != nil {
 			return v.ar
 		}
 	}
-	return nil
+	return NewArena()
 }
 
 // NewVar wraps t in a Variable. If requiresGrad is true, gradients will be
 // accumulated for it during Backward.
 func NewVar(t *tensor.Tensor, requiresGrad bool) *Variable {
-	return &Variable{value: t, requiresGrad: requiresGrad}
+	return &Variable{value: t, requiresGrad: requiresGrad, pinned: true}
 }
 
 // Param wraps t as a trainable leaf (RequiresGrad=true).
@@ -344,7 +261,6 @@ func NewVarIn(a *Arena, t *tensor.Tensor, requiresGrad bool) *Variable {
 	v := a.variable()
 	v.value = t
 	v.requiresGrad = requiresGrad
-	v.ar = a
 	v.pinned = true
 	return v
 }
@@ -392,12 +308,12 @@ func (v *Variable) ZeroGrad() {
 func (v *Variable) Shape() []int { return v.value.Shape() }
 
 // LendGrads makes every leaf in leaves draw its gradient buffer from a —
-// lazily, on the first accumulation that reaches it, exactly when the heap
-// path would allocate one — until DetachGrads. The caller owns a's
-// lifetime: it must detach the leaves before resetting a.
+// lazily, on the first accumulation that reaches it — until DetachGrads.
+// The caller owns a's lifetime: it must detach the leaves before resetting
+// a.
 func LendGrads(leaves []*Variable, a *tensor.Arena) {
 	for _, v := range leaves {
-		v.lent = a
+		v.gradAr = a
 	}
 }
 
@@ -405,25 +321,14 @@ func LendGrads(leaves []*Variable, a *tensor.Arena) {
 // leaves to the state of never having been differentiated.
 func DetachGrads(leaves []*Variable) {
 	for _, v := range leaves {
-		v.grad, v.lent = nil, nil
+		v.grad, v.gradAr = nil, nil
 	}
-}
-
-// gradArena is where v's gradient buffer comes from: the step arena for an
-// interior node (Backward hands it back after the node's backward, or the
-// step's Reset does if it is retained), the lender or the heap (nil) for a
-// leaf, which keeps the buffer across steps.
-func (v *Variable) gradArena() *tensor.Arena {
-	if v.ar != nil {
-		return v.ar.T
-	}
-	return v.lent
 }
 
 // mustGrad lazily allocates and returns the zeroed gradient buffer.
 func (v *Variable) mustGrad() *tensor.Tensor {
 	if v.grad == nil {
-		v.grad = v.gradArena().NewLike(v.value)
+		v.grad = v.gradAr.NewLike(v.value)
 	}
 	return v.grad
 }
@@ -436,7 +341,7 @@ func (v *Variable) accum(g *tensor.Tensor) {
 		return
 	}
 	if v.grad == nil {
-		v.grad = v.gradArena().NewRawLike(v.value)
+		v.grad = v.gradAr.NewRawLike(v.value)
 		tensor.ZeroAddInto(v.grad, g)
 		return
 	}
@@ -474,7 +379,6 @@ func anyRequires(vs ...*Variable) bool {
 func record(a *Arena, val *tensor.Tensor, back func(v *Variable, g *tensor.Tensor), parents ...*Variable) *Variable {
 	v := a.variable()
 	v.value = val
-	v.ar = a
 	if !a.records(parents...) {
 		return v
 	}
@@ -504,10 +408,10 @@ func newNode(a *Arena, val *tensor.Tensor, back func(v *Variable, g *tensor.Tens
 
 // reads declares that n's backward reads the values of vs (n itself for
 // its own output), pinning them against Discard. On a node that recorded
-// nothing it does nothing: no backward will run. It writes only to an
-// arena's Variables not yet pinned — Discard never touches one without an
-// arena, and a constant shared across concurrent tapes (Const) or a leaf
-// (pinned from the start) is only ever read.
+// nothing it does nothing: no backward will run. It writes only to
+// Variables not yet pinned: a leaf, which a constant shared across
+// concurrent tapes (Const) is, is pinned from the start and only ever
+// read.
 func (n *Variable) reads(vs ...*Variable) {
 	if n.back == nil {
 		return
@@ -521,7 +425,7 @@ func (n *Variable) reads(vs ...*Variable) {
 
 // pin marks v, and the Variable whose storage it views, pinned.
 func (v *Variable) pin() {
-	if v.ar != nil && !v.pinned {
+	if !v.pinned {
 		v.pinned = true
 	}
 	if v.base != nil {
@@ -534,7 +438,6 @@ func (v *Variable) pin() {
 func constIn(a *Arena, val *tensor.Tensor) *Variable {
 	v := a.variable()
 	v.value = val
-	v.ar = a
 	return v
 }
 
@@ -542,8 +445,8 @@ func constIn(a *Arena, val *tensor.Tensor) *Variable {
 // accumulating gradients into every reachable Variable with
 // RequiresGrad=true. The root must hold exactly one element.
 //
-// An interior node's gradient goes back to its arena — on the heap path it
-// is only dropped — as soon as the node's backward has consumed it
+// An interior node's gradient goes back to its arena as soon as the node's
+// backward has consumed it
 // (reverse topological order means every other reader has already run),
 // unless the node is marked RetainGrad. Leaves keep theirs.
 func Backward(root *Variable) {
@@ -553,12 +456,12 @@ func Backward(root *Variable) {
 	if !root.requiresGrad {
 		return // nothing on the tape
 	}
-	a := root.ar
+	a := arenaOf(root)
 	order := topoOrder(a, root)
-	seed := a.rawLike(root.value)
+	seed := a.T.NewRawLike(root.value)
 	seed.Fill(1)
 	root.accum(seed)
-	a.release(seed)
+	a.T.Release(seed)
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
 		if n.back == nil || n.grad == nil {
@@ -566,16 +469,14 @@ func Backward(root *Variable) {
 		}
 		n.back(n, n.grad)
 		if !n.retain {
-			n.ar.release(n.grad)
+			n.ar.T.Release(n.grad)
 			n.grad = nil
 		}
 	}
 	for _, n := range order {
 		n.vis = false
 	}
-	if a != nil {
-		a.order = order
-	}
+	a.order = order
 }
 
 // frame is one step of the iterative DFS below.
@@ -590,11 +491,7 @@ type frame struct {
 // mark on the nodes themselves (cleared by Backward after the walk), so no
 // map is built, and the order/stack slices are recycled through the arena.
 func topoOrder(a *Arena, root *Variable) []*Variable {
-	var order []*Variable
-	var stack []frame
-	if a != nil {
-		order, stack = a.order[:0], a.stack[:0]
-	}
+	order, stack := a.order[:0], a.stack[:0]
 	stack = append(stack, frame{node: root})
 	root.vis = true
 	for len(stack) > 0 {
@@ -611,8 +508,6 @@ func topoOrder(a *Arena, root *Variable) []*Variable {
 		order = append(order, f.node)
 		stack = stack[:len(stack)-1]
 	}
-	if a != nil {
-		a.stack = stack[:0]
-	}
+	a.stack = stack[:0]
 	return order
 }

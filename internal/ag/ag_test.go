@@ -117,7 +117,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 	rng := tensor.NewRand(3)
 	x := tensor.New(5, 7)
 	tensor.FillNormal(x, 0, 3, rng)
-	p := SoftmaxRows(x)
+	p := SoftmaxRowsIn(NewArena(), x)
 	for r := 0; r < 5; r++ {
 		s := 0.0
 		for c := 0; c < 7; c++ {

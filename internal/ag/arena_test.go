@@ -9,8 +9,8 @@ import (
 // buildNet runs a composite forward touching every fused / in-place
 // kernel family — fused Linear+bias, Conv2d (im2col memo), BatchNorm,
 // max/avg/global pooling, ReLU/LeakyReLU/Tanh, reshape, softmax losses —
-// over the given input (whose arena, or none, the whole tape follows), and
-// returns the scalar loss node.
+// over the given input (whose arena the whole tape follows), and returns
+// the scalar loss node.
 func buildNet(x *Variable, params map[string]*Variable) *Variable {
 	h := Conv2d(x, params["w1"], params["b1"], 1, 1)
 	h = BatchNorm2d(h, params["gamma"], params["beta"], params["rm"].value, params["rv"].value, true, 0.1, 1e-5)
@@ -83,12 +83,12 @@ func TestArenaConvColMemo(t *testing.T) {
 	const scalar = 8
 
 	ar := NewArena()
-	ref := Conv2d(Const(xt), Const(wt), nil, 1, 1) // heap
+	ref := Conv2d(ConstIn(NewArena(), xt), Const(wt), nil, 1, 1) // an arena of its own
 
 	x := ConstIn(ar, xt)
 	before := ar.T.StepBytes()
 	y := Conv2d(x, Const(wt), nil, 1, 1)
-	bitsEq(t, "frozen conv vs heap", y.Value(), ref.Value())
+	bitsEq(t, "frozen conv vs fresh arena", y.Value(), ref.Value())
 	if got := ar.T.StepBytes() - before; got != outBytes {
 		t.Fatalf("frozen conv left %d bytes live, want its output = %d", got, outBytes)
 	}
@@ -96,7 +96,7 @@ func TestArenaConvColMemo(t *testing.T) {
 	w := Param(wt.Clone())
 	before = ar.T.StepBytes()
 	y = Conv2d(x, w, nil, 1, 1)
-	bitsEq(t, "trainable conv vs heap", y.Value(), ref.Value())
+	bitsEq(t, "trainable conv vs fresh arena", y.Value(), ref.Value())
 	if got := ar.T.StepBytes() - before; got != outBytes {
 		t.Fatalf("trainable conv left %d bytes live, want its output = %d", got, outBytes)
 	}

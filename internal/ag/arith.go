@@ -19,7 +19,7 @@ func addBack(v *Variable, g *tensor.Tensor) {
 // Add returns a + b (same shape).
 func Add(a, b *Variable) *Variable {
 	ar := arenaOf(a, b)
-	out := ar.rawLike(a.value)
+	out := ar.T.NewRawLike(a.value)
 	tensor.AddInto(out, a.value, b.value)
 	if !anyRequires(a, b) {
 		return constIn(ar, out)
@@ -37,7 +37,7 @@ func subBack(v *Variable, g *tensor.Tensor) {
 // Sub returns a - b (same shape).
 func Sub(a, b *Variable) *Variable {
 	ar := arenaOf(a, b)
-	out := ar.rawLike(a.value)
+	out := ar.T.NewRawLike(a.value)
 	tensor.SubInto(out, a.value, b.value)
 	if !anyRequires(a, b) {
 		return constIn(ar, out)
@@ -58,7 +58,7 @@ func mulBack(v *Variable, g *tensor.Tensor) {
 // Mul returns the elementwise product a ⊙ b (same shape).
 func Mul(a, b *Variable) *Variable {
 	ar := arenaOf(a, b)
-	out := ar.rawLike(a.value)
+	out := ar.T.NewRawLike(a.value)
 	tensor.MulInto(out, a.value, b.value)
 	if !anyRequires(a, b) {
 		return constIn(ar, out)
@@ -75,7 +75,7 @@ func scaleBack(v *Variable, g *tensor.Tensor) {
 // Scale returns s * a for a scalar constant s.
 func Scale(s float64, a *Variable) *Variable {
 	ar := arenaOf(a)
-	out := ar.rawLike(a.value)
+	out := ar.T.NewRawLike(a.value)
 	tensor.ScaleInto(out, s, a.value)
 	if !a.requiresGrad {
 		return constIn(ar, out)
@@ -105,7 +105,7 @@ func absBack(v *Variable, g *tensor.Tensor) {
 // Abs returns |a| elementwise, with the subgradient sign(a) (0 at 0).
 func Abs(a *Variable) *Variable {
 	ar := arenaOf(a)
-	out := ar.rawLike(a.value)
+	out := ar.T.NewRawLike(a.value)
 	tensor.ApplyInto(out, a.value, math.Abs)
 	if !a.requiresGrad {
 		return constIn(ar, out)
@@ -128,7 +128,7 @@ func sumAllBack(v *Variable, g *tensor.Tensor) {
 // SumAll reduces a to a scalar containing the sum of all elements.
 func SumAll(a *Variable) *Variable {
 	ar := arenaOf(a)
-	out := ar.tensorRaw(1)
+	out := ar.T.NewRaw(1)
 	out.Data()[0] = tensor.Sum(a.value)
 	if !a.requiresGrad {
 		return constIn(ar, out)

@@ -40,11 +40,11 @@ func Conv2d(x, w, bias *Variable, stride, pad int) *Variable {
 	chw := c * h * wd
 
 	ar := arenaOf(x, w, bias)
-	wmat := ar.view(w.value, o, ckk)
+	wmat := ar.T.View(w.value, o, ckk)
 	xd := x.value.Data()
 
 	key := convColKey{x: x.value, c: c, h: h, w: wd, kh: kh, kw: kw, stride: stride, pad: pad}
-	owned := ar == nil || ar.shared == nil || !ar.shared.covers(x.value)
+	owned := !ar.shared.covers(x.value)
 	// A tile's lowering (forward) or column gradient (backward dX) holds
 	// at most convTile samples, and no more than fit in convBlock.
 	tile := max(1, min(n, convTile, convBlock/(ckk*sp)))
@@ -52,7 +52,7 @@ func Conv2d(x, w, bias *Variable, stride, pad int) *Variable {
 	if owned {
 		ftile = tile
 	}
-	out := ar.tensorRaw(n, o, oh, ow)
+	out := ar.T.NewRaw(n, o, oh, ow)
 	od := out.Data()
 	var bd []float64
 	if bias != nil {
@@ -63,15 +63,15 @@ func Conv2d(x, w, bias *Variable, stride, pad int) *Variable {
 		tsp := ns * sp
 		var col *tensor.Tensor
 		if owned {
-			col = ar.tensorRaw(ckk, tsp)
+			col = ar.T.NewRaw(ckk, tsp)
 			fillConvCol(col.Data(), key, xd[s0*chw:], ns, sp, tsp)
 		} else {
 			col = ar.shared.col(key, xd, n, sp, nsp, ckk)
 		}
-		y := ar.tensorRaw(o, tsp)
+		y := ar.T.NewRaw(o, tsp)
 		tensor.MatMulInto(y, wmat, col)
 		if owned {
-			ar.release(col)
+			ar.T.Release(col)
 		}
 		yd := y.Data()
 		for oc := 0; oc < o; oc++ {
@@ -91,7 +91,7 @@ func Conv2d(x, w, bias *Variable, stride, pad int) *Variable {
 				}
 			}
 		}
-		ar.release(y)
+		ar.T.Release(y)
 	}
 
 	if !ar.records(x, w, bias) {
@@ -107,7 +107,7 @@ func Conv2d(x, w, bias *Variable, stride, pad int) *Variable {
 			// dW += gY · colᵀ, a channel block of the lowering at a time.
 			// The kernel forms each block's products in registers; they go
 			// into dW by the single add the whole-matrix accumulate made.
-			gy := ar.tensorRaw(o, nsp)
+			gy := ar.T.NewRaw(o, nsp)
 			gatherConvGrad(gy.Data(), gd, o, 0, n, sp)
 			xd := x.value.Data()
 			kk := kh * kw
@@ -116,13 +116,13 @@ func Conv2d(x, w, bias *Variable, stride, pad int) *Variable {
 			for c0 := 0; c0 < c; c0 += cb {
 				nc := min(cb, c-c0)
 				rows := nc * kk
-				col := ar.tensorRaw(rows, nsp)
+				col := ar.T.NewRaw(rows, nsp)
 				cd := col.Data()
 				for s := 0; s < n; s++ {
 					src := xd[s*chw+c0*h*wd : s*chw+(c0+nc)*h*wd]
 					tensor.Im2ColStrided(src, nc, h, wd, kh, kw, stride, pad, cd, nsp, s*sp)
 				}
-				part := ar.tensorRaw(o, rows)
+				part := ar.T.NewRaw(o, rows)
 				tensor.MatMulTransBInto(part, gy, col)
 				pd := part.Data()
 				for oc := 0; oc < o; oc++ {
@@ -131,10 +131,10 @@ func Conv2d(x, w, bias *Variable, stride, pad int) *Variable {
 						dst[i] += v
 					}
 				}
-				ar.release(part)
-				ar.release(col)
+				ar.T.Release(part)
+				ar.T.Release(col)
 			}
-			ar.release(gy)
+			ar.T.Release(gy)
 		}
 		if xsink != nil {
 			// dX += col2im(Wᵀ · gY), a sample tile at a time. Col2Im
@@ -145,12 +145,12 @@ func Conv2d(x, w, bias *Variable, stride, pad int) *Variable {
 			for s0 := 0; s0 < n; s0 += tile {
 				ns := min(tile, n-s0)
 				tsp := ns * sp
-				gy := ar.tensorRaw(o, tsp)
+				gy := ar.T.NewRaw(o, tsp)
 				gatherConvGrad(gy.Data(), gd, o, s0, ns, sp)
-				dcol := ar.tensorRaw(ckk, tsp)
+				dcol := ar.T.NewRaw(ckk, tsp)
 				tensor.MatMulTransAInto(dcol, wmat, gy)
 				dcd := dcol.Data()
-				dx := ar.tensorZ(ns, c, h, wd)
+				dx := ar.T.New(ns, c, h, wd)
 				dxd := dx.Data()
 				for s := 0; s < ns; s++ {
 					tensor.Col2ImStrided(dcd, c, h, wd, kh, kw, stride, pad, dxd[s*chw:(s+1)*chw], tsp, s*sp)
@@ -159,9 +159,9 @@ func Conv2d(x, w, bias *Variable, stride, pad int) *Variable {
 				for i, v := range dxd {
 					dst[i] += v
 				}
-				ar.release(dx)
-				ar.release(dcol)
-				ar.release(gy)
+				ar.T.Release(dx)
+				ar.T.Release(dcol)
+				ar.T.Release(gy)
 			}
 		}
 		if bias != nil {
@@ -232,7 +232,7 @@ func DepthwiseConv2d(x, w, bias *Variable, stride, pad int) *Variable {
 	ow := tensor.ConvOutSize(wd, kw, stride, pad)
 
 	ar := arenaOf(x, w, bias)
-	out := ar.tensorRaw(n, c, oh, ow)
+	out := ar.T.NewRaw(n, c, oh, ow)
 	xd, wdat, od := x.value.Data(), w.value.Data(), out.Data()
 	var bd []float64
 	if bias != nil {
@@ -284,13 +284,13 @@ func DepthwiseConv2d(x, w, bias *Variable, stride, pad int) *Variable {
 		// contribution order, allocation-free.
 		var dx, dw, db *tensor.Tensor
 		if x.requiresGrad {
-			dx = ar.tensorZ(n, c, h, wd)
+			dx = ar.T.New(n, c, h, wd)
 		}
 		if w.requiresGrad {
-			dw = ar.tensorZ(c, kh, kw)
+			dw = ar.T.New(c, kh, kw)
 		}
 		if bias != nil && bias.requiresGrad {
-			db = ar.tensorZ(c)
+			db = ar.T.New(c)
 		}
 		for s := 0; s < n; s++ {
 			for ch := 0; ch < c; ch++ {
@@ -333,15 +333,15 @@ func DepthwiseConv2d(x, w, bias *Variable, stride, pad int) *Variable {
 		}
 		if dx != nil {
 			x.accum(dx)
-			ar.release(dx)
+			ar.T.Release(dx)
 		}
 		if dw != nil {
 			w.accum(dw)
-			ar.release(dw)
+			ar.T.Release(dw)
 		}
 		if db != nil {
 			bias.accum(db)
-			ar.release(db)
+			ar.T.Release(db)
 		}
 	}, x, w, bias)
 }

@@ -14,17 +14,17 @@ func matMulBack(v *Variable, g *tensor.Tensor) {
 	}
 	if sink := b.gradSink(); sink != nil {
 		// dB += Aᵀ · g, formed in step scratch as in linearBack
-		tmp := v.ar.rawLike(sink)
+		tmp := v.ar.T.NewRawLike(sink)
 		tensor.MatMulTransAInto(tmp, a.value, g)
 		tensor.AccumInto(sink, tmp)
-		v.ar.release(tmp)
+		v.ar.T.Release(tmp)
 	}
 }
 
 // MatMul returns the matrix product a·b for 2-D Variables.
 func MatMul(a, b *Variable) *Variable {
 	ar := arenaOf(a, b)
-	out := ar.tensorRaw(a.value.Dim(0), b.value.Dim(1))
+	out := ar.T.NewRaw(a.value.Dim(0), b.value.Dim(1))
 	tensor.MatMulInto(out, a.value, b.value)
 	if !anyRequires(a, b) {
 		return constIn(ar, out)
@@ -51,17 +51,17 @@ func linearBack(v *Variable, g *tensor.Tensor) {
 	x, w := v.parents[0], v.parents[1]
 	if sink := x.gradSink(); sink != nil {
 		// dX += g · W
-		tmp := v.ar.rawLike(sink)
+		tmp := v.ar.T.NewRawLike(sink)
 		tensor.MatMulInto(tmp, g, w.value)
 		tensor.AccumInto(sink, tmp)
-		v.ar.release(tmp)
+		v.ar.T.Release(tmp)
 	}
 	if sink := w.gradSink(); sink != nil {
 		// dW += gᵀ · X
-		tmp := v.ar.rawLike(sink)
+		tmp := v.ar.T.NewRawLike(sink)
 		tensor.MatMulTransAInto(tmp, g, x.value)
 		tensor.AccumInto(sink, tmp)
-		v.ar.release(tmp)
+		v.ar.T.Release(tmp)
 	}
 	if v.nparents == 3 {
 		if sink := v.parents[2].gradSink(); sink != nil {
@@ -88,7 +88,7 @@ func Linear(x, w, b *Variable) *Variable {
 	}
 	ar := arenaOf(x, w, b)
 	n, o := x.value.Dim(0), w.value.Dim(0)
-	out := ar.tensorRaw(n, o)
+	out := ar.T.NewRaw(n, o)
 	tensor.MatMulTransBInto(out, x.value, w.value)
 	if b != nil {
 		addBiasRowsInPlace(out.Data(), b.value.Data(), n, o)

@@ -26,14 +26,14 @@ func logBack(v *Variable, g *tensor.Tensor) {
 func Log(a *Variable) *Variable {
 	const floor = 1e-12
 	ar := arenaOf(a)
-	clamped := ar.rawLike(a.value)
+	clamped := ar.T.NewRawLike(a.value)
 	tensor.ApplyInto(clamped, a.value, func(v float64) float64 {
 		if v < floor {
 			return floor
 		}
 		return v
 	})
-	out := ar.rawLike(a.value)
+	out := ar.T.NewRawLike(a.value)
 	tensor.ApplyInto(out, clamped, math.Log)
 	if !a.requiresGrad {
 		return constIn(ar, out)
@@ -76,7 +76,7 @@ func NLL(logProbs *Variable, labels []int) *Variable {
 		}
 		s -= lp[i*d+y]
 	}
-	out := ar.tensorRaw(1)
+	out := ar.T.NewRaw(1)
 	out.Data()[0] = s / float64(n)
 	if !logProbs.requiresGrad {
 		return constIn(ar, out)

@@ -53,11 +53,11 @@ func (m *ColMemo) Rebind(batch *tensor.Tensor) {
 	m.batch = batch
 }
 
-// covers reports whether x is the bound batch tensor. Reading batch
-// without the lock is safe: it is written only by Rebind, which
-// happens-before every worker spawn.
+// covers reports whether x is the bound batch tensor (never, for an
+// arena with no memo installed). Reading batch without the lock is safe:
+// it is written only by Rebind, which happens-before every worker spawn.
 func (m *ColMemo) covers(x *tensor.Tensor) bool {
-	return m.batch != nil && x == m.batch
+	return m != nil && m.batch != nil && x == m.batch
 }
 
 // col returns the shared column matrix for key, building it once under
@@ -75,7 +75,7 @@ func (m *ColMemo) col(key convColKey, xd []float64, n, sp, nsp, ckk int) *tensor
 	if col := m.m[key]; col != nil {
 		return col
 	}
-	col = m.ar.tensorRaw(ckk, nsp)
+	col = m.ar.T.NewRaw(ckk, nsp)
 	fillConvCol(col.Data(), key, xd, n, sp, nsp)
 	m.m[key] = col
 	return col
@@ -84,12 +84,7 @@ func (m *ColMemo) col(key convColKey, xd []float64, n, sp, nsp, ckk int) *tensor
 // ShareColMemo installs memo as the arena's shared im2col memo (nil
 // uninstalls). The installation survives Reset; only the memo's owner
 // manages its entries.
-func (a *Arena) ShareColMemo(m *ColMemo) {
-	if a == nil {
-		return
-	}
-	a.shared = m
-}
+func (a *Arena) ShareColMemo(m *ColMemo) { a.shared = m }
 
 // MirrorIn re-roots x onto arena a: the returned Variable shares x.value,
 // but every op recorded downstream of it draws buffers from a instead of

@@ -32,8 +32,8 @@ func BatchNorm2d(x, gamma, beta *Variable, runMean, runVar *tensor.Tensor, train
 	m := float64(n * sp) // elements per channel
 
 	ar := arenaOf(x, gamma, beta)
-	mean := ar.floatsRaw(c)
-	varr := ar.floatsRaw(c)
+	mean := ar.T.FloatsRaw(c)
+	varr := ar.T.FloatsRaw(c)
 	xd := x.value.Data()
 	if training {
 		for ch := 0; ch < c; ch++ {
@@ -66,16 +66,16 @@ func BatchNorm2d(x, gamma, beta *Variable, runMean, runVar *tensor.Tensor, train
 		copy(varr, runVar.Data())
 	}
 
-	invStd := ar.floatsRaw(c)
+	invStd := ar.T.FloatsRaw(c)
 	for ch := 0; ch < c; ch++ {
 		invStd[ch] = 1 / math.Sqrt(varr[ch]+eps)
 	}
 
 	records := ar.records(x, gamma, beta)
-	out := ar.tensorRaw(n, c, h, w)
+	out := ar.T.NewRaw(n, c, h, w)
 	var xhat []float64
 	if records && (gamma.requiresGrad || training && x.requiresGrad) {
-		xhat = ar.floatsRaw(len(xd))
+		xhat = ar.T.FloatsRaw(len(xd))
 	}
 	od := out.Data()
 	gd, bd := gamma.value.Data(), beta.value.Data()
@@ -108,8 +108,8 @@ func BatchNorm2d(x, gamma, beta *Variable, runMean, runVar *tensor.Tensor, train
 		// Σdy·x̂. A frozen evaluation-mode layer reads neither.
 		var sumDy, sumDyXhat []float64
 		if gsink != nil || bsink != nil || training && xsink != nil {
-			sumDy = ar.floats(c)
-			sumDyXhat = ar.floats(c)
+			sumDy = ar.T.Floats(c)
+			sumDyXhat = ar.T.Floats(c)
 			for smp := 0; smp < n; smp++ {
 				for ch := 0; ch < c; ch++ {
 					base := (smp*c + ch) * sp

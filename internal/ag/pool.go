@@ -18,11 +18,11 @@ func MaxPool2d(x *Variable, k, stride int) *Variable {
 	oh := tensor.ConvOutSize(h, k, stride, 0)
 	ow := tensor.ConvOutSize(w, k, stride, 0)
 	ar := arenaOf(x)
-	out := ar.tensorRaw(n, c, oh, ow)
+	out := ar.T.NewRaw(n, c, oh, ow)
 	records := ar.records(x)
 	var arg []int
 	if records {
-		arg = ar.intsRaw(n * c * oh * ow) // flat index within the (H,W) plane
+		arg = ar.T.Ints(n * c * oh * ow) // flat index within the (H,W) plane
 	}
 	xd, od := x.value.Data(), out.Data()
 	fast2x2 := k == 2 && stride == 2 && h >= 2*oh && w >= 2*ow
@@ -108,7 +108,7 @@ func maxPoolBack(v *Variable, g *tensor.Tensor) {
 	arg := v.auxI
 	// Several output cells can share one argmax input, so scatter into
 	// zeroed arena scratch and accumulate once (the historical order).
-	dx := v.ar.zeroLike(x.value)
+	dx := v.ar.T.NewLike(x.value)
 	gd, dd := g.Data(), dx.Data()
 	for sc := 0; sc < n*c; sc++ {
 		gsrc := gd[sc*oh*ow : (sc+1)*oh*ow]
@@ -119,7 +119,7 @@ func maxPoolBack(v *Variable, g *tensor.Tensor) {
 		}
 	}
 	tensor.AccumInto(sink, dx)
-	v.ar.release(dx)
+	v.ar.T.Release(dx)
 }
 
 // AvgPool2d applies k×k average pooling with the given stride (no padding).
@@ -132,7 +132,7 @@ func AvgPool2d(x *Variable, k, stride int) *Variable {
 	ow := tensor.ConvOutSize(w, k, stride, 0)
 	inv := 1 / float64(k*k)
 	ar := arenaOf(x)
-	out := ar.tensorRaw(n, c, oh, ow)
+	out := ar.T.NewRaw(n, c, oh, ow)
 	xd, od := x.value.Data(), out.Data()
 	for sc := 0; sc < n*c; sc++ {
 		src := xd[sc*h*w : (sc+1)*h*w]
@@ -177,7 +177,7 @@ func avgPoolBack(v *Variable, g *tensor.Tensor) {
 	oh, ow := v.value.Dim(2), v.value.Dim(3)
 	// Overlapping windows (stride < k) accumulate several outputs into
 	// one input element: scatter into zeroed scratch, accumulate once.
-	dx := v.ar.zeroLike(x.value)
+	dx := v.ar.T.NewLike(x.value)
 	gd, dd := g.Data(), dx.Data()
 	for sc := 0; sc < n*c; sc++ {
 		gsrc := gd[sc*oh*ow : (sc+1)*oh*ow]
@@ -199,7 +199,7 @@ func avgPoolBack(v *Variable, g *tensor.Tensor) {
 		}
 	}
 	tensor.AccumInto(sink, dx)
-	v.ar.release(dx)
+	v.ar.T.Release(dx)
 }
 
 // GlobalAvgPool reduces (N,C,H,W) to (N,C) by averaging each channel plane.
@@ -211,7 +211,7 @@ func GlobalAvgPool(x *Variable) *Variable {
 	sp := h * w
 	inv := 1 / float64(sp)
 	ar := arenaOf(x)
-	out := ar.tensorRaw(n, c)
+	out := ar.T.NewRaw(n, c)
 	xd, od := x.value.Data(), out.Data()
 	for sc := 0; sc < n*c; sc++ {
 		sum := 0.0

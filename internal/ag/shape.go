@@ -13,7 +13,7 @@ import (
 // both (Variable.base).
 func Reshape(x *Variable, shape ...int) *Variable {
 	ar := arenaOf(x)
-	out := ar.view(x.value, shape...)
+	out := ar.T.View(x.value, shape...)
 	var v *Variable
 	if !x.requiresGrad {
 		v = constIn(ar, out)
@@ -33,10 +33,6 @@ func Reshape(x *Variable, shape ...int) *Variable {
 func reshapeBack(v *Variable, g *tensor.Tensor) {
 	x := v.parents[0]
 	if !x.requiresGrad {
-		return
-	}
-	if v.ar == nil {
-		x.accum(g.Reshape(x.value.Shape()...))
 		return
 	}
 	x.accum(v.ar.T.ViewLike(g, x.value))
@@ -65,7 +61,7 @@ func ConcatChannels(a, b *Variable) *Variable {
 	n, ca, cb, h, w := as[0], as[1], bs[1], as[2], as[3]
 	sp := h * w
 	ar := arenaOf(a, b)
-	out := ar.tensorRaw(n, ca+cb, h, w)
+	out := ar.T.NewRaw(n, ca+cb, h, w)
 	ad, bd, od := a.value.Data(), b.value.Data(), out.Data()
 	for s := 0; s < n; s++ {
 		copy(od[s*(ca+cb)*sp:], ad[s*ca*sp:(s+1)*ca*sp])
@@ -119,8 +115,8 @@ func SplitChannels(x *Variable, c1 int) (*Variable, *Variable) {
 	c2 := c - c1
 	sp := h * w
 	ar := arenaOf(x)
-	fa := ar.tensorRaw(n, c1, h, w)
-	fb := ar.tensorRaw(n, c2, h, w)
+	fa := ar.T.NewRaw(n, c1, h, w)
+	fb := ar.T.NewRaw(n, c2, h, w)
 	xd := x.value.Data()
 	for smp := 0; smp < n; smp++ {
 		copy(fa.Data()[smp*c1*sp:(smp+1)*c1*sp], xd[smp*c*sp:])
@@ -175,13 +171,13 @@ func ChannelShuffle(x *Variable, groups int) *Variable {
 	k := c / groups
 	sp := h * w
 	ar := arenaOf(x)
-	perm := ar.intsRaw(c) // perm[dst] = src
+	perm := ar.T.Ints(c) // perm[dst] = src
 	for g := 0; g < groups; g++ {
 		for i := 0; i < k; i++ {
 			perm[i*groups+g] = g*k + i
 		}
 	}
-	out := ar.tensorRaw(n, c, h, w)
+	out := ar.T.NewRaw(n, c, h, w)
 	xd, od := x.value.Data(), out.Data()
 	for smp := 0; smp < n; smp++ {
 		for dst, src := range perm {
@@ -230,7 +226,7 @@ func Upsample2x(x *Variable) *Variable {
 	}
 	n, c, h, w := x.value.Dim(0), x.value.Dim(1), x.value.Dim(2), x.value.Dim(3)
 	ar := arenaOf(x)
-	out := ar.tensorRaw(n, c, 2*h, 2*w)
+	out := ar.T.NewRaw(n, c, 2*h, 2*w)
 	xd, od := x.value.Data(), out.Data()
 	for sc := 0; sc < n*c; sc++ {
 		src := xd[sc*h*w : (sc+1)*h*w]

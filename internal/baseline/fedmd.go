@@ -149,12 +149,7 @@ func (f *FedMD) Run(ctx context.Context) (fed.History, error) {
 			wg.Add(1)
 			go func(i int, dev *fed.Device) {
 				defer wg.Done()
-				dev.Model.SetTraining(false)
-				// A single forward pass over the whole public subset: on the
-				// device's arena it would set the arena's largest step for
-				// the rest of the run, so score on the heap.
-				scores[i] = dev.Model.Forward(ag.Const(px)).Value().Clone()
-				dev.Model.SetTraining(true)
+				scores[i] = score(dev.Model, px, cfg.BatchSize, f.arenas[i])
 			}(i, d)
 		}
 		wg.Wait()
@@ -289,6 +284,34 @@ func digest(m nn.Module, px *tensor.Tensor, consensus *tensor.Tensor, epochs, ba
 		}
 	}
 	return nil
+}
+
+// score returns m's evaluation-mode logits for every row of px. It forwards
+// batch rows at a time on ar, marked ForwardOnly and reset after each
+// chunk, and copies each chunk's logits into one tensor. Eval-mode logits
+// do not depend on the batch (fed.TestEvaluateBatchIndependent), so they
+// are those of one whole-subset forward, and no chunk is a larger step on
+// ar than a training step.
+func score(m nn.Module, px *tensor.Tensor, batch int, ar *ag.Arena) *tensor.Tensor {
+	n := px.Dim(0)
+	rows := px.Len() / n
+	m.SetTraining(false)
+	defer m.SetTraining(true)
+	ar.ForwardOnly(true)
+	defer ar.ForwardOnly(false)
+	var out *tensor.Tensor
+	for lo := 0; lo < n; lo += batch {
+		hi := min(lo+batch, n)
+		bx := ar.Tensors().NewRaw(hi-lo, px.Dim(1), px.Dim(2), px.Dim(3))
+		copy(bx.Data(), px.Data()[lo*rows:hi*rows])
+		logits := m.Forward(ag.ConstIn(ar, bx)).Value()
+		if out == nil {
+			out = tensor.New(n, logits.Dim(1))
+		}
+		copy(out.Data()[lo*logits.Dim(1):], logits.Data())
+		ar.Reset()
+	}
+	return out
 }
 
 // samplePublic draws m distinct indices from [0,n).

@@ -16,8 +16,7 @@ import (
 // historically cost ~1,800 heap allocations; with step-scoped arenas,
 // slab tape nodes and static backward functions a warmed-up run stays
 // around 155. The ceiling leaves headroom for compiler-version noise
-// while still failing loudly if a hot-path allocation regresses (the
-// no-arena path alone would blow it several times over).
+// while still failing loudly if a hot-path allocation regresses.
 func TestLocalStepAllocs(t *testing.T) {
 	ds := data.SynthMNIST(data.Sizes{TrainPerClass: 8, TestPerClass: 2}, 7)
 	idx := make([]int, ds.NumTrain())

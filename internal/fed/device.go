@@ -35,8 +35,8 @@ type Device struct {
 	// allocates (almost) nothing. It is runtime-local state (never
 	// serialised) and must be owned by the goroutine currently running
 	// the device's task; schedulers hand workers' arenas to devices just
-	// before LocalUpdate (see sched.Options.WorkerScratch). Nil keeps
-	// plain heap allocation.
+	// before LocalUpdate (see sched.Options.WorkerScratch). Nil gives
+	// each LocalUpdate an arena of its own for the call.
 	Scratch *ag.Arena
 
 	// TaskScratch, when set, is the task-scoped allocator LocalUpdate
@@ -174,6 +174,9 @@ func (d *Device) LocalUpdate(cfg LocalConfig, rng *rand.Rand) (float64, error) {
 	}
 
 	ar := d.Scratch
+	if ar == nil {
+		ar = ag.NewArena()
+	}
 	lastLoss := 0.0
 	for ep := 0; ep < cfg.Epochs; ep++ {
 		epochLoss, batches := 0.0, 0

@@ -24,12 +24,12 @@ func Evaluate(m nn.Module, ds *data.Dataset, batchSize int) float64 {
 // a tape node, batch norm and pooling save nothing, every conv lowering
 // goes back to the arena as soon as its GEMM has read it, and a chain of
 // layers hands each activation back once the next layer has read it. The
-// arena must be owned by the calling goroutine; nil falls back to the
-// heap. The returned accuracy is identical regardless of arena and of
-// batchSize: in evaluation mode a sample's logits depend on that sample
-// alone, bit for bit (TestEvaluateBatchIndependent). Callers therefore
-// pass the batch the arena trains at, so an evaluation is never the
-// largest step the arena serves.
+// arena must be non-nil and owned by the calling goroutine. The returned
+// accuracy is identical regardless of arena and of batchSize: in
+// evaluation mode a sample's logits depend on that sample alone, bit for
+// bit (TestEvaluateBatchIndependent). Callers therefore pass the batch the
+// arena trains at, so an evaluation is never the largest step the arena
+// serves.
 func EvaluateArena(m nn.Module, ds *data.Dataset, batchSize int, ar *ag.Arena) float64 {
 	if batchSize <= 0 {
 		batchSize = 64

@@ -28,10 +28,29 @@ func (p *logitTap) Forward(x *ag.Variable) *ag.Variable {
 	return out
 }
 
+// tapedEvaluate is EvaluateArena without the ForwardOnly mark: each batch
+// on a fresh arena, its forward recording a tape.
+func tapedEvaluate(m nn.Module, ds *data.Dataset, batchSize int) float64 {
+	m.SetTraining(false)
+	defer m.SetTraining(true)
+	n, correct := ds.NumTest(), 0
+	for lo := 0; lo < n; lo += batchSize {
+		idx := make([]int, min(batchSize, n-lo))
+		for i := range idx {
+			idx[i] = lo + i
+		}
+		ar := ag.NewArena()
+		x, y := ds.GatherTestIn(ar.Tensors(), idx)
+		logits := m.Forward(ag.ConstIn(ar, x)).Value()
+		correct += int(ag.Accuracy(logits, y)*float64(len(y)) + 0.5)
+	}
+	return float64(correct) / float64(n)
+}
+
 // TestEvaluateArenaForwardOnly: on an arena, evaluation hands out no tape
 // node — its logits require no gradient although every parameter does —
 // and returns bit for bit the logits, hence the accuracy, of a taped
-// evaluation on the heap, for every SmallZoo and CIFARZoo architecture.
+// evaluation, for every SmallZoo and CIFARZoo architecture.
 // The residual and branching nets read an activation more than once, the
 // 40-sample batches lower their convs in tiles of 16, 16 and 8, and —
 // this being a test — everything handed back early is NaN, so a lowering
@@ -48,11 +67,11 @@ func TestEvaluateArenaForwardOnly(t *testing.T) {
 		for i, arch := range zoo.archs {
 			ds := zoo.ds
 			m := model.MustBuild(arch, model.Shape{C: ds.C, H: ds.H, W: ds.W}, ds.Classes, tensor.NewRand(uint64(20+i)))
-			heap, arena := &logitTap{Module: m}, &logitTap{Module: m}
-			want := EvaluateArena(heap, ds, 40, nil)
+			taped, arena := &logitTap{Module: m}, &logitTap{Module: m}
+			want := tapedEvaluate(taped, ds, 40)
 			got := EvaluateArena(arena, ds, 40, ar)
-			if heap.taped != len(heap.logits) {
-				t.Fatalf("%s: the heap evaluation taped %d of %d batches; the comparison needs all", arch, heap.taped, len(heap.logits))
+			if taped.taped != len(taped.logits) {
+				t.Fatalf("%s: the taped evaluation taped %d of %d batches; the comparison needs all", arch, taped.taped, len(taped.logits))
 			}
 			if arena.taped != 0 {
 				t.Errorf("%s: %d of %d batches left logits on a tape", arch, arena.taped, len(arena.logits))
@@ -60,8 +79,8 @@ func TestEvaluateArenaForwardOnly(t *testing.T) {
 			if got != want {
 				t.Errorf("%s: accuracy %v forward-only, %v taped", arch, got, want)
 			}
-			for b := range heap.logits {
-				for j, w := range heap.logits[b] {
+			for b := range taped.logits {
+				for j, w := range taped.logits[b] {
 					if g := arena.logits[b][j]; math.Float64bits(g) != math.Float64bits(w) {
 						t.Fatalf("%s: batch %d logit %d = %v forward-only, %v taped", arch, b, j, g, w)
 					}

@@ -156,7 +156,7 @@ func TestHypothesesGradientOrdering(t *testing.T) {
 
 func TestDistillKL(t *testing.T) {
 	logits := randLogits(9, 4, 5, 1)
-	probs := ag.SoftmaxRows(logits)
+	probs := ag.SoftmaxRowsIn(ag.NewArena(), logits)
 	// Student identical to teacher: KL == 0.
 	same := DistillKL(probs, ag.Const(logits.Clone())).Value().Data()[0]
 	if math.Abs(same) > 1e-9 {
@@ -206,7 +206,7 @@ func TestDisagreementEnsembleGradcheck(t *testing.T) {
 // students.
 func TestDistillTargetsMatchesDistillKL(t *testing.T) {
 	logits := randLogits(32, 4, 5, 1)
-	probs := ag.SoftmaxRows(logits)
+	probs := ag.SoftmaxRowsIn(ag.NewArena(), logits)
 	targets := NewDistillTargets(probs)
 	for seed := uint64(33); seed < 36; seed++ {
 		student := randLogits(seed, 4, 5, 1)
