@@ -321,9 +321,12 @@ type Coordinator struct {
 	// rests marks a run where a trained state can outlive its round —
 	// under a RoundDeadline a straggler's upload is discarded, and at
 	// PipelineDepth ≥ 1 a device may train again before its download
-	// lands — so release writes it into the device's slot. Otherwise the
-	// state is the upload, and Deliver makes the device follow its replica
-	// before anything reads the device.
+	// lands — so release writes it into the device's slot and the task
+	// stages an upload for the server stage to absorb. Otherwise no server
+	// stage runs between the task and the barrier, and release writes the
+	// trained state straight into the device's server replica, its one
+	// copy: the upload only counts it, and Deliver makes the device follow
+	// the replica before anything reads the device.
 	rests bool
 	// follows[id] marks a device whose state is its server replica: after
 	// a download of the replica as it still is, the device keeps no state
@@ -509,29 +512,34 @@ func (c *Coordinator) materialise(rig *deviceRig, d *fed.Device) (held bool, err
 }
 
 // release ends d's materialisation; the module stays with the rig. After
-// a finished task — one whose upload was staged — the device stops
-// following its replica, and its trained state goes into its slot when it
-// can outlive the round (rests); otherwise the slot is dropped, since the
-// state is the upload and Deliver makes the device follow its replica,
-// the upload absorbed, before anything reads it. After an evaluation or a
-// task that did not finish, the device's state is left as it was, a
-// virgin slot virgin.
+// a finished task the device stops following its replica. When its
+// trained state can outlive the round (rests) the state goes into the
+// device's slot, its upload staged beside it. Otherwise the slot is
+// dropped and the state is installed in the device's server replica —
+// through the cohort's layout check and beforeWrite hook, and noted as
+// absorbed — which Deliver makes the device follow before anything reads
+// it. After an evaluation or a task that did not finish, the device's
+// state is left as it was, a virgin slot virgin.
 func (c *Coordinator) release(rig *deviceRig, d *fed.Device, finished bool) error {
 	d.Model = nil
 	if !finished {
 		return nil
 	}
-	// Stop following before the slot is written, so unfollow does not
-	// copy the replica over the trained state.
+	// Stop following before the slot or the replica is written, so
+	// unfollow does not copy the replica over the trained state.
 	c.followMu.Lock()
 	c.follows[d.ID] = false
 	c.followMu.Unlock()
 	st := c.devStore[d.Arch]
-	if !c.rests {
-		st.drop(c.devLocal[d.ID])
-		return nil
+	if c.rests {
+		return st.release(c.devLocal[d.ID], rig.modules[d.Arch], true)
 	}
-	return st.release(c.devLocal[d.ID], rig.modules[d.Arch], true)
+	st.drop(c.devLocal[d.ID])
+	if err := c.server.cohorts.installDict(c.server.cohorts.devices[d.ID], rig.modules[d.Arch].sd); err != nil {
+		return fmt.Errorf("fedzkt: device %d upload: %w", d.ID, err)
+	}
+	c.server.noteAbsorbed(d.ID)
+	return nil
 }
 
 // follow makes d's state its server replica: its own slot gives up
@@ -753,22 +761,26 @@ func (c *Coordinator) CloseRound(m *fed.RoundMetrics) error {
 
 // LocalPhase implements Fleet: it runs Algorithm 2 on every sampled device
 // via the sharded scheduler and returns the uploads of the devices that
-// completed within the round in wire form — encoded with the run's codec,
-// exactly the bytes a real uplink would carry — in ascending-id order.
-// Devices that miss the deadline or are failure-injected drop out of this
-// round's aggregation.
-// Each task materialises its device in its worker's rig, trains it, stages
-// its upload and releases it, so the encode stays off the engine's
-// goroutine; uploads of tasks that did not complete are discarded. Each
-// task touches only its own device and its worker's rig, so the round's
-// outcome is identical for any worker count.
+// completed within the round, in ascending-id order, priced as the
+// run's codec would carry them. Devices that miss the deadline or are
+// failure-injected drop out of this round's aggregation.
+// Each task materialises its device in its worker's rig, trains it and
+// releases it, so the encode stays off the engine's goroutine. Where
+// trained states rest the task stages its upload in wire form — encoded
+// with the run's codec, exactly the bytes a real uplink would carry — and
+// uploads of tasks that did not complete are discarded. Otherwise release
+// encodes the state straight into the device's replica slot and the
+// upload is marked installed, with no payload: without a deadline every
+// task that runs to its end completes, so a round that reaches its
+// barrier absorbs every state its tasks install. Each task touches only its own device, its replica and
+// its worker's rig, so the round's outcome is identical for any worker
+// count.
 func (c *Coordinator) LocalPhase(ctx context.Context, round int, active []int, m *fed.RoundMetrics) ([]Upload, error) {
 	cfg := c.cfg
 	local := cfg.Local()
-	// staged[pos] and numels[pos] are written by task pos alone; RunRound
-	// returning publishes them.
+	// staged[pos] is written by task pos alone; RunRound returning
+	// publishes it.
 	staged := make([]Payload, len(active))
-	numels := make([]int, len(active))
 	tasks := make([]sched.Task, len(active))
 	for pos, id := range active {
 		pos, id := pos, id
@@ -804,7 +816,9 @@ func (c *Coordinator) LocalPhase(ctx context.Context, round int, active []int, m
 			if _, err := d.LocalUpdate(local, rng); err != nil {
 				return err
 			}
-			staged[pos], numels[pos], err = c.stageUpload(d)
+			if c.rests {
+				staged[pos], err = c.stageUpload(d)
+			}
 			finished = err == nil
 			return err
 		}}
@@ -817,9 +831,9 @@ func (c *Coordinator) LocalPhase(ctx context.Context, round int, active []int, m
 		}
 		switch r.Status {
 		case sched.StatusCompleted:
-			uploads = append(uploads, Upload{ID: r.Device, Round: round, Payload: staged[pos]})
+			uploads = append(uploads, Upload{ID: r.Device, Round: round, Payload: staged[pos], installed: !c.rests})
 			c.trainedIn[r.Device] = int32(round) // Deliver reads it on this goroutine
-			m.BytesUp += fed.WireBytes(numels[pos], c.codec.Width())
+			m.BytesUp += fed.WireBytes(c.server.cohorts.devices[r.Device].cohort.sig.numel, c.codec.Width())
 		case sched.StatusDropped:
 			m.Dropped = append(m.Dropped, r.Device)
 		case sched.StatusInjected:
@@ -841,14 +855,12 @@ func (c *Coordinator) LocalPhase(ctx context.Context, round int, active []int, m
 	return uploads, nil
 }
 
-// stageUpload captures d's trained state in wire form — the codec reads
-// the live tensors straight into a recycled buffer — plus its element
-// count for traffic accounting.
-func (c *Coordinator) stageUpload(d *fed.Device) (Payload, int, error) {
-	sd := nn.CaptureState(d.Model)
-	enc, err := c.codec.Append(c.payloads.take(d.Arch), sd)
+// stageUpload captures d's trained state in wire form: the codec reads
+// the live tensors straight into a recycled buffer.
+func (c *Coordinator) stageUpload(d *fed.Device) (Payload, error) {
+	enc, err := c.codec.Append(c.payloads.take(d.Arch), nn.CaptureState(d.Model))
 	if err != nil {
-		return Payload{}, 0, fmt.Errorf("fedzkt: device %d upload: %w", d.ID, err)
+		return Payload{}, fmt.Errorf("fedzkt: device %d upload: %w", d.ID, err)
 	}
-	return Payload{Enc: enc}, sd.Numel(), nil
+	return Payload{Enc: enc}, nil
 }

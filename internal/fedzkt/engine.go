@@ -19,9 +19,12 @@ package fedzkt
 //
 // At depth 0 the barrier is the round itself: both stages run inline on
 // the caller's goroutine (crash sites and durable checkpoints included),
-// the hand-off delivers the round's downloads before it is evaluated, and
-// evaluation reads the fleet's own device models — the paper's
-// synchronous loop. At depth ≥ 1 the server stage runs on its own
+// the hand-off delivers each download as it is published, before the
+// round is evaluated, and evaluation reads the fleet's own device models
+// — the paper's synchronous loop. No server stage runs while devices
+// train, so without a RoundDeadline the in-process fleet's device tasks
+// write their trained states straight into their replicas, and absorb
+// only counts them. At depth ≥ 1 the server stage runs on its own
 // goroutine behind bounded channels, so round r+1's local phase overlaps
 // round r's distillation; the uploads channel is the absorb staging
 // buffer (round r+1's uploads wait in it until round r is distilled, so
@@ -29,8 +32,8 @@ package fedzkt
 // downloads for the barrier, and evaluation reads the server replicas,
 // which after round r's transfer-back hold exactly what round r's
 // download delivers while the device models may already be training a
-// later round. Uploads and downloads are independent copies either way,
-// which is all the isolation the stages need; an in-process device that
+// later round. There uploads and downloads are independent copies, which
+// is all the isolation the stages need; an in-process device that
 // follows its replica instead of keeping its download orders its reads
 // against the server stage's writes itself (Coordinator.Deliver).
 
@@ -50,14 +53,14 @@ import (
 )
 
 // Payload carries one model state between a fleet and the server: the
-// codec container, exactly the bytes a real link carries, and the only
-// form a state takes between a device's tensors and a replica slot. Each
-// hop is one pass over the elements (encode from the live tensors, copy or
-// decode into the slot, copy out of the slot, decode into the live
-// tensors), in process as over TCP; either way the bytes live in the
-// engine's recycled buffers (payloadBuffers), which whoever consumes a
-// payload gives back. A payload is an independent copy, safe to hand
-// across stages.
+// codec container, exactly the bytes a real link carries. Each hop is one
+// pass over the elements (encode from the live tensors, copy or decode
+// into the slot, copy out of the slot, decode into the live tensors); the
+// bytes live in the engine's recycled buffers (payloadBuffers), which
+// whoever consumes a payload gives back. A payload is an independent copy,
+// safe to hand across stages. Every download takes this form, and so
+// does every upload but one its in-process device task installed in its
+// replica itself (see Upload).
 type Payload struct {
 	Enc []byte
 }
@@ -65,10 +68,15 @@ type Payload struct {
 // Upload is one device's trained state on its way into the server
 // replicas. Round is the round it was trained in: earlier than the round
 // that absorbs it for a late upload inside a session fleet's staleness
-// bound.
+// bound. An upload the in-process fleet has already installed in its
+// replica carries no payload, only the mark installed, which absorb
+// counts; the mark is unexported, so a fleet outside this package — a
+// transport relaying frames — cannot set it, and an empty payload is
+// refused like any other invalid container.
 type Upload struct {
 	ID, Round int
 	Payload
+	installed bool
 }
 
 // Fleet is the device side of a federation as the engine drives it.
@@ -76,8 +84,9 @@ type Fleet interface {
 	// LocalPhase runs round's local phase (Algorithm 2) on the sampled
 	// devices and returns the uploads to absorb, in absorb order: late
 	// uploads of earlier rounds as they arrived, then this round's in
-	// ascending device order. It books in m what only the fleet sees:
-	// the devices that dropped out (Dropped, Injected), uploads it
+	// ascending device order; an in-process upload may be installed in
+	// its replica already (see Upload). It books in m what only the fleet
+	// sees: the devices that dropped out (Dropped, Injected), uploads it
 	// discarded (DroppedUploads), and payload bytes where the fleet
 	// prices them itself.
 	LocalPhase(ctx context.Context, round int, active []int, m *fed.RoundMetrics) ([]Upload, error)
@@ -210,7 +219,11 @@ type downloadBatch struct {
 // or server error, or when ctx is cancelled — checked at every stage
 // boundary and between distillation iterations — it returns the wrapped
 // first error alongside the rounds finalised so far, with the round
-// cursor left on the first unfinalised one.
+// cursor left on the first unfinalised one. What the unfinalised round
+// already did stays done: at depth 0 an in-process device task that
+// finished before the cancellation has written its trained state into its
+// replica, so a resumed run, which reconciles every device to follow its
+// replica (Coordinator.Run), re-runs the round from that state.
 func (e *Engine) Run(ctx context.Context) (fed.History, error) {
 	depth := e.cfg.PipelineDepth
 	first, ran := e.nextRound, len(e.hist)
@@ -366,9 +379,8 @@ func (e *Engine) serverStage(ctx context.Context, w roundWork, handOff func(down
 	defer w.span.End()
 	e.serverRound = int32(round)
 
-	db := downloadBatch{round: round}
-	var err error
-	if db.ids, err = e.absorb(&m, w.uploads); err != nil {
+	ids, err := e.absorb(&m, w.uploads)
+	if err != nil {
 		return err
 	}
 
@@ -384,13 +396,25 @@ func (e *Engine) serverStage(ctx context.Context, w roundWork, handOff func(down
 	m.ServerElapsed = time.Since(serverStart)
 
 	// Every device the round heard from gets its own updated parameters
-	// back, once; the others keep stale models.
-	for _, id := range db.ids {
+	// back, once; the others keep stale models. At depth 0 each download
+	// is handed off as soon as it is published, so its buffer is back on
+	// the free list before the next one is taken; at depth ≥ 1 the
+	// staleness rule delivers a round's downloads together. The closing
+	// hand-off carries what is left — nothing at depth 0 — and marks the
+	// round delivered.
+	db := downloadBatch{round: round}
+	for _, id := range ids {
 		p, err := e.publish(id)
 		if err != nil {
 			return err
 		}
-		db.states = append(db.states, p)
+		db.ids, db.states = append(db.ids, id), append(db.states, p)
+		if e.cfg.PipelineDepth == 0 {
+			if err := handOff(db); err != nil {
+				return err
+			}
+			db.ids, db.states = db.ids[:0], db.states[:0]
+		}
 	}
 	if err := handOff(db); err != nil {
 		return err
@@ -425,27 +449,31 @@ func (e *Engine) serverStage(ctx context.Context, w roundWork, handOff func(down
 }
 
 // absorb installs a round's uploads into the server replicas in the
-// order given and returns, ascending and without repeats, the devices it
-// absorbed one from.
+// order given — an upload marked installed is in its replica already, and
+// noted, so it is only counted — and returns, ascending and without
+// repeats, the devices it absorbed one from.
 func (e *Engine) absorb(m *fed.RoundMetrics, uploads []Upload) ([]int, error) {
 	ids := make([]int, 0, len(uploads))
 	for _, u := range uploads {
-		if err := e.server.AbsorbPayload(u.ID, u.Enc); err != nil {
-			// A refused upload's buffer is left to the collector: only
-			// buffers that held a valid container of their architecture are
-			// recycled, so a fleet relaying untrusted input cannot plant one.
-			if err := e.fleet.UploadRejected(u, fmt.Errorf("fedzkt: upload device %d: %w", u.ID, err)); err != nil {
-				return nil, err
+		if !u.installed {
+			if err := e.server.AbsorbPayload(u.ID, u.Enc); err != nil {
+				// A refused upload's buffer is left to the collector: only
+				// buffers that held a valid container of their architecture
+				// are recycled, so a fleet relaying untrusted input cannot
+				// plant one.
+				if err := e.fleet.UploadRejected(u, fmt.Errorf("fedzkt: upload device %d: %w", u.ID, err)); err != nil {
+					return nil, err
+				}
+				m.DroppedUploads++
+				if u.Round == m.Round {
+					m.Dropped = append(m.Dropped, u.ID)
+					slices.Sort(m.Dropped)
+				}
+				continue
 			}
-			m.DroppedUploads++
-			if u.Round == m.Round {
-				m.Dropped = append(m.Dropped, u.ID)
-				slices.Sort(m.Dropped)
-			}
-			continue
+			ref, _ := e.server.cohorts.ref(u.ID)    // absorbed, so registered
+			e.payloads.give(ref.cohort.arch, u.Enc) // the slot keeps its own copy
 		}
-		ref, _ := e.server.cohorts.ref(u.ID)    // absorbed, so registered
-		e.payloads.give(ref.cohort.arch, u.Enc) // the slot keeps its own copy
 		if u.Round == m.Round {
 			m.Absorbed++
 		} else {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -343,38 +344,98 @@ func TestCoordinatorCheckpointResume(t *testing.T) {
 func TestInMemoryResumeAfterCancellation(t *testing.T) {
 	ds := tinyDataset(71)
 	shards := partition.IID(ds.NumTrain(), 4, tensor.NewRand(72))
-	cfg := tinyConfig()
-	cfg.Rounds = 4
-	cfg.DistillIters = 14
-	cfg.PipelineDepth = 1
-	co, err := New(cfg, ds, []string{"mlp", "lenet-s"}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
-	hist1, err := co.Run(ctx)
-	if err == nil {
-		t.Fatal("run outran the cancellation; raise the per-round work")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error %v does not wrap context.Canceled", err)
-	}
-	hist2, err := co.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := cfg.Rounds - len(hist1); len(hist2) != want {
-		t.Fatalf("resumed run finalised %d rounds, want %d", len(hist2), want)
-	}
-	for i, m := range hist2 {
-		if m.Round != len(hist1)+i+1 {
-			t.Fatalf("resumed history position %d holds round %d, want %d", i, m.Round, len(hist1)+i+1)
+	resumed := func(t *testing.T, co *Coordinator, hist1 fed.History) {
+		t.Helper()
+		hist2, err := co.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := co.cfg.Rounds - len(hist1); len(hist2) != want {
+			t.Fatalf("resumed run finalised %d rounds, want %d", len(hist2), want)
+		}
+		for i, m := range hist2 {
+			if m.Round != len(hist1)+i+1 {
+				t.Fatalf("resumed history position %d holds round %d, want %d", i, m.Round, len(hist1)+i+1)
+			}
 		}
 	}
+	t.Run("pipelined", func(t *testing.T) {
+		cfg := tinyConfig()
+		cfg.Rounds = 4
+		cfg.DistillIters = 14
+		cfg.PipelineDepth = 1
+		co, err := New(cfg, ds, []string{"mlp", "lenet-s"}, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			time.Sleep(30 * time.Millisecond)
+			cancel()
+		}()
+		hist1, err := co.Run(ctx)
+		if err == nil {
+			t.Fatal("run outran the cancellation; raise the per-round work")
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("error %v does not wrap context.Canceled", err)
+		}
+		resumed(t, co, hist1)
+	})
+	t.Run("depth0-local-phase", func(t *testing.T) {
+		// The cancellation lands in round 2's local phase, as its first
+		// device task writes its trained state into its replica; the
+		// task finishes, the rest never start. The replica keeps the
+		// state, round 2 is not finalised, and reconciling makes every
+		// device follow its replica — the trained one included.
+		cfg := tinyConfig()
+		cfg.Rounds, cfg.Workers = 4, 1
+		co, err := New(cfg, ds, []string{"mlp", "lenet-s"}, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = co.Close() })
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		installed := -1
+		var before []byte
+		hook := co.server.cohorts.beforeWrite
+		co.server.cohorts.beforeWrite = func(id int) error {
+			// Round 2's local phase: round 1 finalised, no server stage
+			// since.
+			if installed < 0 && co.nextRound == 2 && co.serverRound == 1 {
+				installed = id
+				var err error
+				if before, _, err = co.Server().ReplicaPayload(id); err != nil {
+					return err
+				}
+				cancel()
+			}
+			return hook(id)
+		}
+		hist1, err := co.Run(ctx)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("error %v does not wrap context.Canceled", err)
+		}
+		if installed < 0 || len(hist1) != 1 {
+			t.Fatalf("finalised %d rounds, round-2 task wrote device %d; want 1 round and a write", len(hist1), installed)
+		}
+		after, _, err := co.Server().ReplicaPayload(installed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(before, after) {
+			t.Fatalf("device %d finished its round-2 task, yet its replica does not hold the trained state", installed)
+		}
+		co.reconcileDevices()
+		if held := deviceSlotsHeld(co); len(held) > 0 || slices.Contains(co.follows, false) {
+			t.Fatalf("after reconciling, device slots %v hold a state and follows = %v; every device should follow its replica", held, co.follows)
+		}
+		if got, want := dictDigest(deviceState(t, co, installed)), payloadDigest(t, after); got != want {
+			t.Errorf("device %d does not resume from the state its cancelled task trained", installed)
+		}
+		resumed(t, co, hist1)
+	})
 }
 
 // TestPipelinedHidesServerPhase is the overlap smoke: with a non-trivial

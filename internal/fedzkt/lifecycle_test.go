@@ -84,6 +84,22 @@ func (ft *fleetTap) CloseRound(m *fed.RoundMetrics) error {
 	return ft.Fleet.CloseRound(m)
 }
 
+// uploadedBytes returns the container u brings the server: its payload,
+// or for an upload its device task installed, the replica the task wrote.
+// Called as the local phase returns, before anything else writes the
+// replica.
+func uploadedBytes(t testing.TB, co *Coordinator, u Upload) []byte {
+	t.Helper()
+	if !u.installed {
+		return bytes.Clone(u.Enc)
+	}
+	b, _, err := co.Server().ReplicaPayload(u.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // deviceState returns a dense copy of device id's state at rest.
 func deviceState(t testing.TB, co *Coordinator, id int) (sd nn.StateDict) {
 	t.Helper()
@@ -96,10 +112,10 @@ func deviceState(t testing.TB, co *Coordinator, id int) (sd nn.StateDict) {
 // used. Reading — evaluating devices, checking replicas out as
 // teachers — writes nothing, and a read-only checkout of a virgin replica
 // holds exactly what its download would deliver. During a sampled run at
-// depth 0 a device slot is never written: a finished task drops it and
-// stops the device following its replica, so between the task and its
-// download the trained state exists only as the upload the server
-// absorbed, and the download makes the device follow its replica. So after
+// depth 0 a device slot is never written: a finished task drops it, stops
+// the device following its replica and writes the trained state into the
+// replica, so between the task and its download the state exists only
+// there, and the download makes the device follow its replica. So after
 // the run no device slot is written, every absorbed device's replica is,
 // and a device never sampled is virgin on both sides: transfer-back writes
 // only the round's participants.
@@ -155,7 +171,13 @@ func TestResidentSlotsVirginUntilWritten(t *testing.T) {
 			t.Errorf("%s: device %d follows its replica", when, id)
 		}
 	}
-	ft.uploaded = func(u Upload) { betweenTaskAndDownload("after its task", u.ID) }
+	ft.uploaded = func(u Upload) {
+		if server, _ := virgins(u.ID); server || !u.installed || u.Enc != nil {
+			t.Errorf("device %d finished its task: replica virgin %v, upload installed %v with %d payload bytes; want its state in the replica and no payload",
+				u.ID, server, u.installed, len(u.Enc))
+		}
+		betweenTaskAndDownload("after its task", u.ID)
+	}
 	ft.delivering = func(_, id int, _ Payload) {
 		if server, _ := virgins(id); server {
 			t.Errorf("device %d trained and was absorbed, yet before its download its replica is virgin", id)

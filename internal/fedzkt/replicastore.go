@@ -41,13 +41,16 @@ package fedzkt
 // trains again, materialises by reading the replica (readInto: a copy into
 // the rig's module, no payload buffer in between). The server store's
 // beforeWrite hook gives a follower its own copy before anything writes
-// its replica — an absorb, a transfer-back checkout (exact mode writes
-// every replica), a checkpoint load — so a participant's state exists
-// once, on the server, between rounds. A finished task's trained state is
-// written into the device's slot only when it can outlive its round —
-// under a RoundDeadline, whose stragglers' uploads are discarded, or at
-// PipelineDepth ≥ 1 — and otherwise the slot is dropped: the state is the
-// upload, and the download that follows it is the replica. The follow rule
+// its replica — an absorb or a depth-0 task's install, a transfer-back
+// checkout (exact mode writes every replica), a checkpoint load — so a
+// participant's state exists once, on the server, between rounds. A finished task's trained state is
+// written into the device's slot, beside the upload it stages, only when
+// it can outlive its round — under a RoundDeadline, whose stragglers'
+// uploads are discarded, or at PipelineDepth ≥ 1. Otherwise the slot is
+// dropped and the task writes the state straight into the device's
+// server replica (installDict, through the hook): no payload holds it
+// between the task and the barrier, and from its download on the device
+// follows that replica. The follow rule
 // is the same at every pipeline depth: Deliver(r, id) follows iff no
 // server round after r has written replica id yet and device id has
 // completed no task in a round after r; otherwise it installs the download

@@ -45,12 +45,13 @@ func freeBuffers(co *Coordinator) (total int, perArch map[string]int) {
 // TestResidentRoundAllocCeiling is TestVirtualRoundAllocCeiling's twin for
 // the default configuration: a steady-state round of the resident toy
 // fleet — the difference between a 12-round and a 4-round run — stays
-// under a byte ceiling on both engines. It measures ≈ 0.23 MB where heap
-// parameter gradients and a proximal-anchor clone per participation plus a
-// dense upload clone and a dense download clone per completed device cost
-// 3.4 MB; the ceiling sits at a quarter of that, and int8 payloads — an
-// eighth the size, recycled by the same free list — stay far under it
-// (≈ 0.09 MB). (The race detector adds
+// under a byte ceiling on both engines. At depth 0 it measures ≈ 71 KB,
+// under float64 and int8 alike (238 KB and 106 KB while every trained
+// state was staged in a payload buffer for the barrier to copy into its
+// replica), and at depth 2 ≈ 0.24 MB, where heap parameter gradients and
+// a proximal-anchor clone per participation plus a dense upload clone and
+// a dense download clone per completed device cost 3.4 MB; the ceiling
+// sits at a quarter of that. (The race detector adds
 // ≈ 2.8 MB a round of its own to either figure, so a -race build checks
 // everything but the ceiling.) TestDeviceLifecycle pins what a device holds
 // once its task has ended.
@@ -76,9 +77,14 @@ func TestResidentRoundAllocCeiling(t *testing.T) {
 			if free, _ := freeBuffers(co); int64(free) != built {
 				t.Errorf("%d payload buffers built, %d back in the free list after the run", built, free)
 			}
-			// 8 uploads and 8 downloads per round, all but the first few
-			// from the list.
-			if want := int64(2 * 8 * long); built+reused != want {
+			// 8 downloads per round, all but the first few from the list,
+			// and at depth 2 as many staged uploads; a depth-0 task writes
+			// its trained state straight into its replica.
+			want := int64(8 * long)
+			if tc.depth > 0 {
+				want *= 2
+			}
+			if built+reused != want {
 				t.Errorf("payload buffers served %d copies, want %d", built+reused, want)
 			}
 			checkScraped(t, map[string]int64{
@@ -119,6 +125,32 @@ func TestPayloadBuffersBounded(t *testing.T) {
 				}
 				if held := deviceSlotsHeld(co); len(held) > 0 || slices.Contains(co.follows, false) {
 					t.Errorf("%s depth %d: after reconciling, device slots %v hold a state; every device should follow its replica", codec, depth, held)
+				}
+			}
+		})
+	})
+	t.Run("sync", func(t *testing.T) {
+		// Full participation at depth 0: no upload takes a buffer, and
+		// each download goes back to the list before the next one is
+		// published, so one buffer per architecture serves the whole run
+		// (staging every upload for the barrier built K of them).
+		const rounds, k = 6, 24
+		residentCodecs(func(codec string, mutate func(*Config)) {
+			co := toyFleet(t, rounds, func(c *Config) { mutate(c); c.SampleK = k })
+			if _, err := co.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			built, reused := co.PayloadBufferStats()
+			if built+reused != k*rounds {
+				t.Errorf("%s: buffers served %d copies, want the %d downloads", codec, built+reused, k*rounds)
+			}
+			free, perArch := freeBuffers(co)
+			if int64(free) != built {
+				t.Errorf("%s: %d buffers built, %d back in the free list", codec, built, free)
+			}
+			for arch, n := range perArch {
+				if n > 1 {
+					t.Errorf("%s: depth-0 run built %d %s buffers, want at most one", codec, n, arch)
 				}
 			}
 		})

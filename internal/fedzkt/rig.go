@@ -96,9 +96,9 @@ func (r *deviceRig) anchor(arch string, m nn.Module) nn.StateDict {
 // payloadBuffers is a round engine's free list of payload buffers, one
 // list per architecture (container sizes are a function of architecture
 // and codec, so a recycled buffer always fits): what an in-process
-// stageUpload encodes a trained state into, a session's reader reads an
-// upload frame into, and the engine's publish copies a replica slot into,
-// whatever the codec. take is called from device tasks, connection
+// stageUpload encodes a trained state that rests into, a session's reader
+// reads an upload frame into, and the engine's publish copies a replica
+// slot into, whatever the codec. take is called from device tasks, connection
 // readers and both engine stages, hence the lock; a plain LIFO list (not a
 // sync.Pool) keeps the retained set deterministic — at most as many
 // buffers as were ever in flight at once, never dropped by a GC cycle. A

@@ -89,9 +89,11 @@ type Server struct {
 	outScratch []*ag.Variable
 
 	// absorbed lists the devices Absorb and AbsorbPayload installed an
-	// upload for since the last Distill: the round's participants, whose
-	// replicas a sampled transfer-back distils into. Distill and
-	// LoadCheckpoint clear it.
+	// upload for since the last Distill — and the depth-0 device tasks
+	// that wrote their trained state into their replica themselves
+	// (Coordinator.release) — the round's participants, whose replicas a
+	// sampled transfer-back distils into. Distill and LoadCheckpoint clear
+	// it.
 	absorbMu sync.Mutex
 	absorbed []int
 }

@@ -48,9 +48,12 @@ func TestSampledDownloadsCarryTransferBack(t *testing.T) {
 	co := toyFleet(t, 6, func(c *Config) { resident(c); c.SampleK = 4 }) // 2 iterations × 2 teachers
 	ft := tap(co)
 	uploads := make(map[int][]byte)
-	ft.uploaded = func(u Upload) { uploads[u.ID] = bytes.Clone(u.Enc) }
+	ft.uploaded = func(u Upload) { uploads[u.ID] = uploadedBytes(t, co, u) }
 	same, downloads := 0, 0
 	ft.delivering = func(_, id int, p Payload) {
+		if len(uploads[id]) == 0 {
+			t.Fatalf("device %d downloads without an upload to compare", id)
+		}
 		downloads++
 		if bytes.Equal(p.Enc, uploads[id]) {
 			same++

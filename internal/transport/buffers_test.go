@@ -445,3 +445,49 @@ func TestOversizedUploadRefusedUnbuffered(t *testing.T) {
 		t.Errorf("free list holds %d buffers of %d bytes, want the one %d-byte container", len(free), total, len(valid))
 	}
 }
+
+// TestEmptyAndTruncatedUploadsRefused: an upload frame with no payload and
+// one cut short of its container are each acknowledged, refused and booked
+// as dropped uploads, never as absorbed ones — an empty payload does not
+// read as a state already in its replica, whatever an in-process fleet
+// may mark — and the round then absorbs the device's real upload.
+func TestEmptyAndTruncatedUploadsRefused(t *testing.T) {
+	srv, err := NewServer(chaosServerConfig(1, 1, 0, 0, 20*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var hist fed.History
+	var runErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		hist, runErr = srv.Run(ctx)
+	}()
+	dev, conn := manualDevice(t, srv.Addr())
+	defer conn.Close()
+	valid, _, err := dev.dev.UploadPayload(dev.cdc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readUntil(t, conn, MsgTrainRequest, 1)
+
+	for _, junk := range [][]byte{nil, bytes.Clone(valid[:len(valid)/2])} {
+		if err := WriteMessage(conn, &Message{Type: MsgUpload, Round: 1, DeviceID: dev.id, Payload: junk}); err != nil {
+			t.Fatal(err)
+		}
+		readUntil(t, conn, MsgUploadAck, 1)
+	}
+	if err := WriteMessage(conn, &Message{Type: MsgUpload, Round: 1, DeviceID: dev.id, Payload: valid}); err != nil {
+		t.Fatal(err)
+	}
+	readUntil(t, conn, MsgDone, 0)
+	<-done
+	if runErr != nil {
+		t.Fatalf("server: %v", runErr)
+	}
+	if len(hist) != 1 || hist[0].DroppedUploads != 2 || hist[0].Absorbed != 1 || len(hist[0].Dropped) != 0 {
+		t.Fatalf("history %+v: want one round with both junk uploads dropped and the real one absorbed", hist)
+	}
+}
