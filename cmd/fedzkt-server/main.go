@@ -43,7 +43,7 @@ func run(args []string) error {
 		staleness = fs.Int("staleness-bound", 0, "rounds a late upload may lag and still be absorbed")
 	)
 	// The shared flags a session fleet cannot honour yet (-pipeline-depth,
-	// -checkpoint-dir, -resume, -round-deadline, -fail-rate) are refused
+	// -checkpoint-dir, -resume, -fail-rate) are refused
 	// by transport.NewServer, by field name.
 	fed := fedzkt.Config{
 		Rounds:         5,

@@ -2,8 +2,8 @@
 // real cross-device federations sample a few dozen clients per round out
 // of millions of enrolled devices. This example simulates such a
 // federation in one process on the sharded round scheduler: uniform-K
-// client sampling, bounded workers, deterministic failure injection, and
-// an optional per-round deadline that drops stragglers from aggregation.
+// client sampling, bounded workers and deterministic failure injection,
+// each round a synchronous barrier.
 // The server phase runs on the architecture-cohort replica store,
 // sampling a teacher subset per distillation iteration
 // (-teachers-per-iter 0 restores the paper-exact full ensemble).

@@ -12,11 +12,9 @@
 // Rounds execute on the sharded device-scale scheduler (internal/sched),
 // so a federation can simulate far more devices than CPU cores. The
 // scheduler is configured through Config fields — Workers (pool size; 1
-// is the reference scheduler), SampleK (uniform-K client sampling),
-// RoundDeadline (stragglers are dropped from aggregation) and FailureRate
-// (deterministic failure injection). With no RoundDeadline set, results
-// are bit-identical for any worker count (a deadline makes straggler
-// survival wall-clock-dependent by design):
+// is the reference scheduler), SampleK (uniform-K client sampling) and
+// FailureRate (deterministic failure injection). Each round is a
+// synchronous barrier, so results are bit-identical for any worker count:
 //
 //	co, err := fedzkt.New(fedzkt.Config{
 //		Rounds: 2, SampleK: 32, Workers: 8, FailureRate: 0.05,

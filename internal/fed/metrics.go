@@ -20,8 +20,11 @@ type RoundMetrics struct {
 	MeanDeviceAcc float64
 	// Active lists the devices sampled for this round.
 	Active []int
-	// Dropped lists sampled devices that missed the round deadline
-	// (stragglers excluded from aggregation but keeping local progress).
+	// Dropped lists sampled devices whose upload the round did not absorb
+	// although they were not failure-injected: in process, a task a
+	// cancelled round stopped or that panicked, or an upload the server
+	// refused; over network sessions, also a device that missed the
+	// upload collection deadline.
 	Dropped []int
 	// Injected lists sampled devices lost to scheduler failure injection
 	// this round (their local phase never ran).

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"github.com/fedzkt/fedzkt/internal/codec"
 	"github.com/fedzkt/fedzkt/internal/data"
@@ -66,10 +65,6 @@ type Config struct {
 	// determinism tests compare against. Kernel row blocks fan out on
 	// package tensor's gang, sized by GOMAXPROCS, either way.
 	Workers int
-	// RoundDeadline is the wall-clock budget of each round's local phase;
-	// devices that have not finished when it expires are dropped from
-	// that round's aggregation (0 disables).
-	RoundDeadline time.Duration
 	// FailureRate injects per-device-round failures with this
 	// probability, deterministically in (Seed, round, device).
 	FailureRate float64
@@ -319,8 +314,7 @@ type Coordinator struct {
 	devLocal    []int
 	devCounters *storeCounters
 	// rests marks a run where a trained state can outlive its round —
-	// under a RoundDeadline a straggler's upload is discarded, and at
-	// PipelineDepth ≥ 1 a device may train again before its download
+	// at PipelineDepth ≥ 1 a device may train again before its download
 	// lands — so release writes it into the device's slot and the task
 	// stages an upload for the server stage to absorb. Otherwise no server
 	// stage runs between the task and the barrier, and release writes the
@@ -369,10 +363,9 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 	}
 	rigs := &rigStats{}
 	pool, err := sched.NewPool(sched.Options{
-		Workers:       cfg.Workers,
-		RoundDeadline: cfg.RoundDeadline,
-		FailureRate:   cfg.FailureRate,
-		FailureSeed:   cfg.Seed ^ 0xFA117A1E,
+		Workers:     cfg.Workers,
+		FailureRate: cfg.FailureRate,
+		FailureSeed: cfg.Seed ^ 0xFA117A1E,
 		// One device rig per pool worker, created on the worker's first
 		// task: every device task running on a worker trains in the rig's
 		// live module and draws its activations, backward scratch, batch
@@ -394,7 +387,7 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 	}
 	c := &Coordinator{pool: pool, codec: server.Codec(), rigs: rigs,
 		devStore: make(map[string]*slotStore), devCounters: &storeCounters{},
-		rests: cfg.RoundDeadline > 0 || cfg.PipelineDepth > 0}
+		rests: cfg.PipelineDepth > 0}
 	if c.Engine, err = NewEngine(server, ds, c); err != nil {
 		_ = server.Close()
 		return nil, err
@@ -762,19 +755,21 @@ func (c *Coordinator) CloseRound(m *fed.RoundMetrics) error {
 // LocalPhase implements Fleet: it runs Algorithm 2 on every sampled device
 // via the sharded scheduler and returns the uploads of the devices that
 // completed within the round, in ascending-id order, priced as the
-// run's codec would carry them. Devices that miss the deadline or are
-// failure-injected drop out of this round's aggregation.
+// run's codec would carry them. Devices that are failure-injected, whose
+// task panicked or that a cancelled ctx stopped drop out of this round's
+// aggregation; any other task error ends the round, and every upload it
+// staged goes back to the free list.
 // Each task materialises its device in its worker's rig, trains it and
 // releases it, so the encode stays off the engine's goroutine. Where
 // trained states rest the task stages its upload in wire form — encoded
 // with the run's codec, exactly the bytes a real uplink would carry — and
 // uploads of tasks that did not complete are discarded. Otherwise release
 // encodes the state straight into the device's replica slot and the
-// upload is marked installed, with no payload: without a deadline every
-// task that runs to its end completes, so a round that reaches its
-// barrier absorbs every state its tasks install. Each task touches only its own device, its replica and
-// its worker's rig, so the round's outcome is identical for any worker
-// count.
+// upload is marked installed, with no payload: every task that runs to
+// its end completes, so a round that reaches its barrier absorbs every
+// state its tasks install. Each task touches only its own device, its
+// replica and its worker's rig, so the round's outcome is identical for
+// any worker count.
 func (c *Coordinator) LocalPhase(ctx context.Context, round int, active []int, m *fed.RoundMetrics) ([]Upload, error) {
 	cfg := c.cfg
 	local := cfg.Local()
@@ -824,9 +819,10 @@ func (c *Coordinator) LocalPhase(ctx context.Context, round int, active []int, m
 		}}
 	}
 	uploads := make([]Upload, 0, len(active))
-	for pos, r := range c.pool.RunRound(ctx, round, tasks) {
+	results := c.pool.RunRound(ctx, round, tasks)
+	for pos, r := range results {
 		if r.Status != sched.StatusCompleted {
-			// A late or failed task's staged upload goes nowhere.
+			// A dropped or failed task's staged upload goes nowhere.
 			c.payloads.give(c.devices[r.Device].Arch, staged[pos].Enc)
 		}
 		switch r.Status {
@@ -848,6 +844,14 @@ func (c *Coordinator) LocalPhase(ctx context.Context, round int, active []int, m
 				m.Dropped = append(m.Dropped, r.Device)
 				c.server.cohorts.noteFault(r.Device)
 				continue
+			}
+			// The round ends here: every upload it staged goes back,
+			// those already collected and those of later results.
+			for _, u := range uploads {
+				c.payloads.give(c.devices[u.ID].Arch, u.Enc)
+			}
+			for q := pos + 1; q < len(results); q++ {
+				c.payloads.give(c.devices[results[q].Device].Arch, staged[q].Enc)
 			}
 			return nil, fmt.Errorf("fedzkt: local phase device %d: %w", r.Device, r.Err)
 		}

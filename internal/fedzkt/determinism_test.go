@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/fedzkt/fedzkt/internal/data"
+	"github.com/fedzkt/fedzkt/internal/fed"
 	"github.com/fedzkt/fedzkt/internal/nn"
 	"github.com/fedzkt/fedzkt/internal/partition"
 	"github.com/fedzkt/fedzkt/internal/tensor"
@@ -81,7 +82,7 @@ func TestSchedulerDeterminismGolden(t *testing.T) {
 	}
 	workerCounts := []int{2, 3, 4, 5, 6, 7, 8}
 	if testing.Short() {
-		workerCounts = []int{4, 8}
+		workerCounts = []int{2, 4, 8}
 	}
 	for _, w := range workerCounts {
 		w := w
@@ -278,7 +279,7 @@ func TestPipelinedDeterminismGolden(t *testing.T) {
 			}
 			workerCounts := []int{2, 3, 4, 5, 6, 7, 8}
 			if testing.Short() {
-				workerCounts = []int{4, 8}
+				workerCounts = []int{2, 4, 8}
 			}
 			for _, w := range workerCounts {
 				got := goldenRun(t, func(c *Config) { mutate(c); c.Workers = w })
@@ -330,37 +331,67 @@ func TestPipelinedDepthsDiverge(t *testing.T) {
 
 // TestFailureInjectionSurfacesInMetrics checks that the injected-failure
 // bookkeeping reaches the history and that injected devices are excluded
-// from aggregation accounting.
+// from aggregation accounting. The second input injects every participant
+// of round 3: that round absorbs nothing and uploads no byte, and the run
+// still completes on the stale replicas. Either run's fingerprint is the
+// same at Workers 1 and Workers 4.
 func TestFailureInjectionSurfacesInMetrics(t *testing.T) {
 	ds := data.MustMake(data.Config{
 		Name: "inj", Family: data.FamilyDigits, Classes: 3,
 		C: 1, H: 8, W: 8, TrainPerClass: 10, TestPerClass: 5, Seed: 90,
 	})
 	shards := partition.IID(ds.NumTrain(), 8, tensor.NewRand(91))
-	cfg := goldenConfig()
-	cfg.Rounds = 4
-	cfg.SampleK = 8
-	cfg.FailureRate = 0.45
-	cfg.Seed = 77
-	co, err := New(cfg, ds, []string{"mlp"}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist, err := co.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	injected := 0
-	for _, m := range hist {
-		injected += len(m.Injected)
-		if completed := len(m.Active) - len(m.Injected) - len(m.Dropped); completed > 0 && m.BytesUp == 0 {
-			t.Fatalf("round %d: %d completed devices but no uploaded bytes", m.Round, completed)
-		}
-	}
-	if injected == 0 {
-		t.Fatal("failure rate 0.45 over 32 device-rounds injected nothing")
-	}
-	if got := co.Pool().Stats().Injected.Load(); got != int64(injected) {
-		t.Fatalf("pool stats injected=%d, history says %d", got, injected)
+	for _, tc := range []struct {
+		rate       float64
+		seed       uint64
+		emptyRound int // a round that injects every participant, or 0
+	}{{0.45, 77, 0}, {0.5, 1, 3}} {
+		t.Run(fmt.Sprintf("rate%v-seed%d", tc.rate, tc.seed), func(t *testing.T) {
+			run := func(workers int) (fed.History, *Coordinator) {
+				cfg := goldenConfig()
+				cfg.Rounds = 4
+				cfg.SampleK = 8
+				cfg.FailureRate = tc.rate
+				cfg.Seed = tc.seed
+				cfg.Workers = workers
+				co, err := New(cfg, ds, []string{"mlp"}, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { _ = co.Close() })
+				hist, err := co.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return hist, co
+			}
+			hist, co := run(4)
+			if ref, _ := run(1); ref.Fingerprint() != hist.Fingerprint() {
+				t.Fatalf("workers=4 fingerprint diverges from the workers=1 reference:\n--- workers=1 ---\n%s--- workers=4 ---\n%s",
+					ref.Fingerprint(), hist.Fingerprint())
+			}
+			if len(hist) != 4 {
+				t.Fatalf("run finalised %d rounds, want 4", len(hist))
+			}
+			injected := 0
+			for _, m := range hist {
+				injected += len(m.Injected)
+				if completed := len(m.Active) - len(m.Injected) - len(m.Dropped); completed > 0 && m.BytesUp == 0 {
+					t.Fatalf("round %d: %d completed devices but no uploaded bytes", m.Round, completed)
+				}
+				if m.Round == tc.emptyRound {
+					if len(m.Injected) != len(m.Active) || m.Absorbed != 0 || m.BytesUp != 0 {
+						t.Fatalf("round %d: injected %v of %v, absorbed %d, %d bytes up; want every participant injected, nothing absorbed or uploaded",
+							m.Round, m.Injected, m.Active, m.Absorbed, m.BytesUp)
+					}
+				}
+			}
+			if injected == 0 {
+				t.Fatalf("failure rate %v over 32 device-rounds injected nothing", tc.rate)
+			}
+			if got := co.Pool().Stats().Injected.Load(); got != int64(injected) {
+				t.Fatalf("pool stats injected=%d, history says %d", got, injected)
+			}
+		})
 	}
 }

@@ -22,8 +22,8 @@ package fedzkt
 // the hand-off delivers each download as it is published, before the
 // round is evaluated, and evaluation reads the fleet's own device models
 // — the paper's synchronous loop. No server stage runs while devices
-// train, so without a RoundDeadline the in-process fleet's device tasks
-// write their trained states straight into their replicas, and absorb
+// train, so the in-process fleet's device tasks write their trained
+// states straight into their replicas, and absorb
 // only counts them. At depth ≥ 1 the server stage runs on its own
 // goroutine behind bounded channels, so round r+1's local phase overlaps
 // round r's distillation; the uploads channel is the absorb staging

@@ -252,7 +252,7 @@ func TestEvaluateReplicas(t *testing.T) {
 			}
 		}
 	}
-	// All four devices were active with no deadline/failure config, so
+	// All four devices were active with no failure injection, so
 	// every device model equals its replica post-download.
 	devAcc := hist[len(hist)-1].DeviceAcc
 	for i := range ref {

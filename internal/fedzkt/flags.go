@@ -24,7 +24,6 @@ import (
 func (c *Config) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.SampleK, "sample-k", c.SampleK, "sample exactly K clients per round (uniform-K; 0 = every device, thinned by -active-fraction where that is a flag)")
 	fs.IntVar(&c.Workers, "workers", c.Workers, "scheduler worker-pool size (0 = GOMAXPROCS)")
-	fs.DurationVar(&c.RoundDeadline, "round-deadline", c.RoundDeadline, "wall-clock budget of each round's local phase; late devices are dropped from aggregation (0 = none)")
 	fs.Float64Var(&c.FailureRate, "fail-rate", c.FailureRate, "injected per-device-round failure probability in [0,1), deterministic in (seed, round, device)")
 	fs.IntVar(&c.TeachersPerIter, "teachers-per-iter", c.TeachersPerIter, "replica teachers sampled per server distillation iteration (0 = paper-exact full ensemble)")
 	fs.IntVar(&c.PipelineDepth, "pipeline-depth", c.PipelineDepth, "rounds in flight on the round engine: the server distills round r while round r+1 trains on-device (0 = paper-exact synchronous barrier)")

@@ -10,7 +10,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/fedzkt/fedzkt/internal/chaos"
 )
@@ -49,7 +48,6 @@ var flagCases = []struct {
 	{"active-fraction", "0.5", "ActiveFraction", 0.5},
 	{"sample-k", "5", "SampleK", 5},
 	{"workers", "3", "Workers", 3},
-	{"round-deadline", "2s", "RoundDeadline", 2 * time.Second},
 	{"fail-rate", "0.25", "FailureRate", 0.25},
 	{"teachers-per-iter", "8", "TeachersPerIter", 8},
 	{"pipeline-depth", "2", "PipelineDepth", 2},
@@ -135,8 +133,8 @@ func TestFlagsCoverConfig(t *testing.T) {
 	for name := range cased {
 		t.Errorf("flagCases names -%s, which no FlagSet binds", name)
 	}
-	if got := typ.NumField(); got != 36 {
-		t.Errorf("Config has %d fields, want 36: a knob was added or removed without updating this count", got)
+	if got := typ.NumField(); got != 35 {
+		t.Errorf("Config has %d fields, want 35: a knob was added or removed without updating this count", got)
 	}
 }
 

@@ -45,8 +45,7 @@ package fedzkt
 // checkout (exact mode writes every replica), a checkpoint load — so a
 // participant's state exists once, on the server, between rounds. A finished task's trained state is
 // written into the device's slot, beside the upload it stages, only when
-// it can outlive its round — under a RoundDeadline, whose stragglers'
-// uploads are discarded, or at PipelineDepth ≥ 1. Otherwise the slot is
+// it can outlive its round: at PipelineDepth ≥ 1. Otherwise the slot is
 // dropped and the task writes the state straight into the device's
 // server replica (installDict, through the hook): no payload holds it
 // between the task and the barrier, and from its download on the device

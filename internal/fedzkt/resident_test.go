@@ -3,13 +3,14 @@ package fedzkt
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
 	"slices"
 	"testing"
-	"time"
 
+	"github.com/fedzkt/fedzkt/internal/chaos"
 	"github.com/fedzkt/fedzkt/internal/data"
 	"github.com/fedzkt/fedzkt/internal/partition"
 	"github.com/fedzkt/fedzkt/internal/tensor"
@@ -179,31 +180,31 @@ func TestPayloadBuffersBounded(t *testing.T) {
 		})
 	})
 	t.Run("discarded", func(t *testing.T) {
-		// A deadline far shorter than one local update: a worker's first
-		// task of a round starts in time, stages its upload and finishes
-		// after the bell; the rest never start; some are failure-injected.
-		// Nothing is absorbed, and every staged buffer must come back.
-		residentCodecs(func(codec string, mutate func(*Config)) {
-			co := toyFleet(t, 3, func(c *Config) {
-				mutate(c)
-				c.LocalEpochs, c.RoundDeadline, c.FailureRate = 400, 5*time.Millisecond, 0.3
-			})
-			hist, err := co.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			dropped := 0
-			for _, m := range hist {
-				dropped += len(m.Dropped)
-			}
-			built, _ := co.PayloadBufferStats()
-			if dropped == 0 || built == 0 {
-				t.Fatalf("%s: want late tasks with staged uploads: %d dropped, %d buffers built", codec, dropped, built)
-			}
-			if free, _ := freeBuffers(co); int64(free) != built {
-				t.Errorf("%s: %d buffers built, %d back in the free list", codec, built, free)
-			}
-		})
+		// A round that fails: at depth 1 every task stages its upload, and
+		// under a device hot set of one entry a release evicts a trained
+		// state to its spill file, whose write is made to fail. Run
+		// returns that error, and every buffer the round staged — the
+		// uploads that completed and the results after the failure — is
+		// back in the free list.
+		plan, err := chaos.Parse("spill.write.err=every:1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		chaos.Activate(plan)
+		defer chaos.Deactivate()
+		co := toyFleet(t, 2, func(c *Config) { c.PipelineDepth, c.HotSet = 1, 1 })
+		_, err = co.Run(context.Background())
+		var injected *chaos.InjectedError
+		if !errors.As(err, &injected) || injected.Site != chaos.SiteSpillWriteErr {
+			t.Fatalf("Run = %v, want the injected spill write error", err)
+		}
+		built, _ := co.PayloadBufferStats()
+		if built == 0 {
+			t.Fatal("no task staged an upload before the failure")
+		}
+		if free, _ := freeBuffers(co); int64(free) != built {
+			t.Errorf("%d buffers built, %d back in the free list", built, free)
+		}
 	})
 }
 

@@ -109,7 +109,7 @@ func TestVirtualRoundAllocCeiling(t *testing.T) {
 }
 
 // TestVirtualProxRoundAllocCeiling: with the proximal term on, a device
-// whose trained states do not rest (depth 0, no deadline) re-captures its
+// whose trained states do not rest (depth 0) re-captures its
 // anchor at every materialisation — into the worker rig's
 // per-architecture buffer, not into a clone of the state. A
 // steady-state round with ProxMu > 0 may therefore allocate only a little

@@ -1,19 +1,18 @@
 // Package sched is the device-scale round scheduler: it lets a federated
 // coordinator run communication rounds over N ≫ NumCPU simulated devices
 // inside one process. A bounded worker pool runs a round's device tasks —
-// one per distinct device — in contiguous blocks on ForEachWorker, a
-// per-round deadline drops stragglers from aggregation — matching FedZKT's
-// tolerance for partial participation — and seeded failure injection
-// exercises device churn deterministically. Workers: 1 runs every task
-// inline on the caller, in task order: it is the reference scheduler.
+// one per distinct device — in contiguous blocks on ForEachWorker, and
+// seeded failure injection exercises device churn deterministically. A
+// round is a synchronous barrier, as in FedZKT's Algorithm 1: stragglers
+// are the devices the round does not sample, never the ones a clock
+// catches. Workers: 1 runs every task inline on the caller, in task
+// order: it is the reference scheduler.
 //
 // The scheduler is deliberately free of shared mutable state between
 // tasks: each task may only touch its own device, and each result slot is
-// written by exactly one worker. As long as tasks honour that contract —
-// and no RoundDeadline is set — a round's outcome is bit-identical for
-// any worker count, which the determinism golden tests in internal/fedzkt
-// rely on. A deadline makes which devices finish in time inherently
-// wall-clock- and worker-count-dependent; that is its job.
+// written by exactly one worker. As long as tasks honour that contract a
+// round's outcome is bit-identical for any worker count, which the
+// determinism golden tests in internal/fedzkt rely on.
 package sched
 
 import (
@@ -44,14 +43,14 @@ type Status int
 
 // Task outcomes.
 const (
-	// StatusCompleted means the task ran to completion within the round
-	// deadline; the device participates in aggregation.
+	// StatusCompleted means the task ran to completion; the device
+	// participates in aggregation.
 	StatusCompleted Status = iota + 1
 	// StatusFailed means the task returned a genuine error.
 	StatusFailed
-	// StatusDropped means the device missed the round deadline (or the
-	// round was cancelled before it ran); it is excluded from aggregation
-	// but keeps its local state, like a FedZKT straggler.
+	// StatusDropped means the caller cancelled the round context before
+	// the task ran or while it ran and returned the context's error; the
+	// device is excluded from aggregation.
 	StatusDropped
 	// StatusInjected means the scheduler's seeded failure injection took
 	// the device down for this round; its task never ran.
@@ -102,16 +101,12 @@ type Result struct {
 }
 
 // Options configures a Pool. The zero value runs tasks on GOMAXPROCS
-// workers with no deadline and no failure injection.
+// workers with no failure injection.
 type Options struct {
 	// Workers bounds the pool size; 0 means GOMAXPROCS. 1 runs every task
 	// inline on the caller's goroutine, in task order: the reference
 	// scheduler the determinism tests compare wider pools against.
 	Workers int
-	// RoundDeadline is the wall-clock budget of one round; devices whose
-	// task has not completed when it expires are dropped from aggregation.
-	// 0 means no deadline.
-	RoundDeadline time.Duration
 	// FailureRate is the probability that a given device is failure-
 	// injected in a given round. The draw is a pure function of
 	// (FailureSeed, round, device), so it is identical for any worker
@@ -136,9 +131,6 @@ type Options struct {
 func (o Options) Validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("sched: negative worker count %d", o.Workers)
-	}
-	if o.RoundDeadline < 0 {
-		return fmt.Errorf("sched: negative round deadline %v", o.RoundDeadline)
 	}
 	if !(0 <= o.FailureRate && o.FailureRate < 1) {
 		return fmt.Errorf("sched: failure rate %v outside [0,1)", o.FailureRate)
@@ -179,9 +171,9 @@ func (s *Stats) BusyTime() time.Duration { return time.Duration(s.Busy.Load()) }
 // constructed pool owns the names on the live endpoint.
 func (p *Pool) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("fedzkt_sched_rounds_total", "scheduler rounds executed", &p.stats.Rounds)
-	reg.RegisterCounter("fedzkt_sched_tasks_completed_total", "device tasks completed within deadline", &p.stats.Completed)
+	reg.RegisterCounter("fedzkt_sched_tasks_completed_total", "device tasks run to completion", &p.stats.Completed)
 	reg.RegisterCounter("fedzkt_sched_tasks_failed_total", "device tasks returning a genuine error", &p.stats.Failed)
-	reg.RegisterCounter("fedzkt_sched_tasks_dropped_total", "device tasks dropped as round stragglers", &p.stats.Dropped)
+	reg.RegisterCounter("fedzkt_sched_tasks_dropped_total", "device tasks stopped by a cancelled round", &p.stats.Dropped)
 	reg.RegisterCounter("fedzkt_sched_tasks_injected_total", "device tasks lost to seeded failure injection", &p.stats.Injected)
 	reg.RegisterGaugeFunc("fedzkt_sched_busy_seconds_total", "cumulative worker task-execution time",
 		func() float64 { return p.stats.BusyTime().Seconds() })
@@ -268,8 +260,8 @@ func (p *Pool) Stats() *Stats { return &p.stats }
 // returns one Result per task, in task order. Failure-injected devices are
 // decided up front and never run; the rest go out in contiguous blocks on
 // ForEachWorker, worker w running its block in order on scratch slot w.
-// The call blocks until every started task has returned — a straggler
-// that outlives the deadline is awaited but reported as dropped.
+// The call blocks until every started task has returned; once ctx is
+// cancelled, tasks not yet started are reported dropped without running.
 func (p *Pool) RunRound(ctx context.Context, round int, tasks []Task) []Result {
 	if !p.running.CompareAndSwap(false, true) {
 		panic("sched: RunRound called concurrently on one Pool; rounds must form a single stream")
@@ -285,26 +277,17 @@ func (p *Pool) RunRound(ctx context.Context, round int, tasks []Task) []Result {
 		}
 	}
 
-	runCtx := ctx
-	var deadlineAt time.Time
-	if p.opts.RoundDeadline > 0 {
-		deadlineAt = time.Now().Add(p.opts.RoundDeadline)
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithDeadline(ctx, deadlineAt)
-		defer cancel()
-	}
-
 	// One context per worker, carrying its slot's scratch; each result
 	// slot is written by exactly one worker and ForEachWorker's return
 	// publishes the writes.
 	workers := EffectiveWorkers(len(pending), p.opts.Workers)
 	ctxs := make([]context.Context, workers)
 	for w := range ctxs {
-		ctxs[w] = p.withScratch(runCtx, w)
+		ctxs[w] = p.withScratch(ctx, w)
 	}
 	ForEachWorker(len(pending), workers, func(j, w int) {
 		i := pending[j]
-		results[i] = runOne(ctxs[w], tasks[i], deadlineAt)
+		results[i] = runOne(ctxs[w], tasks[i])
 	})
 
 	p.stats.Rounds.Add(1)
@@ -330,10 +313,10 @@ func (p *Pool) RunRound(ctx context.Context, round int, tasks []Task) []Result {
 // carrying a *PanicError rather than unwinding the worker goroutine and
 // killing the process: the scheduler's contract is that one device's
 // fault costs that device, never the federation.
-func runOne(ctx context.Context, t Task, deadlineAt time.Time) Result {
+func runOne(ctx context.Context, t Task) Result {
 	if err := ctx.Err(); err != nil {
-		// Deadline already passed (or round cancelled) before the task
-		// reached its turn in its worker's block: a straggler.
+		// The round was cancelled before the task reached its turn in its
+		// worker's block.
 		return Result{Device: t.Device, Status: StatusDropped, Err: err}
 	}
 	start := time.Now()
@@ -349,21 +332,16 @@ func runOne(ctx context.Context, t Task, deadlineAt time.Time) Result {
 		return t.Run(ctx)
 	}()
 	elapsed := time.Since(start)
-	late := !deadlineAt.IsZero() && time.Now().After(deadlineAt)
 	switch {
 	case err != nil && ctx.Err() != nil && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)):
-		// A context error only counts as a straggler drop when the round
-		// context itself is done; a task's own internal timeout while the
-		// round is still live is a genuine failure.
+		// A context error only counts as a drop when the round context
+		// itself is done; a task's own internal timeout while the round is
+		// still live is a genuine failure.
 		return Result{Device: t.Device, Status: StatusDropped, Err: err, Elapsed: elapsed}
 	case err != nil:
-		// A genuine task error is a failure even when it also missed the
-		// deadline — lateness must not swallow real faults.
+		// A genuine task error is a failure even when the round was
+		// cancelled meanwhile — cancellation must not swallow real faults.
 		return Result{Device: t.Device, Status: StatusFailed, Err: err, Elapsed: elapsed}
-	case late:
-		// Finished after the bell: the work happened (device state moved)
-		// but the round's aggregation won't include it.
-		return Result{Device: t.Device, Status: StatusDropped, Elapsed: elapsed}
 	default:
 		return Result{Device: t.Device, Status: StatusCompleted, Elapsed: elapsed}
 	}

@@ -276,7 +276,6 @@ func TestNewServerRejectsUnsupportedFed(t *testing.T) {
 		"PipelineDepth": func(c *fedzkt.Config) { c.PipelineDepth = 1 },
 		"CheckpointDir": func(c *fedzkt.Config) { c.CheckpointDir = t.TempDir() },
 		"Resume":        func(c *fedzkt.Config) { c.Resume = true },
-		"RoundDeadline": func(c *fedzkt.Config) { c.RoundDeadline = time.Second },
 		"FailureRate":   func(c *fedzkt.Config) { c.FailureRate = 0.1 },
 		"": func(c *fedzkt.Config) {
 			c.SampleK, c.EvalEvery, c.EvalDevices = 1, 2, 1

@@ -175,7 +175,6 @@ func validateFed(c fedzkt.Config) error {
 		{"PipelineDepth", c.PipelineDepth > 0},
 		{"CheckpointDir", c.CheckpointDir != ""},
 		{"Resume", c.Resume},
-		{"RoundDeadline", c.RoundDeadline > 0},
 		{"FailureRate", c.FailureRate > 0},
 	} {
 		if f.set {
