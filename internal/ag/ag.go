@@ -30,8 +30,7 @@
 // node's backward returns, an interior node's gradient as soon as that
 // backward has consumed it — so an arena's tape is walked by Backward
 // once. A caller that reads an interior x.Grad() after Backward marks x
-// with RetainGrad first. An entry of a shared ColMemo is never released by
-// a reader.
+// with RetainGrad first.
 //
 // What a recorded step keeps: each op declares which values its backward
 // reads — a conv or linear layer its input, and only when its weight
@@ -134,25 +133,9 @@ type Arena struct {
 	order []*Variable
 	stack []frame
 
-	// shared, when installed via ShareColMemo, serves the conv lowerings of
-	// the memo's designated cross-worker batch tensor. It survives Reset:
-	// entries belong to the memo's owner arena, which rebinds (clears) the
-	// memo at step boundaries.
-	shared *ColMemo
-
 	// forwardOnly is set for the duration of a pass nobody will
 	// differentiate (see ForwardOnly).
 	forwardOnly bool
-}
-
-// convColKey identifies one shared conv lowering in a ColMemo: the input
-// tensor (by identity) and the geometry that shapes the column matrix.
-// Identity keying is safe because an arena hands every tensor of a step
-// its own header, and a header is only recycled by that arena's Reset,
-// which the memo's owner orders after Rebind(nil).
-type convColKey struct {
-	x                            *tensor.Tensor
-	c, h, w, kh, kw, stride, pad int
 }
 
 const arenaChunk = 256
@@ -268,6 +251,26 @@ func NewVarIn(a *Arena, t *tensor.Tensor, requiresGrad bool) *Variable {
 // ConstIn is NewVarIn with RequiresGrad=false — the usual way a training
 // step threads its arena: wrap the input batch and run the model forward.
 func ConstIn(a *Arena, t *tensor.Tensor) *Variable { return NewVarIn(a, t, false) }
+
+// MirrorIn re-roots x onto arena a: the returned Variable shares x.value,
+// but every op recorded downstream of it draws buffers from a instead of
+// x's arena, which is what lets T teacher forwards over one batch run
+// concurrently on per-worker arenas. Its backward is a plain pass-through
+// accumulation into x — and because a gradient's first accumulation is
+// ZeroAddInto (0+g, so no running value is ever -0), the extra
+// mirror-then-parent hop is bit-identical to accumulating into x
+// directly. When x carries no gradient the mirror degrades to a constant
+// node and records nothing. Either way the mirror is pinned: its storage
+// is x's, not a's to take back.
+func MirrorIn(a *Arena, x *Variable) *Variable {
+	m := record(a, x.value, mirrorBack, x)
+	m.pinned = true
+	return m
+}
+
+func mirrorBack(v *Variable, g *tensor.Tensor) {
+	v.parents[0].accum(g)
+}
 
 // Value returns the underlying tensor (shared, not copied).
 func (v *Variable) Value() *tensor.Tensor { return v.value }

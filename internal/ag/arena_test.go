@@ -7,7 +7,7 @@ import (
 )
 
 // buildNet runs a composite forward touching every fused / in-place
-// kernel family — fused Linear+bias, Conv2d (im2col memo), BatchNorm,
+// kernel family — fused Linear+bias, Conv2d (tiled im2col), BatchNorm,
 // max/avg/global pooling, ReLU/LeakyReLU/Tanh, reshape, softmax losses —
 // over the given input (whose arena the whole tape follows), and returns
 // the scalar loss node.
@@ -65,14 +65,14 @@ func interior(root *Variable) []*Variable {
 	return out
 }
 
-// TestArenaConvColMemo pins who owns a conv's lowering on a private arena,
-// by what is left live when Conv2d and Backward return: no lowering and no
-// GEMM staging outlives the forward, frozen or trainable — a trainable conv
-// leaves only its output live and keeps its input for the backward, which
-// lowers it again — and the backward's gy, column blocks, dcol and dx tiles
-// — and the seed and every interior gradient — are all back when it
-// returns. Only a leaf's gradient stays.
-func TestArenaConvColMemo(t *testing.T) {
+// TestArenaConvLoweringOwnership pins who owns a conv's lowering on a
+// private arena, by what is left live when Conv2d and Backward return: no
+// lowering and no GEMM staging outlives the forward, frozen or trainable —
+// a trainable conv leaves only its output live and keeps its input for the
+// backward, which lowers it again — and the backward's gy, column blocks,
+// dcol and dx tiles — and the seed and every interior gradient — are all
+// back when it returns. Only a leaf's gradient stays.
+func TestArenaConvLoweringOwnership(t *testing.T) {
 	xt := tensor.New(2, 1, 6, 6)
 	tensor.FillNormal(xt, 0, 1, tensor.NewRand(3))
 	wt := tensor.New(2, 1, 3, 3)
@@ -169,13 +169,22 @@ func TestDiscardKeepsWhatBackwardReads(t *testing.T) {
 	for _, v := range []*Variable{x, h1, h2, h3, h4} {
 		Discard(v)
 	}
+	// A released value reads NaN in a test binary; no live one here does.
+	released := func(v *Variable) bool {
+		for _, f := range v.value.Data() {
+			if f == f {
+				return false
+			}
+		}
+		return true
+	}
 	for name, v := range map[string]*Variable{"conv output": h1, "pool input": h3} {
-		if v.value.Len() != 0 {
+		if !released(v) {
 			t.Errorf("the %s no backward reads was not discarded", name)
 		}
 	}
 	for name, v := range map[string]*Variable{"input (a leaf)": x, "ReLU input": h2, "viewed pool output": h4} {
-		if v.value.Len() == 0 {
+		if released(v) {
 			t.Errorf("the %s was discarded, yet a backward reads it", name)
 		}
 	}

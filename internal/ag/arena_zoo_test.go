@@ -22,13 +22,12 @@ import (
 // would go wrong the same way on both sides, so every loss must also be
 // finite and every leaf or input gradient finite and not all zero (see
 // flowing). Loss and leaf gradients must be identical step after step, in
-// the four ways a conv meets its lowering: trainable (the input kept,
+// the three ways a conv meets its lowering: trainable (the input kept,
 // lowered again by the backward), frozen weights under an input gradient
-// (no lowering outlives the forward), an input covered by a shared ColMemo
-// on the warm side (the lowering not the node's to release), and a
-// ForwardOnly warm arena (the same loss, no tape at all). On both sides every interior gradient is gone when Backward
-// returns, except on the nodes the retained row marks with RetainGrad,
-// which read the same bits on both.
+// (no lowering outlives the forward), and a ForwardOnly warm arena (the
+// same loss, no tape at all). On both sides every interior gradient is
+// gone when Backward returns, except on the nodes the retained row marks
+// with RetainGrad, which read the same bits on both.
 //
 // The zoo row runs every architecture in model.Names() the same way, with
 // its chains discarding every activation no recorded backward declared it
@@ -42,12 +41,11 @@ func TestArenaGradsBitIdenticalToHeap(t *testing.T) {
 	tensor.FillNormal(xt, 0, 1, tensor.NewRand(11))
 
 	for _, tc := range []struct {
-		name                                   string
-		frozen, covered, forwardOnly, retained bool
+		name                          string
+		frozen, forwardOnly, retained bool
 	}{
 		{name: "trainable"},
 		{name: "frozen weight", frozen: true},
-		{name: "memo-covered input", covered: true},
 		{name: "forward-only", forwardOnly: true},
 		{name: "retained", retained: true},
 	} {
@@ -59,15 +57,10 @@ func TestArenaGradsBitIdenticalToHeap(t *testing.T) {
 					p["w2"].SetRequiresGrad(false)
 				}
 			}
-			warm, phase := ag.NewArena(), ag.NewArena()
-			memo := ag.NewColMemo(phase)
-			warm.ShareColMemo(memo)
+			warm := ag.NewArena()
 			dirty := dirtier("lenet")
 			for step := 0; step < 3; step++ {
 				dirty(warm)
-				if tc.covered {
-					memo.Rebind(xt)
-				}
 				warm.ForwardOnly(tc.forwardOnly)
 				xr, xw := ag.NewVarIn(ag.NewArena(), xt, tc.frozen), ag.NewVarIn(warm, xt, tc.frozen)
 				lossR := ag.BuildNet(xr, refP)
@@ -121,9 +114,6 @@ func TestArenaGradsBitIdenticalToHeap(t *testing.T) {
 					flowing(t, "input gradient", xr.Grad())
 					ag.BitsEq(t, "input gradient", xw.Grad(), xr.Grad())
 				}
-				if tc.covered && memo.Entries() != 1 {
-					t.Fatalf("step %d: memo holds %d lowerings, want the first layer's", step, memo.Entries())
-				}
 				for name, rp := range refP {
 					wp := warmP[name]
 					if rp.Grad() == nil || tc.forwardOnly {
@@ -144,10 +134,8 @@ func TestArenaGradsBitIdenticalToHeap(t *testing.T) {
 				for _, p := range warmP {
 					p.ZeroGrad()
 				}
-				memo.Rebind(nil)
 				warm.ForwardOnly(false)
 				warm.Reset()
-				phase.Reset()
 			}
 		})
 	}

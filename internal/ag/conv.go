@@ -22,10 +22,9 @@ import (
 // its channels, so every dW element is still one ascending sum over the
 // whole batch), and forms dX one sample tile at a time (the columns of
 // Wᵀ·gY are independent). Every value and gradient is the same float, in
-// the same order, as from one whole-batch lowering. The one lowering the
-// node does not build is that of the arena's shared ColMemo batch: it is
-// built once for all concurrent forwards over that batch, lives in the
-// memo's arena, and no reader releases it.
+// the same order, as from one whole-batch lowering, so concurrent forwards
+// over one batch (the server's teacher ensemble) each lower their own
+// tiles on their own arena and agree bit for bit.
 func Conv2d(x, w, bias *Variable, stride, pad int) *Variable {
 	if x.value.Dims() != 4 || w.value.Dims() != 4 || x.value.Dim(1) != w.value.Dim(1) {
 		panic(fmt.Sprintf("ag: Conv2d shape mismatch: x %v, w %v", x.Shape(), w.Shape()))
@@ -43,36 +42,26 @@ func Conv2d(x, w, bias *Variable, stride, pad int) *Variable {
 	wmat := ar.T.View(w.value, o, ckk)
 	xd := x.value.Data()
 
-	key := convColKey{x: x.value, c: c, h: h, w: wd, kh: kh, kw: kw, stride: stride, pad: pad}
-	owned := !ar.shared.covers(x.value)
 	// A tile's lowering (forward) or column gradient (backward dX) holds
 	// at most convTile samples, and no more than fit in convBlock.
 	tile := max(1, min(n, convTile, convBlock/(ckk*sp)))
-	ftile := n
-	if owned {
-		ftile = tile
-	}
 	out := ar.T.NewRaw(n, o, oh, ow)
 	od := out.Data()
 	var bd []float64
 	if bias != nil {
 		bd = bias.value.Data()
 	}
-	for s0 := 0; s0 < n; s0 += ftile {
-		ns := min(ftile, n-s0)
+	for s0 := 0; s0 < n; s0 += tile {
+		ns := min(tile, n-s0)
 		tsp := ns * sp
-		var col *tensor.Tensor
-		if owned {
-			col = ar.T.NewRaw(ckk, tsp)
-			fillConvCol(col.Data(), key, xd[s0*chw:], ns, sp, tsp)
-		} else {
-			col = ar.shared.col(key, xd, n, sp, nsp, ckk)
+		// Each sample goes straight into its columns: no staging buffer.
+		col := ar.T.NewRaw(ckk, tsp)
+		for s := 0; s < ns; s++ {
+			tensor.Im2ColStrided(xd[(s0+s)*chw:(s0+s+1)*chw], c, h, wd, kh, kw, stride, pad, col.Data(), tsp, s*sp)
 		}
 		y := ar.T.NewRaw(o, tsp)
 		tensor.MatMulInto(y, wmat, col)
-		if owned {
-			ar.T.Release(col)
-		}
+		ar.T.Release(col)
 		yd := y.Data()
 		for oc := 0; oc < o; oc++ {
 			b := 0.0
@@ -207,16 +196,6 @@ func gatherConvGrad(dst, gd []float64, o, s0, ns, sp int) {
 		for s := 0; s < ns; s++ {
 			copy(dst[oc*tsp+s*sp:oc*tsp+(s+1)*sp], gd[((s0+s)*o+oc)*sp:((s0+s)*o+oc+1)*sp])
 		}
-	}
-}
-
-// fillConvCol expands the batch into the column matrix, one sample at a
-// time straight into its columns — no per-sample staging buffer, no
-// second copy.
-func fillConvCol(cd []float64, key convColKey, xd []float64, n, sp, nsp int) {
-	chw := key.c * key.h * key.w
-	for s := 0; s < n; s++ {
-		tensor.Im2ColStrided(xd[s*chw:(s+1)*chw], key.c, key.h, key.w, key.kh, key.kw, key.stride, key.pad, cd, nsp, s*sp)
 	}
 }
 

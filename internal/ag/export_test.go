@@ -11,6 +11,3 @@ var (
 
 // ArenaOf returns the arena v draws from, nil for a leaf without one.
 func ArenaOf(v *Variable) *Arena { return v.ar }
-
-// Entries reports how many lowerings the memo holds.
-func (m *ColMemo) Entries() int { return len(m.m) }

@@ -79,11 +79,6 @@ type Server struct {
 	// arenaGauges is what a metrics scrape may read of the arenas above
 	// (obsinstr.go); a worker arena joins in ensureWorkerArenas.
 	arenaGauges struct{ phase, worker arenaGroup }
-	// colMemo shares the im2col lowering of each iteration's generated
-	// batch across the concurrent teacher/replica forwards; owned by (and
-	// allocated from) the phase arena, rebound per step and cleared before
-	// every phase reset.
-	colMemo *ag.ColMemo
 	// outScratch is the reusable teacher-output slice of the adversarial
 	// fan-out; holds only pointers, overwritten every iteration.
 	outScratch []*ag.Variable
@@ -145,8 +140,6 @@ func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 		initSlot: s.seededSlot,
 		reseed:   s.reseed,
 	})
-	s.colMemo = ag.NewColMemo(s.phase)
-	s.phase.ShareColMemo(s.colMemo)
 	s.globalOpt = optim.NewSGD(global.Params(), cfg.ServerLR, 0.9, 0)
 	s.genOpt = optim.NewAdam(s.gen.Params(), cfg.GenLR)
 	totalIters := cfg.Rounds * cfg.DistillIters
@@ -407,24 +400,19 @@ func (s *Server) Distill(ctx context.Context, round int) (float64, error) {
 }
 
 // ensureWorkerArenas grows the per-worker arena pool to n on the calling
-// goroutine, before a fan-out references them. Every worker arena shares
-// the server's column memo, so concurrent forwards over one batch lower
-// it exactly once.
+// goroutine, before a fan-out references them.
 func (s *Server) ensureWorkerArenas(n int) {
 	for len(s.workerArenas) < n {
 		wa := ag.NewArena()
-		wa.ShareColMemo(s.colMemo)
 		s.workerArenas = append(s.workerArenas, wa)
 		s.arenaGauges.worker.add(wa.T)
 	}
 }
 
 // resetStep recycles everything one adversarial step allocated: the
-// column memo is cleared first (its entries live in the phase arena),
-// then the worker arenas holding the teachers' tapes, then the phase
-// arena itself — the ordering ag.convColKey's identity keying requires.
+// worker arenas holding the teachers' tapes, then the phase arena holding
+// the batch, the student's tape and the noise.
 func (s *Server) resetStep() {
-	s.colMemo.Rebind(nil)
 	for _, wa := range s.workerArenas {
 		wa.Reset()
 	}
@@ -505,7 +493,6 @@ func (s *Server) adversarialPhase(ctx context.Context, round int) (float64, erro
 		if cfg.ProbeGradNorm {
 			x.RetainGrad() // read below, after its backward has run
 		}
-		s.colMemo.Rebind(x.Value())
 		loss := s.disagreement(x, teachers)
 		lg := ag.Scale(-1, loss)
 		s.genOpt.ZeroGrad()
@@ -527,7 +514,6 @@ func (s *Server) adversarialPhase(ctx context.Context, round int) (float64, erro
 		for st := 0; st < cfg.StudentSteps; st++ {
 			z = ag.ConstIn(s.phase, s.gen.SampleZIn(s.phase.Tensors(), cfg.DistillBatch, rng))
 			x = s.gen.Forward(z)
-			s.colMemo.Rebind(x.Value())
 			loss = s.disagreement(x, teachers)
 			s.globalOpt.ZeroGrad()
 			ag.Backward(loss)
@@ -560,12 +546,12 @@ func (s *Server) disagreement(x *ag.Variable, teachers []*replicaLease) *ag.Vari
 // iteration, fanned out across the configured workers. Each worker tapes
 // its teachers on its own arena through an ag.MirrorIn of the shared
 // batch — a pass-through node whose backward is bit-identical to
-// accumulating into x directly — and the batch's im2col lowering is
-// built once in the shared column memo instead of once per forward. The
-// result slice is index-ordered, the loss combines it in that order, and
-// each tape's topology is independent of which worker taped it, so the
-// loss and every gradient are byte-identical for any worker count
-// (including the inline workers=1 path).
+// accumulating into x directly — so each teacher lowers its own tiles of
+// the batch on its worker's arena. The result slice is index-ordered, the
+// loss combines it in that order, and each tape's topology is independent
+// of which worker taped it, so the loss and every gradient are
+// byte-identical for any worker count (including the inline workers=1
+// path).
 func (s *Server) teacherOuts(x *ag.Variable, teachers []*replicaLease) []*ag.Variable {
 	if cap(s.outScratch) < len(teachers) {
 		s.outScratch = make([]*ag.Variable, len(teachers))
@@ -648,7 +634,6 @@ func (s *Server) transferBackPhase(ctx context.Context, round int, participants 
 		// Variable wrappers carry no arena, so each worker's tape draws
 		// from the worker's own arena instead.
 		x := s.gen.Forward(ag.ConstIn(s.phase, s.gen.SampleZIn(s.phase.Tensors(), cfg.DistillBatch, rng))).Value()
-		s.colMemo.Rebind(x)
 		targets := NewDistillTargetsIn(s.phase.Tensors(),
 			ag.SoftmaxRowsIn(s.phase, s.global.Forward(ag.ConstIn(s.phase, x)).Value()))
 
@@ -660,16 +645,11 @@ func (s *Server) transferBackPhase(ctx context.Context, round int, participants 
 		// One independent distillation step per resident replica, bounded
 		// to the configured worker count so a 1,000-device federation does
 		// not spawn 1,000 goroutines (inline on the caller at Workers: 1,
-		// the reference scheduler). Each worker owns an arena,
-		// reset after every replica's step — which must stay ordered
-		// before this iteration's phase-arena reset below: worker arenas
-		// memoise conv lowerings keyed by the shared phase-arena batch x
-		// (see ag.convColKey), so a worker cache must never outlive the
-		// phase buffers it is keyed on. The worker's arena also lends the
-		// replica's parameter gradients for its one step, as a device
-		// task's rig does: a pooled module keeps no gradient buffers
-		// between steps, so how many modules transfer-back ever trained
-		// costs no heap.
+		// the reference scheduler). Each worker owns an arena, reset
+		// after every replica's step; it also lends the replica's
+		// parameter gradients for its one step, as a device task's rig
+		// does: a pooled module keeps no gradient buffers between steps,
+		// so how many modules transfer-back ever trained costs no heap.
 		s.ensureWorkerArenas(sched.EffectiveWorkers(len(batch), cfg.Workers))
 		sched.ForEachWorker(len(batch), cfg.Workers, func(i, w int) {
 			wa := s.workerArenas[w]
@@ -689,7 +669,6 @@ func (s *Server) transferBackPhase(ctx context.Context, round int, participants 
 				return err
 			}
 		}
-		s.colMemo.Rebind(nil)
 		s.phase.Reset()
 	}
 	return nil

@@ -48,10 +48,10 @@ func stateBits(t *testing.T, sd nn.StateDict) map[string][]uint64 {
 }
 
 // TestParallelDistillWorkersBitIdentical runs full Distill rounds — the
-// worker-parallel teacher fan-out, shared column memo, and gang-parallel
-// kernels all engaged — across worker counts 1..8 and requires every
-// parameter of the global model, generator, and every replica to be
-// byte-identical to the single-worker run. This is the server-level form
+// worker-parallel teacher fan-out, each teacher lowering its own tiles of
+// the batch, and gang-parallel kernels all engaged — across worker counts
+// 1..8 and requires every parameter of the global model, generator, and
+// every replica to be byte-identical to the single-worker run. This is the server-level form
 // of the repo-wide golden-fingerprint guarantee.
 func TestParallelDistillWorkersBitIdentical(t *testing.T) {
 	type capture struct {

@@ -79,12 +79,37 @@ type Arena struct {
 // span is n elements at offset off of float64 slab number slab.
 type span struct{ slab, off, n int }
 
-// poison makes Release fill what it takes back with NaN when the binary
-// is a test, so a read after release fails every bit-identity check and
-// every finiteness check downstream of it. The binary's name says so
-// (pkg.test, as go test builds it) rather than testing.Testing(): linking
-// package testing into every program cost the benchmark 6 % of setup_s.
+// poison makes Release fill what it takes back with NaN, and point the
+// released header at NaN of its old length, when the binary is a test, so
+// a read after release fails every bit-identity check and every
+// finiteness check downstream of it. The binary's name says so (pkg.test,
+// as go test builds it) rather than testing.Testing(): linking package
+// testing into every program cost the benchmark 6 % of setup_s.
 var poison = strings.HasSuffix(strings.TrimSuffix(os.Args[0], ".exe"), ".test")
+
+// graves is the NaN every released header reads in a test binary: never
+// written once stored, and replaced by a longer one when a release
+// outgrows it, so releases on any goroutine share it without allocating.
+var graves atomic.Pointer[[]float64]
+
+// grave returns n NaNs with capacity n+1, which no buffer an arena hands
+// out has: that is how Release knows a header is released already.
+func grave(n int) []float64 {
+	if g := graves.Load(); g != nil && len(*g) > n {
+		return (*g)[: n : n+1]
+	}
+	b := make([]float64, 2*n+1)
+	fillNaN(b)
+	graves.Store(&b)
+	return b[: n : n+1]
+}
+
+func fillNaN(b []float64) {
+	nan := math.NaN()
+	for i := range b {
+		b[i] = nan
+	}
+}
 
 // slabCap bounds, in elements, how far a new slab is rounded up beyond
 // the request that caused it (8 MiB of float64).
@@ -241,22 +266,21 @@ func (a *Arena) booked(n int64) {
 }
 
 // Release takes t's storage back before the step ends and clears t's
-// data, so a later use of t fails at once rather than reading whatever
-// the storage holds next. The caller must be the last reader of the
-// storage under every header: t, its views, anything captured for a
-// backward pass. t must hold a whole buffer this arena handed out; a
-// tensor released twice, and any tensor on a nil arena, is left alone.
+// data (in a test binary, t reads NaN at its old length: see poison), so
+// a later use of t fails rather than reading whatever the storage holds
+// next. The caller must be the last reader of the storage under every
+// header: t, its views, anything captured for a backward pass. t must
+// hold a whole buffer this arena handed out; a tensor released twice, and
+// any tensor on a nil arena, is left alone.
 func (a *Arena) Release(t *Tensor) {
-	if a == nil || len(t.data) == 0 {
+	if a == nil || len(t.data) == 0 || poison && cap(t.data) != len(t.data) {
 		return
 	}
 	b := t.data
 	t.data = nil
 	if poison {
-		nan := math.NaN()
-		for i := range b {
-			b[i] = nan
-		}
+		t.data = grave(len(b))
+		fillNaN(b)
 	}
 	a.step -= int64(len(b)) * floatBytes
 	sp := a.locate(b)

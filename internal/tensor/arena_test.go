@@ -118,9 +118,6 @@ func TestArenaNewLikeOfReleased(t *testing.T) {
 	a := NewArena()
 	x := a.NewRaw(2, 3, 4)
 	a.Release(x)
-	if x.Len() != 0 {
-		t.Fatalf("released tensor still holds %d elements", x.Len())
-	}
 	if got := a.NewRawLike(x); got.Len() != 24 || !got.SameShape(x) {
 		t.Fatalf("NewRawLike of a released tensor: %d elements of shape %v, want 24 of %v", got.Len(), got.Shape(), x.Shape())
 	}
@@ -239,7 +236,7 @@ func TestArenaRandomRequests(t *testing.T) {
 }
 
 // TestArenaRelease pins what a step-scoped Release promises: the header
-// loses its data and (this being a test binary) the storage is NaN; a
+// loses its storage and (this being a test binary) the storage is NaN; a
 // request of the same length gets the released address back; a larger
 // release is split, the remainder served later; a release that reaches
 // the slab's bump offset pulls it back; Reset empties the list; and a nil
@@ -253,8 +250,8 @@ func TestArenaRelease(t *testing.T) {
 	px, data := addr(x), x.Data()
 	live := a.StepBytes()
 	a.Release(x)
-	if x.Data() != nil {
-		t.Fatal("Release left the header its data")
+	if x.Overlaps(&Tensor{data: data}) {
+		t.Fatal("Release left the header its storage")
 	}
 	for _, v := range data {
 		if v == v {
@@ -308,6 +305,51 @@ func TestArenaRelease(t *testing.T) {
 	none.Release(h)
 	if h.Len() != 3 {
 		t.Fatal("a nil arena released a heap tensor")
+	}
+}
+
+// TestArenaReleasedReadsNaN: in a test binary a released header reads NaN
+// at its old length — so a backward that ranges over a value released
+// too early reads NaN, not an empty slice — whatever later requests write
+// into the storage it gave back, and a second Release of it is a no-op.
+func TestArenaReleasedReadsNaN(t *testing.T) {
+	a := NewArena()
+	x, keep := a.NewRaw(2, 3, 4), a.NewRaw(8)
+	for i := range x.Data() {
+		x.Data()[i] = float64(i)
+	}
+	live := a.StepBytes()
+	a.Release(x)
+	nan := func(when string) {
+		t.Helper()
+		if len(x.Data()) != 24 {
+			t.Fatalf("%s: released tensor reads %d elements, want its 24", when, len(x.Data()))
+		}
+		for i, v := range x.Data() {
+			if v == v {
+				t.Fatalf("%s: released tensor reads %v at %d, want NaN", when, v, i)
+			}
+		}
+	}
+	nan("after Release")
+	free := len(a.free)
+	a.Release(x)
+	if got := a.StepBytes(); got != live-24*8 {
+		t.Fatalf("StepBytes = %d after releasing one tensor twice, want %d", got, live-24*8)
+	}
+	if len(a.free) != free {
+		t.Fatalf("a second Release changed the release list: %d spans, was %d", len(a.free), free)
+	}
+	nan("after a second Release")
+	y := a.NewRaw(24)
+	for i := range y.Data() {
+		y.Data()[i] = 1
+	}
+	nan("after its storage was handed out and written again")
+	a.Release(keep)
+	a.Release(y)
+	if a.StepBytes() != 0 {
+		t.Fatalf("StepBytes = %d with everything released", a.StepBytes())
 	}
 }
 
