@@ -99,8 +99,8 @@ type Variable struct {
 	// gradAr is the tensor arena v's gradient buffer is drawn from: its
 	// own arena's for a node on one (Backward hands an interior node's
 	// back after the node's backward, the step's Reset a retained one's);
-	// for a leaf without one, its lender (LendGrads) or nil, the heap, so
-	// the buffer lives as long as the leaf.
+	// for a leaf without one, its lender (LendGrads) or nil: newGrad then
+	// takes the buffer from the heap, so it lives as long as the leaf.
 	gradAr *tensor.Arena
 	// retain keeps an interior node's gradient past its backward
 	// (RetainGrad).
@@ -331,9 +331,20 @@ func DetachGrads(leaves []*Variable) {
 // mustGrad lazily allocates and returns the zeroed gradient buffer.
 func (v *Variable) mustGrad() *tensor.Tensor {
 	if v.grad == nil {
-		v.grad = v.gradAr.NewLike(v.value)
+		v.grad = v.newGrad()
+		v.grad.Zero()
 	}
 	return v.grad
+}
+
+// newGrad returns a gradient buffer of v's shape with unspecified
+// contents: from gradAr, or — for a leaf nothing lends one (F's and G's
+// parameters) — from the heap, since it must outlive every arena Reset.
+func (v *Variable) newGrad() *tensor.Tensor {
+	if v.gradAr == nil {
+		return tensor.New(v.value.Shape()...)
+	}
+	return v.gradAr.NewRawLike(v.value)
 }
 
 // accum adds g into v's gradient if v participates in differentiation.
@@ -344,7 +355,7 @@ func (v *Variable) accum(g *tensor.Tensor) {
 		return
 	}
 	if v.grad == nil {
-		v.grad = v.gradAr.NewRawLike(v.value)
+		v.grad = v.newGrad()
 		tensor.ZeroAddInto(v.grad, g)
 		return
 	}

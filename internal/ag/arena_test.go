@@ -211,3 +211,38 @@ func TestArenaStepScopedReuse(t *testing.T) {
 		t.Fatalf("arena grew across identical steps: %d -> %d bytes", held, got)
 	}
 }
+
+// TestUnlentLeafGradOutlivesReset: a leaf nothing lends a gradient buffer
+// (a Param, as F's and G's parameters are) accumulates into one from the
+// heap, so its gradient survives a Reset of the arena its tape ran on,
+// and a following step that reuses that arena's storage leaves it as it
+// was.
+func TestUnlentLeafGradOutlivesReset(t *testing.T) {
+	xt := tensor.New(4, 1, 8, 8)
+	tensor.FillNormal(xt, 0, 1, tensor.NewRand(23))
+	params, other := netParams(11), netParams(12)
+	ar := NewArena()
+	Backward(buildNet(ConstIn(ar, xt), params))
+	want := map[string]*tensor.Tensor{}
+	for name, p := range params {
+		if p.requiresGrad {
+			want[name] = p.Grad().Clone()
+		}
+	}
+	ar.Reset()
+	// The same shapes on the warm arena: every address the first step drew
+	// from is handed out and written again.
+	Backward(buildNet(ConstIn(ar, xt), other))
+	for name, w := range want {
+		g := params[name].Grad()
+		if d := tensor.MaxAbsDiff(g, w); d != 0 {
+			t.Fatalf("%s: gradient moved by %g after Reset and another step", name, d)
+		}
+		if tensor.Norm2(g) == 0 {
+			t.Fatalf("%s: gradient is all zero", name)
+		}
+	}
+	if len(want) != 8 {
+		t.Fatalf("%d trainable leaves, want 8", len(want))
+	}
+}

@@ -204,7 +204,7 @@ func TestArenaLessTapeTakesOneArena(t *testing.T) {
 	tensor.FillNormal(cx, 0, 1, rng)
 	tensor.FillNormal(cw, 0, 0.1, rng)
 	gen := model.NewGenerator(8, zooIn, tensor.NewRand(62))
-	z := gen.SampleZ(zooBatch, rng)
+	z := gen.SampleZIn(tensor.NewArena(), zooBatch, rng)
 	global := model.MustBuild("global", zooIn, zooClasses, tensor.NewRand(63))
 	global.SetTraining(false)
 	gx := tensor.New(zooBatch, zooIn.C, zooIn.H, zooIn.W)

@@ -167,7 +167,7 @@ func TestDigestMovesLogitsTowardConsensus(t *testing.T) {
 	in := model.Shape{C: 1, H: 8, W: 8}
 	m := model.MustBuild("mlp", in, 4, tensor.NewRand(22))
 	idx := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	px, _ := ds.GatherTrain(idx)
+	px, _ := ds.GatherTrainIn(tensor.NewArena(), idx)
 	consensus := tensor.New(len(idx), 4)
 	tensor.FillNormal(consensus, 0, 1, tensor.NewRand(23))
 

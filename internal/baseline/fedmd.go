@@ -129,6 +129,7 @@ func (f *FedMD) Run(ctx context.Context) (fed.History, error) {
 	}
 	hist := make(fed.History, 0, cfg.Rounds)
 	rng := tensor.NewRand(cfg.Seed + 55)
+	pub := tensor.NewArena() // the round's public subset, read by every device
 	for round := 1; round <= cfg.Rounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return hist, fmt.Errorf("baseline: fedmd cancelled at round %d: %w", round, err)
@@ -142,7 +143,8 @@ func (f *FedMD) Run(ctx context.Context) (fed.History, error) {
 
 		// 1. Communicate: score a fresh public subset on every device.
 		subset := samplePublic(f.public.NumTrain(), cfg.PublicSubset, rng)
-		px, _ := f.public.GatherTrain(subset)
+		pub.Reset()
+		px, _ := f.public.GatherTrainIn(pub, subset)
 		scores := make([]*tensor.Tensor, len(f.devices))
 		var wg sync.WaitGroup
 		for i, d := range f.devices {

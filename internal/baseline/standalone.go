@@ -7,7 +7,6 @@ import (
 	"github.com/fedzkt/fedzkt/internal/data"
 	"github.com/fedzkt/fedzkt/internal/fed"
 	"github.com/fedzkt/fedzkt/internal/model"
-	"github.com/fedzkt/fedzkt/internal/optim"
 	"github.com/fedzkt/fedzkt/internal/tensor"
 )
 
@@ -35,7 +34,8 @@ func (c StandaloneConfig) withDefaults() StandaloneConfig {
 }
 
 // TrainStandalone trains a fresh instance of arch on the given training
-// indices of ds and returns its final test accuracy.
+// indices of ds with a device's local update (Algorithm 2) and returns its
+// final test accuracy.
 //
 // With idx = a device's shard it yields the paper's *lower bound* (own
 // data only); with idx = the full training split it yields the *upper
@@ -50,21 +50,13 @@ func TrainStandalone(cfg StandaloneConfig, arch string, ds *data.Dataset, idx []
 	if err != nil {
 		return 0, fmt.Errorf("baseline: standalone %s: %w", arch, err)
 	}
-	sub := data.NewSubset(ds, idx)
-	rng := tensor.NewRand(cfg.Seed + 17)
-	opt := optim.NewSGD(m.Params(), cfg.LR, cfg.Momentum, 0)
-	m.SetTraining(true)
-	ar := ag.NewArena()
-	for ep := 0; ep < cfg.Epochs; ep++ {
-		for _, b := range data.ShuffledBatches(sub.Len(), cfg.BatchSize, rng) {
-			x, y := sub.BatchIn(ar.Tensors(), b)
-			opt.ZeroGrad()
-			ag.Backward(ag.CrossEntropy(m.Forward(ag.ConstIn(ar, x)), y))
-			opt.Step()
-			ar.Reset()
-		}
+	dev := fed.NewDevice(0, arch, m, data.NewSubset(ds, idx))
+	dev.Scratch = ag.NewArena()
+	local := fed.LocalConfig{Epochs: cfg.Epochs, BatchSize: cfg.BatchSize, LR: cfg.LR, Momentum: cfg.Momentum}
+	if _, err := dev.LocalUpdate(local, tensor.NewRand(cfg.Seed+17)); err != nil {
+		return 0, fmt.Errorf("baseline: standalone %s: %w", arch, err)
 	}
-	return fed.EvaluateArena(m, ds, cfg.BatchSize, ar), nil
+	return fed.EvaluateArena(m, ds, cfg.BatchSize, dev.Scratch), nil
 }
 
 // Bounds holds one device's Table III row.

@@ -232,7 +232,7 @@ func TestRenderShufflesInPlaceAsGather(t *testing.T) {
 
 func TestGatherAndSubset(t *testing.T) {
 	ds := SynthMNIST(Sizes{TrainPerClass: 4, TestPerClass: 2}, 2)
-	x, y := ds.GatherTrain([]int{0, 3, 5})
+	x, y := ds.GatherTrainIn(tensor.NewArena(), []int{0, 3, 5})
 	if x.Dim(0) != 3 || len(y) != 3 {
 		t.Fatalf("gather sizes: %v / %d", x.Shape(), len(y))
 	}
@@ -244,7 +244,7 @@ func TestGatherAndSubset(t *testing.T) {
 	if sub.Len() != 3 {
 		t.Fatalf("subset len %d", sub.Len())
 	}
-	bx, by := sub.BatchIn(nil, []int{2, 0})
+	bx, by := sub.BatchIn(tensor.NewArena(), []int{2, 0})
 	if bx.Dim(0) != 2 || by[0] != ds.TrainY[3] || by[1] != ds.TrainY[1] {
 		t.Fatal("subset batch misaligned")
 	}
@@ -293,9 +293,9 @@ func TestShuffledBatches(t *testing.T) {
 func TestGatherPanicsOnEmptyAndOutOfRange(t *testing.T) {
 	ds := SynthMNIST(Sizes{TrainPerClass: 2, TestPerClass: 1}, 2)
 	for name, fn := range map[string]func(){
-		"empty":  func() { ds.GatherTrain(nil) },
-		"oob":    func() { ds.GatherTrain([]int{9999}) },
-		"negidx": func() { ds.GatherTestIn(nil, []int{-1}) },
+		"empty":  func() { ds.GatherTrainIn(tensor.NewArena(), nil) },
+		"oob":    func() { ds.GatherTrainIn(tensor.NewArena(), []int{9999}) },
+		"negidx": func() { ds.GatherTestIn(tensor.NewArena(), []int{-1}) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {

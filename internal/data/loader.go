@@ -7,21 +7,15 @@ import (
 	"github.com/fedzkt/fedzkt/internal/tensor"
 )
 
-// GatherTrain assembles the training samples at the given indices into a
-// fresh batch tensor and label slice.
-func (d *Dataset) GatherTrain(idx []int) (*tensor.Tensor, []int) {
-	return gather(nil, d.TrainX, d.TrainY, idx, d.C, d.H, d.W)
-}
-
-// GatherTrainIn is GatherTrain allocating the batch tensor and label slice
-// from the given step-scoped arena (nil falls back to the heap). The
-// returned batch obeys the arena lifetime: valid until the next Reset.
+// GatherTrainIn assembles the training samples at the given indices into
+// a batch tensor and label slice drawn from the given step-scoped arena.
+// The returned batch obeys the arena lifetime: valid until the next Reset.
 func (d *Dataset) GatherTrainIn(a *tensor.Arena, idx []int) (*tensor.Tensor, []int) {
 	return gather(a, d.TrainX, d.TrainY, idx, d.C, d.H, d.W)
 }
 
 // GatherTestIn assembles the test samples at the given indices, allocating
-// from the given arena (nil falls back to the heap).
+// from the given arena.
 func (d *Dataset) GatherTestIn(a *tensor.Arena, idx []int) (*tensor.Tensor, []int) {
 	return gather(a, d.TestX, d.TestY, idx, d.C, d.H, d.W)
 }
@@ -61,8 +55,7 @@ func NewSubset(ds *Dataset, idx []int) *Subset {
 func (s *Subset) Len() int { return len(s.Idx) }
 
 // BatchIn gathers the subset samples selected by local positions,
-// allocating the gathered tensors from the given arena (nil falls back to
-// the heap).
+// allocating the gathered tensors from the given arena.
 func (s *Subset) BatchIn(a *tensor.Arena, local []int) (*tensor.Tensor, []int) {
 	global := a.Ints(len(local))
 	for i, l := range local {

@@ -114,22 +114,16 @@ type DistillTargets struct {
 	n        float64
 }
 
-// NewDistillTargets prepares the teacher side from the global model's
-// softmax outputs (N×D).
-func NewDistillTargets(teacherProbs *tensor.Tensor) *DistillTargets {
-	return NewDistillTargetsIn(nil, teacherProbs)
-}
-
-// NewDistillTargetsIn is NewDistillTargets drawing the precomputed log
-// tensor from the given arena (nil falls back to the heap). The wrapping
-// Variables are deliberately plain constants carrying no arena, so the
-// targets can be shared by concurrent per-worker tapes — each worker's ops
-// pick the worker's own arena from the student operand instead. The
-// caller must keep the arena un-reset until every worker is done with the
-// iteration.
+// NewDistillTargetsIn prepares the teacher side from the global model's
+// softmax outputs (N×D), drawing the precomputed log tensor from the
+// given arena. The wrapping Variables are deliberately plain constants
+// carrying no arena, so the targets can be shared by concurrent
+// per-worker tapes — each worker's ops pick the worker's own arena from
+// the student operand instead. The caller must keep the arena un-reset
+// until every worker is done with the iteration.
 func NewDistillTargetsIn(a *tensor.Arena, teacherProbs *tensor.Tensor) *DistillTargets {
 	if teacherProbs.Dims() != 2 {
-		panic(fmt.Sprintf("fedzkt: DistillKL teacher probs must be 2-D, got %v", teacherProbs.Shape()))
+		panic(fmt.Sprintf("fedzkt: distillation teacher probs must be 2-D, got %v", teacherProbs.Shape()))
 	}
 	logProbs := a.NewRaw(teacherProbs.Shape()...)
 	tensor.ApplyInto(logProbs, teacherProbs, safeLog)
@@ -145,15 +139,6 @@ func NewDistillTargetsIn(a *tensor.Arena, teacherProbs *tensor.Tensor) *DistillT
 func (t *DistillTargets) Loss(studentLogits *ag.Variable) *ag.Variable {
 	terms := ag.Mul(t.probs, ag.Sub(t.logProbs, ag.LogSoftmax(studentLogits)))
 	return ag.Scale(1/t.n, ag.SumAll(terms))
-}
-
-// DistillKL is the knowledge-transfer loss of Eq. 8: the KL divergence
-// KL(P_F ‖ P_student) between fixed teacher probabilities (the global
-// model's softmax outputs) and a student's logits, averaged over the
-// batch. Callers distilling many students on one batch should prepare a
-// DistillTargets once instead.
-func DistillKL(teacherProbs *tensor.Tensor, studentLogits *ag.Variable) *ag.Variable {
-	return NewDistillTargets(teacherProbs).Loss(studentLogits)
 }
 
 func safeLog(v float64) float64 {

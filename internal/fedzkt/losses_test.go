@@ -154,27 +154,34 @@ func TestHypothesesGradientOrdering(t *testing.T) {
 	}
 }
 
+// TestDistillKL: the knowledge-transfer loss of Eq. 8 is 0 for a
+// student identical to the teacher, positive for another one, has the
+// numeric gradient, and one DistillTargets shared by several students
+// gives each the bits a fresh one would.
 func TestDistillKL(t *testing.T) {
 	logits := randLogits(9, 4, 5, 1)
 	probs := ag.SoftmaxRowsIn(ag.NewArena(), logits)
-	// Student identical to teacher: KL == 0.
-	same := DistillKL(probs, ag.Const(logits.Clone())).Value().Data()[0]
-	if math.Abs(same) > 1e-9 {
-		t.Fatalf("DistillKL(self) = %g, want 0", same)
+	targets := NewDistillTargetsIn(tensor.NewArena(), probs)
+	if same := targets.Loss(ag.Const(logits.Clone())).Value().Data()[0]; math.Abs(same) > 1e-9 {
+		t.Fatalf("KL(self) = %g, want 0", same)
 	}
-	// Different student: strictly positive.
 	other := randLogits(10, 4, 5, 1)
-	diff := DistillKL(probs, ag.Const(other)).Value().Data()[0]
-	if diff <= 0 {
-		t.Fatalf("DistillKL = %g, want > 0", diff)
+	if diff := targets.Loss(ag.Const(other)).Value().Data()[0]; diff <= 0 {
+		t.Fatalf("KL = %g, want > 0", diff)
 	}
-	// Gradcheck w.r.t. student logits.
 	s := ag.Param(other.Clone())
-	build := func() *ag.Variable { return DistillKL(probs, s) }
+	build := func() *ag.Variable { return targets.Loss(s) }
 	ag.Backward(build())
 	numeric := numGrad(s.Value(), func() float64 { return build().Value().Data()[0] })
 	if d := tensor.MaxAbsDiff(s.Grad(), numeric); d > 2e-5 {
-		t.Fatalf("DistillKL gradient off by %g", d)
+		t.Fatalf("KL gradient off by %g", d)
+	}
+	for seed := uint64(33); seed < 36; seed++ {
+		student := randLogits(seed, 4, 5, 1)
+		want := NewDistillTargetsIn(tensor.NewArena(), probs).Loss(ag.Const(student)).Value().Data()[0]
+		if got := targets.Loss(ag.Const(student)).Value().Data()[0]; got != want {
+			t.Fatalf("seed %d: shared targets give %g, fresh ones %g", seed, got, want)
+		}
 	}
 }
 
@@ -197,23 +204,6 @@ func TestDisagreementEnsembleGradcheck(t *testing.T) {
 			if d := tensor.MaxAbsDiff(analytic, numeric); d > 2e-5 {
 				t.Errorf("%v: %s gradient off by %g", kind, name, d)
 			}
-		}
-	}
-}
-
-// TestDistillTargetsMatchesDistillKL: the hoisted per-batch teacher side
-// must produce the same bits as the one-shot helper, for any number of
-// students.
-func TestDistillTargetsMatchesDistillKL(t *testing.T) {
-	logits := randLogits(32, 4, 5, 1)
-	probs := ag.SoftmaxRowsIn(ag.NewArena(), logits)
-	targets := NewDistillTargets(probs)
-	for seed := uint64(33); seed < 36; seed++ {
-		student := randLogits(seed, 4, 5, 1)
-		want := DistillKL(probs, ag.Const(student)).Value().Data()[0]
-		got := targets.Loss(ag.Const(student)).Value().Data()[0]
-		if got != want {
-			t.Fatalf("seed %d: DistillTargets.Loss = %g, DistillKL = %g", seed, got, want)
 		}
 	}
 }

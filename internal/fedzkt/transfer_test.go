@@ -31,7 +31,7 @@ func unseenClassAccuracy(d *fed.Device) float64 {
 	if len(idx) == 0 {
 		return 0
 	}
-	x, y := ds.GatherTestIn(nil, idx)
+	x, y := ds.GatherTestIn(tensor.NewArena(), idx)
 	d.Model.SetTraining(false)
 	defer d.Model.SetTraining(true)
 	return ag.Accuracy(d.Model.Forward(ag.Const(x)).Value(), y)

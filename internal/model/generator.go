@@ -80,14 +80,15 @@ func (g *Generator) Forward(z *ag.Variable) *ag.Variable {
 	return g.decoder.Forward(h)
 }
 
-// SampleZ draws an (n × ZDim) batch of standard Gaussian noise.
+// SampleZ is SampleZIn on an arena of its own.
+//
+// Deprecated: kept only for the benchmark's generator probe; use SampleZIn.
 func (g *Generator) SampleZ(n int, rng *rand.Rand) *tensor.Tensor {
-	return g.SampleZIn(nil, n, rng)
+	return g.SampleZIn(tensor.NewArena(), n, rng)
 }
 
-// SampleZIn is SampleZ drawing the noise tensor from the given step-scoped
-// arena (nil falls back to the heap). The draw sequence from rng is
-// identical either way.
+// SampleZIn draws an (n × ZDim) batch of standard Gaussian noise into a
+// tensor from the given step-scoped arena.
 func (g *Generator) SampleZIn(a *tensor.Arena, n int, rng *rand.Rand) *tensor.Tensor {
 	z := a.NewRaw(n, g.ZDim)
 	tensor.FillNormal(z, 0, 1, rng)

@@ -38,7 +38,7 @@ func TestGeneratorStateRoundTrip(t *testing.T) {
 	}
 	g1.SetTraining(false)
 	g2.SetTraining(false)
-	z := g1.SampleZ(3, tensor.NewRand(3))
+	z := g1.SampleZIn(tensor.NewArena(), 3, tensor.NewRand(3))
 	a := g1.Forward(ag.Const(z)).Value()
 	b := g2.Forward(ag.Const(z.Clone())).Value()
 	if tensor.MaxAbsDiff(a, b) != 0 {
@@ -50,8 +50,8 @@ func TestGeneratorStateRoundTrip(t *testing.T) {
 func TestGeneratorDeterministicSampling(t *testing.T) {
 	g := NewGenerator(8, Shape{C: 1, H: 8, W: 8}, tensor.NewRand(4))
 	g.SetTraining(false)
-	a := g.Forward(ag.Const(g.SampleZ(2, tensor.NewRand(5)))).Value()
-	b := g.Forward(ag.Const(g.SampleZ(2, tensor.NewRand(5)))).Value()
+	a := g.Forward(ag.Const(g.SampleZIn(tensor.NewArena(), 2, tensor.NewRand(5)))).Value()
+	b := g.Forward(ag.Const(g.SampleZIn(tensor.NewArena(), 2, tensor.NewRand(5)))).Value()
 	if tensor.MaxAbsDiff(a, b) != 0 {
 		t.Fatal("generation not deterministic under fixed seed")
 	}

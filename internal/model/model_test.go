@@ -103,7 +103,7 @@ func TestZooFor(t *testing.T) {
 func TestGeneratorShapesAndRange(t *testing.T) {
 	g := NewGenerator(32, cifarShape, tensor.NewRand(5))
 	rng := tensor.NewRand(6)
-	imgs := g.Forward(ag.Const(g.SampleZ(4, rng))).Value()
+	imgs := g.Forward(ag.Const(g.SampleZIn(tensor.NewArena(), 4, rng))).Value()
 	s := imgs.Shape()
 	if s[0] != 4 || s[1] != 3 || s[2] != 16 || s[3] != 16 {
 		t.Fatalf("generator output shape %v", s)
@@ -117,7 +117,7 @@ func TestGeneratorShapesAndRange(t *testing.T) {
 
 func TestGeneratorGradientFlowsToParams(t *testing.T) {
 	g := NewGenerator(16, smallShape, tensor.NewRand(7))
-	z := ag.Const(g.SampleZ(3, tensor.NewRand(8)))
+	z := ag.Const(g.SampleZIn(tensor.NewArena(), 3, tensor.NewRand(8)))
 	out := g.Forward(z)
 	ag.Backward(ag.MeanAll(ag.Mul(out, out)))
 	nonzero := false

@@ -34,7 +34,8 @@ type SGD struct {
 	weightDecay float64
 	velocity    []*tensor.Tensor // lazily allocated when momentum > 0
 	// arena, when set, supplies the velocity buffers (zeroed on hand-out),
-	// so they live exactly as long as the arena's current scope.
+	// so they live exactly as long as the arena's current scope; nil, a
+	// persistent optimiser's, takes them from the heap.
 	arena *tensor.Arena
 }
 
@@ -48,8 +49,8 @@ func NewSGD(params []*ag.Variable, lr, momentum, weightDecay float64) *SGD {
 // NewSGDIn is NewSGD drawing the momentum velocity buffers from arena
 // a instead of the heap. The optimiser is then only valid until a's next
 // Reset — the shape of a device's local update, whose optimiser dies
-// with the task. A nil arena is NewSGD. Values are identical either way:
-// a buffer is zero when first handed out.
+// with the task. NewSGDIn(nil, ...) is NewSGD. Values are identical
+// either way: a buffer is zero when first handed out.
 func NewSGDIn(a *tensor.Arena, params []*ag.Variable, lr, momentum, weightDecay float64) *SGD {
 	s := NewSGD(params, lr, momentum, weightDecay)
 	s.arena = a
@@ -76,7 +77,11 @@ func (s *SGD) Step() {
 			continue
 		}
 		if s.velocity[i] == nil {
-			s.velocity[i] = s.arena.NewLike(w)
+			if s.arena == nil {
+				s.velocity[i] = tensor.New(w.Shape()...)
+			} else {
+				s.velocity[i] = s.arena.NewLike(w)
+			}
 		}
 		v := s.velocity[i]
 		vd, wd, gd := v.Data(), w.Data(), g.Data()

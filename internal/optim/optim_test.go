@@ -224,14 +224,15 @@ func TestStateRoundTripBitExact(t *testing.T) {
 }
 
 // TestSGDArenaVelocityMatchesHeap: drawing the momentum buffers from a
-// task-scoped arena changes where they live, never a value — even when
-// the arena hands back buffers a previous task left dirty — and a
-// warmed-up arena makes a fresh optimiser's buffers free.
+// task-scoped arena rather than NewSGD's heap changes where they live,
+// never a value — even when the arena hands back buffers a previous task
+// left dirty — and a warmed-up arena makes a fresh optimiser's buffers
+// free.
 func TestSGDArenaVelocityMatchesHeap(t *testing.T) {
 	target := tensor.FromSlice([]float64{1, -2, 3, 0.5}, 4)
-	run := func(a *tensor.Arena) []float64 {
+	run := func(newSGD func(params []*ag.Variable) *SGD) []float64 {
 		w := ag.Param(tensor.FromSlice([]float64{0.3, 0.1, -0.7, 2}, 4))
-		opt := NewSGDIn(a, []*ag.Variable{w}, 0.05, 0.9, 1e-3)
+		opt := newSGD([]*ag.Variable{w})
 		for i := 0; i < 20; i++ {
 			opt.ZeroGrad()
 			ag.Backward(quadLoss(w, target))
@@ -239,11 +240,11 @@ func TestSGDArenaVelocityMatchesHeap(t *testing.T) {
 		}
 		return append([]float64(nil), w.Value().Data()...)
 	}
-	want := run(nil)
+	want := run(func(ps []*ag.Variable) *SGD { return NewSGD(ps, 0.05, 0.9, 1e-3) })
 	arena := tensor.NewArena()
 	var held int64
 	for task := 0; task < 3; task++ {
-		got := run(arena)
+		got := run(func(ps []*ag.Variable) *SGD { return NewSGDIn(arena, ps, 0.05, 0.9, 1e-3) })
 		if task == 0 {
 			held = arena.HeldBytes()
 		}

@@ -61,9 +61,9 @@ import (
 //
 // An Arena is NOT safe for concurrent use; every concurrent worker owns
 // its own arena (see sched.Options.WorkerScratch and ForEachWorker). Only
-// HeldBytes and StepPeakBytes may be read from another goroutine. The nil
-// *Arena is valid and falls back to plain heap allocation, so code can
-// thread an optional arena without branching at every call site.
+// HeldBytes and StepPeakBytes may be read from another goroutine. An
+// *Arena is never nil: storage that must outlive every Reset comes from
+// package-level New instead.
 type Arena struct {
 	floats chain[float64]
 	ints   chain[int]
@@ -220,9 +220,6 @@ func NewArena() *Arena { return &Arena{} }
 // Reset available again. All tensors and slices previously returned by
 // the arena become invalid: they may alias later allocations.
 func (a *Arena) Reset() {
-	if a == nil {
-		return
-	}
 	a.step = 0
 	a.floats.rewind()
 	a.ints.rewind()
@@ -270,10 +267,10 @@ func (a *Arena) booked(n int64) {
 // a later use of t fails rather than reading whatever the storage holds
 // next. The caller must be the last reader of the storage under every
 // header: t, its views, anything captured for a backward pass. t must
-// hold a whole buffer this arena handed out; a tensor released twice, and
-// any tensor on a nil arena, is left alone.
+// hold a whole buffer this arena handed out; a tensor released twice is
+// left alone.
 func (a *Arena) Release(t *Tensor) {
-	if a == nil || len(t.data) == 0 || poison && cap(t.data) != len(t.data) {
+	if len(t.data) == 0 || poison && cap(t.data) != len(t.data) {
 		return
 	}
 	b := t.data
@@ -363,13 +360,10 @@ func (a *Arena) wrap(data []float64, shape []int) *Tensor {
 	return t
 }
 
-// New returns a zero-filled tensor with the given shape. A nil arena
-// allocates from the heap, identically to package-level New.
+// New returns a zero-filled tensor with the given shape.
 func (a *Arena) New(shape ...int) *Tensor {
 	t := a.NewRaw(shape...)
-	if a != nil {
-		clear(t.data) // recycled storage is the steady state
-	}
+	clear(t.data) // recycled storage is the steady state
 	return t
 }
 
@@ -378,9 +372,6 @@ func (a *Arena) New(shape ...int) *Tensor {
 // multiplication outputs, gathered batches, filled noise), where clearing
 // first would be a wasted pass.
 func (a *Arena) NewRaw(shape ...int) *Tensor {
-	if a == nil {
-		return New(shape...)
-	}
 	return a.wrap(a.FloatsRaw(checkShape(shape)), shape)
 }
 
@@ -389,9 +380,7 @@ func (a *Arena) NewRaw(shape ...int) *Tensor {
 // only t's shape, so t may be a tensor whose storage has been released.
 func (a *Arena) NewLike(t *Tensor) *Tensor {
 	out := a.NewRawLike(t)
-	if a != nil {
-		clear(out.data)
-	}
+	clear(out.data)
 	return out
 }
 
@@ -399,9 +388,6 @@ func (a *Arena) NewLike(t *Tensor) *Tensor {
 // is sized from the shape, not from t's storage: a gradient is shaped
 // like a value whose storage may already be released.
 func (a *Arena) NewRawLike(t *Tensor) *Tensor {
-	if a == nil {
-		return New(t.shape...)
-	}
 	return a.wrap(a.FloatsRaw(checkShape(t.shape)), t.shape)
 }
 
@@ -409,17 +395,12 @@ func (a *Arena) NewRawLike(t *Tensor) *Tensor {
 // slabs as tensor storage.
 func (a *Arena) Floats(n int) []float64 {
 	b := a.FloatsRaw(n)
-	if a != nil {
-		clear(b)
-	}
+	clear(b)
 	return b
 }
 
 // FloatsRaw is Floats without the zero fill.
 func (a *Arena) FloatsRaw(n int) []float64 {
-	if a == nil {
-		return make([]float64, n)
-	}
 	if len(a.free) > 0 && n > 0 {
 		if b := a.reuse(n); b != nil {
 			a.booked(int64(n) * floatBytes)
@@ -432,9 +413,6 @@ func (a *Arena) FloatsRaw(n int) []float64 {
 // Ints returns an int scratch slice of length n with unspecified contents,
 // for index and label buffers that are fully overwritten.
 func (a *Arena) Ints(n int) []int {
-	if a == nil {
-		return make([]int, n)
-	}
 	return alloc(a, &a.ints, n, intBytes)
 }
 
@@ -443,9 +421,6 @@ func (a *Arena) Ints(n int) []int {
 // must be preserved. Like every arena value, the view is only valid until
 // Reset.
 func (a *Arena) View(t *Tensor, shape ...int) *Tensor {
-	if a == nil {
-		return t.Reshape(shape...)
-	}
 	if n := checkShape(shape); n != len(t.data) {
 		panic(fmt.Sprintf("tensor: cannot view %v (%d elems) as %v (%d elems)", t.shape, len(t.data), append([]int(nil), shape...), n))
 	}
@@ -455,9 +430,6 @@ func (a *Arena) View(t *Tensor, shape ...int) *Tensor {
 // ViewLike returns a view of t's storage under like's shape (the
 // arena-recycled analogue of t.Reshape(like.Shape()...)).
 func (a *Arena) ViewLike(t, like *Tensor) *Tensor {
-	if a == nil {
-		return t.Reshape(like.shape...)
-	}
 	return a.View(t, like.shape...)
 }
 
@@ -465,9 +437,6 @@ func (a *Arena) ViewLike(t, like *Tensor) *Tensor {
 // every int slab and every tensor header (struct plus inline shape), in
 // use or free. It never decreases. Safe to call from any goroutine.
 func (a *Arena) HeldBytes() int64 {
-	if a == nil {
-		return 0
-	}
 	return a.held.Load()
 }
 
@@ -475,9 +444,6 @@ func (a *Arena) HeldBytes() int64 {
 // step: handed out since the last Reset and not released (headers and
 // views take none). Owner goroutine only.
 func (a *Arena) StepBytes() int64 {
-	if a == nil {
-		return 0
-	}
 	return a.step
 }
 
@@ -485,8 +451,5 @@ func (a *Arena) StepBytes() int64 {
 // point inside it — the high-water mark of live bytes, not the sum of what
 // a step touched. Safe to call from any goroutine.
 func (a *Arena) StepPeakBytes() int64 {
-	if a == nil {
-		return 0
-	}
 	return a.peak.Load()
 }

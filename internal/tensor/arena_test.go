@@ -81,24 +81,6 @@ func TestArenaViewSharesStorage(t *testing.T) {
 	}
 }
 
-func TestArenaNilFallsBackToHeap(t *testing.T) {
-	var a *Arena
-	tt := a.New(3, 3)
-	if tt.Len() != 9 {
-		t.Fatal("nil arena New failed")
-	}
-	if a.HeldBytes() != 0 || a.StepBytes() != 0 || a.StepPeakBytes() != 0 {
-		t.Fatal("nil arena reports bytes")
-	}
-	a.Reset() // must not panic
-	if s := a.Ints(4); len(s) != 4 {
-		t.Fatal("nil arena Ints failed")
-	}
-	if v := a.ViewLike(tt, tt); v.Len() != 9 {
-		t.Fatal("nil arena ViewLike failed")
-	}
-}
-
 func TestArenaNewLikeMatchesShape(t *testing.T) {
 	a := NewArena()
 	proto := New(2, 3, 4)
@@ -239,8 +221,7 @@ func TestArenaRandomRequests(t *testing.T) {
 // loses its storage and (this being a test binary) the storage is NaN; a
 // request of the same length gets the released address back; a larger
 // release is split, the remainder served later; a release that reaches
-// the slab's bump offset pulls it back; Reset empties the list; and a nil
-// arena leaves the tensor alone.
+// the slab's bump offset pulls it back; and Reset empties the list.
 func TestArenaRelease(t *testing.T) {
 	a := NewArena()
 	addr := func(x *Tensor) *float64 { return &x.Data()[0] }
@@ -300,12 +281,6 @@ func TestArenaRelease(t *testing.T) {
 		t.Fatal("Reset did not empty the release list")
 	}
 
-	var none *Arena
-	h := New(3)
-	none.Release(h)
-	if h.Len() != 3 {
-		t.Fatal("a nil arena released a heap tensor")
-	}
 }
 
 // TestArenaReleasedReadsNaN: in a test binary a released header reads NaN
