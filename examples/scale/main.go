@@ -192,10 +192,10 @@ func main() {
 		// the stores' hot entries is the cost of the rest of the process,
 		// devices included, spread over the devices.
 		const mb = 1 << 20
-		dataMB := float64(8*(len(ds.TrainX.Data())+len(ds.TrainY)+len(ds.TestX.Data())+len(ds.TestY))) / mb
+		dataMB := float64(ds.HeldBytes()) / mb
 		hotMB := float64(srv.ReplicaStoreStats().HotBytes+co.DeviceStoreStats().HotBytes) / mb
 		rest := peak - dataMB - hotMB
-		fmt.Printf("rss: %.0f MB now, %.0f MB peak = dataset %.0f MB + hot entries %.1f MB + %.0f MB more (%.0f B per device)\n",
+		fmt.Printf("rss: %.0f MB now, %.0f MB peak = dataset %.1f MB (training states and labels, rendered test split) + hot entries %.1f MB + %.0f MB more (%.0f B per device)\n",
 			rss, peak, dataMB, hotMB, rest, rest*mb/float64(*devices))
 	}
 	fmt.Printf("%d devices × %d rounds in %s — one process, bounded concurrency.\n",

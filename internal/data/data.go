@@ -12,6 +12,7 @@
 package data
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -77,17 +78,36 @@ type Config struct {
 	MaxShift int
 }
 
-// Dataset is an in-memory labelled image dataset split into train and test
-// partitions.
+// Dataset is a labelled image dataset split into train and test
+// partitions. The test split is held rendered, since evaluation reads all
+// of it. A training sample is held as the generator state its render
+// starts from, and every gather renders it again: the pixels are a pure
+// function of that state, so the split costs 16 bytes and a label per
+// sample rather than the sample itself.
 type Dataset struct {
 	Name    string
 	Classes int
 	C, H, W int
 
-	TrainX *tensor.Tensor // (Ntrain, C, H, W)
 	TrainY []int
 	TestX  *tensor.Tensor // (Ntest, C, H, W)
 	TestY  []int
+
+	cfg            Config // the render parameters, defaults applied
+	protos, colors [][]float64
+	trainAt        []pcgState // trainAt[i]: where training sample i's render starts
+}
+
+// pcgState is a rand.PCG state, as (*rand.PCG).Seed restores it.
+type pcgState struct{ hi, lo uint64 }
+
+// stateOf reads p's state.
+func stateOf(p *rand.PCG) pcgState {
+	var buf [20]byte
+	// The binary form is "pcg:" and the big-endian hi and lo words;
+	// AppendBinary never fails.
+	b, _ := p.AppendBinary(buf[:0])
+	return pcgState{binary.BigEndian.Uint64(b[4:12]), binary.BigEndian.Uint64(b[12:20])}
 }
 
 // Make renders the dataset described by cfg.
@@ -104,17 +124,31 @@ func Make(cfg Config) (*Dataset, error) {
 	if cfg.MaxShift == 0 {
 		cfg.MaxShift = 2
 	}
-	rng := tensor.NewRand(cfg.Seed)
-	protos := make([][]float64, cfg.Classes)
-	colors := make([][]float64, cfg.Classes)
-	for cl := range protos {
-		protos[cl] = prototype(cfg.Family, cfg.C, cfg.H, cfg.W, rng)
-		colors[cl] = classColor(cfg.C, rng)
+	return build(cfg, tensor.NewPCG(cfg.Seed)), nil
+}
+
+// build draws the dataset cfg describes from pcg, leaving pcg where the
+// last draw left it.
+func build(cfg Config, pcg *rand.PCG) *Dataset {
+	rng := rand.New(pcg)
+	ds := &Dataset{Name: cfg.Name, Classes: cfg.Classes, C: cfg.C, H: cfg.H, W: cfg.W, cfg: cfg,
+		protos: make([][]float64, cfg.Classes), colors: make([][]float64, cfg.Classes)}
+	for cl := range ds.protos {
+		ds.protos[cl] = prototype(cfg.Family, cfg.C, cfg.H, cfg.W, rng)
+		ds.colors[cl] = classColor(cfg.C, rng)
 	}
-	ds := &Dataset{Name: cfg.Name, Classes: cfg.Classes, C: cfg.C, H: cfg.H, W: cfg.W}
-	ds.TrainX, ds.TrainY = render(cfg, protos, colors, cfg.TrainPerClass, rng)
-	ds.TestX, ds.TestY = render(cfg, protos, colors, cfg.TestPerClass, rng)
-	return ds, nil
+	ds.trainAt, ds.TrainY = ds.record(cfg.TrainPerClass, pcg, rng)
+	testAt, testY := ds.record(cfg.TestPerClass, pcg, rng)
+	ds.TestX = tensor.New(len(testY), cfg.C, cfg.H, cfg.W)
+	ds.TestY = testY
+	px := cfg.C * cfg.H * cfg.W
+	xd := ds.TestX.Data()
+	replay := new(rand.PCG)
+	replayRng := rand.New(replay)
+	for i, at := range testAt {
+		ds.renderAt(at, testY[i], xd[i*px:(i+1)*px], replay, replayRng)
+	}
+	return ds
 }
 
 // MustMake is Make for static configs.
@@ -126,46 +160,44 @@ func MustMake(cfg Config) *Dataset {
 	return ds
 }
 
-// render produces perClass samples of every class, interleaved and then
-// shuffled so contiguous index ranges are class-balanced.
-func render(cfg Config, protos, colors [][]float64, perClass int, rng *rand.Rand) (*tensor.Tensor, []int) {
-	n := perClass * cfg.Classes
-	px := cfg.C * cfg.H * cfg.W
-	x := tensor.New(n, cfg.C, cfg.H, cfg.W)
+// record draws perClass samples of every class, interleaved, through one
+// scratch buffer, and returns the state each sample's render starts from
+// and its class, shuffled so contiguous index ranges are class-balanced
+// and partitioners see no ordering artifacts: sample dst is the one drawn
+// perm[dst]-th.
+func (d *Dataset) record(perClass int, pcg *rand.PCG, rng *rand.Rand) ([]pcgState, []int) {
+	n := perClass * d.Classes
+	drawn := make([]pcgState, n)
+	scratch := make([]float64, d.C*d.H*d.W)
+	for i := range drawn {
+		drawn[i] = stateOf(pcg)
+		cl := i % d.Classes
+		renderSample(d.cfg, d.protos[cl], d.colors[cl], scratch, rng)
+	}
+	at := make([]pcgState, n)
 	y := make([]int, n)
-	xd := x.Data()
-	i := 0
-	for s := 0; s < perClass; s++ {
-		for cl := 0; cl < cfg.Classes; cl++ {
-			renderSample(cfg, protos[cl], colors[cl], xd[i*px:(i+1)*px], rng)
-			y[i] = cl
-			i++
-		}
+	for dst, src := range rng.Perm(n) {
+		at[dst], y[dst] = drawn[src], src%d.Classes
 	}
-	// Shuffle samples so partitioners see no ordering artifacts: sample
-	// dst becomes the one rendered at perm[dst]. Each cycle of the
-	// permutation is followed in place, its first sample parked in one
-	// sample-sized temporary, so the dataset exists once.
-	perm := rng.Perm(n)
-	tmp := make([]float64, px)
-	for start, src := range perm {
-		if src < 0 || src == start {
-			continue
-		}
-		copy(tmp, xd[start*px:(start+1)*px])
-		ty := y[start]
-		dst := start
-		for src != start {
-			copy(xd[dst*px:(dst+1)*px], xd[src*px:(src+1)*px])
-			y[dst] = y[src]
-			perm[dst] = -1
-			dst, src = src, perm[src]
-		}
-		copy(xd[dst*px:(dst+1)*px], tmp)
-		y[dst] = ty
-		perm[dst] = -1
+	return at, y
+}
+
+// renderAt renders into dst the sample of class cl whose render starts at
+// state at, drawing through rng, whose source is pcg.
+func (d *Dataset) renderAt(at pcgState, cl int, dst []float64, pcg *rand.PCG, rng *rand.Rand) {
+	pcg.Seed(at.hi, at.lo)
+	renderSample(d.cfg, d.protos[cl], d.colors[cl], dst, rng)
+}
+
+// HeldBytes returns the bytes the dataset holds: the training split's
+// states and labels, the rendered test split and its labels, and the
+// class prototypes and colors.
+func (d *Dataset) HeldBytes() int64 {
+	n := 16*len(d.trainAt) + 8*(len(d.TrainY)+len(d.TestX.Data())+len(d.TestY))
+	for cl := range d.protos {
+		n += 8 * (len(d.protos[cl]) + len(d.colors[cl]))
 	}
-	return x, y
+	return int64(n)
 }
 
 // renderSample writes one augmented view of the class prototype into dst.
@@ -176,10 +208,11 @@ func renderSample(cfg Config, proto, color []float64, dst []float64, rng *rand.R
 	contrast := 0.7 + 0.6*rng.Float64()
 
 	// Street family: draw a fresh high-variance colored background per
-	// sample; other families use the prototype's own background.
-	var bg []float64
-	if cfg.Family == FamilyStreet {
-		bg = streetBackground(c, h, w, rng)
+	// sample into dst, blended under the foreground below; other families
+	// use the prototype's own background.
+	street := cfg.Family == FamilyStreet
+	if street {
+		streetBackground(dst, c, h, w, rng)
 	}
 
 	for ch := 0; ch < c; ch++ {
@@ -195,12 +228,13 @@ func renderSample(cfg Config, proto, color []float64, dst []float64, rng *rand.R
 				if sy >= 0 && sy < h && sx >= 0 && sx < w {
 					v = proto[sy*w+sx] // prototype is a single plane
 				}
+				i := ch*h*w + yy*w + xx
 				out := gain * v
-				if bg != nil {
-					out = 0.6*out + bg[ch*h*w+yy*w+xx]
+				if street {
+					out = 0.6*out + dst[i]
 				}
 				out += cfg.NoiseStd * rng.NormFloat64()
-				dst[ch*h*w+yy*w+xx] = clamp(out, -1, 1)
+				dst[i] = clamp(out, -1, 1)
 			}
 		}
 	}
@@ -279,10 +313,9 @@ func classColor(c int, rng *rand.Rand) []float64 {
 	return col
 }
 
-// streetBackground renders the high-variance colored patches of the SVHN
-// stand-in.
-func streetBackground(c, h, w int, rng *rand.Rand) []float64 {
-	bg := make([]float64, c*h*w)
+// streetBackground writes the high-variance colored patches of the SVHN
+// stand-in into bg.
+func streetBackground(bg []float64, c, h, w int, rng *rand.Rand) {
 	// Two-tone vertical split at a random column with random colors.
 	split := w/4 + rng.IntN(w/2)
 	for ch := 0; ch < c; ch++ {
@@ -302,7 +335,6 @@ func streetBackground(c, h, w int, rng *rand.Rand) []float64 {
 			}
 		}
 	}
-	return bg
 }
 
 func clamp(v, lo, hi float64) float64 {

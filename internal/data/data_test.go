@@ -1,8 +1,10 @@
 package data
 
 import (
+	"math"
 	"math/rand/v2"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/fedzkt/fedzkt/internal/tensor"
@@ -26,7 +28,7 @@ func TestDatasetShapesAndBalance(t *testing.T) {
 	if ds.NumTrain() != 120 || ds.NumTest() != 40 {
 		t.Fatalf("sizes: train=%d test=%d", ds.NumTrain(), ds.NumTest())
 	}
-	s := ds.TrainX.Shape()
+	s := trainX(ds).Shape()
 	if s[0] != 120 || s[1] != 1 || s[2] != 16 || s[3] != 16 {
 		t.Fatalf("train shape %v", s)
 	}
@@ -44,7 +46,7 @@ func TestDatasetShapesAndBalance(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	a := SynthCIFAR10(Sizes{TrainPerClass: 5, TestPerClass: 2}, 7)
 	b := SynthCIFAR10(Sizes{TrainPerClass: 5, TestPerClass: 2}, 7)
-	if tensor.MaxAbsDiff(a.TrainX, b.TrainX) != 0 {
+	if tensor.MaxAbsDiff(trainX(a), trainX(b)) != 0 {
 		t.Fatal("same seed produced different data")
 	}
 	for i := range a.TrainY {
@@ -53,7 +55,7 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 	c := SynthCIFAR10(Sizes{TrainPerClass: 5, TestPerClass: 2}, 8)
-	if tensor.MaxAbsDiff(a.TrainX, c.TrainX) == 0 {
+	if tensor.MaxAbsDiff(trainX(a), trainX(c)) == 0 {
 		t.Fatal("different seeds produced identical data")
 	}
 }
@@ -64,7 +66,7 @@ func TestPixelRange(t *testing.T) {
 		if !ok {
 			t.Fatalf("ByName(%q) not found", name)
 		}
-		for _, v := range ds.TrainX.Data() {
+		for _, v := range trainX(ds).Data() {
 			if v < -1 || v > 1 {
 				t.Fatalf("%s: pixel %v outside [-1,1]", name, v)
 			}
@@ -88,7 +90,7 @@ func TestClassSeparability(t *testing.T) {
 	for i := range means {
 		means[i] = make([]float64, px)
 	}
-	xd := ds.TrainX.Data()
+	xd := trainX(ds).Data()
 	for i, y := range ds.TrainY {
 		for j := 0; j < px; j++ {
 			means[y][j] += xd[i*px+j]
@@ -136,7 +138,7 @@ func TestFamilyStatisticsDiffer(t *testing.T) {
 	// systematic left-right asymmetry.
 	lrAsymmetry := func(ds *Dataset) float64 {
 		n := ds.NumTrain()
-		xd := ds.TrainX.Data()
+		xd := trainX(ds).Data()
 		px := ds.C * ds.H * ds.W
 		total := 0.0
 		for i := 0; i < n; i++ {
@@ -167,8 +169,34 @@ func TestFamilyStatisticsDiffer(t *testing.T) {
 	}
 }
 
-// gatherRender is render's reference: every sample is rendered into one
-// tensor, then gathered through the permutation into a second.
+// trainX renders the whole training split, in index order.
+func trainX(ds *Dataset) *tensor.Tensor {
+	idx := make([]int, ds.NumTrain())
+	for i := range idx {
+		idx[i] = i
+	}
+	x, _ := ds.GatherTrainIn(tensor.NewArena(), idx)
+	return x
+}
+
+// eagerMake is the reference for build: Make's draw as it was while the
+// training split was held rendered. It renders both splits, each through
+// gatherRender, from rng, and leaves rng where the last draw left it.
+func eagerMake(cfg Config, rng *rand.Rand) (trainX *tensor.Tensor, trainY []int, testX *tensor.Tensor, testY []int) {
+	protos := make([][]float64, cfg.Classes)
+	colors := make([][]float64, cfg.Classes)
+	for cl := range protos {
+		protos[cl] = prototype(cfg.Family, cfg.C, cfg.H, cfg.W, rng)
+		colors[cl] = classColor(cfg.C, rng)
+	}
+	trainX, trainY = gatherRender(cfg, protos, colors, cfg.TrainPerClass, rng)
+	testX, testY = gatherRender(cfg, protos, colors, cfg.TestPerClass, rng)
+	return trainX, trainY, testX, testY
+}
+
+// gatherRender renders perClass samples of every class, interleaved, into
+// one tensor, then gathers them through the shuffle permutation into a
+// second.
 func gatherRender(cfg Config, protos, colors [][]float64, perClass int, rng *rand.Rand) (*tensor.Tensor, []int) {
 	n := perClass * cfg.Classes
 	px := cfg.C * cfg.H * cfg.W
@@ -178,7 +206,7 @@ func gatherRender(cfg Config, protos, colors [][]float64, perClass int, rng *ran
 	i := 0
 	for s := 0; s < perClass; s++ {
 		for cl := 0; cl < cfg.Classes; cl++ {
-			renderSample(cfg, protos[cl], colors[cl], xd[i*px:(i+1)*px], rng)
+			eagerRenderSample(cfg, protos[cl], colors[cl], xd[i*px:(i+1)*px], rng)
 			y[i] = cl
 			i++
 		}
@@ -194,10 +222,69 @@ func gatherRender(cfg Config, protos, colors [][]float64, perClass int, rng *ran
 	return sx, sy
 }
 
-// TestRenderShufflesInPlaceAsGather: render's in-place shuffle leaves the
-// same bytes at the same indices as gathering through the permutation, and
-// draws the same random numbers.
-func TestRenderShufflesInPlaceAsGather(t *testing.T) {
+// eagerRenderSample is renderSample as it was while a street background
+// was drawn into a slice of its own.
+func eagerRenderSample(cfg Config, proto, color []float64, dst []float64, rng *rand.Rand) {
+	h, w, c := cfg.H, cfg.W, cfg.C
+	dx := rng.IntN(2*cfg.MaxShift+1) - cfg.MaxShift
+	dy := rng.IntN(2*cfg.MaxShift+1) - cfg.MaxShift
+	contrast := 0.7 + 0.6*rng.Float64()
+	var bg []float64
+	if cfg.Family == FamilyStreet {
+		bg = make([]float64, c*h*w)
+		streetBackground(bg, c, h, w, rng)
+	}
+	for ch := 0; ch < c; ch++ {
+		gain := contrast
+		if len(color) > ch {
+			gain *= color[ch]
+		}
+		for yy := 0; yy < h; yy++ {
+			sy := yy - dy
+			for xx := 0; xx < w; xx++ {
+				sx := xx - dx
+				v := 0.0
+				if sy >= 0 && sy < h && sx >= 0 && sx < w {
+					v = proto[sy*w+sx]
+				}
+				out := gain * v
+				if bg != nil {
+					out = 0.6*out + bg[ch*h*w+yy*w+xx]
+				}
+				out += cfg.NoiseStd * rng.NormFloat64()
+				dst[ch*h*w+yy*w+xx] = clamp(out, -1, 1)
+			}
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestLazyTrainSplitMatchesEagerRender: every training sample a gather
+// renders from its recorded state holds the bytes the eager render left at
+// its index, the labels and the rendered test split are the eager ones,
+// and the dataset's draw leaves the generator where the eager draw did.
+// The configurations are every named dataset, small odd shapes of each
+// family, and the sizes the golden federations and the benchmark
+// workloads build.
+func TestLazyTrainSplitMatchesEagerRender(t *testing.T) {
+	var cfgs []Config
+	for _, name := range []string{"synthmnist", "synthkmnist", "synthfashion", "synthcifar10", "synthcifar100", "synthsvhn"} {
+		cfg, _ := Spec(name)
+		cfg.TrainPerClass, cfg.TestPerClass = 5, 2
+		cfgs = append(cfgs, cfg)
+	}
 	for _, tc := range []struct {
 		family           Family
 		classes, c, h, w int
@@ -208,26 +295,104 @@ func TestRenderShufflesInPlaceAsGather(t *testing.T) {
 		{FamilyStreet, 3, 3, 6, 6, 13},
 		{FamilyObjects, 10, 3, 8, 8, 40},
 	} {
+		cfgs = append(cfgs, Config{Name: "shape", Family: tc.family, Classes: tc.classes, C: tc.c, H: tc.h, W: tc.w,
+			TrainPerClass: tc.perClass, TestPerClass: 3})
+	}
+	cfgs = append(cfgs, Config{Name: "golden", Family: FamilyDigits, Classes: 3, C: 1, H: 8, W: 8, TrainPerClass: 12, TestPerClass: 6})
+	for _, sz := range []Sizes{DefaultSizes, {TrainPerClass: 60, TestPerClass: 10}, {TrainPerClass: 201, TestPerClass: 10}, {TrainPerClass: 26, TestPerClass: 8}} {
+		cfg, _ := Spec("synthmnist")
+		cfg.TrainPerClass, cfg.TestPerClass = sz.TrainPerClass, sz.TestPerClass
+		cfgs = append(cfgs, cfg)
+	}
+	for _, base := range cfgs {
 		for _, seed := range []uint64{1, 7, 42, 1234} {
-			cfg := Config{Family: tc.family, Classes: tc.classes, C: tc.c, H: tc.h, W: tc.w, Seed: seed, NoiseStd: 0.15, MaxShift: 2}
-			protos := make([][]float64, cfg.Classes)
-			colors := make([][]float64, cfg.Classes)
-			proto := tensor.NewRand(seed)
-			for cl := range protos {
-				protos[cl] = prototype(cfg.Family, cfg.C, cfg.H, cfg.W, proto)
-				colors[cl] = classColor(cfg.C, proto)
+			cfg := base
+			cfg.Seed ^= seed
+			cfg.NoiseStd, cfg.MaxShift = 0.15, 2
+			pcg, ref := tensor.NewPCG(cfg.Seed), tensor.NewRand(cfg.Seed)
+			ds := build(cfg, pcg)
+			wx, wy, tx, ty := eagerMake(cfg, ref)
+			if !slices.Equal(ds.TrainY, wy) || !slices.Equal(ds.TestY, ty) || !sameBits(ds.TestX.Data(), tx.Data()) {
+				t.Fatalf("%s %dx%dx%d, %d/%d per class, seed %d: labels or test split differ from the eager render",
+					cfg.Name, cfg.C, cfg.H, cfg.W, cfg.TrainPerClass, cfg.TestPerClass, seed)
 			}
-			rng, ref := tensor.NewRand(seed+1), tensor.NewRand(seed+1)
-			x, y := render(cfg, protos, colors, tc.perClass, rng)
-			wx, wy := gatherRender(cfg, protos, colors, tc.perClass, ref)
-			if !slices.Equal(x.Data(), wx.Data()) || !slices.Equal(y, wy) {
-				t.Errorf("%+v, %d per class: render differs from the gather", cfg, tc.perClass)
+			// Gather backwards in batches of 7, so a sample's bytes cannot
+			// depend on its neighbours or its place in the batch.
+			px := cfg.C * cfg.H * cfg.W
+			a := tensor.NewArena()
+			for hi := ds.NumTrain(); hi > 0; hi -= 7 {
+				var idx []int
+				for i := hi - 1; i >= max(hi-7, 0); i-- {
+					idx = append(idx, i)
+				}
+				x, _ := ds.GatherTrainIn(a, idx)
+				for k, i := range idx {
+					if !sameBits(x.Data()[k*px:(k+1)*px], wx.Data()[i*px:(i+1)*px]) {
+						t.Fatalf("%s %dx%dx%d, %d per class, seed %d: training sample %d differs from the eager render",
+							cfg.Name, cfg.C, cfg.H, cfg.W, cfg.TrainPerClass, seed, i)
+					}
+				}
+				a.Reset()
 			}
-			if rng.Uint64() != ref.Uint64() {
-				t.Errorf("%+v, %d per class: render drew other random numbers than the gather", cfg, tc.perClass)
+			if rand.New(pcg).Uint64() != ref.Uint64() {
+				t.Fatalf("%s %dx%dx%d, %d per class, seed %d: the draw left the generator elsewhere than the eager render",
+					cfg.Name, cfg.C, cfg.H, cfg.W, cfg.TrainPerClass, seed)
 			}
 		}
 	}
+}
+
+// TestGatherTrainAllocs: on a warm arena a training gather takes one heap
+// allocation, its generator, whatever the family.
+func TestGatherTrainAllocs(t *testing.T) {
+	for _, name := range []string{"synthmnist", "synthcifar10", "synthsvhn"} {
+		ds, _ := ByName(name, Sizes{TrainPerClass: 4, TestPerClass: 2}, 1)
+		a := tensor.NewArena()
+		idx := []int{3, 0, 17, 9, 9, 25}
+		ds.GatherTrainIn(a, idx)
+		if n := testing.AllocsPerRun(50, func() {
+			a.Reset()
+			ds.GatherTrainIn(a, idx)
+		}); n > 1 {
+			t.Errorf("%s: %.1f heap allocations per gather, want at most 1", name, n)
+		}
+	}
+}
+
+// TestConcurrentGathersMatchSerial: two goroutines, each on its own arena,
+// gather overlapping index sets from one dataset and get the bytes a
+// serial gather gets.
+func TestConcurrentGathersMatchSerial(t *testing.T) {
+	ds := SynthSVHN(Sizes{TrainPerClass: 20, TestPerClass: 2}, 3)
+	sets := [][]int{make([]int, 0, 150), make([]int, 0, 100)}
+	for i := 0; i < 150; i++ {
+		sets[0] = append(sets[0], i)
+	}
+	for i := 199; i >= 100; i-- {
+		sets[1] = append(sets[1], i)
+	}
+	want := make([][]float64, len(sets))
+	for g, idx := range sets {
+		x, _ := ds.GatherTrainIn(tensor.NewArena(), idx)
+		want[g] = x.Data()
+	}
+	var wg sync.WaitGroup
+	for g, idx := range sets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a := tensor.NewArena()
+			for rep := 0; rep < 10; rep++ {
+				x, _ := ds.GatherTrainIn(a, idx)
+				if !sameBits(x.Data(), want[g]) {
+					t.Errorf("goroutine %d, gather %d: bytes differ from the serial gather", g, rep)
+					return
+				}
+				a.Reset()
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestGatherAndSubset(t *testing.T) {

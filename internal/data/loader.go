@@ -7,32 +7,47 @@ import (
 	"github.com/fedzkt/fedzkt/internal/tensor"
 )
 
-// GatherTrainIn assembles the training samples at the given indices into
-// a batch tensor and label slice drawn from the given step-scoped arena.
+// GatherTrainIn renders the training samples at the given indices into a
+// batch tensor and label slice drawn from the given step-scoped arena.
 // The returned batch obeys the arena lifetime: valid until the next Reset.
+// Each sample is rendered from its recorded state on a generator of the
+// call's own, so concurrent calls on distinct arenas are safe.
 func (d *Dataset) GatherTrainIn(a *tensor.Arena, idx []int) (*tensor.Tensor, []int) {
-	return gather(a, d.TrainX, d.TrainY, idx, d.C, d.H, d.W)
+	out, labels := batch(a, idx, d.TrainY, d.C, d.H, d.W)
+	px := d.C * d.H * d.W
+	od := out.Data()
+	pcg := new(rand.PCG)
+	rng := rand.New(pcg)
+	for i, src := range idx {
+		d.renderAt(d.trainAt[src], labels[i], od[i*px:(i+1)*px], pcg, rng)
+	}
+	return out, labels
 }
 
 // GatherTestIn assembles the test samples at the given indices, allocating
 // from the given arena.
 func (d *Dataset) GatherTestIn(a *tensor.Arena, idx []int) (*tensor.Tensor, []int) {
-	return gather(a, d.TestX, d.TestY, idx, d.C, d.H, d.W)
+	out, labels := batch(a, idx, d.TestY, d.C, d.H, d.W)
+	px := d.C * d.H * d.W
+	od, xd := out.Data(), d.TestX.Data()
+	for i, src := range idx {
+		copy(od[i*px:(i+1)*px], xd[src*px:(src+1)*px])
+	}
+	return out, labels
 }
 
-func gather(a *tensor.Arena, x *tensor.Tensor, y []int, idx []int, c, h, w int) (*tensor.Tensor, []int) {
+// batch takes from a a batch for the samples at idx, its pixels unset, and
+// their labels from y, checking every index.
+func batch(a *tensor.Arena, idx []int, y []int, c, h, w int) (*tensor.Tensor, []int) {
 	if len(idx) == 0 {
 		panic("data: gather of empty index slice")
 	}
-	px := c * h * w
 	out := a.NewRaw(len(idx), c, h, w)
 	labels := a.Ints(len(idx))
-	od, xd := out.Data(), x.Data()
 	for i, src := range idx {
 		if src < 0 || src >= len(y) {
 			panic(fmt.Sprintf("data: index %d out of range [0,%d)", src, len(y)))
 		}
-		copy(od[i*px:(i+1)*px], xd[src*px:(src+1)*px])
 		labels[i] = y[src]
 	}
 	return out, labels

@@ -3,6 +3,7 @@ package fedzkt
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -201,6 +202,9 @@ type cohortSet struct {
 	// live counts the pooled modules of every cohort, moved wherever a pool
 	// grows or is trimmed, so liveModules never reads a pool.
 	live atomic.Int64
+	// expected is the number of members reserve expects per architecture,
+	// the capacity its cohort's member list is made with.
+	expected map[string]int
 
 	// beforeWrite, when set, runs before anything writes device id's slot —
 	// an install, or a writable checkout, whose module then trains on the
@@ -250,7 +254,7 @@ func (cs *cohortSet) cohortFor(arch string, sig *archSig, build func() (nn.Modul
 	if c, ok := cs.byArch[arch]; ok {
 		return c
 	}
-	c := &cohort{arch: arch, build: build, sig: sig}
+	c := &cohort{arch: arch, build: build, sig: sig, members: make([]*member, 0, cs.expected[arch])}
 	init := func(local int, dst []byte) ([]byte, error) {
 		return cs.initSlot(c.arch, c.members[local].id, dst)
 	}
@@ -282,6 +286,14 @@ func (cs *cohortSet) hotCap(c *cohort) int {
 		n = 32
 	}
 	return n
+}
+
+// reserve sizes the registry for n more devices, perArch[arch] of them of
+// architecture arch, so registering them grows nothing. The cohort set
+// keeps perArch.
+func (cs *cohortSet) reserve(n int, perArch map[string]int) {
+	cs.devices = slices.Grow(cs.devices, n)
+	cs.expected = perArch
 }
 
 // register files a new member into its architecture's cohort and stores

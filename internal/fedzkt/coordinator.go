@@ -395,6 +395,18 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 	server.cohorts.beforeWrite = c.unfollow
 	registerFleetMetrics(obs.Default(), rigs, &server.cohorts.counters, c.devCounters)
 	pool.RegisterMetrics(obs.Default())
+	// Every per-device slice is sized once for the whole fleet, so a
+	// million registrations allocate what they keep rather than the
+	// append growth of seven slices.
+	n := len(shards)
+	count := make(map[string]int)
+	for i := range shards {
+		count[archs[i%len(archs)]]++
+	}
+	server.cohorts.reserve(n, count)
+	c.devices = make([]*fed.Device, 0, n)
+	c.devLocal, c.follows = make([]int, 0, n), make([]bool, 0, n)
+	c.wrote, c.trainedIn = make([]int32, 0, n), make([]int32, 0, n)
 	perArch := make(map[string]int)
 	for i := range shards {
 		arch := archs[i%len(archs)]

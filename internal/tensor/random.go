@@ -31,5 +31,11 @@ func FillGlorot(t *Tensor, fanIn, fanOut int, rng *rand.Rand) {
 // Every stochastic component in this repository derives its randomness
 // from explicit generators created here; there is no global RNG use.
 func NewRand(seed uint64) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+	return rand.New(NewPCG(seed))
+}
+
+// NewPCG returns the source NewRand(seed) draws from, for a caller that
+// records or restores the generator's state.
+func NewPCG(seed uint64) *rand.PCG {
+	return rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)
 }
