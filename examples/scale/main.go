@@ -121,7 +121,10 @@ func main() {
 	if perClass > 20000 {
 		perClass = 20000
 	}
+	dataStart := time.Now()
 	ds := data.SynthMNIST(fedzkt.Sizes{TrainPerClass: perClass, TestPerClass: 10}, cfg.Seed)
+	fmt.Printf("dataset built (%d training samples, %d test) in %s\n",
+		ds.NumTrain(), ds.NumTest(), time.Since(dataStart).Round(time.Millisecond))
 	var dataShards [][]int
 	if n := ds.NumTrain(); 2*(*devices) > n {
 		dataShards = make([][]int, *devices)

@@ -83,7 +83,9 @@ type Config struct {
 // of it. A training sample is held as the generator state its render
 // starts from, and every gather renders it again: the pixels are a pure
 // function of that state, so the split costs 16 bytes and a label per
-// sample rather than the sample itself.
+// sample rather than the sample itself. Building the dataset walks each
+// sample's draws to find where the next one starts, and paints only the
+// test split.
 type Dataset struct {
 	Name    string
 	Classes int
@@ -110,7 +112,7 @@ func stateOf(p *rand.PCG) pcgState {
 	return pcgState{binary.BigEndian.Uint64(b[4:12]), binary.BigEndian.Uint64(b[12:20])}
 }
 
-// Make renders the dataset described by cfg.
+// Make builds the dataset described by cfg.
 func Make(cfg Config) (*Dataset, error) {
 	if cfg.Classes < 2 || cfg.C <= 0 || cfg.H <= 0 || cfg.W <= 0 {
 		return nil, fmt.Errorf("data: invalid config %+v", cfg)
@@ -160,19 +162,17 @@ func MustMake(cfg Config) *Dataset {
 	return ds
 }
 
-// record draws perClass samples of every class, interleaved, through one
-// scratch buffer, and returns the state each sample's render starts from
-// and its class, shuffled so contiguous index ranges are class-balanced
-// and partitioners see no ordering artifacts: sample dst is the one drawn
-// perm[dst]-th.
+// record walks perClass samples of every class, interleaved, making each
+// one's draws without painting it, and returns the state each sample's
+// render starts from and its class, shuffled so contiguous index ranges
+// are class-balanced and partitioners see no ordering artifacts: sample
+// dst is the one drawn perm[dst]-th.
 func (d *Dataset) record(perClass int, pcg *rand.PCG, rng *rand.Rand) ([]pcgState, []int) {
 	n := perClass * d.Classes
 	drawn := make([]pcgState, n)
-	scratch := make([]float64, d.C*d.H*d.W)
 	for i := range drawn {
 		drawn[i] = stateOf(pcg)
-		cl := i % d.Classes
-		renderSample(d.cfg, d.protos[cl], d.colors[cl], scratch, rng)
+		walkSample(d.cfg, rng)
 	}
 	at := make([]pcgState, n)
 	y := make([]int, n)
@@ -200,20 +200,37 @@ func (d *Dataset) HeldBytes() int64 {
 	return int64(n)
 }
 
+// drawView makes the draws that fix a sample's view ahead of its pixel
+// noise: the shift, the contrast and, for FamilyStreet, the background,
+// which it paints into bg unless bg is nil.
+func drawView(cfg Config, bg []float64, rng *rand.Rand) (dx, dy int, contrast float64) {
+	dx = rng.IntN(2*cfg.MaxShift+1) - cfg.MaxShift
+	dy = rng.IntN(2*cfg.MaxShift+1) - cfg.MaxShift
+	contrast = 0.7 + 0.6*rng.Float64()
+	if cfg.Family == FamilyStreet {
+		streetBackground(bg, cfg.C, cfg.H, cfg.W, rng)
+	}
+	return dx, dy, contrast
+}
+
+// walkSample makes exactly the draws renderSample makes — the view's, then
+// one normal per pixel — and paints nothing, so a walk leaves the
+// generator where a render of the same sample does.
+func walkSample(cfg Config, rng *rand.Rand) {
+	drawView(cfg, nil, rng)
+	for range cfg.C * cfg.H * cfg.W {
+		rng.NormFloat64()
+	}
+}
+
 // renderSample writes one augmented view of the class prototype into dst.
 func renderSample(cfg Config, proto, color []float64, dst []float64, rng *rand.Rand) {
 	h, w, c := cfg.H, cfg.W, cfg.C
-	dx := rng.IntN(2*cfg.MaxShift+1) - cfg.MaxShift
-	dy := rng.IntN(2*cfg.MaxShift+1) - cfg.MaxShift
-	contrast := 0.7 + 0.6*rng.Float64()
-
-	// Street family: draw a fresh high-variance colored background per
-	// sample into dst, blended under the foreground below; other families
-	// use the prototype's own background.
+	// Street family: the view paints a fresh high-variance colored
+	// background per sample into dst, blended under the foreground below;
+	// other families use the prototype's own background.
+	dx, dy, contrast := drawView(cfg, dst, rng)
 	street := cfg.Family == FamilyStreet
-	if street {
-		streetBackground(dst, c, h, w, rng)
-	}
 
 	for ch := 0; ch < c; ch++ {
 		gain := contrast
@@ -313,8 +330,8 @@ func classColor(c int, rng *rand.Rand) []float64 {
 	return col
 }
 
-// streetBackground writes the high-variance colored patches of the SVHN
-// stand-in into bg.
+// streetBackground draws the high-variance colored patches of the SVHN
+// stand-in and writes them into bg, unless bg is nil.
 func streetBackground(bg []float64, c, h, w int, rng *rand.Rand) {
 	// Two-tone vertical split at a random column with random colors.
 	split := w/4 + rng.IntN(w/2)
@@ -324,6 +341,9 @@ func streetBackground(bg []float64, c, h, w int, rng *rand.Rand) {
 		right := -(0.35 + 0.45*rng.Float64())
 		if rng.Float64() < 0.5 {
 			left, right = right, left
+		}
+		if bg == nil {
+			continue
 		}
 		for yy := 0; yy < h; yy++ {
 			for xx := 0; xx < w; xx++ {

@@ -232,7 +232,7 @@ func eagerRenderSample(cfg Config, proto, color []float64, dst []float64, rng *r
 	var bg []float64
 	if cfg.Family == FamilyStreet {
 		bg = make([]float64, c*h*w)
-		streetBackground(bg, c, h, w, rng)
+		eagerStreetBackground(bg, c, h, w, rng)
 	}
 	for ch := 0; ch < c; ch++ {
 		gain := contrast
@@ -253,6 +253,28 @@ func eagerRenderSample(cfg Config, proto, color []float64, dst []float64, rng *r
 				}
 				out += cfg.NoiseStd * rng.NormFloat64()
 				dst[ch*h*w+yy*w+xx] = clamp(out, -1, 1)
+			}
+		}
+	}
+}
+
+// eagerStreetBackground is streetBackground as it was while every call
+// painted: it writes the SVHN stand-in's two-tone background into bg.
+func eagerStreetBackground(bg []float64, c, h, w int, rng *rand.Rand) {
+	split := w/4 + rng.IntN(w/2)
+	for ch := 0; ch < c; ch++ {
+		left := 0.35 + 0.45*rng.Float64()
+		right := -(0.35 + 0.45*rng.Float64())
+		if rng.Float64() < 0.5 {
+			left, right = right, left
+		}
+		for yy := 0; yy < h; yy++ {
+			for xx := 0; xx < w; xx++ {
+				v := left
+				if xx >= split {
+					v = right
+				}
+				bg[ch*h*w+yy*w+xx] = v
 			}
 		}
 	}
@@ -341,6 +363,69 @@ func TestLazyTrainSplitMatchesEagerRender(t *testing.T) {
 		}
 	}
 }
+
+// countingSource counts the words drawn from its source.
+type countingSource struct {
+	src   rand.Source
+	drawn int
+}
+
+func (c *countingSource) Uint64() uint64 { c.drawn++; return c.src.Uint64() }
+
+// TestWalkDrawsWhatRenderDraws: for every named dataset, 50 seeds and
+// every class, a walk and a render started from the same generator state
+// draw the same number of words and leave the generator in the same
+// state. Some normal draws fail the ziggurat's fast test and take its
+// slow path, which draws more words; the test requires that it saw them.
+func TestWalkDrawsWhatRenderDraws(t *testing.T) {
+	slow := 0
+	for _, name := range []string{"synthmnist", "synthkmnist", "synthfashion", "synthcifar10", "synthcifar100", "synthsvhn"} {
+		for seed := uint64(0); seed < 50; seed++ {
+			ds, _ := ByName(name, Sizes{TrainPerClass: 1, TestPerClass: 1}, seed)
+			cfg := ds.cfg
+			px := cfg.C * cfg.H * cfg.W
+			pcg := tensor.NewPCG(seed)
+			src := &countingSource{src: pcg}
+			rng := rand.New(src)
+			dst := make([]float64, px)
+			// from restores at and returns the words drawn by f.
+			from := func(at pcgState, f func()) int {
+				pcg.Seed(at.hi, at.lo)
+				n := src.drawn
+				f()
+				return src.drawn - n
+			}
+			for cl := range ds.Classes {
+				at := stateOf(pcg)
+				rendered := from(at, func() { renderSample(cfg, ds.protos[cl], ds.colors[cl], dst, rng) })
+				afterRender := stateOf(pcg)
+				walked := from(at, func() { walkSample(cfg, rng) })
+				if walked != rendered || stateOf(pcg) != afterRender {
+					t.Fatalf("%s seed %d class %d: the walk drew %d words and the render %d, or they left the generator in different states",
+						name, seed, cl, walked, rendered)
+				}
+				view := from(at, func() { drawView(cfg, nil, rng) })
+				slow += rendered - view - px
+				pcg.Seed(afterRender.hi, afterRender.lo)
+			}
+		}
+	}
+	if slow == 0 {
+		t.Fatal("no normal draw took the ziggurat's slow path: the parity check never covered it")
+	}
+	t.Logf("%d words drawn on the ziggurat's slow path", slow)
+}
+
+// BenchmarkMake builds the fleets' dataset: SynthMNIST at 201 training and
+// 10 test samples per class.
+func BenchmarkMake(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		madeSink = SynthMNIST(Sizes{TrainPerClass: 201, TestPerClass: 10}, 42)
+	}
+}
+
+// madeSink keeps BenchmarkMake's datasets live.
+var madeSink *Dataset
 
 // TestGatherTrainAllocs: on a warm arena a training gather takes one heap
 // allocation, its generator, whatever the family.

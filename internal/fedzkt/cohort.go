@@ -188,6 +188,10 @@ type cohortOptions struct {
 	// where the store lends no state (under the exact codec).
 	initSlot func(arch string, id int, dst []byte) ([]byte, error)
 	reseed   func(m nn.Module, id int) error
+	// build makes a module of arch seeded for device id: the throwaway a
+	// signature is captured from, and a cohort's pool modules, seeded for
+	// the registrant that created the cohort.
+	build func(arch string, id int) (nn.Module, error)
 }
 
 // cohortSet is the server's replica registry: one cohort per
@@ -231,13 +235,13 @@ func newCohortSet(o cohortOptions) *cohortSet {
 	return &cohortSet{cohortOptions: o, byArch: make(map[string]*cohort), sigs: make(map[string]*archSig)}
 }
 
-// ensureSig returns arch's state signature, building one throwaway module
-// to capture it on first use.
-func (cs *cohortSet) ensureSig(arch string, build func() (nn.Module, error)) (*archSig, error) {
+// ensureSig returns arch's state signature, building one throwaway module,
+// seeded for device id, to capture it on first use.
+func (cs *cohortSet) ensureSig(arch string, id int) (*archSig, error) {
 	if sig, ok := cs.sigs[arch]; ok {
 		return sig, nil
 	}
-	m, err := build()
+	m, err := cs.build(arch, id)
 	if err != nil {
 		return nil, err
 	}
@@ -247,14 +251,16 @@ func (cs *cohortSet) ensureSig(arch string, build func() (nn.Module, error)) (*a
 }
 
 // cohortFor returns the cohort for arch, creating it on first
-// registration — and with it the one decision about how its members'
-// states rest: in a hot set bounded over a spill file (the spill store),
-// or all hot (the memory store).
-func (cs *cohortSet) cohortFor(arch string, sig *archSig, build func() (nn.Module, error)) *cohort {
+// registration — device id's, which seeds its pool modules — and with it
+// the one decision about how its members' states rest: in a hot set
+// bounded over a spill file (the spill store), or all hot (the memory
+// store).
+func (cs *cohortSet) cohortFor(arch string, sig *archSig, id int) *cohort {
 	if c, ok := cs.byArch[arch]; ok {
 		return c
 	}
-	c := &cohort{arch: arch, build: build, sig: sig, members: make([]*member, 0, cs.expected[arch])}
+	c := &cohort{arch: arch, sig: sig, members: make([]*member, 0, cs.expected[arch]),
+		build: func() (nn.Module, error) { return cs.build(arch, id) }}
 	init := func(local int, dst []byte) ([]byte, error) {
 		return cs.initSlot(c.arch, c.members[local].id, dst)
 	}
@@ -303,12 +309,12 @@ func (cs *cohortSet) reserve(n int, perArch map[string]int) {
 // sd is validated against the architecture's own signature (one throwaway
 // build per architecture), never against itself, so a drifted first
 // registrant fails as loudly as a later one.
-func (cs *cohortSet) register(arch string, sd nn.StateDict, build func() (nn.Module, error)) (int, error) {
+func (cs *cohortSet) register(arch string, sd nn.StateDict) (int, error) {
 	if cs.closed {
 		return 0, errStoreClosed
 	}
 	id := len(cs.devices)
-	sig, err := cs.ensureSig(arch, build)
+	sig, err := cs.ensureSig(arch, id)
 	if err != nil {
 		return 0, err
 	}
@@ -317,7 +323,7 @@ func (cs *cohortSet) register(arch string, sd nn.StateDict, build func() (nn.Mod
 			return 0, err
 		}
 	}
-	c := cs.cohortFor(arch, sig, build)
+	c := cs.cohortFor(arch, sig, id)
 	mem := &member{id: id, local: len(c.members)}
 	c.members = append(c.members, mem)
 	cs.devices = append(cs.devices, deviceRef{cohort: c, member: mem})

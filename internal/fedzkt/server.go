@@ -82,6 +82,8 @@ type Server struct {
 	// outScratch is the reusable teacher-output slice of the adversarial
 	// fan-out; holds only pointers, overwritten every iteration.
 	outScratch []*ag.Variable
+	// teachers is sampled mode's teacher-subset policy (teacherSampler).
+	teachers sched.UniformK
 
 	// absorbed lists the devices Absorb and AbsorbPayload installed an
 	// upload for since the last Distill — and the depth-0 device tasks
@@ -139,6 +141,7 @@ func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 		teachers: cfg.TeachersPerIter,
 		initSlot: s.seededSlot,
 		reseed:   s.reseed,
+		build:    s.buildReplica,
 	})
 	s.globalOpt = optim.NewSGD(global.Params(), cfg.ServerLR, 0.9, 0)
 	s.genOpt = optim.NewAdam(s.gen.Params(), cfg.GenLR)
@@ -250,17 +253,18 @@ func (s *Server) TakeReplicaFaults() []int { return s.cohorts.takeFaults() }
 // their encoding, building no module.
 func (s *Server) Register(arch string, initial nn.StateDict) (int, error) {
 	id := s.cohorts.numDevices()
-	build := func() (nn.Module, error) {
-		// Pool modules have a member's state installed before every
-		// use, so their own initial values never matter; the RNG only
-		// has to be valid.
-		return model.Build(arch, s.in, s.cls, tensor.NewRand(s.cfg.Seed+uint64(2000+id)))
-	}
-	got, err := s.cohorts.register(arch, initial, build)
+	got, err := s.cohorts.register(arch, initial)
 	if err != nil {
 		return 0, fmt.Errorf("fedzkt: register device %d: %w", id, err)
 	}
 	return got, nil
+}
+
+// buildReplica builds a module of arch seeded for device id. Pool modules
+// have a member's state installed before every use, so their own initial
+// values never matter; the RNG only has to be valid.
+func (s *Server) buildReplica(arch string, id int) (nn.Module, error) {
+	return model.Build(arch, s.in, s.cls, tensor.NewRand(s.cfg.Seed+uint64(2000+id)))
 }
 
 // PayloadSize returns the length of device id's state container in the
@@ -430,14 +434,19 @@ func (s *Server) teachersPerIter() int {
 	return t
 }
 
-// teacherSampler builds the per-iteration teacher-subset policy: a uniform
-// draw without replacement, on the round scheduler's client sampler.
+// teacherSampler returns the per-iteration teacher-subset policy: a
+// uniform draw of t without replacement, on the round scheduler's client
+// sampler. It is kept across iterations and phases, and rebuilt only when
+// t changes, so the buffer it shuffles in is reused.
 func (s *Server) teacherSampler(t int) sched.Sampler {
-	smp, err := sched.NewUniformK(t)
-	if err != nil {
-		panic(fmt.Sprintf("fedzkt: teacher sampler: %v", err)) // t > 0 by construction
+	if s.teachers.K != t {
+		smp, err := sched.NewUniformK(t)
+		if err != nil {
+			panic(fmt.Sprintf("fedzkt: teacher sampler: %v", err)) // t > 0 by construction
+		}
+		s.teachers = smp
 	}
-	return smp
+	return s.teachers
 }
 
 // adversarialPhase is the first half of Algorithm 3: alternating generator

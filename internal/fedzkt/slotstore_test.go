@@ -28,11 +28,11 @@ func seededState(seed uint64) nn.StateDict {
 // a virgin slot that lends nothing.
 func registryOver(t *testing.T, cdc codec.Codec, store *slotStore) *cohortSet {
 	t.Helper()
+	build := func() (nn.Module, error) { return model.Build("mlp", tinyShape(), 4, tensor.NewRand(1)) }
 	cs := newCohortSet(cohortOptions{lr: 0.05, codec: cdc, reseed: func(m nn.Module, id int) error {
 		return model.Reinit(m, tensor.NewRand(uint64(100+id)))
-	}})
-	build := func() (nn.Module, error) { return model.Build("mlp", tinyShape(), 4, tensor.NewRand(1)) }
-	sig, err := cs.ensureSig("mlp", build)
+	}, build: func(string, int) (nn.Module, error) { return build() }})
+	sig, err := cs.ensureSig("mlp", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +84,12 @@ func TestSlotStoreContract(t *testing.T) {
 					}
 					return p
 				}
-				build := cs.byArch["mlp"].build
 				for i := 0; i < members; i++ {
 					sd := seededState(uint64(100 + i))
 					if b.virgins && i == members-1 {
 						sd = nil
 					}
-					if _, err := cs.register("mlp", sd, build); err != nil {
+					if _, err := cs.register("mlp", sd); err != nil {
 						t.Fatal(err)
 					}
 				}

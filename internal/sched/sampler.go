@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 )
 
@@ -20,15 +21,19 @@ type Sampler interface {
 
 // UniformK samples exactly min(K, n) devices uniformly without
 // replacement — the classic partial-participation policy of large-scale
-// federated systems.
-type UniformK struct{ K int }
+// federated systems. One built by NewUniformK shuffles in a buffer it
+// keeps across calls (see permBuffer).
+type UniformK struct {
+	K    int
+	perm *permBuffer
+}
 
 // NewUniformK validates k and builds the policy.
 func NewUniformK(k int) (UniformK, error) {
 	if k <= 0 {
 		return UniformK{}, fmt.Errorf("sched: uniform-K sample size %d must be positive", k)
 	}
-	return UniformK{K: k}, nil
+	return UniformK{K: k, perm: new(permBuffer)}, nil
 }
 
 // Name implements Sampler.
@@ -36,19 +41,24 @@ func (u UniformK) Name() string { return fmt.Sprintf("uniform-%d", u.K) }
 
 // Sample implements Sampler.
 func (u UniformK) Sample(n int, rng *rand.Rand) []int {
-	return uniformSubset(n, u.K, rng)
+	return u.perm.subset(n, u.K, rng)
 }
 
 // Fraction samples round(p·n) devices uniformly (at least one) — the
-// paper's straggler parameter p, expressed as a policy.
-type Fraction struct{ P float64 }
+// paper's straggler parameter p, expressed as a policy. One built by
+// NewFraction shuffles in a buffer it keeps across calls (see
+// permBuffer).
+type Fraction struct {
+	P    float64
+	perm *permBuffer
+}
 
 // NewFraction validates p and builds the policy.
 func NewFraction(p float64) (Fraction, error) {
 	if !(0 <= p && p <= 1) {
 		return Fraction{}, fmt.Errorf("sched: active fraction %v outside [0,1]", p)
 	}
-	return Fraction{P: p}, nil
+	return Fraction{P: p, perm: new(permBuffer)}, nil
 }
 
 // Name implements Sampler.
@@ -56,13 +66,23 @@ func (f Fraction) Name() string { return fmt.Sprintf("fraction-%.2f", f.P) }
 
 // Sample implements Sampler.
 func (f Fraction) Sample(n int, rng *rand.Rand) []int {
-	return uniformSubset(n, int(f.P*float64(n)+0.5), rng)
+	return f.perm.subset(n, int(f.P*float64(n)+0.5), rng)
 }
 
-// uniformSubset draws a uniformly random subset of [0,n) of size
+// permBuffer is the permutation a uniform policy shuffles to draw its
+// subset, kept across calls so a round's sample allocates only its
+// k-sized result rather than a permutation of the whole population.
+// Copies of a policy share it, so their Sample calls must not overlap. A
+// policy written as a literal has none, and shuffles in a fresh one each
+// call.
+type permBuffer struct{ p []int }
+
+// subset draws a uniformly random subset of [0,n) of size
 // min(max(k,1), n), sorted ascending — the shared selection mechanics of
-// the uniform policies.
-func uniformSubset(n, k int, rng *rand.Rand) []int {
+// the uniform policies. It is the first k entries of the permutation
+// rng.Perm(n) would return, drawn the same way: the identity, then
+// rng.Shuffle.
+func (b *permBuffer) subset(n, k int, rng *rand.Rand) []int {
 	checkPopulation(n)
 	if k < 1 {
 		k = 1
@@ -70,7 +90,16 @@ func uniformSubset(n, k int, rng *rand.Rand) []int {
 	if k > n {
 		k = n
 	}
-	active := append([]int(nil), rng.Perm(n)[:k]...)
+	if b == nil {
+		b = new(permBuffer)
+	}
+	b.p = slices.Grow(b.p[:0], n)[:n]
+	p := b.p
+	for i := range p {
+		p[i] = i
+	}
+	rng.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
+	active := slices.Clone(p[:k])
 	sort.Ints(active)
 	return active
 }

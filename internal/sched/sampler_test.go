@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -101,5 +102,44 @@ func TestSamplersDeterministicForEqualSeeds(t *testing.T) {
 				t.Fatalf("same seed, different samples: %s vs %s", a, b)
 			}
 		})
+	}
+}
+
+// TestSampleDrawsAsPerm: a policy's sample is the sorted first k entries
+// of rng.Perm(n), and it leaves rng where Perm does, call after call on
+// one reused buffer over growing and shrinking populations.
+func TestSampleDrawsAsPerm(t *testing.T) {
+	u, _ := NewUniformK(5)
+	f, _ := NewFraction(0.3)
+	for _, s := range []Sampler{u, f, UniformK{K: 5}} {
+		got, want := tensor.NewRand(17), tensor.NewRand(17)
+		for _, n := range []int{40, 7, 1, 300, 3, 300, 64} {
+			k := min(5, n)
+			if fr, ok := s.(Fraction); ok {
+				k = max(int(fr.P*float64(n)+0.5), 1)
+			}
+			ref := slices.Clone(want.Perm(n)[:k])
+			sort.Ints(ref)
+			if a := s.Sample(n, got); !slices.Equal(a, ref) {
+				t.Fatalf("%s over %d devices: sampled %v, rng.Perm gives %v", s.Name(), n, a, ref)
+			}
+			if got.Uint64() != want.Uint64() {
+				t.Fatalf("%s over %d devices: the sample left the generator elsewhere than rng.Perm", s.Name(), n)
+			}
+		}
+	}
+}
+
+// TestSampleAllocs: once a policy's buffer has grown to the population, a
+// sample allocates only its k-sized result.
+func TestSampleAllocs(t *testing.T) {
+	u, _ := NewUniformK(32)
+	f, _ := NewFraction(0.01)
+	for _, s := range []Sampler{u, f} {
+		rng := tensor.NewRand(3)
+		s.Sample(10000, rng)
+		if n := testing.AllocsPerRun(20, func() { s.Sample(10000, rng) }); n != 1 {
+			t.Errorf("%s: %.1f heap allocations per sample of 10000 devices, want 1 (the result)", s.Name(), n)
+		}
 	}
 }
