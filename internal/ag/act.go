@@ -147,31 +147,6 @@ func Tanh(x *Variable) *Variable {
 	return n
 }
 
-func sigmoidBack(v *Variable, g *tensor.Tensor) {
-	x := v.parents[0]
-	sink := x.gradSink()
-	if sink == nil {
-		return
-	}
-	od, gd, dd := v.value.Data(), g.Data(), sink.Data()
-	for i, y := range od {
-		dd[i] += gd[i] * y * (1 - y)
-	}
-}
-
-// Sigmoid returns 1/(1+e^-x) elementwise.
-func Sigmoid(x *Variable) *Variable {
-	ar := arenaOf(x)
-	out := ar.T.NewRawLike(x.value)
-	tensor.ApplyInto(out, x.value, func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
-	if !x.requiresGrad {
-		return constIn(ar, out)
-	}
-	n := record(ar, out, sigmoidBack, x)
-	n.reads(n)
-	return n
-}
-
 func check2d(x *Variable, what string) (n, d int) {
 	if x.value.Dims() != 2 {
 		panic(fmt.Sprintf("ag: %s wants (N×D) input, got %v", what, x.Shape()))

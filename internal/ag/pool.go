@@ -122,86 +122,6 @@ func maxPoolBack(v *Variable, g *tensor.Tensor) {
 	v.ar.T.Release(dx)
 }
 
-// AvgPool2d applies k×k average pooling with the given stride (no padding).
-func AvgPool2d(x *Variable, k, stride int) *Variable {
-	if x.value.Dims() != 4 {
-		panic(fmt.Sprintf("ag: AvgPool2d wants (N,C,H,W), got %v", x.Shape()))
-	}
-	n, c, h, w := x.value.Dim(0), x.value.Dim(1), x.value.Dim(2), x.value.Dim(3)
-	oh := tensor.ConvOutSize(h, k, stride, 0)
-	ow := tensor.ConvOutSize(w, k, stride, 0)
-	inv := 1 / float64(k*k)
-	ar := arenaOf(x)
-	out := ar.T.NewRaw(n, c, oh, ow)
-	xd, od := x.value.Data(), out.Data()
-	for sc := 0; sc < n*c; sc++ {
-		src := xd[sc*h*w : (sc+1)*h*w]
-		dst := od[sc*oh*ow : (sc+1)*oh*ow]
-		di := 0
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				sum := 0.0
-				for ky := 0; ky < k; ky++ {
-					for kx := 0; kx < k; kx++ {
-						iy, ix := oy*stride+ky, ox*stride+kx
-						if iy < h && ix < w {
-							sum += src[iy*w+ix]
-						}
-					}
-				}
-				dst[di] = sum * inv
-				di++
-			}
-		}
-	}
-	if !x.requiresGrad {
-		return constIn(ar, out)
-	}
-	node := record(ar, out, avgPoolBack, x) // reads no value
-	node.aux0, node.aux1 = float64(k), float64(stride)
-	return node
-}
-
-// avgPoolBack spreads gradients back over each window (k and stride ride
-// in aux0/aux1).
-func avgPoolBack(v *Variable, g *tensor.Tensor) {
-	x := v.parents[0]
-	sink := x.gradSink()
-	if sink == nil {
-		return
-	}
-	k, stride := int(v.aux0), int(v.aux1)
-	inv := 1 / float64(k*k)
-	n, c := x.value.Dim(0), x.value.Dim(1)
-	h, w := x.value.Dim(2), x.value.Dim(3)
-	oh, ow := v.value.Dim(2), v.value.Dim(3)
-	// Overlapping windows (stride < k) accumulate several outputs into
-	// one input element: scatter into zeroed scratch, accumulate once.
-	dx := v.ar.T.NewLike(x.value)
-	gd, dd := g.Data(), dx.Data()
-	for sc := 0; sc < n*c; sc++ {
-		gsrc := gd[sc*oh*ow : (sc+1)*oh*ow]
-		base := sc * h * w
-		gi := 0
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				gv := gsrc[gi] * inv
-				gi++
-				for ky := 0; ky < k; ky++ {
-					for kx := 0; kx < k; kx++ {
-						iy, ix := oy*stride+ky, ox*stride+kx
-						if iy < h && ix < w {
-							dd[base+iy*w+ix] += gv
-						}
-					}
-				}
-			}
-		}
-	}
-	tensor.AccumInto(sink, dx)
-	v.ar.T.Release(dx)
-}
-
 // GlobalAvgPool reduces (N,C,H,W) to (N,C) by averaging each channel plane.
 func GlobalAvgPool(x *Variable) *Variable {
 	if x.value.Dims() != 4 {

@@ -115,7 +115,9 @@ func TestAverageInto(t *testing.T) {
 	}
 	got := nn.CaptureState(dst)
 	for name := range s1 {
-		want := tensor.Add(tensor.Scale(0.25, s1[name]), tensor.Scale(0.75, s2[name]))
+		want := tensor.New(s1[name].Shape()...)
+		tensor.ScaleInto(want, 0.25, s1[name])
+		tensor.AxpyInto(want, 0.75, s2[name])
 		if d := tensor.MaxAbsDiff(got[name], want); d > 1e-12 {
 			t.Fatalf("state %q averaged wrong (Δ=%g)", name, d)
 		}
@@ -175,7 +177,9 @@ func TestDigestMovesLogitsTowardConsensus(t *testing.T) {
 		m.SetTraining(false)
 		defer m.SetTraining(true)
 		out := m.Forward(ag.Const(px)).Value()
-		return tensor.Norm2(tensor.Sub(out, consensus))
+		diff := tensor.New(out.Shape()...)
+		tensor.SubInto(diff, out, consensus)
+		return tensor.Norm2(diff)
 	}
 	before := dist()
 	if err := digest(m, px, consensus, 5, 4, 0.05, tensor.NewRand(24), ag.NewArena()); err != nil {

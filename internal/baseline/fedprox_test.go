@@ -58,7 +58,9 @@ func TestFedProxRestrainsLocalDrift(t *testing.T) {
 		total := 0.0
 		for _, d := range fa.devices {
 			for name, w := range nn.CaptureState(d.Model) {
-				total += tensor.Norm2(tensor.Sub(w, globalBefore[name]))
+				diff := tensor.New(w.Shape()...)
+				tensor.SubInto(diff, w, globalBefore[name])
+				total += tensor.Norm2(diff)
 			}
 		}
 		return total

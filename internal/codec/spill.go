@@ -100,9 +100,6 @@ func CreateSpill(path string, recordCap int) (*SpillFile, error) {
 		index: make(map[int]int64)}, nil
 }
 
-// Path returns the backing file's path.
-func (s *SpillFile) Path() string { return s.path }
-
 // withRetry runs op up to spillRetries+1 times, sleeping with doubling
 // backoff between attempts. Only transient errors are retried; corrupt
 // records (ErrSpillChecksum, bad lengths) surface immediately.

@@ -45,19 +45,8 @@ func ByName(name string, sz Sizes, seed uint64) (*Dataset, bool) {
 	return MustMake(cfg), true
 }
 
-func mustByName(name string, sz Sizes, seed uint64) *Dataset {
-	ds, _ := ByName(name, sz, seed)
+// SynthMNIST builds the MNIST stand-in: 1×16×16 digit-like patterns.
+func SynthMNIST(sz Sizes, seed uint64) *Dataset {
+	ds, _ := ByName("synthmnist", sz, seed)
 	return ds
 }
-
-// SynthMNIST builds the MNIST stand-in: 1×16×16 digit-like patterns.
-func SynthMNIST(sz Sizes, seed uint64) *Dataset { return mustByName("synthmnist", sz, seed) }
-
-// SynthCIFAR10 builds the CIFAR-10 stand-in: 3×16×16 colored object-like
-// patterns.
-func SynthCIFAR10(sz Sizes, seed uint64) *Dataset { return mustByName("synthcifar10", sz, seed) }
-
-// SynthSVHN builds the SVHN stand-in used as FedMD's *dissimilar* public
-// dataset for CIFAR-10: digit foregrounds over high-variance colored
-// backgrounds, statistically far from the Objects family.
-func SynthSVHN(sz Sizes, seed uint64) *Dataset { return mustByName("synthsvhn", sz, seed) }

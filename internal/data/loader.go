@@ -79,15 +79,6 @@ func (s *Subset) BatchIn(a *tensor.Arena, local []int) (*tensor.Tensor, []int) {
 	return s.DS.GatherTrainIn(a, global)
 }
 
-// LabelCounts returns the per-class sample counts within the subset.
-func (s *Subset) LabelCounts() []int {
-	counts := make([]int, s.DS.Classes)
-	for _, i := range s.Idx {
-		counts[s.DS.TrainY[i]]++
-	}
-	return counts
-}
-
 // ShuffledBatches splits [0,n) into mini-batches of size batchSize after a
 // Fisher-Yates shuffle; the final batch may be smaller. It panics if n or
 // batchSize is non-positive.

@@ -56,12 +56,13 @@ func tapedEvaluate(m nn.Module, ds *data.Dataset, batchSize int) float64 {
 // this being a test — everything handed back early is NaN, so a lowering
 // or activation released before its last reader shows up here.
 func TestEvaluateArenaForwardOnly(t *testing.T) {
+	cifar, _ := data.ByName("synthcifar10", data.Sizes{TrainPerClass: 1, TestPerClass: 5}, 8)
 	for _, zoo := range []struct {
 		archs []string
 		ds    *data.Dataset
 	}{
 		{model.SmallZoo(), data.SynthMNIST(data.Sizes{TrainPerClass: 1, TestPerClass: 5}, 7)},
-		{model.CIFARZoo(), data.SynthCIFAR10(data.Sizes{TrainPerClass: 1, TestPerClass: 5}, 8)},
+		{model.CIFARZoo(), cifar},
 	} {
 		ar := ag.NewArena() // one arena across the zoo, as a rig's is
 		for i, arch := range zoo.archs {

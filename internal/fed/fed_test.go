@@ -76,7 +76,8 @@ func TestProximalTermRestrainsDrift(t *testing.T) {
 		cur := nn.CaptureState(d.Model)
 		for name, w := range cur {
 			prev := d.received[name]
-			diff := tensor.Sub(w, prev)
+			diff := tensor.New(w.Shape()...)
+			tensor.SubInto(diff, w, prev)
 			total += tensor.Norm2(diff)
 		}
 		return total

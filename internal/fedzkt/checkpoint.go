@@ -3,13 +3,16 @@ package fedzkt
 // Checkpoints. A checkpoint is one record: a 4-byte magic and a 1-byte
 // format version, so a reader rejects foreign blobs and version mismatches
 // with a clear error instead of failing inside gob, then one gob-encoded
-// checkpoint. A server snapshot is a federation snapshot without a round
-// cursor: a server loads either, a coordinator refuses one without. Only
-// written slots are stored: a virgin replica (slotStore.virgin) is an
-// empty entry, its content its device's seeded state — a function of
-// (Seed, id) — so a save rebuilds nothing, a load leaves the slot virgin
-// (or drops it back to virgin, after the beforeWrite hook), and a load
-// refuses another seed. Version 2 made payloads codec containers, 3 added
+// checkpoint. A federation snapshot (Engine.SaveCheckpoint) carries a
+// round cursor; a server snapshot (Server.CheckpointBytes) is the same
+// record without one, which nothing loads. A checkpoint loads only through
+// Coordinator.LoadCheckpoint, and only into a coordinator of exactly the
+// snapshot's devices, architecture for architecture. Only written slots
+// are stored: a virgin replica (slotStore.virgin) is an empty entry, its
+// content its device's seeded state — a function of (Seed, id) — so a
+// save rebuilds nothing, a load leaves the slot virgin (or drops it back
+// to virgin, after the beforeWrite hook), and a load refuses another
+// seed. Version 2 made payloads codec containers, 3 added
 // the optimiser state and the finalised-round history (a bit-exact
 // synchronous resume), 4 is one record for both kinds, with the seed and
 // empty entries. Version-1 blobs predate the header and fail on the magic.
@@ -22,10 +25,8 @@ import (
 
 	"github.com/fedzkt/fedzkt/internal/codec"
 	"github.com/fedzkt/fedzkt/internal/fed"
-	"github.com/fedzkt/fedzkt/internal/model"
 	"github.com/fedzkt/fedzkt/internal/nn"
 	"github.com/fedzkt/fedzkt/internal/optim"
-	"github.com/fedzkt/fedzkt/internal/tensor"
 )
 
 // checkpointMagic opens every checkpoint, at byte offset 0; the format
@@ -134,21 +135,6 @@ func (s *Server) snapshot() (*checkpoint, error) {
 	return cp, nil
 }
 
-// SaveCheckpoint serialises the server's full learned state — global
-// model, generator, every written device replica, and the
-// optimiser/schedule state — so a long federation can be stopped and
-// resumed bit-exactly. Replicas are persisted in their slot encoding (the
-// configured state codec). The configuration is not saved; the caller
-// reconstructs the server with NewServer and the same Config before
-// loading.
-func (s *Server) SaveCheckpoint(w io.Writer) error {
-	cp, err := s.snapshot()
-	if err != nil {
-		return err
-	}
-	return writeCheckpoint(w, cp)
-}
-
 // checkStateDict validates that src can restore m's state — same entry
 // set, same element counts — without mutating anything. nn.LoadState
 // copies as it validates, so the all-or-nothing load path runs this
@@ -171,11 +157,10 @@ func checkStateDict(m nn.Module, src nn.StateDict, what string) error {
 }
 
 // stageCheckpoint validates every part of a decoded checkpoint against the
-// live server without mutating any state — the seed, counts, positional
-// architecture matches, the buildability of architectures for devices
-// not yet registered, every stored replica's container layout, and the
-// global/generator state dicts, which it returns decoded — so the commit
-// phase cannot fail a structural check.
+// live server without mutating any state — the seed, the device count,
+// positional architecture matches, every stored replica's container
+// layout, and the global/generator state dicts, which it returns decoded —
+// so the commit phase cannot fail a structural check.
 func (s *Server) stageCheckpoint(cp *checkpoint) (global, gen nn.StateDict, err error) {
 	if cp.Seed != s.cfg.Seed {
 		return nil, nil, fmt.Errorf("fedzkt: checkpoint of seed %d does not load into a server of seed %d (a never-written replica is its device's seeded state)", cp.Seed, s.cfg.Seed)
@@ -183,29 +168,13 @@ func (s *Server) stageCheckpoint(cp *checkpoint) (global, gen nn.StateDict, err 
 	if len(cp.Replicas) != len(cp.Archs) {
 		return nil, nil, fmt.Errorf("fedzkt: corrupt checkpoint: %d replicas for %d archs", len(cp.Replicas), len(cp.Archs))
 	}
-	if n := s.cohorts.numDevices(); n > len(cp.Archs) {
-		return nil, nil, fmt.Errorf("fedzkt: server has %d devices but checkpoint has %d", n, len(cp.Archs))
+	if n := s.cohorts.numDevices(); n != len(cp.Archs) {
+		return nil, nil, fmt.Errorf("fedzkt: checkpoint of %d devices does not load into a federation of %d (a checkpoint loads only into a coordinator of exactly its devices)", len(cp.Archs), n)
 	}
-	// freshSigs caches signatures of architectures the server has not
-	// seen yet, each proven buildable by constructing one throwaway
-	// module (exactly what registration will do again at commit).
-	freshSigs := make(map[string]*archSig)
 	for i, arch := range cp.Archs {
-		var sig *archSig
-		if i < s.cohorts.numDevices() {
-			if got := s.cohorts.devices[i].cohort.arch; got != arch {
-				return nil, nil, fmt.Errorf("fedzkt: device %d architecture mismatch: %s vs checkpointed %s", i, got, arch)
-			}
-			sig = s.cohorts.devices[i].cohort.sig
-		} else if sig = s.cohorts.sigs[arch]; sig == nil {
-			if sig = freshSigs[arch]; sig == nil {
-				m, err := model.Build(arch, s.in, s.cls, tensor.NewRand(s.cfg.Seed))
-				if err != nil {
-					return nil, nil, fmt.Errorf("fedzkt: restoring device %d: %w", i, err)
-				}
-				sig = sigOf(nn.CaptureState(m))
-				freshSigs[arch] = sig
-			}
+		c := s.cohorts.devices[i].cohort
+		if c.arch != arch {
+			return nil, nil, fmt.Errorf("fedzkt: device %d architecture mismatch: %s vs checkpointed %s", i, c.arch, arch)
 		}
 		if len(cp.Replicas[i]) == 0 {
 			continue // virgin: nothing stored to validate
@@ -214,7 +183,7 @@ func (s *Server) stageCheckpoint(cp *checkpoint) (global, gen nn.StateDict, err 
 		if err != nil {
 			return nil, nil, fmt.Errorf("fedzkt: checkpoint replica %d: %w", i, err)
 		}
-		if err := sig.checkLayout(arch, entries); err != nil {
+		if err := c.sig.checkLayout(arch, entries); err != nil {
 			return nil, nil, fmt.Errorf("fedzkt: checkpoint replica %d: %w", i, err)
 		}
 	}
@@ -230,20 +199,17 @@ func (s *Server) stageCheckpoint(cp *checkpoint) (global, gen nn.StateDict, err 
 	return global, gen, checkStateDict(s.gen, gen, "generator")
 }
 
-// LoadCheckpoint restores a snapshot written by SaveCheckpoint — a
-// server's or a federation's, whose round cursor it ignores — into a
-// server constructed with the same seed. Devices not yet registered are
-// registered with their checkpointed architecture; already-registered
-// devices must match positionally. Stored replica payloads are
-// self-describing containers, so a checkpoint written under one codec
-// loads into a server configured with another: same-codec payloads are
-// adopted verbatim (bit-exact), foreign-dtype payloads are re-encoded into
-// the configured codec at load so the slots keep its memory and accounting
-// invariants (a float64 server re-encodes them exactly). A replica stored
-// as an empty entry — never written when the snapshot was taken — is left
-// (or made, after the beforeWrite hook) virgin, so it reads as the loading
-// server's seeded state: under a lossy codec, the seeded state quantised
-// by the loading server's codec, not the saving one's.
+// load restores a decoded checkpoint into a server of exactly its devices
+// and seed. Stored replica payloads are self-describing containers, so a
+// checkpoint written under one codec loads into a server configured with
+// another: same-codec payloads are adopted verbatim (bit-exact),
+// foreign-dtype payloads are re-encoded into the configured codec so the
+// slots keep its memory and accounting invariants (a float64 server
+// re-encodes them exactly). A replica stored as an empty entry — never
+// written when the snapshot was taken — is left (or made, after the
+// beforeWrite hook) virgin, so it reads as the loading server's seeded
+// state: under a lossy codec, the seeded state quantised by the loading
+// server's codec, not the saving one's.
 //
 // The load is all-or-nothing against structural faults: the seed and
 // every count, architecture, container layout and state-dict shape are
@@ -252,15 +218,6 @@ func (s *Server) stageCheckpoint(cp *checkpoint) (global, gen nn.StateDict, err 
 // leaves the server exactly as it was. (Disk I/O failing mid-commit in
 // the spill store is the one residual partial-write risk; the durable
 // file layer's CRC makes that a crash-then-rollback, not a silent load.)
-func (s *Server) LoadCheckpoint(r io.Reader) error {
-	cp, err := readCheckpoint(r)
-	if err != nil {
-		return err
-	}
-	return s.load(cp)
-}
-
-// load validates and commits a decoded checkpoint (see LoadCheckpoint).
 func (s *Server) load(cp *checkpoint) error {
 	global, gen, err := s.stageCheckpoint(cp)
 	if err != nil {
@@ -283,12 +240,6 @@ func (s *Server) load(cp *checkpoint) error {
 	// Uploads absorbed before the load belong to a round the checkpoint
 	// replaces: they are no round's participants any more.
 	s.takeAbsorbed()
-	registered := s.cohorts.numDevices()
-	for i := registered; i < len(cp.Archs); i++ {
-		if _, err := s.Register(cp.Archs[i], nil); err != nil {
-			return fmt.Errorf("fedzkt: restoring device %d: %w", i, err)
-		}
-	}
 	if err := nn.LoadState(s.global, global); err != nil {
 		return fmt.Errorf("fedzkt: checkpoint global: %w", err)
 	}
@@ -296,11 +247,9 @@ func (s *Server) load(cp *checkpoint) error {
 		return fmt.Errorf("fedzkt: checkpoint generator: %w", err)
 	}
 	for i, b := range cp.Replicas {
-		ref := s.cohorts.devices[i]
-		switch {
-		case len(b) > 0:
+		if ref := s.cohorts.devices[i]; len(b) > 0 {
 			err = s.cohorts.installPayload(ref, b)
-		case i < registered:
+		} else {
 			err = s.cohorts.drop(ref)
 		}
 		if err != nil {
@@ -310,11 +259,17 @@ func (s *Server) load(cp *checkpoint) error {
 	return nil
 }
 
-// CheckpointBytes is a convenience wrapper returning the checkpoint as a
-// byte slice.
+// CheckpointBytes serialises the server's learned state — global model,
+// generator, every written device replica in its slot encoding, and the
+// optimiser/schedule state — as a checkpoint without a round cursor. It
+// measures what a federation snapshot costs; no loader takes it.
 func (s *Server) CheckpointBytes() ([]byte, error) {
+	cp, err := s.snapshot()
+	if err != nil {
+		return nil, err
+	}
 	var buf bytes.Buffer
-	if err := s.SaveCheckpoint(&buf); err != nil {
+	if err := writeCheckpoint(&buf, cp); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -347,14 +302,14 @@ func (e *Engine) SaveCheckpoint(w io.Writer) error {
 // LoadCheckpoint restores a federation snapshot written by
 // Engine.SaveCheckpoint into a coordinator built with the same
 // configuration, dataset and shards; a snapshot without a round cursor (a
-// server's) is refused. The server state is restored bit-exactly; each
+// server's), or of another device count or architecture list, is refused. The server state is restored bit-exactly; each
 // device then downloads its replica state — the server's latest knowledge
 // of it — so a device that had local progress in an unfinalised (in-flight)
 // round resumes from the last state the server saw instead. A subsequent
 // Run continues from the first unfinalised round, replaying the
 // client-sampling stream up to it. The load is all-or-nothing: a corrupt
 // snapshot rejects the whole load with the coordinator unchanged (see
-// Server.LoadCheckpoint).
+// Server.load).
 func (c *Coordinator) LoadCheckpoint(r io.Reader) error {
 	cp, err := readCheckpoint(r)
 	if err != nil {

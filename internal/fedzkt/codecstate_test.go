@@ -207,21 +207,16 @@ func TestQuantisedCheckpointBitExact(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.StateCodec = "int8"
 	cfg.DistillIters = 2
-	srv := registerN(t, cfg, 4, "mlp", "lenet-s")
+	co := federation(t, cfg, 4, "mlp", "lenet-s")
+	srv := co.Server()
 	if _, err := srv.Distill(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := srv.CheckpointBytes()
-	if err != nil {
+	fresh := federation(t, cfg, 4, "mlp", "lenet-s")
+	if err := fresh.LoadCheckpoint(bytes.NewReader(snapshotBytes(t, co))); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := NewServer(cfg, tinyShape(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.LoadCheckpoint(bytes.NewReader(blob)); err != nil {
-		t.Fatal(err)
-	}
+	restored := fresh.Server()
 	for id := 0; id < 4; id++ {
 		a, _, err := srv.ReplicaPayload(id)
 		if err != nil {
@@ -238,17 +233,12 @@ func TestQuantisedCheckpointBitExact(t *testing.T) {
 }
 
 // TestCrossCodecCheckpointLoad: payloads are self-describing, so a
-// checkpoint written by a dense server loads into a quantised server and
-// vice versa, with values surviving within the quantisation bound.
+// checkpoint written by a dense federation loads into a quantised one,
+// with values surviving within the quantisation bound.
 func TestCrossCodecCheckpointLoad(t *testing.T) {
 	dense := tinyConfig()
-	srvDense, err := NewServer(dense, tinyShape(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srvDense.Register("mlp", nil); err != nil {
-		t.Fatal(err)
-	}
+	coDense := federation(t, dense, 1, "mlp")
+	srvDense := coDense.Server()
 	// Write the slot, so both servers hold one container to compare below.
 	seeded, err := srvDense.ReplicaState(0)
 	if err == nil {
@@ -257,21 +247,15 @@ func TestCrossCodecCheckpointLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := srvDense.CheckpointBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	quant := dense
 	quant.StateCodec = "int8"
 	quant.DistillIters = 2
-	srvQuant, err := NewServer(quant, tinyShape(), 4)
-	if err != nil {
+	coQuant := federation(t, quant, 1, "mlp")
+	if err := coQuant.LoadCheckpoint(bytes.NewReader(snapshotBytes(t, coDense))); err != nil {
 		t.Fatal(err)
 	}
-	if err := srvQuant.LoadCheckpoint(bytes.NewReader(blob)); err != nil {
-		t.Fatal(err)
-	}
+	srvQuant := coQuant.Server()
 	want, _ := srvDense.ReplicaState(0)
 	got, err := srvQuant.ReplicaState(0)
 	if err != nil {

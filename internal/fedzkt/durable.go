@@ -225,8 +225,9 @@ func (e *Engine) maybeCheckpoint(round int) error {
 
 // resumeFromDir restores the coordinator from the newest intact,
 // loadable checkpoint file in CheckpointDir. Files that fail their CRC
-// (torn writes) or are rejected by the checkpoint codec are skipped
-// oldest-ward — the rollback path — and reported only if no file loads.
+// (torn writes) or are rejected by LoadCheckpoint — a corrupt record, or
+// one of another seed or device count — are skipped oldest-ward — the
+// rollback path — and reported only if no file loads.
 // An empty directory is a fresh start, not an error.
 func (c *Coordinator) resumeFromDir() error {
 	names, err := ListCheckpointFiles(c.cfg.CheckpointDir)

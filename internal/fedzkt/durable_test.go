@@ -24,14 +24,7 @@ import (
 // a resumed run must replay the uninterrupted trajectory bit for bit.
 func durableCoordinator(t *testing.T, cfg Config) *Coordinator {
 	t.Helper()
-	ds := tinyDataset(77)
-	shards := partition.IID(ds.NumTrain(), 2, tensor.NewRand(2))
-	c, err := New(cfg, ds, []string{"mlp", "lenet-s"}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
-	return c
+	return federation(t, cfg, 2, "mlp", "lenet-s")
 }
 
 var (
@@ -305,27 +298,21 @@ func TestUntouchedFleetCheckpointResume(t *testing.T) {
 
 // TestLoadCheckpointAllOrNothing: a checkpoint that fails validation —
 // a truncated replica payload, a corrupt optimiser snapshot — must leave
-// the target server byte-identical to its pre-load state (satellite of
-// the durability tentpole: stage then swap, never partial state).
+// the target federation byte-identical to its pre-load state: stage then
+// swap, never partial state.
 func TestLoadCheckpointAllOrNothing(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.DistillIters = 2
-	src, err := NewServer(cfg, tinyShape(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, arch := range []string{"mlp", "lenet-s"} {
-		if _, err := src.Register(arch, nil); err != nil {
+	// moved is a federation whose server has distilled once, so its
+	// snapshot holds written replicas and optimiser state.
+	moved := func() *Coordinator {
+		co := durableCoordinator(t, cfg)
+		if _, err := co.Server().Distill(context.Background(), 1); err != nil {
 			t.Fatal(err)
 		}
+		return co
 	}
-	if _, err := src.Distill(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := src.CheckpointBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := snapshotBytes(t, moved())
 
 	// Decode the gob body so individual fields can be corrupted while the
 	// framing stays valid — the corruption a header check cannot catch.
@@ -370,33 +357,15 @@ func TestLoadCheckpointAllOrNothing(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			// A target with its own nontrivial state, so "unchanged" is a
 			// meaningful assertion rather than comparing two zero states.
-			dst, err := NewServer(cfg, tinyShape(), 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, arch := range []string{"mlp", "lenet-s"} {
-				if _, err := dst.Register(arch, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := dst.Distill(context.Background(), 1); err != nil {
-				t.Fatal(err)
-			}
-			before, err := dst.CheckpointBytes()
-			if err != nil {
-				t.Fatal(err)
-			}
+			dst := moved()
+			before := snapshotBytes(t, dst)
 			if err := dst.LoadCheckpoint(bytes.NewReader(reframe(corrupt(cp)))); err == nil {
 				t.Fatal("corrupt checkpoint loaded without error")
 			}
-			after, err := dst.CheckpointBytes()
-			if err != nil {
-				t.Fatal(err)
+			if after := snapshotBytes(t, dst); !bytes.Equal(before, after) {
+				t.Fatal("rejected load mutated the federation's state")
 			}
-			if !bytes.Equal(before, after) {
-				t.Fatal("rejected load mutated server state")
-			}
-			// The untouched server still accepts the intact checkpoint.
+			// The untouched federation still accepts the intact checkpoint.
 			if err := dst.LoadCheckpoint(bytes.NewReader(blob)); err != nil {
 				t.Fatalf("intact checkpoint rejected after failed load: %v", err)
 			}
@@ -447,9 +416,9 @@ func truncateEveryByte(t *testing.T, blob []byte, load func([]byte) error) {
 	}
 }
 
-// TestCheckpointTruncationEveryByte cuts a valid server checkpoint and a
-// valid coordinator checkpoint at every byte boundary and asserts each
-// prefix fails with a clean error — never a panic, never partial state.
+// TestCheckpointTruncationEveryByte cuts a valid coordinator checkpoint at
+// every byte boundary and asserts each prefix fails with a clean error —
+// never a panic, never partial state.
 // The fixtures use the smallest architecture so the quadratic
 // bytes-processed cost of decoding every prefix stays test-sized.
 func TestCheckpointTruncationEveryByte(t *testing.T) {
@@ -459,59 +428,23 @@ func TestCheckpointTruncationEveryByte(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.GlobalArch = "lenet-s"
 
-	// Server blob.
-	srv, err := NewServer(cfg, tinyShape(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Register("lenet-s", nil); err != nil {
-		t.Fatal(err)
-	}
-	srvBlob, err := srv.CheckpointBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Coordinator blob (the server's record plus cursor and history).
-	// The cursor and history are set directly — running rounds would grow
-	// the blob with optimiser state without adding framing coverage.
-	ds := tinyDataset(77)
-	shards := partition.IID(ds.NumTrain(), 2, tensor.NewRand(2))
-	co, err := New(cfg, ds, []string{"lenet-s"}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = co.Close() })
+	// The server's record plus cursor and history. The cursor and history
+	// are set directly — running rounds would grow the blob with optimiser
+	// state without adding framing coverage.
+	co := federation(t, cfg, 2, "lenet-s")
 	co.hist = fed.History{{Round: 1}}
 	co.nextRound = 2
-	var coBuf bytes.Buffer
-	if err := co.SaveCheckpoint(&coBuf); err != nil {
-		t.Fatal(err)
-	}
-	coBlob := coBuf.Bytes()
-	t.Logf("server blob %d bytes, coordinator blob %d bytes", len(srvBlob), len(coBlob))
-
-	t.Run("server", func(t *testing.T) {
-		truncateEveryByte(t, srvBlob, func(b []byte) error {
-			return srv.LoadCheckpoint(bytes.NewReader(b))
-		})
-		// No truncated prefix left partial state behind: the server still
-		// serialises to exactly its pre-test bytes.
-		after, err := srv.CheckpointBytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(after, srvBlob) {
-			t.Fatal("a truncated load mutated server state")
-		}
-	})
+	coBlob := snapshotBytes(t, co)
+	t.Logf("coordinator blob %d bytes", len(coBlob))
 
 	t.Run("coordinator", func(t *testing.T) {
 		truncateEveryByte(t, coBlob, func(b []byte) error {
 			return co.LoadCheckpoint(bytes.NewReader(b))
 		})
-		if co.nextRound != 2 || len(co.hist) != 1 {
-			t.Fatalf("a truncated load moved the cursor/history to %d/%d", co.nextRound, len(co.hist))
+		// No truncated prefix left partial state behind: the federation
+		// still serialises to exactly its pre-test bytes.
+		if after := snapshotBytes(t, co); !bytes.Equal(after, coBlob) {
+			t.Fatal("a truncated load mutated the federation's state")
 		}
 		// The intact blob still loads after every rejected prefix.
 		if err := co.LoadCheckpoint(bytes.NewReader(coBlob)); err != nil {

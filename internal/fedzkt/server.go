@@ -89,8 +89,8 @@ type Server struct {
 	// upload for since the last Distill — and the depth-0 device tasks
 	// that wrote their trained state into their replica themselves
 	// (Coordinator.release) — the round's participants, whose replicas a
-	// sampled transfer-back distils into. Distill and LoadCheckpoint clear
-	// it.
+	// sampled transfer-back distils into. Distill and a checkpoint load
+	// clear it.
 	absorbMu sync.Mutex
 	absorbed []int
 }

@@ -121,7 +121,7 @@ func TestCheckoutDegradesOnCorruptSpillRecord(t *testing.T) {
 		t.Fatal("test setup: member 0 was not spilled (HotSet=1 should evict it)")
 	}
 	// Smash member 0's record length prefix on disk.
-	f, err := os.OpenFile(ts.file.Path(), os.O_WRONLY, 0)
+	f, err := os.OpenFile(ts.spillPath, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,22 +151,14 @@ func TestCheckoutDegradesOnCorruptSpillRecord(t *testing.T) {
 
 // TestCheckpointRoundTripWithSpill: checkpoints must capture every
 // member wherever its bytes live — hot set or spill file — and restore
-// bit-exactly into another spill-tier server.
+// bit-exactly into another spill-tier federation.
 func TestCheckpointRoundTripWithSpill(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.DistillIters = 2
 	cfg.ReplicaStore = ReplicaStoreSpill
 	cfg.HotSet = 1
-	srv, err := NewServer(cfg, tinyShape(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	for i := 0; i < 4; i++ {
-		if _, err := srv.Register([]string{"mlp", "lenet-s"}[i%2], nil); err != nil {
-			t.Fatal(err)
-		}
-	}
+	co := federation(t, cfg, 4, "mlp", "lenet-s")
+	srv := co.Server()
 	// Move replicas away from their virgin states so the spill tier holds
 	// real (dirty-evicted) records.
 	if _, err := srv.Distill(context.Background(), 1); err != nil {
@@ -175,19 +167,11 @@ func TestCheckpointRoundTripWithSpill(t *testing.T) {
 	if st := srv.ReplicaStoreStats(); st.SpillRecords == 0 {
 		t.Fatal("test setup: no members spilled before checkpointing")
 	}
-	blob, err := srv.CheckpointBytes()
-	if err != nil {
+	fresh := federation(t, cfg, 4, "mlp", "lenet-s")
+	if err := fresh.LoadCheckpoint(bytes.NewReader(snapshotBytes(t, co))); err != nil {
 		t.Fatal(err)
 	}
-
-	restored, err := NewServer(cfg, tinyShape(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close()
-	if err := restored.LoadCheckpoint(bytes.NewReader(blob)); err != nil {
-		t.Fatal(err)
-	}
+	restored := fresh.Server()
 	for id := 0; id < 4; id++ {
 		want, err := srv.ReplicaState(id)
 		if err != nil {

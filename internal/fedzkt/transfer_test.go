@@ -17,10 +17,8 @@ import (
 func unseenClassAccuracy(d *fed.Device) float64 {
 	ds := d.Data.DS
 	holds := make([]bool, ds.Classes)
-	for cl, n := range d.Data.LabelCounts() {
-		if n > 0 {
-			holds[cl] = true
-		}
+	for _, i := range d.Data.Idx {
+		holds[ds.TrainY[i]] = true
 	}
 	var idx []int
 	for i, y := range ds.TestY {

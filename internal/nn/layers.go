@@ -297,12 +297,6 @@ type Tanh struct{ stateless }
 // Forward implements Module.
 func (Tanh) Forward(x *ag.Variable) *ag.Variable { return ag.Tanh(x) }
 
-// Sigmoid applies the logistic function.
-type Sigmoid struct{ stateless }
-
-// Forward implements Module.
-func (Sigmoid) Forward(x *ag.Variable) *ag.Variable { return ag.Sigmoid(x) }
-
 // MaxPool2d applies k×k max pooling.
 type MaxPool2d struct {
 	stateless
@@ -311,15 +305,6 @@ type MaxPool2d struct {
 
 // Forward implements Module.
 func (p MaxPool2d) Forward(x *ag.Variable) *ag.Variable { return ag.MaxPool2d(x, p.K, p.Stride) }
-
-// AvgPool2d applies k×k average pooling.
-type AvgPool2d struct {
-	stateless
-	K, Stride int
-}
-
-// Forward implements Module.
-func (p AvgPool2d) Forward(x *ag.Variable) *ag.Variable { return ag.AvgPool2d(x, p.K, p.Stride) }
 
 // GlobalAvgPool reduces (N,C,H,W) to (N,C).
 type GlobalAvgPool struct{ stateless }

@@ -193,9 +193,7 @@ var (
 	_ Module = ReLU6{}
 	_ Module = LeakyReLU{}
 	_ Module = Tanh{}
-	_ Module = Sigmoid{}
 	_ Module = MaxPool2d{}
-	_ Module = AvgPool2d{}
 	_ Module = GlobalAvgPool{}
 	_ Module = Flatten{}
 	_ Module = Upsample2x{}

@@ -19,9 +19,6 @@ func NewSequential(mods ...Module) *Sequential {
 	return &Sequential{mods: append([]Module(nil), mods...)}
 }
 
-// Append adds more modules to the end of the chain.
-func (s *Sequential) Append(mods ...Module) { s.mods = append(s.mods, mods...) }
-
 // Len returns the number of child modules.
 func (s *Sequential) Len() int { return len(s.mods) }
 

@@ -11,7 +11,7 @@ import (
 
 func TestHandlerRoutes(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("test_requests_total", "requests").Add(9)
+	counter(r, "test_requests_total", "requests").Add(9)
 	tr := NewTracer(8)
 	tr.SetClock(newFakeClock().Now)
 	tr.Begin("test", "span").End()

@@ -31,17 +31,6 @@ type Gauge struct{ bits atomic.Uint64 }
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adds d to the gauge (CAS loop; lock-free).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Load returns the current value.
 func (g *Gauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -202,35 +191,14 @@ func (r *Registry) register(m *metric) {
 	r.byName[m.name] = m
 }
 
-// Counter creates (or rebinds) a counter under name and returns it.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.RegisterCounter(name, help, c)
-	return c
-}
-
 // RegisterCounter binds an existing counter under name.
 func (r *Registry) RegisterCounter(name, help string, c *Counter) {
 	r.register(&metric{name: name, help: help, kind: kindCounter, counter: c})
 }
 
-// Gauge creates (or rebinds) a gauge under name and returns it.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.RegisterGauge(name, help, g)
-	return g
-}
-
 // RegisterGauge binds an existing gauge under name.
 func (r *Registry) RegisterGauge(name, help string, g *Gauge) {
 	r.register(&metric{name: name, help: help, kind: kindGauge, gauge: g})
-}
-
-// Histogram creates (or rebinds) a histogram under name and returns it.
-func (r *Registry) Histogram(name, help string) *Histogram {
-	h := &Histogram{}
-	r.RegisterHistogram(name, help, h)
-	return h
 }
 
 // RegisterHistogram binds an existing histogram under name.

@@ -17,10 +17,28 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	var g Gauge
 	g.Set(1.5)
-	g.Add(-0.5)
-	if got := g.Load(); got != 1.0 {
-		t.Fatalf("gauge = %g, want 1", got)
+	if got := g.Load(); got != 1.5 {
+		t.Fatalf("gauge = %g, want 1.5", got)
 	}
+}
+
+// counter, gauge and histogram bind a fresh instrument under name.
+func counter(r *Registry, name, help string) *Counter {
+	c := &Counter{}
+	r.RegisterCounter(name, help, c)
+	return c
+}
+
+func gauge(r *Registry, name, help string) *Gauge {
+	g := &Gauge{}
+	r.RegisterGauge(name, help, g)
+	return g
+}
+
+func histogram(r *Registry, name, help string) *Histogram {
+	h := &Histogram{}
+	r.RegisterHistogram(name, help, h)
+	return h
 }
 
 func TestHistogramEdgeObservations(t *testing.T) {
@@ -112,9 +130,9 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 
 func TestRegistryLastWins(t *testing.T) {
 	r := NewRegistry()
-	first := r.Counter("fedzkt_rounds_total", "rounds")
+	first := counter(r, "fedzkt_rounds_total", "rounds")
 	first.Add(10)
-	second := r.Counter("fedzkt_rounds_total", "rounds")
+	second := counter(r, "fedzkt_rounds_total", "rounds")
 	second.Add(2)
 
 	var b strings.Builder
@@ -132,10 +150,10 @@ func TestRegistryLastWins(t *testing.T) {
 
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("app_ops_total", "operations").Add(3)
-	r.Gauge("app_temp", "").Set(1.25)
+	counter(r, "app_ops_total", "operations").Add(3)
+	gauge(r, "app_temp", "").Set(1.25)
 	r.RegisterGaugeFunc("app_live", "live view", func() float64 { return 7 })
-	h := r.Histogram("app_seconds", "durations")
+	h := histogram(r, "app_seconds", "durations")
 	h.Observe(0.5)
 	h.Observe(3)
 
@@ -176,9 +194,9 @@ func TestWritePrometheusFormat(t *testing.T) {
 
 func TestWriteJSON(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("b_counter", "").Add(5)
-	r.Gauge("a_gauge", "").Set(0.5)
-	h := r.Histogram("c_hist", "")
+	counter(r, "b_counter", "").Add(5)
+	gauge(r, "a_gauge", "").Set(0.5)
+	h := histogram(r, "c_hist", "")
 	h.Observe(1)
 
 	var b strings.Builder

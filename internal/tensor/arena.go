@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"os"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"unsafe"
@@ -25,19 +24,13 @@ import (
 // as a free list per buffer length would, the high-water mark of every
 // length of every model the arena has ever seen.
 //
-// A growing chain drops slabs that nothing is live in, the largest first,
-// up to the new slab's length: the new slab takes their place, so the
-// growth allocates no more than it would have and the arena holds less.
-// That is how a request larger than any hole is served from what whole
-// releases left: a step that released everything it built from small
-// buffers (a training step streams its lowerings a tile at a time) may be
-// followed by one that asks for large ones (an evaluation at four times
-// the batch). Nothing else is ever dropped: replacing the chain by one
-// exact-size slab at every Reset turns the old slabs into garbage that
-// the collector's pacing lets pile up next to their replacement — the
-// ten-device benchmark workload peaked at 394 MB that way, against 228 MB
-// with the chain kept — while a drop happens only when the chain grows,
-// which a repeated step never makes it do.
+// The chain only grows: no slab is ever dropped, even one nothing is live
+// in. Replacing the chain by one exact-size slab at every Reset turns the
+// old slabs into garbage that the collector's pacing lets pile up next to
+// their replacement — the ten-device benchmark workload peaked at 394 MB
+// that way, against 228 MB with the chain kept — and a warm-up slab dropped
+// when a later step grows the chain is an allocation made to be thrown
+// away; the steps an arena serves repeat, so a kept slab serves again.
 //
 // Release hands a float64 buffer back before the step ends, for callers
 // that know its last reader: a conv lowering once its GEMMs have run,
@@ -159,47 +152,6 @@ func (c *chain[T]) grow(n, length int) []T {
 	return b[:n:n]
 }
 
-// dropEmpty removes slabs nothing is live in (offset 0: nothing handed
-// out since the last Reset, or all of it released), largest first, as
-// long as their lengths sum to at most budget, and returns that sum and,
-// when any went, remap[i] = slab i's index after the removal. No released
-// span lies in an empty slab — a span reaching the bump offset pulls it
-// back — so the released list only needs its indices remapped.
-func (c *chain[T]) dropEmpty(budget int) (dropped int, remap []int) {
-	var empty []int
-	for i, s := range *c {
-		if s.off == 0 && len(s.buf) <= budget {
-			empty = append(empty, i)
-		}
-	}
-	if len(empty) == 0 {
-		return 0, nil
-	}
-	slices.SortFunc(empty, func(i, j int) int { return len((*c)[j].buf) - len((*c)[i].buf) })
-	remap = make([]int, len(*c))
-	for _, i := range empty {
-		if l := len((*c)[i].buf); dropped+l <= budget {
-			dropped += l
-			remap[i] = -1
-		}
-	}
-	if dropped == 0 {
-		return 0, nil
-	}
-	j := 0
-	for i, s := range *c {
-		if remap[i] < 0 {
-			continue
-		}
-		remap[i] = j
-		(*c)[j] = s
-		j++
-	}
-	clear((*c)[j:])
-	*c = (*c)[:j]
-	return dropped, remap
-}
-
 func (c chain[T]) rewind() {
 	for i := range c {
 		c[i].off = 0
@@ -231,23 +183,14 @@ func (a *Arena) Reset() {
 // request that fits no slab appends one, rounded up towards the elements
 // the chain holds — slabs grow geometrically — but only as far as leaves
 // the arena holding no more than 1.25 × the largest step it has served,
-// this request counted. The new slab takes the place of the largest
-// empty slabs it can (the holes whole releases leave) up to its own
-// length, so it costs no more allocation than it would have and the arena
-// holds less.
+// this request counted.
 func alloc[T float64 | int](a *Arena, c *chain[T], n int, size int64) []T {
 	b := c.take(n)
 	if b == nil {
 		room := int((5*max(a.high, a.step+int64(n)*size)/4 - a.held.Load()) / size)
 		grown := max(n, min(c.elems(), slabCap, room))
-		dropped, remap := c.dropEmpty(grown)
-		if _, floats := any(c).(*chain[float64]); floats && remap != nil {
-			for i := range a.free {
-				a.free[i].slab = remap[a.free[i].slab]
-			}
-		}
 		b = c.grow(n, grown)
-		a.held.Add(int64(grown-dropped) * size)
+		a.held.Add(int64(grown) * size)
 	}
 	a.booked(int64(n) * size)
 	return b

@@ -429,39 +429,3 @@ func TestArenaReleaseRandom(t *testing.T) {
 		}
 	}
 }
-
-// TestArenaGrowthTakesEmptySlabs: a request no slab has room for is
-// served by a new slab that takes the place of the slabs nothing is live
-// in — held grows only by the difference — while a slab something is live
-// in stays, and so does a released span in it, still serving requests.
-func TestArenaGrowthTakesEmptySlabs(t *testing.T) {
-	a := NewArena()
-	a.NewRaw(100) // slab A
-	a.NewRaw(500) // slab B
-	a.Reset()
-	keep := a.NewRaw(200) // B: A is too small for all three
-	gap := a.NewRaw(150)
-	a.NewRaw(120)
-	a.Release(gap) // a released span in B; A holds nothing
-	if len(a.floats) != 2 || len(a.free) != 1 || a.free[0].slab != 1 {
-		t.Fatalf("set-up: %d slabs, released spans %v", len(a.floats), a.free)
-	}
-	held := a.HeldBytes()
-	big := a.NewRaw(600)
-	if len(a.floats) != 2 || len(a.floats[0].buf) != 500 || len(a.floats[1].buf) != 600 {
-		t.Fatalf("chain is %d slabs, want B and the new slab in A's place", len(a.floats))
-	}
-	if got, want := a.HeldBytes()-held, int64(600-100)*8+headerBytes; got != want {
-		t.Fatalf("held grew by %d bytes, want the new slab less the one it replaced, plus a header = %d", got, want)
-	}
-	if len(a.free) != 1 || a.free[0].slab != 0 {
-		t.Fatalf("released spans %v, want the one in B, now slab 0", a.free)
-	}
-	y := a.NewRaw(150)
-	if want := uintptr(unsafe.Pointer(&keep.Data()[0])) + 200*8; uintptr(unsafe.Pointer(&y.Data()[0])) != want {
-		t.Fatal("the released span in the kept slab did not serve a request of its length")
-	}
-	if y.Overlaps(big) || y.Overlaps(keep) {
-		t.Fatal("a reused span overlaps a live buffer")
-	}
-}

@@ -38,24 +38,13 @@ func oxRange(ow, w, stride, kx, pad int) (lo, hi int) {
 	return lo, hi
 }
 
-// Im2Col expands one image (c×h×w, row-major in src) into a column matrix
-// of shape (c*kh*kw)×(oh*ow) written row-major into dst, where oh and ow
-// are the convolution output sizes. Elements read from the zero padding
-// region are 0. dst must have length c*kh*kw*oh*ow.
-func Im2Col(src []float64, c, h, w, kh, kw, stride, pad int, dst []float64) {
-	oh := ConvOutSize(h, kh, stride, pad)
-	ow := ConvOutSize(w, kw, stride, pad)
-	if len(dst) != c*kh*kw*oh*ow {
-		panic(fmt.Sprintf("tensor: Im2Col dst length %d, want %d", len(dst), c*kh*kw*oh*ow))
-	}
-	Im2ColStrided(src, c, h, w, kh, kw, stride, pad, dst, oh*ow, 0)
-}
-
-// Im2ColStrided is Im2Col with an arbitrary destination layout: row r of
-// the column matrix is written at dst[r*rowStride+colOff :] (length
-// oh*ow). Batched convolutions use it to expand every sample directly
-// into its columns of the shared (c·kh·kw)×(N·oh·ow) matrix, with no
-// per-sample staging buffer. Interior output positions — the bulk, for
+// Im2ColStrided expands one image (c×h×w, row-major in src) into a
+// column matrix of (c*kh*kw) rows of oh*ow, where oh and ow are the
+// convolution output sizes; elements read from the zero padding region
+// are 0. Row r of the column matrix is written at
+// dst[r*rowStride+colOff :]. Batched convolutions use it to expand every
+// sample directly into its columns of the shared (c·kh·kw)×(N·oh·ow)
+// matrix, with no per-sample staging buffer. Interior output positions — the bulk, for
 // small paddings — are contiguous row segments and move with copy (or a
 // tight strided loop when stride > 1); only the padding fringes write
 // zeros element by element.
@@ -63,7 +52,7 @@ func Im2ColStrided(src []float64, c, h, w, kh, kw, stride, pad int, dst []float6
 	oh := ConvOutSize(h, kh, stride, pad)
 	ow := ConvOutSize(w, kw, stride, pad)
 	if len(src) != c*h*w {
-		panic(fmt.Sprintf("tensor: Im2Col src length %d, want %d", len(src), c*h*w))
+		panic(fmt.Sprintf("tensor: Im2ColStrided src length %d, want %d", len(src), c*h*w))
 	}
 	// The valid ox range depends only on kx and the valid oy range only on
 	// ky, so both are hoisted out of the channel loop (oxRange costs two
@@ -135,28 +124,17 @@ func kernelRanges(buf []int, k, out, in, stride, pad int) (lo, hi []int) {
 	return lo, hi
 }
 
-// Col2Im is the adjoint of Im2Col: it scatters (accumulates) a column
-// matrix of shape (c*kh*kw)×(oh*ow) back into an image buffer dst of
-// length c*h*w. dst is accumulated into, not overwritten, so callers can
-// sum contributions across batches.
-func Col2Im(col []float64, c, h, w, kh, kw, stride, pad int, dst []float64) {
-	oh := ConvOutSize(h, kh, stride, pad)
-	ow := ConvOutSize(w, kw, stride, pad)
-	if len(col) != c*kh*kw*oh*ow {
-		panic(fmt.Sprintf("tensor: Col2Im col length %d, want %d", len(col), c*kh*kw*oh*ow))
-	}
-	Col2ImStrided(col, c, h, w, kh, kw, stride, pad, dst, oh*ow, 0)
-}
-
-// Col2ImStrided is Col2Im reading row r of the column matrix at
-// col[r*rowStride+colOff :], the adjoint of Im2ColStrided. The
-// accumulation order over (channel, ky, kx, oy, ox) is identical to the
-// contiguous layout's, so gradients are bit-identical.
+// Col2ImStrided is the adjoint of Im2ColStrided: it scatters
+// (accumulates) the column matrix whose row r starts at
+// col[r*rowStride+colOff :] back into the image buffer dst, of length
+// c*h*w. dst is accumulated into, not overwritten. The accumulation
+// order over (channel, ky, kx, oy, ox) is the same for every layout, so
+// gradients are bit-identical whatever rowStride and colOff are.
 func Col2ImStrided(col []float64, c, h, w, kh, kw, stride, pad int, dst []float64, rowStride, colOff int) {
 	oh := ConvOutSize(h, kh, stride, pad)
 	ow := ConvOutSize(w, kw, stride, pad)
 	if len(dst) != c*h*w {
-		panic(fmt.Sprintf("tensor: Col2Im dst length %d, want %d", len(dst), c*h*w))
+		panic(fmt.Sprintf("tensor: Col2ImStrided dst length %d, want %d", len(dst), c*h*w))
 	}
 	r := 0
 	for cc := 0; cc < c; cc++ {

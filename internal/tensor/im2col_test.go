@@ -22,11 +22,23 @@ func TestConvOutSize(t *testing.T) {
 	}
 }
 
+// im2col and col2im lower and scatter one image in the contiguous layout:
+// row r of the column matrix at r*oh*ow.
+func im2col(src []float64, c, h, w, kh, kw, stride, pad int, dst []float64) {
+	n := ConvOutSize(h, kh, stride, pad) * ConvOutSize(w, kw, stride, pad)
+	Im2ColStrided(src, c, h, w, kh, kw, stride, pad, dst, n, 0)
+}
+
+func col2im(col []float64, c, h, w, kh, kw, stride, pad int, dst []float64) {
+	n := ConvOutSize(h, kh, stride, pad) * ConvOutSize(w, kw, stride, pad)
+	Col2ImStrided(col, c, h, w, kh, kw, stride, pad, dst, n, 0)
+}
+
 func TestIm2ColIdentityKernel(t *testing.T) {
 	// 1x1 kernel, stride 1, no padding: im2col is the identity layout.
 	src := []float64{1, 2, 3, 4, 5, 6, 7, 8} // 2 channels of 2x2
 	dst := make([]float64, 8)
-	Im2Col(src, 2, 2, 2, 1, 1, 1, 0, dst)
+	im2col(src, 2, 2, 2, 1, 1, 1, 0, dst)
 	for i, v := range src {
 		if dst[i] != v {
 			t.Fatalf("dst[%d] = %v, want %v", i, dst[i], v)
@@ -39,7 +51,7 @@ func TestIm2ColPaddingZeros(t *testing.T) {
 	// pixel at the center position and zeros elsewhere.
 	src := []float64{5}
 	dst := make([]float64, 9)
-	Im2Col(src, 1, 1, 1, 3, 3, 1, 1, dst)
+	im2col(src, 1, 1, 1, 3, 3, 1, 1, dst)
 	for i, v := range dst {
 		want := 0.0
 		if i == 4 {
@@ -60,7 +72,7 @@ func TestIm2ColKnownPatch(t *testing.T) {
 		7, 8, 9,
 	}
 	dst := make([]float64, 16)
-	Im2Col(src, 1, 3, 3, 2, 2, 1, 0, dst)
+	im2col(src, 1, 3, 3, 2, 2, 1, 0, dst)
 	want := []float64{
 		1, 2, 4, 5, // k(0,0)
 		2, 3, 5, 6, // k(0,1)
@@ -75,7 +87,7 @@ func TestIm2ColKnownPatch(t *testing.T) {
 }
 
 // TestCol2ImAdjointProperty verifies the defining adjoint identity
-// <Im2Col(x), y> == <x, Col2Im(y)> for random shapes, which is exactly the
+// <im2col(x), y> == <x, col2im(y)> for random shapes, which is exactly the
 // property the conv backward pass relies on.
 func TestCol2ImAdjointProperty(t *testing.T) {
 	f := func(seed uint64, c8, h8, k8, s8, p8 uint8) bool {
@@ -99,14 +111,14 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 		}
 
 		colX := make([]float64, len(y))
-		Im2Col(x, c, h, w, k, k, stride, pad, colX)
+		im2col(x, c, h, w, k, k, stride, pad, colX)
 		lhs := 0.0
 		for i := range y {
 			lhs += colX[i] * y[i]
 		}
 
 		imY := make([]float64, len(x))
-		Col2Im(y, c, h, w, k, k, stride, pad, imY)
+		col2im(y, c, h, w, k, k, stride, pad, imY)
 		rhs := 0.0
 		for i := range x {
 			rhs += x[i] * imY[i]
@@ -121,7 +133,7 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 func TestCol2ImAccumulates(t *testing.T) {
 	col := []float64{1}
 	dst := []float64{10}
-	Col2Im(col, 1, 1, 1, 1, 1, 1, 0, dst)
+	col2im(col, 1, 1, 1, 1, 1, 1, 0, dst)
 	if dst[0] != 11 {
 		t.Fatalf("Col2Im must accumulate, got %v", dst[0])
 	}

@@ -32,15 +32,6 @@ func mmDims(a, b *Tensor) (m, k, n int) {
 	return m, ka, n
 }
 
-// MatMulTransA returns aᵀ·b where a is (k×m) and b is (k×n); the result is
-// (m×n). Used by backward passes (dW = Xᵀ·dY).
-func MatMulTransA(a, b *Tensor) *Tensor {
-	k, m, n := mmTransADims(a, b)
-	out := New(m, n)
-	matMulTransAInto(out.data, a.data, b.data, k, m, n)
-	return out
-}
-
 // MatMulTransAInto writes aᵀ·b into dst (fully overwritten), with the same
 // bit-exact k-unrolled accumulation as MatMulInto.
 func MatMulTransAInto(dst, a, b *Tensor) {
@@ -58,15 +49,6 @@ func mmTransADims(a, b *Tensor) (k, m, n int) {
 	return k, m, n
 }
 
-// MatMulTransB returns a·bᵀ where a is (m×k) and b is (n×k); the result is
-// (m×n). Used by backward passes (dX = dY·Wᵀ).
-func MatMulTransB(a, b *Tensor) *Tensor {
-	m, k, n := mmTransBDims(a, b)
-	out := New(m, n)
-	matMulTransBInto(out.data, a.data, b.data, m, k, n, false)
-	return out
-}
-
 // MatMulTransBInto writes a·bᵀ into dst (fully overwritten). Both operands
 // stream k-contiguous rows, so the kernel computes 4×4 output tiles
 // entirely in registers; every inner product accumulates in ascending-k
@@ -80,7 +62,8 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 
 // MatMulTransBAccInto accumulates a·bᵀ into dst: dst += a·bᵀ. Each inner
 // product is formed in registers before its single accumulation, matching
-// MatMulTransB followed by AccumInto bit for bit.
+// MatMulTransBInto followed by AccumInto bit for bit. No backward calls
+// it; the conv bit-exact test builds its reference weight gradient on it.
 func MatMulTransBAccInto(dst, a, b *Tensor) {
 	m, k, n := mmTransBDims(a, b)
 	checkDst("MatMulTransBAccInto", dst, m, n)
@@ -94,26 +77,6 @@ func mmTransBDims(a, b *Tensor) (m, k, n int) {
 		panic(fmt.Sprintf("tensor: MatMulTransB dimension mismatch: %v vs %v", a.shape, b.shape))
 	}
 	return m, k, n
-}
-
-// Transpose returns the transpose of a 2-D tensor.
-func Transpose(a *Tensor) *Tensor {
-	out := New(a.Dim(1), a.Dim(0))
-	TransposeInto(out, a)
-	return out
-}
-
-// TransposeInto writes the transpose of a into dst, which must be (n×m)
-// for an (m×n) input and must not alias a.
-func TransposeInto(dst, a *Tensor) {
-	m, n := mat2(a, "Transpose")
-	checkDst("TransposeInto", dst, n, m)
-	for i := 0; i < m; i++ {
-		row := a.data[i*n : (i+1)*n]
-		for j, v := range row {
-			dst.data[j*m+i] = v
-		}
-	}
 }
 
 func mat2(t *Tensor, what string) (rows, cols int) {

@@ -74,6 +74,13 @@ func bitEq(t *testing.T, name string, got, want *Tensor) {
 	}
 }
 
+// into runs an Into kernel on a fresh (m×n) destination.
+func into(m, n int, kernel func(dst, a, b *Tensor), a, b *Tensor) *Tensor {
+	dst := New(m, n)
+	kernel(dst, a, b)
+	return dst
+}
+
 // TestMatMulBitExact pins the blocked kernels to the reference i-k-j
 // accumulation order: every variant must reproduce the historical plain
 // loops bit for bit, including the skip of exact zeros in a.
@@ -96,11 +103,11 @@ func TestMatMulBitExact(t *testing.T) {
 		for i := 0; i < len(at.data); i += 5 {
 			at.data[i] = 0
 		}
-		bitEq(t, "transA", MatMulTransA(at, b), refTransA(at, b))
+		bitEq(t, "transA", into(m, n, MatMulTransAInto, at, b), refTransA(at, b))
 
 		bt := New(n, k)
 		FillNormal(bt, 0, 1, rng)
-		bitEq(t, "transB", MatMulTransB(a, bt), refTransB(a, bt))
+		bitEq(t, "transB", into(m, n, MatMulTransBInto, a, bt), refTransB(a, bt))
 
 		// Into variants fully overwrite a dirty destination, as the
 		// backward's step scratch is.

@@ -11,55 +11,6 @@ func checkSame(op string, a, b *Tensor) {
 	}
 }
 
-// Add returns a + b elementwise.
-func Add(a, b *Tensor) *Tensor {
-	checkSame("Add", a, b)
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = v + b.data[i]
-	}
-	return out
-}
-
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	checkSame("Sub", a, b)
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = v - b.data[i]
-	}
-	return out
-}
-
-// Mul returns a * b elementwise (Hadamard product).
-func Mul(a, b *Tensor) *Tensor {
-	checkSame("Mul", a, b)
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = v * b.data[i]
-	}
-	return out
-}
-
-// Div returns a / b elementwise.
-func Div(a, b *Tensor) *Tensor {
-	checkSame("Div", a, b)
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = v / b.data[i]
-	}
-	return out
-}
-
-// Scale returns s * a.
-func Scale(s float64, a *Tensor) *Tensor {
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = s * v
-	}
-	return out
-}
-
 // AccumInto accumulates src into dst: dst += src.
 func AccumInto(dst, src *Tensor) {
 	checkSame("AccumInto", dst, src)
@@ -146,8 +97,8 @@ func ApplyInto(dst, a *Tensor, f func(float64) float64) {
 
 // SumRowsAccInto treats a as (rows x cols) and accumulates the per-column
 // sums into dst (length cols): dst[c] += Σ_r a[r,c]. Each column's sum is
-// formed in ascending row order before the single accumulation, matching
-// SumRows followed by AccumInto bit for bit.
+// formed in ascending row order before the single accumulation, so it is
+// bit-identical to summing into a zeroed vector and then accumulating.
 func SumRowsAccInto(dst, a *Tensor) {
 	if len(a.shape) != 2 {
 		panic(fmt.Sprintf("tensor: SumRowsAccInto wants a 2-D tensor, got shape %v", a.shape))
@@ -181,31 +132,6 @@ func Sum(a *Tensor) float64 {
 	return s
 }
 
-// Mean returns the arithmetic mean of all elements.
-func Mean(a *Tensor) float64 { return Sum(a) / float64(len(a.data)) }
-
-// Max returns the maximum element.
-func Max(a *Tensor) float64 {
-	m := math.Inf(-1)
-	for _, v := range a.data {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element.
-func Min(a *Tensor) float64 {
-	m := math.Inf(1)
-	for _, v := range a.data {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Norm2 returns the Euclidean (Frobenius) norm of a.
 func Norm2(a *Tensor) float64 {
 	s := 0.0
@@ -213,16 +139,6 @@ func Norm2(a *Tensor) float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// Dot returns the inner product of a and b viewed as flat vectors.
-func Dot(a, b *Tensor) float64 {
-	checkSame("Dot", a, b)
-	s := 0.0
-	for i, v := range a.data {
-		s += v * b.data[i]
-	}
-	return s
 }
 
 // MaxAbsDiff returns max_i |a_i - b_i|, useful in tests.
@@ -235,42 +151,4 @@ func MaxAbsDiff(a, b *Tensor) float64 {
 		}
 	}
 	return m
-}
-
-// ArgmaxRows treats a as a (rows x cols) matrix and returns, for each row,
-// the column index of its maximum element. The tensor must be 2-D.
-func ArgmaxRows(a *Tensor) []int {
-	if len(a.shape) != 2 {
-		panic(fmt.Sprintf("tensor: ArgmaxRows wants a 2-D tensor, got shape %v", a.shape))
-	}
-	rows, cols := a.shape[0], a.shape[1]
-	out := make([]int, rows)
-	for r := 0; r < rows; r++ {
-		best, bi := math.Inf(-1), 0
-		row := a.data[r*cols : (r+1)*cols]
-		for c, v := range row {
-			if v > best {
-				best, bi = v, c
-			}
-		}
-		out[r] = bi
-	}
-	return out
-}
-
-// SumRows treats a as (rows x cols) and returns a length-cols tensor with
-// the per-column sums (i.e. it reduces over rows).
-func SumRows(a *Tensor) *Tensor {
-	if len(a.shape) != 2 {
-		panic(fmt.Sprintf("tensor: SumRows wants a 2-D tensor, got shape %v", a.shape))
-	}
-	rows, cols := a.shape[0], a.shape[1]
-	out := New(cols)
-	for r := 0; r < rows; r++ {
-		row := a.data[r*cols : (r+1)*cols]
-		for c, v := range row {
-			out.data[c] += v
-		}
-	}
-	return out
 }

@@ -50,11 +50,11 @@ func TestParallelMatMulBitExact(t *testing.T) {
 
 			at := New(k, m)
 			FillNormal(at, 0, 1, rng)
-			bitEq(t, "transA", MatMulTransA(at, b), refTransA(at, b))
+			bitEq(t, "transA", into(m, n, MatMulTransAInto, at, b), refTransA(at, b))
 
 			bt := New(n, k)
 			FillNormal(bt, 0, 1, rng)
-			bitEq(t, "transB", MatMulTransB(a, bt), refTransB(a, bt))
+			bitEq(t, "transB", into(m, n, MatMulTransBInto, a, bt), refTransB(a, bt))
 
 			dst := New(m, n)
 			FillNormal(dst, 0, 1, rng)
