@@ -170,10 +170,12 @@ func MustMake(cfg Config) *Dataset {
 func (d *Dataset) record(perClass int, pcg *rand.PCG, rng *rand.Rand) ([]pcgState, []int) {
 	n := perClass * d.Classes
 	drawn := make([]pcgState, n)
+	s := stateOf(pcg)
 	for i := range drawn {
-		drawn[i] = stateOf(pcg)
-		walkSample(d.cfg, rng)
+		drawn[i] = s
+		s = walkSample(d.cfg, s, pcg, rng)
 	}
+	pcg.Seed(s.hi, s.lo)
 	at := make([]pcgState, n)
 	y := make([]int, n)
 	for dst, src := range rng.Perm(n) {
@@ -213,14 +215,14 @@ func drawView(cfg Config, bg []float64, rng *rand.Rand) (dx, dy int, contrast fl
 	return dx, dy, contrast
 }
 
-// walkSample makes exactly the draws renderSample makes — the view's, then
-// one normal per pixel — and paints nothing, so a walk leaves the
-// generator where a render of the same sample does.
-func walkSample(cfg Config, rng *rand.Rand) {
+// walkSample makes from state at exactly the draws renderSample makes —
+// the view's through rng, whose source is pcg, then one normal per pixel
+// on the generator's state itself (walkNormals) — paints nothing, and
+// returns the state a render of the same sample leaves.
+func walkSample(cfg Config, at pcgState, pcg *rand.PCG, rng *rand.Rand) pcgState {
+	pcg.Seed(at.hi, at.lo)
 	drawView(cfg, nil, rng)
-	for range cfg.C * cfg.H * cfg.W {
-		rng.NormFloat64()
-	}
+	return walkNormals(stateOf(pcg), cfg.C*cfg.H*cfg.W, pcg, rng)
 }
 
 // renderSample writes one augmented view of the class prototype into dst.

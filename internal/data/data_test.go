@@ -380,9 +380,11 @@ func (c *countingSource) Uint64() uint64 { c.drawn++; return c.src.Uint64() }
 
 // TestWalkDrawsWhatRenderDraws: for every named dataset, 50 seeds and
 // every class, a walk and a render started from the same generator state
-// draw the same number of words and leave the generator in the same
-// state. Some normal draws fail the ziggurat's fast test and take its
-// slow path, which draws more words; the test requires that it saw them.
+// leave the generator in the same state. PCG's period is 2¹²⁸, so equal
+// states after equal starts mean the walk made as many words as the
+// render drew. Some normal draws fail the ziggurat's fast test and take
+// its slow path, which draws more words; the test counts the render's
+// words and requires that it saw them.
 func TestWalkDrawsWhatRenderDraws(t *testing.T) {
 	slow := 0
 	for _, name := range []string{"synthmnist", "synthkmnist", "synthfashion", "synthcifar10", "synthcifar100", "synthsvhn"} {
@@ -405,10 +407,9 @@ func TestWalkDrawsWhatRenderDraws(t *testing.T) {
 				at := stateOf(pcg)
 				rendered := from(at, func() { renderSample(cfg, ds.protos[cl], ds.colors[cl], dst, rng) })
 				afterRender := stateOf(pcg)
-				walked := from(at, func() { walkSample(cfg, rng) })
-				if walked != rendered || stateOf(pcg) != afterRender {
-					t.Fatalf("%s seed %d class %d: the walk drew %d words and the render %d, or they left the generator in different states",
-						name, seed, cl, walked, rendered)
+				if walked := walkSample(cfg, at, pcg, rng); walked != afterRender {
+					t.Fatalf("%s seed %d class %d: the walk left the generator at %x, the render at %x",
+						name, seed, cl, walked, afterRender)
 				}
 				view := from(at, func() { drawView(cfg, nil, rng) })
 				slow += rendered - view - px
@@ -420,6 +421,89 @@ func TestWalkDrawsWhatRenderDraws(t *testing.T) {
 		t.Fatal("no normal draw took the ziggurat's slow path: the parity check never covered it")
 	}
 	t.Logf("%d words drawn on the ziggurat's slow path", slow)
+}
+
+// TestWalkNormalsMatchesNormFloat64: from many states and for every count
+// up to a few lane widths past a slow draw, walkNormals leaves the state n
+// NormFloat64 calls leave, so the lanes' tails and restarts are covered.
+func TestWalkNormalsMatchesNormFloat64(t *testing.T) {
+	pcg := new(rand.PCG)
+	rng := rand.New(pcg)
+	scratch := new(rand.PCG)
+	scratchRng := rand.New(scratch)
+	for seed := uint64(0); seed < 200; seed++ {
+		at := stateOf(tensor.NewPCG(seed))
+		for n := 0; n <= 3*lanes+1; n++ {
+			pcg.Seed(at.hi, at.lo)
+			for range n {
+				rng.NormFloat64()
+			}
+			if got := walkNormals(at, n, scratch, scratchRng); got != stateOf(pcg) {
+				t.Fatalf("seed %d, %d draws: walked to %x, NormFloat64 to %x", seed, n, got, stateOf(pcg))
+			}
+		}
+	}
+}
+
+// TestStepperMatchesPCG: the walk's stepper yields rand.PCG's words, word
+// for word, over 10⁶ draws from each of several seeds.
+func TestStepperMatchesPCG(t *testing.T) {
+	draws := 1_000_000
+	if testing.Short() {
+		draws = 100_000
+	}
+	for _, seed := range []uint64{0, 1, 42, 0xdeadbeef, math.MaxUint64} {
+		pcg := tensor.NewPCG(seed)
+		s := stateOf(pcg)
+		for i := range draws {
+			if got, want := s.next(), pcg.Uint64(); got != want {
+				t.Fatalf("seed %d, word %d: stepper %#x, rand.PCG %#x", seed, i, got, want)
+			}
+		}
+		if s != stateOf(pcg) {
+			t.Fatalf("seed %d: stepper state %x, rand.PCG %x", seed, s, stateOf(pcg))
+		}
+	}
+}
+
+// TestJumpsEqualSteps: the k-step map the walk's lanes use equals k single
+// steps, from states that exercise every carry.
+func TestJumpsEqualSteps(t *testing.T) {
+	for _, s := range []pcgState{{0, 0}, {0, math.MaxUint64}, {math.MaxUint64, math.MaxUint64}, {1, 2}, stateOf(tensor.NewPCG(9))} {
+		stepped := s
+		for k := range lanes {
+			stepped = pcgStep.apply(stepped)
+			if got := jumps[k].apply(s); got != stepped {
+				t.Fatalf("from %x: %d-step map gives %x, %d steps %x", s, k+1, got, k+1, stepped)
+			}
+		}
+	}
+}
+
+// TestZigguratTable: for each of NormFloat64's 128 strips, a first word at
+// |j| = kn[i]−1 settles a draw on that word, of either sign, and one at
+// |j| = kn[i] takes more — the derived table is the one NormFloat64 runs.
+func TestZigguratTable(t *testing.T) {
+	kn := zigguratKn()
+	for i, k := range kn {
+		if k >= 1<<31 {
+			t.Fatalf("strip %d: bound %#x is not below 2³¹", i, k)
+		}
+		if k > 0 {
+			if w := normWords(i, k-1); w != 1 {
+				t.Errorf("strip %d: |j| = kn−1 = %#x takes %d words, want 1", i, k-1, w)
+			}
+			if w := normWords(i, uint32(-int32(k-1))); w != 1 {
+				t.Errorf("strip %d: j = −(kn−1) takes %d words, want 1", i, w)
+			}
+		}
+		if w := normWords(i, k); w < 2 {
+			t.Errorf("strip %d: |j| = kn = %#x takes %d word, want more", i, k, w)
+		}
+		if w := normWords(i, uint32(-int32(k))); w < 2 {
+			t.Errorf("strip %d: j = −kn takes %d word, want more", i, w)
+		}
+	}
 }
 
 // BenchmarkMake builds the fleets' dataset: SynthMNIST at 201 training and
@@ -506,13 +590,13 @@ func TestGatherAndSubset(t *testing.T) {
 	}
 }
 
-func TestSubsetIndexIsolation(t *testing.T) {
+// TestSubsetSharesIndex: a subset keeps the caller's index slice, not a
+// copy of it, so a fleet's shards cost the partition once.
+func TestSubsetSharesIndex(t *testing.T) {
 	ds := SynthMNIST(Sizes{TrainPerClass: 2, TestPerClass: 1}, 2)
 	idx := []int{0, 1}
-	sub := NewSubset(ds, idx)
-	idx[0] = 19
-	if sub.Idx[0] != 0 {
-		t.Fatal("NewSubset must copy the index slice")
+	if sub := NewSubset(ds, idx); &sub.Idx[0] != &idx[0] || cap(sub.Idx) != cap(idx) {
+		t.Fatal("NewSubset copied the index slice")
 	}
 }
 

@@ -54,16 +54,18 @@ func batch(a *tensor.Arena, idx []int, y []int, c, h, w int) (*tensor.Tensor, []
 }
 
 // Subset is a view over a dataset's training split, as held by one
-// federated device.
+// federated device. Idx is read-only: it is the caller's slice, typically
+// a shard sharing one partition's backing array with its neighbours.
 type Subset struct {
 	DS  *Dataset
 	Idx []int
 }
 
-// NewSubset constructs a device-local view. The index slice is copied so
-// later caller mutations cannot corrupt the subset.
+// NewSubset constructs a device-local view over idx, which it keeps
+// rather than copies: neither the subset nor the caller may write to it
+// afterwards.
 func NewSubset(ds *Dataset, idx []int) *Subset {
-	return &Subset{DS: ds, Idx: append([]int(nil), idx...)}
+	return &Subset{DS: ds, Idx: idx}
 }
 
 // Len returns the number of samples in the subset.

@@ -52,10 +52,11 @@ type replicaSlot struct {
 }
 
 // archSig is an architecture's state signature, captured once per
-// architecture from a single throwaway build: sorted names, per-tensor
-// element counts and shapes, and the total. Every install validates the
-// incoming dict or payload against it before a slot store sees it, and the
-// lazy registration path uses it instead of building a module per device.
+// architecture from a layout build (cohortOptions.layout, which draws
+// nothing): sorted names, per-tensor element counts and shapes, and the
+// total. Every install validates the incoming dict or payload against it
+// before a slot store sees it, and the lazy registration path uses it
+// instead of building a module per device.
 type archSig struct {
 	names  []string
 	lens   []int
@@ -107,7 +108,7 @@ func dictLayout(sd nn.StateDict) []codec.LayoutEntry {
 // cohort groups every device of one architecture.
 type cohort struct {
 	arch    string
-	build   func() (nn.Module, error)
+	layout  func(arch string) (nn.Module, error)
 	sig     *archSig
 	members []*member
 	pool    []*replicaSlot
@@ -126,12 +127,12 @@ func (c *cohort) checkPayload(payload []byte) error {
 }
 
 // slot returns the i-th pooled live module, growing the pool on demand and
-// counting each module it builds into live. Pool modules carry no
-// meaningful values of their own — a checkout always makes a member's
-// state resident before use — so their build RNG is arbitrary.
+// counting each module it builds into live. Pool modules carry no values
+// of their own — a checkout always makes a member's state resident before
+// use — so they are layout builds, and nothing is drawn for them.
 func (c *cohort) slot(i int, lr float64, live *atomic.Int64) *replicaSlot {
 	for len(c.pool) <= i {
-		m, err := c.build()
+		m, err := c.layout(c.arch)
 		if err != nil {
 			// The first build of this architecture succeeded at
 			// registration, so a later identical build cannot fail.
@@ -188,10 +189,10 @@ type cohortOptions struct {
 	// where the store lends no state (under the exact codec).
 	initSlot func(arch string, id int, dst []byte) ([]byte, error)
 	reseed   func(m nn.Module, id int) error
-	// build makes a module of arch seeded for device id: the throwaway a
-	// signature is captured from, and a cohort's pool modules, seeded for
-	// the registrant that created the cohort.
-	build func(arch string, id int) (nn.Module, error)
+	// layout builds a module of arch with nothing drawn — zero weights,
+	// batch-norm constants — what a signature is read from, and a
+	// cohort's pool modules, whose state a checkout always installs first.
+	layout func(arch string) (nn.Module, error)
 }
 
 // cohortSet is the server's replica registry: one cohort per
@@ -235,13 +236,13 @@ func newCohortSet(o cohortOptions) *cohortSet {
 	return &cohortSet{cohortOptions: o, byArch: make(map[string]*cohort), sigs: make(map[string]*archSig)}
 }
 
-// ensureSig returns arch's state signature, building one throwaway module,
-// seeded for device id, to capture it on first use.
-func (cs *cohortSet) ensureSig(arch string, id int) (*archSig, error) {
+// ensureSig returns arch's state signature, reading it from one layout
+// build on first use.
+func (cs *cohortSet) ensureSig(arch string) (*archSig, error) {
 	if sig, ok := cs.sigs[arch]; ok {
 		return sig, nil
 	}
-	m, err := cs.build(arch, id)
+	m, err := cs.layout(arch)
 	if err != nil {
 		return nil, err
 	}
@@ -251,16 +252,14 @@ func (cs *cohortSet) ensureSig(arch string, id int) (*archSig, error) {
 }
 
 // cohortFor returns the cohort for arch, creating it on first
-// registration — device id's, which seeds its pool modules — and with it
-// the one decision about how its members' states rest: in a hot set
-// bounded over a spill file (the spill store), or all hot (the memory
-// store).
-func (cs *cohortSet) cohortFor(arch string, sig *archSig, id int) *cohort {
+// registration, and with it the one decision about how its members'
+// states rest: in a hot set bounded over a spill file (the spill store),
+// or all hot (the memory store).
+func (cs *cohortSet) cohortFor(arch string, sig *archSig) *cohort {
 	if c, ok := cs.byArch[arch]; ok {
 		return c
 	}
-	c := &cohort{arch: arch, sig: sig, members: make([]*member, 0, cs.expected[arch]),
-		build: func() (nn.Module, error) { return cs.build(arch, id) }}
+	c := &cohort{arch: arch, sig: sig, members: make([]*member, 0, cs.expected[arch]), layout: cs.layout}
 	init := func(local int, dst []byte) ([]byte, error) {
 		return cs.initSlot(c.arch, c.members[local].id, dst)
 	}
@@ -306,7 +305,7 @@ func (cs *cohortSet) reserve(n int, perArch map[string]int) {
 // its initial state, if it has one. A nil sd registers a
 // virgin member, whose content is its seeded initial state until the slot
 // is first written: reads reconstruct the state via initSlot or reseed.
-// sd is validated against the architecture's own signature (one throwaway
+// sd is validated against the architecture's own signature (one layout
 // build per architecture), never against itself, so a drifted first
 // registrant fails as loudly as a later one.
 func (cs *cohortSet) register(arch string, sd nn.StateDict) (int, error) {
@@ -314,7 +313,7 @@ func (cs *cohortSet) register(arch string, sd nn.StateDict) (int, error) {
 		return 0, errStoreClosed
 	}
 	id := len(cs.devices)
-	sig, err := cs.ensureSig(arch, id)
+	sig, err := cs.ensureSig(arch)
 	if err != nil {
 		return 0, err
 	}
@@ -323,7 +322,7 @@ func (cs *cohortSet) register(arch string, sd nn.StateDict) (int, error) {
 			return 0, err
 		}
 	}
-	c := cs.cohortFor(arch, sig, id)
+	c := cs.cohortFor(arch, sig)
 	mem := &member{id: id, local: len(c.members)}
 	c.members = append(c.members, mem)
 	cs.devices = append(cs.devices, deviceRef{cohort: c, member: mem})

@@ -14,7 +14,6 @@ import (
 	"github.com/fedzkt/fedzkt/internal/nn"
 	"github.com/fedzkt/fedzkt/internal/obs"
 	"github.com/fedzkt/fedzkt/internal/sched"
-	"github.com/fedzkt/fedzkt/internal/tensor"
 )
 
 // Config parameterises a FedZKT run. Zero fields take the documented
@@ -373,13 +372,9 @@ func New(cfg Config, ds *data.Dataset, archs []string, shards [][]int) (*Coordin
 		// never share scratch and a warmed-up local phase allocates
 		// (almost) nothing. A rig never changes values — only where buffers
 		// live — so round outcomes stay bit-identical for any worker count.
-		WorkerScratch: func() any {
-			return newDeviceRig(func(arch string) (nn.Module, error) {
-				// A rig module always has a device's state installed
-				// before use, so its own build seed is arbitrary.
-				return model.Build(arch, in, ds.Classes, tensor.NewRand(cfg.Seed+3000))
-			}, rigs)
-		},
+		// A rig module always has a device's state installed before use,
+		// so it is a layout build, as the server's pool modules are.
+		WorkerScratch: func() any { return newDeviceRig(server.layout, rigs) },
 	})
 	if err != nil {
 		_ = server.Close()

@@ -141,7 +141,7 @@ func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 		teachers: cfg.TeachersPerIter,
 		initSlot: s.seededSlot,
 		reseed:   s.reseed,
-		build:    s.buildReplica,
+		layout:   s.layout,
 	})
 	s.globalOpt = optim.NewSGD(global.Params(), cfg.ServerLR, 0.9, 0)
 	s.genOpt = optim.NewAdam(s.gen.Params(), cfg.GenLR)
@@ -162,16 +162,15 @@ func (s *Server) seededSlot(arch string, id int, dst []byte) ([]byte, error) {
 	s.seedMu.Lock()
 	defer s.seedMu.Unlock()
 	m, ok := s.seedModules[arch]
-	if ok {
-		if err := s.reseed(m, id); err != nil {
-			return nil, err
-		}
-	} else {
+	if !ok {
 		var err error
-		if m, err = model.Build(arch, s.in, s.cls, tensor.NewRand(fed.DeviceSeed(s.cfg.Seed, id))); err != nil {
+		if m, err = s.layout(arch); err != nil {
 			return nil, err
 		}
 		s.seedModules[arch] = m
+	}
+	if err := s.reseed(m, id); err != nil {
+		return nil, err
 	}
 	return s.codec.Append(dst, nn.CaptureState(m))
 }
@@ -260,11 +259,12 @@ func (s *Server) Register(arch string, initial nn.StateDict) (int, error) {
 	return got, nil
 }
 
-// buildReplica builds a module of arch seeded for device id. Pool modules
-// have a member's state installed before every use, so their own initial
-// values never matter; the RNG only has to be valid.
-func (s *Server) buildReplica(arch string, id int) (nn.Module, error) {
-	return model.Build(arch, s.in, s.cls, tensor.NewRand(s.cfg.Seed+uint64(2000+id)))
+// layout builds a module of arch with nothing drawn: zero weights and
+// batch-norm constants. It serves every module whose state is installed
+// before use — a signature's source, a cohort's pool modules and a device
+// rig's modules — so set-up draws no weights that are overwritten.
+func (s *Server) layout(arch string) (nn.Module, error) {
+	return model.Build(arch, s.in, s.cls, nil)
 }
 
 // PayloadSize returns the length of device id's state container in the

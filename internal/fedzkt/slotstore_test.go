@@ -28,15 +28,15 @@ func seededState(seed uint64) nn.StateDict {
 // a virgin slot that lends nothing.
 func registryOver(t *testing.T, cdc codec.Codec, store *slotStore) *cohortSet {
 	t.Helper()
-	build := func() (nn.Module, error) { return model.Build("mlp", tinyShape(), 4, tensor.NewRand(1)) }
+	layout := func(arch string) (nn.Module, error) { return model.Build(arch, tinyShape(), 4, nil) }
 	cs := newCohortSet(cohortOptions{lr: 0.05, codec: cdc, reseed: func(m nn.Module, id int) error {
 		return model.Reinit(m, tensor.NewRand(uint64(100+id)))
-	}, build: func(string, int) (nn.Module, error) { return build() }})
-	sig, err := cs.ensureSig("mlp", 0)
+	}, layout: layout})
+	sig, err := cs.ensureSig("mlp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &cohort{arch: "mlp", build: build, sig: sig, slots: store}
+	c := &cohort{arch: "mlp", layout: layout, sig: sig, slots: store}
 	cs.byArch["mlp"] = c
 	cs.cohorts = append(cs.cohorts, c)
 	t.Cleanup(func() { _ = cs.close() })

@@ -24,6 +24,7 @@ type Generator struct {
 	decoder *nn.Sequential
 	h4, w4  int
 	c0      int
+	params  []*ag.Variable
 }
 
 var _ nn.Module = (*Generator)(nil)
@@ -57,6 +58,7 @@ func NewGenerator(zDim int, out Shape, rng *rand.Rand) *Generator {
 		nn.NewConv2d(16, out.C, 3, 1, 1, true, rng),
 		nn.Tanh{},
 	)
+	g.params = nn.ConcatParams(g.stem, g.stemBN, g.decoder)
 	return g
 }
 
@@ -96,11 +98,7 @@ func (g *Generator) SampleZIn(a *tensor.Arena, n int, rng *rand.Rand) *tensor.Te
 }
 
 // Params implements nn.Module.
-func (g *Generator) Params() []*ag.Variable {
-	ps := g.stem.Params()
-	ps = append(ps, g.stemBN.Params()...)
-	return append(ps, g.decoder.Params()...)
-}
+func (g *Generator) Params() []*ag.Variable { return g.params }
 
 // SetTraining implements nn.Module.
 func (g *Generator) SetTraining(t bool) {

@@ -16,6 +16,7 @@ type invertedResidual struct {
 	dw      *nn.Sequential // depthwise 3x3 + BN + ReLU6
 	project *nn.Sequential // 1x1 conv + BN (linear bottleneck)
 	useRes  bool
+	params  []*ag.Variable
 }
 
 var _ nn.Module = (*invertedResidual)(nil)
@@ -39,6 +40,11 @@ func newInvertedResidual(in, out, stride, expansion int, rng *rand.Rand) *invert
 		nn.NewConv2d(hidden, out, 1, 1, 0, false, rng),
 		nn.NewBatchNorm2d(out),
 	)
+	if b.expand != nil {
+		b.params = nn.ConcatParams(b.expand, b.dw, b.project)
+	} else {
+		b.params = nn.ConcatParams(b.dw, b.project)
+	}
 	return b
 }
 
@@ -66,14 +72,7 @@ func (b *invertedResidual) Forward(x *ag.Variable) *ag.Variable {
 }
 
 // Params implements nn.Module.
-func (b *invertedResidual) Params() []*ag.Variable {
-	var ps []*ag.Variable
-	if b.expand != nil {
-		ps = append(ps, b.expand.Params()...)
-	}
-	ps = append(ps, b.dw.Params()...)
-	return append(ps, b.project.Params()...)
-}
+func (b *invertedResidual) Params() []*ag.Variable { return b.params }
 
 // SetTraining implements nn.Module.
 func (b *invertedResidual) SetTraining(t bool) {

@@ -51,6 +51,8 @@ var registry = map[string]builder{
 }
 
 // Build constructs the named architecture. The name must be one of Names().
+// A nil rng draws nothing: the weights stay zero, which is all a module
+// whose state is installed before use needs.
 func Build(name string, in Shape, classes int, rng *rand.Rand) (nn.Module, error) {
 	b, ok := registry[name]
 	if !ok {

@@ -2,6 +2,8 @@ package model
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/fedzkt/fedzkt/internal/ag"
@@ -141,5 +143,68 @@ func TestReinitMatchesBuild(t *testing.T) {
 	}
 	if ra.Uint64() != rb.Uint64() {
 		t.Fatal("Reinit consumed a different number of draws than Build")
+	}
+}
+
+// TestLayoutBuildDrawsNothing: for every registered architecture, a build
+// with a nil generator has the seeded build's state names and shapes; its
+// weights are all zero, and everything no constructor draws — biases and
+// batch-norm state — equals the seeded build's. Re-seeding the layout
+// build in place gives the seeded build bit for bit, which is how a
+// layout module comes to hold a device's initial state.
+func TestLayoutBuildDrawsNothing(t *testing.T) {
+	for _, name := range Names() {
+		for _, in := range []Shape{{C: 1, H: 16, W: 16}, {C: 3, H: 8, W: 8}} {
+			what := name + " at " + in.String()
+			layout := MustBuild(name, in, 10, nil)
+			seeded := nn.CaptureState(MustBuild(name, in, 10, tensor.NewRand(5)))
+			got := nn.CaptureState(layout)
+			if !slices.Equal(got.Names(), seeded.Names()) {
+				t.Fatalf("%s: layout names %v, seeded %v", what, got.Names(), seeded.Names())
+			}
+			for n, tt := range got {
+				if !slices.Equal(tt.Shape(), seeded[n].Shape()) {
+					t.Fatalf("%s: %s has shape %v, seeded %v", what, n, tt.Shape(), seeded[n].Shape())
+				}
+				if !strings.HasSuffix(n, "w") {
+					sameStateBits(t, what+" "+n, nn.StateDict{n: tt}, nn.StateDict{n: seeded[n]})
+					continue
+				}
+				for _, v := range tt.Data() {
+					if v != 0 {
+						t.Fatalf("%s: weight %s holds %v, want all zero", what, n, v)
+					}
+				}
+			}
+			if err := Reinit(layout, tensor.NewRand(5)); err != nil {
+				t.Fatal(err)
+			}
+			sameStateBits(t, what+" re-seeded", nn.CaptureState(layout), seeded)
+		}
+	}
+}
+
+// TestSetTrainableAllocatesNothing: every module's Params is made once,
+// at construction, so toggling trainability — which the server's
+// distillation does on the global model, the generator and its teachers
+// every iteration — allocates nothing, for every registered architecture
+// and the generator. The returned slices have cap == len, so a caller
+// that appends to one copies it instead of writing past its end.
+func TestSetTrainableAllocatesNothing(t *testing.T) {
+	var mods []nn.Module
+	for _, name := range Names() {
+		mods = append(mods, MustBuild(name, Shape{C: 3, H: 16, W: 16}, 10, nil))
+	}
+	mods = append(mods, NewGenerator(16, Shape{C: 1, H: 16, W: 16}, nil))
+	for _, m := range mods {
+		if n := testing.AllocsPerRun(20, func() {
+			nn.SetTrainable(m, false)
+			nn.SetTrainable(m, true)
+		}); n != 0 {
+			t.Errorf("%T: SetTrainable allocates %v times per call pair", m, n)
+		}
+		if ps := m.Params(); cap(ps) != len(ps) || len(ps) == 0 {
+			t.Errorf("%T: Params has len %d, cap %d", m, len(ps), cap(ps))
+		}
 	}
 }

@@ -17,6 +17,7 @@ type shuffleUnit struct {
 	stride  int
 	branch1 *nn.Sequential // only for stride 2
 	branch2 *nn.Sequential
+	params  []*ag.Variable
 }
 
 var _ nn.Module = (*shuffleUnit)(nil)
@@ -41,6 +42,7 @@ func newShuffleUnit(in, out, stride int, rng *rand.Rand) *shuffleUnit {
 			nn.NewBatchNorm2d(half),
 			nn.ReLU{},
 		)
+		u.params = u.branch2.Params()
 		return u
 	}
 	if out%2 != 0 {
@@ -64,6 +66,7 @@ func newShuffleUnit(in, out, stride int, rng *rand.Rand) *shuffleUnit {
 		nn.NewBatchNorm2d(half),
 		nn.ReLU{},
 	)
+	u.params = nn.ConcatParams(u.branch1, u.branch2)
 	return u
 }
 
@@ -90,13 +93,7 @@ func (u *shuffleUnit) Forward(x *ag.Variable) *ag.Variable {
 }
 
 // Params implements nn.Module.
-func (u *shuffleUnit) Params() []*ag.Variable {
-	var ps []*ag.Variable
-	if u.branch1 != nil {
-		ps = append(ps, u.branch1.Params()...)
-	}
-	return append(ps, u.branch2.Params()...)
-}
+func (u *shuffleUnit) Params() []*ag.Variable { return u.params }
 
 // SetTraining implements nn.Module.
 func (u *shuffleUnit) SetTraining(t bool) {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math/rand/v2"
+	"slices"
 
 	"github.com/fedzkt/fedzkt/internal/ag"
 	"github.com/fedzkt/fedzkt/internal/tensor"
@@ -20,6 +21,16 @@ type Reinitialiser interface {
 	Reinit(rng *rand.Rand)
 }
 
+// paramList is a parameterised layer's Params, made once at construction
+// from its weight and optional bias, with cap == len so that a caller's
+// append copies it.
+func paramList(ps ...*ag.Variable) []*ag.Variable {
+	if ps[len(ps)-1] == nil {
+		ps = ps[:len(ps)-1]
+	}
+	return slices.Clip(ps)
+}
+
 // zeroBias clears an optional bias parameter.
 func zeroBias(b *ag.Variable) {
 	if b != nil {
@@ -29,17 +40,23 @@ func zeroBias(b *ag.Variable) {
 
 // Linear is a fully-connected layer computing x·Wᵀ + b.
 type Linear struct {
-	W *ag.Variable // (out × in)
-	B *ag.Variable // (out), nil when bias is disabled
+	W      *ag.Variable // (out × in)
+	B      *ag.Variable // (out), nil when bias is disabled
+	params []*ag.Variable
 }
 
-// NewLinear constructs a Glorot-initialised fully-connected layer.
+// NewLinear constructs a Glorot-initialised fully-connected layer. A nil
+// rng draws nothing and leaves every parameter zero: the layout of a
+// module whose state is installed before use.
 func NewLinear(in, out int, bias bool, rng *rand.Rand) *Linear {
 	l := &Linear{W: ag.Param(tensor.New(out, in))}
 	if bias {
 		l.B = ag.Param(tensor.New(out))
 	}
-	l.Reinit(rng)
+	l.params = paramList(l.W, l.B)
+	if rng != nil {
+		l.Reinit(rng)
+	}
 	return l
 }
 
@@ -55,12 +72,7 @@ func (l *Linear) Reinit(rng *rand.Rand) {
 func (l *Linear) Forward(x *ag.Variable) *ag.Variable { return ag.Linear(x, l.W, l.B) }
 
 // Params implements Module.
-func (l *Linear) Params() []*ag.Variable {
-	if l.B == nil {
-		return []*ag.Variable{l.W}
-	}
-	return []*ag.Variable{l.W, l.B}
-}
+func (l *Linear) Params() []*ag.Variable { return l.params }
 
 // SetTraining implements Module (stateless with respect to mode).
 func (l *Linear) SetTraining(bool) {}
@@ -79,16 +91,20 @@ type Conv2d struct {
 	B      *ag.Variable // (out), nil when bias is disabled
 	Stride int
 	Pad    int
+	params []*ag.Variable
 }
 
 // NewConv2d constructs a Glorot-initialised convolution layer with square
-// kernels.
+// kernels; a nil rng leaves every parameter zero, as in NewLinear.
 func NewConv2d(inC, outC, k, stride, pad int, bias bool, rng *rand.Rand) *Conv2d {
 	c := &Conv2d{W: ag.Param(tensor.New(outC, inC, k, k)), Stride: stride, Pad: pad}
 	if bias {
 		c.B = ag.Param(tensor.New(outC))
 	}
-	c.Reinit(rng)
+	c.params = paramList(c.W, c.B)
+	if rng != nil {
+		c.Reinit(rng)
+	}
 	return c
 }
 
@@ -107,12 +123,7 @@ func (c *Conv2d) Forward(x *ag.Variable) *ag.Variable {
 }
 
 // Params implements Module.
-func (c *Conv2d) Params() []*ag.Variable {
-	if c.B == nil {
-		return []*ag.Variable{c.W}
-	}
-	return []*ag.Variable{c.W, c.B}
-}
+func (c *Conv2d) Params() []*ag.Variable { return c.params }
 
 // SetTraining implements Module.
 func (c *Conv2d) SetTraining(bool) {}
@@ -132,15 +143,20 @@ type DepthwiseConv2d struct {
 	B      *ag.Variable // (C), nil when bias is disabled
 	Stride int
 	Pad    int
+	params []*ag.Variable
 }
 
-// NewDepthwiseConv2d constructs a Glorot-initialised depthwise convolution.
+// NewDepthwiseConv2d constructs a Glorot-initialised depthwise
+// convolution; a nil rng leaves every parameter zero, as in NewLinear.
 func NewDepthwiseConv2d(channels, k, stride, pad int, bias bool, rng *rand.Rand) *DepthwiseConv2d {
 	d := &DepthwiseConv2d{W: ag.Param(tensor.New(channels, k, k)), Stride: stride, Pad: pad}
 	if bias {
 		d.B = ag.Param(tensor.New(channels))
 	}
-	d.Reinit(rng)
+	d.params = paramList(d.W, d.B)
+	if rng != nil {
+		d.Reinit(rng)
+	}
 	return d
 }
 
@@ -159,12 +175,7 @@ func (d *DepthwiseConv2d) Forward(x *ag.Variable) *ag.Variable {
 }
 
 // Params implements Module.
-func (d *DepthwiseConv2d) Params() []*ag.Variable {
-	if d.B == nil {
-		return []*ag.Variable{d.W}
-	}
-	return []*ag.Variable{d.W, d.B}
-}
+func (d *DepthwiseConv2d) Params() []*ag.Variable { return d.params }
 
 // SetTraining implements Module.
 func (d *DepthwiseConv2d) SetTraining(bool) {}
@@ -187,6 +198,7 @@ type BatchNorm2d struct {
 	Momentum float64
 	Eps      float64
 	training bool
+	params   []*ag.Variable
 }
 
 // NewBatchNorm2d constructs a BatchNorm2d over c channels with γ=1, β=0,
@@ -201,6 +213,7 @@ func NewBatchNorm2d(c int) *BatchNorm2d {
 		Eps:      1e-5,
 		training: true,
 	}
+	b.params = paramList(b.Gamma, b.Beta)
 	b.Reinit(nil)
 	return b
 }
@@ -220,7 +233,7 @@ func (b *BatchNorm2d) Forward(x *ag.Variable) *ag.Variable {
 }
 
 // Params implements Module.
-func (b *BatchNorm2d) Params() []*ag.Variable { return []*ag.Variable{b.Gamma, b.Beta} }
+func (b *BatchNorm2d) Params() []*ag.Variable { return b.params }
 
 // SetTraining implements Module.
 func (b *BatchNorm2d) SetTraining(t bool) { b.training = t }

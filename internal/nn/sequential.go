@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"strconv"
 
 	"github.com/fedzkt/fedzkt/internal/ag"
@@ -11,12 +12,13 @@ import (
 
 // Sequential chains modules, feeding each one's output to the next.
 type Sequential struct {
-	mods []Module
+	mods   []Module
+	params []*ag.Variable
 }
 
 // NewSequential builds a Sequential over the given modules.
 func NewSequential(mods ...Module) *Sequential {
-	return &Sequential{mods: append([]Module(nil), mods...)}
+	return &Sequential{mods: append([]Module(nil), mods...), params: ConcatParams(mods...)}
 }
 
 // Len returns the number of child modules.
@@ -38,12 +40,17 @@ func (s *Sequential) Forward(x *ag.Variable) *ag.Variable {
 }
 
 // Params implements Module.
-func (s *Sequential) Params() []*ag.Variable {
+func (s *Sequential) Params() []*ag.Variable { return s.params }
+
+// ConcatParams returns the modules' parameters in order, in one slice
+// with cap == len: what a composite module makes once, at construction,
+// and returns as its Params.
+func ConcatParams(mods ...Module) []*ag.Variable {
 	var ps []*ag.Variable
-	for _, m := range s.mods {
+	for _, m := range mods {
 		ps = append(ps, m.Params()...)
 	}
-	return ps
+	return slices.Clip(ps)
 }
 
 // SetTraining implements Module.

@@ -41,7 +41,9 @@ func ByRegime(spec string, labels []int, classes, k int, rng *rand.Rand) ([][]in
 }
 
 // IID assigns n samples to k devices uniformly at random with near-equal
-// sizes (|size_i - size_j| ≤ 1).
+// sizes (|size_i - size_j| ≤ 1). The shards are consecutive views of one
+// permutation, each capped at its own end, so an append to one copies it
+// rather than writing into its neighbour.
 func IID(n, k int, rng *rand.Rand) [][]int {
 	if n < k || k <= 0 {
 		panic(fmt.Sprintf("partition: IID(n=%d, k=%d)", n, k))
@@ -51,7 +53,7 @@ func IID(n, k int, rng *rand.Rand) [][]int {
 	for i := range out {
 		lo := i * n / k
 		hi := (i + 1) * n / k
-		out[i] = append([]int(nil), perm[lo:hi]...)
+		out[i] = perm[lo:hi:hi]
 	}
 	return out
 }

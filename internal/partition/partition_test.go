@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/fedzkt/fedzkt/internal/tensor"
 )
@@ -50,6 +51,30 @@ func TestIIDInvariants(t *testing.T) {
 		if len(s) < 10 || len(s) > 11 {
 			t.Fatalf("shard %d has %d samples, want 10 or 11", i, len(s))
 		}
+	}
+}
+
+// TestIIDShardsCannotClobberNeighbours: IID's shards share one backing
+// array, each capped at its own end, so appending to one shard copies it
+// and leaves the next shard as it was.
+func TestIIDShardsCannotClobberNeighbours(t *testing.T) {
+	shards := IID(103, 10, tensor.NewRand(1))
+	for i := 0; i+1 < len(shards); i++ {
+		if cap(shards[i]) != len(shards[i]) {
+			t.Fatalf("shard %d has len %d, cap %d", i, len(shards[i]), cap(shards[i]))
+		}
+		end := unsafe.Add(unsafe.Pointer(unsafe.SliceData(shards[i])), len(shards[i])*int(unsafe.Sizeof(0)))
+		if end != unsafe.Pointer(&shards[i+1][0]) {
+			t.Fatalf("shard %d is not followed by shard %d in one array", i, i+1)
+		}
+	}
+	next := append([]int(nil), shards[4]...)
+	grown := append(shards[3], -1, -2)
+	if !reflect.DeepEqual(shards[4], next) {
+		t.Fatalf("appending to shard 3 rewrote shard 4: %v, was %v", shards[4], next)
+	}
+	if grown[len(grown)-2] != -1 || len(shards[3]) != len(grown)-2 {
+		t.Fatal("the append did not grow a copy of shard 3")
 	}
 }
 
